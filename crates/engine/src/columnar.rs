@@ -40,29 +40,8 @@ const TAG_ERR: u8 = 4;
 
 const ENC_VERSION: u8 = 1;
 
-fn error_code(e: CellError) -> u8 {
-    match e {
-        CellError::Div0 => 0,
-        CellError::Value => 1,
-        CellError::Ref => 2,
-        CellError::Name => 3,
-        CellError::Na => 4,
-        CellError::Num => 5,
-        CellError::Circular => 6,
-    }
-}
-
 fn code_error(c: u8) -> Result<CellError, StoreError> {
-    Ok(match c {
-        0 => CellError::Div0,
-        1 => CellError::Value,
-        2 => CellError::Ref,
-        3 => CellError::Name,
-        4 => CellError::Na,
-        5 => CellError::Num,
-        6 => CellError::Circular,
-        _ => return Err(codec::corrupt(format!("unknown error code {c}"))),
-    })
+    CellError::from_code(c).ok_or_else(|| codec::corrupt(format!("unknown error code {c}")))
 }
 
 /// Borrowed view of one cell's value during a columnar scan — what the
@@ -570,7 +549,7 @@ impl ColumnBuilder {
                 self.push_tag(TAG_TEXT);
             }
             ScanValue::Error(e) => {
-                self.errors.push(error_code(e));
+                self.errors.push(e.code());
                 self.push_tag(TAG_ERR);
             }
         }
@@ -1086,7 +1065,7 @@ fn put_cell(out: &mut Vec<u8>, cell: &Cell) {
         }
         CellValue::Error(e) => {
             codec::put_u8(out, TAG_ERR);
-            codec::put_u8(out, error_code(*e));
+            codec::put_u8(out, e.code());
         }
     }
     if let Some(src) = &cell.formula {

@@ -40,9 +40,7 @@
 //! payload CRC-verified) and the logged ops are replayed. A crash at *any*
 //! byte therefore yields the state as of some logged-op prefix — never a
 //! torn cell — which is exactly what the byte-boundary recovery suite
-//! asserts. Version-1 (whole-sheet) images are migrated transparently: the
-//! cells load as the catch-all, everything is marked dirty, and the next
-//! checkpoint rewrites the file in the region-keyed layout.
+//! asserts. An image of any other format version is refused as corrupt.
 //!
 //! On-disk layout of the version-2 image:
 //!
@@ -105,8 +103,6 @@ const IMAGE_VERSION: u32 = 2;
 const HEADER_FIXED_LEN: usize = 4 + 4 + 1 + 8 + 4 + 4;
 /// Page numbers that fit in the header after the fixed fields.
 const MAX_MAP_PAGES: usize = (PAGE_SIZE - HEADER_FIXED_LEN) / 8;
-/// Serialized v1 header length (magic, version, posmap, len, crc).
-const V1_HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 
 // WAL payload kind tags.
 const REC_OP: u8 = 0;
@@ -236,7 +232,7 @@ fn put_value(out: &mut Vec<u8>, v: &CellValue) {
         }
         CellValue::Error(e) => {
             codec::put_u8(out, 4);
-            codec::put_u8(out, error_code(*e));
+            codec::put_u8(out, e.code());
         }
     }
 }
@@ -247,33 +243,14 @@ fn read_value(cur: &mut Reader<'_>) -> Result<CellValue, EngineError> {
         1 => CellValue::Number(cur.f64()?),
         2 => CellValue::Text(cur.str()?),
         3 => CellValue::Bool(cur.u8()? != 0),
-        4 => CellValue::Error(code_error(cur.u8()?)?),
+        4 => {
+            let c = cur.u8()?;
+            CellValue::Error(
+                CellError::from_code(c)
+                    .ok_or_else(|| corrupt(&format!("unknown error code {c}")))?,
+            )
+        }
         t => return Err(corrupt(&format!("unknown value tag {t}"))),
-    })
-}
-
-fn error_code(e: CellError) -> u8 {
-    match e {
-        CellError::Div0 => 0,
-        CellError::Value => 1,
-        CellError::Ref => 2,
-        CellError::Name => 3,
-        CellError::Na => 4,
-        CellError::Num => 5,
-        CellError::Circular => 6,
-    }
-}
-
-fn code_error(c: u8) -> Result<CellError, EngineError> {
-    Ok(match c {
-        0 => CellError::Div0,
-        1 => CellError::Value,
-        2 => CellError::Ref,
-        3 => CellError::Name,
-        4 => CellError::Na,
-        5 => CellError::Num,
-        6 => CellError::Circular,
-        t => return Err(corrupt(&format!("unknown error code {t}"))),
     })
 }
 
@@ -632,10 +609,6 @@ pub struct RecoveredState {
     pub ops: Vec<LoggedOp>,
     /// Whether an interrupted checkpoint had to be rolled back.
     pub rolled_back_checkpoint: bool,
-    /// `Some(version)` when the image was written by an older format and
-    /// the caller must re-serialize everything at the next checkpoint
-    /// (which rewrites the file in the current layout).
-    pub migrated_from: Option<u32>,
 }
 
 /// Outcome of one checkpoint.
@@ -673,12 +646,6 @@ pub struct PersistenceStats {
     pub image_pages: u64,
     /// Regions tracked by the image's page-allocation map.
     pub image_regions: u64,
-    /// Estimated resident (in-memory) bytes of the sheet's storage, by
-    /// region layout. Filled in by the engine
-    /// ([`SheetEngine::persistence_stats`](crate::SheetEngine::persistence_stats));
-    /// zero when read straight off a [`DurableStore`], which does not know
-    /// the sheet.
-    pub resident_bytes: u64,
     /// Pager cache / I/O counters.
     pub pager: PagerStats,
 }
@@ -708,11 +675,6 @@ pub struct DurableStore {
     /// (computed once at open, maintained incrementally) instead of
     /// re-derived from an O(image pages) rescan each time.
     free_pool: BTreeSet<u64>,
-    /// Non-zero when the open image was a v1 whole-sheet payload: that
-    /// many pages are treated as previously-used and the next checkpoint
-    /// must receive every region dirty (the caller marks the sheet dirty
-    /// when `migrated_from` is set).
-    legacy_pages: u64,
     ops_since_checkpoint: u64,
     checkpoints: u64,
     auto_checkpoint_ops: Option<u64>,
@@ -765,8 +727,7 @@ impl std::fmt::Debug for DurableStore {
 
 impl DurableStore {
     /// Open (or create) the durable directory, running crash recovery:
-    /// undo any interrupted checkpoint, load and verify the image (v1
-    /// images are migrated — see [`RecoveredState::migrated_from`]), and
+    /// undo any interrupted checkpoint, load and verify the image, and
     /// return the committed op tail for the caller to replay.
     pub fn open(dir: impl AsRef<Path>) -> Result<(DurableStore, RecoveredState), EngineError> {
         Self::open_on(real_fs(), dir)
@@ -865,8 +826,6 @@ impl DurableStore {
         let mut posmap = None;
         let mut map = BTreeMap::new();
         let mut map_pages = Vec::new();
-        let mut legacy_pages = 0u64;
-        let mut migrated_from = None;
         if pager.page_count() > 0 {
             let header = pager.read_page(0)?.to_vec();
             let mut cur = Reader::new(&header);
@@ -874,79 +833,54 @@ impl DurableStore {
                 return Err(corrupt("image: bad magic"));
             }
             let version = cur.u32().map_err(EngineError::Store)?;
-            match version {
-                1 => {
-                    // Legacy whole-sheet payload: pages 1.. hold one
-                    // serialized cell list. Load it as the catch-all; the
-                    // next checkpoint rewrites the file region-keyed.
-                    let mut cur = Reader::new(&header[..V1_HEADER_LEN]);
-                    cur.take(8).map_err(EngineError::Store)?; // magic + version
-                    let kind = code_posmap(cur.u8().map_err(EngineError::Store)?)?;
-                    let payload_len = cur.u64().map_err(EngineError::Store)?;
-                    let payload_crc = cur.u32().map_err(EngineError::Store)?;
-                    let payload_pages = (payload_len as usize).div_ceil(PAGE_SIZE) as u64;
-                    if pager.page_count() < 1 + payload_pages {
-                        return Err(corrupt("image: payload pages missing"));
-                    }
-                    let pages: Vec<u64> = (1..1 + payload_pages).collect();
-                    let payload = read_paged_payload(&mut pager, &pages, payload_len)?;
-                    if crc32(&payload) != payload_crc {
-                        return Err(corrupt("image: payload checksum mismatch"));
-                    }
-                    posmap = Some(kind);
-                    catchall = decode_cells(&payload)?;
-                    legacy_pages = pager.page_count();
-                    migrated_from = Some(1);
-                }
-                IMAGE_VERSION => {
-                    let kind = code_posmap(cur.u8().map_err(EngineError::Store)?)?;
-                    let map_len = cur.u64().map_err(EngineError::Store)?;
-                    let map_crc = cur.u32().map_err(EngineError::Store)?;
-                    let n_map_pages = cur.u32().map_err(EngineError::Store)? as usize;
-                    if n_map_pages > MAX_MAP_PAGES {
-                        return Err(corrupt("image: page map overflows the header"));
-                    }
-                    for _ in 0..n_map_pages {
-                        map_pages.push(cur.u64().map_err(EngineError::Store)?);
-                    }
-                    let map_bytes = read_paged_payload(&mut pager, &map_pages, map_len)?;
-                    if crc32(&map_bytes) != map_crc {
-                        return Err(corrupt("image: page map checksum mismatch"));
-                    }
-                    map = decode_map(&map_bytes)?;
-                    for (id, sr) in &map {
-                        let payload = read_paged_payload(&mut pager, &sr.pages, sr.payload_len)?;
-                        if crc32(&payload) != sr.payload_crc {
-                            return Err(corrupt(&format!(
-                                "image: region {id} payload checksum mismatch"
-                            )));
-                        }
-                        if *id == CATCHALL_REGION_ID {
-                            catchall = decode_cells(&payload)?;
-                        } else if sr.kind == KIND_COLUMNAR {
-                            // Native encoding: handed to the columnar
-                            // translator verbatim (which validates it).
-                            regions.push(RecoveredRegionImage {
-                                id: *id,
-                                kind: ModelKind::Columnar,
-                                rect: sr.rect,
-                                cells: Vec::new(),
-                                encoded: Some(payload),
-                            });
-                        } else {
-                            regions.push(RecoveredRegionImage {
-                                id: *id,
-                                kind: code_model(sr.kind)?,
-                                rect: sr.rect,
-                                cells: decode_cells(&payload)?,
-                                encoded: None,
-                            });
-                        }
-                    }
-                    posmap = Some(kind);
-                }
-                v => return Err(corrupt(&format!("image: unsupported version {v}"))),
+            if version != IMAGE_VERSION {
+                return Err(corrupt(&format!("image: unsupported version {version}")));
             }
+            let kind = code_posmap(cur.u8().map_err(EngineError::Store)?)?;
+            let map_len = cur.u64().map_err(EngineError::Store)?;
+            let map_crc = cur.u32().map_err(EngineError::Store)?;
+            let n_map_pages = cur.u32().map_err(EngineError::Store)? as usize;
+            if n_map_pages > MAX_MAP_PAGES {
+                return Err(corrupt("image: page map overflows the header"));
+            }
+            for _ in 0..n_map_pages {
+                map_pages.push(cur.u64().map_err(EngineError::Store)?);
+            }
+            let map_bytes = read_paged_payload(&mut pager, &map_pages, map_len)?;
+            if crc32(&map_bytes) != map_crc {
+                return Err(corrupt("image: page map checksum mismatch"));
+            }
+            map = decode_map(&map_bytes)?;
+            for (id, sr) in &map {
+                let payload = read_paged_payload(&mut pager, &sr.pages, sr.payload_len)?;
+                if crc32(&payload) != sr.payload_crc {
+                    return Err(corrupt(&format!(
+                        "image: region {id} payload checksum mismatch"
+                    )));
+                }
+                if *id == CATCHALL_REGION_ID {
+                    catchall = decode_cells(&payload)?;
+                } else if sr.kind == KIND_COLUMNAR {
+                    // Native encoding: handed to the columnar
+                    // translator verbatim (which validates it).
+                    regions.push(RecoveredRegionImage {
+                        id: *id,
+                        kind: ModelKind::Columnar,
+                        rect: sr.rect,
+                        cells: Vec::new(),
+                        encoded: Some(payload),
+                    });
+                } else {
+                    regions.push(RecoveredRegionImage {
+                        id: *id,
+                        kind: code_model(sr.kind)?,
+                        rect: sr.rect,
+                        cells: decode_cells(&payload)?,
+                        encoded: None,
+                    });
+                }
+            }
+            posmap = Some(kind);
         }
 
         // Seed the free-pool cache: image pages used by neither the map
@@ -954,9 +888,6 @@ impl DurableStore {
         let mut used: BTreeSet<u64> = map_pages.iter().copied().collect();
         for sr in map.values() {
             used.extend(sr.pages.iter().copied());
-        }
-        if legacy_pages > 0 {
-            used.extend(1..legacy_pages);
         }
         let free_pool: BTreeSet<u64> = (1..pager.page_count())
             .filter(|p| !used.contains(p))
@@ -977,7 +908,6 @@ impl DurableStore {
                 map,
                 map_pages,
                 free_pool,
-                legacy_pages,
                 ops_since_checkpoint: ops.len() as u64,
                 checkpoints: 0,
                 auto_checkpoint_ops: None,
@@ -994,7 +924,6 @@ impl DurableStore {
                 regions,
                 ops,
                 rolled_back_checkpoint: rolled_back,
-                migrated_from,
             },
         ))
     }
@@ -1191,9 +1120,6 @@ impl DurableStore {
         for sr in self.map.values() {
             prev_used.extend(sr.pages.iter().copied());
         }
-        if self.legacy_pages > 0 {
-            prev_used.extend(1..self.legacy_pages);
-        }
 
         // Partition the input: clean entries carry their stored pages
         // over; dirty entries are serialized (and clean-ified when the
@@ -1256,16 +1182,13 @@ impl DurableStore {
 
         // Free pool: the cached between-checkpoints pool, plus everything
         // the old image used that the new one does not retain — the old
-        // map pages (always rewritten or re-derived), the pages of regions
-        // being rewritten or dropped, and a legacy image's whole payload
-        // run. Equivalent to the full `(1..old_count)` rescan this
-        // replaced (same set, so page assignment — and therefore image
-        // bytes — stay identical), but O(changed pages), not O(image).
+        // map pages (always rewritten or re-derived) and the pages of
+        // regions being rewritten or dropped. Equivalent to the full
+        // `(1..old_count)` rescan this replaced (same set, so page
+        // assignment — and therefore image bytes — stay identical), but
+        // O(changed pages), not O(image).
         let mut free = self.free_pool.clone();
         free.extend(self.map_pages.iter().copied());
-        if self.legacy_pages > 0 {
-            free.extend(1..self.legacy_pages);
-        }
         // Every id in new_map so far carried its stored pages over
         // verbatim (clean or byte-identical entries); only ids absent from
         // it — rewritten below or dropped — release pages.
@@ -1438,7 +1361,6 @@ impl DurableStore {
         self.free_pool = free;
         self.map = map;
         self.map_pages = map_pages;
-        self.legacy_pages = 0;
         self.ops_since_checkpoint = 0;
         self.checkpoints += 1;
         self.poisoned = None;
@@ -1500,7 +1422,6 @@ impl DurableStore {
             checkpoints: self.checkpoints,
             image_pages: self.pager.page_count(),
             image_regions: self.map.len() as u64,
-            resident_bytes: 0,
             pager: self.pager.stats(),
         }
     }
@@ -1677,7 +1598,6 @@ mod tests {
         assert_eq!(recovered.catchall, cells);
         assert!(recovered.ops.is_empty());
         assert!(!recovered.rolled_back_checkpoint);
-        assert!(recovered.migrated_from.is_none());
         assert_eq!(store.stats().image_pages, 3);
         assert_eq!(store.stats().image_regions, 1);
         std::fs::remove_dir_all(&dir).ok();

@@ -1071,9 +1071,10 @@ fn sorted_cells(mut cells: Vec<(CellAddr, Cell)>) -> Vec<(CellAddr, Cell)> {
     cells
 }
 
-/// A cache-less [`CellReader`](dataspread_formula::eval::CellReader) over
-/// hybrid storage — used by benchmarks to measure raw formula access cost
-/// against different data models (Figure 15b / 17b).
+/// The [`CellReader`](dataspread_formula::eval::CellReader) over hybrid
+/// storage: what recomputation reads through, and what benchmarks use to
+/// measure raw formula access cost against different data models
+/// (Figure 15b / 17b).
 pub struct StorageReader<'a>(pub &'a HybridSheet);
 
 impl dataspread_formula::eval::CellReader for StorageReader<'_> {

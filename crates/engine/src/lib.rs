@@ -17,7 +17,7 @@
 //! cascading renumbering (paper §V).
 //!
 //! [`sheet::SheetEngine`] adds the execution-engine layer: formula parsing,
-//! the dependency graph, recomputation through an LRU cell cache, the
+//! the dependency graph, wave-ordered recomputation, the
 //! spreadsheet-facing API (`getCells`, `updateCell`, `insertRowAfter`, …),
 //! the database-facing API (`linkTable`, `sql`, relational operators), and
 //! `optimize()` which runs the hybrid optimizer and migrates storage.

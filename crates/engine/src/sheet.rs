@@ -1,6 +1,6 @@
 //! `SheetEngine`: the full DataSpread stack over one sheet (paper Figure
 //! 12) — storage (hybrid translators), execution (formula parsing,
-//! dependency graph, LRU cell cache, evaluator), and the spreadsheet- and
+//! dependency graph, evaluator), and the spreadsheet- and
 //! database-oriented operations of §III.
 
 use std::collections::HashMap;
@@ -8,13 +8,12 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use dataspread_formula::ast::Expr;
 use dataspread_formula::batch::{batch_eval_sliding, detect_sliding, SlidingSpec};
-use dataspread_formula::eval::CellReader;
 use dataspread_formula::refs::{collect_ranges, rewrite, Shift};
-use dataspread_formula::{parse, CellCache, DependencyGraph, Evaluator, WavePlan};
+use dataspread_formula::{parse, DependencyGraph, Evaluator, WavePlan};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_hybrid::{
@@ -26,7 +25,7 @@ use dataspread_relstore::{ColumnDef, DataType, Database, Datum, Schema, StorageF
 
 use crate::durable::{CheckpointReport, DurableStore, LoggedOp, PersistenceStats};
 use crate::error::EngineError;
-use crate::hybrid::{HybridSheet, RegionSource};
+use crate::hybrid::{HybridSheet, RegionSource, StorageReader};
 use crate::rom::RomTranslator;
 use crate::tom::TomTranslator;
 use crate::translator::{value_to_datum, Translator};
@@ -72,7 +71,6 @@ pub struct SheetEngine {
     db: Arc<RwLock<Database>>,
     deps: DependencyGraph,
     parsed: HashMap<CellAddr, FormulaInfo>,
-    cache: Mutex<CellCache>,
     composites: HashMap<CellAddr, Relation>,
     evaluator: Evaluator,
     /// WAL + paged image; `None` for an in-memory engine.
@@ -85,9 +83,9 @@ pub struct SheetEngine {
     /// Force the retained sequential per-cell recompute path — the
     /// differential oracle and the `exp_recompute` baseline.
     scalar_recompute: bool,
-    /// Restore the pre-wave structural-edit behavior (clear the whole
-    /// eval cache, reseed every surviving formula) — the differential
-    /// baseline for band-intersection seeding.
+    /// Restore the pre-wave structural-edit behavior (reseed every
+    /// surviving formula) — the differential baseline for
+    /// band-intersection seeding.
     shift_recompute_all: bool,
     /// Metric handles, when the owner attached a registry.
     obs: Option<crate::obs::EngineObs>,
@@ -96,74 +94,6 @@ pub struct SheetEngine {
 impl Default for SheetEngine {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Read-through reader: LRU cell cache in front of the hybrid translator
-/// (paper §VI: "the evaluator fetches the cells … from the LRU cell cache
-/// in a read-through manner").
-struct EngineReader<'a> {
-    sheet: &'a HybridSheet,
-    cache: &'a Mutex<CellCache>,
-}
-
-impl CellReader for EngineReader<'_> {
-    fn value(&self, addr: CellAddr) -> CellValue {
-        if let Some(v) = self.cache.lock().get(&addr) {
-            return v.clone();
-        }
-        let v = self
-            .sheet
-            .get_cell(addr)
-            .map(|c| c.value)
-            .unwrap_or(CellValue::Empty);
-        self.cache.lock().put(addr, v.clone());
-        v
-    }
-
-    fn range_values(&self, rect: Rect) -> Vec<(CellAddr, CellValue)> {
-        // Range scans bypass the per-cell cache: the translators' range
-        // fetch is already a bulk operation.
-        self.sheet
-            .get_cells(rect)
-            .into_iter()
-            .map(|(a, c)| (a, c.value))
-            .collect()
-    }
-
-    fn range_agg(&self, rect: Rect) -> Option<dataspread_formula::RangeAgg> {
-        // Like range scans, aggregates bypass the per-cell cache (it is
-        // read-through, so storage holds the same values).
-        self.sheet.range_agg(rect).map(Into::into)
-    }
-}
-
-/// Cache-free reader for wave workers: each worker reads the hybrid
-/// translator directly, so parallel evaluation never contends on the
-/// shared LRU mutex. The cache is read-through, so values are identical
-/// with or without it.
-struct SheetOnlyReader<'a> {
-    sheet: &'a HybridSheet,
-}
-
-impl CellReader for SheetOnlyReader<'_> {
-    fn value(&self, addr: CellAddr) -> CellValue {
-        self.sheet
-            .get_cell(addr)
-            .map(|c| c.value)
-            .unwrap_or(CellValue::Empty)
-    }
-
-    fn range_values(&self, rect: Rect) -> Vec<(CellAddr, CellValue)> {
-        self.sheet
-            .get_cells(rect)
-            .into_iter()
-            .map(|(a, c)| (a, c.value))
-            .collect()
-    }
-
-    fn range_agg(&self, rect: Rect) -> Option<dataspread_formula::RangeAgg> {
-        self.sheet.range_agg(rect).map(Into::into)
     }
 }
 
@@ -187,7 +117,6 @@ impl SheetEngine {
             db: Arc::new(RwLock::new(Database::new())),
             deps: DependencyGraph::new(),
             parsed: HashMap::new(),
-            cache: Mutex::new(CellCache::new(100_000)),
             composites: HashMap::new(),
             evaluator: Evaluator::new(),
             durable: None,
@@ -204,12 +133,6 @@ impl SheetEngine {
     /// (last attach wins).
     pub fn set_obs(&mut self, obs: crate::obs::EngineObs) {
         self.obs = Some(obs);
-    }
-
-    /// LRU cell-cache `(hits, misses)` since the engine was created — the
-    /// formula cache's counters, surfaced for stats and metric sampling.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.lock().stats()
     }
 
     /// The permanent storage-failure record with its first-observed
@@ -239,9 +162,9 @@ impl SheetEngine {
         self.scalar_recompute = on;
     }
 
-    /// Restore the recompute-everything structural-edit path (whole-cache
-    /// clear, every surviving formula reseeded) — the differential
-    /// baseline for band-intersection seeding.
+    /// Restore the recompute-everything structural-edit path (every
+    /// surviving formula reseeded) — the differential baseline for
+    /// band-intersection seeding.
     #[doc(hidden)]
     pub fn set_shift_recompute_all(&mut self, on: bool) {
         self.shift_recompute_all = on;
@@ -334,10 +257,9 @@ impl SheetEngine {
                 engine.register_formula(addr, expr, src);
             }
         }
-        // 3. The restored state matches the image byte-for-byte — unless
-        //    the image is a legacy format, in which case everything must
-        //    re-serialize into the region-keyed layout.
-        if recovered.posmap.is_some() && recovered.migrated_from.is_none() {
+        // 3. The restored state matches the image byte-for-byte (a fresh
+        //    store has no image and stays all-dirty).
+        if recovered.posmap.is_some() {
             engine.sheet.clear_dirty();
         }
         // 4. Replay the committed op tail through the normal op paths
@@ -440,11 +362,7 @@ impl SheetEngine {
     /// Persistence counters (WAL size, pager cache stats); `None` for
     /// in-memory engines.
     pub fn persistence_stats(&self) -> Option<PersistenceStats> {
-        self.durable.as_ref().map(|store| {
-            let mut stats = store.stats();
-            stats.resident_bytes = self.sheet.resident_bytes();
-            stats
-        })
+        self.durable.as_ref().map(DurableStore::stats)
     }
 
     /// Shared handle to this engine's WAL for group-commit coordinators
@@ -551,7 +469,6 @@ impl SheetEngine {
             let expr = parse(src)?;
             self.register_formula(addr, expr, src.to_string());
             self.sheet.set_cell(addr, Cell::formula(src))?;
-            self.cache.lock().invalidate(&addr);
             self.recompute(&[addr])?;
             return Ok(());
         }
@@ -566,7 +483,6 @@ impl SheetEngine {
             let value = parse_literal(trimmed);
             self.sheet.set_cell(addr, Cell::value(value))?;
         }
-        self.cache.lock().invalidate(&addr);
         self.recompute(&[addr])?;
         Ok(())
     }
@@ -626,7 +542,6 @@ impl SheetEngine {
             self.deps.remove(addr);
         }
         self.sheet.set_cell(addr, Cell::value(value))?;
-        self.cache.lock().invalidate(&addr);
         self.recompute(&[addr])
     }
 
@@ -717,7 +632,6 @@ impl SheetEngine {
             self.deps.remove(addr);
         }
         self.sheet.add_region(rect, Box::new(rom))?;
-        self.cache.lock().clear();
         // Formulas reading the imported rectangle must see the new values.
         let seeds: Vec<CellAddr> = self
             .deps
@@ -757,7 +671,6 @@ impl SheetEngine {
         );
         let tom = TomTranslator::new(Arc::clone(&self.db), name);
         self.sheet.add_region(link_rect, Box::new(tom))?;
-        self.cache.lock().clear();
         // Linked-table contents are captured as plain cells at checkpoint
         // time (the table link itself is not yet persisted; see README).
         self.checkpoint()?;
@@ -771,30 +684,15 @@ impl SheetEngine {
                 "region {rect} is empty; nothing to create"
             )));
         }
-        // First row: column names.
-        let mut columns = Vec::new();
-        for c in rect.c1..=rect.c2 {
-            let header = cells
-                .iter()
-                .find(|(a, _)| a.row == rect.r1 && a.col == c)
-                .map(|(_, cell)| cell.value.as_text())
-                .filter(|s| !s.is_empty())
-                .unwrap_or_else(|| format!("col{}", c - rect.c1 + 1));
-            columns.push(ColumnDef::new(header, DataType::Any));
-        }
+        let (headers, rows) = headers_and_rows(&cells, rect);
+        let columns = headers
+            .into_iter()
+            .map(|h| ColumnDef::new(h, DataType::Any))
+            .collect();
         let mut db = self.db.write();
         let table = db.create_table(name, Schema::new(columns))?;
-        for r in rect.r1 + 1..=rect.r2 {
-            let mut row: Vec<Datum> = Vec::with_capacity((rect.c2 - rect.c1 + 1) as usize);
-            for c in rect.c1..=rect.c2 {
-                let v = cells
-                    .iter()
-                    .find(|(a, _)| a.row == r && a.col == c)
-                    .map(|(_, cell)| value_to_datum(&cell.value))
-                    .unwrap_or(Datum::Null);
-                row.push(v);
-            }
-            table.insert(&row)?;
+        for row in &rows {
+            table.insert(row)?;
         }
         Ok(())
     }
@@ -806,30 +704,7 @@ impl SheetEngine {
 
     /// Materialize a sheet range as a relation (first row = headers).
     pub fn range_to_relation(&self, rect: Rect) -> Relation {
-        let cells = self.sheet.get_cells(rect);
-        let mut columns = Vec::new();
-        for c in rect.c1..=rect.c2 {
-            let header = cells
-                .iter()
-                .find(|(a, _)| a.row == rect.r1 && a.col == c)
-                .map(|(_, cell)| cell.value.as_text())
-                .filter(|s| !s.is_empty())
-                .unwrap_or_else(|| format!("col{}", c - rect.c1 + 1));
-            columns.push(header);
-        }
-        let mut rows = Vec::new();
-        for r in rect.r1 + 1..=rect.r2 {
-            let mut row = Vec::new();
-            for c in rect.c1..=rect.c2 {
-                let v = cells
-                    .iter()
-                    .find(|(a, _)| a.row == r && a.col == c)
-                    .map(|(_, cell)| value_to_datum(&cell.value))
-                    .unwrap_or(Datum::Null);
-                row.push(v);
-            }
-            rows.push(row);
-        }
+        let (columns, rows) = headers_and_rows(&self.sheet.get_cells(rect), rect);
         Relation::new(columns, rows)
     }
 
@@ -917,7 +792,6 @@ impl SheetEngine {
         };
         let storage_before = self.sheet.storage_bytes();
         let migrated_cells = self.sheet.reorganize(&decomposition)?;
-        self.cache.lock().clear();
         Ok(OptimizeReport {
             decomposition,
             migrated_cells,
@@ -1014,10 +888,7 @@ impl SheetEngine {
                 continue;
             };
             let value = {
-                let reader = EngineReader {
-                    sheet: &self.sheet,
-                    cache: &self.cache,
-                };
+                let reader = StorageReader(&self.sheet);
                 self.evaluator.eval(&info.expr, &reader)
             };
             self.write_computed(addr, value)?;
@@ -1044,19 +915,12 @@ impl SheetEngine {
     /// Evaluate one wave. Members of a wave never read each other (the
     /// wave invariant), so evaluation order within the wave cannot change
     /// results — only the write-back order is kept deterministic.
-    ///
-    /// Every read goes through the cache-free [`SheetOnlyReader`]: the LRU
-    /// cache is read-through (so values are identical with or without it),
-    /// and its per-read lock + recency churn is exactly the overhead a
-    /// bulk cascade cannot afford. The cache still serves the interactive
-    /// single-cell paths and stays coherent because every write-back
-    /// invalidates its address.
     fn eval_wave(&mut self, wave: &[CellAddr]) -> Result<(), EngineError> {
         // Chains degenerate into thousands of single-cell waves; skip the
         // grouping machinery for them.
         if let [addr] = *wave {
             if let Some(info) = self.parsed.get(&addr) {
-                let reader = SheetOnlyReader { sheet: &self.sheet };
+                let reader = StorageReader(&self.sheet);
                 let value = self.evaluator.eval(&info.expr, &reader);
                 if let Some(obs) = self.obs.as_ref().filter(|o| o.enabled()) {
                     obs.scalar_evals.inc();
@@ -1080,7 +944,7 @@ impl SheetEngine {
                 continue;
             }
             let members: Vec<CellAddr> = idxs.iter().map(|&i| wave[i]).collect();
-            let reader = SheetOnlyReader { sheet: &self.sheet };
+            let reader = StorageReader(&self.sheet);
             // `None` (window off-sheet, union too large) falls back to the
             // per-cell walk below.
             if let Some(values) = batch_eval_sliding(spec, &members, &reader) {
@@ -1109,7 +973,7 @@ impl SheetEngine {
                     .chunks(chunk)
                     .map(|ids| {
                         s.spawn(move || {
-                            let reader = SheetOnlyReader { sheet };
+                            let reader = StorageReader(sheet);
                             ids.iter()
                                 .map(|&i| {
                                     let value = parsed
@@ -1131,7 +995,7 @@ impl SheetEngine {
                 }
             }
         } else {
-            let reader = SheetOnlyReader { sheet: &self.sheet };
+            let reader = StorageReader(&self.sheet);
             for &i in &rest {
                 let Some(info) = self.parsed.get(&wave[i]) else {
                     continue;
@@ -1155,7 +1019,6 @@ impl SheetEngine {
         // user's formula into canonical form.
         let formula = self.parsed.get(&addr).map(|info| info.source.clone());
         self.sheet.set_cell(addr, Cell { value, formula })?;
-        self.cache.lock().invalidate(&addr);
         self.cells_recomputed += 1;
         Ok(())
     }
@@ -1168,17 +1031,8 @@ impl SheetEngine {
     /// the shift band* (a deleted band's cells disappear; an insertion
     /// strictly inside a range changes the range's geometry) and formulas
     /// whose references were destroyed can change value. Everything else
-    /// keeps its stored value, and cached values above the band stay
-    /// valid, so the eval cache is evicted only at and below the edit.
+    /// keeps its stored value.
     fn apply_shift(&mut self, shift: Shift) -> Result<(), EngineError> {
-        if self.shift_recompute_all {
-            self.cache.lock().clear();
-        } else {
-            self.cache.lock().invalidate_where(|addr| match shift {
-                Shift::InsertRows { at, .. } | Shift::DeleteRows { at, .. } => addr.row >= at,
-                Shift::InsertCols { at, .. } | Shift::DeleteCols { at, .. } => addr.col >= at,
-            });
-        }
         let mut entries: Vec<(CellAddr, FormulaInfo)> = self.parsed.drain().collect();
         self.deps = DependencyGraph::new();
         let mut seeds = Vec::new();
@@ -1234,13 +1088,33 @@ impl SheetEngine {
                             formula: None,
                         },
                     )?;
-                    self.cache.lock().invalidate(&new_addr);
                     seeds.push(new_addr);
                 }
             }
         }
         self.recompute(&seeds)
     }
+}
+
+/// Split the cells fetched for `rect` into header names (first row; a
+/// blank header is `colN`) and data rows (a blank cell is `Datum::Null`),
+/// in one pass: each cell lands at its offset within the rect.
+fn headers_and_rows(cells: &[(CellAddr, Cell)], rect: Rect) -> (Vec<String>, Vec<Vec<Datum>>) {
+    let width = (rect.c2 - rect.c1 + 1) as usize;
+    let mut headers: Vec<String> = (1..=width).map(|i| format!("col{i}")).collect();
+    let mut rows = vec![vec![Datum::Null; width]; (rect.r2 - rect.r1) as usize];
+    for (addr, cell) in cells {
+        let c = (addr.col - rect.c1) as usize;
+        if addr.row == rect.r1 {
+            let text = cell.value.as_text();
+            if !text.is_empty() {
+                headers[c] = text;
+            }
+        } else {
+            rows[(addr.row - rect.r1 - 1) as usize][c] = value_to_datum(&cell.value);
+        }
+    }
+    (headers, rows)
 }
 
 /// Whether a read window's *pre-edit* coordinates intersect the band of a
@@ -1688,5 +1562,20 @@ mod tests {
         let rel = e.range_to_relation(Rect::parse_a1("A1:B2").unwrap());
         assert_eq!(rel.columns, vec!["name".to_string(), "score".to_string()]);
         assert_eq!(rel.rows[0][1], Datum::Float(92.0));
+        // Blank header, a blank row and blank interior cells: `colN`,
+        // NULLs, and every value still under its own column.
+        e.update_cell_a1("D1", "k").unwrap();
+        e.update_cell_a1("F1", "v").unwrap();
+        e.update_cell_a1("D3", "x").unwrap();
+        e.update_cell_a1("F3", "7").unwrap();
+        let rel = e.range_to_relation(Rect::parse_a1("D1:F3").unwrap());
+        assert_eq!(rel.columns, vec!["k", "col2", "v"]);
+        assert_eq!(
+            rel.rows,
+            vec![
+                vec![Datum::Null; 3],
+                vec![Datum::Text("x".into()), Datum::Null, Datum::Float(7.0)],
+            ]
+        );
     }
 }

@@ -17,9 +17,10 @@ use std::path::{Path, PathBuf};
 
 use common::{apply, tape};
 
-use dataspread_engine::durable::{image_path, wal_path};
-use dataspread_engine::SheetEngine;
+use dataspread_engine::durable::{image_path, wal_path, IMAGE_FILE, WAL_FILE};
+use dataspread_engine::{EngineError, SheetEngine};
 use dataspread_grid::CellAddr;
+use dataspread_relstore::StoreError;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir =
@@ -282,7 +283,7 @@ fn garbage_wal_tail_is_ignored_but_garbage_image_is_rejected() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-// ----------------------------------------------------- v1 migration --
+// ----------------------------------------------------- v1 rejection --
 
 /// Hand-built PR 2-era (format version 1) image: one header page (magic,
 /// version, posmap, payload length, payload CRC), then the whole-sheet
@@ -326,60 +327,27 @@ fn v1_wal_bytes(row: u32, col: u32, input: &str) -> Vec<u8> {
     wal
 }
 
+/// Format version 1 has no reader any more: a v1 image and a v1 WAL are
+/// each refused with a `Corrupt` error naming the version, and the refused
+/// file keeps its bytes.
 #[test]
-fn v1_snapshot_and_wal_open_via_the_migration_path() {
-    let dir = temp_dir("v1-migrate");
-    std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(
-        image_path(&dir),
-        v1_image_bytes(&[(0, 0, 11.0), (3, 2, 7.5), (100, 0, -4.0)]),
-    )
-    .unwrap();
-    std::fs::write(wal_path(&dir), v1_wal_bytes(1, 0, "42")).unwrap();
-
-    // Open must load the legacy image, keep its posmap scheme, and replay
-    // the v1 op tail.
-    let a = |s: &str| CellAddr::parse_a1(s).unwrap();
-    let engine = SheetEngine::open(&dir).unwrap();
-    assert_eq!(
-        engine.storage().posmap_kind(),
-        dataspread_engine::PosMapKind::Hierarchical
-    );
-    assert_eq!(
-        engine.value(a("A1")),
-        dataspread_grid::CellValue::Number(11.0)
-    );
-    assert_eq!(
-        engine.value(a("C4")),
-        dataspread_grid::CellValue::Number(7.5)
-    );
-    assert_eq!(
-        engine.value(a("A101")),
-        dataspread_grid::CellValue::Number(-4.0)
-    );
-    assert_eq!(
-        engine.value(a("A2")),
-        dataspread_grid::CellValue::Number(42.0)
-    );
-    drop(engine);
-
-    // The open folded a checkpoint, rewriting the file in the v2 layout.
-    let image = std::fs::read(image_path(&dir)).unwrap();
-    assert_eq!(&image[..4], b"DSIM");
-    assert_eq!(u32::from_le_bytes(image[4..8].try_into().unwrap()), 2);
-
-    // A second open reads the migrated image natively.
-    let engine = SheetEngine::open(&dir).unwrap();
-    assert_eq!(
-        engine.value(a("A2")),
-        dataspread_grid::CellValue::Number(42.0)
-    );
-    assert_eq!(
-        engine.value(a("A101")),
-        dataspread_grid::CellValue::Number(-4.0)
-    );
-    assert_eq!(engine.persistence_stats().unwrap().ops_since_checkpoint, 0);
-    std::fs::remove_dir_all(&dir).ok();
+fn v1_image_and_v1_wal_are_refused_untouched() {
+    let image = v1_image_bytes(&[(0, 0, 11.0), (3, 2, 7.5), (100, 0, -4.0)]);
+    let wal = v1_wal_bytes(1, 0, "42");
+    for (name, file, bytes) in [("v1-image", IMAGE_FILE, &image), ("v1-wal", WAL_FILE, &wal)] {
+        let dir = temp_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(file);
+        std::fs::write(&path, bytes).unwrap();
+        match SheetEngine::open(&dir) {
+            Err(EngineError::Store(StoreError::Corrupt(msg))) => {
+                assert!(msg.ends_with("unsupported version 1"), "{name}: {msg}")
+            }
+            other => panic!("{name}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(&std::fs::read(&path).unwrap(), bytes, "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 // ------------------------------------------- region-granular recovery --

@@ -1,8 +1,8 @@
 //! Formula evaluation.
 //!
 //! The evaluator reads cell values through a [`CellReader`] — in the full
-//! engine this is an LRU cell cache in front of the hybrid translator
-//! (paper §VI) — and implements 30+ spreadsheet functions covering the
+//! engine this is the hybrid translator (paper §VI) — and implements 30+
+//! spreadsheet functions covering the
 //! categories the corpus study found common (Figure 5): arithmetic,
 //! aggregation over ranges (SUM/AVERAGE/…), conditionals (IF/ISBLANK), text
 //! functions (SEARCH/…), and lookups (VLOOKUP — the paper's stand-in for

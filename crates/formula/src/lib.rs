@@ -3,13 +3,12 @@
 //! When a formula is entered into a cell, the [`parser`] interprets it; the
 //! referenced ranges are registered in the [`deps::DependencyGraph`]; the
 //! [`eval::Evaluator`] fetches required cells through a [`eval::CellReader`]
-//! (in the engine crate, a read-through [`cache::CellCache`] in front of the
-//! hybrid translator) and computes the result. Updates trigger recomputation
+//! (in the engine crate, the hybrid translator) and computes the result.
+//! Updates trigger recomputation
 //! of dependents in topological order, with cycle detection.
 
 pub mod ast;
 pub mod batch;
-pub mod cache;
 pub mod deps;
 pub mod error;
 pub mod eval;
@@ -19,7 +18,6 @@ pub mod refs;
 
 pub use ast::{BinOp, CellRef, Expr, UnOp};
 pub use batch::{batch_eval_sliding, detect_sliding, shape_key, AggKind, SlidingSpec};
-pub use cache::{CellCache, LruCache};
 pub use deps::{DependencyGraph, RecomputePlan, ScanDependencyGraph, WavePlan};
 pub use error::ParseError;
 pub use eval::{CellReader, EmptyReader, Evaluator, RangeAgg, SheetReader};

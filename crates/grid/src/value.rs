@@ -21,6 +21,36 @@ pub enum CellError {
     Circular,
 }
 
+impl CellError {
+    /// The one-byte code every on-disk and wire format stores this error
+    /// as. Stable: never renumber.
+    pub fn code(self) -> u8 {
+        match self {
+            CellError::Div0 => 0,
+            CellError::Value => 1,
+            CellError::Ref => 2,
+            CellError::Name => 3,
+            CellError::Na => 4,
+            CellError::Num => 5,
+            CellError::Circular => 6,
+        }
+    }
+
+    /// Inverse of [`CellError::code`]; `None` for an unassigned byte.
+    pub fn from_code(code: u8) -> Option<CellError> {
+        Some(match code {
+            0 => CellError::Div0,
+            1 => CellError::Value,
+            2 => CellError::Ref,
+            3 => CellError::Name,
+            4 => CellError::Na,
+            5 => CellError::Num,
+            6 => CellError::Circular,
+            _ => return None,
+        })
+    }
+}
+
 impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

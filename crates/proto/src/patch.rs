@@ -23,7 +23,7 @@ use dataspread_grid::{Cell, CellAddr, CellError, CellValue, Rect};
 use dataspread_relstore::codec::{corrupt, put_f64, put_str, put_u32, put_u64, put_u8, Reader};
 use dataspread_relstore::StoreError;
 
-use crate::types::{error_from_u8, error_to_u8, put_rect, read_rect};
+use crate::types::{error_from_u8, put_rect, read_rect};
 
 /// Identical consecutive numbers collapse into a repeat run once a
 /// stretch reaches this length (below it, the plain array is smaller or
@@ -339,7 +339,7 @@ impl WindowPatch {
         put_u32(out, self.errors.len() as u32);
         for (idx, e) in &self.errors {
             put_u64(out, *idx);
-            put_u8(out, error_to_u8(*e));
+            put_u8(out, e.code());
         }
         put_u32(out, self.formulas.len() as u32);
         for (idx, src) in &self.formulas {

@@ -184,10 +184,6 @@ pub struct SheetStats {
     pub pager_pages_read: u64,
     /// Pages written to the image file.
     pub pager_pages_written: u64,
-    /// Formula cell-cache hits.
-    pub cache_hits: u64,
-    /// Formula cell-cache misses.
-    pub cache_misses: u64,
     /// Whether the sheet is serving normally or read-only degraded.
     pub health: Health,
     /// Cause of the degrade (first storage failure message), if degraded.
@@ -221,8 +217,8 @@ mod stat_ids {
     pub const HEALTH: u16 = 16;
     pub const DEGRADED_CAUSE: u16 = 17;
     pub const DEGRADED_SINCE_MS: u16 = 18;
-    pub const CACHE_HITS: u16 = 19;
-    pub const CACHE_MISSES: u16 = 20;
+    // 19 and 20 are retired (the formula cell-cache counters an older
+    // peer still sends); never reuse them.
 }
 
 /// Upper bound on fields in one [`SheetStats`] frame — far above any real
@@ -268,8 +264,6 @@ impl SheetStats {
             stat_ids::PAGER_PAGES_WRITTEN,
             u64_payload(self.pager_pages_written),
         );
-        field(stat_ids::CACHE_HITS, u64_payload(self.cache_hits));
-        field(stat_ids::CACHE_MISSES, u64_payload(self.cache_misses));
         field(stat_ids::HEALTH, vec![health_to_u8(self.health)]);
         if let Some(cause) = &self.degraded_cause {
             let mut p = Vec::new();
@@ -312,12 +306,11 @@ impl SheetStats {
                 stat_ids::PAGER_EVICTIONS => s.pager_evictions = f.u64()?,
                 stat_ids::PAGER_PAGES_READ => s.pager_pages_read = f.u64()?,
                 stat_ids::PAGER_PAGES_WRITTEN => s.pager_pages_written = f.u64()?,
-                stat_ids::CACHE_HITS => s.cache_hits = f.u64()?,
-                stat_ids::CACHE_MISSES => s.cache_misses = f.u64()?,
                 stat_ids::HEALTH => s.health = health_from_u8(f.u8()?)?,
                 stat_ids::DEGRADED_CAUSE => s.degraded_cause = Some(f.str()?),
                 stat_ids::DEGRADED_SINCE_MS => s.degraded_since_ms = Some(f.u64()?),
-                // Unknown field from a newer peer: tolerated and dropped.
+                // Unknown field (a newer peer's, or a retired id from an
+                // older one): tolerated and dropped.
                 _ => continue,
             }
             f.expect_done("sheet-stats field")?;
@@ -430,29 +423,8 @@ pub(crate) fn read_rect(r: &mut Reader<'_>) -> Result<Rect, StoreError> {
     Ok(Rect::new(r1, c1, r2, c2))
 }
 
-pub(crate) fn error_to_u8(e: CellError) -> u8 {
-    match e {
-        CellError::Div0 => 0,
-        CellError::Value => 1,
-        CellError::Ref => 2,
-        CellError::Name => 3,
-        CellError::Na => 4,
-        CellError::Num => 5,
-        CellError::Circular => 6,
-    }
-}
-
 pub(crate) fn error_from_u8(b: u8) -> Result<CellError, StoreError> {
-    Ok(match b {
-        0 => CellError::Div0,
-        1 => CellError::Value,
-        2 => CellError::Ref,
-        3 => CellError::Name,
-        4 => CellError::Na,
-        5 => CellError::Num,
-        6 => CellError::Circular,
-        t => return Err(corrupt(format!("unknown cell-error tag {t}"))),
-    })
+    CellError::from_code(b).ok_or_else(|| corrupt(format!("unknown cell-error tag {b}")))
 }
 
 pub(crate) fn put_value(out: &mut Vec<u8>, v: &CellValue) {
@@ -472,7 +444,7 @@ pub(crate) fn put_value(out: &mut Vec<u8>, v: &CellValue) {
         }
         CellValue::Error(e) => {
             put_u8(out, 4);
-            put_u8(out, error_to_u8(*e));
+            put_u8(out, e.code());
         }
     }
 }
@@ -541,7 +513,7 @@ mod tests {
             CellError::Num,
             CellError::Circular,
         ] {
-            assert_eq!(error_from_u8(error_to_u8(e)).unwrap(), e);
+            assert_eq!(error_from_u8(e.code()).unwrap(), e);
         }
         assert!(error_from_u8(200).is_err());
     }

@@ -501,7 +501,6 @@ mod tests {
             regions: 2,
             persistent: true,
             wal_bytes: 4096,
-            cache_hits: 10,
             health: dataspread_obs::Health::Degraded,
             degraded_cause: Some("fsync failed".into()),
             degraded_since_ms: Some(1_700_000_000_000),
@@ -532,27 +531,33 @@ mod tests {
 
     #[test]
     fn stats_decoder_skips_unknown_fields() {
-        // A future server appends a field this decoder has no id for; the
-        // known fields still land and the rest is dropped.
+        // A future server appends a field this decoder has no id for, or an
+        // older one still sends the retired cache counters (ids 19/20);
+        // the known fields still land and the rest is dropped.
         let stats = WireStats {
             filled_cells: 7,
             ..Default::default()
         };
         let mut body = Vec::new();
         stats.encode(&mut body);
-        // Splice one unknown field (id 999, 4-byte payload) in front and
-        // bump the count.
         let count = u32::from_le_bytes(body[..4].try_into().unwrap());
-        let mut spliced = Vec::new();
-        put_u32(&mut spliced, count + 1);
-        put_u16(&mut spliced, 999);
-        put_u32(&mut spliced, 4);
-        spliced.extend_from_slice(&[1, 2, 3, 4]);
-        spliced.extend_from_slice(&body[4..]);
-        let mut r = Reader::new(&spliced);
-        let decoded = WireStats::decode(&mut r).unwrap();
-        r.expect_done("stats").unwrap();
-        assert_eq!(decoded, stats);
+        let future: &[(u16, &[u8])] = &[(999, &[1, 2, 3, 4])];
+        let older: &[(u16, &[u8])] = &[(19, &10u64.to_le_bytes()), (20, &3u64.to_le_bytes())];
+        for extra in [future, older] {
+            // Splice the extra fields in front and bump the count.
+            let mut spliced = Vec::new();
+            put_u32(&mut spliced, count + extra.len() as u32);
+            for (id, payload) in extra {
+                put_u16(&mut spliced, *id);
+                put_u32(&mut spliced, payload.len() as u32);
+                spliced.extend_from_slice(payload);
+            }
+            spliced.extend_from_slice(&body[4..]);
+            let mut r = Reader::new(&spliced);
+            let decoded = WireStats::decode(&mut r).unwrap();
+            r.expect_done("stats").unwrap();
+            assert_eq!(decoded, stats);
+        }
     }
 
     #[test]

@@ -29,9 +29,6 @@
 //! leaves stale segments that the next open rejects (epoch mismatch)
 //! instead of replaying records from before the checkpoint.
 //!
-//! Version-1 logs (8-byte header, single segment) are still readable; the
-//! first truncate rewrites them as version 2.
-//!
 //! Payload semantics are the caller's business; this layer only frames and
 //! checksums. The engine logs logical sheet ops plus checkpoint undo-page
 //! images (see `dataspread-engine`'s `durable` module).
@@ -49,8 +46,6 @@ const MAGIC: &[u8; 4] = b"DSWL";
 const VERSION: u32 = 2;
 /// Size of the version-2 file header preceding the first record.
 pub const WAL_HEADER_LEN: u64 = 24;
-/// Size of the legacy version-1 header (magic + version only).
-pub const WAL_V1_HEADER_LEN: u64 = 8;
 /// Per-record framing overhead (length + checksum).
 pub const WAL_RECORD_OVERHEAD: u64 = 8;
 /// Upper bound on a single record payload. Enforced on append — a larger
@@ -162,8 +157,6 @@ pub struct Wal {
     file: Box<dyn VfsFile>,
     epoch: u64,
     seg_index: u64,
-    /// Header length of the current segment (8 for a legacy v1 base).
-    seg_header_len: u64,
     /// Valid bytes in the current segment (header included).
     seg_len: u64,
     /// Valid bytes across all sealed (earlier) segments.
@@ -212,35 +205,34 @@ impl Wal {
         let mut file = fs.open(&base, OpenMode::Open)?;
         let bytes = file.read_to_end_vec()?;
 
-        // Decide what the base segment is: fresh, legacy v1, or v2.
-        let parsed: Option<(u64, u64)> = if bytes.len() < WAL_V1_HEADER_LEN as usize {
-            None // fresh (or torn-at-birth) log
+        // Decide what the base segment is: fresh, or a log with an epoch.
+        let parsed: Option<u64> = if bytes.len() < 8 {
+            None // fresh (or torn before magic + version landed)
         } else {
             if &bytes[..4] != MAGIC {
                 return Err(StoreError::Corrupt("wal: bad magic".into()));
             }
             let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-            match version {
-                1 => Some((0, WAL_V1_HEADER_LEN)),
-                2 => {
-                    if bytes.len() < WAL_HEADER_LEN as usize {
-                        None // torn mid-header (e.g. during truncate)
-                    } else {
-                        let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
-                        let idx = u64::from_le_bytes(bytes[16..24].try_into().expect("8"));
-                        if idx != 0 {
-                            return Err(StoreError::Corrupt(
-                                "wal: base file carries a non-zero segment index".into(),
-                            ));
-                        }
-                        Some((epoch, WAL_HEADER_LEN))
-                    }
+            if version != VERSION {
+                return Err(StoreError::Corrupt(format!(
+                    "wal: unsupported version {version}"
+                )));
+            }
+            if bytes.len() < WAL_HEADER_LEN as usize {
+                None // torn mid-header (e.g. during truncate)
+            } else {
+                let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
+                let idx = u64::from_le_bytes(bytes[16..24].try_into().expect("8"));
+                if idx != 0 {
+                    return Err(StoreError::Corrupt(
+                        "wal: base file carries a non-zero segment index".into(),
+                    ));
                 }
-                v => return Err(StoreError::Corrupt(format!("wal: unsupported version {v}"))),
+                Some(epoch)
             }
         };
 
-        let Some((epoch, header_len)) = parsed else {
+        let Some(epoch) = parsed else {
             // Fresh base. Pick an epoch above any stale numbered segment so
             // leftovers of an interrupted truncate can never be replayed.
             let mut stale_max: Option<u64> = None;
@@ -263,7 +255,6 @@ impl Wal {
                 file,
                 epoch,
                 seg_index: 0,
-                seg_header_len: WAL_HEADER_LEN,
                 seg_len: WAL_HEADER_LEN,
                 sealed_len: 0,
                 segments: 1,
@@ -276,9 +267,8 @@ impl Wal {
 
         // Scan the base, then walk the numbered chain while it is intact.
         let mut recovered = Vec::new();
-        let (valid, clean) = scan_records(&bytes, header_len as usize, &mut recovered);
+        let (valid, clean) = scan_records(&bytes, WAL_HEADER_LEN as usize, &mut recovered);
         let mut last_idx = 0u64;
-        let mut last_header = header_len;
         let mut last_valid = valid as u64;
         let mut sealed_len = 0u64;
         let mut torn = !clean;
@@ -299,7 +289,6 @@ impl Wal {
             let (valid, clean) = scan_records(&seg_bytes, WAL_HEADER_LEN as usize, &mut recovered);
             sealed_len += last_valid;
             last_idx = idx;
-            last_header = WAL_HEADER_LEN;
             last_valid = valid as u64;
             torn = !clean;
             idx += 1;
@@ -322,7 +311,6 @@ impl Wal {
             file,
             epoch,
             seg_index: last_idx,
-            seg_header_len: last_header,
             seg_len: last_valid,
             sealed_len,
             segments: last_idx + 1,
@@ -362,7 +350,6 @@ impl Wal {
         self.sealed_len += self.seg_len;
         self.file = next;
         self.seg_index = idx;
-        self.seg_header_len = WAL_HEADER_LEN;
         self.seg_len = WAL_HEADER_LEN;
         self.segments += 1;
         Ok(())
@@ -391,7 +378,7 @@ impl Wal {
         }
         if let Some(limit) = self.segment_limit {
             // Only rotate past a record boundary (never an empty segment).
-            if self.seg_len >= limit && self.seg_len > self.seg_header_len {
+            if self.seg_len >= limit && self.seg_len > WAL_HEADER_LEN {
                 self.rotate()?;
             }
         }
@@ -449,7 +436,6 @@ impl Wal {
         self.file.sync_data()?;
         delete_segments_from(self.fs.as_ref(), &self.base, 1);
         self.seg_index = 0;
-        self.seg_header_len = WAL_HEADER_LEN;
         self.seg_len = WAL_HEADER_LEN;
         self.sealed_len = 0;
         self.segments = 1;
@@ -687,13 +673,10 @@ impl SharedWal {
     }
 
     /// Run `f` against the underlying log under the append lock. Exposed
-    /// for owners that need the full [`Wal`] surface (recovery, stats,
-    /// and deliberately-serial per-op fsyncs). `f` must not wait on other
-    /// log users (deadlock); note that long-running `f` (e.g.
-    /// `Wal::sync`) holds appends, pending checks, and ticket bookkeeping
-    /// back for its duration — that is exactly the legacy fully-serial
-    /// commit behaviour, which the workspace's per-op mode reproduces as
-    /// the group-commit baseline.
+    /// for owners that need the full [`Wal`] surface (recovery, stats).
+    /// `f` must not wait on other log users (deadlock), and a
+    /// long-running `f` holds appends, pending checks, and ticket
+    /// bookkeeping back for its duration.
     pub fn with<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
         f(&mut self.lock().wal)
     }
@@ -763,44 +746,6 @@ impl SharedWal {
     pub fn sync(&self) -> Result<u64, StoreError> {
         let flusher = self.flush.lock().unwrap_or_else(|e| e.into_inner());
         self.sync_locked(flusher)
-    }
-
-    /// Fully-serial fsync under the append lock (the per-op commit mode's
-    /// path). Shares the poisoning contract with the group fsync-point: a
-    /// failure is permanent and fails every later commit with
-    /// [`StoreError::StorageFailed`].
-    pub fn sync_serial(&self) -> Result<(), StoreError> {
-        let mut st = self.lock();
-        if let Some(cause) = &st.sync_failed {
-            return Err(StoreError::StorageFailed(cause.clone()));
-        }
-        let timed = st
-            .obs
-            .as_ref()
-            .filter(|o| o.enabled())
-            .map(|_| Instant::now());
-        let batch = st.appended_seq - st.durable_seq;
-        match st.wal.sync() {
-            Ok(()) => {
-                st.durable_seq = st.appended_seq;
-                if let (Some(obs), Some(t0)) = (&st.obs, timed) {
-                    // The metric counts every fsync; the separate
-                    // `fsyncs` field below still meters only the group
-                    // fsync-point, matching its historical meaning.
-                    obs.fsyncs.inc();
-                    obs.fsync_ns.record_ns(t0.elapsed().as_nanos() as u64);
-                    obs.batch_ops.record(batch);
-                }
-                self.durable.notify_all();
-                Ok(())
-            }
-            Err(e) => {
-                let cause = e.to_string();
-                st.poison(cause.clone());
-                self.durable.notify_all();
-                Err(StoreError::StorageFailed(cause))
-            }
-        }
     }
 
     /// The flush body, entered holding the flusher lock.
@@ -1121,7 +1066,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_header_still_opens() {
+    fn v1_header_is_refused_and_left_untouched() {
         let path = temp("v1");
         cleanup(&path);
         // A PR 2-era log: 8-byte header, then one framed record.
@@ -1133,14 +1078,11 @@ mod tests {
         bytes.extend_from_slice(&crc32(payload).to_le_bytes());
         bytes.extend_from_slice(payload);
         std::fs::write(&path, &bytes).unwrap();
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.take_recovered(), vec![payload.to_vec()]);
-        // Appends keep working; the first truncate upgrades the header.
-        wal.append(b"more").unwrap();
-        wal.truncate().unwrap();
-        drop(wal);
-        let header = std::fs::read(&path).unwrap();
-        assert_eq!(header.len() as u64, WAL_HEADER_LEN);
+        match Wal::open(&path) {
+            Err(StoreError::Corrupt(msg)) => assert!(msg.ends_with("unsupported version 1")),
+            other => panic!("v1 log must be refused as corrupt, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         cleanup(&path);
     }
 
@@ -1324,24 +1266,27 @@ mod tests {
     }
 
     #[test]
-    fn serial_sync_shares_the_poisoning_contract() {
+    fn helping_commit_wait_shares_the_poisoning_contract() {
+        // One writer, window 1: the writer's own helping fsync is the
+        // commit point, and its failure is as permanent as the group's.
         use crate::vfs::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
-        let path = temp("poison-serial");
+        let path = temp("poison-helping");
         cleanup(&path);
         let plan = FaultPlan::new();
         let fs = FaultFs::new(std::sync::Arc::clone(&plan));
         let wal = SharedWal::open_on(fs, &path).unwrap();
-        wal.append(b"a").unwrap();
-        wal.sync_serial().unwrap();
+        let t1 = wal.append(b"a").unwrap();
+        wal.commit_wait(t1, 0).unwrap();
+        assert_eq!(wal.fsync_count(), 1);
         plan.push(FaultRule::new(FaultOp::Sync, 0, FaultKind::Enospc));
-        wal.append(b"b").unwrap();
+        let t2 = wal.append(b"b").unwrap();
         assert!(matches!(
-            wal.sync_serial(),
+            wal.commit_wait(t2, 0),
             Err(StoreError::StorageFailed(_))
         ));
         plan.disarm();
         assert!(matches!(
-            wal.sync_serial(),
+            wal.commit_wait(t2, 0),
             Err(StoreError::StorageFailed(_))
         ));
         assert!(wal.poisoned().unwrap().contains("No space left"));

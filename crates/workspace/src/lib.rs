@@ -23,12 +23,11 @@
 //!   front-end can be bolted on without reshaping the service.
 //! * **Group commit.** In a durable workspace every edit appends to the
 //!   sheet's WAL and receives a *commit ticket*; instead of paying one
-//!   fsync per op ([`CommitMode::PerOp`], the baseline), sessions block
-//!   on their ticket while a dedicated committer thread batches all
-//!   outstanding records into one fsync per sheet per round
-//!   ([`CommitMode::Group`], the default) — K writers × 1 fsync/op
-//!   becomes ~1 fsync per batch, with the identical durability contract:
-//!   `apply_edit` does not return before the edit is on stable storage.
+//!   fsync per op, sessions block on their ticket while a dedicated
+//!   committer thread batches all outstanding records into one fsync per
+//!   sheet per round — K writers × 1 fsync/op becomes ~1 fsync per batch,
+//!   with the identical durability contract: `apply_edit` does not return
+//!   before the edit is on stable storage.
 //!
 //! Crash recovery is unchanged from the single-threaded engine: each
 //! sheet directory recovers independently (image + committed WAL
@@ -50,7 +49,7 @@ mod service;
 
 pub use committer::GroupCommitter;
 pub use dataspread_proto::{Edit, EditReceipt, SheetStats, WindowPatch};
-pub use service::{CommitMode, Session, Workspace, WorkspaceConfig, WorkspaceError};
+pub use service::{Session, Workspace, WorkspaceConfig, WorkspaceError};
 
 pub use dataspread_engine::{CheckpointReport, PersistenceStats, SheetEngine};
 

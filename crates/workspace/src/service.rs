@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -19,23 +19,9 @@ use dataspread_relstore::{SharedWal, StorageFs, StoreError, WalObs};
 
 use crate::committer::GroupCommitter;
 
-/// How a durable workspace acknowledges committed edits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitMode {
-    /// Every edit pays its own fsync before `apply_edit` returns — the
-    /// safe-but-slow baseline (one fsync per op per writer).
-    PerOp,
-    /// Edits append and block on their commit ticket; the dedicated
-    /// committer thread batches all outstanding records into one fsync
-    /// per sheet per round. Same durability contract, ~1 fsync per batch.
-    #[default]
-    Group,
-}
-
 /// Workspace construction knobs.
 #[derive(Clone)]
 pub struct WorkspaceConfig {
-    pub commit_mode: CommitMode,
     /// Auto-checkpoint every N logged ops on each sheet (engine default:
     /// disabled).
     pub auto_checkpoint_ops: Option<u64>,
@@ -64,7 +50,6 @@ pub struct WorkspaceConfig {
 impl Default for WorkspaceConfig {
     fn default() -> Self {
         WorkspaceConfig {
-            commit_mode: CommitMode::default(),
             auto_checkpoint_ops: None,
             recompute_threads: None,
             storage_fs: None,
@@ -78,7 +63,6 @@ impl Default for WorkspaceConfig {
 impl std::fmt::Debug for WorkspaceConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkspaceConfig")
-            .field("commit_mode", &self.commit_mode)
             .field("auto_checkpoint_ops", &self.auto_checkpoint_ops)
             .field("recompute_threads", &self.recompute_threads)
             .field("storage_fs", &self.storage_fs.as_ref().map(|_| "custom"))
@@ -427,10 +411,7 @@ struct Inner {
     /// `wal_ops_per_fsync` — appended WAL records per fsync across the
     /// workspace, refreshed by [`Session::metrics`].
     ops_per_fsync: Arc<Gauge>,
-    /// Fsyncs issued inline by `CommitMode::PerOp` writers (the baseline
-    /// counter the concurrency bench compares against committer batches).
-    inline_syncs: AtomicU64,
-    /// Yield budget a group-mode writer spins before helping with (or
+    /// Yield budget a writer spins before helping with (or
     /// parking for) the flush — see [`SharedWal::commit_wait`]. Sized by
     /// core count at construction: on one core yielding hands the CPU to
     /// the other writers so the batch grows; on many cores a longer spin
@@ -451,7 +432,6 @@ impl std::fmt::Debug for Workspace {
         f.debug_struct("Workspace")
             .field("dir", &self.inner.dir)
             .field("sheets", &self.sheet_names())
-            .field("mode", &self.inner.config.commit_mode)
             .finish()
     }
 }
@@ -512,7 +492,6 @@ impl Workspace {
                 metrics,
                 op_hists,
                 ops_per_fsync,
-                inline_syncs: AtomicU64::new(0),
                 commit_spin: std::thread::available_parallelism()
                     .map_or(1, std::num::NonZeroUsize::get)
                     .clamp(1, 16) as u32
@@ -551,11 +530,11 @@ impl Workspace {
         Arc::clone(&self.inner.metrics)
     }
 
-    /// `(committer flush rounds, group fsyncs, inline per-op fsyncs)` —
-    /// the observability the concurrency bench asserts batching with.
-    /// Group fsyncs count every fsync issued through the group
-    /// fsync-point, whether by the committer thread or a helping writer.
-    pub fn commit_stats(&self) -> (u64, u64, u64) {
+    /// `(committer flush rounds, group fsyncs)` — the observability the
+    /// concurrency bench asserts batching with. Group fsyncs count every
+    /// fsync issued through the group fsync-point, whether by the
+    /// committer thread or a helping writer.
+    pub fn commit_stats(&self) -> (u64, u64) {
         let slots: Vec<Arc<SheetSlot>> = self
             .inner
             .sheets
@@ -574,11 +553,7 @@ impl Workspace {
                 }
             })
             .sum();
-        (
-            self.inner.committer.rounds(),
-            group_fsyncs,
-            self.inner.inline_syncs.load(Ordering::Relaxed),
-        )
+        (self.inner.committer.rounds(), group_fsyncs)
     }
 }
 
@@ -704,9 +679,7 @@ impl Session {
         let wal = engine.commit_wal();
         if let Some(wal) = &wal {
             wal.set_obs(WalObs::new(&self.inner.metrics, name));
-            if self.inner.config.commit_mode == CommitMode::Group {
-                self.inner.committer.register(wal);
-            }
+            self.inner.committer.register(wal);
         }
         Ok(Arc::new(Shard {
             name: name.to_string(),
@@ -834,10 +807,10 @@ impl Session {
     ///
     /// The edit itself serializes under the sheet's write lock (one writer
     /// per sheet; writers on other sheets run in parallel). Commit
-    /// acknowledgement happens *after* the lock is released: per-op mode
-    /// fsyncs inline, group mode enqueues the sheet's WAL with the
-    /// committer and blocks on the edit's ticket — so the fsync wait never
-    /// blocks the sheet's readers or the next writer.
+    /// acknowledgement happens *after* the lock is released: the sheet's
+    /// WAL is enqueued with the committer and the call blocks on the
+    /// edit's ticket — so the fsync wait never blocks the sheet's readers
+    /// or the next writer.
     pub fn apply_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WorkspaceError> {
         let shard = self.shard(sheet)?;
         let t0 = self.op_timer(&self.inner.op_hists.apply_edit);
@@ -889,11 +862,7 @@ impl Session {
     /// awaited later with [`Session::await_commit`] — the pipelining
     /// building block for RPC clients that keep a small window of edits
     /// in flight (the group committer then folds a whole window into one
-    /// fsync).
-    ///
-    /// Commit-mode semantics are preserved: per-op workspaces fsync the
-    /// edit here (staging changes nothing for them — every op still pays
-    /// its own fsync), group workspaces return immediately with
+    /// fsync). Durable workspaces return immediately with
     /// `durable: false`.
     pub fn stage_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WorkspaceError> {
         let shard = self.shard(sheet)?;
@@ -913,30 +882,15 @@ impl Session {
     }
 
     fn stage_edit_inner(&self, shard: &Shard, edit: &Edit) -> Result<EditReceipt, WorkspaceError> {
+        // In-memory engines log nothing, so their ticket is 0.
         let ticket = self.apply_under_lock(shard, edit)?;
-        let Some(wal) = &shard.wal else {
-            return Ok(EditReceipt {
-                ticket: 0,
-                durable: false,
-            });
-        };
-        match self.inner.config.commit_mode {
-            CommitMode::PerOp => {
-                wal.sync_serial().map_err(promote_storage)?;
-                self.inner.inline_syncs.fetch_add(1, Ordering::Relaxed);
-                Ok(EditReceipt {
-                    ticket,
-                    durable: true,
-                })
-            }
-            CommitMode::Group => {
-                self.inner.committer.nudge(wal);
-                Ok(EditReceipt {
-                    ticket,
-                    durable: false,
-                })
-            }
+        if let Some(wal) = &shard.wal {
+            self.inner.committer.nudge(wal);
         }
+        Ok(EditReceipt {
+            ticket,
+            durable: false,
+        })
     }
 
     /// Block until `ticket` (from [`Session::stage_edit`]) is
@@ -945,10 +899,9 @@ impl Session {
     pub fn await_commit(&self, sheet: &str, ticket: u64) -> Result<(), WorkspaceError> {
         let shard = self.shard(sheet)?;
         let t0 = self.op_timer(&self.inner.op_hists.await_commit);
-        let res = match (&shard.wal, self.inner.config.commit_mode) {
-            (None, _) => Ok(()),                    // in-memory: nothing to await
-            (Some(_), CommitMode::PerOp) => Ok(()), // staged ops were fsynced inline
-            (Some(wal), CommitMode::Group) => {
+        let res = match &shard.wal {
+            None => Ok(()), // in-memory: nothing to await
+            Some(wal) => {
                 self.inner.committer.nudge(wal);
                 wal.commit_wait(ticket, self.inner.commit_spin)
                     .map_err(promote_storage)
@@ -1044,28 +997,13 @@ impl Session {
                 durable: false,
             });
         };
-        match self.inner.config.commit_mode {
-            CommitMode::PerOp => {
-                // Unconditional fsync *under the append lock* — the
-                // faithful legacy baseline: the single-threaded engine
-                // held `&mut self` across `save()`, fully serializing
-                // apply+fsync. Deliberately not routed through the group
-                // fsync-point (which would coalesce concurrent per-op
-                // fsyncs and quietly turn the baseline into group
-                // commit).
-                wal.sync_serial().map_err(promote_storage)?;
-                self.inner.inline_syncs.fetch_add(1, Ordering::Relaxed);
-            }
-            CommitMode::Group => {
-                // `commit_wait` spins briefly then *helps* with the fsync
-                // when the fsync-point is free — small commit windows stay
-                // fsync-bound instead of futex-bound, while wide windows
-                // still batch through the committer thread.
-                self.inner.committer.nudge(wal);
-                wal.commit_wait(ticket, self.inner.commit_spin)
-                    .map_err(promote_storage)?;
-            }
-        }
+        // `commit_wait` spins briefly then *helps* with the fsync when the
+        // fsync-point is free — small commit windows stay fsync-bound
+        // instead of futex-bound, while wide windows still batch through
+        // the committer thread.
+        self.inner.committer.nudge(wal);
+        wal.commit_wait(ticket, self.inner.commit_spin)
+            .map_err(promote_storage)?;
         Ok(EditReceipt {
             ticket,
             durable: true,
@@ -1088,7 +1026,6 @@ impl Session {
         let mut s = SheetStats::default();
         s.filled_cells = engine.storage().filled_count();
         s.regions = engine.storage().region_count() as u64;
-        (s.cache_hits, s.cache_misses) = engine.cache_stats();
         if let Some(p) = engine.persistence_stats() {
             s.persistent = true;
             s.wal_bytes = p.wal_bytes;
@@ -1097,7 +1034,7 @@ impl Session {
             s.checkpoints = p.checkpoints;
             s.image_pages = p.image_pages;
             s.image_regions = p.image_regions;
-            s.resident_bytes = p.resident_bytes;
+            s.resident_bytes = engine.storage().resident_bytes();
             s.pager_hits = p.pager.hits;
             s.pager_misses = p.pager.misses;
             s.pager_evictions = p.pager.evictions;
@@ -1139,9 +1076,9 @@ impl Session {
 
     /// A whole-workspace metrics snapshot: every counter, gauge and
     /// histogram recorded so far, the slow-op/event ring, and per-sheet
-    /// health. Point-in-time gauges (formula-cache hit counts, pager
-    /// counters, resident bytes by region layout, WAL ops-per-fsync) are
-    /// sampled here, so the snapshot is self-contained.
+    /// health. Point-in-time gauges (pager counters, resident bytes by
+    /// region layout, WAL ops-per-fsync) are sampled here, so the
+    /// snapshot is self-contained.
     ///
     /// This is the payload `Request::Metrics` serves; the text exposition
     /// (`RegistrySnapshot::render_text`) renders it for scrapes.
@@ -1154,13 +1091,6 @@ impl Session {
         for (name, shard) in &shards {
             let labels: &[(&str, &str)] = &[("sheet", name)];
             let engine = self.read_engine(shard);
-            let (hits, misses) = engine.cache_stats();
-            registry
-                .gauge("formula_cache_hits", labels)
-                .set(i64::try_from(hits).unwrap_or(i64::MAX));
-            registry
-                .gauge("formula_cache_misses", labels)
-                .set(i64::try_from(misses).unwrap_or(i64::MAX));
             if let Some(p) = engine.persistence_stats() {
                 for (key, v) in [
                     ("pager_hits", p.pager.hits),
@@ -1312,34 +1242,6 @@ mod tests {
     }
 
     #[test]
-    fn per_op_mode_counts_inline_syncs() {
-        let dir = temp_dir("per-op");
-        let ws = Workspace::open_with(
-            &dir,
-            WorkspaceConfig {
-                commit_mode: CommitMode::PerOp,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let s = ws.session();
-        s.open_sheet("x").unwrap();
-        // Baseline after open (the open-time checkpoint itself fsyncs
-        // once through the shared fsync-point).
-        let (_, group_fsyncs_at_open, _) = ws.commit_stats();
-        for i in 0..5u32 {
-            s.apply_edit("x", set(i, 0, "1")).unwrap();
-        }
-        let (_, group_fsyncs, inline) = ws.commit_stats();
-        assert_eq!(inline, 5, "per-op mode pays one fsync per edit");
-        assert_eq!(
-            group_fsyncs, group_fsyncs_at_open,
-            "no group-commit fsyncs in per-op mode"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn staged_edits_commit_on_await() {
         let dir = temp_dir("stage-await");
         {
@@ -1368,25 +1270,6 @@ mod tests {
                 "staged edit {i} must have committed"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn per_op_staging_is_durable_immediately() {
-        let dir = temp_dir("stage-per-op");
-        let ws = Workspace::open_with(
-            &dir,
-            WorkspaceConfig {
-                commit_mode: CommitMode::PerOp,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let s = ws.session();
-        s.open_sheet("p").unwrap();
-        let r = s.stage_edit("p", set(0, 0, "9")).unwrap();
-        assert!(r.durable, "per-op mode fsyncs staged ops inline");
-        s.await_commit("p", r.ticket).unwrap(); // no-op, must not block
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1437,7 +1320,14 @@ mod tests {
             1,
             "a dense numeric import is one typed run"
         );
-        assert_eq!(s.stats("data").unwrap().regions, 1);
+        let stats = s.stats("data").unwrap();
+        assert_eq!(stats.regions, 1);
+        let shard = s.shard("data").unwrap();
+        assert_eq!(
+            stats.resident_bytes,
+            s.read_engine(&shard).storage().resident_bytes(),
+            "stats must carry the resident total"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

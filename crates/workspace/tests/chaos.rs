@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use dataspread_grid::{CellAddr, CellValue};
 use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
-use dataspread_workspace::{CommitMode, Edit, Workspace, WorkspaceConfig, WorkspaceError};
+use dataspread_workspace::{Edit, Workspace, WorkspaceConfig, WorkspaceError};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -67,13 +67,7 @@ fn chaos_round(seed: u64, dir: &PathBuf) -> Vec<(CellAddr, f64)> {
     for _ in 0..rng.gen_range(1..=3) {
         plan.push(random_rule(&mut rng));
     }
-    let commit_mode = if rng.gen_bool(0.5) {
-        CommitMode::PerOp
-    } else {
-        CommitMode::Group
-    };
     let config = WorkspaceConfig {
-        commit_mode,
         storage_fs: Some(FaultFs::new(Arc::clone(&plan))),
         ..WorkspaceConfig::default()
     };
@@ -182,110 +176,40 @@ fn chaos_acknowledged_edits_survive_reopen() {
     }
 }
 
-/// Degraded mode end-to-end, in both commit modes: after a failed WAL
+/// Degraded mode end-to-end: after a failed WAL
 /// fsync the sheet refuses durable mutations with
 /// [`WorkspaceError::Degraded`], keeps serving reads of the last
 /// acknowledged state, and a reopen restores full service.
 #[test]
 fn degraded_sheet_serves_reads_and_refuses_writes() {
-    for mode in [CommitMode::PerOp, CommitMode::Group] {
-        let dir = temp_dir("degraded");
-        let plan = FaultPlan::new();
-        {
-            let config = WorkspaceConfig {
-                commit_mode: mode,
-                storage_fs: Some(FaultFs::new(Arc::clone(&plan))),
-                ..WorkspaceConfig::default()
-            };
-            let ws = Workspace::open_with(&dir, config).unwrap();
-            let session = ws.session();
-            session.open_sheet("grid").unwrap();
-            session
-                .apply_edit(
-                    "grid",
-                    Edit::Set {
-                        row: 0,
-                        col: 0,
-                        input: "7".into(),
-                    },
-                )
-                .unwrap();
-
-            // Every WAL fsync fails from here on.
-            plan.push(
-                FaultRule::new(FaultOp::Sync, 0, FaultKind::Io)
-                    .sticky()
-                    .on_path("wal"),
-            );
-            let err = session
-                .apply_edit(
-                    "grid",
-                    Edit::Set {
-                        row: 1,
-                        col: 0,
-                        input: "8".into(),
-                    },
-                )
-                .unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    WorkspaceError::Degraded(_)
-                        | WorkspaceError::StorageFailed(_)
-                        | WorkspaceError::Store(_)
-                        | WorkspaceError::Engine(_)
-                ),
-                "{mode:?}: unexpected failure shape: {err:?}"
-            );
-            assert!(
-                session.storage_failed("grid").unwrap().is_some(),
-                "{mode:?}: failed fsync must degrade the sheet"
-            );
-
-            // Durable mutations now refuse with the coded degraded error...
-            let err = session
-                .apply_edit(
-                    "grid",
-                    Edit::Set {
-                        row: 2,
-                        col: 0,
-                        input: "9".into(),
-                    },
-                )
-                .unwrap_err();
-            assert!(
-                matches!(err, WorkspaceError::Degraded(_)),
-                "{mode:?}: expected Degraded, got {err:?}"
-            );
-            let err = session
-                .stage_edit(
-                    "grid",
-                    Edit::Set {
-                        row: 2,
-                        col: 0,
-                        input: "9".into(),
-                    },
-                )
-                .unwrap_err();
-            assert!(matches!(err, WorkspaceError::Degraded(_)));
-
-            // ...while reads keep serving the acknowledged state.
-            assert_eq!(
-                session.value("grid", CellAddr::new(0, 0)).unwrap(),
-                CellValue::Number(7.0),
-                "{mode:?}: degraded sheet must keep serving reads"
-            );
-        }
-        plan.disarm();
-        let ws = Workspace::open(&dir).unwrap();
+    let dir = temp_dir("degraded");
+    let plan = FaultPlan::new();
+    {
+        let config = WorkspaceConfig {
+            storage_fs: Some(FaultFs::new(Arc::clone(&plan))),
+            ..WorkspaceConfig::default()
+        };
+        let ws = Workspace::open_with(&dir, config).unwrap();
         let session = ws.session();
         session.open_sheet("grid").unwrap();
-        assert_eq!(session.storage_failed("grid").unwrap(), None);
-        assert_eq!(
-            session.value("grid", CellAddr::new(0, 0)).unwrap(),
-            CellValue::Number(7.0)
-        );
         session
+            .apply_edit(
+                "grid",
+                Edit::Set {
+                    row: 0,
+                    col: 0,
+                    input: "7".into(),
+                },
+            )
+            .unwrap();
+
+        // Every WAL fsync fails from here on.
+        plan.push(
+            FaultRule::new(FaultOp::Sync, 0, FaultKind::Io)
+                .sticky()
+                .on_path("wal"),
+        );
+        let err = session
             .apply_edit(
                 "grid",
                 Edit::Set {
@@ -294,7 +218,74 @@ fn degraded_sheet_serves_reads_and_refuses_writes() {
                     input: "8".into(),
                 },
             )
-            .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WorkspaceError::Degraded(_)
+                    | WorkspaceError::StorageFailed(_)
+                    | WorkspaceError::Store(_)
+                    | WorkspaceError::Engine(_)
+            ),
+            "unexpected failure shape: {err:?}"
+        );
+        assert!(
+            session.storage_failed("grid").unwrap().is_some(),
+            "failed fsync must degrade the sheet"
+        );
+
+        // Durable mutations now refuse with the coded degraded error...
+        let err = session
+            .apply_edit(
+                "grid",
+                Edit::Set {
+                    row: 2,
+                    col: 0,
+                    input: "9".into(),
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, WorkspaceError::Degraded(_)),
+            "expected Degraded, got {err:?}"
+        );
+        let err = session
+            .stage_edit(
+                "grid",
+                Edit::Set {
+                    row: 2,
+                    col: 0,
+                    input: "9".into(),
+                },
+            )
+            .unwrap_err();
+        assert!(matches!(err, WorkspaceError::Degraded(_)));
+
+        // ...while reads keep serving the acknowledged state.
+        assert_eq!(
+            session.value("grid", CellAddr::new(0, 0)).unwrap(),
+            CellValue::Number(7.0),
+            "degraded sheet must keep serving reads"
+        );
     }
+    plan.disarm();
+    let ws = Workspace::open(&dir).unwrap();
+    let session = ws.session();
+    session.open_sheet("grid").unwrap();
+    assert_eq!(session.storage_failed("grid").unwrap(), None);
+    assert_eq!(
+        session.value("grid", CellAddr::new(0, 0)).unwrap(),
+        CellValue::Number(7.0)
+    );
+    session
+        .apply_edit(
+            "grid",
+            Edit::Set {
+                row: 1,
+                col: 0,
+                input: "8".into(),
+            },
+        )
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
