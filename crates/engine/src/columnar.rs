@@ -68,7 +68,7 @@ impl ScanValue<'_> {
         }
     }
 
-    fn of(v: &CellValue) -> ScanValue<'_> {
+    pub(crate) fn of(v: &CellValue) -> ScanValue<'_> {
         match v {
             CellValue::Empty => ScanValue::Empty,
             CellValue::Number(n) => ScanValue::Number(*n),
@@ -514,11 +514,23 @@ impl ColumnBuilder {
     }
 
     fn push_tag(&mut self, tag: u8) {
-        match self.runs.last_mut() {
-            Some((t, len)) if *t == tag => *len += 1,
-            _ => self.runs.push((tag, 1)),
+        self.push_run(tag, 1);
+    }
+
+    fn push_run(&mut self, tag: u8, n: u32) {
+        if n == 0 {
+            return;
         }
-        self.row += 1;
+        match self.runs.last_mut() {
+            Some((t, len)) if *t == tag => *len += n,
+            _ => self.runs.push((tag, n)),
+        }
+        self.row += n;
+    }
+
+    /// `n` blank rows: nulls carry no payload, so this is one run edit.
+    fn push_nulls(&mut self, n: u32) {
+        self.push_run(TAG_NULL, n);
     }
 
     fn push(&mut self, value: ScanValue<'_>, formula: Option<&str>) {
@@ -586,6 +598,65 @@ impl ColumnBuilder {
     }
 }
 
+/// Builds a whole region from one ordered walk: cells arrive as borrowed
+/// values with rows ascending within each column (any row-major walk does),
+/// and go straight into the per-column builders — gaps become null runs.
+pub(crate) struct ColumnarBuilder {
+    rows: u32,
+    columns: Vec<ColumnBuilder>,
+}
+
+impl ColumnarBuilder {
+    /// A builder for at least a `rows` x `cols` extent; cells beyond it
+    /// grow it.
+    pub(crate) fn new(rows: u32, cols: u32) -> ColumnarBuilder {
+        ColumnarBuilder {
+            rows,
+            columns: (0..cols).map(|_| ColumnBuilder::new()).collect(),
+        }
+    }
+
+    pub(crate) fn push(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
+        while self.columns.len() <= col as usize {
+            self.columns.push(ColumnBuilder::new());
+        }
+        let b = &mut self.columns[col as usize];
+        let Some(gap) = row.checked_sub(b.row) else {
+            return Err(EngineError::Unsupported(format!(
+                "columnar build: cell ({row},{col}) arrived after row {} of its column",
+                b.row
+            )));
+        };
+        b.push_nulls(gap);
+        b.push(value, formula);
+        self.rows = self.rows.max(row + 1);
+        Ok(())
+    }
+
+    pub(crate) fn finish(self) -> ColumnarTranslator {
+        let rows = self.rows;
+        ColumnarTranslator {
+            rows,
+            columns: self
+                .columns
+                .into_iter()
+                .map(|mut b| {
+                    b.push_nulls(rows - b.row);
+                    b.finish()
+                })
+                .collect(),
+            overlay: BTreeMap::new(),
+            overlay_limit: OVERLAY_COMPACT,
+        }
+    }
+}
+
 // --------------------------------------------------------- translator --
 
 /// Columnar compressed storage for one region.
@@ -644,37 +715,33 @@ impl ColumnarTranslator {
         }
     }
 
-    /// Build from unordered `(local addr, cell)` pairs over a fixed extent
-    /// (the migration path from another translator).
+    /// Build from `(local addr, cell)` pairs over an extent of at least
+    /// `rows` x `cols`. A row-major run — what every bulk path hands over —
+    /// streams straight into the column builders; any other order is
+    /// sorted first, and of two cells at one address the later wins, as a
+    /// replay of `set_cell`s would have it.
     pub fn from_cells(
         rows: u32,
         cols: u32,
         cells: impl IntoIterator<Item = (CellAddr, Cell)>,
     ) -> ColumnarTranslator {
-        let mut by_col: Vec<BTreeMap<u32, Cell>> = (0..cols).map(|_| BTreeMap::new()).collect();
-        let mut rows = rows;
-        for (addr, cell) in cells {
-            rows = rows.max(addr.row + 1);
-            if let Some(m) = by_col.get_mut(addr.col as usize) {
-                m.insert(addr.row, cell);
+        let mut cells: Vec<(CellAddr, Cell)> = cells.into_iter().collect();
+        cells.sort_by_key(|(a, _)| (a.row, a.col));
+        let mut b = ColumnarBuilder::new(rows, cols);
+        let mut cells = cells.iter().peekable();
+        while let Some((addr, cell)) = cells.next() {
+            if cells.peek().is_some_and(|(next, _)| next == addr) {
+                continue;
             }
+            b.push(
+                addr.row,
+                addr.col,
+                ScanValue::of(&cell.value),
+                cell.formula.as_deref(),
+            )
+            .expect("sorted above");
         }
-        let columns = by_col
-            .into_iter()
-            .map(|m| {
-                let mut b = ColumnBuilder::new();
-                for row in 0..rows {
-                    b.push_cell(m.get(&row));
-                }
-                b.finish()
-            })
-            .collect();
-        ColumnarTranslator {
-            rows,
-            columns,
-            overlay: BTreeMap::new(),
-            overlay_limit: OVERLAY_COMPACT,
-        }
+        b.finish()
     }
 
     /// Cap the write overlay before compaction (tests exercise small

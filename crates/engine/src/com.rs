@@ -8,7 +8,7 @@ use dataspread_posmap::PosMapKind;
 
 use crate::error::EngineError;
 use crate::rom::RomTranslator;
-use crate::translator::Translator;
+use crate::translator::{check_run, Translator};
 
 /// Column-oriented storage: a transposed [`RomTranslator`].
 #[derive(Debug)]
@@ -21,6 +21,24 @@ impl ComTranslator {
         ComTranslator {
             inner: RomTranslator::new(posmap_kind),
         }
+    }
+
+    /// Bulk-build from a row-major run of local-coordinate cells: the run
+    /// is transposed into column-major order and loaded as the inner ROM's
+    /// rows, one tuple per sheet column.
+    pub fn from_sorted_cells(
+        posmap_kind: PosMapKind,
+        mut cells: Vec<(CellAddr, Cell)>,
+    ) -> Result<Self, EngineError> {
+        check_run(&cells)?;
+        for (addr, _) in &mut cells {
+            *addr = CellAddr::new(addr.col, addr.row);
+        }
+        // Stable, so each column keeps the run's ascending row order.
+        cells.sort_by_key(|(a, _)| a.row);
+        Ok(ComTranslator {
+            inner: RomTranslator::from_sorted_cells(posmap_kind, cells)?,
+        })
     }
 }
 

@@ -8,18 +8,18 @@
 //! forward to the translators whose regions they cross — never a cascading
 //! renumber.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use dataspread_grid::{Cell, CellAddr, Rect, SparseSheet};
-use dataspread_hybrid::{Decomposition, ModelKind};
+use dataspread_hybrid::{Decomposition, ModelKind, Region};
 use dataspread_posmap::PosMapKind;
 
-use crate::columnar::{ColumnAgg, ColumnarTranslator, ScanValue};
+use crate::columnar::{ColumnAgg, ColumnarBuilder, ColumnarTranslator, ScanValue};
 use crate::com::ComTranslator;
 use crate::error::EngineError;
 use crate::rcv::RcvTranslator;
 use crate::rom::RomTranslator;
-use crate::translator::Translator;
+use crate::translator::{check_run, Translator};
 
 /// Region id of the catch-all pseudo-region in checkpoint images (real
 /// regions are numbered from 1).
@@ -41,6 +41,55 @@ pub struct RegionSlot {
     /// mismatch means "dirty" even though `dirty` is false; `None` for
     /// self-contained translators, where the flag is exhaustive.
     clean_stamp: Option<u64>,
+}
+
+impl RegionSlot {
+    /// The region's non-blank cells in sheet coordinates, row-major.
+    fn sheet_cells(&self) -> impl Iterator<Item = (CellAddr, Cell)> {
+        let (dr, dc) = (self.rect.r1 as i64, self.rect.c1 as i64);
+        self.translator
+            .all_cells()
+            .into_iter()
+            .map(move |(addr, cell)| (addr.offset(dr, dc), cell))
+    }
+}
+
+/// Every address the catch-all can hold.
+const WHOLE_SHEET: Rect = Rect {
+    r1: 0,
+    c1: 0,
+    r2: u32::MAX - 1,
+    c2: u32::MAX - 1,
+};
+
+/// The one way a region's storage is built. `cells` is a *run*: the
+/// region's cells in local coordinates, in strictly increasing row-major
+/// order (anything else is refused, never mis-built), loaded by the
+/// model's bulk constructor — one tuple per row (ROM), per column (COM) or
+/// per cell (RCV, which also stands in for TOM: linked tables are created
+/// by `linkTable` only), or one typed run store per column (columnar).
+/// The result reports the `rows()`, `cols()`, `filled_count()` and
+/// `storage_bytes()` a translator fed the same cells one `set_cell` at a
+/// time would. `rows` x `cols` is the region's extent, which only the
+/// fixed-extent columnar layout records; the others grow with their cells.
+pub fn build_translator(
+    kind: ModelKind,
+    posmap_kind: PosMapKind,
+    rows: u32,
+    cols: u32,
+    cells: Vec<(CellAddr, Cell)>,
+) -> Result<Box<dyn Translator>, EngineError> {
+    Ok(match kind {
+        ModelKind::Rom => Box::new(RomTranslator::from_sorted_cells(posmap_kind, cells)?),
+        ModelKind::Com => Box::new(ComTranslator::from_sorted_cells(posmap_kind, cells)?),
+        ModelKind::Rcv | ModelKind::Tom => {
+            Box::new(RcvTranslator::from_sorted_cells(posmap_kind, cells)?)
+        }
+        ModelKind::Columnar => {
+            check_run(&cells)?;
+            Box::new(ColumnarTranslator::from_cells(rows, cols, cells))
+        }
+    })
 }
 
 /// Row-interval routing index over the (pairwise disjoint) region
@@ -73,25 +122,26 @@ struct RowBand {
 }
 
 impl RoutingIndex {
-    /// Sweep-build from the current region slots: O(R log R) plus the
-    /// band-region incidence count (O(R) for the typical band layout).
-    fn build(regions: &[RegionSlot]) -> RoutingIndex {
-        if regions.is_empty() {
+    /// Sweep-build over pairwise disjoint region rectangles, indexed by
+    /// their position in `rects`: O(R log R) plus the band-region
+    /// incidence count (O(R) for the typical band layout).
+    fn build(rects: &[Rect]) -> RoutingIndex {
+        if rects.is_empty() {
             return RoutingIndex::default();
         }
-        let mut cuts: Vec<u32> = Vec::with_capacity(regions.len() * 2);
-        for r in regions {
-            cuts.push(r.rect.r1);
-            if let Some(next) = r.rect.r2.checked_add(1) {
+        let mut cuts: Vec<u32> = Vec::with_capacity(rects.len() * 2);
+        for r in rects {
+            cuts.push(r.r1);
+            if let Some(next) = r.r2.checked_add(1) {
                 cuts.push(next);
             }
         }
         cuts.sort_unstable();
         cuts.dedup();
-        let mut by_start: Vec<usize> = (0..regions.len()).collect();
-        by_start.sort_unstable_by_key(|&i| regions[i].rect.r1);
-        let mut by_end: Vec<usize> = (0..regions.len()).collect();
-        by_end.sort_unstable_by_key(|&i| regions[i].rect.r2);
+        let mut by_start: Vec<usize> = (0..rects.len()).collect();
+        by_start.sort_unstable_by_key(|&i| rects[i].r1);
+        let mut by_end: Vec<usize> = (0..rects.len()).collect();
+        by_end.sort_unstable_by_key(|&i| rects[i].r2);
         // Every active region covers the current cut row, so the active
         // column ranges are pairwise disjoint: keying by c1 keeps them
         // sorted for the band snapshots.
@@ -99,13 +149,13 @@ impl RoutingIndex {
         let (mut si, mut ei) = (0, 0);
         let mut bands = Vec::new();
         for (ci, &cut) in cuts.iter().enumerate() {
-            while ei < by_end.len() && regions[by_end[ei]].rect.r2 < cut {
-                let gone = active.remove(&regions[by_end[ei]].rect.c1);
+            while ei < by_end.len() && rects[by_end[ei]].r2 < cut {
+                let gone = active.remove(&rects[by_end[ei]].c1);
                 debug_assert_eq!(gone.map(|(_, idx)| idx), Some(by_end[ei]));
                 ei += 1;
             }
-            while si < by_start.len() && regions[by_start[si]].rect.r1 <= cut {
-                let rect = regions[by_start[si]].rect;
+            while si < by_start.len() && rects[by_start[si]].r1 <= cut {
+                let rect = rects[by_start[si]];
                 active.insert(rect.c1, (rect.c2, by_start[si]));
                 si += 1;
             }
@@ -290,14 +340,15 @@ pub struct RegionImage {
     pub payload: Option<RegionPayload>,
 }
 
-/// Source bytes for rebuilding one region on recovery.
-#[derive(Debug, Clone, Copy)]
-pub enum RegionSource<'a> {
-    /// Per-cell payload in local coordinates.
-    Cells(&'a [(CellAddr, Cell)]),
+/// Source for rebuilding one region on recovery.
+#[derive(Debug)]
+pub enum RegionSource {
+    /// Per-cell payload: a row-major run in local coordinates, handed over
+    /// so its cells move into the region's tuples.
+    Cells(Vec<(CellAddr, Cell)>),
     /// A columnar region's native encoding
     /// ([`ColumnarTranslator::from_bytes`]).
-    Encoded(&'a [u8]),
+    Encoded(Vec<u8>),
 }
 
 /// A sheet stored as a hybrid data model.
@@ -354,45 +405,41 @@ impl HybridSheet {
         self.regions.len()
     }
 
-    /// Create a translator for `kind` (TOM regions are added via
-    /// [`HybridSheet::add_region`] by the engine's linkTable).
-    fn make_translator(&self, kind: ModelKind) -> Box<dyn Translator> {
-        match kind {
-            ModelKind::Rom => Box::new(RomTranslator::new(self.posmap_kind)),
-            ModelKind::Com => Box::new(ComTranslator::new(self.posmap_kind)),
-            ModelKind::Rcv | ModelKind::Tom => Box::new(RcvTranslator::new(self.posmap_kind)),
-            // Bulk paths (reorganize, restore, migrate) build columnar
-            // translators directly; this empty one only serves stray
-            // per-cell construction.
-            ModelKind::Columnar => Box::new(ColumnarTranslator::new(0, 0)),
-        }
+    fn rebuild_routing(&mut self) {
+        let rects: Vec<Rect> = self.regions.iter().map(|r| r.rect).collect();
+        self.routing = RoutingIndex::build(&rects);
     }
 
     /// Register a region. Fails when it overlaps an existing region.
+    ///
+    /// Catch-all cells inside the new region move into it a row run at a
+    /// time ([`Translator::set_cells_in_row`]), and the catch-all gives
+    /// them up only once the region holds them all — a refused row leaves
+    /// the sheet as it was.
     pub fn add_region(
         &mut self,
         rect: Rect,
-        translator: Box<dyn Translator>,
-    ) -> Result<(), EngineError> {
-        self.add_region_unindexed(rect, translator)?;
-        self.routing = RoutingIndex::build(&self.regions);
-        Ok(())
-    }
-
-    /// [`HybridSheet::add_region`] without the routing-index refresh —
-    /// bulk callers (reorganize) add many regions and rebuild once.
-    fn add_region_unindexed(
-        &mut self,
-        rect: Rect,
-        translator: Box<dyn Translator>,
+        mut translator: Box<dyn Translator>,
     ) -> Result<(), EngineError> {
         if self.regions.iter().any(|r| r.rect.intersects(&rect)) {
             return Err(EngineError::BadLink(format!(
                 "region {rect} overlaps an existing region"
             )));
         }
-        // Move any catch-all cells inside the new region into it.
-        let strays = self.catchall.get_range(rect);
+        let mut strays = self.catchall.get_range(rect).into_iter().peekable();
+        let mut absorbed = Vec::new();
+        while let Some(row) = strays.peek().map(|(a, _)| a.row) {
+            let mut run = Vec::new();
+            while let Some((addr, cell)) = strays.next_if(|(a, _)| a.row == row) {
+                absorbed.push(addr);
+                run.push((addr.col - rect.c1, cell));
+            }
+            translator.set_cells_in_row(row - rect.r1, run)?;
+        }
+        for addr in absorbed {
+            self.catchall.clear_cell(addr.row, addr.col)?;
+            self.catchall_dirty = true;
+        }
         let id = self.next_region_id;
         self.next_region_id += 1;
         self.regions.push(RegionSlot {
@@ -402,101 +449,73 @@ impl HybridSheet {
             dirty: true,
             clean_stamp: None,
         });
-        let slot = self.regions.len() - 1;
-        for (addr, cell) in strays {
-            self.catchall.clear_cell(addr.row, addr.col)?;
-            self.catchall_dirty = true;
-            let local_r = addr.row - rect.r1;
-            let local_c = addr.col - rect.c1;
-            self.regions[slot]
-                .translator
-                .set_cell(local_r, local_c, cell)?;
-        }
+        self.rebuild_routing();
         Ok(())
-    }
-
-    /// Rebuild one region from a checkpoint image (recovery path): the slot
-    /// keeps its persisted id, and `cells` are local coordinates. TOM
-    /// regions come back as RCV holding the captured values (the table
-    /// link itself is not persisted; see the README).
-    pub fn restore_region(
-        &mut self,
-        id: u64,
-        kind: ModelKind,
-        rect: Rect,
-        cells: &[(CellAddr, Cell)],
-    ) -> Result<(), EngineError> {
-        self.restore_regions(std::iter::once((
-            id,
-            kind,
-            rect,
-            RegionSource::Cells(cells),
-        )))
     }
 
     /// Restore a whole image's regions with a single routing-index rebuild
     /// (the cold-open path: per-region rebuilds would make opening a
-    /// many-region sheet quadratic). Columnar regions restore from their
-    /// native encoding without per-cell replay.
-    pub fn restore_regions<'a>(
+    /// many-region sheet quadratic). Each slot keeps its persisted id.
+    /// Cell payloads load through [`build_translator`], columnar regions
+    /// from their native encoding; TOM regions come back as RCV holding
+    /// the captured values (the table link itself is not persisted; see
+    /// the README).
+    pub fn restore_regions(
         &mut self,
-        regions: impl IntoIterator<Item = (u64, ModelKind, Rect, RegionSource<'a>)>,
+        regions: impl IntoIterator<Item = (u64, ModelKind, Rect, RegionSource)>,
     ) -> Result<(), EngineError> {
         let mut result = Ok(());
-        'restore: for (id, kind, rect, source) in regions {
-            if id == CATCHALL_REGION_ID || self.regions.iter().any(|r| r.id == id) {
-                result = Err(EngineError::BadLink(format!(
-                    "restore of duplicate region id {id}"
-                )));
-                break;
+        for (id, kind, rect, source) in regions {
+            match self.restored_translator(id, kind, rect, source) {
+                Ok(translator) => {
+                    self.regions.push(RegionSlot {
+                        id,
+                        rect,
+                        translator,
+                        dirty: true,
+                        clean_stamp: None,
+                    });
+                    self.next_region_id = self.next_region_id.max(id + 1);
+                }
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
             }
-            let translator: Box<dyn Translator> = match (kind, source) {
-                (ModelKind::Columnar, RegionSource::Encoded(bytes)) => {
-                    match ColumnarTranslator::from_bytes(bytes) {
-                        Ok(t) => Box::new(t),
-                        Err(e) => {
-                            result = Err(e.into());
-                            break 'restore;
-                        }
-                    }
-                }
-                (_, RegionSource::Encoded(_)) => {
-                    result = Err(EngineError::BadLink(format!(
-                        "region {id}: encoded payload for a non-columnar region"
-                    )));
-                    break 'restore;
-                }
-                (ModelKind::Columnar, RegionSource::Cells(cells)) => {
-                    Box::new(ColumnarTranslator::from_cells(
-                        rect.rows() as u32,
-                        rect.cols() as u32,
-                        cells.iter().cloned(),
-                    ))
-                }
-                (_, RegionSource::Cells(cells)) => {
-                    let mut t = self.make_translator(kind);
-                    for (addr, cell) in cells {
-                        if let Err(e) = t.set_cell(addr.row, addr.col, cell.clone()) {
-                            result = Err(e);
-                            break 'restore;
-                        }
-                    }
-                    t
-                }
-            };
-            self.regions.push(RegionSlot {
-                id,
-                rect,
-                translator,
-                dirty: true,
-                clean_stamp: None,
-            });
-            self.next_region_id = self.next_region_id.max(id + 1);
         }
         // Rebuild even on error: the slots pushed before the failure are
         // live and the index must cover them.
-        self.routing = RoutingIndex::build(&self.regions);
+        self.rebuild_routing();
         result
+    }
+
+    fn restored_translator(
+        &self,
+        id: u64,
+        kind: ModelKind,
+        rect: Rect,
+        source: RegionSource,
+    ) -> Result<Box<dyn Translator>, EngineError> {
+        if id == CATCHALL_REGION_ID || self.regions.iter().any(|r| r.id == id) {
+            return Err(EngineError::BadLink(format!(
+                "restore of duplicate region id {id}"
+            )));
+        }
+        match (kind, source) {
+            (ModelKind::Columnar, RegionSource::Encoded(bytes)) => {
+                Ok(Box::new(ColumnarTranslator::from_bytes(&bytes)?))
+            }
+            (_, RegionSource::Encoded(_)) => Err(EngineError::BadLink(format!(
+                "region {id}: encoded payload for a non-columnar region"
+            ))),
+            (_, RegionSource::Cells(cells)) => build_translator(
+                kind,
+                self.posmap_kind,
+                rect.rows() as u32,
+                rect.cols() as u32,
+                cells,
+            ),
+        }
     }
 
     pub fn remove_region(&mut self, idx: usize) -> RegionSlot {
@@ -518,7 +537,6 @@ impl HybridSheet {
     /// skip re-serializing them entirely (and the persistence layer still
     /// skips the page writes when serialized bytes come out unchanged).
     pub fn region_images(&self) -> Vec<RegionImage> {
-        let whole = Rect::new(0, 0, u32::MAX - 1, u32::MAX - 1);
         let mut out = Vec::with_capacity(1 + self.regions.len());
         out.push(RegionImage {
             id: CATCHALL_REGION_ID,
@@ -526,7 +544,7 @@ impl HybridSheet {
             rect: Rect::new(0, 0, 0, 0),
             payload: self
                 .catchall_dirty
-                .then(|| RegionPayload::Cells(sorted_cells(self.catchall.get_range(whole)))),
+                .then(|| RegionPayload::Cells(sorted_cells(self.catchall.get_range(WHOLE_SHEET)))),
         });
         for r in &self.regions {
             let dirty = r.dirty || r.translator.change_stamp() != r.clean_stamp;
@@ -761,7 +779,7 @@ impl HybridSheet {
         }
         // Deletions can drop regions (shifting slot indices) and merge or
         // shrink bands arbitrarily; rebuild.
-        self.routing = RoutingIndex::build(&self.regions);
+        self.rebuild_routing();
         Ok(())
     }
 
@@ -813,94 +831,150 @@ impl HybridSheet {
         for i in doomed.into_iter().rev() {
             self.regions.remove(i);
         }
-        self.routing = RoutingIndex::build(&self.regions);
+        self.rebuild_routing();
         Ok(())
     }
 
     /// All non-blank cells as an in-memory sheet. `include_tom` controls
     /// whether linked-table regions are materialized (the optimizer snapshot
-    /// excludes them: they are not re-representable).
+    /// excludes them: they are not re-representable). Every store hands
+    /// over a row-major run, so the sheet is bulk-built from their merge
+    /// rather than by one insert per cell.
     pub fn snapshot(&self, include_tom: bool) -> SparseSheet {
-        let mut sheet = SparseSheet::new();
-        for (addr, cell) in self
-            .catchall
-            .get_range(Rect::new(0, 0, u32::MAX - 1, u32::MAX - 1))
-        {
-            sheet.set(addr, cell);
-        }
+        let mut cells = self.catchall.get_range(WHOLE_SHEET);
         for region in &self.regions {
-            if !include_tom && region.translator.kind() == ModelKind::Tom {
-                continue;
-            }
-            for (addr, cell) in region.translator.all_cells() {
-                sheet.set(
-                    addr.offset(region.rect.r1 as i64, region.rect.c1 as i64),
-                    cell,
-                );
+            if include_tom || region.translator.kind() != ModelKind::Tom {
+                cells.extend(region.sheet_cells());
             }
         }
-        sheet
+        cells.into_iter().collect()
     }
 
     /// Reorganize storage to a new decomposition (the hybrid optimizer's
-    /// output). TOM regions are preserved; everything else is rebuilt.
-    /// Returns the number of migrated cells.
+    /// output).
+    ///
+    /// A region whose `(rect, kind)` the decomposition lists unchanged is
+    /// *kept* — same slot id, same translator, same dirty flag — as are
+    /// linked tables and a catch-all no cell enters or leaves; the
+    /// migration paid is the one `hybrid::incremental` prices. Everything
+    /// else is gathered as one row-major run, split by target region once,
+    /// and bulk-built ([`build_translator`]) *beside* the live sheet: the
+    /// new stores are swapped in only when every one of them was built, so
+    /// an error (a column too long for a COM tuple, a rect over a linked
+    /// table) leaves the sheet exactly as it was.
+    ///
+    /// Returns the number of cells written into rebuilt stores; kept
+    /// stores contribute none.
     pub fn reorganize(&mut self, decomp: &Decomposition) -> Result<u64, EngineError> {
-        // Collect all cells currently in non-TOM storage.
-        let mut cells: Vec<(CellAddr, Cell)> = Vec::new();
-        let whole = Rect::new(0, 0, u32::MAX - 1, u32::MAX - 1);
-        cells.extend(self.catchall.get_range(whole));
-        let mut kept_regions = Vec::new();
-        for region in self.regions.drain(..) {
-            if region.translator.kind() == ModelKind::Tom {
-                kept_regions.push(region);
-            } else {
-                for (addr, cell) in region.translator.all_cells() {
-                    cells.push((
-                        addr.offset(region.rect.r1 as i64, region.rect.c1 as i64),
-                        cell,
-                    ));
-                }
-            }
-        }
-        self.regions = kept_regions;
-        self.routing = RoutingIndex::build(&self.regions);
-        self.catchall = RcvTranslator::new(self.posmap_kind);
-        // Kept TOM regions are serialized as dirty anyway; everything else
-        // was rebuilt, so the whole sheet must re-serialize.
-        self.mark_all_dirty();
-        // Build the new regions (one routing rebuild for the whole batch).
-        let migrated = cells.len() as u64;
+        // TOM regions are created by linkTable only.
+        let wanted: HashSet<(Rect, ModelKind)> = decomp
+            .regions
+            .iter()
+            .filter(|r| r.kind != ModelKind::Tom)
+            .map(|r| (r.rect, r.kind))
+            .collect();
+        let kept: Vec<bool> = self
+            .regions
+            .iter()
+            .map(|r| {
+                let kind = r.translator.kind();
+                kind == ModelKind::Tom || wanted.contains(&(r.rect, kind))
+            })
+            .collect();
+        let kept_slots: Vec<(Rect, ModelKind)> = self
+            .regions
+            .iter()
+            .zip(&kept)
+            .filter(|(_, &k)| k)
+            .map(|(r, _)| (r.rect, r.translator.kind()))
+            .collect();
+        let mut fresh: Vec<Region> = Vec::new();
         for region in &decomp.regions {
-            if region.kind == ModelKind::Tom {
-                continue; // TOM regions are created by linkTable only.
+            if region.kind == ModelKind::Tom || kept_slots.contains(&(region.rect, region.kind)) {
+                continue;
             }
-            let translator: Box<dyn Translator> = if region.kind == ModelKind::Columnar {
-                // Bulk-build directly from the cells landing in this
-                // region: routing each through the write overlay would
-                // trigger a column rebuild every compaction interval.
-                let rect = region.rect;
-                let (inside, outside): (Vec<_>, Vec<_>) = std::mem::take(&mut cells)
-                    .into_iter()
-                    .partition(|(addr, _)| rect.contains(*addr));
-                cells = outside;
-                Box::new(ColumnarTranslator::from_cells(
-                    rect.rows() as u32,
-                    rect.cols() as u32,
-                    inside.into_iter().map(|(addr, cell)| {
-                        (addr.offset(-(rect.r1 as i64), -(rect.c1 as i64)), cell)
-                    }),
-                ))
-            } else {
-                self.make_translator(region.kind)
-            };
-            self.add_region_unindexed(region.rect, translator)?;
+            let taken = kept_slots
+                .iter()
+                .map(|(rect, _)| rect)
+                .chain(fresh.iter().map(|f| &f.rect));
+            if let Some(other) = taken.into_iter().find(|r| r.intersects(&region.rect)) {
+                return Err(EngineError::BadLink(format!(
+                    "region {} overlaps region {other}",
+                    region.rect
+                )));
+            }
+            fresh.push(*region);
         }
-        self.routing = RoutingIndex::build(&self.regions);
-        // Distribute the remaining cells.
+        if fresh.is_empty() && kept.iter().all(|&k| k) {
+            return Ok(0);
+        }
+
+        // Gather what must be re-homed, and split it by target region.
+        let fresh_rects: Vec<Rect> = fresh.iter().map(|r| r.rect).collect();
+        let targets = RoutingIndex::build(&fresh_rects);
+        let mut cells = self.catchall.get_range(WHOLE_SHEET);
+        let catchall_cells = cells.len();
+        let leaving = cells
+            .iter()
+            .filter(|(a, _)| targets.route(*a).is_some())
+            .count();
+        for (region, _) in self.regions.iter().zip(&kept).filter(|(_, &k)| !k) {
+            cells.extend(region.sheet_cells());
+        }
+        // Each source is a row-major run, so this is a merge.
+        cells.sort_by_key(|(a, _)| (a.row, a.col));
+        let mut parts: Vec<Vec<(CellAddr, Cell)>> = fresh.iter().map(|_| Vec::new()).collect();
+        let mut strays = Vec::new();
         for (addr, cell) in cells {
-            self.set_cell(addr, cell)?;
+            match targets.route(addr) {
+                Some(i) => {
+                    let rect = fresh_rects[i];
+                    parts[i].push((addr.offset(-(rect.r1 as i64), -(rect.c1 as i64)), cell));
+                }
+                None => strays.push((addr, cell)),
+            }
         }
+        let arriving = strays.len() - (catchall_cells - leaving);
+
+        // Build beside the live sheet; nothing below this block can fail.
+        let mut migrated = 0u64;
+        let mut built = Vec::with_capacity(fresh.len());
+        for (region, part) in fresh.iter().zip(parts) {
+            migrated += part.len() as u64;
+            built.push(build_translator(
+                region.kind,
+                self.posmap_kind,
+                region.rect.rows() as u32,
+                region.rect.cols() as u32,
+                part,
+            )?);
+        }
+        let catchall = if leaving == 0 && arriving == 0 {
+            None
+        } else {
+            migrated += strays.len() as u64;
+            Some(RcvTranslator::from_sorted_cells(self.posmap_kind, strays)?)
+        };
+
+        let mut kept = kept.into_iter();
+        self.regions
+            .retain(|_| kept.next().expect("one flag per slot"));
+        for (region, translator) in fresh.iter().zip(built) {
+            let id = self.next_region_id;
+            self.next_region_id += 1;
+            self.regions.push(RegionSlot {
+                id,
+                rect: region.rect,
+                translator,
+                dirty: true,
+                clean_stamp: None,
+            });
+        }
+        if let Some(catchall) = catchall {
+            self.catchall = catchall;
+            self.catchall_dirty = true;
+        }
+        self.rebuild_routing();
         Ok(migrated)
     }
 
@@ -908,8 +982,10 @@ impl HybridSheet {
     /// keeping its identity and rectangle (the hot-region migration path:
     /// a large read-mostly ROM region converts to columnar without a
     /// whole-sheet reorganization). TOM regions are linked tables and
-    /// cannot convert either way.
+    /// cannot convert either way. The new store is built first and
+    /// replaces the old one only on success.
     pub fn migrate_region(&mut self, slot: usize, kind: ModelKind) -> Result<(), EngineError> {
+        let posmap_kind = self.posmap_kind;
         let region = self
             .regions
             .get_mut(slot)
@@ -923,25 +999,23 @@ impl HybridSheet {
                 "TOM regions are created by linkTable and cannot be migrated".into(),
             ));
         }
-        let cells = region.translator.all_cells();
+        let (rows, cols) = (region.rect.rows() as u32, region.rect.cols() as u32);
         region.translator = if kind == ModelKind::Columnar {
-            Box::new(ColumnarTranslator::from_cells(
-                region.rect.rows() as u32,
-                region.rect.cols() as u32,
-                cells,
-            ))
+            // The source walks its store in order and the column builders
+            // take the cells as borrows: no cell list in between.
+            let mut builder = ColumnarBuilder::new(rows, cols);
+            let mut pushed = Ok(());
+            region
+                .translator
+                .for_each_cell(&mut |row, col, value, formula| {
+                    if pushed.is_ok() {
+                        pushed = builder.push(row, col, value, formula);
+                    }
+                });
+            pushed?;
+            Box::new(builder.finish())
         } else {
-            let mut t = match kind {
-                ModelKind::Rom => {
-                    Box::new(RomTranslator::new(self.posmap_kind)) as Box<dyn Translator>
-                }
-                ModelKind::Com => Box::new(ComTranslator::new(self.posmap_kind)),
-                _ => Box::new(RcvTranslator::new(self.posmap_kind)),
-            };
-            for (addr, cell) in cells {
-                t.set_cell(addr.row, addr.col, cell)?;
-            }
-            t
+            build_translator(kind, posmap_kind, rows, cols, region.translator.all_cells())?
         };
         region.dirty = true;
         region.clean_stamp = None;
@@ -1102,7 +1176,6 @@ impl dataspread_formula::eval::CellReader for StorageReader<'_> {
 mod tests {
     use super::*;
     use dataspread_grid::CellValue;
-    use dataspread_hybrid::Region;
 
     fn addr(r: u32, c: u32) -> CellAddr {
         CellAddr::new(r, c)
@@ -1290,5 +1363,140 @@ mod tests {
             hs.get_cell(addr(3, 2)).unwrap().value,
             CellValue::Number(14.0)
         );
+    }
+
+    /// A 3 000-cell column as one COM region is one tuple far past a page:
+    /// the rebuild must fail *beside* the sheet, not inside it.
+    #[test]
+    fn failed_reorganize_leaves_the_sheet_untouched() {
+        let mut hs = sheet_with_rom_region();
+        hs.set_cell(addr(12, 12), Cell::value(5i64)).unwrap();
+        for r in 0..3000 {
+            hs.set_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
+        }
+        hs.clear_dirty();
+        let before = (hs.snapshot(true), hs.layout(), hs.filled_count());
+        let ids: Vec<u64> = hs.regions.iter().map(|r| r.id).collect();
+
+        let too_long = Decomposition::new(vec![Region {
+            rect: Rect::new(0, 0, 2999, 0),
+            kind: ModelKind::Com,
+        }]);
+        let err = hs.reorganize(&too_long).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::Store(dataspread_relstore::StoreError::TupleTooLarge(_))
+            ),
+            "{err}"
+        );
+        let overlapping = Decomposition::new(vec![
+            Region {
+                rect: Rect::new(0, 0, 99, 0),
+                kind: ModelKind::Rom,
+            },
+            Region {
+                rect: Rect::new(50, 0, 2999, 0),
+                kind: ModelKind::Rom,
+            },
+        ]);
+        assert!(matches!(
+            hs.reorganize(&overlapping),
+            Err(EngineError::BadLink(_))
+        ));
+
+        assert_eq!((hs.snapshot(true), hs.layout(), hs.filled_count()), before);
+        assert_eq!(hs.regions.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
+        assert_eq!(hs.dirty_region_count(), 0, "nothing was rewritten");
+        assert_eq!(hs.region_at(addr(12, 12)), Some(0), "routing still serves");
+    }
+
+    #[test]
+    fn reorganize_keeps_regions_the_decomposition_leaves_alone() {
+        let mut hs = sheet_with_rom_region();
+        hs.set_cell(addr(12, 12), Cell::value(5i64)).unwrap();
+        for r in 30..34 {
+            hs.set_cell(addr(r, 1), Cell::value(r as i64)).unwrap();
+        }
+        hs.set_cell(addr(90, 90), Cell::value(9i64)).unwrap();
+        hs.clear_dirty();
+        let rom_id = hs.regions[0].id;
+        let before = hs.snapshot(true);
+
+        // Same ROM region, plus a new home for four of the five strays.
+        let decomp = Decomposition::new(vec![
+            Region {
+                rect: Rect::new(30, 1, 33, 1),
+                kind: ModelKind::Rcv,
+            },
+            Region {
+                rect: Rect::new(10, 10, 19, 14),
+                kind: ModelKind::Rom,
+            },
+        ]);
+        let migrated = hs.reorganize(&decomp).unwrap();
+        assert_eq!(
+            migrated, 5,
+            "four cells moved, one rewritten with the catch-all"
+        );
+        assert_eq!(hs.snapshot(true), before);
+        assert_eq!(
+            hs.layout(),
+            vec![
+                (Rect::new(10, 10, 19, 14), ModelKind::Rom),
+                (Rect::new(30, 1, 33, 1), ModelKind::Rcv),
+            ]
+        );
+        assert_eq!(hs.regions[0].id, rom_id, "kept slot keeps its identity");
+        assert!(!hs.regions[0].dirty, "and its clean flag");
+        assert!(hs.regions[1].dirty && hs.catchall_dirty);
+        assert_eq!(hs.catchall.filled_count(), 1);
+
+        // Nothing left to move: the same decomposition is now a no-op.
+        hs.clear_dirty();
+        assert_eq!(hs.reorganize(&decomp).unwrap(), 0);
+        assert_eq!(hs.dirty_region_count(), 0);
+        // A kind change rebuilds that region alone; the catch-all, which
+        // no cell enters or leaves, stays clean.
+        let as_com = Decomposition::new(vec![
+            Region {
+                rect: Rect::new(30, 1, 33, 1),
+                kind: ModelKind::Com,
+            },
+            Region {
+                rect: Rect::new(10, 10, 19, 14),
+                kind: ModelKind::Rom,
+            },
+        ]);
+        assert_eq!(hs.reorganize(&as_com).unwrap(), 4);
+        assert_eq!(hs.dirty_region_count(), 1);
+        assert_eq!(hs.regions[0].id, rom_id);
+        assert_eq!(hs.snapshot(true), before);
+    }
+
+    #[test]
+    fn dissolved_region_cells_fall_back_to_the_catchall() {
+        let mut hs = sheet_with_rom_region();
+        hs.set_cell(addr(12, 12), Cell::value(5i64)).unwrap();
+        hs.set_cell(addr(0, 0), Cell::value(1i64)).unwrap();
+        let before = hs.snapshot(true);
+        let migrated = hs.reorganize(&Decomposition::default()).unwrap();
+        assert_eq!(migrated, 2);
+        assert_eq!(hs.region_count(), 0);
+        assert_eq!(hs.catchall.filled_count(), 2);
+        assert_eq!(hs.snapshot(true), before);
+    }
+
+    #[test]
+    fn failed_add_region_leaves_the_strays_in_the_catchall() {
+        let mut hs = HybridSheet::new();
+        for r in 0..3000 {
+            hs.set_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
+        }
+        let before = hs.snapshot(true);
+        let com = Box::new(ComTranslator::new(PosMapKind::Hierarchical));
+        assert!(hs.add_region(Rect::new(0, 0, 2999, 0), com).is_err());
+        assert_eq!(hs.region_count(), 0);
+        assert_eq!(hs.snapshot(true), before);
     }
 }

@@ -15,7 +15,7 @@ use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
 use dataspread_relstore::{BPlusTree, ColumnDef, DataType, Datum, Schema, Table, TupleId};
 
 use crate::error::EngineError;
-use crate::translator::{cell_to_datums, datums_to_cell, Translator};
+use crate::translator::{cell_into_datums, cell_to_datums, check_run, datums_to_cell, Translator};
 
 /// Cap on the RCV positional coordinate space (rows and columns alike).
 ///
@@ -74,6 +74,40 @@ impl RcvTranslator {
             next_col_id: 0,
             posmap_kind,
         }
+    }
+
+    /// Bulk-build from a run of local-coordinate cells: one tuple and one
+    /// index entry per filled cell, inserted in key order, and one bulk
+    /// positional map per axis covering the run's extent.
+    pub fn from_sorted_cells(
+        posmap_kind: PosMapKind,
+        cells: Vec<(CellAddr, Cell)>,
+    ) -> Result<Self, EngineError> {
+        let (rows, cols) = check_run(&cells)?;
+        if rows > MAX_RCV_POSITIONS || cols > MAX_RCV_POSITIONS {
+            return Err(EngineError::Unsupported(format!(
+                "a {rows}x{cols} extent is outside the RCV positional space \
+                 (cap {MAX_RCV_POSITIONS})"
+            )));
+        }
+        let mut t = RcvTranslator::new(posmap_kind);
+        // Ids equal positions at build time: a per-cell build's
+        // `ensure_rows`/`ensure_cols` hand them out in the same order.
+        for (addr, cell) in cells {
+            if cell.is_blank() {
+                continue;
+            }
+            let key = (u64::from(addr.row), u64::from(addr.col));
+            let [v, f] = cell_into_datums(cell);
+            let tuple = [Datum::Int(key.0 as i64), Datum::Int(key.1 as i64), v, f];
+            let tid = t.table.insert(&tuple)?;
+            t.index.insert(key, tid);
+        }
+        t.rows_map = dataspread_posmap::posmap_from(posmap_kind, 0..u64::from(rows));
+        t.cols_map = dataspread_posmap::posmap_from(posmap_kind, 0..u64::from(cols));
+        t.next_row_id = u64::from(rows);
+        t.next_col_id = u64::from(cols);
+        Ok(t)
     }
 
     fn ensure_rows(&mut self, upto: u32) {

@@ -12,8 +12,12 @@ use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
 use dataspread_relstore::{ColumnDef, DataType, Datum, Schema, Table, TupleId};
 
+use crate::columnar::ScanValue;
 use crate::error::EngineError;
-use crate::translator::{cell_into_datums, cell_to_datums, datums_to_cell, Translator};
+use crate::translator::{
+    cell_into_datums, cell_to_datums, check_run, datum_to_scan, datums_to_cell, CellVisitor,
+    Translator,
+};
 
 /// Row-oriented storage for one region.
 pub struct RomTranslator {
@@ -75,13 +79,11 @@ impl RomTranslator {
         let mut datums: Vec<Datum> = Vec::with_capacity(2 * width as usize);
         for row in rows {
             datums.clear();
-            for cell in row.iter().take(width as usize) {
+            for cell in row.into_iter().take(width as usize) {
                 if !cell.is_blank() {
                     filled += 1;
                 }
-                let [v, f] = cell_to_datums(cell);
-                datums.push(v);
-                datums.push(f);
+                datums.extend(cell_into_datums(cell));
             }
             tids.push(table.insert_prefix(&datums)?);
         }
@@ -93,6 +95,29 @@ impl RomTranslator {
             filled,
             posmap_kind,
         })
+    }
+
+    /// Bulk-build from a run (see [`check_run`]) of local-coordinate cells:
+    /// the run is cut into one dense row per sheet row — blank rows
+    /// included, each row only as wide as its last cell — and loaded
+    /// through [`RomTranslator::bulk_load_rows`]. The extent is the run's:
+    /// `rows()` is the last cell's row + 1, `cols()` the widest column + 1,
+    /// exactly what per-cell `set_cell` of the same cells produces.
+    pub fn from_sorted_cells(
+        posmap_kind: PosMapKind,
+        cells: Vec<(CellAddr, Cell)>,
+    ) -> Result<Self, EngineError> {
+        let (n_rows, width) = check_run(&cells)?;
+        let mut cells = cells.into_iter().peekable();
+        let rows = (0..n_rows).map(|r| {
+            let mut row: Vec<Cell> = Vec::new();
+            while let Some((addr, cell)) = cells.next_if(|(a, _)| a.row == r) {
+                row.resize_with(addr.col as usize, Cell::default);
+                row.push(cell);
+            }
+            row
+        });
+        Self::bulk_load_rows(posmap_kind, width, rows)
     }
 
     fn ensure_rows(&mut self, upto: u32) -> Result<(), EngineError> {
@@ -131,6 +156,24 @@ impl RomTranslator {
             .add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
         self.next_group += 1;
         Ok(g)
+    }
+
+    /// The projected decode of sheet columns `c1..=c2`: the physical datum
+    /// indices to fetch (sorted, as `fetch_cols` wants them) and, per sheet
+    /// column in position order, where its `(value, formula)` pair sits in
+    /// the projected output.
+    fn projection(&self, c1: u32, c2: u32) -> (Vec<(u32, usize)>, Vec<usize>) {
+        let mut groups: Vec<(u32, usize)> = (c1..=c2)
+            .filter_map(|c| self.cols_map.get(c as usize).map(|&g| (c, g as usize)))
+            .collect();
+        let mut by_group: Vec<usize> = (0..groups.len()).collect();
+        by_group.sort_unstable_by_key(|&i| groups[i].1);
+        let mut wanted = Vec::with_capacity(groups.len() * 2);
+        for i in by_group {
+            let g = std::mem::replace(&mut groups[i].1, wanted.len());
+            wanted.extend([2 * g, 2 * g + 1]);
+        }
+        (groups, wanted)
     }
 
     fn cell_from_row(&self, row: &[Datum], group: u32) -> Cell {
@@ -269,29 +312,7 @@ impl Translator for RomTranslator {
         if self.rows() == 0 || self.cols() == 0 || rect.r1 >= self.rows() {
             return out;
         }
-        let groups: Vec<(u32, u32)> = (rect.c1..=rect.c2.min(self.cols() - 1))
-            .filter_map(|c| self.cols_map.get(c as usize).map(|&g| (c, g)))
-            .collect();
-        // Projected decode of just the requested column pairs, in physical
-        // order (fetch_cols wants sorted indices).
-        let mut phys: Vec<(usize, u32)> = Vec::with_capacity(groups.len() * 2);
-        for &(c, g) in &groups {
-            phys.push((2 * g as usize, c));
-            phys.push((2 * g as usize + 1, c));
-        }
-        phys.sort_unstable_by_key(|&(idx, _)| idx);
-        let wanted: Vec<usize> = phys.iter().map(|&(idx, _)| idx).collect();
-        // Map sheet column -> position of its (value, formula) pair in the
-        // projected output.
-        let pair_pos: std::collections::HashMap<u32, usize> = groups
-            .iter()
-            .map(|&(c, g)| {
-                let at = wanted
-                    .binary_search(&(2 * g as usize))
-                    .expect("value index present");
-                (c, at)
-            })
-            .collect();
+        let (groups, wanted) = self.projection(rect.c1, rect.c2.min(self.cols() - 1));
         for (i, tid) in self
             .rows_map
             .range(rect.r1 as usize, row_count)
@@ -302,8 +323,7 @@ impl Translator for RomTranslator {
                 continue;
             };
             let r = rect.r1 + i as u32;
-            for &(c, _) in &groups {
-                let at = pair_pos[&c];
+            for &(c, at) in &groups {
                 let cell = datums_to_cell(&proj[at], &proj[at + 1]);
                 if !cell.is_blank() {
                     out.push((CellAddr::new(r, c), cell));
@@ -311,6 +331,32 @@ impl Translator for RomTranslator {
             }
         }
         out
+    }
+
+    /// One ordered walk of the table: each row tuple is decoded once and
+    /// its cells handed out as borrows.
+    fn for_each_cell(&self, f: &mut CellVisitor<'_>) {
+        if self.rows() == 0 || self.cols() == 0 {
+            return;
+        }
+        let (groups, wanted) = self.projection(0, self.cols() - 1);
+        for (r, tid) in self
+            .rows_map
+            .range(0, self.rows_map.len())
+            .into_iter()
+            .enumerate()
+        {
+            let Ok(proj) = self.table.fetch_cols(*tid, &wanted) else {
+                continue;
+            };
+            for &(c, at) in &groups {
+                let formula = proj[at + 1].as_str();
+                let value = datum_to_scan(&proj[at]);
+                if !matches!(value, ScanValue::Empty) || formula.is_some() {
+                    f(r as u32, c, value, formula);
+                }
+            }
+        }
     }
 
     fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {

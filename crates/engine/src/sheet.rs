@@ -48,6 +48,10 @@ pub enum OptimizeAlgorithm {
 #[derive(Debug, Clone)]
 pub struct OptimizeReport {
     pub decomposition: Decomposition,
+    /// Cells actually moved: those written into the stores
+    /// [`HybridSheet::reorganize`] rebuilt. A region the decomposition
+    /// lists unchanged is kept as it is and contributes none, so
+    /// re-optimizing a sheet already in its chosen layout reports 0.
     pub migrated_cells: u64,
     pub storage_before: u64,
     pub storage_after: u64,
@@ -213,42 +217,39 @@ impl SheetEngine {
         let (store, recovered) = DurableStore::open_on(fs, dir)?;
         let kind = recovered.posmap.unwrap_or(kind);
         let mut engine = Self::with_posmap(kind);
-        // 1. Rebuild the region layout from the image (regions first, so
-        //    the catch-all cells below route to the catch-all; batched, so
-        //    the routing index builds once for the whole image).
-        engine
-            .sheet
-            .restore_regions(recovered.regions.iter().map(|r| {
-                let source = match &r.encoded {
-                    Some(bytes) => RegionSource::Encoded(bytes),
-                    None => RegionSource::Cells(r.cells.as_slice()),
-                };
-                (r.id, r.kind, r.rect, source)
-            }))?;
-        for (addr, cell) in &recovered.catchall {
-            engine.sheet.set_cell(*addr, cell.clone())?;
-        }
-        // 2. Re-register formulas so later edits recompute dependents; the
+        // 1. Re-register formulas so later edits recompute dependents; the
         //    stored values are already the computed ones, so no recompute.
-        let absolute_cells =
-            recovered
-                .catchall
-                .iter()
-                .cloned()
-                .chain(recovered.regions.iter().flat_map(|r| {
-                    r.cells.iter().map(|(addr, cell)| {
-                        (
-                            addr.offset(r.rect.r1 as i64, r.rect.c1 as i64),
-                            cell.clone(),
-                        )
-                    })
-                }));
+        //    Done first and by reference: step 2 moves the cells away.
+        let absolute_cells = recovered
+            .catchall
+            .iter()
+            .map(|(addr, cell)| (*addr, cell))
+            .chain(recovered.regions.iter().flat_map(|r| {
+                r.cells
+                    .iter()
+                    .map(|(addr, cell)| (addr.offset(r.rect.r1 as i64, r.rect.c1 as i64), cell))
+            }));
         for (addr, cell) in absolute_cells {
             if let Some(src) = &cell.formula {
                 if let Ok(expr) = parse(src) {
                     engine.register_formula(addr, expr, src.clone());
                 }
             }
+        }
+        // 2. Rebuild the region layout from the image (regions first, so
+        //    the catch-all cells below route to the catch-all; batched, so
+        //    the routing index builds once for the whole image).
+        engine
+            .sheet
+            .restore_regions(recovered.regions.into_iter().map(|r| {
+                let source = match r.encoded {
+                    Some(bytes) => RegionSource::Encoded(bytes),
+                    None => RegionSource::Cells(r.cells),
+                };
+                (r.id, r.kind, r.rect, source)
+            }))?;
+        for (addr, cell) in recovered.catchall {
+            engine.sheet.set_cell(addr, cell)?;
         }
         // Columnar regions restore from their encoded pages (no cell list
         // in the image), so their formulas register through a side scan.

@@ -7,7 +7,12 @@ use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::Datum;
 
+use crate::columnar::ScanValue;
 use crate::error::EngineError;
+
+/// What [`Translator::for_each_cell`] hands each cell to: local row and
+/// column, the value as a borrow, and the formula source if there is one.
+pub type CellVisitor<'a> = dyn FnMut(u32, u32, ScanValue<'_>, Option<&str>) + 'a;
 
 /// A translator serves a rectangular region of the sheet in *local*
 /// coordinates (`(0,0)` = the region's top-left). The hybrid layer owns the
@@ -43,6 +48,21 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
             self.rows().saturating_sub(1),
             self.cols().saturating_sub(1),
         ))
+    }
+
+    /// Visit every non-blank cell in row-major order as borrowed values —
+    /// what a migration into another layout reads, so a translator that
+    /// can walk its store in order (ROM) feeds the target's builder without
+    /// materializing a cell list.
+    fn for_each_cell(&self, f: &mut CellVisitor<'_>) {
+        for (addr, cell) in self.all_cells() {
+            f(
+                addr.row,
+                addr.col,
+                ScanValue::of(&cell.value),
+                cell.formula.as_deref(),
+            );
+        }
     }
 
     /// Update several cells of one row at once, consuming the batch so no
@@ -123,16 +143,45 @@ pub fn value_into_datum(v: CellValue) -> Datum {
 
 /// Decode a datum back into a cell value.
 pub fn datum_to_value(d: &Datum) -> CellValue {
+    datum_to_scan(d).to_value()
+}
+
+/// [`datum_to_value`] without the copy: texts borrow from the datum.
+pub(crate) fn datum_to_scan(d: &Datum) -> ScanValue<'_> {
     match d {
-        Datum::Null => CellValue::Empty,
-        Datum::Int(i) => CellValue::Number(*i as f64),
-        Datum::Float(f) => CellValue::Number(*f),
-        Datum::Bool(b) => CellValue::Bool(*b),
+        Datum::Null => ScanValue::Empty,
+        Datum::Int(i) => ScanValue::Number(*i as f64),
+        Datum::Float(f) => ScanValue::Number(*f),
+        Datum::Bool(b) => ScanValue::Bool(*b),
         Datum::Text(s) => match s.strip_prefix(ERR_TAG) {
-            Some(tag) => CellValue::Error(parse_cell_error(tag)),
-            None => CellValue::Text(s.clone()),
+            Some(tag) => ScanValue::Error(parse_cell_error(tag)),
+            None => ScanValue::Text(s),
         },
     }
+}
+
+/// The input contract of every bulk constructor: a *run* is a cell list in
+/// strictly increasing row-major order (sorted, no address twice) — what
+/// `all_cells`, `get_range` and a checkpoint payload produce. Returns the
+/// run's extent `(rows, cols)`; anything else is refused, so a builder can
+/// never lay cells out under the wrong position.
+pub(crate) fn check_run(cells: &[(CellAddr, Cell)]) -> Result<(u32, u32), EngineError> {
+    if let Some(w) = cells
+        .windows(2)
+        .find(|w| (w[0].0.row, w[0].0.col) >= (w[1].0.row, w[1].0.col))
+    {
+        return Err(EngineError::Unsupported(format!(
+            "bulk build: cell run is not strictly row-major at {} then {}",
+            w[0].0, w[1].0
+        )));
+    }
+    let rows = cells.last().map_or(0, |(a, _)| a.row.saturating_add(1));
+    let cols = cells
+        .iter()
+        .map(|(a, _)| a.col.saturating_add(1))
+        .max()
+        .unwrap_or(0);
+    Ok((rows, cols))
 }
 
 fn parse_cell_error(s: &str) -> CellError {

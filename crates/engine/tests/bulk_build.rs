@@ -1,0 +1,285 @@
+//! Builder-vs-`set_cell` suite for the one bulk region build path.
+//!
+//! `HybridSheet::{reorganize, restore_regions, migrate_region}` all build a
+//! region through [`build_translator`]: a row-major run of cells loaded by
+//! the model's bulk constructor. The reference here is the path it
+//! replaced — an empty translator fed the same cells one `set_cell` at a
+//! time. For every [`ModelKind`] and random sparse contents the two must
+//! agree on everything a caller can observe, and keep agreeing while the
+//! same random tape of edits and structural ops is applied to both: a
+//! bulk-built region is not allowed to be a different *kind* of object
+//! from one that grew cell by cell.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use dataspread_engine::com::ComTranslator;
+use dataspread_engine::hybrid::build_translator;
+use dataspread_engine::rcv::RcvTranslator;
+use dataspread_engine::rom::RomTranslator;
+use dataspread_engine::{ColumnarTranslator, ModelKind, Translator};
+use dataspread_grid::value::CellError;
+use dataspread_grid::{Cell, CellAddr, CellValue};
+use dataspread_posmap::PosMapKind;
+
+const TAPE_LEN: usize = if cfg!(debug_assertions) { 80 } else { 400 };
+const SEEDS: std::ops::Range<u64> = if cfg!(debug_assertions) { 0..6 } else { 0..40 };
+
+const KINDS: [ModelKind; 4] = [
+    ModelKind::Rom,
+    ModelKind::Com,
+    ModelKind::Rcv,
+    ModelKind::Columnar,
+];
+const POSMAPS: [PosMapKind; 3] = [
+    PosMapKind::Hierarchical,
+    PosMapKind::Monotonic,
+    PosMapKind::AsIs,
+];
+
+/// Every value shape the stores distinguish: packable and raw numbers,
+/// bools, dictionary texts, a long text, the empty text, every error
+/// code, and formulas over any of them (including over an empty value).
+/// Long texts stay short enough that a 30-row COM tuple of them fits a
+/// page.
+fn random_cell(rng: &mut StdRng) -> Cell {
+    const ERRORS: [CellError; 7] = [
+        CellError::Div0,
+        CellError::Value,
+        CellError::Ref,
+        CellError::Name,
+        CellError::Na,
+        CellError::Num,
+        CellError::Circular,
+    ];
+    let value = match rng.gen_range(0u32..14) {
+        0..=2 => CellValue::Number(rng.gen_range(-1000..1000) as f64),
+        3..=4 => CellValue::Number(rng.gen_range(-10.0..10.0)),
+        5 => CellValue::Bool(rng.gen_bool(0.5)),
+        6..=8 => CellValue::Text(["red", "green", "blue"][rng.gen_range(0..3)].into()),
+        9 => CellValue::Text("x".repeat(rng.gen_range(60..120))),
+        10 => CellValue::Text(String::new()),
+        11 => CellValue::Error(ERRORS[rng.gen_range(0..ERRORS.len())]),
+        _ => CellValue::Empty,
+    };
+    let formula = rng
+        .gen_bool(0.15)
+        .then(|| format!("A{}+1", rng.gen_range(1..50)));
+    Cell { value, formula }
+}
+
+/// A random sparse region as a row-major run: whole rows left blank
+/// (leading, interior and — inside the `rows` extent — trailing), ragged
+/// row widths, and the odd explicitly blank cell, which still stretches a
+/// growing translator's extent.
+fn random_run(rng: &mut StdRng) -> (u32, u32, Vec<(CellAddr, Cell)>) {
+    let rows = rng.gen_range(1u32..30);
+    let cols = rng.gen_range(1u32..9);
+    let mut cells = Vec::new();
+    if rng.gen_bool(0.1) {
+        return (rows, cols, cells);
+    }
+    let first = rng.gen_range(0..rows);
+    let last = rng.gen_range(first..rows);
+    for r in first..=last {
+        if rng.gen_bool(0.25) {
+            continue;
+        }
+        let width = rng.gen_range(1..=cols);
+        for c in 0..width {
+            if rng.gen_bool(0.7) {
+                cells.push((CellAddr::new(r, c), random_cell(rng)));
+            }
+        }
+    }
+    (rows, cols, cells)
+}
+
+/// What `build_translator` replaced: an empty translator of the kind, fed
+/// one `set_cell` per cell. Columnar has a fixed extent and folds its
+/// write overlay into the columns, as its old cell-list constructor did.
+fn per_cell(
+    kind: ModelKind,
+    posmap: PosMapKind,
+    rows: u32,
+    cols: u32,
+    cells: &[(CellAddr, Cell)],
+) -> Box<dyn Translator> {
+    if kind == ModelKind::Columnar {
+        let mut t = ColumnarTranslator::new(rows, cols);
+        for (a, c) in cells {
+            t.set_cell(a.row, a.col, c.clone()).unwrap();
+        }
+        t.compact();
+        return Box::new(t);
+    }
+    let mut t: Box<dyn Translator> = match kind {
+        ModelKind::Rom => Box::new(RomTranslator::new(posmap)),
+        ModelKind::Com => Box::new(ComTranslator::new(posmap)),
+        _ => Box::new(RcvTranslator::new(posmap)),
+    };
+    for (a, c) in cells {
+        t.set_cell(a.row, a.col, c.clone()).unwrap();
+    }
+    t
+}
+
+fn assert_same(bulk: &dyn Translator, reference: &dyn Translator, ctx: &str) {
+    assert_eq!(bulk.kind(), reference.kind(), "{ctx}: kind");
+    assert_eq!(bulk.rows(), reference.rows(), "{ctx}: rows");
+    assert_eq!(bulk.cols(), reference.cols(), "{ctx}: cols");
+    assert_eq!(
+        bulk.filled_count(),
+        reference.filled_count(),
+        "{ctx}: filled_count"
+    );
+    assert_eq!(
+        bulk.storage_bytes(),
+        reference.storage_bytes(),
+        "{ctx}: storage_bytes"
+    );
+    assert_eq!(
+        bulk.resident_bytes(),
+        reference.resident_bytes(),
+        "{ctx}: resident_bytes"
+    );
+    assert_eq!(bulk.all_cells(), reference.all_cells(), "{ctx}: all_cells");
+    assert_eq!(
+        bulk.encoded_image(),
+        reference.encoded_image(),
+        "{ctx}: encoded image"
+    );
+}
+
+/// One random edit or structural op applied to both translators; they
+/// must accept or refuse it together (a COM column can outgrow its tuple).
+fn step(rng: &mut StdRng, a: &mut dyn Translator, b: &mut dyn Translator, ctx: &str) {
+    let rows = a.rows().max(1);
+    let cols = a.cols().max(1);
+    let (ra, rb) = match rng.gen_range(0u32..12) {
+        0..=4 => {
+            let (r, c) = (rng.gen_range(0..rows + 2), rng.gen_range(0..cols + 1));
+            let cell = random_cell(rng);
+            (a.set_cell(r, c, cell.clone()), b.set_cell(r, c, cell))
+        }
+        5 => {
+            let (r, c) = (rng.gen_range(0..rows + 2), rng.gen_range(0..cols + 1));
+            (a.clear_cell(r, c), b.clear_cell(r, c))
+        }
+        6 => {
+            let r = rng.gen_range(0..rows + 1);
+            let mut batch: Vec<(u32, Cell)> = Vec::new();
+            for c in 0..cols {
+                if rng.gen_bool(0.5) {
+                    batch.push((c, random_cell(rng)));
+                }
+            }
+            (
+                a.set_cells_in_row(r, batch.clone()),
+                b.set_cells_in_row(r, batch),
+            )
+        }
+        7 => {
+            let (at, n) = (rng.gen_range(0..rows + 1), rng.gen_range(1..3));
+            (a.insert_rows(at, n), b.insert_rows(at, n))
+        }
+        8 => {
+            let (at, n) = (rng.gen_range(0..rows), rng.gen_range(1..3));
+            (a.delete_rows(at, n), b.delete_rows(at, n))
+        }
+        9 => {
+            let (at, n) = (rng.gen_range(0..cols + 1), rng.gen_range(1..3));
+            (a.insert_cols(at, n), b.insert_cols(at, n))
+        }
+        _ => {
+            let (at, n) = (rng.gen_range(0..cols), 1);
+            (a.delete_cols(at, n), b.delete_cols(at, n))
+        }
+    };
+    assert_eq!(ra, rb, "{ctx}: both accept or both refuse");
+}
+
+#[test]
+fn bulk_built_equals_per_cell_built_and_stays_equal_under_edits() {
+    for seed in SEEDS {
+        for (k, &kind) in KINDS.iter().enumerate() {
+            let posmap = POSMAPS[(seed as usize + k) % POSMAPS.len()];
+            let mut rng = StdRng::seed_from_u64(0xB01D_0000 + seed * 16 + k as u64);
+            let (rows, cols, cells) = random_run(&mut rng);
+            let ctx = format!("{kind:?}/{posmap:?} seed {seed}");
+            let mut bulk = build_translator(kind, posmap, rows, cols, cells.clone())
+                .unwrap_or_else(|e| panic!("{ctx}: build failed: {e}"));
+            let mut reference = per_cell(kind, posmap, rows, cols, &cells);
+            assert_same(
+                bulk.as_ref(),
+                reference.as_ref(),
+                &format!("{ctx}, as built"),
+            );
+            for op in 0..TAPE_LEN {
+                let ctx = format!("{ctx}, op {op}");
+                step(&mut rng, bulk.as_mut(), reference.as_mut(), &ctx);
+                assert_same(bulk.as_ref(), reference.as_ref(), &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_region_with_no_cells_builds_empty() {
+    for kind in KINDS {
+        let t = build_translator(kind, PosMapKind::Hierarchical, 7, 3, Vec::new()).unwrap();
+        let reference = per_cell(kind, PosMapKind::Hierarchical, 7, 3, &[]);
+        assert_same(t.as_ref(), reference.as_ref(), &format!("{kind:?}, empty"));
+        assert_eq!(t.filled_count(), 0);
+        // Only the fixed-extent layout records the region's size.
+        let extent = if kind == ModelKind::Columnar {
+            (7, 3)
+        } else {
+            (0, 0)
+        };
+        assert_eq!((t.rows(), t.cols()), extent, "{kind:?}");
+    }
+}
+
+#[test]
+fn unsorted_or_duplicate_runs_are_refused_not_misbuilt() {
+    let cell = |n: i64| Cell::value(n);
+    let unsorted = vec![
+        (CellAddr::new(2, 0), cell(1)),
+        (CellAddr::new(1, 3), cell(2)),
+    ];
+    let column_major = vec![
+        (CellAddr::new(0, 0), cell(1)),
+        (CellAddr::new(1, 0), cell(2)),
+        (CellAddr::new(0, 1), cell(3)),
+    ];
+    let duplicate = vec![
+        (CellAddr::new(1, 1), cell(1)),
+        (CellAddr::new(1, 1), cell(2)),
+    ];
+    for kind in KINDS {
+        for (what, run) in [
+            ("unsorted", &unsorted),
+            ("column-major", &column_major),
+            ("duplicate", &duplicate),
+        ] {
+            let built = build_translator(kind, PosMapKind::Hierarchical, 4, 4, run.clone());
+            assert!(built.is_err(), "{kind:?}: a {what} run must be refused");
+        }
+    }
+    // The columnar cell-list constructor keeps its looser contract by
+    // sorting: any order builds the same region, the later duplicate wins.
+    let sorted = {
+        let mut run = column_major.clone();
+        run.sort_by_key(|(a, _)| (a.row, a.col));
+        ColumnarTranslator::from_cells(2, 2, run)
+    };
+    let resorted = ColumnarTranslator::from_cells(2, 2, column_major);
+    assert_eq!(resorted.to_bytes(), sorted.to_bytes());
+    let last_wins = ColumnarTranslator::from_cells(2, 2, duplicate);
+    assert_eq!(
+        last_wins.get_cell(1, 1).map(|c| c.value),
+        Some(CellValue::Number(2.0))
+    );
+    assert_eq!(last_wins.filled_count(), 1);
+}

@@ -427,3 +427,181 @@ fn wal_segment_rotation_survives_crash_and_checkpoint_deletes_segments() {
     std::fs::remove_dir_all(&base).ok();
     std::fs::remove_dir_all(&crash).ok();
 }
+
+/// A ROM region as the bulk builder sees it after a crash: ragged rows,
+/// whole blank rows (leading, interior, trailing), formulas and texts.
+/// Reopening rebuilds it from its cell run; the rebuilt region must
+/// serialize to the very bytes it was read from.
+#[test]
+fn ragged_rom_region_reopens_to_a_byte_identical_image() {
+    use dataspread_grid::CellValue;
+    let base = temp_dir("ragged-rom");
+    let empty = || CellValue::Empty;
+    let num = |n: f64| CellValue::Number(n);
+    let rows: Vec<Vec<CellValue>> = vec![
+        vec![empty(), empty(), empty(), empty(), empty()],
+        vec![num(1.0), num(2.0), num(3.0), num(4.0), num(5.0)],
+        vec![num(6.0), empty(), empty(), empty(), empty()],
+        vec![empty(), empty(), empty(), empty(), empty()],
+        vec![
+            empty(),
+            CellValue::Text(String::new()),
+            num(7.5),
+            empty(),
+            empty(),
+        ],
+        vec![
+            CellValue::Text("wide ".repeat(40)),
+            empty(),
+            empty(),
+            empty(),
+            num(8.0),
+        ],
+        vec![empty(), empty(), empty(), empty(), empty()],
+        vec![empty(), empty(), empty(), empty(), empty()],
+    ];
+    let image = {
+        let mut engine = SheetEngine::open(&base).unwrap();
+        engine.import_rows(CellAddr::new(3, 2), 5, rows).unwrap();
+        engine.update_cell(CellAddr::new(5, 4), "=C5+D5").unwrap();
+        engine.update_cell(CellAddr::new(7, 3), "=1/0").unwrap();
+        engine.update_cell(CellAddr::new(0, 0), "stray").unwrap();
+        engine.checkpoint().unwrap();
+        std::fs::read(image_path(&base)).unwrap()
+    };
+    let mut reopened = SheetEngine::open(&base).unwrap();
+    assert_eq!(
+        reopened.storage().layout(),
+        vec![(
+            dataspread_grid::Rect::new(3, 2, 10, 6),
+            dataspread_engine::ModelKind::Rom
+        )]
+    );
+    reopened.storage_mut().mark_all_dirty();
+    let report = reopened.checkpoint().unwrap().unwrap();
+    assert_eq!(report.regions_dirty, 2);
+    assert_eq!(
+        report.pages_written, 0,
+        "the rebuilt region re-serialized to different bytes"
+    );
+    assert_eq!(std::fs::read(image_path(&base)).unwrap(), image);
+    // The rebuilt region keeps serving edits on rows the image never held.
+    reopened.update_cell(CellAddr::new(10, 6), "9").unwrap();
+    reopened.update_cell(CellAddr::new(4, 2), "10").unwrap();
+    assert_eq!(reopened.value(CellAddr::new(5, 4)), CellValue::Number(12.0));
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A reorganization that cannot be executed (one COM tuple for a 3 000-row
+/// column) must not cost a durable engine anything: the error comes back,
+/// and the checkpoint after it persists the sheet that was there before.
+#[test]
+fn failed_reorganize_then_checkpoint_loses_nothing() {
+    use dataspread_grid::{CellValue, Rect};
+    use dataspread_hybrid::{Decomposition, ModelKind, Region};
+    let base = temp_dir("failed-reorg");
+    let before = {
+        let mut engine = SheetEngine::open(&base).unwrap();
+        engine
+            .import_rows(
+                CellAddr::new(0, 0),
+                1,
+                (0..3000u32).map(|r| vec![CellValue::Number(f64::from(r))]),
+            )
+            .unwrap();
+        engine
+            .update_cell(CellAddr::new(0, 2), "=SUM(A1:A3000)")
+            .unwrap();
+        engine.checkpoint().unwrap();
+        let before = engine.snapshot();
+        let layout = engine.storage().layout();
+
+        let err = engine
+            .storage_mut()
+            .reorganize(&Decomposition::new(vec![Region {
+                rect: Rect::new(0, 0, 2999, 0),
+                kind: ModelKind::Com,
+            }]))
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Store(StoreError::TupleTooLarge(_))),
+            "{err}"
+        );
+        assert_eq!(engine.snapshot(), before);
+        assert_eq!(engine.storage().layout(), layout);
+        assert_eq!(engine.storage().filled_count(), 3001);
+        engine.checkpoint().unwrap();
+        before
+    };
+    let mut reopened = SheetEngine::open(&base).unwrap();
+    assert_eq!(reopened.snapshot(), before, "nothing lost");
+    assert_eq!(reopened.storage().filled_count(), 3001);
+    // The formula is still registered: an edit under it recomputes it.
+    let sum = f64::from(2999 * 3000 / 2);
+    assert_eq!(reopened.value(CellAddr::new(0, 2)), CellValue::Number(sum));
+    reopened.update_cell(CellAddr::new(0, 0), "1000").unwrap();
+    assert_eq!(
+        reopened.value(CellAddr::new(0, 2)),
+        CellValue::Number(sum + 1000.0)
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// `optimize` on a sheet already laid out the way the optimizer wants it
+/// keeps every region: no cell moves, nothing turns dirty, and the next
+/// checkpoint has no region payload to write.
+#[test]
+fn second_optimize_on_an_unchanged_sheet_moves_and_writes_nothing() {
+    use dataspread_engine::OptimizeAlgorithm;
+    use dataspread_grid::CellValue;
+    use dataspread_hybrid::{CostModel, OptimizerOptions};
+    let base = temp_dir("reoptimize");
+    let mut engine = SheetEngine::open(&base).unwrap();
+    engine
+        .import_rows(
+            CellAddr::new(0, 0),
+            6,
+            (0..200u32).map(|r| {
+                (0..6)
+                    .map(|c| CellValue::Number(f64::from(r * 6 + c)))
+                    .collect()
+            }),
+        )
+        .unwrap();
+    for c in 0..6u32 {
+        let col = char::from(b'A' + c as u8);
+        engine
+            .update_cell(CellAddr::new(210, c), &format!("=SUM({col}1:{col}200)"))
+            .unwrap();
+    }
+    engine
+        .update_cell(CellAddr::new(400, 40), "far away")
+        .unwrap();
+    let optimize = |engine: &mut SheetEngine| {
+        engine
+            .optimize(
+                &CostModel::postgres(),
+                OptimizeAlgorithm::Agg,
+                &OptimizerOptions::default(),
+            )
+            .unwrap()
+    };
+    let first = optimize(&mut engine);
+    assert!(first.migrated_cells > 0, "the strays found a home");
+    engine.checkpoint().unwrap();
+    let layout = engine.storage().layout();
+    let snapshot = engine.snapshot();
+
+    let second = optimize(&mut engine);
+    assert_eq!(second.decomposition, first.decomposition);
+    assert_eq!(second.migrated_cells, 0);
+    assert_eq!(second.storage_before, second.storage_after);
+    assert_eq!(engine.storage().dirty_region_count(), 0);
+    assert_eq!(engine.storage().layout(), layout);
+    assert_eq!(engine.snapshot(), snapshot);
+    let report = engine.checkpoint().unwrap().unwrap();
+    assert_eq!(report.regions_dirty, 0);
+    assert_eq!(report.payload_bytes, 0);
+    assert_eq!(report.pages_written, 0);
+    std::fs::remove_dir_all(&base).ok();
+}

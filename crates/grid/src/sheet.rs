@@ -179,13 +179,17 @@ impl SparseSheet {
     }
 }
 
+/// Equivalent to [`SparseSheet::set`] in iteration order (of two cells at
+/// one address the later wins; a blank leaves the address empty), but
+/// built in bulk: `BTreeMap`'s collect sorts the pairs — a single pass
+/// when they arrive row-major, as storage scans deliver them — and lays
+/// the tree out bottom-up instead of descending it once per cell.
 impl FromIterator<(CellAddr, Cell)> for SparseSheet {
     fn from_iter<I: IntoIterator<Item = (CellAddr, Cell)>>(iter: I) -> Self {
-        let mut s = SparseSheet::new();
-        for (a, c) in iter {
-            s.set(a, c);
-        }
-        s
+        let mut cells: BTreeMap<(u32, u32), Cell> =
+            iter.into_iter().map(|(a, c)| ((a.row, a.col), c)).collect();
+        cells.retain(|_, c| !c.is_blank());
+        SparseSheet { cells }
     }
 }
 
@@ -296,6 +300,26 @@ mod tests {
         s.insert_rows(4, 3).unwrap();
         s.delete_rows(4, 3).unwrap();
         assert_eq!(s, before);
+    }
+
+    #[test]
+    fn collect_matches_set_in_order() {
+        let pairs = vec![
+            (a(3, 1), Cell::value(1i64)),
+            (a(0, 2), Cell::value(2i64)),
+            (a(3, 1), Cell::value(3i64)),
+            (a(5, 5), Cell::value(4i64)),
+            (a(5, 5), Cell::default()),
+            (a(0, 0), Cell::default()),
+        ];
+        let mut by_set = SparseSheet::new();
+        for (addr, cell) in pairs.clone() {
+            by_set.set(addr, cell);
+        }
+        let collected: SparseSheet = pairs.into_iter().collect();
+        assert_eq!(collected, by_set);
+        assert_eq!(collected.filled_count(), 2);
+        assert_eq!(collected.value(a(3, 1)), CellValue::Number(3.0));
     }
 
     #[test]
