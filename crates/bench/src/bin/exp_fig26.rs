@@ -11,7 +11,7 @@ use dataspread_corpus::{apply_op, multi_table_sheet, OpMix, UserOp};
 use dataspread_grid::SparseSheet;
 use dataspread_hybrid::{
     incremental_agg, optimize_agg, CostModel, Decomposition, GridView, IncrementalOptions,
-    OptimizerOptions,
+    Occupancy, OptimizerOptions,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,7 +71,7 @@ fn main() {
     }
     for &eta in &[0.0, 0.1, 1.0, 10.0, 100.0, 1e6] {
         let (decomp, stats) = incremental_agg(
-            &sheet,
+            &Occupancy::of(&sheet),
             &old,
             &cm,
             &IncrementalOptions {
@@ -110,7 +110,7 @@ fn main() {
         // catch-all for uncovered cells via the incremental keep-everything
         // path (eta huge = frozen).
         let (frozen, _) = incremental_agg(
-            &sheet,
+            &Occupancy::of(&sheet),
             &current,
             &cm,
             &IncrementalOptions {
@@ -120,7 +120,7 @@ fn main() {
         );
         let stale_cost = frozen.storage_cost(&view, &cm);
         let (next, stats) = incremental_agg(
-            &sheet,
+            &Occupancy::of(&sheet),
             &current,
             &cm,
             &IncrementalOptions {

@@ -19,7 +19,7 @@
 //! round-trip byte-identically, so v2 images store the compressed pages
 //! directly and recovery restores a region without per-cell replay.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
@@ -27,7 +27,7 @@ use dataspread_hybrid::ModelKind;
 use dataspread_relstore::{codec, StoreError};
 
 use crate::error::EngineError;
-use crate::translator::Translator;
+use crate::translator::{push_cell, CellVisitor, Translator};
 
 /// Overlay entries before the next write compacts them into the columns.
 const OVERLAY_COMPACT: usize = 4096;
@@ -68,6 +68,14 @@ impl ScanValue<'_> {
         }
     }
 
+    /// The owned cell a scan visitor was handed (texts clone).
+    pub fn to_cell(self, formula: Option<&str>) -> Cell {
+        Cell {
+            value: self.to_value(),
+            formula: formula.map(str::to_string),
+        }
+    }
+
     pub(crate) fn of(v: &CellValue) -> ScanValue<'_> {
         match v {
             CellValue::Empty => ScanValue::Empty,
@@ -93,6 +101,31 @@ pub struct ColumnAgg {
     /// First `Error` value in row order; when set, the scan stopped there
     /// (the evaluator aborts on the first error).
     pub error: Option<CellError>,
+}
+
+impl ColumnAgg {
+    /// Fold the next value in row order; `false` once an error ended the
+    /// fold (the evaluator aborts on the first error, so later values must
+    /// not count).
+    pub(crate) fn fold(&mut self, v: ScanValue<'_>) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        match v {
+            ScanValue::Empty => {}
+            ScanValue::Number(n) => {
+                self.sum += n;
+                self.numbers += 1;
+                self.nonempty += 1;
+            }
+            ScanValue::Error(e) => {
+                self.error = Some(e);
+                return false;
+            }
+            _ => self.nonempty += 1,
+        }
+        true
+    }
 }
 
 impl From<ColumnAgg> for dataspread_formula::RangeAgg {
@@ -412,15 +445,7 @@ impl Column {
 
     /// The value at `row` from the base columns (overlay not consulted).
     fn base_value(&self, row: u32) -> ScanValue<'_> {
-        let run = &self.runs[self.run_at(row)];
-        let i = run.start_idx + (row - run.start_row);
-        match run.tag {
-            TAG_NULL => ScanValue::Empty,
-            TAG_NUM => ScanValue::Number(self.nums.get(i)),
-            TAG_BOOL => ScanValue::Bool(self.bools.get(i)),
-            TAG_TEXT => ScanValue::Text(&self.dict[self.codes.get(i) as usize]),
-            _ => ScanValue::Error(code_error(self.errors[i as usize]).expect("validated on build")),
-        }
+        BaseCursor::new(self, row).value(row)
     }
 
     /// Visit `r1..=r2` in row order without per-row binary searches.
@@ -482,6 +507,139 @@ impl Column {
                 .values()
                 .map(|s| 8 + s.len() as u64)
                 .sum::<u64>()
+    }
+}
+
+/// A read position in one column's base stores: the run holding the row
+/// (and, in an RLE code store, the code run holding the text) is found by
+/// binary search once and then advanced as the rows go by, so a scan pays
+/// one comparison per row instead of a search.
+struct BaseCursor<'a> {
+    col: &'a Column,
+    run: usize,
+    /// First row past `runs[run]` (0 when the column has no such run).
+    run_end: u32,
+    /// Position in an RLE code store, located at the first text read.
+    code_run: Option<usize>,
+}
+
+impl<'a> BaseCursor<'a> {
+    /// A cursor for reads at `row` and below it.
+    fn new(col: &'a Column, row: u32) -> Self {
+        let run = col.runs.partition_point(|r| r.start_row + r.len <= row);
+        BaseCursor {
+            col,
+            run,
+            run_end: col.runs.get(run).map_or(0, |r| r.start_row + r.len),
+            code_run: None,
+        }
+    }
+
+    /// The base value at `row` (inside the column's rows); rows must not
+    /// decrease between calls.
+    #[inline]
+    fn value(&mut self, row: u32) -> ScanValue<'a> {
+        let col = self.col;
+        while row >= self.run_end {
+            self.run += 1;
+            self.run_end += col.runs[self.run].len;
+        }
+        let run = &col.runs[self.run];
+        let i = run.start_idx + (row - run.start_row);
+        match run.tag {
+            TAG_NULL => ScanValue::Empty,
+            TAG_NUM => ScanValue::Number(col.nums.get(i)),
+            TAG_BOOL => ScanValue::Bool(col.bools.get(i)),
+            TAG_TEXT => ScanValue::Text(&col.dict[self.code(i) as usize]),
+            _ => ScanValue::Error(code_error(col.errors[i as usize]).expect("validated on build")),
+        }
+    }
+
+    fn code(&mut self, i: u32) -> u32 {
+        let CodeStore::Rle { runs, ends } = &self.col.codes else {
+            return self.col.codes.get(i);
+        };
+        let mut k = self
+            .code_run
+            .unwrap_or_else(|| ends.partition_point(|&e| e <= i));
+        while ends[k] <= i {
+            k += 1;
+        }
+        self.code_run = Some(k);
+        runs[k].0
+    }
+}
+
+/// A read position in one of a column's sparse maps (formula sources, the
+/// write overlay) over a row span: the entry a scan will meet next is held
+/// ready, so a row with nothing in the map costs one comparison — none at
+/// all once the span's entries are used up, which for a window over a
+/// column nobody edited is from the start.
+struct SparseCursor<'a, K, V> {
+    rest: btree_map::Range<'a, K, V>,
+    next: Option<(u32, &'a V)>,
+    row_of: fn(&K) -> u32,
+}
+
+impl<'a, K, V> SparseCursor<'a, K, V> {
+    fn new(mut rest: btree_map::Range<'a, K, V>, row_of: fn(&K) -> u32) -> Self {
+        let next = rest.next().map(|(k, v)| (row_of(k), v));
+        SparseCursor { rest, next, row_of }
+    }
+
+    /// The entry at `row`, if any; rows must increase between calls.
+    #[inline]
+    fn at(&mut self, row: u32) -> Option<&'a V> {
+        while let Some((r, v)) = self.next {
+            if r > row {
+                return None;
+            }
+            self.next = self.rest.next().map(|(k, v)| ((self.row_of)(k), v));
+            if r == row {
+                return Some(v);
+            }
+        }
+        None
+    }
+}
+
+/// [`BaseCursor`] merged with the column's sparse maps — the formula
+/// sources and the translator's write overlay — each walked by its own
+/// cursor instead of probed per cell.
+struct CellCursor<'a> {
+    base: BaseCursor<'a>,
+    /// Rows the column's base stores hold.
+    base_rows: u32,
+    formulas: SparseCursor<'a, u32, String>,
+    overlay: SparseCursor<'a, (u32, u32), Cell>,
+}
+
+impl<'a> CellCursor<'a> {
+    /// A cursor over rows `r1..=r2` of column `c`.
+    fn new(t: &'a ColumnarTranslator, c: u32, r1: u32, r2: u32) -> Self {
+        let col = &t.columns[c as usize];
+        CellCursor {
+            base: BaseCursor::new(col, r1),
+            base_rows: col.rows(),
+            formulas: SparseCursor::new(col.formulas.range(r1..=r2), |&row| row),
+            overlay: SparseCursor::new(t.overlay.range((c, r1)..=(c, r2)), |&(_, row)| row),
+        }
+    }
+
+    /// The effective (overlay-merged) cell at `row`; rows must increase
+    /// between calls.
+    #[inline]
+    fn at(&mut self, row: u32) -> (ScanValue<'a>, Option<&'a str>) {
+        if let Some(cell) = self.overlay.at(row) {
+            return (ScanValue::of(&cell.value), cell.formula.as_deref());
+        }
+        if row >= self.base_rows {
+            return (ScanValue::Empty, None);
+        }
+        (
+            self.base.value(row),
+            self.formulas.at(row).map(String::as_str),
+        )
     }
 }
 
@@ -882,42 +1040,23 @@ impl ColumnarTranslator {
             .range((col, r1)..=(col, r2))
             .map(|(&(_, row), cell)| (row, cell))
             .peekable();
-        let fold = |agg: &mut ColumnAgg, v: ScanValue<'_>| -> bool {
-            match v {
-                ScanValue::Empty => {}
-                ScanValue::Number(n) => {
-                    agg.sum += n;
-                    agg.numbers += 1;
-                    agg.nonempty += 1;
-                }
-                ScanValue::Error(e) => {
-                    agg.error = Some(e);
-                    return false;
-                }
-                _ => agg.nonempty += 1,
-            }
-            true
-        };
         let r2 = r2.min(self.rows.saturating_sub(1));
         let mut row = r1;
         while row <= r2 {
             // Base runs up to the next overlay edit, then the edit itself.
             let next_edit = over.peek().map(|&(r, _)| r).unwrap_or(r2 + 1);
             if row < next_edit {
-                let mut ok = true;
                 c.for_each_base(row, next_edit.min(r2 + 1) - 1, |_, v| {
-                    if ok {
-                        ok = fold(&mut agg, v);
-                    }
+                    agg.fold(v);
                 });
-                if !ok {
+                if agg.error.is_some() {
                     return agg;
                 }
                 row = next_edit;
                 continue;
             }
             let (_, cell) = over.next().expect("peeked");
-            if !fold(&mut agg, ScanValue::of(&cell.value)) {
+            if !agg.fold(ScanValue::of(&cell.value)) {
                 return agg;
             }
             row += 1;
@@ -926,31 +1065,23 @@ impl ColumnarTranslator {
     }
 
     /// Row-major scan of a local rectangle, overlay-merged, including
-    /// empty positions — the window emitter's source. `f` receives
-    /// `(local row, local col, value, formula)`.
+    /// empty positions — the window emitter's source, and the one walk
+    /// under [`Translator::scan`] and `get_range`. One [`CellCursor`] per
+    /// column is advanced row by row. `f` receives `(local row, local col,
+    /// value, formula)`.
     pub fn scan_rect(&self, rect: Rect, mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>)) {
+        let stored = (self.columns.len() as u32).min(rect.c2.saturating_add(1));
+        let mut cursors: Vec<CellCursor<'_>> = (rect.c1..stored)
+            .map(|c| CellCursor::new(self, c, rect.r1, rect.r2))
+            .collect();
         for row in rect.r1..=rect.r2 {
+            let mut cursors = cursors.iter_mut();
             for col in rect.c1..=rect.c2 {
-                if let Some(cell) = self.overlay.get(&(col, row)) {
-                    f(
-                        row,
-                        col,
-                        ScanValue::of(&cell.value),
-                        cell.formula.as_deref(),
-                    );
-                    continue;
-                }
-                match self.columns.get(col as usize) {
-                    Some(c) if row < c.rows() => {
-                        f(
-                            row,
-                            col,
-                            c.base_value(row),
-                            c.formulas.get(&row).map(String::as_str),
-                        );
-                    }
-                    _ => f(row, col, ScanValue::Empty, None),
-                }
+                let (value, formula) = match cursors.next() {
+                    Some(cur) => cur.at(row),
+                    None => (ScanValue::Empty, None),
+                };
+                f(row, col, value, formula);
             }
         }
     }
@@ -1397,32 +1528,25 @@ impl Translator for ColumnarTranslator {
 
     fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
         let mut out = Vec::new();
-        if self.rows == 0 || self.columns.is_empty() {
-            return out;
+        self.scan(rect, &mut push_cell(&mut out));
+        out
+    }
+
+    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
+        if rect.r1 >= self.rows || rect.c1 >= self.cols() {
+            return;
         }
         let rect = Rect::new(
             rect.r1,
             rect.c1,
             rect.r2.min(self.rows - 1),
-            rect.c2.min(self.columns.len() as u32 - 1),
+            rect.c2.min(self.cols() - 1),
         );
-        if rect.r1 > rect.r2 || rect.c1 > rect.c2 {
-            return out;
-        }
-        self.scan_rect(rect, |row, col, v, formula| {
-            let formula = formula.map(str::to_string);
-            if matches!(v, ScanValue::Empty) && formula.is_none() {
-                return;
+        self.scan_rect(rect, |row, col, value, formula| {
+            if !matches!(value, ScanValue::Empty) || formula.is_some() {
+                f(row, col, value, formula);
             }
-            out.push((
-                CellAddr::new(row, col),
-                Cell {
-                    value: v.to_value(),
-                    formula,
-                },
-            ));
         });
-        out
     }
 
     fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {

@@ -5,10 +5,12 @@
 use dataspread_grid::{Cell, CellAddr, Rect};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::PosMapKind;
+use dataspread_relstore::Datum;
 
+use crate::columnar::ScanValue;
 use crate::error::EngineError;
-use crate::rom::RomTranslator;
-use crate::translator::{check_run, Translator};
+use crate::rom::{RomBuilder, RomTranslator};
+use crate::translator::{scan_to_datums, Translator};
 
 /// Column-oriented storage: a transposed [`RomTranslator`].
 #[derive(Debug)]
@@ -22,22 +24,37 @@ impl ComTranslator {
             inner: RomTranslator::new(posmap_kind),
         }
     }
+}
 
-    /// Bulk-build from a row-major run of local-coordinate cells: the run
-    /// is transposed into column-major order and loaded as the inner ROM's
-    /// rows, one tuple per sheet column.
-    pub fn from_sorted_cells(
-        posmap_kind: PosMapKind,
-        mut cells: Vec<(CellAddr, Cell)>,
-    ) -> Result<Self, EngineError> {
-        check_run(&cells)?;
-        for (addr, _) in &mut cells {
-            *addr = CellAddr::new(addr.col, addr.row);
+/// Push-style bulk builder: the row-major run is held back (encoded) until
+/// `finish`, transposed into column-major order and loaded as the inner
+/// ROM's rows — one tuple per sheet column.
+pub(crate) struct ComBuilder {
+    posmap_kind: PosMapKind,
+    cells: Vec<(u32, u32, [Datum; 2])>,
+}
+
+impl ComBuilder {
+    pub(crate) fn new(posmap_kind: PosMapKind) -> Self {
+        ComBuilder {
+            posmap_kind,
+            cells: Vec::new(),
         }
+    }
+
+    pub(crate) fn push(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
+        self.cells.push((col, row, scan_to_datums(value, formula)));
+    }
+
+    pub(crate) fn finish(mut self) -> Result<ComTranslator, EngineError> {
         // Stable, so each column keeps the run's ascending row order.
-        cells.sort_by_key(|(a, _)| a.row);
+        self.cells.sort_by_key(|&(col, ..)| col);
+        let mut inner = RomBuilder::new(self.posmap_kind);
+        for (col, row, pair) in self.cells {
+            inner.push_datums(col, row, pair)?;
+        }
         Ok(ComTranslator {
-            inner: RomTranslator::from_sorted_cells(posmap_kind, cells)?,
+            inner: inner.finish()?,
         })
     }
 }

@@ -63,7 +63,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
+#[cfg(test)]
+use dataspread_grid::{Cell, CellAddr};
+use dataspread_grid::{CellValue, Rect};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::PosMapKind;
 use dataspread_relstore::codec::{self, Reader};
@@ -74,8 +76,9 @@ use dataspread_relstore::{
 };
 use std::sync::Arc;
 
+use crate::columnar::ScanValue;
 use crate::error::EngineError;
-use crate::hybrid::{RegionImage, RegionPayload, CATCHALL_REGION_ID};
+use crate::hybrid::{RegionImage, CATCHALL_REGION_ID};
 
 /// File name of the checkpoint image inside a durable sheet directory.
 pub const IMAGE_FILE: &str = "pages.db";
@@ -215,37 +218,38 @@ fn corrupt(msg: &str) -> EngineError {
     EngineError::Store(StoreError::Corrupt(msg.to_string()))
 }
 
-fn put_value(out: &mut Vec<u8>, v: &CellValue) {
+fn put_value(out: &mut Vec<u8>, v: ScanValue<'_>) {
     match v {
-        CellValue::Empty => codec::put_u8(out, 0),
-        CellValue::Number(n) => {
+        ScanValue::Empty => codec::put_u8(out, 0),
+        ScanValue::Number(n) => {
             codec::put_u8(out, 1);
-            codec::put_f64(out, *n);
+            codec::put_f64(out, n);
         }
-        CellValue::Text(s) => {
+        ScanValue::Text(s) => {
             codec::put_u8(out, 2);
             codec::put_str(out, s);
         }
-        CellValue::Bool(b) => {
+        ScanValue::Bool(b) => {
             codec::put_u8(out, 3);
-            codec::put_u8(out, *b as u8);
+            codec::put_u8(out, b as u8);
         }
-        CellValue::Error(e) => {
+        ScanValue::Error(e) => {
             codec::put_u8(out, 4);
             codec::put_u8(out, e.code());
         }
     }
 }
 
-fn read_value(cur: &mut Reader<'_>) -> Result<CellValue, EngineError> {
+/// Decode a value in place: a text borrows from the record.
+fn read_value<'a>(cur: &mut Reader<'a>) -> Result<ScanValue<'a>, EngineError> {
     Ok(match cur.u8()? {
-        0 => CellValue::Empty,
-        1 => CellValue::Number(cur.f64()?),
-        2 => CellValue::Text(cur.str()?),
-        3 => CellValue::Bool(cur.u8()? != 0),
+        0 => ScanValue::Empty,
+        1 => ScanValue::Number(cur.f64()?),
+        2 => ScanValue::Text(cur.str_ref()?),
+        3 => ScanValue::Bool(cur.u8()? != 0),
         4 => {
             let c = cur.u8()?;
-            CellValue::Error(
+            ScanValue::Error(
                 CellError::from_code(c)
                     .ok_or_else(|| corrupt(&format!("unknown error code {c}")))?,
             )
@@ -297,7 +301,7 @@ fn code_model(c: u8) -> Result<ModelKind, EngineError> {
 
 impl LoggedOp {
     /// Encode as a WAL payload (including the record-kind tag).
-    fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = vec![REC_OP];
         match self {
             LoggedOp::SetCell { row, col, input } => {
@@ -310,7 +314,7 @@ impl LoggedOp {
                 codec::put_u8(&mut out, 1);
                 codec::put_u32(&mut out, *row);
                 codec::put_u32(&mut out, *col);
-                put_value(&mut out, value);
+                put_value(&mut out, ScanValue::of(value));
             }
             LoggedOp::InsertRows { at, n } => {
                 codec::put_u8(&mut out, 2);
@@ -337,18 +341,29 @@ impl LoggedOp {
                 col,
                 width,
                 rows,
-            } => {
-                codec::put_u8(&mut out, 6);
-                codec::put_u32(&mut out, *row);
-                codec::put_u32(&mut out, *col);
-                codec::put_u32(&mut out, *width);
-                codec::put_u32(&mut out, rows.len() as u32);
-                for r in rows {
-                    codec::put_u32(&mut out, r.len() as u32);
-                    for v in r {
-                        put_value(&mut out, v);
-                    }
-                }
+            } => return Self::encode_import(*row, *col, *width, rows),
+        }
+        out
+    }
+
+    /// The record of a [`LoggedOp::ImportRows`], encoded from borrowed
+    /// rows: a live import logs this and then *moves* its rows into
+    /// storage, instead of cloning every value to build the op.
+    pub(crate) fn encode_import(
+        row: u32,
+        col: u32,
+        width: u32,
+        rows: &[Vec<CellValue>],
+    ) -> Vec<u8> {
+        let mut out = vec![REC_OP, 6];
+        codec::put_u32(&mut out, row);
+        codec::put_u32(&mut out, col);
+        codec::put_u32(&mut out, width);
+        codec::put_u32(&mut out, rows.len() as u32);
+        for r in rows {
+            codec::put_u32(&mut out, r.len() as u32);
+            for v in r {
+                put_value(&mut out, ScanValue::of(v));
             }
         }
         out
@@ -365,7 +380,7 @@ impl LoggedOp {
             1 => LoggedOp::SetValue {
                 row: cur.u32()?,
                 col: cur.u32()?,
-                value: read_value(cur)?,
+                value: read_value(cur)?.to_value(),
             },
             2 => LoggedOp::InsertRows {
                 at: cur.u32()?,
@@ -393,7 +408,7 @@ impl LoggedOp {
                     let n_vals = cur.u32()?;
                     let mut vals = Vec::with_capacity(n_vals.min(1 << 16) as usize);
                     for _ in 0..n_vals {
-                        vals.push(read_value(cur)?);
+                        vals.push(read_value(cur)?.to_value());
                     }
                     rows.push(vals);
                 }
@@ -411,9 +426,83 @@ impl LoggedOp {
     }
 }
 
-/// Canonical serialization of one region's cells (count + per-cell
-/// address, optional formula source, value).
-fn encode_cells(cells: &[(CellAddr, Cell)]) -> Vec<u8> {
+/// Streams one store's cells into its canonical checkpoint payload — a
+/// `u64` count, then per cell its address, formula flag (+ source) and
+/// value — straight from a [`Translator::scan`](crate::Translator::scan):
+/// no cell list in between. The count is patched in by `finish`. The same
+/// logical content must always produce the same bytes (the recovery suite
+/// compares images byte for byte), so the cells must arrive in strictly
+/// increasing row-major order; a store that scans out of order is a bug
+/// and trips the assert rather than writing a non-canonical image.
+pub(crate) struct CellsEncoder {
+    out: Vec<u8>,
+    count: u64,
+    last: Option<(u32, u32)>,
+}
+
+impl CellsEncoder {
+    pub(crate) fn new() -> Self {
+        CellsEncoder {
+            out: vec![0; 8],
+            count: 0,
+            last: None,
+        }
+    }
+
+    pub(crate) fn push(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
+        assert!(
+            self.last < Some((row, col)),
+            "checkpoint payload: cell ({row},{col}) scanned after {:?}",
+            self.last
+        );
+        self.last = Some((row, col));
+        self.count += 1;
+        let out = &mut self.out;
+        codec::put_u32(out, row);
+        codec::put_u32(out, col);
+        match formula {
+            Some(src) => {
+                codec::put_u8(out, 1);
+                codec::put_str(out, src);
+            }
+            None => codec::put_u8(out, 0),
+        }
+        put_value(out, value);
+    }
+
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.out[..8].copy_from_slice(&self.count.to_le_bytes());
+        self.out
+    }
+}
+
+/// Visit the cells of a payload written by [`CellsEncoder`] in stored
+/// order, decoded in place (texts and formula sources borrow from
+/// `payload`). Truncation, an unknown flag, tag or error code, invalid
+/// UTF-8 and trailing bytes are all [`StoreError::Corrupt`]; an error from
+/// `f` ends the visit.
+pub(crate) fn visit_cells(
+    payload: &[u8],
+    mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    let mut cur = Reader::new(payload);
+    let count = cur.u64()?;
+    for _ in 0..count {
+        let row = cur.u32()?;
+        let col = cur.u32()?;
+        let formula = match cur.u8()? {
+            0 => None,
+            1 => Some(cur.str_ref()?),
+            t => return Err(corrupt(&format!("unknown formula flag {t}"))),
+        };
+        f(row, col, read_value(&mut cur)?, formula)?;
+    }
+    cur.expect_done("cells").map_err(EngineError::Store)
+}
+
+/// The list-building encoder the streamed one replaced, kept as its oracle.
+#[cfg(test)]
+pub(crate) fn encode_cells(cells: &[(CellAddr, Cell)]) -> Vec<u8> {
     let mut out = Vec::new();
     codec::put_u64(&mut out, cells.len() as u64);
     for (addr, cell) in cells {
@@ -426,12 +515,14 @@ fn encode_cells(cells: &[(CellAddr, Cell)]) -> Vec<u8> {
             }
             None => codec::put_u8(&mut out, 0),
         }
-        put_value(&mut out, &cell.value);
+        put_value(&mut out, ScanValue::of(&cell.value));
     }
     out
 }
 
-fn decode_cells(payload: &[u8]) -> Result<Vec<(CellAddr, Cell)>, EngineError> {
+/// The list-building decoder [`visit_cells`] replaced, kept as its oracle.
+#[cfg(test)]
+pub(crate) fn decode_cells(payload: &[u8]) -> Result<Vec<(CellAddr, Cell)>, EngineError> {
     let mut cur = Reader::new(payload);
     let count = cur.u64()?;
     let mut cells = Vec::with_capacity(count.min(1 << 24) as usize);
@@ -443,7 +534,7 @@ fn decode_cells(payload: &[u8]) -> Result<Vec<(CellAddr, Cell)>, EngineError> {
             1 => Some(cur.str()?),
             t => return Err(corrupt(&format!("unknown formula flag {t}"))),
         };
-        let value = read_value(&mut cur)?;
+        let value = read_value(&mut cur)?.to_value();
         cells.push((CellAddr::new(row, col), Cell { value, formula }));
     }
     cur.expect_done("cells").map_err(EngineError::Store)?;
@@ -582,18 +673,16 @@ fn alloc_pages(n: usize, free: &mut BTreeSet<u64>, grow: &mut u64) -> Vec<u64> {
 
 // ------------------------------------------------------- durable store --
 
-/// One region recovered from the checkpoint image (cells in local
-/// coordinates; the catch-all is reported separately).
+/// One region recovered from the checkpoint image: its CRC-verified
+/// payload as stored — the cell payload of [`CellsEncoder`] in local
+/// coordinates, or a columnar region's native encoding — which the hybrid
+/// layer visits straight into the region's builder.
 #[derive(Debug)]
 pub struct RecoveredRegionImage {
     pub id: u64,
     pub kind: ModelKind,
     pub rect: Rect,
-    /// Per-cell payload; empty for columnar regions (see `encoded`).
-    pub cells: Vec<(CellAddr, Cell)>,
-    /// A columnar region's raw native payload, decoded by the translator
-    /// itself on restore (`None` for every other kind).
-    pub encoded: Option<Vec<u8>>,
+    pub payload: Vec<u8>,
 }
 
 /// What [`DurableStore::open`] found on disk.
@@ -601,8 +690,9 @@ pub struct RecoveredRegionImage {
 pub struct RecoveredState {
     /// Positional-map scheme of the stored image; `None` for a fresh store.
     pub posmap: Option<PosMapKind>,
-    /// Catch-all cells of the last durable checkpoint (sheet coordinates).
-    pub catchall: Vec<(CellAddr, Cell)>,
+    /// Catch-all cell payload of the last durable checkpoint (sheet
+    /// coordinates); `None` for a fresh store.
+    pub catchall: Option<Vec<u8>>,
     /// Region images of the last durable checkpoint.
     pub regions: Vec<RecoveredRegionImage>,
     /// Committed logical ops appended after that checkpoint, oldest first.
@@ -821,7 +911,7 @@ impl DurableStore {
         }
 
         // Load the image.
-        let mut catchall = Vec::new();
+        let mut catchall = None;
         let mut regions = Vec::new();
         let mut posmap = None;
         let mut map = BTreeMap::new();
@@ -859,24 +949,13 @@ impl DurableStore {
                     )));
                 }
                 if *id == CATCHALL_REGION_ID {
-                    catchall = decode_cells(&payload)?;
-                } else if sr.kind == KIND_COLUMNAR {
-                    // Native encoding: handed to the columnar
-                    // translator verbatim (which validates it).
-                    regions.push(RecoveredRegionImage {
-                        id: *id,
-                        kind: ModelKind::Columnar,
-                        rect: sr.rect,
-                        cells: Vec::new(),
-                        encoded: Some(payload),
-                    });
+                    catchall = Some(payload);
                 } else {
                     regions.push(RecoveredRegionImage {
                         id: *id,
                         kind: code_model(sr.kind)?,
                         rect: sr.rect,
-                        cells: decode_cells(&payload)?,
-                        encoded: None,
+                        payload,
                     });
                 }
             }
@@ -942,6 +1021,11 @@ impl DurableStore {
     /// the tape stays whole, nothing is poisoned, and the caller should
     /// capture the oversized op via [`DurableStore::checkpoint`] instead.
     pub fn log(&mut self, op: &LoggedOp) -> Result<(), EngineError> {
+        self.log_encoded(op.encode())
+    }
+
+    /// [`DurableStore::log`] of an op already encoded as its WAL record.
+    pub(crate) fn log_encoded(&mut self, bytes: Vec<u8>) -> Result<(), EngineError> {
         if let Some(cause) = self.storage_failed() {
             self.note_failed(&cause);
             return Err(EngineError::Store(StoreError::StorageFailed(cause)));
@@ -952,7 +1036,6 @@ impl DurableStore {
                  call checkpoint() to restore durability"
             ))));
         }
-        let bytes = op.encode();
         if bytes.len() > MAX_LOGGED_OP_BYTES {
             return Err(EngineError::Store(StoreError::LimitExceeded(format!(
                 "logged op of {} bytes exceeds the {MAX_LOGGED_OP_BYTES}-byte \
@@ -1089,8 +1172,9 @@ impl DurableStore {
     /// and truncate the WAL.
     ///
     /// `regions` must describe *every* current region (catch-all
-    /// included): entries with `cells: Some(..)` are re-serialized into
-    /// freshly allocated pages; entries with `cells: None` are clean and
+    /// included): entries with a payload are written into freshly
+    /// allocated pages (the payloads are taken by value — no copy is made
+    /// of them); entries without one are clean and
     /// keep their existing pages untouched; map entries for ids that no
     /// longer appear are dropped and their pages freed (and zeroed). Only
     /// pages whose bytes changed are written; their pre-images are
@@ -1099,7 +1183,7 @@ impl DurableStore {
     pub fn checkpoint(
         &mut self,
         kind: PosMapKind,
-        regions: &[RegionImage],
+        regions: Vec<RegionImage>,
     ) -> Result<CheckpointReport, EngineError> {
         // A permanently failed store cannot checkpoint its way back: the
         // WAL can no longer prove durability (or the image is already
@@ -1125,23 +1209,19 @@ impl DurableStore {
         // over; dirty entries are serialized (and clean-ified when the
         // bytes come out identical to what is already stored).
         let mut new_map: BTreeMap<u64, StoredRegion> = BTreeMap::new();
-        let mut dirty: Vec<(u64, u8, Rect, Vec<u8>)> = Vec::new();
+        let mut dirty: Vec<(u64, u8, Rect, Vec<u8>, u32)> = Vec::new();
         let mut regions_dirty = 0u64;
         let mut payload_bytes = 0u64;
         for r in regions {
             let kind_tag = model_code(r.id, r.kind);
-            match &r.payload {
-                Some(content) => {
+            match r.payload {
+                Some(payload) => {
                     regions_dirty += 1;
-                    let payload = match content {
-                        RegionPayload::Cells(cells) => encode_cells(cells),
-                        RegionPayload::Encoded(bytes) => bytes.clone(),
-                    };
                     payload_bytes += payload.len() as u64;
+                    let crc = crc32(&payload);
                     let stored_pages = self.map.get(&r.id).and_then(|old| {
-                        (old.payload_len == payload.len() as u64
-                            && old.payload_crc == crc32(&payload))
-                        .then(|| old.pages.clone())
+                        (old.payload_len == payload.len() as u64 && old.payload_crc == crc)
+                            .then(|| old.pages.clone())
                     });
                     let unchanged = match stored_pages {
                         Some(pages) => self.stored_payload_equals(&pages, &payload)?,
@@ -1158,7 +1238,7 @@ impl DurableStore {
                             },
                         );
                     } else {
-                        dirty.push((r.id, kind_tag, r.rect, payload));
+                        dirty.push((r.id, kind_tag, r.rect, payload, crc));
                     }
                 }
                 None => {
@@ -1203,7 +1283,7 @@ impl DurableStore {
         let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
         let regions_written = dirty.len() as u64;
         dirty.sort_by_key(|(id, ..)| *id);
-        for (id, kind_tag, rect, payload) in &dirty {
+        for (id, kind_tag, rect, payload, crc) in &dirty {
             let pages = alloc_pages(
                 payload.len().div_ceil(PAGE_SIZE).max(1),
                 &mut free,
@@ -1216,7 +1296,7 @@ impl DurableStore {
                     kind: *kind_tag,
                     rect: *rect,
                     payload_len: payload.len() as u64,
-                    payload_crc: crc32(payload),
+                    payload_crc: *crc,
                     pages,
                 },
             );
@@ -1454,8 +1534,12 @@ mod tests {
             id: CATCHALL_REGION_ID,
             kind: ModelKind::Rcv,
             rect: Rect::new(0, 0, 0, 0),
-            payload: dirty.then(|| RegionPayload::Cells(cells.to_vec())),
+            payload: dirty.then(|| encode_cells(cells)),
         }
+    }
+
+    fn recovered_catchall(recovered: &RecoveredState) -> Vec<(CellAddr, Cell)> {
+        decode_cells(recovered.catchall.as_ref().expect("an image was stored")).unwrap()
     }
 
     fn region_image(id: u64, rect: Rect, cells: Option<Vec<(CellAddr, Cell)>>) -> RegionImage {
@@ -1463,7 +1547,7 @@ mod tests {
             id,
             kind: ModelKind::Rom,
             rect,
-            payload: cells.map(RegionPayload::Cells),
+            payload: cells.map(|cells| encode_cells(&cells)),
         }
     }
 
@@ -1542,7 +1626,7 @@ mod tests {
         {
             let (mut store, recovered) = DurableStore::open(&dir).unwrap();
             assert!(recovered.posmap.is_none());
-            assert!(recovered.catchall.is_empty() && recovered.ops.is_empty());
+            assert!(recovered.catchall.is_none() && recovered.ops.is_empty());
             assert!(recovered.regions.is_empty());
             store
                 .log(&LoggedOp::SetCell {
@@ -1584,7 +1668,7 @@ mod tests {
                 })
                 .unwrap();
             let report = store
-                .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&cells, true)])
+                .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&cells, true)])
                 .unwrap();
             // Header + 1 payload page + 1 map page.
             assert_eq!(report.page_count, 3);
@@ -1595,7 +1679,7 @@ mod tests {
         }
         let (store, recovered) = DurableStore::open(&dir).unwrap();
         assert_eq!(recovered.posmap, Some(PosMapKind::Hierarchical));
-        assert_eq!(recovered.catchall, cells);
+        assert_eq!(recovered_catchall(&recovered), cells);
         assert!(recovered.ops.is_empty());
         assert!(!recovered.rolled_back_checkpoint);
         assert_eq!(store.stats().image_pages, 3);
@@ -1609,18 +1693,21 @@ mod tests {
         let cells = vec![(CellAddr::new(0, 0), cell(5.0))];
         let (mut store, _) = DurableStore::open(&dir).unwrap();
         store
-            .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&cells, true)])
+            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&cells, true)])
             .unwrap();
         // Clean submission: nothing re-serialized, nothing written.
         let second = store
-            .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&cells, false)])
+            .checkpoint(
+                PosMapKind::Hierarchical,
+                vec![catchall_image(&cells, false)],
+            )
             .unwrap();
         assert_eq!(second.pages_written, 0);
         assert_eq!(second.undo_pages, 0);
         assert_eq!(second.regions_dirty, 0);
         // Dirty-flagged but byte-identical: pages are reused, not rewritten.
         let third = store
-            .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&cells, true)])
+            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&cells, true)])
             .unwrap();
         assert_eq!(third.pages_written, 0);
         assert_eq!(third.regions_dirty, 1);
@@ -1640,7 +1727,7 @@ mod tests {
         let full = store
             .checkpoint(
                 PosMapKind::Hierarchical,
-                &[
+                vec![
                     catchall_image(&[], true),
                     region_image(1, Rect::new(0, 0, 399, 0), Some(band(1))),
                     region_image(2, Rect::new(500, 0, 899, 0), Some(band(2))),
@@ -1655,7 +1742,7 @@ mod tests {
         let incr = store
             .checkpoint(
                 PosMapKind::Hierarchical,
-                &[
+                vec![
                     catchall_image(&[], false),
                     region_image(1, Rect::new(0, 0, 399, 0), None),
                     region_image(2, Rect::new(500, 0, 899, 0), Some(changed.clone())),
@@ -1673,10 +1760,10 @@ mod tests {
         let (_, recovered) = DurableStore::open(&dir).unwrap();
         assert_eq!(recovered.regions.len(), 2);
         let r2 = recovered.regions.iter().find(|r| r.id == 2).unwrap();
-        assert_eq!(r2.cells, changed);
+        assert_eq!(decode_cells(&r2.payload).unwrap(), changed);
         assert_eq!(r2.rect, Rect::new(500, 0, 899, 0));
         let r1 = recovered.regions.iter().find(|r| r.id == 1).unwrap();
-        assert_eq!(r1.cells, band(1));
+        assert_eq!(decode_cells(&r1.payload).unwrap(), band(1));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1690,14 +1777,14 @@ mod tests {
         store
             .checkpoint(
                 PosMapKind::Hierarchical,
-                &[
+                vec![
                     catchall_image(&[], true),
                     region_image(1, Rect::new(0, 0, 599, 0), Some(cells)),
                 ],
             )
             .unwrap();
         let after = store
-            .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&[], false)])
+            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&[], false)])
             .unwrap();
         assert_eq!(after.regions_total, 1);
         drop(store);
@@ -1718,7 +1805,7 @@ mod tests {
             store
                 .checkpoint(
                     PosMapKind::Hierarchical,
-                    &[
+                    vec![
                         catchall_image(&[(CellAddr::new(90, 9), cell(9.0))], true),
                         region_image(1, Rect::new(0, 0, 9, 0), Some(region_cells.clone())),
                     ],
@@ -1755,8 +1842,14 @@ mod tests {
         let (_, recovered) = DurableStore::open(&dir).unwrap();
         assert!(recovered.rolled_back_checkpoint);
         assert_eq!(recovered.regions.len(), 1);
-        assert_eq!(recovered.regions[0].cells, region_cells);
-        assert_eq!(recovered.catchall, vec![(CellAddr::new(90, 9), cell(9.0))]);
+        assert_eq!(
+            decode_cells(&recovered.regions[0].payload).unwrap(),
+            region_cells
+        );
+        assert_eq!(
+            recovered_catchall(&recovered),
+            vec![(CellAddr::new(90, 9), cell(9.0))]
+        );
         assert_eq!(recovered.ops.len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1769,18 +1862,18 @@ mod tests {
             .collect();
         let (mut store, _) = DurableStore::open(&dir).unwrap();
         let r1 = store
-            .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&big, true)])
+            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&big, true)])
             .unwrap();
         assert!(r1.page_count > 3);
         let small = vec![(CellAddr::new(0, 0), cell(1.0))];
         let r2 = store
-            .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&small, true)])
+            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&small, true)])
             .unwrap();
         assert_eq!(r2.page_count, 3, "header + payload page + map page");
         assert!(r2.undo_pages >= r1.page_count - r2.page_count);
         drop(store);
         let (_, recovered) = DurableStore::open(&dir).unwrap();
-        assert_eq!(recovered.catchall, small);
+        assert_eq!(recovered_catchall(&recovered), small);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1821,7 +1914,7 @@ mod tests {
         let dir = temp_dir("clean-missing");
         let (mut store, _) = DurableStore::open(&dir).unwrap();
         let err = store
-            .checkpoint(PosMapKind::Hierarchical, &[catchall_image(&[], false)])
+            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&[], false)])
             .unwrap_err();
         assert!(matches!(err, EngineError::Store(StoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();

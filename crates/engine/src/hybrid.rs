@@ -11,15 +11,17 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dataspread_grid::{Cell, CellAddr, Rect, SparseSheet};
-use dataspread_hybrid::{Decomposition, ModelKind, Region};
+use dataspread_hybrid::{Decomposition, ModelKind, Occupancy, Region};
 use dataspread_posmap::PosMapKind;
+use dataspread_relstore::StoreError;
 
 use crate::columnar::{ColumnAgg, ColumnarBuilder, ColumnarTranslator, ScanValue};
-use crate::com::ComTranslator;
+use crate::com::ComBuilder;
+use crate::durable::{visit_cells, CellsEncoder};
 use crate::error::EngineError;
-use crate::rcv::RcvTranslator;
-use crate::rom::RomTranslator;
-use crate::translator::{check_run, Translator};
+use crate::rcv::{RcvBuilder, RcvTranslator};
+use crate::rom::RomBuilder;
+use crate::translator::{CellVisitor, Translator, WHOLE};
 
 /// Region id of the catch-all pseudo-region in checkpoint images (real
 /// regions are numbered from 1).
@@ -43,35 +45,92 @@ pub struct RegionSlot {
     clean_stamp: Option<u64>,
 }
 
-impl RegionSlot {
-    /// The region's non-blank cells in sheet coordinates, row-major.
-    fn sheet_cells(&self) -> impl Iterator<Item = (CellAddr, Cell)> {
-        let (dr, dc) = (self.rect.r1 as i64, self.rect.c1 as i64);
-        self.translator
-            .all_cells()
-            .into_iter()
-            .map(move |(addr, cell)| (addr.offset(dr, dc), cell))
+/// The one way a region's storage is built: cells are pushed in local
+/// coordinates in strictly increasing row-major order — a *run*, what
+/// [`Translator::scan`] and a checkpoint payload deliver; anything else is
+/// refused, never mis-built — into the model's bulk builder: one tuple per
+/// row (ROM), per column (COM) or per cell (RCV, which also stands in for
+/// TOM: linked tables are created by `linkTable` only), or one typed run
+/// store per column (columnar). Values arrive as borrows, so a scan, a
+/// payload or a cell list all feed it without an intermediate
+/// `Vec<(CellAddr, Cell)>`. The result reports the `rows()`, `cols()`,
+/// `filled_count()` and `storage_bytes()` a translator fed the same cells
+/// one `set_cell` at a time would.
+pub(crate) struct RegionBuilder {
+    model: ModelBuilder,
+    last: Option<(u32, u32)>,
+}
+
+enum ModelBuilder {
+    Rom(RomBuilder),
+    Com(ComBuilder),
+    Rcv(RcvBuilder),
+    Columnar(ColumnarBuilder),
+}
+
+impl RegionBuilder {
+    /// `rows` x `cols` is the region's extent, which only the fixed-extent
+    /// columnar layout records; the others grow with their cells.
+    pub(crate) fn new(kind: ModelKind, posmap_kind: PosMapKind, rows: u32, cols: u32) -> Self {
+        RegionBuilder {
+            model: match kind {
+                ModelKind::Rom => ModelBuilder::Rom(RomBuilder::new(posmap_kind)),
+                ModelKind::Com => ModelBuilder::Com(ComBuilder::new(posmap_kind)),
+                ModelKind::Rcv | ModelKind::Tom => ModelBuilder::Rcv(RcvBuilder::new(posmap_kind)),
+                ModelKind::Columnar => ModelBuilder::Columnar(ColumnarBuilder::new(rows, cols)),
+            },
+            last: None,
+        }
+    }
+
+    pub(crate) fn push(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
+        if let Some((r, c)) = self.last.filter(|&last| last >= (row, col)) {
+            return Err(EngineError::Unsupported(format!(
+                "bulk build: cell run is not strictly row-major at {} then {}",
+                CellAddr::new(r, c),
+                CellAddr::new(row, col)
+            )));
+        }
+        self.last = Some((row, col));
+        match &mut self.model {
+            ModelBuilder::Rom(b) => b.push(row, col, value, formula),
+            ModelBuilder::Com(b) => {
+                b.push(row, col, value, formula);
+                Ok(())
+            }
+            ModelBuilder::Rcv(b) => b.push(row, col, value, formula),
+            ModelBuilder::Columnar(b) => b.push(row, col, value, formula),
+        }
+    }
+
+    /// Push every cell of `source`, ending at the first refusal.
+    fn push_scan(&mut self, source: &dyn Translator) -> Result<(), EngineError> {
+        let mut pushed = Ok(());
+        source.scan(WHOLE, &mut |row, col, value, formula| {
+            if pushed.is_ok() {
+                pushed = self.push(row, col, value, formula);
+            }
+        });
+        pushed
+    }
+
+    pub(crate) fn finish(self) -> Result<Box<dyn Translator>, EngineError> {
+        Ok(match self.model {
+            ModelBuilder::Rom(b) => Box::new(b.finish()?),
+            ModelBuilder::Com(b) => Box::new(b.finish()?),
+            ModelBuilder::Rcv(b) => Box::new(b.finish()),
+            ModelBuilder::Columnar(b) => Box::new(b.finish()),
+        })
     }
 }
 
-/// Every address the catch-all can hold.
-const WHOLE_SHEET: Rect = Rect {
-    r1: 0,
-    c1: 0,
-    r2: u32::MAX - 1,
-    c2: u32::MAX - 1,
-};
-
-/// The one way a region's storage is built. `cells` is a *run*: the
-/// region's cells in local coordinates, in strictly increasing row-major
-/// order (anything else is refused, never mis-built), loaded by the
-/// model's bulk constructor — one tuple per row (ROM), per column (COM) or
-/// per cell (RCV, which also stands in for TOM: linked tables are created
-/// by `linkTable` only), or one typed run store per column (columnar).
-/// The result reports the `rows()`, `cols()`, `filled_count()` and
-/// `storage_bytes()` a translator fed the same cells one `set_cell` at a
-/// time would. `rows` x `cols` is the region's extent, which only the
-/// fixed-extent columnar layout records; the others grow with their cells.
+/// [`RegionBuilder`] over a cell list: `cells` must be a run.
 pub fn build_translator(
     kind: ModelKind,
     posmap_kind: PosMapKind,
@@ -79,17 +138,36 @@ pub fn build_translator(
     cols: u32,
     cells: Vec<(CellAddr, Cell)>,
 ) -> Result<Box<dyn Translator>, EngineError> {
-    Ok(match kind {
-        ModelKind::Rom => Box::new(RomTranslator::from_sorted_cells(posmap_kind, cells)?),
-        ModelKind::Com => Box::new(ComTranslator::from_sorted_cells(posmap_kind, cells)?),
-        ModelKind::Rcv | ModelKind::Tom => {
-            Box::new(RcvTranslator::from_sorted_cells(posmap_kind, cells)?)
-        }
-        ModelKind::Columnar => {
-            check_run(&cells)?;
-            Box::new(ColumnarTranslator::from_cells(rows, cols, cells))
-        }
-    })
+    let mut b = RegionBuilder::new(kind, posmap_kind, rows, cols);
+    for (addr, cell) in &cells {
+        b.push(
+            addr.row,
+            addr.col,
+            ScanValue::of(&cell.value),
+            cell.formula.as_deref(),
+        )?;
+    }
+    b.finish()
+}
+
+/// A store's checkpoint payload, encoded straight off its scan.
+fn encode_store(store: &dyn Translator) -> Vec<u8> {
+    let mut enc = CellsEncoder::new();
+    store.scan(WHOLE, &mut |row, col, value, formula| {
+        enc.push(row, col, value, formula)
+    });
+    enc.finish()
+}
+
+/// A store's cells as an owned list in sheet coordinates (`origin` is the
+/// store's top-left) — for `reorganize`, which re-sorts and re-splits them.
+fn gather(store: &dyn Translator, origin: (u32, u32), out: &mut Vec<(CellAddr, Cell)>) {
+    store.scan(WHOLE, &mut |row, col, value, formula| {
+        out.push((
+            CellAddr::new(row + origin.0, col + origin.1),
+            value.to_cell(formula),
+        ));
+    });
 }
 
 /// Row-interval routing index over the (pairwise disjoint) region
@@ -314,19 +392,6 @@ impl std::fmt::Debug for RegionSlot {
     }
 }
 
-/// Serialized content of one region in a checkpoint image.
-pub enum RegionPayload {
-    /// Generic per-cell payload (ROM/COM/RCV/TOM and the catch-all).
-    /// Region cells are in *local* coordinates, catch-all cells in sheet
-    /// coordinates; both sorted row-major.
-    Cells(Vec<(CellAddr, Cell)>),
-    /// A translator's native pre-encoded payload
-    /// ([`Translator::encoded_image`]): columnar regions checkpoint their
-    /// compressed pages directly, so image size tracks the compressed —
-    /// not the logical — footprint.
-    Encoded(Vec<u8>),
-}
-
 /// One region's contribution to a checkpoint: identity + layout metadata
 /// always, the actual payload only when the region is dirty (that is the
 /// whole point of region-granular persistence — clean regions are never
@@ -336,19 +401,13 @@ pub struct RegionImage {
     pub kind: ModelKind,
     /// Sheet-coordinate rectangle (meaningless for the catch-all).
     pub rect: Rect,
-    /// `Some(payload)` iff dirty.
-    pub payload: Option<RegionPayload>,
-}
-
-/// Source for rebuilding one region on recovery.
-#[derive(Debug)]
-pub enum RegionSource {
-    /// Per-cell payload: a row-major run in local coordinates, handed over
-    /// so its cells move into the region's tuples.
-    Cells(Vec<(CellAddr, Cell)>),
-    /// A columnar region's native encoding
-    /// ([`ColumnarTranslator::from_bytes`]).
-    Encoded(Vec<u8>),
+    /// `Some(bytes)` iff dirty: the canonical cell payload (region cells in
+    /// *local* coordinates, catch-all cells in sheet coordinates, both
+    /// row-major), or a translator's native encoding
+    /// ([`Translator::encoded_image`]) — columnar regions checkpoint their
+    /// compressed pages directly, so image size tracks the compressed, not
+    /// the logical, footprint.
+    pub payload: Option<Vec<u8>>,
 }
 
 /// A sheet stored as a hybrid data model.
@@ -359,7 +418,7 @@ pub struct HybridSheet {
     /// sync by every method that changes region rects or slot positions.
     routing: RoutingIndex,
     /// RCV over the whole sheet's coordinate space for stray cells.
-    catchall: RcvTranslator,
+    catchall: Box<dyn Translator>,
     catchall_dirty: bool,
     next_region_id: u64,
     posmap_kind: PosMapKind,
@@ -380,7 +439,7 @@ impl HybridSheet {
         HybridSheet {
             regions: Vec::new(),
             routing: RoutingIndex::default(),
-            catchall: RcvTranslator::new(posmap_kind),
+            catchall: Box::new(RcvTranslator::new(posmap_kind)),
             // A brand-new sheet has never been serialized: the first
             // checkpoint must write the (empty) catch-all image.
             catchall_dirty: true,
@@ -455,18 +514,21 @@ impl HybridSheet {
 
     /// Restore a whole image's regions with a single routing-index rebuild
     /// (the cold-open path: per-region rebuilds would make opening a
-    /// many-region sheet quadratic). Each slot keeps its persisted id.
-    /// Cell payloads load through [`build_translator`], columnar regions
-    /// from their native encoding; TOM regions come back as RCV holding
-    /// the captured values (the table link itself is not persisted; see
-    /// the README).
+    /// many-region sheet quadratic). Each slot keeps its persisted id. A
+    /// cell payload is visited straight into the region's
+    /// [`RegionBuilder`] — never decoded into a cell list — and a columnar
+    /// region loads from its native encoding; TOM regions come back as RCV
+    /// holding the captured values (the table link itself is not
+    /// persisted; see the README). Returns the formula cells met on the
+    /// way, in sheet coordinates, for the caller to re-register.
     pub fn restore_regions(
         &mut self,
-        regions: impl IntoIterator<Item = (u64, ModelKind, Rect, RegionSource)>,
-    ) -> Result<(), EngineError> {
+        regions: impl IntoIterator<Item = (u64, ModelKind, Rect, Vec<u8>)>,
+    ) -> Result<Vec<(CellAddr, String)>, EngineError> {
+        let mut formulas = Vec::new();
         let mut result = Ok(());
-        for (id, kind, rect, source) in regions {
-            match self.restored_translator(id, kind, rect, source) {
+        for (id, kind, rect, payload) in regions {
+            match self.restored_translator(id, kind, rect, &payload, &mut formulas) {
                 Ok(translator) => {
                     self.regions.push(RegionSlot {
                         id,
@@ -486,7 +548,7 @@ impl HybridSheet {
         // Rebuild even on error: the slots pushed before the failure are
         // live and the index must cover them.
         self.rebuild_routing();
-        result
+        result.map(|()| formulas)
     }
 
     fn restored_translator(
@@ -494,28 +556,62 @@ impl HybridSheet {
         id: u64,
         kind: ModelKind,
         rect: Rect,
-        source: RegionSource,
+        payload: &[u8],
+        formulas: &mut Vec<(CellAddr, String)>,
     ) -> Result<Box<dyn Translator>, EngineError> {
         if id == CATCHALL_REGION_ID || self.regions.iter().any(|r| r.id == id) {
             return Err(EngineError::BadLink(format!(
                 "restore of duplicate region id {id}"
             )));
         }
-        match (kind, source) {
-            (ModelKind::Columnar, RegionSource::Encoded(bytes)) => {
-                Ok(Box::new(ColumnarTranslator::from_bytes(&bytes)?))
-            }
-            (_, RegionSource::Encoded(_)) => Err(EngineError::BadLink(format!(
-                "region {id}: encoded payload for a non-columnar region"
-            ))),
-            (_, RegionSource::Cells(cells)) => build_translator(
-                kind,
-                self.posmap_kind,
-                rect.rows() as u32,
-                rect.cols() as u32,
-                cells,
-            ),
+        let mut formula_at = |row: u32, col: u32, src: &str| {
+            formulas.push((CellAddr::new(row + rect.r1, col + rect.c1), src.to_string()));
+        };
+        if kind == ModelKind::Columnar {
+            let t = ColumnarTranslator::from_bytes(payload)?;
+            t.for_each_formula(&mut formula_at);
+            return Ok(Box::new(t));
         }
+        let mut b = RegionBuilder::new(
+            kind,
+            self.posmap_kind,
+            rect.rows() as u32,
+            rect.cols() as u32,
+        );
+        visit_cells(payload, |row, col, value, formula| {
+            if let Some(src) = formula {
+                formula_at(row, col, src);
+            }
+            b.push(row, col, value, formula)
+        })?;
+        b.finish()
+    }
+
+    /// Restore the catch-all from its checkpoint payload (sheet
+    /// coordinates), after [`HybridSheet::restore_regions`]: a stored
+    /// stray inside a restored region could never be read back, so it is
+    /// refused as corruption. Returns the catch-all's formula cells.
+    pub fn restore_catchall(
+        &mut self,
+        payload: &[u8],
+    ) -> Result<Vec<(CellAddr, String)>, EngineError> {
+        let mut formulas = Vec::new();
+        let mut b = RegionBuilder::new(ModelKind::Rcv, self.posmap_kind, 0, 0);
+        visit_cells(payload, |row, col, value, formula| {
+            let addr = CellAddr::new(row, col);
+            if self.routing.route(addr).is_some() {
+                return Err(EngineError::Store(StoreError::Corrupt(format!(
+                    "image: catch-all cell {addr} lies inside a region"
+                ))));
+            }
+            if let Some(src) = formula {
+                formulas.push((addr, src.to_string()));
+            }
+            b.push(row, col, value, formula)
+        })?;
+        self.catchall = b.finish()?;
+        self.catchall_dirty = true;
+        Ok(formulas)
     }
 
     pub fn remove_region(&mut self, idx: usize) -> RegionSlot {
@@ -544,7 +640,7 @@ impl HybridSheet {
             rect: Rect::new(0, 0, 0, 0),
             payload: self
                 .catchall_dirty
-                .then(|| RegionPayload::Cells(sorted_cells(self.catchall.get_range(WHOLE_SHEET)))),
+                .then(|| encode_store(self.catchall.as_ref())),
         });
         for r in &self.regions {
             let dirty = r.dirty || r.translator.change_stamp() != r.clean_stamp;
@@ -552,9 +648,10 @@ impl HybridSheet {
                 id: r.id,
                 kind: r.translator.kind(),
                 rect: r.rect,
-                payload: dirty.then(|| match r.translator.encoded_image() {
-                    Some(bytes) => RegionPayload::Encoded(bytes),
-                    None => RegionPayload::Cells(sorted_cells(r.translator.all_cells())),
+                payload: dirty.then(|| {
+                    r.translator
+                        .encoded_image()
+                        .unwrap_or_else(|| encode_store(r.translator.as_ref()))
                 }),
             });
         }
@@ -835,19 +932,48 @@ impl HybridSheet {
         Ok(())
     }
 
-    /// All non-blank cells as an in-memory sheet. `include_tom` controls
-    /// whether linked-table regions are materialized (the optimizer snapshot
-    /// excludes them: they are not re-representable). Every store hands
-    /// over a row-major run, so the sheet is bulk-built from their merge
-    /// rather than by one insert per cell.
-    pub fn snapshot(&self, include_tom: bool) -> SparseSheet {
-        let mut cells = self.catchall.get_range(WHOLE_SHEET);
-        for region in &self.regions {
-            if include_tom || region.translator.kind() != ModelKind::Tom {
-                cells.extend(region.sheet_cells());
+    /// Visit every non-blank cell of `rect` in sheet coordinates, store by
+    /// store: the catch-all, then each region crossing `rect` — each store
+    /// in row-major order ([`Translator::scan`]), the whole not, so this is
+    /// for consumers that place a cell by its address. Linked tables are
+    /// skipped unless `include_tom`.
+    pub fn scan_stores(&self, rect: Rect, include_tom: bool, f: &mut CellVisitor<'_>) {
+        self.catchall.scan(rect, f);
+        for i in self.routing.regions_intersecting(&rect) {
+            let region = &self.regions[i];
+            if !include_tom && region.translator.kind() == ModelKind::Tom {
+                continue;
             }
+            let Some(hit) = rect.intersection(&region.rect) else {
+                continue;
+            };
+            let (r0, c0) = (region.rect.r1, region.rect.c1);
+            region.translator.scan(
+                hit.translate(-(r0 as i64), -(c0 as i64)),
+                &mut |row, col, value, formula| f(row + r0, col + c0, value, formula),
+            );
         }
-        cells.into_iter().collect()
+    }
+
+    /// All non-blank cells as an in-memory sheet. `include_tom` controls
+    /// whether linked-table regions are materialized. Each cell is cloned
+    /// once, off the scan, into the list the sheet is bulk-built from.
+    pub fn snapshot(&self, include_tom: bool) -> SparseSheet {
+        let mut cells = Vec::with_capacity(self.filled_count() as usize);
+        self.scan_stores(WHOLE, include_tom, &mut |row, col, value, formula| {
+            cells.push(((row, col), value.to_cell(formula)));
+        });
+        SparseSheet::from_filled(cells)
+    }
+
+    /// Which positions hold a cell — all the hybrid optimizers read of a
+    /// sheet — straight off the scan: no cell is cloned and no sheet built.
+    /// `include_tom` as in [`HybridSheet::snapshot`] (the optimizer
+    /// excludes linked tables: they are not re-representable).
+    pub fn occupancy(&self, include_tom: bool) -> Occupancy {
+        Occupancy::from_visits(|fill| {
+            self.scan_stores(WHOLE, include_tom, &mut |row, col, _, _| fill(row, col));
+        })
     }
 
     /// Reorganize storage to a new decomposition (the hybrid optimizer's
@@ -912,14 +1038,19 @@ impl HybridSheet {
         // Gather what must be re-homed, and split it by target region.
         let fresh_rects: Vec<Rect> = fresh.iter().map(|r| r.rect).collect();
         let targets = RoutingIndex::build(&fresh_rects);
-        let mut cells = self.catchall.get_range(WHOLE_SHEET);
+        let mut cells = Vec::new();
+        gather(self.catchall.as_ref(), (0, 0), &mut cells);
         let catchall_cells = cells.len();
         let leaving = cells
             .iter()
             .filter(|(a, _)| targets.route(*a).is_some())
             .count();
         for (region, _) in self.regions.iter().zip(&kept).filter(|(_, &k)| !k) {
-            cells.extend(region.sheet_cells());
+            gather(
+                region.translator.as_ref(),
+                (region.rect.r1, region.rect.c1),
+                &mut cells,
+            );
         }
         // Each source is a row-major run, so this is a merge.
         cells.sort_by_key(|(a, _)| (a.row, a.col));
@@ -953,7 +1084,13 @@ impl HybridSheet {
             None
         } else {
             migrated += strays.len() as u64;
-            Some(RcvTranslator::from_sorted_cells(self.posmap_kind, strays)?)
+            Some(build_translator(
+                ModelKind::Rcv,
+                self.posmap_kind,
+                0,
+                0,
+                strays,
+            )?)
         };
 
         let mut kept = kept.into_iter();
@@ -999,45 +1136,42 @@ impl HybridSheet {
                 "TOM regions are created by linkTable and cannot be migrated".into(),
             ));
         }
-        let (rows, cols) = (region.rect.rows() as u32, region.rect.cols() as u32);
-        region.translator = if kind == ModelKind::Columnar {
-            // The source walks its store in order and the column builders
-            // take the cells as borrows: no cell list in between.
-            let mut builder = ColumnarBuilder::new(rows, cols);
-            let mut pushed = Ok(());
-            region
-                .translator
-                .for_each_cell(&mut |row, col, value, formula| {
-                    if pushed.is_ok() {
-                        pushed = builder.push(row, col, value, formula);
-                    }
-                });
-            pushed?;
-            Box::new(builder.finish())
-        } else {
-            build_translator(kind, posmap_kind, rows, cols, region.translator.all_cells())?
-        };
+        // The source walks its store in order and the target's builder
+        // takes the cells as borrows: no cell list in between.
+        let mut b = RegionBuilder::new(
+            kind,
+            posmap_kind,
+            region.rect.rows() as u32,
+            region.rect.cols() as u32,
+        );
+        b.push_scan(region.translator.as_ref())?;
+        region.translator = b.finish()?;
         region.dirty = true;
         region.clean_stamp = None;
         Ok(())
     }
 
     /// The aggregate fast path: when `rect` is a single-column range served
-    /// entirely by one columnar region, fold it straight off the typed
-    /// columns ([`ColumnarTranslator::column_agg`]) — same row order, same
-    /// first-error abort as the evaluator's per-cell walk. `None` means
-    /// "no fast path here", not an empty result.
+    /// entirely by one region — of any layout — fold it off that region's
+    /// scan (ROM decodes only the one projected column; columnar folds its
+    /// typed runs, [`ColumnarTranslator::column_agg`]) instead of cloning
+    /// the column's cells: same row order, same `0.0 + …` sum, same
+    /// first-error abort as the evaluator's per-cell walk. `None` means "no
+    /// fast path here", not an empty result.
     pub fn range_agg(&self, rect: Rect) -> Option<ColumnAgg> {
         if rect.c1 != rect.c2 || rect.r1 > rect.r2 {
             return None;
         }
-        let region = self.sole_columnar_region(&rect)?;
-        let t = region.translator.as_columnar()?;
-        Some(t.column_agg(
-            rect.c1 - region.rect.c1,
-            rect.r1 - region.rect.r1,
-            rect.r2 - region.rect.r1,
-        ))
+        let region = self.sole_region(&rect)?;
+        let local = rect.translate(-(region.rect.r1 as i64), -(region.rect.c1 as i64));
+        if let Some(t) = region.translator.as_columnar() {
+            return Some(t.column_agg(local.c1, local.r1, local.r2));
+        }
+        let mut agg = ColumnAgg::default();
+        region.translator.scan(local, &mut |_, _, value, _| {
+            agg.fold(value);
+        });
+        Some(agg)
     }
 
     /// The window fast path: when `rect` is served entirely by one columnar
@@ -1051,7 +1185,7 @@ impl HybridSheet {
         rect: Rect,
         mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>),
     ) -> bool {
-        let Some(region) = self.sole_columnar_region(&rect) else {
+        let Some(region) = self.sole_region(&rect) else {
             return false;
         };
         let Some(t) = region.translator.as_columnar() else {
@@ -1064,36 +1198,16 @@ impl HybridSheet {
         true
     }
 
-    /// The region serving *all* of `rect`, provided it is columnar. Full
-    /// containment also proves the catch-all is empty inside `rect`: any
-    /// cell there would have routed into the region.
-    fn sole_columnar_region(&self, rect: &Rect) -> Option<&RegionSlot> {
+    /// The region serving *all* of `rect`. Full containment also proves
+    /// the catch-all is empty inside `rect`: any cell there would have
+    /// routed into the region.
+    fn sole_region(&self, rect: &Rect) -> Option<&RegionSlot> {
         let hits = self.routing.regions_intersecting(rect);
         let [slot] = hits[..] else {
             return None;
         };
         let region = &self.regions[slot];
-        (region.translator.kind() == ModelKind::Columnar
-            && region.rect.intersection(rect) == Some(*rect))
-        .then_some(region)
-    }
-
-    /// Formula cells inside columnar regions, in sheet coordinates (the
-    /// recovery path re-registers these straight from the restored
-    /// translators — their cells never materialize through the image).
-    pub fn columnar_formula_cells(&self) -> Vec<(CellAddr, String)> {
-        let mut out = Vec::new();
-        for region in &self.regions {
-            if let Some(t) = region.translator.as_columnar() {
-                t.for_each_formula(|row, col, src| {
-                    out.push((
-                        CellAddr::new(row + region.rect.r1, col + region.rect.c1),
-                        src.to_string(),
-                    ));
-                });
-            }
-        }
-        out
+        (region.rect.intersection(rect) == Some(*rect)).then_some(region)
     }
 
     /// Accounted storage bytes across regions and the catch-all.
@@ -1137,14 +1251,6 @@ impl HybridSheet {
     }
 }
 
-/// Canonical cell ordering for serialized region payloads: the same
-/// logical content must always produce the same bytes (the recovery suite
-/// compares checkpoint images byte-for-byte).
-fn sorted_cells(mut cells: Vec<(CellAddr, Cell)>) -> Vec<(CellAddr, Cell)> {
-    cells.sort_by_key(|(a, _)| (a.row, a.col));
-    cells
-}
-
 /// The [`CellReader`](dataspread_formula::eval::CellReader) over hybrid
 /// storage: what recomputation reads through, and what benchmarks use to
 /// measure raw formula access cost against different data models
@@ -1175,6 +1281,8 @@ impl dataspread_formula::eval::CellReader for StorageReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::com::ComTranslator;
+    use crate::rom::RomTranslator;
     use dataspread_grid::CellValue;
 
     fn addr(r: u32, c: u32) -> CellAddr {
@@ -1498,5 +1606,306 @@ mod tests {
         assert!(hs.add_region(Rect::new(0, 0, 2999, 0), com).is_err());
         assert_eq!(hs.region_count(), 0);
         assert_eq!(hs.snapshot(true), before);
+    }
+
+    // ---------------------------------------- streamed image equivalence --
+
+    use crate::durable::{decode_cells, encode_cells};
+    use dataspread_grid::value::CellError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const BUILT_KINDS: [ModelKind; 4] = [
+        ModelKind::Rom,
+        ModelKind::Com,
+        ModelKind::Rcv,
+        ModelKind::Tom,
+    ];
+
+    fn random_cell(rng: &mut StdRng) -> Cell {
+        let value = match rng.gen_range(0u32..10) {
+            0..=2 => CellValue::Number(rng.gen_range(-1000..1000) as f64 / 8.0),
+            3 => CellValue::Bool(rng.gen_bool(0.5)),
+            4..=5 => CellValue::Text(["red", "", "héllo"][rng.gen_range(0..3)].into()),
+            6 => CellValue::Text("x".repeat(rng.gen_range(40..90))),
+            7 => CellValue::Error([CellError::Div0, CellError::Circular][rng.gen_range(0..2)]),
+            _ => CellValue::Empty,
+        };
+        let formula = rng
+            .gen_bool(0.2)
+            .then(|| format!("A{}+1", rng.gen_range(1..50)));
+        Cell { value, formula }
+    }
+
+    /// A random sparse run of non-blank cells: blank leading, interior and
+    /// trailing rows, ragged widths.
+    fn random_run(rng: &mut StdRng, rows: u32, cols: u32) -> Vec<(CellAddr, Cell)> {
+        let mut cells = Vec::new();
+        for r in rng.gen_range(0..rows)..rows {
+            if rng.gen_bool(0.25) {
+                continue;
+            }
+            for c in 0..rng.gen_range(1..=cols) {
+                let cell = random_cell(rng);
+                if rng.gen_bool(0.7) && !cell.is_blank() {
+                    cells.push((addr(r, c), cell));
+                }
+            }
+        }
+        cells
+    }
+
+    fn linked_table(rows: i64) -> Box<dyn Translator> {
+        use dataspread_relstore::{ColumnDef, DataType, Database, Datum, Schema};
+        let db = std::sync::Arc::new(parking_lot::RwLock::new(Database::new()));
+        {
+            let mut guard = db.write();
+            let schema = Schema::new(vec![
+                ColumnDef::new("id", DataType::Int),
+                ColumnDef::new("name", DataType::Text),
+            ]);
+            let t = guard.create_table("t", schema).unwrap();
+            for i in 0..rows {
+                let name = if i % 3 == 0 {
+                    Datum::Null
+                } else {
+                    Datum::Text(format!("n{i}"))
+                };
+                t.insert(&[Datum::Int(i), name]).unwrap();
+            }
+        }
+        Box::new(crate::tom::TomTranslator::new(db, "t"))
+    }
+
+    /// (a) What `region_images` streams off each store's scan is byte for
+    /// byte what the list encoder made of the store's sorted cell list —
+    /// for every layout and for the catch-all.
+    #[test]
+    fn streamed_payloads_equal_the_list_encoder_for_every_layout() {
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(0x1A6E + seed);
+            let mut hs = HybridSheet::new();
+            for (i, kind) in [ModelKind::Rom, ModelKind::Com, ModelKind::Rcv]
+                .into_iter()
+                .enumerate()
+            {
+                let run = random_run(&mut rng, 24, 6);
+                let t = build_translator(kind, hs.posmap_kind, 24, 6, run).unwrap();
+                hs.add_region(Rect::new(i as u32 * 30, 2, i as u32 * 30 + 23, 7), t)
+                    .unwrap();
+            }
+            hs.add_region(Rect::new(90, 0, 98, 1), linked_table(9))
+                .unwrap();
+            let columnar = {
+                let run = random_run(&mut rng, 24, 6);
+                build_translator(ModelKind::Columnar, hs.posmap_kind, 24, 6, run).unwrap()
+            };
+            hs.add_region(Rect::new(100, 2, 123, 7), columnar).unwrap();
+            for _ in 0..60 {
+                let at = addr(rng.gen_range(0..130), rng.gen_range(0..12));
+                // Linked tables refuse writes past their rows.
+                let _ = hs.set_cell(at, random_cell(&mut rng));
+            }
+
+            let images = hs.region_images();
+            assert_eq!(images.len(), 6);
+            assert_eq!(
+                images[0].payload.as_deref(),
+                Some(&encode_cells(&hs.catchall.all_cells())[..]),
+                "seed {seed}: catch-all"
+            );
+            assert!(hs.catchall.filled_count() > 0);
+            for (image, region) in images[1..].iter().zip(&hs.regions) {
+                assert_eq!(image.id, region.id);
+                let mut cells = region.translator.all_cells();
+                cells.sort_by_key(|(a, _)| (a.row, a.col));
+                let want = match region.translator.as_columnar() {
+                    Some(t) => t.to_bytes(),
+                    None => encode_cells(&cells),
+                };
+                assert_eq!(
+                    image.payload.as_ref(),
+                    Some(&want),
+                    "seed {seed}: {:?} region",
+                    image.kind
+                );
+            }
+        }
+    }
+
+    /// What `build_translator` replaced, for (b): one `set_cell` per cell.
+    fn per_cell(kind: ModelKind, cells: &[(CellAddr, Cell)]) -> Box<dyn Translator> {
+        let mut t: Box<dyn Translator> = match kind {
+            ModelKind::Rom => Box::new(RomTranslator::new(PosMapKind::default())),
+            ModelKind::Com => Box::new(ComTranslator::new(PosMapKind::default())),
+            _ => Box::new(RcvTranslator::new(PosMapKind::default())),
+        };
+        for (a, c) in cells {
+            t.set_cell(a.row, a.col, c.clone()).unwrap();
+        }
+        t
+    }
+
+    /// (b) A payload visited into the region's builder yields the region
+    /// the decoded cell list built — bulk or one `set_cell` at a time —
+    /// and the formula cells met on the way, in sheet coordinates.
+    #[test]
+    fn a_visited_payload_builds_what_the_decoded_list_built() {
+        for seed in 0..12u64 {
+            for kind in BUILT_KINDS {
+                let mut rng = StdRng::seed_from_u64(0xB1D + seed * 8 + kind as u64);
+                let run = random_run(&mut rng, 20, 7);
+                let payload = encode_cells(&run);
+                let rect = Rect::new(5, 3, 24, 9);
+                let ctx = format!("{kind:?} seed {seed}");
+
+                let mut hs = HybridSheet::new();
+                let formulas = hs
+                    .restore_regions([(7, kind, rect, payload.clone())])
+                    .unwrap();
+                let restored = &hs.regions[0];
+                assert_eq!((restored.id, restored.rect), (7, rect), "{ctx}");
+
+                let decoded = decode_cells(&payload).unwrap();
+                assert_eq!(decoded, run, "{ctx}");
+                let listed = build_translator(kind, hs.posmap_kind, 20, 7, decoded).unwrap();
+                for (what, oracle) in [("list-built", listed), ("set_cell", per_cell(kind, &run))] {
+                    let t = &restored.translator;
+                    assert_eq!(t.kind(), oracle.kind(), "{ctx} vs {what}");
+                    assert_eq!(
+                        (t.rows(), t.cols(), t.filled_count(), t.storage_bytes()),
+                        (
+                            oracle.rows(),
+                            oracle.cols(),
+                            oracle.filled_count(),
+                            oracle.storage_bytes()
+                        ),
+                        "{ctx} vs {what}"
+                    );
+                    assert_eq!(t.all_cells(), oracle.all_cells(), "{ctx} vs {what}");
+                }
+                let want: Vec<(CellAddr, String)> = run
+                    .iter()
+                    .filter_map(|(a, c)| Some((a.offset(5, 3), c.formula.clone()?)))
+                    .collect();
+                assert_eq!(formulas, want, "{ctx}: formulas to re-register");
+
+                // The catch-all takes the same payload in sheet coordinates.
+                let mut hs = HybridSheet::new();
+                let formulas = hs.restore_catchall(&payload).unwrap();
+                assert_eq!(hs.catchall.all_cells(), run, "{ctx}: catch-all");
+                assert_eq!(formulas.len(), want.len(), "{ctx}: catch-all formulas");
+            }
+        }
+    }
+
+    /// (c) Every payload the list decoder rejects — and every run the
+    /// builders refuse — is rejected by the streamed path, with no region
+    /// installed and the catch-all left as it was.
+    #[test]
+    fn a_rejected_payload_installs_nothing() {
+        let run = vec![
+            (addr(0, 0), Cell::value(1.5)),
+            (
+                addr(0, 2),
+                Cell {
+                    value: CellValue::Text("héllo".into()),
+                    formula: Some("A1&\"x\"".into()),
+                },
+            ),
+            (addr(3, 1), Cell::value(true)),
+            (addr(3, 4), Cell::value(CellValue::Error(CellError::Na))),
+            (
+                addr(9, 0),
+                Cell {
+                    value: CellValue::Empty,
+                    formula: Some("B2".into()),
+                },
+            ),
+        ];
+        let good = encode_cells(&run);
+        let mut bad: Vec<(String, Vec<u8>)> = (0..good.len())
+            .map(|cut| (format!("truncated at byte {cut}"), good[..cut].to_vec()))
+            .collect();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        bad.push(("trailing byte".into(), trailing));
+        // One cell at (0,0): count u64, row u32, col u32, then the flag at
+        // byte 16 and — with no formula — the value tag at byte 17.
+        let one = |cell: Cell| encode_cells(&[(addr(0, 0), cell)]);
+        let patched = |mut bytes: Vec<u8>, at: usize, to: u8| {
+            bytes[at] = to;
+            bytes
+        };
+        bad.extend([
+            (
+                "unknown formula flag".into(),
+                patched(one(Cell::value(1.0)), 16, 2),
+            ),
+            (
+                "unknown value tag".into(),
+                patched(one(Cell::value(1.0)), 17, 9),
+            ),
+            (
+                "unknown error code".into(),
+                patched(one(Cell::value(CellValue::Error(CellError::Na))), 18, 200),
+            ),
+            (
+                "value text not UTF-8".into(),
+                patched(one(Cell::value("ab")), 22, 0xFF),
+            ),
+            (
+                "formula source not UTF-8".into(),
+                patched(one(Cell::formula("A1")), 21, 0xFF),
+            ),
+        ]);
+        for (what, payload) in &bad {
+            assert!(decode_cells(payload).is_err(), "{what}: the oracle rejects");
+        }
+        // Well-formed bytes, but not a run: the builders refuse these.
+        let cell = |r, c| (addr(r, c), Cell::value(1.0));
+        bad.extend([
+            ("unsorted".into(), encode_cells(&[cell(2, 0), cell(1, 3)])),
+            (
+                "column-major".into(),
+                encode_cells(&[cell(0, 0), cell(1, 0), cell(0, 1)]),
+            ),
+            ("duplicate".into(), encode_cells(&[cell(1, 1), cell(1, 1)])),
+        ]);
+
+        for (what, payload) in &bad {
+            for kind in BUILT_KINDS {
+                let mut hs = HybridSheet::new();
+                let result =
+                    hs.restore_regions([(1, kind, Rect::new(0, 0, 9, 4), payload.clone())]);
+                assert!(result.is_err(), "{kind:?}: {what} must be refused");
+                assert_eq!(hs.region_count(), 0, "{kind:?}: {what}");
+                assert_eq!(hs.region_at(addr(0, 0)), None, "{kind:?}: {what}");
+            }
+            let mut hs = HybridSheet::new();
+            hs.set_cell(addr(50, 50), Cell::value(7.0)).unwrap();
+            assert!(hs.restore_catchall(payload).is_err(), "catch-all: {what}");
+            assert_eq!(
+                hs.catchall.all_cells(),
+                vec![(addr(50, 50), Cell::value(7.0))]
+            );
+        }
+        // A region ahead of the bad one stays live and routed; the bad one
+        // and everything after it is not installed.
+        let mut hs = HybridSheet::new();
+        let result = hs.restore_regions([
+            (1, ModelKind::Rom, Rect::new(0, 0, 9, 4), good.clone()),
+            (2, ModelKind::Rom, Rect::new(20, 0, 29, 4), bad[3].1.clone()),
+            (3, ModelKind::Rom, Rect::new(40, 0, 49, 4), good.clone()),
+        ]);
+        assert!(result.is_err());
+        assert_eq!(hs.region_count(), 1);
+        assert_eq!(hs.region_at(addr(3, 1)), Some(0));
+        assert_eq!(hs.region_at(addr(23, 1)), None);
+        // A catch-all cell under a restored region is corruption.
+        assert!(matches!(
+            hs.restore_catchall(&encode_cells(&[cell(3, 3)])),
+            Err(EngineError::Store(StoreError::Corrupt(_)))
+        ));
     }
 }

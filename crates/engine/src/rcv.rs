@@ -7,15 +7,22 @@
 //! `(row id, col id)` to the tuple. Structural edits touch only the
 //! positional maps — O(log N), no tuple rewrites.
 
+use std::collections::HashMap;
 use std::ops::Bound;
 
 use dataspread_grid::{Cell, CellAddr, Rect};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
-use dataspread_relstore::{BPlusTree, ColumnDef, DataType, Datum, Schema, Table, TupleId};
+use dataspread_relstore::{
+    BPlusTree, ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId,
+};
 
+use crate::columnar::ScanValue;
 use crate::error::EngineError;
-use crate::translator::{cell_into_datums, cell_to_datums, check_run, datums_to_cell, Translator};
+use crate::translator::{
+    cell_to_datums, datum_to_scan, datums_to_cell, push_cell, scan_to_datums, CellVisitor,
+    Translator,
+};
 
 /// Cap on the RCV positional coordinate space (rows and columns alike).
 ///
@@ -76,40 +83,6 @@ impl RcvTranslator {
         }
     }
 
-    /// Bulk-build from a run of local-coordinate cells: one tuple and one
-    /// index entry per filled cell, inserted in key order, and one bulk
-    /// positional map per axis covering the run's extent.
-    pub fn from_sorted_cells(
-        posmap_kind: PosMapKind,
-        cells: Vec<(CellAddr, Cell)>,
-    ) -> Result<Self, EngineError> {
-        let (rows, cols) = check_run(&cells)?;
-        if rows > MAX_RCV_POSITIONS || cols > MAX_RCV_POSITIONS {
-            return Err(EngineError::Unsupported(format!(
-                "a {rows}x{cols} extent is outside the RCV positional space \
-                 (cap {MAX_RCV_POSITIONS})"
-            )));
-        }
-        let mut t = RcvTranslator::new(posmap_kind);
-        // Ids equal positions at build time: a per-cell build's
-        // `ensure_rows`/`ensure_cols` hand them out in the same order.
-        for (addr, cell) in cells {
-            if cell.is_blank() {
-                continue;
-            }
-            let key = (u64::from(addr.row), u64::from(addr.col));
-            let [v, f] = cell_into_datums(cell);
-            let tuple = [Datum::Int(key.0 as i64), Datum::Int(key.1 as i64), v, f];
-            let tid = t.table.insert(&tuple)?;
-            t.index.insert(key, tid);
-        }
-        t.rows_map = dataspread_posmap::posmap_from(posmap_kind, 0..u64::from(rows));
-        t.cols_map = dataspread_posmap::posmap_from(posmap_kind, 0..u64::from(cols));
-        t.next_row_id = u64::from(rows);
-        t.next_col_id = u64::from(cols);
-        Ok(t)
-    }
-
     fn ensure_rows(&mut self, upto: u32) {
         while self.rows_map.len() <= upto as usize {
             self.rows_map.push(self.next_row_id);
@@ -128,6 +101,64 @@ impl RcvTranslator {
         let tid = *self.index.get(&(rid, cid))?;
         let tuple = self.table.fetch(tid).ok()?;
         Some(datums_to_cell(&tuple[2], &tuple[3]))
+    }
+}
+
+/// Push-style bulk builder: one tuple and one index entry per filled cell,
+/// inserted in key order as the cells arrive (strictly increasing
+/// row-major — [`crate::hybrid::RegionBuilder`] checks it), and one bulk
+/// positional map per axis over the run's extent at `finish`.
+pub(crate) struct RcvBuilder {
+    t: RcvTranslator,
+    rows: u32,
+    cols: u32,
+}
+
+impl RcvBuilder {
+    pub(crate) fn new(posmap_kind: PosMapKind) -> Self {
+        RcvBuilder {
+            t: RcvTranslator::new(posmap_kind),
+            rows: 0,
+            cols: 0,
+        }
+    }
+
+    pub(crate) fn push(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
+        if row >= MAX_RCV_POSITIONS || col >= MAX_RCV_POSITIONS {
+            return Err(EngineError::Unsupported(format!(
+                "cell ({row},{col}) is outside the RCV positional space \
+                 (cap {MAX_RCV_POSITIONS})"
+            )));
+        }
+        // An explicit blank still spans the extent, as `set_cell` has it.
+        self.rows = self.rows.max(row + 1);
+        self.cols = self.cols.max(col + 1);
+        if matches!(value, ScanValue::Empty) && formula.is_none() {
+            return Ok(());
+        }
+        // Ids equal positions at build time: a per-cell build's
+        // `ensure_rows`/`ensure_cols` hand them out in the same order.
+        let key = (u64::from(row), u64::from(col));
+        let [v, f] = scan_to_datums(value, formula);
+        let tuple = [Datum::Int(key.0 as i64), Datum::Int(key.1 as i64), v, f];
+        let tid = self.t.table.insert(&tuple)?;
+        self.t.index.insert(key, tid);
+        Ok(())
+    }
+
+    pub(crate) fn finish(self) -> RcvTranslator {
+        let RcvBuilder { mut t, rows, cols } = self;
+        t.rows_map = dataspread_posmap::posmap_from(t.posmap_kind, 0..u64::from(rows));
+        t.cols_map = dataspread_posmap::posmap_from(t.posmap_kind, 0..u64::from(cols));
+        t.next_row_id = u64::from(rows);
+        t.next_col_id = u64::from(cols);
+        t
     }
 }
 
@@ -201,30 +232,52 @@ impl Translator for RcvTranslator {
 
     fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
         let mut out = Vec::new();
-        if self.rows() == 0 || self.cols() == 0 || rect.r1 >= self.rows() || rect.c1 >= self.cols()
-        {
-            return out;
+        self.scan(rect, &mut push_cell(&mut out));
+        out
+    }
+
+    /// Visits the cells that exist, not the positions that could: per row
+    /// of `rect`, one index range over `(row id, *)`, each entry's column
+    /// id mapped back to its position through an inverse of the column map
+    /// built once — O(rows + cols + cells · log), where a probe per
+    /// position is O(rows × cols) and never finishes on two cells a
+    /// million rows apart.
+    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
+        if rect.r1 >= self.rows() || rect.c1 >= self.cols() || self.index.is_empty() {
+            return;
         }
         let row_count = (rect.r2.min(self.rows() - 1) - rect.r1) as usize + 1;
-        let cols: Vec<(u32, u64)> = (rect.c1..=rect.c2.min(self.cols() - 1))
-            .filter_map(|c| self.cols_map.get(c as usize).map(|&cid| (c, cid)))
+        let col_count = (rect.c2.min(self.cols() - 1) - rect.c1) as usize + 1;
+        let col_of: HashMap<u64, u32> = (rect.c1..)
+            .zip(self.cols_map.range(rect.c1 as usize, col_count))
+            .map(|(c, &cid)| (cid, c))
             .collect();
-        for (i, &rid) in self
-            .rows_map
-            .range(rect.r1 as usize, row_count)
-            .into_iter()
-            .enumerate()
-        {
-            let r = rect.r1 + i as u32;
-            for &(c, cid) in &cols {
-                if let Some(cell) = self.fetch_cell(rid, cid) {
-                    if !cell.is_blank() {
-                        out.push((CellAddr::new(r, c), cell));
-                    }
+        let mut in_row: Vec<(u32, TupleId)> = Vec::new();
+        let mut pair: Vec<DatumRef<'_>> = Vec::with_capacity(2);
+        for (r, &rid) in (rect.r1..).zip(self.rows_map.range(rect.r1 as usize, row_count)) {
+            in_row.clear();
+            in_row.extend(
+                self.index
+                    .range(
+                        Bound::Included(&(rid, u64::MIN)),
+                        Bound::Included(&(rid, u64::MAX)),
+                    )
+                    .into_iter()
+                    .filter_map(|(&(_, cid), &tid)| Some((*col_of.get(&cid)?, tid))),
+            );
+            // Column ids are handed out in touch order, not position order.
+            in_row.sort_unstable_by_key(|&(c, _)| c);
+            for &(c, tid) in &in_row {
+                if self.table.fetch_cols_ref(tid, &[2, 3], &mut pair).is_err() {
+                    continue;
+                }
+                let formula = pair[1].as_str();
+                let value = datum_to_scan(pair[0]);
+                if !matches!(value, ScanValue::Empty) || formula.is_some() {
+                    f(r, c, value, formula);
                 }
             }
         }
-        out
     }
 
     fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {

@@ -10,13 +10,13 @@
 use dataspread_grid::{Cell, CellAddr, Rect};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
-use dataspread_relstore::{ColumnDef, DataType, Datum, Schema, Table, TupleId};
+use dataspread_relstore::{ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId};
 
 use crate::columnar::ScanValue;
 use crate::error::EngineError;
 use crate::translator::{
-    cell_into_datums, cell_to_datums, check_run, datum_to_scan, datums_to_cell, CellVisitor,
-    Translator,
+    cell_into_datums, cell_to_datums, datum_to_scan, datums_to_cell, push_cell, scan_to_datums,
+    CellVisitor, Translator,
 };
 
 /// Row-oriented storage for one region.
@@ -65,59 +65,16 @@ impl RomTranslator {
         width: u32,
         rows: impl IntoIterator<Item = Vec<Cell>>,
     ) -> Result<Self, EngineError> {
-        let mut table = Table::new("rom", Schema::new(Vec::new()));
-        let mut cols_map = dataspread_posmap::posmap_from(posmap_kind, Vec::<u32>::new());
-        let mut next_group = 0;
-        for g in 0..width {
-            table.add_column(ColumnDef::new(format!("v{g}"), DataType::Any))?;
-            table.add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
-            cols_map.push(g);
-            next_group += 1;
-        }
-        let mut tids = Vec::new();
-        let mut filled = 0u64;
-        let mut datums: Vec<Datum> = Vec::with_capacity(2 * width as usize);
+        let mut b = RomBuilder::new(posmap_kind);
+        b.widen(width)?;
         for row in rows {
-            datums.clear();
             for cell in row.into_iter().take(width as usize) {
-                if !cell.is_blank() {
-                    filled += 1;
-                }
-                datums.extend(cell_into_datums(cell));
+                b.filled += u64::from(!cell.is_blank());
+                b.datums.extend(cell_into_datums(cell));
             }
-            tids.push(table.insert_prefix(&datums)?);
+            b.end_row()?;
         }
-        Ok(RomTranslator {
-            table,
-            rows_map: dataspread_posmap::posmap_from(posmap_kind, tids),
-            cols_map,
-            next_group,
-            filled,
-            posmap_kind,
-        })
-    }
-
-    /// Bulk-build from a run (see [`check_run`]) of local-coordinate cells:
-    /// the run is cut into one dense row per sheet row — blank rows
-    /// included, each row only as wide as its last cell — and loaded
-    /// through [`RomTranslator::bulk_load_rows`]. The extent is the run's:
-    /// `rows()` is the last cell's row + 1, `cols()` the widest column + 1,
-    /// exactly what per-cell `set_cell` of the same cells produces.
-    pub fn from_sorted_cells(
-        posmap_kind: PosMapKind,
-        cells: Vec<(CellAddr, Cell)>,
-    ) -> Result<Self, EngineError> {
-        let (n_rows, width) = check_run(&cells)?;
-        let mut cells = cells.into_iter().peekable();
-        let rows = (0..n_rows).map(|r| {
-            let mut row: Vec<Cell> = Vec::new();
-            while let Some((addr, cell)) = cells.next_if(|(a, _)| a.row == r) {
-                row.resize_with(addr.col as usize, Cell::default);
-                row.push(cell);
-            }
-            row
-        });
-        Self::bulk_load_rows(posmap_kind, width, rows)
+        b.finish()
     }
 
     fn ensure_rows(&mut self, upto: u32) -> Result<(), EngineError> {
@@ -217,6 +174,99 @@ impl RomTranslator {
     }
 }
 
+/// Push-style bulk builder: cells arrive in strictly increasing row-major
+/// order (the caller's contract — [`crate::hybrid::RegionBuilder`] checks
+/// it) and each sheet row becomes one tuple the moment the next row starts.
+/// A row is only as wide as its last cell and blank rows are empty tuples,
+/// so `rows()` is the last cell's row + 1 and `cols()` the widest column
+/// + 1 — exactly what per-cell `set_cell` of the same cells produces.
+pub(crate) struct RomBuilder {
+    posmap_kind: PosMapKind,
+    table: Table,
+    cols_map: Box<dyn PositionalMap<u32>>,
+    tids: Vec<TupleId>,
+    filled: u64,
+    /// Rows the region spans so far (the open row included).
+    rows: u32,
+    /// The open row's datums, reused from row to row.
+    datums: Vec<Datum>,
+}
+
+impl RomBuilder {
+    pub(crate) fn new(posmap_kind: PosMapKind) -> Self {
+        RomBuilder {
+            posmap_kind,
+            table: Table::new("rom", Schema::new(Vec::new())),
+            cols_map: dataspread_posmap::posmap_from(posmap_kind, Vec::<u32>::new()),
+            tids: Vec::new(),
+            filled: 0,
+            rows: 0,
+            datums: Vec::new(),
+        }
+    }
+
+    /// Make the table at least `width` sheet columns wide.
+    fn widen(&mut self, width: u32) -> Result<(), EngineError> {
+        for g in self.cols_map.len() as u32..width {
+            self.table
+                .add_column(ColumnDef::new(format!("v{g}"), DataType::Any))?;
+            self.table
+                .add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
+            self.cols_map.push(g);
+        }
+        Ok(())
+    }
+
+    /// Store the open row as one tuple.
+    fn end_row(&mut self) -> Result<(), EngineError> {
+        self.tids.push(self.table.insert_prefix(&self.datums)?);
+        self.datums.clear();
+        Ok(())
+    }
+
+    pub(crate) fn push(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
+        self.push_datums(row, col, scan_to_datums(value, formula))
+    }
+
+    /// [`RomBuilder::push`] with the cell already encoded.
+    pub(crate) fn push_datums(
+        &mut self,
+        row: u32,
+        col: u32,
+        pair: [Datum; 2],
+    ) -> Result<(), EngineError> {
+        while (self.tids.len() as u32) < row {
+            self.end_row()?;
+        }
+        self.rows = row + 1;
+        self.widen(col + 1)?;
+        self.datums.resize(2 * col as usize, Datum::Null);
+        self.filled += u64::from(!(pair[0].is_null() && pair[1].is_null()));
+        self.datums.extend(pair);
+        Ok(())
+    }
+
+    pub(crate) fn finish(mut self) -> Result<RomTranslator, EngineError> {
+        while (self.tids.len() as u32) < self.rows {
+            self.end_row()?;
+        }
+        Ok(RomTranslator {
+            table: self.table,
+            rows_map: dataspread_posmap::posmap_from(self.posmap_kind, self.tids),
+            next_group: self.cols_map.len() as u32,
+            cols_map: self.cols_map,
+            filled: self.filled,
+            posmap_kind: self.posmap_kind,
+        })
+    }
+}
+
 impl Translator for RomTranslator {
     fn kind(&self) -> ModelKind {
         ModelKind::Rom
@@ -306,54 +356,29 @@ impl Translator for RomTranslator {
 
     fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
         let mut out = Vec::new();
-        let row_count = (rect.r2.min(self.rows().saturating_sub(1)) as usize)
-            .saturating_sub(rect.r1 as usize)
-            + 1;
-        if self.rows() == 0 || self.cols() == 0 || rect.r1 >= self.rows() {
-            return out;
-        }
-        let (groups, wanted) = self.projection(rect.c1, rect.c2.min(self.cols() - 1));
-        for (i, tid) in self
-            .rows_map
-            .range(rect.r1 as usize, row_count)
-            .into_iter()
-            .enumerate()
-        {
-            let Ok(proj) = self.table.fetch_cols(*tid, &wanted) else {
-                continue;
-            };
-            let r = rect.r1 + i as u32;
-            for &(c, at) in &groups {
-                let cell = datums_to_cell(&proj[at], &proj[at + 1]);
-                if !cell.is_blank() {
-                    out.push((CellAddr::new(r, c), cell));
-                }
-            }
-        }
+        self.scan(rect, &mut push_cell(&mut out));
         out
     }
 
-    /// One ordered walk of the table: each row tuple is decoded once and
-    /// its cells handed out as borrows.
-    fn for_each_cell(&self, f: &mut CellVisitor<'_>) {
-        if self.rows() == 0 || self.cols() == 0 {
+    /// One ordered walk of the rows in `rect`: each tuple is decoded once,
+    /// in place and only at the projected columns, into a buffer reused
+    /// from row to row; its cells are handed out as borrows.
+    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
+        if rect.r1 >= self.rows() || rect.c1 >= self.cols() {
             return;
         }
-        let (groups, wanted) = self.projection(0, self.cols() - 1);
-        for (r, tid) in self
-            .rows_map
-            .range(0, self.rows_map.len())
-            .into_iter()
-            .enumerate()
-        {
-            let Ok(proj) = self.table.fetch_cols(*tid, &wanted) else {
+        let row_count = (rect.r2.min(self.rows() - 1) - rect.r1) as usize + 1;
+        let (groups, wanted) = self.projection(rect.c1, rect.c2.min(self.cols() - 1));
+        let mut proj: Vec<DatumRef<'_>> = Vec::with_capacity(wanted.len());
+        for (r, tid) in (rect.r1..).zip(self.rows_map.range(rect.r1 as usize, row_count)) {
+            if self.table.fetch_cols_ref(*tid, &wanted, &mut proj).is_err() {
                 continue;
-            };
+            }
             for &(c, at) in &groups {
                 let formula = proj[at + 1].as_str();
-                let value = datum_to_scan(&proj[at]);
+                let value = datum_to_scan(proj[at]);
                 if !matches!(value, ScanValue::Empty) || formula.is_some() {
-                    f(r as u32, c, value, formula);
+                    f(r, c, value, formula);
                 }
             }
         }

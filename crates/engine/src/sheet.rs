@@ -25,10 +25,10 @@ use dataspread_relstore::{ColumnDef, DataType, Database, Datum, Schema, StorageF
 
 use crate::durable::{CheckpointReport, DurableStore, LoggedOp, PersistenceStats};
 use crate::error::EngineError;
-use crate::hybrid::{HybridSheet, RegionSource, StorageReader};
+use crate::hybrid::{HybridSheet, StorageReader};
 use crate::rom::RomTranslator;
 use crate::tom::TomTranslator;
-use crate::translator::{value_to_datum, Translator};
+use crate::translator::{value_into_datum, Translator};
 use dataspread_posmap::PosMapKind;
 
 /// Which hybrid optimizer to run.
@@ -217,43 +217,23 @@ impl SheetEngine {
         let (store, recovered) = DurableStore::open_on(fs, dir)?;
         let kind = recovered.posmap.unwrap_or(kind);
         let mut engine = Self::with_posmap(kind);
-        // 1. Re-register formulas so later edits recompute dependents; the
-        //    stored values are already the computed ones, so no recompute.
-        //    Done first and by reference: step 2 moves the cells away.
-        let absolute_cells = recovered
-            .catchall
-            .iter()
-            .map(|(addr, cell)| (*addr, cell))
-            .chain(recovered.regions.iter().flat_map(|r| {
-                r.cells
-                    .iter()
-                    .map(|(addr, cell)| (addr.offset(r.rect.r1 as i64, r.rect.c1 as i64), cell))
-            }));
-        for (addr, cell) in absolute_cells {
-            if let Some(src) = &cell.formula {
-                if let Ok(expr) = parse(src) {
-                    engine.register_formula(addr, expr, src.clone());
-                }
-            }
+        // 1. Rebuild the region layout from the image: each payload is
+        //    visited straight into its region's builder (batched, so the
+        //    routing index builds once for the whole image), then the
+        //    catch-all likewise.
+        let mut formulas = engine.sheet.restore_regions(
+            recovered
+                .regions
+                .into_iter()
+                .map(|r| (r.id, r.kind, r.rect, r.payload)),
+        )?;
+        if let Some(payload) = &recovered.catchall {
+            formulas.extend(engine.sheet.restore_catchall(payload)?);
         }
-        // 2. Rebuild the region layout from the image (regions first, so
-        //    the catch-all cells below route to the catch-all; batched, so
-        //    the routing index builds once for the whole image).
-        engine
-            .sheet
-            .restore_regions(recovered.regions.into_iter().map(|r| {
-                let source = match r.encoded {
-                    Some(bytes) => RegionSource::Encoded(bytes),
-                    None => RegionSource::Cells(r.cells),
-                };
-                (r.id, r.kind, r.rect, source)
-            }))?;
-        for (addr, cell) in recovered.catchall {
-            engine.sheet.set_cell(addr, cell)?;
-        }
-        // Columnar regions restore from their encoded pages (no cell list
-        // in the image), so their formulas register through a side scan.
-        for (addr, src) in engine.sheet.columnar_formula_cells() {
+        // 2. Re-register the formulas met on the way so later edits
+        //    recompute dependents; the stored values are already the
+        //    computed ones, so no recompute.
+        for (addr, src) in formulas {
             if let Ok(expr) = parse(&src) {
                 engine.register_formula(addr, expr, src);
             }
@@ -265,7 +245,7 @@ impl SheetEngine {
         }
         // 4. Replay the committed op tail through the normal op paths
         //    (each op marks the regions it touches dirty again).
-        for op in &recovered.ops {
+        for op in recovered.ops {
             engine.apply_logged(op)?;
         }
         // 5. Fold the replayed state into the image and reset the WAL.
@@ -323,7 +303,7 @@ impl SheetEngine {
             .as_ref()
             .filter(|o| o.enabled())
             .map(|_| Instant::now());
-        let report = match store.checkpoint(kind, &images) {
+        let report = match store.checkpoint(kind, images) {
             Ok(report) => report,
             Err(e) => {
                 // The undo journal rolls the torn image back at the next
@@ -385,9 +365,17 @@ impl SheetEngine {
     /// Append `op` to the WAL (when durable) and auto-checkpoint if the
     /// configured threshold was reached.
     fn log_op(&mut self, op: LoggedOp) -> Result<(), EngineError> {
+        if self.durable.is_none() {
+            return Ok(());
+        }
+        self.log_encoded(op.encode())
+    }
+
+    /// [`SheetEngine::log_op`] of an op already encoded as its WAL record.
+    fn log_encoded(&mut self, record: Vec<u8>) -> Result<(), EngineError> {
         let hit_threshold = match self.durable.as_mut() {
             Some(store) => {
-                store.log(&op)?;
+                store.log_encoded(record)?;
                 store.should_checkpoint()
             }
             None => false,
@@ -399,25 +387,25 @@ impl SheetEngine {
     }
 
     /// Replay one recovered op through the normal (non-logging) op paths.
-    fn apply_logged(&mut self, op: &LoggedOp) -> Result<(), EngineError> {
+    fn apply_logged(&mut self, op: LoggedOp) -> Result<(), EngineError> {
         match op {
             LoggedOp::SetCell { row, col, input } => {
-                self.update_cell_impl(CellAddr::new(*row, *col), input)
+                self.update_cell_impl(CellAddr::new(row, col), &input)
             }
             LoggedOp::SetValue { row, col, value } => {
-                self.set_value_impl(CellAddr::new(*row, *col), value.clone())
+                self.set_value_impl(CellAddr::new(row, col), value)
             }
-            LoggedOp::InsertRows { at, n } => self.insert_rows_impl(*at, *n),
-            LoggedOp::DeleteRows { at, n } => self.delete_rows_impl(*at, *n),
-            LoggedOp::InsertCols { at, n } => self.insert_cols_impl(*at, *n),
-            LoggedOp::DeleteCols { at, n } => self.delete_cols_impl(*at, *n),
+            LoggedOp::InsertRows { at, n } => self.insert_rows_impl(at, n),
+            LoggedOp::DeleteRows { at, n } => self.delete_rows_impl(at, n),
+            LoggedOp::InsertCols { at, n } => self.insert_cols_impl(at, n),
+            LoggedOp::DeleteCols { at, n } => self.delete_cols_impl(at, n),
             LoggedOp::ImportRows {
                 row,
                 col,
                 width,
                 rows,
             } => self
-                .import_rows_impl(CellAddr::new(*row, *col), *width, rows.iter().cloned())
+                .import_rows_impl(CellAddr::new(row, col), width, rows)
                 .map(|_| ()),
         }
     }
@@ -562,14 +550,12 @@ impl SheetEngine {
         if self.durable.is_none() {
             return self.import_rows_impl(top_left, width, rows);
         }
+        // The record is encoded from the borrowed rows first, so the rows
+        // themselves can move into storage instead of being cloned.
         let rows: Vec<Vec<CellValue>> = rows.into_iter().collect();
-        let rect = self.import_rows_impl(top_left, width, rows.iter().cloned())?;
-        match self.log_op(LoggedOp::ImportRows {
-            row: top_left.row,
-            col: top_left.col,
-            width,
-            rows,
-        }) {
+        let record = LoggedOp::encode_import(top_left.row, top_left.col, width, &rows);
+        let rect = self.import_rows_impl(top_left, width, rows)?;
+        match self.log_encoded(record) {
             Ok(()) => {}
             // An import too large for one WAL record (the store refuses it
             // before touching the log) is captured by an immediate
@@ -679,13 +665,12 @@ impl SheetEngine {
     }
 
     fn create_table_from_region(&mut self, rect: Rect, name: &str) -> Result<(), EngineError> {
-        let cells = self.sheet.get_cells(rect);
-        if cells.is_empty() {
+        let (headers, rows, cells) = headers_and_rows(&self.sheet, rect);
+        if cells == 0 {
             return Err(EngineError::BadLink(format!(
                 "region {rect} is empty; nothing to create"
             )));
         }
-        let (headers, rows) = headers_and_rows(&cells, rect);
         let columns = headers
             .into_iter()
             .map(|h| ColumnDef::new(h, DataType::Any))
@@ -705,7 +690,7 @@ impl SheetEngine {
 
     /// Materialize a sheet range as a relation (first row = headers).
     pub fn range_to_relation(&self, rect: Rect) -> Relation {
-        let (columns, rows) = headers_and_rows(&self.sheet.get_cells(rect), rect);
+        let (columns, rows, _) = headers_and_rows(&self.sheet, rect);
         Relation::new(columns, rows)
     }
 
@@ -758,12 +743,12 @@ impl SheetEngine {
         algorithm: OptimizeAlgorithm,
         opts: &OptimizerOptions,
     ) -> Result<OptimizeReport, EngineError> {
-        let snapshot = self.sheet.snapshot(false);
+        // Every algorithm reads occupancy only, and storage reports that
+        // off its scan: no cell is cloned, no in-memory sheet built.
+        let occupancy = self.sheet.occupancy(false);
         // Relation-width caps must survive band collapse (Theorem 8).
-        let view = match cm.max_table_cols {
-            Some(cap) => GridView::from_sheet_capped(&snapshot, u32::MAX, cap as u32),
-            None => GridView::from_sheet(&snapshot),
-        };
+        let band_cap = cm.max_table_cols.map(|cap| (u32::MAX, cap as u32));
+        let view = GridView::from_occupancy(&occupancy, &[], &[], band_cap);
         let decomposition = match algorithm {
             OptimizeAlgorithm::Dp => {
                 optimize_dp(&view, cm, opts).map_err(|e| EngineError::Unsupported(e.to_string()))?
@@ -780,7 +765,7 @@ impl SheetEngine {
                         .collect(),
                 );
                 let (d, _) = incremental_agg(
-                    &snapshot,
+                    &occupancy,
                     &old,
                     cm,
                     &IncrementalOptions {
@@ -1097,25 +1082,28 @@ impl SheetEngine {
     }
 }
 
-/// Split the cells fetched for `rect` into header names (first row; a
-/// blank header is `colN`) and data rows (a blank cell is `Datum::Null`),
-/// in one pass: each cell lands at its offset within the rect.
-fn headers_and_rows(cells: &[(CellAddr, Cell)], rect: Rect) -> (Vec<String>, Vec<Vec<Datum>>) {
+/// Read `rect` as header names (first row; a blank header is `colN`) and
+/// data rows (a blank cell is `Datum::Null`), plus the number of cells
+/// met, in one pass over the storage scan: each cell lands at its offset
+/// within the rect, so no cell list is fetched or sorted.
+fn headers_and_rows(sheet: &HybridSheet, rect: Rect) -> (Vec<String>, Vec<Vec<Datum>>, usize) {
     let width = (rect.c2 - rect.c1 + 1) as usize;
     let mut headers: Vec<String> = (1..=width).map(|i| format!("col{i}")).collect();
     let mut rows = vec![vec![Datum::Null; width]; (rect.r2 - rect.r1) as usize];
-    for (addr, cell) in cells {
-        let c = (addr.col - rect.c1) as usize;
-        if addr.row == rect.r1 {
-            let text = cell.value.as_text();
+    let mut cells = 0;
+    sheet.scan_stores(rect, true, &mut |row, col, value, _| {
+        cells += 1;
+        let c = (col - rect.c1) as usize;
+        if row == rect.r1 {
+            let text = value.to_value().as_text();
             if !text.is_empty() {
                 headers[c] = text;
             }
         } else {
-            rows[(addr.row - rect.r1 - 1) as usize][c] = value_to_datum(&cell.value);
+            rows[(row - rect.r1 - 1) as usize][c] = value_into_datum(value.to_value());
         }
-    }
-    (headers, rows)
+    });
+    (headers, rows, cells)
 }
 
 /// Whether a read window's *pre-edit* coordinates intersect the band of a

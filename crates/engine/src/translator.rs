@@ -5,14 +5,23 @@
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
 use dataspread_hybrid::ModelKind;
-use dataspread_relstore::Datum;
+use dataspread_relstore::{Datum, DatumRef};
 
 use crate::columnar::ScanValue;
 use crate::error::EngineError;
 
-/// What [`Translator::for_each_cell`] hands each cell to: local row and
-/// column, the value as a borrow, and the formula source if there is one.
+/// What [`Translator::scan`] hands each cell to: local row and column, the
+/// value as a borrow, and the formula source if there is one.
 pub type CellVisitor<'a> = dyn FnMut(u32, u32, ScanValue<'_>, Option<&str>) + 'a;
+
+/// A rect covering every address a store can hold: `scan(WHOLE, ..)` reads
+/// the whole store, whatever its extent.
+pub const WHOLE: Rect = Rect {
+    r1: 0,
+    c1: 0,
+    r2: u32::MAX - 1,
+    c2: u32::MAX - 1,
+};
 
 /// A translator serves a rectangular region of the sheet in *local*
 /// coordinates (`(0,0)` = the region's top-left). The hybrid layer owns the
@@ -37,25 +46,25 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
 
     fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError>;
 
-    /// All non-blank cells intersecting `rect` (local coords), row-major.
+    /// All non-blank cells intersecting `rect` (local coords), row-major,
+    /// as owned cells. Layouts with a native [`Translator::scan`] collect
+    /// the same walk.
     fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)>;
 
-    /// All non-blank cells (used for migration between models).
+    /// All non-blank cells.
     fn all_cells(&self) -> Vec<(CellAddr, Cell)> {
-        self.get_range(Rect::new(
-            0,
-            0,
-            self.rows().saturating_sub(1),
-            self.cols().saturating_sub(1),
-        ))
+        self.get_range(WHOLE)
     }
 
-    /// Visit every non-blank cell in row-major order as borrowed values —
-    /// what a migration into another layout reads, so a translator that
-    /// can walk its store in order (ROM) feeds the target's builder without
-    /// materializing a cell list.
-    fn for_each_cell(&self, f: &mut CellVisitor<'_>) {
-        for (addr, cell) in self.all_cells() {
+    /// The one way a region is read in bulk: visit every non-blank cell of
+    /// `rect` ∩ extent in strictly increasing row-major order, values and
+    /// formula sources as borrows — nothing is cloned unless the visitor
+    /// clones it. Snapshots, the optimizer's occupancy, checkpoint
+    /// payloads, migrations, relations and range aggregates are all folds
+    /// over it. ROM, RCV and columnar walk their stores natively; the
+    /// default adapts a layout that only has [`Translator::get_range`].
+    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
+        for (addr, cell) in self.get_range(rect) {
             f(
                 addr.row,
                 addr.col,
@@ -143,45 +152,38 @@ pub fn value_into_datum(v: CellValue) -> Datum {
 
 /// Decode a datum back into a cell value.
 pub fn datum_to_value(d: &Datum) -> CellValue {
-    datum_to_scan(d).to_value()
+    datum_to_scan(d.as_ref()).to_value()
 }
 
-/// [`datum_to_value`] without the copy: texts borrow from the datum.
-pub(crate) fn datum_to_scan(d: &Datum) -> ScanValue<'_> {
+/// [`datum_to_value`] without the copy: a text borrows from the tuple the
+/// datum was decoded in.
+pub(crate) fn datum_to_scan(d: DatumRef<'_>) -> ScanValue<'_> {
     match d {
-        Datum::Null => ScanValue::Empty,
-        Datum::Int(i) => ScanValue::Number(*i as f64),
-        Datum::Float(f) => ScanValue::Number(*f),
-        Datum::Bool(b) => ScanValue::Bool(*b),
-        Datum::Text(s) => match s.strip_prefix(ERR_TAG) {
+        DatumRef::Null => ScanValue::Empty,
+        DatumRef::Int(i) => ScanValue::Number(i as f64),
+        DatumRef::Float(f) => ScanValue::Number(f),
+        DatumRef::Bool(b) => ScanValue::Bool(b),
+        DatumRef::Text(s) => match s.strip_prefix(ERR_TAG) {
             Some(tag) => ScanValue::Error(parse_cell_error(tag)),
             None => ScanValue::Text(s),
         },
     }
 }
 
-/// The input contract of every bulk constructor: a *run* is a cell list in
-/// strictly increasing row-major order (sorted, no address twice) — what
-/// `all_cells`, `get_range` and a checkpoint payload produce. Returns the
-/// run's extent `(rows, cols)`; anything else is refused, so a builder can
-/// never lay cells out under the wrong position.
-pub(crate) fn check_run(cells: &[(CellAddr, Cell)]) -> Result<(u32, u32), EngineError> {
-    if let Some(w) = cells
-        .windows(2)
-        .find(|w| (w[0].0.row, w[0].0.col) >= (w[1].0.row, w[1].0.col))
-    {
-        return Err(EngineError::Unsupported(format!(
-            "bulk build: cell run is not strictly row-major at {} then {}",
-            w[0].0, w[1].0
-        )));
-    }
-    let rows = cells.last().map_or(0, |(a, _)| a.row.saturating_add(1));
-    let cols = cells
-        .iter()
-        .map(|(a, _)| a.col.saturating_add(1))
-        .max()
-        .unwrap_or(0);
-    Ok((rows, cols))
+/// The `[value, formula]` pair of a scanned cell (texts are copied).
+pub(crate) fn scan_to_datums(value: ScanValue<'_>, formula: Option<&str>) -> [Datum; 2] {
+    [
+        value_into_datum(value.to_value()),
+        formula.map_or(Datum::Null, |src| Datum::Text(src.to_string())),
+    ]
+}
+
+/// What `get_range` hands its layout's walk: each visited cell, cloned
+/// into `out`.
+pub(crate) fn push_cell(
+    out: &mut Vec<(CellAddr, Cell)>,
+) -> impl FnMut(u32, u32, ScanValue<'_>, Option<&str>) + '_ {
+    move |row, col, value, formula| out.push((CellAddr::new(row, col), value.to_cell(formula)))
 }
 
 fn parse_cell_error(s: &str) -> CellError {

@@ -1,0 +1,558 @@
+//! The one bulk read path, against the per-cell read it generalizes.
+//!
+//! [`Translator::scan`] is what snapshots, the optimizer's occupancy,
+//! checkpoint payloads, migrations, relations and range aggregates fold
+//! over; ROM, RCV and columnar implement it natively, COM and TOM through
+//! the adapter over `get_range`. The reference for all of them is the
+//! slowest correct reader there is: one `get_cell` per position.
+//!
+//! * `scan(rect)` — for every layout, random sparse contents, a random
+//!   tape of edits and structural ops, and rects inside, straddling and
+//!   outside the extent — yields exactly the non-blank cells a `get_cell`
+//!   loop finds, in strictly increasing row-major order;
+//! * `range_agg` equals the evaluator's sparse walk bit for bit;
+//! * `snapshot()` equals a `get_cell` sweep of the bounding box;
+//! * two cells a million rows apart are read, checkpointed and reopened in
+//!   time proportional to the cells, not to the positions between them.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use dataspread_engine::hybrid::{build_translator, HybridSheet, StorageReader};
+use dataspread_engine::rom::RomTranslator;
+use dataspread_engine::{ColumnarTranslator, ModelKind, ScanValue, SheetEngine, Translator};
+use dataspread_formula::eval::CellReader;
+use dataspread_formula::{parse, Evaluator};
+use dataspread_grid::value::CellError;
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
+use dataspread_posmap::PosMapKind;
+
+const TAPE_LEN: usize = if cfg!(debug_assertions) { 60 } else { 400 };
+const SEEDS: std::ops::Range<u64> = if cfg!(debug_assertions) { 0..6 } else { 0..40 };
+const RECTS_PER_STEP: usize = 4;
+
+const KINDS: [ModelKind; 4] = [
+    ModelKind::Rom,
+    ModelKind::Com,
+    ModelKind::Rcv,
+    ModelKind::Columnar,
+];
+const POSMAPS: [PosMapKind; 3] = [
+    PosMapKind::Hierarchical,
+    PosMapKind::Monotonic,
+    PosMapKind::AsIs,
+];
+
+fn random_cell(rng: &mut StdRng) -> Cell {
+    const ERRORS: [CellError; 7] = [
+        CellError::Div0,
+        CellError::Value,
+        CellError::Ref,
+        CellError::Name,
+        CellError::Na,
+        CellError::Num,
+        CellError::Circular,
+    ];
+    let value = match rng.gen_range(0u32..14) {
+        0..=2 => CellValue::Number(rng.gen_range(-1000..1000) as f64),
+        3..=4 => CellValue::Number(rng.gen_range(-10.0..10.0)),
+        5 => CellValue::Bool(rng.gen_bool(0.5)),
+        6..=8 => CellValue::Text(["red", "green", "blue"][rng.gen_range(0..3)].into()),
+        9 => CellValue::Text("x".repeat(rng.gen_range(60..120))),
+        10 => CellValue::Text(String::new()),
+        11 => CellValue::Error(ERRORS[rng.gen_range(0..ERRORS.len())]),
+        _ => CellValue::Empty,
+    };
+    let formula = rng
+        .gen_bool(0.15)
+        .then(|| format!("A{}+1", rng.gen_range(1..50)));
+    Cell { value, formula }
+}
+
+/// A random sparse region as a row-major run: blank leading, interior and
+/// trailing rows, ragged widths.
+fn random_run(rng: &mut StdRng) -> (u32, u32, Vec<(CellAddr, Cell)>) {
+    let rows = rng.gen_range(1u32..30);
+    let cols = rng.gen_range(1u32..9);
+    let mut cells = Vec::new();
+    if rng.gen_bool(0.1) {
+        return (rows, cols, cells);
+    }
+    let first = rng.gen_range(0..rows);
+    let last = rng.gen_range(first..rows);
+    for r in first..=last {
+        if rng.gen_bool(0.25) {
+            continue;
+        }
+        let width = rng.gen_range(1..=cols);
+        for c in 0..width {
+            if rng.gen_bool(0.7) {
+                cells.push((CellAddr::new(r, c), random_cell(rng)));
+            }
+        }
+    }
+    (rows, cols, cells)
+}
+
+/// One random edit or structural op (a refusal — a COM column outgrowing
+/// its tuple — is as good as any other state to scan).
+fn step(rng: &mut StdRng, t: &mut dyn Translator) {
+    let rows = t.rows().max(1);
+    let cols = t.cols().max(1);
+    let _ = match rng.gen_range(0u32..12) {
+        0..=4 => t.set_cell(
+            rng.gen_range(0..rows + 2),
+            rng.gen_range(0..cols + 1),
+            random_cell(rng),
+        ),
+        5 => t.clear_cell(rng.gen_range(0..rows + 2), rng.gen_range(0..cols + 1)),
+        6 => {
+            let r = rng.gen_range(0..rows + 1);
+            let mut batch = Vec::new();
+            for c in 0..cols {
+                if rng.gen_bool(0.5) {
+                    batch.push((c, random_cell(rng)));
+                }
+            }
+            t.set_cells_in_row(r, batch)
+        }
+        7 => t.insert_rows(rng.gen_range(0..rows + 1), rng.gen_range(1..3)),
+        8 => t.delete_rows(rng.gen_range(0..rows), rng.gen_range(1..3)),
+        9 => t.insert_cols(rng.gen_range(0..cols + 1), rng.gen_range(1..3)),
+        _ => t.delete_cols(rng.gen_range(0..cols), 1),
+    };
+}
+
+/// A rect inside, straddling or wholly outside the translator's extent.
+fn random_rect(rng: &mut StdRng, t: &dyn Translator) -> Rect {
+    let (rows, cols) = (t.rows() + 3, t.cols() + 3);
+    let (r1, c1) = match rng.gen_range(0u32..10) {
+        0 => (t.rows() + rng.gen_range(0..3), rng.gen_range(0..cols)),
+        1 => (rng.gen_range(0..rows), t.cols() + rng.gen_range(0..3)),
+        _ => (rng.gen_range(0..rows), rng.gen_range(0..cols)),
+    };
+    Rect::new(
+        r1,
+        c1,
+        r1 + rng.gen_range(0..rows),
+        c1 + rng.gen_range(0..cols),
+    )
+}
+
+fn scanned(t: &dyn Translator, rect: Rect) -> Vec<(CellAddr, Cell)> {
+    let mut out = Vec::new();
+    t.scan(rect, &mut |row, col, value, formula| {
+        out.push((CellAddr::new(row, col), value.to_cell(formula)));
+    });
+    out
+}
+
+/// The reference reader: one `get_cell` per position of `rect` ∩ extent.
+fn probed(t: &dyn Translator, rect: Rect) -> Vec<(CellAddr, Cell)> {
+    let mut out = Vec::new();
+    for r in rect.r1..=rect.r2.min(t.rows().saturating_sub(1)) {
+        for c in rect.c1..=rect.c2.min(t.cols().saturating_sub(1)) {
+            if r < t.rows() && c < t.cols() {
+                if let Some(cell) = t.get_cell(r, c) {
+                    out.push((CellAddr::new(r, c), cell));
+                }
+            }
+        }
+    }
+    out
+}
+
+fn assert_scan_matches_probe(t: &dyn Translator, rect: Rect, ctx: &str) {
+    let got = scanned(t, rect);
+    assert!(
+        got.windows(2)
+            .all(|w| (w[0].0.row, w[0].0.col) < (w[1].0.row, w[1].0.col)),
+        "{ctx}: scan({rect}) is not strictly row-major"
+    );
+    assert!(
+        got.iter().all(|(_, cell)| !cell.is_blank()),
+        "{ctx}: scan({rect}) yielded a blank cell"
+    );
+    assert_eq!(got, probed(t, rect), "{ctx}: scan({rect})");
+    assert_eq!(got, t.get_range(rect), "{ctx}: get_range({rect})");
+}
+
+#[test]
+fn scan_yields_exactly_what_a_get_cell_loop_finds() {
+    for seed in SEEDS {
+        for (k, &kind) in KINDS.iter().enumerate() {
+            let posmap = POSMAPS[(seed as usize + k) % POSMAPS.len()];
+            let mut rng = StdRng::seed_from_u64(0x5CA7_0000 + seed * 16 + k as u64);
+            let (rows, cols, cells) = random_run(&mut rng);
+            let ctx = format!("{kind:?}/{posmap:?} seed {seed}");
+            let mut t = build_translator(kind, posmap, rows, cols, cells)
+                .unwrap_or_else(|e| panic!("{ctx}: build failed: {e}"));
+            for op in 0..=TAPE_LEN {
+                let ctx = format!("{ctx}, op {op}");
+                assert_eq!(
+                    scanned(t.as_ref(), dataspread_engine::translator::WHOLE),
+                    t.all_cells(),
+                    "{ctx}: whole-store scan"
+                );
+                for _ in 0..RECTS_PER_STEP {
+                    let rect = random_rect(&mut rng, t.as_ref());
+                    assert_scan_matches_probe(t.as_ref(), rect, &ctx);
+                }
+                step(&mut rng, t.as_mut());
+            }
+        }
+    }
+}
+
+/// Every state the columnar write overlay can be in, each scanned over the
+/// whole region, single rows, single columns and rects past the extent —
+/// and the window walk (`scan_rect`, empties included) against `get_cell`
+/// at every position.
+#[test]
+fn columnar_scan_in_every_overlay_state() {
+    let formula = |v: f64, src: &str| Cell {
+        value: CellValue::Number(v),
+        formula: Some(src.into()),
+    };
+    let base = || {
+        let rows = (0..40u32).map(|r| {
+            vec![
+                Cell::value(r as f64),
+                Cell::value(["PASS", "FAIL", "PASS"][(r % 3) as usize]),
+                if r % 7 == 0 {
+                    Cell::default()
+                } else {
+                    Cell::value(r % 2 == 0)
+                },
+                if r % 5 == 0 {
+                    formula(r as f64 * 2.0, "A1*2")
+                } else {
+                    Cell::value(r as f64 * 0.5)
+                },
+            ]
+        });
+        ColumnarTranslator::bulk_load_rows(4, rows)
+    };
+    let check = |t: &ColumnarTranslator, state: &str| {
+        let mut rects = vec![
+            dataspread_engine::translator::WHOLE,
+            Rect::new(0, 0, 39, 3),
+            Rect::new(35, 2, 60, 9),
+            Rect::new(40, 0, 50, 3),
+            Rect::new(0, 4, 39, 6),
+        ];
+        rects.extend((0..40).step_by(3).map(|r| Rect::new(r, 0, r, 3)));
+        rects.extend((0..4).map(|c| Rect::new(0, c, 39, c)));
+        for rect in rects {
+            assert_scan_matches_probe(t, rect, state);
+        }
+        let window = Rect::new(3, 0, 44, 5);
+        let mut at = (window.r1, window.c1);
+        t.scan_rect(window, |row, col, value, src| {
+            assert_eq!((row, col), at, "{state}: window walk order");
+            at = if col == window.c2 {
+                (row + 1, window.c1)
+            } else {
+                (row, col + 1)
+            };
+            let want = t.get_cell(row, col).unwrap_or_default();
+            assert_eq!(value.to_value(), want.value, "{state}: ({row},{col})");
+            assert_eq!(src, want.formula.as_deref(), "{state}: ({row},{col})");
+        });
+        assert_eq!(at, (window.r2 + 1, window.c1), "{state}: window covered");
+    };
+
+    let mut t = base();
+    check(&t, "overlay empty");
+    // Edits pending: values over values, a formula over a value, a text
+    // outside the dictionary, writes that grow the extent.
+    t.set_cell(3, 0, Cell::value("edited")).unwrap();
+    t.set_cell(4, 1, formula(1.0, "B1+1")).unwrap();
+    t.set_cell(17, 2, Cell::value(CellValue::Error(CellError::Na)))
+        .unwrap();
+    t.set_cell(41, 5, Cell::value(7.5)).unwrap();
+    check(&t, "edits pending");
+    // A base cell blanked, and a base formula masked by a plain value.
+    t.clear_cell(8, 0).unwrap();
+    t.clear_cell(9, 1).unwrap();
+    t.set_cell(10, 3, Cell::value(99.0)).unwrap();
+    t.set_cell(15, 3, Cell::default()).unwrap();
+    assert!(t.overlay_len() >= 8);
+    check(&t, "base cells blanked and a base formula masked");
+    let before = t.all_cells();
+    t.compact();
+    assert_eq!(t.overlay_len(), 0);
+    assert_eq!(t.all_cells(), before);
+    check(&t, "just compacted");
+    // And again with compaction firing every few writes.
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    t.set_overlay_limit(5);
+    for i in 0..TAPE_LEN {
+        step(&mut rng, &mut t);
+        if i % 8 == 0 {
+            check(&t, &format!("random tape, op {i}"));
+        }
+    }
+}
+
+// ------------------------------------------------------- range_agg --
+
+/// [`StorageReader`] with the aggregate fast path switched off: the
+/// evaluator falls back to its sparse walk over `range_values`.
+struct SparseWalk<'a>(StorageReader<'a>);
+
+impl CellReader for SparseWalk<'_> {
+    fn value(&self, addr: CellAddr) -> CellValue {
+        self.0.value(addr)
+    }
+    fn range_values(&self, rect: Rect) -> Vec<(CellAddr, CellValue)> {
+        self.0.range_values(rect)
+    }
+}
+
+fn bits(v: &CellValue) -> (u64, CellValue) {
+    match v {
+        CellValue::Number(n) => (n.to_bits(), CellValue::Empty),
+        other => (0, other.clone()),
+    }
+}
+
+/// A column mixing everything an aggregate must skip, count or abort on.
+fn agg_cell(rng: &mut StdRng, errors: bool) -> Cell {
+    match rng.gen_range(0u32..12) {
+        0..=3 => Cell::value(rng.gen_range(-1e6..1e6)),
+        4..=5 => Cell::value(rng.gen_range(-50..50) as f64 / 3.0),
+        6 => Cell::value(["a", "", "text"][rng.gen_range(0..3)]),
+        7 => Cell::value(rng.gen_bool(0.5)),
+        8 => Cell {
+            value: CellValue::Empty,
+            formula: Some("A1".into()),
+        },
+        9 if errors => Cell::value(CellValue::Error(
+            [CellError::Div0, CellError::Na, CellError::Ref][rng.gen_range(0..3)],
+        )),
+        _ => Cell::default(),
+    }
+}
+
+#[test]
+fn range_agg_equals_the_evaluators_sparse_walk_bit_for_bit() {
+    let evaluator = Evaluator::new();
+    for seed in SEEDS {
+        let mut rng = StdRng::seed_from_u64(0xA66 + seed);
+        let mut hs = HybridSheet::new();
+        // Four stacked 40x3 regions, one per layout, 10 blank rows apart;
+        // odd seeds carry no error values so sums are compared too.
+        let regions: Vec<(Rect, ModelKind)> = KINDS
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| (Rect::new(i as u32 * 50, 2, i as u32 * 50 + 39, 4), kind))
+            .collect();
+        for &(rect, kind) in &regions {
+            let translator = build_translator(kind, PosMapKind::default(), 40, 3, Vec::new());
+            hs.add_region(rect, translator.unwrap()).unwrap();
+            for r in rect.r1..=rect.r2 {
+                for c in rect.c1..=rect.c2 {
+                    let cell = agg_cell(&mut rng, seed % 2 == 0);
+                    hs.set_cell(CellAddr::new(r, c), cell).unwrap();
+                }
+            }
+        }
+        hs.set_cell(CellAddr::new(45, 3), Cell::value(1.0)).unwrap();
+        let layout: Vec<_> = hs.layout().iter().map(|(_, kind)| *kind).collect();
+        assert_eq!(layout, KINDS, "every layout is under test");
+
+        for _ in 0..if cfg!(debug_assertions) { 60 } else { 400 } {
+            let (rect, kind) = regions[rng.gen_range(0..regions.len())];
+            let col = rng.gen_range(rect.c1..=rect.c2);
+            let r1 = rng.gen_range(rect.r1..=rect.r2);
+            let inside = Rect::new(r1, col, rng.gen_range(r1..=rect.r2), col);
+            let agg = hs.range_agg(inside).unwrap_or_else(|| {
+                panic!("{kind:?} seed {seed}: no aggregate for {inside} inside one region")
+            });
+            // The fold the evaluator's walk performs, cell by cell.
+            let (mut sum, mut numbers, mut nonempty, mut error) = (0.0f64, 0u64, 0u64, None);
+            for (_, cell) in hs.get_cells(inside) {
+                match cell.value {
+                    CellValue::Number(n) => {
+                        sum += n;
+                        numbers += 1;
+                        nonempty += 1;
+                    }
+                    CellValue::Error(e) => {
+                        error = Some(e);
+                        break;
+                    }
+                    CellValue::Empty => {}
+                    _ => nonempty += 1,
+                }
+            }
+            assert_eq!(agg.error, error, "{kind:?} seed {seed} {inside}");
+            assert_eq!(
+                (agg.sum.to_bits(), agg.numbers, agg.nonempty),
+                (sum.to_bits(), numbers, nonempty),
+                "{kind:?} seed {seed} {inside}"
+            );
+            // And the evaluator itself, fast path against sparse walk.
+            for name in ["SUM", "COUNT", "COUNTA", "AVERAGE"] {
+                let a1 = |r: u32, c: u32| CellAddr::new(r, c).to_a1();
+                let expr = parse(&format!(
+                    "{name}({}:{})",
+                    a1(inside.r1, inside.c1),
+                    a1(inside.r2, inside.c2)
+                ))
+                .unwrap();
+                let fast = evaluator.eval(&expr, &StorageReader(&hs));
+                let slow = evaluator.eval(&expr, &SparseWalk(StorageReader(&hs)));
+                assert_eq!(
+                    bits(&fast),
+                    bits(&slow),
+                    "{kind:?} seed {seed} {name}({inside})"
+                );
+            }
+        }
+        // No single store serves these: two regions, a region and the
+        // catch-all, two columns, the catch-all alone.
+        for rect in [
+            Rect::new(30, 3, 60, 3),
+            Rect::new(30, 3, 45, 3),
+            Rect::new(0, 2, 10, 3),
+            Rect::new(41, 3, 48, 3),
+        ] {
+            assert_eq!(hs.range_agg(rect), None, "seed {seed} {rect}");
+        }
+    }
+}
+
+// -------------------------------------------------------- snapshot --
+
+#[test]
+fn snapshot_equals_a_get_cell_sweep_of_the_bounding_box() {
+    for seed in SEEDS {
+        let mut rng = StdRng::seed_from_u64(0x5AA9 + seed);
+        let mut hs = HybridSheet::with_posmap(POSMAPS[seed as usize % POSMAPS.len()]);
+        for (i, &kind) in KINDS.iter().enumerate() {
+            let (rows, cols, cells) = random_run(&mut rng);
+            let rect = Rect::new(
+                i as u32 * 40 + 3,
+                (i as u32 % 2) * 12 + 1,
+                i as u32 * 40 + 2 + rows,
+                (i as u32 % 2) * 12 + cols,
+            );
+            let t = build_translator(kind, hs.posmap_kind(), rows, cols, cells).unwrap();
+            hs.add_region(rect, t).unwrap();
+        }
+        for _ in 0..TAPE_LEN {
+            let addr = CellAddr::new(rng.gen_range(0..170), rng.gen_range(0..24));
+            // A refused write (a COM tuple past its page) changes nothing.
+            let _ = hs.set_cell(addr, random_cell(&mut rng));
+        }
+        let snapshot = hs.snapshot(true);
+        let mut swept = SparseSheet::new();
+        for r in 0..200 {
+            for c in 0..40 {
+                if let Some(cell) = hs.get_cell(CellAddr::new(r, c)) {
+                    swept.set(CellAddr::new(r, c), cell);
+                }
+            }
+        }
+        assert_eq!(snapshot, swept, "seed {seed}");
+        assert_eq!(
+            snapshot.filled_count() as u64,
+            hs.filled_count(),
+            "seed {seed}"
+        );
+        let occupancy = hs.occupancy(true);
+        assert_eq!(
+            occupancy,
+            dataspread_hybrid::Occupancy::of(&snapshot),
+            "seed {seed}: occupancy off the scan"
+        );
+    }
+}
+
+// ------------------------------------------- far cells in an RCV store --
+
+/// Regression: an RCV range read used to probe every *position* of
+/// `rect` ∩ extent, and the catch-all is an RCV read over the whole sheet —
+/// so one cell at a far address cost rows × cols probes (1.6 × 10¹⁰ here)
+/// per snapshot, per `get_cells` over the extent and per checkpoint, under
+/// the sheet's write lock. The scan visits the cells that exist.
+#[test]
+fn two_cells_a_million_rows_apart_cost_two_cells() {
+    let dir = std::env::temp_dir().join(format!("dataspread-scan-far-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let far = CellAddr::new(1_000_000, 16_000);
+    let want = vec![
+        (CellAddr::new(0, 0), Cell::value(1.0)),
+        (far, Cell::value("far")),
+    ];
+    let check = |engine: &SheetEngine, when: &str| {
+        let snapshot = engine.snapshot();
+        let cells: Vec<(CellAddr, Cell)> = snapshot.iter().map(|(a, c)| (a, c.clone())).collect();
+        assert_eq!(cells, want, "{when}: snapshot");
+        let bbox = Rect::new(0, 0, far.row, far.col);
+        assert_eq!(engine.get_cells(bbox), want, "{when}: get_cells({bbox})");
+        assert_eq!(
+            engine.get_cells(Rect::new(1, 0, far.row - 1, far.col)),
+            vec![],
+            "{when}: the gap"
+        );
+    };
+    {
+        let mut engine = SheetEngine::open(&dir).unwrap();
+        engine.update_cell(CellAddr::new(0, 0), "1").unwrap();
+        engine.update_cell(far, "far").unwrap();
+        check(&engine, "live");
+        let report = engine.checkpoint().unwrap().expect("durable");
+        assert_eq!(report.regions_dirty, 1, "the catch-all");
+        check(&engine, "checkpointed");
+    }
+    let mut engine = SheetEngine::open(&dir).unwrap();
+    check(&engine, "reopened");
+    // The reopened catch-all is a working store, far rows included.
+    engine.update_cell(CellAddr::new(far.row, 0), "2").unwrap();
+    assert_eq!(
+        engine.value(CellAddr::new(far.row, 0)),
+        CellValue::Number(2.0)
+    );
+    assert_eq!(engine.storage().filled_count(), 3);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The adapter over `get_range` (what COM and a linked table scan through)
+/// and the native walks hand a visitor the same borrowed shapes.
+#[test]
+fn scan_values_borrow_and_formulas_ride_along() {
+    let mut rom = RomTranslator::new(PosMapKind::default());
+    rom.set_cell(1, 1, Cell::value("text")).unwrap();
+    rom.set_cell(
+        2,
+        0,
+        Cell {
+            value: CellValue::Error(CellError::Div0),
+            formula: Some("1/0".into()),
+        },
+    )
+    .unwrap();
+    let mut seen = Vec::new();
+    rom.scan(
+        dataspread_engine::translator::WHOLE,
+        &mut |row, col, value, formula| {
+            seen.push((row, col, format!("{value:?}"), formula.map(str::to_string)));
+        },
+    );
+    assert_eq!(
+        seen,
+        vec![
+            (1, 1, format!("{:?}", ScanValue::Text("text")), None),
+            (
+                2,
+                0,
+                format!("{:?}", ScanValue::Error(CellError::Div0)),
+                Some("1/0".to_string())
+            ),
+        ]
+    );
+}

@@ -29,6 +29,18 @@ impl SparseSheet {
         Self::default()
     }
 
+    /// Bulk-build from non-blank cells keyed `(row, col)` — what a storage
+    /// scan yields. Of two cells at one address the later wins, as with
+    /// [`SparseSheet::set`]; `BTreeMap`'s collect sorts the pairs (one pass
+    /// over runs that are already row-major) and lays the tree out
+    /// bottom-up instead of descending it once per cell.
+    pub fn from_filled(cells: Vec<((u32, u32), Cell)>) -> Self {
+        debug_assert!(cells.iter().all(|(_, c)| !c.is_blank()));
+        SparseSheet {
+            cells: cells.into_iter().collect(),
+        }
+    }
+
     /// Number of filled (non-blank) cells.
     pub fn filled_count(&self) -> usize {
         self.cells.len()
@@ -179,20 +191,6 @@ impl SparseSheet {
     }
 }
 
-/// Equivalent to [`SparseSheet::set`] in iteration order (of two cells at
-/// one address the later wins; a blank leaves the address empty), but
-/// built in bulk: `BTreeMap`'s collect sorts the pairs — a single pass
-/// when they arrive row-major, as storage scans deliver them — and lays
-/// the tree out bottom-up instead of descending it once per cell.
-impl FromIterator<(CellAddr, Cell)> for SparseSheet {
-    fn from_iter<I: IntoIterator<Item = (CellAddr, Cell)>>(iter: I) -> Self {
-        let mut cells: BTreeMap<(u32, u32), Cell> =
-            iter.into_iter().map(|(a, c)| ((a.row, a.col), c)).collect();
-        cells.retain(|_, c| !c.is_blank());
-        SparseSheet { cells }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,23 +301,21 @@ mod tests {
     }
 
     #[test]
-    fn collect_matches_set_in_order() {
+    fn from_filled_matches_set_in_order() {
         let pairs = vec![
-            (a(3, 1), Cell::value(1i64)),
-            (a(0, 2), Cell::value(2i64)),
-            (a(3, 1), Cell::value(3i64)),
-            (a(5, 5), Cell::value(4i64)),
-            (a(5, 5), Cell::default()),
-            (a(0, 0), Cell::default()),
+            ((3, 1), Cell::value(1i64)),
+            ((0, 2), Cell::value(2i64)),
+            ((3, 1), Cell::value(3i64)),
+            ((5, 5), Cell::formula("A1")),
         ];
         let mut by_set = SparseSheet::new();
-        for (addr, cell) in pairs.clone() {
-            by_set.set(addr, cell);
+        for ((r, c), cell) in pairs.clone() {
+            by_set.set(a(r, c), cell);
         }
-        let collected: SparseSheet = pairs.into_iter().collect();
-        assert_eq!(collected, by_set);
-        assert_eq!(collected.filled_count(), 2);
-        assert_eq!(collected.value(a(3, 1)), CellValue::Number(3.0));
+        let built = SparseSheet::from_filled(pairs);
+        assert_eq!(built, by_set);
+        assert_eq!(built.filled_count(), 3);
+        assert_eq!(built.value(a(3, 1)), CellValue::Number(3.0));
     }
 
     #[test]

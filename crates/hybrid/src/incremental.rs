@@ -10,10 +10,10 @@
 
 use std::collections::HashMap;
 
-use dataspread_grid::{Rect, SparseSheet};
+use dataspread_grid::Rect;
 
 use crate::model::{best_leaf, Decomposition, ModelKind, Region};
-use crate::view::GridView;
+use crate::view::{GridView, Occupancy};
 use crate::{CostModel, OptimizerOptions};
 
 /// Options for incremental maintenance.
@@ -182,7 +182,7 @@ fn agg_rec(
 /// Incrementally re-optimize: keeps old tables where worthwhile, charges
 /// `η · migCost` for regions that change (paper Appendix A-C2, Figure 26).
 pub fn incremental_agg(
-    sheet: &SparseSheet,
+    occupancy: &Occupancy,
     old: &Decomposition,
     cm: &CostModel,
     opts: &IncrementalOptions,
@@ -197,7 +197,7 @@ pub fn incremental_agg(
         col_bounds.push(region.rect.c1);
         col_bounds.push(region.rect.c2 + 1);
     }
-    let view = GridView::with_boundaries(sheet, &row_bounds, &col_bounds);
+    let view = GridView::from_occupancy(occupancy, &row_bounds, &col_bounds, None);
     if view.is_empty() {
         return (Decomposition::default(), MigrationStats::default());
     }
@@ -236,7 +236,7 @@ pub fn incremental_agg(
 mod tests {
     use super::*;
     use crate::greedy::optimize_agg;
-    use dataspread_grid::CellAddr;
+    use dataspread_grid::{CellAddr, SparseSheet};
 
     fn dense_sheet(r1: u32, c1: u32, r2: u32, c2: u32) -> SparseSheet {
         let mut s = SparseSheet::new();
@@ -254,7 +254,12 @@ mod tests {
         let view = GridView::from_sheet(&s);
         let cm = CostModel::postgres();
         let old = optimize_agg(&view, &cm, &OptimizerOptions::default());
-        let (new, stats) = incremental_agg(&s, &old, &cm, &IncrementalOptions::default());
+        let (new, stats) = incremental_agg(
+            &Occupancy::of(&s),
+            &old,
+            &cm,
+            &IncrementalOptions::default(),
+        );
         assert_eq!(stats.migrated_cells, 0);
         assert_eq!(stats.kept_tables, old.table_count());
         assert!(new.is_recoverable(&s));
@@ -273,7 +278,7 @@ mod tests {
             }
         }
         let (new, stats) = incremental_agg(
-            &s,
+            &Occupancy::of(&s),
             &old,
             &cm,
             &IncrementalOptions {
@@ -298,7 +303,7 @@ mod tests {
         let cm = CostModel::postgres();
         let old = Decomposition::default(); // nothing to keep
         let (new, stats) = incremental_agg(
-            &s,
+            &Occupancy::of(&s),
             &old,
             &cm,
             &IncrementalOptions {
@@ -331,7 +336,7 @@ mod tests {
         let mut prev_migrated = u64::MAX;
         for eta in [0.0, 10.0, 1e6] {
             let (_, stats) = incremental_agg(
-                &s,
+                &Occupancy::of(&s),
                 &old,
                 &cm,
                 &IncrementalOptions {

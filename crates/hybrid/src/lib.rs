@@ -34,7 +34,7 @@ pub use dp::optimize_dp;
 pub use greedy::{optimize_agg, optimize_greedy};
 pub use incremental::{incremental_agg, IncrementalOptions};
 pub use model::{Decomposition, ModelKind, Region};
-pub use view::GridView;
+pub use view::{GridView, Occupancy};
 
 /// Which single-table models the optimizer may assign to a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

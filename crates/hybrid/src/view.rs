@@ -12,12 +12,77 @@ use std::collections::BTreeMap;
 
 use dataspread_grid::{CellAddr, Rect, SparseSheet};
 
+/// Which positions of a sheet hold a cell: per row, its filled columns in
+/// ascending order. It is all the optimizers read of a sheet, so storage
+/// can report it from a scan without materializing a single cell. (Sparse,
+/// unlike the dense prefix-sum bitmap `dataspread_grid::Occupancy`: two
+/// cells a million rows apart are two entries.)
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Occupancy {
+    rows: BTreeMap<u32, Vec<u32>>,
+}
+
+impl Occupancy {
+    /// The occupancy of an in-memory sheet.
+    pub fn of(sheet: &SparseSheet) -> Self {
+        Self::from_visits(|fill| {
+            for (addr, _) in sheet.iter() {
+                fill(addr.row, addr.col);
+            }
+        })
+    }
+
+    /// The occupancy of the positions `visit` reports, `(row, col)` each.
+    /// Rows may arrive in any order and a row in several pieces (a sheet
+    /// row crossing several stores); a piece in ascending column order that
+    /// continues its row — what a row-major scan delivers — costs one map
+    /// lookup per piece and no sort.
+    pub fn from_visits(visit: impl FnOnce(&mut dyn FnMut(u32, u32))) -> Self {
+        let mut occ = Occupancy::default();
+        let mut piece: (u32, Vec<u32>) = (0, Vec::new());
+        visit(&mut |row, col| {
+            if row != piece.0 {
+                occ.fill(piece.0, &piece.1);
+                piece.0 = row;
+                piece.1.clear();
+            }
+            piece.1.push(col);
+        });
+        occ.fill(piece.0, &piece.1);
+        occ
+    }
+
+    fn fill(&mut self, row: u32, cols: &[u32]) {
+        let Some(&first) = cols.first() else {
+            return;
+        };
+        let list = self.rows.entry(row).or_default();
+        let in_order =
+            list.last().is_none_or(|&l| l < first) && cols.windows(2).all(|w| w[0] < w[1]);
+        list.extend_from_slice(cols);
+        if !in_order {
+            list.sort_unstable();
+            list.dedup();
+        }
+    }
+
+    /// Minimum bounding rectangle of the filled positions.
+    pub fn bounding_box(&self) -> Option<Rect> {
+        let (&r1, _) = self.rows.first_key_value()?;
+        let (&r2, _) = self.rows.last_key_value()?;
+        // `fill` never leaves an empty list behind.
+        let c1 = self.rows.values().map(|cols| cols[0]).min()?;
+        let c2 = self.rows.values().map(|cols| cols[cols.len() - 1]).max()?;
+        Some(Rect::new(r1, c1, r2, c2))
+    }
+}
+
 /// A (possibly weighted) view of a sheet's occupancy.
 ///
 /// Band `i` of the row axis covers absolute rows
 /// `row_start[i] .. row_start[i+1]`; within a band every row has the same
 /// filled-column pattern, so a band×band cell is uniformly filled or empty.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridView {
     /// Number of row bands.
     h: usize,
@@ -38,13 +103,13 @@ pub struct GridView {
 impl GridView {
     /// Weighted view: adjacent structurally identical rows/columns collapse.
     pub fn from_sheet(sheet: &SparseSheet) -> Self {
-        Self::build(sheet, &[], &[], true, None)
+        Self::build(&Occupancy::of(sheet), &[], &[], true, None)
     }
 
     /// Unweighted view: every row/column is its own band (for tests and for
     /// the Theorem 5 equivalence check).
     pub fn from_sheet_unweighted(sheet: &SparseSheet) -> Self {
-        Self::build(sheet, &[], &[], false, None)
+        Self::build(&Occupancy::of(sheet), &[], &[], false, None)
     }
 
     /// Weighted view whose bands never exceed `max_rows × max_cols`
@@ -53,24 +118,43 @@ impl GridView {
     /// the cap would make the mandatory split cuts unreachable — the one
     /// case where Theorem 5's "collapse freely" doesn't carry over.
     pub fn from_sheet_capped(sheet: &SparseSheet, max_rows: u32, max_cols: u32) -> Self {
-        Self::build(sheet, &[], &[], true, Some((max_rows, max_cols)))
+        Self::build(
+            &Occupancy::of(sheet),
+            &[],
+            &[],
+            true,
+            Some((max_rows, max_cols)),
+        )
     }
 
     /// Weighted view with forced band boundaries (absolute coordinates that
     /// must *start* a new band). Incremental maintenance uses this so the
     /// previous decomposition's rectangles stay addressable.
     pub fn with_boundaries(sheet: &SparseSheet, row_bounds: &[u32], col_bounds: &[u32]) -> Self {
-        Self::build(sheet, row_bounds, col_bounds, true, None)
+        Self::build(&Occupancy::of(sheet), row_bounds, col_bounds, true, None)
+    }
+
+    /// The weighted view of an occupancy — what every `from_sheet*`
+    /// constructor builds once it has read the sheet's: forced band
+    /// boundaries as in [`GridView::with_boundaries`], a `(max_rows,
+    /// max_cols)` band cap as in [`GridView::from_sheet_capped`].
+    pub fn from_occupancy(
+        occupancy: &Occupancy,
+        row_bounds: &[u32],
+        col_bounds: &[u32],
+        band_cap: Option<(u32, u32)>,
+    ) -> Self {
+        Self::build(occupancy, row_bounds, col_bounds, true, band_cap)
     }
 
     fn build(
-        sheet: &SparseSheet,
+        occupancy: &Occupancy,
         row_bounds: &[u32],
         col_bounds: &[u32],
         collapse: bool,
         band_cap: Option<(u32, u32)>,
     ) -> Self {
-        let Some(bbox) = sheet.bounding_box() else {
+        let Some(bbox) = occupancy.bounding_box() else {
             return GridView {
                 h: 0,
                 w: 0,
@@ -81,12 +165,7 @@ impl GridView {
                 bbox: None,
             };
         };
-        // Per-row sorted column lists.
-        let mut rows: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for (addr, _) in sheet.iter() {
-            rows.entry(addr.row).or_default().push(addr.col);
-        }
-        // sheet.iter is row-major so each Vec is already sorted.
+        let rows = &occupancy.rows;
 
         use std::collections::HashSet;
         let row_bound_set: HashSet<u32> = row_bounds.iter().copied().collect();

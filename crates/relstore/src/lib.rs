@@ -40,7 +40,7 @@ pub mod wal;
 
 pub use btree::BPlusTree;
 pub use codec::Reader;
-pub use datum::{DataType, Datum};
+pub use datum::{DataType, Datum, DatumRef};
 pub use db::{Database, StorageConfig};
 pub use error::StoreError;
 pub use heap::{HeapFile, TupleId};

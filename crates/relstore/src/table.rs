@@ -1,6 +1,6 @@
 //! Tables: a schema plus a heap file, with storage accounting.
 
-use crate::datum::{decode_row, encode_row, Datum};
+use crate::datum::{decode_row, encode_row, Datum, DatumRef};
 use crate::error::StoreError;
 use crate::heap::{HeapFile, TupleId};
 use crate::page::PAGE_SIZE;
@@ -197,6 +197,19 @@ impl Table {
     pub fn fetch_cols(&self, tid: TupleId, cols: &[usize]) -> Result<Vec<Datum>, StoreError> {
         let bytes = self.heap.get(tid).ok_or(StoreError::BadTupleId)?;
         crate::datum::decode_row_project(bytes, cols)
+    }
+
+    /// [`Table::fetch_cols`] as borrows into `out` (cleared first): texts
+    /// point into the stored tuple, so a scan reuses one buffer and copies
+    /// nothing.
+    pub fn fetch_cols_ref<'a>(
+        &'a self,
+        tid: TupleId,
+        cols: &[usize],
+        out: &mut Vec<DatumRef<'a>>,
+    ) -> Result<(), StoreError> {
+        let bytes = self.heap.get(tid).ok_or(StoreError::BadTupleId)?;
+        crate::datum::decode_row_project_ref(bytes, cols, out)
     }
 
     /// Update a row; returns the (possibly relocated) tuple id.
