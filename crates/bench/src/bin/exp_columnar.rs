@@ -19,8 +19,8 @@
 //! recompute of `SUM`/`COUNT`/`AVERAGE`/`COUNTA` formulas spanning the
 //! million-row columns (the evaluator's real path: per-cell walk on ROM,
 //! `range_agg` column fold on columnar), and `WindowPatch` construction
-//! over scattered viewport-sized windows (the serving path:
-//! `from_cells` on ROM, run-level `PatchBuilder` streaming on columnar)
+//! over scattered viewport-sized windows (the serving path: the ordered
+//! scan placed into a `PatchBuilder`, on either layout)
 //! — then migrated in place to `ModelKind::Columnar` and measured again.
 //! Checkpoint image sizes on both sides show the compressed pages
 //! flowing straight into the v2 format. Aggregate values and window
@@ -35,9 +35,10 @@ use std::time::Instant;
 
 use dataspread_corpus::vcf::vcf_rows;
 use dataspread_engine::durable::image_path;
-use dataspread_engine::{ModelKind, ScanValue, SheetEngine};
+use dataspread_engine::{ModelKind, SheetEngine};
 use dataspread_grid::{CellAddr, CellValue, Rect};
-use dataspread_proto::{PatchBuilder, WindowPatch};
+use dataspread_proto::WindowPatch;
+use dataspread_workspace::window_patch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,29 +128,10 @@ fn windows(rect: Rect) -> Vec<Rect> {
         .collect()
 }
 
-/// Build every window's `WindowPatch` the way the workspace service
-/// does: run-level streaming where the window is columnar-resident,
-/// cell materialization otherwise.
+/// Build every window's `WindowPatch` the way the workspace service does.
 fn fetch_windows(engine: &SheetEngine, wins: &[Rect]) -> Vec<WindowPatch> {
     wins.iter()
-        .map(|&rect| {
-            let mut builder = PatchBuilder::new(rect);
-            let columnar =
-                engine
-                    .storage()
-                    .scan_columnar_window(rect, |_, _, v, formula| match v {
-                        ScanValue::Empty => builder.push_empty(formula),
-                        ScanValue::Number(n) => builder.push_number(n, formula),
-                        ScanValue::Bool(b) => builder.push_bool(b, formula),
-                        ScanValue::Text(s) => builder.push_text(s, formula),
-                        ScanValue::Error(e) => builder.push_error(e, formula),
-                    });
-            if columnar {
-                builder.finish()
-            } else {
-                WindowPatch::from_cells(rect, engine.get_cells(rect))
-            }
-        })
+        .map(|&rect| window_patch(engine.storage(), rect))
         .collect()
 }
 

@@ -1,8 +1,7 @@
 //! Shared infrastructure for the experiment harnesses.
 //!
-//! One `exp_*` binary per paper table/figure lives in `src/bin/`; Criterion
-//! micro-benchmarks live in `benches/`. This library provides the common
-//! pieces: timing, corpus loading, hybrid-storage loading, and the
+//! One `exp_*` binary per paper table/figure lives in `src/bin/`. This
+//! library provides the common pieces: timing, corpus loading, hybrid-storage loading, and the
 //! storage-level position-as-is/monotonic baselines of Table II & Figure 18.
 
 pub mod posmark;

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use dataspread_grid::{CellAddr, CellValue, Rect};
 use dataspread_proto::{
     read_frame, write_frame, CheckpointSummary, Edit, EditReceipt, RegistrySnapshot, Request,
-    Response, WindowPatch, WireStats, PROTOCOL_VERSION,
+    Response, SheetStats, WindowPatch, PROTOCOL_VERSION,
 };
 use dataspread_workspace::WorkspaceError;
 
@@ -809,7 +809,7 @@ impl RemoteSession {
         }
     }
 
-    pub fn stats(&self, sheet: &str) -> Result<WireStats, WorkspaceError> {
+    pub fn stats(&self, sheet: &str) -> Result<SheetStats, WorkspaceError> {
         match self.shared.call_retry(&Request::Stats {
             sheet: sheet.to_string(),
         })? {

@@ -22,12 +22,12 @@
 use std::collections::{btree_map, BTreeMap, HashMap};
 
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
+use dataspread_grid::{Cell, CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::{codec, StoreError};
 
 use crate::error::EngineError;
-use crate::translator::{push_cell, CellVisitor, Translator};
+use crate::translator::{CellVisitor, Translator};
 
 /// Overlay entries before the next write compacts them into the columns.
 const OVERLAY_COMPACT: usize = 4096;
@@ -42,49 +42,6 @@ const ENC_VERSION: u8 = 1;
 
 fn code_error(c: u8) -> Result<CellError, StoreError> {
     CellError::from_code(c).ok_or_else(|| codec::corrupt(format!("unknown error code {c}")))
-}
-
-/// Borrowed view of one cell's value during a columnar scan — what the
-/// window emitter and aggregate fast path consume without materializing
-/// [`Cell`]s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScanValue<'a> {
-    Empty,
-    Number(f64),
-    Bool(bool),
-    Text(&'a str),
-    Error(CellError),
-}
-
-impl ScanValue<'_> {
-    /// Materialize into an owned [`CellValue`] (texts clone).
-    pub fn to_value(self) -> CellValue {
-        match self {
-            ScanValue::Empty => CellValue::Empty,
-            ScanValue::Number(n) => CellValue::Number(n),
-            ScanValue::Bool(b) => CellValue::Bool(b),
-            ScanValue::Text(s) => CellValue::Text(s.to_string()),
-            ScanValue::Error(e) => CellValue::Error(e),
-        }
-    }
-
-    /// The owned cell a scan visitor was handed (texts clone).
-    pub fn to_cell(self, formula: Option<&str>) -> Cell {
-        Cell {
-            value: self.to_value(),
-            formula: formula.map(str::to_string),
-        }
-    }
-
-    pub(crate) fn of(v: &CellValue) -> ScanValue<'_> {
-        match v {
-            CellValue::Empty => ScanValue::Empty,
-            CellValue::Number(n) => ScanValue::Number(*n),
-            CellValue::Bool(b) => ScanValue::Bool(*b),
-            CellValue::Text(s) => ScanValue::Text(s),
-            CellValue::Error(e) => ScanValue::Error(*e),
-        }
-    }
 }
 
 /// Result of the single-column aggregate fast path: the exact sequential
@@ -725,13 +682,6 @@ impl ColumnBuilder {
         }
     }
 
-    fn push_cell(&mut self, cell: Option<&Cell>) {
-        match cell {
-            Some(c) => self.push(ScanValue::of(&c.value), c.formula.as_deref()),
-            None => self.push(ScanValue::Empty, None),
-        }
-    }
-
     fn finish(self) -> Column {
         let mut col = Column {
             runs: self
@@ -848,58 +798,6 @@ impl ColumnarTranslator {
             overlay: BTreeMap::new(),
             overlay_limit: OVERLAY_COMPACT,
         }
-    }
-
-    /// Bulk-build from rows of cells (the import / migration fast path):
-    /// `width` columns, one `Vec<Cell>` per row (short rows pad with
-    /// blanks).
-    pub fn bulk_load_rows(
-        width: u32,
-        rows: impl IntoIterator<Item = Vec<Cell>>,
-    ) -> ColumnarTranslator {
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
-        let mut n_rows = 0u32;
-        for row in rows {
-            for (c, b) in builders.iter_mut().enumerate() {
-                b.push_cell(row.get(c));
-            }
-            n_rows += 1;
-        }
-        ColumnarTranslator {
-            rows: n_rows,
-            columns: builders.into_iter().map(ColumnBuilder::finish).collect(),
-            overlay: BTreeMap::new(),
-            overlay_limit: OVERLAY_COMPACT,
-        }
-    }
-
-    /// Build from `(local addr, cell)` pairs over an extent of at least
-    /// `rows` x `cols`. A row-major run — what every bulk path hands over —
-    /// streams straight into the column builders; any other order is
-    /// sorted first, and of two cells at one address the later wins, as a
-    /// replay of `set_cell`s would have it.
-    pub fn from_cells(
-        rows: u32,
-        cols: u32,
-        cells: impl IntoIterator<Item = (CellAddr, Cell)>,
-    ) -> ColumnarTranslator {
-        let mut cells: Vec<(CellAddr, Cell)> = cells.into_iter().collect();
-        cells.sort_by_key(|(a, _)| (a.row, a.col));
-        let mut b = ColumnarBuilder::new(rows, cols);
-        let mut cells = cells.iter().peekable();
-        while let Some((addr, cell)) = cells.next() {
-            if cells.peek().is_some_and(|(next, _)| next == addr) {
-                continue;
-            }
-            b.push(
-                addr.row,
-                addr.col,
-                ScanValue::of(&cell.value),
-                cell.formula.as_deref(),
-            )
-            .expect("sorted above");
-        }
-        b.finish()
     }
 
     /// Cap the write overlay before compaction (tests exercise small
@@ -1065,10 +963,9 @@ impl ColumnarTranslator {
     }
 
     /// Row-major scan of a local rectangle, overlay-merged, including
-    /// empty positions — the window emitter's source, and the one walk
-    /// under [`Translator::scan`] and `get_range`. One [`CellCursor`] per
-    /// column is advanced row by row. `f` receives `(local row, local col,
-    /// value, formula)`.
+    /// empty positions — the one walk under [`Translator::scan`]. One
+    /// [`CellCursor`] per column is advanced row by row. `f` receives
+    /// `(local row, local col, value, formula)`.
     pub fn scan_rect(&self, rect: Rect, mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>)) {
         let stored = (self.columns.len() as u32).min(rect.c2.saturating_add(1));
         let mut cursors: Vec<CellCursor<'_>> = (rect.c1..stored)
@@ -1084,6 +981,31 @@ impl ColumnarTranslator {
                 f(row, col, value, formula);
             }
         }
+    }
+
+    /// [`Translator::scan`] generic over its visitor: the non-blank cells
+    /// of `rect` ∩ extent off [`ColumnarTranslator::scan_rect`]. The sheet's
+    /// ordered read calls this directly so the per-cell visit inlines into
+    /// the column walk instead of crossing a `dyn` call.
+    pub(crate) fn scan_filled(
+        &self,
+        rect: Rect,
+        mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>),
+    ) {
+        if rect.r1 >= self.rows || rect.c1 >= self.cols() {
+            return;
+        }
+        let rect = Rect::new(
+            rect.r1,
+            rect.c1,
+            rect.r2.min(self.rows - 1),
+            rect.c2.min(self.cols() - 1),
+        );
+        self.scan_rect(rect, |row, col, value, formula| {
+            if !matches!(value, ScanValue::Empty) || formula.is_some() {
+                f(row, col, value, formula);
+            }
+        });
     }
 
     /// Visit every formula cell as `(local row, local col, source)` —
@@ -1526,27 +1448,8 @@ impl Translator for ColumnarTranslator {
         Ok(())
     }
 
-    fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
-        let mut out = Vec::new();
-        self.scan(rect, &mut push_cell(&mut out));
-        out
-    }
-
     fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
-        if rect.r1 >= self.rows || rect.c1 >= self.cols() {
-            return;
-        }
-        let rect = Rect::new(
-            rect.r1,
-            rect.c1,
-            rect.r2.min(self.rows - 1),
-            rect.c2.min(self.cols() - 1),
-        );
-        self.scan_rect(rect, |row, col, value, formula| {
-            if !matches!(value, ScanValue::Empty) || formula.is_some() {
-                f(row, col, value, formula);
-            }
-        });
+        self.scan_filled(rect, f);
     }
 
     fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
@@ -1720,7 +1623,19 @@ mod tests {
                 },
             ]
         });
-        ColumnarTranslator::bulk_load_rows(4, rows)
+        from_rows(4, rows)
+    }
+
+    /// `width` columns, one `Vec<Cell>` per row, through the bulk builder.
+    fn from_rows(width: u32, rows: impl IntoIterator<Item = Vec<Cell>>) -> ColumnarTranslator {
+        let mut b = ColumnarBuilder::new(0, width);
+        for (r, row) in (0u32..).zip(rows) {
+            for (c, cell) in (0u32..).zip(&row) {
+                b.push(r, c, ScanValue::of(&cell.value), cell.formula.as_deref())
+                    .unwrap();
+            }
+        }
+        b.finish()
     }
 
     #[test]
@@ -1740,10 +1655,7 @@ mod tests {
 
     #[test]
     fn integer_columns_bit_pack() {
-        let t = ColumnarTranslator::bulk_load_rows(
-            1,
-            (0..1000u32).map(|r| vec![cell_n((r % 7) as f64)]),
-        );
+        let t = from_rows(1, (0..1000u32).map(|r| vec![cell_n((r % 7) as f64)]));
         // 0..6 needs 3 bits: 1000 values in ~47 words, far below 8000 bytes.
         assert!(t.resident_bytes() < 1000, "{} bytes", t.resident_bytes());
         for r in 0..1000u32 {
@@ -1756,10 +1668,7 @@ mod tests {
 
     #[test]
     fn dictionary_rle_compresses_repeats() {
-        let t = ColumnarTranslator::bulk_load_rows(
-            1,
-            (0..10_000u32).map(|_| vec![Cell::value("PASS")]),
-        );
+        let t = from_rows(1, (0..10_000u32).map(|_| vec![Cell::value("PASS")]));
         assert!(t.resident_bytes() < 128, "{} bytes", t.resident_bytes());
     }
 

@@ -2,15 +2,14 @@
 //! transpose of ROM: one tuple per sheet *column*, so column operations are
 //! tuple operations and row operations are schema operations.
 
-use dataspread_grid::{Cell, CellAddr, Rect};
+use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::PosMapKind;
 use dataspread_relstore::Datum;
 
-use crate::columnar::ScanValue;
 use crate::error::EngineError;
 use crate::rom::{RomBuilder, RomTranslator};
-use crate::translator::{scan_to_datums, Translator};
+use crate::translator::{scan_to_datums, CellVisitor, Translator};
 
 /// Column-oriented storage: a transposed [`RomTranslator`].
 #[derive(Debug)]
@@ -88,15 +87,23 @@ impl Translator for ComTranslator {
         self.inner.clear_cell(col, row)
     }
 
-    fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
-        let mut cells: Vec<(CellAddr, Cell)> = self
-            .inner
-            .get_range(transpose(rect))
-            .into_iter()
-            .map(|(a, c)| (CellAddr::new(a.col, a.row), c))
-            .collect();
-        cells.sort_by_key(|(a, _)| (a.row, a.col));
-        cells
+    /// The inner ROM walks column-major, so its scan of the transposed rect
+    /// is buffered and sorted back into row-major order.
+    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
+        let mut cells: Vec<(u32, u32, Cell)> = Vec::new();
+        self.inner
+            .scan(transpose(rect), &mut |col, row, value, formula| {
+                cells.push((row, col, value.to_cell(formula)));
+            });
+        cells.sort_unstable_by_key(|&(row, col, _)| (row, col));
+        for (row, col, cell) in &cells {
+            f(
+                *row,
+                *col,
+                ScanValue::of(&cell.value),
+                cell.formula.as_deref(),
+            );
+        }
     }
 
     fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {

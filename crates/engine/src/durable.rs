@@ -65,7 +65,7 @@ use std::path::{Path, PathBuf};
 use dataspread_grid::value::CellError;
 #[cfg(test)]
 use dataspread_grid::{Cell, CellAddr};
-use dataspread_grid::{CellValue, Rect};
+use dataspread_grid::{CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::PosMapKind;
 use dataspread_relstore::codec::{self, Reader};
@@ -76,7 +76,6 @@ use dataspread_relstore::{
 };
 use std::sync::Arc;
 
-use crate::columnar::ScanValue;
 use crate::error::EngineError;
 use crate::hybrid::{RegionImage, CATCHALL_REGION_ID};
 

@@ -39,7 +39,8 @@ pub mod sheet;
 pub mod tom;
 pub mod translator;
 
-pub use columnar::{ColumnAgg, ColumnarTranslator, ScanValue};
+pub use columnar::{ColumnAgg, ColumnarTranslator};
+pub use dataspread_grid::ScanValue;
 pub use durable::{CheckpointReport, LoggedOp, PersistenceStats};
 pub use error::EngineError;
 pub use hybrid::{HybridSheet, RegionImage, CATCHALL_REGION_ID};

@@ -10,18 +10,16 @@
 use std::collections::HashMap;
 use std::ops::Bound;
 
-use dataspread_grid::{Cell, CellAddr, Rect};
+use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
 use dataspread_relstore::{
     BPlusTree, ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId,
 };
 
-use crate::columnar::ScanValue;
 use crate::error::EngineError;
 use crate::translator::{
-    cell_to_datums, datum_to_scan, datums_to_cell, push_cell, scan_to_datums, CellVisitor,
-    Translator,
+    cell_to_datums, datum_to_scan, datums_to_cell, scan_to_datums, CellVisitor, Translator,
 };
 
 /// Cap on the RCV positional coordinate space (rows and columns alike).
@@ -230,12 +228,6 @@ impl Translator for RcvTranslator {
         Ok(())
     }
 
-    fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
-        let mut out = Vec::new();
-        self.scan(rect, &mut push_cell(&mut out));
-        out
-    }
-
     /// Visits the cells that exist, not the positions that could: per row
     /// of `rect`, one index range over `(row id, *)`, each entry's column
     /// id mapped back to its position through an inverse of the column map
@@ -375,7 +367,7 @@ impl Translator for RcvTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataspread_grid::CellValue;
+    use dataspread_grid::{CellAddr, CellValue};
 
     #[test]
     fn sparse_cells_store_one_tuple_each() {

@@ -7,16 +7,15 @@
 //! inserts avoid cascading updates (paper §V: "row and column numbers can
 //! be dealt with independently").
 
-use dataspread_grid::{Cell, CellAddr, Rect};
+use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
 use dataspread_relstore::{ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId};
 
-use crate::columnar::ScanValue;
 use crate::error::EngineError;
 use crate::translator::{
-    cell_into_datums, cell_to_datums, datum_to_scan, datums_to_cell, push_cell, scan_to_datums,
-    CellVisitor, Translator,
+    cell_into_datums, cell_to_datums, datum_to_scan, datums_to_cell, scan_to_datums, CellVisitor,
+    Translator,
 };
 
 /// Row-oriented storage for one region.
@@ -354,12 +353,6 @@ impl Translator for RomTranslator {
         Ok(())
     }
 
-    fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
-        let mut out = Vec::new();
-        self.scan(rect, &mut push_cell(&mut out));
-        out
-    }
-
     /// One ordered walk of the rows in `rect`: each tuple is decoded once,
     /// in place and only at the projected columns, into a buffer reused
     /// from row to row; its cells are handed out as borrows.
@@ -466,7 +459,7 @@ impl Translator for RomTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataspread_grid::CellValue;
+    use dataspread_grid::{CellAddr, CellValue};
 
     fn cell(n: i64) -> Cell {
         Cell::value(n)

@@ -509,7 +509,11 @@ impl SheetEngine {
         self.apply_shift(Shift::InsertRows { at, n })
     }
 
+    /// Live edits and WAL replay both pass here, so the count is clamped
+    /// once: a delete cannot reach past the last addressable row, and
+    /// `at + n` below this point never overflows.
     fn delete_rows_impl(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
+        let n = n.min(u32::MAX - at);
         self.sheet.delete_rows(at, n)?;
         self.apply_shift(Shift::DeleteRows { at, n })
     }
@@ -519,7 +523,9 @@ impl SheetEngine {
         self.apply_shift(Shift::InsertCols { at, n })
     }
 
+    /// Clamped like [`SheetEngine::delete_rows_impl`].
     fn delete_cols_impl(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
+        let n = n.min(u32::MAX - at);
         self.sheet.delete_cols(at, n)?;
         self.apply_shift(Shift::DeleteCols { at, n })
     }
@@ -602,9 +608,7 @@ impl SheetEngine {
                 "import target {rect} overlaps an existing region"
             )));
         }
-        for (addr, _) in self.sheet.get_cells(rect) {
-            self.sheet.clear_cell(addr)?;
-        }
+        self.clear_rect(rect)?;
         // Formula registrations under the imported block are dead too —
         // left in place, the next structural edit would resurrect the old
         // formula cells over the imported data.
@@ -630,6 +634,18 @@ impl SheetEngine {
         Ok(rect)
     }
 
+    /// Blank every cell of `rect`: the addresses come off the scan, so no
+    /// cell is cloned to be thrown away.
+    fn clear_rect(&mut self, rect: Rect) -> Result<(), EngineError> {
+        let mut filled = Vec::new();
+        self.sheet
+            .scan(rect, |row, col, _, _| filled.push(CellAddr::new(row, col)));
+        for addr in filled {
+            self.sheet.clear_cell(addr)?;
+        }
+        Ok(())
+    }
+
     // --------------------------------------------- database operations --
 
     /// `linkTable(range, tableName)` (paper §III): if the table exists the
@@ -641,9 +657,7 @@ impl SheetEngine {
             self.create_table_from_region(rect, name)?;
             // The region's cells now live in the table; remove them from
             // sheet storage.
-            for (addr, _) in self.sheet.get_cells(rect) {
-                self.sheet.clear_cell(addr)?;
-            }
+            self.clear_rect(rect)?;
         }
         let (rows, cols) = {
             let db = self.db.read();
@@ -1131,7 +1145,7 @@ fn shift_addr(addr: CellAddr, shift: Shift) -> Option<CellAddr> {
             addr
         }),
         Shift::DeleteRows { at, n } => {
-            if addr.row >= at + n {
+            if addr.row >= at.saturating_add(n) {
                 Some(CellAddr::new(addr.row - n, addr.col))
             } else if addr.row >= at {
                 None
@@ -1145,7 +1159,7 @@ fn shift_addr(addr: CellAddr, shift: Shift) -> Option<CellAddr> {
             addr
         }),
         Shift::DeleteCols { at, n } => {
-            if addr.col >= at + n {
+            if addr.col >= at.saturating_add(n) {
                 Some(CellAddr::new(addr.row, addr.col - n))
             } else if addr.col >= at {
                 None

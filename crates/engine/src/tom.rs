@@ -12,12 +12,12 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
+use dataspread_grid::{Cell, CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::{DataType, Database, Datum, TupleId};
 
 use crate::error::EngineError;
-use crate::translator::{datum_to_value, value_to_datum, Translator};
+use crate::translator::{datum_to_scan, datum_to_value, value_to_datum, CellVisitor, Translator};
 
 /// A linked database table region.
 pub struct TomTranslator {
@@ -124,26 +124,25 @@ impl Translator for TomTranslator {
         Ok(())
     }
 
-    fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
+    /// Walks the live table in heap-scan order; a linked table holds no
+    /// formulas.
+    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
         let db = self.db.read();
         let Ok(table) = db.table(&self.table_name) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
-        for (r, (_, tuple)) in table
+        let rows = table
             .scan()
-            .enumerate()
             .skip(rect.r1 as usize)
-            .take((rect.r2 - rect.r1) as usize + 1)
-        {
-            for c in rect.c1..=rect.c2.min(tuple.len().saturating_sub(1) as u32) {
-                let value = datum_to_value(&tuple[c as usize]);
-                if !value.is_empty() {
-                    out.push((CellAddr::new(r as u32, c), Cell::value(value)));
+            .take((rect.r2 - rect.r1) as usize + 1);
+        for (r, (_, tuple)) in (rect.r1..).zip(rows) {
+            for (c, datum) in (rect.c1..=rect.c2).zip(tuple.iter().skip(rect.c1 as usize)) {
+                let value = datum_to_scan(datum.as_ref());
+                if !matches!(value, ScanValue::Empty) {
+                    f(r, c, value, None);
                 }
             }
         }
-        out
     }
 
     fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {

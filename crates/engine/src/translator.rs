@@ -3,11 +3,10 @@
 //! tuples).
 
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::{Datum, DatumRef};
 
-use crate::columnar::ScanValue;
 use crate::error::EngineError;
 
 /// What [`Translator::scan`] hands each cell to: local row and column, the
@@ -46,32 +45,28 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
 
     fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError>;
 
-    /// All non-blank cells intersecting `rect` (local coords), row-major,
-    /// as owned cells. Layouts with a native [`Translator::scan`] collect
-    /// the same walk.
-    fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)>;
+    /// The one way a region is read in bulk: visit every non-blank cell of
+    /// `rect` ∩ extent (local coords) in strictly increasing row-major
+    /// order, values and formula sources as borrows — nothing is cloned
+    /// unless the visitor clones it. Snapshots, the optimizer's occupancy,
+    /// checkpoint payloads, migrations, relations, range aggregates and —
+    /// through [`HybridSheet::scan`](crate::hybrid::HybridSheet::scan) —
+    /// window fetches and the evaluator's range reads are all folds over
+    /// it.
+    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>);
+
+    /// The scan collected as owned cells.
+    fn get_range(&self, rect: Rect) -> Vec<(CellAddr, Cell)> {
+        let mut out = Vec::new();
+        self.scan(rect, &mut |row, col, value, formula| {
+            out.push((CellAddr::new(row, col), value.to_cell(formula)));
+        });
+        out
+    }
 
     /// All non-blank cells.
     fn all_cells(&self) -> Vec<(CellAddr, Cell)> {
         self.get_range(WHOLE)
-    }
-
-    /// The one way a region is read in bulk: visit every non-blank cell of
-    /// `rect` ∩ extent in strictly increasing row-major order, values and
-    /// formula sources as borrows — nothing is cloned unless the visitor
-    /// clones it. Snapshots, the optimizer's occupancy, checkpoint
-    /// payloads, migrations, relations and range aggregates are all folds
-    /// over it. ROM, RCV and columnar walk their stores natively; the
-    /// default adapts a layout that only has [`Translator::get_range`].
-    fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
-        for (addr, cell) in self.get_range(rect) {
-            f(
-                addr.row,
-                addr.col,
-                ScanValue::of(&cell.value),
-                cell.formula.as_deref(),
-            );
-        }
     }
 
     /// Update several cells of one row at once, consuming the batch so no
@@ -123,8 +118,8 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
         self.storage_bytes()
     }
 
-    /// Downcast hook for the columnar fast paths (column scans, run-level
-    /// window emission): `Some` only for
+    /// Downcast hook for the columnar fast paths (column aggregates, the
+    /// monomorphic window walk): `Some` only for
     /// [`ColumnarTranslator`](crate::columnar::ColumnarTranslator).
     fn as_columnar(&self) -> Option<&crate::columnar::ColumnarTranslator> {
         None
@@ -176,14 +171,6 @@ pub(crate) fn scan_to_datums(value: ScanValue<'_>, formula: Option<&str>) -> [Da
         value_into_datum(value.to_value()),
         formula.map_or(Datum::Null, |src| Datum::Text(src.to_string())),
     ]
-}
-
-/// What `get_range` hands its layout's walk: each visited cell, cloned
-/// into `out`.
-pub(crate) fn push_cell(
-    out: &mut Vec<(CellAddr, Cell)>,
-) -> impl FnMut(u32, u32, ScanValue<'_>, Option<&str>) + '_ {
-    move |row, col, value, formula| out.push((CellAddr::new(row, col), value.to_cell(formula)))
 }
 
 fn parse_cell_error(s: &str) -> CellError {

@@ -267,19 +267,4 @@ fn unsorted_or_duplicate_runs_are_refused_not_misbuilt() {
             assert!(built.is_err(), "{kind:?}: a {what} run must be refused");
         }
     }
-    // The columnar cell-list constructor keeps its looser contract by
-    // sorting: any order builds the same region, the later duplicate wins.
-    let sorted = {
-        let mut run = column_major.clone();
-        run.sort_by_key(|(a, _)| (a.row, a.col));
-        ColumnarTranslator::from_cells(2, 2, run)
-    };
-    let resorted = ColumnarTranslator::from_cells(2, 2, column_major);
-    assert_eq!(resorted.to_bytes(), sorted.to_bytes());
-    let last_wins = ColumnarTranslator::from_cells(2, 2, duplicate);
-    assert_eq!(
-        last_wins.get_cell(1, 1).map(|c| c.value),
-        Some(CellValue::Number(2.0))
-    );
-    assert_eq!(last_wins.filled_count(), 1);
 }

@@ -1,5 +1,5 @@
 //! Property tests for the columnar region codec: arbitrary cell grids
-//! must survive `from_cells → to_bytes → from_bytes` with exact cell
+//! must survive `build → to_bytes → from_bytes` with exact cell
 //! equality, and the encoding must be *canonical* — re-encoding a decoded
 //! translator reproduces the bytes (checkpoint determinism rests on it).
 //!
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use dataspread_engine::{ColumnarTranslator, Translator};
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue};
+use dataspread_grid::{Cell, CellValue};
 
 fn value() -> impl Strategy<Value = CellValue> {
     prop_oneof![
@@ -77,20 +77,15 @@ fn grid() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32, Cell)>)> {
     )
 }
 
-/// Resolve a [`grid`] sample into effective content (later duplicates
-/// win, like every `set_cell` path) and the translator built from it.
+/// The translator holding a [`grid`] sample's effective content: later
+/// duplicates win, and everything is compacted into the base columns.
 fn build(rows: u32, cols: u32, raw: &[(u32, u32, Cell)]) -> ColumnarTranslator {
-    let mut by_addr = std::collections::BTreeMap::new();
+    let mut t = ColumnarTranslator::new(rows, cols);
     for (r, c, cell) in raw {
-        by_addr.insert((r % rows, c % cols), cell.clone());
+        t.set_cell(r % rows, c % cols, cell.clone()).unwrap();
     }
-    ColumnarTranslator::from_cells(
-        rows,
-        cols,
-        by_addr
-            .into_iter()
-            .map(|((r, c), cell)| (CellAddr::new(r, c), cell)),
-    )
+    t.compact();
+    t
 }
 
 fn assert_roundtrip(t: &ColumnarTranslator, ctx: &str) {
@@ -121,10 +116,11 @@ proptest! {
             .iter()
             .flat_map(|(cell, n)| std::iter::repeat_n(cell.clone(), *n as usize))
             .collect();
-        let t = ColumnarTranslator::bulk_load_rows(
-            1,
-            col_cells.iter().map(|c| vec![c.clone()]),
-        );
+        let mut t = ColumnarTranslator::new(col_cells.len() as u32, 1);
+        for (r, cell) in (0u32..).zip(col_cells) {
+            t.set_cell(r, 0, cell).unwrap();
+        }
+        t.compact();
         assert_roundtrip(&t, "runs");
     }
 

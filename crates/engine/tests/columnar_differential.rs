@@ -276,6 +276,11 @@ fn columnar_window_scan_matches_get_cells() {
     assert!(served, "window inside the columnar region must be served");
     assert_eq!(positions, rect.rows() * rect.cols(), "one call per slot");
     assert_eq!(scanned, engine.get_cells(rect));
+    let mut ordered: Vec<(CellAddr, Cell)> = Vec::new();
+    engine.storage().scan(rect, |r, c, v, f| {
+        ordered.push((CellAddr::new(r, c), v.to_cell(f)));
+    });
+    assert_eq!(scanned, ordered, "the ordered scan serves the same cells");
 
     // A window poking outside the region falls back (fast path refused).
     let outside = Rect::new(0, 0, 40, 3);

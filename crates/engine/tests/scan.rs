@@ -2,14 +2,19 @@
 //!
 //! [`Translator::scan`] is what snapshots, the optimizer's occupancy,
 //! checkpoint payloads, migrations, relations and range aggregates fold
-//! over; ROM, RCV and columnar implement it natively, COM and TOM through
-//! the adapter over `get_range`. The reference for all of them is the
-//! slowest correct reader there is: one `get_cell` per position.
+//! over, and [`HybridSheet::scan`] — the same read across stores, in
+//! order — what window fetches, `get_cells` and the evaluator's range
+//! reads fold over. The reference for all of them is the slowest correct
+//! reader there is: one `get_cell` per position.
 //!
-//! * `scan(rect)` — for every layout, random sparse contents, a random
-//!   tape of edits and structural ops, and rects inside, straddling and
-//!   outside the extent — yields exactly the non-blank cells a `get_cell`
-//!   loop finds, in strictly increasing row-major order;
+//! * `Translator::scan(rect)` — for every layout, random sparse contents,
+//!   a random tape of edits and structural ops, and rects inside,
+//!   straddling and outside the extent — yields exactly the non-blank
+//!   cells a `get_cell` loop finds, in strictly increasing row-major order;
+//! * `HybridSheet::scan(rect)` does the same over sheets of several
+//!   regions of every layout with strays between them, `get_cells` is it
+//!   collected, and the window patch placed off it is the patch of the
+//!   swept cells;
 //! * `range_agg` equals the evaluator's sparse walk bit for bit;
 //! * `snapshot()` equals a `get_cell` sweep of the bounding box;
 //! * two cells a million rows apart are read, checkpointed and reopened in
@@ -18,14 +23,22 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use std::sync::Arc;
+
 use dataspread_engine::hybrid::{build_translator, HybridSheet, StorageReader};
 use dataspread_engine::rom::RomTranslator;
+use dataspread_engine::tom::TomTranslator;
+use dataspread_engine::translator::value_to_datum;
 use dataspread_engine::{ColumnarTranslator, ModelKind, ScanValue, SheetEngine, Translator};
 use dataspread_formula::eval::CellReader;
 use dataspread_formula::{parse, Evaluator};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_posmap::PosMapKind;
+use dataspread_proto::WindowPatch;
+use dataspread_relstore::codec::Reader;
+use dataspread_relstore::{ColumnDef, DataType, Database, Schema};
+use dataspread_workspace::window_patch;
 
 const TAPE_LEN: usize = if cfg!(debug_assertions) { 60 } else { 400 };
 const SEEDS: std::ops::Range<u64> = if cfg!(debug_assertions) { 0..6 } else { 0..40 };
@@ -231,7 +244,14 @@ fn columnar_scan_in_every_overlay_state() {
                 },
             ]
         });
-        ColumnarTranslator::bulk_load_rows(4, rows)
+        let mut t = ColumnarTranslator::new(40, 4);
+        for (r, row) in (0u32..).zip(rows) {
+            for (c, cell) in (0u32..).zip(row) {
+                t.set_cell(r, c, cell).unwrap();
+            }
+        }
+        t.compact();
+        t
     };
     let check = |t: &ColumnarTranslator, state: &str| {
         let mut rects = vec![
@@ -295,18 +315,280 @@ fn columnar_scan_in_every_overlay_state() {
     }
 }
 
+// ------------------------------------------------- the ordered read --
+
+/// The sheet area the ordered-read tapes play in (cells pushed past it by
+/// inserts are stored, just not compared).
+const AREA: Rect = Rect {
+    r1: 0,
+    c1: 0,
+    r2: 99,
+    c2: 59,
+};
+
+/// A store of `kind` holding a random sparse `rows` x `cols` block. A
+/// columnar store starts compacted with a random overlay limit, so the
+/// tape leaves it in every overlay state; a linked table lives in `db`.
+fn random_store(
+    rng: &mut StdRng,
+    kind: ModelKind,
+    posmap: PosMapKind,
+    db: &Arc<parking_lot::RwLock<Database>>,
+) -> (u32, u32, Box<dyn Translator>) {
+    let (rows, cols, cells) = random_run(rng);
+    let store: Box<dyn Translator> = match kind {
+        ModelKind::Columnar => {
+            let mut t = ColumnarTranslator::new(rows, cols);
+            for (addr, cell) in cells {
+                t.set_cell(addr.row, addr.col, cell).unwrap();
+            }
+            t.compact();
+            t.set_overlay_limit(rng.gen_range(2..40));
+            Box::new(t)
+        }
+        ModelKind::Tom => {
+            let columns = (0..cols).map(|c| ColumnDef::new(format!("c{c}"), DataType::Any));
+            let mut guard = db.write();
+            let table = guard
+                .create_table("linked", Schema::new(columns.collect()))
+                .unwrap();
+            for _ in 0..rows {
+                let row: Vec<_> = (0..cols)
+                    .map(|_| value_to_datum(&random_cell(rng).value))
+                    .collect();
+                table.insert(&row).unwrap();
+            }
+            Box::new(TomTranslator::new(Arc::clone(db), "linked"))
+        }
+        kind => build_translator(kind, posmap, rows, cols, cells).unwrap(),
+    };
+    (rows, cols, store)
+}
+
+/// Where a sheet's tape may write outside its regions: anywhere between
+/// and beside them, nowhere (the catch-all stays empty), or only in the
+/// top-left corner (the catch-all's extent ends before most rects).
+fn stray_area(seed: u64) -> Option<Rect> {
+    match seed % 3 {
+        0 => Some(Rect::new(0, 0, 79, 49)),
+        1 => None,
+        _ => Some(Rect::new(0, 0, 2, 2)),
+    }
+}
+
+/// 1–6 disjoint regions, one per slot of a 2 x 3 grid with room between
+/// them, plus strays in the sheet's [`stray_area`].
+fn random_sheet(rng: &mut StdRng, seed: u64) -> HybridSheet {
+    const ALL: [ModelKind; 5] = [
+        ModelKind::Rom,
+        ModelKind::Com,
+        ModelKind::Rcv,
+        ModelKind::Columnar,
+        ModelKind::Tom,
+    ];
+    let mut hs = HybridSheet::with_posmap(POSMAPS[seed as usize % POSMAPS.len()]);
+    let db = Arc::new(parking_lot::RwLock::new(Database::new()));
+    let regions = 1 + (seed as usize) % 6;
+    // The last slot first, so a sheet of any size can hold the linked
+    // table there: below and right of every other region (see
+    // `structural_step`).
+    for (i, slot) in (0..6usize).rev().take(regions).enumerate() {
+        let kind = match ALL[(seed as usize + i) % ALL.len()] {
+            ModelKind::Tom if slot != 5 => ModelKind::Columnar,
+            kind => kind,
+        };
+        let (rows, cols, store) = random_store(rng, kind, hs.posmap_kind(), &db);
+        let r1 = (slot as u32 / 3) * 36 + rng.gen_range(0..4);
+        let c1 = (slot as u32 % 3) * 14 + rng.gen_range(0..4);
+        hs.add_region(Rect::new(r1, c1, r1 + rows - 1, c1 + cols - 1), store)
+            .unwrap();
+    }
+    for _ in 0..rng.gen_range(0..40) {
+        if let Some(addr) = edit_target(rng, &hs, seed).map(|area| area.top_left()) {
+            let _ = hs.set_cell(addr, random_cell(rng));
+        }
+    }
+    hs
+}
+
+/// Where the next edit lands: a cell of the sheet's [`stray_area`] or of
+/// one of its regions, with the run of that area's columns right of it.
+fn edit_target(rng: &mut StdRng, hs: &HybridSheet, seed: u64) -> Option<Rect> {
+    let layout = hs.layout();
+    let area = match stray_area(seed) {
+        Some(area) if layout.is_empty() || rng.gen_bool(0.5) => area,
+        _ if layout.is_empty() => return None,
+        _ => layout[rng.gen_range(0..layout.len())].0,
+    };
+    let row = rng.gen_range(area.r1..=area.r2);
+    Some(Rect::new(
+        row,
+        rng.gen_range(area.c1..=area.c2),
+        row,
+        area.c2,
+    ))
+}
+
+/// One random row/column insert or delete. A linked table refuses schema
+/// edits and middle inserts, and the sheet applies a structural edit store
+/// by store, so with one on the sheet the edit stays above and left of it.
+fn structural_step(rng: &mut StdRng, hs: &mut HybridSheet) {
+    let tom = hs
+        .layout()
+        .into_iter()
+        .find(|(_, kind)| *kind == ModelKind::Tom)
+        .map(|(rect, _)| rect);
+    let rows = tom.map_or(AREA.r2, |t| t.r1);
+    let cols = tom.map_or(AREA.c2, |t| t.c1);
+    let n = rng.gen_range(1..3);
+    match rng.gen_range(0u32..4) {
+        0 => hs.insert_rows(rng.gen_range(0..=rows), n).unwrap(),
+        1 if rows >= n => hs.delete_rows(rng.gen_range(0..=rows - n), n).unwrap(),
+        2 => hs.insert_cols(rng.gen_range(0..=cols), n).unwrap(),
+        3 if cols >= n => hs.delete_cols(rng.gen_range(0..=cols - n), n).unwrap(),
+        _ => {}
+    }
+}
+
+/// A rect of each shape the ordered read distinguishes: inside one region,
+/// around two to four regions and the strays between them, small ones
+/// that mostly meet only the catch-all, wholly outside everything, and
+/// anything at all.
+fn sheet_rect(rng: &mut StdRng, hs: &HybridSheet) -> Rect {
+    // Regions as far as the compared area reaches.
+    let layout: Vec<Rect> = hs
+        .layout()
+        .iter()
+        .filter_map(|(region, _)| region.intersection(&AREA))
+        .collect();
+    let within = |rng: &mut StdRng, outer: Rect| {
+        let r1 = rng.gen_range(outer.r1..=outer.r2);
+        let c1 = rng.gen_range(outer.c1..=outer.c2);
+        Rect::new(
+            r1,
+            c1,
+            rng.gen_range(r1..=outer.r2),
+            rng.gen_range(c1..=outer.c2),
+        )
+    };
+    match rng.gen_range(0u32..6) {
+        0 | 1 if !layout.is_empty() => {
+            let region = layout[rng.gen_range(0..layout.len())];
+            within(rng, region)
+        }
+        2 if layout.len() >= 2 => {
+            let mut bbox = layout[rng.gen_range(0..layout.len())];
+            for _ in 0..rng.gen_range(1..4) {
+                bbox = bbox.bbox_union(&layout[rng.gen_range(0..layout.len())]);
+            }
+            bbox
+        }
+        3 => {
+            let r1 = rng.gen_range(0..AREA.r2 - 3);
+            let c1 = rng.gen_range(0..AREA.c2 - 3);
+            Rect::new(r1, c1, r1 + rng.gen_range(0..4), c1 + rng.gen_range(0..4))
+        }
+        4 => Rect::new(
+            500,
+            500,
+            500 + rng.gen_range(0..30),
+            500 + rng.gen_range(0..9),
+        ),
+        _ => within(rng, AREA),
+    }
+}
+
+#[test]
+fn the_ordered_scan_reads_a_sheet_as_a_get_cell_sweep_would() {
+    // How many checked rects met no region, sat inside one, crossed one's
+    // edge, crossed several, and crossed several on a sheet with no stray.
+    let mut shapes = [0usize; 5];
+    let mut kinds_seen = std::collections::HashSet::new();
+    for seed in SEEDS {
+        let mut rng = StdRng::seed_from_u64(0x0DE2_ED00 + seed);
+        let mut hs = random_sheet(&mut rng, seed);
+        kinds_seen.extend(hs.layout().into_iter().map(|(_, kind)| kind));
+        for op in 0..=TAPE_LEN {
+            // The reference: every position of the area, probed.
+            let mut swept: Vec<(CellAddr, Cell)> = Vec::new();
+            for addr in AREA.iter() {
+                swept.extend(hs.get_cell(addr).map(|cell| (addr, cell)));
+            }
+            for _ in 0..RECTS_PER_STEP + 2 {
+                let rect = sheet_rect(&mut rng, &hs);
+                let ctx = format!("seed {seed}, op {op}, {rect}");
+                let want: Vec<(CellAddr, Cell)> = swept
+                    .iter()
+                    .filter(|(addr, _)| rect.contains(*addr))
+                    .cloned()
+                    .collect();
+                let mut got: Vec<(CellAddr, Cell)> = Vec::new();
+                hs.scan(rect, |row, col, value, formula| {
+                    got.push((CellAddr::new(row, col), value.to_cell(formula)));
+                });
+                assert!(
+                    got.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{ctx}: not strictly row-major"
+                );
+                assert_eq!(got, want, "{ctx}: scan");
+                assert_eq!(hs.get_cells(rect), got, "{ctx}: get_cells");
+                let patch = window_patch(&hs, rect);
+                assert_eq!(patch, WindowPatch::from_cells(rect, got), "{ctx}: patch");
+                let mut bytes = Vec::new();
+                patch.encode(&mut bytes);
+                let decoded = WindowPatch::decode(&mut Reader::new(&bytes)).unwrap();
+                assert_eq!(decoded, patch, "{ctx}: patch round trip");
+
+                let crossing: Vec<Rect> = hs
+                    .layout()
+                    .into_iter()
+                    .filter_map(|(region, _)| region.intersection(&rect))
+                    .collect();
+                shapes[match crossing[..] {
+                    [] => 0,
+                    [hit] if hit == rect => 1,
+                    [_] => 2,
+                    _ if stray_area(seed).is_some() => 3,
+                    _ => 4,
+                }] += 1;
+            }
+            // A refused write (a COM tuple past its page, a cell beyond a
+            // linked table) changes nothing that matters.
+            match (rng.gen_range(0u32..10), edit_target(&mut rng, &hs, seed)) {
+                (0..=1, _) | (_, None) => structural_step(&mut rng, &mut hs),
+                (2, Some(run)) => {
+                    let mut batch = Vec::new();
+                    for c in run.c1..=run.c2 {
+                        if rng.gen_bool(0.3) {
+                            batch.push((c, random_cell(&mut rng)));
+                        }
+                    }
+                    let _ = hs.set_cells_in_row(run.r1, batch);
+                }
+                (3, Some(run)) => drop(hs.clear_cell(run.top_left())),
+                (_, Some(run)) => drop(hs.set_cell(run.top_left(), random_cell(&mut rng))),
+            }
+        }
+    }
+    assert!(
+        shapes.iter().all(|&n| n > 20),
+        "every rect shape is under test: {shapes:?}"
+    );
+    assert_eq!(kinds_seen.len(), 5, "every layout is under test");
+}
+
 // ------------------------------------------------------- range_agg --
 
 /// [`StorageReader`] with the aggregate fast path switched off: the
-/// evaluator falls back to its sparse walk over `range_values`.
+/// evaluator falls back to its sparse walk over `for_each_value`.
 struct SparseWalk<'a>(StorageReader<'a>);
 
 impl CellReader for SparseWalk<'_> {
     fn value(&self, addr: CellAddr) -> CellValue {
         self.0.value(addr)
     }
-    fn range_values(&self, rect: Rect) -> Vec<(CellAddr, CellValue)> {
-        self.0.range_values(rect)
+    fn for_each_value(&self, rect: Rect, f: &mut dyn FnMut(CellAddr, ScanValue<'_>)) {
+        self.0.for_each_value(rect, f)
     }
 }
 
@@ -424,6 +706,70 @@ fn range_agg_equals_the_evaluators_sparse_walk_bit_for_bit() {
     }
 }
 
+/// The evaluator reads ranges through the ordered scan: over a range
+/// holding two errors, every aggregate returns the *first* in row-major
+/// order — whichever store it sits in, and whether the store walks its
+/// rows or (COM) its columns — exactly as over an in-memory sheet.
+/// (`COUNTIF` counts matches and never propagated errors; it only has to
+/// agree.)
+#[test]
+fn the_first_error_in_row_major_order_wins_through_every_reader() {
+    let evaluator = Evaluator::new();
+    let error = |e| Cell::value(CellValue::Error(e));
+    // Region C1:E10; column F is the catch-all's.
+    let region = Rect::new(0, 2, 9, 4);
+    for kind in KINDS {
+        // (first error, second error), the second earlier in column-major
+        // order; then a catch-all error before, and after, the region's.
+        for (first, second) in [
+            (CellAddr::new(4, 3), CellAddr::new(5, 2)),
+            (CellAddr::new(3, 5), CellAddr::new(4, 2)),
+            (CellAddr::new(4, 2), CellAddr::new(6, 5)),
+        ] {
+            let mut hs = HybridSheet::new();
+            let store = build_translator(kind, PosMapKind::default(), 10, 3, Vec::new());
+            hs.add_region(region, store.unwrap()).unwrap();
+            for addr in Rect::new(0, 2, 9, 5).iter() {
+                let cell = match (addr.row + addr.col) % 4 {
+                    0 => Cell::value("t"),
+                    1 => Cell::default(),
+                    _ => Cell::value(f64::from(addr.row * 10 + addr.col)),
+                };
+                hs.set_cell(addr, cell).unwrap();
+            }
+            hs.set_cell(first, error(CellError::Na)).unwrap();
+            hs.set_cell(second, error(CellError::Div0)).unwrap();
+            let sheet = hs.snapshot(true);
+            let range = if first.col == 5 || second.col == 5 {
+                "C1:F10"
+            } else {
+                "C1:E10"
+            };
+            for name in [
+                "SUM", "COUNT", "COUNTA", "AVERAGE", "MIN", "MAX", "MEDIAN", "CONCAT",
+            ] {
+                let expr = parse(&format!("{name}({range})")).unwrap();
+                let ctx = format!("{kind:?} {name}({range}), errors at {first} then {second}");
+                let stored = evaluator.eval(&expr, &SparseWalk(StorageReader(&hs)));
+                assert_eq!(stored, CellValue::Error(CellError::Na), "{ctx}: storage");
+                let in_memory = evaluator.eval(&expr, &dataspread_formula::SheetReader(&sheet));
+                assert_eq!(in_memory, stored, "{ctx}: in-memory sheet");
+            }
+            let expr = parse(&format!("COUNTIF({range},\">40\")")).unwrap();
+            let stored = evaluator.eval(&expr, &StorageReader(&hs));
+            assert!(
+                matches!(stored, CellValue::Number(n) if n > 0.0),
+                "{stored:?}"
+            );
+            assert_eq!(
+                evaluator.eval(&expr, &dataspread_formula::SheetReader(&sheet)),
+                stored,
+                "{kind:?} COUNTIF({range})"
+            );
+        }
+    }
+}
+
 // -------------------------------------------------------- snapshot --
 
 #[test]
@@ -521,8 +867,7 @@ fn two_cells_a_million_rows_apart_cost_two_cells() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The adapter over `get_range` (what COM and a linked table scan through)
-/// and the native walks hand a visitor the same borrowed shapes.
+/// A visitor is handed borrowed values, and formula sources beside them.
 #[test]
 fn scan_values_borrow_and_formulas_ride_along() {
     let mut rom = RomTranslator::new(PosMapKind::default());

@@ -14,7 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dataspread_engine::SheetEngine;
-use dataspread_grid::{Cell, CellAddr, Rect};
+use dataspread_grid::value::CellError;
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
 
 const ROWS: u32 = 28;
 const COLS: u32 = 10;
@@ -141,5 +142,79 @@ fn formulas_above_band_keep_cached_values() {
             e.value(CellAddr::new(r, 1)),
             dataspread_grid::CellValue::Number(((r + 1) * 10) as f64)
         );
+    }
+}
+
+/// Regression: `DeleteRows`/`DeleteCols` arrive from the socket unchecked,
+/// and one whose `at + n` passes `u32::MAX` used to add in `u32` — a panic
+/// under the sheet's write lock in a debug build; in a release build the
+/// wrapped sum moved an imported region *down* a row, kept cells that
+/// should have died, and logged the op for replay to repeat. The count is
+/// clamped instead: everything from `at` on goes, nothing else moves.
+#[test]
+fn a_delete_reaching_past_the_last_row_or_column_deletes_to_the_end() {
+    for by_rows in [true, false] {
+        // `at(i, j)`: `i` along the deleted axis, `j` across it.
+        let at = |i: u32, j: u32| {
+            if by_rows {
+                CellAddr::new(i, j)
+            } else {
+                CellAddr::new(j, i)
+            }
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "dataspread-shift-overflow-{}-{by_rows}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut e = SheetEngine::open(&dir).unwrap();
+        e.update_cell(at(0, 0), "1").unwrap();
+        // Kept formulas: one reading only the deleted band, one reading
+        // only kept cells, one whose range straddles the cut.
+        e.update_cell(at(2, 1), &format!("={}+1", at(7, 0).to_a1()))
+            .unwrap();
+        e.update_cell(at(3, 0), &format!("={}*3", at(0, 0).to_a1()))
+            .unwrap();
+        let straddling = format!("=SUM({}:{})", at(0, 0).to_a1(), at(19, 0).to_a1());
+        e.update_cell(at(4, 1), &straddling).unwrap();
+        // Deleted: a value, a formula, a far stray and an imported region.
+        e.update_cell(at(7, 0), "40").unwrap();
+        e.update_cell(at(9, 1), &format!("={}+2", at(0, 0).to_a1()))
+            .unwrap();
+        e.update_cell(at(1000, 3), "far").unwrap();
+        let block = |len: usize, n: usize| vec![vec![CellValue::Number(7.0); len]; n];
+        if by_rows {
+            e.import_rows(at(20, 0), 2, block(2, 5)).unwrap();
+        } else {
+            e.import_rows(at(20, 0), 5, block(5, 2)).unwrap();
+        }
+        assert_eq!(e.value(at(4, 1)), CellValue::Number(44.0));
+
+        if by_rows {
+            e.delete_rows(5, u32::MAX).unwrap();
+        } else {
+            e.delete_cols(5, u32::MAX).unwrap();
+        }
+
+        let live = e.snapshot();
+        let kept: Vec<(CellAddr, CellValue)> =
+            live.iter().map(|(a, c)| (a, c.value.clone())).collect();
+        let mut want = vec![
+            (at(0, 0), CellValue::Number(1.0)),
+            (at(2, 1), CellValue::Error(CellError::Ref)),
+            (at(3, 0), CellValue::Number(3.0)),
+            (at(4, 1), CellValue::Number(4.0)),
+        ];
+        want.sort_by_key(|(a, _)| *a);
+        assert_eq!(kept, want, "by_rows {by_rows}: what survives the delete");
+        assert_eq!(e.storage().region_count(), 0, "the imported region is gone");
+
+        // The op was logged unclamped; replay must rebuild the same sheet.
+        e.save().unwrap();
+        drop(e);
+        let reopened = SheetEngine::open(&dir).unwrap();
+        assert_eq!(reopened.snapshot(), live, "by_rows {by_rows}: WAL replay");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 
 use dataspread_grid::value::CellError;
-use dataspread_grid::{CellAddr, CellValue, Rect};
+use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue};
 
 use crate::ast::{CellRef, Expr, UnOp};
 use crate::eval::CellReader;
@@ -205,24 +205,24 @@ pub fn batch_eval_sliding(
     let mut nums: Vec<f64> = vec![0.0; slots];
     let mut is_num: Vec<bool> = vec![false; slots];
     let mut occupied: Vec<bool> = vec![false; slots];
-    // `range_values` yields row-major, so this stays sorted by (row, col).
+    // Visits arrive row-major, so this stays sorted by (row, col).
     let mut errors: Vec<(u32, u32, CellError)> = Vec::new();
-    for (addr, value) in reader.range_values(union) {
+    reader.for_each_value(union, &mut |addr, value| {
         let idx = (addr.row - union.r1) as usize * width + (addr.col - union.c1) as usize;
         match value {
-            CellValue::Number(n) => {
+            ScanValue::Number(n) => {
                 nums[idx] = n;
                 is_num[idx] = true;
                 occupied[idx] = true;
             }
-            CellValue::Error(e) => {
+            ScanValue::Error(e) => {
                 errors.push((addr.row, addr.col, e));
                 occupied[idx] = true;
             }
-            CellValue::Empty => {}
+            ScanValue::Empty => {}
             _ => occupied[idx] = true,
         }
-    }
+    });
     let out = windows
         .iter()
         .map(|w| {

@@ -8,7 +8,7 @@
 //! functions (SEARCH/…), and lookups (VLOOKUP — the paper's stand-in for
 //! joins).
 
-use dataspread_grid::{CellAddr, CellValue, Rect, SparseSheet};
+use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue, SparseSheet};
 
 use crate::ast::{BinOp, Expr, UnOp};
 use dataspread_grid::value::CellError;
@@ -38,19 +38,16 @@ pub struct RangeAgg {
 pub trait CellReader {
     fn value(&self, addr: CellAddr) -> CellValue;
 
-    /// Non-empty values inside `rect`, row-major. The default loops over
-    /// every position; storage-backed readers override with a range scan.
-    fn range_values(&self, rect: Rect) -> Vec<(CellAddr, CellValue)> {
-        rect.iter()
-            .filter_map(|a| {
-                let v = self.value(a);
-                if v.is_empty() {
-                    None
-                } else {
-                    Some((a, v))
-                }
-            })
-            .collect()
+    /// Visit the non-empty values inside `rect` in row-major order, as
+    /// borrows. The default probes every position; storage-backed readers
+    /// override with their ordered scan.
+    fn for_each_value(&self, rect: Rect, f: &mut dyn FnMut(CellAddr, ScanValue<'_>)) {
+        for addr in rect.iter() {
+            let v = self.value(addr);
+            if !v.is_empty() {
+                f(addr, ScanValue::of(&v));
+            }
+        }
     }
 
     /// Optional aggregate fast path: `Some` when the storage layer can
@@ -81,11 +78,10 @@ impl CellReader for SheetReader<'_> {
         self.0.value(addr)
     }
 
-    fn range_values(&self, rect: Rect) -> Vec<(CellAddr, CellValue)> {
-        self.0
-            .iter_rect(rect)
-            .map(|(a, c)| (a, c.value.clone()))
-            .collect()
+    fn for_each_value(&self, rect: Rect, f: &mut dyn FnMut(CellAddr, ScanValue<'_>)) {
+        for (addr, cell) in self.0.iter_rect(rect) {
+            f(addr, ScanValue::of(&cell.value));
+        }
     }
 }
 
@@ -171,8 +167,8 @@ impl Evaluator {
         match name {
             "SUM" => ctx.fold_numbers(0.0, |acc, n| acc + n),
             "PRODUCT" => ctx.fold_numbers(1.0, |acc, n| acc * n),
-            "COUNT" => ctx.count(|v| matches!(v, CellValue::Number(_))),
-            "COUNTA" => ctx.count(|v| !v.is_empty()),
+            "COUNT" => ctx.count(|v| matches!(v, ScanValue::Number(_))),
+            "COUNTA" => ctx.count(|v| !matches!(v, ScanValue::Empty)),
             "AVERAGE" => ctx.average(),
             "MIN" => ctx.min_max(true),
             "MAX" => ctx.min_max(false),
@@ -359,33 +355,32 @@ impl Ctx<'_> {
         Ok(v.as_text())
     }
 
-    /// Visit every value in the argument list, expanding ranges sparsely.
-    fn for_each_value(&self, mut f: impl FnMut(CellValue)) -> Option<CellValue> {
+    /// Visit every value in the argument list as a borrow, expanding ranges
+    /// sparsely. The first error met — row-major within a range — ends the
+    /// walk: it is returned and later visits are ignored.
+    fn for_each_value(&self, mut f: impl FnMut(ScanValue<'_>)) -> Option<CellValue> {
+        let mut error = None;
         for arg in self.args {
+            let mut visit = |v: ScanValue<'_>| match v {
+                _ if error.is_some() => {}
+                ScanValue::Error(e) => error = Some(e),
+                v => f(v),
+            };
             match self.eval.eval_val(arg, self.reader) {
-                Val::Range(r) => {
-                    for (_, v) in self.reader.range_values(r) {
-                        if let CellValue::Error(e) = v {
-                            return Some(CellValue::Error(e));
-                        }
-                        f(v);
-                    }
-                }
-                Val::Scalar(v) => {
-                    if let CellValue::Error(e) = v {
-                        return Some(CellValue::Error(e));
-                    }
-                    f(v);
-                }
+                Val::Range(r) => self.reader.for_each_value(r, &mut |_, v| visit(v)),
+                Val::Scalar(v) => visit(ScanValue::of(&v)),
+            }
+            if error.is_some() {
+                break;
             }
         }
-        None
+        error.map(CellValue::Error)
     }
 
     fn fold_numbers(&self, init: f64, f: impl Fn(f64, f64) -> f64) -> CellValue {
         let mut acc = init;
         if let Some(err) = self.for_each_value(|v| {
-            if let CellValue::Number(n) = v {
+            if let ScanValue::Number(n) = v {
                 acc = f(acc, n);
             }
         }) {
@@ -394,10 +389,10 @@ impl Ctx<'_> {
         CellValue::Number(acc)
     }
 
-    fn count(&self, pred: impl Fn(&CellValue) -> bool) -> CellValue {
+    fn count(&self, pred: impl Fn(ScanValue<'_>) -> bool) -> CellValue {
         let mut n = 0u64;
         if let Some(err) = self.for_each_value(|v| {
-            if pred(&v) {
+            if pred(v) {
                 n += 1;
             }
         }) {
@@ -410,7 +405,7 @@ impl Ctx<'_> {
         let mut sum = 0.0;
         let mut n = 0u64;
         if let Some(err) = self.for_each_value(|v| {
-            if let CellValue::Number(x) = v {
+            if let ScanValue::Number(x) = v {
                 sum += x;
                 n += 1;
             }
@@ -427,7 +422,7 @@ impl Ctx<'_> {
     fn min_max(&self, min: bool) -> CellValue {
         let mut best: Option<f64> = None;
         if let Some(err) = self.for_each_value(|v| {
-            if let CellValue::Number(x) = v {
+            if let ScanValue::Number(x) = v {
                 best = Some(match best {
                     None => x,
                     Some(b) => {
@@ -448,7 +443,7 @@ impl Ctx<'_> {
     fn median(&self) -> CellValue {
         let mut xs = Vec::new();
         if let Some(err) = self.for_each_value(|v| {
-            if let CellValue::Number(x) = v {
+            if let ScanValue::Number(x) = v {
                 xs.push(x);
             }
         }) {
@@ -498,7 +493,7 @@ impl Ctx<'_> {
         let mut acc = is_and;
         let mut saw = false;
         if let Some(err) = self.for_each_value(|v| {
-            if let Some(b) = v.as_bool() {
+            if let Some(b) = v.to_value().as_bool() {
                 saw = true;
                 if is_and {
                     acc &= b;
@@ -639,7 +634,10 @@ impl Ctx<'_> {
 
     fn concatenate(&self) -> CellValue {
         let mut out = String::new();
-        if let Some(err) = self.for_each_value(|v| out.push_str(&v.as_text())) {
+        if let Some(err) = self.for_each_value(|v| match v {
+            ScanValue::Text(s) => out.push_str(s),
+            v => out.push_str(&v.to_value().as_text()),
+        }) {
             return err;
         }
         CellValue::Text(out)
@@ -877,11 +875,11 @@ impl Ctx<'_> {
         };
         let pred = Criteria::parse(&crit);
         let mut n = 0u64;
-        for (_, v) in self.reader.range_values(rect) {
-            if pred.matches(&v) {
+        self.reader.for_each_value(rect, &mut |_, v| {
+            if pred.matches(&v.to_value()) {
                 n += 1;
             }
-        }
+        });
         CellValue::Number(n as f64)
     }
 }

@@ -64,7 +64,7 @@ fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
             }
         }
         Shift::DeleteRows { at, n } => {
-            if r.row >= at + n {
+            if r.row >= at.saturating_add(n) {
                 out.row -= n;
             } else if r.row >= at {
                 return None;
@@ -76,7 +76,7 @@ fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
             }
         }
         Shift::DeleteCols { at, n } => {
-            if r.col >= at + n {
+            if r.col >= at.saturating_add(n) {
                 out.col -= n;
             } else if r.col >= at {
                 return None;

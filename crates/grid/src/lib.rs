@@ -26,4 +26,4 @@ pub use error::GridError;
 pub use mask::Occupancy;
 pub use region::Rect;
 pub use sheet::SparseSheet;
-pub use value::{Cell, CellError, CellValue};
+pub use value::{Cell, CellError, CellValue, ScanValue};

@@ -213,6 +213,50 @@ impl Cell {
     }
 }
 
+/// Borrowed view of one cell's value — what a storage scan hands its
+/// visitor, so the window emitter, the evaluator and the aggregate fast
+/// path read cells without materializing [`Cell`]s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScanValue<'a> {
+    Empty,
+    Number(f64),
+    Bool(bool),
+    Text(&'a str),
+    Error(CellError),
+}
+
+impl ScanValue<'_> {
+    /// The borrowed view of an owned value.
+    pub fn of(v: &CellValue) -> ScanValue<'_> {
+        match v {
+            CellValue::Empty => ScanValue::Empty,
+            CellValue::Number(n) => ScanValue::Number(*n),
+            CellValue::Bool(b) => ScanValue::Bool(*b),
+            CellValue::Text(s) => ScanValue::Text(s),
+            CellValue::Error(e) => ScanValue::Error(*e),
+        }
+    }
+
+    /// Materialize into an owned [`CellValue`] (texts clone).
+    pub fn to_value(self) -> CellValue {
+        match self {
+            ScanValue::Empty => CellValue::Empty,
+            ScanValue::Number(n) => CellValue::Number(n),
+            ScanValue::Bool(b) => CellValue::Bool(b),
+            ScanValue::Text(s) => CellValue::Text(s.to_string()),
+            ScanValue::Error(e) => CellValue::Error(e),
+        }
+    }
+
+    /// The owned cell a scan visitor was handed (texts clone).
+    pub fn to_cell(self, formula: Option<&str>) -> Cell {
+        Cell {
+            value: self.to_value(),
+            formula: formula.map(str::to_string),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,7 +36,7 @@ pub mod wire;
 
 pub use metrics::{decode_metrics, encode_metrics, MAX_METRIC_ENTRIES};
 pub use patch::{PatchBuilder, WindowPatch};
-pub use types::{codes, CheckpointSummary, Edit, EditReceipt, SheetStats, WireError, WireStats};
+pub use types::{codes, CheckpointSummary, Edit, EditReceipt, SheetStats, WireError};
 pub use wire::{read_frame, write_frame, Request, Response, MAX_FRAME, PROTOCOL_VERSION};
 
 // Re-export the observability vocabulary the protocol speaks, so

@@ -19,7 +19,7 @@
 //! `Session::fetch_window` *and* the wire encoding of a window response —
 //! the server never re-shapes a window, it frames these bytes as-is.
 
-use dataspread_grid::{Cell, CellAddr, CellError, CellValue, Rect};
+use dataspread_grid::{Cell, CellAddr, CellError, CellValue, Rect, ScanValue};
 use dataspread_relstore::codec::{corrupt, put_f64, put_str, put_u32, put_u64, put_u8, Reader};
 use dataspread_relstore::StoreError;
 
@@ -88,37 +88,21 @@ pub struct WindowPatch {
 }
 
 impl WindowPatch {
-    /// Build a patch from the engine's sorted `(addr, cell)` window scan.
-    /// Cells outside `rect` are ignored (defensive — `get_cells` never
-    /// produces them); blank cells contribute nothing.
+    /// Build a patch from a list of distinct `(addr, cell)`s, in any order:
+    /// sorted, then placed like a scan ([`PatchBuilder::place`]). Cells
+    /// outside `rect` are ignored; blank cells contribute nothing.
     pub fn from_cells(rect: Rect, mut cells: Vec<(CellAddr, Cell)>) -> WindowPatch {
         cells.sort_unstable_by_key(|(a, _)| *a);
-        let width = u64::from(rect.c2 - rect.c1) + 1;
-        let mut patch = WindowPatch {
-            rect,
-            runs: Vec::new(),
-            errors: Vec::new(),
-            formulas: Vec::new(),
-        };
-        for (addr, cell) in cells {
-            if addr.row < rect.r1 || addr.row > rect.r2 || addr.col < rect.c1 || addr.col > rect.c2
-            {
-                continue;
-            }
-            let idx = u64::from(addr.row - rect.r1) * width + u64::from(addr.col - rect.c1);
-            if let Some(src) = cell.formula {
-                patch.formulas.push((idx, src));
-            }
-            match cell.value {
-                CellValue::Empty => {}
-                CellValue::Error(e) => patch.errors.push((idx, e)),
-                CellValue::Number(n) => patch.push_number(idx, n),
-                CellValue::Text(s) => patch.push_scalar(idx, RunData::Texts(vec![s])),
-                CellValue::Bool(b) => patch.push_scalar(idx, RunData::Bools(vec![b])),
-            }
+        let mut b = PatchBuilder::new(rect);
+        for (addr, cell) in &cells {
+            b.place(
+                addr.row,
+                addr.col,
+                ScanValue::of(&cell.value),
+                cell.formula.as_deref(),
+            );
         }
-        patch.compact_repeats();
-        patch
+        b.finish()
     }
 
     /// Append a number at `idx`, extending the previous run when it is
@@ -480,89 +464,63 @@ fn split_repeats<T: Clone>(
     }
 }
 
-/// Streaming [`WindowPatch`] construction for storage layers that scan a
-/// window value-by-value (the engine's columnar regions walk their RLE
-/// runs in row-major order) — no intermediate `(CellAddr, Cell)` vector,
-/// no per-cell `Cell` allocation, no re-sort.
-///
-/// Push exactly one call per window position, row-major: the builder
-/// tracks the linear index itself. Pushes past the window area are
-/// ignored (mirrors `from_cells` dropping out-of-rect cells).
+/// Streaming [`WindowPatch`] construction off an ordered scan of the window
+/// (`HybridSheet::scan` in the engine): the filled cells arrive as borrows
+/// in strictly increasing row-major order and go straight into the runs —
+/// no intermediate `(CellAddr, Cell)` vector, no per-cell `Cell`, no sort.
 #[derive(Debug)]
 pub struct PatchBuilder {
     patch: WindowPatch,
-    idx: u64,
-    area: u64,
+    /// First linear index not yet placed.
+    next: u64,
 }
 
 impl PatchBuilder {
     pub fn new(rect: Rect) -> PatchBuilder {
-        let patch = WindowPatch {
-            rect,
-            runs: Vec::new(),
-            errors: Vec::new(),
-            formulas: Vec::new(),
-        };
-        let area = patch.area();
         PatchBuilder {
-            patch,
-            idx: 0,
-            area,
+            patch: WindowPatch {
+                rect,
+                runs: Vec::new(),
+                errors: Vec::new(),
+                formulas: Vec::new(),
+            },
+            next: 0,
         }
     }
 
-    /// Record `formula` (if any) at the current position, then advance.
-    fn step(&mut self, formula: Option<&str>) {
+    /// Place the cell at sheet position `(row, col)`. Positions must
+    /// strictly increase in row-major order; the ones skipped are blank. A
+    /// cell outside the window is ignored, and so is one at or behind the
+    /// last placed position — a bug in the caller's scan, never
+    /// mis-indexed.
+    #[inline]
+    pub fn place(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
+        let Some(idx) = self.patch.index_of(CellAddr::new(row, col)) else {
+            return;
+        };
+        debug_assert!(
+            idx >= self.next,
+            "cell ({row},{col}) placed out of row-major order"
+        );
+        if idx < self.next {
+            return;
+        }
+        self.next = idx + 1;
         if let Some(src) = formula {
-            self.patch.formulas.push((self.idx, src.to_string()));
+            self.patch.formulas.push((idx, src.to_string()));
         }
-        self.idx += 1;
-    }
-
-    fn in_bounds(&self) -> bool {
-        self.idx < self.area
-    }
-
-    pub fn push_empty(&mut self, formula: Option<&str>) {
-        if self.in_bounds() {
-            self.step(formula);
+        match value {
+            ScanValue::Empty => {}
+            ScanValue::Error(e) => self.patch.errors.push((idx, e)),
+            ScanValue::Number(n) => self.patch.push_number(idx, n),
+            ScanValue::Text(s) => self
+                .patch
+                .push_scalar(idx, RunData::Texts(vec![s.to_string()])),
+            ScanValue::Bool(b) => self.patch.push_scalar(idx, RunData::Bools(vec![b])),
         }
     }
 
-    pub fn push_number(&mut self, n: f64, formula: Option<&str>) {
-        if self.in_bounds() {
-            let idx = self.idx;
-            self.patch.push_number(idx, n);
-            self.step(formula);
-        }
-    }
-
-    pub fn push_bool(&mut self, b: bool, formula: Option<&str>) {
-        if self.in_bounds() {
-            let idx = self.idx;
-            self.patch.push_scalar(idx, RunData::Bools(vec![b]));
-            self.step(formula);
-        }
-    }
-
-    pub fn push_text(&mut self, s: &str, formula: Option<&str>) {
-        if self.in_bounds() {
-            let idx = self.idx;
-            self.patch
-                .push_scalar(idx, RunData::Texts(vec![s.to_string()]));
-            self.step(formula);
-        }
-    }
-
-    pub fn push_error(&mut self, e: CellError, formula: Option<&str>) {
-        if self.in_bounds() {
-            self.patch.errors.push((self.idx, e));
-            self.step(formula);
-        }
-    }
-
-    /// Finish the patch (collapses repeat stretches). The result is
-    /// identical to `from_cells` over the equivalent cell list.
+    /// Finish the patch (collapses repeat stretches).
     pub fn finish(mut self) -> WindowPatch {
         self.patch.compact_repeats();
         self.patch
@@ -802,70 +760,121 @@ mod tests {
         // repeats, built both ways must be structurally identical.
         let rect = Rect::new(3, 2, 7, 11); // 5x10 window
         let mut cells = Vec::new();
-        let mut b = PatchBuilder::new(rect);
         for idx in 0..50u32 {
             let addr = CellAddr::new(rect.r1 + idx / 10, rect.c1 + idx % 10);
-            match idx {
-                0..=17 => {
-                    b.push_number(7.0, None);
-                    cells.push((addr, Cell::value(7.0)));
-                }
-                18 => {
-                    b.push_error(CellError::Div0, Some("1/0"));
-                    cells.push((
-                        addr,
-                        Cell {
-                            value: CellValue::Error(CellError::Div0),
-                            formula: Some("1/0".to_string()),
-                        },
-                    ));
-                }
-                19 | 20 => {
-                    b.push_empty(None);
-                }
-                21..=40 => {
-                    b.push_text("apparel", None);
-                    cells.push((addr, Cell::value("apparel")));
-                }
-                41 => {
-                    b.push_bool(true, None);
-                    cells.push((addr, Cell::value(true)));
-                }
-                42 => {
-                    b.push_number(42.0, Some("SUM(A1:A2)"));
-                    cells.push((
-                        addr,
-                        Cell {
-                            value: CellValue::Number(42.0),
-                            formula: Some("SUM(A1:A2)".to_string()),
-                        },
-                    ));
-                }
-                43 => {
-                    b.push_empty(Some("ZZ99"));
-                    cells.push((addr, Cell::formula("ZZ99")));
-                }
-                _ => {
-                    b.push_number(idx as f64, None);
-                    cells.push((addr, Cell::value(idx as f64)));
-                }
-            }
+            let cell = match idx {
+                0..=17 => Cell::value(7.0),
+                18 => Cell {
+                    value: CellValue::Error(CellError::Div0),
+                    formula: Some("1/0".to_string()),
+                },
+                19 | 20 => continue,
+                21..=40 => Cell::value("apparel"),
+                41 => Cell::value(true),
+                42 => Cell::formula("SUM(A1:A2)").with_value(42.0),
+                43 => Cell::formula("ZZ99"),
+                _ => Cell::value(idx as f64),
+            };
+            cells.push((addr, cell));
         }
-        let built = b.finish();
-        let from_cells = WindowPatch::from_cells(rect, cells);
-        assert_eq!(built, from_cells);
+        let built = placed(rect, &cells);
+        assert_eq!(built, WindowPatch::from_cells(rect, cells.clone()));
+        assert_eq!(built.cells(), cells);
         assert_eq!(roundtrip(&built), built);
+    }
+
+    /// `cells` placed into a builder in the order given.
+    fn placed(rect: Rect, cells: &[(CellAddr, Cell)]) -> WindowPatch {
+        let mut b = PatchBuilder::new(rect);
+        for (addr, cell) in cells {
+            b.place(
+                addr.row,
+                addr.col,
+                ScanValue::of(&cell.value),
+                cell.formula.as_deref(),
+            );
+        }
+        b.finish()
     }
 
     #[test]
     fn builder_ignores_pushes_past_the_window() {
-        let rect = Rect::new(0, 0, 0, 1);
+        let rect = Rect::new(1, 1, 1, 2);
         let mut b = PatchBuilder::new(rect);
-        b.push_number(1.0, None);
-        b.push_number(2.0, None);
-        b.push_number(3.0, None); // past the 2-cell area
+        b.place(0, 1, ScanValue::Number(0.0), None); // above
+        b.place(1, 0, ScanValue::Number(0.5), None); // left
+        b.place(1, 1, ScanValue::Number(1.0), None);
+        b.place(1, 2, ScanValue::Number(2.0), None);
+        b.place(1, 3, ScanValue::Number(3.0), Some("A1")); // right
+        b.place(2, 1, ScanValue::Text("x"), None); // below
         let patch = b.finish();
-        assert_eq!(patch.filled_count(), 2);
+        assert_eq!(
+            patch.cells(),
+            vec![
+                (CellAddr::new(1, 1), cell_num(1.0)),
+                (CellAddr::new(1, 2), cell_num(2.0)),
+            ]
+        );
+    }
+
+    /// A scan that hands a position at or behind the last one is a bug:
+    /// loud in debug builds, and in release the cell is dropped — never
+    /// filed under the wrong index.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "out of row-major order"))]
+    fn a_position_behind_the_last_is_refused() {
+        let mut b = PatchBuilder::new(Rect::new(0, 0, 1, 1));
+        b.place(0, 1, ScanValue::Number(1.0), None);
+        b.place(0, 0, ScanValue::Number(2.0), Some("B1"));
+        b.place(0, 1, ScanValue::Text("again"), None);
+        b.place(1, 0, ScanValue::Bool(true), None);
+        assert_eq!(
+            b.finish().cells(),
+            vec![
+                (CellAddr::new(0, 1), cell_num(1.0)),
+                (CellAddr::new(1, 0), Cell::value(true)),
+            ]
+        );
+    }
+
+    proptest::proptest! {
+        /// Any strictly increasing subset of window positions — stretches
+        /// of one shape, so long number and text repeats occur beside
+        /// bools, errors, gaps and formulas over empty values — builds the
+        /// patch `from_cells` builds from the same cells out of order, and
+        /// that patch expands back to the cells and survives the wire.
+        #[test]
+        fn place_builds_what_from_cells_builds(
+            rows in 1u32..7,
+            cols in 1u32..40,
+            stretches in proptest::collection::vec((1usize..40, 0u8..8, 0u8..4), 1..24),
+        ) {
+            let rect = Rect::new(5, 3, 5 + rows - 1, 3 + cols - 1);
+            let shapes = stretches
+                .iter()
+                .flat_map(|&(len, shape, formula)| std::iter::repeat_n((shape, formula), len));
+            let mut cells = Vec::new();
+            for (addr, (shape, formula)) in rect.iter().zip(shapes) {
+                let value = match shape {
+                    0 => continue,
+                    1 | 2 => CellValue::Number(7.0),
+                    3 => CellValue::Number(f64::from(addr.col)),
+                    4 => CellValue::Text("apparel".to_string()),
+                    5 => CellValue::Bool(addr.row % 2 == 0),
+                    6 => CellValue::Error(CellError::Na),
+                    _ => CellValue::Empty,
+                };
+                let formula =
+                    (formula == 0 || value.is_empty()).then(|| format!("A{}", addr.row + 1));
+                cells.push((addr, Cell { value, formula }));
+            }
+            let built = placed(rect, &cells);
+            let mut reversed = cells.clone();
+            reversed.reverse();
+            proptest::prop_assert_eq!(&built, &WindowPatch::from_cells(rect, reversed));
+            proptest::prop_assert_eq!(built.cells(), cells);
+            proptest::prop_assert_eq!(roundtrip(&built), built);
+        }
     }
 
     #[test]

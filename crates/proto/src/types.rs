@@ -192,10 +192,6 @@ pub struct SheetStats {
     pub degraded_since_ms: Option<u64>,
 }
 
-/// Former name of [`SheetStats`], kept so existing call sites read
-/// naturally; the two are one type.
-pub type WireStats = SheetStats;
-
 /// Field ids for the [`SheetStats`] tagged encoding. Ids are wire
 /// contract: never reuse, only append.
 mod stat_ids {

@@ -22,13 +22,13 @@ use dataspread_relstore::StoreError;
 use crate::metrics::{decode_metrics, encode_metrics};
 use crate::patch::WindowPatch;
 use crate::types::{
-    put_rect, put_value, read_rect, read_value, CheckpointSummary, Edit, EditReceipt, WireError,
-    WireStats,
+    put_rect, put_value, read_rect, read_value, CheckpointSummary, Edit, EditReceipt, SheetStats,
+    WireError,
 };
 
 /// Bumped on any incompatible change; the hello handshake rejects
 /// mismatches before any other request is processed. Version 2 replaced
-/// the fixed-shape stats payload with the field-tagged [`WireStats`]
+/// the fixed-shape stats payload with the field-tagged [`SheetStats`]
 /// encoding and added `Metrics`.
 pub const PROTOCOL_VERSION: u16 = 2;
 
@@ -284,7 +284,7 @@ pub enum Response {
     Imported(Rect),
     /// `None` on in-memory workspaces (nothing to checkpoint).
     Checkpoint(Option<CheckpointSummary>),
-    Stats(WireStats),
+    Stats(SheetStats),
     Pong,
     Err(WireError),
     /// `DurableTicket` answer, both values frozen when the sheet's
@@ -387,7 +387,7 @@ impl Response {
                 1 => Response::Checkpoint(Some(CheckpointSummary::decode(&mut r)?)),
                 t => return Err(corrupt(format!("unknown checkpoint presence tag {t}"))),
             },
-            7 => Response::Stats(WireStats::decode(&mut r)?),
+            7 => Response::Stats(SheetStats::decode(&mut r)?),
             8 => Response::Pong,
             9 => Response::Err(WireError {
                 code: r.u16()?,
@@ -496,7 +496,7 @@ mod tests {
             regions_dirty: 1,
             regions_written: 1,
         })));
-        let stats = WireStats {
+        let stats = SheetStats {
             filled_cells: 100,
             regions: 2,
             persistent: true,
@@ -534,7 +534,7 @@ mod tests {
         // A future server appends a field this decoder has no id for, or an
         // older one still sends the retired cache counters (ids 19/20);
         // the known fields still land and the rest is dropped.
-        let stats = WireStats {
+        let stats = SheetStats {
             filled_cells: 7,
             ..Default::default()
         };
@@ -554,7 +554,7 @@ mod tests {
             }
             spliced.extend_from_slice(&body[4..]);
             let mut r = Reader::new(&spliced);
-            let decoded = WireStats::decode(&mut r).unwrap();
+            let decoded = SheetStats::decode(&mut r).unwrap();
             r.expect_done("stats").unwrap();
             assert_eq!(decoded, stats);
         }

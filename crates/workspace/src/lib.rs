@@ -49,7 +49,7 @@ mod service;
 
 pub use committer::GroupCommitter;
 pub use dataspread_proto::{Edit, EditReceipt, SheetStats, WindowPatch};
-pub use service::{Session, Workspace, WorkspaceConfig, WorkspaceError};
+pub use service::{window_patch, Session, Workspace, WorkspaceConfig, WorkspaceError};
 
 pub use dataspread_engine::{CheckpointReport, PersistenceStats, SheetEngine};
 

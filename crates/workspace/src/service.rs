@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-use dataspread_engine::{CheckpointReport, EngineError, EngineObs, ScanValue, SheetEngine};
+use dataspread_engine::{CheckpointReport, EngineError, EngineObs, HybridSheet, SheetEngine};
 use dataspread_grid::{CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_obs::{
     now_ms, Counter, Event, Gauge, Health, Histogram, MetricsRegistry, SheetHealth,
@@ -557,6 +557,19 @@ impl Workspace {
     }
 }
 
+/// The window `rect` of `sheet` as a [`WindowPatch`]: the sheet's ordered
+/// scan placed straight into a [`PatchBuilder`] — whatever layouts serve
+/// the window, no `(CellAddr, Cell)` list and no sort in between (a window
+/// straddling several stores is gathered and sorted once, inside the
+/// scan). Equal to `WindowPatch::from_cells(rect, sheet.get_cells(rect))`.
+pub fn window_patch(sheet: &HybridSheet, rect: Rect) -> WindowPatch {
+    let mut builder = PatchBuilder::new(rect);
+    sheet.scan(rect, |row, col, value, formula| {
+        builder.place(row, col, value, formula)
+    });
+    builder.finish()
+}
+
 /// A client handle onto a [`Workspace`]: the session API (`open_sheet`,
 /// `fetch_window`, `apply_edit`, `import_rows`, `checkpoint`), keyed by
 /// sheet name. Every request/response type on this surface is wire-stable
@@ -761,30 +774,7 @@ impl Session {
     pub fn fetch_window(&self, sheet: &str, rect: Rect) -> Result<WindowPatch, WorkspaceError> {
         let shard = self.shard(sheet)?;
         let t0 = self.op_timer(&self.inner.op_hists.fetch_window);
-        let patch = {
-            let engine = self.read_engine(&shard);
-            // Columnar fast path: when a columnar region serves the whole
-            // window, its row-major RLE scan drives a streaming
-            // PatchBuilder — no `(CellAddr, Cell)` materialization, no
-            // re-sort. Produces a patch identical to `from_cells` on the
-            // same window.
-            let mut builder = PatchBuilder::new(rect);
-            let columnar =
-                engine
-                    .storage()
-                    .scan_columnar_window(rect, |_, _, v, formula| match v {
-                        ScanValue::Empty => builder.push_empty(formula),
-                        ScanValue::Number(n) => builder.push_number(n, formula),
-                        ScanValue::Bool(b) => builder.push_bool(b, formula),
-                        ScanValue::Text(s) => builder.push_text(s, formula),
-                        ScanValue::Error(e) => builder.push_error(e, formula),
-                    });
-            if columnar {
-                builder.finish()
-            } else {
-                WindowPatch::from_cells(rect, engine.get_cells(rect))
-            }
-        };
+        let patch = window_patch(self.read_engine(&shard).storage(), rect);
         self.note_op(
             t0,
             &self.inner.op_hists.fetch_window,

@@ -292,3 +292,48 @@ fn concurrent_readers_see_consistent_windows_during_writes() {
         }
     });
 }
+
+/// The wire's `DeleteRows { at, n }` is applied as sent: a count reaching
+/// past the last row deletes to the end of the sheet (it used to overflow
+/// `at + n` under the sheet's write lock), live and after recovery.
+#[test]
+fn a_delete_count_past_the_last_row_deletes_to_the_end() {
+    let dir = temp_dir("delete-overflow");
+    let window = Rect::new(0, 0, 60, MAX_COL);
+    let live = {
+        let ws = Workspace::open_with(&dir, WorkspaceConfig::default()).unwrap();
+        let session = ws.session();
+        session.open_sheet("s").unwrap();
+        for row in 0..12u32 {
+            let set = Edit::Set {
+                row,
+                col: 0,
+                input: format!("{row}"),
+            };
+            session.apply_edit("s", set).unwrap();
+        }
+        let block = vec![vec![dataspread_grid::CellValue::Number(7.0); 2]; 5];
+        session
+            .import_rows("s", CellAddr::new(20, 0), 2, block)
+            .unwrap();
+        let delete = Edit::DeleteRows { at: 5, n: u32::MAX };
+        session.apply_edit("s", delete).unwrap();
+        let cells = session.fetch_window("s", window).unwrap().cells();
+        let want: Vec<(CellAddr, Cell)> = (0..5u32)
+            .map(|row| (CellAddr::new(row, 0), Cell::value(f64::from(row))))
+            .collect();
+        assert_eq!(cells, want, "rows 0..5 and nothing else");
+        assert_eq!(session.snapshot("s").unwrap().filled_count(), 5);
+        cells
+    };
+    let ws = Workspace::open_with(&dir, WorkspaceConfig::default()).unwrap();
+    let session = ws.session();
+    session.open_sheet("s").unwrap();
+    assert_eq!(
+        session.fetch_window("s", window).unwrap().cells(),
+        live,
+        "recovered from the WAL"
+    );
+    drop(ws);
+    std::fs::remove_dir_all(&dir).ok();
+}
