@@ -14,17 +14,17 @@
 //! That keeps the layout honest for *read-mostly* — not read-only —
 //! regions: point edits stay O(log overlay), scans stay columnar.
 //!
-//! The byte encoding (via `relstore::codec`) is the checkpoint payload
+//! The byte encoding (via `dataspread_grid::codec`) is the checkpoint payload
 //! itself: [`ColumnarTranslator::to_bytes`] / [`ColumnarTranslator::from_bytes`]
 //! round-trip byte-identically, so v2 images store the compressed pages
 //! directly and recovery restores a region without per-cell replay.
 
 use std::collections::{btree_map, BTreeMap, HashMap};
 
+use dataspread_grid::codec;
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellValue, Rect, ScanValue};
+use dataspread_grid::{Cell, CellValue, DecodeError, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_relstore::{codec, StoreError};
 
 use crate::error::EngineError;
 use crate::translator::{CellVisitor, Translator};
@@ -39,10 +39,6 @@ const TAG_TEXT: u8 = 3;
 const TAG_ERR: u8 = 4;
 
 const ENC_VERSION: u8 = 1;
-
-fn code_error(c: u8) -> Result<CellError, StoreError> {
-    CellError::from_code(c).ok_or_else(|| codec::corrupt(format!("unknown error code {c}")))
-}
 
 /// Result of the single-column aggregate fast path: the exact sequential
 /// row-order folds the evaluator would have produced cell-by-cell.
@@ -424,7 +420,7 @@ impl Column {
                     TAG_BOOL => ScanValue::Bool(self.bools.get(i)),
                     TAG_TEXT => ScanValue::Text(&self.dict[self.codes.get(i) as usize]),
                     _ => ScanValue::Error(
-                        code_error(self.errors[i as usize]).expect("validated on build"),
+                        CellError::from_code(self.errors[i as usize]).expect("validated on build"),
                     ),
                 };
                 f(row, v);
@@ -508,7 +504,9 @@ impl<'a> BaseCursor<'a> {
             TAG_NUM => ScanValue::Number(col.nums.get(i)),
             TAG_BOOL => ScanValue::Bool(col.bools.get(i)),
             TAG_TEXT => ScanValue::Text(&col.dict[self.code(i) as usize]),
-            _ => ScanValue::Error(code_error(col.errors[i as usize]).expect("validated on build")),
+            _ => ScanValue::Error(
+                CellError::from_code(col.errors[i as usize]).expect("validated on build"),
+            ),
         }
     }
 
@@ -1120,7 +1118,7 @@ impl ColumnarTranslator {
     /// Decode a payload produced by [`ColumnarTranslator::to_bytes`],
     /// validating every structural invariant (run extents, payload
     /// lengths, dictionary codes, overlay ordering).
-    pub fn from_bytes(bytes: &[u8]) -> Result<ColumnarTranslator, StoreError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<ColumnarTranslator, DecodeError> {
         let mut r = codec::Reader::new(bytes);
         let version = r.u8()?;
         if version != ENC_VERSION {
@@ -1193,7 +1191,7 @@ fn put_cell(out: &mut Vec<u8>, cell: &Cell) {
     }
 }
 
-fn read_cell(r: &mut codec::Reader<'_>) -> Result<Cell, StoreError> {
+fn read_cell(r: &mut codec::Reader<'_>) -> Result<Cell, DecodeError> {
     let flags = r.u8()?;
     if flags > 1 {
         return Err(codec::corrupt(format!("bad cell flags {flags}")));
@@ -1203,14 +1201,14 @@ fn read_cell(r: &mut codec::Reader<'_>) -> Result<Cell, StoreError> {
         TAG_NUM => CellValue::Number(r.f64()?),
         TAG_BOOL => CellValue::Bool(r.u8()? != 0),
         TAG_TEXT => CellValue::Text(r.str()?),
-        TAG_ERR => CellValue::Error(code_error(r.u8()?)?),
+        TAG_ERR => CellValue::Error(codec::cell_error(r.u8()?)?),
         t => return Err(codec::corrupt(format!("bad value tag {t}"))),
     };
     let formula = if flags & 1 != 0 { Some(r.str()?) } else { None };
     Ok(Cell { value, formula })
 }
 
-fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, StoreError> {
+fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeError> {
     let n_runs = r.u32()?;
     if n_runs as u64 > rows as u64 {
         return Err(codec::corrupt("more runs than rows"));
@@ -1371,7 +1369,7 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, StoreErro
     let mut errors = Vec::with_capacity((n_errors as usize).min(1 << 20));
     for _ in 0..n_errors {
         let e = r.u8()?;
-        code_error(e)?;
+        codec::cell_error(e)?;
         errors.push(e);
     }
     let n_formulas = r.u32()?;

@@ -1,7 +1,7 @@
 //! Engine error type.
 
 use dataspread_formula::ParseError;
-use dataspread_grid::GridError;
+use dataspread_grid::{DecodeError, GridError};
 use dataspread_rel::RelError;
 use dataspread_relstore::StoreError;
 
@@ -37,6 +37,11 @@ impl std::error::Error for EngineError {}
 impl From<StoreError> for EngineError {
     fn from(e: StoreError) -> Self {
         EngineError::Store(e)
+    }
+}
+impl From<DecodeError> for EngineError {
+    fn from(e: DecodeError) -> Self {
+        EngineError::Store(e.into())
     }
 }
 impl From<GridError> for EngineError {

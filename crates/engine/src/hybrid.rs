@@ -921,6 +921,7 @@ impl HybridSheet {
     /// cells are untouched, so they stay clean for the next checkpoint
     /// (the rect change lands in the page-map, not in region payloads).
     pub fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
+        self.refuse_push_off(at, n, |r| (r.r1, r.r2))?;
         if self.catchall.rows() > at {
             self.catchall.insert_rows(at, n)?;
             self.catchall_dirty = true;
@@ -937,6 +938,28 @@ impl HybridSheet {
         // Rects only translated or grew; slot indices are unchanged, so
         // the routing index updates in place.
         self.routing.insert_rows(at, n);
+        Ok(())
+    }
+
+    /// Refuse, before anything moves, an insert of `n` at `at` that would
+    /// push a region (its `span` along the insert's axis) past the last
+    /// row or column — Excel's "would push non-empty cells off the
+    /// worksheet". The catch-all refuses such an insert on its own (its
+    /// positional space is capped far below `u32::MAX`) before any region
+    /// moves, so a refusal from either leaves the sheet untouched.
+    fn refuse_push_off(
+        &self,
+        at: u32,
+        n: u32,
+        span: impl Fn(&Rect) -> (u32, u32),
+    ) -> Result<(), EngineError> {
+        for (first, last) in self.regions.iter().map(|region| span(&region.rect)) {
+            if at <= last && last.checked_add(n).is_none() {
+                return Err(EngineError::Unsupported(format!(
+                    "inserting {n} at {at} would push the region at {first}..={last} off the sheet"
+                )));
+            }
+        }
         Ok(())
     }
 
@@ -981,6 +1004,7 @@ impl HybridSheet {
     }
 
     pub fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
+        self.refuse_push_off(at, n, |r| (r.c1, r.c2))?;
         if self.catchall.cols() > at {
             self.catchall.insert_cols(at, n)?;
             self.catchall_dirty = true;

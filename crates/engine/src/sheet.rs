@@ -1139,8 +1139,10 @@ fn range_hits_shift(r: &Rect, shift: Shift) -> bool {
 /// Where a cell moves under a structural edit; `None` when deleted.
 fn shift_addr(addr: CellAddr, shift: Shift) -> Option<CellAddr> {
     match shift {
+        // The sheet refuses an insert that would push a cell off it, so the
+        // checked adds only keep this total.
         Shift::InsertRows { at, n } => Some(if addr.row >= at {
-            CellAddr::new(addr.row + n, addr.col)
+            CellAddr::new(addr.row.checked_add(n)?, addr.col)
         } else {
             addr
         }),
@@ -1154,7 +1156,7 @@ fn shift_addr(addr: CellAddr, shift: Shift) -> Option<CellAddr> {
             }
         }
         Shift::InsertCols { at, n } => Some(if addr.col >= at {
-            CellAddr::new(addr.row, addr.col + n)
+            CellAddr::new(addr.row, addr.col.checked_add(n)?)
         } else {
             addr
         }),

@@ -18,8 +18,8 @@ pub type CellVisitor<'a> = dyn FnMut(u32, u32, ScanValue<'_>, Option<&str>) + 'a
 pub const WHOLE: Rect = Rect {
     r1: 0,
     c1: 0,
-    r2: u32::MAX - 1,
-    c2: u32::MAX - 1,
+    r2: u32::MAX,
+    c2: u32::MAX,
 };
 
 /// A translator serves a rectangular region of the sheet in *local*

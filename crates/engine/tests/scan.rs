@@ -32,11 +32,11 @@ use dataspread_engine::translator::value_to_datum;
 use dataspread_engine::{ColumnarTranslator, ModelKind, ScanValue, SheetEngine, Translator};
 use dataspread_formula::eval::CellReader;
 use dataspread_formula::{parse, Evaluator};
+use dataspread_grid::codec::Reader;
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_posmap::PosMapKind;
 use dataspread_proto::WindowPatch;
-use dataspread_relstore::codec::Reader;
 use dataspread_relstore::{ColumnDef, DataType, Database, Schema};
 use dataspread_workspace::window_patch;
 

@@ -13,7 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dataspread_engine::SheetEngine;
+use dataspread_engine::{EngineError, SheetEngine};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
 
@@ -210,6 +210,92 @@ fn a_delete_reaching_past_the_last_row_or_column_deletes_to_the_end() {
         assert_eq!(e.storage().region_count(), 0, "the imported region is gone");
 
         // The op was logged unclamped; replay must rebuild the same sheet.
+        e.save().unwrap();
+        drop(e);
+        let reopened = SheetEngine::open(&dir).unwrap();
+        assert_eq!(reopened.snapshot(), live, "by_rows {by_rows}: WAL replay");
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Regression, the insert twin of the delete above: an insert whose `n`
+/// pushes content past `u32::MAX` used to add in `u32` — a panic under
+/// the sheet's write lock in a debug build; in a release build an imported
+/// region at rows 20–24 wrapped to rows 16–20, a formula reading rows past
+/// the cut was rewritten onto the wrong cells, and the op was logged for
+/// replay to repeat. Now an insert that would push a region off the sheet
+/// is refused before anything moves and logs nothing, and one that only
+/// pushes *references* off goes through with those formulas at `#REF!`.
+#[test]
+fn an_insert_pushing_content_past_the_last_row_or_column_is_refused() {
+    for by_rows in [true, false] {
+        // `at(i, j)`: `i` along the inserted axis, `j` across it.
+        let at = |i: u32, j: u32| {
+            if by_rows {
+                CellAddr::new(i, j)
+            } else {
+                CellAddr::new(j, i)
+            }
+        };
+        let insert = |e: &mut SheetEngine, n: u32| {
+            if by_rows {
+                e.insert_rows(5, n)
+            } else {
+                e.insert_cols(5, n)
+            }
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "dataspread-insert-overflow-{}-{by_rows}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut e = SheetEngine::open(&dir).unwrap();
+        // Before the cut: a value, a formula reading only cells past the
+        // cut, and one reading only cells before it.
+        e.update_cell(at(0, 0), "1").unwrap();
+        let past_the_cut = format!("=SUM({}:{})", at(99, 0).to_a1(), at(199, 0).to_a1());
+        e.update_cell(at(1, 0), &past_the_cut).unwrap();
+        e.update_cell(at(2, 1), &format!("={}+1", at(0, 0).to_a1()))
+            .unwrap();
+        let block = |len: usize, n: usize| vec![vec![CellValue::Number(7.0); len]; n];
+        if by_rows {
+            e.import_rows(at(20, 0), 2, block(2, 5)).unwrap();
+        } else {
+            e.import_rows(at(20, 0), 5, block(5, 2)).unwrap();
+        }
+
+        let before = e.snapshot();
+        let logged = |e: &SheetEngine| e.persistence_stats().unwrap().ops_since_checkpoint;
+        let logged_before = logged(&e);
+        for n in [u32::MAX - 3, u32::MAX - 23, u32::MAX] {
+            match insert(&mut e, n) {
+                Err(EngineError::Unsupported(_)) => {}
+                other => panic!("by_rows {by_rows}, n {n}: expected a refusal, got {other:?}"),
+            }
+            assert_eq!(
+                e.snapshot(),
+                before,
+                "by_rows {by_rows}, n {n}: nothing moved"
+            );
+            assert_eq!(
+                logged(&e),
+                logged_before,
+                "by_rows {by_rows}, n {n}: nothing logged"
+            );
+        }
+
+        // The largest insert that keeps the region on the sheet goes
+        // through; the formula whose whole range is pushed off is `#REF!`.
+        insert(&mut e, u32::MAX - 24).unwrap();
+        assert_eq!(e.value(at(u32::MAX - 4, 0)), CellValue::Number(7.0));
+        assert_eq!(e.value(at(u32::MAX, 1)), CellValue::Number(7.0));
+        assert_eq!(e.value(at(1, 0)), CellValue::Error(CellError::Ref));
+        assert_eq!(e.value(at(2, 1)), CellValue::Number(2.0));
+        assert_eq!(e.snapshot().filled_count(), before.filled_count());
+        assert_eq!(logged(&e), logged_before + 1);
+
+        let live = e.snapshot();
         e.save().unwrap();
         drop(e);
         let reopened = SheetEngine::open(&dir).unwrap();

@@ -207,10 +207,6 @@ impl DependencyGraph {
         self.reads.contains_key(&cell)
     }
 
-    pub fn ranges_of(&self, cell: CellAddr) -> Option<&[Rect]> {
-        self.reads.get(&cell).map(Vec::as_slice)
-    }
-
     pub fn formulas(&self) -> impl Iterator<Item = (CellAddr, &[Rect])> {
         self.reads.iter().map(|(a, r)| (*a, r.as_slice()))
     }

@@ -54,13 +54,14 @@ pub enum Shift {
 }
 
 /// Rewrite a reference for a structural edit; returns `None` when the
-/// referenced cell was deleted (the caller should surface `#REF!`).
+/// referenced cell was deleted, or pushed past the last row or column by
+/// an insert (the caller should surface `#REF!`).
 fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
     let mut out = r;
     match shift {
         Shift::InsertRows { at, n } => {
             if r.row >= at {
-                out.row += n;
+                out.row = r.row.checked_add(n)?;
             }
         }
         Shift::DeleteRows { at, n } => {
@@ -72,7 +73,7 @@ fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
         }
         Shift::InsertCols { at, n } => {
             if r.col >= at {
-                out.col += n;
+                out.col = r.col.checked_add(n)?;
             }
         }
         Shift::DeleteCols { at, n } => {
@@ -86,9 +87,10 @@ fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
     Some(out)
 }
 
-/// Rewrite all references in `expr` for a structural edit. Ranges clamp:
-/// a range survives while any part of it survives. Returns `None` when a
-/// reference is destroyed (formula becomes `#REF!`).
+/// Rewrite all references in `expr` for a structural edit. Ranges clamp
+/// under deletes: a range survives while any part of it survives. Returns
+/// `None` when a reference is destroyed (formula becomes `#REF!`) — by a
+/// delete, or by an insert that pushes any end of it off the sheet.
 pub fn rewrite(expr: &Expr, shift: Shift) -> Option<Expr> {
     Some(match expr {
         Expr::Ref(r) => Expr::Ref(shift_ref(*r, shift)?),
@@ -102,7 +104,7 @@ pub fn rewrite(expr: &Expr, shift: Shift) -> Option<Expr> {
                     match shift {
                         Shift::DeleteRows { at, .. } => sa.row = at,
                         Shift::DeleteCols { at, .. } => sa.col = at,
-                        _ => unreachable!("inserts never destroy refs"),
+                        Shift::InsertRows { .. } | Shift::InsertCols { .. } => return None,
                     }
                     (sa, sb)
                 }
@@ -121,7 +123,7 @@ pub fn rewrite(expr: &Expr, shift: Shift) -> Option<Expr> {
                             }
                             sb.col = at - 1;
                         }
-                        _ => unreachable!("inserts never destroy refs"),
+                        Shift::InsertRows { .. } | Shift::InsertCols { .. } => return None,
                     }
                     (sa, sb)
                 }
@@ -157,6 +159,25 @@ mod tests {
         let ranges = collect_ranges(&e);
         assert_eq!(ranges.len(), 4);
         assert_eq!(cells_accessed(&e), 20 + 1 + 1 + 300);
+    }
+
+    #[test]
+    fn an_insert_pushing_a_reference_off_the_sheet_destroys_it() {
+        for shift in [
+            Shift::InsertRows {
+                at: 5,
+                n: u32::MAX - 3,
+            },
+            Shift::InsertCols {
+                at: 5,
+                n: u32::MAX - 3,
+            },
+        ] {
+            let kept = rewrite(&parse("A1+B2").unwrap(), shift).unwrap();
+            assert_eq!(kept.to_string(), "(A1+B2)");
+            assert!(rewrite(&parse("Z100").unwrap(), shift).is_none());
+            assert!(rewrite(&parse("SUM(A1:Z100)").unwrap(), shift).is_none());
+        }
     }
 
     #[test]

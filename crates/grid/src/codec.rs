@@ -1,0 +1,386 @@
+//! The workspace's one byte codec: length-prefixed little-endian framing
+//! plus the encodings of the grid vocabulary.
+//!
+//! Every byte format in the workspace — the row store's tuples and
+//! snapshots, the engine's WAL records and checkpoint image, and the
+//! session protocol on the wire — frames its primitives the same way:
+//! fixed-width little-endian integers and `u32`-length-prefixed UTF-8
+//! strings, and `u32`-count-prefixed lists ([`put_list`] /
+//! [`Reader::list`]). This module is the single implementation of that
+//! framing: `put_*` writers that append to a byte buffer, and a
+//! bounds-checked [`Reader`] that refuses to read past the end of its slice
+//! (truncated or hostile input surfaces as a [`DecodeError`], never a
+//! panic).
+//!
+//! Next to it live the one encoding of each shared grid value — a cell
+//! value ([`put_value`] / [`read_value`]), a rectangle ([`put_rect`] /
+//! [`read_rect`]) and a block of value rows ([`put_rows`] /
+//! [`read_rows`]) — which the WAL and the wire both speak byte for byte.
+//! Decoders accept only what the encoders write: a bool is 0 or 1, a
+//! rectangle's corners are ordered, so every decoded value re-encodes to
+//! the bytes it came from.
+
+use std::fmt;
+
+use crate::region::Rect;
+use crate::value::{CellError, CellValue, ScanValue};
+
+/// Hard cap on a decoded string — a sanity bound against corrupt length
+/// fields, deliberately above everything an encoder can legitimately
+/// produce (WAL records and wire frames are capped at 64 MiB, tuples at
+/// the page size), so no committed bytes are ever rejected.
+pub const MAX_STR_LEN: usize = 1 << 28;
+
+/// Bytes that do not decode: truncated, out of range, or not what any
+/// encoder writes. The storage layers fold it into their own corruption
+/// error; the wire layer reports it as a protocol violation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodeError(pub String);
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "undecodable bytes: {}", self.0)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Shorthand for the error every decoder in the workspace returns.
+pub fn corrupt(msg: impl Into<String>) -> DecodeError {
+    DecodeError(msg.into())
+}
+
+// The primitives are `#[inline]`: the row store's tuple codec and the
+// engine's checkpoint codec call them in their hot loops from other crates,
+// where a plain function would not be inlined.
+#[inline]
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+#[inline]
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+/// `u32` length prefix followed by the UTF-8 bytes.
+#[inline]
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+/// Raw bytes, no length prefix (fixed-size fields like page images).
+#[inline]
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(bytes);
+}
+/// A `u32` count, then each item.
+pub fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(out, items.len() as u32);
+    for item in items {
+        put(out, item);
+    }
+}
+
+/// Bounds-checked little-endian reader over a byte slice.
+///
+/// Every accessor returns a [`DecodeError`] instead of panicking when the
+/// slice runs out, so decoders can be driven by untrusted bytes.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    off: usize,
+}
+
+impl<'a> Reader<'a> {
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes, off: 0 }
+    }
+
+    /// Fail with `ctx` unless the slice was consumed exactly.
+    pub fn expect_done(&self, ctx: &str) -> Result<(), DecodeError> {
+        if self.off == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(corrupt(format!("trailing bytes after {ctx}")))
+        }
+    }
+
+    /// Consume the next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let end = self.off.checked_add(n).filter(|e| *e <= self.bytes.len());
+        let Some(end) = end else {
+            return Err(corrupt("truncated record"));
+        };
+        let s = &self.bytes[self.off..end];
+        self.off = end;
+        Ok(s)
+    }
+
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
+    }
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    }
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// A bool written as one byte: 0 or 1, nothing else.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(corrupt(format!("bool byte {b}"))),
+        }
+    }
+
+    /// A string written by [`put_str`].
+    #[inline]
+    pub fn str(&mut self) -> Result<String, DecodeError> {
+        self.str_ref().map(str::to_string)
+    }
+
+    /// A sequence written by [`put_list`]. The count only hints the
+    /// allocation, so a corrupt count fails on truncation instead of
+    /// reserving gigabytes.
+    pub fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u32()? as usize;
+        let mut items = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// [`Reader::str`] without the copy: the text borrows from the slice,
+    /// under the same length bound and UTF-8 check.
+    #[inline]
+    pub fn str_ref(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.u32()? as usize;
+        if len > MAX_STR_LEN {
+            return Err(corrupt(format!("string of {len} bytes exceeds bound")));
+        }
+        std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("invalid utf-8 string"))
+    }
+}
+
+/// The [`CellError`] stored as `code` ([`CellError::code`]).
+pub fn cell_error(code: u8) -> Result<CellError, DecodeError> {
+    CellError::from_code(code).ok_or_else(|| corrupt(format!("unknown error code {code}")))
+}
+
+/// A cell value: a tag byte (Empty 0, Number 1, Text 2, Bool 3, Error 4)
+/// and its payload.
+#[inline]
+pub fn put_value(out: &mut Vec<u8>, v: ScanValue<'_>) {
+    match v {
+        ScanValue::Empty => put_u8(out, 0),
+        ScanValue::Number(n) => {
+            put_u8(out, 1);
+            put_f64(out, n);
+        }
+        ScanValue::Text(s) => {
+            put_u8(out, 2);
+            put_str(out, s);
+        }
+        ScanValue::Bool(b) => {
+            put_u8(out, 3);
+            put_u8(out, u8::from(b));
+        }
+        ScanValue::Error(e) => {
+            put_u8(out, 4);
+            put_u8(out, e.code());
+        }
+    }
+}
+
+/// A value written by [`put_value`], decoded in place: a text borrows from
+/// the slice.
+#[inline]
+pub fn read_value<'a>(r: &mut Reader<'a>) -> Result<ScanValue<'a>, DecodeError> {
+    Ok(match r.u8()? {
+        0 => ScanValue::Empty,
+        1 => ScanValue::Number(r.f64()?),
+        2 => ScanValue::Text(r.str_ref()?),
+        3 => ScanValue::Bool(r.bool()?),
+        4 => ScanValue::Error(cell_error(r.u8()?)?),
+        t => return Err(corrupt(format!("unknown value tag {t}"))),
+    })
+}
+
+/// A rectangle as its four corners `r1, c1, r2, c2`.
+pub fn put_rect(out: &mut Vec<u8>, rect: Rect) {
+    put_u32(out, rect.r1);
+    put_u32(out, rect.c1);
+    put_u32(out, rect.r2);
+    put_u32(out, rect.c2);
+}
+
+/// A rectangle written by [`put_rect`]; inverted corners are refused.
+pub fn read_rect(r: &mut Reader<'_>) -> Result<Rect, DecodeError> {
+    let (r1, c1, r2, c2) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
+    if r1 > r2 || c1 > c2 {
+        return Err(corrupt(format!("inverted rect ({r1},{c1})..({r2},{c2})")));
+    }
+    Ok(Rect { r1, c1, r2, c2 })
+}
+
+/// A block of value rows: a list of lists of values.
+pub fn put_rows(out: &mut Vec<u8>, rows: &[Vec<CellValue>]) {
+    put_list(out, rows, |out, row| {
+        put_list(out, row, |out, v| put_value(out, ScanValue::of(v)))
+    });
+}
+
+/// Rows written by [`put_rows`].
+pub fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<CellValue>>, DecodeError> {
+    r.list(|r| r.list(|r| Ok(read_value(r)?.to_value())))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn roundtrip_primitives() {
+        let mut buf = Vec::new();
+        put_u8(&mut buf, 7);
+        put_u16(&mut buf, 1234);
+        put_u32(&mut buf, 0xDEAD_BEEF);
+        put_u64(&mut buf, u64::MAX - 1);
+        put_f64(&mut buf, -2.5);
+        put_str(&mut buf, "héllo");
+        put_bytes(&mut buf, &[1, 2, 3]);
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.u16().unwrap(), 1234);
+        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(r.f64().unwrap(), -2.5);
+        assert_eq!(r.str().unwrap(), "héllo");
+        assert_eq!(r.take(3).unwrap(), &[1, 2, 3]);
+        r.expect_done("test").unwrap();
+    }
+
+    #[test]
+    fn bounds_checked_reads_fail_cleanly() {
+        let mut r = Reader::new(&[1, 2]);
+        assert!(r.u32().is_err());
+        // A failed read consumes nothing.
+        assert_eq!(r.u16().unwrap(), 0x0201);
+        assert!(r.u8().is_err());
+        // A string length pointing past the end is corruption, not a panic.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 100);
+        buf.extend_from_slice(b"abc");
+        assert!(Reader::new(&buf).str().is_err());
+        // An implausible length is rejected before allocation.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, u32::MAX);
+        assert!(Reader::new(&buf).str().is_err());
+    }
+
+    #[test]
+    fn expect_done_flags_trailing_bytes() {
+        let mut r = Reader::new(&[0, 1]);
+        r.u8().unwrap();
+        assert!(r.expect_done("thing").is_err());
+        r.u8().unwrap();
+        r.expect_done("thing").unwrap();
+    }
+
+    #[test]
+    fn value_roundtrip_all_variants() {
+        let values = [
+            CellValue::Empty,
+            CellValue::Number(-0.5),
+            CellValue::Text("héllo".into()),
+            CellValue::Bool(true),
+            CellValue::Error(CellError::Circular),
+        ];
+        for v in &values {
+            let mut buf = Vec::new();
+            put_value(&mut buf, ScanValue::of(v));
+            let mut r = Reader::new(&buf);
+            assert_eq!(read_value(&mut r).unwrap().to_value(), *v);
+            r.expect_done("value").unwrap();
+        }
+        let rows = vec![values.to_vec(), Vec::new(), vec![CellValue::Number(3.0)]];
+        let mut buf = Vec::new();
+        put_rows(&mut buf, &rows);
+        let mut r = Reader::new(&buf);
+        assert_eq!(read_rows(&mut r).unwrap(), rows);
+        r.expect_done("rows").unwrap();
+        let rect = Rect::new(0, 7, u32::MAX, u32::MAX);
+        let mut buf = Vec::new();
+        put_rect(&mut buf, rect);
+        assert_eq!(read_rect(&mut Reader::new(&buf)).unwrap(), rect);
+    }
+
+    #[test]
+    fn cell_error_tags_roundtrip() {
+        for e in [
+            CellError::Div0,
+            CellError::Value,
+            CellError::Ref,
+            CellError::Name,
+            CellError::Na,
+            CellError::Num,
+            CellError::Circular,
+        ] {
+            assert_eq!(cell_error(e.code()), Ok(e));
+        }
+        assert_eq!(cell_error(200), Err(corrupt("unknown error code 200")));
+    }
+
+    #[test]
+    fn non_canonical_and_unknown_bytes_are_refused() {
+        assert_eq!(
+            read_value(&mut Reader::new(&[77])),
+            Err(corrupt("unknown value tag 77"))
+        );
+        assert!(read_value(&mut Reader::new(&[4, 200])).is_err());
+        assert!(
+            read_value(&mut Reader::new(&[3, 2])).is_err(),
+            "bool byte 2"
+        );
+        assert!(read_value(&mut Reader::new(&[])).is_err());
+        let mut buf = Vec::new();
+        for corner in [5u32, 0, 4, 0] {
+            put_u32(&mut buf, corner);
+        }
+        assert!(read_rect(&mut Reader::new(&buf)).is_err(), "r1 > r2");
+        // A row count far past the bytes fails on truncation.
+        let mut buf = Vec::new();
+        put_u32(&mut buf, u32::MAX);
+        assert!(read_rows(&mut Reader::new(&buf)).is_err());
+    }
+}

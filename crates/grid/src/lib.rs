@@ -12,9 +12,13 @@
 //!   conceptual model (also the test oracle for the storage engine),
 //! * [`Occupancy`] — a bounding-box bitmap with 2-D prefix sums giving O(1)
 //!   filled-cell counts for any sub-rectangle (the workhorse of the hybrid
-//!   optimizer).
+//!   optimizer),
+//! * [`codec`] — the one byte codec every on-disk and wire format is built
+//!   on: the bounds-checked [`codec::Reader`], the value, rect and rows
+//!   encodings, and [`DecodeError`].
 
 pub mod addr;
+pub mod codec;
 pub mod error;
 pub mod mask;
 pub mod region;
@@ -22,6 +26,7 @@ pub mod sheet;
 pub mod value;
 
 pub use addr::CellAddr;
+pub use codec::DecodeError;
 pub use error::GridError;
 pub use mask::Occupancy;
 pub use region::Rect;

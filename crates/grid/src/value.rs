@@ -124,14 +124,6 @@ impl CellValue {
             CellValue::Error(e) => e.to_string(),
         }
     }
-
-    /// Rough in-memory footprint in bytes, used by the LRU cell cache.
-    pub fn approx_size(&self) -> usize {
-        match self {
-            CellValue::Text(s) => std::mem::size_of::<CellValue>() + s.len(),
-            _ => std::mem::size_of::<CellValue>(),
-        }
-    }
 }
 
 impl fmt::Display for CellValue {

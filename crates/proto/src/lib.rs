@@ -6,9 +6,11 @@
 //! storage backend; this crate is the boundary between the two halves of
 //! that split. Everything here is *plain data* — no engine types, no
 //! locks, no handles — encoded with the same bounds-checked
-//! length-prefixed codec ([`dataspread_relstore::codec`]) every on-disk
+//! length-prefixed codec ([`dataspread_grid::codec`]) every on-disk
 //! format in the workspace already uses, so a hostile or truncated byte
-//! stream surfaces as a clean error, never a panic.
+//! stream surfaces as a clean [`DecodeError`](dataspread_grid::DecodeError),
+//! never a panic. The crate links only `grid` and `obs`: the wire format
+//! does not depend on the storage engine behind it.
 //!
 //! Four layers:
 //!

@@ -8,14 +8,14 @@
 //! arrays must be exactly [`HISTOGRAM_BUCKETS`] long with a `max` field
 //! that lands in the highest occupied bucket, and every count is bounded
 //! before any allocation. A truncated or bit-flipped frame surfaces as a
-//! clean [`StoreError::Corrupt`] — never a panic, never a silently wrong
+//! clean [`DecodeError`] — never a panic, never a silently wrong
 //! snapshot that validates.
 
+use dataspread_grid::codec::{corrupt, put_str, put_u32, put_u64, put_u8, Reader};
+use dataspread_grid::DecodeError;
 use dataspread_obs::{
     Event, Health, HistogramSnapshot, RegistrySnapshot, SheetHealth, HISTOGRAM_BUCKETS,
 };
-use dataspread_relstore::codec::{corrupt, put_str, put_u32, put_u64, put_u8, Reader};
-use dataspread_relstore::StoreError;
 
 use crate::types::{health_from_u8, health_to_u8};
 
@@ -25,14 +25,14 @@ use crate::types::{health_from_u8, health_to_u8};
 /// corrupt count cannot drive a multi-gigabyte allocation.
 pub const MAX_METRIC_ENTRIES: u32 = 1 << 20;
 
-fn check_count(what: &str, n: u32) -> Result<usize, StoreError> {
+fn check_count(what: &str, n: u32) -> Result<usize, DecodeError> {
     if n > MAX_METRIC_ENTRIES {
         return Err(corrupt(format!("metrics {what} count {n} too large")));
     }
     Ok(n as usize)
 }
 
-fn check_sorted(what: &str, prev: Option<&str>, key: &str) -> Result<(), StoreError> {
+fn check_sorted(what: &str, prev: Option<&str>, key: &str) -> Result<(), DecodeError> {
     if let Some(p) = prev {
         if p >= key {
             return Err(corrupt(format!(
@@ -52,7 +52,7 @@ fn encode_histogram(out: &mut Vec<u8>, h: &HistogramSnapshot) {
     put_u64(out, h.max);
 }
 
-fn decode_histogram(r: &mut Reader<'_>) -> Result<HistogramSnapshot, StoreError> {
+fn decode_histogram(r: &mut Reader<'_>) -> Result<HistogramSnapshot, DecodeError> {
     let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
     for b in &mut buckets {
         *b = r.u64()?;
@@ -91,7 +91,7 @@ fn encode_event(out: &mut Vec<u8>, e: &Event) {
     put_str(out, &e.outcome);
 }
 
-fn decode_event(r: &mut Reader<'_>) -> Result<Event, StoreError> {
+fn decode_event(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
     Ok(Event {
         ts_ms: r.u64()?,
         kind: r.str()?,
@@ -122,7 +122,7 @@ fn encode_sheet_health(out: &mut Vec<u8>, s: &SheetHealth) {
     }
 }
 
-fn decode_sheet_health(r: &mut Reader<'_>) -> Result<SheetHealth, StoreError> {
+fn decode_sheet_health(r: &mut Reader<'_>) -> Result<SheetHealth, DecodeError> {
     let sheet = r.str()?;
     let health = health_from_u8(r.u8()?)?;
     let cause = match r.u8()? {
@@ -182,7 +182,7 @@ pub fn encode_metrics(snap: &RegistrySnapshot, out: &mut Vec<u8>) {
 /// exact bucket counts, plausible histogram `max`, bounded section
 /// sizes — a flipped bit either fails here or produces bytes that no
 /// longer re-encode identically (covered by the property tests).
-pub fn decode_metrics(r: &mut Reader<'_>) -> Result<RegistrySnapshot, StoreError> {
+pub fn decode_metrics(r: &mut Reader<'_>) -> Result<RegistrySnapshot, DecodeError> {
     let n = check_count("counter", r.u32()?)?;
     let mut counters = Vec::with_capacity(n.min(1024));
     for _ in 0..n {

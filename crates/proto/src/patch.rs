@@ -19,11 +19,11 @@
 //! `Session::fetch_window` *and* the wire encoding of a window response —
 //! the server never re-shapes a window, it frames these bytes as-is.
 
-use dataspread_grid::{Cell, CellAddr, CellError, CellValue, Rect, ScanValue};
-use dataspread_relstore::codec::{corrupt, put_f64, put_str, put_u32, put_u64, put_u8, Reader};
-use dataspread_relstore::StoreError;
-
-use crate::types::{error_from_u8, put_rect, read_rect};
+use dataspread_grid::codec::{
+    cell_error, corrupt, put_f64, put_list, put_rect, put_str, put_u32, put_u64, put_u8, read_rect,
+    Reader,
+};
+use dataspread_grid::{Cell, CellAddr, CellError, CellValue, DecodeError, Rect, ScanValue};
 
 /// Identical consecutive numbers collapse into a repeat run once a
 /// stretch reaches this length (below it, the plain array is smaller or
@@ -195,8 +195,11 @@ impl WindowPatch {
         u64::from(self.rect.c2 - self.rect.c1) + 1
     }
 
-    fn area(&self) -> u64 {
-        (u64::from(self.rect.r2 - self.rect.r1) + 1) * self.width()
+    /// Linear index of the window's last cell. Exact for every window: the
+    /// whole sheet has 2^64 cells, one more than a `u64` area can count.
+    fn last_index(&self) -> u64 {
+        u64::from(self.rect.r2 - self.rect.r1) * self.width()
+            + u64::from(self.rect.c2 - self.rect.c1)
     }
 
     fn index_of(&self, addr: CellAddr) -> Option<u64> {
@@ -225,7 +228,7 @@ impl WindowPatch {
             Err(i) => i - 1,
         };
         let (start, data) = &self.runs[i];
-        (idx < start + data.len()).then(|| data.value_at(idx - start))
+        (idx - start < data.len()).then(|| data.value_at(idx - start))
     }
 
     fn has_error(&self, idx: u64) -> bool {
@@ -289,24 +292,15 @@ impl WindowPatch {
             match data {
                 RunData::Numbers(v) => {
                     put_u8(out, 0);
-                    put_u32(out, v.len() as u32);
-                    for n in v {
-                        put_f64(out, *n);
-                    }
+                    put_list(out, v, |out, n| put_f64(out, *n));
                 }
                 RunData::Texts(v) => {
                     put_u8(out, 1);
-                    put_u32(out, v.len() as u32);
-                    for s in v {
-                        put_str(out, s);
-                    }
+                    put_list(out, v, |out, s| put_str(out, s));
                 }
                 RunData::Bools(v) => {
                     put_u8(out, 2);
-                    put_u32(out, v.len() as u32);
-                    for b in v {
-                        put_u8(out, u8::from(*b));
-                    }
+                    put_list(out, v, |out, b| put_u8(out, u8::from(*b)));
                 }
                 RunData::RepeatNumber { n, value } => {
                     put_u8(out, 3);
@@ -320,22 +314,20 @@ impl WindowPatch {
                 }
             }
         }
-        put_u32(out, self.errors.len() as u32);
-        for (idx, e) in &self.errors {
+        put_list(out, &self.errors, |out, (idx, e)| {
             put_u64(out, *idx);
             put_u8(out, e.code());
-        }
-        put_u32(out, self.formulas.len() as u32);
-        for (idx, src) in &self.formulas {
+        });
+        put_list(out, &self.formulas, |out, (idx, src)| {
             put_u64(out, *idx);
             put_str(out, src);
-        }
+        });
     }
 
     /// Decode and validate: runs must be sorted, non-overlapping, and
-    /// in-bounds; overlays sorted and in-bounds. Violations surface as
-    /// [`StoreError::Corrupt`].
-    pub fn decode(r: &mut Reader<'_>) -> Result<WindowPatch, StoreError> {
+    /// in-bounds; overlays sorted and in-bounds. Violations surface as a
+    /// [`DecodeError`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<WindowPatch, DecodeError> {
         let rect = read_rect(r)?;
         let mut patch = WindowPatch {
             rect,
@@ -343,36 +335,16 @@ impl WindowPatch {
             errors: Vec::new(),
             formulas: Vec::new(),
         };
-        let area = patch.area();
+        let last = patch.last_index();
         let run_count = r.u32()?;
-        let mut horizon = 0u64; // first index not yet covered
+        // First index not yet covered; `None` once a run took the last.
+        let mut horizon = Some(0u64);
         for _ in 0..run_count {
             let start = r.u64()?;
             let data = match r.u8()? {
-                0 => {
-                    let n = r.u32()? as usize;
-                    let mut v = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        v.push(r.f64()?);
-                    }
-                    RunData::Numbers(v)
-                }
-                1 => {
-                    let n = r.u32()? as usize;
-                    let mut v = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        v.push(r.str()?);
-                    }
-                    RunData::Texts(v)
-                }
-                2 => {
-                    let n = r.u32()? as usize;
-                    let mut v = Vec::with_capacity(n.min(1 << 16));
-                    for _ in 0..n {
-                        v.push(r.u8()? != 0);
-                    }
-                    RunData::Bools(v)
-                }
+                0 => RunData::Numbers(r.list(Reader::f64)?),
+                1 => RunData::Texts(r.list(Reader::str)?),
+                2 => RunData::Bools(r.list(Reader::bool)?),
                 3 => RunData::RepeatNumber {
                     n: r.u32()?,
                     value: r.f64()?,
@@ -387,44 +359,41 @@ impl WindowPatch {
             if len == 0 {
                 return Err(corrupt("empty window run"));
             }
-            if start < horizon {
+            if horizon.is_none_or(|h| start < h) {
                 return Err(corrupt("window runs out of order or overlapping"));
             }
             let end = start
-                .checked_add(len)
-                .ok_or_else(|| corrupt("window run overflows"))?;
-            if end > area {
-                return Err(corrupt("window run exceeds window area"));
-            }
-            horizon = end;
+                .checked_add(len - 1)
+                .filter(|&end| end <= last)
+                .ok_or_else(|| corrupt("window run exceeds window area"))?;
+            horizon = end.checked_add(1);
             patch.runs.push((start, data));
         }
-        let err_count = r.u32()?;
-        let mut last = None;
-        for _ in 0..err_count {
-            let idx = r.u64()?;
-            if idx >= area || last.is_some_and(|l| idx <= l) {
-                return Err(corrupt(
-                    "window error overlay out of order or out of bounds",
-                ));
-            }
-            last = Some(idx);
-            patch.errors.push((idx, error_from_u8(r.u8()?)?));
-        }
-        let formula_count = r.u32()?;
-        let mut last = None;
-        for _ in 0..formula_count {
-            let idx = r.u64()?;
-            if idx >= area || last.is_some_and(|l| idx <= l) {
-                return Err(corrupt(
-                    "window formula overlay out of order or out of bounds",
-                ));
-            }
-            last = Some(idx);
-            patch.formulas.push((idx, r.str()?));
-        }
+        patch.errors = read_overlay(r, last, "error", |r| cell_error(r.u8()?))?;
+        patch.formulas = read_overlay(r, last, "formula", Reader::str)?;
         Ok(patch)
     }
+}
+
+/// A sparse overlay: strictly increasing in-window indices, each with its
+/// payload.
+fn read_overlay<'a, T>(
+    r: &mut Reader<'a>,
+    last: u64,
+    what: &str,
+    mut payload: impl FnMut(&mut Reader<'a>) -> Result<T, DecodeError>,
+) -> Result<Vec<(u64, T)>, DecodeError> {
+    let mut prev = None;
+    r.list(|r| {
+        let idx = r.u64()?;
+        if idx > last || prev.is_some_and(|p| idx <= p) {
+            return Err(corrupt(format!(
+                "window {what} overlay out of order or out of bounds"
+            )));
+        }
+        prev = Some(idx);
+        Ok((idx, payload(r)?))
+    })
 }
 
 /// Split stretches of ≥ [`REPEAT_MIN`] equal consecutive values out of one
@@ -471,8 +440,9 @@ fn split_repeats<T: Clone>(
 #[derive(Debug)]
 pub struct PatchBuilder {
     patch: WindowPatch,
-    /// First linear index not yet placed.
-    next: u64,
+    /// Linear index of the last cell placed (the window's last index is
+    /// `u64::MAX` on a full sheet, so "the next one" may not exist).
+    last: Option<u64>,
 }
 
 impl PatchBuilder {
@@ -484,7 +454,7 @@ impl PatchBuilder {
                 errors: Vec::new(),
                 formulas: Vec::new(),
             },
-            next: 0,
+            last: None,
         }
     }
 
@@ -498,14 +468,12 @@ impl PatchBuilder {
         let Some(idx) = self.patch.index_of(CellAddr::new(row, col)) else {
             return;
         };
-        debug_assert!(
-            idx >= self.next,
-            "cell ({row},{col}) placed out of row-major order"
-        );
-        if idx < self.next {
+        let behind = self.last.is_some_and(|last| idx <= last);
+        debug_assert!(!behind, "cell ({row},{col}) placed out of row-major order");
+        if behind {
             return;
         }
-        self.next = idx + 1;
+        self.last = Some(idx);
         if let Some(src) = formula {
             self.patch.formulas.push((idx, src.to_string()));
         }
@@ -724,6 +692,67 @@ mod tests {
         put_u32(&mut buf, 1);
         put_u64(&mut buf, 5);
         put_u8(&mut buf, 0);
+        assert!(WindowPatch::decode(&mut Reader::new(&buf)).is_err());
+    }
+
+    /// Regression: the whole sheet has 2^64 cells, one more than a `u64`
+    /// area holds, so decoding a full-sheet window overflowed (debug) or
+    /// refused every run (release) — and took the client's demux thread,
+    /// and every session multiplexed on its connection, with it.
+    #[test]
+    fn a_full_sheet_window_roundtrips_to_its_corners() {
+        let rect = Rect::new(0, 0, u32::MAX, u32::MAX);
+        let corners = vec![
+            (CellAddr::new(0, 0), cell_num(1.0)),
+            (CellAddr::new(0, u32::MAX), Cell::value("top right")),
+            (CellAddr::new(u32::MAX, 0), Cell::value(true)),
+            (
+                CellAddr::new(u32::MAX, u32::MAX),
+                Cell::formula("A1").with_value(1.0),
+            ),
+        ];
+        let patch = WindowPatch::from_cells(rect, corners.clone());
+        assert_eq!(patch.filled_count(), 4);
+        assert_eq!(patch.cells(), corners);
+        let back = roundtrip(&patch);
+        assert_eq!(back, patch);
+        assert_eq!(
+            back.cell_at(CellAddr::new(u32::MAX, u32::MAX)),
+            Some(Cell::formula("A1").with_value(1.0))
+        );
+
+        // A run ending on the last cell decodes; one cell longer does not.
+        let run = |start: u64, n: u32| {
+            let mut buf = Vec::new();
+            put_rect(&mut buf, rect);
+            put_u32(&mut buf, 1);
+            put_u64(&mut buf, start);
+            put_u8(&mut buf, 3);
+            put_u32(&mut buf, n);
+            put_f64(&mut buf, 1.0);
+            put_u32(&mut buf, 0);
+            put_u32(&mut buf, 0);
+            WindowPatch::decode(&mut Reader::new(&buf))
+        };
+        let last = run(u64::MAX - 9, 10).unwrap();
+        assert_eq!(
+            last.cell_at(CellAddr::new(u32::MAX, u32::MAX)),
+            Some(cell_num(1.0))
+        );
+        assert!(run(u64::MAX - 9, 11).is_err(), "one cell past the sheet");
+        assert!(run(u64::MAX, 2).is_err(), "wraps past the last index");
+        // Nothing can follow a run that took the last cell.
+        let mut buf = Vec::new();
+        put_rect(&mut buf, rect);
+        put_u32(&mut buf, 2);
+        for start in [u64::MAX, u64::MAX] {
+            put_u64(&mut buf, start);
+            put_u8(&mut buf, 3);
+            put_u32(&mut buf, 1);
+            put_f64(&mut buf, 1.0);
+        }
+        put_u32(&mut buf, 0);
+        put_u32(&mut buf, 0);
         assert!(WindowPatch::decode(&mut Reader::new(&buf)).is_err());
     }
 

@@ -1,12 +1,9 @@
 //! The wire vocabulary of the session API: edits, receipts, stats, and
 //! the numeric error space.
 
-use dataspread_grid::{CellError, CellValue, Rect};
+use dataspread_grid::codec::{corrupt, put_str, put_u16, put_u32, put_u64, put_u8, Reader};
+use dataspread_grid::DecodeError;
 use dataspread_obs::Health;
-use dataspread_relstore::codec::{
-    corrupt, put_f64, put_str, put_u16, put_u32, put_u64, put_u8, Reader,
-};
-use dataspread_relstore::StoreError;
 
 /// One logical edit, RPC-shaped (plain data, no engine types beyond the
 /// cell-value enum used by imports).
@@ -69,7 +66,7 @@ impl Edit {
         }
     }
 
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Edit, StoreError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Edit, DecodeError> {
         Ok(match r.u8()? {
             0 => Edit::Set {
                 row: r.u32()?,
@@ -131,7 +128,7 @@ impl CheckpointSummary {
         put_u64(out, self.regions_written);
     }
 
-    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<CheckpointSummary, StoreError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<CheckpointSummary, DecodeError> {
         Ok(CheckpointSummary {
             pages_written: r.u64()?,
             regions_total: r.u64()?,
@@ -273,7 +270,7 @@ impl SheetStats {
         out.extend_from_slice(&buf);
     }
 
-    pub fn decode(r: &mut Reader<'_>) -> Result<SheetStats, StoreError> {
+    pub fn decode(r: &mut Reader<'_>) -> Result<SheetStats, DecodeError> {
         let count = r.u32()?;
         if count > MAX_STAT_FIELDS {
             return Err(corrupt(format!(
@@ -289,7 +286,7 @@ impl SheetStats {
             match id {
                 stat_ids::FILLED_CELLS => s.filled_cells = f.u64()?,
                 stat_ids::REGIONS => s.regions = f.u64()?,
-                stat_ids::PERSISTENT => s.persistent = f.u8()? != 0,
+                stat_ids::PERSISTENT => s.persistent = f.bool()?,
                 stat_ids::WAL_BYTES => s.wal_bytes = f.u64()?,
                 stat_ids::WAL_SEGMENTS => s.wal_segments = f.u64()?,
                 stat_ids::OPS_SINCE_CHECKPOINT => s.ops_since_checkpoint = f.u64()?,
@@ -322,7 +319,7 @@ pub(crate) fn health_to_u8(h: Health) -> u8 {
     }
 }
 
-pub(crate) fn health_from_u8(b: u8) -> Result<Health, StoreError> {
+pub(crate) fn health_from_u8(b: u8) -> Result<Health, DecodeError> {
     Ok(match b {
         0 => Health::Healthy,
         1 => Health::Degraded,
@@ -336,7 +333,7 @@ pub(crate) fn health_from_u8(b: u8) -> Result<Health, StoreError> {
 /// only appended, and both sides treat unknown codes as opaque-but-valid
 /// (`WorkspaceError::Remote` client-side). Layout: `0x000x` session-level
 /// errors, `0x01xx` engine-level, `0x02xx` store-level (one code per
-/// `StoreError` variant).
+/// row-store error variant).
 pub mod codes {
     /// The named sheet was never opened in this workspace.
     pub const NO_SUCH_SHEET: u16 = 1;
@@ -375,8 +372,8 @@ pub mod codes {
     pub const STORE_NO_SUCH_COLUMN: u16 = 0x206;
     pub const STORE_LIMIT_EXCEEDED: u16 = 0x207;
     pub const STORE_IO: u16 = 0x208;
-    /// [`StoreError::StorageFailed`]: the store's WAL or image can no
-    /// longer prove durability; only a reopen recovers.
+    /// The store's permanent failure: its WAL or image can no longer
+    /// prove durability; only a reopen recovers.
     pub const STORE_STORAGE_FAILED: u16 = 0x209;
 }
 
@@ -403,57 +400,6 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{:#06x}] {}", self.code, self.detail)
     }
-}
-
-// --- shared primitive encodings -----------------------------------------
-
-pub(crate) fn put_rect(out: &mut Vec<u8>, rect: Rect) {
-    put_u32(out, rect.r1);
-    put_u32(out, rect.c1);
-    put_u32(out, rect.r2);
-    put_u32(out, rect.c2);
-}
-
-pub(crate) fn read_rect(r: &mut Reader<'_>) -> Result<Rect, StoreError> {
-    let (r1, c1, r2, c2) = (r.u32()?, r.u32()?, r.u32()?, r.u32()?);
-    Ok(Rect::new(r1, c1, r2, c2))
-}
-
-pub(crate) fn error_from_u8(b: u8) -> Result<CellError, StoreError> {
-    CellError::from_code(b).ok_or_else(|| corrupt(format!("unknown cell-error tag {b}")))
-}
-
-pub(crate) fn put_value(out: &mut Vec<u8>, v: &CellValue) {
-    match v {
-        CellValue::Empty => put_u8(out, 0),
-        CellValue::Number(n) => {
-            put_u8(out, 1);
-            put_f64(out, *n);
-        }
-        CellValue::Text(s) => {
-            put_u8(out, 2);
-            put_str(out, s);
-        }
-        CellValue::Bool(b) => {
-            put_u8(out, 3);
-            put_u8(out, u8::from(*b));
-        }
-        CellValue::Error(e) => {
-            put_u8(out, 4);
-            put_u8(out, e.code());
-        }
-    }
-}
-
-pub(crate) fn read_value(r: &mut Reader<'_>) -> Result<CellValue, StoreError> {
-    Ok(match r.u8()? {
-        0 => CellValue::Empty,
-        1 => CellValue::Number(r.f64()?),
-        2 => CellValue::Text(r.str()?),
-        3 => CellValue::Bool(r.u8()? != 0),
-        4 => CellValue::Error(error_from_u8(r.u8()?)?),
-        t => return Err(corrupt(format!("unknown cell-value tag {t}"))),
-    })
 }
 
 #[cfg(test)]
@@ -483,41 +429,10 @@ mod tests {
     }
 
     #[test]
-    fn value_roundtrip_all_variants() {
-        let values = [
-            CellValue::Empty,
-            CellValue::Number(-0.5),
-            CellValue::Text("héllo".into()),
-            CellValue::Bool(true),
-            CellValue::Error(CellError::Circular),
-        ];
-        for v in &values {
-            let mut buf = Vec::new();
-            put_value(&mut buf, v);
-            assert_eq!(&read_value(&mut Reader::new(&buf)).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn cell_error_tags_roundtrip() {
-        for e in [
-            CellError::Div0,
-            CellError::Value,
-            CellError::Ref,
-            CellError::Name,
-            CellError::Na,
-            CellError::Num,
-            CellError::Circular,
-        ] {
-            assert_eq!(error_from_u8(e.code()).unwrap(), e);
-        }
-        assert!(error_from_u8(200).is_err());
-    }
-
-    #[test]
     fn garbage_tags_are_corruption_not_panics() {
         assert!(Edit::decode(&mut Reader::new(&[9])).is_err());
-        assert!(read_value(&mut Reader::new(&[77])).is_err());
-        assert!(read_value(&mut Reader::new(&[])).is_err());
+        assert!(Edit::decode(&mut Reader::new(&[1, 0, 0])).is_err());
+        assert!(Edit::decode(&mut Reader::new(&[])).is_err());
+        assert!(health_from_u8(2).is_err());
     }
 }

@@ -1,13 +1,13 @@
 //! Typed values and their on-page encoding.
 //!
-//! The byte layout is built on the shared [`crate::codec`] primitives, so
-//! tuple bytes, snapshot files, and the engine's WAL records all use the
-//! same bounds-checked framing.
+//! The byte layout is built on the shared [`dataspread_grid::codec`]
+//! primitives, so tuple bytes, snapshot files, and the engine's WAL records
+//! all use the same bounds-checked framing.
 
 use std::fmt;
 
-use crate::codec::{self, Reader};
 use crate::error::StoreError;
+use dataspread_grid::codec::{self, Reader};
 
 /// Column data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,7 +173,7 @@ impl<'a> DatumRef<'a> {
             2 => Ok(DatumRef::Float(cur.f64()?)),
             3 => Ok(DatumRef::Text(cur.str_ref()?)),
             4 => Ok(DatumRef::Bool(cur.u8()? != 0)),
-            t => Err(codec::corrupt(format!("unknown datum tag {t}"))),
+            t => Err(codec::corrupt(format!("unknown datum tag {t}")).into()),
         }
     }
 }
@@ -234,7 +234,7 @@ fn skip_datum(cur: &mut Reader<'_>) -> Result<(), StoreError> {
         1 | 2 => 8,
         3 => cur.u32()? as usize,
         4 => 1,
-        t => return Err(codec::corrupt(format!("unknown datum tag {t}"))),
+        t => return Err(codec::corrupt(format!("unknown datum tag {t}")).into()),
     };
     cur.take(payload)?;
     Ok(())

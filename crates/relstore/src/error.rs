@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use dataspread_grid::DecodeError;
+
 /// Errors raised by the row store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
@@ -32,6 +34,13 @@ pub enum StoreError {
     /// Unlike [`StoreError::Io`] this is sticky — the only recovery is
     /// reopening the store and replaying what actually reached the disk.
     StorageFailed(String),
+}
+
+/// Undecodable stored bytes are corruption, with the decoder's message.
+impl From<DecodeError> for StoreError {
+    fn from(e: DecodeError) -> Self {
+        StoreError::Corrupt(e.0)
+    }
 }
 
 impl From<std::io::Error> for StoreError {

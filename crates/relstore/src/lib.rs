@@ -25,7 +25,6 @@
 //!   the two into crash-recoverable sheet storage.
 
 pub mod btree;
-pub mod codec;
 pub mod datum;
 pub mod db;
 pub mod error;
@@ -39,7 +38,9 @@ pub mod vfs;
 pub mod wal;
 
 pub use btree::BPlusTree;
-pub use codec::Reader;
+/// Kept only for `bench_e2e`, which names `dataspread_relstore::Reader`;
+/// everything else imports [`dataspread_grid::codec`] directly.
+pub use dataspread_grid::codec::Reader;
 pub use datum::{DataType, Datum, DatumRef};
 pub use db::{Database, StorageConfig};
 pub use error::StoreError;

@@ -77,11 +77,6 @@ impl Page {
         self.live
     }
 
-    /// Number of slots (live + dead).
-    pub fn slot_count(&self) -> u16 {
-        self.n_slots
-    }
-
     /// Whether `bytes` would fit as a fresh insert.
     pub fn fits(&self, len: usize) -> bool {
         // A dead slot can be reused (no directory growth); otherwise we need

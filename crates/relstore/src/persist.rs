@@ -4,8 +4,8 @@
 //! embedded stand-in persists itself: `Database::save` writes a snapshot —
 //! catalog, schemas, and raw heap pages — to one file; `Database::load`
 //! restores it. The format is a straightforward length-prefixed layout
-//! over the shared [`crate::codec`] primitives (no external serialization
-//! crates, per the workspace dependency policy):
+//! over the shared [`dataspread_grid::codec`] primitives (no external
+//! serialization crates, per the workspace dependency policy):
 //!
 //! ```text
 //! magic "DSPR" | version u32 | max_columns u32 | table_count u32
@@ -21,7 +21,6 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::codec::{self, Reader};
 use crate::datum::DataType;
 use crate::db::{Database, StorageConfig};
 use crate::error::StoreError;
@@ -30,6 +29,7 @@ use crate::page::{Page, PAGE_SIZE};
 use crate::schema::{ColumnDef, Schema};
 use crate::table::Table;
 use crate::vfs::{real_fs, OpenMode, StorageFs, VfsFile};
+use dataspread_grid::codec::{self, Reader};
 
 const MAGIC: &[u8; 4] = b"DSPR";
 const VERSION: u32 = 1;

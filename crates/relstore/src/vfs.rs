@@ -310,11 +310,6 @@ impl FaultPlan {
         self.lock().rules.push((rule, 0));
     }
 
-    /// Replace the whole schedule (op counters and log are kept).
-    pub fn set_rules(&self, rules: Vec<FaultRule>) {
-        self.lock().rules = rules.into_iter().map(|r| (r, 0)).collect();
-    }
-
     /// Drop every rule: the filesystem heals (op counting continues).
     pub fn disarm(&self) {
         self.lock().rules.clear();

@@ -168,7 +168,6 @@ pub struct Wal {
     /// Records recovered by [`Wal::open`] (the committed prefix found on
     /// disk), in append order. Consumed by the owner during recovery.
     recovered: Vec<Vec<u8>>,
-    appended: u64,
     has_records: bool,
 }
 
@@ -260,7 +259,6 @@ impl Wal {
                 segments: 1,
                 segment_limit: None,
                 recovered: Vec::new(),
-                appended: 0,
                 has_records: false,
             });
         };
@@ -316,7 +314,6 @@ impl Wal {
             segments: last_idx + 1,
             segment_limit: None,
             recovered,
-            appended: 0,
             has_records,
         })
     }
@@ -392,7 +389,6 @@ impl Wal {
         // positional write overwrites.
         self.file.write_at(self.seg_len, &frame)?;
         self.seg_len += frame.len() as u64;
-        self.appended += 1;
         self.has_records = true;
         Ok(lsn)
     }
@@ -452,11 +448,6 @@ impl Wal {
     /// True when the log holds no records.
     pub fn is_empty(&self) -> bool {
         !self.has_records
-    }
-
-    /// Records appended through this handle (not counting recovered ones).
-    pub fn appended_records(&self) -> u64 {
-        self.appended
     }
 
     /// Path of the base segment.

@@ -188,3 +188,35 @@ fn reconnect_after_server_restart_preserves_acknowledged_edits() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Regression: a window over the whole sheet (2^64 cells) was built and
+/// sent fine, but the client's decoder overflowed computing its area — in
+/// a debug build the demux thread panicked, in a release build it failed
+/// every call and dropped the connection, taking every session
+/// multiplexed on it along.
+#[test]
+fn a_full_sheet_window_crosses_the_wire() {
+    let handle = serve(Workspace::in_memory(), "127.0.0.1:0").unwrap();
+    let client = dataspread_client::Client::connect(handle.local_addr()).unwrap();
+    let (fetcher, bystander) = (client.session(), client.session());
+    fetcher.open_sheet("s").unwrap();
+    for (row, col, input) in [(0, 0, "1"), (7, 3, "=A1+1")] {
+        let set = Edit::Set {
+            row,
+            col,
+            input: input.into(),
+        };
+        fetcher.apply_edit("s", set).unwrap();
+    }
+    let everything = dataspread_grid::Rect::new(0, 0, u32::MAX, u32::MAX);
+    let window = fetcher.fetch_window("s", everything).unwrap();
+    assert_eq!(window.filled_count(), 2);
+    let d8 = dataspread_grid::CellAddr::new(7, 3);
+    assert_eq!(window.cell_at(d8).unwrap().formula.as_deref(), Some("A1+1"));
+    assert_eq!(
+        bystander.value("s", d8).unwrap(),
+        dataspread_grid::CellValue::Number(2.0),
+        "the connection survives"
+    );
+    handle.shutdown();
+}

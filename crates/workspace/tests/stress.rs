@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dataspread_engine::SheetEngine;
+use dataspread_engine::{EngineError, SheetEngine};
 use dataspread_grid::{Cell, CellAddr, Rect, SparseSheet};
-use dataspread_workspace::{Edit, Session, Workspace, WorkspaceConfig};
+use dataspread_workspace::{Edit, Session, Workspace, WorkspaceConfig, WorkspaceError};
 
 const MAX_ROW: u32 = 40;
 const MAX_COL: u32 = 10;
@@ -331,6 +331,54 @@ fn a_delete_count_past_the_last_row_deletes_to_the_end() {
     session.open_sheet("s").unwrap();
     assert_eq!(
         session.fetch_window("s", window).unwrap().cells(),
+        live,
+        "recovered from the WAL"
+    );
+    drop(ws);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The wire's `InsertRows { at, n }` with an `n` that would push an
+/// imported region past the last row is refused before anything moves (it
+/// used to overflow under the sheet's write lock, or wrap the region onto
+/// rows above it), and nothing is logged for recovery to replay.
+#[test]
+fn an_insert_count_pushing_a_region_off_the_sheet_is_refused() {
+    let dir = temp_dir("insert-overflow");
+    let window = Rect::new(0, 0, 60, MAX_COL);
+    let live = {
+        let ws = Workspace::open_with(&dir, WorkspaceConfig::default()).unwrap();
+        let session = ws.session();
+        session.open_sheet("s").unwrap();
+        // Nothing loose at or below the cut: only the region is pushed.
+        for row in 0..5u32 {
+            let set = Edit::Set {
+                row,
+                col: 0,
+                input: format!("{row}"),
+            };
+            session.apply_edit("s", set).unwrap();
+        }
+        let block = vec![vec![dataspread_grid::CellValue::Number(7.0); 2]; 5];
+        session
+            .import_rows("s", CellAddr::new(20, 0), 2, block)
+            .unwrap();
+        let before = session.fetch_window("s", window).unwrap();
+        let insert = Edit::InsertRows { at: 5, n: u32::MAX };
+        match session.apply_edit("s", insert) {
+            Err(WorkspaceError::Engine(EngineError::Unsupported(_))) => {}
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        let after = session.fetch_window("s", window).unwrap();
+        assert_eq!(after, before, "nothing moved");
+        assert_eq!(after.filled_count(), 15);
+        after
+    };
+    let ws = Workspace::open_with(&dir, WorkspaceConfig::default()).unwrap();
+    let session = ws.session();
+    session.open_sheet("s").unwrap();
+    assert_eq!(
+        session.fetch_window("s", window).unwrap(),
         live,
         "recovered from the WAL"
     );
