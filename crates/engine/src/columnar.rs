@@ -1199,7 +1199,7 @@ fn read_cell(r: &mut codec::Reader<'_>) -> Result<Cell, DecodeError> {
     let value = match r.u8()? {
         TAG_NULL => CellValue::Empty,
         TAG_NUM => CellValue::Number(r.f64()?),
-        TAG_BOOL => CellValue::Bool(r.u8()? != 0),
+        TAG_BOOL => CellValue::Bool(r.bool()?),
         TAG_TEXT => CellValue::Text(r.str()?),
         TAG_ERR => CellValue::Error(codec::cell_error(r.u8()?)?),
         t => return Err(codec::corrupt(format!("bad value tag {t}"))),

@@ -42,22 +42,41 @@
 //! torn cell — which is exactly what the byte-boundary recovery suite
 //! asserts. An image of any other format version is refused as corrupt.
 //!
-//! On-disk layout of the version-2 image:
+//! On-disk layout of the version-3 image:
 //!
 //! ```text
-//! page 0      magic "DSIM" | version=2 u32 | posmap u8 |
+//! page 0      magic "DSIM" | version=3 u32 | posmap u8 |
 //!             map_len u64 | map_crc u32 | map_page_count u32 |
 //!             map page numbers u64 × n
 //! map pages   region_count u32, then per region (ascending id):
 //!             id u64 | kind u8 | rect u32×4 |
 //!             payload_len u64 | payload_crc u32 |
 //!             page_count u32 | page numbers u64 × n
-//! data pages  each region's length-prefixed cell payload, chunked
+//! data pages  each region's payload, chunked: a columnar region's own
+//!             encoding, or the cell payload below
 //! ```
 //!
-//! Freed pages are zeroed (free pages are always all-zero on disk), so the
-//! same logical state always serializes to the same image bytes no matter
-//! the edit history — the recovery suite compares images byte-for-byte.
+//! Every other store — ROM, COM, RCV, a linked table's cells and the
+//! catch-all — checkpoints as one *cell payload*: its non-blank cells as
+//! row runs, every integer a shortest-form varint
+//! ([`codec::put_uvarint`]):
+//!
+//! ```text
+//! payload := n_rows row{n_rows}
+//! row     := row_gap n_cells(>=1) cell{n_cells}  row_gap = row - prev_row - 1 (first: row)
+//! cell    := col_gap tag body [src_len src]      col_gap = col - prev_col - 1 (first in row: col)
+//! tag     := kind (low 3 bits: Empty 0 | Int 1 | Float 2 | Text 3 | False 4 |
+//!            True 5 | Error 6) | 0x08 if a formula source follows
+//! body    := Int: zigzag varint | Float: f64 LE | Text: len + UTF-8 |
+//!            Error: code u8 | otherwise nothing
+//! ```
+//!
+//! Each value has one byte form: `Int` holds exactly the integral numbers
+//! with |x| ≤ 2^53 other than `-0.0`, so a `Float` holding one is refused,
+//! and `Empty` is legal only under a formula. Freed pages are zeroed (free
+//! pages are always all-zero on disk), so the same logical state always
+//! serializes to the same image bytes no matter the edit history — the
+//! recovery suite compares images byte-for-byte.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -101,8 +120,8 @@ pub const DEFAULT_WAL_SEGMENT_BYTES: u64 = 64 << 20;
 pub const MAX_LOGGED_OP_BYTES: usize = 48 << 20;
 
 const IMAGE_MAGIC: &[u8; 4] = b"DSIM";
-const IMAGE_VERSION: u32 = 2;
-/// Fixed part of the v2 header (magic, version, posmap, map len/crc/count).
+const IMAGE_VERSION: u32 = 3;
+/// Fixed part of the header (magic, version, posmap, map len/crc/count).
 const HEADER_FIXED_LEN: usize = 4 + 4 + 1 + 8 + 4 + 4;
 /// Page numbers that fit in the header after the fixed fields.
 const MAX_MAP_PAGES: usize = (PAGE_SIZE - HEADER_FIXED_LEN) / 8;
@@ -365,118 +384,252 @@ impl LoggedOp {
     }
 }
 
-/// Streams one store's cells into its canonical checkpoint payload — a
-/// `u64` count, then per cell its address, formula flag (+ source) and
-/// value — straight from a [`Translator::scan`](crate::Translator::scan):
-/// no cell list in between. The count is patched in by `finish`. The same
-/// logical content must always produce the same bytes (the recovery suite
-/// compares images byte for byte), so the cells must arrive in strictly
-/// increasing row-major order; a store that scans out of order is a bug
-/// and trips the assert rather than writing a non-canonical image.
-pub(crate) struct CellsEncoder {
+// Cell kinds in the low three bits of a cell payload's tag byte.
+const CELL_EMPTY: u8 = 0;
+const CELL_INT: u8 = 1;
+const CELL_FLOAT: u8 = 2;
+const CELL_TEXT: u8 = 3;
+const CELL_FALSE: u8 = 4;
+const CELL_TRUE: u8 = 5;
+const CELL_ERROR: u8 = 6;
+/// Tag bit: a formula source follows the value.
+const CELL_FORMULA: u8 = 0x08;
+/// Largest magnitude stored as `Int`: every integer up to 2^53 is exact
+/// in an `f64`.
+const MAX_INT_CELL: u64 = 1 << 53;
+
+/// The `Int` form of `n`, if it has one: integral, |n| ≤ 2^53, and not
+/// `-0.0` (whose sign an integer cannot keep).
+fn int_form(n: f64) -> Option<i64> {
+    let integral = n.trunc() == n && n.abs() <= MAX_INT_CELL as f64;
+    (integral && n.to_bits() != (-0.0f64).to_bits()).then_some(n as i64)
+}
+
+fn put_vstr(out: &mut Vec<u8>, s: &str) {
+    codec::put_uvarint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn read_vstr<'a>(cur: &mut Reader<'a>) -> Result<&'a str, EngineError> {
+    let len = cur.uvarint()?;
+    if len > codec::MAX_STR_LEN as u64 {
+        return Err(corrupt(&format!(
+            "cells: string of {len} bytes exceeds bound"
+        )));
+    }
+    std::str::from_utf8(cur.take(len as usize)?).map_err(|_| corrupt("cells: invalid utf-8 string"))
+}
+
+/// Streams one store's cells into its canonical checkpoint cell payload
+/// (grammar in the module doc) straight from a
+/// [`Translator::scan`](crate::Translator::scan): no cell list in between.
+/// A row's cells are staged until the row ends, since its header carries
+/// their count; the row count is prefixed by `finish`. The same logical
+/// content must always produce the same bytes (the recovery suite compares
+/// images byte for byte), so the cells must arrive non-blank and in
+/// strictly increasing row-major order; a store that scans otherwise is a
+/// bug and trips an assert rather than writing a non-canonical image.
+pub struct CellsEncoder {
+    /// Finished rows.
     out: Vec<u8>,
-    count: u64,
+    /// The current row's cells.
+    row: Vec<u8>,
+    /// The current row's gap from the previous row, and its cell count.
+    row_gap: u64,
+    row_cells: u64,
+    rows: u64,
     last: Option<(u32, u32)>,
 }
 
+impl Default for CellsEncoder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CellsEncoder {
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         CellsEncoder {
-            out: vec![0; 8],
-            count: 0,
+            out: Vec::new(),
+            row: Vec::new(),
+            row_gap: 0,
+            row_cells: 0,
+            rows: 0,
             last: None,
         }
     }
 
-    pub(crate) fn push(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
+    pub fn push(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
         assert!(
             self.last < Some((row, col)),
             "checkpoint payload: cell ({row},{col}) scanned after {:?}",
             self.last
         );
-        self.last = Some((row, col));
-        self.count += 1;
-        let out = &mut self.out;
-        codec::put_u32(out, row);
-        codec::put_u32(out, col);
-        match formula {
-            Some(src) => {
-                codec::put_u8(out, 1);
-                codec::put_str(out, src);
+        assert!(
+            formula.is_some() || value != ScanValue::Empty,
+            "checkpoint payload: blank cell ({row},{col}) scanned"
+        );
+        let col_gap = match self.last {
+            Some((r, c)) if r == row => col - c - 1,
+            last => {
+                self.end_row();
+                self.row_gap = last.map_or(row, |(r, _)| row - r - 1) as u64;
+                col
             }
-            None => codec::put_u8(out, 0),
+        };
+        self.last = Some((row, col));
+        self.row_cells += 1;
+        let out = &mut self.row;
+        codec::put_uvarint(out, col_gap as u64);
+        let flag = if formula.is_some() { CELL_FORMULA } else { 0 };
+        match value {
+            ScanValue::Empty => out.push(CELL_EMPTY | flag),
+            ScanValue::Number(n) => match int_form(n) {
+                Some(i) => {
+                    out.push(CELL_INT | flag);
+                    codec::put_uvarint(out, ((i << 1) ^ (i >> 63)) as u64);
+                }
+                None => {
+                    out.push(CELL_FLOAT | flag);
+                    codec::put_f64(out, n);
+                }
+            },
+            ScanValue::Text(s) => {
+                out.push(CELL_TEXT | flag);
+                put_vstr(out, s);
+            }
+            ScanValue::Bool(b) => out.push(if b { CELL_TRUE } else { CELL_FALSE } | flag),
+            ScanValue::Error(e) => {
+                out.push(CELL_ERROR | flag);
+                out.push(e.code());
+            }
         }
-        put_value(out, value);
+        if let Some(src) = formula {
+            put_vstr(out, src);
+        }
     }
 
-    pub(crate) fn finish(mut self) -> Vec<u8> {
-        self.out[..8].copy_from_slice(&self.count.to_le_bytes());
+    /// Move the current row, under its header, to the finished rows.
+    fn end_row(&mut self) {
+        if self.row_cells == 0 {
+            return;
+        }
+        codec::put_uvarint(&mut self.out, self.row_gap);
+        codec::put_uvarint(&mut self.out, self.row_cells);
+        self.out.append(&mut self.row);
+        self.row_cells = 0;
+        self.rows += 1;
+    }
+
+    pub fn finish(mut self) -> Vec<u8> {
+        self.end_row();
+        let mut head = Vec::with_capacity(10);
+        codec::put_uvarint(&mut head, self.rows);
+        self.out.splice(0..0, head);
         self.out
     }
 }
 
+/// `prev + 1 + gap` (or `gap` for the first), refused past `u32::MAX`.
+fn advance(prev: Option<u32>, gap: u64, axis: &str) -> Result<u32, EngineError> {
+    prev.map_or(Some(gap), |p| (p as u64 + 1).checked_add(gap))
+        .and_then(|at| u32::try_from(at).ok())
+        .ok_or_else(|| corrupt(&format!("cells: {axis} past u32::MAX")))
+}
+
+/// One cell's tag, value and formula source, decoded in place.
+fn read_cell<'a>(cur: &mut Reader<'a>) -> Result<(ScanValue<'a>, Option<&'a str>), EngineError> {
+    let tag = cur.u8()?;
+    let has_formula = tag & CELL_FORMULA != 0;
+    let value = match tag & !CELL_FORMULA {
+        CELL_EMPTY if has_formula => ScanValue::Empty,
+        CELL_EMPTY => return Err(corrupt("cells: blank cell without a formula")),
+        CELL_INT => {
+            let z = cur.uvarint()?;
+            let i = (z >> 1) as i64 ^ -((z & 1) as i64);
+            if i.unsigned_abs() > MAX_INT_CELL {
+                return Err(corrupt(&format!("cells: integer {i} past 2^53")));
+            }
+            ScanValue::Number(i as f64)
+        }
+        CELL_FLOAT => {
+            let n = cur.f64()?;
+            if int_form(n).is_some() {
+                return Err(corrupt(&format!("cells: integral {n} stored as a float")));
+            }
+            ScanValue::Number(n)
+        }
+        CELL_TEXT => ScanValue::Text(read_vstr(cur)?),
+        CELL_FALSE => ScanValue::Bool(false),
+        CELL_TRUE => ScanValue::Bool(true),
+        CELL_ERROR => ScanValue::Error(codec::cell_error(cur.u8()?)?),
+        _ => return Err(corrupt(&format!("cells: unknown cell tag {tag:#04x}"))),
+    };
+    let formula = if has_formula {
+        Some(read_vstr(cur)?)
+    } else {
+        None
+    };
+    Ok((value, formula))
+}
+
 /// Visit the cells of a payload written by [`CellsEncoder`] in stored
-/// order, decoded in place (texts and formula sources borrow from
-/// `payload`). Truncation, an unknown flag, tag or error code, invalid
-/// UTF-8 and trailing bytes are all [`StoreError::Corrupt`]; an error from
-/// `f` ends the visit.
-pub(crate) fn visit_cells(
+/// (row-major) order, decoded in place: texts and formula sources borrow
+/// from `payload`. Only the encoder's own bytes are accepted — truncation,
+/// an empty row, an address past `u32::MAX`, an unknown tag or error code,
+/// a non-shortest varint, an integral `Float`, invalid UTF-8 and trailing
+/// bytes are all [`StoreError::Corrupt`] — so every accepted payload
+/// re-encodes to itself. An error from `f` ends the visit.
+pub fn visit_cells(
     payload: &[u8],
     mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
     let mut cur = Reader::new(payload);
-    let count = cur.u64()?;
-    for _ in 0..count {
-        let row = cur.u32()?;
-        let col = cur.u32()?;
-        let formula = match cur.u8()? {
-            0 => None,
-            1 => Some(cur.str_ref()?),
-            t => return Err(corrupt(&format!("unknown formula flag {t}"))),
-        };
-        f(row, col, read_value(&mut cur)?, formula)?;
+    let n_rows = cur.uvarint()?;
+    let mut row = None;
+    // Every row and cell consumes input, so a huge count fails on
+    // truncation instead of looping.
+    for _ in 0..n_rows {
+        let r = advance(row, cur.uvarint()?, "row")?;
+        let n_cells = cur.uvarint()?;
+        if n_cells == 0 {
+            return Err(corrupt("cells: empty row"));
+        }
+        let mut col = None;
+        for _ in 0..n_cells {
+            let c = advance(col, cur.uvarint()?, "column")?;
+            let (value, formula) = read_cell(&mut cur)?;
+            f(r, c, value, formula)?;
+            col = Some(c);
+        }
+        row = Some(r);
     }
     Ok(cur.expect_done("cells")?)
 }
 
-/// The list-building encoder the streamed one replaced, kept as its oracle.
+/// [`CellsEncoder`] over a cell list (sorted, non-blank).
 #[cfg(test)]
 pub(crate) fn encode_cells(cells: &[(CellAddr, Cell)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::put_u64(&mut out, cells.len() as u64);
+    let mut enc = CellsEncoder::new();
     for (addr, cell) in cells {
-        codec::put_u32(&mut out, addr.row);
-        codec::put_u32(&mut out, addr.col);
-        match &cell.formula {
-            Some(src) => {
-                codec::put_u8(&mut out, 1);
-                codec::put_str(&mut out, src);
-            }
-            None => codec::put_u8(&mut out, 0),
-        }
-        put_value(&mut out, ScanValue::of(&cell.value));
+        enc.push(
+            addr.row,
+            addr.col,
+            ScanValue::of(&cell.value),
+            cell.formula.as_deref(),
+        );
     }
-    out
+    enc.finish()
 }
 
-/// The list-building decoder [`visit_cells`] replaced, kept as its oracle.
+/// [`visit_cells`] collected into a cell list.
 #[cfg(test)]
 pub(crate) fn decode_cells(payload: &[u8]) -> Result<Vec<(CellAddr, Cell)>, EngineError> {
-    let mut cur = Reader::new(payload);
-    let count = cur.u64()?;
-    let mut cells = Vec::with_capacity(count.min(1 << 24) as usize);
-    for _ in 0..count {
-        let row = cur.u32()?;
-        let col = cur.u32()?;
-        let formula = match cur.u8()? {
-            0 => None,
-            1 => Some(cur.str()?),
-            t => return Err(corrupt(&format!("unknown formula flag {t}"))),
-        };
-        let value = read_value(&mut cur)?.to_value();
-        cells.push((CellAddr::new(row, col), Cell { value, formula }));
-    }
-    cur.expect_done("cells")?;
+    let mut cells = Vec::new();
+    visit_cells(payload, |row, col, value, formula| {
+        cells.push((CellAddr::new(row, col), value.to_cell(formula)));
+        Ok(())
+    })?;
     Ok(cells)
 }
 
@@ -554,19 +707,23 @@ fn encode_header(kind: PosMapKind, map_len: u64, map_crc: u32, map_pages: &[u64]
 }
 
 /// Read a payload stored as `pages` (each fully read from the pager),
-/// truncated to `len` bytes.
+/// truncated to `len` bytes. `len` must need exactly `pages`: it is checked
+/// before anything is allocated, because the header page carries no CRC
+/// and one flipped bit of its map length would otherwise ask for a
+/// terabyte.
 fn read_paged_payload(pager: &mut Pager, pages: &[u64], len: u64) -> Result<Vec<u8>, EngineError> {
+    let needed = len.div_ceil(PAGE_SIZE as u64);
+    if needed > pages.len() as u64 {
+        return Err(corrupt("payload pages missing from page map"));
+    }
+    if needed < pages.len() as u64 {
+        return Err(corrupt("page map lists more pages than the payload needs"));
+    }
     let mut out = Vec::with_capacity(len as usize);
     for p in pages {
-        if out.len() >= len as usize {
-            return Err(corrupt("page map lists more pages than the payload needs"));
-        }
         let page = pager.read_page(*p)?;
         let want = (len as usize - out.len()).min(PAGE_SIZE);
         out.extend_from_slice(&page[..want]);
-    }
-    if out.len() != len as usize {
-        return Err(corrupt("payload pages missing from page map"));
     }
     Ok(out)
 }
@@ -1548,7 +1705,11 @@ mod tests {
     }
 
     /// The checkpoint cell payload and the page-allocation map, pinned like
-    /// [`op_codec_roundtrip`]'s records.
+    /// [`op_codec_roundtrip`]'s records. The cell payload reads, byte group
+    /// by byte group: 3 rows; row 0 with 2 cells — col 0 Int zigzag 2, col
+    /// gap 4 Text+formula "x" / `B1&"x"`; row gap 8 with 2 cells — col 1
+    /// Empty+formula `ZZ9`, col gap 0 Error+formula #DIV/0! / `1/0`; row
+    /// gap 4294967285 with 1 cell — col u32::MAX False.
     #[test]
     fn cell_payloads_and_page_maps_encode_to_the_pinned_bytes() {
         fn hex(bytes: &[u8]) -> String {
@@ -1561,11 +1722,36 @@ mod tests {
         cells.push(9, 1, ScanValue::Empty, Some("ZZ9"));
         cells.push(9, 2, ScanValue::Error(CellError::Div0), Some("1/0"));
         cells.push(u32::MAX, u32::MAX, ScanValue::Bool(false), None);
-        let want = "050000000000000000000000000000000001000000000000f03f00000000050000000106000000423126227822020100000078090000000100000001030000005a5a390009000000020000000103000000312f300400ffffffffffffffff000300";
+        let want = concat!(
+            "03",
+            "0002",
+            "000102",
+            "040b017806423126227822",
+            "0802",
+            "0108035a5a39",
+            "000e0003312f30",
+            "f5ffffff0f01",
+            "ffffffff0f04",
+        );
         let bytes = cells.finish();
         if hex(&bytes) != want {
             changed.push(format!("cells: \"{}\"", hex(&bytes)));
         }
+        assert_eq!(
+            decode_cells(&bytes).unwrap(),
+            [
+                (0, 0, Cell::value(1.0)),
+                (0, 5, Cell::formula("B1&\"x\"").with_value("x")),
+                (9, 1, Cell::formula("ZZ9")),
+                (
+                    9,
+                    2,
+                    Cell::formula("1/0").with_value(CellValue::Error(CellError::Div0))
+                ),
+                (u32::MAX, u32::MAX, Cell::value(false)),
+            ]
+            .map(|(r, c, cell)| (CellAddr::new(r, c), cell))
+        );
 
         let mut map = BTreeMap::new();
         map.insert(
@@ -1608,7 +1794,6 @@ mod tests {
                     formula: Some("A1*2".into()),
                 },
             ),
-            (CellAddr::new(9, 9), Cell::value("text")),
             (CellAddr::new(4, 4), Cell::value(true)),
             (
                 CellAddr::new(5, 5),
@@ -1617,6 +1802,7 @@ mod tests {
                     formula: Some("A6".into()),
                 },
             ),
+            (CellAddr::new(9, 9), Cell::value("text")),
         ];
         let enc = encode_cells(&cells);
         assert_eq!(decode_cells(&enc).unwrap(), cells);

@@ -1921,9 +1921,11 @@ mod tests {
         }
     }
 
-    /// (c) Every payload the list decoder rejects — and every run the
-    /// builders refuse — is rejected by the streamed path, with no region
-    /// installed and the catch-all left as it was.
+    /// (c) Every malformed payload is rejected by the streamed path, with
+    /// no region installed and the catch-all left as it was. A run out of
+    /// order or with an address twice cannot be written at all (gaps are
+    /// unsigned); what stands in for it is a gap past `u32::MAX`, an empty
+    /// row and a varint that is not in its shortest form.
     #[test]
     fn a_rejected_payload_installs_nothing() {
         let run = vec![
@@ -1952,48 +1954,91 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         bad.push(("trailing byte".into(), trailing));
-        // One cell at (0,0): count u64, row u32, col u32, then the flag at
-        // byte 16 and — with no formula — the value tag at byte 17.
+        // One cell at (0,0): 1 row, row gap 0, 1 cell, column gap 0, then
+        // the tag at byte 4 and its body from byte 5.
         let one = |cell: Cell| encode_cells(&[(addr(0, 0), cell)]);
         let patched = |mut bytes: Vec<u8>, at: usize, to: u8| {
             bytes[at] = to;
             bytes
         };
+        let one_true = [1, 0, 1, 0, 5];
+        assert_eq!(one(Cell::value(true)), one_true);
+        let raw = |parts: &[&[u8]]| parts.concat();
+        let past_2_53 = {
+            let mut z = Vec::new();
+            dataspread_grid::codec::put_uvarint(&mut z, ((1u64 << 53) + 1) << 1);
+            z
+        };
         bad.extend([
+            ("unknown kind 7".into(), patched(one_true.to_vec(), 4, 7)),
             (
-                "unknown formula flag".into(),
-                patched(one(Cell::value(1.0)), 16, 2),
+                "unknown tag bit".into(),
+                patched(one_true.to_vec(), 4, 0x15),
             ),
             (
-                "unknown value tag".into(),
-                patched(one(Cell::value(1.0)), 17, 9),
+                "blank cell without a formula".into(),
+                patched(one_true.to_vec(), 4, 0),
             ),
             (
                 "unknown error code".into(),
-                patched(one(Cell::value(CellValue::Error(CellError::Na))), 18, 200),
+                patched(one(Cell::value(CellValue::Error(CellError::Na))), 5, 200),
             ),
             (
                 "value text not UTF-8".into(),
-                patched(one(Cell::value("ab")), 22, 0xFF),
+                patched(one(Cell::value("ab")), 6, 0xFF),
             ),
             (
                 "formula source not UTF-8".into(),
-                patched(one(Cell::formula("A1")), 21, 0xFF),
+                patched(one(Cell::formula("A1")), 6, 0xFF),
             ),
+            // Kind 2 (Float) holding 1.0, which only Int may hold.
+            (
+                "integral float".into(),
+                raw(&[&[1, 0, 1, 0, 2], &1.0f64.to_le_bytes()]),
+            ),
+            (
+                "integer past 2^53".into(),
+                raw(&[&[1, 0, 1, 0, 1], &past_2_53]),
+            ),
+            (
+                "row gap past u32::MAX".into(),
+                raw(&[&[1], &[0x80, 0x80, 0x80, 0x80, 0x10], &[1, 0, 5]]),
+            ),
+            // Row 0, then a row gap of u32::MAX.
+            (
+                "second row past u32::MAX".into(),
+                raw(&[
+                    &[2, 0, 1, 0, 5],
+                    &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
+                    &[1, 0, 5],
+                ]),
+            ),
+            // Column 0, then a column gap of u32::MAX.
+            (
+                "second column past u32::MAX".into(),
+                raw(&[&[1, 0, 2, 0, 5], &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F], &[5]]),
+            ),
+            ("empty row".into(), vec![1, 0, 0]),
+            (
+                "overlong row count".into(),
+                raw(&[&[0x81, 0], &one_true[1..]]),
+            ),
+            ("overlong row gap".into(), vec![1, 0x80, 0, 1, 0, 5]),
+            ("overlong cell count".into(), vec![1, 0, 0x81, 0, 0, 5]),
+            ("overlong column gap".into(), vec![1, 0, 1, 0x80, 0, 5]),
+            (
+                "overlong text length".into(),
+                vec![1, 0, 1, 0, 3, 0x81, 0, b'a'],
+            ),
+            ("overlong integer".into(), vec![1, 0, 1, 0, 1, 0x82, 0]),
         ]);
         for (what, payload) in &bad {
-            assert!(decode_cells(payload).is_err(), "{what}: the oracle rejects");
+            assert!(
+                decode_cells(payload).is_err(),
+                "{what}: the decoder rejects"
+            );
         }
-        // Well-formed bytes, but not a run: the builders refuse these.
         let cell = |r, c| (addr(r, c), Cell::value(1.0));
-        bad.extend([
-            ("unsorted".into(), encode_cells(&[cell(2, 0), cell(1, 3)])),
-            (
-                "column-major".into(),
-                encode_cells(&[cell(0, 0), cell(1, 0), cell(0, 1)]),
-            ),
-            ("duplicate".into(), encode_cells(&[cell(1, 1), cell(1, 1)])),
-        ]);
 
         for (what, payload) in &bad {
             for kind in BUILT_KINDS {

@@ -98,6 +98,53 @@ fn assert_roundtrip(t: &ColumnarTranslator, ctx: &str) {
     assert_eq!(back.to_bytes(), bytes, "{ctx}: canonical re-encode");
 }
 
+/// Every single-bit flip of one payload holding each number, code and
+/// value store plus a write overlay of every value kind decodes to an
+/// error or to a translator that re-encodes to exactly the flipped bytes.
+#[test]
+fn every_bit_flip_of_a_mixed_payload_is_refused_or_canonical() {
+    let mut t = ColumnarTranslator::new(40, 6);
+    for r in 0..40u32 {
+        let cells = [
+            Cell::value(f64::from(r % 7) - 3.0),
+            Cell::value(f64::from(r) / 3.0),
+            Cell::value(r % 3 == 0),
+            Cell::value(["alpha", "beta"][(r / 10) as usize % 2]),
+            Cell::value(format!("t{}", r % 5)),
+            Cell::formula("A1+1").with_value(CellValue::Error(CellError::Na)),
+        ];
+        for (c, cell) in (0u32..).zip(cells) {
+            t.set_cell(r, c, cell).unwrap();
+        }
+    }
+    t.compact();
+    let overlay = [
+        Cell::value(true),
+        Cell::value(false),
+        Cell::value(2.5),
+        Cell::value("ovl"),
+        Cell::value(CellValue::Error(CellError::Ref)),
+        Cell::formula("B2"),
+    ];
+    for (c, cell) in (0u32..).zip(overlay) {
+        t.set_cell(c * 3 + 1, c, cell).unwrap();
+    }
+    t.clear_cell(2, 1).unwrap();
+    let bytes = t.to_bytes();
+    let mut accepted = 0;
+    for i in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut mutated = bytes.clone();
+            mutated[i] ^= 1 << bit;
+            if let Ok(back) = ColumnarTranslator::from_bytes(&mutated) {
+                accepted += 1;
+                assert_eq!(back.to_bytes(), mutated, "flip of bit {bit} at byte {i}");
+            }
+        }
+    }
+    assert!(accepted > 100, "{accepted} flips accepted");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -153,14 +200,15 @@ proptest! {
         if let Ok(back) = ColumnarTranslator::from_bytes(&bytes[..cut]) {
             prop_assert_eq!(back.all_cells(), t.all_cells());
         }
-        // A single bit flip must decode to an error or to *something*
-        // internally consistent enough to re-encode without panicking.
+        // A single bit flip must decode to an error or to a translator that
+        // re-encodes to exactly the flipped bytes: an accepted payload has
+        // one byte form.
         let mut mutated = bytes.clone();
         if !mutated.is_empty() {
             let i = flip % mutated.len();
             mutated[i] ^= 1 << (flip % 8);
             if let Ok(back) = ColumnarTranslator::from_bytes(&mutated) {
-                let _ = back.to_bytes();
+                prop_assert_eq!(back.to_bytes(), mutated, "flip of bit {} at byte {}", flip % 8, i);
                 let _ = back.all_cells();
             }
         }

@@ -1,0 +1,422 @@
+//! Property tests for the checkpoint cell payload: the one encoding every
+//! non-columnar store (ROM, COM, RCV, a linked table's cells and the
+//! catch-all) is written to the image in (`durable::CellsEncoder`) and
+//! read back from (`durable::visit_cells`).
+//!
+//! Random sparse runs — small local coordinates as a region stores them,
+//! and sheet coordinates up to `(u32::MAX, u32::MAX)` as the catch-all
+//! does — carry every value kind and the numbers at the `Int`/`Float`
+//! border: `-0.0`, NaN bit patterns, ±2^53 and the next doubles past it,
+//! arbitrary bit patterns, long and empty texts, formulas. Each run must
+//! round-trip, every accepted input must re-encode to exactly its own
+//! bytes (checkpoint images are compared byte for byte), a cut at any byte
+//! is refused, a flipped bit is refused or still canonical, and the
+//! non-shortest forms — overlong varints, `Float` bodies holding integers,
+//! `Int` bodies past 2^53 — are refused.
+
+use dataspread_engine::durable::{visit_cells, CellsEncoder};
+use dataspread_engine::{EngineError, ScanValue};
+use dataspread_grid::codec::put_uvarint;
+use dataspread_grid::value::CellError;
+use dataspread_relstore::StoreError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// An owned cell value whose numbers compare by bit pattern, so a NaN
+/// payload or the sign of `-0.0` that did not survive counts as a change.
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    Empty,
+    Number(u64),
+    Text(String),
+    Bool(bool),
+    Error(CellError),
+}
+
+/// `(row, col, value, formula source)`.
+type Cell = (u32, u32, Value, Option<String>);
+
+const ERRORS: [CellError; 7] = [
+    CellError::Div0,
+    CellError::Value,
+    CellError::Ref,
+    CellError::Name,
+    CellError::Na,
+    CellError::Num,
+    CellError::Circular,
+];
+
+const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+/// Numbers on either side of the `Int`/`Float` border. 2^53 + 1 is not a
+/// double; the next one past 2^53 is 2^53 + 2, which must stay a `Float`.
+const EDGE_NUMBERS: [f64; 17] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    TWO_53,
+    -TWO_53,
+    TWO_53 + 2.0,
+    -(TWO_53 + 2.0),
+    0.5,
+    -2.5e-300,
+    f64::MAX,
+    f64::MIN_POSITIVE,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    // A signalling NaN and a negative NaN with a payload.
+    f64::from_bits(0x7FF0_0000_0000_0001),
+    f64::from_bits(0xFFF8_0000_DEAD_BEEF),
+];
+
+fn scan_value(v: &Value) -> ScanValue<'_> {
+    match v {
+        Value::Empty => ScanValue::Empty,
+        Value::Number(bits) => ScanValue::Number(f64::from_bits(*bits)),
+        Value::Text(s) => ScanValue::Text(s),
+        Value::Bool(b) => ScanValue::Bool(*b),
+        Value::Error(e) => ScanValue::Error(*e),
+    }
+}
+
+fn owned(v: ScanValue<'_>) -> Value {
+    match v {
+        ScanValue::Empty => Value::Empty,
+        ScanValue::Number(n) => Value::Number(n.to_bits()),
+        ScanValue::Text(s) => Value::Text(s.to_string()),
+        ScanValue::Bool(b) => Value::Bool(b),
+        ScanValue::Error(e) => Value::Error(e),
+    }
+}
+
+fn encode(cells: &[Cell]) -> Vec<u8> {
+    let mut enc = CellsEncoder::new();
+    for (row, col, value, formula) in cells {
+        enc.push(*row, *col, scan_value(value), formula.as_deref());
+    }
+    enc.finish()
+}
+
+fn decode(bytes: &[u8]) -> Result<Vec<Cell>, EngineError> {
+    let mut cells = Vec::new();
+    visit_cells(bytes, |row, col, value, formula| {
+        cells.push((row, col, owned(value), formula.map(str::to_string)));
+        Ok(())
+    })?;
+    Ok(cells)
+}
+
+/// Visit `bytes` straight into a fresh encoder: `None` when refused.
+fn reencode(bytes: &[u8]) -> Option<Vec<u8>> {
+    let mut enc = CellsEncoder::new();
+    visit_cells(bytes, |row, col, value, formula| {
+        enc.push(row, col, value, formula);
+        Ok(())
+    })
+    .ok()?;
+    Some(enc.finish())
+}
+
+fn random_number(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0u32..6) {
+        0 => EDGE_NUMBERS[rng.gen_range(0..EDGE_NUMBERS.len())],
+        1 => rng.gen_range(-200i64..200) as f64,
+        2 => rng.gen_range(-(1i64 << 53)..=(1i64 << 53)) as f64,
+        3 => f64::from_bits(rng.gen::<u64>()),
+        4 => rng.gen_range(-1.0e6..1.0e6),
+        _ => rng.gen_range(-1000i64..1000) as f64 / 8.0,
+    }
+}
+
+/// A random value; `long` allows texts of up to 5 000 bytes.
+fn random_value(rng: &mut StdRng, long: bool) -> Value {
+    match rng.gen_range(0u32..10) {
+        0..=3 => Value::Number(random_number(rng).to_bits()),
+        4 => Value::Bool(rng.gen_bool(0.5)),
+        5 | 6 => Value::Text(["", "red", "héllo", "日本", "a\0b"][rng.gen_range(0..5)].into()),
+        7 if long => Value::Text("x".repeat(rng.gen_range(100..5000))),
+        7 => Value::Text("y".repeat(rng.gen_range(100..140))),
+        8 => Value::Error(ERRORS[rng.gen_range(0..ERRORS.len())]),
+        _ => Value::Empty,
+    }
+}
+
+/// A random non-blank cell value and formula: an `Empty` value always
+/// carries a formula (a blank cell is never stored).
+fn random_content(rng: &mut StdRng, long: bool) -> (Value, Option<String>) {
+    let value = random_value(rng, long);
+    let mut formula = rng
+        .gen_bool(0.25)
+        .then(|| ["A1+1", "", "SUM(A1:B9)", "\"é\"&C3"][rng.gen_range(0..4)].to_string());
+    if value == Value::Empty && formula.is_none() {
+        formula = Some("B2".into());
+    }
+    (value, formula)
+}
+
+/// A sparse run in a region's local coordinates: blank leading, interior
+/// and trailing rows, ragged widths.
+fn local_run(rng: &mut StdRng, long: bool) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    let rows = rng.gen_range(1u32..48);
+    for r in rng.gen_range(0..rows)..rows {
+        if rng.gen_bool(0.3) {
+            continue;
+        }
+        for c in 0..rng.gen_range(1u32..14) {
+            if rng.gen_bool(0.6) {
+                let (value, formula) = random_content(rng, long);
+                cells.push((r, c, value, formula));
+            }
+        }
+    }
+    cells
+}
+
+/// A sparse run in sheet coordinates: addresses near zero, near the last
+/// row and column, and anywhere, often including `(u32::MAX, u32::MAX)`.
+fn sheet_run(rng: &mut StdRng, long: bool) -> Vec<Cell> {
+    let coord = |rng: &mut StdRng| match rng.gen_range(0u32..3) {
+        0 => rng.gen_range(0u32..100),
+        1 => u32::MAX - rng.gen_range(0u32..100),
+        _ => rng.gen::<u32>(),
+    };
+    let mut addrs: Vec<(u32, u32)> = (0..rng.gen_range(0usize..40))
+        .map(|_| (coord(rng), coord(rng)))
+        .collect();
+    if rng.gen_bool(0.5) {
+        addrs.push((u32::MAX, u32::MAX));
+    }
+    addrs.sort_unstable();
+    addrs.dedup();
+    addrs
+        .into_iter()
+        .map(|(r, c)| {
+            let (value, formula) = random_content(rng, long);
+            (r, c, value, formula)
+        })
+        .collect()
+}
+
+fn runs(seed: u64, long: bool) -> [Vec<Cell>; 2] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    [local_run(&mut rng, long), sheet_run(&mut rng, long)]
+}
+
+fn refused(bytes: &[u8]) -> bool {
+    matches!(
+        decode(bytes),
+        Err(EngineError::Store(StoreError::Corrupt(_)))
+    )
+}
+
+#[test]
+fn random_runs_roundtrip_and_reencode_to_themselves() {
+    let mut kinds = [0usize; 5];
+    for seed in 0..400u64 {
+        for (which, cells) in runs(0x1A6E_C0DE + seed, true).iter().enumerate() {
+            let ctx = format!("seed {seed} run {which}");
+            let bytes = encode(cells);
+            assert_eq!(decode(&bytes).unwrap(), *cells, "{ctx}");
+            assert_eq!(reencode(&bytes).as_ref(), Some(&bytes), "{ctx}");
+            for (.., value, _) in cells {
+                kinds[match value {
+                    Value::Empty => 0,
+                    Value::Number(_) => 1,
+                    Value::Text(_) => 2,
+                    Value::Bool(_) => 3,
+                    Value::Error(_) => 4,
+                }] += 1;
+            }
+        }
+    }
+    assert!(
+        kinds.iter().all(|&n| n > 100),
+        "every kind drawn: {kinds:?}"
+    );
+    // An empty store is one byte: zero rows.
+    assert_eq!(encode(&[]), [0]);
+    assert_eq!(decode(&[0]).unwrap(), Vec::<Cell>::new());
+}
+
+#[test]
+fn every_edge_number_keeps_its_bits_and_takes_its_one_form() {
+    for n in EDGE_NUMBERS {
+        let cells = [(7, 3, Value::Number(n.to_bits()), None)];
+        let bytes = encode(&cells);
+        assert_eq!(decode(&bytes).unwrap(), cells, "{n:e}");
+        // 1 row, gap 7, 1 cell, column gap 3, then the tag.
+        let integral = n.trunc() == n && n.abs() <= TWO_53 && n.to_bits() != (-0.0f64).to_bits();
+        assert_eq!(bytes[4], if integral { 1 } else { 2 }, "{n:e}: tag");
+    }
+}
+
+#[test]
+fn every_cut_is_refused_and_every_bit_flip_is_refused_or_canonical() {
+    let mut accepted_flips = 0u64;
+    for seed in 0..150u64 {
+        for mut cells in runs(0xF11B + seed, false) {
+            // Short runs keep the every-bit sweep cheap in debug builds.
+            cells.truncate(30);
+            let bytes = encode(&cells);
+            for cut in 0..bytes.len() {
+                assert!(refused(&bytes[..cut]), "seed {seed}: cut at {cut} accepted");
+            }
+            let mut trailing = bytes.clone();
+            trailing.push(0);
+            assert!(refused(&trailing), "seed {seed}: trailing byte accepted");
+            for i in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut mutated = bytes.clone();
+                    mutated[i] ^= 1 << bit;
+                    if let Some(again) = reencode(&mutated) {
+                        accepted_flips += 1;
+                        assert_eq!(again, mutated, "seed {seed}: flip of bit {bit} at byte {i}");
+                    }
+                }
+            }
+        }
+    }
+    // Most flips land in a value or a gap and still decode: the property
+    // was exercised, not vacuously true.
+    assert!(accepted_flips > 1000, "{accepted_flips} flips accepted");
+
+    // Short random byte strings: refused or canonical, never a panic.
+    let mut rng = StdRng::seed_from_u64(0xB17E);
+    for _ in 0..20_000 {
+        let len = rng.gen_range(0usize..24);
+        let bytes: Vec<u8> = (0..len)
+            .map(|_| match rng.gen_range(0u32..4) {
+                0 => rng.gen::<u8>(),
+                1 => 0x80 | rng.gen_range(0u8..4),
+                _ => rng.gen_range(0u8..16),
+            })
+            .collect();
+        if let Some(again) = reencode(&bytes) {
+            assert_eq!(again, bytes);
+        }
+    }
+}
+
+/// `v` in a non-shortest form: its shortest varint with one zero group
+/// appended.
+fn overlong(v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_uvarint(&mut out, v);
+    *out.last_mut().unwrap() |= 0x80;
+    out.push(0);
+    out
+}
+
+fn varint(v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_uvarint(&mut out, v);
+    out
+}
+
+fn zigzag(i: i64) -> u64 {
+    ((i << 1) ^ (i >> 63)) as u64
+}
+
+#[test]
+fn non_shortest_forms_are_refused() {
+    // One row at 5 holding, at column 2, Int 7 under formula "A1", then a
+    // Text "ab" one column on: every varint of the payload, each spelled
+    // either way.
+    let payload = |overlong_at: Option<usize>| {
+        let fields: [(u64, &[u8]); 8] = [
+            (1, b""),         // n_rows
+            (5, b""),         // row gap
+            (2, b""),         // n_cells
+            (2, &[0x09]),     // column gap, tag Int + formula
+            (zigzag(7), b""), // Int body
+            (2, b"A1"),       // source length, source
+            (0, &[0x03]),     // column gap, tag Text
+            (2, b"ab"),       // text length, text
+        ];
+        let mut out = Vec::new();
+        for (k, (v, rest)) in fields.iter().enumerate() {
+            out.extend(if overlong_at == Some(k) {
+                overlong(*v)
+            } else {
+                varint(*v)
+            });
+            out.extend_from_slice(rest);
+        }
+        out
+    };
+    let good = payload(None);
+    assert_eq!(
+        decode(&good).unwrap(),
+        [
+            (5, 2, Value::Number(7f64.to_bits()), Some("A1".into())),
+            (5, 3, Value::Text("ab".into()), None),
+        ]
+    );
+    assert_eq!(reencode(&good), Some(good));
+    for k in 0..8 {
+        assert!(refused(&payload(Some(k))), "overlong varint #{k} accepted");
+    }
+
+    // A `Float` body is refused exactly when `Int` could hold the value.
+    let one_number = |tag: u8, body: &[u8]| [&[1, 0, 1, 0, tag][..], body].concat();
+    for n in [0.0, 1.0, -1.0, 42.0, TWO_53, -TWO_53, 1.0e15] {
+        assert!(
+            refused(&one_number(2, &n.to_le_bytes())),
+            "Float {n:e} accepted"
+        );
+    }
+    for n in [
+        -0.0,
+        0.5,
+        TWO_53 + 2.0,
+        -(TWO_53 + 2.0),
+        f64::NAN,
+        f64::INFINITY,
+    ] {
+        let bytes = one_number(2, &n.to_le_bytes());
+        assert_eq!(
+            decode(&bytes).unwrap(),
+            [(0, 0, Value::Number(n.to_bits()), None)]
+        );
+    }
+    // An `Int` body is refused past 2^53 in magnitude.
+    for i in [(1i64 << 53) + 1, -(1i64 << 53) - 1, i64::MAX, i64::MIN] {
+        assert!(
+            refused(&one_number(1, &varint(zigzag(i)))),
+            "Int {i} accepted"
+        );
+    }
+    for i in [1i64 << 53, -(1i64 << 53)] {
+        let bytes = one_number(1, &varint(zigzag(i)));
+        assert_eq!(
+            decode(&bytes).unwrap(),
+            [(0, 0, Value::Number((i as f64).to_bits()), None)]
+        );
+    }
+    // A varint of eleven bytes, or one overflowing 64 bits.
+    assert!(refused(&[[0x80; 10].as_slice(), &[0x01]].concat()));
+    assert!(refused(&[[0xFF; 9].as_slice(), &[0x02]].concat()));
+}
+
+#[test]
+fn an_unsorted_or_blank_cell_is_a_scan_bug_not_a_payload() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let runs: [Vec<Cell>; 3] = [
+        vec![
+            (1, 0, Value::Bool(true), None),
+            (0, 5, Value::Bool(true), None),
+        ],
+        vec![
+            (1, 1, Value::Bool(true), None),
+            (1, 1, Value::Bool(false), None),
+        ],
+        vec![(0, 0, Value::Empty, None)],
+    ];
+    for cells in runs {
+        let result = catch_unwind(AssertUnwindSafe(|| encode(&cells)));
+        assert!(result.is_err(), "{cells:?} must trip the encoder's assert");
+    }
+}

@@ -274,8 +274,9 @@ fn garbage_wal_tail_is_ignored_but_garbage_image_is_rejected() {
     );
     drop(engine);
     // Corrupt a region payload in the image: recovery must refuse, not
-    // hallucinate. Byte 4 of page 1 sits inside the catch-all payload's
-    // CRC-covered prefix (its 8-byte cell count).
+    // hallucinate. Byte 4 of page 1 is the value tag in the catch-all's
+    // CRC-covered payload (1 row, row gap 0, 1 cell, column gap 0, then
+    // tag Int and 42).
     let mut image = std::fs::read(image_path(&base)).unwrap();
     image[8192 + 4] ^= 0xFF;
     std::fs::write(image_path(&base), &image).unwrap();
@@ -348,6 +349,99 @@ fn v1_image_and_v1_wal_are_refused_untouched() {
         assert_eq!(&std::fs::read(&path).unwrap(), bytes, "{name}");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Hand-built PR 3-era (format version 2) image of one catch-all cell:
+/// header page, the catch-all's v2 cell payload (`u64` count, then per
+/// cell `row u32 | col u32 | formula flag | value tag | f64`) on page 1,
+/// the page-allocation map on page 2.
+fn v2_image_bytes(row: u32, col: u32, value: f64) -> Vec<u8> {
+    const PAGE: usize = 8192;
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&1u64.to_le_bytes());
+    payload.extend_from_slice(&row.to_le_bytes());
+    payload.extend_from_slice(&col.to_le_bytes());
+    payload.push(0); // no formula
+    payload.push(1); // value tag: number
+    payload.extend_from_slice(&value.to_le_bytes());
+    let mut map = Vec::new();
+    map.extend_from_slice(&1u32.to_le_bytes()); // one region
+    map.extend_from_slice(&0u64.to_le_bytes()); // id 0: the catch-all
+    map.push(4); // kind: catch-all
+    map.extend_from_slice(&[0u8; 16]); // rect (0,0)..(0,0)
+    map.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    map.extend_from_slice(&dataspread_relstore::crc32(&payload).to_le_bytes());
+    map.extend_from_slice(&1u32.to_le_bytes());
+    map.extend_from_slice(&1u64.to_le_bytes()); // on page 1
+    let mut image = Vec::new();
+    image.extend_from_slice(b"DSIM");
+    image.extend_from_slice(&2u32.to_le_bytes()); // version 2
+    image.push(2); // posmap: hierarchical
+    image.extend_from_slice(&(map.len() as u64).to_le_bytes());
+    image.extend_from_slice(&dataspread_relstore::crc32(&map).to_le_bytes());
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&2u64.to_le_bytes()); // map on page 2
+    for (page, bytes) in [(1, &payload), (2, &map)] {
+        image.resize(PAGE * page, 0);
+        image.extend_from_slice(bytes);
+    }
+    image.resize(PAGE * 3, 0);
+    image
+}
+
+/// Format version 2 has no reader either: its cell payload spent 8 bytes
+/// on every address and 8 on every integer, and version 3 replaced it.
+/// A v2 image is refused with a `Corrupt` error naming the version, and
+/// the file keeps its bytes.
+#[test]
+fn v2_image_is_refused_untouched() {
+    let image = v2_image_bytes(3, 2, 11.0);
+    let dir = temp_dir("v2-image");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(image_path(&dir), &image).unwrap();
+    match SheetEngine::open(&dir) {
+        Err(EngineError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.ends_with("unsupported version 2"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The header page carries no CRC, so its page-map length is checked
+/// against the map's page list before anything is allocated: a flipped
+/// high bit used to request a terabyte and abort the process. Each flip
+/// is refused as corrupt, with the image left byte-identical.
+#[test]
+fn a_flipped_bit_in_the_header_map_length_is_refused_untouched() {
+    let base = temp_dir("header-bits");
+    {
+        let mut engine = SheetEngine::open(&base).unwrap();
+        engine.update_cell_a1("B2", "7").unwrap();
+        engine.checkpoint().unwrap();
+    }
+    let image = std::fs::read(image_path(&base)).unwrap();
+    // magic 4 | version 4 | posmap 1 | map_len u64 at byte 9.
+    const MAP_LEN_AT: usize = 9;
+    for bit in [40usize, 62, 63] {
+        let dir = temp_dir(&format!("header-bit-{bit}"));
+        clone_store(&base, &dir);
+        let mut flipped = image.clone();
+        flipped[MAP_LEN_AT + bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(image_path(&dir), &flipped).unwrap();
+        match SheetEngine::open(&dir) {
+            Err(EngineError::Store(StoreError::Corrupt(_))) => {}
+            other => panic!("bit {bit}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(
+            std::fs::read(image_path(&dir)).unwrap(),
+            flipped,
+            "bit {bit}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    std::fs::remove_dir_all(&base).ok();
 }
 
 // ------------------------------------------- region-granular recovery --

@@ -6,7 +6,9 @@
 //! session protocol on the wire — frames its primitives the same way:
 //! fixed-width little-endian integers and `u32`-length-prefixed UTF-8
 //! strings, and `u32`-count-prefixed lists ([`put_list`] /
-//! [`Reader::list`]). This module is the single implementation of that
+//! [`Reader::list`]); the checkpoint's cell payload also packs small
+//! integers as shortest-form unsigned varints ([`put_uvarint`] /
+//! [`Reader::uvarint`]). This module is the single implementation of that
 //! framing: `put_*` writers that append to a byte buffer, and a
 //! bounds-checked [`Reader`] that refuses to read past the end of its slice
 //! (truncated or hostile input surfaces as a [`DecodeError`], never a
@@ -84,6 +86,17 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
+/// An unsigned LEB128 varint: seven bits per byte, low groups first, the
+/// high bit set on every byte but the last. Always the shortest form, so
+/// [`Reader::uvarint`] can refuse every other one.
+#[inline]
+pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
 /// A `u32` count, then each item.
 pub fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
     put_u32(out, items.len() as u32);
@@ -147,6 +160,34 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// A varint written by [`put_uvarint`]. Only the shortest form is
+    /// accepted: a trailing zero group (overlong), an eleventh byte, and a
+    /// tenth byte carrying bits past 63 are refused. A failed read
+    /// consumes nothing.
+    #[inline]
+    pub fn uvarint(&mut self) -> Result<u64, DecodeError> {
+        let rest = &self.bytes[self.off..];
+        let mut v = 0u64;
+        for (i, &b) in rest.iter().take(10).enumerate() {
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b & 0x80 == 0 {
+                if i > 0 && b == 0 {
+                    return Err(corrupt("overlong varint"));
+                }
+                if i == 9 && b > 1 {
+                    return Err(corrupt("varint overflows u64"));
+                }
+                self.off += i + 1;
+                return Ok(v);
+            }
+        }
+        Err(corrupt(if rest.len() < 10 {
+            "truncated record"
+        } else {
+            "varint longer than 10 bytes"
+        }))
     }
 
     /// A bool written as one byte: 0 or 1, nothing else.
@@ -306,6 +347,54 @@ mod tests {
         let mut buf = Vec::new();
         put_u32(&mut buf, u32::MAX);
         assert!(Reader::new(&buf).str().is_err());
+    }
+
+    #[test]
+    fn varints_roundtrip_in_their_shortest_form() {
+        let samples = [
+            (0u64, vec![0x00]),
+            (1, vec![0x01]),
+            (127, vec![0x7F]),
+            (128, vec![0x80, 0x01]),
+            (300, vec![0xAC, 0x02]),
+            (u32::MAX as u64, vec![0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+            (
+                u64::MAX,
+                vec![0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01],
+            ),
+        ];
+        for (v, bytes) in samples {
+            let mut buf = Vec::new();
+            put_uvarint(&mut buf, v);
+            assert_eq!(buf, bytes, "{v}");
+            let mut r = Reader::new(&buf);
+            assert_eq!(r.uvarint(), Ok(v));
+            r.expect_done("varint").unwrap();
+        }
+        for shift in 0..64 {
+            for v in [1u64 << shift, (1u64 << shift) - 1, (1u64 << shift) + 1] {
+                let mut buf = Vec::new();
+                put_uvarint(&mut buf, v);
+                assert_eq!(Reader::new(&buf).uvarint(), Ok(v));
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_varints_are_refused_and_consume_nothing() {
+        let refused = [
+            (vec![0x80, 0x00], "0, overlong"),
+            (vec![0xFF, 0x80, 0x00], "127, overlong"),
+            ([[0xFF; 9].as_slice(), &[0x02]].concat(), "bit 64 set"),
+            ([[0x80; 10].as_slice(), &[0x01]].concat(), "eleven bytes"),
+            (vec![0x80], "truncated"),
+            (vec![], "empty"),
+        ];
+        for (bytes, why) in &refused {
+            let mut r = Reader::new(bytes);
+            assert!(r.uvarint().is_err(), "{why}");
+            assert_eq!(r.take(bytes.len()).unwrap(), bytes, "{why}: consumed");
+        }
     }
 
     #[test]
