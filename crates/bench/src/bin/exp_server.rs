@@ -21,7 +21,8 @@ use std::time::Instant;
 
 use dataspread_client::Client;
 use dataspread_grid::Rect;
-use dataspread_workspace::{Edit, Workspace, WorkspaceError};
+use dataspread_proto::codes;
+use dataspread_workspace::{Edit, Workspace};
 
 const WINDOW: usize = 8;
 const FETCH_EVERY: usize = 16;
@@ -95,7 +96,7 @@ fn client_run(addr: std::net::SocketAddr, id: usize, ops: usize) -> Vec<u128> {
                 in_window += 1;
                 i += 1;
             }
-            Err(WorkspaceError::Busy(_)) => {
+            Err(e) if e.code == codes::BUSY => {
                 // Admission control: drain the window and retry.
                 session.await_commit(&sheet, last_ticket).expect("await");
                 in_window = 0;

@@ -4,10 +4,13 @@
 //! starts a demultiplexing reader thread; [`Client::session`] then hands
 //! out cheap [`RemoteSession`] handles whose methods mirror the in-process
 //! `dataspread_workspace::Session` API one-to-one — same names, same
-//! request/response types ([`Edit`], [`EditReceipt`], [`WindowPatch`]),
-//! same error enum (`WorkspaceError`, reconstructed from its wire code).
-//! Code written against the local session API ports to the network by
-//! swapping the handle type.
+//! request/response types ([`Edit`], [`EditReceipt`], [`WindowPatch`]).
+//! Every call fails with a [`WireError`]: for an error the server
+//! reported, it equals `WorkspaceError::to_wire()` of the same call made
+//! in-process; the client's own transport failures carry [`codes::IO`],
+//! and handshake or unexpected-response failures [`codes::PROTOCOL`].
+//! The client links only the grid and wire crates, never the storage
+//! engine.
 //!
 //! Many sessions share one connection: every request carries a fresh id,
 //! the reader thread routes each response frame to the caller parked on
@@ -54,13 +57,16 @@ use std::time::{Duration, Instant};
 
 use dataspread_grid::{CellAddr, CellValue, Rect};
 use dataspread_proto::{
-    read_frame, write_frame, CheckpointSummary, Edit, EditReceipt, RegistrySnapshot, Request,
-    Response, SheetStats, WindowPatch, PROTOCOL_VERSION,
+    codes, read_frame, write_frame, CheckpointSummary, Edit, EditReceipt, RegistrySnapshot,
+    Request, Response, SheetStats, WindowPatch, WireError, PROTOCOL_VERSION,
 };
-use dataspread_workspace::WorkspaceError;
 
-fn io_err(context: &str, e: &std::io::Error) -> WorkspaceError {
-    WorkspaceError::Io(format!("{context}: {e}"))
+fn io_err(context: &str, e: &std::io::Error) -> WireError {
+    WireError::new(codes::IO, format!("{context}: {e}"))
+}
+
+fn protocol_err(detail: String) -> WireError {
+    WireError::new(codes::PROTOCOL, detail)
 }
 
 /// Tunables for dialing and redialing the server.
@@ -99,21 +105,21 @@ struct Pending {
     slots: HashMap<u64, Option<Response>>,
     /// Set once the connection dies; every pending and future call fails
     /// with a clone of this.
-    dead: Option<WorkspaceError>,
+    dead: Option<WireError>,
 }
 
 /// Why a call failed, below the application level.
 enum CallError {
     /// The connection is unusable (send failed, stream closed, bad
     /// frame). Redialing may help.
-    Transport(WorkspaceError),
+    Transport(WireError),
     /// The response did not arrive within the call timeout. The
     /// connection may be fine; redialing is not warranted.
-    Timeout(WorkspaceError),
+    Timeout(WireError),
 }
 
 impl CallError {
-    fn into_error(self) -> WorkspaceError {
+    fn into_error(self) -> WireError {
         match self {
             CallError::Transport(e) | CallError::Timeout(e) => e,
         }
@@ -131,7 +137,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn dial(addrs: &[SocketAddr], timeout: Duration) -> Result<Arc<Conn>, WorkspaceError> {
+    fn dial(addrs: &[SocketAddr], timeout: Duration) -> Result<Arc<Conn>, WireError> {
         let mut last: Option<std::io::Error> = None;
         let mut stream = None;
         for addr in addrs {
@@ -174,7 +180,7 @@ impl Conn {
             .is_some()
     }
 
-    fn fail_all(&self, err: WorkspaceError) {
+    fn fail_all(&self, err: WireError) {
         let mut p = self.pending.lock().unwrap_or_else(|e| e.into_inner());
         if p.dead.is_none() {
             p.dead = Some(err);
@@ -229,10 +235,13 @@ impl Conn {
                     let now = Instant::now();
                     if now >= deadline {
                         p.slots.remove(&id);
-                        return Err(CallError::Timeout(WorkspaceError::Io(format!(
-                            "timed out after {:?} waiting for a response",
-                            timeout.expect("deadline implies timeout")
-                        ))));
+                        return Err(CallError::Timeout(WireError::new(
+                            codes::IO,
+                            format!(
+                                "timed out after {:?} waiting for a response",
+                                timeout.expect("deadline implies timeout")
+                            ),
+                        )));
                     }
                     let (guard, _) = self
                         .arrived
@@ -259,7 +268,7 @@ fn read_loop(conn: &Conn, stream: &TcpStream) {
         let payload = match read_frame(&mut reader) {
             Ok(Some(p)) => p,
             Ok(None) => {
-                conn.fail_all(WorkspaceError::Io("connection closed by server".into()));
+                conn.fail_all(WireError::new(codes::IO, "connection closed by server"));
                 return;
             }
             Err(e) => {
@@ -270,7 +279,7 @@ fn read_loop(conn: &Conn, stream: &TcpStream) {
         let (req_id, resp) = match Response::decode(&payload) {
             Ok(pair) => pair,
             Err(e) => {
-                conn.fail_all(WorkspaceError::Protocol(format!("bad response frame: {e}")));
+                conn.fail_all(protocol_err(format!("bad response frame: {e}")));
                 return;
             }
         };
@@ -318,7 +327,7 @@ impl Shared {
     /// when it is dead or absent. Holds the state lock across the redial
     /// so exactly one caller pays for it; the rest queue behind the lock
     /// and find a live connection.
-    fn live_conn(&self) -> Result<Arc<Conn>, WorkspaceError> {
+    fn live_conn(&self) -> Result<Arc<Conn>, WireError> {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(conn) = &st.conn {
             if !conn.is_dead() {
@@ -327,7 +336,7 @@ impl Shared {
             conn.shutdown();
             st.conn = None;
         }
-        let mut last = WorkspaceError::Io("not connected".into());
+        let mut last = WireError::new(codes::IO, "not connected");
         for attempt in 0..=self.config.reconnect_retries {
             if attempt > 0 {
                 let exp = self
@@ -350,7 +359,7 @@ impl Shared {
     /// Dial, handshake, reconcile. On any failure the half-built
     /// connection is torn down and the error returned for the redial
     /// loop to back off on.
-    fn establish(&self, st: &mut ClientState) -> Result<Arc<Conn>, WorkspaceError> {
+    fn establish(&self, st: &mut ClientState) -> Result<Arc<Conn>, WireError> {
         let conn = Conn::dial(&self.addrs, self.config.connect_timeout)?;
         let result = self.handshake(&conn).and_then(|()| {
             let sheets: Vec<String> = st.sheets.keys().cloned().collect();
@@ -368,7 +377,7 @@ impl Shared {
         }
     }
 
-    fn handshake(&self, conn: &Conn) -> Result<(), WorkspaceError> {
+    fn handshake(&self, conn: &Conn) -> Result<(), WireError> {
         let req = Request::Hello {
             version: PROTOCOL_VERSION,
         };
@@ -377,10 +386,10 @@ impl Shared {
             .map_err(CallError::into_error)?
         {
             Response::Hello { version } if version == PROTOCOL_VERSION => Ok(()),
-            Response::Hello { version } => Err(WorkspaceError::Protocol(format!(
+            Response::Hello { version } => Err(protocol_err(format!(
                 "server speaks protocol {version}, client speaks {PROTOCOL_VERSION}"
             ))),
-            other => Err(unexpected("Hello", &other)),
+            other => Err(unexpected("Hello", other)),
         }
     }
 
@@ -391,7 +400,7 @@ impl Shared {
         conn: &Conn,
         st: &mut ClientState,
         name: &str,
-    ) -> Result<(), WorkspaceError> {
+    ) -> Result<(), WireError> {
         let timeout = self.config.call_timeout;
         match conn
             .call(
@@ -403,7 +412,7 @@ impl Shared {
             .map_err(CallError::into_error)?
         {
             Response::Ok => {}
-            other => return Err(unexpected("OpenSheet", &other)),
+            other => return Err(unexpected("OpenSheet", other)),
         }
         let (incarnation, horizon) = match conn
             .call(
@@ -418,7 +427,7 @@ impl Shared {
                 incarnation,
                 horizon,
             } => (incarnation, horizon),
-            other => return Err(unexpected("DurableTicket", &other)),
+            other => return Err(unexpected("DurableTicket", other)),
         };
         let sheet = st.sheets.entry(name.to_string()).or_default();
         if sheet.incarnation == Some(incarnation) {
@@ -449,7 +458,7 @@ impl Shared {
                 .map_err(CallError::into_error)?
             {
                 Response::Receipt(r) => r,
-                other => return Err(unexpected("StageEdit", &other)),
+                other => return Err(unexpected("StageEdit", other)),
             };
             renumbered.insert(old_ticket, receipt.ticket);
             if !receipt.durable {
@@ -485,7 +494,7 @@ impl Shared {
     /// One attempt: no transparent retry. Transport errors retire the
     /// connection (the next call redials) and surface to the caller —
     /// the request may or may not have been applied server-side.
-    fn call_once(&self, req: &Request) -> Result<Response, WorkspaceError> {
+    fn call_once(&self, req: &Request) -> Result<Response, WireError> {
         let conn = self.live_conn()?;
         match conn.call(req, self.config.call_timeout) {
             Ok(resp) => Ok(resp),
@@ -499,8 +508,8 @@ impl Shared {
 
     /// Idempotent call: transparently redial and retry on transport
     /// errors, up to the configured attempt budget.
-    fn call_retry(&self, req: &Request) -> Result<Response, WorkspaceError> {
-        let mut last = WorkspaceError::Io("not connected".into());
+    fn call_retry(&self, req: &Request) -> Result<Response, WireError> {
+        let mut last = WireError::new(codes::IO, "not connected");
         for _ in 0..=self.config.reconnect_retries {
             let conn = self.live_conn()?;
             match conn.call(req, self.config.call_timeout) {
@@ -518,7 +527,7 @@ impl Shared {
     /// Ensure `sheet` is tracked, learning its restart baseline on first
     /// contact (without a baseline a later reconnect could not tell a
     /// restart from a blip).
-    fn ensure_sheet(&self, sheet: &str) -> Result<(), WorkspaceError> {
+    fn ensure_sheet(&self, sheet: &str) -> Result<(), WireError> {
         {
             let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
             if st
@@ -536,7 +545,7 @@ impl Shared {
                 incarnation,
                 horizon,
             } => (incarnation, horizon),
-            other => return Err(unexpected("DurableTicket", &other)),
+            other => return Err(unexpected("DurableTicket", other)),
         };
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let entry = st.sheets.entry(sheet.to_string()).or_default();
@@ -558,7 +567,7 @@ pub struct Client {
 impl Client {
     /// Dial `addr` and run the `Hello` version handshake with default
     /// [`ClientConfig`].
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, WorkspaceError> {
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, WireError> {
         Self::connect_with(addr, ClientConfig::default())
     }
 
@@ -566,13 +575,13 @@ impl Client {
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         config: ClientConfig,
-    ) -> Result<Client, WorkspaceError> {
+    ) -> Result<Client, WireError> {
         let addrs: Vec<SocketAddr> = addr
             .to_socket_addrs()
             .map_err(|e| io_err("resolve", &e))?
             .collect();
         if addrs.is_empty() {
-            return Err(WorkspaceError::Io("address resolved to nothing".into()));
+            return Err(WireError::new(codes::IO, "address resolved to nothing"));
         }
         let shared = Arc::new(Shared {
             addrs,
@@ -598,10 +607,10 @@ impl Client {
     }
 
     /// Round-trip a ping (liveness check; redials a dead connection).
-    pub fn ping(&self) -> Result<(), WorkspaceError> {
+    pub fn ping(&self) -> Result<(), WireError> {
         match self.shared.call_retry(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(unexpected("Ping", &other)),
+            other => Err(unexpected("Ping", other)),
         }
     }
 }
@@ -616,10 +625,12 @@ impl Drop for Client {
     }
 }
 
-fn unexpected(what: &str, resp: &Response) -> WorkspaceError {
+/// The error a call returns for a response it did not expect: the
+/// server's own error as received, or a protocol error naming the stray.
+fn unexpected(what: &str, resp: Response) -> WireError {
     match resp {
-        Response::Err(e) => WorkspaceError::from_wire(e.code, e.detail.clone()),
-        other => WorkspaceError::Protocol(format!("unexpected response to {what}: {other:?}")),
+        Response::Err(e) => e,
+        other => protocol_err(format!("unexpected response to {what}: {other:?}")),
     }
 }
 
@@ -632,62 +643,62 @@ pub struct RemoteSession {
 }
 
 impl RemoteSession {
-    pub fn open_sheet(&self, sheet: &str) -> Result<(), WorkspaceError> {
+    pub fn open_sheet(&self, sheet: &str) -> Result<(), WireError> {
         match self.shared.call_retry(&Request::OpenSheet {
             sheet: sheet.to_string(),
         })? {
             Response::Ok => {}
-            other => return Err(unexpected("OpenSheet", &other)),
+            other => return Err(unexpected("OpenSheet", other)),
         }
         // Track the sheet (and its restart baseline) so a reconnect
         // re-opens it and can reconcile staged edits.
         self.shared.ensure_sheet(sheet)
     }
 
-    pub fn fetch_window(&self, sheet: &str, rect: Rect) -> Result<WindowPatch, WorkspaceError> {
+    pub fn fetch_window(&self, sheet: &str, rect: Rect) -> Result<WindowPatch, WireError> {
         match self.shared.call_retry(&Request::FetchWindow {
             sheet: sheet.to_string(),
             rect,
         })? {
             Response::Window(patch) => Ok(patch),
-            other => Err(unexpected("FetchWindow", &other)),
+            other => Err(unexpected("FetchWindow", other)),
         }
     }
 
-    pub fn value(&self, sheet: &str, addr: CellAddr) -> Result<CellValue, WorkspaceError> {
+    pub fn value(&self, sheet: &str, addr: CellAddr) -> Result<CellValue, WireError> {
         match self.shared.call_retry(&Request::Value {
             sheet: sheet.to_string(),
             addr,
         })? {
             Response::Value(v) => Ok(v),
-            other => Err(unexpected("Value", &other)),
+            other => Err(unexpected("Value", other)),
         }
     }
 
     /// Apply and durably commit one edit. Not retried on transport
     /// errors: a died-mid-call edit may or may not have been applied,
     /// and the error says exactly that.
-    pub fn apply_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WorkspaceError> {
+    pub fn apply_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WireError> {
         match self.shared.call_once(&Request::ApplyEdit {
             sheet: sheet.to_string(),
             edit,
         })? {
             Response::Receipt(r) => Ok(r),
-            other => Err(unexpected("ApplyEdit", &other)),
+            other => Err(unexpected("ApplyEdit", other)),
         }
     }
 
     /// Stage an edit without waiting for its fsync; pair with
     /// [`RemoteSession::await_commit`]. The server bounds the number of
     /// staged-but-unacknowledged edits per connection — a
-    /// `WorkspaceError::Busy` return means "await, then retry".
+    /// [`codes::BUSY`] error means "await, then retry".
     ///
     /// A returned receipt is the client's re-stage obligation: if the
     /// server restarts before the edit is durable, the next reconnect
     /// re-sends it, and the receipt's ticket keeps working with
     /// [`RemoteSession::await_commit`]. An *errored* stage call carries
     /// no such promise — it is never re-sent.
-    pub fn stage_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WorkspaceError> {
+    pub fn stage_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WireError> {
         self.shared.ensure_sheet(sheet)?;
         // Snapshot the incarnation the stage will run against, to detect
         // the (rare) reconnect-plus-restart racing between the server's
@@ -701,7 +712,7 @@ impl RemoteSession {
             edit: edit.clone(),
         })? {
             Response::Receipt(r) => r,
-            other => return Err(unexpected("StageEdit", &other)),
+            other => return Err(unexpected("StageEdit", other)),
         };
         if receipt.durable {
             return Ok(receipt); // per-op commit mode: already fsynced
@@ -727,7 +738,7 @@ impl RemoteSession {
             edit: edit.clone(),
         })? {
             Response::Receipt(r) => r,
-            other => return Err(unexpected("StageEdit", &other)),
+            other => return Err(unexpected("StageEdit", other)),
         };
         let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
         let entry = st.sheets.entry(sheet.to_string()).or_default();
@@ -743,8 +754,8 @@ impl RemoteSession {
     /// crash-durable. Transparently redials and re-resolves the ticket
     /// through any restart re-staging, so the receipt a caller holds
     /// keeps meaning the same edit.
-    pub fn await_commit(&self, sheet: &str, ticket: u64) -> Result<(), WorkspaceError> {
-        let mut last = WorkspaceError::Io("not connected".into());
+    pub fn await_commit(&self, sheet: &str, ticket: u64) -> Result<(), WireError> {
+        let mut last = WireError::new(codes::IO, "not connected");
         for _ in 0..=self.shared.config.reconnect_retries {
             // Resolve *after* live_conn: a reconnect reconciles first,
             // so the remap is current for the connection we call on.
@@ -769,7 +780,7 @@ impl RemoteSession {
                     }
                     return Ok(());
                 }
-                Ok(other) => return Err(unexpected("AwaitCommit", &other)),
+                Ok(other) => return Err(unexpected("AwaitCommit", other)),
                 Err(CallError::Timeout(e)) => return Err(e),
                 Err(CallError::Transport(e)) => {
                     self.shared.retire(&conn);
@@ -788,7 +799,7 @@ impl RemoteSession {
         top_left: CellAddr,
         width: u32,
         rows: Vec<Vec<CellValue>>,
-    ) -> Result<Rect, WorkspaceError> {
+    ) -> Result<Rect, WireError> {
         match self.shared.call_once(&Request::ImportRows {
             sheet: sheet.to_string(),
             top_left,
@@ -796,25 +807,25 @@ impl RemoteSession {
             rows,
         })? {
             Response::Imported(rect) => Ok(rect),
-            other => Err(unexpected("ImportRows", &other)),
+            other => Err(unexpected("ImportRows", other)),
         }
     }
 
-    pub fn checkpoint(&self, sheet: &str) -> Result<Option<CheckpointSummary>, WorkspaceError> {
+    pub fn checkpoint(&self, sheet: &str) -> Result<Option<CheckpointSummary>, WireError> {
         match self.shared.call_once(&Request::Checkpoint {
             sheet: sheet.to_string(),
         })? {
             Response::Checkpoint(summary) => Ok(summary),
-            other => Err(unexpected("Checkpoint", &other)),
+            other => Err(unexpected("Checkpoint", other)),
         }
     }
 
-    pub fn stats(&self, sheet: &str) -> Result<SheetStats, WorkspaceError> {
+    pub fn stats(&self, sheet: &str) -> Result<SheetStats, WireError> {
         match self.shared.call_retry(&Request::Stats {
             sheet: sheet.to_string(),
         })? {
             Response::Stats(s) => Ok(s),
-            other => Err(unexpected("Stats", &other)),
+            other => Err(unexpected("Stats", other)),
         }
     }
 
@@ -824,16 +835,16 @@ impl RemoteSession {
     /// across reconnects. Render it with
     /// [`RegistrySnapshot::render_text`] for a Prometheus-style text
     /// exposition.
-    pub fn metrics(&self) -> Result<RegistrySnapshot, WorkspaceError> {
+    pub fn metrics(&self) -> Result<RegistrySnapshot, WireError> {
         match self.shared.call_retry(&Request::Metrics)? {
             Response::Metrics(snap) => Ok(snap),
-            other => Err(unexpected("Metrics", &other)),
+            other => Err(unexpected("Metrics", other)),
         }
     }
 
     /// The sheet's restart pair `(incarnation, horizon)` as the server
     /// reports it right now (see the crate docs for semantics).
-    pub fn durable_ticket(&self, sheet: &str) -> Result<(u64, u64), WorkspaceError> {
+    pub fn durable_ticket(&self, sheet: &str) -> Result<(u64, u64), WireError> {
         match self.shared.call_retry(&Request::DurableTicket {
             sheet: sheet.to_string(),
         })? {
@@ -841,7 +852,7 @@ impl RemoteSession {
                 incarnation,
                 horizon,
             } => Ok((incarnation, horizon)),
-            other => Err(unexpected("DurableTicket", &other)),
+            other => Err(unexpected("DurableTicket", other)),
         }
     }
 }

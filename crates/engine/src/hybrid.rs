@@ -605,11 +605,26 @@ impl HybridSheet {
                 "restore of duplicate region id {id}"
             )));
         }
+        // A CRC-valid payload can still reach past its region's rect: a
+        // cell's sheet address would overflow, and a builder would
+        // materialize every row up to it. Refuse it before anything is
+        // pushed.
+        let within = |rows: u64, cols: u64| {
+            if rows <= rect.rows() && cols <= rect.cols() {
+                return Ok(());
+            }
+            Err(EngineError::Store(StoreError::Corrupt(format!(
+                "image: region {id} reaches {rows}x{cols} cells, its rect holds {}x{}",
+                rect.rows(),
+                rect.cols()
+            ))))
+        };
         let mut formula_at = |row: u32, col: u32, src: &str| {
             formulas.push((CellAddr::new(row + rect.r1, col + rect.c1), src.to_string()));
         };
         if kind == ModelKind::Columnar {
             let t = ColumnarTranslator::from_bytes(payload)?;
+            within(t.rows().into(), t.cols().into())?;
             t.for_each_formula(&mut formula_at);
             return Ok(Box::new(t));
         }
@@ -620,6 +635,7 @@ impl HybridSheet {
             rect.cols() as u32,
         );
         visit_cells(payload, |row, col, value, formula| {
+            within(u64::from(row) + 1, u64::from(col) + 1)?;
             if let Some(src) = formula {
                 formula_at(row, col, src);
             }

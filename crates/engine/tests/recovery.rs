@@ -444,6 +444,72 @@ fn a_flipped_bit_in_the_header_map_length_is_refused_untouched() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A region's payload is checked against the region's rect before a
+/// single cell is built. Three CRC-valid images are refused as corrupt
+/// with `pages.db` byte-identical: a cell exactly one row past the rect
+/// (the builder used to grow the region to hold it), a formula cell at
+/// local row `u32::MAX - 1` (its sheet row used to overflow), and a
+/// columnar region one row taller than its rect.
+#[test]
+fn a_region_cell_outside_its_rect_is_refused_untouched() {
+    use dataspread_engine::durable::{CellsEncoder, DurableStore};
+    use dataspread_engine::{
+        ColumnarTranslator, ModelKind, PosMapKind, RegionImage, ScanValue, Translator,
+        CATCHALL_REGION_ID,
+    };
+    use dataspread_grid::{Cell, Rect};
+    let rect = Rect::new(2, 0, 5, 2);
+    let cells = |row: u32, col: u32, formula: Option<&str>| {
+        let mut cells = CellsEncoder::new();
+        cells.push(0, 0, ScanValue::Number(1.0), None);
+        cells.push(row, col, ScanValue::Number(2.0), formula);
+        cells.finish()
+    };
+    let mut columnar = ColumnarTranslator::new(rect.rows() as u32 + 1, 3);
+    columnar.set_cell(4, 1, Cell::formula("1+1")).unwrap();
+    let cases = [
+        (
+            "rect-rows",
+            ModelKind::Rom,
+            cells(rect.rows() as u32, 0, None),
+        ),
+        (
+            "formula-near-max",
+            ModelKind::Rom,
+            cells(u32::MAX - 1, 1, Some("1+1")),
+        ),
+        ("columnar-rows", ModelKind::Columnar, columnar.to_bytes()),
+    ];
+    for (name, kind, payload) in cases {
+        let dir = temp_dir(name);
+        {
+            let (mut store, _) = DurableStore::open(&dir).unwrap();
+            let regions = vec![
+                RegionImage {
+                    id: CATCHALL_REGION_ID,
+                    kind: ModelKind::Rcv,
+                    rect: Rect::new(0, 0, 0, 0),
+                    payload: Some(CellsEncoder::new().finish()),
+                },
+                RegionImage {
+                    id: 1,
+                    kind,
+                    rect,
+                    payload: Some(payload),
+                },
+            ];
+            store.checkpoint(PosMapKind::Hierarchical, regions).unwrap();
+        }
+        let image = std::fs::read(image_path(&dir)).unwrap();
+        match SheetEngine::open(&dir) {
+            Err(EngineError::Store(StoreError::Corrupt(_))) => {}
+            other => panic!("{name}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image, "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 // ------------------------------------------- region-granular recovery --
 
 /// A sheet with many imported regions must survive a crash and come back

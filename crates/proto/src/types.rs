@@ -329,11 +329,14 @@ pub(crate) fn health_from_u8(b: u8) -> Result<Health, DecodeError> {
 
 /// Stable numeric codes for every error the session API can surface.
 ///
-/// The codes are wire contract: they never change meaning, new ones are
-/// only appended, and both sides treat unknown codes as opaque-but-valid
-/// (`WorkspaceError::Remote` client-side). Layout: `0x000x` session-level
-/// errors, `0x01xx` engine-level, `0x02xx` store-level (one code per
-/// row-store error variant).
+/// The codes are wire contract: they never change meaning and new ones are
+/// only appended. The server derives them from its `WorkspaceError`
+/// (`to_wire`); the client never rebuilds that enum and hands the
+/// [`WireError`] to its caller as received, so an unknown code is as
+/// valid as a known one. `PROTOCOL` and `IO` are also what the client
+/// reports for its own handshake and transport failures. Layout: `0x000x`
+/// session-level errors, `0x01xx` engine-level, `0x02xx` store-level (one
+/// code per row-store error variant).
 pub mod codes {
     /// The named sheet was never opened in this workspace.
     pub const NO_SUCH_SHEET: u16 = 1;
@@ -379,8 +382,9 @@ pub mod codes {
 
 /// An error as it travels the wire: a stable numeric code plus the
 /// variant's payload string (sheet name, message, …) — not a rendered
-/// display string, so the receiving side reconstructs the same error
-/// instead of wrapping an opaque blob of text.
+/// display string, so the receiving side branches on the code instead of
+/// parsing an opaque blob of text. It is also the client's whole error
+/// type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     pub code: u16,
@@ -401,6 +405,8 @@ impl std::fmt::Display for WireError {
         write!(f, "[{:#06x}] {}", self.code, self.detail)
     }
 }
+
+impl std::error::Error for WireError {}
 
 #[cfg(test)]
 mod tests {

@@ -95,17 +95,6 @@ impl Database {
         Ok(self.tables.get_mut(name).expect("just inserted"))
     }
 
-    /// Register a fully-built table (snapshot restore path).
-    pub fn insert_table(&mut self, mut table: Table) -> Result<(), StoreError> {
-        if self.tables.contains_key(table.name()) {
-            return Err(StoreError::TableExists(table.name().to_string()));
-        }
-        self.change_count += 1;
-        table.note_change(self.change_count);
-        self.tables.insert(table.name().to_string(), table);
-        Ok(())
-    }
-
     pub fn drop_table(&mut self, name: &str) -> Result<Table, StoreError> {
         let t = self
             .tables

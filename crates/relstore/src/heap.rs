@@ -124,22 +124,6 @@ impl HeapFile {
         self.insert(bytes)
     }
 
-    /// Persistence view of the pages, in page-number order.
-    pub fn pages(&self) -> &[Page] {
-        &self.pages
-    }
-
-    /// Append a page restored from a snapshot (persistence only — page
-    /// numbers are their vector positions, so pages must arrive in order).
-    pub fn push_raw_page(&mut self, page: Page) {
-        self.pages.push(page);
-    }
-
-    /// Restore the live-tuple counter after loading raw pages.
-    pub fn set_live_count(&mut self, live: u64) {
-        self.live = live;
-    }
-
     /// Iterate all live tuples as `(TupleId, bytes)`.
     pub fn scan(&self) -> impl Iterator<Item = (TupleId, &[u8])> {
         self.pages.iter().enumerate().flat_map(|(pno, page)| {

@@ -15,14 +15,12 @@
 //! per-table, per-row, per-column, and per-cell overheads — so that storage
 //! comparisons between data models (ROM / COM / RCV / hybrids) transfer.
 //!
-//! Durability comes in two tiers:
-//!
-//! * [`persist`] — whole-database snapshots (atomic temp-file + rename),
-//!   the import/export path;
-//! * [`pager`] + [`wal`] — page-granular persistence: fixed-size page I/O
-//!   through an LRU cache with dirty tracking, and a CRC-framed write-ahead
-//!   log whose fsync-point is the commit point. The engine crate composes
-//!   the two into crash-recoverable sheet storage.
+//! Durability has one tier: [`pager`] + [`wal`] — page-granular
+//! persistence: fixed-size page I/O through an LRU cache with dirty
+//! tracking, and a CRC-framed write-ahead log whose fsync-point is the
+//! commit point. The engine crate composes the two into crash-recoverable
+//! sheet storage. A [`db::Database`] itself lives in memory only: the
+//! engine's durable image holds sheet cells, not the tables behind them.
 
 pub mod btree;
 pub mod datum;
@@ -31,7 +29,6 @@ pub mod error;
 pub mod heap;
 pub mod page;
 pub mod pager;
-pub mod persist;
 pub mod schema;
 pub mod table;
 pub mod vfs;

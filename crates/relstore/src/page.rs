@@ -165,37 +165,6 @@ impl Page {
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
         (0..self.n_slots).filter_map(move |i| self.get(i).map(|b| (i, b)))
     }
-
-    /// Raw persistence view: (page bytes, n_slots, free_end, live).
-    pub fn raw_parts(&self) -> (&[u8], u16, u16, u16) {
-        (&self.data[..], self.n_slots, self.free_end, self.live)
-    }
-
-    /// Rebuild a page from persisted parts (validates basic bounds).
-    pub fn from_raw_parts(
-        bytes: Vec<u8>,
-        n_slots: u16,
-        free_end: u16,
-        live: u16,
-    ) -> Result<Self, crate::error::StoreError> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(crate::error::StoreError::Corrupt(format!(
-                "page of {} bytes",
-                bytes.len()
-            )));
-        }
-        if live > n_slots || HEADER + n_slots as usize * SLOT > free_end as usize {
-            return Err(crate::error::StoreError::Corrupt(
-                "inconsistent page header".into(),
-            ));
-        }
-        Ok(Page {
-            data: bytes.into_boxed_slice().try_into().expect("checked size"),
-            n_slots,
-            free_end,
-            live,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -39,26 +39,26 @@ use dataspread_proto::{
 };
 use dataspread_workspace::{Session, Workspace, WorkspaceError};
 
+/// Worker threads per connection (concurrent requests in flight for one
+/// connection; more lets reads overlap commit waits).
+const WORKERS_PER_CONN: usize = 4;
+
+/// Decoded requests buffered between a connection's reader and its
+/// workers; a full queue stops the reader, pushing backpressure into TCP.
+const QUEUE_DEPTH: usize = 128;
+
 /// Per-connection serving knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads per connection (concurrent requests in flight for
-    /// one connection; more lets reads overlap commit waits).
-    pub workers_per_conn: usize,
     /// Max staged-but-not-yet-durable edits per sheet per connection
     /// before `StageEdit` answers [`codes::BUSY`].
     pub max_staged_per_conn: usize,
-    /// Decoded requests buffered between the reader and the workers; a
-    /// full queue stops the reader, pushing backpressure into TCP.
-    pub queue_depth: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            workers_per_conn: 4,
             max_staged_per_conn: 64,
-            queue_depth: 128,
         }
     }
 }
@@ -326,11 +326,11 @@ fn serve_conn(stream: TcpStream, session: Session, config: &ServerConfig, obs: &
     obs.conn_event("conn_open", &peer);
     let writer = Arc::new(Mutex::new(write_half));
     let staged = Arc::new(Mutex::new(StagedWindow::default()));
-    let (tx, rx) = mpsc::sync_channel::<(u64, Request)>(config.queue_depth.max(1));
+    let (tx, rx) = mpsc::sync_channel::<(u64, Request)>(QUEUE_DEPTH);
     let rx = Arc::new(Mutex::new(rx));
 
-    let mut workers = Vec::with_capacity(config.workers_per_conn);
-    for _ in 0..config.workers_per_conn.max(1) {
+    let mut workers = Vec::with_capacity(WORKERS_PER_CONN);
+    for _ in 0..WORKERS_PER_CONN {
         let rx = Arc::clone(&rx);
         let writer = Arc::clone(&writer);
         let staged = Arc::clone(&staged);
@@ -750,7 +750,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 max_staged_per_conn: 0,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -795,7 +794,6 @@ mod tests {
             "127.0.0.1:0",
             ServerConfig {
                 max_staged_per_conn: 8,
-                ..Default::default()
             },
         )
         .unwrap();

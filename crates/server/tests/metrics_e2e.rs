@@ -127,7 +127,6 @@ fn busy_rejections_are_counted_and_ring_buffered() {
         "127.0.0.1:0",
         ServerConfig {
             max_staged_per_conn: 0,
-            ..Default::default()
         },
     )
     .unwrap();

@@ -1,0 +1,92 @@
+//! A remote error is the local error's wire form: the same failing call
+//! made through an in-process `Session` and through a `RemoteSession` on
+//! one served workspace fails with `remote == local.to_wire()` — code and
+//! detail — because the client hands the server's `WireError` back
+//! unchanged instead of rebuilding a `WorkspaceError` from it.
+
+use dataspread_client::{Client, RemoteSession};
+use dataspread_grid::{CellAddr, CellValue, Rect};
+use dataspread_proto::{codes, WireError};
+use dataspread_server::serve;
+use dataspread_workspace::{Edit, Session, Workspace, WorkspaceError};
+
+/// Run `call` both ways and check the remote error against the local one.
+fn same_error<T: std::fmt::Debug, U: std::fmt::Debug>(
+    what: &str,
+    local: &Session,
+    remote: &RemoteSession,
+    call_local: impl Fn(&Session) -> Result<T, WorkspaceError>,
+    call_remote: impl Fn(&RemoteSession) -> Result<U, WireError>,
+) -> WireError {
+    let local_err = call_local(local).expect_err(what);
+    let remote_err = call_remote(remote).expect_err(what);
+    assert_eq!(remote_err, local_err.to_wire(), "{what}");
+    remote_err
+}
+
+#[test]
+fn remote_errors_equal_the_local_errors_wire_form() {
+    let ws = Workspace::in_memory();
+    let local = ws.session();
+    let handle = serve(ws, "127.0.0.1:0").unwrap();
+    let client = Client::connect(handle.local_addr()).unwrap();
+    let remote = client.session();
+    let window = Rect::new(0, 0, 3, 3);
+
+    let e = same_error(
+        "fetch from a sheet never opened",
+        &local,
+        &remote,
+        |s| s.fetch_window("never", window),
+        |s| s.fetch_window("never", window),
+    );
+    assert_eq!(e, WireError::new(codes::NO_SUCH_SHEET, "never"));
+
+    let e = same_error(
+        "open a sheet named a/b",
+        &local,
+        &remote,
+        |s| s.open_sheet("a/b"),
+        |s| s.open_sheet("a/b"),
+    );
+    assert_eq!(e, WireError::new(codes::BAD_SHEET_NAME, "a/b"));
+
+    remote.open_sheet("s").unwrap();
+    let bad_formula = Edit::Set {
+        row: 0,
+        col: 0,
+        input: "=SUM((".into(),
+    };
+    let e = same_error(
+        "=SUM((",
+        &local,
+        &remote,
+        |s| s.apply_edit("s", bad_formula.clone()),
+        |s| s.apply_edit("s", bad_formula.clone()),
+    );
+    assert_eq!(e.code, codes::ENGINE_FORMULA);
+
+    // A region whose rows an insert would push past the last sheet row.
+    let block = vec![vec![CellValue::Number(7.0); 2]; 5];
+    remote
+        .import_rows("s", CellAddr::new(20, 0), 2, block)
+        .unwrap();
+    let before = remote.fetch_window("s", Rect::new(0, 0, 40, 3)).unwrap();
+    let insert = Edit::InsertRows { at: 5, n: u32::MAX };
+    let e = same_error(
+        "an insert pushing a region past the last row",
+        &local,
+        &remote,
+        |s| s.apply_edit("s", insert.clone()),
+        |s| s.apply_edit("s", insert.clone()),
+    );
+    assert_eq!(e.code, codes::ENGINE_UNSUPPORTED);
+    assert_eq!(
+        remote.fetch_window("s", Rect::new(0, 0, 40, 3)).unwrap(),
+        before,
+        "neither refused insert moved anything"
+    );
+
+    drop(client);
+    handle.shutdown();
+}

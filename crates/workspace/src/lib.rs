@@ -39,10 +39,11 @@
 //! The session surface is now *wire-typed*: [`Edit`], [`EditReceipt`] and
 //! the [`WindowPatch`] returned by [`Session::fetch_window`] are the
 //! `dataspread-proto` wire types themselves, and every [`WorkspaceError`]
-//! variant carries a stable numeric code ([`WorkspaceError::code`]) that
-//! round-trips through [`WorkspaceError::from_wire`] — the TCP server and
-//! client (`dataspread-server` / `dataspread-client`) frame these values
-//! as-is rather than maintaining a parallel DTO layer.
+//! variant carries a stable numeric code ([`WorkspaceError::code`]). The
+//! TCP server (`dataspread-server`) frames these values as-is rather than
+//! maintaining a parallel DTO layer, sending an error as
+//! [`WorkspaceError::to_wire`]; the client (`dataspread-client`) hands
+//! that `WireError` to its caller unchanged and never links this crate.
 
 mod committer;
 mod service;

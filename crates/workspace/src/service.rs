@@ -22,12 +22,6 @@ use crate::committer::GroupCommitter;
 /// Workspace construction knobs.
 #[derive(Clone)]
 pub struct WorkspaceConfig {
-    /// Auto-checkpoint every N logged ops on each sheet (engine default:
-    /// disabled).
-    pub auto_checkpoint_ops: Option<u64>,
-    /// Worker threads for each sheet engine's wave recomputation
-    /// (`None` = one per available core).
-    pub recompute_threads: Option<usize>,
     /// Route every sheet's file I/O through this filesystem instead of
     /// the real one — the hook fault-injection tests use to script
     /// storage failures (`None` = the real OS filesystem).
@@ -50,8 +44,6 @@ pub struct WorkspaceConfig {
 impl Default for WorkspaceConfig {
     fn default() -> Self {
         WorkspaceConfig {
-            auto_checkpoint_ops: None,
-            recompute_threads: None,
             storage_fs: None,
             metrics_enabled: true,
             slow_op_ns: None,
@@ -63,8 +55,6 @@ impl Default for WorkspaceConfig {
 impl std::fmt::Debug for WorkspaceConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkspaceConfig")
-            .field("auto_checkpoint_ops", &self.auto_checkpoint_ops)
-            .field("recompute_threads", &self.recompute_threads)
             .field("storage_fs", &self.storage_fs.as_ref().map(|_| "custom"))
             .field("metrics_enabled", &self.metrics_enabled)
             .finish()
@@ -75,11 +65,10 @@ impl std::fmt::Debug for WorkspaceConfig {
 ///
 /// Every variant has a stable numeric wire code ([`WorkspaceError::code`],
 /// constants in [`dataspread_proto::codes`]) so errors cross the network
-/// as `(code, detail)` pairs and reconstruct on the client
-/// ([`WorkspaceError::from_wire`]) instead of collapsing into strings.
-/// The enum is `#[non_exhaustive]`: new variants may appear, and codes a
-/// client does not recognize decode as [`WorkspaceError::Remote`] rather
-/// than failing.
+/// as `(code, detail)` pairs ([`WorkspaceError::to_wire`]) instead of
+/// collapsing into strings. The wire form is one-way: a remote client
+/// receives the [`WireError`] itself and never rebuilds this enum. The
+/// enum is `#[non_exhaustive]`: new variants may appear.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum WorkspaceError {
@@ -93,11 +82,6 @@ pub enum WorkspaceError {
     /// Admission control rejected the request (e.g. too many staged edits
     /// in flight); retry after draining.
     Busy(String),
-    /// The peer violated the wire protocol (bad frame, bad tag, version
-    /// mismatch).
-    Protocol(String),
-    /// Transport-level I/O failure (only produced by the network layers).
-    Io(String),
     /// The sheet is read-only after a permanent storage failure: fetches
     /// still serve from memory, but edits are refused until the server
     /// reopens the store. The payload is the original failure cause.
@@ -106,13 +90,6 @@ pub enum WorkspaceError {
     /// itself (a failed fsync, a torn checkpoint). The request that got
     /// this error was NOT made durable; the sheet degrades to read-only.
     StorageFailed(String),
-    /// An error that crossed the wire with a code this build cannot map
-    /// back onto a richer variant. The code is preserved verbatim, so
-    /// `code()` still round-trips.
-    Remote {
-        code: u16,
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for WorkspaceError {
@@ -125,15 +102,10 @@ impl std::fmt::Display for WorkspaceError {
             WorkspaceError::Engine(e) => write!(f, "engine: {e}"),
             WorkspaceError::Store(e) => write!(f, "store: {e}"),
             WorkspaceError::Busy(m) => write!(f, "busy: {m}"),
-            WorkspaceError::Protocol(m) => write!(f, "protocol violation: {m}"),
-            WorkspaceError::Io(m) => write!(f, "io: {m}"),
             WorkspaceError::Degraded(m) => {
                 write!(f, "sheet degraded to read-only after storage failure: {m}")
             }
             WorkspaceError::StorageFailed(m) => write!(f, "storage failed: {m}"),
-            WorkspaceError::Remote { code, detail } => {
-                write!(f, "remote error {code:#06x}: {detail}")
-            }
         }
     }
 }
@@ -192,33 +164,14 @@ fn store_detail(e: &StoreError) -> String {
     }
 }
 
-fn store_from_wire(code: u16, detail: String) -> Option<StoreError> {
-    Some(match code {
-        codes::STORE_NO_SUCH_TABLE => StoreError::NoSuchTable(detail),
-        codes::STORE_TABLE_EXISTS => StoreError::TableExists(detail),
-        codes::STORE_SCHEMA_MISMATCH => StoreError::SchemaMismatch(detail),
-        codes::STORE_BAD_TUPLE_ID => StoreError::BadTupleId,
-        codes::STORE_TUPLE_TOO_LARGE => StoreError::TupleTooLarge(detail.parse().unwrap_or(0)),
-        codes::STORE_CORRUPT => StoreError::Corrupt(detail),
-        codes::STORE_NO_SUCH_COLUMN => StoreError::NoSuchColumn(detail),
-        codes::STORE_LIMIT_EXCEEDED => StoreError::LimitExceeded(detail),
-        codes::STORE_IO => StoreError::Io(detail),
-        codes::STORE_STORAGE_FAILED => StoreError::StorageFailed(detail),
-        _ => return None,
-    })
-}
-
 impl WorkspaceError {
     /// The variant's stable wire code (see [`dataspread_proto::codes`]).
-    /// Codes never change meaning across versions; `Remote` carries its
-    /// original code through unchanged.
+    /// Codes never change meaning across versions.
     pub fn code(&self) -> u16 {
         match self {
             WorkspaceError::NoSuchSheet(_) => codes::NO_SUCH_SHEET,
             WorkspaceError::BadSheetName(_) => codes::BAD_SHEET_NAME,
             WorkspaceError::Busy(_) => codes::BUSY,
-            WorkspaceError::Protocol(_) => codes::PROTOCOL,
-            WorkspaceError::Io(_) => codes::IO,
             WorkspaceError::Degraded(_) => codes::DEGRADED,
             WorkspaceError::StorageFailed(_) => codes::STORAGE_FAILED,
             WorkspaceError::Engine(EngineError::Unsupported(_)) => codes::ENGINE_UNSUPPORTED,
@@ -229,20 +182,16 @@ impl WorkspaceError {
             WorkspaceError::Engine(EngineError::Store(e)) | WorkspaceError::Store(e) => {
                 store_code(e)
             }
-            WorkspaceError::Remote { code, .. } => *code,
         }
     }
 
     /// The variant's payload string as sent over the wire (the sheet
-    /// name, the message — not the rendered `Display` form, so the
-    /// receiving side can rebuild the same variant).
+    /// name, the message — not the rendered `Display` form).
     pub fn wire_detail(&self) -> String {
         match self {
             WorkspaceError::NoSuchSheet(s)
             | WorkspaceError::BadSheetName(s)
             | WorkspaceError::Busy(s)
-            | WorkspaceError::Protocol(s)
-            | WorkspaceError::Io(s)
             | WorkspaceError::Degraded(s)
             | WorkspaceError::StorageFailed(s) => s.clone(),
             WorkspaceError::Engine(EngineError::Unsupported(m))
@@ -253,42 +202,12 @@ impl WorkspaceError {
             WorkspaceError::Engine(EngineError::Store(e)) | WorkspaceError::Store(e) => {
                 store_detail(e)
             }
-            WorkspaceError::Remote { detail, .. } => detail.clone(),
         }
     }
 
     /// Package for the wire: `(code, detail)`.
     pub fn to_wire(&self) -> WireError {
         WireError::new(self.code(), self.wire_detail())
-    }
-
-    /// Rebuild from a wire `(code, detail)` pair. Codes with a structural
-    /// local variant reconstruct it exactly; parser-level engine codes
-    /// and unknown codes become [`WorkspaceError::Remote`], preserving
-    /// the code, so `from_wire(e.code(), e.wire_detail()).code() ==
-    /// e.code()` holds for *every* error.
-    pub fn from_wire(code: u16, detail: String) -> WorkspaceError {
-        match code {
-            codes::NO_SUCH_SHEET => WorkspaceError::NoSuchSheet(detail),
-            codes::BAD_SHEET_NAME => WorkspaceError::BadSheetName(detail),
-            codes::BUSY => WorkspaceError::Busy(detail),
-            codes::PROTOCOL => WorkspaceError::Protocol(detail),
-            codes::IO => WorkspaceError::Io(detail),
-            codes::DEGRADED => WorkspaceError::Degraded(detail),
-            codes::STORAGE_FAILED => WorkspaceError::StorageFailed(detail),
-            codes::ENGINE_UNSUPPORTED => WorkspaceError::Engine(EngineError::Unsupported(detail)),
-            codes::ENGINE_BAD_LINK => WorkspaceError::Engine(EngineError::BadLink(detail)),
-            _ => match store_from_wire(code, detail.clone()) {
-                Some(store) => WorkspaceError::Store(store),
-                None => WorkspaceError::Remote { code, detail },
-            },
-        }
-    }
-}
-
-impl From<WireError> for WorkspaceError {
-    fn from(e: WireError) -> Self {
-        WorkspaceError::from_wire(e.code, e.detail)
     }
 }
 
@@ -682,12 +601,6 @@ impl Session {
             },
             None => SheetEngine::new(),
         };
-        if let Some(ops) = self.inner.config.auto_checkpoint_ops {
-            engine.set_auto_checkpoint(Some(ops));
-        }
-        if let Some(threads) = self.inner.config.recompute_threads {
-            engine.set_recompute_threads(threads);
-        }
         engine.set_obs(EngineObs::new(&self.inner.metrics, name));
         let wal = engine.commit_wal();
         if let Some(wal) = &wal {
@@ -1427,63 +1340,88 @@ mod tests {
     }
 
     #[test]
-    fn error_codes_roundtrip_the_wire() {
-        let errors: Vec<WorkspaceError> = vec![
-            WorkspaceError::NoSuchSheet("ledger".into()),
-            WorkspaceError::BadSheetName("a/b".into()),
-            WorkspaceError::Busy("32 staged edits in flight".into()),
-            WorkspaceError::Protocol("bad tag 77".into()),
-            WorkspaceError::Io("connection reset".into()),
-            WorkspaceError::Engine(EngineError::Unsupported("structural edit".into())),
-            WorkspaceError::Engine(EngineError::BadLink("overlap".into())),
-            WorkspaceError::Store(StoreError::NoSuchTable("t".into())),
-            WorkspaceError::Store(StoreError::BadTupleId),
-            WorkspaceError::Store(StoreError::TupleTooLarge(9000)),
-            WorkspaceError::Store(StoreError::Corrupt("truncated record".into())),
-            WorkspaceError::Store(StoreError::Io("disk full".into())),
-            WorkspaceError::Store(StoreError::StorageFailed("fsync: EIO".into())),
-            WorkspaceError::Degraded("fsync: EIO".into()),
-            WorkspaceError::StorageFailed("injected ENOSPC".into()),
-            WorkspaceError::Remote {
-                code: 0x7777,
-                detail: "from the future".into(),
-            },
+    fn error_codes_are_distinct_and_pinned() {
+        // The literals are wire contract: a client branches on them.
+        let pinned: Vec<(WorkspaceError, u16, &str)> = vec![
+            (WorkspaceError::NoSuchSheet("ledger".into()), 1, "ledger"),
+            (WorkspaceError::BadSheetName("a/b".into()), 2, "a/b"),
+            (
+                WorkspaceError::Busy("32 in flight".into()),
+                3,
+                "32 in flight",
+            ),
+            (
+                WorkspaceError::Degraded("fsync: EIO".into()),
+                6,
+                "fsync: EIO",
+            ),
+            (WorkspaceError::StorageFailed("ENOSPC".into()), 7, "ENOSPC"),
+            (
+                WorkspaceError::Engine(EngineError::Unsupported("structural edit".into())),
+                0x101,
+                "structural edit",
+            ),
+            (
+                WorkspaceError::Engine(EngineError::BadLink("overlap".into())),
+                0x102,
+                "overlap",
+            ),
+            (
+                WorkspaceError::Store(StoreError::NoSuchTable("t".into())),
+                0x200,
+                "t",
+            ),
+            (WorkspaceError::Store(StoreError::BadTupleId), 0x203, ""),
+            (
+                WorkspaceError::Store(StoreError::TupleTooLarge(9000)),
+                0x204,
+                "9000",
+            ),
+            (
+                WorkspaceError::Store(StoreError::Corrupt("torn".into())),
+                0x205,
+                "torn",
+            ),
+            (
+                WorkspaceError::Store(StoreError::Io("disk full".into())),
+                0x208,
+                "disk full",
+            ),
+            (
+                WorkspaceError::Store(StoreError::StorageFailed("fsync: EIO".into())),
+                0x209,
+                "fsync: EIO",
+            ),
         ];
-        for e in &errors {
-            let wire = e.to_wire();
-            let back = WorkspaceError::from_wire(wire.code, wire.detail.clone());
-            assert_eq!(
-                back.code(),
-                e.code(),
-                "code must survive the round trip: {e:?}"
-            );
-            assert_eq!(
-                back.wire_detail(),
-                e.wire_detail(),
-                "detail must survive the round trip: {e:?}"
-            );
-            assert_eq!(&back, e, "structural variants reconstruct exactly: {e:?}");
+        for (e, code, detail) in &pinned {
+            assert_eq!(e.to_wire(), WireError::new(*code, *detail), "{e:?}");
         }
-        // Distinct variants get distinct codes.
-        let mut codes: Vec<u16> = errors.iter().map(|e| e.code()).collect();
+        let mut codes: Vec<u16> = pinned.iter().map(|(e, ..)| e.to_wire().code).collect();
         codes.sort_unstable();
         codes.dedup();
-        assert_eq!(codes.len(), errors.len());
+        assert_eq!(
+            codes.len(),
+            pinned.len(),
+            "distinct variants get distinct codes"
+        );
     }
 
     #[test]
     fn parser_level_errors_keep_their_code_class() {
-        // A formula parse error can't reconstruct its typed payload
-        // client-side, but its code class must survive.
+        // A formula parse error crosses the wire as its code and message
+        // only; the code must still say "engine-level, formula".
         let ws = Workspace::in_memory();
         let s = ws.session();
         s.open_sheet("f").unwrap();
         let err = s.apply_edit("f", set(0, 0, "=SUM((")).unwrap_err();
+        assert!(matches!(
+            err,
+            WorkspaceError::Engine(EngineError::Formula(_))
+        ));
         let wire = err.to_wire();
         assert_eq!(wire.code, dataspread_proto::codes::ENGINE_FORMULA);
-        let back = WorkspaceError::from_wire(wire.code, wire.detail);
-        assert_eq!(back.code(), dataspread_proto::codes::ENGINE_FORMULA);
-        assert!(matches!(back, WorkspaceError::Remote { .. }));
+        assert_eq!(wire.code & 0xff00, 0x0100, "engine-level class");
+        assert!(!wire.detail.is_empty());
     }
 
     #[test]

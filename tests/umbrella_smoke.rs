@@ -104,9 +104,9 @@ fn every_reexported_crate_is_reachable() {
     );
     let err = remote.open_sheet("bad/name").unwrap_err();
     assert_eq!(
-        err.code(),
+        err.code,
         dataspread::proto::codes::BAD_SHEET_NAME,
-        "error codes round-trip the wire"
+        "error codes cross the wire"
     );
     handle.shutdown();
 }
