@@ -17,8 +17,9 @@
 //! Each corpus is imported as one ROM region into a durable engine and
 //! measured three ways — resident bytes (per-region accounting), a full
 //! recompute of `SUM`/`COUNT`/`AVERAGE`/`COUNTA` formulas spanning the
-//! million-row columns (the evaluator's real path: per-cell walk on ROM,
-//! `range_agg` column fold on columnar), and `WindowPatch` construction
+//! million-row columns (the evaluator's real path: its own `RangeAgg`
+//! fold over the sheet's ordered scan on ROM, the `range_agg` push-down
+//! onto the typed column runs on columnar), and `WindowPatch` construction
 //! over scattered viewport-sized windows (the serving path: the ordered
 //! scan placed into a `PatchBuilder`, on either layout)
 //! — then migrated in place to `ModelKind::Columnar` and measured again.

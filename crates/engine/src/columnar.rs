@@ -21,6 +21,7 @@
 
 use std::collections::{btree_map, BTreeMap, HashMap};
 
+use dataspread_formula::RangeAgg;
 use dataspread_grid::codec;
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellValue, DecodeError, Rect, ScanValue};
@@ -39,58 +40,6 @@ const TAG_TEXT: u8 = 3;
 const TAG_ERR: u8 = 4;
 
 const ENC_VERSION: u8 = 1;
-
-/// Result of the single-column aggregate fast path: the exact sequential
-/// row-order folds the evaluator would have produced cell-by-cell.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ColumnAgg {
-    /// `acc = acc + n` over `Number` values in row order from `0.0` —
-    /// bit-identical to the evaluator's fold.
-    pub sum: f64,
-    /// Count of `Number` values.
-    pub numbers: u64,
-    /// Count of non-`Empty` values (what `COUNTA` sees).
-    pub nonempty: u64,
-    /// First `Error` value in row order; when set, the scan stopped there
-    /// (the evaluator aborts on the first error).
-    pub error: Option<CellError>,
-}
-
-impl ColumnAgg {
-    /// Fold the next value in row order; `false` once an error ended the
-    /// fold (the evaluator aborts on the first error, so later values must
-    /// not count).
-    pub(crate) fn fold(&mut self, v: ScanValue<'_>) -> bool {
-        if self.error.is_some() {
-            return false;
-        }
-        match v {
-            ScanValue::Empty => {}
-            ScanValue::Number(n) => {
-                self.sum += n;
-                self.numbers += 1;
-                self.nonempty += 1;
-            }
-            ScanValue::Error(e) => {
-                self.error = Some(e);
-                return false;
-            }
-            _ => self.nonempty += 1,
-        }
-        true
-    }
-}
-
-impl From<ColumnAgg> for dataspread_formula::RangeAgg {
-    fn from(agg: ColumnAgg) -> Self {
-        dataspread_formula::RangeAgg {
-            sum: agg.sum,
-            numbers: agg.numbers,
-            nonempty: agg.nonempty,
-            error: agg.error,
-        }
-    }
-}
 
 // ------------------------------------------------------------ tag runs --
 
@@ -924,10 +873,11 @@ impl ColumnarTranslator {
         self.rows = new_rows;
     }
 
-    /// Single-column aggregate over local rows `r1..=r2`, overlay-merged,
-    /// with the evaluator's exact row-order fold and first-error abort.
-    pub fn column_agg(&self, col: u32, r1: u32, r2: u32) -> ColumnAgg {
-        let mut agg = ColumnAgg::default();
+    /// Single-column aggregate over local rows `r1..=r2`, overlay-merged:
+    /// the column's typed runs folded in row order through
+    /// [`RangeAgg::fold`], stopping at the first error.
+    pub fn column_agg(&self, col: u32, r1: u32, r2: u32) -> RangeAgg {
+        let mut agg = RangeAgg::default();
         let Some(c) = self.columns.get(col as usize) else {
             return agg;
         };

@@ -10,12 +10,13 @@
 
 use std::collections::{BTreeMap, HashSet};
 
+use dataspread_formula::RangeAgg;
 use dataspread_grid::{Cell, CellAddr, Rect, ScanValue, SparseSheet};
 use dataspread_hybrid::{Decomposition, ModelKind, Occupancy, Region};
 use dataspread_posmap::PosMapKind;
 use dataspread_relstore::StoreError;
 
-use crate::columnar::{ColumnAgg, ColumnarBuilder, ColumnarTranslator};
+use crate::columnar::{ColumnarBuilder, ColumnarTranslator};
 use crate::com::ComBuilder;
 use crate::durable::{visit_cells, CellsEncoder};
 use crate::error::EngineError;
@@ -1287,27 +1288,19 @@ impl HybridSheet {
         Ok(())
     }
 
-    /// The aggregate fast path: when `rect` is a single-column range served
-    /// entirely by one region — of any layout — fold it off that region's
-    /// scan (ROM decodes only the one projected column; columnar folds its
-    /// typed runs, [`ColumnarTranslator::column_agg`]) instead of cloning
-    /// the column's cells: same row order, same `0.0 + …` sum, same
-    /// first-error abort as the evaluator's per-cell walk. `None` means "no
-    /// fast path here", not an empty result.
-    pub fn range_agg(&self, rect: Rect) -> Option<ColumnAgg> {
+    /// The aggregate push-down: when `rect` is a single-column range inside
+    /// one columnar region, fold that column's typed runs
+    /// ([`ColumnarTranslator::column_agg`]) instead of streaming its cells.
+    /// `None` everywhere else — the evaluator folds [`HybridSheet::scan`]
+    /// itself, which is all a fold over any other layout would do.
+    pub fn range_agg(&self, rect: Rect) -> Option<RangeAgg> {
         if rect.c1 != rect.c2 || rect.r1 > rect.r2 {
             return None;
         }
         let region = self.sole_region(&rect)?;
+        let t = region.translator.as_columnar()?;
         let local = rect.translate(-(region.rect.r1 as i64), -(region.rect.c1 as i64));
-        if let Some(t) = region.translator.as_columnar() {
-            return Some(t.column_agg(local.c1, local.r1, local.r2));
-        }
-        let mut agg = ColumnAgg::default();
-        region.translator.scan(local, &mut |_, _, value, _| {
-            agg.fold(value);
-        });
-        Some(agg)
+        Some(t.column_agg(local.c1, local.r1, local.r2))
     }
 
     /// The former columnar-only window path: when `rect` is served entirely
@@ -1411,8 +1404,8 @@ impl dataspread_formula::eval::CellReader for StorageReader<'_> {
         });
     }
 
-    fn range_agg(&self, rect: Rect) -> Option<dataspread_formula::RangeAgg> {
-        self.0.range_agg(rect).map(Into::into)
+    fn range_agg(&self, rect: Rect) -> Option<RangeAgg> {
+        self.0.range_agg(rect)
     }
 }
 

@@ -39,7 +39,7 @@ pub mod sheet;
 pub mod tom;
 pub mod translator;
 
-pub use columnar::{ColumnAgg, ColumnarTranslator};
+pub use columnar::ColumnarTranslator;
 pub use dataspread_grid::ScanValue;
 pub use durable::{CheckpointReport, LoggedOp, PersistenceStats};
 pub use error::EngineError;

@@ -1040,15 +1040,13 @@ impl SheetEngine {
             // The formula cell itself may have moved or died. Readers of a
             // dead formula's cell necessarily read the deleted band, so
             // they reseed through their own band intersection.
-            let Some(new_addr) = shift_addr(addr, shift) else {
+            let Some(new_addr) = shift.apply(addr) else {
                 continue;
             };
             match rewrite(&info.expr, shift) {
                 Some(new_expr) => {
                     let needs_recompute = self.shift_recompute_all
-                        || collect_ranges(&info.expr)
-                            .iter()
-                            .any(|r| range_hits_shift(r, shift));
+                        || collect_ranges(&info.expr).iter().any(|r| shift.hits(r));
                     let source = if new_expr == info.expr {
                         // Pure translation (or untouched): the sheet moved
                         // the cell with its verbatim text; keep it.
@@ -1118,58 +1116,6 @@ fn headers_and_rows(sheet: &HybridSheet, rect: Rect) -> (Vec<String>, Vec<Vec<Da
         }
     });
     (headers, rows, cells)
-}
-
-/// Whether a read window's *pre-edit* coordinates intersect the band of a
-/// structural edit — the exact condition under which the window's contents
-/// (and thus the reading formula's value) can change. A window strictly
-/// above/left of the band, or one shifted rigidly as a whole, keeps its
-/// contents; an insertion changes contents only when it lands strictly
-/// inside the window (the window grows), a deletion only when the deleted
-/// band overlaps it.
-fn range_hits_shift(r: &Rect, shift: Shift) -> bool {
-    match shift {
-        Shift::InsertRows { at, .. } => r.r1 < at && at <= r.r2,
-        Shift::DeleteRows { at, n } => (r.r1 as u64) < at as u64 + n as u64 && r.r2 >= at,
-        Shift::InsertCols { at, .. } => r.c1 < at && at <= r.c2,
-        Shift::DeleteCols { at, n } => (r.c1 as u64) < at as u64 + n as u64 && r.c2 >= at,
-    }
-}
-
-/// Where a cell moves under a structural edit; `None` when deleted.
-fn shift_addr(addr: CellAddr, shift: Shift) -> Option<CellAddr> {
-    match shift {
-        // The sheet refuses an insert that would push a cell off it, so the
-        // checked adds only keep this total.
-        Shift::InsertRows { at, n } => Some(if addr.row >= at {
-            CellAddr::new(addr.row.checked_add(n)?, addr.col)
-        } else {
-            addr
-        }),
-        Shift::DeleteRows { at, n } => {
-            if addr.row >= at.saturating_add(n) {
-                Some(CellAddr::new(addr.row - n, addr.col))
-            } else if addr.row >= at {
-                None
-            } else {
-                Some(addr)
-            }
-        }
-        Shift::InsertCols { at, n } => Some(if addr.col >= at {
-            CellAddr::new(addr.row, addr.col.checked_add(n)?)
-        } else {
-            addr
-        }),
-        Shift::DeleteCols { at, n } => {
-            if addr.col >= at.saturating_add(n) {
-                Some(CellAddr::new(addr.row, addr.col - n))
-            } else if addr.col >= at {
-                None
-            } else {
-                Some(addr)
-            }
-        }
-    }
 }
 
 /// Interpret user input the way a spreadsheet UI does.

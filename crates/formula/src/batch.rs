@@ -19,7 +19,7 @@ use dataspread_grid::value::CellError;
 use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue};
 
 use crate::ast::{CellRef, Expr, UnOp};
-use crate::eval::CellReader;
+use crate::eval::{AggKind, CellReader, RangeAgg};
 
 /// Render `expr` with every reference written as an offset from `base`
 /// (`R[-3]C[0]`-style). Two formulas at different cells with equal keys are
@@ -89,29 +89,6 @@ fn write_relative(expr: &Expr, base: CellAddr, out: &mut String) -> Option<()> {
     Some(())
 }
 
-/// The aggregates with a vectorizable sweep. These four share the same
-/// iteration contract in the evaluator (`for_each_value`): visit non-empty
-/// cells row-major, abort on the first error, fold numbers / count matches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AggKind {
-    Sum,
-    Count,
-    CountA,
-    Average,
-}
-
-impl AggKind {
-    fn from_name(name: &str) -> Option<AggKind> {
-        match name {
-            "SUM" => Some(AggKind::Sum),
-            "COUNT" => Some(AggKind::Count),
-            "COUNTA" => Some(AggKind::CountA),
-            "AVERAGE" => Some(AggKind::Average),
-            _ => None,
-        }
-    }
-}
-
 /// A sliding-window aggregate: `AGG(range)` where the whole range is
 /// relative, described by the range corners' offsets from the formula cell.
 /// This is the canonical fill-down aggregate (`=SUM(A1:A64)` filled down a
@@ -165,9 +142,9 @@ pub fn detect_sliding(expr: &Expr, base: CellAddr) -> Option<SlidingSpec> {
     })
 }
 
-/// Refuse to materialize dense arrays past this many slots (~64 MB of
-/// `f64`s) — a run whose window union is bigger falls back to per-cell
-/// evaluation rather than ballooning memory.
+/// Refuse to materialize dense arrays past this many slots (~72 MB: an
+/// `f64` and a kind byte each) — a run whose window union is bigger falls
+/// back to per-cell evaluation rather than ballooning memory.
 const MAX_DENSE_SLOTS: u64 = 8_000_000;
 
 /// Evaluate one fill-down run of `spec` at `members` with a single storage
@@ -176,10 +153,10 @@ const MAX_DENSE_SLOTS: u64 = 8_000_000;
 /// the caller then evaluates those cells through the normal tree walk.
 ///
 /// Exactness: for each member this folds the same cells, in the same
-/// row-major order, with the same number/empty/error rules as
-/// `Evaluator::eval` on the equivalent `AGG(range)` call, so the results
-/// are bit-identical — the differential suites in `dataspread-engine`
-/// pin this against the sequential evaluator on random tapes.
+/// row-major order, through the same [`RangeAgg`] as `Evaluator::eval` on
+/// the equivalent `AGG(range)` call, so the results are bit-identical —
+/// the differential suites in `dataspread-engine` pin this against the
+/// sequential evaluator on random tapes.
 pub fn batch_eval_sliding(
     spec: SlidingSpec,
     members: &[CellAddr],
@@ -201,79 +178,50 @@ pub fn batch_eval_sliding(
     }
     let slots = (union.rows() * width) as usize;
     let width = width as usize;
-    // One bulk fetch for the whole run, splatted into dense arrays.
-    let mut nums: Vec<f64> = vec![0.0; slots];
-    let mut is_num: Vec<bool> = vec![false; slots];
-    let mut occupied: Vec<bool> = vec![false; slots];
-    // Visits arrive row-major, so this stays sorted by (row, col).
-    let mut errors: Vec<(u32, u32, CellError)> = Vec::new();
+    // One bulk fetch for the whole run, splatted into dense row-major
+    // arrays of what the fold reads: each slot's kind, a number's value,
+    // and the errors by slot. A text or bool only counts as non-empty.
+    const EMPTY: u8 = 0;
+    const NUMBER: u8 = 1;
+    const OTHER: u8 = 2;
+    const ERROR: u8 = 3;
+    let mut nums = vec![0.0f64; slots];
+    let mut kinds = vec![EMPTY; slots];
+    let mut errors: Vec<(usize, CellError)> = Vec::new();
     reader.for_each_value(union, &mut |addr, value| {
         let idx = (addr.row - union.r1) as usize * width + (addr.col - union.c1) as usize;
-        match value {
+        kinds[idx] = match value {
+            ScanValue::Empty => EMPTY,
             ScanValue::Number(n) => {
                 nums[idx] = n;
-                is_num[idx] = true;
-                occupied[idx] = true;
+                NUMBER
             }
+            ScanValue::Bool(_) | ScanValue::Text(_) => OTHER,
             ScanValue::Error(e) => {
-                errors.push((addr.row, addr.col, e));
-                occupied[idx] = true;
+                errors.push((idx, e));
+                ERROR
             }
-            ScanValue::Empty => {}
-            _ => occupied[idx] = true,
-        }
+        };
     });
+    let slot = |idx: usize| match kinds[idx] {
+        EMPTY => ScanValue::Empty,
+        NUMBER => ScanValue::Number(nums[idx]),
+        OTHER => ScanValue::Bool(false),
+        _ => ScanValue::Error(errors[errors.partition_point(|&(i, _)| i < idx)].1),
+    };
     let out = windows
         .iter()
         .map(|w| {
-            // First error in row-major order inside the window aborts the
-            // aggregate — same contract as `for_each_value`.
-            let from = errors.partition_point(|&(r, c, _)| (r, c) < (w.r1, w.c1));
-            for &(r, c, e) in &errors[from..] {
-                if r > w.r2 {
-                    break;
-                }
-                if c >= w.c1 && c <= w.c2 {
-                    return CellValue::Error(e);
-                }
-            }
-            let mut sum = 0.0f64;
-            let mut n = 0u64;
-            for r in w.r1..=w.r2 {
-                let row_base = (r - union.r1) as usize * width;
-                for c in w.c1..=w.c2 {
-                    let idx = row_base + (c - union.c1) as usize;
-                    match spec.kind {
-                        AggKind::Sum | AggKind::Average => {
-                            if is_num[idx] {
-                                sum += nums[idx];
-                                n += 1;
-                            }
-                        }
-                        AggKind::Count => {
-                            if is_num[idx] {
-                                n += 1;
-                            }
-                        }
-                        AggKind::CountA => {
-                            if occupied[idx] {
-                                n += 1;
-                            }
-                        }
+            let mut agg = RangeAgg::default();
+            'rows: for r in w.r1..=w.r2 {
+                let from = (r - union.r1) as usize * width + (w.c1 - union.c1) as usize;
+                for idx in from..from + w.cols() as usize {
+                    if !agg.fold(slot(idx)) {
+                        break 'rows;
                     }
                 }
             }
-            match spec.kind {
-                AggKind::Sum => CellValue::Number(sum),
-                AggKind::Count | AggKind::CountA => CellValue::Number(n as f64),
-                AggKind::Average => {
-                    if n == 0 {
-                        CellValue::Error(CellError::Div0)
-                    } else {
-                        CellValue::Number(sum / n as f64)
-                    }
-                }
-            }
+            agg.value(spec.kind)
         })
         .collect();
     Some(out)

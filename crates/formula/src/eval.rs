@@ -13,25 +13,82 @@ use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue, SparseSheet};
 use crate::ast::{BinOp, Expr, UnOp};
 use dataspread_grid::value::CellError;
 
-/// Precomputed aggregates over a range, supplied by a storage fast path
-/// (the engine's columnar regions fold these straight off compressed
-/// column runs without materializing cells).
-///
-/// Semantics mirror the evaluator's sparse range walk exactly: values are
-/// visited in row-major order, `error` is the *first* error encountered
-/// (and the counts/sum cover only the prefix before it — callers must
-/// return the error), `sum`/`numbers` cover `Number` values only, and
-/// `nonempty` counts every non-empty value.
+/// The aggregates [`RangeAgg`] answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AggKind {
+    Sum,
+    Count,
+    CountA,
+    Average,
+}
+
+impl AggKind {
+    pub(crate) fn from_name(name: &str) -> Option<AggKind> {
+        match name {
+            "SUM" => Some(AggKind::Sum),
+            "COUNT" => Some(AggKind::Count),
+            "COUNTA" => Some(AggKind::CountA),
+            "AVERAGE" => Some(AggKind::Average),
+            _ => None,
+        }
+    }
+}
+
+/// SUM/COUNT/COUNTA/AVERAGE, defined once: the evaluator's walk, the batch
+/// sweep and a storage push-down ([`CellReader::range_agg`]) all feed
+/// values to [`RangeAgg::fold`] in visit order and answer with
+/// [`RangeAgg::value`], so they agree bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RangeAgg {
-    /// Sum of `Number` values, folded in row-major visit order.
+    /// `0.0 + n₁ + n₂ + …` over `Number` values, in visit order.
     pub sum: f64,
     /// Count of `Number` values.
     pub numbers: u64,
     /// Count of non-empty values (COUNTA).
     pub nonempty: u64,
-    /// First error value in the range, if any.
+    /// The first error visited; the fold ended there.
     pub error: Option<CellError>,
+}
+
+impl RangeAgg {
+    /// Fold the next value in visit order; `false` once an error has
+    /// ended the fold (later values must not count). Inlined across
+    /// crates: storage push-downs call it once per row.
+    #[inline]
+    pub fn fold(&mut self, v: ScanValue<'_>) -> bool {
+        if self.error.is_some() {
+            return false;
+        }
+        match v {
+            ScanValue::Empty => {}
+            ScanValue::Number(n) => {
+                self.sum += n;
+                self.numbers += 1;
+                self.nonempty += 1;
+            }
+            ScanValue::Error(e) => {
+                self.error = Some(e);
+                return false;
+            }
+            _ => self.nonempty += 1,
+        }
+        true
+    }
+
+    /// The aggregate's result: the first error if one was met, and
+    /// `#DIV/0!` for the average of no numbers.
+    pub fn value(&self, kind: AggKind) -> CellValue {
+        if let Some(e) = self.error {
+            return CellValue::Error(e);
+        }
+        match kind {
+            AggKind::Sum => CellValue::Number(self.sum),
+            AggKind::Count => CellValue::Number(self.numbers as f64),
+            AggKind::CountA => CellValue::Number(self.nonempty as f64),
+            AggKind::Average if self.numbers == 0 => CellValue::Error(CellError::Div0),
+            AggKind::Average => CellValue::Number(self.sum / self.numbers as f64),
+        }
+    }
 }
 
 /// Read access to cell values, by single cell or (sparsely) by range.
@@ -50,11 +107,10 @@ pub trait CellReader {
         }
     }
 
-    /// Optional aggregate fast path: `Some` when the storage layer can
-    /// fold SUM/COUNT/COUNTA/AVERAGE over `rect` without materializing
-    /// values (must match [`RangeAgg`]'s documented semantics exactly).
-    /// The default — and any reader whose storage cannot prove the whole
-    /// rect is covered — returns `None`, falling back to the sparse walk.
+    /// Aggregate push-down: `Some` when the storage layer folds `rect`
+    /// faster than [`CellReader::for_each_value`] streams it (the same
+    /// values, in the same order, through [`RangeAgg::fold`]). The
+    /// default returns `None`: the evaluator folds its own walk.
     fn range_agg(&self, _rect: Rect) -> Option<RangeAgg> {
         None
     }
@@ -156,20 +212,16 @@ impl Evaluator {
 
     /// Evaluate a function call.
     fn call(&self, name: &str, args: &[Expr], reader: &dyn CellReader) -> CellValue {
-        if let Some(v) = self.agg_fast_path(name, args, reader) {
-            return v;
-        }
         let ctx = Ctx {
             eval: self,
             reader,
             args,
         };
+        if let Some(kind) = AggKind::from_name(name) {
+            return ctx.aggregate(kind);
+        }
         match name {
-            "SUM" => ctx.fold_numbers(0.0, |acc, n| acc + n),
             "PRODUCT" => ctx.fold_numbers(1.0, |acc, n| acc * n),
-            "COUNT" => ctx.count(|v| matches!(v, ScanValue::Number(_))),
-            "COUNTA" => ctx.count(|v| !matches!(v, ScanValue::Empty)),
-            "AVERAGE" => ctx.average(),
             "MIN" => ctx.min_max(true),
             "MAX" => ctx.min_max(false),
             "MEDIAN" => ctx.median(),
@@ -213,40 +265,6 @@ impl Evaluator {
             "FALSE" => CellValue::Bool(false),
             _ => CellValue::Error(CellError::Name),
         }
-    }
-
-    /// Single-range SUM/COUNT/COUNTA/AVERAGE through the reader's
-    /// [`CellReader::range_agg`] fast path. `None` (no fast path, or an
-    /// argument shape the aggregate cannot express) falls through to the
-    /// sparse range walk.
-    fn agg_fast_path(
-        &self,
-        name: &str,
-        args: &[Expr],
-        reader: &dyn CellReader,
-    ) -> Option<CellValue> {
-        if !matches!(name, "SUM" | "COUNT" | "COUNTA" | "AVERAGE") {
-            return None;
-        }
-        let [Expr::Range(a, b)] = args else {
-            return None;
-        };
-        let agg = reader.range_agg(Rect::new(a.row, a.col, b.row, b.col))?;
-        if let Some(e) = agg.error {
-            return Some(CellValue::Error(e));
-        }
-        Some(match name {
-            "SUM" => CellValue::Number(agg.sum),
-            "COUNT" => CellValue::Number(agg.numbers as f64),
-            "COUNTA" => CellValue::Number(agg.nonempty as f64),
-            _ => {
-                if agg.numbers == 0 {
-                    CellValue::Error(CellError::Div0)
-                } else {
-                    CellValue::Number(agg.sum / agg.numbers as f64)
-                }
-            }
-        })
     }
 }
 
@@ -389,33 +407,21 @@ impl Ctx<'_> {
         CellValue::Number(acc)
     }
 
-    fn count(&self, pred: impl Fn(ScanValue<'_>) -> bool) -> CellValue {
-        let mut n = 0u64;
-        if let Some(err) = self.for_each_value(|v| {
-            if pred(v) {
-                n += 1;
+    /// SUM/COUNT/COUNTA/AVERAGE: a single range argument asks the reader
+    /// for its push-down; anything else folds every argument's values.
+    fn aggregate(&self, kind: AggKind) -> CellValue {
+        if let [Expr::Range(a, b)] = self.args {
+            let rect = Rect::new(a.row, a.col, b.row, b.col);
+            if let Some(agg) = self.reader.range_agg(rect) {
+                return agg.value(kind);
             }
-        }) {
-            return err;
         }
-        CellValue::Number(n as f64)
-    }
-
-    fn average(&self) -> CellValue {
-        let mut sum = 0.0;
-        let mut n = 0u64;
-        if let Some(err) = self.for_each_value(|v| {
-            if let ScanValue::Number(x) = v {
-                sum += x;
-                n += 1;
-            }
+        let mut agg = RangeAgg::default();
+        match self.for_each_value(|v| {
+            agg.fold(v);
         }) {
-            return err;
-        }
-        if n == 0 {
-            CellValue::Error(CellError::Div0)
-        } else {
-            CellValue::Number(sum / n as f64)
+            Some(err) => err,
+            None => agg.value(kind),
         }
     }
 

@@ -17,8 +17,8 @@ pub mod parser;
 pub mod refs;
 
 pub use ast::{BinOp, CellRef, Expr, UnOp};
-pub use batch::{batch_eval_sliding, detect_sliding, shape_key, AggKind, SlidingSpec};
+pub use batch::{batch_eval_sliding, detect_sliding, shape_key, SlidingSpec};
 pub use deps::{DependencyGraph, RecomputePlan, ScanDependencyGraph, WavePlan};
 pub use error::ParseError;
-pub use eval::{CellReader, EmptyReader, Evaluator, RangeAgg, SheetReader};
+pub use eval::{AggKind, CellReader, EmptyReader, Evaluator, RangeAgg, SheetReader};
 pub use parser::parse;

@@ -44,47 +44,18 @@ fn walk(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-/// The structural edits that shift references.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shift {
-    InsertRows { at: u32, n: u32 },
-    DeleteRows { at: u32, n: u32 },
-    InsertCols { at: u32, n: u32 },
-    DeleteCols { at: u32, n: u32 },
-}
+pub use dataspread_grid::Shift;
 
-/// Rewrite a reference for a structural edit; returns `None` when the
-/// referenced cell was deleted, or pushed past the last row or column by
-/// an insert (the caller should surface `#REF!`).
+/// Rewrite a reference for a structural edit, keeping its `$` flags;
+/// returns `None` when the referenced cell was deleted, or pushed past the
+/// last row or column by an insert (the caller should surface `#REF!`).
 fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
-    let mut out = r;
-    match shift {
-        Shift::InsertRows { at, n } => {
-            if r.row >= at {
-                out.row = r.row.checked_add(n)?;
-            }
-        }
-        Shift::DeleteRows { at, n } => {
-            if r.row >= at.saturating_add(n) {
-                out.row -= n;
-            } else if r.row >= at {
-                return None;
-            }
-        }
-        Shift::InsertCols { at, n } => {
-            if r.col >= at {
-                out.col = r.col.checked_add(n)?;
-            }
-        }
-        Shift::DeleteCols { at, n } => {
-            if r.col >= at.saturating_add(n) {
-                out.col -= n;
-            } else if r.col >= at {
-                return None;
-            }
-        }
-    }
-    Some(out)
+    let to = shift.apply(r.addr())?;
+    Some(CellRef {
+        row: to.row,
+        col: to.col,
+        ..r
+    })
 }
 
 /// Rewrite all references in `expr` for a structural edit. Ranges clamp

@@ -10,9 +10,9 @@
 //! * [`Rect`] — rectangular regions, the unit of presentational access,
 //! * [`SparseSheet`] — an in-memory reference implementation of the
 //!   conceptual model (also the test oracle for the storage engine),
-//! * [`Occupancy`] — a bounding-box bitmap with 2-D prefix sums giving O(1)
-//!   filled-cell counts for any sub-rectangle (the workhorse of the hybrid
-//!   optimizer),
+//! * [`Shift`] — a row or column insert/delete, and the one rule for where
+//!   a position moves under it (the sheet model, the storage engine and
+//!   formula references all follow it),
 //! * [`codec`] — the one byte codec every on-disk and wire format is built
 //!   on: the bounds-checked [`codec::Reader`], the value, rect and rows
 //!   encodings, and [`DecodeError`].
@@ -20,15 +20,15 @@
 pub mod addr;
 pub mod codec;
 pub mod error;
-pub mod mask;
 pub mod region;
 pub mod sheet;
+pub mod shift;
 pub mod value;
 
 pub use addr::CellAddr;
 pub use codec::DecodeError;
 pub use error::GridError;
-pub use mask::Occupancy;
 pub use region::Rect;
 pub use sheet::SparseSheet;
+pub use shift::Shift;
 pub use value::{Cell, CellError, CellValue, ScanValue};

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use crate::addr::CellAddr;
 use crate::error::GridError;
 use crate::region::Rect;
+use crate::shift::Shift;
 use crate::value::{Cell, CellValue};
 
 /// A sparse spreadsheet: only filled cells are stored.
@@ -122,66 +123,47 @@ impl SparseSheet {
     /// existing rows at `at` and below shift down (cascading renumber —
     /// O(#cells); the storage engine's positional maps exist to avoid this).
     pub fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), GridError> {
-        if n == 0 {
-            return Ok(());
-        }
-        let shifted: Vec<_> = self
-            .cells
-            .range((at, 0)..)
-            .map(|(&k, v)| (k, v.clone()))
-            .collect();
-        for (k, _) in &shifted {
-            self.cells.remove(k);
-        }
-        for ((r, c), v) in shifted {
-            self.cells.insert((r + n, c), v);
-        }
-        Ok(())
+        self.apply_shift(Shift::InsertRows { at, n })
     }
 
-    /// Delete rows `at..at+n`; rows below shift up. Cells in deleted rows
-    /// are dropped.
+    /// Delete rows `at..at+n` (to the last row, if that comes first); rows
+    /// below shift up. Cells in deleted rows are dropped.
     pub fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), GridError> {
-        if n == 0 {
-            return Ok(());
-        }
-        let affected: Vec<_> = self.cells.range((at, 0)..).map(|(&k, _)| k).collect();
-        for k in affected {
-            let v = self.cells.remove(&k).expect("key just observed");
-            let (r, c) = k;
-            if r >= at + n {
-                self.cells.insert((r - n, c), v);
-            }
-        }
-        Ok(())
+        self.apply_shift(Shift::DeleteRows { at, n })
     }
 
     /// Insert `n` blank columns so the first inserted column has index `at`.
     pub fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), GridError> {
-        if n == 0 {
-            return Ok(());
-        }
-        let old = std::mem::take(&mut self.cells);
-        for ((r, c), v) in old {
-            let c2 = if c >= at { c + n } else { c };
-            self.cells.insert((r, c2), v);
-        }
-        Ok(())
+        self.apply_shift(Shift::InsertCols { at, n })
     }
 
     /// Delete columns `at..at+n`; columns to the right shift left.
     pub fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), GridError> {
-        if n == 0 {
-            return Ok(());
-        }
-        let old = std::mem::take(&mut self.cells);
-        for ((r, c), v) in old {
-            if c < at {
-                self.cells.insert((r, c), v);
-            } else if c >= at + n {
-                self.cells.insert((r, c - n), v);
+        self.apply_shift(Shift::DeleteCols { at, n })
+    }
+
+    /// Move every cell by `shift`. An insert that would push a cell off the
+    /// sheet is refused before anything moves.
+    fn apply_shift(&mut self, shift: Shift) -> Result<(), GridError> {
+        if shift.is_insert() {
+            if let Some(&(r, c)) = self
+                .cells
+                .keys()
+                .find(|&&(r, c)| shift.apply(CellAddr::new(r, c)).is_none())
+            {
+                return Err(GridError::BadStructuralEdit(format!(
+                    "{shift:?} would push the cell at {} off the sheet",
+                    CellAddr::new(r, c)
+                )));
             }
         }
+        self.cells = std::mem::take(&mut self.cells)
+            .into_iter()
+            .filter_map(|((r, c), cell)| {
+                let to = shift.apply(CellAddr::new(r, c))?;
+                Some(((to.row, to.col), cell))
+            })
+            .collect();
         Ok(())
     }
 

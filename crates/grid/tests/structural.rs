@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use dataspread_grid::{CellAddr, Occupancy, Rect, SparseSheet};
+use dataspread_grid::{CellAddr, GridError, SparseSheet};
 
 fn sheet_strategy() -> impl Strategy<Value = SparseSheet> {
     prop::collection::vec(((0u32..40, 0u32..20), any::<i64>()), 0..80).prop_map(|cells| {
@@ -74,21 +74,6 @@ proptest! {
     }
 
     #[test]
-    fn occupancy_counts_agree_with_iter_rect(
-        s in sheet_strategy(),
-        r1 in 0u32..45,
-        c1 in 0u32..25,
-        dr in 0u32..20,
-        dc in 0u32..10,
-    ) {
-        let occ = Occupancy::from_sheet(&s);
-        let rect = Rect::new(r1, c1, r1 + dr, c1 + dc);
-        let brute = s.iter_rect(rect).count() as u64;
-        prop_assert_eq!(occ.filled_in(&rect), brute);
-        prop_assert_eq!(occ.total_filled(), s.filled_count() as u64);
-    }
-
-    #[test]
     fn density_is_bounded(s in sheet_strategy()) {
         let d = s.density();
         prop_assert!((0.0..=1.0).contains(&d));
@@ -102,4 +87,48 @@ proptest! {
             prop_assert!(top && bottom && left && right);
         }
     }
+}
+
+/// Regression: the model added `r + n` / `at + n` unchecked, so an insert
+/// pushing a cell past the last row or column, or a delete whose count
+/// reaches past it, overflowed (a panic in a debug build). Now an insert
+/// that would push a cell off the sheet is refused with the sheet
+/// untouched, as the storage engine refuses it, and a delete past the last
+/// row or column deletes to the end.
+#[test]
+fn an_insert_pushing_a_cell_off_the_sheet_is_refused_and_a_delete_runs_to_the_end() {
+    let mut s = SparseSheet::new();
+    for (r, c) in [(0, 0), (3, 7), (10, 2), (u32::MAX - 2, 4)] {
+        s.set_value(CellAddr::new(r, c), i64::from(r % 100));
+    }
+    let before = s.clone();
+    for result in [
+        s.insert_rows(5, 3),
+        s.insert_rows(0, u32::MAX),
+        s.insert_cols(5, u32::MAX - 5),
+        s.insert_cols(3, u32::MAX - 6),
+    ] {
+        assert!(
+            matches!(result, Err(GridError::BadStructuralEdit(_))),
+            "{result:?}"
+        );
+        assert_eq!(s, before, "a refused insert moves nothing");
+    }
+    // Pushing the last cell to the very last row is allowed.
+    s.insert_rows(5, 2).unwrap();
+    assert_eq!(
+        s.get(CellAddr::new(u32::MAX, 4)),
+        before.get(CellAddr::new(u32::MAX - 2, 4))
+    );
+    s.delete_rows(5, 2).unwrap();
+    assert_eq!(s, before);
+
+    let mut rows = before.clone();
+    rows.delete_rows(5, u32::MAX).unwrap();
+    let kept: Vec<CellAddr> = rows.iter().map(|(a, _)| a).collect();
+    assert_eq!(kept, vec![CellAddr::new(0, 0), CellAddr::new(3, 7)]);
+    let mut cols = before.clone();
+    cols.delete_cols(3, u32::MAX).unwrap();
+    let kept: Vec<CellAddr> = cols.iter().map(|(a, _)| a).collect();
+    assert_eq!(kept, vec![CellAddr::new(0, 0), CellAddr::new(10, 2)]);
 }

@@ -14,9 +14,8 @@ use dataspread_grid::{CellAddr, Rect, SparseSheet};
 
 /// Which positions of a sheet hold a cell: per row, its filled columns in
 /// ascending order. It is all the optimizers read of a sheet, so storage
-/// can report it from a scan without materializing a single cell. (Sparse,
-/// unlike the dense prefix-sum bitmap `dataspread_grid::Occupancy`: two
-/// cells a million rows apart are two entries.)
+/// can report it from a scan without materializing a single cell. (Sparse:
+/// two cells a million rows apart are two entries.)
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Occupancy {
     rows: BTreeMap<u32, Vec<u32>>,

@@ -8,14 +8,21 @@ use crate::expr::RowExpr;
 use crate::relation::{cmp_datum, Relation};
 use crate::RelError;
 
-/// Sortable key wrapper for set semantics over rows.
-fn row_key(row: &[Datum]) -> Vec<OrdDatum> {
+/// Sortable key for set semantics over rows: two rows get equal keys
+/// exactly when `=` holds column by column (NULL matching NULL).
+pub(crate) fn row_key(row: &[Datum]) -> Vec<OrdDatum> {
     row.iter().cloned().map(OrdDatum).collect()
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct OrdDatum(Datum);
+/// A datum ordered by [`cmp_datum`].
+#[derive(Debug, Clone)]
+pub(crate) struct OrdDatum(pub(crate) Datum);
 
+impl PartialEq for OrdDatum {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
 impl Eq for OrdDatum {}
 impl PartialOrd for OrdDatum {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {

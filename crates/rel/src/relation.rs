@@ -126,8 +126,9 @@ impl Relation {
     }
 }
 
-/// Total ordering over datums for ORDER BY / grouping / set operations:
-/// NULL < numbers (by value) < text < bool.
+/// Total ordering over datums for `=`, ORDER BY, grouping, joins and set
+/// operations: NULL < numbers < text < bool. Numbers compare by value with
+/// `-0.0` equal to `0.0`, NaN placed by [`f64::total_cmp`].
 pub fn cmp_datum(a: &Datum, b: &Datum) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     fn kind(d: &Datum) -> u8 {
@@ -143,9 +144,10 @@ pub fn cmp_datum(a: &Datum, b: &Datum) -> std::cmp::Ordering {
         (Datum::Text(x), Datum::Text(y)) => x.cmp(y),
         (Datum::Bool(x), Datum::Bool(y)) => x.cmp(y),
         _ if kind(a) == 1 && kind(b) == 1 => {
-            let x = a.as_f64().expect("numeric");
-            let y = b.as_f64().expect("numeric");
-            x.partial_cmp(&y).unwrap_or(Ordering::Equal)
+            // `+ 0.0` folds -0.0 into 0.0 and leaves every other value as is.
+            let x = a.as_f64().expect("numeric") + 0.0;
+            let y = b.as_f64().expect("numeric") + 0.0;
+            x.total_cmp(&y)
         }
         _ => kind(a).cmp(&kind(b)),
     }
@@ -197,6 +199,10 @@ mod tests {
             Less
         );
         assert_eq!(cmp_datum(&Datum::Int(999), &Datum::Text("".into())), Less);
+        assert_eq!(cmp_datum(&Datum::Float(-0.0), &Datum::Int(0)), Equal);
+        let nan = Datum::Float(f64::NAN);
+        assert_eq!(cmp_datum(&nan, &nan), Equal);
+        assert_eq!(cmp_datum(&Datum::Float(f64::INFINITY), &nan), Less);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use dataspread_relstore::{Database, Datum};
 
 use crate::expr::{AggFunc, ArithOp, CmpOp, RowExpr};
+use crate::ops::{self, row_key, OrdDatum};
 use crate::relation::{cmp_datum, Relation};
 use crate::RelError;
 
@@ -594,85 +595,6 @@ fn qualify(mut rel: Relation, alias: &str) -> Relation {
     rel
 }
 
-/// Join with already-qualified schemas (concatenated as-is).
-fn join_qualified(a: Relation, b: Relation, on: Option<&RowExpr>) -> Result<Relation, RelError> {
-    let mut columns = a.columns.clone();
-    columns.extend(b.columns.iter().cloned());
-    let out = Relation::empty(columns.clone());
-    // Hash path for col = col.
-    if let Some(RowExpr::Cmp(CmpOp::Eq, l, r)) = on {
-        if let (RowExpr::Column(lc), RowExpr::Column(rc)) = (l.as_ref(), r.as_ref()) {
-            let sides = |c1: &str, c2: &str| -> Option<(usize, usize)> {
-                match (a.resolve(c1), b.resolve(c2)) {
-                    (Ok(i), Ok(j)) => Some((i, j)),
-                    _ => None,
-                }
-            };
-            if let Some((ia, jb)) = sides(lc, rc).or_else(|| sides(rc, lc)) {
-                let mut index: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
-                for (i, row) in b.rows.iter().enumerate() {
-                    if !row[jb].is_null() {
-                        index.entry(hash_key(&row[jb])).or_default().push(i);
-                    }
-                }
-                let mut rows = Vec::new();
-                for ra in &a.rows {
-                    if ra[ia].is_null() {
-                        continue;
-                    }
-                    if let Some(hits) = index.get(&hash_key(&ra[ia])) {
-                        for &i in hits {
-                            let mut row = ra.clone();
-                            row.extend(b.rows[i].iter().cloned());
-                            rows.push(row);
-                        }
-                    }
-                }
-                return Ok(Relation::new(columns, rows));
-            }
-        }
-    }
-    let mut rows = Vec::new();
-    for ra in &a.rows {
-        for rb in &b.rows {
-            let mut row = ra.clone();
-            row.extend(rb.iter().cloned());
-            let keep = match on {
-                Some(p) => p.matches(&out, &row)?,
-                None => true,
-            };
-            if keep {
-                rows.push(row);
-            }
-        }
-    }
-    Ok(Relation::new(columns, rows))
-}
-
-/// Order-preserving byte key for join hashing (ints and equal floats
-/// collide as intended).
-fn hash_key(d: &Datum) -> Vec<u8> {
-    match d {
-        Datum::Null => vec![0],
-        Datum::Int(i) => {
-            let mut v = vec![1];
-            v.extend((*i as f64).to_le_bytes());
-            v
-        }
-        Datum::Float(f) => {
-            let mut v = vec![1];
-            v.extend(f.to_le_bytes());
-            v
-        }
-        Datum::Text(s) => {
-            let mut v = vec![2];
-            v.extend(s.as_bytes());
-            v
-        }
-        Datum::Bool(b) => vec![3, *b as u8],
-    }
-}
-
 /// Evaluate a select item over a group of rows (aggregate context).
 fn eval_grouped(
     expr: &RowExpr,
@@ -800,7 +722,8 @@ impl SelectStmt {
                 Some(e) => Some(e.bind(params)?),
                 None => None,
             };
-            current = join_qualified(current, right, on.as_ref())?;
+            // Both sides are alias-qualified, so no column is renamed.
+            current = ops::join(&current, &right, on.as_ref())?;
         }
         // WHERE.
         if let Some(pred) = &self.filter {
@@ -845,12 +768,14 @@ impl SelectStmt {
                 .iter()
                 .map(|e| e.bind(params))
                 .collect::<Result<_, _>>()?;
-            let mut groups: BTreeMap<Vec<Vec<u8>>, Vec<&Vec<Datum>>> = BTreeMap::new();
+            // Rows whose keys are `=` share a group; groups come out in
+            // key order.
+            let mut groups: BTreeMap<Vec<OrdDatum>, Vec<&Vec<Datum>>> = BTreeMap::new();
             for row in &current.rows {
-                let mut key = Vec::with_capacity(keys.len());
-                for k in &keys {
-                    key.push(hash_key(&k.eval(&current, row)?));
-                }
+                let key = keys
+                    .iter()
+                    .map(|k| k.eval(&current, row).map(OrdDatum))
+                    .collect::<Result<_, _>>()?;
                 groups.entry(key).or_default().push(row);
             }
             // A global aggregate over an empty table still yields one row.
@@ -889,10 +814,7 @@ impl SelectStmt {
         // DISTINCT.
         if self.distinct {
             let mut seen = std::collections::BTreeSet::new();
-            out.rows.retain(|row| {
-                let key: Vec<Vec<u8>> = row.iter().map(hash_key).collect();
-                seen.insert(key)
-            });
+            out.rows.retain(|row| seen.insert(row_key(row)));
         }
         // ORDER BY: keys resolve against the output columns first, then —
         // for plain row-wise queries — against the pre-projection schema

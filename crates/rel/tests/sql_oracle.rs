@@ -190,15 +190,20 @@ proptest! {
 fn cmp_datum_is_total_order_on_mixed_types() {
     let values = [
         Datum::Null,
+        Datum::Float(f64::NEG_INFINITY),
         Datum::Int(-5),
+        Datum::Float(-0.0),
+        Datum::Int(0),
         Datum::Float(2.5),
         Datum::Int(3),
+        Datum::Float(f64::NAN),
         Datum::Text("a".into()),
         Datum::Text("b".into()),
         Datum::Bool(false),
         Datum::Bool(true),
     ];
-    // Transitivity spot-check over all triples.
+    // Transitivity spot-check over all triples (a NaN equal to every
+    // number used to break it).
     for a in &values {
         for b in &values {
             for c in &values {
@@ -209,4 +214,29 @@ fn cmp_datum_is_total_order_on_mixed_types() {
             }
         }
     }
+}
+
+/// Regression: joins, GROUP BY and DISTINCT keyed rows by the bytes of
+/// each number, so `0.0` and `-0.0` — equal under `=` — never joined on
+/// the hash path, yet joined once the same predicate took the nested loop
+/// (`AND 1 = 1`), and grouped and deduplicated as two values while
+/// `WHERE x = 0` matched both. All four now use `=`'s equality.
+#[test]
+fn signed_zeros_are_one_value_to_join_group_and_distinct() {
+    let one = |name: &str, values: &[f64]| {
+        Relation::new(
+            vec![name.into()],
+            values.iter().map(|&v| vec![Datum::Float(v)]).collect(),
+        )
+    };
+    let mut m = HashMap::new();
+    m.insert("a".to_string(), one("x", &[0.0]));
+    m.insert("b".to_string(), one("y", &[-0.0]));
+    m.insert("t".to_string(), one("x", &[0.0, -0.0]));
+    let rows = |q: &str| execute_sql(&m, q, &[]).unwrap().len();
+    assert_eq!(rows("SELECT * FROM a JOIN b ON a.x = b.y"), 1);
+    assert_eq!(rows("SELECT * FROM a JOIN b ON a.x = b.y AND 1 = 1"), 1);
+    assert_eq!(rows("SELECT x FROM t WHERE x = 0"), 2);
+    assert_eq!(rows("SELECT x, COUNT(*) FROM t GROUP BY x"), 1);
+    assert_eq!(rows("SELECT DISTINCT x FROM t"), 1);
 }

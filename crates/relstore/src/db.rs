@@ -140,10 +140,6 @@ impl Database {
         self.tables.contains_key(name)
     }
 
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
-
     /// Physical bytes across all tables.
     pub fn physical_bytes(&self) -> u64 {
         self.tables.values().map(Table::physical_bytes).sum()

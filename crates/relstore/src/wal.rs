@@ -580,8 +580,6 @@ struct SharedState {
     /// When the poisoning failure was first recorded (ms since epoch),
     /// surfaced to operators alongside the cause.
     failed_at_ms: Option<u64>,
-    /// Fsyncs issued through the group fsync-point.
-    fsyncs: u64,
     /// Metric handles, when the owner attached a registry.
     obs: Option<WalObs>,
 }
@@ -616,7 +614,6 @@ impl SharedWal {
                 durable_seq: 0,
                 sync_failed: None,
                 failed_at_ms: None,
-                fsyncs: 0,
                 obs: None,
             }),
             flush: std::sync::Mutex::new(()),
@@ -767,7 +764,6 @@ impl SharedWal {
         match result {
             Ok(()) => {
                 st.durable_seq = st.durable_seq.max(target);
-                st.fsyncs += 1;
                 if let Some(obs) = st.obs.as_ref().filter(|o| o.enabled()) {
                     obs.fsyncs.inc();
                     obs.fsync_ns.record_ns(fsync_ns);
@@ -784,12 +780,6 @@ impl SharedWal {
                 Err(StoreError::StorageFailed(cause))
             }
         }
-    }
-
-    /// Fsyncs actually issued against this log (by any flusher — the
-    /// committer thread or a helping writer).
-    pub fn fsync_count(&self) -> u64 {
-        self.lock().fsyncs
     }
 
     /// Block until `ticket` is durable, *helping with the flush* instead
@@ -1266,9 +1256,11 @@ mod tests {
         let plan = FaultPlan::new();
         let fs = FaultFs::new(std::sync::Arc::clone(&plan));
         let wal = SharedWal::open_on(fs, &path).unwrap();
+        let obs = WalObs::new(&MetricsRegistry::new(), "s");
+        wal.set_obs(obs.clone());
         let t1 = wal.append(b"a").unwrap();
         wal.commit_wait(t1, 0).unwrap();
-        assert_eq!(wal.fsync_count(), 1);
+        assert_eq!(obs.fsyncs.get(), 1);
         plan.push(FaultRule::new(FaultOp::Sync, 0, FaultKind::Enospc));
         let t2 = wal.append(b"b").unwrap();
         assert!(matches!(

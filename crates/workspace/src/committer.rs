@@ -17,7 +17,7 @@
 //! load per op ([`GroupCommitter::nudge`]) unless they are the ones
 //! waking a parked committer — no per-op queue, no per-op notify.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -36,34 +36,14 @@ struct Shared {
     /// True while the committer thread is parked on `wake` — the only
     /// state in which writers need to notify.
     parked: AtomicBool,
-    /// Flush rounds completed (one round = one pass over the registered
-    /// WALs, one fsync per WAL with pending records).
-    rounds: AtomicU64,
-    /// Total WAL fsyncs issued by the committer.
-    syncs: AtomicU64,
 }
 
 /// Handle to the dedicated committer thread. Dropping it shuts the thread
 /// down after a final drain; nudges arriving after shutdown fall back to
 /// an inline fsync, so no writer can be left waiting on a dead thread.
-pub struct GroupCommitter {
+pub(crate) struct GroupCommitter {
     shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for GroupCommitter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupCommitter")
-            .field("rounds", &self.rounds())
-            .field("syncs", &self.syncs())
-            .finish()
-    }
-}
-
-impl Default for GroupCommitter {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl GroupCommitter {
@@ -76,8 +56,6 @@ impl GroupCommitter {
             }),
             wake: Condvar::new(),
             parked: AtomicBool::new(false),
-            rounds: AtomicU64::new(0),
-            syncs: AtomicU64::new(0),
         });
         let thread = {
             let shared = Arc::clone(&shared);
@@ -174,10 +152,8 @@ impl GroupCommitter {
                 // next registry refresh unregisters it.
                 if wal.poisoned().is_none() && wal.has_pending() {
                     let _ = wal.sync();
-                    shared.syncs.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            shared.rounds.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -216,16 +192,6 @@ impl GroupCommitter {
             return;
         }
         self.shared.wake.notify_one();
-    }
-
-    /// Flush rounds completed so far.
-    pub fn rounds(&self) -> u64 {
-        self.shared.rounds.load(Ordering::Relaxed)
-    }
-
-    /// Total fsyncs issued by the committer thread.
-    pub fn syncs(&self) -> u64 {
-        self.shared.syncs.load(Ordering::Relaxed)
     }
 }
 

@@ -48,7 +48,6 @@
 mod committer;
 mod service;
 
-pub use committer::GroupCommitter;
 pub use dataspread_proto::{Edit, EditReceipt, SheetStats, WindowPatch};
 pub use service::{window_patch, Session, Workspace, WorkspaceConfig, WorkspaceError};
 

@@ -448,32 +448,6 @@ impl Workspace {
     pub fn metrics_registry(&self) -> Arc<MetricsRegistry> {
         Arc::clone(&self.inner.metrics)
     }
-
-    /// `(committer flush rounds, group fsyncs)` — the observability the
-    /// concurrency bench asserts batching with. Group fsyncs count every
-    /// fsync issued through the group fsync-point, whether by the
-    /// committer thread or a helping writer.
-    pub fn commit_stats(&self) -> (u64, u64) {
-        let slots: Vec<Arc<SheetSlot>> = self
-            .inner
-            .sheets
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-            .cloned()
-            .collect();
-        let group_fsyncs: u64 = slots
-            .iter()
-            .filter_map(|slot| {
-                let st = slot.state.lock().unwrap_or_else(|e| e.into_inner());
-                match &*st {
-                    SlotState::Ready(shard) => shard.wal.as_ref().map(|w| w.fsync_count()),
-                    _ => None,
-                }
-            })
-            .sum();
-        (self.inner.committer.rounds(), group_fsyncs)
-    }
 }
 
 /// The window `rect` of `sheet` as a [`WindowPatch`]: the sheet's ordered
