@@ -12,20 +12,18 @@ use std::time::Duration;
 
 use dataspread_bench::{dense_rcv, dense_rom, sparse_rom, time_median};
 use dataspread_engine::hybrid::HybridSheet;
-use dataspread_engine::PosMapKind;
 use dataspread_grid::{Cell, Rect};
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");
     let base_rows: u32 = if full { 1_000_000 } else { 100_000 };
-    let kind = PosMapKind::Hierarchical;
 
     // --- sweep 1: density (rows fixed, 100 cols) ---------------------
     println!("sweep (a): density (rows={base_rows}, cols=100)\n");
     header();
     for &density in &[0.2, 0.4, 0.6, 0.8, 1.0] {
-        let mut rom = sparse_rom(base_rows / 10, 100, density, kind);
-        let mut rcv = dense_rcv(base_rows / 10, 100, density, kind);
+        let mut rom = sparse_rom(base_rows / 10, 100, density);
+        let mut rcv = dense_rcv(base_rows / 10, 100, density);
         row(
             &format!("d={density}"),
             measure(&mut rom),
@@ -40,8 +38,8 @@ fn main() {
     );
     header();
     for &cols in &[10u32, 30, 50, 70, 100] {
-        let mut rom = dense_rom(base_rows / 10, cols, kind);
-        let mut rcv = dense_rcv(base_rows / 10, cols, 1.0, kind);
+        let mut rom = dense_rom(base_rows / 10, cols);
+        let mut rcv = dense_rcv(base_rows / 10, cols, 1.0);
         row(&format!("c={cols}"), measure(&mut rom), measure(&mut rcv));
     }
 
@@ -54,8 +52,8 @@ fn main() {
         &[1_000, 10_000, 100_000]
     };
     for &rows in row_sizes {
-        let mut rom = dense_rom(rows, 100, kind);
-        let mut rcv = dense_rcv(rows, 100, 1.0, kind);
+        let mut rom = dense_rom(rows, 100);
+        let mut rcv = dense_rcv(rows, 100, 1.0);
         row(&format!("r={rows}"), measure(&mut rom), measure(&mut rcv));
     }
     println!(

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dataspread_engine::rom::RomTranslator;
-use dataspread_engine::{HybridSheet, PosMapKind};
+use dataspread_engine::HybridSheet;
 use dataspread_formula::{DependencyGraph, ScanDependencyGraph};
 use dataspread_grid::{Cell, CellAddr, Rect};
 
@@ -143,7 +143,7 @@ fn build_regioned_sheet(regions: usize) -> HybridSheet {
     let mut hs = HybridSheet::new();
     for i in 0..regions as u32 {
         let r1 = i * 12;
-        let rom = Box::new(RomTranslator::new(PosMapKind::Hierarchical));
+        let rom = Box::new(RomTranslator::new());
         hs.add_region(Rect::new(r1, 0, r1 + 9, 7), rom)
             .expect("bands are disjoint");
     }

@@ -12,7 +12,7 @@ use dataspread_analysis::{analyze_sheet, SheetAnalysis, TabularConfig};
 use dataspread_corpus::{generate_corpus, CorpusName};
 use dataspread_engine::hybrid::HybridSheet;
 use dataspread_engine::rom::RomTranslator;
-use dataspread_engine::{PosMapKind, Translator};
+use dataspread_engine::Translator;
 use dataspread_grid::{Cell, Rect, SparseSheet};
 use dataspread_hybrid::{Decomposition, ModelKind, Region};
 
@@ -62,7 +62,7 @@ pub fn time_once(f: impl FnOnce()) -> Duration {
 
 /// Load a sparse sheet into hybrid storage under a given decomposition.
 pub fn load_hybrid(sheet: &SparseSheet, decomp: &Decomposition) -> HybridSheet {
-    let mut hs = HybridSheet::with_posmap(PosMapKind::Hierarchical);
+    let mut hs = HybridSheet::new();
     hs.reorganize(decomp).expect("fresh reorganize");
     for (addr, cell) in sheet.iter() {
         hs.set_cell(addr, cell.clone()).expect("load cell");
@@ -80,10 +80,9 @@ pub fn single_model(sheet: &SparseSheet, kind: ModelKind) -> Decomposition {
 
 /// Fast-path: load a fully dense `rows x cols` sheet as one bulk-loaded ROM
 /// region (Figures 18 / 22–24 substrate).
-pub fn dense_rom(rows: u32, cols: u32, posmap: PosMapKind) -> HybridSheet {
-    let mut hs = HybridSheet::with_posmap(posmap);
+pub fn dense_rom(rows: u32, cols: u32) -> HybridSheet {
+    let mut hs = HybridSheet::new();
     let rom = RomTranslator::bulk_load_rows(
-        posmap,
         cols,
         (0..rows).map(|r| {
             (0..cols)
@@ -98,12 +97,12 @@ pub fn dense_rom(rows: u32, cols: u32, posmap: PosMapKind) -> HybridSheet {
 }
 
 /// Load a dense sheet into a single RCV region (per-cell tuples).
-pub fn dense_rcv(rows: u32, cols: u32, density: f64, posmap: PosMapKind) -> HybridSheet {
+pub fn dense_rcv(rows: u32, cols: u32, density: f64) -> HybridSheet {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(1);
-    let mut hs = HybridSheet::with_posmap(posmap);
-    let mut rcv = dataspread_engine::rcv::RcvTranslator::new(posmap);
+    let mut hs = HybridSheet::new();
+    let mut rcv = dataspread_engine::rcv::RcvTranslator::new();
     for r in 0..rows {
         for c in 0..cols {
             if density >= 1.0 || rng.gen_bool(density) {
@@ -118,13 +117,12 @@ pub fn dense_rcv(rows: u32, cols: u32, density: f64, posmap: PosMapKind) -> Hybr
 }
 
 /// Dense ROM with random blanks (density sweeps of Figures 22–24).
-pub fn sparse_rom(rows: u32, cols: u32, density: f64, posmap: PosMapKind) -> HybridSheet {
+pub fn sparse_rom(rows: u32, cols: u32, density: f64) -> HybridSheet {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(1);
-    let mut hs = HybridSheet::with_posmap(posmap);
+    let mut hs = HybridSheet::new();
     let rom = RomTranslator::bulk_load_rows(
-        posmap,
         cols,
         (0..rows).map(|r| {
             (0..cols)
@@ -171,7 +169,7 @@ mod tests {
 
     #[test]
     fn dense_rom_loads() {
-        let hs = dense_rom(100, 10, PosMapKind::Hierarchical);
+        let hs = dense_rom(100, 10);
         assert_eq!(hs.filled_count(), 1000);
         assert!(hs.get_cell(CellAddr::new(99, 9)).is_some());
     }

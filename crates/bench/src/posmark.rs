@@ -103,12 +103,14 @@ impl AsIsStore {
         self.len += 1;
     }
 
-    /// Delete the row at `pos`, renumbering the tail.
+    /// Delete the row at `pos`, renumbering the tail; a `pos` past the end
+    /// deletes nothing.
     pub fn delete_at(&mut self, pos: u64) {
-        if let Some(&tid) = self.index.get(&(pos as i64)) {
-            self.table.delete(tid);
-            self.index.remove(&(pos as i64));
+        if pos >= self.len {
+            return;
         }
+        let tid = self.index.remove(&(pos as i64)).expect("present");
+        self.table.delete(tid);
         for p in pos + 1..self.len {
             let tid = *self.index.get(&(p as i64)).expect("present");
             let mut row = self.table.fetch(tid).expect("live");

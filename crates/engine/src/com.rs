@@ -4,7 +4,6 @@
 
 use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_posmap::PosMapKind;
 use dataspread_relstore::Datum;
 
 use crate::error::EngineError;
@@ -12,15 +11,15 @@ use crate::rom::{RomBuilder, RomTranslator};
 use crate::translator::{scan_to_datums, CellVisitor, Translator};
 
 /// Column-oriented storage: a transposed [`RomTranslator`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ComTranslator {
     inner: RomTranslator,
 }
 
 impl ComTranslator {
-    pub fn new(posmap_kind: PosMapKind) -> Self {
+    pub fn new() -> Self {
         ComTranslator {
-            inner: RomTranslator::new(posmap_kind),
+            inner: RomTranslator::new(),
         }
     }
 }
@@ -28,19 +27,12 @@ impl ComTranslator {
 /// Push-style bulk builder: the row-major run is held back (encoded) until
 /// `finish`, transposed into column-major order and loaded as the inner
 /// ROM's rows — one tuple per sheet column.
+#[derive(Default)]
 pub(crate) struct ComBuilder {
-    posmap_kind: PosMapKind,
     cells: Vec<(u32, u32, [Datum; 2])>,
 }
 
 impl ComBuilder {
-    pub(crate) fn new(posmap_kind: PosMapKind) -> Self {
-        ComBuilder {
-            posmap_kind,
-            cells: Vec::new(),
-        }
-    }
-
     pub(crate) fn push(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
         self.cells.push((col, row, scan_to_datums(value, formula)));
     }
@@ -48,7 +40,7 @@ impl ComBuilder {
     pub(crate) fn finish(mut self) -> Result<ComTranslator, EngineError> {
         // Stable, so each column keeps the run's ascending row order.
         self.cells.sort_by_key(|&(col, ..)| col);
-        let mut inner = RomBuilder::new(self.posmap_kind);
+        let mut inner = RomBuilder::new();
         for (col, row, pair) in self.cells {
             inner.push_datums(col, row, pair)?;
         }
@@ -138,8 +130,8 @@ mod tests {
 
     #[test]
     fn transposed_semantics_match_rom() {
-        let mut com = ComTranslator::new(PosMapKind::Hierarchical);
-        let mut rom = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut com = ComTranslator::new();
+        let mut rom = RomTranslator::new();
         for r in 0..5 {
             for c in 0..3 {
                 let v = Cell::value((r * 10 + c) as i64);
@@ -161,7 +153,7 @@ mod tests {
 
     #[test]
     fn row_insert_in_com_is_schema_level() {
-        let mut com = ComTranslator::new(PosMapKind::Hierarchical);
+        let mut com = ComTranslator::new();
         for r in 0..4 {
             com.set_cell(r, 0, Cell::value(r as i64)).unwrap();
         }
@@ -174,7 +166,7 @@ mod tests {
 
     #[test]
     fn col_ops_are_tuple_level() {
-        let mut com = ComTranslator::new(PosMapKind::Hierarchical);
+        let mut com = ComTranslator::new();
         for c in 0..4 {
             com.set_cell(0, c, Cell::value(c as i64)).unwrap();
         }

@@ -6,7 +6,7 @@
 //! * `pages.db` — the *image*: the last checkpointed logical sheet state,
 //!   stored **region-granularly** in 8 KB pages managed by a
 //!   [`Pager`](dataspread_relstore::Pager). Page 0 is the header (format
-//!   version, posmap scheme, and the location of the page-allocation map);
+//!   version and the location of the page-allocation map);
 //!   the map assigns each [`HybridSheet`](crate::HybridSheet) region —
 //!   plus the RCV catch-all as pseudo-region 0 — its own run of payload
 //!   pages, so a checkpoint re-serializes and rewrites **only the regions
@@ -40,12 +40,13 @@
 //! payload CRC-verified) and the logged ops are replayed. A crash at *any*
 //! byte therefore yields the state as of some logged-op prefix — never a
 //! torn cell — which is exactly what the byte-boundary recovery suite
-//! asserts. An image of any other format version is refused as corrupt.
+//! asserts. An image of any other format version, or naming any positional
+//! map but the hierarchical one (`posmap=2`), is refused as corrupt.
 //!
 //! On-disk layout of the version-3 image:
 //!
 //! ```text
-//! page 0      magic "DSIM" | version=3 u32 | posmap u8 |
+//! page 0      magic "DSIM" | version=3 u32 | posmap=2 u8 |
 //!             map_len u64 | map_crc u32 | map_page_count u32 |
 //!             map page numbers u64 × n
 //! map pages   region_count u32, then per region (ascending id):
@@ -88,7 +89,6 @@ use dataspread_grid::codec::{
 use dataspread_grid::{Cell, CellAddr, CellError};
 use dataspread_grid::{CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_posmap::PosMapKind;
 use dataspread_relstore::pager::PagerStats;
 use dataspread_relstore::wal::crc32;
 use dataspread_relstore::{
@@ -121,6 +121,9 @@ pub const MAX_LOGGED_OP_BYTES: usize = 48 << 20;
 
 const IMAGE_MAGIC: &[u8; 4] = b"DSIM";
 const IMAGE_VERSION: u32 = 3;
+/// The header's positional-map byte, part of the version-3 layout: always
+/// 2, the hierarchical map; an image holding any other value is refused.
+const IMAGE_POSMAP: u8 = 2;
 /// Fixed part of the header (magic, version, posmap, map len/crc/count).
 const HEADER_FIXED_LEN: usize = 4 + 4 + 1 + 8 + 4 + 4;
 /// Page numbers that fit in the header after the fixed fields.
@@ -235,23 +238,6 @@ pub enum LoggedOp {
 
 fn corrupt(msg: &str) -> EngineError {
     EngineError::Store(StoreError::Corrupt(msg.to_string()))
-}
-
-fn posmap_code(k: PosMapKind) -> u8 {
-    match k {
-        PosMapKind::AsIs => 0,
-        PosMapKind::Monotonic => 1,
-        PosMapKind::Hierarchical => 2,
-    }
-}
-
-fn code_posmap(c: u8) -> Result<PosMapKind, EngineError> {
-    Ok(match c {
-        0 => PosMapKind::AsIs,
-        1 => PosMapKind::Monotonic,
-        2 => PosMapKind::Hierarchical,
-        t => return Err(corrupt(&format!("unknown posmap code {t}"))),
-    })
 }
 
 fn model_code(id: u64, kind: ModelKind) -> u8 {
@@ -690,11 +676,11 @@ fn decode_map(bytes: &[u8]) -> Result<BTreeMap<u64, StoredRegion>, EngineError> 
     Ok(map)
 }
 
-fn encode_header(kind: PosMapKind, map_len: u64, map_crc: u32, map_pages: &[u64]) -> Vec<u8> {
+fn encode_header(map_len: u64, map_crc: u32, map_pages: &[u64]) -> Vec<u8> {
     let mut page = Vec::with_capacity(PAGE_SIZE);
     codec::put_bytes(&mut page, IMAGE_MAGIC);
     codec::put_u32(&mut page, IMAGE_VERSION);
-    codec::put_u8(&mut page, posmap_code(kind));
+    codec::put_u8(&mut page, IMAGE_POSMAP);
     codec::put_u64(&mut page, map_len);
     codec::put_u32(&mut page, map_crc);
     codec::put_u32(&mut page, map_pages.len() as u32);
@@ -774,8 +760,8 @@ pub struct RecoveredRegionImage {
 /// What [`DurableStore::open`] found on disk.
 #[derive(Debug)]
 pub struct RecoveredState {
-    /// Positional-map scheme of the stored image; `None` for a fresh store.
-    pub posmap: Option<PosMapKind>,
+    /// Whether an image was found; `false` for a fresh store.
+    pub has_image: bool,
     /// Catch-all cell payload of the last durable checkpoint (sheet
     /// coordinates); `None` for a fresh store.
     pub catchall: Option<Vec<u8>>,
@@ -999,10 +985,10 @@ impl DurableStore {
         // Load the image.
         let mut catchall = None;
         let mut regions = Vec::new();
-        let mut posmap = None;
+        let has_image = pager.page_count() > 0;
         let mut map = BTreeMap::new();
         let mut map_pages = Vec::new();
-        if pager.page_count() > 0 {
+        if has_image {
             let header = pager.read_page(0)?.to_vec();
             let mut cur = Reader::new(&header);
             if cur.take(4)? != IMAGE_MAGIC {
@@ -1012,7 +998,10 @@ impl DurableStore {
             if version != IMAGE_VERSION {
                 return Err(corrupt(&format!("image: unsupported version {version}")));
             }
-            let kind = code_posmap(cur.u8()?)?;
+            let posmap = cur.u8()?;
+            if posmap != IMAGE_POSMAP {
+                return Err(corrupt(&format!("image: unknown positional map {posmap}")));
+            }
             let map_len = cur.u64()?;
             let map_crc = cur.u32()?;
             let n_map_pages = cur.u32()? as usize;
@@ -1045,7 +1034,6 @@ impl DurableStore {
                     });
                 }
             }
-            posmap = Some(kind);
         }
 
         // Seed the free-pool cache: image pages used by neither the map
@@ -1084,7 +1072,7 @@ impl DurableStore {
                 failed_at_ms: None,
             },
             RecoveredState {
-                posmap,
+                has_image,
                 catchall,
                 regions,
                 ops,
@@ -1268,7 +1256,6 @@ impl DurableStore {
     /// next open.
     pub fn checkpoint(
         &mut self,
-        kind: PosMapKind,
         regions: Vec<RegionImage>,
     ) -> Result<CheckpointReport, EngineError> {
         // A permanently failed store cannot checkpoint its way back: the
@@ -1403,12 +1390,7 @@ impl DurableStore {
         chunk_payload(&map_bytes, &map_pages_new, &mut writes);
         writes.push((
             0,
-            encode_header(
-                kind,
-                map_bytes.len() as u64,
-                crc32(&map_bytes),
-                &map_pages_new,
-            ),
+            encode_header(map_bytes.len() as u64, crc32(&map_bytes), &map_pages_new),
         ));
 
         // New extent, and the zero-fill of freed pages inside it.
@@ -1813,7 +1795,7 @@ mod tests {
         let dir = temp_dir("log-recover");
         {
             let (mut store, recovered) = DurableStore::open(&dir).unwrap();
-            assert!(recovered.posmap.is_none());
+            assert!(!recovered.has_image);
             assert!(recovered.catchall.is_none() && recovered.ops.is_empty());
             assert!(recovered.regions.is_empty());
             store
@@ -1856,7 +1838,7 @@ mod tests {
                 })
                 .unwrap();
             let report = store
-                .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&cells, true)])
+                .checkpoint(vec![catchall_image(&cells, true)])
                 .unwrap();
             // Header + 1 payload page + 1 map page.
             assert_eq!(report.page_count, 3);
@@ -1866,7 +1848,7 @@ mod tests {
             assert_eq!(store.stats().ops_since_checkpoint, 0);
         }
         let (store, recovered) = DurableStore::open(&dir).unwrap();
-        assert_eq!(recovered.posmap, Some(PosMapKind::Hierarchical));
+        assert!(recovered.has_image);
         assert_eq!(recovered_catchall(&recovered), cells);
         assert!(recovered.ops.is_empty());
         assert!(!recovered.rolled_back_checkpoint);
@@ -1881,21 +1863,18 @@ mod tests {
         let cells = vec![(CellAddr::new(0, 0), cell(5.0))];
         let (mut store, _) = DurableStore::open(&dir).unwrap();
         store
-            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&cells, true)])
+            .checkpoint(vec![catchall_image(&cells, true)])
             .unwrap();
         // Clean submission: nothing re-serialized, nothing written.
         let second = store
-            .checkpoint(
-                PosMapKind::Hierarchical,
-                vec![catchall_image(&cells, false)],
-            )
+            .checkpoint(vec![catchall_image(&cells, false)])
             .unwrap();
         assert_eq!(second.pages_written, 0);
         assert_eq!(second.undo_pages, 0);
         assert_eq!(second.regions_dirty, 0);
         // Dirty-flagged but byte-identical: pages are reused, not rewritten.
         let third = store
-            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&cells, true)])
+            .checkpoint(vec![catchall_image(&cells, true)])
             .unwrap();
         assert_eq!(third.pages_written, 0);
         assert_eq!(third.regions_dirty, 1);
@@ -1913,14 +1892,11 @@ mod tests {
                 .collect()
         };
         let full = store
-            .checkpoint(
-                PosMapKind::Hierarchical,
-                vec![
-                    catchall_image(&[], true),
-                    region_image(1, Rect::new(0, 0, 399, 0), Some(band(1))),
-                    region_image(2, Rect::new(500, 0, 899, 0), Some(band(2))),
-                ],
-            )
+            .checkpoint(vec![
+                catchall_image(&[], true),
+                region_image(1, Rect::new(0, 0, 399, 0), Some(band(1))),
+                region_image(2, Rect::new(500, 0, 899, 0), Some(band(2))),
+            ])
             .unwrap();
         assert_eq!(full.regions_total, 3);
         assert_eq!(full.regions_written, 3);
@@ -1928,14 +1904,11 @@ mod tests {
         let mut changed = band(2);
         changed[7].1 = cell(-1.0);
         let incr = store
-            .checkpoint(
-                PosMapKind::Hierarchical,
-                vec![
-                    catchall_image(&[], false),
-                    region_image(1, Rect::new(0, 0, 399, 0), None),
-                    region_image(2, Rect::new(500, 0, 899, 0), Some(changed.clone())),
-                ],
-            )
+            .checkpoint(vec![
+                catchall_image(&[], false),
+                region_image(1, Rect::new(0, 0, 399, 0), None),
+                region_image(2, Rect::new(500, 0, 899, 0), Some(changed.clone())),
+            ])
             .unwrap();
         assert_eq!(incr.regions_dirty, 1);
         assert_eq!(incr.regions_written, 1);
@@ -1963,17 +1936,12 @@ mod tests {
             .map(|i| (CellAddr::new(i, 0), Cell::value(format!("row-{i}"))))
             .collect();
         store
-            .checkpoint(
-                PosMapKind::Hierarchical,
-                vec![
-                    catchall_image(&[], true),
-                    region_image(1, Rect::new(0, 0, 599, 0), Some(cells)),
-                ],
-            )
+            .checkpoint(vec![
+                catchall_image(&[], true),
+                region_image(1, Rect::new(0, 0, 599, 0), Some(cells)),
+            ])
             .unwrap();
-        let after = store
-            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&[], false)])
-            .unwrap();
+        let after = store.checkpoint(vec![catchall_image(&[], false)]).unwrap();
         assert_eq!(after.regions_total, 1);
         drop(store);
         let (store, recovered) = DurableStore::open(&dir).unwrap();
@@ -1991,13 +1959,10 @@ mod tests {
         {
             let (mut store, _) = DurableStore::open(&dir).unwrap();
             store
-                .checkpoint(
-                    PosMapKind::Hierarchical,
-                    vec![
-                        catchall_image(&[(CellAddr::new(90, 9), cell(9.0))], true),
-                        region_image(1, Rect::new(0, 0, 9, 0), Some(region_cells.clone())),
-                    ],
-                )
+                .checkpoint(vec![
+                    catchall_image(&[(CellAddr::new(90, 9), cell(9.0))], true),
+                    region_image(1, Rect::new(0, 0, 9, 0), Some(region_cells.clone())),
+                ])
                 .unwrap();
             store
                 .log(&LoggedOp::SetCell {
@@ -2049,13 +2014,11 @@ mod tests {
             .map(|i| (CellAddr::new(i, 0), Cell::value(format!("row-{i}"))))
             .collect();
         let (mut store, _) = DurableStore::open(&dir).unwrap();
-        let r1 = store
-            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&big, true)])
-            .unwrap();
+        let r1 = store.checkpoint(vec![catchall_image(&big, true)]).unwrap();
         assert!(r1.page_count > 3);
         let small = vec![(CellAddr::new(0, 0), cell(1.0))];
         let r2 = store
-            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&small, true)])
+            .checkpoint(vec![catchall_image(&small, true)])
             .unwrap();
         assert_eq!(r2.page_count, 3, "header + payload page + map page");
         assert!(r2.undo_pages >= r1.page_count - r2.page_count);
@@ -2102,7 +2065,7 @@ mod tests {
         let dir = temp_dir("clean-missing");
         let (mut store, _) = DurableStore::open(&dir).unwrap();
         let err = store
-            .checkpoint(PosMapKind::Hierarchical, vec![catchall_image(&[], false)])
+            .checkpoint(vec![catchall_image(&[], false)])
             .unwrap_err();
         assert!(matches!(err, EngineError::Store(StoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();

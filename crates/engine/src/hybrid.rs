@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashSet};
 use dataspread_formula::RangeAgg;
 use dataspread_grid::{Cell, CellAddr, Rect, ScanValue, SparseSheet};
 use dataspread_hybrid::{Decomposition, ModelKind, Occupancy, Region};
-use dataspread_posmap::PosMapKind;
+use dataspread_posmap::MAX_POSITIONS;
 use dataspread_relstore::StoreError;
 
 use crate::columnar::{ColumnarBuilder, ColumnarTranslator};
@@ -113,12 +113,12 @@ enum ModelBuilder {
 impl RegionBuilder {
     /// `rows` x `cols` is the region's extent, which only the fixed-extent
     /// columnar layout records; the others grow with their cells.
-    pub(crate) fn new(kind: ModelKind, posmap_kind: PosMapKind, rows: u32, cols: u32) -> Self {
+    pub(crate) fn new(kind: ModelKind, rows: u32, cols: u32) -> Self {
         RegionBuilder {
             model: match kind {
-                ModelKind::Rom => ModelBuilder::Rom(RomBuilder::new(posmap_kind)),
-                ModelKind::Com => ModelBuilder::Com(ComBuilder::new(posmap_kind)),
-                ModelKind::Rcv | ModelKind::Tom => ModelBuilder::Rcv(RcvBuilder::new(posmap_kind)),
+                ModelKind::Rom => ModelBuilder::Rom(RomBuilder::new()),
+                ModelKind::Com => ModelBuilder::Com(ComBuilder::default()),
+                ModelKind::Rcv | ModelKind::Tom => ModelBuilder::Rcv(RcvBuilder::new()),
                 ModelKind::Columnar => ModelBuilder::Columnar(ColumnarBuilder::new(rows, cols)),
             },
             last: None,
@@ -175,12 +175,11 @@ impl RegionBuilder {
 /// [`RegionBuilder`] over a cell list: `cells` must be a run.
 pub fn build_translator(
     kind: ModelKind,
-    posmap_kind: PosMapKind,
     rows: u32,
     cols: u32,
     cells: Vec<(CellAddr, Cell)>,
 ) -> Result<Box<dyn Translator>, EngineError> {
-    let mut b = RegionBuilder::new(kind, posmap_kind, rows, cols);
+    let mut b = RegionBuilder::new(kind, rows, cols);
     for (addr, cell) in &cells {
         b.push(
             addr.row,
@@ -463,7 +462,6 @@ pub struct HybridSheet {
     catchall: Box<dyn Translator>,
     catchall_dirty: bool,
     next_region_id: u64,
-    posmap_kind: PosMapKind,
 }
 
 impl Default for HybridSheet {
@@ -474,24 +472,15 @@ impl Default for HybridSheet {
 
 impl HybridSheet {
     pub fn new() -> Self {
-        Self::with_posmap(PosMapKind::default())
-    }
-
-    pub fn with_posmap(posmap_kind: PosMapKind) -> Self {
         HybridSheet {
             regions: Vec::new(),
             routing: RoutingIndex::default(),
-            catchall: Box::new(RcvTranslator::new(posmap_kind)),
+            catchall: Box::new(RcvTranslator::new()),
             // A brand-new sheet has never been serialized: the first
             // checkpoint must write the (empty) catch-all image.
             catchall_dirty: true,
             next_region_id: CATCHALL_REGION_ID + 1,
-            posmap_kind,
         }
-    }
-
-    pub fn posmap_kind(&self) -> PosMapKind {
-        self.posmap_kind
     }
 
     /// Current region layout (rect, model) — the hybrid metadata.
@@ -629,12 +618,7 @@ impl HybridSheet {
             t.for_each_formula(&mut formula_at);
             return Ok(Box::new(t));
         }
-        let mut b = RegionBuilder::new(
-            kind,
-            self.posmap_kind,
-            rect.rows() as u32,
-            rect.cols() as u32,
-        );
+        let mut b = RegionBuilder::new(kind, rect.rows() as u32, rect.cols() as u32);
         visit_cells(payload, |row, col, value, formula| {
             within(u64::from(row) + 1, u64::from(col) + 1)?;
             if let Some(src) = formula {
@@ -654,7 +638,7 @@ impl HybridSheet {
         payload: &[u8],
     ) -> Result<Vec<(CellAddr, String)>, EngineError> {
         let mut formulas = Vec::new();
-        let mut b = RegionBuilder::new(ModelKind::Rcv, self.posmap_kind, 0, 0);
+        let mut b = RegionBuilder::new(ModelKind::Rcv, 0, 0);
         visit_cells(payload, |row, col, value, formula| {
             let addr = CellAddr::new(row, col);
             if self.routing.route(addr).is_some() {
@@ -958,12 +942,14 @@ impl HybridSheet {
         Ok(())
     }
 
-    /// Refuse, before anything moves, an insert of `n` at `at` that would
-    /// push a region (its `span` along the insert's axis) past the last
-    /// row or column — Excel's "would push non-empty cells off the
-    /// worksheet". The catch-all refuses such an insert on its own (its
-    /// positional space is capped far below `u32::MAX`) before any region
-    /// moves, so a refusal from either leaves the sheet untouched.
+    /// Refuse, before anything moves, an insert of `n` at `at` that some
+    /// region (its `span` along the insert's axis) cannot take: one that
+    /// would push the region past the last row or column — Excel's "would
+    /// push non-empty cells off the worksheet" — or that lands inside it
+    /// and would stretch it past [`MAX_POSITIONS`], which no positional
+    /// map materializes. The catch-all refuses an insert reaching the same
+    /// cap on its own, before any region moves, so a refusal from either
+    /// leaves the sheet untouched.
     fn refuse_push_off(
         &self,
         at: u32,
@@ -971,9 +957,18 @@ impl HybridSheet {
         span: impl Fn(&Rect) -> (u32, u32),
     ) -> Result<(), EngineError> {
         for (first, last) in self.regions.iter().map(|region| span(&region.rect)) {
-            if at <= last && last.checked_add(n).is_none() {
+            if at > last {
+                continue;
+            }
+            let Some(end) = last.checked_add(n) else {
                 return Err(EngineError::Unsupported(format!(
                     "inserting {n} at {at} would push the region at {first}..={last} off the sheet"
+                )));
+            };
+            if first < at && end - first >= MAX_POSITIONS {
+                return Err(EngineError::Unsupported(format!(
+                    "inserting {n} at {at} would stretch the region at {first}..={last} \
+                     past {MAX_POSITIONS} positions"
                 )));
             }
         }
@@ -1211,7 +1206,6 @@ impl HybridSheet {
             migrated += part.len() as u64;
             built.push(build_translator(
                 region.kind,
-                self.posmap_kind,
                 region.rect.rows() as u32,
                 region.rect.cols() as u32,
                 part,
@@ -1221,13 +1215,7 @@ impl HybridSheet {
             None
         } else {
             migrated += strays.len() as u64;
-            Some(build_translator(
-                ModelKind::Rcv,
-                self.posmap_kind,
-                0,
-                0,
-                strays,
-            )?)
+            Some(build_translator(ModelKind::Rcv, 0, 0, strays)?)
         };
 
         let mut kept = kept.into_iter();
@@ -1259,7 +1247,6 @@ impl HybridSheet {
     /// cannot convert either way. The new store is built first and
     /// replaces the old one only on success.
     pub fn migrate_region(&mut self, slot: usize, kind: ModelKind) -> Result<(), EngineError> {
-        let posmap_kind = self.posmap_kind;
         let region = self
             .regions
             .get_mut(slot)
@@ -1275,12 +1262,7 @@ impl HybridSheet {
         }
         // The source walks its store in order and the target's builder
         // takes the cells as borrows: no cell list in between.
-        let mut b = RegionBuilder::new(
-            kind,
-            posmap_kind,
-            region.rect.rows() as u32,
-            region.rect.cols() as u32,
-        );
+        let mut b = RegionBuilder::new(kind, region.rect.rows() as u32, region.rect.cols() as u32);
         b.push_scan(region.translator.as_ref())?;
         region.translator = b.finish()?;
         region.dirty = true;
@@ -1422,7 +1404,7 @@ mod tests {
 
     fn sheet_with_rom_region() -> HybridSheet {
         let mut hs = HybridSheet::new();
-        let rom = Box::new(RomTranslator::new(PosMapKind::Hierarchical));
+        let rom = Box::new(RomTranslator::new());
         hs.add_region(Rect::new(10, 10, 19, 14), rom).unwrap();
         hs
     }
@@ -1448,7 +1430,7 @@ mod tests {
     fn add_region_absorbs_strays_and_rejects_overlap() {
         let mut hs = HybridSheet::new();
         hs.set_cell(addr(5, 5), Cell::value(7i64)).unwrap();
-        let rom = Box::new(RomTranslator::new(PosMapKind::Hierarchical));
+        let rom = Box::new(RomTranslator::new());
         hs.add_region(Rect::new(0, 0, 9, 9), rom).unwrap();
         // The stray moved out of the catch-all into the region.
         assert_eq!(hs.catchall.filled_count(), 0);
@@ -1456,7 +1438,7 @@ mod tests {
             hs.get_cell(addr(5, 5)).unwrap().value,
             CellValue::Number(7.0)
         );
-        let rom2 = Box::new(RomTranslator::new(PosMapKind::Hierarchical));
+        let rom2 = Box::new(RomTranslator::new());
         assert!(hs.add_region(Rect::new(9, 9, 12, 12), rom2).is_err());
     }
 
@@ -1550,7 +1532,7 @@ mod tests {
             Rect::new(10, 10, 19, 14),
             Rect::new(10, 20, 39, 24),
         ] {
-            let rom = Box::new(RomTranslator::new(PosMapKind::Hierarchical));
+            let rom = Box::new(RomTranslator::new());
             hs.add_region(rect, rom).unwrap();
         }
         hs.set_cell(addr(35, 22), Cell::value(9i64)).unwrap();
@@ -1733,7 +1715,7 @@ mod tests {
             hs.set_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
         }
         let before = hs.snapshot(true);
-        let com = Box::new(ComTranslator::new(PosMapKind::Hierarchical));
+        let com = Box::new(ComTranslator::new());
         assert!(hs.add_region(Rect::new(0, 0, 2999, 0), com).is_err());
         assert_eq!(hs.region_count(), 0);
         assert_eq!(hs.snapshot(true), before);
@@ -1821,7 +1803,7 @@ mod tests {
                 .enumerate()
             {
                 let run = random_run(&mut rng, 24, 6);
-                let t = build_translator(kind, hs.posmap_kind, 24, 6, run).unwrap();
+                let t = build_translator(kind, 24, 6, run).unwrap();
                 hs.add_region(Rect::new(i as u32 * 30, 2, i as u32 * 30 + 23, 7), t)
                     .unwrap();
             }
@@ -1829,7 +1811,7 @@ mod tests {
                 .unwrap();
             let columnar = {
                 let run = random_run(&mut rng, 24, 6);
-                build_translator(ModelKind::Columnar, hs.posmap_kind, 24, 6, run).unwrap()
+                build_translator(ModelKind::Columnar, 24, 6, run).unwrap()
             };
             hs.add_region(Rect::new(100, 2, 123, 7), columnar).unwrap();
             for _ in 0..60 {
@@ -1867,9 +1849,9 @@ mod tests {
     /// What `build_translator` replaced, for (b): one `set_cell` per cell.
     fn per_cell(kind: ModelKind, cells: &[(CellAddr, Cell)]) -> Box<dyn Translator> {
         let mut t: Box<dyn Translator> = match kind {
-            ModelKind::Rom => Box::new(RomTranslator::new(PosMapKind::default())),
-            ModelKind::Com => Box::new(ComTranslator::new(PosMapKind::default())),
-            _ => Box::new(RcvTranslator::new(PosMapKind::default())),
+            ModelKind::Rom => Box::new(RomTranslator::new()),
+            ModelKind::Com => Box::new(ComTranslator::new()),
+            _ => Box::new(RcvTranslator::new()),
         };
         for (a, c) in cells {
             t.set_cell(a.row, a.col, c.clone()).unwrap();
@@ -1899,7 +1881,7 @@ mod tests {
 
                 let decoded = decode_cells(&payload).unwrap();
                 assert_eq!(decoded, run, "{ctx}");
-                let listed = build_translator(kind, hs.posmap_kind, 20, 7, decoded).unwrap();
+                let listed = build_translator(kind, 20, 7, decoded).unwrap();
                 for (what, oracle) in [("list-built", listed), ("set_cell", per_cell(kind, &run))] {
                     let t = &restored.translator;
                     assert_eq!(t.kind(), oracle.kind(), "{ctx} vs {what}");

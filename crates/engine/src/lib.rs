@@ -11,10 +11,10 @@
 //! * [`hybrid::HybridSheet`] — routes regions of the sheet to per-region
 //!   translators, with an RCV catch-all for stray cells.
 //!
-//! Every translator maintains positional maps (hierarchical counted
-//! B+-trees by default) on *both* axes, so row **and** column
-//! inserts/deletes are O(log N) — no stored row or column numbers, no
-//! cascading renumbering (paper §V).
+//! Every translator maintains hierarchical positional maps (counted
+//! B+-trees) on *both* axes, so row **and** column inserts/deletes are
+//! O(log N) — no stored row or column numbers, no cascading renumbering
+//! (paper §V).
 //!
 //! [`sheet::SheetEngine`] adds the execution-engine layer: formula parsing,
 //! the dependency graph, wave-ordered recomputation, the
@@ -49,4 +49,3 @@ pub use sheet::{OptimizeAlgorithm, OptimizeReport, SheetEngine};
 pub use translator::Translator;
 
 pub use dataspread_hybrid::ModelKind;
-pub use dataspread_posmap::PosMapKind;

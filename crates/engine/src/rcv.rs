@@ -6,13 +6,19 @@
 //! corresponding stored identifiers"), and a B+-tree index maps
 //! `(row id, col id)` to the tuple. Structural edits touch only the
 //! positional maps — O(log N), no tuple rewrites.
+//!
+//! The maps materialize every position up to the highest one touched, so
+//! a write or insert reaching [`MAX_POSITIONS`] is refused up front, never
+//! materialized: RCV is the catch-all, the one store a stray write at any
+//! address lands in. Huge blocks belong in bulk-loaded ROM regions, which
+//! cost O(rows actually present).
 
 use std::collections::HashMap;
 use std::ops::Bound;
 
 use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
+use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
 use dataspread_relstore::{
     BPlusTree, ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId,
 };
@@ -22,31 +28,18 @@ use crate::translator::{
     cell_to_datums, datum_to_scan, datums_to_cell, scan_to_datums, CellVisitor, Translator,
 };
 
-/// Cap on the RCV positional coordinate space (rows and columns alike).
-///
-/// Positions are *materialized*: the positional maps hold one identifier
-/// per position up to the highest one ever touched, so a single write at
-/// an astronomical index (say row 4×10⁹ — representable, since addresses
-/// are `u32`) would grow the map O(row) on first touch and hang the
-/// engine. Writes at or beyond the cap are refused up front instead —
-/// 64 × Excel's 1,048,576-row limit, far past what positional
-/// materialization serves well (huge blocks belong in bulk-loaded ROM
-/// regions, which cost O(rows actually present)).
-pub const MAX_RCV_POSITIONS: u32 = 64 * 1_048_576;
-
 /// Row-column-value storage for one region (also the hybrid layer's
 /// catch-all for cells outside every region).
 pub struct RcvTranslator {
     table: Table,
     /// Row position → stable row id.
-    rows_map: Box<dyn PositionalMap<u64>>,
+    rows_map: HierarchicalPosMap<u64>,
     /// Column position → stable column id.
-    cols_map: Box<dyn PositionalMap<u64>>,
+    cols_map: HierarchicalPosMap<u64>,
     /// (row id, col id) → tuple.
     index: BPlusTree<(u64, u64), TupleId>,
     next_row_id: u64,
     next_col_id: u64,
-    posmap_kind: PosMapKind,
 }
 
 impl std::fmt::Debug for RcvTranslator {
@@ -55,13 +48,18 @@ impl std::fmt::Debug for RcvTranslator {
             .field("rows", &self.rows_map.len())
             .field("cols", &self.cols_map.len())
             .field("filled", &self.index.len())
-            .field("posmap", &self.posmap_kind)
             .finish()
     }
 }
 
+impl Default for RcvTranslator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RcvTranslator {
-    pub fn new(posmap_kind: PosMapKind) -> Self {
+    pub fn new() -> Self {
         RcvTranslator {
             table: Table::new(
                 "rcv",
@@ -72,12 +70,11 @@ impl RcvTranslator {
                     ColumnDef::new("formula", DataType::Any),
                 ]),
             ),
-            rows_map: new_posmap(posmap_kind),
-            cols_map: new_posmap(posmap_kind),
+            rows_map: HierarchicalPosMap::new(),
+            cols_map: HierarchicalPosMap::new(),
             index: BPlusTree::new(),
             next_row_id: 0,
             next_col_id: 0,
-            posmap_kind,
         }
     }
 
@@ -113,9 +110,9 @@ pub(crate) struct RcvBuilder {
 }
 
 impl RcvBuilder {
-    pub(crate) fn new(posmap_kind: PosMapKind) -> Self {
+    pub(crate) fn new() -> Self {
         RcvBuilder {
-            t: RcvTranslator::new(posmap_kind),
+            t: RcvTranslator::new(),
             rows: 0,
             cols: 0,
         }
@@ -128,10 +125,10 @@ impl RcvBuilder {
         value: ScanValue<'_>,
         formula: Option<&str>,
     ) -> Result<(), EngineError> {
-        if row >= MAX_RCV_POSITIONS || col >= MAX_RCV_POSITIONS {
+        if row >= MAX_POSITIONS || col >= MAX_POSITIONS {
             return Err(EngineError::Unsupported(format!(
                 "cell ({row},{col}) is outside the RCV positional space \
-                 (cap {MAX_RCV_POSITIONS})"
+                 (cap {MAX_POSITIONS})"
             )));
         }
         // An explicit blank still spans the extent, as `set_cell` has it.
@@ -152,8 +149,8 @@ impl RcvBuilder {
 
     pub(crate) fn finish(self) -> RcvTranslator {
         let RcvBuilder { mut t, rows, cols } = self;
-        t.rows_map = dataspread_posmap::posmap_from(t.posmap_kind, 0..u64::from(rows));
-        t.cols_map = dataspread_posmap::posmap_from(t.posmap_kind, 0..u64::from(cols));
+        t.rows_map = HierarchicalPosMap::bulk_load(0..u64::from(rows));
+        t.cols_map = HierarchicalPosMap::bulk_load(0..u64::from(cols));
         t.next_row_id = u64::from(rows);
         t.next_col_id = u64::from(cols);
         t
@@ -185,10 +182,10 @@ impl Translator for RcvTranslator {
     }
 
     fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
-        if row >= MAX_RCV_POSITIONS || col >= MAX_RCV_POSITIONS {
+        if row >= MAX_POSITIONS || col >= MAX_POSITIONS {
             return Err(EngineError::Unsupported(format!(
                 "cell ({row},{col}) is outside the RCV positional space \
-                 (cap {MAX_RCV_POSITIONS}); bulk-load huge blocks as ROM regions"
+                 (cap {MAX_POSITIONS}); bulk-load huge blocks as ROM regions"
             )));
         }
         self.ensure_rows(row);
@@ -276,10 +273,10 @@ impl Translator for RcvTranslator {
         // Guard the *end* of the insert, not just its start: the loop
         // below is O(n), so a huge count is the same first-touch hang as
         // a huge index.
-        if at.checked_add(n).is_none_or(|end| end > MAX_RCV_POSITIONS) {
+        if at.checked_add(n).is_none_or(|end| end > MAX_POSITIONS) {
             return Err(EngineError::Unsupported(format!(
                 "row insert at {at}+{n} is outside the RCV positional space \
-                 (cap {MAX_RCV_POSITIONS})"
+                 (cap {MAX_POSITIONS})"
             )));
         }
         if at > 0 {
@@ -317,10 +314,10 @@ impl Translator for RcvTranslator {
     }
 
     fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if at.checked_add(n).is_none_or(|end| end > MAX_RCV_POSITIONS) {
+        if at.checked_add(n).is_none_or(|end| end > MAX_POSITIONS) {
             return Err(EngineError::Unsupported(format!(
                 "column insert at {at}+{n} is outside the RCV positional space \
-                 (cap {MAX_RCV_POSITIONS})"
+                 (cap {MAX_POSITIONS})"
             )));
         }
         if at > 0 {
@@ -371,7 +368,7 @@ mod tests {
 
     #[test]
     fn sparse_cells_store_one_tuple_each() {
-        let mut t = RcvTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RcvTranslator::new();
         t.set_cell(100, 200, Cell::value(1i64)).unwrap();
         t.set_cell(5000, 3, Cell::value(2i64)).unwrap();
         assert_eq!(t.filled_count(), 2);
@@ -381,7 +378,7 @@ mod tests {
 
     #[test]
     fn blank_set_deletes_tuple() {
-        let mut t = RcvTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RcvTranslator::new();
         t.set_cell(1, 1, Cell::value(9i64)).unwrap();
         assert_eq!(t.filled_count(), 1);
         t.set_cell(1, 1, Cell::default()).unwrap();
@@ -391,7 +388,7 @@ mod tests {
 
     #[test]
     fn row_insert_delete_via_posmaps() {
-        let mut t = RcvTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RcvTranslator::new();
         for r in 0..10 {
             t.set_cell(r, 0, Cell::value(r as i64)).unwrap();
         }
@@ -410,7 +407,7 @@ mod tests {
 
     #[test]
     fn col_insert_delete() {
-        let mut t = RcvTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RcvTranslator::new();
         for c in 0..5 {
             t.set_cell(0, c, Cell::value(c as i64)).unwrap();
         }
@@ -424,7 +421,7 @@ mod tests {
 
     #[test]
     fn range_scan_row_major() {
-        let mut t = RcvTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RcvTranslator::new();
         t.set_cell(1, 1, Cell::value(1i64)).unwrap();
         t.set_cell(1, 3, Cell::value(2i64)).unwrap();
         t.set_cell(2, 2, Cell::value(3i64)).unwrap();
@@ -447,12 +444,12 @@ mod tests {
         // positional-map entry per row on first touch — O(row) work that
         // hangs the engine. The cap must refuse it immediately (this test
         // would run for hours if materialization happened).
-        let mut t = RcvTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RcvTranslator::new();
         for (r, c) in [
             (4_000_000_000, 0),
             (0, 4_000_000_000),
             (u32::MAX - 1, u32::MAX - 1),
-            (MAX_RCV_POSITIONS, 0),
+            (MAX_POSITIONS, 0),
         ] {
             assert!(
                 matches!(
@@ -482,7 +479,7 @@ mod tests {
 
     #[test]
     fn update_existing_cell_replaces_tuple() {
-        let mut t = RcvTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RcvTranslator::new();
         t.set_cell(0, 0, Cell::value(1i64)).unwrap();
         t.set_cell(0, 0, Cell::value("now a much longer text value"))
             .unwrap();

@@ -9,7 +9,7 @@
 
 use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_posmap::{new_posmap, PosMapKind, PositionalMap};
+use dataspread_posmap::{HierarchicalPosMap, PositionalMap};
 use dataspread_relstore::{ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId};
 
 use crate::error::EngineError;
@@ -22,12 +22,11 @@ use crate::translator::{
 pub struct RomTranslator {
     table: Table,
     /// Row position → tuple id.
-    rows_map: Box<dyn PositionalMap<TupleId>>,
+    rows_map: HierarchicalPosMap<TupleId>,
     /// Column position → physical column group (datums `2g` and `2g+1`).
-    cols_map: Box<dyn PositionalMap<u32>>,
+    cols_map: HierarchicalPosMap<u32>,
     next_group: u32,
     filled: u64,
-    posmap_kind: PosMapKind,
 }
 
 impl std::fmt::Debug for RomTranslator {
@@ -36,35 +35,34 @@ impl std::fmt::Debug for RomTranslator {
             .field("rows", &self.rows_map.len())
             .field("cols", &self.cols_map.len())
             .field("filled", &self.filled)
-            .field("posmap", &self.posmap_kind)
             .finish()
     }
 }
 
+impl Default for RomTranslator {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl RomTranslator {
-    pub fn new(posmap_kind: PosMapKind) -> Self {
+    pub fn new() -> Self {
         RomTranslator {
             table: Table::new("rom", Schema::new(Vec::new())),
-            rows_map: new_posmap(posmap_kind),
-            cols_map: new_posmap(posmap_kind),
+            rows_map: HierarchicalPosMap::new(),
+            cols_map: HierarchicalPosMap::new(),
             next_group: 0,
             filled: 0,
-            posmap_kind,
         }
-    }
-
-    pub fn posmap_kind(&self) -> PosMapKind {
-        self.posmap_kind
     }
 
     /// Bulk-load rows of cells (O(N) positional-map construction) — the
     /// fast import path for large datasets such as VCF files.
     pub fn bulk_load_rows(
-        posmap_kind: PosMapKind,
         width: u32,
         rows: impl IntoIterator<Item = Vec<Cell>>,
     ) -> Result<Self, EngineError> {
-        let mut b = RomBuilder::new(posmap_kind);
+        let mut b = RomBuilder::new();
         b.widen(width)?;
         for row in rows {
             for cell in row.into_iter().take(width as usize) {
@@ -137,40 +135,6 @@ impl RomTranslator {
         let f = row.get(2 * group as usize + 1).unwrap_or(&Datum::Null);
         datums_to_cell(v, f)
     }
-
-    /// Rebuild the table without the physical column groups orphaned by
-    /// `delete_cols` (and without dead heap space). Like VACUUM FULL:
-    /// O(rows × live columns), to be run during idle periods.
-    pub fn vacuum(&mut self) -> Result<(), EngineError> {
-        let live_groups: Vec<u32> = (0..self.cols_map.len())
-            .filter_map(|i| self.cols_map.get(i).copied())
-            .collect();
-        let mut table = Table::new("rom", Schema::new(Vec::new()));
-        for g in 0..live_groups.len() {
-            table.add_column(ColumnDef::new(format!("v{g}"), DataType::Any))?;
-            table.add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
-        }
-        let mut new_tids = Vec::with_capacity(self.rows_map.len());
-        let mut datums: Vec<Datum> = Vec::with_capacity(2 * live_groups.len());
-        for r in 0..self.rows_map.len() {
-            let tid = *self.rows_map.get(r).expect("in range");
-            let old = self.table.fetch(tid)?;
-            datums.clear();
-            for &g in &live_groups {
-                datums.push(old.get(2 * g as usize).cloned().unwrap_or(Datum::Null));
-                datums.push(old.get(2 * g as usize + 1).cloned().unwrap_or(Datum::Null));
-            }
-            new_tids.push(table.insert_prefix(&datums)?);
-        }
-        self.table = table;
-        self.rows_map = dataspread_posmap::posmap_from(self.posmap_kind, new_tids);
-        self.cols_map = dataspread_posmap::posmap_from(
-            self.posmap_kind,
-            (0..live_groups.len() as u32).collect::<Vec<u32>>(),
-        );
-        self.next_group = live_groups.len() as u32;
-        Ok(())
-    }
 }
 
 /// Push-style bulk builder: cells arrive in strictly increasing row-major
@@ -180,9 +144,8 @@ impl RomTranslator {
 /// so `rows()` is the last cell's row + 1 and `cols()` the widest column
 /// + 1 — exactly what per-cell `set_cell` of the same cells produces.
 pub(crate) struct RomBuilder {
-    posmap_kind: PosMapKind,
     table: Table,
-    cols_map: Box<dyn PositionalMap<u32>>,
+    cols_map: HierarchicalPosMap<u32>,
     tids: Vec<TupleId>,
     filled: u64,
     /// Rows the region spans so far (the open row included).
@@ -192,11 +155,10 @@ pub(crate) struct RomBuilder {
 }
 
 impl RomBuilder {
-    pub(crate) fn new(posmap_kind: PosMapKind) -> Self {
+    pub(crate) fn new() -> Self {
         RomBuilder {
-            posmap_kind,
             table: Table::new("rom", Schema::new(Vec::new())),
-            cols_map: dataspread_posmap::posmap_from(posmap_kind, Vec::<u32>::new()),
+            cols_map: HierarchicalPosMap::new(),
             tids: Vec::new(),
             filled: 0,
             rows: 0,
@@ -257,11 +219,10 @@ impl RomBuilder {
         }
         Ok(RomTranslator {
             table: self.table,
-            rows_map: dataspread_posmap::posmap_from(self.posmap_kind, self.tids),
+            rows_map: HierarchicalPosMap::bulk_load(self.tids),
             next_group: self.cols_map.len() as u32,
             cols_map: self.cols_map,
             filled: self.filled,
-            posmap_kind: self.posmap_kind,
         })
     }
 }
@@ -418,18 +379,16 @@ impl Translator for RomTranslator {
     }
 
     fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        // Physical columns become orphaned (a vacuum/migration reclaims
-        // them); the logical view shifts immediately.
+        // Physical columns become orphaned (a migration reclaims them);
+        // the logical view shifts immediately.
         for _ in 0..n {
             let Some(g) = self.cols_map.remove_at(at as usize) else {
                 break;
             };
             // Null-out the orphaned group so filled stays honest and the
             // data is actually gone.
-            let tids: Vec<(usize, TupleId)> = (0..self.rows_map.len())
-                .filter_map(|r| self.rows_map.get(r).map(|&t| (r, t)))
-                .collect();
-            for (r, tid) in tids {
+            let tids: Vec<TupleId> = self.rows_map.iter().copied().collect();
+            for (r, tid) in tids.into_iter().enumerate() {
                 let Ok(mut tuple) = self.table.fetch(tid) else {
                     continue;
                 };
@@ -467,7 +426,7 @@ mod tests {
 
     #[test]
     fn set_get_roundtrip() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         t.set_cell(2, 3, cell(42)).unwrap();
         assert_eq!(t.get_cell(2, 3).unwrap().value, CellValue::Number(42.0));
         assert_eq!(t.get_cell(0, 0), None);
@@ -478,7 +437,7 @@ mod tests {
 
     #[test]
     fn formulas_survive_storage() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         t.set_cell(
             0,
             0,
@@ -494,7 +453,7 @@ mod tests {
 
     #[test]
     fn insert_rows_shifts_without_renumbering() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         for r in 0..10 {
             t.set_cell(r, 0, cell(r as i64)).unwrap();
         }
@@ -509,7 +468,7 @@ mod tests {
 
     #[test]
     fn delete_rows_updates_filled() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         for r in 0..6 {
             t.set_cell(r, 0, cell(r as i64)).unwrap();
             t.set_cell(r, 1, cell(-(r as i64))).unwrap();
@@ -523,7 +482,7 @@ mod tests {
 
     #[test]
     fn insert_and_delete_cols_via_column_posmap() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         for c in 0..4 {
             t.set_cell(0, c, cell(c as i64)).unwrap();
         }
@@ -542,7 +501,7 @@ mod tests {
 
     #[test]
     fn get_range_row_major() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         for r in 0..5 {
             for c in 0..3 {
                 t.set_cell(r, c, cell((r * 3 + c) as i64)).unwrap();
@@ -558,7 +517,7 @@ mod tests {
 
     #[test]
     fn clear_cell_blanks_and_counts() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         t.set_cell(0, 0, cell(1)).unwrap();
         t.clear_cell(0, 0).unwrap();
         assert_eq!(t.get_cell(0, 0), None);
@@ -568,51 +527,8 @@ mod tests {
     }
 
     #[test]
-    fn works_with_all_posmap_kinds() {
-        for kind in [
-            PosMapKind::AsIs,
-            PosMapKind::Monotonic,
-            PosMapKind::Hierarchical,
-        ] {
-            let mut t = RomTranslator::new(kind);
-            for r in 0..20 {
-                t.set_cell(r, 0, cell(r as i64)).unwrap();
-            }
-            t.insert_rows(10, 1).unwrap();
-            assert_eq!(t.get_cell(11, 0).unwrap().value, CellValue::Number(10.0));
-        }
-    }
-
-    #[test]
-    fn vacuum_reclaims_orphaned_columns() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
-        for r in 0..50 {
-            for c in 0..10 {
-                t.set_cell(r, c, cell((r * 10 + c) as i64)).unwrap();
-            }
-        }
-        t.delete_cols(2, 6).unwrap();
-        let before_cells: Vec<_> = t.all_cells();
-        let before_bytes = t.storage_bytes();
-        t.vacuum().unwrap();
-        assert_eq!(t.all_cells(), before_cells, "vacuum preserves contents");
-        assert!(
-            t.storage_bytes() < before_bytes,
-            "vacuum must shrink storage: {} -> {}",
-            before_bytes,
-            t.storage_bytes()
-        );
-        assert_eq!(t.cols(), 4);
-        assert_eq!(t.filled_count(), 50 * 4);
-        // The translator stays fully functional.
-        t.insert_cols(1, 1).unwrap();
-        t.set_cell(0, 1, cell(777)).unwrap();
-        assert_eq!(t.get_cell(0, 1).unwrap().value, CellValue::Number(777.0));
-    }
-
-    #[test]
     fn storage_grows_with_data() {
-        let mut t = RomTranslator::new(PosMapKind::Hierarchical);
+        let mut t = RomTranslator::new();
         let empty = t.storage_bytes();
         for r in 0..100 {
             for c in 0..5 {

@@ -29,7 +29,6 @@ use crate::hybrid::{HybridSheet, StorageReader};
 use crate::rom::RomTranslator;
 use crate::tom::TomTranslator;
 use crate::translator::{value_into_datum, Translator};
-use dataspread_posmap::PosMapKind;
 
 /// Which hybrid optimizer to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,12 +111,8 @@ const PAR_MIN: usize = 64;
 
 impl SheetEngine {
     pub fn new() -> Self {
-        Self::with_posmap(PosMapKind::default())
-    }
-
-    pub fn with_posmap(kind: PosMapKind) -> Self {
         SheetEngine {
-            sheet: HybridSheet::with_posmap(kind),
+            sheet: HybridSheet::new(),
             db: Arc::new(RwLock::new(Database::new())),
             deps: DependencyGraph::new(),
             parsed: HashMap::new(),
@@ -186,7 +181,7 @@ impl SheetEngine {
     /// automatically; [`SheetEngine::save`] is the fsync-point and
     /// [`SheetEngine::checkpoint`] folds the log into the image.
     pub fn open(dir: impl AsRef<Path>) -> Result<SheetEngine, EngineError> {
-        Self::open_with_posmap(dir, PosMapKind::default())
+        Self::open_on(dataspread_relstore::real_fs(), dir)
     }
 
     /// [`SheetEngine::open`] with every file op routed through `fs` — the
@@ -195,28 +190,8 @@ impl SheetEngine {
         fs: Arc<dyn StorageFs>,
         dir: impl AsRef<Path>,
     ) -> Result<SheetEngine, EngineError> {
-        Self::open_with_posmap_on(fs, dir, PosMapKind::default())
-    }
-
-    /// [`SheetEngine::open`] with an explicit positional-map scheme for a
-    /// *fresh* store. An existing store keeps the scheme it was created
-    /// with (it is recorded in the image header).
-    pub fn open_with_posmap(
-        dir: impl AsRef<Path>,
-        kind: PosMapKind,
-    ) -> Result<SheetEngine, EngineError> {
-        Self::open_with_posmap_on(dataspread_relstore::real_fs(), dir, kind)
-    }
-
-    /// [`SheetEngine::open_with_posmap`] on an explicit filesystem.
-    pub fn open_with_posmap_on(
-        fs: Arc<dyn StorageFs>,
-        dir: impl AsRef<Path>,
-        kind: PosMapKind,
-    ) -> Result<SheetEngine, EngineError> {
         let (store, recovered) = DurableStore::open_on(fs, dir)?;
-        let kind = recovered.posmap.unwrap_or(kind);
-        let mut engine = Self::with_posmap(kind);
+        let mut engine = Self::new();
         // 1. Rebuild the region layout from the image: each payload is
         //    visited straight into its region's builder (batched, so the
         //    routing index builds once for the whole image), then the
@@ -240,7 +215,7 @@ impl SheetEngine {
         }
         // 3. The restored state matches the image byte-for-byte (a fresh
         //    store has no image and stays all-dirty).
-        if recovered.posmap.is_some() {
+        if recovered.has_image {
             engine.sheet.clear_dirty();
         }
         // 4. Replay the committed op tail through the normal op paths
@@ -295,7 +270,6 @@ impl SheetEngine {
         if self.durable.is_none() {
             return Ok(None);
         }
-        let kind = self.sheet.posmap_kind();
         let images = self.sheet.region_images();
         let store = self.durable.as_mut().expect("checked above");
         let timed = self
@@ -303,7 +277,7 @@ impl SheetEngine {
             .as_ref()
             .filter(|o| o.enabled())
             .map(|_| Instant::now());
-        let report = match store.checkpoint(kind, images) {
+        let report = match store.checkpoint(images) {
             Ok(report) => report,
             Err(e) => {
                 // The undo journal rolls the torn image back at the next
@@ -588,7 +562,7 @@ impl SheetEngine {
                 })
                 .collect::<Vec<Cell>>()
         });
-        let rom = RomTranslator::bulk_load_rows(self.sheet.posmap_kind(), width, cells)?;
+        let rom = RomTranslator::bulk_load_rows(width, cells)?;
         let n_rows = rom.rows();
         if n_rows == 0 {
             return Err(EngineError::BadLink("import of zero rows".into()));
@@ -1408,20 +1382,6 @@ mod tests {
         // Recovered formulas stay live: editing the precedent recomputes.
         e.update_cell_a1("A1", "10").unwrap();
         assert_eq!(e.value(a("C3")), CellValue::Number(11.0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn durable_store_remembers_posmap_kind() {
-        let dir = temp_dir("posmap");
-        {
-            let mut e = SheetEngine::open_with_posmap(&dir, PosMapKind::Monotonic).unwrap();
-            e.update_cell_a1("A1", "1").unwrap();
-            e.checkpoint().unwrap();
-        }
-        // A different requested kind is overridden by the stored one.
-        let e = SheetEngine::open_with_posmap(&dir, PosMapKind::Hierarchical).unwrap();
-        assert_eq!(e.storage().posmap_kind(), PosMapKind::Monotonic);
         std::fs::remove_dir_all(&dir).ok();
     }
 

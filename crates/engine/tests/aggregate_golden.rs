@@ -17,7 +17,6 @@ use dataspread_formula::eval::CellReader;
 use dataspread_formula::{batch_eval_sliding, detect_sliding, parse, Evaluator, SheetReader};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
-use dataspread_posmap::PosMapKind;
 
 /// The region every layout holds: A1:D12.
 const RECT: Rect = Rect {
@@ -157,14 +156,7 @@ fn sheets() -> Vec<(String, HybridSheet)> {
     let cells = cells();
     let region = |kind: ModelKind, cells: Vec<(CellAddr, Cell)>| {
         let mut hs = HybridSheet::new();
-        let t = build_translator(
-            kind,
-            PosMapKind::default(),
-            RECT.rows() as u32,
-            RECT.cols() as u32,
-            cells,
-        )
-        .unwrap();
+        let t = build_translator(kind, RECT.rows() as u32, RECT.cols() as u32, cells).unwrap();
         hs.add_region(RECT, t).unwrap();
         hs
     };

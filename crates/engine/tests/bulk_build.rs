@@ -20,7 +20,6 @@ use dataspread_engine::rom::RomTranslator;
 use dataspread_engine::{ColumnarTranslator, ModelKind, Translator};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue};
-use dataspread_posmap::PosMapKind;
 
 const TAPE_LEN: usize = if cfg!(debug_assertions) { 80 } else { 400 };
 const SEEDS: std::ops::Range<u64> = if cfg!(debug_assertions) { 0..6 } else { 0..40 };
@@ -30,11 +29,6 @@ const KINDS: [ModelKind; 4] = [
     ModelKind::Com,
     ModelKind::Rcv,
     ModelKind::Columnar,
-];
-const POSMAPS: [PosMapKind; 3] = [
-    PosMapKind::Hierarchical,
-    PosMapKind::Monotonic,
-    PosMapKind::AsIs,
 ];
 
 /// Every value shape the stores distinguish: packable and raw numbers,
@@ -100,7 +94,6 @@ fn random_run(rng: &mut StdRng) -> (u32, u32, Vec<(CellAddr, Cell)>) {
 /// write overlay into the columns, as its old cell-list constructor did.
 fn per_cell(
     kind: ModelKind,
-    posmap: PosMapKind,
     rows: u32,
     cols: u32,
     cells: &[(CellAddr, Cell)],
@@ -114,9 +107,9 @@ fn per_cell(
         return Box::new(t);
     }
     let mut t: Box<dyn Translator> = match kind {
-        ModelKind::Rom => Box::new(RomTranslator::new(posmap)),
-        ModelKind::Com => Box::new(ComTranslator::new(posmap)),
-        _ => Box::new(RcvTranslator::new(posmap)),
+        ModelKind::Rom => Box::new(RomTranslator::new()),
+        ModelKind::Com => Box::new(ComTranslator::new()),
+        _ => Box::new(RcvTranslator::new()),
     };
     for (a, c) in cells {
         t.set_cell(a.row, a.col, c.clone()).unwrap();
@@ -203,13 +196,12 @@ fn step(rng: &mut StdRng, a: &mut dyn Translator, b: &mut dyn Translator, ctx: &
 fn bulk_built_equals_per_cell_built_and_stays_equal_under_edits() {
     for seed in SEEDS {
         for (k, &kind) in KINDS.iter().enumerate() {
-            let posmap = POSMAPS[(seed as usize + k) % POSMAPS.len()];
             let mut rng = StdRng::seed_from_u64(0xB01D_0000 + seed * 16 + k as u64);
             let (rows, cols, cells) = random_run(&mut rng);
-            let ctx = format!("{kind:?}/{posmap:?} seed {seed}");
-            let mut bulk = build_translator(kind, posmap, rows, cols, cells.clone())
+            let ctx = format!("{kind:?} seed {seed}");
+            let mut bulk = build_translator(kind, rows, cols, cells.clone())
                 .unwrap_or_else(|e| panic!("{ctx}: build failed: {e}"));
-            let mut reference = per_cell(kind, posmap, rows, cols, &cells);
+            let mut reference = per_cell(kind, rows, cols, &cells);
             assert_same(
                 bulk.as_ref(),
                 reference.as_ref(),
@@ -227,8 +219,8 @@ fn bulk_built_equals_per_cell_built_and_stays_equal_under_edits() {
 #[test]
 fn a_region_with_no_cells_builds_empty() {
     for kind in KINDS {
-        let t = build_translator(kind, PosMapKind::Hierarchical, 7, 3, Vec::new()).unwrap();
-        let reference = per_cell(kind, PosMapKind::Hierarchical, 7, 3, &[]);
+        let t = build_translator(kind, 7, 3, Vec::new()).unwrap();
+        let reference = per_cell(kind, 7, 3, &[]);
         assert_same(t.as_ref(), reference.as_ref(), &format!("{kind:?}, empty"));
         assert_eq!(t.filled_count(), 0);
         // Only the fixed-extent layout records the region's size.
@@ -263,7 +255,7 @@ fn unsorted_or_duplicate_runs_are_refused_not_misbuilt() {
             ("column-major", &column_major),
             ("duplicate", &duplicate),
         ] {
-            let built = build_translator(kind, PosMapKind::Hierarchical, 4, 4, run.clone());
+            let built = build_translator(kind, 4, 4, run.clone());
             assert!(built.is_err(), "{kind:?}: a {what} run must be refused");
         }
     }

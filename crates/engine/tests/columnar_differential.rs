@@ -29,7 +29,6 @@ use dataspread_engine::rom::RomTranslator;
 use dataspread_engine::{ColumnarTranslator, ModelKind, SheetEngine, Translator};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
-use dataspread_posmap::PosMapKind;
 
 const TAPE_LEN: usize = if cfg!(debug_assertions) { 120 } else { 400 };
 const SEEDS: std::ops::Range<u64> = if cfg!(debug_assertions) { 0..3 } else { 0..12 };
@@ -70,7 +69,7 @@ fn columnar_translator_matches_rom_under_random_ops() {
         let mut rng = StdRng::seed_from_u64(0xC01 + seed);
         let mut col = ColumnarTranslator::new(16, 6);
         col.set_overlay_limit(5); // force frequent overlay compaction
-        let mut rom = RomTranslator::new(PosMapKind::default());
+        let mut rom = RomTranslator::new();
         // ROM starts empty; match extents through the ops themselves.
         for i in 0..TAPE_LEN {
             let ctx = |op: &str| format!("seed={seed} op#{i} {op}");

@@ -229,18 +229,13 @@ fn recovery_is_idempotent() {
 #[test]
 fn structural_tape_survives_crash() {
     // Row/col splices interleaved with updates: recovery must replay them
-    // in order for every positional-map scheme.
-    use dataspread_engine::PosMapKind;
-    for kind in [
-        PosMapKind::AsIs,
-        PosMapKind::Monotonic,
-        PosMapKind::Hierarchical,
-    ] {
-        let base = temp_dir(&format!("struct-{kind:?}"));
-        let crash = temp_dir(&format!("struct-crash-{kind:?}"));
-        let ops = tape(99, 150);
-        let mut engine = SheetEngine::open_with_posmap(&base, kind).unwrap();
-        let mut reference = SheetEngine::with_posmap(kind);
+    // in order.
+    for seed in [99, 100, 101] {
+        let base = temp_dir(&format!("struct-{seed}"));
+        let crash = temp_dir(&format!("struct-crash-{seed}"));
+        let ops = tape(seed, 150);
+        let mut engine = SheetEngine::open(&base).unwrap();
+        let mut reference = SheetEngine::new();
         for op in &ops {
             apply(&mut engine, op);
             apply(&mut reference, op);
@@ -248,8 +243,7 @@ fn structural_tape_survives_crash() {
         engine.save().unwrap();
         clone_store(&base, &crash);
         let recovered = SheetEngine::open(&crash).unwrap();
-        assert_eq!(recovered.snapshot(), reference.snapshot(), "kind={kind:?}");
-        assert_eq!(recovered.storage().posmap_kind(), kind);
+        assert_eq!(recovered.snapshot(), reference.snapshot(), "seed={seed}");
         std::fs::remove_dir_all(&base).ok();
         std::fs::remove_dir_all(&crash).ok();
     }
@@ -444,6 +438,49 @@ fn a_flipped_bit_in_the_header_map_length_is_refused_untouched() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// The header's positional-map byte names the hierarchical map (2), the
+/// only one there is. An image naming another — the position-as-is (0) and
+/// monotonic (1) codes older images could carry, or an unknown 3 — is
+/// refused as corrupt, with the image left byte-identical.
+#[test]
+fn an_image_naming_another_positional_map_is_refused_untouched() {
+    let base = temp_dir("posmap-byte");
+    {
+        let mut engine = SheetEngine::open(&base).unwrap();
+        engine.update_cell_a1("B2", "7").unwrap();
+        engine.checkpoint().unwrap();
+    }
+    let image = std::fs::read(image_path(&base)).unwrap();
+    // magic 4 | version 4 | posmap u8 at byte 8.
+    const POSMAP_AT: usize = 8;
+    assert_eq!(image[POSMAP_AT], 2, "the hierarchical map is written as 2");
+    for code in [0u8, 1, 3] {
+        let dir = temp_dir(&format!("posmap-byte-{code}"));
+        clone_store(&base, &dir);
+        let mut renamed = image.clone();
+        renamed[POSMAP_AT] = code;
+        std::fs::write(image_path(&dir), &renamed).unwrap();
+        match SheetEngine::open(&dir) {
+            Err(EngineError::Store(StoreError::Corrupt(_))) => {}
+            other => panic!("code {code}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(
+            std::fs::read(image_path(&dir)).unwrap(),
+            renamed,
+            "code {code}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    // The untouched image still opens.
+    let reopened = SheetEngine::open(&base).unwrap();
+    assert_eq!(
+        reopened.value(CellAddr::new(1, 1)),
+        dataspread_grid::CellValue::Number(7.0)
+    );
+    drop(reopened);
+    std::fs::remove_dir_all(&base).ok();
+}
+
 /// A region's payload is checked against the region's rect before a
 /// single cell is built. Three CRC-valid images are refused as corrupt
 /// with `pages.db` byte-identical: a cell exactly one row past the rect
@@ -454,8 +491,7 @@ fn a_flipped_bit_in_the_header_map_length_is_refused_untouched() {
 fn a_region_cell_outside_its_rect_is_refused_untouched() {
     use dataspread_engine::durable::{CellsEncoder, DurableStore};
     use dataspread_engine::{
-        ColumnarTranslator, ModelKind, PosMapKind, RegionImage, ScanValue, Translator,
-        CATCHALL_REGION_ID,
+        ColumnarTranslator, ModelKind, RegionImage, ScanValue, Translator, CATCHALL_REGION_ID,
     };
     use dataspread_grid::{Cell, Rect};
     let rect = Rect::new(2, 0, 5, 2);
@@ -498,7 +534,7 @@ fn a_region_cell_outside_its_rect_is_refused_untouched() {
                     payload: Some(payload),
                 },
             ];
-            store.checkpoint(PosMapKind::Hierarchical, regions).unwrap();
+            store.checkpoint(regions).unwrap();
         }
         let image = std::fs::read(image_path(&dir)).unwrap();
         match SheetEngine::open(&dir) {

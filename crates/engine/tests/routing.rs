@@ -9,7 +9,7 @@ use rand::{Rng, SeedableRng};
 
 use dataspread_engine::rcv::RcvTranslator;
 use dataspread_engine::rom::RomTranslator;
-use dataspread_engine::{HybridSheet, PosMapKind, Translator};
+use dataspread_engine::{HybridSheet, Translator};
 use dataspread_grid::{Cell, CellAddr, Rect};
 
 const ROWS: u32 = 400;
@@ -87,9 +87,9 @@ fn assert_index_consistent(hs: &HybridSheet, rng: &mut StdRng, context: &str) {
 fn random_region(hs: &mut HybridSheet, rng: &mut StdRng) {
     let rect = random_rect(rng);
     let translator: Box<dyn Translator> = if rng.gen_bool(0.5) {
-        Box::new(RomTranslator::new(PosMapKind::Hierarchical))
+        Box::new(RomTranslator::new())
     } else {
-        Box::new(RcvTranslator::new(PosMapKind::Hierarchical))
+        Box::new(RcvTranslator::new())
     };
     // Overlapping rects are expected to be rejected and must leave the
     // index untouched.
@@ -163,8 +163,8 @@ fn boundary_row_insert_splits_bands_correctly() {
     // rows; the lower region translates past them — the index must route
     // the inserted rows to the tall region only.
     let mut hs = HybridSheet::new();
-    let tall = Box::new(RcvTranslator::new(PosMapKind::Hierarchical));
-    let low = Box::new(RcvTranslator::new(PosMapKind::Hierarchical));
+    let tall = Box::new(RcvTranslator::new());
+    let low = Box::new(RcvTranslator::new());
     hs.add_region(Rect::new(0, 0, 19, 9), tall).unwrap();
     hs.add_region(Rect::new(10, 20, 19, 29), low).unwrap();
     hs.insert_rows(10, 5).unwrap();
@@ -187,8 +187,8 @@ fn boundary_row_insert_with_gap_shifts_only() {
     // The lower region starts where the upper one ends +1 is false — there
     // is a one-row gap. Inserting into the gap grows nothing.
     let mut hs = HybridSheet::new();
-    let a = Box::new(RcvTranslator::new(PosMapKind::Hierarchical));
-    let b = Box::new(RcvTranslator::new(PosMapKind::Hierarchical));
+    let a = Box::new(RcvTranslator::new());
+    let b = Box::new(RcvTranslator::new());
     hs.add_region(Rect::new(0, 0, 9, 9), a).unwrap();
     hs.add_region(Rect::new(11, 0, 19, 9), b).unwrap();
     hs.insert_rows(10, 3).unwrap();
@@ -206,7 +206,7 @@ fn side_by_side_regions_route_by_column() {
     // per-band column binary search must discriminate them.
     let mut hs = HybridSheet::new();
     for i in 0..32u32 {
-        let t = Box::new(RcvTranslator::new(PosMapKind::Hierarchical));
+        let t = Box::new(RcvTranslator::new());
         hs.add_region(Rect::new(0, i * 3, 9, i * 3 + 1), t).unwrap();
     }
     for col in 0..100u32 {

@@ -36,7 +36,6 @@ use dataspread_formula::{parse, Evaluator};
 use dataspread_grid::codec::Reader;
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
-use dataspread_posmap::PosMapKind;
 use dataspread_proto::WindowPatch;
 use dataspread_relstore::{ColumnDef, DataType, Database, Schema};
 use dataspread_workspace::window_patch;
@@ -50,11 +49,6 @@ const KINDS: [ModelKind; 4] = [
     ModelKind::Com,
     ModelKind::Rcv,
     ModelKind::Columnar,
-];
-const POSMAPS: [PosMapKind; 3] = [
-    PosMapKind::Hierarchical,
-    PosMapKind::Monotonic,
-    PosMapKind::AsIs,
 ];
 
 fn random_cell(rng: &mut StdRng) -> Cell {
@@ -195,11 +189,10 @@ fn assert_scan_matches_probe(t: &dyn Translator, rect: Rect, ctx: &str) {
 fn scan_yields_exactly_what_a_get_cell_loop_finds() {
     for seed in SEEDS {
         for (k, &kind) in KINDS.iter().enumerate() {
-            let posmap = POSMAPS[(seed as usize + k) % POSMAPS.len()];
             let mut rng = StdRng::seed_from_u64(0x5CA7_0000 + seed * 16 + k as u64);
             let (rows, cols, cells) = random_run(&mut rng);
-            let ctx = format!("{kind:?}/{posmap:?} seed {seed}");
-            let mut t = build_translator(kind, posmap, rows, cols, cells)
+            let ctx = format!("{kind:?} seed {seed}");
+            let mut t = build_translator(kind, rows, cols, cells)
                 .unwrap_or_else(|e| panic!("{ctx}: build failed: {e}"));
             for op in 0..=TAPE_LEN {
                 let ctx = format!("{ctx}, op {op}");
@@ -333,7 +326,6 @@ const AREA: Rect = Rect {
 fn random_store(
     rng: &mut StdRng,
     kind: ModelKind,
-    posmap: PosMapKind,
     db: &Arc<parking_lot::RwLock<Database>>,
 ) -> (u32, u32, Box<dyn Translator>) {
     let (rows, cols, cells) = random_run(rng);
@@ -361,7 +353,7 @@ fn random_store(
             }
             Box::new(TomTranslator::new(Arc::clone(db), "linked"))
         }
-        kind => build_translator(kind, posmap, rows, cols, cells).unwrap(),
+        kind => build_translator(kind, rows, cols, cells).unwrap(),
     };
     (rows, cols, store)
 }
@@ -387,7 +379,7 @@ fn random_sheet(rng: &mut StdRng, seed: u64) -> HybridSheet {
         ModelKind::Columnar,
         ModelKind::Tom,
     ];
-    let mut hs = HybridSheet::with_posmap(POSMAPS[seed as usize % POSMAPS.len()]);
+    let mut hs = HybridSheet::new();
     let db = Arc::new(parking_lot::RwLock::new(Database::new()));
     let regions = 1 + (seed as usize) % 6;
     // The last slot first, so a sheet of any size can hold the linked
@@ -398,7 +390,7 @@ fn random_sheet(rng: &mut StdRng, seed: u64) -> HybridSheet {
             ModelKind::Tom if slot != 5 => ModelKind::Columnar,
             kind => kind,
         };
-        let (rows, cols, store) = random_store(rng, kind, hs.posmap_kind(), &db);
+        let (rows, cols, store) = random_store(rng, kind, &db);
         let r1 = (slot as u32 / 3) * 36 + rng.gen_range(0..4);
         let c1 = (slot as u32 % 3) * 14 + rng.gen_range(0..4);
         hs.add_region(Rect::new(r1, c1, r1 + rows - 1, c1 + cols - 1), store)
@@ -632,7 +624,7 @@ fn range_agg_equals_the_evaluators_sparse_walk_bit_for_bit() {
             .map(|(i, &kind)| (Rect::new(i as u32 * 50, 2, i as u32 * 50 + 39, 4), kind))
             .collect();
         for &(rect, kind) in &regions {
-            let translator = build_translator(kind, PosMapKind::default(), 40, 3, Vec::new());
+            let translator = build_translator(kind, 40, 3, Vec::new());
             hs.add_region(rect, translator.unwrap()).unwrap();
             for r in rect.r1..=rect.r2 {
                 for c in rect.c1..=rect.c2 {
@@ -734,7 +726,7 @@ fn the_first_error_in_row_major_order_wins_through_every_reader() {
             (CellAddr::new(4, 2), CellAddr::new(6, 5)),
         ] {
             let mut hs = HybridSheet::new();
-            let store = build_translator(kind, PosMapKind::default(), 10, 3, Vec::new());
+            let store = build_translator(kind, 10, 3, Vec::new());
             hs.add_region(region, store.unwrap()).unwrap();
             for addr in Rect::new(0, 2, 9, 5).iter() {
                 let cell = match (addr.row + addr.col) % 4 {
@@ -783,7 +775,7 @@ fn the_first_error_in_row_major_order_wins_through_every_reader() {
 fn snapshot_equals_a_get_cell_sweep_of_the_bounding_box() {
     for seed in SEEDS {
         let mut rng = StdRng::seed_from_u64(0x5AA9 + seed);
-        let mut hs = HybridSheet::with_posmap(POSMAPS[seed as usize % POSMAPS.len()]);
+        let mut hs = HybridSheet::new();
         for (i, &kind) in KINDS.iter().enumerate() {
             let (rows, cols, cells) = random_run(&mut rng);
             let rect = Rect::new(
@@ -792,7 +784,7 @@ fn snapshot_equals_a_get_cell_sweep_of_the_bounding_box() {
                 i as u32 * 40 + 2 + rows,
                 (i as u32 % 2) * 12 + cols,
             );
-            let t = build_translator(kind, hs.posmap_kind(), rows, cols, cells).unwrap();
+            let t = build_translator(kind, rows, cols, cells).unwrap();
             hs.add_region(rect, t).unwrap();
         }
         for _ in 0..TAPE_LEN {
@@ -877,7 +869,7 @@ fn two_cells_a_million_rows_apart_cost_two_cells() {
 /// A visitor is handed borrowed values, and formula sources beside them.
 #[test]
 fn scan_values_borrow_and_formulas_ride_along() {
-    let mut rom = RomTranslator::new(PosMapKind::default());
+    let mut rom = RomTranslator::new();
     rom.set_cell(1, 1, Cell::value("text")).unwrap();
     rom.set_cell(
         2,

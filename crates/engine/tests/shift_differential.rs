@@ -304,3 +304,106 @@ fn an_insert_pushing_content_past_the_last_row_or_column_is_refused() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// Regression: an insert landing inside a region that would stretch it
+/// past [`MAX_POSITIONS`] on that axis is refused before anything moves.
+/// RCV refused such an insert only after the regions before it had moved
+/// — a columnar region beside an RCV one was left stretched, one of its
+/// cells gone, and nothing logged, so memory and WAL disagreed — and ROM
+/// and COM had no cap at all: every inserted position was materialized,
+/// so a count of ~4×10⁹ held the sheet for many minutes.
+#[test]
+fn an_insert_stretching_a_region_past_the_position_cap_is_refused() {
+    use dataspread_engine::hybrid::build_translator;
+    use dataspread_engine::ModelKind;
+    use dataspread_posmap::MAX_POSITIONS;
+    let layouts: [&[ModelKind]; 4] = [
+        &[ModelKind::Rom],
+        &[ModelKind::Com],
+        &[ModelKind::Rcv],
+        &[ModelKind::Columnar, ModelKind::Rcv],
+    ];
+    for by_rows in [true, false] {
+        // `at(i, j)`: `i` along the inserted axis, `j` across it.
+        let at = |i: u32, j: u32| {
+            if by_rows {
+                CellAddr::new(i, j)
+            } else {
+                CellAddr::new(j, i)
+            }
+        };
+        let insert = |e: &mut SheetEngine, n: u32| {
+            if by_rows {
+                e.insert_rows(5, n)
+            } else {
+                e.insert_cols(5, n)
+            }
+        };
+        for (l, kinds) in layouts.iter().enumerate() {
+            let ctx = format!("by_rows {by_rows}, {kinds:?}");
+            let dir = std::env::temp_dir().join(format!(
+                "dataspread-insert-cap-{}-{by_rows}-{l}",
+                std::process::id()
+            ));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut e = SheetEngine::open(&dir).unwrap();
+            // Side by side across the axis: 10 long along it, 4 wide.
+            for (k, &kind) in kinds.iter().enumerate() {
+                let (first, last) = (at(0, 5 * k as u32), at(9, 5 * k as u32 + 3));
+                let rect = Rect::new(first.row, first.col, last.row, last.col);
+                let local = Rect::new(0, 0, rect.rows() as u32 - 1, rect.cols() as u32 - 1);
+                let cells = local
+                    .iter()
+                    .map(|a| (a, Cell::value(i64::from(a.row * 100 + a.col) + 1)))
+                    .collect();
+                let t = build_translator(kind, local.r2 + 1, local.c2 + 1, cells).unwrap();
+                e.storage_mut().add_region(rect, t).unwrap();
+            }
+            e.checkpoint().unwrap();
+
+            let before = e.snapshot();
+            let layout = e.storage().layout();
+            let logged = |e: &SheetEngine| e.persistence_stats().unwrap().ops_since_checkpoint;
+            let logged_before = logged(&e);
+            for n in [MAX_POSITIONS - 9, 70_000_000, u32::MAX - 9] {
+                match insert(&mut e, n) {
+                    Err(EngineError::Unsupported(_)) => {}
+                    other => panic!("{ctx}, n {n}: expected a refusal, got {other:?}"),
+                }
+                assert_eq!(e.snapshot(), before, "{ctx}, n {n}: nothing moved");
+                assert_eq!(e.storage().layout(), layout, "{ctx}, n {n}: no rect moved");
+                assert_eq!(logged(&e), logged_before, "{ctx}, n {n}: nothing logged");
+            }
+
+            // A modest insert inside still goes through, everywhere.
+            insert(&mut e, 1_000).unwrap();
+            let grown: Vec<_> = layout
+                .iter()
+                .map(|&(mut rect, kind)| {
+                    if by_rows {
+                        rect.r2 += 1_000;
+                    } else {
+                        rect.c2 += 1_000;
+                    }
+                    (rect, kind)
+                })
+                .collect();
+            assert_eq!(e.storage().layout(), grown, "{ctx}: every region grew");
+            for j in (0..kinds.len() as u32).map(|k| 5 * k) {
+                let value = |i: u32| before.get(at(i, j)).unwrap().value.clone();
+                assert_eq!(e.value(at(4, j)), value(4), "{ctx}: above the cut");
+                assert_eq!(e.value(at(5, j)), CellValue::Empty, "{ctx}: inserted");
+                assert_eq!(e.value(at(1_009, j)), value(9), "{ctx}: shifted");
+            }
+            assert_eq!(logged(&e), logged_before + 1, "{ctx}");
+
+            let live = e.snapshot();
+            e.save().unwrap();
+            drop(e);
+            let reopened = SheetEngine::open(&dir).unwrap();
+            assert_eq!(reopened.snapshot(), live, "{ctx}: WAL replay");
+            drop(reopened);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}

@@ -467,7 +467,7 @@ impl<T> HierarchicalPosMap<T> {
     }
 }
 
-impl<T: Send + Sync> PositionalMap<T> for HierarchicalPosMap<T> {
+impl<T> PositionalMap<T> for HierarchicalPosMap<T> {
     fn len(&self) -> usize {
         self.root.count()
     }

@@ -2,49 +2,38 @@
 //! position-based fetch, insert, and delete (DataSpread, ICDE 2018, §V).
 //!
 //! Storing row/column numbers explicitly makes inserts cascade: inserting at
-//! position `n` renumbers every later item. This crate provides the three
-//! schemes the paper evaluates (Table II, Figure 18):
+//! position `n` renumbers every later item. The paper's answer, and the one
+//! scheme the storage engine uses, is [`HierarchicalPosMap`]: a counted
+//! B+-tree (order-statistic tree) with O(log N) fetch, insert and delete.
 //!
-//! | scheme | fetch | insert/delete |
-//! |---|---|---|
-//! | [`PositionAsIs`] — explicit positions in a B-tree | O(log N) | O(N log N) |
-//! | [`MonotonicMap`] — gapped monotonic identifiers (Raman et al.) | O(N) | O(log N) amortized |
-//! | [`HierarchicalPosMap`] — counted B+-tree (order-statistic tree) | O(log N) | O(log N) |
-//!
-//! All three implement [`PositionalMap`] so the storage engine can swap them
-//! per experiment.
+//! The baselines the paper measures against it in Table II and Figure 18
+//! (position-as-is and gapped monotonic keys) store positions inside the
+//! tuples themselves, so they live at storage level beside the benchmark
+//! that runs them (`dataspread-bench`'s `posmark` module), not here.
 
-pub mod as_is;
 pub mod hierarchical;
-pub mod monotonic;
 
-pub use as_is::PositionAsIs;
 pub use hierarchical::HierarchicalPosMap;
-pub use monotonic::MonotonicMap;
 
-/// Which positional-mapping scheme a translator should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PosMapKind {
-    /// Explicit positions; cascading renumbering on insert/delete.
-    AsIs,
-    /// Gapped monotonic identifiers; linear-time positional fetch.
-    Monotonic,
-    /// Counted B+-tree; logarithmic everything (the paper's choice).
-    #[default]
-    Hierarchical,
-}
+/// Cap on the positions one map serves per sheet axis (rows and columns
+/// alike).
+///
+/// Positions are *materialized*: a map holds one entry per position up to
+/// the highest one ever touched, so a single write at an astronomical
+/// index (say row 4×10⁹ — representable, since addresses are `u32`) would
+/// grow it O(row) on first touch and hang the engine. The engine refuses up
+/// front a write to an RCV store (the catch-all is one) at or past this
+/// cap, and an insert that would stretch a region past it — 64 × Excel's
+/// 1,048,576-row limit, far past what positional materialization serves
+/// well.
+pub const MAX_POSITIONS: u32 = 64 * 1_048_576;
 
 /// An ordered collection addressed purely by position.
 ///
 /// Positions are dense: after any operation the items occupy positions
 /// `0..len()`. `insert_at(pos, v)` shifts items at `pos..` right by one;
 /// `remove_at(pos)` shifts items at `pos+1..` left by one.
-///
-/// `Send + Sync` are supertraits so boxed maps can move between threads
-/// and serve concurrent readers — the concurrent workspace serves each
-/// sheet (translators and their posmaps included) behind a reader-writer
-/// lock, so positional fetches run from many threads at once.
-pub trait PositionalMap<T>: Send + Sync {
+pub trait PositionalMap<T> {
     fn len(&self) -> usize;
 
     fn is_empty(&self) -> bool {
@@ -74,64 +63,4 @@ pub trait PositionalMap<T>: Send + Sync {
     /// Collect `count` items starting at `start` (clamped to the end) —
     /// the positional range scan behind `getCells` and scrolling.
     fn range(&self, start: usize, count: usize) -> Vec<&T>;
-}
-
-/// Dispatch-erased constructor used by the engine crate.
-pub fn new_posmap<T: Clone + Send + Sync + 'static>(kind: PosMapKind) -> Box<dyn PositionalMap<T>> {
-    match kind {
-        PosMapKind::AsIs => Box::new(PositionAsIs::new()),
-        PosMapKind::Monotonic => Box::new(MonotonicMap::new()),
-        PosMapKind::Hierarchical => Box::new(HierarchicalPosMap::new()),
-    }
-}
-
-/// Dispatch-erased bulk constructor (O(N) bulk load for the hierarchical
-/// scheme — used when importing large sheets).
-pub fn posmap_from<T: Clone + Send + Sync + 'static>(
-    kind: PosMapKind,
-    items: impl IntoIterator<Item = T>,
-) -> Box<dyn PositionalMap<T>> {
-    match kind {
-        PosMapKind::AsIs => Box::new(items.into_iter().collect::<PositionAsIs<T>>()),
-        PosMapKind::Monotonic => Box::new(items.into_iter().collect::<MonotonicMap<T>>()),
-        PosMapKind::Hierarchical => Box::new(HierarchicalPosMap::bulk_load(items)),
-    }
-}
-
-#[cfg(test)]
-mod trait_tests {
-    use super::*;
-
-    fn exercise(mut m: Box<dyn PositionalMap<u32>>) {
-        assert!(m.is_empty());
-        m.push(10);
-        m.push(30);
-        m.insert_at(1, 20);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.get(0), Some(&10));
-        assert_eq!(m.get(1), Some(&20));
-        assert_eq!(m.get(2), Some(&30));
-        assert_eq!(m.get(3), None);
-        assert_eq!(m.range(1, 5), vec![&20, &30]);
-        assert_eq!(m.replace(1, 21), Some(20));
-        assert_eq!(m.remove_at(0), Some(10));
-        assert_eq!(m.get(0), Some(&21));
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn all_kinds_satisfy_contract() {
-        for kind in [
-            PosMapKind::AsIs,
-            PosMapKind::Monotonic,
-            PosMapKind::Hierarchical,
-        ] {
-            exercise(new_posmap::<u32>(kind));
-        }
-    }
-
-    #[test]
-    fn default_kind_is_hierarchical() {
-        assert_eq!(PosMapKind::default(), PosMapKind::Hierarchical);
-    }
 }

@@ -81,10 +81,25 @@ fn remote_errors_equal_the_local_errors_wire_form() {
         |s| s.apply_edit("s", insert.clone()),
     );
     assert_eq!(e.code, codes::ENGINE_UNSUPPORTED);
+
+    // An insert inside that region which would stretch it past the
+    // positional maps' cap.
+    let stretch = Edit::InsertRows {
+        at: 22,
+        n: 70_000_000,
+    };
+    let e = same_error(
+        "an insert stretching a region past the position cap",
+        &local,
+        &remote,
+        |s| s.apply_edit("s", stretch.clone()),
+        |s| s.apply_edit("s", stretch.clone()),
+    );
+    assert_eq!(e.code, codes::ENGINE_UNSUPPORTED);
     assert_eq!(
         remote.fetch_window("s", Rect::new(0, 0, 40, 3)).unwrap(),
         before,
-        "neither refused insert moved anything"
+        "no refused insert moved anything"
     );
 
     drop(client);

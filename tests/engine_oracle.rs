@@ -1,12 +1,10 @@
 //! Property test: the storage engine agrees with the in-memory
-//! `SparseSheet` oracle under random edit scripts — for every combination
-//! of data model (hybrid routing incl. per-model regions) and positional
-//! mapping scheme.
+//! `SparseSheet` oracle under random edit scripts — for the RCV catch-all
+//! and for ROM and COM regions routed by the hybrid layer.
 
 use proptest::prelude::*;
 
 use dataspread::engine::hybrid::HybridSheet;
-use dataspread::engine::PosMapKind;
 use dataspread::grid::{Cell, CellAddr, Rect, SparseSheet};
 
 #[derive(Debug, Clone)]
@@ -102,7 +100,7 @@ proptest! {
         // Pre-install a ROM region covering the hot area; ops also hit the
         // catch-all outside it.
         let mut hs = HybridSheet::new();
-        let rom = Box::new(dataspread::engine::rom::RomTranslator::new(PosMapKind::Hierarchical));
+        let rom = Box::new(dataspread::engine::rom::RomTranslator::new());
         hs.add_region(Rect::new(0, 0, 19, 11), rom).unwrap();
         run_script(hs, &ops);
     }
@@ -110,18 +108,8 @@ proptest! {
     #[test]
     fn com_region_matches_oracle(ops in prop::collection::vec(op_strategy(), 1..120)) {
         let mut hs = HybridSheet::new();
-        let com = Box::new(dataspread::engine::com::ComTranslator::new(PosMapKind::Hierarchical));
+        let com = Box::new(dataspread::engine::com::ComTranslator::new());
         hs.add_region(Rect::new(4, 2, 25, 15), com).unwrap();
         run_script(hs, &ops);
-    }
-
-    #[test]
-    fn as_is_posmap_matches_oracle(ops in prop::collection::vec(op_strategy(), 1..60)) {
-        run_script(HybridSheet::with_posmap(PosMapKind::AsIs), &ops);
-    }
-
-    #[test]
-    fn monotonic_posmap_matches_oracle(ops in prop::collection::vec(op_strategy(), 1..60)) {
-        run_script(HybridSheet::with_posmap(PosMapKind::Monotonic), &ops);
     }
 }
