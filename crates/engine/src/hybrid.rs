@@ -922,7 +922,7 @@ impl HybridSheet {
     /// cells are untouched, so they stay clean for the next checkpoint
     /// (the rect change lands in the page-map, not in region payloads).
     pub fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.refuse_push_off(at, n, |r| (r.r1, r.r2))?;
+        self.refuse_insert(at, n, |r| (r.r1, r.r2))?;
         if self.catchall.rows() > at {
             self.catchall.insert_rows(at, n)?;
             self.catchall_dirty = true;
@@ -947,16 +947,18 @@ impl HybridSheet {
     /// would push the region past the last row or column — Excel's "would
     /// push non-empty cells off the worksheet" — or that lands inside it
     /// and would stretch it past [`MAX_POSITIONS`], which no positional
-    /// map materializes. The catch-all refuses an insert reaching the same
-    /// cap on its own, before any region moves, so a refusal from either
-    /// leaves the sheet untouched.
-    fn refuse_push_off(
+    /// map materializes, or that lands inside a linked table, which has no
+    /// middle to insert a row into and a fixed schema. The catch-all
+    /// refuses an insert reaching the same cap on its own, before any
+    /// region moves, so a refusal from either leaves the sheet untouched.
+    fn refuse_insert(
         &self,
         at: u32,
         n: u32,
         span: impl Fn(&Rect) -> (u32, u32),
     ) -> Result<(), EngineError> {
-        for (first, last) in self.regions.iter().map(|region| span(&region.rect)) {
+        for region in &self.regions {
+            let (first, last) = span(&region.rect);
             if at > last {
                 continue;
             }
@@ -969,6 +971,11 @@ impl HybridSheet {
                 return Err(EngineError::Unsupported(format!(
                     "inserting {n} at {at} would stretch the region at {first}..={last} \
                      past {MAX_POSITIONS} positions"
+                )));
+            }
+            if first < at && region.translator.kind() == ModelKind::Tom {
+                return Err(EngineError::Unsupported(format!(
+                    "inserting at {at} lands inside the linked table at {first}..={last}"
                 )));
             }
         }
@@ -1016,7 +1023,7 @@ impl HybridSheet {
     }
 
     pub fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.refuse_push_off(at, n, |r| (r.c1, r.c2))?;
+        self.refuse_insert(at, n, |r| (r.c1, r.c2))?;
         if self.catchall.cols() > at {
             self.catchall.insert_cols(at, n)?;
             self.catchall_dirty = true;
@@ -1035,11 +1042,26 @@ impl HybridSheet {
     }
 
     pub fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
+        let end = at.saturating_add(n);
+        // A linked table has a fixed schema: refuse, before anything moves,
+        // a delete taking some of its columns but not all.
+        let crossed = self.regions.iter().find(|region| {
+            let Rect { c1, c2, .. } = region.rect;
+            region.translator.kind() == ModelKind::Tom
+                && at <= c2
+                && end > c1
+                && (at > c1 || end <= c2)
+        });
+        if let Some(region) = crossed {
+            return Err(EngineError::Unsupported(format!(
+                "deleting columns {at}..{end} crosses the linked table at {}",
+                region.rect
+            )));
+        }
         if self.catchall.cols() > at {
             self.catchall.delete_cols(at, n)?;
             self.catchall_dirty = true;
         }
-        let end = at.saturating_add(n);
         let mut doomed = Vec::new();
         for (i, region) in self.regions.iter_mut().enumerate() {
             if region.rect.c1 >= end {

@@ -129,12 +129,18 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
 /// Marker prefix for spreadsheet error values stored as text datums.
 const ERR_TAG: &str = "\u{1}ERR:";
 
-/// Encode a cell value as a datum.
+/// The marker's first character. ROM, COM and RCV store a text that
+/// begins with it behind one more, so no text reads back as an error.
+const ESC: char = '\u{1}';
+
+/// Encode a cell value as a datum the way SQL sees it: linked tables and
+/// relations hold texts as they are, so there a text beginning with
+/// [`ERR_TAG`] reads back as an error.
 pub fn value_to_datum(v: &CellValue) -> Datum {
     value_into_datum(v.clone())
 }
 
-/// [`value_to_datum`] consuming the value: the canonical encoding.
+/// [`value_to_datum`] consuming the value.
 pub fn value_into_datum(v: CellValue) -> Datum {
     match v {
         CellValue::Empty => Datum::Null,
@@ -145,30 +151,44 @@ pub fn value_into_datum(v: CellValue) -> Datum {
     }
 }
 
+/// The stored encoding of ROM, COM and RCV: [`value_into_datum`] with a
+/// text beginning with [`ESC`] escaped by one more.
+fn stored_datum(v: CellValue) -> Datum {
+    match v {
+        CellValue::Text(s) if s.starts_with(ESC) => Datum::Text(format!("{ESC}{s}")),
+        v => value_into_datum(v),
+    }
+}
+
 /// Decode a datum back into a cell value.
 pub fn datum_to_value(d: &Datum) -> CellValue {
     datum_to_scan(d.as_ref()).to_value()
 }
 
 /// [`datum_to_value`] without the copy: a text borrows from the tuple the
-/// datum was decoded in.
+/// datum was decoded in. Decodes both encodings: an escaped text loses its
+/// escape, and a text behind [`ERR_TAG`] is an error.
 pub(crate) fn datum_to_scan(d: DatumRef<'_>) -> ScanValue<'_> {
     match d {
         DatumRef::Null => ScanValue::Empty,
         DatumRef::Int(i) => ScanValue::Number(i as f64),
         DatumRef::Float(f) => ScanValue::Number(f),
         DatumRef::Bool(b) => ScanValue::Bool(b),
-        DatumRef::Text(s) => match s.strip_prefix(ERR_TAG) {
-            Some(tag) => ScanValue::Error(parse_cell_error(tag)),
+        DatumRef::Text(s) => match s.strip_prefix(ESC) {
             None => ScanValue::Text(s),
+            Some(escaped) if escaped.starts_with(ESC) => ScanValue::Text(escaped),
+            Some(_) => match s.strip_prefix(ERR_TAG) {
+                Some(tag) => ScanValue::Error(parse_cell_error(tag)),
+                None => ScanValue::Text(s),
+            },
         },
     }
 }
 
-/// The `[value, formula]` pair of a scanned cell (texts are copied).
+/// The stored `[value, formula]` pair of a scanned cell (texts are copied).
 pub(crate) fn scan_to_datums(value: ScanValue<'_>, formula: Option<&str>) -> [Datum; 2] {
     [
-        value_into_datum(value.to_value()),
+        stored_datum(value.to_value()),
         formula.map_or(Datum::Null, |src| Datum::Text(src.to_string())),
     ]
 }
@@ -185,17 +205,18 @@ fn parse_cell_error(s: &str) -> CellError {
     }
 }
 
-/// Encode a cell (value + optional formula) as a `[value, formula]` pair.
-/// (Clones the payloads; [`cell_into_datums`] is the canonical encoder.)
+/// Encode a cell (value + optional formula) as a stored `[value, formula]`
+/// pair. (Clones the payloads; [`cell_into_datums`] is the canonical
+/// encoder.)
 pub fn cell_to_datums(cell: &Cell) -> [Datum; 2] {
     cell_into_datums(cell.clone())
 }
 
-/// Encode a cell as a `[value, formula]` pair, consuming it: text payloads
-/// move instead of cloning (the batched row-update path).
+/// Encode a cell as a stored `[value, formula]` pair, consuming it: text
+/// payloads move instead of cloning (the batched row-update path).
 pub fn cell_into_datums(cell: Cell) -> [Datum; 2] {
     [
-        value_into_datum(cell.value),
+        stored_datum(cell.value),
         match cell.formula {
             Some(src) => Datum::Text(src),
             None => Datum::Null,

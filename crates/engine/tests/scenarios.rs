@@ -2,9 +2,10 @@
 //! behaviour, SQL over linked tables, and the paper's operation set
 //! (§III) end to end.
 
-use dataspread_engine::{OptimizeAlgorithm, SheetEngine};
+use dataspread_engine::hybrid::build_translator;
+use dataspread_engine::{ModelKind, OptimizeAlgorithm, SheetEngine};
 use dataspread_grid::value::CellError;
-use dataspread_grid::{CellAddr, CellValue, Rect};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
 use dataspread_hybrid::{CostModel, OptimizerOptions};
 use dataspread_relstore::Datum;
 
@@ -90,6 +91,59 @@ fn error_propagation_through_storage() {
     // Fixing the source heals the chain.
     e.update_cell_a1("A1", "=4/2").unwrap();
     assert_eq!(e.value(a("A2")), CellValue::Number(3.0));
+}
+
+/// Regression: a stored error is a text behind the `"\u{1}ERR:"` marker,
+/// and a text that began with the marker read back as that error (an
+/// unknown code as `#CIRC!`). Typed, bulk-built, imported and typed into
+/// the catch-all, such texts now read back as texts in every layout,
+/// before and after a checkpoint and reopen.
+#[test]
+fn a_text_beginning_with_the_error_marker_stays_text() {
+    let texts = ["\u{1}ERR:#N/A", "\u{1}ERR:bogus", "\u{1}", "\u{1}\u{1}x"];
+    let width = texts.len() as u32;
+    // Column `c` holds `texts[c % 10]`.
+    let text = |col: u32| CellValue::Text(texts[(col % 10) as usize].to_string());
+    let dir = std::env::temp_dir().join(format!("dataspread-err-marker-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut e = SheetEngine::open(&dir).unwrap();
+    // A ROM, a COM and an RCV region at columns 0, 10 and 20, bulk-built
+    // with the texts in row 0 and typed into row 1; the catch-all holds
+    // row 5 and an imported region row 10.
+    let mut cells = Vec::new();
+    for (k, kind) in [ModelKind::Rom, ModelKind::Com, ModelKind::Rcv]
+        .into_iter()
+        .enumerate()
+    {
+        let first = 10 * k as u32;
+        let row0 = (0..width).map(|c| (CellAddr::new(0, c), Cell::value(text(c))));
+        let t = build_translator(kind, 2, width, row0.collect()).unwrap();
+        let rect = Rect::new(0, first, 1, first + width - 1);
+        e.storage_mut().add_region(rect, t).unwrap();
+        cells.extend(rect.iter());
+    }
+    cells.extend((0..width).flat_map(|c| [CellAddr::new(5, c), CellAddr::new(10, c)]));
+    for &addr in cells.iter().filter(|addr| matches!(addr.row, 1 | 5)) {
+        e.update_cell(addr, &text(addr.col).as_text()).unwrap();
+    }
+    e.import_rows(a("A11"), width, vec![(0..width).map(text).collect()])
+        .unwrap();
+    assert_eq!(e.storage().region_count(), 4);
+
+    let check = |e: &SheetEngine, when: &str| {
+        let snapshot = e.snapshot();
+        for &addr in &cells {
+            assert_eq!(e.value(addr), text(addr.col), "{when}: {addr}");
+            assert_eq!(snapshot.value(addr), text(addr.col), "{when}: {addr}");
+        }
+    };
+    check(&e, "live");
+    e.checkpoint().unwrap();
+    drop(e);
+    let reopened = SheetEngine::open(&dir).unwrap();
+    check(&reopened, "reopened");
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

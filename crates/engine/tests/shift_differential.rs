@@ -407,3 +407,63 @@ fn an_insert_stretching_a_region_past_the_position_cap_is_refused() {
         }
     }
 }
+
+/// Link `A1:B3` (a header and two rows, so the table sits at `A1:B2`), with
+/// a text in `D1`, a formula in `D2` and a value in `A9` around it, then
+/// assert that `edit` — one a linked table refuses — moves nothing. The
+/// table refused it only when the loop over regions reached it, after the
+/// catch-all and the regions before it had moved: the edit returned `Err`
+/// with the stray text shifted beside the table, or `A9` pushed down.
+fn assert_linked_table_refuses(name: &str, edit: fn(&mut SheetEngine) -> Result<(), EngineError>) {
+    let dir = std::env::temp_dir().join(format!(
+        "dataspread-linked-refusal-{}-{name}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut e = SheetEngine::open(&dir).unwrap();
+    let table = [
+        ("A1", "id"),
+        ("B1", "qty"),
+        ("A2", "1"),
+        ("B2", "10"),
+        ("A3", "2"),
+        ("B3", "20"),
+    ];
+    for (a1, input) in table {
+        e.update_cell_a1(a1, input).unwrap();
+    }
+    e.link_table(Rect::new(0, 0, 2, 1), "t").unwrap();
+    for (a1, input) in [("D1", "stray"), ("D2", "=A9*2"), ("A9", "9")] {
+        e.update_cell_a1(a1, input).unwrap();
+    }
+
+    let before = e.snapshot();
+    let layout = e.storage().layout();
+    let logged = |e: &SheetEngine| e.persistence_stats().unwrap().ops_since_checkpoint;
+    let logged_before = logged(&e);
+    match edit(&mut e) {
+        Err(EngineError::Unsupported(_)) => {}
+        other => panic!("{name}: expected a refusal, got {other:?}"),
+    }
+    assert_eq!(e.snapshot(), before, "{name}: nothing moved");
+    assert_eq!(e.storage().layout(), layout, "{name}: no rect moved");
+    assert_eq!(logged(&e), logged_before, "{name}: nothing logged");
+    assert_eq!(e.value(CellAddr::new(1, 3)), CellValue::Number(18.0));
+    drop(e);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_row_insert_inside_a_linked_table_moves_nothing() {
+    assert_linked_table_refuses("insert_rows", |e| e.insert_rows(1, 1));
+}
+
+#[test]
+fn a_column_insert_inside_a_linked_table_moves_nothing() {
+    assert_linked_table_refuses("insert_cols", |e| e.insert_cols(1, 1));
+}
+
+#[test]
+fn a_column_delete_crossing_a_linked_table_moves_nothing() {
+    assert_linked_table_refuses("delete_cols", |e| e.delete_cols(1, 1));
+}

@@ -4,11 +4,13 @@ use dataspread_grid::SparseSheet;
 
 use crate::cost::CostModel;
 
-/// Lower bound on the optimal hybrid data model (denoted OPT in Figure 13):
-/// the cost of storing only the non-empty cells in a single ROM table,
-/// ignoring the overhead of extra tables and empty cells — i.e.
-/// `s1 + s2·filled + s3·(#distinct non-empty columns) + s4·(#distinct
-/// non-empty rows)`.
+/// Lower bound on the optimal ROM-only decomposition (Problem 1, denoted
+/// OPT in Figure 13): the cost of storing only the non-empty cells in a
+/// single ROM table, ignoring the overhead of extra tables and empty cells
+/// — i.e. `s1 + s2·filled + s3·(#distinct non-empty columns) +
+/// s4·(#distinct non-empty rows)`. It does not bound decompositions that
+/// use COM or RCV: RCV pays no `s3`/`s4`, so an all-model optimum can sit
+/// below it.
 pub fn opt_lower_bound(sheet: &SparseSheet, cm: &CostModel) -> f64 {
     if sheet.is_empty() {
         return 0.0;
