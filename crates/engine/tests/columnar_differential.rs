@@ -13,8 +13,8 @@
 //!    column-scan fast path on one engine and the sparse walk on the
 //!    other),
 //! 3. durability: checkpoint/recover round-trips of columnar regions
-//!    (encoded pages in the v2 image) and every-byte WAL crash cuts over
-//!    a columnar-resident base image.
+//!    (the encoding is the region's extent in the image) and every-byte
+//!    WAL crash cuts over a columnar-resident base image.
 
 mod common;
 
@@ -337,7 +337,7 @@ fn columnar_region_round_trips_through_checkpoint() {
 fn checkpoint_images_are_deterministic_across_recovery() {
     // Same logical state → byte-identical image, whether reached directly
     // or through crash recovery (pins the canonical columnar encoding and
-    // the cached free-page pool against the rescan it replaced).
+    // the deterministic placement of extents in the image).
     let base = temp_dir("determ-base");
     let crash = temp_dir("determ-crash");
     let mut engine = SheetEngine::open(&base).unwrap();

@@ -403,8 +403,182 @@ fn v2_image_is_refused_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The header page carries no CRC, so its page-map length is checked
-/// against the map's page list before anything is allocated: a flipped
+/// Hand-built format-version-3 image of one catch-all cell:
+/// the header (magic, version, posmap, map length and CRC, then the map's
+/// page list), the cell payload on page 1 — 1 row, row gap 3, 1 cell,
+/// column gap 2, tag Int, zigzag 22 — and the page-allocation map on page
+/// 2, whose entry gives the catch-all's length, CRC and page list.
+fn v3_image_bytes() -> Vec<u8> {
+    const PAGE: usize = 8192;
+    let payload = [0x01, 0x03, 0x01, 0x02, 0x01, 0x16];
+    let mut map = Vec::new();
+    map.extend_from_slice(&1u32.to_le_bytes()); // one region
+    map.extend_from_slice(&0u64.to_le_bytes()); // id 0: the catch-all
+    map.push(4); // kind: catch-all
+    map.extend_from_slice(&[0u8; 16]); // rect (0,0)..(0,0)
+    map.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    map.extend_from_slice(&dataspread_relstore::crc32(&payload).to_le_bytes());
+    map.extend_from_slice(&1u32.to_le_bytes());
+    map.extend_from_slice(&1u64.to_le_bytes()); // on page 1
+    let mut image = Vec::new();
+    image.extend_from_slice(b"DSIM");
+    image.extend_from_slice(&3u32.to_le_bytes()); // version 3
+    image.push(2); // posmap: hierarchical
+    image.extend_from_slice(&(map.len() as u64).to_le_bytes());
+    image.extend_from_slice(&dataspread_relstore::crc32(&map).to_le_bytes());
+    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&2u64.to_le_bytes()); // map on page 2
+    for (page, bytes) in [(1, &payload[..]), (2, &map)] {
+        image.resize(PAGE * page, 0);
+        image.extend_from_slice(bytes);
+    }
+    image.resize(PAGE * 3, 0);
+    image
+}
+
+/// Format version 3 has no reader either: it gave every region its own
+/// run of pages, and version 4 packs payloads into byte extents instead. A
+/// v3 image is refused with a `Corrupt` error naming the version, and the
+/// file keeps its bytes.
+#[test]
+fn v3_image_is_refused_untouched() {
+    let image = v3_image_bytes();
+    let dir = temp_dir("v3-image");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(image_path(&dir), &image).unwrap();
+    match SheetEngine::open(&dir) {
+        Err(EngineError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.ends_with("unsupported version 3"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ------------------------------------------- hostile v4 image maps --
+
+/// A hand-built v4 map entry: `(id, kind, offset, len, crc)`; the rect is
+/// `(0,0)..(0,0)`.
+type MapEntry = (u64, u8, u64, u64, u32);
+
+/// Kind tags of the image map.
+const KIND_ROM: u8 = 0;
+const KIND_CATCHALL: u8 = 4;
+
+/// A hand-built format-version-4 image of `pages` zeroed pages: the header
+/// (magic, version, posmap, map length and CRC, map offset), the map of
+/// `entries` at byte `map_off`, and each `(offset, bytes)` of `payloads`.
+/// The map's CRC is always right, so only the extents it lists can be
+/// wrong.
+fn v4_image_bytes(
+    pages: usize,
+    map_off: usize,
+    entries: &[MapEntry],
+    payloads: &[(usize, &[u8])],
+) -> Vec<u8> {
+    let mut map = Vec::new();
+    map.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for &(id, kind, offset, len, crc) in entries {
+        map.extend_from_slice(&id.to_le_bytes());
+        map.push(kind);
+        map.extend_from_slice(&[0u8; 16]);
+        map.extend_from_slice(&offset.to_le_bytes());
+        map.extend_from_slice(&len.to_le_bytes());
+        map.extend_from_slice(&crc.to_le_bytes());
+    }
+    let mut header = Vec::new();
+    header.extend_from_slice(b"DSIM");
+    header.extend_from_slice(&4u32.to_le_bytes()); // version 4
+    header.push(2); // posmap: hierarchical
+    header.extend_from_slice(&(map.len() as u64).to_le_bytes());
+    header.extend_from_slice(&dataspread_relstore::crc32(&map).to_le_bytes());
+    header.extend_from_slice(&(map_off as u64).to_le_bytes());
+    let mut image = vec![0u8; 8192 * pages];
+    for (at, bytes) in [(0, &header[..]), (map_off, &map[..])]
+        .into_iter()
+        .chain(payloads.iter().copied())
+    {
+        image[at..at + bytes.len()].copy_from_slice(bytes);
+    }
+    image
+}
+
+/// Open each named image and expect `Corrupt`, with `pages.db` left
+/// byte-identical.
+fn assert_refused_untouched(cases: &[(&str, Vec<u8>)]) {
+    for (name, image) in cases {
+        let dir = temp_dir(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(image_path(&dir), image).unwrap();
+        match SheetEngine::open(&dir) {
+            Err(EngineError::Store(StoreError::Corrupt(_))) => {}
+            other => panic!("{name}: expected Corrupt, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(&std::fs::read(image_path(&dir)).unwrap(), image, "{name}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The empty cell payload (no rows), and its CRC.
+const NO_CELLS: [u8; 1] = [0];
+
+fn no_cells_crc() -> u32 {
+    dataspread_relstore::crc32(&NO_CELLS)
+}
+
+/// An extent may not start inside the header page. The header's bytes end
+/// at 29 and the rest of the page is zero, so an extent of one byte at 29
+/// reads the empty cell payload and passes its CRC: the map is refused for
+/// where the extent lies, not for what it holds.
+#[test]
+fn an_extent_inside_the_header_page_is_refused_untouched() {
+    let image = v4_image_bytes(2, 8192, &[(0, KIND_CATCHALL, 29, 1, no_cells_crc())], &[]);
+    assert_refused_untouched(&[("extent-in-header", image)]);
+}
+
+/// An extent must end inside the file, `offset + len` computed without
+/// overflow: `len = u64::MAX` used to be the size of the buffer asked for,
+/// and a length one byte too long reads past the last page.
+#[test]
+fn an_extent_past_the_end_of_the_file_is_refused_untouched() {
+    let catchall = (0, KIND_CATCHALL, 8192, 1, no_cells_crc());
+    let cases = [
+        ("extent-len-max", u64::MAX),
+        ("extent-one-past-end", 8192 - 100 + 1),
+    ]
+    .map(|(name, len)| {
+        let region = (1, KIND_ROM, 8192 + 100, len, no_cells_crc());
+        let image = v4_image_bytes(2, 8192 + 1, &[catchall, region], &[(8192, &NO_CELLS)]);
+        (name, image)
+    });
+    assert_refused_untouched(&cases);
+}
+
+/// No extent may overlap another region's or the map's. Each image is
+/// CRC-valid throughout: two regions naming the same byte of the same
+/// empty payload, and a region naming the map's second byte, which is the
+/// zero high byte of its region count and so reads as the empty payload
+/// too. Accepting either would let a later checkpoint that rewrites one
+/// extent zero or overwrite the bytes the other still claims.
+#[test]
+fn overlapping_extents_are_refused_untouched() {
+    let catchall = (0, KIND_CATCHALL, 8192, 1, no_cells_crc());
+    let map_off = 8192 + 1;
+    let cases = [
+        ("extents-same-offset", 8192),
+        ("extent-in-the-map", map_off as u64 + 1),
+    ]
+    .map(|(name, offset)| {
+        let region = (1, KIND_ROM, offset, 1, no_cells_crc());
+        let image = v4_image_bytes(2, map_off, &[catchall, region], &[(8192, &NO_CELLS)]);
+        (name, image)
+    });
+    assert_refused_untouched(&cases);
+}
+
+/// The header page carries no CRC, so the map's extent is checked against
+/// the file's length before anything is allocated: a flipped
 /// high bit used to request a terabyte and abort the process. Each flip
 /// is refused as corrupt, with the image left byte-identical.
 #[test]
