@@ -161,12 +161,11 @@ fn main() {
 
     let stats = engine.persistence_stats().expect("durable");
     println!(
-        "\n  on-disk: {} KiB, image {} pages; pager: {} hits / {} misses / {} evictions",
+        "\n  on-disk: {} KiB, image {} pages; image pages read {} / written {}",
         dir_bytes(&base) / 1024,
         stats.image_pages,
-        stats.pager.hits,
-        stats.pager.misses,
-        stats.pager.evictions
+        stats.pages_read,
+        stats.pages_written
     );
     drop(engine);
 

@@ -4,8 +4,9 @@
 //! segment chain:
 //!
 //! * `pages.db` — the *image*: the last checkpointed logical sheet state,
-//!   stored **region-granularly** in 8 KB pages managed by a
-//!   [`Pager`](dataspread_relstore::Pager). Page 0 is the header (format
+//!   stored **region-granularly** in 8 KB pages, read and written by
+//!   positional I/O through a [`VfsFile`] — open reads each extent once,
+//!   a checkpoint writes the pages it changes. Page 0 is the header (format
 //!   version and the extent of the map); the bytes after it are one data
 //!   area, in which the map gives each
 //!   [`HybridSheet`](crate::HybridSheet) region — plus the RCV catch-all
@@ -103,10 +104,9 @@ use dataspread_grid::codec::{
 use dataspread_grid::{Cell, CellAddr, CellError};
 use dataspread_grid::{CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_relstore::pager::PagerStats;
 use dataspread_relstore::wal::crc32;
 use dataspread_relstore::{
-    real_fs, OpenMode, Pager, SharedWal, StorageFs, StoreError, Wal, PAGE_SIZE,
+    real_fs, OpenMode, SharedWal, StorageFs, StoreError, VfsFile, Wal, PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -776,14 +776,73 @@ fn check_map(
     Ok(())
 }
 
-/// Read the bytes of `ext`, which lies inside the file (see
-/// [`check_bounds`]).
-fn read_extent(pager: &mut Pager, ext: Extent) -> Result<Vec<u8>, EngineError> {
-    let mut out = Vec::with_capacity(ext.len as usize);
-    for p in ext.pages() {
-        out.extend_from_slice(&pager.read_page(p)?[ext.on_page(p).0]);
+/// The image file, read and written by positional I/O. Its length in
+/// whole pages is the image: a partial trailing page (a torn grow-write)
+/// is ignored, and the next write of the image truncates it away.
+struct ImageFile {
+    file: Box<dyn VfsFile>,
+    page_count: u64,
+    pages_read: u64,
+    pages_written: u64,
+}
+
+impl ImageFile {
+    fn open(fs: &dyn StorageFs, path: &Path) -> Result<ImageFile, StoreError> {
+        let file = fs.open(path, OpenMode::Open)?;
+        let page_count = file.len()? / PAGE_BYTES;
+        Ok(ImageFile {
+            file,
+            page_count,
+            pages_read: 0,
+            pages_written: 0,
+        })
     }
-    Ok(out)
+
+    /// Read the bytes of `ext`, which lies inside the image (see
+    /// [`check_bounds`]). A read that comes back short is corruption.
+    fn read(&mut self, ext: Extent) -> Result<Vec<u8>, StoreError> {
+        let mut out = vec![0; ext.len as usize];
+        let mut filled = 0;
+        while filled < out.len() {
+            match self
+                .file
+                .read_at(ext.off + filled as u64, &mut out[filled..])
+            {
+                Ok(0) => {
+                    return Err(StoreError::Corrupt(format!(
+                        "image: read of {} bytes at offset {} came back short",
+                        ext.len, ext.off
+                    )))
+                }
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let pages = ext.pages();
+        self.pages_read += pages.end - pages.start;
+        Ok(out)
+    }
+
+    fn read_page(&mut self, p: u64) -> Result<Vec<u8>, StoreError> {
+        self.read(Extent {
+            off: p * PAGE_BYTES,
+            len: PAGE_BYTES,
+        })
+    }
+
+    /// Write `pages` (ascending page number, each `PAGE_SIZE` bytes), set
+    /// the file to exactly `page_count` pages and fsync it.
+    fn write_pages(&mut self, pages: &[(u64, Vec<u8>)], page_count: u64) -> Result<(), StoreError> {
+        for (p, bytes) in pages {
+            self.file.write_at(p * PAGE_BYTES, bytes)?;
+            self.pages_written += 1;
+        }
+        self.file.set_len(page_count * PAGE_BYTES)?;
+        self.file.sync_data()?;
+        self.page_count = page_count;
+        Ok(())
+    }
 }
 
 /// The data area's free byte ranges, lowest first: the gaps between the
@@ -894,8 +953,11 @@ pub struct PersistenceStats {
     pub image_pages: u64,
     /// Regions tracked by the image's map.
     pub image_regions: u64,
-    /// Pager cache / I/O counters.
-    pub pager: PagerStats,
+    /// Image pages read through this handle (an extent counts every page
+    /// it touches).
+    pub pages_read: u64,
+    /// Image pages written through this handle.
+    pub pages_written: u64,
 }
 
 /// The engine-facing persistence handle: one WAL + one region-paged image.
@@ -913,7 +975,7 @@ pub struct DurableStore {
     /// fault-injecting wrapper in the chaos suites).
     fs: Arc<dyn StorageFs>,
     wal: Arc<SharedWal>,
-    pager: Pager,
+    image: ImageFile,
     /// The region map of the on-disk image.
     map: BTreeMap<u64, StoredRegion>,
     /// Where the serialized map itself lies ([`Extent::EMPTY`] before the
@@ -921,7 +983,6 @@ pub struct DurableStore {
     map_extent: Extent,
     ops_since_checkpoint: u64,
     checkpoints: u64,
-    auto_checkpoint_ops: Option<u64>,
     /// Commit ticket of the most recently logged op (0 = none yet;
     /// seeded with the recovered ticket horizon so numbering continues
     /// across restarts).
@@ -962,7 +1023,7 @@ impl std::fmt::Debug for DurableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStore")
             .field("dir", &self.dir)
-            .field("image_pages", &self.pager.page_count())
+            .field("image_pages", &self.image.page_count)
             .field("image_regions", &self.map.len())
             .field("ops_since_checkpoint", &self.ops_since_checkpoint)
             .finish()
@@ -989,11 +1050,7 @@ impl DurableStore {
         wal.set_segment_limit(Some(DEFAULT_WAL_SEGMENT_BYTES));
         // Recovery below consumes the committed records before the log is
         // wrapped for shared use.
-        let mut pager = Pager::with_capacity_on(
-            Arc::clone(&fs),
-            image_path(&dir),
-            dataspread_relstore::pager::DEFAULT_CACHE_PAGES,
-        )?;
+        let mut image = ImageFile::open(fs.as_ref(), &image_path(&dir))?;
         // Pin the directory entries for the files we may just have
         // created; without this a machine crash could drop the whole WAL.
         sync_dir(fs.as_ref(), &dir);
@@ -1057,22 +1114,18 @@ impl DurableStore {
         // back to the pre-checkpoint page count.
         let rolled_back = ckpt_old_count.is_some();
         if let Some(old_count) = ckpt_old_count {
-            for (page_no, bytes) in &undo {
-                pager.write_page(*page_no, bytes)?;
-            }
-            pager.truncate(old_count)?;
-            pager.flush()?;
+            image.write_pages(&undo, old_count)?;
         }
 
         // Load the image.
         let mut catchall = None;
         let mut regions = Vec::new();
-        let has_image = pager.page_count() > 0;
+        let has_image = image.page_count > 0;
         let mut map = BTreeMap::new();
         let mut map_extent = Extent::EMPTY;
         if has_image {
-            let file_bytes = pager.page_count() * PAGE_BYTES;
-            let header = pager.read_page(0)?.to_vec();
+            let file_bytes = image.page_count * PAGE_BYTES;
+            let header = image.read_page(0)?;
             let mut cur = Reader::new(&header);
             if cur.take(4)? != IMAGE_MAGIC {
                 return Err(corrupt("image: bad magic"));
@@ -1092,14 +1145,14 @@ impl DurableStore {
                 len: map_len,
             };
             check_bounds(map_extent, file_bytes, "the image map")?;
-            let map_bytes = read_extent(&mut pager, map_extent)?;
+            let map_bytes = image.read(map_extent)?;
             if crc32(&map_bytes) != map_crc {
                 return Err(corrupt("image: image map checksum mismatch"));
             }
             map = decode_map(&map_bytes)?;
             check_map(map_extent, &map, file_bytes)?;
             for (id, sr) in &map {
-                let payload = read_extent(&mut pager, sr.extent)?;
+                let payload = image.read(sr.extent)?;
                 if crc32(&payload) != sr.crc {
                     return Err(corrupt(&format!(
                         "image: region {id} payload checksum mismatch"
@@ -1129,12 +1182,11 @@ impl DurableStore {
                 dir,
                 fs,
                 wal: shared,
-                pager,
+                image,
                 map,
                 map_extent,
                 ops_since_checkpoint: ops.len() as u64,
                 checkpoints: 0,
-                auto_checkpoint_ops: None,
                 last_ticket: ticket_base,
                 incarnation,
                 recovered_horizon: ticket_base,
@@ -1341,7 +1393,7 @@ impl DurableStore {
         if self.poisoned.is_some() {
             self.wal.with(|w| w.truncate_to_valid())?;
         }
-        let old_count = self.pager.page_count();
+        let old_count = self.image.page_count;
 
         // Partition the input: clean entries carry their stored extents
         // over; dirty entries are serialized (and clean-ified when the
@@ -1449,7 +1501,7 @@ impl DurableStore {
             for p in ext.pages() {
                 if let Entry::Vacant(slot) = pages.entry(p) {
                     let old = if p < old_count {
-                        Some(self.pager.read_page(p)?.to_vec())
+                        Some(self.image.read_page(p)?)
                     } else {
                         None
                     };
@@ -1472,7 +1524,7 @@ impl DurableStore {
             }
         }
         let old_header = if old_count > 0 {
-            Some(self.pager.read_page(0)?.to_vec())
+            Some(self.image.read_page(0)?)
         } else {
             None
         };
@@ -1549,13 +1601,7 @@ impl DurableStore {
         }
         self.wal.sync()?;
         // 2. Overwrite in place, durably.
-        for (page_no, new) in changed {
-            self.pager.write_page(*page_no, new)?;
-        }
-        if new_count < old_count {
-            self.pager.truncate(new_count)?;
-        }
-        self.pager.flush()?;
+        self.image.write_pages(changed, new_count)?;
         // 3. The checkpoint is now the truth; drop the log. The ticket
         // base is persisted first so commit tickets survive the truncate
         // across a restart.
@@ -1580,19 +1626,7 @@ impl DurableStore {
         extent: Extent,
         payload: &[u8],
     ) -> Result<bool, EngineError> {
-        for p in extent.pages() {
-            let (in_page, in_payload) = extent.on_page(p);
-            if self.pager.read_page(p)?[in_page] != payload[in_payload] {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Arrange for the owner to checkpoint automatically every `ops` logged
-    /// operations (`None` disables; the default).
-    pub fn set_auto_checkpoint(&mut self, ops: Option<u64>) {
-        self.auto_checkpoint_ops = ops;
+        Ok(self.image.read(extent)? == payload)
     }
 
     /// Rotate the WAL to a new segment file past `bytes`; fully
@@ -1602,12 +1636,6 @@ impl DurableStore {
         self.wal.with(|w| w.set_segment_limit(bytes));
     }
 
-    /// True when the auto-checkpoint threshold has been reached.
-    pub fn should_checkpoint(&self) -> bool {
-        self.auto_checkpoint_ops
-            .is_some_and(|n| self.ops_since_checkpoint >= n)
-    }
-
     pub fn stats(&self) -> PersistenceStats {
         let (wal_bytes, wal_segments) = self.wal.with(|w| (w.len_bytes(), w.segment_count()));
         PersistenceStats {
@@ -1615,9 +1643,10 @@ impl DurableStore {
             wal_segments,
             ops_since_checkpoint: self.ops_since_checkpoint,
             checkpoints: self.checkpoints,
-            image_pages: self.pager.page_count(),
+            image_pages: self.image.page_count,
             image_regions: self.map.len() as u64,
-            pager: self.pager.stats(),
+            pages_read: self.image.pages_read,
+            pages_written: self.image.pages_written,
         }
     }
 
@@ -2055,21 +2084,21 @@ mod tests {
         // Simulate a crash *inside* the next region checkpoint: the undo
         // journal is durable, the header page is torn, the WAL was never
         // truncated.
+        let mut image = std::fs::read(image_path(&dir)).unwrap();
         {
-            let (mut store, _) = DurableStore::open(&dir).unwrap();
+            let (store, _) = DurableStore::open(&dir).unwrap();
             let mut begin = vec![REC_CKPT_BEGIN];
-            codec::put_u64(&mut begin, store.pager.page_count());
+            codec::put_u64(&mut begin, store.stats().image_pages);
             store.wal.append(&begin).unwrap();
-            let old0 = store.pager.read_page(0).unwrap().to_vec();
             let mut rec = vec![REC_UNDO_PAGE];
             codec::put_u64(&mut rec, 0);
-            rec.extend_from_slice(&old0);
+            rec.extend_from_slice(&image[..PAGE_SIZE]);
             store.wal.append(&rec).unwrap();
             store.wal.sync().unwrap();
-            // Tear: clobber the header page, never truncate the WAL.
-            store.pager.write_page(0, &vec![0xAB; PAGE_SIZE]).unwrap();
-            store.pager.flush().unwrap();
         }
+        // Tear: clobber the header page, never truncate the WAL.
+        image[..PAGE_SIZE].fill(0xAB);
+        std::fs::write(image_path(&dir), &image).unwrap();
         // Recovery must roll the header back and replay the logged op.
         let (_, recovered) = DurableStore::open(&dir).unwrap();
         assert!(recovered.rolled_back_checkpoint);

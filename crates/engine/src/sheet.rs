@@ -296,14 +296,6 @@ impl SheetEngine {
         Ok(Some(report))
     }
 
-    /// Checkpoint automatically after every `ops` logged operations
-    /// (`None`, the default, disables).
-    pub fn set_auto_checkpoint(&mut self, ops: Option<u64>) {
-        if let Some(store) = self.durable.as_mut() {
-            store.set_auto_checkpoint(ops);
-        }
-    }
-
     /// Rotate the WAL to a fresh segment file once the current one exceeds
     /// `bytes` (fully checkpointed segments are deleted at the next
     /// checkpoint). Durable engines default to 64 MiB; `None` keeps one
@@ -314,8 +306,8 @@ impl SheetEngine {
         }
     }
 
-    /// Persistence counters (WAL size, pager cache stats); `None` for
-    /// in-memory engines.
+    /// Persistence counters (WAL size, image pages read and written);
+    /// `None` for in-memory engines.
     pub fn persistence_stats(&self) -> Option<PersistenceStats> {
         self.durable.as_ref().map(DurableStore::stats)
     }
@@ -336,28 +328,12 @@ impl SheetEngine {
         self.durable.as_ref().map_or(0, DurableStore::last_ticket)
     }
 
-    /// Append `op` to the WAL (when durable) and auto-checkpoint if the
-    /// configured threshold was reached.
+    /// Append `op` to the WAL (when durable).
     fn log_op(&mut self, op: LoggedOp) -> Result<(), EngineError> {
-        if self.durable.is_none() {
-            return Ok(());
+        match self.durable.as_mut() {
+            Some(store) => store.log(&op),
+            None => Ok(()),
         }
-        self.log_encoded(op.encode())
-    }
-
-    /// [`SheetEngine::log_op`] of an op already encoded as its WAL record.
-    fn log_encoded(&mut self, record: Vec<u8>) -> Result<(), EngineError> {
-        let hit_threshold = match self.durable.as_mut() {
-            Some(store) => {
-                store.log_encoded(record)?;
-                store.should_checkpoint()
-            }
-            None => false,
-        };
-        if hit_threshold {
-            self.checkpoint()?;
-        }
-        Ok(())
     }
 
     /// Replay one recovered op through the normal (non-logging) op paths.
@@ -535,7 +511,8 @@ impl SheetEngine {
         let rows: Vec<Vec<CellValue>> = rows.into_iter().collect();
         let record = LoggedOp::encode_import(top_left.row, top_left.col, width, &rows);
         let rect = self.import_rows_impl(top_left, width, rows)?;
-        match self.log_encoded(record) {
+        let store = self.durable.as_mut().expect("checked durable above");
+        match store.log_encoded(record) {
             Ok(()) => {}
             // An import too large for one WAL record (the store refuses it
             // before touching the log) is captured by an immediate
@@ -1382,23 +1359,6 @@ mod tests {
         // Recovered formulas stay live: editing the precedent recomputes.
         e.update_cell_a1("A1", "10").unwrap();
         assert_eq!(e.value(a("C3")), CellValue::Number(11.0));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn auto_checkpoint_bounds_wal_growth() {
-        let dir = temp_dir("auto");
-        let mut e = SheetEngine::open(&dir).unwrap();
-        e.set_auto_checkpoint(Some(10));
-        for i in 0..35u32 {
-            e.update_cell(CellAddr::new(i, 0), &i.to_string()).unwrap();
-        }
-        let stats = e.persistence_stats().unwrap();
-        assert!(
-            stats.ops_since_checkpoint < 10,
-            "wal grew past the auto-checkpoint threshold: {stats:?}"
-        );
-        assert!(stats.checkpoints >= 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 

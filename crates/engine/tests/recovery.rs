@@ -278,6 +278,38 @@ fn garbage_wal_tail_is_ignored_but_garbage_image_is_rejected() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// A torn grow-write leaves a partial page after the image's last whole
+/// page. The image is its whole pages alone: open serves the same sheet,
+/// and the next checkpoint cuts the tail away.
+#[test]
+fn a_torn_trailing_page_is_ignored_and_cut_by_the_next_checkpoint() {
+    let base = temp_dir("torn-tail");
+    let snapshot = {
+        let mut engine = SheetEngine::open(&base).unwrap();
+        for op in &tape(11, 60) {
+            apply(&mut engine, op);
+        }
+        engine.checkpoint().unwrap();
+        engine.snapshot()
+    };
+    let mut image = std::fs::read(image_path(&base)).unwrap();
+    assert_eq!(image.len() % 8192, 0);
+    image.extend_from_slice(&[0x5A; 17]);
+    std::fs::write(image_path(&base), &image).unwrap();
+    let mut engine = SheetEngine::open(&base).unwrap();
+    assert_eq!(engine.snapshot(), snapshot);
+    engine.update_cell(CellAddr::new(0, 0), "7").unwrap();
+    engine.checkpoint().unwrap();
+    assert_eq!(std::fs::read(image_path(&base)).unwrap().len() % 8192, 0);
+    drop(engine);
+    let engine = SheetEngine::open(&base).unwrap();
+    assert_eq!(
+        engine.value(CellAddr::new(0, 0)),
+        dataspread_grid::CellValue::Number(7.0)
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
 // ----------------------------------------------------- v1 rejection --
 
 /// Hand-built PR 2-era (format version 1) image: one header page (magic,

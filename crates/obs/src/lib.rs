@@ -2,9 +2,9 @@
 //!
 //! This crate is intentionally **dependency-free** (std only) and sits at
 //! the very bottom of the workspace dependency DAG so every layer — the
-//! WAL, the pager, the recompute scheduler, the workspace service, the
-//! TCP server — can record into one shared [`MetricsRegistry`] without
-//! import cycles.
+//! WAL, the checkpoint image, the recompute scheduler, the workspace
+//! service, the TCP server — can record into one shared
+//! [`MetricsRegistry`] without import cycles.
 //!
 //! Three primitive families, all lock-free on the record path:
 //!

@@ -152,10 +152,11 @@ impl CheckpointSummary {
 pub struct SheetStats {
     /// Non-empty cells in the sheet.
     pub filled_cells: u64,
-    /// Hybrid storage regions (catch-all included).
+    /// Hybrid storage regions (the catch-all excluded).
     pub regions: u64,
     /// Whether the sheet is backed by a durable store (WAL + image). The
-    /// persistence counters below are only meaningful when this is set.
+    /// persistence counters below, `resident_bytes` aside, are only
+    /// meaningful when this is set.
     pub persistent: bool,
     /// Bytes in the live WAL segment chain.
     pub wal_bytes: u64,
@@ -171,11 +172,11 @@ pub struct SheetStats {
     pub image_regions: u64,
     /// Bytes of region payload resident in memory.
     pub resident_bytes: u64,
-    /// Pager cache hits.
+    /// Retired image-cache counter; always 0.
     pub pager_hits: u64,
-    /// Pager cache misses (page faults against the image file).
+    /// Retired image-cache counter; always 0.
     pub pager_misses: u64,
-    /// Pages evicted from the pager cache.
+    /// Retired image-cache counter; always 0.
     pub pager_evictions: u64,
     /// Pages read from the image file.
     pub pager_pages_read: u64,

@@ -24,9 +24,9 @@ pub enum StoreError {
     /// The operation would exceed a configured limit (e.g. max columns,
     /// paper Appendix A-C4).
     LimitExceeded(String),
-    /// An operating-system I/O failure (persistence paths: pager, WAL,
-    /// snapshots). Stored as its display string so the error stays `Clone`
-    /// + `PartialEq` like the rest of the enum.
+    /// An operating-system I/O failure (persistence paths: the image file,
+    /// the WAL). Stored as its display string so the error stays `Clone` +
+    /// `PartialEq` like the rest of the enum.
     Io(String),
     /// A *permanent* storage failure: an fsync (or the truncate that
     /// follows a checkpoint) failed, so the affected log/store can no

@@ -15,12 +15,13 @@
 //! per-table, per-row, per-column, and per-cell overheads — so that storage
 //! comparisons between data models (ROM / COM / RCV / hybrids) transfer.
 //!
-//! Durability has one tier: [`pager`] + [`wal`] — page-granular
-//! persistence: fixed-size page I/O through an LRU cache with dirty
-//! tracking, and a CRC-framed write-ahead log whose fsync-point is the
-//! commit point. The engine crate composes the two into crash-recoverable
-//! sheet storage. A [`db::Database`] itself lives in memory only: the
-//! engine's durable image holds sheet cells, not the tables behind them.
+//! Durability has one tier: [`vfs`] + [`wal`] — positional file I/O
+//! behind a fault-injectable filesystem, and a CRC-framed write-ahead log
+//! whose fsync-point is the commit point. The engine crate composes the
+//! two into crash-recoverable sheet storage, reading and writing its
+//! paged image straight through a [`VfsFile`]. A [`db::Database`] itself
+//! lives in memory only: the engine's durable image holds sheet cells,
+//! not the tables behind them.
 
 pub mod btree;
 pub mod datum;
@@ -28,7 +29,6 @@ pub mod db;
 pub mod error;
 pub mod heap;
 pub mod page;
-pub mod pager;
 pub mod schema;
 pub mod table;
 pub mod vfs;
@@ -43,7 +43,6 @@ pub use db::{Database, StorageConfig};
 pub use error::StoreError;
 pub use heap::{HeapFile, TupleId};
 pub use page::{Page, PAGE_SIZE};
-pub use pager::{Pager, PagerStats};
 pub use schema::{ColumnDef, Schema};
 pub use table::Table;
 pub use vfs::{

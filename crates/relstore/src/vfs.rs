@@ -1,8 +1,8 @@
 //! VFS-style storage abstraction with deterministic fault injection.
 //!
-//! Every file touchpoint in the store — the pager, the WAL, snapshot
-//! persistence, and the engine's durable layer above them — goes through
-//! [`StorageFs`] instead of `std::fs` directly. Production code uses
+//! Every file touchpoint in the store — the WAL, and the engine's durable
+//! layer with its checkpoint image above it — goes through [`StorageFs`]
+//! instead of `std::fs` directly. Production code uses
 //! [`RealFs`] (the default everywhere; zero behaviour change), while the
 //! fault suites wrap it in a [`FaultFs`] that executes a *scripted fault
 //! schedule*: fail the Nth write, cut a write short, fail an fsync, report
@@ -54,8 +54,8 @@ pub trait VfsFile: Send + Sync {
 
     /// Write all of `data` at `offset` (growing the file as needed). On
     /// error an unspecified prefix may have been written — torn-write
-    /// semantics, which the WAL's CRC framing and the pager's flush
-    /// protocol are built to absorb.
+    /// semantics, which the WAL's CRC framing and the image checkpoint's
+    /// undo journal are built to absorb.
     fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()>;
 
     /// Truncate or zero-extend to exactly `len` bytes.

@@ -219,7 +219,7 @@ pub fn serve_with(
 ///
 /// When `dir` names the workspace root on disk, every sheet directory
 /// under it is opened first so recovered per-sheet state (WAL sizes,
-/// pager stats, cache hit rates, health) is represented even if no
+/// image page I/O, health) is represented even if no
 /// client has touched the sheet yet. This is the engine behind the
 /// binary's `--metrics-dump` flag and is directly callable from tests
 /// and operational tooling.

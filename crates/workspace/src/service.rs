@@ -903,6 +903,7 @@ impl Session {
         let mut s = SheetStats::default();
         s.filled_cells = engine.storage().filled_count();
         s.regions = engine.storage().region_count() as u64;
+        s.resident_bytes = engine.storage().resident_bytes();
         if let Some(p) = engine.persistence_stats() {
             s.persistent = true;
             s.wal_bytes = p.wal_bytes;
@@ -911,12 +912,8 @@ impl Session {
             s.checkpoints = p.checkpoints;
             s.image_pages = p.image_pages;
             s.image_regions = p.image_regions;
-            s.resident_bytes = engine.storage().resident_bytes();
-            s.pager_hits = p.pager.hits;
-            s.pager_misses = p.pager.misses;
-            s.pager_evictions = p.pager.evictions;
-            s.pager_pages_read = p.pager.pages_read;
-            s.pager_pages_written = p.pager.pages_written;
+            s.pager_pages_read = p.pages_read;
+            s.pager_pages_written = p.pages_written;
         }
         if let Some((cause, since_ms)) = engine.storage_failed_info() {
             s.health = Health::Degraded;
@@ -953,7 +950,7 @@ impl Session {
 
     /// A whole-workspace metrics snapshot: every counter, gauge and
     /// histogram recorded so far, the slow-op/event ring, and per-sheet
-    /// health. Point-in-time gauges (pager counters, resident bytes by
+    /// health. Point-in-time gauges (image page I/O, resident bytes by
     /// region layout, WAL ops-per-fsync) are sampled here, so the
     /// snapshot is self-contained.
     ///
@@ -970,11 +967,8 @@ impl Session {
             let engine = self.read_engine(shard);
             if let Some(p) = engine.persistence_stats() {
                 for (key, v) in [
-                    ("pager_hits", p.pager.hits),
-                    ("pager_misses", p.pager.misses),
-                    ("pager_evictions", p.pager.evictions),
-                    ("pager_pages_read", p.pager.pages_read),
-                    ("pager_pages_written", p.pager.pages_written),
+                    ("pager_pages_read", p.pages_read),
+                    ("pager_pages_written", p.pages_written),
                     ("wal_bytes", p.wal_bytes),
                     ("ops_since_checkpoint", p.ops_since_checkpoint),
                 ] {
@@ -1172,39 +1166,42 @@ mod tests {
     #[test]
     fn import_rows_commits_and_serves_windows() {
         let dir = temp_dir("import");
-        let ws = Workspace::open(&dir).unwrap();
-        let s = ws.session();
-        s.open_sheet("data").unwrap();
-        let rect = s
-            .import_rows(
-                "data",
-                CellAddr::new(2, 1),
-                3,
-                (0..4)
-                    .map(|r| {
-                        (0..3)
-                            .map(|c| CellValue::Number((r * 3 + c) as f64))
-                            .collect()
-                    })
-                    .collect(),
-            )
-            .unwrap();
-        assert_eq!(rect, Rect::new(2, 1, 5, 3));
-        let window = s.fetch_window("data", rect).unwrap();
-        assert_eq!(window.filled_count(), 12);
-        assert_eq!(
-            window.run_count(),
-            1,
-            "a dense numeric import is one typed run"
-        );
-        let stats = s.stats("data").unwrap();
-        assert_eq!(stats.regions, 1);
-        let shard = s.shard("data").unwrap();
-        assert_eq!(
-            stats.resident_bytes,
-            s.read_engine(&shard).storage().resident_bytes(),
-            "stats must carry the resident total"
-        );
+        for ws in [Workspace::open(&dir).unwrap(), Workspace::in_memory()] {
+            let s = ws.session();
+            s.open_sheet("data").unwrap();
+            let rect = s
+                .import_rows(
+                    "data",
+                    CellAddr::new(2, 1),
+                    3,
+                    (0..4)
+                        .map(|r| {
+                            (0..3)
+                                .map(|c| CellValue::Number((r * 3 + c) as f64))
+                                .collect()
+                        })
+                        .collect(),
+                )
+                .unwrap();
+            assert_eq!(rect, Rect::new(2, 1, 5, 3));
+            let window = s.fetch_window("data", rect).unwrap();
+            assert_eq!(window.filled_count(), 12);
+            assert_eq!(
+                window.run_count(),
+                1,
+                "a dense numeric import is one typed run"
+            );
+            let stats = s.stats("data").unwrap();
+            assert_eq!(stats.regions, 1);
+            let shard = s.shard("data").unwrap();
+            let resident = s.read_engine(&shard).storage().resident_bytes();
+            assert!(resident > 0);
+            assert_eq!(
+                stats.resident_bytes, resident,
+                "stats must carry the resident total (persistent: {})",
+                stats.persistent
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -23,9 +23,9 @@
 //! * [`corpus`] — synthetic corpora and workload generators,
 //! * [`engine`] — the storage engine proper: ROM/COM/RCV/TOM translators
 //!   and the [`engine::SheetEngine`] facade, including durable paged
-//!   persistence (`SheetEngine::open` / `save` / `checkpoint`: an LRU
-//!   [`relstore::Pager`] image plus a [`relstore::Wal`] with crash
-//!   recovery on reopen),
+//!   persistence (`SheetEngine::open` / `save` / `checkpoint`: a paged
+//!   image file read and written through a [`relstore::VfsFile`] plus a
+//!   [`relstore::Wal`] with crash recovery on reopen),
 //! * [`workspace`] — the concurrent multi-sheet service: sheets sharded
 //!   behind per-sheet locks, a name-keyed session API
 //!   (`open_sheet` / `fetch_window` / `apply_edit` / `import_rows` /
