@@ -1,7 +1,6 @@
 //! Durable paged persistence for [`SheetEngine`](crate::SheetEngine).
 //!
-//! A durable sheet lives in a directory with an image file and a WAL
-//! segment chain:
+//! A durable sheet lives in a directory of two files, an image and a WAL:
 //!
 //! * `pages.db` — the *image*: the last checkpointed logical sheet state,
 //!   stored **region-granularly** in 8 KB pages, read and written by
@@ -15,8 +14,9 @@
 //!   pages. A checkpoint re-serializes and rewrites **only the regions
 //!   touched since the last one** (the per-region dirty flags maintained
 //!   by the hybrid layer's mutators);
-//! * `wal.log` (+ rotated `wal.log.N` segments) — a
-//!   [`Wal`](dataspread_relstore::Wal) of CRC-framed records.
+//! * `wal.log` — a [`Wal`] of CRC-framed records, whose header also
+//!   carries the WAL epoch and the commit-ticket base, so ticket numbering
+//!   continues across restarts.
 //!
 //! Three record kinds share the log:
 //!
@@ -117,16 +117,6 @@ use crate::hybrid::{RegionImage, CATCHALL_REGION_ID};
 pub const IMAGE_FILE: &str = "pages.db";
 /// File name of the write-ahead log inside a durable sheet directory.
 pub const WAL_FILE: &str = "wal.log";
-/// File name of the commit-ticket metadata inside a durable sheet
-/// directory: `(wal epoch, ticket base)` persisted at every WAL truncate
-/// so ticket numbering continues across restarts (see
-/// [`DurableStore::recovery_horizon`]).
-pub const TICKET_FILE: &str = "tickets.meta";
-
-/// Rotate the WAL to a fresh segment once the current one exceeds this
-/// (engine default; override with `set_wal_segment_limit`).
-pub const DEFAULT_WAL_SEGMENT_BYTES: u64 = 64 << 20;
-
 /// Largest op record the store will log (safely under the WAL's hard
 /// record cap, framing included). A bulk import can exceed this; the
 /// engine then captures it via an immediate checkpoint instead of a log
@@ -166,40 +156,6 @@ pub fn image_path(dir: impl AsRef<Path>) -> PathBuf {
 /// Path of the WAL file for a durable sheet directory.
 pub fn wal_path(dir: impl AsRef<Path>) -> PathBuf {
     dir.as_ref().join(WAL_FILE)
-}
-
-/// Path of the ticket-metadata file for a durable sheet directory.
-pub fn ticket_path(dir: impl AsRef<Path>) -> PathBuf {
-    dir.as_ref().join(TICKET_FILE)
-}
-
-const TICKET_MAGIC: &[u8; 4] = b"DSTK";
-const TICKET_META_LEN: usize = 4 + 8 + 8 + 4;
-
-fn encode_ticket_meta(epoch: u64, base: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(TICKET_META_LEN);
-    codec::put_bytes(&mut out, TICKET_MAGIC);
-    codec::put_u64(&mut out, epoch);
-    codec::put_u64(&mut out, base);
-    let crc = crc32(&out[4..]);
-    codec::put_u32(&mut out, crc);
-    out
-}
-
-/// Read `tickets.meta`, returning `(epoch, base)`. Absent, torn, or
-/// corrupt files yield `None`: the store then falls back to a fresh
-/// ticket sequence, which can only *under*-state the durable horizon
-/// (clients re-stage more than needed — duplicates, never silent loss —
-/// and the incarnation check gates re-staging anyway).
-fn read_ticket_meta(fs: &dyn StorageFs, dir: &Path) -> Option<(u64, u64)> {
-    let bytes = fs.read(&ticket_path(dir)).ok()?;
-    if bytes.len() != TICKET_META_LEN || &bytes[..4] != TICKET_MAGIC {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(bytes[4..12].try_into().ok()?);
-    let base = u64::from_le_bytes(bytes[12..20].try_into().ok()?);
-    let crc = u32::from_le_bytes(bytes[20..24].try_into().ok()?);
-    (crc32(&bytes[4..20]) == crc).then_some((epoch, base))
 }
 
 /// A logical sheet mutation, as logged to the WAL.
@@ -941,10 +897,8 @@ pub struct CheckpointReport {
 /// Counters describing the persistence layer (for benches and tests).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistenceStats {
-    /// Valid WAL bytes on disk across all segments (headers included).
+    /// Valid WAL bytes on disk (header included).
     pub wal_bytes: u64,
-    /// Live WAL segment files.
-    pub wal_segments: u64,
     /// Ops logged since the last checkpoint.
     pub ops_since_checkpoint: u64,
     /// Checkpoints taken through this handle.
@@ -971,9 +925,6 @@ pub struct PersistenceStats {
 /// tells waiters when the fsync-point covered it.
 pub struct DurableStore {
     dir: PathBuf,
-    /// The filesystem every file op goes through (the real fs, or a
-    /// fault-injecting wrapper in the chaos suites).
-    fs: Arc<dyn StorageFs>,
     wal: Arc<SharedWal>,
     image: ImageFile,
     /// The region map of the on-disk image.
@@ -1012,13 +963,6 @@ pub struct DurableStore {
     failed_at_ms: Option<u64>,
 }
 
-/// Best-effort fsync of a directory so freshly created files (and renames)
-/// survive a machine crash. Directory handles cannot be opened for sync on
-/// all platforms, hence best-effort.
-fn sync_dir(fs: &dyn StorageFs, dir: &Path) {
-    fs.sync_dir(dir).ok();
-}
-
 impl std::fmt::Debug for DurableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStore")
@@ -1047,39 +991,19 @@ impl DurableStore {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(StoreError::from)?;
         let mut wal = Wal::open_on(Arc::clone(&fs), wal_path(&dir))?;
-        wal.set_segment_limit(Some(DEFAULT_WAL_SEGMENT_BYTES));
         // Recovery below consumes the committed records before the log is
         // wrapped for shared use.
         let mut image = ImageFile::open(fs.as_ref(), &image_path(&dir))?;
         // Pin the directory entries for the files we may just have
         // created; without this a machine crash could drop the whole WAL.
-        sync_dir(fs.as_ref(), &dir);
+        // Best effort: not every platform can open a directory for sync.
+        fs.sync_dir(&dir).ok();
 
-        // Correlate the persisted ticket base with the WAL generation on
-        // disk. `tickets.meta` records `(epoch-after-truncate, appended
-        // tickets at truncate)` and is written immediately *before* every
-        // truncate, so exactly three cases are possible:
-        //
-        // * meta epoch == WAL epoch — the truncate that wrote it
-        //   completed; every record now in the log was appended after it,
-        //   so the horizon is `base + recovered records`.
-        // * meta epoch == WAL epoch + 1 — crashed between the meta write
-        //   and the truncate. The log still holds the old generation,
-        //   whose records were already counted into `base`; the horizon
-        //   is `base` itself.
-        // * anything else (absent / corrupt / stale) — fresh sequence:
-        //   the horizon is just the recovered record count.
-        //
-        // Every WAL record consumed one ticket (ops and checkpoint
-        // journal records alike), so "records recovered" is exactly the
-        // number of tickets the disk proves.
+        // Every WAL record consumed one ticket (ops and checkpoint journal
+        // records alike), so the header's ticket base plus the records
+        // recovered is exactly the ticket horizon the disk proves.
         let records = wal.take_recovered();
-        let record_count = records.len() as u64;
-        let ticket_base = match read_ticket_meta(fs.as_ref(), &dir) {
-            Some((epoch, base)) if epoch == wal.epoch() => base + record_count,
-            Some((epoch, base)) if epoch == wal.epoch() + 1 => base,
-            _ => record_count,
-        };
+        let horizon = wal.tickets();
         let incarnation = wal.epoch();
 
         // Partition the committed records: logical ops, then (optionally)
@@ -1171,25 +1095,18 @@ impl DurableStore {
             }
         }
 
-        // Continue the pre-restart ticket sequence: appends issued by
-        // this incarnation number from `ticket_base + 1`, and everything
-        // at or below the base counts as durable.
-        let shared = Arc::new(SharedWal::new(wal));
-        shared.set_ticket_base(ticket_base);
-
         Ok((
             DurableStore {
                 dir,
-                fs,
-                wal: shared,
+                wal: Arc::new(SharedWal::new(wal)),
                 image,
                 map,
                 map_extent,
                 ops_since_checkpoint: ops.len() as u64,
                 checkpoints: 0,
-                last_ticket: ticket_base,
+                last_ticket: horizon,
                 incarnation,
-                recovered_horizon: ticket_base,
+                recovered_horizon: horizon,
                 poisoned: None,
                 failed: None,
                 failed_at_ms: None,
@@ -1297,26 +1214,6 @@ impl DurableStore {
     ///   exactly its staged ops with tickets above the horizon.
     pub fn recovery_horizon(&self) -> (u64, u64) {
         (self.incarnation, self.recovered_horizon)
-    }
-
-    /// Persist the ticket base for the generation the imminent WAL
-    /// truncate creates: `(current epoch + 1, tickets appended so far)`,
-    /// written atomically (temp file + rename) so a crash at any byte
-    /// leaves either the old or the new meta, never a torn one. Called
-    /// *before* the truncate; see the correlation rules in
-    /// [`DurableStore::open_on`] for why either ordering outcome
-    /// recovers the right horizon.
-    fn write_ticket_meta(&self) -> Result<(), StoreError> {
-        let epoch_after = self.wal.with(|w| w.epoch()) + 1;
-        let bytes = encode_ticket_meta(epoch_after, self.wal.appended_seq());
-        let tmp = self.dir.join("tickets.meta.tmp");
-        let mut f = self.fs.open(&tmp, OpenMode::Truncate)?;
-        f.write_at(0, &bytes)?;
-        f.sync_data()?;
-        drop(f);
-        self.fs.rename(&tmp, &ticket_path(&self.dir))?;
-        sync_dir(self.fs.as_ref(), &self.dir);
-        Ok(())
     }
 
     /// The permanent-failure state of this store: `Some(cause)` once an
@@ -1561,9 +1458,9 @@ impl DurableStore {
 
         if changed.is_empty() && new_count == old_count {
             // Image already current — just fold the op tail away. A
-            // truncate failure poisons the log (the old tape may be torn),
-            // so the store hard-fails with it.
-            if let Err(e) = self.write_ticket_meta().and_then(|()| self.wal.truncate()) {
+            // failed reset leaves the old log whole but poisons it (its
+            // fsync is a commit point), so the store hard-fails with it.
+            if let Err(e) = self.wal.truncate() {
                 return Err(self.storage_fail(e));
             }
             self.commit_map(new_map, map_extent);
@@ -1602,10 +1499,7 @@ impl DurableStore {
         self.wal.sync()?;
         // 2. Overwrite in place, durably.
         self.image.write_pages(changed, new_count)?;
-        // 3. The checkpoint is now the truth; drop the log. The ticket
-        // base is persisted first so commit tickets survive the truncate
-        // across a restart.
-        self.write_ticket_meta()?;
+        // 3. The checkpoint is now the truth; drop the log.
         self.wal.truncate()?;
         Ok(())
     }
@@ -1629,18 +1523,9 @@ impl DurableStore {
         Ok(self.image.read(extent)? == payload)
     }
 
-    /// Rotate the WAL to a new segment file past `bytes`; fully
-    /// checkpointed segments are deleted at the next checkpoint (`None`
-    /// keeps a single unbounded file).
-    pub fn set_wal_segment_limit(&mut self, bytes: Option<u64>) {
-        self.wal.with(|w| w.set_segment_limit(bytes));
-    }
-
     pub fn stats(&self) -> PersistenceStats {
-        let (wal_bytes, wal_segments) = self.wal.with(|w| (w.len_bytes(), w.segment_count()));
         PersistenceStats {
-            wal_bytes,
-            wal_segments,
+            wal_bytes: self.wal.with(|w| w.len_bytes()),
             ops_since_checkpoint: self.ops_since_checkpoint,
             checkpoints: self.checkpoints,
             image_pages: self.image.page_count,

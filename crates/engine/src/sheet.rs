@@ -296,16 +296,6 @@ impl SheetEngine {
         Ok(Some(report))
     }
 
-    /// Rotate the WAL to a fresh segment file once the current one exceeds
-    /// `bytes` (fully checkpointed segments are deleted at the next
-    /// checkpoint). Durable engines default to 64 MiB; `None` keeps one
-    /// unbounded file.
-    pub fn set_wal_segment_limit(&mut self, bytes: Option<u64>) {
-        if let Some(store) = self.durable.as_mut() {
-            store.set_wal_segment_limit(bytes);
-        }
-    }
-
     /// Persistence counters (WAL size, image pages read and written);
     /// `None` for in-memory engines.
     pub fn persistence_stats(&self) -> Option<PersistenceStats> {

@@ -362,8 +362,8 @@ fn checkpoint_images_are_deterministic_across_recovery() {
     std::fs::remove_dir_all(&crash).ok();
 }
 
-/// Record end-offsets in a WAL segment (v2 framing: header, then
-/// `len u32 | crc u32 | payload` records).
+/// Record end-offsets in a WAL file (header, then `len u32 | crc u32 |
+/// payload` records).
 fn record_ends(wal_bytes: &[u8]) -> Vec<usize> {
     use dataspread_relstore::wal::{WAL_HEADER_LEN, WAL_RECORD_OVERHEAD};
     let mut ends = Vec::new();

@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dataspread_engine::durable::ticket_path;
+use dataspread_engine::durable::{IMAGE_FILE, WAL_FILE};
 use dataspread_engine::{EngineError, SheetEngine};
 use dataspread_grid::{CellAddr, CellValue};
 use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule, StorageFs};
@@ -210,8 +210,8 @@ const ALL_OPS: &[FaultOp] = &[
 /// The exhaustive sweep: fail every single file operation the fixed
 /// workload performs (every class × every index × every applicable
 /// kind), and prove recovery holds for each. This is the checkpoint
-/// undo-journal's trial by fire — checkpoint image writes, map rewrites,
-/// WAL truncations and ticket-meta renames all get hit.
+/// undo-journal's trial by fire — checkpoint image writes, map rewrites
+/// and WAL resets (temp-file write, fsync and rename) all get hit.
 #[test]
 fn every_fault_point_recovers() {
     // Probe run: count the ops per class on a clean FaultFs.
@@ -395,32 +395,73 @@ fn ticket_horizon_survives_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A missing or corrupt `tickets.meta` only ever *under-states* the
-/// horizon (clients re-stage duplicates, which the incarnation check and
-/// idempotent re-stage absorb) — it must never block recovery or lose
-/// data.
+/// The WAL reset that ends a checkpoint replaces the log atomically, so a
+/// fault at any of its file ops leaves the old log whole. Reopened, the
+/// sheet gets a new incarnation and a horizon covering every ticket issued
+/// before the fault — an empty log would restart both at 0, and a client
+/// would take the restart for a dropped connection and skip re-staging.
 #[test]
-fn ticket_meta_loss_is_safe() {
-    let dir = temp_dir("ticketmeta");
-    {
-        let mut engine = SheetEngine::open(&dir).unwrap();
-        engine.update_cell(CellAddr::new(0, 0), "42").unwrap();
-        engine.save().unwrap();
+fn an_interrupted_wal_reset_keeps_incarnation_and_horizon() {
+    let classes = [
+        FaultOp::Write,
+        FaultOp::Sync,
+        FaultOp::SetLen,
+        FaultOp::OpenFile,
+        FaultOp::Rename,
+    ];
+    let mut injected = 0;
+    for op in classes {
+        for index in 0.. {
+            let dir = temp_dir("wal-reset");
+            let plan = FaultPlan::new();
+            let (before, ticket, snap) = {
+                let mut engine =
+                    SheetEngine::open_on(FaultFs::new(Arc::clone(&plan)), &dir).unwrap();
+                for i in 0..5 {
+                    engine
+                        .update_cell(CellAddr::new(i, 0), &format!("{i}"))
+                        .unwrap();
+                }
+                engine.save().unwrap();
+                let before = engine.recovery_horizon();
+                let ticket = engine.last_commit_ticket();
+                let snap = snapshot(&engine);
+                plan.push(FaultRule::new(op, index, FaultKind::Io).on_path(WAL_FILE));
+                let result = engine.checkpoint();
+                if plan.injected() == 0 {
+                    result.unwrap();
+                    std::fs::remove_dir_all(&dir).ok();
+                    break; // every op of this class was hit
+                }
+                (before, ticket, snap)
+            };
+            injected += 1;
+            let label = format!("{op:?}#{index}");
+            let engine = SheetEngine::open(&dir).unwrap();
+            let (incarnation, horizon) = engine.recovery_horizon();
+            assert!(
+                incarnation > before.0,
+                "{label}: incarnation {incarnation} after {before:?}"
+            );
+            assert!(
+                horizon >= ticket,
+                "{label}: horizon {horizon} below issued ticket {ticket}"
+            );
+            assert_eq!(snapshot(&engine), snap, "{label}");
+            let mut files: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            files.sort();
+            assert_eq!(files, [IMAGE_FILE, WAL_FILE], "{label}");
+            drop(engine);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
-    // Missing meta: recovery proceeds, data intact.
-    std::fs::remove_file(ticket_path(&dir)).unwrap();
-    {
-        let engine = SheetEngine::open(&dir).unwrap();
-        assert_eq!(engine.value(CellAddr::new(0, 0)), CellValue::Number(42.0));
-        assert!(engine.recovery_horizon().1 >= 1);
-    }
-    // Corrupt meta: same story.
-    std::fs::write(ticket_path(&dir), b"garbage-not-a-ticket-meta").unwrap();
-    {
-        let engine = SheetEngine::open(&dir).unwrap();
-        assert_eq!(engine.value(CellAddr::new(0, 0)), CellValue::Number(42.0));
-    }
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        injected >= 4,
+        "only {injected} faults hit wal.log during the checkpoint"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -18,9 +18,8 @@
 //! Plus a bounded [`EventRing`] capturing structured [`Event`] records
 //! (timestamp, sheet, op kind, duration, ticket, outcome) for operations
 //! over a configurable slow-op threshold and for notable state changes:
-//! degraded-mode transitions, WAL segment rotations, checkpoint
-//! rollbacks, admission-control `Busy` rejections, client connects and
-//! disconnects. When the ring is full the oldest record is dropped and a
+//! degraded-mode transitions, checkpoint rollbacks, admission-control
+//! `Busy` rejections, client connects and disconnects. When the ring is full the oldest record is dropped and a
 //! drop counter advances, so the ring is safe to leave running forever.
 //!
 //! The registry has a global enable/disable toggle
@@ -297,13 +296,13 @@ impl HistogramSnapshot {
 // ------------------------------------------------------------- event ring --
 
 /// One structured observability event: a slow operation, a degraded-mode
-/// transition, a WAL rotation, a checkpoint rollback, an admission
-/// rejection, a client connect/disconnect.
+/// transition, a checkpoint rollback, an admission rejection, a client
+/// connect/disconnect.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Event {
     /// Milliseconds since the Unix epoch when the event was recorded.
     pub ts_ms: u64,
-    /// Event class, e.g. `"slow_op"`, `"degraded"`, `"wal_rotate"`,
+    /// Event class, e.g. `"slow_op"`, `"degraded"`,
     /// `"checkpoint_rollback"`, `"busy_reject"`, `"conn_open"`,
     /// `"conn_close"`.
     pub kind: String,
@@ -525,8 +524,8 @@ impl MetricsRegistry {
         Arc::clone(&self.events)
     }
 
-    /// Record an event unconditionally (degrade transitions, rotations,
-    /// rejections — events that matter regardless of duration).
+    /// Record an event unconditionally (degrade transitions, checkpoint
+    /// rollbacks, rejections — events that matter regardless of duration).
     pub fn push_event(&self, event: Event) {
         if self.enabled() {
             self.events.push(event);

@@ -158,10 +158,8 @@ pub struct SheetStats {
     /// persistence counters below, `resident_bytes` aside, are only
     /// meaningful when this is set.
     pub persistent: bool,
-    /// Bytes in the live WAL segment chain.
+    /// Bytes in the WAL file.
     pub wal_bytes: u64,
-    /// WAL segments on disk.
-    pub wal_segments: u64,
     /// Ops logged since the last checkpoint (replay cost on reopen).
     pub ops_since_checkpoint: u64,
     /// Checkpoints taken since open.
@@ -197,7 +195,8 @@ mod stat_ids {
     pub const REGIONS: u16 = 2;
     pub const PERSISTENT: u16 = 3;
     pub const WAL_BYTES: u16 = 4;
-    pub const WAL_SEGMENTS: u16 = 5;
+    // 5 is retired (the WAL segment count an older peer still sends);
+    // never reuse it.
     pub const OPS_SINCE_CHECKPOINT: u16 = 6;
     pub const CHECKPOINTS: u16 = 7;
     pub const IMAGE_PAGES: u16 = 8;
@@ -238,7 +237,6 @@ impl SheetStats {
         field(stat_ids::REGIONS, u64_payload(self.regions));
         field(stat_ids::PERSISTENT, vec![u8::from(self.persistent)]);
         field(stat_ids::WAL_BYTES, u64_payload(self.wal_bytes));
-        field(stat_ids::WAL_SEGMENTS, u64_payload(self.wal_segments));
         field(
             stat_ids::OPS_SINCE_CHECKPOINT,
             u64_payload(self.ops_since_checkpoint),
@@ -289,7 +287,6 @@ impl SheetStats {
                 stat_ids::REGIONS => s.regions = f.u64()?,
                 stat_ids::PERSISTENT => s.persistent = f.bool()?,
                 stat_ids::WAL_BYTES => s.wal_bytes = f.u64()?,
-                stat_ids::WAL_SEGMENTS => s.wal_segments = f.u64()?,
                 stat_ids::OPS_SINCE_CHECKPOINT => s.ops_since_checkpoint = f.u64()?,
                 stat_ids::CHECKPOINTS => s.checkpoints = f.u64()?,
                 stat_ids::IMAGE_PAGES => s.image_pages = f.u64()?,

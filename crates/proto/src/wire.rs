@@ -603,7 +603,7 @@ mod tests {
                 })),
                 "070000000000000006010300000000000000050000000000000001000000000000000100000000000000",
             ),
-            ("stats", Response::Stats(stats), "0700000000000000071200000001000800000064000000000000000200080000000200000000000000030001000000010400080000000010000000000000050008000000000000000000000006000800000000000000000000000700080000000000000000000000080008000000000000000000000009000800000000000000000000000a000800000000000000000000000b000800000007000000000000000c000800000000000000000000000d000800000000000000000000000e000800000000000000000000000f00080000000000000000000000100001000000011100100000000c0000006673796e63206661696c65641200080000000068e5cf8b010000"),
+            ("stats", Response::Stats(stats), "070000000000000007110000000100080000006400000000000000020008000000020000000000000003000100000001040008000000001000000000000006000800000000000000000000000700080000000000000000000000080008000000000000000000000009000800000000000000000000000a000800000000000000000000000b000800000007000000000000000c000800000000000000000000000d000800000000000000000000000e000800000000000000000000000f00080000000000000000000000100001000000011100100000000c0000006673796e63206661696c65641200080000000068e5cf8b010000"),
             ("pong", Response::Pong, "070000000000000008"),
             ("err", Response::Err(WireError::new(0x205, "bad page")), "0700000000000000090502080000006261642070616765"),
             (
@@ -654,8 +654,9 @@ mod tests {
     #[test]
     fn stats_decoder_skips_unknown_fields() {
         // A future server appends a field this decoder has no id for, or an
-        // older one still sends the retired cache counters (ids 19/20);
-        // the known fields still land and the rest is dropped.
+        // older one still sends the retired WAL segment count (id 5) or
+        // cache counters (ids 19/20); the known fields still land and the
+        // rest is dropped.
         let stats = SheetStats {
             filled_cells: 7,
             ..Default::default()
@@ -664,7 +665,11 @@ mod tests {
         stats.encode(&mut body);
         let count = u32::from_le_bytes(body[..4].try_into().unwrap());
         let future: &[(u16, &[u8])] = &[(999, &[1, 2, 3, 4])];
-        let older: &[(u16, &[u8])] = &[(19, &10u64.to_le_bytes()), (20, &3u64.to_le_bytes())];
+        let older: &[(u16, &[u8])] = &[
+            (5, &1u64.to_le_bytes()),
+            (19, &10u64.to_le_bytes()),
+            (20, &3u64.to_le_bytes()),
+        ];
         for extra in [future, older] {
             // Splice the extra fields in front and bump the count.
             let mut spliced = Vec::new();

@@ -16,8 +16,10 @@
 //! comparisons between data models (ROM / COM / RCV / hybrids) transfer.
 //!
 //! Durability has one tier: [`vfs`] + [`wal`] — positional file I/O
-//! behind a fault-injectable filesystem, and a CRC-framed write-ahead log
-//! whose fsync-point is the commit point. The engine crate composes the
+//! behind a fault-injectable filesystem, and a write-ahead log of
+//! CRC-framed records in one file, whose fsync-point is the commit point
+//! and whose checksummed header carries the commit-ticket base across
+//! resets. The engine crate composes the
 //! two into crash-recoverable sheet storage, reading and writing its
 //! paged image straight through a [`VfsFile`]. A [`db::Database`] itself
 //! lives in memory only: the engine's durable image holds sheet cells,

@@ -189,7 +189,7 @@ fn same_client_survives_restart() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Record end-offsets in a WAL segment, parsed from the framing alone.
+/// Record end-offsets in a WAL file, parsed from the framing alone.
 fn record_ends(wal_bytes: &[u8]) -> Vec<usize> {
     let mut ends = Vec::new();
     let mut off = WAL_HEADER_LEN as usize;

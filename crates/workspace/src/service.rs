@@ -907,7 +907,6 @@ impl Session {
         if let Some(p) = engine.persistence_stats() {
             s.persistent = true;
             s.wal_bytes = p.wal_bytes;
-            s.wal_segments = p.wal_segments;
             s.ops_since_checkpoint = p.ops_since_checkpoint;
             s.checkpoints = p.checkpoints;
             s.image_pages = p.image_pages;
