@@ -5,10 +5,11 @@
 //!   cell edits, in two client shapes: fully synchronous (window 1 — one
 //!   edit in flight per client) and pipelined (window 4 — stage a small
 //!   window, await its last ticket; the standard RPC pipelining
-//!   pattern). Every edit appends, blocks on a commit ticket, and lets
-//!   the dedicated committer batch every outstanding record into one
-//!   fsync — no edit is acknowledged before it is on stable storage, at
-//!   ~1 fsync per batch instead of per op. The 1-writer window-1 row is
+//!   pattern). Every edit appends and commits its ticket; a committing
+//!   writer that finds no fsync in flight fsyncs every outstanding record
+//!   at once, covering the writers that wait behind it — no edit is
+//!   acknowledged before it is on stable storage, at ~1 fsync per batch
+//!   instead of per op. The 1-writer window-1 row is
 //!   the one-op-one-fsync baseline the rest of the grid is read against.
 //! * **Readers.** R sessions each scan positional windows of their own
 //!   pre-imported sheet — per-sheet sharding means their locks never
@@ -335,8 +336,9 @@ fn main() {
     println!(
         "\npaper context: a spreadsheet *served* from a database-grade engine means\n\
          many sessions fetching windows and committing edits at once; per-sheet\n\
-         sharding keeps readers wait-free across sheets, and the group-commit\n\
-         committer turns K writers x 1 fsync/op into ~1 fsync per batch without\n\
-         weakening the WAL durability contract."
+         sharding keeps readers wait-free across sheets, and group commit (the\n\
+         committing writer fsyncs for everyone waiting) turns K writers x 1\n\
+         fsync/op into ~1 fsync per batch without weakening the WAL durability\n\
+         contract."
     );
 }

@@ -917,12 +917,12 @@ pub struct PersistenceStats {
 /// The engine-facing persistence handle: one WAL + one region-paged image.
 ///
 /// The WAL is held behind a thread-shareable [`SharedWal`]: ops append
-/// commit tickets, and a group-commit coordinator (the workspace's
-/// committer thread) can fsync batches through
-/// [`DurableStore::commit_wal`] while the engine itself stays
-/// single-writer. Commit acknowledgement is thereby decoupled from
-/// logging: `log` returns as soon as the record is framed, and the ticket
-/// tells waiters when the fsync-point covered it.
+/// commit tickets, and the workspace's sessions commit those tickets
+/// through [`DurableStore::commit_wal`] — one fsync covering every op
+/// logged before it — while the engine itself stays single-writer.
+/// Commit acknowledgement is thereby decoupled from logging: `log`
+/// returns as soon as the record is framed, and the ticket tells its
+/// committer when an fsync covered it.
 pub struct DurableStore {
     dir: PathBuf,
     wal: Arc<SharedWal>,
@@ -1172,16 +1172,15 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Shared handle to this store's WAL for group-commit coordinators:
-    /// a committer thread fsyncs batches through it while engine ops keep
-    /// appending.
+    /// Shared handle to this store's WAL for group commit: sessions commit
+    /// their tickets through it while engine ops keep appending.
     pub fn commit_wal(&self) -> Arc<SharedWal> {
         Arc::clone(&self.wal)
     }
 
     /// Commit ticket of the most recently logged op (0 when nothing was
-    /// logged); pass it to [`SharedWal::wait_durable`] to block until the
-    /// op is crash-durable.
+    /// logged); pass it to [`SharedWal::commit`] to block until the op is
+    /// crash-durable.
     pub fn last_ticket(&self) -> u64 {
         self.last_ticket
     }

@@ -302,18 +302,18 @@ impl SheetEngine {
         self.durable.as_ref().map(DurableStore::stats)
     }
 
-    /// Shared handle to this engine's WAL for group-commit coordinators
-    /// (`None` for in-memory engines). A dedicated committer fsyncs
-    /// batches through it; sessions block on their op's commit ticket
-    /// instead of paying one fsync per op.
+    /// Shared handle to this engine's WAL for group commit (`None` for
+    /// in-memory engines). Sessions commit their op's ticket through it
+    /// after releasing the engine, so one fsync covers every op logged
+    /// before it instead of one fsync per op.
     pub fn commit_wal(&self) -> Option<std::sync::Arc<dataspread_relstore::SharedWal>> {
         self.durable.as_ref().map(DurableStore::commit_wal)
     }
 
     /// Commit ticket of the most recently logged op (0 when nothing was
     /// logged or the engine is in-memory). The op is crash-durable once
-    /// `SharedWal::wait_durable(ticket)` returns — the decoupling that
-    /// lets commit acknowledgement trail logging.
+    /// `SharedWal::commit(ticket)` returns — the decoupling that lets
+    /// commit acknowledgement trail logging.
     pub fn last_commit_ticket(&self) -> u64 {
         self.durable.as_ref().map_or(0, DurableStore::last_ticket)
     }

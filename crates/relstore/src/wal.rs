@@ -403,17 +403,20 @@ impl std::fmt::Debug for WalObs {
 ///
 /// Concurrent writers `append` under a short internal lock and receive a
 /// **commit ticket** — a monotone per-log sequence number. A record is
-/// *committed* once a [`SharedWal::sync`] covering its ticket completes;
-/// [`SharedWal::wait_durable`] blocks a writer until then. The intended
-/// topology (the workspace service) is K writer threads appending and one
-/// dedicated committer calling `sync` in a loop: each fsync covers every
-/// record appended since the last one, turning K writers × 1 fsync/op
-/// into ~1 fsync per batch without weakening the commit contract (no
-/// writer is acknowledged before its record is on stable storage).
+/// *committed* once an fsync covering its ticket completes, and
+/// [`SharedWal::commit`] blocks a writer until then. There is no commit
+/// thread: a committing writer that finds no fsync in flight leads one,
+/// covering every record appended so far, and the writers that arrive
+/// while it runs follow — they wait for it to finish, and all those it
+/// covered return at once while one uncovered follower leads the next.
+/// K writers × 1 fsync/op thereby become ~1 fsync per batch without
+/// weakening the commit contract (no writer is acknowledged before its
+/// record is on stable storage). Records nobody commits become durable
+/// with the next commit or checkpoint.
 ///
-/// The fsync itself runs on a duplicate file handle *outside* the append
+/// The fsync itself runs on a duplicate file handle *outside* the state
 /// lock ([`Wal::sync_handle`]), so writers keep appending while a batch
-/// is being flushed; a second internal lock serializes flushers.
+/// is being flushed; at most one fsync is in flight.
 ///
 /// [`SharedWal::truncate`] (the post-checkpoint reset) marks every
 /// outstanding ticket durable — the checkpoint that triggered it has
@@ -421,10 +424,8 @@ impl std::fmt::Debug for WalObs {
 /// than WAL durability.
 pub struct SharedWal {
     state: std::sync::Mutex<SharedState>,
-    /// Serializes group fsyncs (flushers never hold `state` across the
-    /// fsync itself).
-    flush: std::sync::Mutex<()>,
-    durable: std::sync::Condvar,
+    /// Signalled when a leader's fsync finishes; its followers wait here.
+    flushed: std::sync::Condvar,
 }
 
 struct SharedState {
@@ -433,6 +434,8 @@ struct SharedState {
     appended_seq: u64,
     /// Highest ticket known durable.
     durable_seq: u64,
+    /// True while a leader's fsync is in flight.
+    flushing: bool,
     /// **Permanent** record of a failed fsync (or failed truncate). Once
     /// set it is never cleared: after a failed fsync the kernel may have
     /// dropped the dirty pages, so a later fsync that "succeeds" proves
@@ -482,12 +485,12 @@ impl SharedWal {
                 wal,
                 appended_seq: tickets,
                 durable_seq: tickets,
+                flushing: false,
                 sync_failed: None,
                 failed_at_ms: None,
                 obs: None,
             }),
-            flush: std::sync::Mutex::new(()),
-            durable: std::sync::Condvar::new(),
+            flushed: std::sync::Condvar::new(),
         }
     }
 
@@ -520,16 +523,16 @@ impl SharedWal {
     /// Run `f` against the underlying log under the append lock. Exposed
     /// for owners that need the full [`Wal`] surface (recovery, stats).
     /// `f` must not wait on other log users (deadlock), and a
-    /// long-running `f` holds appends, pending checks, and ticket
-    /// bookkeeping back for its duration.
+    /// long-running `f` holds appends, commits, and ticket bookkeeping
+    /// back for its duration.
     pub fn with<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> R {
         f(&mut self.lock().wal)
     }
 
     /// Append one record, returning its commit ticket. The record is in
     /// the OS (crash of the *process* loses nothing) but survives a
-    /// machine crash only once a later [`SharedWal::sync`] covers the
-    /// ticket.
+    /// machine crash only once a later [`SharedWal::commit`] or
+    /// [`SharedWal::sync`] covers the ticket.
     pub fn append(&self, payload: &[u8]) -> Result<u64, StoreError> {
         let mut st = self.lock();
         if let Some(cause) = &st.sync_failed {
@@ -544,57 +547,75 @@ impl SharedWal {
         Ok(st.appended_seq)
     }
 
-    /// Ticket of the most recent append (0 when nothing was appended).
-    pub fn appended_seq(&self) -> u64 {
-        self.lock().appended_seq
-    }
-
-    /// Highest ticket known durable (0 when nothing was ever flushed).
-    /// `appended_seq() - durable_seq()` is the committer's current lag —
-    /// the admission-control signal the server's backpressure uses.
+    /// Highest ticket known durable (0 when nothing was ever flushed) —
+    /// the admission-control signal the server's backpressure prunes its
+    /// staged window with.
     pub fn durable_seq(&self) -> u64 {
         self.lock().durable_seq
     }
 
-    /// True when appended records are awaiting a group fsync.
-    pub fn has_pending(&self) -> bool {
-        let st = self.lock();
-        st.durable_seq < st.appended_seq
-    }
-
-    /// The group fsync-point: make every record appended so far durable
-    /// and wake the writers waiting on their tickets. Returns the ticket
-    /// horizon made durable.
+    /// The fsync-point: make every record appended so far durable.
+    /// Returns the ticket horizon made durable.
     pub fn sync(&self) -> Result<u64, StoreError> {
-        let flusher = self.flush.lock().unwrap_or_else(|e| e.into_inner());
-        self.sync_locked(flusher)
+        self.flush(u64::MAX)
     }
 
-    /// The flush body, entered holding the flusher lock.
-    fn sync_locked(&self, _flusher: std::sync::MutexGuard<'_, ()>) -> Result<u64, StoreError> {
-        let (mut handle, target, batch) = {
-            let st = self.lock();
-            if let Some(cause) = &st.sync_failed {
-                // Never retry past a failed fsync: the data the failure
-                // covered may already be gone from the page cache, so a
-                // "successful" retry would acknowledge lost records.
-                return Err(StoreError::StorageFailed(cause.clone()));
-            }
-            if st.durable_seq >= st.appended_seq {
-                return Ok(st.durable_seq); // nothing to flush
-            }
-            (
-                st.wal.sync_handle()?,
-                st.appended_seq,
-                st.appended_seq - st.durable_seq,
-            )
-        };
-        // fsync outside the append lock: writers build the next batch
+    /// Block until `ticket` is durable: the commit point. Returns at once
+    /// when an earlier fsync covered the ticket; otherwise follows the
+    /// fsync in flight, if any, and leads one covering every record
+    /// appended so far when that did not cover the ticket. A failed
+    /// fsync poisons the log: this and every later commit of an
+    /// uncovered ticket fails with [`StoreError::StorageFailed`]. A
+    /// ticket the log never issued is refused with
+    /// [`StoreError::LimitExceeded`] instead of awaited.
+    pub fn commit(&self, ticket: u64) -> Result<(), StoreError> {
+        let issued = self.lock().appended_seq;
+        if ticket > issued {
+            return Err(StoreError::LimitExceeded(format!(
+                "ticket {ticket} was never issued (last issued {issued})"
+            )));
+        }
+        match self.flush(ticket) {
+            Ok(_) => Ok(()),
+            Err(StoreError::StorageFailed(cause)) => Err(StoreError::StorageFailed(format!(
+                "group commit failed before ticket {ticket}: {cause}"
+            ))),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Make `ticket` durable (`u64::MAX`: every record appended so far),
+    /// following the fsync in flight and leading the next one unless the
+    /// former covered it. Returns the durable horizon.
+    fn flush(&self, ticket: u64) -> Result<u64, StoreError> {
+        let mut st = self.lock();
+        while st.flushing && st.durable_seq < ticket {
+            st = self.flushed.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        if st.durable_seq >= ticket {
+            return Ok(st.durable_seq); // an earlier fsync covered it
+        }
+        if let Some(cause) = &st.sync_failed {
+            // Never retry past a failed fsync: the data the failure
+            // covered may already be gone from the page cache, so a
+            // "successful" retry would acknowledge lost records.
+            return Err(StoreError::StorageFailed(cause.clone()));
+        }
+        if st.durable_seq >= st.appended_seq {
+            return Ok(st.durable_seq); // nothing to flush
+        }
+        let mut handle = st.wal.sync_handle()?;
+        let (target, batch) = (st.appended_seq, st.appended_seq - st.durable_seq);
+        st.flushing = true;
+        drop(st);
+        // fsync outside the state lock: writers build the next batch
         // while this one hits the disk.
         let t0 = Instant::now();
         let result = handle.sync_data();
         let fsync_ns = t0.elapsed().as_nanos() as u64;
         let mut st = self.lock();
+        st.flushing = false;
+        self.flushed.notify_all();
         match result {
             Ok(()) => {
                 st.durable_seq = st.durable_seq.max(target);
@@ -603,77 +624,14 @@ impl SharedWal {
                     obs.fsync_ns.record_ns(fsync_ns);
                     obs.batch_ops.record(batch);
                 }
-                self.durable.notify_all();
                 Ok(st.durable_seq)
             }
             Err(e) => {
-                // Permanent: poison the log and fail every waiting ticket.
+                // Permanent: poison the log, failing every uncovered ticket.
                 let cause = e.to_string();
                 st.poison(cause.clone());
-                self.durable.notify_all();
                 Err(StoreError::StorageFailed(cause))
             }
-        }
-    }
-
-    /// Block until `ticket` is durable, *helping with the flush* instead
-    /// of parking when the fsync-point is free.
-    ///
-    /// [`SharedWal::wait_durable`] parks on a condvar immediately, which
-    /// makes small commit windows futex-bound: with one edit in flight per
-    /// writer, every commit pays park + committer wakeup + notify — two
-    /// context switches bracketing a ~100µs fsync. This variant first
-    /// spins `spin` yields (sized by the caller to the core count; the
-    /// batch often goes durable while spinning), then — if no flusher is
-    /// active — runs the group fsync on the *calling* thread. The helping
-    /// fsync covers every record appended before it, so batching is
-    /// preserved: concurrent writers pile onto the one flusher's horizon
-    /// and the rest fall through to the condvar, which the helper
-    /// notifies. The dedicated committer remains the steady-state flusher;
-    /// helping only fills the latency gap when it is parked or busy
-    /// elsewhere.
-    pub fn commit_wait(&self, ticket: u64, spin: u32) -> Result<(), StoreError> {
-        for _ in 0..spin {
-            {
-                let st = self.lock();
-                if st.durable_seq >= ticket {
-                    return Ok(());
-                }
-                if st.sync_failed.is_some() {
-                    break; // wait_durable surfaces the error
-                }
-            }
-            std::thread::yield_now();
-        }
-        let flusher = match self.flush.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        };
-        if let Some(flusher) = flusher {
-            if let Ok(durable) = self.sync_locked(flusher) {
-                if durable >= ticket {
-                    return Ok(());
-                }
-            }
-        }
-        self.wait_durable(ticket)
-    }
-
-    /// Block until `ticket` is durable (acknowledged commit). Errors if a
-    /// group fsync failed before the ticket was covered.
-    pub fn wait_durable(&self, ticket: u64) -> Result<(), StoreError> {
-        let mut st = self.lock();
-        loop {
-            if st.durable_seq >= ticket {
-                return Ok(());
-            }
-            if let Some(cause) = &st.sync_failed {
-                return Err(StoreError::StorageFailed(format!(
-                    "group commit failed before ticket {ticket}: {cause}"
-                )));
-            }
-            st = self.durable.wait(st).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -693,11 +651,9 @@ impl SharedWal {
         let tickets = st.appended_seq;
         if let Err(e) = st.wal.truncate(tickets) {
             st.poison(e.to_string());
-            self.durable.notify_all();
             return Err(StoreError::StorageFailed(e.to_string()));
         }
         st.durable_seq = st.appended_seq;
-        self.durable.notify_all();
         Ok(())
     }
 }
@@ -925,18 +881,16 @@ mod tests {
         let t1 = wal.append(b"one").unwrap();
         let t2 = wal.append(b"two").unwrap();
         assert!(t2 > t1);
-        assert!(wal.has_pending());
         let horizon = wal.sync().unwrap();
         assert!(horizon >= t2);
-        assert!(!wal.has_pending());
         // Covered tickets return immediately.
-        wal.wait_durable(t1).unwrap();
-        wal.wait_durable(t2).unwrap();
+        wal.commit(t1).unwrap();
+        wal.commit(t2).unwrap();
         // Truncate marks outstanding tickets durable (checkpoint absorbed
         // them) and the log restarts clean.
         let t3 = wal.append(b"three").unwrap();
         wal.truncate().unwrap();
-        wal.wait_durable(t3).unwrap();
+        wal.commit(t3).unwrap();
         assert!(wal.with(|w| w.is_empty()));
         // Reopened, the log continues the ticket sequence from its header.
         let reopened = SharedWal::new(Wal::open(&path).unwrap());
@@ -946,33 +900,22 @@ mod tests {
     }
 
     #[test]
-    fn shared_wal_concurrent_writers_one_committer() {
+    fn concurrent_writers_commit_their_own_tickets() {
         let path = temp("shared-threads");
         cleanup(&path);
         let wal = std::sync::Arc::new(SharedWal::new(Wal::open(&path).unwrap()));
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        // Committer: group-fsync whenever something is pending.
-        let committer = {
-            let wal = std::sync::Arc::clone(&wal);
-            let stop = std::sync::Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                    if wal.has_pending() {
-                        wal.sync().unwrap();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                wal.sync().unwrap();
-            })
-        };
+        let obs = WalObs::new(&MetricsRegistry::new(), "s");
+        wal.set_obs(obs.clone());
+        // No helper thread: each writer's commit leads an fsync or follows
+        // the one in flight.
         let writers: Vec<_> = (0..4u8)
             .map(|w| {
                 let wal = std::sync::Arc::clone(&wal);
                 std::thread::spawn(move || {
                     for i in 0..50u32 {
                         let ticket = wal.append(format!("w{w}-{i}").as_bytes()).unwrap();
-                        wal.wait_durable(ticket).unwrap();
+                        wal.commit(ticket).unwrap();
+                        assert!(wal.durable_seq() >= ticket);
                     }
                 })
             })
@@ -980,8 +923,8 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        stop.store(true, std::sync::atomic::Ordering::Release);
-        committer.join().unwrap();
+        // At most one fsync per commit call.
+        assert!(obs.fsyncs.get() <= 200, "{} fsyncs", obs.fsyncs.get());
         drop(wal);
         // Every acknowledged record is on disk.
         let mut reopened = Wal::open(&path).unwrap();
@@ -1000,7 +943,7 @@ mod tests {
         let wal = SharedWal::new(Wal::open_on(fs, &path).unwrap());
         let t1 = wal.append(b"pre-fault").unwrap();
         wal.sync().unwrap();
-        wal.wait_durable(t1).unwrap();
+        wal.commit(t1).unwrap();
 
         // Arm: the next fsync fails. The ticket appended under it must be
         // failed with the coded permanent error — and *stay* failed even
@@ -1009,14 +952,7 @@ mod tests {
         let t2 = wal.append(b"doomed").unwrap();
         assert!(matches!(wal.sync(), Err(StoreError::StorageFailed(_))));
         plan.disarm(); // disk "recovers" — must make no difference
-        assert!(matches!(
-            wal.wait_durable(t2),
-            Err(StoreError::StorageFailed(_))
-        ));
-        assert!(matches!(
-            wal.commit_wait(t2, 64),
-            Err(StoreError::StorageFailed(_))
-        ));
+        assert!(matches!(wal.commit(t2), Err(StoreError::StorageFailed(_))));
         assert!(matches!(wal.sync(), Err(StoreError::StorageFailed(_))));
         assert!(matches!(
             wal.append(b"refused"),
@@ -1036,31 +972,45 @@ mod tests {
     }
 
     #[test]
-    fn helping_commit_wait_shares_the_poisoning_contract() {
-        // One writer, window 1: the writer's own helping fsync is the
-        // commit point, and its failure is as permanent as the group's.
+    fn a_failed_leader_fsync_fails_every_waiter() {
+        // The leader's fsync is the commit point for every writer queued
+        // behind it, so its failure is theirs too — and permanent.
         use crate::vfs::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
-        let path = temp("poison-helping");
+        let path = temp("poison-leader");
         cleanup(&path);
         let plan = FaultPlan::new();
         let fs = FaultFs::new(std::sync::Arc::clone(&plan));
-        let wal = SharedWal::new(Wal::open_on(fs, &path).unwrap());
+        let wal = std::sync::Arc::new(SharedWal::new(Wal::open_on(fs, &path).unwrap()));
         let obs = WalObs::new(&MetricsRegistry::new(), "s");
         wal.set_obs(obs.clone());
         let t1 = wal.append(b"a").unwrap();
-        wal.commit_wait(t1, 0).unwrap();
+        wal.commit(t1).unwrap();
         assert_eq!(obs.fsyncs.get(), 1);
         plan.push(FaultRule::new(FaultOp::Sync, 0, FaultKind::Enospc));
         let t2 = wal.append(b"b").unwrap();
-        assert!(matches!(
-            wal.commit_wait(t2, 0),
-            Err(StoreError::StorageFailed(_))
-        ));
+        // Mark an fsync in flight so the follower queues behind it, then
+        // lead that fsync (clearing the mark without a wakeup first, so
+        // the follower sleeps until the leader's fsync has failed). The
+        // pause only makes the queued case likely: a follower arriving
+        // after the failure finds the log poisoned, so the assertions
+        // hold for either interleaving.
+        wal.lock().flushing = true;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let follower = {
+            let wal = std::sync::Arc::clone(&wal);
+            std::thread::spawn(move || tx.send(wal.commit(t2)).unwrap())
+        };
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        wal.lock().flushing = false;
+        assert!(matches!(wal.sync(), Err(StoreError::StorageFailed(_))));
+        let followed = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the follower must not hang");
+        assert!(matches!(followed, Err(StoreError::StorageFailed(_))));
+        follower.join().unwrap();
         plan.disarm();
-        assert!(matches!(
-            wal.commit_wait(t2, 0),
-            Err(StoreError::StorageFailed(_))
-        ));
+        assert!(matches!(wal.commit(t2), Err(StoreError::StorageFailed(_))));
+        assert_eq!(obs.fsyncs.get(), 1);
         assert!(wal.poisoned().unwrap().contains("No space left"));
         cleanup(&path);
     }

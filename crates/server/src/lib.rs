@@ -11,9 +11,9 @@
 //! Two properties the protocol work hinges on:
 //!
 //! * **Group-commit pipelining.** `StageEdit` returns its receipt without
-//!   waiting for the fsync; `AwaitCommit` parks the worker on the commit
-//!   ticket. A client keeping a window of staged edits in flight lets the
-//!   group committer fold the whole window into ~1 fsync.
+//!   waiting for the fsync; `AwaitCommit` commits the ticket on the
+//!   worker's thread. A client keeping a window of staged edits in flight
+//!   thereby pays ~1 fsync for the whole window.
 //! * **Admission control.** Each connection may hold at most
 //!   [`ServerConfig::max_staged_per_conn`] staged-but-unacknowledged
 //!   edits per sheet; the window is pruned against the sheet's durable
@@ -683,7 +683,7 @@ mod tests {
         session.open_sheet("s").unwrap();
 
         // Fill the window with tickets far beyond any durable horizon —
-        // as if the committer had stalled with 4 staged edits in flight.
+        // as if 4 staged edits were in flight with nobody awaiting them.
         let staged = Mutex::new(StagedWindow::default());
         for i in 0..4u64 {
             staged.lock().unwrap().push("s", u64::MAX - 4 + i);

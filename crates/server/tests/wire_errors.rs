@@ -6,7 +6,9 @@
 
 use dataspread_client::{Client, RemoteSession};
 use dataspread_grid::{CellAddr, CellValue, Rect};
-use dataspread_proto::{codes, WireError};
+use dataspread_proto::{
+    codes, read_frame, write_frame, Request, Response, WireError, PROTOCOL_VERSION,
+};
 use dataspread_server::serve;
 use dataspread_workspace::{Edit, Session, Workspace, WorkspaceError};
 
@@ -104,4 +106,89 @@ fn remote_errors_equal_the_local_errors_wire_form() {
 
     drop(client);
     handle.shutdown();
+}
+
+/// `AwaitCommit` on a ticket the sheet never issued is refused with
+/// `STORE_LIMIT_EXCEEDED`, not parked: a connection's workers outnumbered
+/// by such frames still answer everything queued behind them.
+#[test]
+fn await_of_an_unissued_ticket_is_refused_over_the_wire() {
+    let dir = std::env::temp_dir().join(format!("ds-wire-unissued-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ws = Workspace::open(&dir).unwrap();
+    let local = ws.session();
+    let handle = serve(ws, "127.0.0.1:0").unwrap();
+    let addr = handle.local_addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        let mut writer = stream;
+        let mut send = |id: u64, req: Request| write_frame(&mut writer, &req.encode(id)).unwrap();
+        let mut recv = || {
+            let payload = read_frame(&mut reader).unwrap().expect("response");
+            Response::decode(&payload).unwrap()
+        };
+        // Workers run a connection's requests concurrently, so the setup
+        // goes one request at a time.
+        let mut call = |id: u64, req: Request| {
+            send(id, req);
+            let (got, resp) = recv();
+            assert_eq!(got, id);
+            resp
+        };
+        call(
+            1,
+            Request::Hello {
+                version: PROTOCOL_VERSION,
+            },
+        );
+        assert_eq!(
+            call(2, Request::OpenSheet { sheet: "s".into() }),
+            Response::Ok
+        );
+        let set = Edit::Set {
+            row: 0,
+            col: 0,
+            input: "1".into(),
+        };
+        let Response::Receipt(receipt) = call(
+            3,
+            Request::ApplyEdit {
+                sheet: "s".into(),
+                edit: set,
+            },
+        ) else {
+            panic!("ApplyEdit must answer with a receipt");
+        };
+        let last = receipt.ticket;
+        // More unissued awaits than the connection has workers, then a
+        // ping queued behind them.
+        for id in 10..18 {
+            send(
+                id,
+                Request::AwaitCommit {
+                    sheet: "s".into(),
+                    ticket: last + 1000,
+                },
+            );
+        }
+        send(18, Request::Ping);
+        let replies: Vec<(u64, Response)> = (0..9).map(|_| recv()).collect();
+        tx.send((last, replies)).unwrap();
+    });
+    let (last, replies) = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("AwaitCommit of an unissued ticket must not wedge the connection");
+    let local_err = local.await_commit("s", last + 1000).unwrap_err().to_wire();
+    assert_eq!(local_err.code, codes::STORE_LIMIT_EXCEEDED);
+    for (id, resp) in replies {
+        match id {
+            18 => assert_eq!(resp, Response::Pong),
+            _ => assert_eq!(resp, Response::Err(local_err.clone()), "request {id}"),
+        }
+    }
+    local.await_commit("s", last).unwrap();
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,5 +1,5 @@
-//! The concurrent workspace service: many sheets, many sessions, one
-//! group-commit pipeline.
+//! The concurrent workspace service: many sheets, many sessions, and
+//! group commit on each sheet's WAL.
 //!
 //! The paper frames DataSpread as a spreadsheet *served* from a
 //! database-grade engine: many users fetch positional windows and issue
@@ -22,12 +22,13 @@
 //!   sheet ids, plain-data [`Edit`] values, receipts) so a network
 //!   front-end can be bolted on without reshaping the service.
 //! * **Group commit.** In a durable workspace every edit appends to the
-//!   sheet's WAL and receives a *commit ticket*; instead of paying one
-//!   fsync per op, sessions block on their ticket while a dedicated
-//!   committer thread batches all outstanding records into one fsync per
-//!   sheet per round — K writers × 1 fsync/op becomes ~1 fsync per batch,
-//!   with the identical durability contract: `apply_edit` does not return
-//!   before the edit is on stable storage.
+//!   sheet's WAL and receives a *commit ticket*, which the session then
+//!   commits on its own thread. There is no commit thread: a committing
+//!   writer that finds no fsync in flight fsyncs every record appended so
+//!   far, and the writers arriving meanwhile wait for that fsync and
+//!   mostly find their tickets covered by it — K writers × 1 fsync/op
+//!   becomes ~1 fsync per batch, with the identical durability contract:
+//!   `apply_edit` does not return before the edit is on stable storage.
 //!
 //! Crash recovery is unchanged from the single-threaded engine: each
 //! sheet directory recovers independently (image + committed WAL
@@ -45,7 +46,6 @@
 //! [`WorkspaceError::to_wire`]; the client (`dataspread-client`) hands
 //! that `WireError` to its caller unchanged and never links this crate.
 
-mod committer;
 mod service;
 
 pub use dataspread_proto::{Edit, EditReceipt, SheetStats, WindowPatch};

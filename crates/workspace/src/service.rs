@@ -17,8 +17,6 @@ use dataspread_proto::{
 };
 use dataspread_relstore::{SharedWal, StorageFs, StoreError, WalObs};
 
-use crate::committer::GroupCommitter;
-
 /// Workspace construction knobs.
 #[derive(Clone)]
 pub struct WorkspaceConfig {
@@ -212,7 +210,7 @@ impl WorkspaceError {
 }
 
 /// One sheet shard: the engine behind its reader-writer lock plus the
-/// shared WAL handle the committer fsyncs through.
+/// shared WAL handle its writers commit through.
 struct Shard {
     name: String,
     engine: RwLock<SheetEngine>,
@@ -322,7 +320,6 @@ struct Inner {
     dir: Option<PathBuf>,
     config: WorkspaceConfig,
     sheets: RwLock<HashMap<String, Arc<SheetSlot>>>,
-    committer: GroupCommitter,
     /// The workspace-wide metrics registry every layer records into
     /// (WAL fsyncs, engine recompute waves, session op latencies, …).
     metrics: Arc<MetricsRegistry>,
@@ -330,12 +327,6 @@ struct Inner {
     /// `wal_ops_per_fsync` — appended WAL records per fsync across the
     /// workspace, refreshed by [`Session::metrics`].
     ops_per_fsync: Arc<Gauge>,
-    /// Yield budget a writer spins before helping with (or
-    /// parking for) the flush — see [`SharedWal::commit_wait`]. Sized by
-    /// core count at construction: on one core yielding hands the CPU to
-    /// the other writers so the batch grows; on many cores a longer spin
-    /// usually observes the committer's fsync completing.
-    commit_spin: u32,
 }
 
 /// A concurrent multi-sheet workspace. Create one, hand [`Session`]s to
@@ -407,14 +398,9 @@ impl Workspace {
                 dir,
                 config,
                 sheets: RwLock::new(HashMap::new()),
-                committer: GroupCommitter::new(),
                 metrics,
                 op_hists,
                 ops_per_fsync,
-                commit_spin: std::thread::available_parallelism()
-                    .map_or(1, std::num::NonZeroUsize::get)
-                    .clamp(1, 16) as u32
-                    * 4,
             }),
         }
     }
@@ -579,7 +565,6 @@ impl Session {
         let wal = engine.commit_wal();
         if let Some(wal) = &wal {
             wal.set_obs(WalObs::new(&self.inner.metrics, name));
-            self.inner.committer.register(wal);
         }
         Ok(Arc::new(Shard {
             name: name.to_string(),
@@ -684,10 +669,10 @@ impl Session {
     ///
     /// The edit itself serializes under the sheet's write lock (one writer
     /// per sheet; writers on other sheets run in parallel). Commit
-    /// acknowledgement happens *after* the lock is released: the sheet's
-    /// WAL is enqueued with the committer and the call blocks on the
-    /// edit's ticket — so the fsync wait never blocks the sheet's readers
-    /// or the next writer.
+    /// acknowledgement happens *after* the lock is released: the call
+    /// commits the edit's ticket on the sheet's WAL (see
+    /// [`SharedWal::commit`]) — so the fsync wait never blocks the sheet's
+    /// readers or the next writer.
     pub fn apply_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WorkspaceError> {
         let shard = self.shard(sheet)?;
         let t0 = self.op_timer(&self.inner.op_hists.apply_edit);
@@ -738,13 +723,20 @@ impl Session {
     /// applied and logged, and the returned receipt's ticket can be
     /// awaited later with [`Session::await_commit`] — the pipelining
     /// building block for RPC clients that keep a small window of edits
-    /// in flight (the group committer then folds a whole window into one
-    /// fsync). Durable workspaces return immediately with
-    /// `durable: false`.
+    /// in flight (the awaiting writer's one fsync then covers the whole
+    /// window). Durable workspaces return immediately with
+    /// `durable: false`; a staged edit nobody awaits becomes durable with
+    /// the sheet's next commit or checkpoint.
     pub fn stage_edit(&self, sheet: &str, edit: Edit) -> Result<EditReceipt, WorkspaceError> {
         let shard = self.shard(sheet)?;
         let t0 = self.op_timer(&self.inner.op_hists.stage_edit);
-        let res = self.stage_edit_inner(&shard, &edit);
+        // In-memory engines log nothing, so their ticket is 0.
+        let res = self
+            .apply_under_lock(&shard, &edit)
+            .map(|ticket| EditReceipt {
+                ticket,
+                durable: false,
+            });
         let outcome = self.outcome_of(&shard, &res);
         let ticket = res.as_ref().map_or(0, |r| r.ticket);
         self.note_op(
@@ -758,31 +750,16 @@ impl Session {
         res
     }
 
-    fn stage_edit_inner(&self, shard: &Shard, edit: &Edit) -> Result<EditReceipt, WorkspaceError> {
-        // In-memory engines log nothing, so their ticket is 0.
-        let ticket = self.apply_under_lock(shard, edit)?;
-        if let Some(wal) = &shard.wal {
-            self.inner.committer.nudge(wal);
-        }
-        Ok(EditReceipt {
-            ticket,
-            durable: false,
-        })
-    }
-
     /// Block until `ticket` (from [`Session::stage_edit`]) is
     /// crash-durable. Tickets are covered in order, so awaiting the last
-    /// ticket of a staged window commits the whole window.
+    /// ticket of a staged window commits the whole window. A ticket the
+    /// sheet never issued is refused with a `LimitExceeded` store error.
     pub fn await_commit(&self, sheet: &str, ticket: u64) -> Result<(), WorkspaceError> {
         let shard = self.shard(sheet)?;
         let t0 = self.op_timer(&self.inner.op_hists.await_commit);
         let res = match &shard.wal {
             None => Ok(()), // in-memory: nothing to await
-            Some(wal) => {
-                self.inner.committer.nudge(wal);
-                wal.commit_wait(ticket, self.inner.commit_spin)
-                    .map_err(promote_storage)
-            }
+            Some(wal) => wal.commit(ticket).map_err(promote_storage),
         };
         let outcome = self.outcome_of(&shard, &res);
         self.note_op(
@@ -874,13 +851,7 @@ impl Session {
                 durable: false,
             });
         };
-        // `commit_wait` spins briefly then *helps* with the fsync when the
-        // fsync-point is free — small commit windows stay fsync-bound
-        // instead of futex-bound, while wide windows still batch through
-        // the committer thread.
-        self.inner.committer.nudge(wal);
-        wal.commit_wait(ticket, self.inner.commit_spin)
-            .map_err(promote_storage)?;
+        wal.commit(ticket).map_err(promote_storage)?;
         Ok(EditReceipt {
             ticket,
             durable: true,
@@ -1140,6 +1111,104 @@ mod tests {
                 "staged edit {i} must have committed"
             );
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn await_of_an_unissued_ticket_is_refused() {
+        let dir = temp_dir("unissued");
+        let ws = Workspace::open(&dir).unwrap();
+        let s = ws.session();
+        s.open_sheet("p").unwrap();
+        s.apply_edit("p", set(0, 0, "1")).unwrap();
+        let last = s.apply_edit("p", set(1, 0, "2")).unwrap().ticket;
+        // Await on a thread so a hang fails the test instead of wedging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let awaiter = s.clone();
+        std::thread::spawn(move || tx.send(awaiter.await_commit("p", last + 1000)).unwrap());
+        let err = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("await_commit of an unissued ticket must not block")
+            .unwrap_err();
+        assert_eq!(err.code(), codes::STORE_LIMIT_EXCEEDED, "got {err:?}");
+        assert!(err.to_string().contains("never issued"), "got {err}");
+        // A refusal is not a storage failure: the sheet stays writable and
+        // issued tickets still commit.
+        assert!(s.storage_failed("p").unwrap().is_none());
+        s.await_commit("p", last).unwrap();
+        assert!(s.apply_edit("p", set(2, 0, "3")).unwrap().durable);
+        // In-memory sheets issue no tickets and have nothing to await.
+        let mem = Workspace::in_memory().session();
+        mem.open_sheet("p").unwrap();
+        mem.await_commit("p", 1000).unwrap();
+        drop(ws);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fsyncs_never_exceed_commit_waits() {
+        let fsyncs = |ws: &Workspace| {
+            ws.metrics_registry()
+                .snapshot()
+                .counter("wal_fsyncs{sheet=\"p\"}")
+                .unwrap_or(0)
+        };
+        // Synchronous: every apply_edit is a commit with nothing else to
+        // cover, so each pays exactly one fsync.
+        let dir = temp_dir("fsyncs-sync");
+        {
+            let ws = Workspace::open(&dir).unwrap();
+            let s = ws.session();
+            s.open_sheet("p").unwrap();
+            let before = fsyncs(&ws);
+            for i in 0..50u32 {
+                s.apply_edit("p", set(i, 0, &i.to_string())).unwrap();
+            }
+            assert_eq!(fsyncs(&ws) - before, 50);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Pipelined: 8 writers x 25 windows of 4 staged edits + 1 await.
+        // Only an await fsyncs, and at most once, so 800 ops cost at most
+        // 200 fsyncs.
+        let dir = temp_dir("fsyncs-pipelined");
+        {
+            let ws = Workspace::open(&dir).unwrap();
+            let s = ws.session();
+            s.open_sheet("p").unwrap();
+            let before = fsyncs(&ws);
+            std::thread::scope(|scope| {
+                for w in 0..8u32 {
+                    let s = s.clone();
+                    scope.spawn(move || {
+                        for window in 0..25u32 {
+                            let mut last = 0;
+                            for k in 0..4u32 {
+                                let row = window * 4 + k;
+                                let input = (w * 1000 + row).to_string();
+                                last = s.stage_edit("p", set(row, w, &input)).unwrap().ticket;
+                            }
+                            s.await_commit("p", last).unwrap();
+                        }
+                    });
+                }
+            });
+            let spent = fsyncs(&ws) - before;
+            assert!(spent <= 200, "{spent} fsyncs for 800 ops");
+        }
+        let ws = Workspace::open(&dir).unwrap();
+        let s = ws.session();
+        s.open_sheet("p").unwrap();
+        for w in 0..8u32 {
+            for row in 0..100u32 {
+                assert_eq!(
+                    s.value("p", CellAddr::new(row, w)).unwrap(),
+                    CellValue::Number((w * 1000 + row) as f64),
+                    "edit ({row}, {w}) must recover"
+                );
+            }
+        }
+        drop(ws);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,10 +1,9 @@
 //! Crash-mid-group-commit recovery: the every-byte-cut harness applied to
-//! a WAL produced by *concurrent* writers under the group-commit
-//! committer.
+//! a WAL produced by *concurrent* writers under group commit.
 //!
 //! The crash model: the machine dies at an arbitrary byte of the sheet's
-//! WAL — possibly in the middle of a batch the committer was about to
-//! fsync. Recovery must reconstruct the state of some prefix of the
+//! WAL — possibly in the middle of a batch a committing writer was about
+//! to fsync. Recovery must reconstruct the state of some prefix of the
 //! *serialized* edit order (commit-ticket order), never a torn record and
 //! never a reordering; and every edit that was **acknowledged** (its
 //! `apply_edit` returned) must survive a cut at the full length, because
@@ -51,8 +50,8 @@ fn crash_at_every_wal_byte_recovers_a_ticket_ordered_prefix() {
         let ws = Workspace::open_with(&dir, WorkspaceConfig::default()).unwrap();
         let session = ws.session();
         session.open_sheet("grid").unwrap();
-        // 4 concurrent writers, every edit acknowledged through the group
-        // committer. Disjoint columns per writer keep the tape readable in
+        // 4 concurrent writers, every edit acknowledged through group
+        // commit. Disjoint columns per writer keep the tape readable in
         // failures; the serialization order is still genuinely concurrent.
         std::thread::scope(|scope| {
             for w in 0..4u32 {

@@ -189,9 +189,9 @@ fn stress_roundtrip(name: &str, checkpoints: bool, seed: u64) {
             .map(|s| session.snapshot(s).unwrap())
             .collect();
         (logs, live)
-        // Workspace drops here: committer drains, files stay as a crash
-        // image (group commit means every acknowledged edit is durable
-        // without any explicit save).
+        // Workspace drops here; the files stay as a crash image (group
+        // commit means every acknowledged edit is durable without any
+        // explicit save).
     };
 
     for (si, sheet) in sheets.iter().enumerate() {

@@ -29,8 +29,8 @@
 //! * [`workspace`] — the concurrent multi-sheet service: sheets sharded
 //!   behind per-sheet locks, a name-keyed session API
 //!   (`open_sheet` / `fetch_window` / `apply_edit` / `import_rows` /
-//!   `checkpoint`), and a group-commit committer that batches WAL fsyncs
-//!   across concurrent writers,
+//!   `checkpoint`), and group commit, where the committing writer's one
+//!   WAL fsync covers every writer waiting behind it,
 //! * [`proto`] — the wire-stable protocol layer: length-prefixed
 //!   framing, request/response envelopes, compact
 //!   [`proto::WindowPatch`] window encoding, and stable numeric error
