@@ -820,13 +820,13 @@ impl RemoteSession {
         }
     }
 
+    /// The sheet's counters and health: its projection of
+    /// [`RemoteSession::metrics`] ([`SheetStats::from_snapshot`]), equal to
+    /// the in-process `Session::stats`. A sheet the server has not opened
+    /// (or is still recovering) is refused with [`codes::NO_SUCH_SHEET`].
     pub fn stats(&self, sheet: &str) -> Result<SheetStats, WireError> {
-        match self.shared.call_retry(&Request::Stats {
-            sheet: sheet.to_string(),
-        })? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected("Stats", other)),
-        }
+        SheetStats::from_snapshot(&self.metrics()?, sheet)
+            .ok_or_else(|| WireError::new(codes::NO_SUCH_SHEET, sheet))
     }
 
     /// A point-in-time [`RegistrySnapshot`] of the server's whole metrics

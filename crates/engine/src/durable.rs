@@ -901,8 +901,6 @@ pub struct PersistenceStats {
     pub wal_bytes: u64,
     /// Ops logged since the last checkpoint.
     pub ops_since_checkpoint: u64,
-    /// Checkpoints taken through this handle.
-    pub checkpoints: u64,
     /// Image size in pages.
     pub image_pages: u64,
     /// Regions tracked by the image's map.
@@ -933,7 +931,6 @@ pub struct DurableStore {
     /// first checkpoint).
     map_extent: Extent,
     ops_since_checkpoint: u64,
-    checkpoints: u64,
     /// Commit ticket of the most recently logged op (0 = none yet;
     /// seeded with the recovered ticket horizon so numbering continues
     /// across restarts).
@@ -1103,7 +1100,6 @@ impl DurableStore {
                 map,
                 map_extent,
                 ops_since_checkpoint: ops.len() as u64,
-                checkpoints: 0,
                 last_ticket: horizon,
                 incarnation,
                 recovered_horizon: horizon,
@@ -1507,7 +1503,6 @@ impl DurableStore {
         self.map = map;
         self.map_extent = map_extent;
         self.ops_since_checkpoint = 0;
-        self.checkpoints += 1;
         self.poisoned = None;
     }
 
@@ -1526,7 +1521,6 @@ impl DurableStore {
         PersistenceStats {
             wal_bytes: self.wal.with(|w| w.len_bytes()),
             ops_since_checkpoint: self.ops_since_checkpoint,
-            checkpoints: self.checkpoints,
             image_pages: self.image.page_count,
             image_regions: self.map.len() as u64,
             pages_read: self.image.pages_read,

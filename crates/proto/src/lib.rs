@@ -16,12 +16,12 @@
 //!
 //! * [`types`] — the session vocabulary: [`Edit`], [`EditReceipt`],
 //!   [`WireError`] (stable numeric error codes in [`codes`]),
-//!   [`CheckpointSummary`], and the unified per-sheet stats payload
-//!   [`SheetStats`] (field-tagged encoding: unknown fields from a newer
-//!   peer are skipped, so the stats frame can grow without a protocol
-//!   bump).
+//!   [`CheckpointSummary`], and [`SheetStats`], one sheet's numbers and
+//!   health projected out of a metrics snapshot
+//!   ([`SheetStats::from_snapshot`]) rather than a frame of its own.
 //! * [`metrics`] — the canonical validated codec for whole-workspace
-//!   [`RegistrySnapshot`] frames served by [`Request::Metrics`].
+//!   [`RegistrySnapshot`] frames served by [`Request::Metrics`], the one
+//!   stats channel: every per-sheet number travels in it.
 //! * [`patch`] — [`WindowPatch`], the compact positional-window response:
 //!   typed value runs plus sparse formula/error overlays instead of one
 //!   boxed [`dataspread_grid::Cell`] clone per filled cell. Used both

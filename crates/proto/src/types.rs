@@ -1,9 +1,9 @@
 //! The wire vocabulary of the session API: edits, receipts, stats, and
 //! the numeric error space.
 
-use dataspread_grid::codec::{corrupt, put_str, put_u16, put_u32, put_u64, put_u8, Reader};
+use dataspread_grid::codec::{corrupt, put_str, put_u32, put_u64, put_u8, Reader};
 use dataspread_grid::DecodeError;
-use dataspread_obs::Health;
+use dataspread_obs::{metric_key, Health, HistogramSnapshot, RegistrySnapshot};
 
 /// One logical edit, RPC-shaped (plain data, no engine types beyond the
 /// cell-value enum used by imports).
@@ -138,15 +138,14 @@ impl CheckpointSummary {
     }
 }
 
-/// Point-in-time counters and health for one sheet — the single stats
-/// payload used both in-process (`Session::stats`) and over the wire
-/// (`Response::Stats`).
+/// Point-in-time counters and health for one sheet: a view of the
+/// workspace's metrics snapshot, not a message of its own. Build it with
+/// [`SheetStats::from_snapshot`]; in process `Session::stats` does, and
+/// over the wire `RemoteSession::stats` projects a `Request::Metrics`
+/// answer the same way.
 ///
 /// The struct is `#[non_exhaustive]`: new PRs append fields without
-/// breaking downstream matches. The encoding is field-tagged (per field:
-/// a `u16` id plus a length-prefixed payload), so a decoder skips ids it
-/// does not know — an old client reading a new server's stats sees the
-/// fields it understands and silently drops the rest.
+/// breaking downstream matches.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct SheetStats {
@@ -162,7 +161,9 @@ pub struct SheetStats {
     pub wal_bytes: u64,
     /// Ops logged since the last checkpoint (replay cost on reopen).
     pub ops_since_checkpoint: u64,
-    /// Checkpoints taken since open.
+    /// Checkpoints recorded in `checkpoint_ns{sheet}`: those taken since
+    /// the workspace attached its metrics (not the recovery checkpoint at
+    /// open), and none while metrics are disabled.
     pub checkpoints: u64,
     /// Pages in the checkpoint image.
     pub image_pages: u64,
@@ -188,125 +189,42 @@ pub struct SheetStats {
     pub degraded_since_ms: Option<u64>,
 }
 
-/// Field ids for the [`SheetStats`] tagged encoding. Ids are wire
-/// contract: never reuse, only append.
-mod stat_ids {
-    pub const FILLED_CELLS: u16 = 1;
-    pub const REGIONS: u16 = 2;
-    pub const PERSISTENT: u16 = 3;
-    pub const WAL_BYTES: u16 = 4;
-    // 5 is retired (the WAL segment count an older peer still sends);
-    // never reuse it.
-    pub const OPS_SINCE_CHECKPOINT: u16 = 6;
-    pub const CHECKPOINTS: u16 = 7;
-    pub const IMAGE_PAGES: u16 = 8;
-    pub const IMAGE_REGIONS: u16 = 9;
-    pub const RESIDENT_BYTES: u16 = 10;
-    pub const PAGER_HITS: u16 = 11;
-    pub const PAGER_MISSES: u16 = 12;
-    pub const PAGER_EVICTIONS: u16 = 13;
-    pub const PAGER_PAGES_READ: u16 = 14;
-    pub const PAGER_PAGES_WRITTEN: u16 = 15;
-    pub const HEALTH: u16 = 16;
-    pub const DEGRADED_CAUSE: u16 = 17;
-    pub const DEGRADED_SINCE_MS: u16 = 18;
-    // 19 and 20 are retired (the formula cell-cache counters an older
-    // peer still sends); never reuse them.
-}
-
-/// Upper bound on fields in one [`SheetStats`] frame — far above any real
-/// encoding, low enough that a corrupt count cannot drive a huge loop.
-const MAX_STAT_FIELDS: u32 = 1 << 12;
-
 impl SheetStats {
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        fn u64_payload(v: u64) -> Vec<u8> {
-            let mut p = Vec::with_capacity(8);
-            put_u64(&mut p, v);
-            p
-        }
-        let mut buf = Vec::new();
-        let mut count: u32 = 0;
-        let mut field = |id: u16, payload: Vec<u8>| {
-            put_u16(&mut buf, id);
-            put_u32(&mut buf, payload.len() as u32);
-            buf.extend_from_slice(&payload);
-            count += 1;
+    /// Project `sheet`'s numbers out of a metrics snapshot: each number
+    /// field is the `{sheet}`-labelled gauge of the same name,
+    /// `checkpoints` is the count of `checkpoint_ns{sheet}`, `persistent`
+    /// says a `wal_bytes{sheet}` gauge exists, and health comes from the
+    /// snapshot's sheet list. `None` when that list does not name the
+    /// sheet (never opened, or still recovering).
+    pub fn from_snapshot(snap: &RegistrySnapshot, sheet: &str) -> Option<SheetStats> {
+        let health = snap.sheet_health(sheet)?;
+        let key = |name: &str| metric_key(name, &[("sheet", sheet)]);
+        let gauge = |name: &str| {
+            snap.gauge(&key(name))
+                .map(|v| u64::try_from(v).unwrap_or(0))
         };
-        field(stat_ids::FILLED_CELLS, u64_payload(self.filled_cells));
-        field(stat_ids::REGIONS, u64_payload(self.regions));
-        field(stat_ids::PERSISTENT, vec![u8::from(self.persistent)]);
-        field(stat_ids::WAL_BYTES, u64_payload(self.wal_bytes));
-        field(
-            stat_ids::OPS_SINCE_CHECKPOINT,
-            u64_payload(self.ops_since_checkpoint),
-        );
-        field(stat_ids::CHECKPOINTS, u64_payload(self.checkpoints));
-        field(stat_ids::IMAGE_PAGES, u64_payload(self.image_pages));
-        field(stat_ids::IMAGE_REGIONS, u64_payload(self.image_regions));
-        field(stat_ids::RESIDENT_BYTES, u64_payload(self.resident_bytes));
-        field(stat_ids::PAGER_HITS, u64_payload(self.pager_hits));
-        field(stat_ids::PAGER_MISSES, u64_payload(self.pager_misses));
-        field(stat_ids::PAGER_EVICTIONS, u64_payload(self.pager_evictions));
-        field(
-            stat_ids::PAGER_PAGES_READ,
-            u64_payload(self.pager_pages_read),
-        );
-        field(
-            stat_ids::PAGER_PAGES_WRITTEN,
-            u64_payload(self.pager_pages_written),
-        );
-        field(stat_ids::HEALTH, vec![health_to_u8(self.health)]);
-        if let Some(cause) = &self.degraded_cause {
-            let mut p = Vec::new();
-            put_str(&mut p, cause);
-            field(stat_ids::DEGRADED_CAUSE, p);
-        }
-        if let Some(ms) = self.degraded_since_ms {
-            field(stat_ids::DEGRADED_SINCE_MS, u64_payload(ms));
-        }
-        put_u32(out, count);
-        out.extend_from_slice(&buf);
-    }
-
-    pub fn decode(r: &mut Reader<'_>) -> Result<SheetStats, DecodeError> {
-        let count = r.u32()?;
-        if count > MAX_STAT_FIELDS {
-            return Err(corrupt(format!(
-                "sheet-stats field count {count} too large"
-            )));
-        }
-        let mut s = SheetStats::default();
-        for _ in 0..count {
-            let id = r.u16()?;
-            let len = r.u32()? as usize;
-            let payload = r.take(len)?;
-            let mut f = Reader::new(payload);
-            match id {
-                stat_ids::FILLED_CELLS => s.filled_cells = f.u64()?,
-                stat_ids::REGIONS => s.regions = f.u64()?,
-                stat_ids::PERSISTENT => s.persistent = f.bool()?,
-                stat_ids::WAL_BYTES => s.wal_bytes = f.u64()?,
-                stat_ids::OPS_SINCE_CHECKPOINT => s.ops_since_checkpoint = f.u64()?,
-                stat_ids::CHECKPOINTS => s.checkpoints = f.u64()?,
-                stat_ids::IMAGE_PAGES => s.image_pages = f.u64()?,
-                stat_ids::IMAGE_REGIONS => s.image_regions = f.u64()?,
-                stat_ids::RESIDENT_BYTES => s.resident_bytes = f.u64()?,
-                stat_ids::PAGER_HITS => s.pager_hits = f.u64()?,
-                stat_ids::PAGER_MISSES => s.pager_misses = f.u64()?,
-                stat_ids::PAGER_EVICTIONS => s.pager_evictions = f.u64()?,
-                stat_ids::PAGER_PAGES_READ => s.pager_pages_read = f.u64()?,
-                stat_ids::PAGER_PAGES_WRITTEN => s.pager_pages_written = f.u64()?,
-                stat_ids::HEALTH => s.health = health_from_u8(f.u8()?)?,
-                stat_ids::DEGRADED_CAUSE => s.degraded_cause = Some(f.str()?),
-                stat_ids::DEGRADED_SINCE_MS => s.degraded_since_ms = Some(f.u64()?),
-                // Unknown field (a newer peer's, or a retired id from an
-                // older one): tolerated and dropped.
-                _ => continue,
-            }
-            f.expect_done("sheet-stats field")?;
-        }
-        Ok(s)
+        let number = |name: &str| gauge(name).unwrap_or(0);
+        Some(SheetStats {
+            filled_cells: number("filled_cells"),
+            regions: number("regions"),
+            persistent: gauge("wal_bytes").is_some(),
+            wal_bytes: number("wal_bytes"),
+            ops_since_checkpoint: number("ops_since_checkpoint"),
+            checkpoints: snap
+                .histogram(&key("checkpoint_ns"))
+                .map_or(0, HistogramSnapshot::count),
+            image_pages: number("image_pages"),
+            image_regions: number("image_regions"),
+            resident_bytes: number("resident_bytes"),
+            pager_hits: 0,
+            pager_misses: 0,
+            pager_evictions: 0,
+            pager_pages_read: number("pager_pages_read"),
+            pager_pages_written: number("pager_pages_written"),
+            health: health.health,
+            degraded_cause: health.cause.clone(),
+            degraded_since_ms: health.since_ms,
+        })
     }
 }
 
@@ -374,7 +292,9 @@ pub mod codes {
     pub const STORE_LIMIT_EXCEEDED: u16 = 0x207;
     pub const STORE_IO: u16 = 0x208;
     /// The store's permanent failure: its WAL or image can no longer
-    /// prove durability; only a reopen recovers.
+    /// prove durability; only a reopen recovers. The workspace never
+    /// sends it: a permanent failure that reaches the session, bare or
+    /// inside an engine error, answers [`STORAGE_FAILED`].
     pub const STORE_STORAGE_FAILED: u16 = 0x209;
 }
 

@@ -23,13 +23,14 @@ use dataspread_obs::RegistrySnapshot;
 
 use crate::metrics::{decode_metrics, encode_metrics};
 use crate::patch::WindowPatch;
-use crate::types::{CheckpointSummary, Edit, EditReceipt, SheetStats, WireError};
+use crate::types::{CheckpointSummary, Edit, EditReceipt, WireError};
 
 /// Bumped on any incompatible change; the hello handshake rejects
-/// mismatches before any other request is processed. Version 2 replaced
-/// the fixed-shape stats payload with the field-tagged [`SheetStats`]
-/// encoding and added `Metrics`.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// mismatches before any other request is processed. Version 2 added
+/// `Metrics`; version 3 retired `Stats` (request tag 9, response tag 7),
+/// whose numbers a client now projects out of the metrics snapshot with
+/// [`SheetStats::from_snapshot`](crate::SheetStats::from_snapshot).
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Hard cap on one frame's payload, matching the WAL's record bound — an
 /// import that fits in one WAL record fits in one frame.
@@ -77,7 +78,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
 }
 
 /// One session-API request. Variants mirror `Session`'s methods
-/// one-to-one; `Hello` and `Ping` are connection plumbing.
+/// one-to-one, `stats` aside (a projection of the `Metrics` answer);
+/// `Hello` and `Ping` are connection plumbing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Must be the first request on a connection.
@@ -114,9 +116,6 @@ pub enum Request {
         rows: Vec<Vec<CellValue>>,
     },
     Checkpoint {
-        sheet: String,
-    },
-    Stats {
         sheet: String,
     },
     Ping,
@@ -189,10 +188,8 @@ impl Request {
                 put_u8(&mut out, 8);
                 put_str(&mut out, sheet);
             }
-            Request::Stats { sheet } => {
-                put_u8(&mut out, 9);
-                put_str(&mut out, sheet);
-            }
+            // Tag 9 is retired (the `Stats` request of version 2); never
+            // reuse it.
             Request::Ping => put_u8(&mut out, 10),
             Request::DurableTicket { sheet } => {
                 put_u8(&mut out, 11);
@@ -237,7 +234,6 @@ impl Request {
                 rows: read_rows(&mut r)?,
             },
             8 => Request::Checkpoint { sheet: r.str()? },
-            9 => Request::Stats { sheet: r.str()? },
             10 => Request::Ping,
             11 => Request::DurableTicket { sheet: r.str()? },
             12 => Request::Metrics,
@@ -262,7 +258,6 @@ pub enum Response {
     Imported(Rect),
     /// `None` on in-memory workspaces (nothing to checkpoint).
     Checkpoint(Option<CheckpointSummary>),
-    Stats(SheetStats),
     Pong,
     Err(WireError),
     /// `DurableTicket` answer, both values frozen when the sheet's
@@ -320,10 +315,8 @@ impl Response {
                     }
                 }
             }
-            Response::Stats(stats) => {
-                put_u8(&mut out, 7);
-                stats.encode(&mut out);
-            }
+            // Tag 7 is retired (the `Stats` answer of version 2); never
+            // reuse it.
             Response::Pong => put_u8(&mut out, 8),
             Response::Err(e) => {
                 put_u8(&mut out, 9);
@@ -365,7 +358,6 @@ impl Response {
                 1 => Response::Checkpoint(Some(CheckpointSummary::decode(&mut r)?)),
                 t => return Err(corrupt(format!("unknown checkpoint presence tag {t}"))),
             },
-            7 => Response::Stats(SheetStats::decode(&mut r)?),
             8 => Response::Pong,
             9 => Response::Err(WireError {
                 code: r.u16()?,
@@ -549,7 +541,6 @@ mod tests {
                 "0807060504030201070200000073310a0000000200000003000000030000000300000001000000000000f83f02010000006103010000000002000000000404",
             ),
             ("checkpoint", Request::Checkpoint { sheet: s() }, "080706050403020108020000007331"),
-            ("stats", Request::Stats { sheet: s() }, "080706050403020109020000007331"),
             ("ping", Request::Ping, "08070605040302010a"),
             ("durable_ticket", Request::DurableTicket { sheet: s() }, "08070605040302010b020000007331"),
             ("metrics", Request::Metrics, "08070605040302010c"),
@@ -559,17 +550,6 @@ mod tests {
     /// One sample of every response variant (a window holding every run
     /// kind) with its frame under id 7, generated like [`requests`].
     fn responses() -> Vec<(&'static str, Response, &'static str)> {
-        let stats = SheetStats {
-            filled_cells: 100,
-            regions: 2,
-            persistent: true,
-            wal_bytes: 4096,
-            pager_hits: 7,
-            health: Health::Degraded,
-            degraded_cause: Some("fsync failed".into()),
-            degraded_since_ms: Some(1_700_000_000_000),
-            ..Default::default()
-        };
         vec![
             ("hello", Response::Hello { version: 2 }, "0700000000000000000200"),
             ("ok", Response::Ok, "070000000000000001"),
@@ -603,7 +583,6 @@ mod tests {
                 })),
                 "070000000000000006010300000000000000050000000000000001000000000000000100000000000000",
             ),
-            ("stats", Response::Stats(stats), "070000000000000007110000000100080000006400000000000000020008000000020000000000000003000100000001040008000000001000000000000006000800000000000000000000000700080000000000000000000000080008000000000000000000000009000800000000000000000000000a000800000000000000000000000b000800000007000000000000000c000800000000000000000000000d000800000000000000000000000e000800000000000000000000000f00080000000000000000000000100001000000011100100000000c0000006673796e63206661696c65641200080000000068e5cf8b010000"),
             ("pong", Response::Pong, "070000000000000008"),
             ("err", Response::Err(WireError::new(0x205, "bad page")), "0700000000000000090502080000006261642070616765"),
             (
@@ -651,40 +630,20 @@ mod tests {
         assert!(changed.is_empty(), "bytes changed:\n{}", changed.join("\n"));
     }
 
+    /// Version 3 retired `Stats`: its request tag (9) and response tag
+    /// (7) decode as unknown tags, so a version 2 peer that slipped past
+    /// the handshake gets a protocol error, not a misread frame.
     #[test]
-    fn stats_decoder_skips_unknown_fields() {
-        // A future server appends a field this decoder has no id for, or an
-        // older one still sends the retired WAL segment count (id 5) or
-        // cache counters (ids 19/20); the known fields still land and the
-        // rest is dropped.
-        let stats = SheetStats {
-            filled_cells: 7,
-            ..Default::default()
-        };
-        let mut body = Vec::new();
-        stats.encode(&mut body);
-        let count = u32::from_le_bytes(body[..4].try_into().unwrap());
-        let future: &[(u16, &[u8])] = &[(999, &[1, 2, 3, 4])];
-        let older: &[(u16, &[u8])] = &[
-            (5, &1u64.to_le_bytes()),
-            (19, &10u64.to_le_bytes()),
-            (20, &3u64.to_le_bytes()),
-        ];
-        for extra in [future, older] {
-            // Splice the extra fields in front and bump the count.
-            let mut spliced = Vec::new();
-            put_u32(&mut spliced, count + extra.len() as u32);
-            for (id, payload) in extra {
-                put_u16(&mut spliced, *id);
-                put_u32(&mut spliced, payload.len() as u32);
-                spliced.extend_from_slice(payload);
-            }
-            spliced.extend_from_slice(&body[4..]);
-            let mut r = Reader::new(&spliced);
-            let decoded = SheetStats::decode(&mut r).unwrap();
-            r.expect_done("stats").unwrap();
-            assert_eq!(decoded, stats);
-        }
+    fn retired_stats_tags_are_refused() {
+        // A version 2 stats request: tag 9, then the sheet name.
+        let mut request = Request::Checkpoint { sheet: "s1".into() }.encode(1);
+        request[8] = 9;
+        assert!(Request::decode(&request).is_err());
+        // A version 2 stats answer with no fields: tag 7, field count 0.
+        let mut response = Response::Pong.encode(1);
+        response[8] = 7;
+        response.extend_from_slice(&0u32.to_le_bytes());
+        assert!(Response::decode(&response).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use dataspread_grid::{Cell, CellAddr, CellError, CellValue, DecodeError, Rect};
 use dataspread_obs::{Event, Health, Histogram, HistogramSnapshot, RegistrySnapshot, SheetHealth};
 use dataspread_proto::{
     decode_metrics, encode_metrics, CheckpointSummary, Edit, EditReceipt, Request, Response,
-    SheetStats, WindowPatch, WireError,
+    WindowPatch, WireError,
 };
 
 fn histogram() -> impl Strategy<Value = HistogramSnapshot> {
@@ -215,35 +215,10 @@ fn request() -> impl Strategy<Value = Request> {
             }
         ),
         sheet_name().prop_map(|sheet| Request::Checkpoint { sheet }),
-        sheet_name().prop_map(|sheet| Request::Stats { sheet }),
         Just(Request::Ping),
         sheet_name().prop_map(|sheet| Request::DurableTicket { sheet }),
         Just(Request::Metrics),
     ]
-}
-
-fn stats() -> impl Strategy<Value = SheetStats> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        any::<bool>(),
-        any::<u64>(),
-        prop_oneof![Just(None), ("[ -~]{1,20}", any::<u64>()).prop_map(Some)],
-    )
-        .prop_map(|(filled, wal_bytes, persistent, pager_hits, degraded)| {
-            // `#[non_exhaustive]`: built field by field.
-            let mut s = SheetStats::default();
-            s.filled_cells = filled;
-            s.wal_bytes = wal_bytes;
-            s.persistent = persistent;
-            s.pager_hits = pager_hits;
-            if let Some((cause, since)) = degraded {
-                s.health = Health::Degraded;
-                s.degraded_cause = Some(cause);
-                s.degraded_since_ms = Some(since);
-            }
-            s
-        })
 }
 
 fn response() -> impl Strategy<Value = Response> {
@@ -264,7 +239,6 @@ fn response() -> impl Strategy<Value = Response> {
                 regions_written: d,
             }))
         }),
-        stats().prop_map(Response::Stats),
         Just(Response::Pong),
         (any::<u16>(), "[ -~]{0,12}")
             .prop_map(|(code, detail)| Response::Err(WireError::new(code, detail))),
@@ -298,25 +272,17 @@ fn prefix_rejected<T>(
 /// One flipped bit (`flip` picks byte and bit) either fails decode, or
 /// decodes to a different-but-valid value whose canonical encoding is
 /// exactly the mutated bytes — never a second byte representation of some
-/// value. `tolerant` marks the values whose decoder skips what it does
-/// not know (the field-tagged stats, by contract): those need only
-/// re-encode to themselves.
-fn flip_fails_or_stays_canonical<T: std::fmt::Debug + PartialEq>(
+/// value.
+fn flip_fails_or_stays_canonical<T>(
     frame: &[u8],
     flip: usize,
     decode: impl Fn(&[u8]) -> Result<T, DecodeError>,
     encode: impl Fn(&T) -> Vec<u8>,
-    tolerant: impl Fn(&T) -> bool,
 ) -> Result<(), TestCaseError> {
     let mut mutated = frame.to_vec();
     mutated[flip % frame.len()] ^= 1 << (flip % 8);
     if let Ok(back) = decode(&mutated) {
-        let re = encode(&back);
-        if tolerant(&back) {
-            prop_assert_eq!(decode(&re).ok(), Some(back));
-        } else {
-            prop_assert_eq!(re, mutated);
-        }
+        prop_assert_eq!(encode(&back), mutated);
     }
     Ok(())
 }
@@ -347,10 +313,6 @@ fn decode_patch_frame(bytes: &[u8]) -> Result<WindowPatch, DecodeError> {
     Ok(patch)
 }
 
-fn is_stats(resp: &(u64, Response)) -> bool {
-    matches!(resp.1, Response::Stats(_))
-}
-
 proptest! {
     #[test]
     fn roundtrip_exact(snap in snapshot()) {
@@ -372,7 +334,6 @@ proptest! {
             flip,
             decode_metrics_frame,
             metrics_frame,
-            |_| false,
         )?;
     }
 
@@ -385,7 +346,7 @@ proptest! {
         let frame = patch_frame(&patch);
         prop_assert_eq!(decode_patch_frame(&frame).unwrap(), patch);
         prefix_rejected(&frame, cut, decode_patch_frame)?;
-        flip_fails_or_stays_canonical(&frame, flip, decode_patch_frame, patch_frame, |_| false)?;
+        flip_fails_or_stays_canonical(&frame, flip, decode_patch_frame, patch_frame)?;
     }
 
     #[test]
@@ -399,7 +360,7 @@ proptest! {
         prop_assert_eq!(Request::decode(&frame).unwrap(), (id, req));
         prefix_rejected(&frame, cut, Request::decode)?;
         let encode = |(id, req): &(u64, Request)| req.encode(*id);
-        flip_fails_or_stays_canonical(&frame, flip, Request::decode, encode, |_| false)?;
+        flip_fails_or_stays_canonical(&frame, flip, Request::decode, encode)?;
     }
 
     #[test]
@@ -413,6 +374,6 @@ proptest! {
         prop_assert_eq!(Response::decode(&frame).unwrap(), (id, resp));
         prefix_rejected(&frame, cut, Response::decode)?;
         let encode = |(id, resp): &(u64, Response)| resp.encode(*id);
-        flip_fails_or_stays_canonical(&frame, flip, Response::decode, encode, is_stats)?;
+        flip_fails_or_stays_canonical(&frame, flip, Response::decode, encode)?;
     }
 }

@@ -143,7 +143,6 @@ fn request_kind(req: &Request) -> &'static str {
         Request::AwaitCommit { .. } => "await_commit",
         Request::ImportRows { .. } => "import_rows",
         Request::Checkpoint { .. } => "checkpoint",
-        Request::Stats { .. } => "stats",
         Request::DurableTicket { .. } => "durable_ticket",
         Request::Metrics => "metrics",
     }
@@ -501,7 +500,6 @@ fn dispatch(
                 regions_written: r.regions_written,
             }))
         }),
-        Request::Stats { sheet } => session.stats(&sheet).map(Response::Stats),
         Request::Metrics => Ok(Response::Metrics(session.metrics())),
         Request::DurableTicket { sheet } => {
             session
@@ -544,7 +542,7 @@ fn stage_with_admission(
 mod tests {
     use super::*;
     use dataspread_grid::{CellAddr, CellValue, Rect};
-    use dataspread_proto::Edit;
+    use dataspread_proto::{Edit, SheetStats};
 
     /// Minimal raw-socket client for exercising the server without the
     /// client crate (which has its own suite and depends on this one).
@@ -847,9 +845,10 @@ mod tests {
             }),
             Response::Ok
         );
-        let Response::Stats(stats) = c.call(&Request::Stats { sheet: "s".into() }) else {
-            panic!("expected stats");
+        let Response::Metrics(snap) = c.call(&Request::Metrics) else {
+            panic!("expected metrics");
         };
+        let stats = SheetStats::from_snapshot(&snap, "s").expect("sheet s is open");
         assert_eq!(stats.filled_cells, 64);
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -878,12 +877,11 @@ mod tests {
                 },
             });
         }
+        let Response::Metrics(snap) = c.call(&Request::Metrics) else {
+            panic!("expected metrics");
+        };
         for sheet in ["a", "b", "c"] {
-            let Response::Stats(stats) = c.call(&Request::Stats {
-                sheet: sheet.into(),
-            }) else {
-                panic!("expected stats");
-            };
+            let stats = SheetStats::from_snapshot(&snap, sheet).expect("sheet is open");
             assert_eq!(stats.filled_cells, 2, "sheet {sheet}");
         }
         handle.shutdown();

@@ -3,7 +3,8 @@
 //! latency histograms, server request/byte counters, per-sheet health —
 //! including a sheet degraded by an injected WAL fsync fault, whose
 //! transition must be visible both in the snapshot's health list and as
-//! a `degraded` record in the event ring.
+//! a `degraded` record in the event ring. A sheet's stats are a view of
+//! that same snapshot, so the remote and in-process stats agree.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -12,7 +13,7 @@ use dataspread_client::Client;
 use dataspread_proto::codes;
 use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
 use dataspread_server::{metrics_exposition, serve, serve_with, ServerConfig};
-use dataspread_workspace::{Edit, Health, Workspace, WorkspaceConfig};
+use dataspread_workspace::{Edit, Health, Workspace, WorkspaceConfig, WorkspaceError};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ds-metrics-{tag}-{}", std::process::id()));
@@ -40,6 +41,7 @@ fn metrics_over_tcp_capture_ops_and_degrade() {
         },
     )
     .unwrap();
+    let local = ws.session();
     let handle = serve(ws, "127.0.0.1:0").unwrap();
     let client = Client::connect(handle.local_addr()).unwrap();
     let session = client.session();
@@ -85,11 +87,22 @@ fn metrics_over_tcp_capture_ops_and_degrade() {
     assert!(session.apply_edit("grid", set(10, "x")).is_err());
     assert!(session.apply_edit("grid", set(11, "y")).is_err());
 
-    // The degrade is visible over the wire three ways: the stats
-    // payload, the snapshot's health list, and the event ring.
+    // The degrade is visible over the wire three ways: the stats view,
+    // the snapshot's health list, and the event ring.
     let stats = session.stats("grid").unwrap();
     assert_eq!(stats.health, Health::Degraded);
     assert!(stats.degraded_cause.is_some(), "stats carries the cause");
+    // Stats are one projection of one snapshot: remote equals in-process,
+    // and an unknown sheet is refused on both sides.
+    assert_eq!(stats, local.stats("grid").unwrap());
+    assert_eq!(
+        session.stats("never").unwrap_err().code,
+        codes::NO_SUCH_SHEET
+    );
+    assert!(matches!(
+        local.stats("never"),
+        Err(WorkspaceError::NoSuchSheet(_))
+    ));
 
     let snap = session.metrics().unwrap();
     let health = snap.sheet_health("grid").expect("grid health");

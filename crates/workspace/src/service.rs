@@ -110,25 +110,26 @@ impl std::fmt::Display for WorkspaceError {
 
 impl std::error::Error for WorkspaceError {}
 
+/// A permanent storage failure gets its own session-level variant (and
+/// wire code) wherever it surfaces — the commit path, a checkpoint, an
+/// edit's WAL append — instead of hiding inside [`WorkspaceError::Store`]
+/// or [`WorkspaceError::Engine`]: clients branch on it to stop retrying,
+/// and the sheet's degrade is noted by the op that hit it.
 impl From<EngineError> for WorkspaceError {
     fn from(e: EngineError) -> Self {
-        WorkspaceError::Engine(e)
+        match e {
+            EngineError::Store(StoreError::StorageFailed(m)) => WorkspaceError::StorageFailed(m),
+            other => WorkspaceError::Engine(other),
+        }
     }
 }
 
 impl From<StoreError> for WorkspaceError {
     fn from(e: StoreError) -> Self {
-        WorkspaceError::Store(e)
-    }
-}
-
-/// Commit-path error mapping: a permanent storage failure gets its own
-/// session-level variant (and wire code) instead of hiding inside
-/// [`WorkspaceError::Store`] — clients branch on it to stop retrying.
-fn promote_storage(e: StoreError) -> WorkspaceError {
-    match e {
-        StoreError::StorageFailed(m) => WorkspaceError::StorageFailed(m),
-        other => WorkspaceError::Store(other),
+        match e {
+            StoreError::StorageFailed(m) => WorkspaceError::StorageFailed(m),
+            other => WorkspaceError::Store(other),
+        }
     }
 }
 
@@ -759,7 +760,7 @@ impl Session {
         let t0 = self.op_timer(&self.inner.op_hists.await_commit);
         let res = match &shard.wal {
             None => Ok(()), // in-memory: nothing to await
-            Some(wal) => wal.commit(ticket).map_err(promote_storage),
+            Some(wal) => wal.commit(ticket).map_err(WorkspaceError::from),
         };
         let outcome = self.outcome_of(&shard, &res);
         self.note_op(
@@ -851,7 +852,7 @@ impl Session {
                 durable: false,
             });
         };
-        wal.commit(ticket).map_err(promote_storage)?;
+        wal.commit(ticket)?;
         Ok(EditReceipt {
             ticket,
             durable: true,
@@ -865,32 +866,14 @@ impl Session {
         Ok(snapshot)
     }
 
-    /// Counters and health for one sheet (shared lock). The returned
-    /// [`SheetStats`] is the wire payload itself — the TCP server frames
-    /// it unchanged.
+    /// Counters and health for one sheet: its projection of
+    /// [`Session::metrics`] ([`SheetStats::from_snapshot`]), so the numbers
+    /// are the ones every other reader of the snapshot sees. Unknown and
+    /// badly named sheets are refused like every other per-sheet call.
     pub fn stats(&self, sheet: &str) -> Result<SheetStats, WorkspaceError> {
-        let shard = self.shard(sheet)?;
-        let engine = self.read_engine(&shard);
-        let mut s = SheetStats::default();
-        s.filled_cells = engine.storage().filled_count();
-        s.regions = engine.storage().region_count() as u64;
-        s.resident_bytes = engine.storage().resident_bytes();
-        if let Some(p) = engine.persistence_stats() {
-            s.persistent = true;
-            s.wal_bytes = p.wal_bytes;
-            s.ops_since_checkpoint = p.ops_since_checkpoint;
-            s.checkpoints = p.checkpoints;
-            s.image_pages = p.image_pages;
-            s.image_regions = p.image_regions;
-            s.pager_pages_read = p.pages_read;
-            s.pager_pages_written = p.pages_written;
-        }
-        if let Some((cause, since_ms)) = engine.storage_failed_info() {
-            s.health = Health::Degraded;
-            s.degraded_cause = Some(cause);
-            s.degraded_since_ms = (since_ms > 0).then_some(since_ms);
-        }
-        Ok(s)
+        self.shard(sheet)?;
+        SheetStats::from_snapshot(&self.metrics(), sheet)
+            .ok_or_else(|| WorkspaceError::NoSuchSheet(sheet.to_string()))
     }
 
     /// Every `Ready` shard by name, sorted — skips sheets still
@@ -920,11 +903,16 @@ impl Session {
 
     /// A whole-workspace metrics snapshot: every counter, gauge and
     /// histogram recorded so far, the slow-op/event ring, and per-sheet
-    /// health. Point-in-time gauges (image page I/O, resident bytes by
-    /// region layout, WAL ops-per-fsync) are sampled here, so the
-    /// snapshot is self-contained.
+    /// health. Point-in-time gauges are sampled here, so the snapshot is
+    /// self-contained: each [`SheetStats`] number as a `{sheet}`-labelled
+    /// gauge of the same name (`checkpoints` is the `checkpoint_ns{sheet}`
+    /// count; the persistence numbers exist for durable sheets only),
+    /// resident bytes by region layout, and WAL ops-per-fsync. Sheets
+    /// still recovering are not in it yet.
     ///
-    /// This is the payload `Request::Metrics` serves; the text exposition
+    /// This is the payload `Request::Metrics` serves, the one stats
+    /// channel: [`Session::stats`] and the remote client's `stats` are
+    /// projections of it. The text exposition
     /// (`RegistrySnapshot::render_text`) renders it for scrapes.
     pub fn metrics(&self) -> RegistrySnapshot {
         let shards = self.ready_shards();
@@ -935,19 +923,28 @@ impl Session {
         for (name, shard) in &shards {
             let labels: &[(&str, &str)] = &[("sheet", name)];
             let engine = self.read_engine(shard);
+            let storage = engine.storage();
+            let mut numbers = vec![
+                ("filled_cells", storage.filled_count()),
+                ("regions", storage.region_count() as u64),
+                ("resident_bytes", storage.resident_bytes()),
+            ];
             if let Some(p) = engine.persistence_stats() {
-                for (key, v) in [
-                    ("pager_pages_read", p.pages_read),
-                    ("pager_pages_written", p.pages_written),
+                numbers.extend([
                     ("wal_bytes", p.wal_bytes),
                     ("ops_since_checkpoint", p.ops_since_checkpoint),
-                ] {
-                    registry
-                        .gauge(key, labels)
-                        .set(i64::try_from(v).unwrap_or(i64::MAX));
-                }
+                    ("image_pages", p.image_pages),
+                    ("image_regions", p.image_regions),
+                    ("pager_pages_read", p.pages_read),
+                    ("pager_pages_written", p.pages_written),
+                ]);
             }
-            for (rect, kind, bytes) in engine.storage().region_resident_bytes() {
+            for (key, v) in numbers {
+                registry
+                    .gauge(key, labels)
+                    .set(i64::try_from(v).unwrap_or(i64::MAX));
+            }
+            for (rect, kind, bytes) in storage.region_resident_bytes() {
                 let kind = kind.to_string();
                 let region = format!("r{}c{}", rect.r1, rect.c1);
                 registry
@@ -1319,6 +1316,101 @@ mod tests {
         assert!(st.persistent);
         assert_eq!(st.health, Health::Healthy);
         assert!(st.degraded_cause.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stats_are_a_view_of_the_metrics_snapshot() {
+        let dir = temp_dir("stats-view");
+        let ws = Workspace::open(&dir).unwrap();
+        let s = ws.session();
+        s.open_sheet("v").unwrap();
+        let rows = (0..6)
+            .map(|r| {
+                (0..3)
+                    .map(|c| CellValue::Number(f64::from(r * 3 + c)))
+                    .collect()
+            })
+            .collect();
+        s.import_rows("v", CellAddr::new(0, 0), 3, rows).unwrap();
+        s.apply_edit("v", set(10, 5, "=SUM(A1:C6)")).unwrap();
+        s.checkpoint("v")
+            .unwrap()
+            .expect("durable sheets checkpoint");
+        s.apply_edit("v", set(11, 5, "x")).unwrap();
+
+        let st = s.stats("v").unwrap();
+        let shard = s.shard("v").unwrap();
+        let engine = s.read_engine(&shard);
+        let storage = engine.storage();
+        let p = engine.persistence_stats().unwrap();
+        assert!(st.persistent);
+        assert_eq!(st.filled_cells, storage.filled_count());
+        assert_eq!(st.regions, storage.region_count() as u64);
+        assert_eq!(st.resident_bytes, storage.resident_bytes());
+        assert_eq!(st.wal_bytes, p.wal_bytes);
+        assert_eq!(st.ops_since_checkpoint, p.ops_since_checkpoint);
+        assert_eq!(st.image_pages, p.image_pages);
+        assert_eq!(st.image_regions, p.image_regions);
+        assert_eq!(st.pager_pages_read, p.pages_read);
+        assert_eq!(st.pager_pages_written, p.pages_written);
+        assert_eq!(
+            st.checkpoints, 1,
+            "the recovery checkpoint at open is not counted"
+        );
+        assert_eq!(st.health, Health::Healthy);
+        assert!(st.regions > 0 && st.ops_since_checkpoint > 0 && st.image_pages > 0);
+        drop(engine);
+
+        let mem = Workspace::in_memory().session();
+        mem.open_sheet("v").unwrap();
+        mem.apply_edit("v", set(0, 0, "1")).unwrap();
+        let st = mem.stats("v").unwrap();
+        assert!(!st.persistent);
+        assert_eq!((st.filled_cells, st.wal_bytes, st.checkpoints), (1, 0, 0));
+        assert!(matches!(
+            mem.stats("nope"),
+            Err(WorkspaceError::NoSuchSheet(_))
+        ));
+        drop(ws);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_storage_failure_inside_checkpoint_degrades_the_sheet_at_once() {
+        use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
+        let dir = temp_dir("checkpoint-degrade");
+        let plan = FaultPlan::new();
+        let ws = Workspace::open_with(
+            &dir,
+            WorkspaceConfig {
+                storage_fs: Some(FaultFs::new(Arc::clone(&plan))),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let s = ws.session();
+        s.open_sheet("d").unwrap();
+        s.apply_edit("d", set(0, 0, "1")).unwrap();
+        plan.push(
+            FaultRule::new(FaultOp::Sync, 0, FaultKind::Io)
+                .sticky()
+                .on_path("wal"),
+        );
+        let degraded = |s: &Session| {
+            s.metrics()
+                .events
+                .iter()
+                .filter(|e| e.kind == "degraded" && e.sheet == "d")
+                .count()
+        };
+        let err = s.checkpoint("d").unwrap_err();
+        assert_eq!(err.code(), codes::STORAGE_FAILED, "got {err:?}");
+        assert_eq!(degraded(&s), 1, "the failing checkpoint notes the degrade");
+        let err = s.apply_edit("d", set(1, 0, "2")).unwrap_err();
+        assert!(matches!(err, WorkspaceError::Degraded(_)), "got {err:?}");
+        assert_eq!(degraded(&s), 1, "one transition, one event");
+        drop(ws);
         std::fs::remove_dir_all(&dir).ok();
     }
 
