@@ -2,9 +2,8 @@
 //!
 //! Created once per sheet from the workspace's shared
 //! [`MetricsRegistry`] and attached via `SheetEngine::set_obs`; recording
-//! is a few relaxed atomics per recompute wave / checkpoint, and the
-//! clock reads around timed sections are skipped entirely when the
-//! registry is disabled.
+//! is a few relaxed atomics and a clock-read pair per recompute cascade /
+//! checkpoint.
 
 use std::sync::Arc;
 
@@ -48,11 +47,6 @@ impl EngineObs {
             batch_evals: registry.counter("eval_batch_cells", labels),
             scalar_evals: registry.counter("eval_scalar_cells", labels),
         }
-    }
-
-    /// Whether the owning registry is recording.
-    pub fn enabled(&self) -> bool {
-        self.registry.enabled()
     }
 
     /// Record a checkpoint that failed after starting — the rollback the

@@ -272,11 +272,7 @@ impl SheetEngine {
         }
         let images = self.sheet.region_images();
         let store = self.durable.as_mut().expect("checked above");
-        let timed = self
-            .obs
-            .as_ref()
-            .filter(|o| o.enabled())
-            .map(|_| Instant::now());
+        let t0 = Instant::now();
         let report = match store.checkpoint(images) {
             Ok(report) => report,
             Err(e) => {
@@ -288,7 +284,7 @@ impl SheetEngine {
                 return Err(e);
             }
         };
-        if let (Some(obs), Some(t0)) = (&self.obs, timed) {
+        if let Some(obs) = &self.obs {
             obs.checkpoint_ns.record_ns(t0.elapsed().as_nanos() as u64);
             obs.checkpoint_pages.add(report.pages_written);
         }
@@ -550,9 +546,22 @@ impl SheetEngine {
             )));
         }
         self.clear_rect(rect)?;
-        // Formula registrations under the imported block are dead too —
-        // left in place, the next structural edit would resurrect the old
-        // formula cells over the imported data.
+        self.sheet.add_region(rect, Box::new(rom))?;
+        self.recompute_readers_of(rect)?;
+        Ok(rect)
+    }
+
+    /// Blank every cell of `rect`: the addresses come off the scan, so no
+    /// cell is cloned to be thrown away. Formula registrations under the
+    /// block are dead too — left in place, the next edit or structural
+    /// shift would resurrect the old formula cells over the new contents.
+    fn clear_rect(&mut self, rect: Rect) -> Result<(), EngineError> {
+        let mut filled = Vec::new();
+        self.sheet
+            .scan(rect, |row, col, _, _| filled.push(CellAddr::new(row, col)));
+        for addr in filled {
+            self.sheet.clear_cell(addr)?;
+        }
         let doomed: Vec<CellAddr> = self
             .parsed
             .keys()
@@ -563,28 +572,19 @@ impl SheetEngine {
             self.parsed.remove(&addr);
             self.deps.remove(addr);
         }
-        self.sheet.add_region(rect, Box::new(rom))?;
-        // Formulas reading the imported rectangle must see the new values.
+        Ok(())
+    }
+
+    /// Recompute every formula reading a cell of `rect`, after a bulk
+    /// operation replaced the block's contents without per-cell edits.
+    fn recompute_readers_of(&mut self, rect: Rect) -> Result<(), EngineError> {
         let seeds: Vec<CellAddr> = self
             .deps
             .formulas()
             .filter(|(_, ranges)| ranges.iter().any(|r| r.intersects(&rect)))
             .map(|(addr, _)| addr)
             .collect();
-        self.recompute(&seeds)?;
-        Ok(rect)
-    }
-
-    /// Blank every cell of `rect`: the addresses come off the scan, so no
-    /// cell is cloned to be thrown away.
-    fn clear_rect(&mut self, rect: Rect) -> Result<(), EngineError> {
-        let mut filled = Vec::new();
-        self.sheet
-            .scan(rect, |row, col, _, _| filled.push(CellAddr::new(row, col)));
-        for addr in filled {
-            self.sheet.clear_cell(addr)?;
-        }
-        Ok(())
+        self.recompute(&seeds)
     }
 
     // --------------------------------------------- database operations --
@@ -613,6 +613,7 @@ impl SheetEngine {
         );
         let tom = TomTranslator::new(Arc::clone(&self.db), name);
         self.sheet.add_region(link_rect, Box::new(tom))?;
+        self.recompute_readers_of(rect.bbox_union(&link_rect))?;
         // Linked-table contents are captured as plain cells at checkpoint
         // time (the table link itself is not yet persisted; see README).
         self.checkpoint()?;
@@ -800,10 +801,10 @@ impl SheetEngine {
         let timed = self
             .obs
             .as_ref()
-            .filter(|o| o.enabled() && !plan.waves.is_empty())
+            .filter(|_| !plan.waves.is_empty())
             .map(|_| Instant::now());
         for wave in &plan.waves {
-            if let Some(obs) = self.obs.as_ref().filter(|o| o.enabled()) {
+            if let Some(obs) = &self.obs {
                 obs.waves.inc();
                 obs.wave_width.record(wave.len() as u64);
             }
@@ -821,7 +822,7 @@ impl SheetEngine {
     /// The retained sequential tree walk over the Kahn order.
     fn recompute_scalar(&mut self, seeds: &[CellAddr]) -> Result<(), EngineError> {
         let plan = self.deps.recompute_plan(seeds);
-        if let Some(obs) = self.obs.as_ref().filter(|o| o.enabled()) {
+        if let Some(obs) = &self.obs {
             obs.scalar_evals.add(plan.order.len() as u64);
         }
         for addr in plan.order {
@@ -863,7 +864,7 @@ impl SheetEngine {
             if let Some(info) = self.parsed.get(&addr) {
                 let reader = StorageReader(&self.sheet);
                 let value = self.evaluator.eval(&info.expr, &reader);
-                if let Some(obs) = self.obs.as_ref().filter(|o| o.enabled()) {
+                if let Some(obs) = &self.obs {
                     obs.scalar_evals.inc();
                 }
                 self.write_computed(addr, value)?;
@@ -898,7 +899,7 @@ impl SheetEngine {
         // 2. Everything else: per-cell tree walks, fanned out across the
         //    worker budget when the wave is wide enough to pay for spawns.
         let rest: Vec<usize> = (0..wave.len()).filter(|&i| !batched[i]).collect();
-        if let Some(obs) = self.obs.as_ref().filter(|o| o.enabled()) {
+        if let Some(obs) = &self.obs {
             obs.batch_evals.add((wave.len() - rest.len()) as u64);
             obs.scalar_evals.add(rest.len() as u64);
         }
@@ -1246,6 +1247,33 @@ mod tests {
             .sql("SELECT amount FROM inv ORDER BY amount DESC LIMIT 1", &[])
             .unwrap();
         assert_eq!(r.rows[0][0], Datum::Float(999.0));
+    }
+
+    #[test]
+    fn link_table_drops_the_formulas_it_clears() {
+        let mut e = SheetEngine::new();
+        for (addr, input) in [
+            ("A1", "h1"),
+            ("B1", "h2"),
+            ("A2", "1"),
+            ("B2", "2"),
+            ("A3", "3"),
+            ("B3", "=A3*2"),
+            ("D1", "=SUM(A3:B3)"),
+        ] {
+            e.update_cell_a1(addr, input).unwrap();
+        }
+        assert_eq!(e.value(a("D1")), CellValue::Number(9.0));
+        let linked = e.link_table(Rect::parse_a1("A1:B3").unwrap(), "t").unwrap();
+        assert_eq!(linked, Rect::parse_a1("A1:B2").unwrap());
+        assert_eq!(
+            e.value(a("D1")),
+            CellValue::Number(0.0),
+            "A3:B3 is empty after the link, so its readers recompute"
+        );
+        e.update_cell_a1("A3", "10").unwrap();
+        assert_eq!(e.value(a("B3")), CellValue::Empty, "B3's formula is gone");
+        assert_eq!(e.value(a("D1")), CellValue::Number(10.0));
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! `Busy` rejections, client connects and disconnects. When the ring is full the oldest record is dropped and a
 //! drop counter advances, so the ring is safe to leave running forever.
 //!
-//! The registry has a global enable/disable toggle
-//! ([`MetricsRegistry::set_enabled`]): handles stay valid either way, and
-//! hot paths consult [`MetricsRegistry::enabled`] before paying for
-//! `Instant::now()` pairs, which is what the overhead bench compares.
+//! The registry has no off switch: every layer records into it
+//! unconditionally, so any slow op can be explained after the fact from
+//! the running process. What instrumentation costs shows up in paired
+//! end-to-end benchmark runs like any other change.
 //!
 //! Snapshots render to a Prometheus-style text exposition via
 //! [`RegistrySnapshot::render_text`] (`name{label="v"} value` lines); the
@@ -33,7 +33,7 @@
 //! this crate free of protocol concerns.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -422,7 +422,6 @@ pub const DEFAULT_SLOW_OP_NS: u64 = 20_000_000;
 /// name+labels returns the same handle.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    enabled: AtomicBool,
     slow_op_ns: AtomicU64,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
@@ -433,7 +432,6 @@ pub struct MetricsRegistry {
 impl Default for MetricsRegistry {
     fn default() -> MetricsRegistry {
         MetricsRegistry {
-            enabled: AtomicBool::new(true),
             slow_op_ns: AtomicU64::new(DEFAULT_SLOW_OP_NS),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
@@ -473,21 +471,10 @@ pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
 }
 
 impl MetricsRegistry {
-    /// A fresh registry: enabled, default slow-op threshold, default
+    /// A fresh registry: default slow-op threshold, default
     /// event-ring capacity.
     pub fn new() -> Arc<MetricsRegistry> {
         Arc::new(MetricsRegistry::default())
-    }
-
-    /// Whether recording is on. Hot paths consult this before paying for
-    /// clock reads; handles themselves keep working regardless.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggle recording (the overhead bench's A/B switch).
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     /// Current slow-op threshold in nanoseconds.
@@ -527,16 +514,14 @@ impl MetricsRegistry {
     /// Record an event unconditionally (degrade transitions, checkpoint
     /// rollbacks, rejections — events that matter regardless of duration).
     pub fn push_event(&self, event: Event) {
-        if self.enabled() {
-            self.events.push(event);
-        }
+        self.events.push(event);
     }
 
     /// Record a completed operation into the ring *iff* it crossed the
     /// slow-op threshold. The caller has already paid for the clock; this
     /// is one load + compare on the fast path.
     pub fn note_op(&self, sheet: &str, op: &str, duration_ns: u64, ticket: u64, outcome: &str) {
-        if duration_ns >= self.slow_op_ns() && self.enabled() {
+        if duration_ns >= self.slow_op_ns() {
             self.events.push(Event {
                 ts_ms: now_ms(),
                 kind: "slow_op".to_string(),
@@ -838,19 +823,6 @@ mod tests {
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.events[0].ticket, 2);
         assert_eq!(snap.events[0].kind, "slow_op");
-    }
-
-    #[test]
-    fn disabled_registry_skips_events() {
-        let reg = MetricsRegistry::new();
-        reg.set_enabled(false);
-        assert!(!reg.enabled());
-        reg.note_op("s", "op", u64::MAX, 0, "ok");
-        reg.push_event(Event::default());
-        assert!(reg.snapshot().events.is_empty());
-        reg.set_enabled(true);
-        reg.push_event(Event::default());
-        assert_eq!(reg.snapshot().events.len(), 1);
     }
 
     #[test]

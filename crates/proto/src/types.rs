@@ -163,7 +163,7 @@ pub struct SheetStats {
     pub ops_since_checkpoint: u64,
     /// Checkpoints recorded in `checkpoint_ns{sheet}`: those taken since
     /// the workspace attached its metrics (not the recovery checkpoint at
-    /// open), and none while metrics are disabled.
+    /// open).
     pub checkpoints: u64,
     /// Pages in the checkpoint image.
     pub image_pages: u64,

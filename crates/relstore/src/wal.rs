@@ -350,12 +350,9 @@ impl Wal {
 
 /// Cached metric handles for one shared log, created once from a
 /// [`MetricsRegistry`] and attached via [`SharedWal::set_obs`]. Recording
-/// is a few relaxed atomics on the append path and one clock pair around
-/// each fsync; when the registry is disabled the clock reads are skipped
-/// too.
+/// is a few relaxed atomics on the append path and a few more per fsync.
 #[derive(Clone)]
 pub struct WalObs {
-    registry: Arc<MetricsRegistry>,
     sheet: String,
     /// `wal_fsyncs{sheet}` — fsyncs issued (group or serial).
     pub fsyncs: Arc<Counter>,
@@ -374,7 +371,6 @@ impl WalObs {
     pub fn new(registry: &Arc<MetricsRegistry>, sheet: &str) -> WalObs {
         let labels: &[(&str, &str)] = &[("sheet", sheet)];
         WalObs {
-            registry: Arc::clone(registry),
             sheet: sheet.to_string(),
             fsyncs: registry.counter("wal_fsyncs", labels),
             fsync_ns: registry.histogram("wal_fsync_ns", labels),
@@ -382,10 +378,6 @@ impl WalObs {
             appends: registry.counter("wal_appends", labels),
             append_bytes: registry.counter("wal_append_bytes", labels),
         }
-    }
-
-    fn enabled(&self) -> bool {
-        self.registry.enabled()
     }
 }
 
@@ -540,7 +532,7 @@ impl SharedWal {
         }
         st.wal.append(payload)?;
         st.appended_seq += 1;
-        if let Some(obs) = st.obs.as_ref().filter(|o| o.enabled()) {
+        if let Some(obs) = &st.obs {
             obs.appends.inc();
             obs.append_bytes.add(payload.len() as u64);
         }
@@ -619,7 +611,7 @@ impl SharedWal {
         match result {
             Ok(()) => {
                 st.durable_seq = st.durable_seq.max(target);
-                if let Some(obs) = st.obs.as_ref().filter(|o| o.enabled()) {
+                if let Some(obs) = &st.obs {
                     obs.fsyncs.inc();
                     obs.fsync_ns.record_ns(fsync_ns);
                     obs.batch_ops.record(batch);

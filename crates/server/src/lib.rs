@@ -89,20 +89,16 @@ impl ServerObs {
 
     /// Count one decoded request by kind (`server_requests{kind=...}`).
     fn note_request(&self, kind: &'static str) {
-        if self.registry.enabled() {
-            self.registry
-                .counter("server_requests", &[("kind", kind)])
-                .inc();
-        }
+        self.registry
+            .counter("server_requests", &[("kind", kind)])
+            .inc();
     }
 
     /// Count one error response by wire code (`server_errors{code=...}`).
     fn note_error(&self, code: u16) {
-        if self.registry.enabled() {
-            self.registry
-                .counter("server_errors", &[("code", &code.to_string())])
-                .inc();
-        }
+        self.registry
+            .counter("server_errors", &[("code", &code.to_string())])
+            .inc();
     }
 
     /// Ring-buffer a connection lifecycle event (`conn_open` /

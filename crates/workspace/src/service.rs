@@ -7,7 +7,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-use dataspread_engine::{CheckpointReport, EngineError, EngineObs, HybridSheet, SheetEngine};
+use dataspread_engine::{
+    CheckpointReport, EngineError, EngineObs, HybridSheet, ModelKind, SheetEngine,
+};
 use dataspread_grid::{CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_obs::{
     now_ms, Counter, Event, Gauge, Health, Histogram, MetricsRegistry, SheetHealth,
@@ -18,17 +20,12 @@ use dataspread_proto::{
 use dataspread_relstore::{SharedWal, StorageFs, StoreError, WalObs};
 
 /// Workspace construction knobs.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct WorkspaceConfig {
     /// Route every sheet's file I/O through this filesystem instead of
     /// the real one — the hook fault-injection tests use to script
     /// storage failures (`None` = the real OS filesystem).
     pub storage_fs: Option<Arc<dyn StorageFs>>,
-    /// Record metrics (counters, latency histograms, the slow-op event
-    /// ring) into the workspace's [`MetricsRegistry`]. On by default —
-    /// the hot-path cost is a few relaxed atomics plus two clock reads
-    /// per op; turn off to measure the uninstrumented baseline.
-    pub metrics_enabled: bool,
     /// Ops slower than this land in the slow-op event ring
     /// (`None` = the registry default, 20ms).
     pub slow_op_ns: Option<u64>,
@@ -39,25 +36,24 @@ pub struct WorkspaceConfig {
     pub open_stall_for_tests: Option<(String, std::time::Duration)>,
 }
 
-impl Default for WorkspaceConfig {
-    fn default() -> Self {
-        WorkspaceConfig {
-            storage_fs: None,
-            metrics_enabled: true,
-            slow_op_ns: None,
-            open_stall_for_tests: None,
-        }
-    }
-}
-
 impl std::fmt::Debug for WorkspaceConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkspaceConfig")
             .field("storage_fs", &self.storage_fs.as_ref().map(|_| "custom"))
-            .field("metrics_enabled", &self.metrics_enabled)
             .finish()
     }
 }
+
+/// Every region layout: `Session::metrics` sets one
+/// `region_resident_bytes{kind, sheet}` gauge per entry, 0 for a layout
+/// the sheet does not use.
+const LAYOUTS: [ModelKind; 5] = [
+    ModelKind::Rom,
+    ModelKind::Com,
+    ModelKind::Rcv,
+    ModelKind::Tom,
+    ModelKind::Columnar,
+];
 
 /// Errors surfaced by the session API.
 ///
@@ -278,9 +274,9 @@ impl SheetSlot {
 /// leave a latency sample, and the sequence is the counter itself, so
 /// sampling costs no extra atomic. Hot mutation ops (`apply_edit`,
 /// `stage_edit`) sample at 1-in-128 — an in-memory edit runs in hundreds
-/// of nanoseconds, where always-on clocking alone would blow the ≤3%
-/// overhead budget the obs bench enforces; the heavier ops
-/// (`fetch_window`, `await_commit`) time every call.
+/// of nanoseconds, where clocking every call would cost a visible share
+/// of the op; the heavier ops (`fetch_window`, `await_commit`) time every
+/// call.
 struct OpMeter {
     ops: Arc<Counter>,
     hist: Arc<Histogram>,
@@ -362,13 +358,6 @@ impl Workspace {
         Self::build(None, WorkspaceConfig::default())
     }
 
-    /// [`Workspace::in_memory`] with explicit configuration. Commit mode
-    /// and storage knobs are moot without a WAL; the observability
-    /// toggles (`metrics_enabled`, `slow_op_ns`) apply as usual.
-    pub fn in_memory_with(config: WorkspaceConfig) -> Workspace {
-        Self::build(None, config)
-    }
-
     /// Open (or create) a durable workspace rooted at `dir` with group
     /// commit (each sheet lives in `dir/<name>/` and recovers
     /// independently on open).
@@ -388,7 +377,6 @@ impl Workspace {
 
     fn build(dir: Option<PathBuf>, config: WorkspaceConfig) -> Workspace {
         let metrics = MetricsRegistry::new();
-        metrics.set_enabled(config.metrics_enabled);
         if let Some(ns) = config.slow_op_ns {
             metrics.set_slow_op_ns(ns);
         }
@@ -577,13 +565,9 @@ impl Session {
 
     /// Stopwatch start for an instrumented session op: bumps the op's
     /// exact counter, reads the clock only for sampled ops (see
-    /// [`OpMeter`]). `None` means "record no latency for this op" —
-    /// metrics disabled (no atomics at all beyond the enabled load) or
-    /// the op fell outside the sample.
+    /// [`OpMeter`]). `None` means the op fell outside the sample and
+    /// records no latency.
     fn op_timer(&self, meter: &OpMeter) -> Option<Instant> {
-        if !self.inner.metrics.enabled() {
-            return None;
-        }
         let n = meter.ops.inc_get();
         ((n - 1) & meter.mask == 0).then(Instant::now)
     }
@@ -944,13 +928,19 @@ impl Session {
                     .gauge(key, labels)
                     .set(i64::try_from(v).unwrap_or(i64::MAX));
             }
-            for (rect, kind, bytes) in storage.region_resident_bytes() {
-                let kind = kind.to_string();
-                let region = format!("r{}c{}", rect.r1, rect.c1);
+            // One series per layout, never per region: a region's position
+            // moves with every row shift, and the registry keeps every key.
+            let regions = storage.region_resident_bytes();
+            for kind in LAYOUTS {
+                let bytes: u64 = regions
+                    .iter()
+                    .filter(|&&(_, k, _)| k == kind)
+                    .map(|&(_, _, b)| b)
+                    .sum();
                 registry
                     .gauge(
                         "region_resident_bytes",
-                        &[("kind", &kind), ("region", &region), ("sheet", name)],
+                        &[("kind", &kind.to_string()), ("sheet", name)],
                     )
                     .set(i64::try_from(bytes).unwrap_or(i64::MAX));
             }
@@ -1415,34 +1405,77 @@ mod tests {
     }
 
     #[test]
-    fn disabled_metrics_record_nothing() {
-        let dir = temp_dir("metrics-off");
-        let ws = Workspace::open_with(
-            &dir,
-            WorkspaceConfig {
-                metrics_enabled: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+    fn hot_ops_sample_latency_one_in_128() {
+        let ws = Workspace::in_memory();
         let s = ws.session();
-        s.open_sheet("q").unwrap();
-        s.apply_edit("q", set(0, 0, "5")).unwrap();
+        s.open_sheet("h").unwrap();
+        for i in 0..257u32 {
+            s.apply_edit("h", set(i, 0, "1")).unwrap();
+            s.stage_edit("h", set(i, 1, "2")).unwrap();
+        }
         let snap = s.metrics();
-        assert_eq!(
-            snap.counter("session_ops{op=\"apply_edit\"}").unwrap(),
-            0,
-            "disabled registry must not count ops"
-        );
-        assert_eq!(
-            snap.histogram("session_op_ns{op=\"apply_edit\"}")
-                .unwrap()
-                .count(),
-            0,
-            "disabled registry must not record latencies"
-        );
-        assert!(snap.events.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
+        for op in ["apply_edit", "stage_edit"] {
+            let key = format!("{{op=\"{op}\"}}");
+            assert_eq!(
+                snap.counter(&format!("session_ops{key}")),
+                Some(257),
+                "{op}: the op counter is exact"
+            );
+            assert_eq!(
+                snap.histogram(&format!("session_op_ns{key}"))
+                    .unwrap()
+                    .count(),
+                3,
+                "{op}: ops 1, 129 and 257 are timed"
+            );
+        }
+    }
+
+    #[test]
+    fn region_gauges_are_one_series_per_layout() {
+        let ws = Workspace::in_memory();
+        let s = ws.session();
+        s.open_sheet("g").unwrap();
+        let rows = (0..8)
+            .map(|r| {
+                (0..4)
+                    .map(|c| CellValue::Number((r * 4 + c) as f64))
+                    .collect()
+            })
+            .collect();
+        s.import_rows("g", CellAddr::new(10, 0), 4, rows).unwrap();
+        let series = |snap: &RegistrySnapshot| -> Vec<(String, i64)> {
+            snap.gauges
+                .iter()
+                .filter(|(k, _)| k.starts_with("region_resident_bytes{"))
+                .cloned()
+                .collect()
+        };
+        let first = series(&s.metrics());
+        for _ in 0..3 {
+            s.apply_edit("g", Edit::InsertRows { at: 0, n: 1 }).unwrap();
+            assert_eq!(
+                series(&s.metrics()),
+                first,
+                "moving a region must not mint a new series"
+            );
+        }
+        let kinds: Vec<&str> = first
+            .iter()
+            .map(|(k, _)| {
+                k.strip_prefix("region_resident_bytes{kind=\"")
+                    .and_then(|k| k.strip_suffix("\",sheet=\"g\"}"))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(kinds, ["COL", "COM", "RCV", "ROM", "TOM"]);
+        for (key, bytes) in &first {
+            if key.contains("ROM") {
+                assert!(*bytes > 0, "the imported block is resident");
+            } else {
+                assert_eq!(*bytes, 0, "{key}: no region of that layout");
+            }
+        }
     }
 
     #[test]
