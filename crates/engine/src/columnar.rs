@@ -4,10 +4,13 @@
 //! A [`ColumnarTranslator`] stores its region as per-column typed arrays:
 //! run-length-encoded *tag runs* (null / number / bool / text / error)
 //! carry the row structure, and each tag's payload lives in a dense typed
-//! store — numbers in an `f64` array or a bit-packed integer array, bools
-//! in a bitmap, strings as codes into a per-column dictionary (themselves
-//! RLE'd when repetitive), errors as code bytes. Formulas are sparse
-//! (`row → source`), since large imported regions hold almost none.
+//! store — numbers as bit-packed decimal mantissas at one scale per column
+//! when every value has one (the cell payload's number rule,
+//! [`codec::decimal_form`]: 1-decimal amounts at scale 1, integers at 0),
+//! raw `f64`s otherwise; bools in a bitmap, strings as codes into a
+//! per-column dictionary (themselves RLE'd when repetitive), errors as
+//! code bytes. Formulas are sparse (`row → source`), since large imported
+//! regions hold almost none.
 //!
 //! Writes go to a small sorted overlay checked before the base columns;
 //! past a threshold the overlay compacts back into the affected columns.
@@ -16,8 +19,10 @@
 //!
 //! The byte encoding (via `dataspread_grid::codec`) is the checkpoint payload
 //! itself: [`ColumnarTranslator::to_bytes`] / [`ColumnarTranslator::from_bytes`]
-//! round-trip byte-identically, so v2 images store the compressed pages
-//! directly and recovery restores a region without per-cell replay.
+//! round-trip byte-identically, so images store the compressed columns
+//! directly and recovery restores a region without per-cell replay. The
+//! decoder accepts a number or code store only if building its values
+//! writes exactly that store, so each content has one byte form.
 
 use std::collections::{btree_map, BTreeMap, HashMap};
 
@@ -39,7 +44,7 @@ const TAG_BOOL: u8 = 2;
 const TAG_TEXT: u8 = 3;
 const TAG_ERR: u8 = 4;
 
-const ENC_VERSION: u8 = 1;
+const ENC_VERSION: u8 = 2;
 
 // ------------------------------------------------------------ tag runs --
 
@@ -56,18 +61,60 @@ struct Run {
 
 // ------------------------------------------------------- typed stores --
 
-/// Number storage: raw doubles, or bit-packed offsets from a minimum when
-/// every value in the column is exactly an integer (`bits == 0` encodes a
-/// constant column with no payload words at all).
+/// Number storage: raw doubles, or bit-packed offsets from a minimum
+/// mantissa when every value of the column is a decimal mantissa at one
+/// scale ([`codec::mantissa_at`]): value `i` is `(min + offset_i) /
+/// 10^scale`. `bits == 0` encodes a constant column with no payload words
+/// at all.
 #[derive(Debug, Clone, PartialEq)]
 enum NumStore {
     F64(Vec<f64>),
     Packed {
         min: i64,
+        scale: u8,
         bits: u8,
         len: u32,
         words: Vec<u64>,
     },
+}
+
+/// Bits needed to hold every value up to `max`.
+fn width(max: u64) -> u8 {
+    (64 - max.leading_zeros()) as u8
+}
+
+/// `vals`, each in its low `bits`, packed back to back into 64-bit words.
+fn pack_bits(vals: impl Iterator<Item = u64>, len: u32, bits: u8) -> Vec<u64> {
+    let mut words = vec![0u64; (len as u64 * bits as u64).div_ceil(64) as usize];
+    if bits == 0 {
+        return words;
+    }
+    for (i, v) in vals.enumerate() {
+        let bit = i as u64 * bits as u64;
+        let word = (bit / 64) as usize;
+        let off = (bit % 64) as u32;
+        words[word] |= v << off;
+        if off + bits as u32 > 64 {
+            words[word + 1] |= v >> (64 - off);
+        }
+    }
+    words
+}
+
+/// Value `i` of [`pack_bits`]'s words.
+#[inline]
+fn unpack_bits(words: &[u64], bits: u8, i: u32) -> u64 {
+    if bits == 0 {
+        return 0;
+    }
+    let bit = i as u64 * bits as u64;
+    let word = (bit / 64) as usize;
+    let off = (bit % 64) as u32;
+    let mut raw = words[word] >> off;
+    if off + bits as u32 > 64 {
+        raw |= words[word + 1] << (64 - off);
+    }
+    raw & (u64::MAX >> (64 - bits))
 }
 
 impl NumStore {
@@ -82,20 +129,18 @@ impl NumStore {
         match self {
             NumStore::F64(v) => v[i as usize],
             NumStore::Packed {
-                min, bits, words, ..
+                min,
+                scale,
+                bits,
+                words,
+                ..
             } => {
-                if *bits == 0 {
-                    return *min as f64;
+                let m = (min + unpack_bits(words, *bits, i) as i64) as f64;
+                if *scale == 0 {
+                    m
+                } else {
+                    m / codec::POW10[*scale as usize]
                 }
-                let bit = i as u64 * *bits as u64;
-                let word = (bit / 64) as usize;
-                let off = (bit % 64) as u32;
-                let mut raw = words[word] >> off;
-                if off + *bits as u32 > 64 {
-                    raw |= words[word + 1] << (64 - off);
-                }
-                let mask = (1u64 << *bits) - 1;
-                (min + (raw & mask) as i64) as f64
             }
         }
     }
@@ -107,51 +152,58 @@ impl NumStore {
         }
     }
 
-    /// Canonical build: pack when every value is exactly an integer whose
-    /// magnitude is exact in `f64` (excluding `-0.0`, whose sign bit the
-    /// packed form cannot keep).
+    /// Canonical build: packed at the smallest scale at which every value
+    /// is a decimal mantissa, raw doubles when there is none.
     fn build(vals: Vec<f64>) -> NumStore {
-        let packable = !vals.is_empty()
-            && vals.iter().all(|&v| {
-                v.is_finite()
-                    && v == v.trunc()
-                    && v.abs() <= 9e15
-                    && v.to_bits() != (-0.0f64).to_bits()
-            });
-        if !packable {
-            return NumStore::F64(vals);
+        NumStore::pack(vals.iter().copied()).unwrap_or(NumStore::F64(vals))
+    }
+
+    /// The packed store of `vals`, if they are not empty and share a
+    /// scale. That scale is at least the largest of their
+    /// [`codec::decimal_form`] scales, and almost always equal to it.
+    fn pack(vals: impl Iterator<Item = f64> + Clone) -> Option<NumStore> {
+        let mut least = 0;
+        let mut len = 0u32;
+        for v in vals.clone() {
+            least = least.max(codec::decimal_form(v)?.1);
+            len += 1;
         }
-        let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
-        let min = *ints.iter().min().expect("non-empty");
-        let max = *ints.iter().max().expect("non-empty");
-        let width = (max - min) as u64;
-        let bits = (64 - width.leading_zeros()) as u8;
-        let len = ints.len() as u32;
-        if bits == 0 {
-            return NumStore::Packed {
-                min,
-                bits,
-                len,
-                words: Vec::new(),
-            };
+        if len == 0 {
+            return None;
         }
-        let n_words = ((len as u64 * bits as u64).div_ceil(64)) as usize;
-        let mut words = vec![0u64; n_words];
-        for (i, &v) in ints.iter().enumerate() {
-            let raw = (v - min) as u64;
-            let bit = i as u64 * bits as u64;
-            let word = (bit / 64) as usize;
-            let off = (bit % 64) as u32;
-            words[word] |= raw << off;
-            if off + bits as u32 > 64 {
-                words[word + 1] |= raw >> (64 - off);
+        let (scale, min, max) = (least..codec::POW10.len() as u8).find_map(|s| {
+            let (mut min, mut max) = (i64::MAX, i64::MIN);
+            for v in vals.clone() {
+                let m = codec::mantissa_at(v, s)?;
+                (min, max) = (min.min(m), max.max(m));
             }
-        }
-        NumStore::Packed {
+            Some((s, min, max))
+        })?;
+        // |min|, |max| <= 2^53, so the span cannot overflow.
+        let bits = width((max - min) as u64);
+        let offsets = vals.map(|v| {
+            (codec::mantissa_at(v, scale).expect("every value has this scale") - min) as u64
+        });
+        Some(NumStore::Packed {
             min,
+            scale,
             bits,
             len,
-            words,
+            words: pack_bits(offsets, len, bits),
+        })
+    }
+
+    /// Whether [`NumStore::build`] of this store's values writes exactly
+    /// this store. A packed store whose `min` plus its widest offset
+    /// overflows is refused before a value is read; `bits` is at most 63.
+    fn is_canonical(&self) -> bool {
+        match self {
+            NumStore::F64(v) => NumStore::pack(v.iter().copied()).is_none(),
+            NumStore::Packed { min, bits, .. } => {
+                let widest = ((1u64 << bits) - 1) as i64;
+                min.checked_add(widest).is_some()
+                    && NumStore::pack((0..self.len()).map(|i| self.get(i))).as_ref() == Some(self)
+            }
         }
     }
 }
@@ -183,7 +235,8 @@ impl Bits {
 /// Dictionary-code storage: plain codes, bit-packed codes sized to the
 /// dictionary (a 4-entry dictionary needs 2 bits per cell, not 32), or
 /// RLE runs. The canonical rule is byte-driven: the smallest payload
-/// wins, RLE preferred on a strict win, then packing.
+/// wins, RLE preferred on a strict win, then packing
+/// ([`CodeStore::form`]).
 #[derive(Debug, Clone, PartialEq)]
 enum CodeStore {
     Plain(Vec<u32>),
@@ -200,6 +253,11 @@ enum CodeStore {
     },
 }
 
+/// [`CodeStore`] variants, as their encoding names them.
+const CODES_PLAIN: u8 = 0;
+const CODES_RLE: u8 = 1;
+const CODES_PACKED: u8 = 2;
+
 impl CodeStore {
     fn len(&self) -> u32 {
         match self {
@@ -212,19 +270,7 @@ impl CodeStore {
     fn get(&self, i: u32) -> u32 {
         match self {
             CodeStore::Plain(v) => v[i as usize],
-            CodeStore::Packed { bits, words, .. } => {
-                if *bits == 0 {
-                    return 0;
-                }
-                let bit = i as u64 * *bits as u64;
-                let word = (bit / 64) as usize;
-                let off = (bit % 64) as u32;
-                let mut raw = words[word] >> off;
-                if off + *bits as u32 > 64 {
-                    raw |= words[word + 1] << (64 - off);
-                }
-                (raw & ((1u64 << *bits) - 1)) as u32
-            }
+            CodeStore::Packed { bits, words, .. } => unpack_bits(words, *bits, i) as u32,
             CodeStore::Rle { runs, ends } => {
                 let k = ends.partition_point(|&e| e <= i);
                 runs[k].0
@@ -240,10 +286,30 @@ impl CodeStore {
         }
     }
 
-    fn build(codes: Vec<u32>) -> CodeStore {
-        if codes.is_empty() {
-            return CodeStore::Plain(codes);
+    fn variant(&self) -> u8 {
+        match self {
+            CodeStore::Plain(_) => CODES_PLAIN,
+            CodeStore::Rle { .. } => CODES_RLE,
+            CodeStore::Packed { .. } => CODES_PACKED,
         }
+    }
+
+    /// The variant [`CodeStore::build`] picks for `len` codes in `runs`
+    /// runs, the largest `max`.
+    fn form(len: u64, runs: u64, max: u32) -> u8 {
+        let packed_bytes = 8 * (len * u64::from(width(max.into()))).div_ceil(64);
+        let rle_bytes = 8 * runs;
+        let plain_bytes = 4 * len;
+        if rle_bytes < packed_bytes.min(plain_bytes) {
+            CODES_RLE
+        } else if packed_bytes < plain_bytes {
+            CODES_PACKED
+        } else {
+            CODES_PLAIN
+        }
+    }
+
+    fn build(codes: Vec<u32>) -> CodeStore {
         let mut runs: Vec<(u32, u32)> = Vec::new();
         for &c in &codes {
             match runs.last_mut() {
@@ -251,37 +317,52 @@ impl CodeStore {
                 _ => runs.push((c, 1)),
             }
         }
-        let max = *codes.iter().max().expect("non-empty");
-        let bits = (32 - max.leading_zeros()) as u8;
-        let packed_bytes = 8 * (codes.len() as u64 * bits as u64).div_ceil(64);
-        let rle_bytes = 8 * runs.len() as u64;
-        let plain_bytes = 4 * codes.len() as u64;
-        if rle_bytes < packed_bytes.min(plain_bytes) {
-            let mut ends = Vec::with_capacity(runs.len());
-            let mut acc = 0u32;
-            for &(_, len) in &runs {
-                acc += len;
-                ends.push(acc);
+        let max = codes.iter().copied().max().unwrap_or(0);
+        match CodeStore::form(codes.len() as u64, runs.len() as u64, max) {
+            CODES_RLE => {
+                let ends = runs
+                    .iter()
+                    .scan(0u32, |acc, &(_, len)| {
+                        *acc += len;
+                        Some(*acc)
+                    })
+                    .collect();
+                CodeStore::Rle { runs, ends }
             }
-            CodeStore::Rle { runs, ends }
-        } else if packed_bytes < plain_bytes {
-            let len = codes.len() as u32;
-            let n_words = (len as u64 * bits as u64).div_ceil(64) as usize;
-            let mut words = vec![0u64; n_words];
-            if bits > 0 {
-                for (i, &c) in codes.iter().enumerate() {
-                    let bit = i as u64 * bits as u64;
-                    let word = (bit / 64) as usize;
-                    let off = (bit % 64) as u32;
-                    words[word] |= (c as u64) << off;
-                    if off + bits as u32 > 64 {
-                        words[word + 1] |= (c as u64) >> (64 - off);
-                    }
-                }
+            CODES_PACKED => {
+                let (len, bits) = (codes.len() as u32, width(max.into()));
+                let words = pack_bits(codes.iter().map(|&c| u64::from(c)), len, bits);
+                CodeStore::Packed { bits, len, words }
             }
-            CodeStore::Packed { bits, len, words }
-        } else {
-            CodeStore::Plain(codes)
+            _ => CodeStore::Plain(codes),
+        }
+    }
+
+    /// Whether [`CodeStore::build`] of this store's codes writes exactly
+    /// this store. Reads the codes once without collecting them: a packed
+    /// store of width 0 holds any number of codes in no bytes.
+    fn is_canonical(&self) -> bool {
+        let len = u64::from(self.len());
+        if let CodeStore::Rle { runs, .. } = self {
+            let max = runs.iter().map(|&(c, _)| c).max().unwrap_or(0);
+            return runs.windows(2).all(|w| w[0].0 != w[1].0)
+                && CodeStore::form(len, runs.len() as u64, max) == CODES_RLE;
+        }
+        let codes = (0..self.len()).map(|i| self.get(i));
+        let (mut runs, mut max, mut prev) = (0u64, 0u32, None);
+        for c in codes.clone() {
+            runs += u64::from(prev != Some(c));
+            (max, prev) = (max.max(c), Some(c));
+        }
+        if CodeStore::form(len, runs, max) != self.variant() {
+            return false;
+        }
+        match self {
+            CodeStore::Packed { bits, words, .. } => {
+                *bits == width(max.into())
+                    && *words == pack_bits(codes.map(u64::from), self.len(), *bits)
+            }
+            _ => true,
         }
     }
 }
@@ -1000,12 +1081,14 @@ impl ColumnarTranslator {
                 }
                 NumStore::Packed {
                     min,
+                    scale,
                     bits,
                     len,
                     words,
                 } => {
                     codec::put_u8(&mut out, 1);
                     codec::put_u64(&mut out, *min as u64);
+                    codec::put_u8(&mut out, *scale);
                     codec::put_u8(&mut out, *bits);
                     codec::put_u32(&mut out, *len);
                     for &w in words {
@@ -1021,16 +1104,15 @@ impl ColumnarTranslator {
             for s in &col.dict {
                 codec::put_str(&mut out, s);
             }
+            codec::put_u8(&mut out, col.codes.variant());
             match &col.codes {
                 CodeStore::Plain(v) => {
-                    codec::put_u8(&mut out, 0);
                     codec::put_u32(&mut out, v.len() as u32);
                     for &c in v {
                         codec::put_u32(&mut out, c);
                     }
                 }
                 CodeStore::Packed { bits, len, words } => {
-                    codec::put_u8(&mut out, 2);
                     codec::put_u8(&mut out, *bits);
                     codec::put_u32(&mut out, *len);
                     for &w in words {
@@ -1038,7 +1120,6 @@ impl ColumnarTranslator {
                     }
                 }
                 CodeStore::Rle { runs, .. } => {
-                    codec::put_u8(&mut out, 1);
                     codec::put_u32(&mut out, runs.len() as u32);
                     for &(code, len) in runs {
                         codec::put_u32(&mut out, code);
@@ -1205,8 +1286,12 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
         }
         1 => {
             let min = r.u64()? as i64;
+            let scale = r.u8()?;
             let bits = r.u8()?;
             let len = r.u32()?;
+            if scale as usize >= codec::POW10.len() {
+                return Err(codec::corrupt(format!("bad number scale {scale}")));
+            }
             if bits > 63 {
                 return Err(codec::corrupt(format!("bad pack width {bits}")));
             }
@@ -1217,6 +1302,7 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
             }
             NumStore::Packed {
                 min,
+                scale,
                 bits,
                 len,
                 words,
@@ -1226,6 +1312,11 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
     };
     if nums.len() as u64 != counts[TAG_NUM as usize] {
         return Err(codec::corrupt("number payload length mismatch"));
+    }
+    if !nums.is_canonical() {
+        return Err(codec::corrupt(
+            "number store is not the one its values build",
+        ));
     }
     let bool_len = r.u32()?;
     if bool_len as u64 != counts[TAG_BOOL as usize] {
@@ -1246,7 +1337,7 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
         dict.push(r.str()?);
     }
     let codes = match r.u8()? {
-        0 => {
+        CODES_PLAIN => {
             let n = r.u32()?;
             let mut v = Vec::with_capacity((n as usize).min(1 << 20));
             for _ in 0..n {
@@ -1254,7 +1345,7 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
             }
             CodeStore::Plain(v)
         }
-        1 => {
+        CODES_RLE => {
             let n = r.u32()?;
             let mut code_runs = Vec::with_capacity((n as usize).min(1 << 20));
             let mut ends = Vec::with_capacity((n as usize).min(1 << 20));
@@ -1277,7 +1368,7 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
                 ends,
             }
         }
-        2 => {
+        CODES_PACKED => {
             let bits = r.u8()?;
             let len = r.u32()?;
             if bits > 32 {
@@ -1311,6 +1402,9 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
                 return Err(codec::corrupt("dictionary code out of range"));
             }
         }
+    }
+    if !codes.is_canonical() {
+        return Err(codec::corrupt("code store is not the one its codes build"));
     }
     let n_errors = r.u32()?;
     if n_errors as u64 != counts[TAG_ERR as usize] {

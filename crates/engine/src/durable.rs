@@ -33,12 +33,15 @@
 //! **Checkpoint protocol.** The extents of the old map and of every
 //! rewritten or dropped region are freed (free ranges coalesce), then the
 //! dirty regions, in ascending id, and the new map are placed by
-//! lowest-offset first fit. Each touched page is assembled from its old
-//! bytes: freed ranges are zeroed and the new extents laid over the
-//! result. The pre-images of the pages whose bytes change — a page a
-//! clean region shares with a rewritten one included — are journaled to
-//! the WAL (tag 1 + 2 records) and fsynced, *then* the changed pages are
-//! written in place and fsynced, *then* the WAL is truncated. Clean
+//! lowest-offset first fit — the map first when its length (set by the
+//! region count) is unchanged, so a region that outgrows its extent moves
+//! past the map rather than the map past it. Each touched page is
+//! assembled from its old bytes: freed ranges are zeroed and the new
+//! extents laid over the result. The pre-images of the pages whose bytes
+//! change — a page a clean region shares with a rewritten one included —
+//! are journaled to the WAL (tag 1 + 2 records) and fsynced, *then* the
+//! changed pages are written in place and fsynced, *then* the WAL is
+//! truncated. Clean
 //! regions keep their bytes untouched — after a single-cell edit the
 //! checkpoint cost is O(dirty regions), not O(sheet).
 //! **Recovery.** On open, if the WAL ends in an unfinished checkpoint
@@ -50,10 +53,10 @@
 //! asserts. An image of any other format version, or naming any positional
 //! map but the hierarchical one (`posmap=2`), is refused as corrupt.
 //!
-//! On-disk layout of the version-4 image:
+//! On-disk layout of the version-5 image:
 //!
 //! ```text
-//! page 0      magic "DSIM" | version=4 u32 | posmap=2 u8 |
+//! page 0      magic "DSIM" | version=5 u32 | posmap=2 u8 |
 //!             map_len u64 | map_crc u32 | map_off u64, then zeros
 //! data area   every byte from offset 8192 (page 1) on; the map and each
 //!             region payload is one extent in it, crossing page
@@ -76,24 +79,39 @@
 //!
 //! ```text
 //! payload := n_rows row{n_rows}
-//! row     := row_gap n_cells(>=1) cell{n_cells}  row_gap = row - prev_row - 1 (first: row)
-//! cell    := col_gap tag body [src_len src]      col_gap = col - prev_col - 1 (first in row: col)
+//! row     := row_gap head [first_col] cell{n_cells}
+//!            row_gap = row - prev_row - 1 (first: row)
+//!            head    = n_cells(>=1) << 1 | dense; a dense row's columns
+//!                      are consecutive and it writes first_col once
+//! cell    := [col_gap] tag body [src_len src]
+//!            col_gap = col - prev_col - 1 (first in row: col); sparse rows only
 //! tag     := kind (low 3 bits: Empty 0 | Int 1 | Float 2 | Text 3 | False 4 |
-//!            True 5 | Error 6) | 0x08 if a formula source follows
-//! body    := Int: zigzag varint | Float: f64 LE | Text: len + UTF-8 |
-//!            Error: code u8 | otherwise nothing
+//!            True 5 | Error 6) | 0x08 if a formula source follows |
+//!            modifier << 4 (Float: scale 0..=15; Text: 0 literal, 1 reference;
+//!            0 on every other kind)
+//! body    := Int, Float at scale s >= 1: zigzag varint mantissa |
+//!            Float at modifier 0: f64 LE | Text literal: len + UTF-8 |
+//!            Text reference: code | Error: code u8 | otherwise nothing
 //! ```
 //!
-//! Each value has one byte form: `Int` holds exactly the integral numbers
-//! with |x| ≤ 2^53 other than `-0.0`, so a `Float` holding one is refused,
-//! and `Empty` is legal only under a formula. Free bytes are zero: a
-//! checkpoint zeroes every range it frees, so an image's bytes are a
-//! function of its header, map and live extents alone, and two stores
-//! that place the same payloads hold the same file — the recovery suite
-//! compares images byte-for-byte.
+//! Each value has one byte form. A number with a [`codec::decimal_form`]
+//! `(m, s)` is stored as mantissa `m` — `Int` at scale 0, `Float` with
+//! modifier `s` otherwise — and a raw `Float` holds exactly the numbers
+//! with none (`-0.0`, NaN, ±∞ and those needing more than 15 decimals or
+//! 53 bits). A text's first occurrence in the payload is a literal; every
+//! repeat is a reference whose code numbers the literals in order of first
+//! appearance, so a literal repeating an earlier text, or a code not yet
+//! written, is refused. A row whose columns are consecutive (every one-cell
+//! row) is dense; a sparse row with consecutive columns is refused. `Empty`
+//! is legal only under a formula. Formula sources are never shared.
+//!
+//! Free bytes are zero: a checkpoint zeroes every range it frees, so an
+//! image's bytes are a function of its header, map and live extents
+//! alone, and two stores that place the same payloads hold the same file —
+//! the recovery suite compares images byte-for-byte.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -124,7 +142,7 @@ pub const WAL_FILE: &str = "wal.log";
 pub const MAX_LOGGED_OP_BYTES: usize = 48 << 20;
 
 const IMAGE_MAGIC: &[u8; 4] = b"DSIM";
-const IMAGE_VERSION: u32 = 4;
+const IMAGE_VERSION: u32 = 5;
 /// The header's positional-map byte, part of the image layout: always 2,
 /// the hierarchical map; an image holding any other value is refused.
 const IMAGE_POSMAP: u8 = 2;
@@ -348,18 +366,15 @@ const CELL_TEXT: u8 = 3;
 const CELL_FALSE: u8 = 4;
 const CELL_TRUE: u8 = 5;
 const CELL_ERROR: u8 = 6;
+const CELL_KIND: u8 = 0x07;
 /// Tag bit: a formula source follows the value.
 const CELL_FORMULA: u8 = 0x08;
-/// Largest magnitude stored as `Int`: every integer up to 2^53 is exact
-/// in an `f64`.
-const MAX_INT_CELL: u64 = 1 << 53;
-
-/// The `Int` form of `n`, if it has one: integral, |n| ≤ 2^53, and not
-/// `-0.0` (whose sign an integer cannot keep).
-fn int_form(n: f64) -> Option<i64> {
-    let integral = n.trunc() == n && n.abs() <= MAX_INT_CELL as f64;
-    (integral && n.to_bits() != (-0.0f64).to_bits()).then_some(n as i64)
-}
+/// The tag's high nibble is a per-kind modifier: a `Float`'s decimal
+/// scale (0: a raw `f64`), or [`TEXT_REF`] on a `Text`; 0 on every other
+/// kind.
+const MODIFIER_SHIFT: u8 = 4;
+/// `Text` modifier: the body is the code of an earlier literal.
+const TEXT_REF: u8 = 1;
 
 fn put_vstr(out: &mut Vec<u8>, s: &str) {
     codec::put_uvarint(out, s.len() as u64);
@@ -376,25 +391,49 @@ fn read_vstr<'a>(cur: &mut Reader<'a>) -> Result<&'a str, EngineError> {
     std::str::from_utf8(cur.take(len as usize)?).map_err(|_| corrupt("cells: invalid utf-8 string"))
 }
 
+fn put_zigzag(out: &mut Vec<u8>, i: i64) {
+    codec::put_uvarint(out, ((i << 1) ^ (i >> 63)) as u64);
+}
+
+/// A zigzag mantissa at scale `s`, refused unless it is exactly the
+/// [`codec::decimal_form`] of the number it spells: that refuses a
+/// non-minimal scale, an integral `Float` and a magnitude past 2^53.
+fn read_decimal(cur: &mut Reader<'_>, s: u8) -> Result<f64, EngineError> {
+    let z = cur.uvarint()?;
+    let m = (z >> 1) as i64 ^ -((z & 1) as i64);
+    let n = m as f64 / codec::POW10[s as usize];
+    if codec::decimal_form(n) != Some((m, s)) {
+        return Err(corrupt(&format!(
+            "cells: mantissa {m} at scale {s} is not the form of {n:e}"
+        )));
+    }
+    Ok(n)
+}
+
 /// Streams one store's cells into its canonical checkpoint cell payload
 /// (grammar in the module doc) straight from a
 /// [`Translator::scan`](crate::Translator::scan): no cell list in between.
 /// A row's cells are staged until the row ends, since its header carries
-/// their count; the row count is prefixed by `finish`. The same logical
-/// content must always produce the same bytes (the recovery suite compares
-/// images byte for byte), so the cells must arrive non-blank and in
-/// strictly increasing row-major order; a store that scans otherwise is a
-/// bug and trips an assert rather than writing a non-canonical image.
+/// their count and whether their columns are consecutive; the row count
+/// is prefixed by `finish`. The same logical content must always produce
+/// the same bytes (the recovery suite compares images byte for byte), so
+/// the cells must arrive non-blank and in strictly increasing row-major
+/// order; a store that scans otherwise is a bug and trips an assert rather
+/// than writing a non-canonical image.
 pub struct CellsEncoder {
     /// Finished rows.
     out: Vec<u8>,
-    /// The current row's cells.
+    /// The current row's cells, without their column gaps.
     row: Vec<u8>,
-    /// The current row's gap from the previous row, and its cell count.
+    /// Per cell of the current row: where it starts in `row`, and its
+    /// column gap.
+    cells: Vec<(usize, u32)>,
+    /// The current row's gap from the previous row.
     row_gap: u64,
-    row_cells: u64,
     rows: u64,
     last: Option<(u32, u32)>,
+    /// Every text written as a literal so far, by its code.
+    texts: HashMap<String, u32>,
 }
 
 impl Default for CellsEncoder {
@@ -408,10 +447,11 @@ impl CellsEncoder {
         CellsEncoder {
             out: Vec::new(),
             row: Vec::new(),
+            cells: Vec::new(),
             row_gap: 0,
-            row_cells: 0,
             rows: 0,
             last: None,
+            texts: HashMap::new(),
         }
     }
 
@@ -434,26 +474,36 @@ impl CellsEncoder {
             }
         };
         self.last = Some((row, col));
-        self.row_cells += 1;
+        self.cells.push((self.row.len(), col_gap));
         let out = &mut self.row;
-        codec::put_uvarint(out, col_gap as u64);
         let flag = if formula.is_some() { CELL_FORMULA } else { 0 };
         match value {
             ScanValue::Empty => out.push(CELL_EMPTY | flag),
-            ScanValue::Number(n) => match int_form(n) {
-                Some(i) => {
+            ScanValue::Number(n) => match codec::decimal_form(n) {
+                Some((m, 0)) => {
                     out.push(CELL_INT | flag);
-                    codec::put_uvarint(out, ((i << 1) ^ (i >> 63)) as u64);
+                    put_zigzag(out, m);
+                }
+                Some((m, s)) => {
+                    out.push(CELL_FLOAT | s << MODIFIER_SHIFT | flag);
+                    put_zigzag(out, m);
                 }
                 None => {
                     out.push(CELL_FLOAT | flag);
                     codec::put_f64(out, n);
                 }
             },
-            ScanValue::Text(s) => {
-                out.push(CELL_TEXT | flag);
-                put_vstr(out, s);
-            }
+            ScanValue::Text(s) => match self.texts.get(s) {
+                Some(&code) => {
+                    out.push(CELL_TEXT | TEXT_REF << MODIFIER_SHIFT | flag);
+                    codec::put_uvarint(out, code.into());
+                }
+                None => {
+                    self.texts.insert(s.to_string(), self.texts.len() as u32);
+                    out.push(CELL_TEXT | flag);
+                    put_vstr(out, s);
+                }
+            },
             ScanValue::Bool(b) => out.push(if b { CELL_TRUE } else { CELL_FALSE } | flag),
             ScanValue::Error(e) => {
                 out.push(CELL_ERROR | flag);
@@ -465,15 +515,29 @@ impl CellsEncoder {
         }
     }
 
-    /// Move the current row, under its header, to the finished rows.
+    /// Move the current row, under its header, to the finished rows: a
+    /// dense row writes its first column once, a sparse one every cell's
+    /// column gap.
     fn end_row(&mut self) {
-        if self.row_cells == 0 {
+        let Some(&(_, first_col)) = self.cells.first() else {
             return;
+        };
+        let dense = self.cells[1..].iter().all(|&(_, gap)| gap == 0);
+        let out = &mut self.out;
+        codec::put_uvarint(out, self.row_gap);
+        codec::put_uvarint(out, (self.cells.len() as u64) << 1 | u64::from(dense));
+        if dense {
+            codec::put_uvarint(out, first_col.into());
+            out.extend_from_slice(&self.row);
+        } else {
+            let ends = self.cells[1..].iter().map(|&(start, _)| start);
+            for (&(start, gap), end) in self.cells.iter().zip(ends.chain([self.row.len()])) {
+                codec::put_uvarint(out, gap.into());
+                out.extend_from_slice(&self.row[start..end]);
+            }
         }
-        codec::put_uvarint(&mut self.out, self.row_gap);
-        codec::put_uvarint(&mut self.out, self.row_cells);
-        self.out.append(&mut self.row);
-        self.row_cells = 0;
+        self.row.clear();
+        self.cells.clear();
         self.rows += 1;
     }
 
@@ -493,32 +557,56 @@ fn advance(prev: Option<u32>, gap: u64, axis: &str) -> Result<u32, EngineError> 
         .ok_or_else(|| corrupt(&format!("cells: {axis} past u32::MAX")))
 }
 
+/// The literal texts of a payload read so far, by code; references borrow
+/// them from the payload.
+#[derive(Default)]
+struct Literals<'a> {
+    by_code: Vec<&'a str>,
+    seen: HashSet<&'a str>,
+}
+
 /// One cell's tag, value and formula source, decoded in place.
-fn read_cell<'a>(cur: &mut Reader<'a>) -> Result<(ScanValue<'a>, Option<&'a str>), EngineError> {
+fn read_cell<'a>(
+    cur: &mut Reader<'a>,
+    literals: &mut Literals<'a>,
+) -> Result<(ScanValue<'a>, Option<&'a str>), EngineError> {
     let tag = cur.u8()?;
     let has_formula = tag & CELL_FORMULA != 0;
-    let value = match tag & !CELL_FORMULA {
-        CELL_EMPTY if has_formula => ScanValue::Empty,
-        CELL_EMPTY => return Err(corrupt("cells: blank cell without a formula")),
-        CELL_INT => {
-            let z = cur.uvarint()?;
-            let i = (z >> 1) as i64 ^ -((z & 1) as i64);
-            if i.unsigned_abs() > MAX_INT_CELL {
-                return Err(corrupt(&format!("cells: integer {i} past 2^53")));
-            }
-            ScanValue::Number(i as f64)
-        }
-        CELL_FLOAT => {
+    let value = match (tag & CELL_KIND, tag >> MODIFIER_SHIFT) {
+        (CELL_EMPTY, 0) if has_formula => ScanValue::Empty,
+        (CELL_EMPTY, 0) => return Err(corrupt("cells: blank cell without a formula")),
+        (CELL_INT, 0) => ScanValue::Number(read_decimal(cur, 0)?),
+        (CELL_FLOAT, 0) => {
             let n = cur.f64()?;
-            if int_form(n).is_some() {
-                return Err(corrupt(&format!("cells: integral {n} stored as a float")));
+            if codec::decimal_form(n).is_some() {
+                return Err(corrupt(&format!(
+                    "cells: decimal {n} stored as a raw float"
+                )));
             }
             ScanValue::Number(n)
         }
-        CELL_TEXT => ScanValue::Text(read_vstr(cur)?),
-        CELL_FALSE => ScanValue::Bool(false),
-        CELL_TRUE => ScanValue::Bool(true),
-        CELL_ERROR => ScanValue::Error(codec::cell_error(cur.u8()?)?),
+        (CELL_FLOAT, s) => ScanValue::Number(read_decimal(cur, s)?),
+        (CELL_TEXT, 0) => {
+            let s = read_vstr(cur)?;
+            if !literals.seen.insert(s) {
+                return Err(corrupt("cells: a literal repeats an earlier text"));
+            }
+            literals.by_code.push(s);
+            ScanValue::Text(s)
+        }
+        (CELL_TEXT, TEXT_REF) => {
+            let code = cur.uvarint()?;
+            match usize::try_from(code)
+                .ok()
+                .and_then(|c| literals.by_code.get(c))
+            {
+                Some(s) => ScanValue::Text(s),
+                None => return Err(corrupt(&format!("cells: text code {code} not yet written"))),
+            }
+        }
+        (CELL_FALSE, 0) => ScanValue::Bool(false),
+        (CELL_TRUE, 0) => ScanValue::Bool(true),
+        (CELL_ERROR, 0) => ScanValue::Error(codec::cell_error(cur.u8()?)?),
         _ => return Err(corrupt(&format!("cells: unknown cell tag {tag:#04x}"))),
     };
     let formula = if has_formula {
@@ -532,31 +620,45 @@ fn read_cell<'a>(cur: &mut Reader<'a>) -> Result<(ScanValue<'a>, Option<&'a str>
 /// Visit the cells of a payload written by [`CellsEncoder`] in stored
 /// (row-major) order, decoded in place: texts and formula sources borrow
 /// from `payload`. Only the encoder's own bytes are accepted — truncation,
-/// an empty row, an address past `u32::MAX`, an unknown tag or error code,
-/// a non-shortest varint, an integral `Float`, invalid UTF-8 and trailing
-/// bytes are all [`StoreError::Corrupt`] — so every accepted payload
-/// re-encodes to itself. An error from `f` ends the visit.
+/// an empty row, a sparse row whose columns are consecutive, an address
+/// past `u32::MAX`, an unknown tag, modifier or error code, a non-shortest
+/// varint, a number not in its one form, a repeated literal, a text code
+/// not yet written, invalid UTF-8 and trailing bytes are all
+/// [`StoreError::Corrupt`] — so every accepted payload re-encodes to
+/// itself. An error from `f` ends the visit.
 pub fn visit_cells(
     payload: &[u8],
     mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
     let mut cur = Reader::new(payload);
+    let mut literals = Literals::default();
     let n_rows = cur.uvarint()?;
     let mut row = None;
     // Every row and cell consumes input, so a huge count fails on
     // truncation instead of looping.
     for _ in 0..n_rows {
         let r = advance(row, cur.uvarint()?, "row")?;
-        let n_cells = cur.uvarint()?;
+        let head = cur.uvarint()?;
+        let (n_cells, dense) = (head >> 1, head & 1 == 1);
         if n_cells == 0 {
             return Err(corrupt("cells: empty row"));
         }
         let mut col = None;
+        let mut consecutive = true;
         for _ in 0..n_cells {
-            let c = advance(col, cur.uvarint()?, "column")?;
-            let (value, formula) = read_cell(&mut cur)?;
+            let gap = if dense && col.is_some() {
+                0
+            } else {
+                cur.uvarint()?
+            };
+            consecutive &= col.is_none() || gap == 0;
+            let c = advance(col, gap, "column")?;
+            let (value, formula) = read_cell(&mut cur, &mut literals)?;
             f(r, c, value, formula)?;
             col = Some(c);
+        }
+        if consecutive && !dense {
+            return Err(corrupt("cells: consecutive columns in a sparse row"));
         }
         row = Some(r);
     }
@@ -636,6 +738,12 @@ struct StoredRegion {
     rect: Rect,
     extent: Extent,
     crc: u32,
+}
+
+/// Bytes of an image map of `regions` entries: a count, then per region
+/// id 8 | kind 1 | rect 16 | offset 8 | len 8 | crc 4.
+fn map_len(regions: usize) -> u64 {
+    4 + 45 * regions as u64
 }
 
 fn encode_map(map: &BTreeMap<u64, StoredRegion>) -> Vec<u8> {
@@ -1355,10 +1463,17 @@ impl DurableStore {
         );
         let mut free = FreeSpace::around(new_map.values().map(|sr| sr.extent));
 
-        // Place the rewritten regions (ascending id), then the map, each at
-        // the lowest offset it fits. This is self-stabilizing: a checkpoint
-        // with no changes re-derives the same placement and writes nothing.
+        // Place the rewritten regions (ascending id) and the map, each at
+        // the lowest offset it fits. A map whose length is unchanged (it
+        // depends only on the region count) is placed first: it keeps its
+        // extent unless a lower hole holds it, and a region that outgrows
+        // its own extent moves past the map instead of pushing the whole
+        // map further along the file. Any other map is placed last. This
+        // is self-stabilizing: a checkpoint with no changes re-derives the
+        // same placement and writes nothing.
         let regions_written = dirty.len() as u64;
+        let map_len = map_len(new_map.len() + dirty.len());
+        let kept_map = (map_len == self.map_extent.len).then(|| free.alloc(map_len));
         dirty.sort_by_key(|(id, ..)| *id);
         let mut placed: Vec<(Extent, Vec<u8>)> = Vec::with_capacity(dirty.len() + 1);
         for (id, kind, rect, payload, crc) in dirty {
@@ -1374,8 +1489,9 @@ impl DurableStore {
             );
             placed.push((extent, payload));
         }
+        let map_extent = kept_map.unwrap_or_else(|| free.alloc(map_len));
         let map_bytes = encode_map(&new_map);
-        let map_extent = free.alloc(map_bytes.len() as u64);
+        debug_assert_eq!(map_bytes.len() as u64, map_extent.len);
         let header = encode_header(map_extent, crc32(&map_bytes));
         placed.push((map_extent, map_bytes));
         let new_count = new_map
@@ -1642,10 +1758,13 @@ mod tests {
 
     /// The checkpoint cell payload and the image map, pinned like
     /// [`op_codec_roundtrip`]'s records. The cell payload reads, byte group
-    /// by byte group: 3 rows; row 0 with 2 cells — col 0 Int zigzag 2, col
-    /// gap 4 Text+formula "x" / `B1&"x"`; row gap 8 with 2 cells — col 1
-    /// Empty+formula `ZZ9`, col gap 0 Error+formula #DIV/0! / `1/0`; row
-    /// gap 4294967285 with 1 cell — col u32::MAX False.
+    /// by byte group: 4 rows; row 0 sparse with 2 cells — col gap 0 Int
+    /// zigzag 2, col gap 4 Text literal+formula "x" / `B1&"x"`; row gap 8
+    /// dense with 2 cells from col 1 — Empty+formula `ZZ9`, Error+formula
+    /// #DIV/0! / `1/0`; row gap 0 dense with 3 cells from col 3 — Float at
+    /// scale 2 zigzag 2467 (-12.34), raw Float 0.1+0.2, Text reference to
+    /// code 0 ("x"); row gap 4294967284 dense with 1 cell at col u32::MAX —
+    /// False.
     #[test]
     fn cell_payloads_and_page_maps_encode_to_the_pinned_bytes() {
         fn hex(bytes: &[u8]) -> String {
@@ -1657,17 +1776,24 @@ mod tests {
         cells.push(0, 5, ScanValue::Text("x"), Some("B1&\"x\""));
         cells.push(9, 1, ScanValue::Empty, Some("ZZ9"));
         cells.push(9, 2, ScanValue::Error(CellError::Div0), Some("1/0"));
+        cells.push(10, 3, ScanValue::Number(-12.34), None);
+        cells.push(10, 4, ScanValue::Number(0.1 + 0.2), None);
+        cells.push(10, 5, ScanValue::Text("x"), None);
         cells.push(u32::MAX, u32::MAX, ScanValue::Bool(false), None);
         let want = concat!(
-            "03",
-            "0002",
+            "04",
+            "0004",
             "000102",
             "040b017806423126227822",
-            "0802",
-            "0108035a5a39",
-            "000e0003312f30",
-            "f5ffffff0f01",
-            "ffffffff0f04",
+            "080501",
+            "08035a5a39",
+            "0e0003312f30",
+            "000703",
+            "22a313",
+            "02343333333333d33f",
+            "1300",
+            "f4ffffff0f03ffffffff0f",
+            "04",
         );
         let bytes = cells.finish();
         if hex(&bytes) != want {
@@ -1684,6 +1810,9 @@ mod tests {
                     2,
                     Cell::formula("1/0").with_value(CellValue::Error(CellError::Div0))
                 ),
+                (10, 3, Cell::value(-12.34)),
+                (10, 4, Cell::value(0.1 + 0.2)),
+                (10, 5, Cell::value("x")),
                 (u32::MAX, u32::MAX, Cell::value(false)),
             ]
             .map(|(r, c, cell)| (CellAddr::new(r, c), cell))
@@ -1907,6 +2036,44 @@ mod tests {
         assert_eq!(r2.rect, Rect::new(500, 0, 899, 0));
         let r1 = recovered.regions.iter().find(|r| r.id == 1).unwrap();
         assert_eq!(decode_cells(&r1.payload).unwrap(), band(1));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A region that outgrows its extent moves past a map whose length is
+    /// unchanged: the map keeps its offset, and the checkpoint rewrites
+    /// the header and the one data page, not a relocated map.
+    #[test]
+    fn a_grown_region_moves_past_the_map() {
+        let dir = temp_dir("ckpt-grown");
+        let (mut store, _) = DurableStore::open(&dir).unwrap();
+        let one = |id: u64, v: f64| {
+            let rect = Rect::new(id as u32 * 10, 0, id as u32 * 10, 0);
+            region_image(id, rect, Some(vec![(CellAddr::new(0, 0), cell(v))]))
+        };
+        let mut regions = vec![catchall_image(&[], true)];
+        regions.extend((1..=5).map(|id| one(id, 1.0)));
+        store.checkpoint(regions).unwrap();
+        let map = store.map_extent;
+        let mut regions = vec![catchall_image(&[], false), one(1, 1e6)];
+        regions.extend((2..=5).map(|id| {
+            let rect = Rect::new(id as u32 * 10, 0, id as u32 * 10, 0);
+            region_image(id, rect, None)
+        }));
+        let incr = store.checkpoint(regions).unwrap();
+        assert_eq!(store.map_extent, map, "the map keeps its extent");
+        assert_eq!(
+            store.map[&1].extent.off,
+            map.end(),
+            "region 1 moves past it"
+        );
+        assert_eq!(incr.pages_written, 2, "{incr:?}");
+        drop(store);
+        let (_, recovered) = DurableStore::open(&dir).unwrap();
+        let r1 = recovered.regions.iter().find(|r| r.id == 1).unwrap();
+        assert_eq!(
+            decode_cells(&r1.payload).unwrap(),
+            [(CellAddr::new(0, 0), cell(1e6))]
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1967,14 +1967,14 @@ mod tests {
         let mut trailing = good.clone();
         trailing.push(0);
         bad.push(("trailing byte".into(), trailing));
-        // One cell at (0,0): 1 row, row gap 0, 1 cell, column gap 0, then
-        // the tag at byte 4 and its body from byte 5.
+        // One cell at (0,0): 1 row, row gap 0, 1 cell in a dense row, first
+        // column 0, then the tag at byte 4 and its body from byte 5.
         let one = |cell: Cell| encode_cells(&[(addr(0, 0), cell)]);
         let patched = |mut bytes: Vec<u8>, at: usize, to: u8| {
             bytes[at] = to;
             bytes
         };
-        let one_true = [1, 0, 1, 0, 5];
+        let one_true = [1, 0, 3, 0, 5];
         assert_eq!(one(Cell::value(true)), one_true);
         let raw = |parts: &[&[u8]]| parts.concat();
         let past_2_53 = {
@@ -1985,7 +1985,7 @@ mod tests {
         bad.extend([
             ("unknown kind 7".into(), patched(one_true.to_vec(), 4, 7)),
             (
-                "unknown tag bit".into(),
+                "modifier on a bool".into(),
                 patched(one_true.to_vec(), 4, 0x15),
             ),
             (
@@ -2007,43 +2007,60 @@ mod tests {
             // Kind 2 (Float) holding 1.0, which only Int may hold.
             (
                 "integral float".into(),
-                raw(&[&[1, 0, 1, 0, 2], &1.0f64.to_le_bytes()]),
+                raw(&[&[1, 0, 3, 0, 2], &1.0f64.to_le_bytes()]),
             ),
             (
                 "integer past 2^53".into(),
-                raw(&[&[1, 0, 1, 0, 1], &past_2_53]),
+                raw(&[&[1, 0, 3, 0, 1], &past_2_53]),
             ),
             (
                 "row gap past u32::MAX".into(),
-                raw(&[&[1], &[0x80, 0x80, 0x80, 0x80, 0x10], &[1, 0, 5]]),
+                raw(&[&[1], &[0x80, 0x80, 0x80, 0x80, 0x10], &[3, 0, 5]]),
             ),
             // Row 0, then a row gap of u32::MAX.
             (
                 "second row past u32::MAX".into(),
                 raw(&[
-                    &[2, 0, 1, 0, 5],
+                    &[2, 0, 3, 0, 5],
                     &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F],
-                    &[1, 0, 5],
+                    &[3, 0, 5],
                 ]),
             ),
             // Column 0, then a column gap of u32::MAX.
             (
                 "second column past u32::MAX".into(),
-                raw(&[&[1, 0, 2, 0, 5], &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F], &[5]]),
+                raw(&[&[1, 0, 4, 0, 5], &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F], &[5]]),
+            ),
+            // A dense row of two cells from column u32::MAX.
+            (
+                "dense row past u32::MAX".into(),
+                raw(&[&[1, 0, 5], &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F], &[5, 5]]),
+            ),
+            (
+                "consecutive columns in a sparse row".into(),
+                vec![1, 0, 4, 0, 5, 0, 5],
+            ),
+            (
+                "text code not yet written".into(),
+                vec![1, 0, 3, 0, 0x13, 0],
+            ),
+            (
+                "literal repeating an earlier text".into(),
+                vec![1, 0, 5, 0, 3, 1, b'a', 3, 1, b'a'],
             ),
             ("empty row".into(), vec![1, 0, 0]),
             (
                 "overlong row count".into(),
                 raw(&[&[0x81, 0], &one_true[1..]]),
             ),
-            ("overlong row gap".into(), vec![1, 0x80, 0, 1, 0, 5]),
-            ("overlong cell count".into(), vec![1, 0, 0x81, 0, 0, 5]),
-            ("overlong column gap".into(), vec![1, 0, 1, 0x80, 0, 5]),
+            ("overlong row gap".into(), vec![1, 0x80, 0, 3, 0, 5]),
+            ("overlong cell count".into(), vec![1, 0, 0x83, 0, 0, 5]),
+            ("overlong first column".into(), vec![1, 0, 3, 0x80, 0, 5]),
             (
                 "overlong text length".into(),
-                vec![1, 0, 1, 0, 3, 0x81, 0, b'a'],
+                vec![1, 0, 3, 0, 3, 0x81, 0, b'a'],
             ),
-            ("overlong integer".into(), vec![1, 0, 1, 0, 1, 0x82, 0]),
+            ("overlong integer".into(), vec![1, 0, 3, 0, 1, 0x82, 0]),
         ]);
         for (what, payload) in &bad {
             assert!(

@@ -17,7 +17,7 @@ use dataspread_grid::{Cell, CellValue};
 fn value() -> impl Strategy<Value = CellValue> {
     prop_oneof![
         3 => Just(CellValue::Empty).boxed(),
-        // Packable integers of various widths, plus the 9e15 cliff.
+        // Packable integers of various widths, up to near 2^53.
         3 => (-9_000_000_000_000_000i64..9_000_000_000_000_000)
             .prop_map(|i| CellValue::Number(i as f64))
             .boxed(),
@@ -212,5 +212,277 @@ proptest! {
                 let _ = back.all_cells();
             }
         }
+    }
+}
+
+/// A one-column payload of `rows` cells of run tag `tag`, its number store
+/// spelled by `nums` (variant byte first), its dictionary by `dict` and
+/// its code store by `codes` (variant byte first); no bools, errors,
+/// formulas or overlay.
+fn one_column(rows: u32, tag: u8, nums: &[u8], dict: &[&str], codes: &[u8]) -> Vec<u8> {
+    let mut out = vec![2]; // encoding version
+    out.extend(rows.to_le_bytes());
+    out.extend(1u32.to_le_bytes()); // one column
+    out.extend(1u32.to_le_bytes()); // one run
+    out.push(tag);
+    out.extend(rows.to_le_bytes());
+    out.extend_from_slice(nums);
+    out.extend(0u32.to_le_bytes()); // no bools
+    out.extend((dict.len() as u32).to_le_bytes());
+    for s in dict {
+        out.extend((s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    }
+    out.extend_from_slice(codes);
+    for _ in 0..3 {
+        out.extend(0u32.to_le_bytes()); // no errors, formulas, overlay
+    }
+    out
+}
+
+/// `vals`, each in its low `bits`, packed back to back.
+fn words(vals: &[u64], bits: u32) -> Vec<u64> {
+    let mut words = vec![0u64; (vals.len() * bits as usize).div_ceil(64)];
+    for (i, &v) in vals.iter().enumerate() {
+        let bit = i * bits as usize;
+        words[bit / 64] |= v << (bit % 64);
+        if bit % 64 + bits as usize > 64 {
+            words[bit / 64 + 1] |= v >> (64 - bit % 64);
+        }
+    }
+    words
+}
+
+/// A column of `rows` numbers stored as `nums`.
+fn numbers(rows: u32, nums: &[u8]) -> Vec<u8> {
+    one_column(rows, 1, nums, &[], &raw_store(&[]))
+}
+
+/// A column of `rows` texts from the dictionary `["a", "b"]`, their codes
+/// stored as `codes`, and no numbers stored as `nums`.
+fn texts(rows: u32, nums: &[u8], codes: &[u8]) -> Vec<u8> {
+    one_column(rows, 3, nums, &["a", "b"], codes)
+}
+
+fn packed_codes(bits: u8, len: u32, words: &[u64]) -> Vec<u8> {
+    let mut out = vec![2, bits];
+    out.extend(len.to_le_bytes());
+    for w in words {
+        out.extend(w.to_le_bytes());
+    }
+    out
+}
+
+fn rle_codes(runs: &[(u32, u32)]) -> Vec<u8> {
+    let mut out = vec![1];
+    out.extend((runs.len() as u32).to_le_bytes());
+    for (code, len) in runs {
+        out.extend(code.to_le_bytes());
+        out.extend(len.to_le_bytes());
+    }
+    out
+}
+
+fn plain_codes(codes: &[u32]) -> Vec<u8> {
+    let mut out = vec![0];
+    out.extend((codes.len() as u32).to_le_bytes());
+    for c in codes {
+        out.extend(c.to_le_bytes());
+    }
+    out
+}
+
+fn raw_store(vals: &[f64]) -> Vec<u8> {
+    let mut out = vec![0];
+    out.extend((vals.len() as u32).to_le_bytes());
+    for v in vals {
+        out.extend(v.to_le_bytes());
+    }
+    out
+}
+
+fn packed_store(min: i64, scale: u8, bits: u8, len: u32, words: &[u64]) -> Vec<u8> {
+    let mut out = vec![1];
+    out.extend(min.to_le_bytes());
+    out.push(scale);
+    out.push(bits);
+    out.extend(len.to_le_bytes());
+    for w in words {
+        out.extend(w.to_le_bytes());
+    }
+    out
+}
+
+fn one_number_column(vals: &[f64]) -> ColumnarTranslator {
+    let mut t = ColumnarTranslator::new(vals.len() as u32, 1);
+    for (r, &v) in (0u32..).zip(vals) {
+        t.set_cell(r, 0, Cell::value(v)).unwrap();
+    }
+    t.compact();
+    t
+}
+
+/// `from_bytes` accepts a number store only if building the same values
+/// writes it: a `min` whose offsets overflow, raw doubles that would
+/// pack, a width wider than the span needs, bits set past `len × bits`, a
+/// scale that is not the smallest and a `min` below every value are all
+/// refused, without a panic.
+#[test]
+fn a_number_store_build_would_not_write_is_refused() {
+    let ints: Vec<f64> = (0..8).map(|r| f64::from(r % 7) - 3.0).collect();
+    let t = one_number_column(&ints);
+    let bytes = t.to_bytes();
+    // The hand-built spelling of the same column is byte-identical.
+    let offsets: Vec<u64> = (0..8).map(|r| r % 7).collect();
+    assert_eq!(
+        numbers(8, &packed_store(-3, 0, 3, 8, &words(&offsets, 3))),
+        bytes
+    );
+
+    // `min` overwritten with i64::MAX - 2: its offsets up to 6 overflow.
+    let at = bytes
+        .windows(8)
+        .position(|w| w == (-3i64).to_le_bytes())
+        .unwrap();
+    let mut overflowing = bytes.clone();
+    overflowing[at..at + 8].copy_from_slice(&(i64::MAX - 2).to_le_bytes());
+    // Raw doubles that are not integers, overwritten with integers.
+    let thirds: Vec<f64> = (1..5).map(|i| f64::from(i) / 3.0).collect();
+    let raw = one_number_column(&thirds).to_bytes();
+    assert_eq!(numbers(4, &raw_store(&thirds)), raw);
+    let mut integral = raw.clone();
+    for (i, v) in thirds.iter().enumerate() {
+        let at = raw.windows(8).position(|w| w == v.to_le_bytes()).unwrap();
+        integral[at..at + 8].copy_from_slice(&(i as f64).to_le_bytes());
+    }
+    let tenths: Vec<u64> = offsets.iter().map(|o| o * 10).collect();
+    let below: Vec<u64> = offsets.iter().map(|o| o + 1).collect();
+    let mut padded = words(&offsets, 3);
+    padded[0] |= 1 << 24;
+    let cases = [
+        ("min + offset overflows", overflowing),
+        ("raw store of integers", integral),
+        (
+            "raw store of decimals",
+            numbers(4, &raw_store(&[0.5, 1.5, 2.5, 3.5])),
+        ),
+        (
+            "width wider than the span",
+            numbers(8, &packed_store(-3, 0, 4, 8, &words(&offsets, 4))),
+        ),
+        (
+            "bits past len x bits",
+            numbers(8, &packed_store(-3, 0, 3, 8, &padded)),
+        ),
+        (
+            "scale not the smallest",
+            numbers(8, &packed_store(-30, 1, 6, 8, &words(&tenths, 6))),
+        ),
+        (
+            "min below every value",
+            numbers(8, &packed_store(-4, 0, 3, 8, &words(&below, 3))),
+        ),
+        (
+            "scale past 15",
+            numbers(8, &packed_store(-3, 16, 3, 8, &words(&offsets, 3))),
+        ),
+        (
+            "packed store of no values",
+            texts(
+                4,
+                &packed_store(0, 0, 0, 0, &[]),
+                &packed_codes(1, 4, &[0b1010]),
+            ),
+        ),
+    ];
+    for (what, payload) in &cases {
+        assert!(
+            ColumnarTranslator::from_bytes(payload).is_err(),
+            "{what}: accepted"
+        );
+    }
+
+    // Decimals pack at their smallest common scale and read back exactly.
+    for vals in [
+        (0..8)
+            .map(|r| f64::from(r % 7 - 3) / 10.0)
+            .collect::<Vec<_>>(),
+        vec![0.5, 1.25, -2.0, 1e-3],
+        vec![7.0; 5],
+    ] {
+        let t = one_number_column(&vals);
+        let back = ColumnarTranslator::from_bytes(&t.to_bytes()).unwrap();
+        let cells: Vec<u64> = back
+            .all_cells()
+            .iter()
+            .map(|(_, c)| match c.value {
+                CellValue::Number(n) => n.to_bits(),
+                ref v => panic!("{v:?}"),
+            })
+            .collect();
+        assert_eq!(cells, vals.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        assert_eq!(back.to_bytes(), t.to_bytes());
+    }
+    let scaled = |vals: &[f64]| one_number_column(vals).to_bytes();
+    let offsets = [2500u64, 3250, 0, 2001];
+    assert_eq!(
+        scaled(&[0.5, 1.25, -2.0, 1e-3]),
+        numbers(4, &packed_store(-2000, 3, 12, 4, &words(&offsets, 12)))
+    );
+}
+
+/// The same rule for dictionary codes: plain codes that would pack, a
+/// packed store wider than its largest code or with bits set past its
+/// codes, RLE runs where packing is no larger, and RLE runs splitting one
+/// code's run are all refused.
+#[test]
+fn a_code_store_build_would_not_write_is_refused() {
+    let built = |codes: &[usize]| {
+        let mut t = ColumnarTranslator::new(codes.len() as u32, 1);
+        for (r, &c) in (0u32..).zip(codes) {
+            t.set_cell(r, 0, Cell::value(["a", "b"][c])).unwrap();
+        }
+        t.compact();
+        t.to_bytes()
+    };
+    let column = |rows: u32, codes: &[u8]| texts(rows, &raw_store(&[]), codes);
+    // Alternating codes pack in 1 bit; two long runs are RLE.
+    assert_eq!(
+        column(4, &packed_codes(1, 4, &[0b1010])),
+        built(&[0, 1, 0, 1])
+    );
+    let halves: Vec<usize> = (0..200).map(|r| r / 100).collect();
+    assert_eq!(
+        column(200, &rle_codes(&[(0, 100), (1, 100)])),
+        built(&halves)
+    );
+
+    let cases = [
+        (
+            "plain codes that pack",
+            column(4, &plain_codes(&[0, 1, 0, 1])),
+        ),
+        (
+            "packed 2 bits wide",
+            column(4, &packed_codes(2, 4, &[0b01_00_01_00])),
+        ),
+        (
+            "packed with a bit past its codes",
+            column(4, &packed_codes(1, 4, &[0b1_1010])),
+        ),
+        (
+            "RLE where packing is smaller",
+            column(4, &rle_codes(&[(0, 1), (1, 1), (0, 1), (1, 1)])),
+        ),
+        (
+            "RLE splitting a run",
+            column(200, &rle_codes(&[(0, 50), (0, 50), (1, 100)])),
+        ),
+    ];
+    for (what, payload) in &cases {
+        assert!(
+            ColumnarTranslator::from_bytes(payload).is_err(),
+            "{what}: accepted"
+        );
     }
 }

@@ -11,8 +11,11 @@
 //! round-trip, every accepted input must re-encode to exactly its own
 //! bytes (checkpoint images are compared byte for byte), a cut at any byte
 //! is refused, a flipped bit is refused or still canonical, and the
-//! non-shortest forms — overlong varints, `Float` bodies holding integers,
-//! `Int` bodies past 2^53 — are refused.
+//! non-shortest forms — overlong varints, raw `Float` bodies holding
+//! decimals, decimals at a scale not their smallest, `Int` bodies past
+//! 2^53, a literal repeating an earlier text, a text code not yet written,
+//! a modifier on a kind that takes none, a sparse row whose columns are
+//! consecutive — are refused.
 
 use dataspread_engine::durable::{visit_cells, CellsEncoder};
 use dataspread_engine::{EngineError, ScanValue};
@@ -241,15 +244,43 @@ fn random_runs_roundtrip_and_reencode_to_themselves() {
     assert_eq!(decode(&[0]).unwrap(), Vec::<Cell>::new());
 }
 
+/// Decimals at the edges of their form: `(number, tag, mantissa)`, the
+/// tag carrying the scale in its high nibble.
+const DECIMALS: [(f64, u8, i64); 6] = [
+    (0.5, 0x12, 5),
+    (-12.34, 0x22, -1234),
+    (0.125, 0x32, 125),
+    (1e-15, 0xF2, 1),
+    (-1e-15, 0xF2, -1),
+    (9_007_199_254_740.992, 0x32, 1 << 53),
+];
+
 #[test]
 fn every_edge_number_keeps_its_bits_and_takes_its_one_form() {
     for n in EDGE_NUMBERS {
         let cells = [(7, 3, Value::Number(n.to_bits()), None)];
         let bytes = encode(&cells);
         assert_eq!(decode(&bytes).unwrap(), cells, "{n:e}");
-        // 1 row, gap 7, 1 cell, column gap 3, then the tag.
+        // 1 row, gap 7, a dense row of 1 cell, first column 3, then the
+        // tag. Of the edge numbers only 0.5 is a decimal; the integral
+        // ones are `Int`, the rest raw `Float`s.
         let integral = n.trunc() == n && n.abs() <= TWO_53 && n.to_bits() != (-0.0f64).to_bits();
-        assert_eq!(bytes[4], if integral { 1 } else { 2 }, "{n:e}: tag");
+        let tag = match n {
+            _ if integral => 0x01,
+            0.5 => 0x12,
+            _ => 0x02,
+        };
+        assert_eq!(bytes[..5], [1, 7, 3, 3, tag], "{n:e}: tag");
+    }
+    for (n, tag, m) in DECIMALS {
+        let cells = [(7, 3, Value::Number(n.to_bits()), None)];
+        let bytes = encode(&cells);
+        assert_eq!(decode(&bytes).unwrap(), cells, "{n:e}");
+        assert_eq!(
+            bytes,
+            [&[1, 7, 3, 3, tag][..], &varint(zigzag(m))].concat(),
+            "{n:e}"
+        );
     }
 }
 
@@ -322,19 +353,25 @@ fn zigzag(i: i64) -> u64 {
 
 #[test]
 fn non_shortest_forms_are_refused() {
-    // One row at 5 holding, at column 2, Int 7 under formula "A1", then a
-    // Text "ab" one column on: every varint of the payload, each spelled
+    // Row 5, dense from column 2: Int 7 under formula "A1", then the
+    // literal Text "ab". Row 6, sparse: a reference to "ab" at column 0,
+    // then 0.5 at column 2. Every varint of the payload, each spelled
     // either way.
     let payload = |overlong_at: Option<usize>| {
-        let fields: [(u64, &[u8]); 8] = [
-            (1, b""),         // n_rows
+        let fields: [(u64, &[u8]); 13] = [
+            (2, b""),         // n_rows
             (5, b""),         // row gap
-            (2, b""),         // n_cells
-            (2, &[0x09]),     // column gap, tag Int + formula
+            (5, b""),         // 2 cells, dense
+            (2, &[0x09]),     // first column, tag Int + formula
             (zigzag(7), b""), // Int body
-            (2, b"A1"),       // source length, source
-            (0, &[0x03]),     // column gap, tag Text
+            (2, b"A1\x03"),   // source length, source, tag Text
             (2, b"ab"),       // text length, text
+            (0, b""),         // row gap
+            (4, b""),         // 2 cells, sparse
+            (0, &[0x13]),     // column gap, tag Text reference
+            (0, b""),         // text code
+            (1, &[0x12]),     // column gap, tag Float at scale 1
+            (zigzag(5), b""), // mantissa
         ];
         let mut out = Vec::new();
         for (k, (v, rest)) in fields.iter().enumerate() {
@@ -353,30 +390,58 @@ fn non_shortest_forms_are_refused() {
         [
             (5, 2, Value::Number(7f64.to_bits()), Some("A1".into())),
             (5, 3, Value::Text("ab".into()), None),
+            (6, 0, Value::Text("ab".into()), None),
+            (6, 2, Value::Number(0.5f64.to_bits()), None),
         ]
     );
     assert_eq!(reencode(&good), Some(good));
-    for k in 0..8 {
+    for k in 0..13 {
         assert!(refused(&payload(Some(k))), "overlong varint #{k} accepted");
     }
 
-    // A `Float` body is refused exactly when `Int` could hold the value.
-    let one_number = |tag: u8, body: &[u8]| [&[1, 0, 1, 0, tag][..], body].concat();
-    for n in [0.0, 1.0, -1.0, 42.0, TWO_53, -TWO_53, 1.0e15] {
+    // A raw `Float` body is refused exactly when the value has a decimal
+    // form, integral or not.
+    let one_number = |tag: u8, body: &[u8]| [&[1, 0, 3, 0, tag][..], body].concat();
+    for n in [
+        0.0, 1.0, -1.0, 42.0, TWO_53, -TWO_53, 1.0e15, 0.5, 0.1, -12.34, 1e-15,
+    ] {
         assert!(
             refused(&one_number(2, &n.to_le_bytes())),
-            "Float {n:e} accepted"
+            "raw Float {n:e} accepted"
         );
     }
     for n in [
         -0.0,
-        0.5,
         TWO_53 + 2.0,
         -(TWO_53 + 2.0),
         f64::NAN,
         f64::INFINITY,
+        0.1 + 0.2,
+        1e-16,
+        1.0 / 3.0,
     ] {
         let bytes = one_number(2, &n.to_le_bytes());
+        assert_eq!(
+            decode(&bytes).unwrap(),
+            [(0, 0, Value::Number(n.to_bits()), None)]
+        );
+    }
+    // A decimal is refused at a scale that is not its smallest, and when
+    // its value is integral (`Int` holds it).
+    for (tag, m, why) in [
+        (0x22, 50, "0.5 at scale 2"),
+        (0x12, 10, "1.0 at scale 1"),
+        (0x12, 0, "0.0 at scale 1"),
+        (0xF2, 1_000_000_000_000_000, "1.0 at scale 15"),
+        (0x12, (1 << 53) + 1, "mantissa past 2^53"),
+    ] {
+        assert!(
+            refused(&one_number(tag, &varint(zigzag(m)))),
+            "{why} accepted"
+        );
+    }
+    for (n, tag, m) in DECIMALS {
+        let bytes = one_number(tag, &varint(zigzag(m)));
         assert_eq!(
             decode(&bytes).unwrap(),
             [(0, 0, Value::Number(n.to_bits()), None)]
@@ -395,6 +460,48 @@ fn non_shortest_forms_are_refused() {
             decode(&bytes).unwrap(),
             [(0, 0, Value::Number((i as f64).to_bits()), None)]
         );
+    }
+    // A nonzero modifier on any kind but `Float` and `Text`, and a `Text`
+    // modifier past 1.
+    for tag in [0x11, 0x21, 0x14, 0x15, 0xF5, 0x16, 0x18, 0x23, 0xF3] {
+        let body: &[u8] = match tag & 7 {
+            1 => &[2],
+            6 => &[0],
+            0 => &[1, b'1'],
+            3 => &[1, b'a'],
+            _ => &[],
+        };
+        assert!(refused(&one_number(tag, body)), "tag {tag:#04x} accepted");
+        assert!(!refused(&one_number(tag & 0x0F, body)), "{tag:#04x}: body");
+    }
+    // Texts: a literal repeating an earlier text, in the same row or a
+    // later one, and a reference to a code not yet written.
+    let text = |s: &[u8]| [&[3, s.len() as u8][..], s].concat();
+    let two_in_a_row = |a: &[u8], b: &[u8]| [&[1, 0, 5, 0][..], a, b].concat();
+    let two_rows = |a: &[u8], b: &[u8]| [&[2, 0, 3, 0][..], a, &[0, 3, 0], b].concat();
+    assert!(refused(&two_in_a_row(&text(b"a"), &text(b"a"))));
+    assert!(refused(&two_rows(&text(b"a"), &text(b"a"))));
+    assert!(
+        refused(&two_in_a_row(&text(b"a"), &[0x13, 1])),
+        "code 1 of 1"
+    );
+    assert!(
+        refused(&two_in_a_row(&[0x13, 0], &text(b"a"))),
+        "code before its literal"
+    );
+    for bytes in [
+        two_in_a_row(&text(b"a"), &[0x13, 0]),
+        two_rows(&text(b"a"), &[0x13, 0]),
+        two_in_a_row(&text(b"a"), &text(b"b")),
+    ] {
+        assert_eq!(reencode(&bytes), Some(bytes));
+    }
+    // A row whose columns are consecutive is dense: its sparse form is
+    // refused, a one-cell row included.
+    assert!(refused(&[1, 0, 2, 4, 5]), "one cell, sparse");
+    assert!(refused(&[1, 0, 4, 3, 5, 0, 5]), "columns 3, 4 sparse");
+    for bytes in [vec![1, 0, 4, 3, 5, 1, 5], vec![1, 0, 5, 3, 5, 5]] {
+        assert_eq!(reencode(&bytes), Some(bytes));
     }
     // A varint of eleven bytes, or one overflowing 64 bits.
     assert!(refused(&[[0x80; 10].as_slice(), &[0x01]].concat()));

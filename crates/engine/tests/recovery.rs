@@ -565,9 +565,59 @@ fn v3_image_is_refused_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// ------------------------------------------- hostile v4 image maps --
+/// Hand-built format-version-4 image of one catch-all cell: the header
+/// (magic, version, posmap, map length and CRC, map offset), the cell
+/// payload at byte 8192 — 1 row, row gap 3, 1 cell, column gap 2, tag
+/// Int, zigzag 22 — and the map right after it, whose one entry gives the
+/// catch-all's offset, length and CRC.
+fn v4_image_bytes() -> Vec<u8> {
+    let payload = [0x01, 0x03, 0x01, 0x02, 0x01, 0x16];
+    let mut map = Vec::new();
+    map.extend_from_slice(&1u32.to_le_bytes()); // one region
+    map.extend_from_slice(&0u64.to_le_bytes()); // id 0: the catch-all
+    map.push(4); // kind: catch-all
+    map.extend_from_slice(&[0u8; 16]); // rect (0,0)..(0,0)
+    map.extend_from_slice(&8192u64.to_le_bytes());
+    map.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    map.extend_from_slice(&dataspread_relstore::crc32(&payload).to_le_bytes());
+    let mut image = Vec::new();
+    image.extend_from_slice(b"DSIM");
+    image.extend_from_slice(&4u32.to_le_bytes()); // version 4
+    image.push(2); // posmap: hierarchical
+    image.extend_from_slice(&(map.len() as u64).to_le_bytes());
+    image.extend_from_slice(&dataspread_relstore::crc32(&map).to_le_bytes());
+    image.extend_from_slice(&(8192 + payload.len() as u64).to_le_bytes());
+    image.resize(8192, 0);
+    image.extend_from_slice(&payload);
+    image.extend_from_slice(&map);
+    image.resize(2 * 8192, 0);
+    image
+}
 
-/// A hand-built v4 map entry: `(id, kind, offset, len, crc)`; the rect is
+/// Format version 4 has no reader either: its cell payload spelled every
+/// decimal as 8 raw bytes, every repeated text in full and a column gap
+/// before every cell, and version 5 replaced it. A v4 image is refused
+/// with a `Corrupt` error naming the version, and the file keeps its
+/// bytes.
+#[test]
+fn v4_image_is_refused_untouched() {
+    let image = v4_image_bytes();
+    let dir = temp_dir("v4-image");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(image_path(&dir), &image).unwrap();
+    match SheetEngine::open(&dir) {
+        Err(EngineError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.ends_with("unsupported version 4"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ------------------------------------------- hostile v5 image maps --
+
+/// A hand-built v5 map entry: `(id, kind, offset, len, crc)`; the rect is
 /// `(0,0)..(0,0)`.
 type MapEntry = (u64, u8, u64, u64, u32);
 
@@ -575,12 +625,12 @@ type MapEntry = (u64, u8, u64, u64, u32);
 const KIND_ROM: u8 = 0;
 const KIND_CATCHALL: u8 = 4;
 
-/// A hand-built format-version-4 image of `pages` zeroed pages: the header
+/// A hand-built format-version-5 image of `pages` zeroed pages: the header
 /// (magic, version, posmap, map length and CRC, map offset), the map of
 /// `entries` at byte `map_off`, and each `(offset, bytes)` of `payloads`.
 /// The map's CRC is always right, so only the extents it lists can be
 /// wrong.
-fn v4_image_bytes(
+fn v5_image_bytes(
     pages: usize,
     map_off: usize,
     entries: &[MapEntry],
@@ -598,7 +648,7 @@ fn v4_image_bytes(
     }
     let mut header = Vec::new();
     header.extend_from_slice(b"DSIM");
-    header.extend_from_slice(&4u32.to_le_bytes()); // version 4
+    header.extend_from_slice(&5u32.to_le_bytes()); // version 5
     header.push(2); // posmap: hierarchical
     header.extend_from_slice(&(map.len() as u64).to_le_bytes());
     header.extend_from_slice(&dataspread_relstore::crc32(&map).to_le_bytes());
@@ -636,13 +686,29 @@ fn no_cells_crc() -> u32 {
     dataspread_relstore::crc32(&NO_CELLS)
 }
 
+/// The hostile maps below differ from this one only in their extents: a
+/// hand-built v5 image with the empty catch-all at 8192 and the map after
+/// it opens to an empty sheet.
+#[test]
+fn a_hand_built_v5_image_opens() {
+    let catchall = (0, KIND_CATCHALL, 8192, 1, no_cells_crc());
+    let image = v5_image_bytes(2, 8192 + 1, &[catchall], &[(8192, &NO_CELLS)]);
+    let dir = temp_dir("v5-image");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(image_path(&dir), &image).unwrap();
+    let engine = SheetEngine::open(&dir).unwrap();
+    assert_eq!(engine.storage().filled_count(), 0);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// An extent may not start inside the header page. The header's bytes end
 /// at 29 and the rest of the page is zero, so an extent of one byte at 29
 /// reads the empty cell payload and passes its CRC: the map is refused for
 /// where the extent lies, not for what it holds.
 #[test]
 fn an_extent_inside_the_header_page_is_refused_untouched() {
-    let image = v4_image_bytes(2, 8192, &[(0, KIND_CATCHALL, 29, 1, no_cells_crc())], &[]);
+    let image = v5_image_bytes(2, 8192, &[(0, KIND_CATCHALL, 29, 1, no_cells_crc())], &[]);
     assert_refused_untouched(&[("extent-in-header", image)]);
 }
 
@@ -658,7 +724,7 @@ fn an_extent_past_the_end_of_the_file_is_refused_untouched() {
     ]
     .map(|(name, len)| {
         let region = (1, KIND_ROM, 8192 + 100, len, no_cells_crc());
-        let image = v4_image_bytes(2, 8192 + 1, &[catchall, region], &[(8192, &NO_CELLS)]);
+        let image = v5_image_bytes(2, 8192 + 1, &[catchall, region], &[(8192, &NO_CELLS)]);
         (name, image)
     });
     assert_refused_untouched(&cases);
@@ -680,7 +746,7 @@ fn overlapping_extents_are_refused_untouched() {
     ]
     .map(|(name, offset)| {
         let region = (1, KIND_ROM, offset, 1, no_cells_crc());
-        let image = v4_image_bytes(2, map_off, &[catchall, region], &[(8192, &NO_CELLS)]);
+        let image = v5_image_bytes(2, map_off, &[catchall, region], &[(8192, &NO_CELLS)]);
         (name, image)
     });
     assert_refused_untouched(&cases);

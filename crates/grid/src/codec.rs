@@ -8,7 +8,9 @@
 //! strings, and `u32`-count-prefixed lists ([`put_list`] /
 //! [`Reader::list`]); the checkpoint's cell payload also packs small
 //! integers as shortest-form unsigned varints ([`put_uvarint`] /
-//! [`Reader::uvarint`]). This module is the single implementation of that
+//! [`Reader::uvarint`]), and both checkpoint codecs store a number that
+//! has one as its [`decimal_form`], a mantissa at a decimal scale. This
+//! module is the single implementation of that
 //! framing: `put_*` writers that append to a byte buffer, and a
 //! bounds-checked [`Reader`] that refuses to read past the end of its slice
 //! (truncated or hostile input surfaces as a [`DecodeError`], never a
@@ -97,6 +99,39 @@ pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
     }
     out.push(v as u8);
 }
+/// `10^s` for every scale `s` a [`decimal_form`] can have; each is exact
+/// in an `f64`.
+pub const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// Largest mantissa magnitude of a [`decimal_form`]: every integer up to
+/// 2^53 is exact in an `f64`.
+const MAX_MANTISSA: f64 = (1u64 << 53) as f64;
+
+/// The mantissa `m` of `n` at scale `s`, if `m / 10^s` is exactly `n`:
+/// `m = round(n·10^s)`, |m| ≤ 2^53, and `m as f64 / POW10[s]` has `n`'s
+/// bits (so `-0.0`, NaN and ±∞ have none).
+#[inline]
+pub fn mantissa_at(n: f64, s: u8) -> Option<i64> {
+    let p = POW10[s as usize];
+    let m = (n * p).round();
+    if m.abs() > MAX_MANTISSA {
+        return None;
+    }
+    let m = m as i64;
+    ((m as f64 / p).to_bits() == n.to_bits()).then_some(m)
+}
+
+/// The one number rule of the checkpoint codecs: `n` as the mantissa `m`
+/// at the smallest scale `s` in `0..=15` with `m / 10^s == n` bit for bit
+/// ([`mantissa_at`]). Scale 0 is an integer; `None` for `-0.0`, NaN, ±∞
+/// and every number that needs more than 15 decimals or 53 bits.
+#[inline]
+pub fn decimal_form(n: f64) -> Option<(i64, u8)> {
+    (0..POW10.len() as u8).find_map(|s| mantissa_at(n, s).map(|m| (m, s)))
+}
+
 /// A `u32` count, then each item.
 pub fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
     put_u32(out, items.len() as u32);
@@ -432,6 +467,39 @@ mod tests {
         let mut buf = Vec::new();
         put_rect(&mut buf, rect);
         assert_eq!(read_rect(&mut Reader::new(&buf)).unwrap(), rect);
+    }
+
+    #[test]
+    fn every_number_takes_its_smallest_exact_scale() {
+        let two_53 = (1u64 << 53) as f64;
+        for (n, want) in [
+            (0.0, Some((0, 0))),
+            (-7.0, Some((-7, 0))),
+            (two_53, Some((1 << 53, 0))),
+            (-two_53, Some((-(1 << 53), 0))),
+            (0.5, Some((5, 1))),
+            (0.1, Some((1, 1))),
+            (-1234.56, Some((-123_456, 2))),
+            (0.125, Some((125, 3))),
+            (1e-15, Some((1, 15))),
+            (-0.0, None),
+            (f64::NAN, None),
+            (f64::INFINITY, None),
+            (f64::NEG_INFINITY, None),
+            (two_53 + 2.0, None),
+            (1e-16, None),
+            (1.0 / 3.0, None),
+            (f64::MAX, None),
+        ] {
+            assert_eq!(decimal_form(n), want, "{n:e}");
+            if let Some((m, s)) = want {
+                assert_eq!((m as f64 / POW10[s as usize]).to_bits(), n.to_bits());
+            }
+        }
+        // A decimal keeps an exact mantissa at every larger scale that fits.
+        assert_eq!(mantissa_at(0.1, 3), Some(100));
+        assert_eq!(mantissa_at(0.25, 1), None);
+        assert_eq!(mantissa_at(-0.0, 0), None);
     }
 
     #[test]
