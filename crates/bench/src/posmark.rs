@@ -91,9 +91,9 @@ impl AsIsStore {
             let tid = *self.index.get(&(p as i64)).expect("present");
             let mut row = self.table.fetch(tid).expect("live");
             row[0] = Datum::Int(p as i64 + 1);
-            let new_tid = self.table.update(tid, &row).expect("update");
+            self.table.update(tid, &row).expect("update");
             self.index.remove(&(p as i64));
-            self.index.insert(p as i64 + 1, new_tid);
+            self.index.insert(p as i64 + 1, tid);
         }
         let tid = self
             .table
@@ -115,9 +115,9 @@ impl AsIsStore {
             let tid = *self.index.get(&(p as i64)).expect("present");
             let mut row = self.table.fetch(tid).expect("live");
             row[0] = Datum::Int(p as i64 - 1);
-            let new_tid = self.table.update(tid, &row).expect("update");
+            self.table.update(tid, &row).expect("update");
             self.index.remove(&(p as i64));
-            self.index.insert(p as i64 - 1, new_tid);
+            self.index.insert(p as i64 - 1, tid);
         }
         self.len -= 1;
     }
@@ -227,8 +227,8 @@ impl MonotonicStore {
             let key = (i as i64 + 1) * GAP;
             let mut row = self.table.fetch(tid).expect("live");
             row[0] = Datum::Int(key);
-            let new_tid = self.table.update(tid, &row).expect("update");
-            self.index.insert(key, new_tid);
+            self.table.update(tid, &row).expect("update");
+            self.index.insert(key, tid);
         }
     }
 }

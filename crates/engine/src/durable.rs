@@ -123,9 +123,7 @@ use dataspread_grid::{Cell, CellAddr, CellError};
 use dataspread_grid::{CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::wal::crc32;
-use dataspread_relstore::{
-    real_fs, OpenMode, SharedWal, StorageFs, StoreError, VfsFile, Wal, PAGE_SIZE,
-};
+use dataspread_relstore::{real_fs, OpenMode, SharedWal, StorageFs, StoreError, VfsFile, Wal};
 use std::sync::Arc;
 
 use crate::error::EngineError;
@@ -146,6 +144,8 @@ const IMAGE_VERSION: u32 = 5;
 /// The header's positional-map byte, part of the image layout: always 2,
 /// the hierarchical map; an image holding any other value is refused.
 const IMAGE_POSMAP: u8 = 2;
+/// The image's page size in bytes.
+pub const PAGE_SIZE: usize = 8192;
 /// Page size as a byte offset.
 const PAGE_BYTES: u64 = PAGE_SIZE as u64;
 /// First byte of the data area: everything after the header page.

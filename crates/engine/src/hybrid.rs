@@ -1608,8 +1608,10 @@ mod tests {
         );
     }
 
-    /// A 3 000-cell column as one COM region is one tuple far past a page:
-    /// the rebuild must fail *beside* the sheet, not inside it.
+    /// Two cells 40 000 columns apart as one ROM region need a tuple wider
+    /// than its `u16` arity header: the rebuild must fail *beside* the
+    /// sheet, not inside it. A 3 000-cell column as one COM region — one
+    /// long tuple — builds.
     #[test]
     fn failed_reorganize_leaves_the_sheet_untouched() {
         let mut hs = sheet_with_rom_region();
@@ -1617,20 +1619,18 @@ mod tests {
         for r in 0..3000 {
             hs.set_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
         }
+        hs.set_cell(addr(0, 40_000), Cell::value(-1i64)).unwrap();
         hs.clear_dirty();
         let before = (hs.snapshot(true), hs.layout(), hs.filled_count());
         let ids: Vec<u64> = hs.regions.iter().map(|r| r.id).collect();
 
-        let too_long = Decomposition::new(vec![Region {
-            rect: Rect::new(0, 0, 2999, 0),
-            kind: ModelKind::Com,
+        let too_wide = Decomposition::new(vec![Region {
+            rect: Rect::new(0, 0, 0, 40_000),
+            kind: ModelKind::Rom,
         }]);
-        let err = hs.reorganize(&too_long).unwrap_err();
+        let err = hs.reorganize(&too_wide).unwrap_err();
         assert!(
-            matches!(
-                err,
-                EngineError::Store(dataspread_relstore::StoreError::TupleTooLarge(_))
-            ),
+            matches!(err, EngineError::Store(StoreError::LimitExceeded(_))),
             "{err}"
         );
         let overlapping = Decomposition::new(vec![
@@ -1652,6 +1652,17 @@ mod tests {
         assert_eq!(hs.regions.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
         assert_eq!(hs.dirty_region_count(), 0, "nothing was rewritten");
         assert_eq!(hs.region_at(addr(12, 12)), Some(0), "routing still serves");
+
+        let long_com = Decomposition::new(vec![Region {
+            rect: Rect::new(0, 0, 2999, 0),
+            kind: ModelKind::Com,
+        }]);
+        hs.reorganize(&long_com).unwrap();
+        assert_eq!(
+            hs.layout(),
+            vec![(Rect::new(0, 0, 2999, 0), ModelKind::Com)]
+        );
+        assert_eq!((hs.snapshot(true), hs.filled_count()), (before.0, before.2));
     }
 
     #[test]
@@ -1736,10 +1747,22 @@ mod tests {
         for r in 0..3000 {
             hs.set_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
         }
+        hs.set_cell(addr(0, 40_000), Cell::value(-1i64)).unwrap();
         let before = hs.snapshot(true);
-        let com = Box::new(ComTranslator::new());
-        assert!(hs.add_region(Rect::new(0, 0, 2999, 0), com).is_err());
+        let rom = Box::new(RomTranslator::new());
+        assert!(matches!(
+            hs.add_region(Rect::new(0, 0, 0, 40_000), rom),
+            Err(EngineError::Store(StoreError::LimitExceeded(_)))
+        ));
         assert_eq!(hs.region_count(), 0);
+        assert_eq!(hs.snapshot(true), before);
+        assert_eq!(hs.catchall.filled_count(), 3001);
+
+        // One COM tuple for the whole 3 000-row column fits.
+        let com = Box::new(ComTranslator::new());
+        hs.add_region(Rect::new(0, 0, 2999, 0), com).unwrap();
+        assert_eq!(hs.region_count(), 1);
+        assert_eq!(hs.catchall.filled_count(), 1);
         assert_eq!(hs.snapshot(true), before);
     }
 

@@ -204,12 +204,7 @@ impl Translator for RcvTranslator {
         let [v, f] = cell_to_datums(&cell);
         let tuple = [Datum::Int(rid as i64), Datum::Int(cid as i64), v, f];
         match self.index.get(&(rid, cid)).copied() {
-            Some(tid) => {
-                let new_tid = self.table.update(tid, &tuple)?;
-                if new_tid != tid {
-                    self.index.insert((rid, cid), new_tid);
-                }
-            }
+            Some(tid) => self.table.update(tid, &tuple)?,
             None => {
                 let tid = self.table.insert(&tuple)?;
                 self.index.insert((rid, cid), tid);

@@ -267,10 +267,7 @@ impl Translator for RomTranslator {
         let is_blank = cell.is_blank();
         tuple[2 * group as usize] = v;
         tuple[2 * group as usize + 1] = f;
-        let new_tid = self.table.update(tid, &tuple)?;
-        if new_tid != tid {
-            self.rows_map.replace(row as usize, new_tid);
-        }
+        self.table.update(tid, &tuple)?;
         match (was_blank, is_blank) {
             (true, false) => self.filled += 1,
             (false, true) => self.filled -= 1,
@@ -300,10 +297,7 @@ impl Translator for RomTranslator {
                 _ => {}
             }
         }
-        let new_tid = self.table.update(tid, &tuple)?;
-        if new_tid != tid {
-            self.rows_map.replace(row as usize, new_tid);
-        }
+        self.table.update(tid, &tuple)?;
         Ok(())
     }
 
@@ -387,8 +381,7 @@ impl Translator for RomTranslator {
             };
             // Null-out the orphaned group so filled stays honest and the
             // data is actually gone.
-            let tids: Vec<TupleId> = self.rows_map.iter().copied().collect();
-            for (r, tid) in tids.into_iter().enumerate() {
+            for &tid in self.rows_map.iter() {
                 let Ok(mut tuple) = self.table.fetch(tid) else {
                     continue;
                 };
@@ -396,10 +389,7 @@ impl Translator for RomTranslator {
                     self.filled -= 1;
                     tuple[2 * g as usize] = Datum::Null;
                     tuple[2 * g as usize + 1] = Datum::Null;
-                    let new_tid = self.table.update(tid, &tuple)?;
-                    if new_tid != tid {
-                        self.rows_map.replace(r, new_tid);
-                    }
+                    self.table.update(tid, &tuple)?;
                 }
             }
         }

@@ -4,7 +4,7 @@
 //! TOM regions are *not* copies: reads go through to the live table on
 //! every access and cell updates write through, so edits made directly on
 //! the database (e.g. via SQL) appear on the sheet and vice versa — the
-//! two-way synchronization of paper §III. Rows render in heap-scan order;
+//! two-way synchronization of paper §III. Rows render in insertion order;
 //! middle-of-table row inserts are rejected (a relation has no inherent
 //! order to insert *into*), appends become table inserts.
 
@@ -124,7 +124,7 @@ impl Translator for TomTranslator {
         Ok(())
     }
 
-    /// Walks the live table in heap-scan order; a linked table holds no
+    /// Walks the live table in insertion order; a linked table holds no
     /// formulas.
     fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {
         let db = self.db.read();
@@ -282,6 +282,46 @@ mod tests {
         tom.delete_rows(0, 1).unwrap();
         assert_eq!(tom.rows(), 2);
         assert_eq!(tom.get_cell(0, 0).unwrap().value, CellValue::Number(2.0));
+    }
+
+    /// Rows render in insertion order: a row that grows stays where it
+    /// is, and an appended row lands last even after a delete freed a
+    /// slot before it.
+    #[test]
+    fn rows_keep_their_order_across_growing_updates_and_appends() {
+        let db = Arc::new(RwLock::new(Database::new()));
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::new("note", DataType::Text),
+        ]);
+        {
+            let mut guard = db.write();
+            let t = guard.create_table("notes", schema).unwrap();
+            for i in 0..200 {
+                t.insert(&[Datum::Int(i), Datum::Text("n".repeat(30))])
+                    .unwrap();
+            }
+        }
+        let mut tom = TomTranslator::new(Arc::clone(&db), "notes");
+        let ids = |tom: &TomTranslator| -> Vec<CellValue> {
+            (0..tom.rows())
+                .map(|r| tom.get_cell(r, 0).map(|c| c.value).unwrap_or_default())
+                .collect()
+        };
+        let number = |i: i64| CellValue::Number(i as f64);
+
+        tom.set_cell(0, 1, Cell::value("g".repeat(1000))).unwrap();
+        assert_eq!(ids(&tom), (0..200).map(number).collect::<Vec<_>>());
+        assert_eq!(
+            tom.get_cell(0, 1).unwrap().value,
+            CellValue::Text("g".repeat(1000))
+        );
+
+        tom.delete_rows(0, 1).unwrap();
+        tom.insert_rows(tom.rows(), 1).unwrap();
+        let mut want: Vec<CellValue> = (1..200).map(number).collect();
+        want.push(CellValue::Empty);
+        assert_eq!(ids(&tom), want, "the appended row renders last");
     }
 
     #[test]

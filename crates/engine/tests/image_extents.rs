@@ -22,14 +22,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use dataspread_engine::durable::{image_path, DurableStore, RecoveredState};
+use dataspread_engine::durable::{image_path, DurableStore, RecoveredState, PAGE_SIZE};
 use dataspread_engine::{
     ModelKind, OptimizeAlgorithm, RegionImage, SheetEngine, CATCHALL_REGION_ID,
 };
 use dataspread_grid::addr::col_to_letters;
 use dataspread_grid::{CellAddr, CellValue, Rect};
 use dataspread_hybrid::{CostModel, OptimizerOptions};
-use dataspread_relstore::PAGE_SIZE;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

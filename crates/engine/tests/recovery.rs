@@ -1000,9 +1000,10 @@ fn ragged_rom_region_reopens_to_a_byte_identical_image() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// A reorganization that cannot be executed (one COM tuple for a 3 000-row
-/// column) must not cost a durable engine anything: the error comes back,
-/// and the checkpoint after it persists the sheet that was there before.
+/// A reorganization that cannot be executed (one ROM tuple wider than its
+/// `u16` arity header) must not cost a durable engine anything: the error
+/// comes back, and the checkpoint after it persists the sheet that was
+/// there before. One COM tuple for the 3 000-row column does build.
 #[test]
 fn failed_reorganize_then_checkpoint_loses_nothing() {
     use dataspread_grid::{CellValue, Rect};
@@ -1020,6 +1021,7 @@ fn failed_reorganize_then_checkpoint_loses_nothing() {
         engine
             .update_cell(CellAddr::new(0, 2), "=SUM(A1:A3000)")
             .unwrap();
+        engine.update_cell(CellAddr::new(0, 40_000), "-1").unwrap();
         engine.checkpoint().unwrap();
         let before = engine.snapshot();
         let layout = engine.storage().layout();
@@ -1027,23 +1029,23 @@ fn failed_reorganize_then_checkpoint_loses_nothing() {
         let err = engine
             .storage_mut()
             .reorganize(&Decomposition::new(vec![Region {
-                rect: Rect::new(0, 0, 2999, 0),
-                kind: ModelKind::Com,
+                rect: Rect::new(0, 0, 0, 40_000),
+                kind: ModelKind::Rom,
             }]))
             .unwrap_err();
         assert!(
-            matches!(err, EngineError::Store(StoreError::TupleTooLarge(_))),
+            matches!(err, EngineError::Store(StoreError::LimitExceeded(_))),
             "{err}"
         );
         assert_eq!(engine.snapshot(), before);
         assert_eq!(engine.storage().layout(), layout);
-        assert_eq!(engine.storage().filled_count(), 3001);
+        assert_eq!(engine.storage().filled_count(), 3002);
         engine.checkpoint().unwrap();
         before
     };
     let mut reopened = SheetEngine::open(&base).unwrap();
     assert_eq!(reopened.snapshot(), before, "nothing lost");
-    assert_eq!(reopened.storage().filled_count(), 3001);
+    assert_eq!(reopened.storage().filled_count(), 3002);
     // The formula is still registered: an edit under it recomputes it.
     let sum = f64::from(2999 * 3000 / 2);
     assert_eq!(reopened.value(CellAddr::new(0, 2)), CellValue::Number(sum));
@@ -1051,6 +1053,67 @@ fn failed_reorganize_then_checkpoint_loses_nothing() {
     assert_eq!(
         reopened.value(CellAddr::new(0, 2)),
         CellValue::Number(sum + 1000.0)
+    );
+
+    let long_com = Decomposition::new(vec![Region {
+        rect: Rect::new(0, 0, 2999, 0),
+        kind: ModelKind::Com,
+    }]);
+    let edited = reopened.snapshot();
+    reopened.storage_mut().reorganize(&long_com).unwrap();
+    assert_eq!(reopened.snapshot(), edited);
+    reopened.checkpoint().unwrap();
+    drop(reopened);
+    let again = SheetEngine::open(&base).unwrap();
+    assert_eq!(again.snapshot(), edited);
+    assert_eq!(
+        again.storage().layout(),
+        vec![(Rect::new(0, 0, 2999, 0), ModelKind::Com)]
+    );
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// A text cell far past the old 8 KB tuple limit, in a ROM region and in
+/// the RCV catch-all, round-trips through an edit, a checkpoint, a logged
+/// edit after it, and a reopen.
+#[test]
+fn a_64_kb_text_cell_survives_an_edit_a_checkpoint_and_a_reopen() {
+    use dataspread_grid::CellValue;
+    let base = temp_dir("big-text");
+    let text: String = (0..64 * 1024)
+        .map(|i| char::from(b'a' + (i % 26) as u8))
+        .collect();
+    let in_region = CellAddr::new(1, 1);
+    let in_catchall = CellAddr::new(50, 7);
+    {
+        let mut engine = SheetEngine::open(&base).unwrap();
+        engine
+            .import_rows(
+                CellAddr::new(0, 0),
+                2,
+                (0..3u32).map(|r| vec![CellValue::Number(f64::from(r)); 2]),
+            )
+            .unwrap();
+        assert_eq!(engine.storage().region_count(), 1);
+        engine.update_cell(in_region, &text).unwrap();
+        engine.checkpoint().unwrap();
+        engine
+            .update_cell(in_catchall, &format!("{text}!"))
+            .unwrap();
+    }
+    let mut reopened = SheetEngine::open(&base).unwrap();
+    assert_eq!(reopened.value(in_region), CellValue::Text(text.clone()));
+    assert_eq!(
+        reopened.value(in_catchall),
+        CellValue::Text(format!("{text}!"))
+    );
+    assert_eq!(reopened.value(CellAddr::new(2, 1)), CellValue::Number(2.0));
+    reopened.checkpoint().unwrap();
+    drop(reopened);
+    let again = SheetEngine::open(&base).unwrap();
+    assert_eq!(
+        again.value(in_catchall),
+        CellValue::Text(format!("{text}!"))
     );
     std::fs::remove_dir_all(&base).ok();
 }

@@ -286,7 +286,8 @@ pub mod codes {
     pub const STORE_TABLE_EXISTS: u16 = 0x201;
     pub const STORE_SCHEMA_MISMATCH: u16 = 0x202;
     pub const STORE_BAD_TUPLE_ID: u16 = 0x203;
-    pub const STORE_TUPLE_TOO_LARGE: u16 = 0x204;
+    // 0x204 is retired (the page-overflow error of the slotted-page
+    // store); never reassigned.
     pub const STORE_CORRUPT: u16 = 0x205;
     pub const STORE_NO_SUCH_COLUMN: u16 = 0x206;
     pub const STORE_LIMIT_EXCEEDED: u16 = 0x207;

@@ -6,25 +6,13 @@ use crate::error::StoreError;
 use crate::schema::Schema;
 use crate::table::Table;
 
-/// Store-wide configuration knobs.
-#[derive(Debug, Clone)]
-pub struct StorageConfig {
-    /// Maximum columns per relation (paper Appendix A-C4; PostgreSQL's
-    /// limit is 1600).
-    pub max_columns: usize,
-}
-
-impl Default for StorageConfig {
-    fn default() -> Self {
-        StorageConfig { max_columns: 1600 }
-    }
-}
+/// Maximum columns per relation (paper Appendix A-C4; PostgreSQL's limit).
+const MAX_COLUMNS: usize = 1600;
 
 /// A catalog of tables. The storage engine's ROM/COM/RCV/TOM translators
 /// each own one or more tables created here.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
-    config: StorageConfig,
     tables: BTreeMap<String, Table>,
     /// Bumped on every operation that can change catalog or table contents
     /// (including handing out `&mut Table`, which is conservatively counted
@@ -42,19 +30,7 @@ pub struct Database {
 
 impl Database {
     pub fn new() -> Self {
-        Self::with_config(StorageConfig::default())
-    }
-
-    pub fn with_config(config: StorageConfig) -> Self {
-        Database {
-            config,
-            tables: BTreeMap::new(),
-            change_count: 0,
-        }
-    }
-
-    pub fn config(&self) -> &StorageConfig {
-        &self.config
+        Self::default()
     }
 
     /// Monotonic change counter: unchanged value between two reads means no
@@ -79,17 +55,16 @@ impl Database {
 
     pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<&mut Table, StoreError> {
         self.change_count += 1;
-        if schema.len() > self.config.max_columns {
+        if schema.len() > MAX_COLUMNS {
             return Err(StoreError::LimitExceeded(format!(
-                "{} columns exceeds limit {}",
-                schema.len(),
-                self.config.max_columns
+                "{} columns exceeds limit {MAX_COLUMNS}",
+                schema.len()
             )));
         }
         if self.tables.contains_key(name) {
             return Err(StoreError::TableExists(name.to_string()));
         }
-        let mut table = Table::new(name, schema).with_max_columns(self.config.max_columns);
+        let mut table = Table::new(name, schema).with_max_columns(MAX_COLUMNS);
         table.note_change(self.change_count);
         self.tables.insert(name.to_string(), table);
         Ok(self.tables.get_mut(name).expect("just inserted"))
@@ -138,11 +113,6 @@ impl Database {
 
     pub fn contains(&self, name: &str) -> bool {
         self.tables.contains_key(name)
-    }
-
-    /// Physical bytes across all tables.
-    pub fn physical_bytes(&self) -> u64 {
-        self.tables.values().map(Table::physical_bytes).sum()
     }
 
     /// Accounted bytes across all tables (paper cost structure).
@@ -194,14 +164,21 @@ mod tests {
 
     #[test]
     fn column_limit_enforced_at_creation() {
-        let mut db = Database::with_config(StorageConfig { max_columns: 2 });
-        let wide = Schema::new(vec![
-            ColumnDef::new("a", DataType::Int),
-            ColumnDef::new("b", DataType::Int),
-            ColumnDef::new("c", DataType::Int),
-        ]);
+        let mut db = Database::new();
+        let wide = |n: usize| {
+            Schema::new(
+                (0..n)
+                    .map(|i| ColumnDef::new(format!("c{i}"), DataType::Int))
+                    .collect(),
+            )
+        };
         assert!(matches!(
-            db.create_table("w", wide),
+            db.create_table("w", wide(MAX_COLUMNS + 1)),
+            Err(StoreError::LimitExceeded(_))
+        ));
+        let t = db.create_table("w", wide(MAX_COLUMNS)).unwrap();
+        assert!(matches!(
+            t.add_column(ColumnDef::new("one_more", DataType::Int)),
             Err(StoreError::LimitExceeded(_))
         ));
     }
@@ -216,7 +193,7 @@ mod tests {
         // Read-only access never bumps.
         db.table("t").unwrap();
         assert!(db.contains("t"));
-        let _ = db.physical_bytes();
+        let _ = db.accounted_bytes();
         assert_eq!(db.change_count(), c1);
         db.table_mut("t").unwrap().insert(&[Datum::Int(1)]).unwrap();
         let c2 = db.change_count();
@@ -267,9 +244,10 @@ mod tests {
         let mut db = Database::new();
         db.create_table("a", schema()).unwrap();
         db.create_table("b", schema()).unwrap();
+        db.table_mut("b").unwrap().insert(&[Datum::Int(1)]).unwrap();
         assert_eq!(
-            db.physical_bytes(),
-            db.table("a").unwrap().physical_bytes() + db.table("b").unwrap().physical_bytes()
+            db.accounted_bytes(),
+            db.table("a").unwrap().accounted_bytes() + db.table("b").unwrap().accounted_bytes()
         );
         assert!(db.accounted_bytes() > 0);
     }

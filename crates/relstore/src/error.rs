@@ -15,8 +15,6 @@ pub enum StoreError {
     SchemaMismatch(String),
     /// A tuple id did not resolve to a live tuple.
     BadTupleId,
-    /// A tuple was too large to fit in a page.
-    TupleTooLarge(usize),
     /// Tuple bytes failed to decode.
     Corrupt(String),
     /// A column name was not found in a schema.
@@ -56,7 +54,6 @@ impl fmt::Display for StoreError {
             StoreError::TableExists(n) => write!(f, "table already exists: {n}"),
             StoreError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             StoreError::BadTupleId => write!(f, "invalid tuple id"),
-            StoreError::TupleTooLarge(n) => write!(f, "tuple of {n} bytes exceeds page capacity"),
             StoreError::Corrupt(m) => write!(f, "corrupt tuple: {m}"),
             StoreError::NoSuchColumn(n) => write!(f, "no such column: {n}"),
             StoreError::LimitExceeded(m) => write!(f, "limit exceeded: {m}"),

@@ -4,10 +4,12 @@
 //! tables inside PostgreSQL. This crate is the workspace's PostgreSQL
 //! stand-in: a from-scratch single-process row store with
 //!
-//! * 8 KB slotted [`page::Page`]s,
-//! * [`heap::HeapFile`]s addressed by [`TupleId`] (page, slot),
-//! * typed tuples ([`datum::Datum`]) with per-tuple header overhead
-//!   mirroring the paper's measured PostgreSQL constants,
+//! * [`table::Table`]s that hold their rows as encoded tuples in a slot
+//!   vector, addressed by a stable [`TupleId`] slot,
+//! * typed tuples ([`datum::Datum`]), priced by
+//!   [`Table::accounted_bytes`] with the paper's measured PostgreSQL
+//!   constants (one 8 KB page per table, per-row headers, per-column
+//!   catalog entries),
 //! * a from-scratch [`btree::BPlusTree`] for secondary indexes,
 //! * a [`db::Database`] catalog.
 //!
@@ -29,8 +31,6 @@ pub mod btree;
 pub mod datum;
 pub mod db;
 pub mod error;
-pub mod heap;
-pub mod page;
 pub mod schema;
 pub mod table;
 pub mod vfs;
@@ -41,12 +41,10 @@ pub use btree::BPlusTree;
 /// everything else imports [`dataspread_grid::codec`] directly.
 pub use dataspread_grid::codec::Reader;
 pub use datum::{DataType, Datum, DatumRef};
-pub use db::{Database, StorageConfig};
+pub use db::Database;
 pub use error::StoreError;
-pub use heap::{HeapFile, TupleId};
-pub use page::{Page, PAGE_SIZE};
 pub use schema::{ColumnDef, Schema};
-pub use table::Table;
+pub use table::{Table, TupleId};
 pub use vfs::{
     real_fs, FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule, OpenMode, RealFs, StorageFs,
     VfsFile,

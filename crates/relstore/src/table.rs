@@ -1,28 +1,44 @@
-//! Tables: a schema plus a heap file, with storage accounting.
+//! Tables: a schema plus a slot vector of encoded rows, with storage
+//! accounting.
 
 use crate::datum::{decode_row, encode_row, Datum, DatumRef};
 use crate::error::StoreError;
-use crate::heap::{HeapFile, TupleId};
-use crate::page::PAGE_SIZE;
 use crate::schema::{ColumnDef, Schema};
 
+/// s1 of the paper's cost model: the fixed cost of a table, one 8 KB
+/// PostgreSQL page. Only [`Table::accounted_bytes`] reads it; rows are not
+/// kept in pages.
+pub const TABLE_BYTES: u64 = 8192;
 /// Per-tuple header overhead in bytes, modelled on PostgreSQL (23-byte heap
 /// tuple header + item pointer + alignment ≈ the paper's measured
 /// s4/s5 ≈ 50 bytes per row).
 pub const TUPLE_HEADER_BYTES: u64 = 46;
 /// Per-column catalog overhead (paper's measured s3 = 40 bytes).
 pub const COLUMN_CATALOG_BYTES: u64 = 40;
+/// The widest schema a tuple's `u16` arity header ([`encode_row`]) can
+/// describe.
+const MAX_ARITY: usize = u16::MAX as usize;
+
+/// A stable row pointer: the row's slot in its table. Slots are never
+/// reused, so slot order is insertion order.
+///
+/// This is what the positional-mapping structures of the engine crate store
+/// in their leaves (paper Figure 11: "leaf nodes store tuple pointers").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TupleId(u32);
 
 /// A stored table.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
-    heap: HeapFile,
+    /// Encoded tuples by slot; `None` marks a deleted row.
+    rows: Vec<Option<Box<[u8]>>>,
     row_count: u64,
-    /// Optional cap on the column count (paper Appendix A-C4: present-day
-    /// databases limit relation width; PostgreSQL allows 1600).
-    max_columns: Option<usize>,
+    /// Cap on the column count: the arity header's limit, or lower (paper
+    /// Appendix A-C4: present-day databases limit relation width;
+    /// PostgreSQL allows 1600).
+    max_columns: usize,
     /// Value of the owning [`Database`](crate::Database)'s change counter
     /// the last time *this* table was handed out mutably (or created /
     /// renamed). Ticks are globally unique and monotone, so an unchanged
@@ -48,13 +64,16 @@ fn tuple_footprint(bytes: &[u8]) -> (u64, u64) {
 }
 
 impl Table {
+    /// A table of `schema`, which must fit the arity header (at most
+    /// `u16::MAX` columns).
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+        assert!(schema.len() <= MAX_ARITY, "schema wider than a tuple");
         Table {
             name: name.into(),
             schema,
-            heap: HeapFile::new(),
+            rows: Vec::new(),
             row_count: 0,
-            max_columns: None,
+            max_columns: MAX_ARITY,
             last_change: 0,
             stored_datums: 0,
             stored_bytes: 0,
@@ -62,7 +81,7 @@ impl Table {
     }
 
     pub fn with_max_columns(mut self, cap: usize) -> Self {
-        self.max_columns = Some(cap);
+        self.max_columns = cap.min(MAX_ARITY);
         self
     }
 
@@ -101,13 +120,11 @@ impl Table {
     /// readers pad short rows with NULLs (`fetch` handles this), mirroring
     /// how real stores add nullable columns without a table rewrite.
     pub fn add_column(&mut self, col: ColumnDef) -> Result<(), StoreError> {
-        if let Some(cap) = self.max_columns {
-            if self.schema.len() + 1 > cap {
-                return Err(StoreError::LimitExceeded(format!(
-                    "table {} would exceed {cap} columns",
-                    self.name
-                )));
-            }
+        if self.schema.len() >= self.max_columns {
+            return Err(StoreError::LimitExceeded(format!(
+                "table {} would exceed {} columns",
+                self.name, self.max_columns
+            )));
         }
         self.schema.push_column(col);
         Ok(())
@@ -116,13 +133,16 @@ impl Table {
     /// Insert a row, returning its stable tuple id.
     pub fn insert(&mut self, row: &[Datum]) -> Result<TupleId, StoreError> {
         self.schema.validate(row)?;
-        self.insert_encoded(&encode_row(row))
+        self.insert_encoded(encode_row(row))
     }
 
-    fn insert_encoded(&mut self, bytes: &[u8]) -> Result<TupleId, StoreError> {
-        let tid = self.heap.insert(bytes)?;
+    fn insert_encoded(&mut self, bytes: Vec<u8>) -> Result<TupleId, StoreError> {
+        let tid = TupleId(u32::try_from(self.rows.len()).map_err(|_| {
+            StoreError::LimitExceeded(format!("table {} is out of row slots", self.name))
+        })?);
+        self.credit(tuple_footprint(&bytes));
+        self.rows.push(Some(bytes.into_boxed_slice()));
         self.row_count += 1;
-        self.credit(tuple_footprint(bytes));
         Ok(tid)
     }
 
@@ -154,13 +174,20 @@ impl Table {
                 )));
             }
         }
-        self.insert_encoded(&encode_row(row))
+        self.insert_encoded(encode_row(row))
+    }
+
+    /// The live tuple at `tid`.
+    fn get(&self, tid: TupleId) -> Result<&[u8], StoreError> {
+        match self.rows.get(tid.0 as usize) {
+            Some(Some(bytes)) => Ok(bytes),
+            _ => Err(StoreError::BadTupleId),
+        }
     }
 
     /// Fetch a row, padding trailing NULLs up to the schema width.
     pub fn fetch(&self, tid: TupleId) -> Result<Vec<Datum>, StoreError> {
-        let bytes = self.heap.get(tid).ok_or(StoreError::BadTupleId)?;
-        let mut row = decode_row(bytes)?;
+        let mut row = decode_row(self.get(tid)?)?;
         if row.len() > self.schema.len() {
             return Err(StoreError::Corrupt("row wider than schema".into()));
         }
@@ -172,8 +199,7 @@ impl Table {
     /// of the tuple without decoding — the projection fast path for wide
     /// rows. Missing trailing columns read as NULL.
     pub fn fetch_cols(&self, tid: TupleId, cols: &[usize]) -> Result<Vec<Datum>, StoreError> {
-        let bytes = self.heap.get(tid).ok_or(StoreError::BadTupleId)?;
-        crate::datum::decode_row_project(bytes, cols)
+        crate::datum::decode_row_project(self.get(tid)?, cols)
     }
 
     /// [`Table::fetch_cols`] as borrows into `out` (cleared first): texts
@@ -185,57 +211,50 @@ impl Table {
         cols: &[usize],
         out: &mut Vec<DatumRef<'a>>,
     ) -> Result<(), StoreError> {
-        let bytes = self.heap.get(tid).ok_or(StoreError::BadTupleId)?;
-        crate::datum::decode_row_project_ref(bytes, cols, out)
+        crate::datum::decode_row_project_ref(self.get(tid)?, cols, out)
     }
 
-    /// Update a row; returns the (possibly relocated) tuple id.
-    pub fn update(&mut self, tid: TupleId, row: &[Datum]) -> Result<TupleId, StoreError> {
+    /// Replace a row in place: its tuple id and scan position stay.
+    pub fn update(&mut self, tid: TupleId, row: &[Datum]) -> Result<(), StoreError> {
         self.schema.validate(row)?;
-        let old = tuple_footprint(self.heap.get(tid).ok_or(StoreError::BadTupleId)?);
+        let old = tuple_footprint(self.get(tid)?);
         let bytes = encode_row(row);
-        let tid = self.heap.update(tid, &bytes)?;
         self.debit(old);
         self.credit(tuple_footprint(&bytes));
-        Ok(tid)
+        self.rows[tid.0 as usize] = Some(bytes.into_boxed_slice());
+        Ok(())
     }
 
-    /// Delete a row; returns true when it was live.
+    /// Delete a row; returns true when it was live. Its slot is not reused.
     pub fn delete(&mut self, tid: TupleId) -> bool {
-        let Some(old) = self.heap.get(tid).map(tuple_footprint) else {
+        let Some(old) = self.rows.get_mut(tid.0 as usize).and_then(Option::take) else {
             return false;
         };
-        self.heap.delete(tid);
         self.row_count -= 1;
-        self.debit(old);
+        self.debit(tuple_footprint(&old));
         true
     }
 
-    /// Scan all live rows (decoded, padded).
+    /// Scan all live rows (decoded, padded) in insertion order.
     pub fn scan(&self) -> impl Iterator<Item = (TupleId, Vec<Datum>)> + '_ {
         let width = self.schema.len();
-        self.heap.scan().map(move |(tid, bytes)| {
-            let mut row = decode_row(bytes).expect("stored rows decode");
+        (0u32..).zip(&self.rows).filter_map(move |(slot, bytes)| {
+            let mut row = decode_row(bytes.as_deref()?).expect("stored rows decode");
             row.resize(width, Datum::Null);
-            (tid, row)
+            Some((TupleId(slot), row))
         })
     }
 
-    /// Physical bytes: whole heap pages, at least one page (a freshly
-    /// created table costs s1 = one 8 KB page in the paper's model).
-    pub fn physical_bytes(&self) -> u64 {
-        self.heap.physical_bytes().max(PAGE_SIZE as u64)
-    }
-
-    /// Accounted bytes following the paper's cost structure: one page of
-    /// table overhead + per-column catalog entries + per-row headers + data,
-    /// where data prices every row at the full schema width (a position a
-    /// short tuple does not store reads back as NULL, one tag byte). O(1):
-    /// the stored totals are maintained by every mutator.
+    /// Accounted bytes following the paper's PostgreSQL cost structure,
+    /// not the bytes this table holds: s1 ([`TABLE_BYTES`], one 8 KB page),
+    /// plus per-column catalog entries, per-row headers and data, where
+    /// data prices every row at the full schema width (a position a short
+    /// tuple does not store reads back as NULL, one tag byte). O(1): the
+    /// stored totals are maintained by every mutator.
     pub fn accounted_bytes(&self) -> u64 {
         let null_len = Datum::Null.encoded_len() as u64;
         let padded = self.row_count * self.schema.len() as u64 - self.stored_datums;
-        PAGE_SIZE as u64
+        TABLE_BYTES
             + COLUMN_CATALOG_BYTES * self.schema.len() as u64
             + TUPLE_HEADER_BYTES * self.row_count
             + self.stored_bytes
@@ -250,7 +269,7 @@ impl Table {
             .scan()
             .map(|(_, row)| row.iter().map(|d| d.encoded_len() as u64).sum::<u64>())
             .sum();
-        PAGE_SIZE as u64
+        TABLE_BYTES
             + COLUMN_CATALOG_BYTES * self.schema.len() as u64
             + TUPLE_HEADER_BYTES * self.row_count
             + data
@@ -296,13 +315,72 @@ mod tests {
     fn update_and_delete() {
         let mut t = table();
         let tid = t.insert(&[Datum::Int(1), Datum::Text("a".into())]).unwrap();
-        let tid2 = t
-            .update(tid, &[Datum::Int(2), Datum::Text("b".into())])
+        t.update(tid, &[Datum::Int(2), Datum::Text("b".into())])
             .unwrap();
-        assert_eq!(t.fetch(tid2).unwrap()[0], Datum::Int(2));
-        assert!(t.delete(tid2));
+        assert_eq!(t.fetch(tid).unwrap()[0], Datum::Int(2));
+        assert!(t.delete(tid));
         assert_eq!(t.row_count(), 0);
-        assert!(t.fetch(tid2).is_err());
+        assert!(t.fetch(tid).is_err());
+    }
+
+    #[test]
+    fn dead_rows_stay_dead() {
+        let mut t = table();
+        let tid = t.insert(&[Datum::Int(1), Datum::Text("a".into())]).unwrap();
+        assert!(t.delete(tid));
+        assert!(!t.delete(tid));
+        assert_eq!(
+            t.update(tid, &[Datum::Int(2), Datum::Text("b".into())]),
+            Err(StoreError::BadTupleId)
+        );
+        assert_eq!(t.fetch(TupleId(7)), Err(StoreError::BadTupleId));
+        // A freed slot is never handed out again.
+        let next = t.insert(&[Datum::Int(3), Datum::Text("c".into())]).unwrap();
+        assert_ne!(next, tid);
+        assert!(t.fetch(tid).is_err());
+    }
+
+    #[test]
+    fn scan_visits_live_rows_in_insertion_order() {
+        let mut t = table();
+        let ids: Vec<TupleId> = (0..100)
+            .map(|i| t.insert(&[Datum::Int(i), Datum::Null]).unwrap())
+            .collect();
+        t.delete(ids[50]);
+        t.insert(&[Datum::Int(100), Datum::Null]).unwrap();
+        let seen: Vec<Datum> = t.scan().map(|(_, row)| row[0].clone()).collect();
+        let want: Vec<Datum> = (0..=100).filter(|&i| i != 50).map(Datum::Int).collect();
+        assert_eq!(seen, want, "the append lands last, not in the dead slot");
+    }
+
+    #[test]
+    fn updates_stay_in_place_at_any_size() {
+        let mut t = table();
+        let first = t.insert(&[Datum::Int(0), Datum::Text("a".into())]).unwrap();
+        let second = t.insert(&[Datum::Int(1), Datum::Text("b".into())]).unwrap();
+        let big = Datum::Text("x".repeat(64 * 1024));
+        t.update(first, &[Datum::Int(0), big.clone()]).unwrap();
+        assert_eq!(t.fetch(first).unwrap()[1], big);
+        let order: Vec<TupleId> = t.scan().map(|(tid, _)| tid).collect();
+        assert_eq!(order, vec![first, second], "a grown row keeps its place");
+        assert_eq!(t.accounted_bytes(), t.accounted_bytes_walk());
+    }
+
+    #[test]
+    fn add_column_stops_at_the_arity_header() {
+        let mut t = Table::new("wide", Schema::new(Vec::new()));
+        for i in 0..MAX_ARITY {
+            t.add_column(ColumnDef::new(format!("c{i}"), DataType::Any))
+                .unwrap();
+        }
+        assert!(matches!(
+            t.add_column(ColumnDef::new("one_more", DataType::Any)),
+            Err(StoreError::LimitExceeded(_))
+        ));
+        let mut row = vec![Datum::Null; MAX_ARITY];
+        row[MAX_ARITY - 1] = Datum::Int(9);
+        let tid = t.insert(&row).unwrap();
+        assert_eq!(t.fetch(tid).unwrap(), row);
     }
 
     #[test]
@@ -385,7 +463,7 @@ mod tests {
                     ),
                     2 if !live.is_empty() => {
                         let i = at.index(live.len());
-                        live[i] = t.update(live[i], &row(width)).unwrap();
+                        t.update(live[i], &row(width)).unwrap();
                     }
                     3 if !live.is_empty() => {
                         let tid = live.swap_remove(at.index(live.len()));
@@ -405,11 +483,10 @@ mod tests {
     fn accounting_includes_all_components() {
         let mut t = table();
         let empty = t.accounted_bytes();
-        assert_eq!(empty, PAGE_SIZE as u64 + 2 * COLUMN_CATALOG_BYTES);
+        assert_eq!(empty, TABLE_BYTES + 2 * COLUMN_CATALOG_BYTES);
         t.insert(&[Datum::Int(1), Datum::Text("abcd".into())])
             .unwrap();
         let one = t.accounted_bytes();
         assert!(one > empty + TUPLE_HEADER_BYTES);
-        assert!(t.physical_bytes() >= PAGE_SIZE as u64);
     }
 }

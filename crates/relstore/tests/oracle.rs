@@ -1,11 +1,11 @@
-//! Property tests: B+-tree vs `BTreeMap`, heap file vs `HashMap` oracle.
+//! Property tests: B+-tree vs `BTreeMap`, table vs `HashMap` oracle.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 use proptest::prelude::*;
 
-use dataspread_relstore::{BPlusTree, HeapFile};
+use dataspread_relstore::{BPlusTree, ColumnDef, DataType, Datum, Schema, Table};
 
 #[derive(Debug, Clone)]
 enum TreeOp {
@@ -58,43 +58,43 @@ proptest! {
     }
 
     #[test]
-    fn heap_file_matches_hashmap(
-        inserts in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..600), 1..80),
+    fn table_matches_hashmap(
+        inserts in prop::collection::vec("[a-z]{0,600}", 1..80),
         deletes in prop::collection::vec(any::<prop::sample::Index>(), 0..40),
-        updates in prop::collection::vec((any::<prop::sample::Index>(), prop::collection::vec(any::<u8>(), 1..900)), 0..40),
+        updates in prop::collection::vec((any::<prop::sample::Index>(), "[a-z]{0,9000}"), 0..40),
     ) {
-        let mut heap = HeapFile::new();
-        let mut oracle: HashMap<_, Vec<u8>> = HashMap::new();
+        let mut table = Table::new("t", Schema::new(vec![ColumnDef::new("s", DataType::Text)]));
+        let mut oracle: HashMap<_, Vec<Datum>> = HashMap::new();
         let mut tids = Vec::new();
-        for bytes in &inserts {
-            let tid = heap.insert(bytes).unwrap();
-            oracle.insert(tid, bytes.clone());
+        for text in inserts {
+            let row = vec![Datum::Text(text)];
+            let tid = table.insert(&row).unwrap();
+            oracle.insert(tid, row);
             tids.push(tid);
         }
         for idx in deletes {
             let tid = *idx.get(&tids);
             let was_live = oracle.remove(&tid).is_some();
-            prop_assert_eq!(heap.delete(tid), was_live);
+            prop_assert_eq!(table.delete(tid), was_live);
         }
-        for (idx, bytes) in updates {
+        for (idx, text) in updates {
             let tid = *idx.get(&tids);
-            if oracle.contains_key(&tid) {
-                let new_tid = heap.update(tid, &bytes).unwrap();
-                oracle.remove(&tid);
-                oracle.insert(new_tid, bytes.clone());
-                if new_tid != tid {
-                    tids.push(new_tid);
+            let row = vec![Datum::Text(text)];
+            match oracle.get_mut(&tid) {
+                Some(live) => {
+                    table.update(tid, &row).unwrap();
+                    *live = row;
                 }
-            } else {
-                prop_assert!(heap.update(tid, &bytes).is_err());
+                None => prop_assert!(table.update(tid, &row).is_err()),
             }
         }
-        prop_assert_eq!(heap.live_count() as usize, oracle.len());
-        for (tid, bytes) in &oracle {
-            prop_assert_eq!(heap.get(*tid), Some(bytes.as_slice()));
+        prop_assert_eq!(table.row_count() as usize, oracle.len());
+        for (tid, row) in &oracle {
+            prop_assert_eq!(&table.fetch(*tid).unwrap(), row);
         }
-        let scanned: HashMap<_, Vec<u8>> =
-            heap.scan().map(|(t, b)| (t, b.to_vec())).collect();
-        prop_assert_eq!(scanned, oracle);
+        let scanned: Vec<_> = table.scan().collect();
+        let mut live: Vec<_> = oracle.into_iter().collect();
+        live.sort_by_key(|(tid, _)| *tid);
+        prop_assert_eq!(scanned, live, "scan is insertion order");
     }
 }

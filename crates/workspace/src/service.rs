@@ -135,7 +135,6 @@ fn store_code(e: &StoreError) -> u16 {
         StoreError::TableExists(_) => codes::STORE_TABLE_EXISTS,
         StoreError::SchemaMismatch(_) => codes::STORE_SCHEMA_MISMATCH,
         StoreError::BadTupleId => codes::STORE_BAD_TUPLE_ID,
-        StoreError::TupleTooLarge(_) => codes::STORE_TUPLE_TOO_LARGE,
         StoreError::Corrupt(_) => codes::STORE_CORRUPT,
         StoreError::NoSuchColumn(_) => codes::STORE_NO_SUCH_COLUMN,
         StoreError::LimitExceeded(_) => codes::STORE_LIMIT_EXCEEDED,
@@ -155,7 +154,6 @@ fn store_detail(e: &StoreError) -> String {
         | StoreError::Io(s)
         | StoreError::StorageFailed(s) => s.clone(),
         StoreError::BadTupleId => String::new(),
-        StoreError::TupleTooLarge(n) => n.to_string(),
     }
 }
 
@@ -1536,11 +1534,6 @@ mod tests {
                 "t",
             ),
             (WorkspaceError::Store(StoreError::BadTupleId), 0x203, ""),
-            (
-                WorkspaceError::Store(StoreError::TupleTooLarge(9000)),
-                0x204,
-                "9000",
-            ),
             (
                 WorkspaceError::Store(StoreError::Corrupt("torn".into())),
                 0x205,

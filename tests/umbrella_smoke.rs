@@ -38,9 +38,10 @@ fn every_reexported_crate_is_reachable() {
     assert_eq!(pm.get(1), Some(&7));
 
     // relstore
-    let mut heap = dataspread::relstore::HeapFile::new();
-    let tid = heap.insert(b"row").unwrap();
-    assert_eq!(heap.get(tid), Some(&b"row"[..]));
+    use dataspread::relstore::{ColumnDef, DataType, Datum, Schema, Table};
+    let mut table = Table::new("t", Schema::new(vec![ColumnDef::new("x", DataType::Int)]));
+    let tid = table.insert(&[Datum::Int(7)]).unwrap();
+    assert_eq!(table.fetch(tid).unwrap(), vec![Datum::Int(7)]);
 
     // hybrid
     let cm = dataspread::hybrid::CostModel::postgres();
