@@ -1,23 +1,27 @@
 //! Storage-level positional schemes for Table II and Figure 18.
 //!
 //! The paper's *position-as-is* baseline stores the position **inside each
-//! tuple** (with a B+-tree on it), so one row insert physically rewrites
+//! tuple** (with a B-tree index on it), so one row insert physically rewrites
 //! every subsequent tuple — that is the cascading update being measured.
 //! The engine's translators never do this (they keep positions out of
 //! tuples), so the faithful baselines are implemented here, directly
 //! against the row store:
 //!
-//! * [`AsIsStore`] — explicit position column + B+-tree index; O(log N)
+//! * [`AsIsStore`] — explicit position column + ordered index; O(log N)
 //!   fetch, O(N log N) insert/delete.
-//! * [`MonotonicStore`] — gapped monotonic keys + B+-tree; O(N) positional
-//!   fetch, O(log N) insert.
+//! * [`MonotonicStore`] — gapped monotonic keys + ordered index; O(N)
+//!   positional fetch, O(log N) insert.
 //! * [`HierarchicalStore`] — counted B+-tree of tuple pointers; O(log N)
 //!   everything (the paper's scheme).
+//!
+//! The ordered index is std's `BTreeMap`, standing in for the database's
+//! B-tree: the paper measures the cost of positions kept in tuples, not
+//! the index that holds them.
 
-use std::ops::Bound;
+use std::collections::BTreeMap;
 
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap};
-use dataspread_relstore::{BPlusTree, ColumnDef, DataType, Datum, Schema, Table, TupleId};
+use dataspread_relstore::{ColumnDef, DataType, Datum, Schema, Table, TupleId};
 
 /// A row of `width` integer cells used by the benchmarks.
 fn payload_row(head: Datum, pos_or_key: i64, width: u32) -> Vec<Datum> {
@@ -37,10 +41,10 @@ fn schema(width: u32) -> Schema {
     Schema::new(cols)
 }
 
-/// Position stored in every tuple; B+-tree on position.
+/// Position stored in every tuple; an ordered index on position.
 pub struct AsIsStore {
     table: Table,
-    index: BPlusTree<i64, TupleId>,
+    index: BTreeMap<i64, TupleId>,
     len: u64,
     width: u32,
 }
@@ -48,7 +52,7 @@ pub struct AsIsStore {
 impl AsIsStore {
     pub fn build(rows: u64, width: u32) -> Self {
         let mut table = Table::new("asis", schema(width));
-        let mut index = BPlusTree::new();
+        let mut index = BTreeMap::new();
         for pos in 0..rows {
             let tid = table
                 .insert(&payload_row(Datum::Int(pos as i64), pos as i64, width))
@@ -74,11 +78,7 @@ impl AsIsStore {
     /// Fetch `count` rows starting at `pos` through the index.
     pub fn fetch(&self, pos: u64, count: u64) -> Vec<Vec<Datum>> {
         self.index
-            .range(
-                Bound::Included(&(pos as i64)),
-                Bound::Excluded(&((pos + count) as i64)),
-            )
-            .into_iter()
+            .range(pos as i64..(pos + count) as i64)
             .map(|(_, tid)| self.table.fetch(*tid).expect("live"))
             .collect()
     }
@@ -123,11 +123,12 @@ impl AsIsStore {
     }
 }
 
-/// Gapped monotonic keys stored in tuples; positional fetch must discard
-/// the first `n-1` index entries (online dynamic reordering baseline).
+/// Gapped monotonic keys stored in tuples, with an ordered index on the
+/// key; positional fetch must discard the first `n-1` index entries
+/// (online dynamic reordering baseline).
 pub struct MonotonicStore {
     table: Table,
-    index: BPlusTree<i64, TupleId>,
+    index: BTreeMap<i64, TupleId>,
     len: u64,
     width: u32,
 }
@@ -137,7 +138,7 @@ const GAP: i64 = 1 << 20;
 impl MonotonicStore {
     pub fn build(rows: u64, width: u32) -> Self {
         let mut table = Table::new("mono", schema(width));
-        let mut index = BPlusTree::new();
+        let mut index = BTreeMap::new();
         for pos in 0..rows {
             let key = (pos as i64 + 1) * GAP;
             let tid = table
@@ -162,21 +163,16 @@ impl MonotonicStore {
     }
 
     fn key_at(&self, pos: u64) -> Option<i64> {
-        self.index
-            .entries()
-            .into_iter()
-            .nth(pos as usize)
-            .map(|(k, _)| *k)
+        self.index.keys().nth(pos as usize).copied()
     }
 
     /// Positional fetch: O(pos) — skip the first `pos` entries.
     pub fn fetch(&self, pos: u64, count: u64) -> Vec<Vec<Datum>> {
         self.index
-            .entries()
-            .into_iter()
+            .values()
             .skip(pos as usize)
             .take(count as usize)
-            .map(|(_, tid)| self.table.fetch(*tid).expect("live"))
+            .map(|tid| self.table.fetch(*tid).expect("live"))
             .collect()
     }
 
@@ -216,14 +212,8 @@ impl MonotonicStore {
     }
 
     fn renumber(&mut self) {
-        let entries: Vec<(i64, TupleId)> = self
-            .index
-            .entries()
-            .into_iter()
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        self.index = BPlusTree::new();
-        for (i, (_, tid)) in entries.into_iter().enumerate() {
+        let tids = std::mem::take(&mut self.index).into_values();
+        for (i, tid) in tids.enumerate() {
             let key = (i as i64 + 1) * GAP;
             let mut row = self.table.fetch(tid).expect("live");
             row[0] = Datum::Int(key);

@@ -1244,7 +1244,7 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
     if n_runs as u64 > rows as u64 {
         return Err(codec::corrupt("more runs than rows"));
     }
-    let mut runs = Vec::with_capacity(n_runs as usize);
+    let mut runs = Vec::with_capacity((n_runs as usize).min(1 << 20));
     let mut covered = 0u64;
     let mut counts = [0u64; 5];
     let mut prev_tag: Option<u8> = None;

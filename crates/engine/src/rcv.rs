@@ -3,7 +3,8 @@
 //! One tuple per *filled* cell, keyed by stable row/column identifiers.
 //! Positional maps translate row/column positions to identifiers (paper §V:
 //! "the positional mapper translates the row and column numbers into the
-//! corresponding stored identifiers"), and a B+-tree index maps
+//! corresponding stored identifiers"), and an ordered index (std's
+//! `BTreeMap`, standing in for the database's B-tree) maps
 //! `(row id, col id)` to the tuple. Structural edits touch only the
 //! positional maps — O(log N), no tuple rewrites.
 //!
@@ -13,15 +14,12 @@
 //! address lands in. Huge blocks belong in bulk-loaded ROM regions, which
 //! cost O(rows actually present).
 
-use std::collections::HashMap;
-use std::ops::Bound;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
-use dataspread_relstore::{
-    BPlusTree, ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId,
-};
+use dataspread_relstore::{ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId};
 
 use crate::error::EngineError;
 use crate::translator::{
@@ -37,7 +35,7 @@ pub struct RcvTranslator {
     /// Column position → stable column id.
     cols_map: HierarchicalPosMap<u64>,
     /// (row id, col id) → tuple.
-    index: BPlusTree<(u64, u64), TupleId>,
+    index: BTreeMap<(u64, u64), TupleId>,
     next_row_id: u64,
     next_col_id: u64,
 }
@@ -72,7 +70,7 @@ impl RcvTranslator {
             ),
             rows_map: HierarchicalPosMap::new(),
             cols_map: HierarchicalPosMap::new(),
-            index: BPlusTree::new(),
+            index: BTreeMap::new(),
             next_row_id: 0,
             next_col_id: 0,
         }
@@ -242,11 +240,7 @@ impl Translator for RcvTranslator {
             in_row.clear();
             in_row.extend(
                 self.index
-                    .range(
-                        Bound::Included(&(rid, u64::MIN)),
-                        Bound::Included(&(rid, u64::MAX)),
-                    )
-                    .into_iter()
+                    .range((rid, u64::MIN)..=(rid, u64::MAX))
                     .filter_map(|(&(_, cid), &tid)| Some((*col_of.get(&cid)?, tid))),
             );
             // Column ids are handed out in touch order, not position order.
@@ -291,18 +285,9 @@ impl Translator for RcvTranslator {
                 break;
             };
             // Drop every tuple of this row via an index range scan.
-            let doomed: Vec<((u64, u64), TupleId)> = self
-                .index
-                .range(
-                    Bound::Included(&(rid, u64::MIN)),
-                    Bound::Included(&(rid, u64::MAX)),
-                )
-                .into_iter()
-                .map(|(k, v)| (*k, *v))
-                .collect();
-            for (key, tid) in doomed {
+            let row = (rid, u64::MIN)..=(rid, u64::MAX);
+            for (_, tid) in self.index.extract_if(row, |_, _| true) {
                 self.table.delete(tid);
-                self.index.remove(&key);
             }
         }
         Ok(())
@@ -327,22 +312,19 @@ impl Translator for RcvTranslator {
     }
 
     fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        for _ in 0..n {
-            let Some(cid) = self.cols_map.remove_at(at as usize) else {
-                break;
-            };
-            // Column ids are the second key component: collect then drop.
-            let doomed: Vec<((u64, u64), TupleId)> = self
-                .index
-                .range(Bound::Unbounded, Bound::Unbounded)
-                .into_iter()
-                .filter(|((_, c), _)| *c == cid)
-                .map(|(k, v)| (*k, *v))
-                .collect();
-            for (key, tid) in doomed {
-                self.table.delete(tid);
-                self.index.remove(&key);
-            }
+        let doomed: HashSet<u64> = (0..n)
+            .map_while(|_| self.cols_map.remove_at(at as usize))
+            .collect();
+        if doomed.is_empty() {
+            return Ok(());
+        }
+        // Column ids are the second key component: one pass over the
+        // whole index drops every deleted column's tuples.
+        for (_, tid) in self
+            .index
+            .extract_if(.., |&(_, cid), _| doomed.contains(&cid))
+        {
+            self.table.delete(tid);
         }
         Ok(())
     }

@@ -486,3 +486,17 @@ fn a_code_store_build_would_not_write_is_refused() {
         );
     }
 }
+
+/// A run count is bounded only by the row count, so a 13-byte payload of
+/// `u32::MAX` rows in one column announcing `u32::MAX` runs used to
+/// reserve room for all of them (64 GiB) and abort the process. It is
+/// refused as truncated, as every other count past the payload is.
+#[test]
+fn a_run_count_past_the_payload_is_refused() {
+    let mut payload = vec![2]; // encoding version
+    payload.extend(u32::MAX.to_le_bytes()); // rows
+    payload.extend(1u32.to_le_bytes()); // one column
+    payload.extend(u32::MAX.to_le_bytes()); // runs
+    assert_eq!(payload.len(), 13);
+    assert!(ColumnarTranslator::from_bytes(&payload).is_err());
+}

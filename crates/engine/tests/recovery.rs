@@ -831,11 +831,14 @@ fn an_image_naming_another_positional_map_is_refused_untouched() {
 }
 
 /// A region's payload is checked against the region's rect before a
-/// single cell is built. Three CRC-valid images are refused as corrupt
+/// single cell is built. Four CRC-valid images are refused as corrupt
 /// with `pages.db` byte-identical: a cell exactly one row past the rect
 /// (the builder used to grow the region to hold it), a formula cell at
-/// local row `u32::MAX - 1` (its sheet row used to overflow), and a
-/// columnar region one row taller than its rect.
+/// local row `u32::MAX - 1` (its sheet row used to overflow), a
+/// columnar region one row taller than its rect, and a 13-byte columnar
+/// payload of `u32::MAX` rows announcing `u32::MAX` runs (its decoder,
+/// which runs before the rect check, used to reserve 64 GiB for them and
+/// abort).
 #[test]
 fn a_region_cell_outside_its_rect_is_refused_untouched() {
     use dataspread_engine::durable::{CellsEncoder, DurableStore};
@@ -852,6 +855,8 @@ fn a_region_cell_outside_its_rect_is_refused_untouched() {
     };
     let mut columnar = ColumnarTranslator::new(rect.rows() as u32 + 1, 3);
     columnar.set_cell(4, 1, Cell::formula("1+1")).unwrap();
+    // Version 2 | u32::MAX rows | one column | u32::MAX runs.
+    let run_count = [&[2u8][..], &[0xFF; 4], &1u32.to_le_bytes(), &[0xFF; 4]].concat();
     let cases = [
         (
             "rect-rows",
@@ -864,6 +869,7 @@ fn a_region_cell_outside_its_rect_is_refused_untouched() {
             cells(u32::MAX - 1, 1, Some("1+1")),
         ),
         ("columnar-rows", ModelKind::Columnar, columnar.to_bytes()),
+        ("columnar-run-count", ModelKind::Columnar, run_count),
     ];
     for (name, kind, payload) in cases {
         let dir = temp_dir(name);

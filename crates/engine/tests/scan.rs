@@ -127,7 +127,7 @@ fn step(rng: &mut StdRng, t: &mut dyn Translator) {
         7 => t.insert_rows(rng.gen_range(0..rows + 1), rng.gen_range(1..3)),
         8 => t.delete_rows(rng.gen_range(0..rows), rng.gen_range(1..3)),
         9 => t.insert_cols(rng.gen_range(0..cols + 1), rng.gen_range(1..3)),
-        _ => t.delete_cols(rng.gen_range(0..cols), 1),
+        _ => t.delete_cols(rng.gen_range(0..cols), rng.gen_range(1..3)),
     };
 }
 

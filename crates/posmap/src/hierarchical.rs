@@ -63,24 +63,6 @@ impl<T> Node<T> {
         }
     }
 
-    fn get_mut(&mut self, pos: usize) -> Option<&mut T> {
-        match self {
-            Node::Leaf(items) => items.get_mut(pos),
-            Node::Internal {
-                counts, children, ..
-            } => {
-                let mut pos = pos;
-                for (i, &cnt) in counts.iter().enumerate() {
-                    if pos < cnt {
-                        return children[i].get_mut(pos);
-                    }
-                    pos -= cnt;
-                }
-                None
-            }
-        }
-    }
-
     /// Insert `value` at `pos`; returns the split-off right sibling when the
     /// node overflows.
     fn insert(&mut self, pos: usize, value: T) -> Option<Node<T>> {
@@ -476,12 +458,6 @@ impl<T> PositionalMap<T> for HierarchicalPosMap<T> {
         self.root.get(pos)
     }
 
-    fn replace(&mut self, pos: usize, value: T) -> Option<T> {
-        self.root
-            .get_mut(pos)
-            .map(|slot| std::mem::replace(slot, value))
-    }
-
     fn insert_at(&mut self, pos: usize, value: T) {
         let len = self.len();
         assert!(pos <= len, "insert_at({pos}) out of bounds (len {len})");
@@ -655,15 +631,6 @@ mod tests {
         assert_eq!(r.into_iter().copied().collect::<Vec<_>>(), expected);
         assert_eq!(m.range(995, 100).len(), 5);
         assert!(m.range(2_000, 5).is_empty());
-    }
-
-    #[test]
-    fn replace_in_place() {
-        let mut m: HierarchicalPosMap<u32> = (0..100).collect();
-        assert_eq!(m.replace(50, 5555), Some(50));
-        assert_eq!(m.get(50), Some(&5555));
-        assert_eq!(m.replace(100, 1), None);
-        assert_eq!(m.len(), 100);
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub trait PositionalMap<T> {
     /// Fetch the item at `pos`.
     fn get(&self, pos: usize) -> Option<&T>;
 
-    /// Replace the item at `pos`, returning the old item.
-    fn replace(&mut self, pos: usize, value: T) -> Option<T>;
-
     /// Insert so that `value` ends up at `pos` (`pos <= len`).
     ///
     /// # Panics

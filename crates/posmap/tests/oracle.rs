@@ -13,7 +13,6 @@ use dataspread_posmap::{HierarchicalPosMap, PositionalMap};
 enum Op {
     Insert(usize, u32),
     Remove(usize),
-    Replace(usize, u32),
     Get(usize),
     Range(usize, usize),
 }
@@ -22,7 +21,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0usize..512, any::<u32>()).prop_map(|(p, v)| Op::Insert(p, v)),
         (0usize..512).prop_map(Op::Remove),
-        (0usize..512, any::<u32>()).prop_map(|(p, v)| Op::Replace(p, v)),
         (0usize..512).prop_map(Op::Get),
         (0usize..512, 0usize..64).prop_map(|(s, c)| Op::Range(s, c)),
     ]
@@ -45,10 +43,6 @@ fn run_against_oracle(ops: &[Op]) {
                     None
                 };
                 assert_eq!(map.remove_at(p), expected);
-            }
-            Op::Replace(p, v) => {
-                let expected = oracle.get_mut(p).map(|slot| std::mem::replace(slot, v));
-                assert_eq!(map.replace(p, v), expected);
             }
             Op::Get(p) => {
                 assert_eq!(map.get(p), oracle.get(p));

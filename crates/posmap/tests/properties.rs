@@ -114,18 +114,4 @@ proptest! {
         let expected: Vec<u32> = items.iter().skip(start).take(count).copied().collect();
         prop_assert_eq!(scanned, expected, "range is a positional scan");
     }
-
-    #[test]
-    fn replace_touches_exactly_one_position(
-        base in prop::collection::vec(any::<u32>(), 1..48),
-        pos in 0usize..48,
-        value in any::<u32>(),
-    ) {
-        let pos = pos.min(base.len() - 1);
-        let mut map = build(&base);
-        prop_assert_eq!(map.replace(pos, value), Some(base[pos]));
-        let mut expected = base.clone();
-        expected[pos] = value;
-        prop_assert_eq!(contents(&map), expected, "replace must not shift neighbours");
-    }
 }

@@ -10,8 +10,11 @@
 //!   [`Table::accounted_bytes`] with the paper's measured PostgreSQL
 //!   constants (one 8 KB page per table, per-row headers, per-column
 //!   catalog entries),
-//! * a from-scratch [`btree::BPlusTree`] for secondary indexes,
 //! * a [`db::Database`] catalog.
+//!
+//! Secondary indexes are not part of it: a caller that needs one keeps a
+//! `std::collections::BTreeMap` from its key to [`TupleId`], standing in
+//! for PostgreSQL's B-tree, which the paper uses but does not measure.
 //!
 //! It intentionally models the *cost structure* the paper measures —
 //! per-table, per-row, per-column, and per-cell overheads — so that storage
@@ -27,7 +30,6 @@
 //! lives in memory only: the engine's durable image holds sheet cells,
 //! not the tables behind them.
 
-pub mod btree;
 pub mod datum;
 pub mod db;
 pub mod error;
@@ -36,7 +38,6 @@ pub mod table;
 pub mod vfs;
 pub mod wal;
 
-pub use btree::BPlusTree;
 /// Kept only for `bench_e2e`, which names `dataspread_relstore::Reader`;
 /// everything else imports [`dataspread_grid::codec`] directly.
 pub use dataspread_grid::codec::Reader;

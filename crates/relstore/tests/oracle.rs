@@ -1,61 +1,13 @@
-//! Property tests: B+-tree vs `BTreeMap`, table vs `HashMap` oracle.
+//! Property test: table vs `HashMap` oracle.
 
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use dataspread_relstore::{BPlusTree, ColumnDef, DataType, Datum, Schema, Table};
-
-#[derive(Debug, Clone)]
-enum TreeOp {
-    Insert(u16, u32),
-    Remove(u16),
-    Get(u16),
-    Range(u16, u16),
-}
-
-fn tree_op() -> impl Strategy<Value = TreeOp> {
-    prop_oneof![
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| TreeOp::Insert(k, v)),
-        any::<u16>().prop_map(TreeOp::Remove),
-        any::<u16>().prop_map(TreeOp::Get),
-        (any::<u16>(), any::<u16>()).prop_map(|(a, b)| TreeOp::Range(a.min(b), a.max(b))),
-    ]
-}
+use dataspread_relstore::{ColumnDef, DataType, Datum, Schema, Table};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn bplustree_matches_btreemap(ops in prop::collection::vec(tree_op(), 1..500)) {
-        let mut tree = BPlusTree::new();
-        let mut oracle: BTreeMap<u16, u32> = BTreeMap::new();
-        for op in ops {
-            match op {
-                TreeOp::Insert(k, v) => {
-                    prop_assert_eq!(tree.insert(k, v), oracle.insert(k, v));
-                }
-                TreeOp::Remove(k) => {
-                    prop_assert_eq!(tree.remove(&k), oracle.remove(&k));
-                }
-                TreeOp::Get(k) => {
-                    prop_assert_eq!(tree.get(&k), oracle.get(&k));
-                }
-                TreeOp::Range(lo, hi) => {
-                    let got: Vec<(u16, u32)> = tree
-                        .range(Bound::Included(&lo), Bound::Included(&hi))
-                        .into_iter()
-                        .map(|(k, v)| (*k, *v))
-                        .collect();
-                    let want: Vec<(u16, u32)> =
-                        oracle.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
-                    prop_assert_eq!(got, want);
-                }
-            }
-            prop_assert_eq!(tree.len(), oracle.len());
-        }
-    }
 
     #[test]
     fn table_matches_hashmap(
