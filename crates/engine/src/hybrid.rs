@@ -29,12 +29,12 @@ use crate::translator::{CellVisitor, Translator, WHOLE};
 pub const CATCHALL_REGION_ID: u64 = 0;
 
 /// One region of the sheet and its translator.
-pub struct RegionSlot {
+struct RegionSlot {
     /// Stable identity for region-granular persistence: survives rect
     /// shifts and reopen, so a checkpoint can key page allocations by it.
-    pub id: u64,
-    pub rect: Rect,
-    pub translator: Box<dyn Translator>,
+    id: u64,
+    rect: Rect,
+    translator: Box<dyn Translator>,
     /// Set by every mutator that changes this region's *cells* (not by
     /// pure rect translations); cleared after a successful checkpoint.
     dirty: bool,
@@ -221,9 +221,9 @@ fn gather(store: &dyn Translator, origin: (u32, u32), out: &mut Vec<(CellAddr, C
 /// rows with overlapping columns would intersect). Routing is therefore two
 /// binary searches: band by row, then column entry within the band.
 ///
-/// Rebuilt on region add/remove/restore/reorganize and on row/column
-/// *deletions* (regions can vanish, shifting slot indices); row/column
-/// *insertions* — the interactive structural edits — update it in place.
+/// A pure function of the region rects: [`RoutingIndex::build`] is its
+/// only writer, and every [`HybridSheet`] method that changes a rect or a
+/// slot position ends by rebuilding it.
 #[derive(Debug, Default, Clone)]
 struct RoutingIndex {
     /// Sorted, disjoint row bands (only bands with at least one region are
@@ -329,97 +329,6 @@ impl RoutingIndex {
         out.dedup();
         out
     }
-
-    /// Mirror the region-rect updates of [`HybridSheet::insert_rows`]: a
-    /// band strictly containing the cut widens (all its regions gain the
-    /// inserted rows); if the cut lands on a band boundary, the regions
-    /// spanning that boundary get a fresh band for the inserted rows; and
-    /// every band at or below the cut shifts down.
-    fn insert_rows(&mut self, at: u32, n: u32) {
-        let first = self.bands.partition_point(|b| b.r2 < at);
-        let mut shift_from = first;
-        let mut fresh: Option<RowBand> = None;
-        if let Some(b) = self.bands.get(first) {
-            if b.r1 < at {
-                self.bands[first].r2 = self.bands[first].r2.saturating_add(n);
-                shift_from = first + 1;
-            } else if b.r1 == at && at > 0 && first > 0 {
-                let below = &self.bands[first - 1];
-                if below.r2 + 1 == at {
-                    // Regions covering both `at-1` and `at` grow; they are
-                    // exactly the slots present in both adjacent bands.
-                    let lower: std::collections::HashSet<usize> =
-                        below.cols.iter().map(|&(_, _, idx)| idx).collect();
-                    let spanning: Vec<(u32, u32, usize)> = b
-                        .cols
-                        .iter()
-                        .copied()
-                        .filter(|&(_, _, idx)| lower.contains(&idx))
-                        .collect();
-                    if !spanning.is_empty() {
-                        fresh = Some(RowBand {
-                            r1: at,
-                            r2: at + n - 1,
-                            cols: spanning,
-                        });
-                    }
-                }
-            }
-        }
-        for b in &mut self.bands[shift_from..] {
-            b.r1 += n;
-            b.r2 = b.r2.saturating_add(n);
-        }
-        if let Some(f) = fresh {
-            self.bands.insert(first, f);
-        }
-    }
-
-    /// Mirror [`HybridSheet::remove_region`] without a rebuild: drop the
-    /// removed slot's column entry from every band listing it, renumber
-    /// the slot indices above it (`Vec::remove` shifted them down by one),
-    /// drop bands left empty, and re-merge band pairs whose only cut was
-    /// the removed region. One pass over the bands — no sweep, no sort,
-    /// no reallocation of untouched bands (the delete used to pay the full
-    /// O(R log R) [`RoutingIndex::build`]).
-    fn remove_slot(&mut self, slot: usize) {
-        self.bands.retain_mut(|band| {
-            band.cols.retain(|&(_, _, idx)| idx != slot);
-            for e in &mut band.cols {
-                if e.2 > slot {
-                    e.2 -= 1;
-                }
-            }
-            !band.cols.is_empty()
-        });
-        // Adjacent bands whose boundary existed only because of the
-        // removed region now hold identical column lists; merging them
-        // restores the canonical elementary-band form.
-        self.bands.dedup_by(|curr, prev| {
-            if prev.r2.checked_add(1) == Some(curr.r1) && prev.cols == curr.cols {
-                prev.r2 = curr.r2;
-                true
-            } else {
-                false
-            }
-        });
-    }
-
-    /// Mirror the region-rect updates of [`HybridSheet::insert_cols`]:
-    /// band rows are untouched; each column entry shifts or grows exactly
-    /// like its region's rectangle.
-    fn insert_cols(&mut self, at: u32, n: u32) {
-        for band in &mut self.bands {
-            for e in &mut band.cols {
-                if at <= e.0 {
-                    e.0 += n;
-                    e.1 += n;
-                } else if at <= e.1 {
-                    e.1 += n;
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for RegionSlot {
@@ -455,8 +364,8 @@ pub struct RegionImage {
 #[derive(Debug)]
 pub struct HybridSheet {
     regions: Vec<RegionSlot>,
-    /// Row-interval index over `regions` for sub-linear routing; kept in
-    /// sync by every method that changes region rects or slot positions.
+    /// Row-interval index over `regions` for sub-linear routing, rebuilt
+    /// from the rects by every method that changes one or moves a slot.
     routing: RoutingIndex,
     /// RCV over the whole sheet's coordinate space for stray cells.
     catchall: Box<dyn Translator>,
@@ -641,7 +550,7 @@ impl HybridSheet {
         let mut b = RegionBuilder::new(ModelKind::Rcv, 0, 0);
         visit_cells(payload, |row, col, value, formula| {
             let addr = CellAddr::new(row, col);
-            if self.routing.route(addr).is_some() {
+            if self.region_at(addr).is_some() {
                 return Err(EngineError::Store(StoreError::Corrupt(format!(
                     "image: catch-all cell {addr} lies inside a region"
                 ))));
@@ -654,14 +563,6 @@ impl HybridSheet {
         self.catchall = b.finish()?;
         self.catchall_dirty = true;
         Ok(formulas)
-    }
-
-    pub fn remove_region(&mut self, idx: usize) -> RegionSlot {
-        let slot = self.regions.remove(idx);
-        // Slot indices after `idx` shifted down; the index updates in
-        // place (no rebuild) — see `RoutingIndex::remove_slot`.
-        self.routing.remove_slot(idx);
-        slot
     }
 
     // -------------------------------------------------- dirty tracking --
@@ -728,13 +629,8 @@ impl HybridSheet {
         self.regions.iter().filter(|r| r.dirty).count() + usize::from(self.catchall_dirty)
     }
 
-    fn route(&self, addr: CellAddr) -> Option<usize> {
-        self.routing.route(addr)
-    }
-
-    /// The slot index of the region containing `addr` (routing-index
-    /// fast path). Exposed for the routing differential tests and the
-    /// `exp_hotpath` benchmark.
+    /// The slot index of the region containing `addr`, off the routing
+    /// index — the lookup behind every point read and write.
     pub fn region_at(&self, addr: CellAddr) -> Option<usize> {
         self.routing.route(addr)
     }
@@ -748,7 +644,7 @@ impl HybridSheet {
     }
 
     pub fn get_cell(&self, addr: CellAddr) -> Option<Cell> {
-        match self.route(addr) {
+        match self.region_at(addr) {
             Some(i) => {
                 let r = &self.regions[i];
                 r.translator
@@ -759,7 +655,7 @@ impl HybridSheet {
     }
 
     pub fn set_cell(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
-        match self.route(addr) {
+        match self.region_at(addr) {
             Some(i) => {
                 let r = &mut self.regions[i];
                 r.dirty = true;
@@ -789,7 +685,7 @@ impl HybridSheet {
         let mut remaining: Vec<(u32, Cell)> = Vec::new();
         let mut groups: Vec<(usize, Vec<(u32, Cell)>)> = Vec::new();
         for (col, cell) in cells {
-            match self.route(CellAddr::new(row, col)) {
+            match self.region_at(CellAddr::new(row, col)) {
                 Some(i) => match groups.iter_mut().find(|(slot, _)| *slot == i) {
                     Some((_, group)) => group.push((col, cell)),
                     None => groups.push((i, vec![(col, cell)])),
@@ -814,7 +710,7 @@ impl HybridSheet {
     }
 
     pub fn clear_cell(&mut self, addr: CellAddr) -> Result<(), EngineError> {
-        match self.route(addr) {
+        match self.region_at(addr) {
             Some(i) => {
                 let r = &mut self.regions[i];
                 r.dirty = true;
@@ -936,9 +832,7 @@ impl HybridSheet {
                 region.dirty = true;
             }
         }
-        // Rects only translated or grew; slot indices are unchanged, so
-        // the routing index updates in place.
-        self.routing.insert_rows(at, n);
+        self.rebuild_routing();
         Ok(())
     }
 
@@ -1016,8 +910,6 @@ impl HybridSheet {
         for i in doomed.into_iter().rev() {
             self.regions.remove(i);
         }
-        // Deletions can drop regions (shifting slot indices) and merge or
-        // shrink bands arbitrarily; rebuild.
         self.rebuild_routing();
         Ok(())
     }
@@ -1037,7 +929,7 @@ impl HybridSheet {
                 region.dirty = true;
             }
         }
-        self.routing.insert_cols(at, n);
+        self.rebuild_routing();
         Ok(())
     }
 
@@ -1140,8 +1032,8 @@ impl HybridSheet {
     /// else is gathered as one row-major run, split by target region once,
     /// and bulk-built ([`build_translator`]) *beside* the live sheet: the
     /// new stores are swapped in only when every one of them was built, so
-    /// an error (a column too long for a COM tuple, a rect over a linked
-    /// table) leaves the sheet exactly as it was.
+    /// an error (a row wider than a tuple's arity header, a rect over a
+    /// linked table) leaves the sheet exactly as it was.
     ///
     /// Returns the number of cells written into rebuilt stores; kept
     /// stores contribute none.
@@ -1540,41 +1432,6 @@ mod tests {
             hs.get_cell(addr(12, 14)).unwrap().value,
             CellValue::Number(1.0)
         );
-    }
-
-    #[test]
-    fn remove_region_updates_routing_in_place() {
-        // Three regions: one wide band, one stacked region cutting it, one
-        // beside it. Removing the middle slot must renumber later slots and
-        // re-merge the bands it had cut — verified against the scan oracle
-        // on every boundary probe.
-        let mut hs = HybridSheet::new();
-        for rect in [
-            Rect::new(0, 0, 29, 4),
-            Rect::new(10, 10, 19, 14),
-            Rect::new(10, 20, 39, 24),
-        ] {
-            let rom = Box::new(RomTranslator::new());
-            hs.add_region(rect, rom).unwrap();
-        }
-        hs.set_cell(addr(35, 22), Cell::value(9i64)).unwrap();
-        let removed = hs.remove_region(1);
-        assert_eq!(removed.rect, Rect::new(10, 10, 19, 14));
-        for r in [0u32, 9, 10, 15, 19, 20, 29, 30, 39, 40] {
-            for c in [0u32, 4, 5, 10, 14, 15, 20, 24, 25] {
-                let a = addr(r, c);
-                assert_eq!(hs.region_at(a), hs.region_at_scan(a), "at {a}");
-            }
-        }
-        // The surviving third region (now slot 1) still serves its cells.
-        assert_eq!(
-            hs.get_cell(addr(35, 22)).unwrap().value,
-            CellValue::Number(9.0)
-        );
-        // Removing everything empties the index.
-        hs.remove_region(1);
-        hs.remove_region(0);
-        assert_eq!(hs.region_at(addr(12, 12)), None);
     }
 
     #[test]

@@ -229,11 +229,6 @@ impl SheetEngine {
         Ok(engine)
     }
 
-    /// Whether this engine persists to disk.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
     /// The permanent storage-failure state of the underlying store:
     /// `Some(cause)` once an fsync failed or a checkpoint died mid-write.
     /// In-memory engines (and healthy stores) return `None`. A failed
@@ -517,6 +512,9 @@ impl SheetEngine {
         width: u32,
         rows: impl IntoIterator<Item = Vec<CellValue>>,
     ) -> Result<Rect, EngineError> {
+        if width == 0 {
+            return Err(EngineError::BadLink("import of zero columns".into()));
+        }
         let cells = rows.into_iter().map(|row| {
             row.into_iter()
                 .map(|v| Cell {
@@ -530,12 +528,18 @@ impl SheetEngine {
         if n_rows == 0 {
             return Err(EngineError::BadLink("import of zero rows".into()));
         }
-        let rect = Rect::new(
-            top_left.row,
-            top_left.col,
-            top_left.row + n_rows - 1,
-            top_left.col + width - 1,
-        );
+        // Live imports and WAL replay both pass here: a block reaching past
+        // the last row or column is refused before anything is cleared.
+        let (Some(r2), Some(c2)) = (
+            top_left.row.checked_add(n_rows - 1),
+            top_left.col.checked_add(width - 1),
+        ) else {
+            return Err(EngineError::Unsupported(format!(
+                "importing {n_rows}x{width} at ({}, {}) would reach past the last row or column",
+                top_left.row, top_left.col
+            )));
+        };
+        let rect = Rect::new(top_left.row, top_left.col, r2, c2);
         // Check overlap up front so a rejected import leaves the sheet
         // untouched, then clear whatever occupied the target rectangle —
         // an import *overwrites* the block it lands on (otherwise
@@ -1342,7 +1346,6 @@ mod tests {
         let dir = temp_dir("wal-only");
         {
             let mut e = SheetEngine::open(&dir).unwrap();
-            assert!(e.is_durable());
             e.update_cell_a1("A1", "10").unwrap();
             e.update_cell_a1("A2", "=A1*4").unwrap();
             e.update_cell_a1("B1", "hello").unwrap();
@@ -1383,7 +1386,6 @@ mod tests {
     #[test]
     fn in_memory_engine_save_and_checkpoint_are_noops() {
         let mut e = SheetEngine::new();
-        assert!(!e.is_durable());
         e.update_cell_a1("A1", "1").unwrap();
         e.save().unwrap();
         assert!(e.checkpoint().unwrap().is_none());
@@ -1409,6 +1411,42 @@ mod tests {
         // Edits through the region keep recomputing as usual.
         e.update_cell_a1("A1", "10").unwrap();
         assert_eq!(e.value(a("B1")), CellValue::Number(11.0));
+    }
+
+    /// An import of zero columns, or one whose block would reach past the
+    /// last column or row, is refused before any cell is cleared or any
+    /// record logged — in memory, durably, and after a reopen.
+    #[test]
+    fn refused_imports_leave_the_sheet_untouched() {
+        let dir = temp_dir("refused-import");
+        let neighbours = Rect::new(0, 0, 6, 6);
+        let rows = |n: usize, width: usize| vec![vec![CellValue::Number(9.0); width]; n];
+        let mut before = None;
+        for mut e in [SheetEngine::new(), SheetEngine::open(&dir).unwrap()] {
+            e.update_cell(CellAddr::new(5, 2), "left").unwrap();
+            e.update_cell(CellAddr::new(0, 5), "top").unwrap();
+            e.import_rows(CellAddr::new(3, 0), 1, rows(1, 1)).unwrap();
+            e.save().unwrap();
+            let state = (e.get_cells(neighbours), e.storage().layout());
+
+            let err = e
+                .import_rows(CellAddr::new(5, 3), 0, rows(1, 1))
+                .unwrap_err();
+            assert!(matches!(err, EngineError::BadLink(_)), "{err}");
+            for (at, n, width) in [((0, u32::MAX - 1), 1, 4), ((u32::MAX, 0), 2, 1)] {
+                let err = e
+                    .import_rows(CellAddr::new(at.0, at.1), width as u32, rows(n, width))
+                    .unwrap_err();
+                assert!(matches!(err, EngineError::Unsupported(_)), "{err}");
+            }
+            assert_eq!((e.get_cells(neighbours), e.storage().layout()), state);
+            e.save().unwrap();
+            before = Some(state);
+        }
+        let e = SheetEngine::open(&dir).unwrap();
+        let after = (e.get_cells(neighbours), e.storage().layout());
+        assert_eq!(Some(after), before, "after a reopen");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

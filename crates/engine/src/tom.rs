@@ -53,10 +53,6 @@ impl TomTranslator {
         }
     }
 
-    pub fn table_name(&self) -> &str {
-        &self.table_name
-    }
-
     fn nth_tuple(&self, row: u32) -> Option<(TupleId, Vec<Datum>)> {
         let db = self.db.read();
         let table = db.table(&self.table_name).ok()?;

@@ -1,5 +1,5 @@
 //! Routing-index invariant suite: after arbitrary sequences of region
-//! add/remove, cell edits, and structural row/column insert/delete, the
+//! adds, cell edits, and structural row/column insert/delete, the
 //! row-band routing index must agree with the retained scan oracle
 //! ([`HybridSheet::region_at_scan`]) on every address, and window fetches
 //! must agree with the index-free `snapshot` path.
@@ -107,10 +107,18 @@ fn routing_index_survives_random_op_sequences() {
                     random_region(&mut hs, &mut rng);
                     "add_region"
                 }
+                // A region disappears the way it does in production: a
+                // delete over its whole span, which renumbers the slots
+                // after it.
                 4 if hs.region_count() > 0 => {
-                    let idx = rng.gen_range(0..hs.region_count());
-                    hs.remove_region(idx);
-                    "remove_region"
+                    let rect = hs.layout()[rng.gen_range(0..hs.region_count())].0;
+                    if rng.gen_bool(0.5) {
+                        hs.delete_rows(rect.r1, rect.r2 - rect.r1 + 1).unwrap();
+                        "delete_rows over a region"
+                    } else {
+                        hs.delete_cols(rect.c1, rect.c2 - rect.c1 + 1).unwrap();
+                        "delete_cols over a region"
+                    }
                 }
                 5 => {
                     hs.insert_rows(rng.gen_range(0..ROWS), rng.gen_range(1..5u32))
@@ -157,11 +165,10 @@ fn routing_index_survives_random_op_sequences() {
 
 #[test]
 fn boundary_row_insert_splits_bands_correctly() {
-    // Regression shape for the incremental insert-rows path: two regions
-    // stacked so the insert lands exactly on the lower one's first row,
-    // *inside* the taller one. The tall region grows over the inserted
-    // rows; the lower region translates past them — the index must route
-    // the inserted rows to the tall region only.
+    // Two regions stacked so the insert lands exactly on the lower one's
+    // first row, *inside* the taller one. The tall region grows over the
+    // inserted rows; the lower region translates past them — the index
+    // must route the inserted rows to the tall region only.
     let mut hs = HybridSheet::new();
     let tall = Box::new(RcvTranslator::new());
     let low = Box::new(RcvTranslator::new());

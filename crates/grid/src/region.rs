@@ -107,32 +107,6 @@ impl Rect {
         }
     }
 
-    /// Split after absolute row `row` (must satisfy `r1 <= row < r2`),
-    /// the "horizontal cut" of recursive decomposition.
-    pub fn split_h(&self, row: u32) -> (Rect, Rect) {
-        debug_assert!(row >= self.r1 && row < self.r2);
-        (
-            Rect { r2: row, ..*self },
-            Rect {
-                r1: row + 1,
-                ..*self
-            },
-        )
-    }
-
-    /// Split after absolute column `col` (must satisfy `c1 <= col < c2`),
-    /// the "vertical cut" of recursive decomposition.
-    pub fn split_v(&self, col: u32) -> (Rect, Rect) {
-        debug_assert!(col >= self.c1 && col < self.c2);
-        (
-            Rect { c2: col, ..*self },
-            Rect {
-                c1: col + 1,
-                ..*self
-            },
-        )
-    }
-
     /// Iterate all addresses in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = CellAddr> + '_ {
         let (r1, r2, c1, c2) = (self.r1, self.r2, self.c1, self.c2);
@@ -193,17 +167,6 @@ mod tests {
         assert_eq!(a.bbox_union(&c), Rect::new(0, 0, 21, 21));
         assert!(a.contains_rect(&Rect::new(1, 1, 2, 2)));
         assert!(!a.contains_rect(&b));
-    }
-
-    #[test]
-    fn splits_partition_area() {
-        let r = Rect::new(2, 3, 10, 8);
-        let (t, b) = r.split_h(4);
-        assert_eq!(t.area() + b.area(), r.area());
-        assert_eq!(t.r2 + 1, b.r1);
-        let (l, rt) = r.split_v(5);
-        assert_eq!(l.area() + rt.area(), r.area());
-        assert_eq!(l.c2 + 1, rt.c1);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl ModelSet {
         rcv: true,
         columnar: false,
     };
-
-    /// Every model including the columnar compressed layout.
-    pub const ALL_WITH_COLUMNAR: ModelSet = ModelSet {
-        columnar: true,
-        ..ModelSet::ALL
-    };
 }
 
 impl Default for ModelSet {

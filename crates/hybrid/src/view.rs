@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use dataspread_grid::{CellAddr, Rect, SparseSheet};
+use dataspread_grid::{Rect, SparseSheet};
 
 /// Which positions of a sheet hold a cell: per row, its filled columns in
 /// ascending order. It is all the optimizers read of a sheet, so storage
@@ -294,11 +294,6 @@ impl GridView {
             - self.wprefix[(r2b + 1) * pw + c1b]
     }
 
-    /// Whether band cell `(rb, cb)` is filled.
-    pub fn band_filled(&self, rb: usize, cb: usize) -> bool {
-        self.filled[rb * self.w + cb]
-    }
-
     /// Absolute rectangle covered by the band rectangle.
     pub fn band_rect(&self, r1b: usize, c1b: usize, r2b: usize, c2b: usize) -> Rect {
         Rect::new(
@@ -346,21 +341,12 @@ impl GridView {
         }
         total
     }
-
-    /// Whether an absolute cell is filled.
-    pub fn is_filled(&self, addr: CellAddr) -> bool {
-        match self.bbox {
-            Some(b) if b.contains(addr) => {
-                self.filled[self.row_band(addr.row) * self.w + self.col_band(addr.col)]
-            }
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataspread_grid::CellAddr;
 
     fn sheet_from(cells: &[(u32, u32)]) -> SparseSheet {
         let mut s = SparseSheet::new();
@@ -422,8 +408,6 @@ mod tests {
         assert_eq!(v.band_rect(0, 0, 2, 0), Rect::new(0, 0, 6, 7));
         assert_eq!(v.filled_weighted(0, 0, 0, 0), 16);
         assert_eq!(v.filled_weighted(0, 0, 2, 0), 32);
-        assert!(v.band_filled(0, 0));
-        assert!(!v.band_filled(1, 0));
     }
 
     #[test]
@@ -480,14 +464,5 @@ mod tests {
         let v = GridView::from_sheet_capped(&tall, 32, u32::MAX);
         assert_eq!(v.h(), 3);
         assert_eq!(v.total_filled(), 70);
-    }
-
-    #[test]
-    fn is_filled_checks_cells() {
-        let v = GridView::from_sheet(&banded_sheet());
-        assert!(v.is_filled(CellAddr::new(0, 0)));
-        assert!(v.is_filled(CellAddr::new(6, 7)));
-        assert!(!v.is_filled(CellAddr::new(3, 3)));
-        assert!(!v.is_filled(CellAddr::new(100, 0)));
     }
 }

@@ -70,30 +70,6 @@ impl Database {
         Ok(self.tables.get_mut(name).expect("just inserted"))
     }
 
-    pub fn drop_table(&mut self, name: &str) -> Result<Table, StoreError> {
-        let t = self
-            .tables
-            .remove(name)
-            .ok_or_else(|| StoreError::NoSuchTable(name.to_string()))?;
-        self.change_count += 1;
-        Ok(t)
-    }
-
-    pub fn rename_table(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
-        if self.tables.contains_key(to) {
-            return Err(StoreError::TableExists(to.to_string()));
-        }
-        let mut t = self
-            .tables
-            .remove(from)
-            .ok_or_else(|| StoreError::NoSuchTable(from.to_string()))?;
-        self.change_count += 1;
-        t.set_name(to);
-        t.note_change(self.change_count);
-        self.tables.insert(to.to_string(), t);
-        Ok(())
-    }
-
     pub fn table(&self, name: &str) -> Result<&Table, StoreError> {
         self.tables
             .get(name)
@@ -132,7 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn create_get_drop() {
+    fn create_and_get() {
         let mut db = Database::new();
         db.create_table("t1", schema()).unwrap();
         assert!(db.contains("t1"));
@@ -145,21 +121,7 @@ mod tests {
             .insert(&[Datum::Int(1)])
             .unwrap();
         assert_eq!(db.table("t1").unwrap().row_count(), 1);
-        db.drop_table("t1").unwrap();
-        assert!(matches!(db.table("t1"), Err(StoreError::NoSuchTable(_))));
-    }
-
-    #[test]
-    fn rename_preserves_rows() {
-        let mut db = Database::new();
-        db.create_table("a", schema()).unwrap();
-        db.table_mut("a").unwrap().insert(&[Datum::Int(7)]).unwrap();
-        db.rename_table("a", "b").unwrap();
-        assert!(!db.contains("a"));
-        assert_eq!(db.table("b").unwrap().row_count(), 1);
-        assert_eq!(db.table("b").unwrap().name(), "b");
-        db.create_table("a", schema()).unwrap();
-        assert!(db.rename_table("b", "a").is_err());
+        assert!(matches!(db.table("t2"), Err(StoreError::NoSuchTable(_))));
     }
 
     #[test]
@@ -198,14 +160,8 @@ mod tests {
         db.table_mut("t").unwrap().insert(&[Datum::Int(1)]).unwrap();
         let c2 = db.change_count();
         assert!(c2 > c1, "table_mut must bump");
-        db.rename_table("t", "u").unwrap();
-        let c3 = db.change_count();
-        assert!(c3 > c2);
-        db.drop_table("u").unwrap();
-        assert!(db.change_count() > c3);
         // Failed mutations leave the counter untouched.
         let cf = db.change_count();
-        assert!(db.drop_table("nope").is_err());
         assert!(db.table_mut("nope").is_err());
         assert_eq!(db.change_count(), cf);
     }
@@ -228,15 +184,9 @@ mod tests {
         db.table_mut("a").unwrap().insert(&[Datum::Int(2)]).unwrap();
         assert!(db.change_stamp_for("a") > a0);
         assert_eq!(db.change_stamp_for("b"), b1);
-        // Catalog ops move the affected table's stamp; a missing table
-        // reports the (moving) global counter, so dangling observers stay
-        // conservative.
-        db.rename_table("a", "c").unwrap();
-        let missing = db.change_stamp_for("a");
-        assert_eq!(missing, db.change_count());
-        assert!(db.change_stamp_for("c") > a0);
-        db.drop_table("b").unwrap();
-        assert!(db.change_stamp_for("b") > b1, "drop moves the global tick");
+        // A missing table reports the (moving) global counter, so
+        // dangling observers stay conservative.
+        assert_eq!(db.change_stamp_for("c"), db.change_count());
     }
 
     #[test]

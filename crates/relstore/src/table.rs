@@ -89,10 +89,6 @@ impl Table {
         &self.name
     }
 
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     pub fn schema(&self) -> &Schema {
         &self.schema
     }

@@ -73,6 +73,15 @@ fn remote_errors_equal_the_local_errors_wire_form() {
     remote
         .import_rows("s", CellAddr::new(20, 0), 2, block)
         .unwrap();
+    // Neighbours a bad import's rect used to clear.
+    for (row, col) in [(5, 2), (0, 3)] {
+        let set = Edit::Set {
+            row,
+            col,
+            input: "kept".into(),
+        };
+        remote.apply_edit("s", set).unwrap();
+    }
     let before = remote.fetch_window("s", Rect::new(0, 0, 40, 3)).unwrap();
     let insert = Edit::InsertRows { at: 5, n: u32::MAX };
     let e = same_error(
@@ -102,6 +111,38 @@ fn remote_errors_equal_the_local_errors_wire_form() {
         remote.fetch_window("s", Rect::new(0, 0, 40, 3)).unwrap(),
         before,
         "no refused insert moved anything"
+    );
+
+    // An import zero columns wide.
+    let one = vec![vec![CellValue::Number(1.0)]];
+    let e = same_error(
+        "an import of zero columns",
+        &local,
+        &remote,
+        |s| s.import_rows("s", CellAddr::new(5, 3), 0, one.clone()),
+        |s| s.import_rows("s", CellAddr::new(5, 3), 0, one.clone()),
+    );
+    assert_eq!(e.code, codes::ENGINE_BAD_LINK);
+    assert_eq!(
+        remote.fetch_window("s", Rect::new(0, 0, 40, 3)).unwrap(),
+        before,
+        "the zero-width import cleared nothing"
+    );
+
+    // An import whose columns would run past the last sheet column.
+    let four = vec![vec![CellValue::Number(1.0); 4]];
+    let e = same_error(
+        "an import past the last column",
+        &local,
+        &remote,
+        |s| s.import_rows("s", CellAddr::new(0, u32::MAX - 1), 4, four.clone()),
+        |s| s.import_rows("s", CellAddr::new(0, u32::MAX - 1), 4, four.clone()),
+    );
+    assert_eq!(e.code, codes::ENGINE_UNSUPPORTED);
+    assert_eq!(
+        remote.fetch_window("s", Rect::new(0, 0, 40, 3)).unwrap(),
+        before,
+        "the off-sheet import cleared nothing"
     );
 
     drop(client);
