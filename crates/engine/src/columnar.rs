@@ -17,6 +17,12 @@
 //! That keeps the layout honest for *read-mostly* — not read-only —
 //! regions: point edits stay O(log overlay), scans stay columnar.
 //!
+//! One cursor, `CellCursor`, merges a column's base runs, its formulas and
+//! the overlay cell by cell. Scans, point reads and both rewrites read
+//! through it: compaction rebuilds the overlay's columns off it, and a row
+//! delete rebuilds every column off it with the deleted band skipped. Row
+//! inserts and growth splice null runs instead of rebuilding.
+//!
 //! The byte encoding (via `dataspread_grid::codec`) is the checkpoint payload
 //! itself: [`ColumnarTranslator::to_bytes`] / [`ColumnarTranslator::from_bytes`]
 //! round-trip byte-identically, so images store the compressed columns
@@ -25,6 +31,7 @@
 //! writes exactly that store, so each content has one byte form.
 
 use std::collections::{btree_map, BTreeMap, HashMap};
+use std::ops::Range;
 
 use dataspread_formula::RangeAgg;
 use dataspread_grid::codec;
@@ -421,14 +428,73 @@ impl Column {
         }
     }
 
+    /// The run holding `row`; `runs.len()` for a row past the column,
+    /// found without a search (the append path).
     fn run_at(&self, row: u32) -> usize {
-        debug_assert!(row < self.rows());
+        if row >= self.rows() {
+            return self.runs.len();
+        }
         self.runs.partition_point(|r| r.start_row + r.len <= row)
     }
 
-    /// The value at `row` from the base columns (overlay not consulted).
-    fn base_value(&self, row: u32) -> ScanValue<'_> {
-        BaseCursor::new(self, row).value(row)
+    /// Whether the base columns hold nothing at `row`: no value and no
+    /// formula (overlay not consulted; rows past the column are blank).
+    fn base_blank(&self, row: u32) -> bool {
+        row >= self.rows()
+            || (matches!(BaseCursor::new(self, row).value(row), ScanValue::Empty)
+                && !self.formulas.contains_key(&row))
+    }
+
+    /// Splice `n` blank rows in before `at` (`at == rows()` appends).
+    /// Nulls carry no payload, so this is a run edit with no store
+    /// rebuilt; formulas at or below `at` move down with their rows.
+    fn insert_nulls(&mut self, at: u32, n: u32) {
+        let k = self.run_at(at);
+        let starts_here = self.runs.get(k).is_none_or(|r| r.start_row == at);
+        let blank = |len| Run {
+            tag: TAG_NULL,
+            len,
+            start_row: 0,
+            start_idx: 0,
+        };
+        // A null run to lengthen: the one holding `at`, or the one before
+        // a run starting there (the encoding requires canonical runs, so
+        // no adjacent same-tag pair is created).
+        let grown = if self.runs.get(k).is_some_and(|r| r.tag == TAG_NULL) {
+            Some(k)
+        } else if starts_here && k > 0 && self.runs[k - 1].tag == TAG_NULL {
+            Some(k - 1)
+        } else {
+            None
+        };
+        match grown {
+            Some(g) => self.runs[g].len += n,
+            None if starts_here => self.runs.insert(k, blank(n)),
+            None => {
+                let run = self.runs[k];
+                let head = at - run.start_row;
+                self.runs[k].len = head;
+                let tail = Run {
+                    len: run.len - head,
+                    ..run
+                };
+                self.runs.splice(k + 1..k + 1, [blank(n), tail]);
+            }
+        }
+        // Lengthening the last run moves no other run: growth at the
+        // bottom of a region stays O(1) per column.
+        if grown.is_none_or(|g| g + 1 < self.runs.len()) {
+            self.reindex();
+        }
+        if self
+            .formulas
+            .last_key_value()
+            .is_some_and(|(&row, _)| row >= at)
+        {
+            let moved = self.formulas.split_off(&at);
+            self.formulas
+                .extend(moved.into_iter().map(|(row, src)| (row + n, src)));
+        }
     }
 
     /// Visit `r1..=r2` in row order without per-row binary searches.
@@ -509,7 +575,7 @@ struct BaseCursor<'a> {
 impl<'a> BaseCursor<'a> {
     /// A cursor for reads at `row` and below it.
     fn new(col: &'a Column, row: u32) -> Self {
-        let run = col.runs.partition_point(|r| r.start_row + r.len <= row);
+        let run = col.run_at(row);
         BaseCursor {
             col,
             run,
@@ -572,6 +638,15 @@ impl<'a, K, V> SparseCursor<'a, K, V> {
         SparseCursor { rest, next, row_of }
     }
 
+    /// A cursor holding only `row`'s entry, found with one lookup.
+    fn one(row: u32, entry: Option<&'a V>, row_of: fn(&K) -> u32) -> Self {
+        SparseCursor {
+            rest: btree_map::Range::default(),
+            next: entry.map(|v| (row, v)),
+            row_of,
+        }
+    }
+
     /// The entry at `row`, if any; rows must increase between calls.
     #[inline]
     fn at(&mut self, row: u32) -> Option<&'a V> {
@@ -590,7 +665,8 @@ impl<'a, K, V> SparseCursor<'a, K, V> {
 
 /// [`BaseCursor`] merged with the column's sparse maps — the formula
 /// sources and the translator's write overlay — each walked by its own
-/// cursor instead of probed per cell.
+/// cursor instead of probed per cell. The one cell-at-a-time merge of a
+/// column: scans, point reads and the column rewrite all read through it.
 struct CellCursor<'a> {
     base: BaseCursor<'a>,
     /// Rows the column's base stores hold.
@@ -608,6 +684,19 @@ impl<'a> CellCursor<'a> {
             base_rows: col.rows(),
             formulas: SparseCursor::new(col.formulas.range(r1..=r2), |&row| row),
             overlay: SparseCursor::new(t.overlay.range((c, r1)..=(c, r2)), |&(_, row)| row),
+        }
+    }
+
+    /// A cursor over row `row` alone: its sparse entries are probed with
+    /// `get`, not opened as ranges.
+    #[inline]
+    fn one_row(t: &'a ColumnarTranslator, c: u32, row: u32) -> Self {
+        let col = &t.columns[c as usize];
+        CellCursor {
+            base: BaseCursor::new(col, row),
+            base_rows: col.rows(),
+            formulas: SparseCursor::one(row, col.formulas.get(&row), |&row| row),
+            overlay: SparseCursor::one(row, t.overlay.get(&(c, row)), |&(_, row)| row),
         }
     }
 
@@ -842,21 +931,8 @@ impl ColumnarTranslator {
 
     fn ensure_extent(&mut self, rows: u32, cols: u32) {
         if rows > self.rows {
-            let grow = rows - self.rows;
             for col in &mut self.columns {
-                match col.runs.last_mut() {
-                    Some(run) if run.tag == TAG_NULL => run.len += grow,
-                    _ => {
-                        let start_row = col.rows();
-                        col.runs.push(Run {
-                            tag: TAG_NULL,
-                            len: grow,
-                            start_row,
-                            start_idx: 0,
-                        });
-                        col.reindex();
-                    }
-                }
+                col.insert_nulls(self.rows, rows - self.rows);
             }
             self.rows = rows;
         }
@@ -865,93 +941,27 @@ impl ColumnarTranslator {
         }
     }
 
-    /// The effective (overlay-merged) value reference at a position.
-    fn effective(&self, row: u32, col: u32) -> Option<Cell> {
-        if let Some(cell) = self.overlay.get(&(col, row)) {
-            return if cell.is_blank() {
-                None
-            } else {
-                Some(cell.clone())
-            };
+    /// Column `c` rebuilt from its merged cells over `0..rows`, the rows
+    /// in `skip` left out.
+    fn rewrite_column(&self, c: u32, skip: Range<u32>) -> Column {
+        let mut cells = CellCursor::new(self, c, 0, self.rows.saturating_sub(1));
+        let mut b = ColumnBuilder::new();
+        for row in (0..skip.start).chain(skip.end..self.rows) {
+            let (value, formula) = cells.at(row);
+            b.push(value, formula);
         }
-        let c = self.columns.get(col as usize)?;
-        if row >= c.rows() {
-            return None;
-        }
-        let value = c.base_value(row).to_value();
-        let formula = c.formulas.get(&row).cloned();
-        if value.is_empty() && formula.is_none() {
-            None
-        } else {
-            Some(Cell { value, formula })
-        }
+        b.finish()
     }
 
     /// Fold the overlay back into the base columns (rebuilding only the
     /// columns that have overlay entries), leaving the overlay empty.
     pub fn compact(&mut self) {
-        if self.overlay.is_empty() {
-            return;
+        let mut touched: Vec<u32> = self.overlay.keys().map(|&(c, _)| c).collect();
+        touched.dedup();
+        for c in touched {
+            self.columns[c as usize] = self.rewrite_column(c, 0..0);
         }
-        let overlay = std::mem::take(&mut self.overlay);
-        let mut per_col: BTreeMap<u32, BTreeMap<u32, Cell>> = BTreeMap::new();
-        for ((col, row), cell) in overlay {
-            per_col.entry(col).or_default().insert(row, cell);
-        }
-        for (col, edits) in per_col {
-            let Some(old) = self.columns.get(col as usize) else {
-                continue;
-            };
-            let mut b = ColumnBuilder::new();
-            let rows = self.rows;
-            let mut edit_iter = edits.iter().peekable();
-            let mut push_row = |b: &mut ColumnBuilder, row: u32, v: ScanValue<'_>| {
-                if let Some((_, cell)) = edit_iter.next_if(|(&r, _)| r == row) {
-                    b.push(ScanValue::of(&cell.value), cell.formula.as_deref());
-                } else {
-                    b.push(v, old.formulas.get(&row).map(String::as_str));
-                }
-            };
-            if old.rows() == 0 {
-                for row in 0..rows {
-                    push_row(&mut b, row, ScanValue::Empty);
-                }
-            } else {
-                old.for_each_base(0, rows - 1, |row, v| push_row(&mut b, row, v));
-            }
-            self.columns[col as usize] = b.finish();
-        }
-    }
-
-    /// Rebuild every column from an edit on the row axis: `keep` maps an
-    /// old row to its new row (`None` = dropped), `new_rows` is the new
-    /// extent, and rows not produced by `keep` come out blank.
-    fn rebuild_rows(&mut self, new_rows: u32, keep: impl Fn(u32) -> Option<u32>) {
-        self.compact();
-        let old_rows = self.rows;
-        self.columns = self
-            .columns
-            .iter()
-            .map(|old| {
-                let mut kept: BTreeMap<u32, (ScanValue<'_>, Option<&str>)> = BTreeMap::new();
-                if old_rows > 0 {
-                    old.for_each_base(0, old_rows - 1, |row, v| {
-                        if let Some(new) = keep(row) {
-                            kept.insert(new, (v, old.formulas.get(&row).map(String::as_str)));
-                        }
-                    });
-                }
-                let mut b = ColumnBuilder::new();
-                for row in 0..new_rows {
-                    match kept.get(&row) {
-                        Some(&(v, f)) => b.push(v, f),
-                        None => b.push(ScanValue::Empty, None),
-                    }
-                }
-                b.finish()
-            })
-            .collect();
-        self.rows = new_rows;
+        self.overlay.clear();
     }
 
     /// Single-column aggregate over local rows `r1..=r2`, overlay-merged:
@@ -1457,7 +1467,12 @@ impl Translator for ColumnarTranslator {
     }
 
     fn get_cell(&self, row: u32, col: u32) -> Option<Cell> {
-        self.effective(row, col)
+        if col >= self.cols() {
+            return None;
+        }
+        let (value, formula) = CellCursor::one_row(self, col, row).at(row);
+        let cell = value.to_cell(formula);
+        (!cell.is_blank()).then_some(cell)
     }
 
     fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
@@ -1473,11 +1488,7 @@ impl Translator for ColumnarTranslator {
         if row >= self.rows || col as usize >= self.columns.len() {
             return Ok(());
         }
-        let base_blank = {
-            let c = &self.columns[col as usize];
-            matches!(c.base_value(row), ScanValue::Empty) && !c.formulas.contains_key(&row)
-        };
-        if base_blank {
+        if self.columns[col as usize].base_blank(row) {
             // Nothing underneath: dropping any overlay entry restores blank
             // without growing the overlay.
             self.overlay.remove(&(col, row));
@@ -1502,58 +1513,9 @@ impl Translator for ColumnarTranslator {
             self.ensure_extent(at + n, self.columns.len() as u32);
             return Ok(());
         }
-        // Cheap splice: nulls carry no payload, so inserting blank rows is
-        // a run edit — no store rebuilds. The overlay and formula maps
-        // shift their row keys.
         self.compact();
         for col in &mut self.columns {
-            let k = col.run_at(at);
-            let run = col.runs[k];
-            if run.tag == TAG_NULL {
-                col.runs[k].len += n;
-            } else if run.start_row == at {
-                // The predecessor (if any) may itself be a null run —
-                // extend it rather than creating an adjacent same-tag
-                // pair (the encoding requires canonical runs).
-                if k > 0 && col.runs[k - 1].tag == TAG_NULL {
-                    col.runs[k - 1].len += n;
-                } else {
-                    col.runs.insert(
-                        k,
-                        Run {
-                            tag: TAG_NULL,
-                            len: n,
-                            start_row: 0,
-                            start_idx: 0,
-                        },
-                    );
-                }
-            } else {
-                let head = at - run.start_row;
-                col.runs[k].len = head;
-                col.runs.splice(
-                    k + 1..k + 1,
-                    [
-                        Run {
-                            tag: TAG_NULL,
-                            len: n,
-                            start_row: 0,
-                            start_idx: 0,
-                        },
-                        Run {
-                            tag: run.tag,
-                            len: run.len - head,
-                            start_row: 0,
-                            start_idx: 0,
-                        },
-                    ],
-                );
-            }
-            col.reindex();
-            let moved: Vec<(u32, String)> = col.formulas.split_off(&at).into_iter().collect();
-            for (row, src) in moved {
-                col.formulas.insert(row + n, src);
-            }
+            col.insert_nulls(at, n);
         }
         self.rows += n;
         Ok(())
@@ -1564,16 +1526,11 @@ impl Translator for ColumnarTranslator {
             return Ok(());
         }
         let end = at.saturating_add(n).min(self.rows);
-        let removed = end - at;
-        self.rebuild_rows(self.rows - removed, |row| {
-            if row < at {
-                Some(row)
-            } else if row < end {
-                None
-            } else {
-                Some(row - removed)
-            }
-        });
+        self.columns = (0..self.cols())
+            .map(|c| self.rewrite_column(c, at..end))
+            .collect();
+        self.overlay.clear();
+        self.rows -= end - at;
         Ok(())
     }
 
@@ -1605,12 +1562,10 @@ impl Translator for ColumnarTranslator {
     fn filled_count(&self) -> u64 {
         let mut filled: u64 = self.columns.iter().map(Column::base_filled).sum();
         for (&(col, row), cell) in &self.overlay {
-            let base_blank = match self.columns.get(col as usize) {
-                Some(c) if row < c.rows() => {
-                    matches!(c.base_value(row), ScanValue::Empty) && !c.formulas.contains_key(&row)
-                }
-                _ => true,
-            };
+            let base_blank = self
+                .columns
+                .get(col as usize)
+                .is_none_or(|c| c.base_blank(row));
             match (base_blank, cell.is_blank()) {
                 (true, false) => filled += 1,
                 (false, true) => filled -= 1,

@@ -375,22 +375,29 @@ impl Translator for RomTranslator {
     fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
         // Physical columns become orphaned (a migration reclaims them);
         // the logical view shifts immediately.
-        for _ in 0..n {
-            let Some(g) = self.cols_map.remove_at(at as usize) else {
-                break;
+        let gone: Vec<u32> = (0..n)
+            .map_while(|_| self.cols_map.remove_at(at as usize))
+            .collect();
+        if gone.is_empty() {
+            return Ok(());
+        }
+        // Null-out the orphaned groups so filled stays honest and the data
+        // is actually gone: one walk, one update per touched row.
+        for &tid in self.rows_map.iter() {
+            let Ok(mut tuple) = self.table.fetch(tid) else {
+                continue;
             };
-            // Null-out the orphaned group so filled stays honest and the
-            // data is actually gone.
-            for &tid in self.rows_map.iter() {
-                let Ok(mut tuple) = self.table.fetch(tid) else {
-                    continue;
-                };
+            let mut touched = false;
+            for &g in &gone {
                 if !self.cell_from_row(&tuple, g).is_blank() {
                     self.filled -= 1;
                     tuple[2 * g as usize] = Datum::Null;
                     tuple[2 * g as usize + 1] = Datum::Null;
-                    self.table.update(tid, &tuple)?;
+                    touched = true;
                 }
+            }
+            if touched {
+                self.table.update(tid, &tuple)?;
             }
         }
         Ok(())
@@ -487,6 +494,29 @@ mod tests {
         assert_eq!(t.get_cell(0, 0), None, "the blank inserted column");
         assert_eq!(t.get_cell(0, 1).unwrap().value, CellValue::Number(2.0));
         assert_eq!(t.filled_count(), 2);
+    }
+
+    #[test]
+    fn delete_cols_nulls_every_deleted_group() {
+        let mut t = RomTranslator::new();
+        for r in 0..5u32 {
+            for c in 0..6u32 {
+                if (r + c) % 4 != 0 {
+                    t.set_cell(r, c, cell(i64::from(10 * r + c))).unwrap();
+                }
+            }
+        }
+        let bytes = t.storage_bytes();
+        t.delete_cols(1, 3).unwrap();
+        assert_eq!(t.cols(), 3);
+        let left = t.all_cells();
+        assert_eq!(left.len(), 10);
+        assert_eq!(t.filled_count(), 10, "every deleted group's cells went");
+        for (a, c) in &left {
+            let from = if a.col == 0 { 0 } else { a.col + 3 };
+            assert_eq!(c.value, CellValue::Number(f64::from(10 * a.row + from)));
+        }
+        assert!(t.storage_bytes() < bytes, "the deleted data is gone");
     }
 
     #[test]

@@ -86,10 +86,6 @@ pub struct SheetEngine {
     /// Force the retained sequential per-cell recompute path — the
     /// differential oracle and the `exp_recompute` baseline.
     scalar_recompute: bool,
-    /// Restore the pre-wave structural-edit behavior (reseed every
-    /// surviving formula) — the differential baseline for
-    /// band-intersection seeding.
-    shift_recompute_all: bool,
     /// Metric handles, when the owner attached a registry.
     obs: Option<crate::obs::EngineObs>,
 }
@@ -122,7 +118,6 @@ impl SheetEngine {
             recompute_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cells_recomputed: 0,
             scalar_recompute: false,
-            shift_recompute_all: false,
             obs: None,
         }
     }
@@ -159,14 +154,6 @@ impl SheetEngine {
     #[doc(hidden)]
     pub fn set_scalar_recompute(&mut self, on: bool) {
         self.scalar_recompute = on;
-    }
-
-    /// Restore the recompute-everything structural-edit path (every
-    /// surviving formula reseeded) — the differential baseline for
-    /// band-intersection seeding.
-    #[doc(hidden)]
-    pub fn set_shift_recompute_all(&mut self, on: bool) {
-        self.shift_recompute_all = on;
     }
 
     // ------------------------------------------------------ persistence --
@@ -991,8 +978,7 @@ impl SheetEngine {
             };
             match rewrite(&info.expr, shift) {
                 Some(new_expr) => {
-                    let needs_recompute = self.shift_recompute_all
-                        || collect_ranges(&info.expr).iter().any(|r| shift.hits(r));
+                    let needs_recompute = collect_ranges(&info.expr).iter().any(|r| shift.hits(r));
                     let source = if new_expr == info.expr {
                         // Pure translation (or untouched): the sheet moved
                         // the cell with its verbatim text; keep it.

@@ -7,10 +7,16 @@
 //! cases: bit-packable integers (including the min/width extremes),
 //! `-0.0` (excluded from packing), repeated dictionary texts (RLE codes),
 //! long same-value stretches, every error code, and formula-only cells.
+//!
+//! The rewrites stay in that one form too: after `compact()` and after
+//! `delete_rows` a region encodes to exactly the bytes of a region built
+//! fresh from its cells. The decoder does not check dictionary order, so
+//! only these byte comparisons pin it.
 
 use proptest::prelude::*;
 
-use dataspread_engine::{ColumnarTranslator, Translator};
+use dataspread_engine::hybrid::build_translator;
+use dataspread_engine::{ColumnarTranslator, ModelKind, Translator};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellValue};
 
@@ -86,6 +92,14 @@ fn build(rows: u32, cols: u32, raw: &[(u32, u32, Cell)]) -> ColumnarTranslator {
     }
     t.compact();
     t
+}
+
+/// The bytes of a region built fresh from `t`'s cells at `t`'s extent.
+fn fresh_bytes(t: &ColumnarTranslator) -> Vec<u8> {
+    build_translator(ModelKind::Columnar, t.rows(), t.cols(), t.all_cells())
+        .unwrap()
+        .encoded_image()
+        .unwrap()
 }
 
 fn assert_roundtrip(t: &ColumnarTranslator, ctx: &str) {
@@ -183,7 +197,46 @@ proptest! {
         let before = t.all_cells();
         t.compact();
         prop_assert_eq!(t.all_cells(), before, "compaction changes nothing");
+        prop_assert_eq!(t.to_bytes(), fresh_bytes(&t), "compaction writes the fresh-build form");
         assert_roundtrip(&t, "after-compaction");
+    }
+
+    #[test]
+    fn row_deletes_rewrite_into_the_fresh_build_form(
+        (rows, cols, raw) in grid(),
+        edits in prop::collection::vec((0u32..60, 0u32..8, cell(), any::<bool>()), 0..30),
+        (at, n) in (any::<u32>(), 1u32..8),
+    ) {
+        // Set and clear edits leave overlay entries over base cells, over
+        // blanks and past the extent; the delete folds them in.
+        let mut t = build(rows, cols, &raw);
+        for (r, c, cell, clear) in edits {
+            if clear {
+                t.clear_cell(r, c).unwrap();
+            } else {
+                t.set_cell(r, c, cell).unwrap();
+            }
+        }
+        let at = at % t.rows();
+        let end = at.saturating_add(n).min(t.rows());
+        let want: Vec<_> = t
+            .all_cells()
+            .into_iter()
+            .filter(|(a, _)| a.row < at || a.row >= end)
+            .map(|(mut a, cell)| {
+                if a.row >= end {
+                    a.row -= end - at;
+                }
+                (a, cell)
+            })
+            .collect();
+        let rows_before = t.rows();
+        t.delete_rows(at, n).unwrap();
+        prop_assert_eq!(t.rows(), rows_before - (end - at));
+        prop_assert_eq!(t.overlay_len(), 0, "the delete folds the overlay in");
+        prop_assert_eq!(t.all_cells(), want, "rows below the band move up");
+        prop_assert_eq!(t.to_bytes(), fresh_bytes(&t), "the delete writes the fresh-build form");
+        assert_roundtrip(&t, "after-delete");
     }
 
     #[test]

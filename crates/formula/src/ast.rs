@@ -37,7 +37,7 @@ impl fmt::Display for CellRef {
             if self.abs_col { "$" } else { "" },
             col_to_letters(self.col),
             if self.abs_row { "$" } else { "" },
-            self.row + 1
+            u64::from(self.row) + 1
         )
     }
 }

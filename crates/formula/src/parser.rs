@@ -14,7 +14,7 @@ use crate::ast::{BinOp, CellRef, Expr, UnOp};
 use crate::error::ParseError;
 use crate::lexer::{lex, Token};
 
-use dataspread_grid::addr::letters_to_col;
+use dataspread_grid::addr::{letters_to_col, number_to_row};
 
 /// Parse a formula body (without the leading `=`).
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
@@ -237,12 +237,8 @@ pub fn parse_cellref(s: &str) -> Option<CellRef> {
     if row_start == i || i != bytes.len() {
         return None;
     }
-    let row_1b: u32 = s[row_start..i].parse().ok()?;
-    if row_1b == 0 {
-        return None;
-    }
     Some(CellRef {
-        row: row_1b - 1,
+        row: number_to_row(&s[row_start..i])?,
         col,
         abs_row,
         abs_col,
@@ -328,5 +324,17 @@ mod tests {
         assert_eq!(parse_cellref("ZZZ"), None);
         assert_eq!(parse_cellref("B0"), None);
         assert_eq!(parse_cellref("2B"), None);
+    }
+
+    #[test]
+    fn the_last_row_and_column_round_trip() {
+        let corner = CellRef::relative(u32::MAX, u32::MAX);
+        assert_eq!(corner.to_string(), "MWLQKWV4294967296");
+        let src = "SUM(A4294967295:MWLQKWV4294967296)+$MWLQKWV$4294967296";
+        let e = parse(src).unwrap();
+        assert_eq!(e.to_string(), format!("({src})"));
+        assert_eq!(parse(&e.to_string()).unwrap(), e);
+        assert_eq!(parse_cellref("A4294967297"), None);
+        assert_eq!(parse_cellref("MWLQKWW1"), None);
     }
 }

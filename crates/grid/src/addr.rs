@@ -30,18 +30,15 @@ impl CellAddr {
             return Err(GridError::BadA1(s.to_string()));
         }
         let col = letters_to_col(&s[..letters_end])?;
-        let row_1b: u32 = s[letters_end..]
-            .parse()
-            .map_err(|_| GridError::BadA1(s.to_string()))?;
-        if row_1b == 0 {
-            return Err(GridError::BadA1(s.to_string()));
-        }
-        Ok(CellAddr::new(row_1b - 1, col))
+        let row =
+            number_to_row(&s[letters_end..]).ok_or_else(|| GridError::BadA1(s.to_string()))?;
+        Ok(CellAddr::new(row, col))
     }
 
-    /// Render in A1 notation.
+    /// Render in A1 notation. The 1-based row is a `u64`, so the last row
+    /// (`u32::MAX`) renders as `4294967296`.
     pub fn to_a1(self) -> String {
-        format!("{}{}", col_to_letters(self.col), self.row + 1)
+        format!("{}{}", col_to_letters(self.col), u64::from(self.row) + 1)
     }
 
     /// The address shifted by (dr, dc); saturates at zero.
@@ -99,11 +96,18 @@ pub fn letters_to_col(s: &str) -> Result<u32, GridError> {
             return Err(GridError::BadA1(s.to_string()));
         }
         col = col * 26 + (c as u64 - 'A' as u64 + 1);
-        if col > u32::MAX as u64 {
+        if col > 1 << 32 {
             return Err(GridError::BadA1(s.to_string()));
         }
     }
     Ok((col - 1) as u32)
+}
+
+/// Convert a 1-based row number to a 0-based row index (`1` → 0,
+/// `4294967296` → `u32::MAX`); `None` outside that range.
+pub fn number_to_row(s: &str) -> Option<u32> {
+    let row_1b: u64 = s.parse().ok()?;
+    (1..=1 << 32).contains(&row_1b).then(|| (row_1b - 1) as u32)
 }
 
 #[cfg(test)]
@@ -153,6 +157,16 @@ mod tests {
         let a = CellAddr::new(999_999, 283);
         assert_eq!(CellAddr::parse_a1(&a.to_a1()).unwrap(), a);
         assert_eq!(a.to_string(), a.to_a1());
+    }
+
+    #[test]
+    fn the_last_row_and_column_round_trip() {
+        let corner = CellAddr::new(u32::MAX, u32::MAX);
+        assert_eq!(corner.to_a1(), "MWLQKWV4294967296");
+        assert_eq!(CellAddr::parse_a1(&corner.to_a1()).unwrap(), corner);
+        for past in ["A4294967297", "MWLQKWW1"] {
+            assert!(CellAddr::parse_a1(past).is_err(), "should reject {past}");
+        }
     }
 
     #[test]

@@ -145,6 +145,21 @@ fn remote_errors_equal_the_local_errors_wire_form() {
         "the off-sheet import cleared nothing"
     );
 
+    // Two rows imported twice onto the last two sheet rows: the refusal
+    // renders the overlapped block, whose last row is row `u32::MAX`.
+    let two = vec![vec![CellValue::Number(2.0); 2]; 2];
+    let last = CellAddr::new(u32::MAX - 1, 0);
+    remote.import_rows("s", last, 2, two.clone()).unwrap();
+    let e = same_error(
+        "an import over the last rows, twice",
+        &local,
+        &remote,
+        |s| s.import_rows("s", last, 2, two.clone()),
+        |s| s.import_rows("s", last, 2, two.clone()),
+    );
+    assert_eq!(e.code, codes::ENGINE_BAD_LINK);
+    assert!(e.detail.contains("A4294967295:B4294967296"), "{e:?}");
+
     drop(client);
     handle.shutdown();
 }
