@@ -53,10 +53,10 @@
 //! asserts. An image of any other format version, or naming any positional
 //! map but the hierarchical one (`posmap=2`), is refused as corrupt.
 //!
-//! On-disk layout of the version-5 image:
+//! On-disk layout of the version-6 image:
 //!
 //! ```text
-//! page 0      magic "DSIM" | version=5 u32 | posmap=2 u8 |
+//! page 0      magic "DSIM" | version=6 u32 | posmap=2 u8 |
 //!             map_len u64 | map_crc u32 | map_off u64, then zeros
 //! data area   every byte from offset 8192 (page 1) on; the map and each
 //!             region payload is one extent in it, crossing page
@@ -83,7 +83,7 @@
 //!            row_gap = row - prev_row - 1 (first: row)
 //!            head    = n_cells(>=1) << 1 | dense; a dense row's columns
 //!                      are consecutive and it writes first_col once
-//! cell    := [col_gap] tag body [src_len src]
+//! cell    := [col_gap] tag body [source]
 //!            col_gap = col - prev_col - 1 (first in row: col); sparse rows only
 //! tag     := kind (low 3 bits: Empty 0 | Int 1 | Float 2 | Text 3 | False 4 |
 //!            True 5 | Error 6) | 0x08 if a formula source follows |
@@ -92,6 +92,9 @@
 //! body    := Int, Float at scale s >= 1: zigzag varint mantissa |
 //!            Float at modifier 0: f64 LE | Text literal: len + UTF-8 |
 //!            Text reference: code | Error: code u8 | otherwise nothing
+//! source  := len << 1, then len bytes of UTF-8 (a literal source) |
+//!            code << 1 | 1 (the source of template `code`, rendered at
+//!            this cell)
 //! ```
 //!
 //! Each value has one byte form. A number with a [`codec::decimal_form`]
@@ -103,24 +106,38 @@
 //! appearance, so a literal repeating an earlier text, or a code not yet
 //! written, is refused. A row whose columns are consecutive (every one-cell
 //! row) is dense; a sparse row with consecutive columns is refused. `Empty`
-//! is legal only under a formula. Formula sources are never shared.
+//! is legal only under a formula.
+//!
+//! A formula source is stored relative to its cell: its
+//! [`refs::template`] at the payload's own coordinates (local to a
+//! region, sheet coordinates in the catch-all) keeps every canonically
+//! spelled reference as an offset pair plus `$` flags and every other byte
+//! verbatim, so the sources of a fill-down run share one template. The
+//! first source of each template in the payload is a literal; every later
+//! one is the template's code — a second code space, numbering the
+//! literal sources in order of appearance — and reads back as the
+//! template [`refs::render`]ed at its cell, the exact text stored. A
+//! literal whose template was written before, a code not yet written, and
+//! a code whose references would render off the sheet are refused.
 //!
 //! Free bytes are zero: a checkpoint zeroes every range it frees, so an
 //! image's bytes are a function of its header, map and live extents
 //! alone, and two stores that place the same payloads hold the same file —
 //! the recovery suite compares images byte-for-byte.
 
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
+use dataspread_formula::refs::{self, Template};
 use dataspread_grid::codec::{
     self, put_rect, put_rows, put_value, read_rect, read_rows, read_value, Reader,
 };
 #[cfg(test)]
-use dataspread_grid::{Cell, CellAddr, CellError};
-use dataspread_grid::{CellValue, Rect, ScanValue};
+use dataspread_grid::{Cell, CellError};
+use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::wal::crc32;
 use dataspread_relstore::{real_fs, OpenMode, SharedWal, StorageFs, StoreError, VfsFile, Wal};
@@ -140,7 +157,7 @@ pub const WAL_FILE: &str = "wal.log";
 pub const MAX_LOGGED_OP_BYTES: usize = 48 << 20;
 
 const IMAGE_MAGIC: &[u8; 4] = b"DSIM";
-const IMAGE_VERSION: u32 = 5;
+const IMAGE_VERSION: u32 = 6;
 /// The header's positional-map byte, part of the image layout: always 2,
 /// the hierarchical map; an image holding any other value is refused.
 const IMAGE_POSMAP: u8 = 2;
@@ -434,6 +451,9 @@ pub struct CellsEncoder {
     last: Option<(u32, u32)>,
     /// Every text written as a literal so far, by its code.
     texts: HashMap<String, u32>,
+    /// The template of every formula source written as a literal so far,
+    /// by its code.
+    templates: HashMap<Template, u32>,
 }
 
 impl Default for CellsEncoder {
@@ -452,6 +472,7 @@ impl CellsEncoder {
             rows: 0,
             last: None,
             texts: HashMap::new(),
+            templates: HashMap::new(),
         }
     }
 
@@ -511,7 +532,15 @@ impl CellsEncoder {
             }
         }
         if let Some(src) = formula {
-            put_vstr(out, src);
+            let t = refs::template(src, CellAddr::new(row, col));
+            match self.templates.get(&t) {
+                Some(&code) => codec::put_uvarint(out, u64::from(code) << 1 | 1),
+                None => {
+                    self.templates.insert(t, self.templates.len() as u32);
+                    codec::put_uvarint(out, (src.len() as u64) << 1);
+                    out.extend_from_slice(src.as_bytes());
+                }
+            }
         }
     }
 
@@ -557,19 +586,63 @@ fn advance(prev: Option<u32>, gap: u64, axis: &str) -> Result<u32, EngineError> 
         .ok_or_else(|| corrupt(&format!("cells: {axis} past u32::MAX")))
 }
 
-/// The literal texts of a payload read so far, by code; references borrow
-/// them from the payload.
+/// The literal texts and formula templates of a payload read so far, by
+/// code; text references borrow their text from the payload.
 #[derive(Default)]
 struct Literals<'a> {
     by_code: Vec<&'a str>,
     seen: HashSet<&'a str>,
+    templates: Vec<Template>,
+    templates_seen: HashSet<Template>,
 }
 
-/// One cell's tag, value and formula source, decoded in place.
+/// A formula source field at cell `at`: a literal source, refused when
+/// its template was written before, or the code of an earlier template,
+/// rendered at `at` — refused when not yet written or when it renders off
+/// the sheet.
+fn read_source<'a>(
+    cur: &mut Reader<'a>,
+    literals: &mut Literals<'a>,
+    at: CellAddr,
+) -> Result<Cow<'a, str>, EngineError> {
+    let field = cur.uvarint()?;
+    if field & 1 == 0 {
+        let len = field >> 1;
+        if len > codec::MAX_STR_LEN as u64 {
+            return Err(corrupt(&format!(
+                "cells: formula of {len} bytes exceeds bound"
+            )));
+        }
+        let src = std::str::from_utf8(cur.take(len as usize)?)
+            .map_err(|_| corrupt("cells: invalid utf-8 formula"))?;
+        let t = refs::template(src, at);
+        if !literals.templates_seen.insert(t.clone()) {
+            return Err(corrupt(&format!(
+                "cells: formula at {at} repeats an earlier template"
+            )));
+        }
+        literals.templates.push(t);
+        return Ok(Cow::Borrowed(src));
+    }
+    let code = field >> 1;
+    let t = usize::try_from(code)
+        .ok()
+        .and_then(|c| literals.templates.get(c))
+        .ok_or_else(|| corrupt(&format!("cells: formula code {code} not yet written")))?;
+    let src = refs::render(t, at).ok_or_else(|| {
+        corrupt(&format!(
+            "cells: formula code {code} renders off the sheet at {at}"
+        ))
+    })?;
+    Ok(Cow::Owned(src))
+}
+
+/// One cell's tag and value, decoded in place, and whether a formula
+/// source follows.
 fn read_cell<'a>(
     cur: &mut Reader<'a>,
     literals: &mut Literals<'a>,
-) -> Result<(ScanValue<'a>, Option<&'a str>), EngineError> {
+) -> Result<(ScanValue<'a>, bool), EngineError> {
     let tag = cur.u8()?;
     let has_formula = tag & CELL_FORMULA != 0;
     let value = match (tag & CELL_KIND, tag >> MODIFIER_SHIFT) {
@@ -609,23 +682,20 @@ fn read_cell<'a>(
         (CELL_ERROR, 0) => ScanValue::Error(codec::cell_error(cur.u8()?)?),
         _ => return Err(corrupt(&format!("cells: unknown cell tag {tag:#04x}"))),
     };
-    let formula = if has_formula {
-        Some(read_vstr(cur)?)
-    } else {
-        None
-    };
-    Ok((value, formula))
+    Ok((value, has_formula))
 }
 
 /// Visit the cells of a payload written by [`CellsEncoder`] in stored
-/// (row-major) order, decoded in place: texts and formula sources borrow
-/// from `payload`. Only the encoder's own bytes are accepted — truncation,
-/// an empty row, a sparse row whose columns are consecutive, an address
-/// past `u32::MAX`, an unknown tag, modifier or error code, a non-shortest
-/// varint, a number not in its one form, a repeated literal, a text code
-/// not yet written, invalid UTF-8 and trailing bytes are all
-/// [`StoreError::Corrupt`] — so every accepted payload re-encodes to
-/// itself. An error from `f` ends the visit.
+/// (row-major) order, decoded in place: texts and literal formula sources
+/// borrow from `payload`, a source written as a code is rendered at its
+/// cell. Only the encoder's own bytes are accepted — truncation, an empty
+/// row, a sparse row whose columns are consecutive, an address past
+/// `u32::MAX`, an unknown tag, modifier or error code, a non-shortest
+/// varint, a number not in its one form, a repeated literal or template, a
+/// text or formula code not yet written, a formula code rendering off the
+/// sheet, invalid UTF-8 and trailing bytes are all [`StoreError::Corrupt`]
+/// — so every accepted payload re-encodes to itself. An error from `f`
+/// ends the visit.
 pub fn visit_cells(
     payload: &[u8],
     mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>) -> Result<(), EngineError>,
@@ -653,8 +723,13 @@ pub fn visit_cells(
             };
             consecutive &= col.is_none() || gap == 0;
             let c = advance(col, gap, "column")?;
-            let (value, formula) = read_cell(&mut cur, &mut literals)?;
-            f(r, c, value, formula)?;
+            let (value, has_formula) = read_cell(&mut cur, &mut literals)?;
+            let formula = if has_formula {
+                Some(read_source(&mut cur, &mut literals, CellAddr::new(r, c))?)
+            } else {
+                None
+            };
+            f(r, c, value, formula.as_deref())?;
             col = Some(c);
         }
         if consecutive && !dense {
@@ -1784,10 +1859,10 @@ mod tests {
             "04",
             "0004",
             "000102",
-            "040b017806423126227822",
+            "040b01780c423126227822",
             "080501",
-            "08035a5a39",
-            "0e0003312f30",
+            "08065a5a39",
+            "0e0006312f30",
             "000703",
             "22a313",
             "02343333333333d33f",

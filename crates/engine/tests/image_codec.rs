@@ -16,11 +16,23 @@
 //! 2^53, a literal repeating an earlier text, a text code not yet written,
 //! a modifier on a kind that takes none, a sparse row whose columns are
 //! consecutive — are refused.
+//!
+//! Formula sources are stored relative to their cell: fill-down runs of
+//! relative, `$`-absolute and mixed references, up to the last row and
+//! column, write each template's source once and a code after; spellings
+//! a template keeps verbatim round-trip exactly; and a literal repeating
+//! an earlier template, a code not yet written and a code rendering off
+//! the sheet are refused.
+
+use std::collections::hash_map::{Entry, HashMap};
 
 use dataspread_engine::durable::{visit_cells, CellsEncoder};
 use dataspread_engine::{EngineError, ScanValue};
+use dataspread_formula::refs;
+use dataspread_grid::addr::col_to_letters;
 use dataspread_grid::codec::put_uvarint;
 use dataspread_grid::value::CellError;
+use dataspread_grid::CellAddr;
 use dataspread_relstore::StoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,11 +193,6 @@ fn local_run(rng: &mut StdRng, long: bool) -> Vec<Cell> {
 /// A sparse run in sheet coordinates: addresses near zero, near the last
 /// row and column, and anywhere, often including `(u32::MAX, u32::MAX)`.
 fn sheet_run(rng: &mut StdRng, long: bool) -> Vec<Cell> {
-    let coord = |rng: &mut StdRng| match rng.gen_range(0u32..3) {
-        0 => rng.gen_range(0u32..100),
-        1 => u32::MAX - rng.gen_range(0u32..100),
-        _ => rng.gen::<u32>(),
-    };
     let mut addrs: Vec<(u32, u32)> = (0..rng.gen_range(0usize..40))
         .map(|_| (coord(rng), coord(rng)))
         .collect();
@@ -203,9 +210,110 @@ fn sheet_run(rng: &mut StdRng, long: bool) -> Vec<Cell> {
         .collect()
 }
 
-fn runs(seed: u64, long: bool) -> [Vec<Cell>; 2] {
+/// A reference of a fill-down pattern: on a relative axis the offset from
+/// the formula's own cell, on a `$` axis the index itself.
+#[derive(Debug, Clone, Copy)]
+struct PatternRef {
+    row: i64,
+    col: i64,
+    abs_row: bool,
+    abs_col: bool,
+}
+
+/// A row or column index near zero, near the last one, or anywhere.
+fn coord(rng: &mut StdRng) -> u32 {
+    match rng.gen_range(0u32..3) {
+        0 => rng.gen_range(0u32..100),
+        1 => u32::MAX - rng.gen_range(0u32..100),
+        _ => rng.gen::<u32>(),
+    }
+}
+
+fn random_pattern_ref(rng: &mut StdRng) -> PatternRef {
+    let (abs_row, abs_col) = (rng.gen_bool(0.3), rng.gen_bool(0.3));
+    PatternRef {
+        row: if abs_row {
+            coord(rng).into()
+        } else {
+            rng.gen_range(-8i64..8)
+        },
+        col: if abs_col {
+            coord(rng).into()
+        } else {
+            rng.gen_range(-3i64..3)
+        },
+        abs_row,
+        abs_col,
+    }
+}
+
+/// `r` spelled in A1 notation in cell `(row, col)`, or `None` off the sheet.
+fn spell(r: PatternRef, row: u32, col: u32) -> Option<String> {
+    let axis =
+        |abs: bool, at: u32, d: i64| u32::try_from(if abs { d } else { i64::from(at) + d }).ok();
+    let (to_row, to_col) = (axis(r.abs_row, row, r.row)?, axis(r.abs_col, col, r.col)?);
+    Some(format!(
+        "{}{}{}{}",
+        if r.abs_col { "$" } else { "" },
+        col_to_letters(to_col),
+        if r.abs_row { "$" } else { "" },
+        u64::from(to_row) + 1
+    ))
+}
+
+/// Formula shapes of a fill-down run; `{0}` and `{1}` are its references.
+const SHAPES: [&str; 6] = [
+    "SUM({0}:{1})",
+    "{0}+{1}*2",
+    "IF({0}>{1},{0},\"A1\")",
+    "{0}",
+    "AVERAGE({0}:{1})/LOG10({0})",
+    "{0}&\"A1\"&{1}",
+];
+
+/// The source of `shape` over `refs` in cell `(row, col)`; `#REF!` when a
+/// reference falls off the sheet there.
+fn fill(shape: &str, refs: [PatternRef; 2], row: u32, col: u32) -> String {
+    match (spell(refs[0], row, col), spell(refs[1], row, col)) {
+        (Some(a), Some(b)) => shape.replace("{0}", &a).replace("{1}", &b),
+        _ => "#REF!".to_string(),
+    }
+}
+
+/// A fill-down (and fill-right) block of formulas from one random shape:
+/// relative, `$`-absolute and mixed references, at local or sheet
+/// coordinates up to the last row and column. With `variants`, some cells
+/// are spelled in lowercase or with spaces and stay verbatim.
+fn fill_down_run(rng: &mut StdRng, variants: bool) -> Vec<Cell> {
+    let shape = SHAPES[rng.gen_range(0..SHAPES.len())];
+    let refs = [random_pattern_ref(rng), random_pattern_ref(rng)];
+    let (top, left) = (coord(rng), coord(rng));
+    let (rows, cols) = (rng.gen_range(1u32..40), rng.gen_range(1u32..4));
+    let mut cells = Vec::new();
+    for row in top..=top.saturating_add(rows - 1) {
+        for col in left..=left.saturating_add(cols - 1) {
+            let mut src = fill(shape, refs, row, col);
+            if variants && rng.gen_bool(0.15) {
+                src = match rng.gen_range(0u32..3) {
+                    0 => src.to_ascii_lowercase(),
+                    1 => format!(" {} ", src.replace('+', " + ")),
+                    _ => src.replace("1", "01"),
+                };
+            }
+            let value = Value::Number((rng.gen_range(-1000i64..1000) as f64).to_bits());
+            cells.push((row, col, value, Some(src)));
+        }
+    }
+    cells
+}
+
+fn runs(seed: u64, long: bool) -> [Vec<Cell>; 3] {
     let mut rng = StdRng::seed_from_u64(seed);
-    [local_run(&mut rng, long), sheet_run(&mut rng, long)]
+    [
+        local_run(&mut rng, long),
+        sheet_run(&mut rng, long),
+        fill_down_run(&mut rng, true),
+    ]
 }
 
 fn refused(bytes: &[u8]) -> bool {
@@ -288,9 +396,11 @@ fn every_edge_number_keeps_its_bits_and_takes_its_one_form() {
 fn every_cut_is_refused_and_every_bit_flip_is_refused_or_canonical() {
     let mut accepted_flips = 0u64;
     for seed in 0..150u64 {
-        for mut cells in runs(0xF11B + seed, false) {
-            // Short runs keep the every-bit sweep cheap in debug builds.
-            cells.truncate(30);
+        for (which, mut cells) in runs(0xF11B + seed, false).into_iter().enumerate() {
+            // Short runs keep the every-bit sweep cheap in debug builds; a
+            // fill-down run's sources are long, and ten of its cells
+            // already hold literals and codes.
+            cells.truncate(if which == 2 { 10 } else { 30 });
             let bytes = encode(&cells);
             for cut in 0..bytes.len() {
                 assert!(refused(&bytes[..cut]), "seed {seed}: cut at {cut} accepted");
@@ -364,7 +474,7 @@ fn non_shortest_forms_are_refused() {
             (5, b""),         // 2 cells, dense
             (2, &[0x09]),     // first column, tag Int + formula
             (zigzag(7), b""), // Int body
-            (2, b"A1\x03"),   // source length, source, tag Text
+            (4, b"A1\x03"),   // source length << 1, source, tag Text
             (2, b"ab"),       // text length, text
             (0, b""),         // row gap
             (4, b""),         // 2 cells, sparse
@@ -467,7 +577,7 @@ fn non_shortest_forms_are_refused() {
         let body: &[u8] = match tag & 7 {
             1 => &[2],
             6 => &[0],
-            0 => &[1, b'1'],
+            0 => &[2, b'1'],
             3 => &[1, b'a'],
             _ => &[],
         };
@@ -506,6 +616,222 @@ fn non_shortest_forms_are_refused() {
     // A varint of eleven bytes, or one overflowing 64 bits.
     assert!(refused(&[[0x80; 10].as_slice(), &[0x01]].concat()));
     assert!(refused(&[[0xFF; 9].as_slice(), &[0x02]].concat()));
+}
+
+/// The bytes `cells`' formula sources take: `bytes` less the same payload
+/// without them (every value is non-blank, so only the sources go).
+fn source_bytes(cells: &[Cell], bytes: &[u8]) -> usize {
+    let bare: Vec<Cell> = cells
+        .iter()
+        .map(|(r, c, v, _)| (*r, *c, v.clone(), None))
+        .collect();
+    bytes.len() - encode(&bare).len()
+}
+
+/// Every template's first source is written verbatim, each later one as
+/// its code: the sources of a run cost exactly that, and a run spelled
+/// canonically throughout is one template, wherever it sits.
+#[test]
+fn a_fill_down_run_writes_each_template_once() {
+    let mut shared = 0;
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(0xF111 + seed);
+        let variants = seed % 2 == 0;
+        let cells = fill_down_run(&mut rng, variants);
+        let ctx = format!("seed {seed}");
+        let bytes = encode(&cells);
+        assert_eq!(decode(&bytes).unwrap(), cells, "{ctx}");
+        assert_eq!(reencode(&bytes).as_ref(), Some(&bytes), "{ctx}");
+        let mut codes = HashMap::new();
+        let mut want = 0;
+        for (row, col, _, src) in &cells {
+            let src = src.as_deref().unwrap();
+            let n = codes.len() as u64;
+            want += match codes.entry(refs::template(src, CellAddr::new(*row, *col))) {
+                Entry::Occupied(e) => code(*e.get()).len(),
+                Entry::Vacant(e) => {
+                    e.insert(n);
+                    lit(src).len()
+                }
+            };
+        }
+        assert_eq!(source_bytes(&cells, &bytes), want, "{ctx}");
+        let canonical = !variants && cells.iter().all(|c| c.3.as_deref() != Some("#REF!"));
+        if canonical {
+            assert_eq!(codes.len(), 1, "{ctx}: {:?}", &cells[..2.min(cells.len())]);
+            shared += 1;
+        }
+    }
+    assert!(shared > 50, "{shared} canonical runs");
+}
+
+/// Spellings a template keeps verbatim — lowercase, a leading zero,
+/// spaces, a reference inside a string, a function named like a cell,
+/// `#REF!`, a source that does not lex — round-trip exactly, each filled
+/// down beside a canonical run, at local and sheet coordinates. `{0}` is
+/// the row's own 1-based number, `{1}` the one two rows down. A column
+/// whose verbatim bytes move with the row is a new literal in every row;
+/// one whose moving parts are all canonical references (the canonical
+/// run, the spaced and the `LOG10` one) or that does not move is written
+/// once.
+#[test]
+fn verbatim_spellings_survive_among_a_run() {
+    let spellings = [
+        "SUM(A{0}:B{1})",
+        "a{0}+B{0}",
+        "sum(a{0}:a{1})",
+        "A0{0}+B{0}",
+        " A{0} +  B{1} ",
+        "\"A{0}\"&B{0}",
+        "LOG10(A{0})+B{0}",
+        "#REF!",
+        "\"unterminated",
+        "$a${0}*b$2",
+        "2A{0}",
+    ];
+    let width = spellings.len() as u32;
+    for origin in [(0, 0), (7, 3), (u32::MAX - 40, u32::MAX - width)] {
+        let mut cells = Vec::new();
+        for i in 0..40u32 {
+            for (k, spelling) in spellings.iter().enumerate() {
+                let src = spelling
+                    .replace("{0}", &(u64::from(i) + 1).to_string())
+                    .replace("{1}", &(u64::from(i) + 3).to_string());
+                let cell = (origin.0 + i, origin.1 + k as u32);
+                cells.push((cell.0, cell.1, Value::Bool(i % 3 == 0), Some(src)));
+            }
+        }
+        let bytes = encode(&cells);
+        assert_eq!(decode(&bytes).unwrap(), cells, "{origin:?}");
+        assert_eq!(reencode(&bytes).as_ref(), Some(&bytes), "{origin:?}");
+        // Columns 0, 4, 6, 7 and 8 are one literal each, plus a code per
+        // later row; every other column is a literal in every row.
+        let literal: usize = cells
+            .iter()
+            .enumerate()
+            .map(|(n, c)| {
+                let src = c.3.as_deref().unwrap();
+                match n % spellings.len() {
+                    0 | 4 | 6 | 7 | 8 if n >= spellings.len() => 1,
+                    _ => varint((src.len() as u64) << 1).len() + src.len(),
+                }
+            })
+            .sum();
+        assert_eq!(source_bytes(&cells, &bytes), literal, "{origin:?}");
+    }
+}
+
+/// References to the last row and column, from cells at local
+/// coordinates and from cells at the last row and column themselves. The
+/// left column refers to the corner, relative and `$`-absolute, so its
+/// relative offset differs in every cell and each source is a literal; the
+/// right column refers to the last column and the first one of its own
+/// row, one template written once and then as codes, down to the last row.
+#[test]
+fn references_at_the_last_row_and_column_round_trip() {
+    let last = "MWLQKWV4294967296";
+    for (top, left) in [(0u32, 0u32), (u32::MAX - 9, u32::MAX - 1)] {
+        let mut cells = Vec::new();
+        let mut want = 0;
+        for row in top..=top + 9 {
+            let n = u64::from(row) + 1;
+            let corner = format!("{last}+${last}+MWLQKWV$4294967296");
+            let own_row = format!("MWLQKWV{n}+A{n}");
+            want += lit(&corner).len() + if row == top { lit(&own_row).len() } else { 1 };
+            let value = Value::Number(1f64.to_bits());
+            cells.push((row, left, value.clone(), Some(corner)));
+            cells.push((row, left + 1, value, Some(own_row)));
+        }
+        let bytes = encode(&cells);
+        assert_eq!(decode(&bytes).unwrap(), cells, "({top}, {left})");
+        assert_eq!(reencode(&bytes).as_ref(), Some(&bytes), "({top}, {left})");
+        assert_eq!(source_bytes(&cells, &bytes), want, "({top}, {left})");
+    }
+}
+
+/// Source fields by hand: `lit(s)` is a literal, `code(c)` a reference.
+fn lit(s: &str) -> Vec<u8> {
+    [varint((s.len() as u64) << 1), s.as_bytes().to_vec()].concat()
+}
+
+fn code(c: u64) -> Vec<u8> {
+    varint(c << 1 | 1)
+}
+
+/// A payload of `True` cells under the given sources, one cell per row:
+/// `(row, col, source field)`, rows ascending.
+fn true_cells(cells: &[(u32, u32, Vec<u8>)]) -> Vec<u8> {
+    let mut out = varint(cells.len() as u64);
+    let mut prev: Option<u32> = None;
+    for (row, col, src) in cells {
+        out.extend(varint(prev.map_or(*row, |p| row - p - 1).into()));
+        out.extend([3]); // 1 cell, dense
+        out.extend(varint((*col).into()));
+        out.push(0x0D); // True + formula
+        out.extend(src);
+        prev = Some(*row);
+    }
+    out
+}
+
+fn sources(bytes: &[u8]) -> Vec<String> {
+    decode(bytes)
+        .unwrap()
+        .into_iter()
+        .map(|c| c.3.unwrap())
+        .collect()
+}
+
+#[test]
+fn a_repeated_template_an_unwritten_code_and_a_code_off_the_sheet_are_refused() {
+    // The canonical form: a literal, then its code one row down.
+    let good = true_cells(&[(0, 0, lit("A1+$B$1")), (1, 0, code(0))]);
+    assert_eq!(sources(&good), ["A1+$B$1", "A2+$B$1"]);
+    assert_eq!(reencode(&good), Some(good));
+    // A literal whose template was written before, in a later row or the
+    // same one; the same text at another cell is not the same template.
+    assert!(refused(&true_cells(&[
+        (0, 0, lit("A1")),
+        (1, 0, lit("A2"))
+    ])));
+    let same_row = [
+        &[1, 0, 5, 0][..],
+        &[0x0D],
+        &lit("$A$1"),
+        &[0x0D],
+        &lit("$A$1"),
+    ]
+    .concat();
+    assert!(refused(&same_row), "repeat in one row");
+    let moved = true_cells(&[(0, 0, lit("A1")), (1, 0, lit("A1"))]);
+    assert_eq!(reencode(&moved), Some(moved));
+    // A code not yet written: before any literal, or past the last one.
+    assert!(refused(&true_cells(&[(0, 0, code(0)), (1, 0, lit("A1"))])));
+    assert!(refused(&true_cells(&[(0, 0, lit("A1")), (1, 0, code(1))])));
+    assert!(refused(&true_cells(&[
+        (0, 0, lit("A1")),
+        (1, 0, code(1 << 40))
+    ])));
+    // A code that renders off the sheet: past the last row, before the
+    // first column; the same code one step less far renders.
+    let last = u32::MAX;
+    assert!(refused(&true_cells(&[
+        (0, 0, lit("A2")),
+        (last, 0, code(0))
+    ])));
+    let edge = true_cells(&[(0, 0, lit("A1")), (last, 0, code(0))]);
+    assert_eq!(sources(&edge), ["A1", "A4294967296"]);
+    assert_eq!(reencode(&edge), Some(edge));
+    assert!(refused(&true_cells(&[(0, 1, lit("A1")), (1, 0, code(0))])));
+    let left = true_cells(&[(0, 1, lit("B1")), (1, 0, code(0))]);
+    assert_eq!(sources(&left), ["B1", "A2"]);
+    // A source length past the bound, and a source that is not UTF-8.
+    assert!(refused(&true_cells(&[(0, 0, varint(1 << 40))])));
+    assert!(refused(&true_cells(&[(
+        0,
+        0,
+        [&[2][..], &[0xFF]].concat()
+    )])));
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //!   the pages whose bytes changed (plus those the image grew by);
 //! * resubmitting with nothing dirty writes 0 pages.
 //!
-//! The image is parsed here by hand from the documented version-5 layout,
+//! The image is parsed here by hand from the documented version-6 layout,
 //! independently of the engine's reader. The last test guards the packing
 //! claim on a `structural`-shaped sheet: its image is no larger than the
 //! header plus its payloads and map laid end to end.
@@ -75,13 +75,13 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
-/// Parse the header and map of a version-5 image (empty for no image).
+/// Parse the header and map of a version-6 image (empty for no image).
 fn layout(image: &[u8]) -> Layout {
     if image.is_empty() {
         return Layout::default();
     }
     assert_eq!(&image[..4], b"DSIM");
-    assert_eq!(u32::from_le_bytes(image[4..8].try_into().unwrap()), 5);
+    assert_eq!(u32::from_le_bytes(image[4..8].try_into().unwrap()), 6);
     let map = Extent {
         off: u64_at(image, 21),
         len: u64_at(image, 9),

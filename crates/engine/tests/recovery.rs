@@ -615,9 +615,58 @@ fn v4_image_is_refused_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-// ------------------------------------------- hostile v5 image maps --
+/// Hand-built format-version-5 image of one catch-all formula cell: the
+/// header (magic, version, posmap, map length and CRC, map offset), the
+/// cell payload at byte 8192 — 1 row, row gap 3, 1 cell dense from column
+/// 2, tag Int + formula, zigzag 22, then the source `A1` behind its
+/// length — and the map right after it.
+fn v5_image_bytes() -> Vec<u8> {
+    let payload = [0x01, 0x03, 0x03, 0x02, 0x09, 0x16, 0x02, b'A', b'1'];
+    let mut map = Vec::new();
+    map.extend_from_slice(&1u32.to_le_bytes()); // one region
+    map.extend_from_slice(&0u64.to_le_bytes()); // id 0: the catch-all
+    map.push(4); // kind: catch-all
+    map.extend_from_slice(&[0u8; 16]); // rect (0,0)..(0,0)
+    map.extend_from_slice(&8192u64.to_le_bytes());
+    map.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    map.extend_from_slice(&dataspread_relstore::crc32(&payload).to_le_bytes());
+    let mut image = Vec::new();
+    image.extend_from_slice(b"DSIM");
+    image.extend_from_slice(&5u32.to_le_bytes()); // version 5
+    image.push(2); // posmap: hierarchical
+    image.extend_from_slice(&(map.len() as u64).to_le_bytes());
+    image.extend_from_slice(&dataspread_relstore::crc32(&map).to_le_bytes());
+    image.extend_from_slice(&(8192 + payload.len() as u64).to_le_bytes());
+    image.resize(8192, 0);
+    image.extend_from_slice(&payload);
+    image.extend_from_slice(&map);
+    image.resize(2 * 8192, 0);
+    image
+}
 
-/// A hand-built v5 map entry: `(id, kind, offset, len, crc)`; the rect is
+/// Format version 5 has no reader either: it spelled every formula source
+/// in full, and version 6 writes each source's relative template once per
+/// payload. A v5 image is refused with a `Corrupt` error naming the
+/// version, and the file keeps its bytes.
+#[test]
+fn v5_image_is_refused_untouched() {
+    let image = v5_image_bytes();
+    let dir = temp_dir("v5-image");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(image_path(&dir), &image).unwrap();
+    match SheetEngine::open(&dir) {
+        Err(EngineError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.ends_with("unsupported version 5"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ------------------------------------------- hostile v6 image maps --
+
+/// A hand-built v6 map entry: `(id, kind, offset, len, crc)`; the rect is
 /// `(0,0)..(0,0)`.
 type MapEntry = (u64, u8, u64, u64, u32);
 
@@ -625,12 +674,12 @@ type MapEntry = (u64, u8, u64, u64, u32);
 const KIND_ROM: u8 = 0;
 const KIND_CATCHALL: u8 = 4;
 
-/// A hand-built format-version-5 image of `pages` zeroed pages: the header
+/// A hand-built format-version-6 image of `pages` zeroed pages: the header
 /// (magic, version, posmap, map length and CRC, map offset), the map of
 /// `entries` at byte `map_off`, and each `(offset, bytes)` of `payloads`.
 /// The map's CRC is always right, so only the extents it lists can be
 /// wrong.
-fn v5_image_bytes(
+fn v6_image_bytes(
     pages: usize,
     map_off: usize,
     entries: &[MapEntry],
@@ -648,7 +697,7 @@ fn v5_image_bytes(
     }
     let mut header = Vec::new();
     header.extend_from_slice(b"DSIM");
-    header.extend_from_slice(&5u32.to_le_bytes()); // version 5
+    header.extend_from_slice(&6u32.to_le_bytes()); // version 6
     header.push(2); // posmap: hierarchical
     header.extend_from_slice(&(map.len() as u64).to_le_bytes());
     header.extend_from_slice(&dataspread_relstore::crc32(&map).to_le_bytes());
@@ -687,13 +736,13 @@ fn no_cells_crc() -> u32 {
 }
 
 /// The hostile maps below differ from this one only in their extents: a
-/// hand-built v5 image with the empty catch-all at 8192 and the map after
+/// hand-built v6 image with the empty catch-all at 8192 and the map after
 /// it opens to an empty sheet.
 #[test]
-fn a_hand_built_v5_image_opens() {
+fn a_hand_built_v6_image_opens() {
     let catchall = (0, KIND_CATCHALL, 8192, 1, no_cells_crc());
-    let image = v5_image_bytes(2, 8192 + 1, &[catchall], &[(8192, &NO_CELLS)]);
-    let dir = temp_dir("v5-image");
+    let image = v6_image_bytes(2, 8192 + 1, &[catchall], &[(8192, &NO_CELLS)]);
+    let dir = temp_dir("v6-image");
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(image_path(&dir), &image).unwrap();
     let engine = SheetEngine::open(&dir).unwrap();
@@ -708,7 +757,7 @@ fn a_hand_built_v5_image_opens() {
 /// where the extent lies, not for what it holds.
 #[test]
 fn an_extent_inside_the_header_page_is_refused_untouched() {
-    let image = v5_image_bytes(2, 8192, &[(0, KIND_CATCHALL, 29, 1, no_cells_crc())], &[]);
+    let image = v6_image_bytes(2, 8192, &[(0, KIND_CATCHALL, 29, 1, no_cells_crc())], &[]);
     assert_refused_untouched(&[("extent-in-header", image)]);
 }
 
@@ -724,7 +773,7 @@ fn an_extent_past_the_end_of_the_file_is_refused_untouched() {
     ]
     .map(|(name, len)| {
         let region = (1, KIND_ROM, 8192 + 100, len, no_cells_crc());
-        let image = v5_image_bytes(2, 8192 + 1, &[catchall, region], &[(8192, &NO_CELLS)]);
+        let image = v6_image_bytes(2, 8192 + 1, &[catchall, region], &[(8192, &NO_CELLS)]);
         (name, image)
     });
     assert_refused_untouched(&cases);
@@ -746,7 +795,7 @@ fn overlapping_extents_are_refused_untouched() {
     ]
     .map(|(name, offset)| {
         let region = (1, KIND_ROM, offset, 1, no_cells_crc());
-        let image = v5_image_bytes(2, map_off, &[catchall, region], &[(8192, &NO_CELLS)]);
+        let image = v6_image_bytes(2, map_off, &[catchall, region], &[(8192, &NO_CELLS)]);
         (name, image)
     });
     assert_refused_untouched(&cases);
@@ -1180,5 +1229,67 @@ fn second_optimize_on_an_unchanged_sheet_moves_and_writes_nothing() {
     assert_eq!(report.regions_dirty, 0);
     assert_eq!(report.payload_bytes, 0);
     assert_eq!(report.pages_written, 0);
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// Every formula source of `engine`, by cell.
+fn formula_sources(engine: &SheetEngine) -> Vec<(CellAddr, String)> {
+    engine
+        .snapshot()
+        .iter()
+        .filter_map(|(addr, cell)| Some((addr, cell.formula.clone()?)))
+        .collect()
+}
+
+/// The image stores a formula source relative to its cell, and a reopen
+/// renders it back: every source must come back byte for byte as typed.
+/// Two fill-down runs — one inside an imported ROM region, whose payload
+/// holds local coordinates, one in the catch-all, which holds sheet
+/// coordinates — mix canonical sources with lowercase, spaced and
+/// function-named variants. They go through checkpoint → reopen → a row
+/// insert through both runs → checkpoint → reopen, and every stored
+/// source must equal a non-durable engine's that replays the same ops.
+#[test]
+fn formula_sources_survive_the_image_byte_for_byte() {
+    use dataspread_grid::CellValue;
+    let base = temp_dir("formula-sources");
+    let source = |r: u32, col: &str| {
+        let (a, b) = (r + 1, r + 3);
+        match r % 6 {
+            0 => format!("=sum(a{a}:a{b})*$c$1"),
+            1 => format!("= SUM( A{a} : A{b} ) * $C$1"),
+            2 => format!("=LOG10(A{a}+1)+{col}$1"),
+            3 => format!("=A{a}+\"A{a}\"&A0{a}"),
+            _ => format!("=SUM(A{a}:A{b})*$C$1"),
+        }
+    };
+    let mut reference = SheetEngine::new();
+    let rows = || (0..60u32).map(|r| vec![CellValue::Number(f64::from(r)), CellValue::Empty]);
+    {
+        let mut engine = SheetEngine::open(&base).unwrap();
+        for e in [&mut engine, &mut reference] {
+            e.import_rows(CellAddr::new(0, 0), 2, rows()).unwrap();
+            e.update_cell(CellAddr::new(0, 2), "3").unwrap();
+            for r in 0..60 {
+                e.update_cell(CellAddr::new(r, 1), &source(r, "B")).unwrap();
+                e.update_cell(CellAddr::new(r, 4), &source(r, "E")).unwrap();
+            }
+        }
+        assert_eq!(engine.storage().region_count(), 1);
+        engine.checkpoint().unwrap();
+    }
+    let want = formula_sources(&reference);
+    assert_eq!(want.len(), 120);
+    assert_eq!(want[0].1, "sum(a1:a3)*$c$1");
+    let mut reopened = SheetEngine::open(&base).unwrap();
+    assert_eq!(formula_sources(&reopened), want, "after the first reopen");
+    for e in [&mut reopened, &mut reference] {
+        e.insert_rows(30, 4).unwrap();
+    }
+    reopened.checkpoint().unwrap();
+    drop(reopened);
+    let again = SheetEngine::open(&base).unwrap();
+    assert_eq!(formula_sources(&again), formula_sources(&reference));
+    assert_eq!(again.snapshot(), reference.snapshot());
     std::fs::remove_dir_all(&base).ok();
 }

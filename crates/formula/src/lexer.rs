@@ -4,12 +4,13 @@ use crate::error::ParseError;
 
 /// Lexical tokens of the formula language.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     Number(f64),
     Text(String),
     /// Identifier: function name, TRUE/FALSE, or a cell reference (the
-    /// parser decides). `$` signs are kept for reference parsing.
-    Ident(String),
+    /// parser decides), borrowed from the source. `$` signs are kept for
+    /// reference parsing.
+    Ident(&'a str),
     Plus,
     Minus,
     Star,
@@ -30,7 +31,7 @@ pub enum Token {
 }
 
 /// Tokenize a formula body (without the leading `=`).
-pub fn lex(src: &str) -> Result<Vec<(Token, usize)>, ParseError> {
+pub fn lex(src: &str) -> Result<Vec<(Token<'_>, usize)>, ParseError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;
@@ -170,7 +171,7 @@ pub fn lex(src: &str) -> Result<Vec<(Token, usize)>, ParseError> {
                 {
                     j += 1;
                 }
-                out.push((Token::Ident(src[i..j].to_string()), start));
+                out.push((Token::Ident(&src[i..j]), start));
                 i = j;
             }
             _ => {
@@ -197,7 +198,7 @@ fn utf8_len(first: u8) -> usize {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|(t, _)| t).collect()
     }
 
@@ -222,13 +223,13 @@ mod tests {
         assert_eq!(
             toks("a<=b<>c>=d"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Le,
-                Token::Ident("b".into()),
+                Token::Ident("b"),
                 Token::Ne,
-                Token::Ident("c".into()),
+                Token::Ident("c"),
                 Token::Ge,
-                Token::Ident("d".into())
+                Token::Ident("d")
             ]
         );
     }
@@ -246,11 +247,7 @@ mod tests {
     fn refs_keep_dollar_signs() {
         assert_eq!(
             toks("$A$1:B2"),
-            vec![
-                Token::Ident("$A$1".into()),
-                Token::Colon,
-                Token::Ident("B2".into())
-            ]
+            vec![Token::Ident("$A$1"), Token::Colon, Token::Ident("B2")]
         );
     }
 

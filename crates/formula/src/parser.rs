@@ -30,13 +30,13 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
     Ok(e)
 }
 
-struct Parser {
-    tokens: Vec<(Token, usize)>,
+struct Parser<'a> {
+    tokens: Vec<(Token<'a>, usize)>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos).map(|(t, _)| t)
     }
 
@@ -47,13 +47,13 @@ impl Parser {
             .map_or(0, |(_, p)| *p)
     }
 
-    fn bump(&mut self) -> Option<Token> {
+    fn bump(&mut self) -> Option<Token<'a>> {
         let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
         self.pos += 1;
         t
     }
 
-    fn expect(&mut self, want: &Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, want: &Token<'a>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(want) {
             self.pos += 1;
             Ok(())
@@ -187,14 +187,14 @@ impl Parser {
                     "FALSE" => return Ok(Expr::Bool(false)),
                     _ => {}
                 }
-                let first = parse_cellref(&name)
+                let first = parse_cellref(name)
                     .ok_or_else(|| ParseError::new(at, format!("unknown identifier {name:?}")))?;
                 if self.peek() == Some(&Token::Colon) {
                     self.pos += 1;
                     let at2 = self.here();
                     match self.bump() {
                         Some(Token::Ident(second)) => {
-                            let second = parse_cellref(&second).ok_or_else(|| {
+                            let second = parse_cellref(second).ok_or_else(|| {
                                 ParseError::new(at2, "expected cell reference after :")
                             })?;
                             Ok(Expr::Range(first, second))

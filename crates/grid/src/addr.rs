@@ -41,12 +41,19 @@ impl CellAddr {
         format!("{}{}", col_to_letters(self.col), u64::from(self.row) + 1)
     }
 
-    /// The address shifted by (dr, dc); saturates at zero.
+    /// The address shifted by (dr, dc); saturates at zero and at
+    /// `u32::MAX` on each axis.
     pub fn offset(self, dr: i64, dc: i64) -> Self {
-        CellAddr::new(
-            (self.row as i64 + dr).max(0) as u32,
-            (self.col as i64 + dc).max(0) as u32,
-        )
+        let clamp =
+            |at: u32, d: i64| i64::from(at).saturating_add(d).clamp(0, u32::MAX.into()) as u32;
+        CellAddr::new(clamp(self.row, dr), clamp(self.col, dc))
+    }
+
+    /// The address shifted by (dr, dc), or `None` when that falls off the
+    /// sheet on either axis.
+    pub fn checked_offset(self, dr: i64, dc: i64) -> Option<Self> {
+        let shift = |at: u32, d: i64| u32::try_from(i64::from(at).checked_add(d)?).ok();
+        Some(CellAddr::new(shift(self.row, dr)?, shift(self.col, dc)?))
     }
 }
 
@@ -105,7 +112,11 @@ pub fn letters_to_col(s: &str) -> Result<u32, GridError> {
 
 /// Convert a 1-based row number to a 0-based row index (`1` → 0,
 /// `4294967296` → `u32::MAX`); `None` outside that range.
+/// Only ASCII digits are read: no sign, no space.
 pub fn number_to_row(s: &str) -> Option<u32> {
+    if !s.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
     let row_1b: u64 = s.parse().ok()?;
     (1..=1 << 32).contains(&row_1b).then(|| (row_1b - 1) as u32)
 }
@@ -147,7 +158,7 @@ mod tests {
 
     #[test]
     fn parse_a1_rejects_garbage() {
-        for bad in ["", "1", "A", "A0", "1A", "A-1", "A1B"] {
+        for bad in ["", "1", "A", "A0", "1A", "A-1", "A1B", "A+5", "A+1", "A 1"] {
             assert!(CellAddr::parse_a1(bad).is_err(), "should reject {bad:?}");
         }
     }
@@ -173,5 +184,33 @@ mod tests {
     fn offset_saturates() {
         assert_eq!(CellAddr::new(0, 0).offset(-5, -5), CellAddr::new(0, 0));
         assert_eq!(CellAddr::new(2, 3).offset(1, -1), CellAddr::new(3, 2));
+        assert_eq!(CellAddr::new(0, 0).offset(-1, 0), CellAddr::new(0, 0));
+        let last = CellAddr::new(u32::MAX, u32::MAX);
+        assert_eq!(
+            CellAddr::new(u32::MAX, 0).offset(1, 0),
+            CellAddr::new(u32::MAX, 0)
+        );
+        assert_eq!(last.offset(i64::MAX, i64::MAX), last);
+        assert_eq!(
+            CellAddr::new(3, 3).offset(i64::MIN, i64::MIN),
+            CellAddr::new(0, 0)
+        );
+    }
+
+    #[test]
+    fn checked_offset_refuses_to_leave_the_sheet() {
+        assert_eq!(CellAddr::new(u32::MAX, 0).checked_offset(1, 0), None);
+        assert_eq!(CellAddr::new(0, 0).checked_offset(-1, 0), None);
+        assert_eq!(CellAddr::new(0, u32::MAX).checked_offset(0, 1), None);
+        assert_eq!(CellAddr::new(0, 0).checked_offset(0, -1), None);
+        assert_eq!(CellAddr::new(0, 0).checked_offset(i64::MAX, 0), None);
+        assert_eq!(
+            CellAddr::new(u32::MAX, 0).checked_offset(-1, i64::from(u32::MAX)),
+            Some(CellAddr::new(u32::MAX - 1, u32::MAX))
+        );
+        assert_eq!(
+            CellAddr::new(7, 9).checked_offset(-7, -9),
+            Some(CellAddr::new(0, 0))
+        );
     }
 }

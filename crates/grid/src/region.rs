@@ -150,7 +150,9 @@ mod tests {
         assert_eq!(r.to_a1(), "B2:C10");
         let single = Rect::parse_a1("D4").unwrap();
         assert_eq!(single.to_a1(), "D4");
-        assert!(Rect::parse_a1("B2:").is_err());
+        for bad in ["B2:", "A+1:B2", "A1:B+2", "A-1:B2", "A+1"] {
+            assert!(Rect::parse_a1(bad).is_err(), "should reject {bad:?}");
+        }
     }
 
     #[test]
