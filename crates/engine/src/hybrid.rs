@@ -635,14 +635,6 @@ impl HybridSheet {
         self.routing.route(addr)
     }
 
-    /// Scan-based routing oracle — the pre-index implementation, retained
-    /// as the reference for differential tests and as the perf baseline in
-    /// `exp_hotpath`. Region rects are pairwise disjoint, so this agrees
-    /// with [`HybridSheet::region_at`] on every address.
-    pub fn region_at_scan(&self, addr: CellAddr) -> Option<usize> {
-        self.regions.iter().position(|r| r.rect.contains(addr))
-    }
-
     pub fn get_cell(&self, addr: CellAddr) -> Option<Cell> {
         match self.region_at(addr) {
             Some(i) => {
@@ -1321,6 +1313,26 @@ mod tests {
         let rom = Box::new(RomTranslator::new());
         hs.add_region(Rect::new(10, 10, 19, 14), rom).unwrap();
         hs
+    }
+
+    /// The O(log regions) routing claim as a count: over 2 048 row bands
+    /// of 10 × 8 cells with 2-row gaps, the index lists each region in
+    /// at most two elementary bands, so its size is O(regions) and a
+    /// route is two binary searches over it.
+    #[test]
+    fn band_layout_routing_index_stays_linear() {
+        const REGIONS: u32 = 2048;
+        let rects: Vec<Rect> = (0..REGIONS)
+            .map(|i| Rect::new(i * 12, 0, i * 12 + 9, 7))
+            .collect();
+        let index = RoutingIndex::build(&rects);
+        let incidence: usize = index.bands.iter().map(|b| b.cols.len()).sum();
+        assert!(
+            incidence <= 2 * REGIONS as usize,
+            "{incidence} band-region entries for {REGIONS} regions"
+        );
+        assert_eq!(index.route(addr(7 * 12 + 3, 5)), Some(7));
+        assert_eq!(index.route(addr(7 * 12 + 10, 5)), None);
     }
 
     #[test]

@@ -83,8 +83,8 @@ pub struct SheetEngine {
     /// Cells recomputed since the engine was created (includes cells
     /// marked `#CIRC!`); lets tests and benches observe recompute scope.
     cells_recomputed: u64,
-    /// Force the retained sequential per-cell recompute path — the
-    /// differential oracle and the `exp_recompute` baseline.
+    /// Force the sequential per-cell recompute path, the reference the
+    /// wave pipeline is checked against (`tests/recompute_par.rs`).
     scalar_recompute: bool,
     /// Metric handles, when the owner attached a registry.
     obs: Option<crate::obs::EngineObs>,
@@ -149,8 +149,8 @@ impl SheetEngine {
         self.cells_recomputed
     }
 
-    /// Force the retained sequential per-cell recompute path — the
-    /// differential oracle and the bench baseline for the wave pipeline.
+    /// Force the sequential per-cell recompute path, the differential
+    /// oracle for the wave pipeline.
     #[doc(hidden)]
     pub fn set_scalar_recompute(&mut self, on: bool) {
         self.scalar_recompute = on;

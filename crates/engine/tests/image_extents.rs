@@ -14,9 +14,11 @@
 //! * resubmitting with nothing dirty writes 0 pages.
 //!
 //! The image is parsed here by hand from the documented version-6 layout,
-//! independently of the engine's reader. The last test guards the packing
-//! claim on a `structural`-shaped sheet: its image is no larger than the
-//! header plus its payloads and map laid end to end.
+//! independently of the engine's reader. The last tests guard the engine's
+//! checkpoint claims: a `structural`-shaped sheet's image is no larger
+//! than the header plus its payloads and map laid end to end; a one-cell
+//! edit rewrites one region in the same few pages whatever the sheet's
+//! size; and a linked table is rewritten only when its own table changes.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -24,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use dataspread_engine::durable::{image_path, DurableStore, RecoveredState, PAGE_SIZE};
 use dataspread_engine::{
-    ModelKind, OptimizeAlgorithm, RegionImage, SheetEngine, CATCHALL_REGION_ID,
+    CheckpointReport, ModelKind, OptimizeAlgorithm, RegionImage, SheetEngine, CATCHALL_REGION_ID,
 };
 use dataspread_grid::addr::col_to_letters;
 use dataspread_grid::{CellAddr, CellValue, Rect};
@@ -361,6 +363,111 @@ fn a_structural_sheet_packs_its_payloads_into_shared_pages() {
         report.page_count
     );
     assert_eq!(image.len() as u64, report.page_count * PAGE);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sheet of `bands` ROM regions of 50 × 8 numbers, one every 60 rows,
+/// after a full checkpoint and a one-cell edit in the fourth band:
+/// returns the full and the incremental checkpoint reports.
+fn one_cell_checkpoint(bands: u32) -> (CheckpointReport, CheckpointReport) {
+    let dir = temp_dir(&format!("bands-{bands}"));
+    let mut engine = SheetEngine::open(&dir).unwrap();
+    for band in 0..bands {
+        let rows = (0..50u32).map(|r| {
+            (0..8u32)
+                .map(|c| CellValue::Number(f64::from(band * 1000 + r * 8 + c)))
+                .collect()
+        });
+        engine
+            .import_rows(CellAddr::new(band * 60, 0), 8, rows)
+            .unwrap();
+    }
+    engine.save().unwrap();
+    let full = engine.checkpoint().unwrap().unwrap();
+    engine
+        .update_cell(CellAddr::new(3 * 60 + 7, 2), "424242")
+        .unwrap();
+    let incremental = engine.checkpoint().unwrap().unwrap();
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+    (full, incremental)
+}
+
+/// A one-cell edit re-serializes exactly its region, and the pages the
+/// checkpoint writes (payload, map and header) do not grow with the
+/// number of regions on the sheet.
+#[test]
+fn a_one_cell_edit_checkpoints_one_region_at_any_sheet_size() {
+    let mut pages = Vec::new();
+    for bands in [120, 240] {
+        let (full, incr) = one_cell_checkpoint(bands);
+        assert_eq!(incr.regions_dirty, 1, "{bands} bands");
+        assert_eq!(incr.regions_written, 1, "{bands} bands");
+        assert!(incr.pages_written <= 8, "{bands} bands: {incr:?}");
+        assert!(
+            incr.payload_bytes * 10 <= full.payload_bytes,
+            "{bands} bands: {} of {} payload bytes",
+            incr.payload_bytes,
+            full.payload_bytes
+        );
+        pages.push(incr.pages_written);
+    }
+    assert_eq!(pages[0], pages[1], "pages written grew with the sheet");
+}
+
+/// A linked table's region is re-serialized only when its own table
+/// changes: a quiet checkpoint writes nothing, a row inserted into the
+/// table through the database dirties exactly that region, and churn on
+/// an unrelated table dirties nothing.
+#[test]
+fn a_linked_table_checkpoints_only_when_its_table_changes() {
+    use dataspread_relstore::{ColumnDef, DataType, Datum, Schema};
+
+    let dir = temp_dir("linked");
+    let mut engine = SheetEngine::open(&dir).unwrap();
+    engine.update_cell(CellAddr::new(0, 0), "id").unwrap();
+    engine.update_cell(CellAddr::new(0, 1), "amount").unwrap();
+    for r in 1..=40u32 {
+        engine
+            .update_cell(CellAddr::new(r, 0), &r.to_string())
+            .unwrap();
+        engine
+            .update_cell(CellAddr::new(r, 1), &(r * 10).to_string())
+            .unwrap();
+    }
+    engine.link_table(Rect::new(0, 0, 40, 1), "inv").unwrap();
+    engine.save().unwrap();
+    let quiet = engine.checkpoint().unwrap().unwrap();
+    assert_eq!(quiet.regions_dirty, 0, "a quiet table was re-serialized");
+
+    let db = engine.database();
+    db.write()
+        .table_mut("inv")
+        .unwrap()
+        .insert(&[Datum::Int(999), Datum::Float(9990.0)])
+        .unwrap();
+    let mutated = engine.checkpoint().unwrap().unwrap();
+    assert_eq!(mutated.regions_dirty, 1);
+    assert_eq!(mutated.regions_written, 1);
+
+    {
+        let mut guard = db.write();
+        let schema = Schema::new(vec![ColumnDef::new("x", DataType::Int)]);
+        guard.create_table("other", schema).unwrap();
+        for i in 0..50 {
+            guard
+                .table_mut("other")
+                .unwrap()
+                .insert(&[Datum::Int(i)])
+                .unwrap();
+        }
+    }
+    let unrelated = engine.checkpoint().unwrap().unwrap();
+    assert_eq!(
+        unrelated.regions_dirty, 0,
+        "unrelated churn dirtied a region"
+    );
     drop(engine);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,8 +12,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dataspread_engine::SheetEngine;
+use dataspread_engine::{EngineObs, SheetEngine};
 use dataspread_grid::{Cell, CellAddr, Rect};
+use dataspread_obs::MetricsRegistry;
 
 const ROWS: u32 = 48;
 const COLS: u32 = 8;
@@ -188,5 +189,61 @@ fn wide_scalar_wave_runs_identically_under_threads() {
             want,
             "threads {t}: wide wave diverged"
         );
+    }
+}
+
+const WINDOW: u32 = 64;
+const CHAIN: u32 = 2_000;
+
+/// A fill-down corpus shaped like the paper's weather and billing sheets:
+/// numbers in column A, a 64-row sliding `SUM` over A filled down column
+/// B, `=B{r}*2-1` in column C and a 2 000-deep chain `=D{r-1}+1` in
+/// column D. Formulas go in dependency-first, so each evaluates once.
+fn fill_down_corpus(rows: u32) -> SheetEngine {
+    let mut e = SheetEngine::new();
+    for r in 0..rows {
+        let n = (r.wrapping_mul(2_654_435_761) % 4_000) as f64 / 4.0;
+        e.update_cell(CellAddr::new(r, 0), &n.to_string()).unwrap();
+    }
+    for r in WINDOW - 1..rows {
+        let src = format!("=SUM({}:{})", a1(r + 1 - WINDOW, 0), a1(r, 0));
+        e.update_cell(CellAddr::new(r, 1), &src).unwrap();
+    }
+    for r in 0..rows {
+        e.update_cell(CellAddr::new(r, 2), &format!("={}*2-1", a1(r, 1)))
+            .unwrap();
+    }
+    e.update_cell(CellAddr::new(0, 3), "1").unwrap();
+    for r in 1..CHAIN.min(rows) {
+        e.update_cell(CellAddr::new(r, 3), &format!("={}+1", a1(r - 1, 3)))
+            .unwrap();
+    }
+    e
+}
+
+/// The batch share of a full cascade as a count: on the fill-down
+/// corpus every sliding `SUM` is answered by one vectorized sweep and
+/// every other formula by one tree walk, each exactly once, at every
+/// thread count, and the values equal the scalar oracle's.
+#[test]
+fn fill_down_cascade_batches_every_sliding_run() {
+    const ROWS: u32 = 4_000;
+    let mut e = fill_down_corpus(ROWS);
+    let window = Rect::new(0, 0, ROWS + 2, 6);
+    e.set_scalar_recompute(true);
+    e.recompute_all().unwrap();
+    let want = e.get_cells(window);
+    e.set_scalar_recompute(false);
+    for &t in THREADS {
+        let registry = MetricsRegistry::new();
+        let obs = EngineObs::new(&registry, "fill");
+        e.set_obs(obs.clone());
+        e.set_recompute_threads(t);
+        e.recompute_all().unwrap();
+        let sliding = ROWS - (WINDOW - 1);
+        assert_eq!(obs.batch_evals.get(), u64::from(sliding), "threads {t}");
+        let scalar = ROWS + CHAIN - 1;
+        assert_eq!(obs.scalar_evals.get(), u64::from(scalar), "threads {t}");
+        assert_eq!(e.get_cells(window), want, "threads {t}: cascade diverged");
     }
 }

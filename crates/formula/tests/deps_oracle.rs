@@ -1,15 +1,121 @@
 //! Differential oracle suite for the spatially-indexed dependency graph:
 //! [`DependencyGraph`] (grid-bucket index) must be behavior-identical to
-//! [`ScanDependencyGraph`] (the retained pre-index scan implementation) on
+//! [`ScanDependencyGraph`] (the pre-index scan implementation, kept here) on
 //! random formula sets and edit sequences — dependent lookups, recompute
 //! plans (order *and* cycle sets), across every range shape the index has
 //! to place (single cells, small rects, whole-column bands, huge blocks).
 
+use std::collections::{HashMap, HashSet, VecDeque};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dataspread_formula::{DependencyGraph, ScanDependencyGraph};
+use dataspread_formula::{DependencyGraph, RecomputePlan};
 use dataspread_grid::{CellAddr, Rect};
+
+/// The pre-index scan implementation, the reference oracle of this suite:
+/// `dependents_of` walks every registered formula and `recompute_plan`
+/// tests all affected pairs.
+#[derive(Debug, Default)]
+struct ScanDependencyGraph {
+    reads: HashMap<CellAddr, Vec<Rect>>,
+}
+
+impl ScanDependencyGraph {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    fn set_formula(&mut self, cell: CellAddr, ranges: Vec<Rect>) {
+        self.reads.insert(cell, ranges);
+    }
+
+    fn remove(&mut self, cell: CellAddr) {
+        self.reads.remove(&cell);
+    }
+
+    fn is_formula(&self, cell: CellAddr) -> bool {
+        self.reads.contains_key(&cell)
+    }
+
+    /// Formula cells that directly read `cell`, sorted (the scan visits
+    /// every formula; sorting matches `DependencyGraph::dependents_of`).
+    fn dependents_of(&self, cell: CellAddr) -> Vec<CellAddr> {
+        let mut out: Vec<CellAddr> = self
+            .reads
+            .iter()
+            .filter(|(_, ranges)| ranges.iter().any(|r| r.contains(cell)))
+            .map(|(a, _)| *a)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    fn reads_rect(&self, f: CellAddr, rect: &Rect) -> bool {
+        self.reads
+            .get(&f)
+            .is_some_and(|ranges| ranges.iter().any(|r| r.intersects(rect)))
+    }
+
+    fn recompute_plan(&self, seeds: &[CellAddr]) -> RecomputePlan {
+        let mut affected: HashSet<CellAddr> = HashSet::new();
+        let mut queue: VecDeque<CellAddr> = VecDeque::new();
+        for &seed in seeds {
+            if self.is_formula(seed) && affected.insert(seed) {
+                queue.push_back(seed);
+            }
+            for dep in self.dependents_of(seed) {
+                if affected.insert(dep) {
+                    queue.push_back(dep);
+                }
+            }
+        }
+        while let Some(cell) = queue.pop_front() {
+            for dep in self.dependents_of(cell) {
+                if affected.insert(dep) {
+                    queue.push_back(dep);
+                }
+            }
+        }
+        let nodes: Vec<CellAddr> = affected.iter().copied().collect();
+        let mut indeg: HashMap<CellAddr, usize> = nodes.iter().map(|&n| (n, 0)).collect();
+        let mut edges: HashMap<CellAddr, Vec<CellAddr>> = HashMap::new();
+        for &u in &nodes {
+            let cell_rect = Rect::cell(u);
+            if self.reads_rect(u, &cell_rect) {
+                *indeg.get_mut(&u).expect("node present") += 1;
+            }
+            for &v in &nodes {
+                if u != v && self.reads_rect(v, &cell_rect) {
+                    edges.entry(u).or_default().push(v);
+                    *indeg.get_mut(&v).expect("node present") += 1;
+                }
+            }
+        }
+        let mut ready: Vec<CellAddr> = nodes.iter().copied().filter(|n| indeg[n] == 0).collect();
+        ready.sort();
+        let mut order = Vec::with_capacity(nodes.len());
+        let mut queue: VecDeque<CellAddr> = ready.into();
+        while let Some(u) = queue.pop_front() {
+            order.push(u);
+            if let Some(vs) = edges.get(&u) {
+                let mut unlocked: Vec<CellAddr> = Vec::new();
+                for &v in vs {
+                    let d = indeg.get_mut(&v).expect("node present");
+                    *d -= 1;
+                    if *d == 0 {
+                        unlocked.push(v);
+                    }
+                }
+                unlocked.sort();
+                queue.extend(unlocked);
+            }
+        }
+        let mut cyclic: Vec<CellAddr> = nodes.into_iter().filter(|n| indeg[n] > 0).collect();
+        cyclic.sort();
+        RecomputePlan { order, cyclic }
+    }
+}
 
 /// Rows × cols of the synthetic sheet (formula addresses and probe cells
 /// are drawn from a slightly larger space to hit out-of-range probes too).
@@ -67,8 +173,7 @@ fn random_ranges(rng: &mut StdRng) -> Vec<Rect> {
 /// is one of its read dependencies (reads among the ordered set must point
 /// backwards only).
 fn assert_valid_topo(g: &ScanDependencyGraph, order: &[CellAddr]) {
-    let pos: std::collections::HashMap<CellAddr, usize> =
-        order.iter().enumerate().map(|(i, &a)| (a, i)).collect();
+    let pos: HashMap<CellAddr, usize> = order.iter().enumerate().map(|(i, &a)| (a, i)).collect();
     assert_eq!(pos.len(), order.len(), "duplicate cell in plan order");
     for (i, &u) in order.iter().enumerate() {
         // Everything reading u that is in the order must come after u.
@@ -114,9 +219,9 @@ fn compare_plans(indexed: &DependencyGraph, scan: &ScanDependencyGraph, rng: &mu
 fn assert_valid_waves(
     scan: &ScanDependencyGraph,
     waves: &dataspread_formula::WavePlan,
-    plan: &dataspread_formula::RecomputePlan,
+    plan: &RecomputePlan,
 ) {
-    let wave_of: std::collections::HashMap<CellAddr, usize> = waves
+    let wave_of: HashMap<CellAddr, usize> = waves
         .waves
         .iter()
         .enumerate()
