@@ -1,9 +1,9 @@
 //! Row expressions: the WHERE/filter language shared by the relational
 //! operators and the SQL engine.
 
-use dataspread_relstore::Datum;
+use dataspread_relstore::{Datum, DatumRef};
 
-use crate::relation::{cmp_datum, Relation};
+use crate::relation::{cmp_ref, Relation};
 use crate::RelError;
 
 /// An expression evaluated against a single row.
@@ -108,103 +108,207 @@ impl RowExpr {
         })
     }
 
-    /// Evaluate against one row of `schema`.
-    pub fn eval(&self, schema: &Relation, row: &[Datum]) -> Result<Datum, RelError> {
-        match self {
-            RowExpr::Literal(d) => Ok(d.clone()),
-            RowExpr::Param(i) => Err(RelError::ParamCount {
-                expected: i + 1,
-                got: 0,
-            }),
-            RowExpr::Column(name) => {
-                let idx = schema.resolve(name)?;
-                Ok(row[idx].clone())
+    /// Resolve every column through `col`, once, into the form rows are
+    /// evaluated in. Aggregate calls are appended to `aggs` and become
+    /// references to their slot there; `?` parameters must be bound first.
+    pub(crate) fn resolve(
+        &self,
+        col: &mut dyn FnMut(&str) -> Result<usize, RelError>,
+        aggs: &mut Vec<(AggFunc, Option<Expr>)>,
+    ) -> Result<Expr, RelError> {
+        let mut pair = |a: &RowExpr, b: &RowExpr| -> Result<_, RelError> {
+            Ok((
+                Box::new(a.resolve(col, aggs)?),
+                Box::new(b.resolve(col, aggs)?),
+            ))
+        };
+        Ok(match self {
+            RowExpr::Literal(d) => Expr::Lit(d.clone()),
+            RowExpr::Param(i) => {
+                return Err(RelError::ParamCount {
+                    expected: i + 1,
+                    got: 0,
+                })
             }
+            RowExpr::Column(name) => Expr::Col(col(name)?),
             RowExpr::Cmp(op, a, b) => {
-                let x = a.eval(schema, row)?;
-                let y = b.eval(schema, row)?;
-                // SQL semantics: comparisons with NULL are NULL (here:
-                // false for filtering purposes, expressed as Null).
-                if x.is_null() || y.is_null() {
-                    return Ok(Datum::Null);
-                }
-                let ord = cmp_datum(&x, &y);
-                use std::cmp::Ordering;
-                let res = match op {
-                    CmpOp::Eq => ord == Ordering::Equal,
-                    CmpOp::Ne => ord != Ordering::Equal,
-                    CmpOp::Lt => ord == Ordering::Less,
-                    CmpOp::Le => ord != Ordering::Greater,
-                    CmpOp::Gt => ord == Ordering::Greater,
-                    CmpOp::Ge => ord != Ordering::Less,
-                };
-                Ok(Datum::Bool(res))
+                let (a, b) = pair(a, b)?;
+                Expr::Cmp(*op, a, b)
             }
             RowExpr::Arith(op, a, b) => {
-                let x = a.eval(schema, row)?;
-                let y = b.eval(schema, row)?;
-                if x.is_null() || y.is_null() {
-                    return Ok(Datum::Null);
-                }
-                arith(*op, &x, &y)
+                let (a, b) = pair(a, b)?;
+                Expr::Arith(*op, a, b)
             }
             RowExpr::And(a, b) => {
-                let x = truthy(&a.eval(schema, row)?);
-                let y = truthy(&b.eval(schema, row)?);
-                Ok(Datum::Bool(x && y))
+                let (a, b) = pair(a, b)?;
+                Expr::And(a, b)
             }
             RowExpr::Or(a, b) => {
-                let x = truthy(&a.eval(schema, row)?);
-                let y = truthy(&b.eval(schema, row)?);
-                Ok(Datum::Bool(x || y))
+                let (a, b) = pair(a, b)?;
+                Expr::Or(a, b)
             }
-            RowExpr::Not(e) => Ok(Datum::Bool(!truthy(&e.eval(schema, row)?))),
-            RowExpr::IsNull(e, want_null) => {
-                let v = e.eval(schema, row)?;
-                Ok(Datum::Bool(v.is_null() == *want_null))
+            RowExpr::Not(e) => Expr::Not(Box::new(e.resolve(col, aggs)?)),
+            RowExpr::IsNull(e, n) => Expr::IsNull(Box::new(e.resolve(col, aggs)?), *n),
+            RowExpr::Aggregate(f, arg) => {
+                let arg = match arg {
+                    Some(e) => Some(e.resolve(col, aggs)?),
+                    None => None,
+                };
+                aggs.push((*f, arg));
+                Expr::Agg(aggs.len() - 1)
             }
-            RowExpr::Aggregate(..) => Err(RelError::Unsupported(
-                "aggregate outside SELECT items".into(),
-            )),
+        })
+    }
+
+    /// [`RowExpr::resolve`] against the columns of `schema`, for a
+    /// predicate evaluated row by row.
+    pub(crate) fn resolve_in(&self, schema: &Relation) -> Result<Expr, RelError> {
+        self.resolve(&mut |name| schema.resolve(name), &mut Vec::new())
+    }
+}
+
+/// A [`RowExpr`] with its columns resolved to positions in the row it is
+/// evaluated on, so evaluation never looks up a name.
+#[derive(Debug)]
+pub(crate) enum Expr {
+    Lit(Datum),
+    Col(usize),
+    Cmp(CmpOp, Box<Expr>, Box<Expr>),
+    Arith(ArithOp, Box<Expr>, Box<Expr>),
+    And(Box<Expr>, Box<Expr>),
+    Or(Box<Expr>, Box<Expr>),
+    Not(Box<Expr>),
+    IsNull(Box<Expr>, bool),
+    /// An aggregate's value, by slot. Only a group has one: evaluated
+    /// against a row it is an error.
+    Agg(usize),
+}
+
+impl Expr {
+    /// Evaluate against one row; texts are borrowed, not copied.
+    // Leaves are read inline: most operands are a column or a literal, and
+    // a call per operand was most of a `col > ?` filter's cost.
+    #[inline]
+    pub(crate) fn eval<'a>(&'a self, row: &[DatumRef<'a>]) -> Result<DatumRef<'a>, RelError> {
+        match self {
+            Expr::Lit(d) => Ok(d.as_ref()),
+            Expr::Col(i) => Ok(row[*i]),
+            _ => self.eval_node(row),
         }
     }
 
-    /// Evaluate as a filter predicate (NULL ⇒ false).
-    pub fn matches(&self, schema: &Relation, row: &[Datum]) -> Result<bool, RelError> {
-        Ok(truthy(&self.eval(schema, row)?))
-    }
-}
-
-fn truthy(d: &Datum) -> bool {
-    match d {
-        Datum::Bool(b) => *b,
-        Datum::Int(i) => *i != 0,
-        Datum::Float(f) => *f != 0.0,
-        Datum::Null => false,
-        Datum::Text(s) => !s.is_empty(),
-    }
-}
-
-fn arith(op: ArithOp, x: &Datum, y: &Datum) -> Result<Datum, RelError> {
-    // Integer arithmetic stays integral except for division.
-    if let (Datum::Int(a), Datum::Int(b)) = (x, y) {
-        return Ok(match op {
-            ArithOp::Add => Datum::Int(a + b),
-            ArithOp::Sub => Datum::Int(a - b),
-            ArithOp::Mul => Datum::Int(a * b),
-            ArithOp::Div => {
-                if *b == 0 {
-                    return Err(RelError::Type("division by zero".into()));
-                }
-                if a % b == 0 {
-                    Datum::Int(a / b)
-                } else {
-                    Datum::Float(*a as f64 / *b as f64)
-                }
+    fn eval_node<'a>(&'a self, row: &[DatumRef<'a>]) -> Result<DatumRef<'a>, RelError> {
+        Ok(match self {
+            Expr::Lit(d) => d.as_ref(),
+            Expr::Col(i) => row[*i],
+            Expr::Cmp(op, a, b) => compare(*op, a.eval(row)?, b.eval(row)?),
+            Expr::Arith(op, a, b) => arith(*op, a.eval(row)?, b.eval(row)?)?,
+            Expr::And(a, b) => {
+                let x = truthy(a.eval(row)?);
+                let y = truthy(b.eval(row)?);
+                DatumRef::Bool(x && y)
             }
-        });
+            Expr::Or(a, b) => {
+                let x = truthy(a.eval(row)?);
+                let y = truthy(b.eval(row)?);
+                DatumRef::Bool(x || y)
+            }
+            Expr::Not(e) => DatumRef::Bool(!truthy(e.eval(row)?)),
+            Expr::IsNull(e, want_null) => {
+                DatumRef::Bool(matches!(e.eval(row)?, DatumRef::Null) == *want_null)
+            }
+            Expr::Agg(_) => {
+                return Err(RelError::Unsupported(
+                    "aggregate outside SELECT items".into(),
+                ))
+            }
+        })
     }
-    let (Some(a), Some(b)) = (x.as_f64(), y.as_f64()) else {
+
+    /// Evaluate as a filter predicate (NULL ⇒ false).
+    pub(crate) fn matches(&self, row: &[DatumRef<'_>]) -> Result<bool, RelError> {
+        Ok(truthy(self.eval(row)?))
+    }
+
+    /// Every column position, for remapping.
+    pub(crate) fn columns_mut(&mut self, f: &mut dyn FnMut(&mut usize)) {
+        match self {
+            Expr::Col(i) => f(i),
+            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                a.columns_mut(f);
+                b.columns_mut(f);
+            }
+            Expr::Not(e) | Expr::IsNull(e, _) => e.columns_mut(f),
+            Expr::Lit(_) | Expr::Agg(_) => {}
+        }
+    }
+}
+
+/// SQL comparison: NULL against anything is NULL (false for filtering).
+pub(crate) fn compare(op: CmpOp, x: DatumRef<'_>, y: DatumRef<'_>) -> DatumRef<'static> {
+    if matches!(x, DatumRef::Null) || matches!(y, DatumRef::Null) {
+        return DatumRef::Null;
+    }
+    let ord = cmp_ref(x, y);
+    use std::cmp::Ordering;
+    DatumRef::Bool(match op {
+        CmpOp::Eq => ord == Ordering::Equal,
+        CmpOp::Ne => ord != Ordering::Equal,
+        CmpOp::Lt => ord == Ordering::Less,
+        CmpOp::Le => ord != Ordering::Greater,
+        CmpOp::Gt => ord == Ordering::Greater,
+        CmpOp::Ge => ord != Ordering::Less,
+    })
+}
+
+fn truthy(d: DatumRef<'_>) -> bool {
+    match d {
+        DatumRef::Bool(b) => b,
+        DatumRef::Int(i) => i != 0,
+        DatumRef::Float(f) => f != 0.0,
+        DatumRef::Null => false,
+        DatumRef::Text(s) => !s.is_empty(),
+    }
+}
+
+fn as_f64(d: DatumRef<'_>) -> Option<f64> {
+    match d {
+        DatumRef::Int(i) => Some(i as f64),
+        DatumRef::Float(f) => Some(f),
+        _ => None,
+    }
+}
+
+/// Arithmetic; NULL in, NULL out. Integers stay integral unless the
+/// result does not fit, or a division is inexact: then, as in SQLite, the
+/// result is the float one.
+pub(crate) fn arith(
+    op: ArithOp,
+    x: DatumRef<'_>,
+    y: DatumRef<'_>,
+) -> Result<DatumRef<'static>, RelError> {
+    if matches!(x, DatumRef::Null) || matches!(y, DatumRef::Null) {
+        return Ok(DatumRef::Null);
+    }
+    if let (DatumRef::Int(a), DatumRef::Int(b)) = (x, y) {
+        if op == ArithOp::Div && b == 0 {
+            return Err(RelError::Type("division by zero".into()));
+        }
+        let exact = match op {
+            ArithOp::Add => a.checked_add(b),
+            ArithOp::Sub => a.checked_sub(b),
+            ArithOp::Mul => a.checked_mul(b),
+            // `checked_rem` fails only where the quotient overflows.
+            ArithOp::Div => match a.checked_rem(b) {
+                Some(0) => Some(a / b),
+                _ => None,
+            },
+        };
+        if let Some(n) = exact {
+            return Ok(DatumRef::Int(n));
+        }
+    }
+    let (Some(a), Some(b)) = (as_f64(x), as_f64(y)) else {
         return Err(RelError::Type(format!("non-numeric operands {x:?}, {y:?}")));
     };
     let n = match op {
@@ -218,7 +322,7 @@ fn arith(op: ArithOp, x: &Datum, y: &Datum) -> Result<Datum, RelError> {
             a / b
         }
     };
-    Ok(Datum::Float(n))
+    Ok(DatumRef::Float(n))
 }
 
 #[cfg(test)]
@@ -229,13 +333,21 @@ mod tests {
         Relation::empty(vec!["a".into(), "b".into()])
     }
 
+    fn refs(row: &[Datum]) -> Vec<DatumRef<'_>> {
+        row.iter().map(Datum::as_ref).collect()
+    }
+
+    fn eval(e: &RowExpr, s: &Relation, row: &[Datum]) -> Result<Datum, RelError> {
+        Ok(e.resolve_in(s)?.eval(&refs(row))?.to_datum())
+    }
+
     #[test]
     fn column_and_literal() {
         let s = schema();
         let row = vec![Datum::Int(5), Datum::Text("x".into())];
-        assert_eq!(RowExpr::col("a").eval(&s, &row).unwrap(), Datum::Int(5));
-        assert_eq!(RowExpr::lit(7i64).eval(&s, &row).unwrap(), Datum::Int(7));
-        assert!(RowExpr::col("zz").eval(&s, &row).is_err());
+        assert_eq!(eval(&RowExpr::col("a"), &s, &row).unwrap(), Datum::Int(5));
+        assert_eq!(eval(&RowExpr::lit(7i64), &s, &row).unwrap(), Datum::Int(7));
+        assert!(eval(&RowExpr::col("zz"), &s, &row).is_err());
     }
 
     #[test]
@@ -243,12 +355,15 @@ mod tests {
         let s = schema();
         let row = vec![Datum::Int(5), Datum::Null];
         let e = RowExpr::col("a").eq(RowExpr::lit(5i64));
-        assert_eq!(e.eval(&s, &row).unwrap(), Datum::Bool(true));
+        assert_eq!(eval(&e, &s, &row).unwrap(), Datum::Bool(true));
         let n = RowExpr::col("b").eq(RowExpr::lit(5i64));
-        assert_eq!(n.eval(&s, &row).unwrap(), Datum::Null);
-        assert!(!n.matches(&s, &row).unwrap(), "NULL comparison filters out");
+        assert_eq!(eval(&n, &s, &row).unwrap(), Datum::Null);
+        assert!(
+            !n.resolve_in(&s).unwrap().matches(&refs(&row)).unwrap(),
+            "NULL comparison filters out"
+        );
         let isn = RowExpr::IsNull(Box::new(RowExpr::col("b")), true);
-        assert_eq!(isn.eval(&s, &row).unwrap(), Datum::Bool(true));
+        assert_eq!(eval(&isn, &s, &row).unwrap(), Datum::Bool(true));
     }
 
     #[test]
@@ -260,19 +375,19 @@ mod tests {
             Box::new(RowExpr::col("a")),
             Box::new(RowExpr::lit(3i64)),
         );
-        assert_eq!(e.eval(&s, &row).unwrap(), Datum::Int(10));
+        assert_eq!(eval(&e, &s, &row).unwrap(), Datum::Int(10));
         let d = RowExpr::Arith(
             ArithOp::Div,
             Box::new(RowExpr::col("a")),
             Box::new(RowExpr::col("b")),
         );
-        assert_eq!(d.eval(&s, &row).unwrap(), Datum::Float(3.5));
+        assert_eq!(eval(&d, &s, &row).unwrap(), Datum::Float(3.5));
         let z = RowExpr::Arith(
             ArithOp::Div,
             Box::new(RowExpr::col("a")),
             Box::new(RowExpr::lit(0i64)),
         );
-        assert!(z.eval(&s, &row).is_err());
+        assert!(eval(&z, &s, &row).is_err());
     }
 
     #[test]

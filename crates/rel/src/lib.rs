@@ -8,7 +8,10 @@
 //! the grid. A `sql(query, params…)` function evaluates a SQL `SELECT`
 //! against the backing database; this crate implements that SELECT subset
 //! from scratch (joins, WHERE, GROUP BY aggregates, ORDER BY, LIMIT,
-//! `?` prepared-statement parameters).
+//! `?` prepared-statement parameters). A statement is planned once —
+//! parameters bound, columns resolved — and then streamed in one pass over
+//! a [`TableProvider`], which scans a table as borrowed, projected rows
+//! (see [`sql`]).
 
 pub mod expr;
 pub mod ops;

@@ -126,7 +126,6 @@ pub fn crossproduct(a: &Relation, b: &Relation) -> Relation {
 /// Joins on equality of two columns use a hash path.
 pub fn join(a: &Relation, b: &Relation, on: Option<&RowExpr>) -> Result<Relation, RelError> {
     let columns = joined_columns(a, b, "left", "right");
-    let out_schema = Relation::empty(columns.clone());
     // Fast path: equi-join on col = col.
     if let Some(RowExpr::Cmp(crate::expr::CmpOp::Eq, l, r)) = on {
         if let (RowExpr::Column(lc), RowExpr::Column(rc)) = (l.as_ref(), r.as_ref()) {
@@ -162,18 +161,22 @@ pub fn join(a: &Relation, b: &Relation, on: Option<&RowExpr>) -> Result<Relation
             }
         }
     }
-    // General nested-loop theta join.
+    // General nested-loop theta join: a pair is copied out only once its
+    // predicate holds.
+    let out_schema = Relation::empty(columns.clone());
+    let pred = on.map(|p| p.resolve_in(&out_schema)).transpose()?;
     let mut rows = Vec::new();
+    let mut pair = Vec::with_capacity(columns.len());
     for ra in &a.rows {
         for rb in &b.rows {
-            let mut row = ra.clone();
-            row.extend(rb.iter().cloned());
-            let keep = match on {
-                Some(pred) => pred.matches(&out_schema, &row)?,
+            pair.clear();
+            pair.extend(ra.iter().chain(rb).map(Datum::as_ref));
+            let keep = match &pred {
+                Some(pred) => pred.matches(&pair)?,
                 None => true,
             };
             if keep {
-                rows.push(row);
+                rows.push(ra.iter().chain(rb).cloned().collect());
             }
         }
     }
@@ -182,9 +185,13 @@ pub fn join(a: &Relation, b: &Relation, on: Option<&RowExpr>) -> Result<Relation
 
 /// Filter (the paper's `select`/`filter` spreadsheet function).
 pub fn filter(a: &Relation, pred: &RowExpr) -> Result<Relation, RelError> {
+    let pred = pred.resolve_in(a)?;
     let mut rows = Vec::new();
+    let mut refs = Vec::with_capacity(a.arity());
     for row in &a.rows {
-        if pred.matches(a, row)? {
+        refs.clear();
+        refs.extend(row.iter().map(Datum::as_ref));
+        if pred.matches(&refs)? {
             rows.push(row.clone());
         }
     }

@@ -1,6 +1,8 @@
 //! Composite table values.
 
-use dataspread_relstore::{Datum, Table};
+use std::cmp::Ordering;
+
+use dataspread_relstore::{Datum, DatumRef};
 
 use crate::RelError;
 
@@ -26,19 +28,6 @@ impl Relation {
         }
     }
 
-    /// Materialize a stored table.
-    pub fn from_table(table: &Table) -> Self {
-        Relation {
-            columns: table
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| c.name.clone())
-                .collect(),
-            rows: table.scan().map(|(_, row)| row).collect(),
-        }
-    }
-
     pub fn arity(&self) -> usize {
         self.columns.len()
     }
@@ -56,28 +45,7 @@ impl Relation {
     /// Accepts an exact match of the stored name, or — when the stored
     /// names are qualified like `t.col` — a unique unqualified suffix.
     pub fn resolve(&self, name: &str) -> Result<usize, RelError> {
-        if let Some(i) = self
-            .columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(name))
-        {
-            return Ok(i);
-        }
-        let suffix_matches: Vec<usize> = self
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.rsplit_once('.')
-                    .is_some_and(|(_, tail)| tail.eq_ignore_ascii_case(name))
-            })
-            .map(|(i, _)| i)
-            .collect();
-        match suffix_matches.as_slice() {
-            [i] => Ok(*i),
-            [] => Err(RelError::BadColumn(name.to_string())),
-            _ => Err(RelError::BadColumn(format!("{name} is ambiguous"))),
-        }
+        resolve_column(&self.columns, name)
     }
 
     /// The `index(table, i, j)` accessor (1-based, like the paper's
@@ -126,30 +94,71 @@ impl Relation {
     }
 }
 
+/// [`Relation::resolve`] over a bare list of column names.
+pub(crate) fn resolve_column(columns: &[String], name: &str) -> Result<usize, RelError> {
+    if let Some(i) = columns.iter().position(|c| c.eq_ignore_ascii_case(name)) {
+        return Ok(i);
+    }
+    let mut suffix_matches = columns.iter().enumerate().filter(|(_, c)| {
+        c.rsplit_once('.')
+            .is_some_and(|(_, tail)| tail.eq_ignore_ascii_case(name))
+    });
+    match (suffix_matches.next(), suffix_matches.next()) {
+        (Some((i, _)), None) => Ok(i),
+        (None, _) => Err(RelError::BadColumn(name.to_string())),
+        (Some(_), Some(_)) => Err(RelError::BadColumn(format!("{name} is ambiguous"))),
+    }
+}
+
 /// Total ordering over datums for `=`, ORDER BY, grouping, joins and set
-/// operations: NULL < numbers < text < bool. Numbers compare by value with
-/// `-0.0` equal to `0.0`, NaN placed by [`f64::total_cmp`].
-pub fn cmp_datum(a: &Datum, b: &Datum) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    fn kind(d: &Datum) -> u8 {
+/// operations: NULL < numbers < text < bool. Numbers compare by exact
+/// value, integers against floats too, with `-0.0` equal to `0.0` and NaN
+/// placed by [`f64::total_cmp`].
+pub fn cmp_datum(a: &Datum, b: &Datum) -> Ordering {
+    cmp_ref(a.as_ref(), b.as_ref())
+}
+
+/// [`cmp_datum`] over borrowed datums.
+pub(crate) fn cmp_ref(a: DatumRef<'_>, b: DatumRef<'_>) -> Ordering {
+    fn kind(d: DatumRef<'_>) -> u8 {
         match d {
-            Datum::Null => 0,
-            Datum::Int(_) | Datum::Float(_) => 1,
-            Datum::Text(_) => 2,
-            Datum::Bool(_) => 3,
+            DatumRef::Null => 0,
+            DatumRef::Int(_) | DatumRef::Float(_) => 1,
+            DatumRef::Text(_) => 2,
+            DatumRef::Bool(_) => 3,
         }
     }
     match (a, b) {
-        (Datum::Null, Datum::Null) => Ordering::Equal,
-        (Datum::Text(x), Datum::Text(y)) => x.cmp(y),
-        (Datum::Bool(x), Datum::Bool(y)) => x.cmp(y),
-        _ if kind(a) == 1 && kind(b) == 1 => {
-            // `+ 0.0` folds -0.0 into 0.0 and leaves every other value as is.
-            let x = a.as_f64().expect("numeric") + 0.0;
-            let y = b.as_f64().expect("numeric") + 0.0;
-            x.total_cmp(&y)
-        }
+        (DatumRef::Null, DatumRef::Null) => Ordering::Equal,
+        (DatumRef::Text(x), DatumRef::Text(y)) => x.cmp(y),
+        (DatumRef::Bool(x), DatumRef::Bool(y)) => x.cmp(&y),
+        (DatumRef::Int(x), DatumRef::Int(y)) => x.cmp(&y),
+        (DatumRef::Int(x), DatumRef::Float(y)) => cmp_int_float(x, y),
+        (DatumRef::Float(x), DatumRef::Int(y)) => cmp_int_float(y, x).reverse(),
+        // `+ 0.0` folds -0.0 into 0.0 and leaves every other value as is.
+        (DatumRef::Float(x), DatumRef::Float(y)) => (x + 0.0).total_cmp(&(y + 0.0)),
         _ => kind(a).cmp(&kind(b)),
+    }
+}
+
+/// `i` against `f` by exact value. Through `f64` alone, integers past
+/// 2^53 round, so distinct ones would compare equal.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        // Where `total_cmp` puts NaN: a negative one below every number.
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    // Rounding is monotone, so a strict order of `i as f64` against `f`
+    // is the order of `i` against `f`. On a tie `f` is integral and
+    // within [-2^63, 2^63]; only 2^63 itself is out of `i64`'s range.
+    match (i as f64).partial_cmp(&f).expect("neither is NaN") {
+        Ordering::Equal if f >= 9_223_372_036_854_775_808.0 => Ordering::Less,
+        Ordering::Equal => i.cmp(&(f as i64)),
+        ord => ord,
     }
 }
 

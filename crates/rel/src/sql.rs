@@ -4,33 +4,114 @@
 //! Supported subset: `SELECT [DISTINCT] items FROM t [alias] (JOIN t2 ON
 //! expr)* [WHERE expr] [GROUP BY exprs] [HAVING expr] [ORDER BY keys
 //! [ASC|DESC]] [LIMIT n]` with aggregates COUNT/SUM/AVG/MIN/MAX and `?`
-//! prepared-statement parameters. Equi-joins take a hash path; everything
-//! else is a scan — honest for a storage-engine testbed.
+//! prepared-statement parameters.
+//!
+//! A statement is planned once, then run as one pass over its rows:
+//!
+//! - **Plan.** Parameters are bound and every column reference is resolved
+//!   against the FROM/JOIN schema, so evaluating a row never looks up a
+//!   name, and an unknown or ambiguous column fails before any row is read.
+//!   The plan also records which columns the statement reads.
+//! - **Scan.** A [`TableProvider`] hands each row over as borrowed datums,
+//!   projected onto those columns. Joins materialize the projected tables
+//!   through [`ops::join`] (equi-joins take a hash path) and are then read
+//!   the same way.
+//! - **Pipeline.** WHERE runs on the borrowed row. A plain query copies out
+//!   only the projected rows that pass, carrying any ORDER BY key on a
+//!   column it does not output. A grouped query folds each row into its
+//!   group's accumulators, which SELECT items and HAVING then read.
+//!   DISTINCT, ORDER BY and LIMIT finish the answer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
-use dataspread_relstore::{Database, Datum};
+use dataspread_relstore::datum::decode_row_project_ref;
+use dataspread_relstore::{Database, Datum, DatumRef};
 
-use crate::expr::{AggFunc, ArithOp, CmpOp, RowExpr};
+use crate::expr::{arith, compare, AggFunc, ArithOp, CmpOp, Expr, RowExpr};
 use crate::ops::{self, row_key, OrdDatum};
-use crate::relation::{cmp_datum, Relation};
+use crate::relation::{cmp_datum, cmp_ref, resolve_column, Relation};
 use crate::RelError;
 
-/// Source of named relations for `FROM` clauses.
+/// Source of named tables for `FROM` and `JOIN` clauses: each one's
+/// columns, and a scan over its rows as borrowed datums.
 pub trait TableProvider {
-    fn relation(&self, name: &str) -> Option<Relation>;
+    /// The column names of table `name`, or `None` when there is none.
+    fn columns(&self, name: &str) -> Option<Vec<String>>;
+
+    /// Visit every row of table `name` in order, projected onto `cols`
+    /// (ascending column positions); a column past the end of a short row
+    /// reads as NULL. Stops at, and returns, the first error of `visit`.
+    fn scan(
+        &self,
+        name: &str,
+        cols: &[usize],
+        visit: &mut dyn FnMut(&[DatumRef<'_>]) -> Result<(), RelError>,
+    ) -> Result<(), RelError>;
 }
 
 impl TableProvider for Database {
-    fn relation(&self, name: &str) -> Option<Relation> {
-        self.table(name).ok().map(Relation::from_table)
+    fn columns(&self, name: &str) -> Option<Vec<String>> {
+        let table = self.table(name).ok()?;
+        Some(
+            table
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| c.name.clone())
+                .collect(),
+        )
+    }
+
+    fn scan(
+        &self,
+        name: &str,
+        cols: &[usize],
+        visit: &mut dyn FnMut(&[DatumRef<'_>]) -> Result<(), RelError>,
+    ) -> Result<(), RelError> {
+        let table = self
+            .table(name)
+            .map_err(|_| RelError::NoSuchTable(name.to_string()))?;
+        let mut row = Vec::with_capacity(cols.len());
+        for tuple in table.tuples() {
+            decode_row_project_ref(tuple, cols, &mut row).expect("stored rows decode");
+            visit(&row)?;
+        }
+        Ok(())
     }
 }
 
-impl TableProvider for std::collections::HashMap<String, Relation> {
-    fn relation(&self, name: &str) -> Option<Relation> {
-        self.get(name).cloned()
+impl TableProvider for HashMap<String, Relation> {
+    fn columns(&self, name: &str) -> Option<Vec<String>> {
+        self.get(name).map(|rel| rel.columns.clone())
     }
+
+    fn scan(
+        &self,
+        name: &str,
+        cols: &[usize],
+        visit: &mut dyn FnMut(&[DatumRef<'_>]) -> Result<(), RelError>,
+    ) -> Result<(), RelError> {
+        let rel = self
+            .get(name)
+            .ok_or_else(|| RelError::NoSuchTable(name.to_string()))?;
+        scan_rows(&rel.rows, cols, visit)
+    }
+}
+
+/// Visit `rows` projected onto `cols`, borrowing every datum.
+fn scan_rows(
+    rows: &[Vec<Datum>],
+    cols: &[usize],
+    visit: &mut dyn FnMut(&[DatumRef<'_>]) -> Result<(), RelError>,
+) -> Result<(), RelError> {
+    let mut refs = Vec::with_capacity(cols.len());
+    for row in rows {
+        refs.clear();
+        refs.extend(cols.iter().map(|&c| row[c].as_ref()));
+        visit(&refs)?;
+    }
+    Ok(())
 }
 
 /// Execute a SELECT statement with `?` parameters.
@@ -585,94 +666,18 @@ impl Parser {
 
 // --------------------------------------------------------------- executor --
 
-/// Qualify a relation's columns with an alias (`alias.col`).
-fn qualify(mut rel: Relation, alias: &str) -> Relation {
-    for c in &mut rel.columns {
-        if !c.contains('.') {
-            *c = format!("{alias}.{c}");
-        }
-    }
-    rel
-}
-
-/// Evaluate a select item over a group of rows (aggregate context).
-fn eval_grouped(
-    expr: &RowExpr,
-    schema: &Relation,
-    group: &[&Vec<Datum>],
-) -> Result<Datum, RelError> {
-    match expr {
-        RowExpr::Aggregate(f, arg) => {
-            let values: Vec<Datum> = match arg {
-                None => return Ok(Datum::Int(group.len() as i64)), // COUNT(*)
-                Some(e) => group
-                    .iter()
-                    .map(|row| e.eval(schema, row))
-                    .collect::<Result<_, _>>()?,
-            };
-            let non_null: Vec<&Datum> = values.iter().filter(|d| !d.is_null()).collect();
-            Ok(match f {
-                AggFunc::Count => Datum::Int(non_null.len() as i64),
-                AggFunc::Sum => {
-                    if non_null.is_empty() {
-                        Datum::Null
-                    } else if non_null.iter().all(|d| matches!(d, Datum::Int(_))) {
-                        Datum::Int(non_null.iter().filter_map(|d| d.as_i64()).sum())
-                    } else {
-                        Datum::Float(non_null.iter().filter_map(|d| d.as_f64()).sum())
-                    }
-                }
-                AggFunc::Avg => {
-                    if non_null.is_empty() {
-                        Datum::Null
-                    } else {
-                        let sum: f64 = non_null.iter().filter_map(|d| d.as_f64()).sum();
-                        Datum::Float(sum / non_null.len() as f64)
-                    }
-                }
-                AggFunc::Min => non_null
-                    .iter()
-                    .min_by(|a, b| cmp_datum(a, b))
-                    .map(|d| (*d).clone())
-                    .unwrap_or(Datum::Null),
-                AggFunc::Max => non_null
-                    .iter()
-                    .max_by(|a, b| cmp_datum(a, b))
-                    .map(|d| (*d).clone())
-                    .unwrap_or(Datum::Null),
-            })
-        }
-        RowExpr::Cmp(op, a, b) => {
-            let bound = RowExpr::Cmp(
-                *op,
-                Box::new(RowExpr::Literal(eval_grouped(a, schema, group)?)),
-                Box::new(RowExpr::Literal(eval_grouped(b, schema, group)?)),
-            );
-            bound.eval(schema, group.first().map(|r| r.as_slice()).unwrap_or(&[]))
-        }
-        RowExpr::Arith(op, a, b) => {
-            let bound = RowExpr::Arith(
-                *op,
-                Box::new(RowExpr::Literal(eval_grouped(a, schema, group)?)),
-                Box::new(RowExpr::Literal(eval_grouped(b, schema, group)?)),
-            );
-            bound.eval(schema, group.first().map(|r| r.as_slice()).unwrap_or(&[]))
-        }
-        RowExpr::And(a, b) | RowExpr::Or(a, b) => {
-            let is_and = matches!(expr, RowExpr::And(..));
-            let x = eval_grouped(a, schema, group)?;
-            let y = eval_grouped(b, schema, group)?;
-            let xb = matches!(x, Datum::Bool(true));
-            let yb = matches!(y, Datum::Bool(true));
-            Ok(Datum::Bool(if is_and { xb && yb } else { xb || yb }))
-        }
-        // Plain columns in an aggregate context take the group's first row
-        // (the relaxed SQLite-style semantics).
-        other => match group.first() {
-            Some(row) => other.eval(schema, row),
-            None => Ok(Datum::Null),
-        },
-    }
+/// Qualify column names with an alias (`alias.col`).
+fn qualify(columns: Vec<String>, alias: &str) -> Vec<String> {
+    columns
+        .into_iter()
+        .map(|c| {
+            if c.contains('.') {
+                c
+            } else {
+                format!("{alias}.{c}")
+            }
+        })
+        .collect()
 }
 
 /// Output name for an unaliased select item.
@@ -699,177 +704,505 @@ fn derived_name(expr: &RowExpr, idx: usize) -> String {
     }
 }
 
+/// One table of the FROM/JOIN list.
+struct Source<'q> {
+    table: &'q str,
+    /// Its columns' positions in the joined schema.
+    columns: Range<usize>,
+    /// The bound ON clause that joins it to the tables before it.
+    on: Option<RowExpr>,
+}
+
+/// What a plain query or a grouped one makes of the rows that pass WHERE.
+enum Body {
+    /// One output row per source row. Past the output columns come ORDER
+    /// BY keys on source columns the output drops.
+    Rows(Vec<Expr>),
+    /// One output row per group of rows with `=` keys.
+    Groups {
+        keys: Vec<Expr>,
+        aggs: Vec<(AggFunc, Option<Expr>)>,
+        items: Vec<Expr>,
+        having: Option<Expr>,
+    },
+}
+
+/// A statement with its parameters bound and its columns resolved. Every
+/// [`Expr`] indexes the rows the scan yields: the source rows projected
+/// onto `cols`.
+struct Plan<'q> {
+    sources: Vec<Source<'q>>,
+    /// The FROM/JOIN schema: every table's columns, qualified by its alias.
+    schema: Vec<String>,
+    /// The columns the statement reads, ascending positions in the joined
+    /// schema.
+    cols: Vec<usize>,
+    filter: Option<Expr>,
+    body: Body,
+    names: Vec<String>,
+    distinct: bool,
+    /// Sort keys: a position in the body's rows, and whether descending.
+    order: Vec<(usize, bool)>,
+    limit: Option<usize>,
+}
+
 impl SelectStmt {
     fn execute(
         &self,
         provider: &dyn TableProvider,
         params: &[Datum],
     ) -> Result<Relation, RelError> {
-        // Check parameter count across the whole statement.
-        // (Binding errors below also catch missing params.)
-        // FROM + JOINs.
-        let (name, alias) = &self.from;
-        let base = provider
-            .relation(name)
-            .ok_or_else(|| RelError::NoSuchTable(name.clone()))?;
-        let mut current = qualify(base, alias.as_deref().unwrap_or(name));
-        for j in &self.joins {
-            let right = provider
-                .relation(&j.table)
-                .ok_or_else(|| RelError::NoSuchTable(j.table.clone()))?;
-            let right = qualify(right, j.alias.as_deref().unwrap_or(&j.table));
-            let on = match &j.on {
-                Some(e) => Some(e.bind(params)?),
-                None => None,
-            };
-            // Both sides are alias-qualified, so no column is renamed.
-            current = ops::join(&current, &right, on.as_ref())?;
+        self.plan(provider, params)?.run(provider)
+    }
+
+    fn plan<'q>(
+        &'q self,
+        provider: &dyn TableProvider,
+        params: &[Datum],
+    ) -> Result<Plan<'q>, RelError> {
+        // The FROM/JOIN schema. ON clauses are bound in join order, as the
+        // tables are looked up.
+        let mut sources: Vec<Source<'q>> = Vec::new();
+        let mut schema: Vec<String> = Vec::new();
+        let from = std::iter::once((&self.from.0, &self.from.1, None));
+        let joins = self
+            .joins
+            .iter()
+            .map(|j| (&j.table, &j.alias, j.on.as_ref()));
+        for (table, alias, on) in from.chain(joins) {
+            let columns = provider
+                .columns(table)
+                .ok_or_else(|| RelError::NoSuchTable(table.clone()))?;
+            let start = schema.len();
+            schema.extend(qualify(columns, alias.as_deref().unwrap_or(table)));
+            let on = on.map(|e| e.bind(params)).transpose()?;
+            sources.push(Source {
+                table,
+                columns: start..schema.len(),
+                on,
+            });
         }
-        // WHERE.
-        if let Some(pred) = &self.filter {
-            let pred = pred.bind(params)?;
-            let mut rows = Vec::new();
-            for row in &current.rows {
-                if pred.matches(&current, row)? {
-                    rows.push(row.clone());
-                }
+        let mut used = vec![false; schema.len()];
+        // `ops::join` resolves each ON clause itself, against its two
+        // sides: keep every column one of its names could resolve to.
+        for src in &sources[1..] {
+            let prefix = &schema[..src.columns.end];
+            if let Some(on) = &src.on {
+                let mut mark = |name: &str| -> Result<usize, RelError> {
+                    for (c, used) in prefix.iter().zip(used.iter_mut()) {
+                        let tail = c.rsplit_once('.').map_or(c.as_str(), |(_, t)| t);
+                        *used |= c.eq_ignore_ascii_case(name) || tail.eq_ignore_ascii_case(name);
+                    }
+                    Ok(0)
+                };
+                on.resolve(&mut mark, &mut Vec::new())?;
             }
-            current.rows = rows;
         }
-        // Expand stars and bind item params.
-        let mut items: Vec<(RowExpr, String)> = Vec::new();
+        let mut col = |name: &str| {
+            let i = resolve_column(&schema, name)?;
+            used[i] = true;
+            Ok(i)
+        };
+        let mut filter = match &self.filter {
+            Some(e) => Some(e.bind(params)?.resolve(&mut col, &mut Vec::new())?),
+            None => None,
+        };
+        let mut names = Vec::new();
+        let mut items = Vec::new();
+        let mut aggs = Vec::new();
+        let mut grouped = !self.group_by.is_empty();
         for (i, item) in self.items.iter().enumerate() {
             if item.star {
-                for c in &current.columns {
-                    items.push((
-                        RowExpr::Column(c.clone()),
-                        derived_name(&RowExpr::Column(c.clone()), 0),
-                    ));
+                for c in &schema {
+                    let e = RowExpr::Column(c.clone());
+                    names.push(derived_name(&e, 0));
+                    items.push(e.resolve(&mut col, &mut aggs)?);
                 }
             } else {
                 let e = item.expr.bind(params)?;
-                let name = item.alias.clone().unwrap_or_else(|| derived_name(&e, i));
-                items.push((e, name));
+                grouped |= e.contains_aggregate();
+                names.push(item.alias.clone().unwrap_or_else(|| derived_name(&e, i)));
+                items.push(e.resolve(&mut col, &mut aggs)?);
             }
         }
-        let needs_group =
-            !self.group_by.is_empty() || items.iter().any(|(e, _)| e.contains_aggregate());
-        // Kept for ORDER BY keys that reference non-projected columns
-        // (valid SQL for non-grouped, non-DISTINCT queries).
-        let pre_projection = if needs_group || self.distinct {
-            None
-        } else {
-            Some(current.clone())
-        };
-        let mut out = if needs_group {
-            // Group rows.
-            let keys: Vec<RowExpr> = self
-                .group_by
-                .iter()
-                .map(|e| e.bind(params))
-                .collect::<Result<_, _>>()?;
-            // Rows whose keys are `=` share a group; groups come out in
-            // key order.
-            let mut groups: BTreeMap<Vec<OrdDatum>, Vec<&Vec<Datum>>> = BTreeMap::new();
-            for row in &current.rows {
-                let key = keys
-                    .iter()
-                    .map(|k| k.eval(&current, row).map(OrdDatum))
-                    .collect::<Result<_, _>>()?;
-                groups.entry(key).or_default().push(row);
+        let mut keys = Vec::new();
+        let mut having = None;
+        if grouped {
+            for e in &self.group_by {
+                keys.push(e.bind(params)?.resolve(&mut col, &mut Vec::new())?);
             }
-            // A global aggregate over an empty table still yields one row.
-            if groups.is_empty() && keys.is_empty() {
-                groups.insert(Vec::new(), Vec::new());
+            if let Some(h) = &self.having {
+                having = Some(h.bind(params)?.resolve(&mut col, &mut aggs)?);
             }
-            let having = match &self.having {
-                Some(h) => Some(h.bind(params)?),
-                None => None,
-            };
-            let mut rows = Vec::new();
-            for group in groups.values() {
-                if let Some(h) = &having {
-                    if !matches!(eval_grouped(h, &current, group)?, Datum::Bool(true)) {
-                        continue;
+        }
+        // ORDER BY keys name an output column, or — in a plain query — a
+        // source column the rows then carry (`SELECT name FROM t ORDER BY
+        // age`).
+        let mut order = Vec::new();
+        for k in &self.order_by {
+            let at = match &k.expr {
+                OrderTarget::Position(p) => {
+                    if *p == 0 || *p > names.len() {
+                        return Err(RelError::BadColumn(format!("ORDER BY position {p}")));
                     }
+                    p - 1
                 }
-                let mut row = Vec::with_capacity(items.len());
-                for (e, _) in &items {
-                    row.push(eval_grouped(e, &current, group)?);
-                }
-                rows.push(row);
+                OrderTarget::Name(n) => match resolve_column(&names, n) {
+                    Ok(i) => i,
+                    Err(e) if grouped || self.distinct => return Err(e),
+                    Err(_) => {
+                        items.push(Expr::Col(col(n)?));
+                        items.len() - 1
+                    }
+                },
+            };
+            order.push((at, k.desc));
+        }
+        // Renumber columns from the joined schema to the projected rows.
+        let cols: Vec<usize> = (0..schema.len()).filter(|&i| used[i]).collect();
+        let mut slot = vec![0; schema.len()];
+        for (at, &c) in cols.iter().enumerate() {
+            slot[c] = at;
+        }
+        let renumber = &mut |i: &mut usize| *i = slot[*i];
+        let exprs = filter.iter_mut().chain(&mut items).chain(&mut keys);
+        let exprs = exprs.chain(having.iter_mut());
+        let exprs = exprs.chain(aggs.iter_mut().filter_map(|(_, arg)| arg.as_mut()));
+        for e in exprs {
+            e.columns_mut(renumber);
+        }
+        let body = if grouped {
+            Body::Groups {
+                keys,
+                aggs,
+                items,
+                having,
             }
-            Relation::new(items.iter().map(|(_, n)| n.clone()).collect(), rows)
         } else {
-            let mut rows = Vec::with_capacity(current.rows.len());
-            for row in &current.rows {
-                let mut out_row = Vec::with_capacity(items.len());
-                for (e, _) in &items {
-                    out_row.push(e.eval(&current, row)?);
-                }
-                rows.push(out_row);
-            }
-            Relation::new(items.iter().map(|(_, n)| n.clone()).collect(), rows)
+            Body::Rows(items)
         };
-        // DISTINCT.
+        Ok(Plan {
+            sources,
+            schema,
+            cols,
+            filter,
+            body,
+            names,
+            distinct: self.distinct,
+            order,
+            limit: self.limit,
+        })
+    }
+}
+
+impl Plan<'_> {
+    fn run(self, provider: &dyn TableProvider) -> Result<Relation, RelError> {
+        let mut rows: Vec<Vec<Datum>> = Vec::new();
+        match &self.body {
+            Body::Rows(items) => self.stream(provider, |row| {
+                let out = items.iter().map(|e| Ok(e.eval(row)?.to_datum()));
+                rows.push(out.collect::<Result<_, RelError>>()?);
+                Ok(())
+            })?,
+            Body::Groups {
+                keys,
+                aggs,
+                items,
+                having,
+            } => {
+                // Rows whose keys are `=` share a group; groups come out in
+                // key order.
+                let mut index: BTreeMap<Vec<OrdDatum>, usize> = BTreeMap::new();
+                let mut groups: Vec<Group> = Vec::new();
+                let mut key = Vec::with_capacity(keys.len());
+                self.stream(provider, |row| {
+                    key.clear();
+                    for k in keys {
+                        key.push(OrdDatum(k.eval(row)?.to_datum()));
+                    }
+                    let g = match index.get(key.as_slice()) {
+                        Some(&g) => g,
+                        None => {
+                            index.insert(key.clone(), groups.len());
+                            groups.push(Group::new(aggs, Some(row)));
+                            groups.len() - 1
+                        }
+                    };
+                    for (acc, (_, arg)) in groups[g].accs.iter_mut().zip(aggs) {
+                        acc.fold(arg.as_ref(), row);
+                    }
+                    Ok(())
+                })?;
+                // A global aggregate over no rows still yields one row.
+                if groups.is_empty() && keys.is_empty() {
+                    index.insert(Vec::new(), 0);
+                    groups.push(Group::new(aggs, None));
+                }
+                for &g in index.values() {
+                    let group = &groups[g];
+                    if let Some(h) = having {
+                        if !matches!(group.eval(h)?, Datum::Bool(true)) {
+                            continue;
+                        }
+                    }
+                    rows.push(
+                        items
+                            .iter()
+                            .map(|e| group.eval(e))
+                            .collect::<Result<_, _>>()?,
+                    );
+                }
+            }
+        }
         if self.distinct {
             let mut seen = std::collections::BTreeSet::new();
-            out.rows.retain(|row| seen.insert(row_key(row)));
+            rows.retain(|row| seen.insert(row_key(row)));
         }
-        // ORDER BY: keys resolve against the output columns first, then —
-        // for plain row-wise queries — against the pre-projection schema
-        // (e.g. `SELECT name FROM t ORDER BY age`).
-        if !self.order_by.is_empty() {
-            let n_rows = out.rows.len();
-            // sort_keys[row] = the datums to order this row by.
-            let mut sort_keys: Vec<Vec<Datum>> = vec![Vec::new(); n_rows];
-            let mut descs = Vec::new();
-            for k in &self.order_by {
-                descs.push(k.desc);
-                match &k.expr {
-                    OrderTarget::Position(p) => {
-                        if *p == 0 || *p > out.arity() {
-                            return Err(RelError::BadColumn(format!("ORDER BY position {p}")));
-                        }
-                        for (keys, row) in sort_keys.iter_mut().zip(&out.rows) {
-                            keys.push(row[p - 1].clone());
-                        }
-                    }
-                    OrderTarget::Name(n) => match out.resolve(n) {
-                        Ok(i) => {
-                            for (keys, row) in sort_keys.iter_mut().zip(&out.rows) {
-                                keys.push(row[i].clone());
-                            }
-                        }
-                        Err(e) => {
-                            let Some(pre) = &pre_projection else {
-                                return Err(e);
-                            };
-                            let i = pre.resolve(n)?;
-                            for (keys, row) in sort_keys.iter_mut().zip(&pre.rows) {
-                                keys.push(row[i].clone());
-                            }
-                        }
-                    },
-                }
-            }
-            let mut perm: Vec<usize> = (0..n_rows).collect();
-            perm.sort_by(|&x, &y| {
-                for (j, desc) in descs.iter().enumerate() {
-                    let ord = cmp_datum(&sort_keys[x][j], &sort_keys[y][j]);
+        if !self.order.is_empty() {
+            rows.sort_by(|x, y| {
+                for &(at, desc) in &self.order {
+                    let ord = cmp_datum(&x[at], &y[at]);
                     if ord != std::cmp::Ordering::Equal {
-                        return if *desc { ord.reverse() } else { ord };
+                        return if desc { ord.reverse() } else { ord };
                     }
                 }
                 std::cmp::Ordering::Equal
             });
-            out.rows = perm.into_iter().map(|i| out.rows[i].clone()).collect();
         }
-        // LIMIT.
         if let Some(n) = self.limit {
-            out.rows.truncate(n);
+            rows.truncate(n);
         }
-        Ok(out)
+        // Drop the carried ORDER BY keys.
+        for row in &mut rows {
+            row.truncate(self.names.len());
+        }
+        Ok(Relation::new(self.names, rows))
+    }
+
+    /// Feed each source row that passes WHERE to `sink`. A WHERE error
+    /// ends the scan at once; the first error of `sink` is held until the
+    /// scan ends, because a WHERE error on a later row still comes first:
+    /// WHERE is applied to every row before anything else.
+    fn stream(
+        &self,
+        provider: &dyn TableProvider,
+        mut sink: impl FnMut(&[DatumRef<'_>]) -> Result<(), RelError>,
+    ) -> Result<(), RelError> {
+        let mut held = None;
+        let mut visit = |row: &[DatumRef<'_>]| {
+            if let Some(f) = &self.filter {
+                if !f.matches(row)? {
+                    return Ok(());
+                }
+            }
+            if held.is_none() {
+                held = sink(row).err();
+            }
+            Ok(())
+        };
+        match self.sources.as_slice() {
+            [only] => provider.scan(only.table, &self.cols, &mut visit)?,
+            _ => {
+                let joined = self.join(provider)?;
+                let all: Vec<usize> = (0..joined.arity()).collect();
+                scan_rows(&joined.rows, &all, &mut visit)?;
+            }
+        }
+        held.map_or(Ok(()), Err)
+    }
+
+    /// Materialize the join of the sources, each projected onto the
+    /// columns the statement reads.
+    fn join(&self, provider: &dyn TableProvider) -> Result<Relation, RelError> {
+        let mut joined: Option<Relation> = None;
+        for src in &self.sources {
+            let read = self.cols.iter().filter(|c| src.columns.contains(c));
+            let local: Vec<usize> = read.clone().map(|c| c - src.columns.start).collect();
+            let mut rows = Vec::new();
+            provider.scan(src.table, &local, &mut |row| {
+                rows.push(row.iter().map(|d| d.to_datum()).collect());
+                Ok(())
+            })?;
+            let columns = read.map(|&c| self.schema[c].clone()).collect();
+            let right = Relation::new(columns, rows);
+            joined = Some(match joined {
+                None => right,
+                Some(left) => ops::join(&left, &right, src.on.as_ref())?,
+            });
+        }
+        Ok(joined.expect("a statement reads at least its FROM table"))
+    }
+}
+
+/// One group of a grouped query: its first row, and one accumulator per
+/// aggregate of the statement.
+struct Group {
+    /// `None` for the one group of a global aggregate over no rows.
+    first: Option<Vec<Datum>>,
+    accs: Vec<Acc>,
+}
+
+impl Group {
+    fn new(aggs: &[(AggFunc, Option<Expr>)], first: Option<&[DatumRef<'_>]>) -> Self {
+        Group {
+            first: first.map(|row| row.iter().map(|d| d.to_datum()).collect()),
+            accs: aggs
+                .iter()
+                .map(|(f, arg)| Acc::new(*f, arg.is_some()))
+                .collect(),
+        }
+    }
+
+    /// Evaluate a SELECT item or HAVING over the group. Comparisons and
+    /// arithmetic combine aggregates; AND/OR hold only on `TRUE`; anything
+    /// else reads the group's first row (the relaxed SQLite-style
+    /// semantics), or is NULL when there is none.
+    fn eval(&self, e: &Expr) -> Result<Datum, RelError> {
+        Ok(match e {
+            Expr::Agg(slot) => self.accs[*slot].value()?,
+            Expr::Cmp(op, a, b) => {
+                compare(*op, self.eval(a)?.as_ref(), self.eval(b)?.as_ref()).to_datum()
+            }
+            Expr::Arith(op, a, b) => {
+                arith(*op, self.eval(a)?.as_ref(), self.eval(b)?.as_ref())?.to_datum()
+            }
+            Expr::And(a, b) | Expr::Or(a, b) => {
+                let x = matches!(self.eval(a)?, Datum::Bool(true));
+                let y = matches!(self.eval(b)?, Datum::Bool(true));
+                Datum::Bool(if matches!(e, Expr::And(..)) {
+                    x && y
+                } else {
+                    x || y
+                })
+            }
+            _ => match &self.first {
+                Some(row) => {
+                    let row: Vec<DatumRef<'_>> = row.iter().map(Datum::as_ref).collect();
+                    e.eval(&row)?.to_datum()
+                }
+                None => Datum::Null,
+            },
+        })
+    }
+}
+
+/// The running state of one aggregate over one group.
+enum Acc {
+    /// COUNT, and any aggregate of `*`: the rows, or the non-null values.
+    Count(i64),
+    /// SUM or AVG over the non-null values seen so far.
+    Sum {
+        avg: bool,
+        seen: i64,
+        /// Whether every value so far is an Int.
+        ints: bool,
+        /// Their exact sum; `None` once it overflowed.
+        int: Option<i64>,
+        /// The sum of the numeric values in row order (texts and bools
+        /// count as seen but add nothing).
+        float: f64,
+    },
+    /// The first of equal minima, as `Iterator::min_by` keeps.
+    Min(Option<Datum>),
+    /// The last of equal maxima, as `Iterator::max_by` keeps.
+    Max(Option<Datum>),
+    /// The argument failed on a row; the aggregate is that error, raised
+    /// only if its value is read.
+    Failed(RelError),
+}
+
+impl Acc {
+    fn new(func: AggFunc, has_arg: bool) -> Self {
+        match func {
+            _ if !has_arg => Acc::Count(0),
+            AggFunc::Count => Acc::Count(0),
+            AggFunc::Sum | AggFunc::Avg => Acc::Sum {
+                avg: func == AggFunc::Avg,
+                seen: 0,
+                ints: true,
+                int: Some(0),
+                // `Iterator::sum`'s start: a sum of `-0.0`s stays `-0.0`.
+                float: -0.0,
+            },
+            AggFunc::Min => Acc::Min(None),
+            AggFunc::Max => Acc::Max(None),
+        }
+    }
+
+    fn fold(&mut self, arg: Option<&Expr>, row: &[DatumRef<'_>]) {
+        let Some(arg) = arg else {
+            if let Acc::Count(n) = self {
+                *n += 1;
+            }
+            return;
+        };
+        if matches!(self, Acc::Failed(_)) {
+            return;
+        }
+        let v = match arg.eval(row) {
+            Ok(DatumRef::Null) => return,
+            Ok(v) => v,
+            Err(e) => {
+                *self = Acc::Failed(e);
+                return;
+            }
+        };
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum {
+                seen,
+                ints,
+                int,
+                float,
+                ..
+            } => {
+                *seen += 1;
+                match v {
+                    DatumRef::Int(i) => {
+                        *int = int.and_then(|s| s.checked_add(i));
+                        *float += i as f64;
+                    }
+                    DatumRef::Float(f) => {
+                        *ints = false;
+                        *float += f;
+                    }
+                    _ => *ints = false,
+                }
+            }
+            Acc::Min(m) => {
+                if m.as_ref().is_none_or(|m| cmp_ref(v, m.as_ref()).is_lt()) {
+                    *m = Some(v.to_datum());
+                }
+            }
+            Acc::Max(m) => {
+                if m.as_ref().is_none_or(|m| cmp_ref(v, m.as_ref()).is_ge()) {
+                    *m = Some(v.to_datum());
+                }
+            }
+            Acc::Failed(_) => {}
+        }
+    }
+
+    fn value(&self) -> Result<Datum, RelError> {
+        Ok(match self {
+            Acc::Count(n) => Datum::Int(*n),
+            Acc::Sum { seen: 0, .. } => Datum::Null,
+            &Acc::Sum {
+                avg,
+                seen,
+                ints,
+                int,
+                float,
+            } => match (avg, ints, int) {
+                (true, ..) => Datum::Float(float / seen as f64),
+                // An Int sum that overflows is the float sum, as SQLite's
+                // arithmetic does.
+                (false, true, Some(i)) => Datum::Int(i),
+                (false, ..) => Datum::Float(float),
+            },
+            Acc::Min(m) | Acc::Max(m) => m.clone().unwrap_or(Datum::Null),
+            Acc::Failed(e) => return Err(e.clone()),
+        })
     }
 }
 

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use dataspread_rel::relation::cmp_datum;
-use dataspread_rel::{execute_sql, Relation};
+use dataspread_rel::{execute_sql, RelError, Relation};
 use dataspread_relstore::Datum;
 
 fn table(rows: &[(i64, i64, Option<&str>)]) -> Relation {
@@ -196,7 +196,20 @@ fn cmp_datum_is_total_order_on_mixed_types() {
         Datum::Int(0),
         Datum::Float(2.5),
         Datum::Int(3),
+        Datum::Int(i64::MIN),
+        Datum::Float(-TWO_63),
+        Datum::Float(-TWO_53),
+        Datum::Int(-(1 << 53) - 1),
+        Datum::Int(-(1 << 53)),
+        Datum::Int(1 << 53),
+        Datum::Float(TWO_53),
+        Datum::Int((1 << 53) + 1),
+        Datum::Float(TWO_53 + 2.0),
+        Datum::Int(i64::MAX - 1),
+        Datum::Int(i64::MAX),
+        Datum::Float(TWO_63),
         Datum::Float(f64::NAN),
+        Datum::Float(-f64::NAN),
         Datum::Text("a".into()),
         Datum::Text("b".into()),
         Datum::Bool(false),
@@ -213,7 +226,145 @@ fn cmp_datum_is_total_order_on_mixed_types() {
                 }
             }
         }
+        // Antisymmetric too.
+        for b in &values {
+            assert_eq!(cmp_datum(a, b), cmp_datum(b, a).reverse(), "{a:?} vs {b:?}");
+        }
     }
+    // Integers compare exactly, against floats too.
+    use std::cmp::Ordering::*;
+    let cmp = |a: Datum, b: Datum| cmp_datum(&a, &b);
+    assert_eq!(cmp(Datum::Int((1 << 53) + 1), Datum::Int(1 << 53)), Greater);
+    assert_eq!(
+        cmp(Datum::Int((1 << 53) + 1), Datum::Float(TWO_53)),
+        Greater
+    );
+    assert_eq!(cmp(Datum::Int(1 << 53), Datum::Float(TWO_53)), Equal);
+    assert_eq!(cmp(Datum::Int(i64::MAX), Datum::Float(TWO_63)), Less);
+    assert_eq!(cmp(Datum::Int(i64::MIN), Datum::Float(-TWO_63)), Equal);
+    assert_eq!(
+        cmp(Datum::Int(i64::MIN + 1), Datum::Float(-TWO_63)),
+        Greater
+    );
+    assert_eq!(cmp(Datum::Float(-0.0), Datum::Int(0)), Equal);
+    assert_eq!(cmp(Datum::Int(i64::MAX), Datum::Float(f64::NAN)), Less);
+    assert_eq!(cmp(Datum::Int(i64::MIN), Datum::Float(-f64::NAN)), Greater);
+}
+
+const TWO_53: f64 = 9_007_199_254_740_992.0;
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+fn one_column(name: &str, values: Vec<Datum>) -> Relation {
+    Relation::new(
+        vec![name.into()],
+        values.into_iter().map(|v| vec![v]).collect(),
+    )
+}
+
+/// Integer `+ - * /` and SUM that leave `i64` give the float result, as
+/// SQLite's arithmetic does, instead of wrapping (or panicking).
+#[test]
+fn integer_overflow_gives_the_float_result() {
+    let mut m = HashMap::new();
+    m.insert(
+        "big".to_string(),
+        one_column("a", vec![Datum::Int(i64::MAX), Datum::Int(1)]),
+    );
+    m.insert(
+        "min".to_string(),
+        one_column("a", vec![Datum::Int(i64::MIN)]),
+    );
+    let one = |q: &str| execute_sql(&m, q, &[]).unwrap().rows[0][0].clone();
+    assert_eq!(one("SELECT SUM(a) FROM big"), Datum::Float(TWO_63));
+    assert_eq!(one("SELECT a + 1 FROM big"), Datum::Float(TWO_63));
+    assert_eq!(one("SELECT a / (0 - 1) FROM min"), Datum::Float(TWO_63));
+    assert_eq!(one("SELECT a * 2 FROM min"), Datum::Float(-2.0 * TWO_63));
+    assert_eq!(one("SELECT -a FROM min"), Datum::Float(TWO_63));
+    // In range, all stay integral.
+    assert_eq!(one("SELECT SUM(a) FROM min"), Datum::Int(i64::MIN));
+    assert_eq!(one("SELECT a - 1 FROM big"), Datum::Int(i64::MAX - 1));
+    assert_eq!(one("SELECT a / 1 FROM min"), Datum::Int(i64::MIN));
+}
+
+/// Regression: `=` compared integers through `f64`, so 2^53 and 2^53 + 1
+/// were one value to WHERE, GROUP BY, DISTINCT and joins.
+#[test]
+fn distinct_large_integers_stay_distinct() {
+    let big = vec![Datum::Int(1 << 53), Datum::Int((1 << 53) + 1)];
+    let mut m = HashMap::new();
+    m.insert("t".to_string(), one_column("a", big.clone()));
+    m.insert(
+        "u".to_string(),
+        one_column("b", vec![Datum::Int((1 << 53) + 1)]),
+    );
+    let run = |q: &str, params: &[Datum]| execute_sql(&m, q, params).unwrap();
+    let hit = run("SELECT a FROM t WHERE a = ?", &[Datum::Int((1 << 53) + 1)]);
+    assert_eq!(hit.rows, vec![vec![Datum::Int((1 << 53) + 1)]]);
+    let groups = run("SELECT a, COUNT(*) FROM t GROUP BY a", &[]);
+    assert_eq!(
+        groups.rows,
+        vec![
+            vec![big[0].clone(), Datum::Int(1)],
+            vec![big[1].clone(), Datum::Int(1)]
+        ]
+    );
+    assert_eq!(run("SELECT DISTINCT a FROM t", &[]).len(), 2);
+    assert_eq!(run("SELECT a FROM t JOIN u ON t.a = u.b", &[]).len(), 1);
+    assert_eq!(
+        run("SELECT a FROM t JOIN u ON t.a = u.b AND 1 = 1", &[]).len(),
+        1
+    );
+    // A float equal to 2^53 matches only the integer equal to it.
+    let float = run("SELECT a FROM t WHERE a = ?", &[Datum::Float(TWO_53)]);
+    assert_eq!(float.rows, vec![vec![Datum::Int(1 << 53)]]);
+}
+
+/// Columns resolve when the statement is planned, so a bad one fails even
+/// when no row would ever be evaluated.
+#[test]
+fn unknown_and_ambiguous_columns_fail_before_any_row() {
+    let mut m = HashMap::new();
+    m.insert(
+        "e".to_string(),
+        Relation::empty(vec!["id".into(), "x".into()]),
+    );
+    m.insert(
+        "f".to_string(),
+        Relation::empty(vec!["id".into(), "y".into()]),
+    );
+    m.insert(
+        "t".to_string(),
+        one_column("a", vec![Datum::Int(1), Datum::Int(2)]),
+    );
+    let bad = |q: &str| matches!(execute_sql(&m, q, &[]), Err(RelError::BadColumn(_)));
+    assert!(bad("SELECT nope FROM e"));
+    assert!(bad("SELECT x FROM e WHERE zz > 1"));
+    assert!(bad("SELECT a FROM t WHERE a > 5 AND zz > 1"));
+    assert!(bad("SELECT id FROM e JOIN f ON e.id = f.id"));
+    assert!(bad("SELECT x FROM e JOIN f ON zz = 1"));
+    assert!(bad("SELECT COUNT(*) FROM e GROUP BY zz"));
+    assert!(bad("SELECT x FROM e ORDER BY zz"));
+    // A plain query still orders by a column it does not output.
+    let mut w = HashMap::new();
+    w.insert(
+        "w".to_string(),
+        Relation::new(
+            vec!["name".into(), "age".into()],
+            vec![
+                vec![Datum::Text("old".into()), Datum::Int(70)],
+                vec![Datum::Text("young".into()), Datum::Int(7)],
+            ],
+        ),
+    );
+    let r = execute_sql(&w, "SELECT name FROM w ORDER BY age", &[]).unwrap();
+    assert_eq!(r.columns, vec!["name".to_string()]);
+    assert_eq!(
+        r.rows,
+        vec![
+            vec![Datum::Text("young".into())],
+            vec![Datum::Text("old".into())]
+        ]
+    );
 }
 
 /// Regression: joins, GROUP BY and DISTINCT keyed rows by the bytes of

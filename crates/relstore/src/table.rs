@@ -241,6 +241,12 @@ impl Table {
         })
     }
 
+    /// The encoded live tuples in insertion order, for scans that decode
+    /// only some columns ([`crate::datum::decode_row_project_ref`]).
+    pub fn tuples(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        self.rows.iter().filter_map(Option::as_deref)
+    }
+
     /// Accounted bytes following the paper's PostgreSQL cost structure,
     /// not the bytes this table holds: s1 ([`TABLE_BYTES`], one 8 KB page),
     /// plus per-column catalog entries, per-row headers and data, where
