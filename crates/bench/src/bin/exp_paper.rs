@@ -33,7 +33,7 @@ use dataspread_engine::rom::RomTranslator;
 use dataspread_engine::Translator;
 use dataspread_formula::refs::collect_ranges;
 use dataspread_formula::{parse, Evaluator, Expr};
-use dataspread_grid::{Cell, CellAddr, Rect, SparseSheet};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_hybrid::dp::{dp_cost, primitive_cost};
 use dataspread_hybrid::{
     incremental_agg, opt_lower_bound, optimize_agg, optimize_dp, optimize_greedy,
@@ -306,7 +306,7 @@ fn substrate(kind: ModelKind, rows: u32, cols: u32, density: f64) -> HybridSheet
     let mut rng = StdRng::seed_from_u64(1);
     let mut cell = |r: u32, c: u32| {
         (density >= 1.0 || rng.gen_bool(density))
-            .then(|| Cell::value(r as i64 * cols as i64 + c as i64))
+            .then(|| CellValue::from(r as i64 * cols as i64 + c as i64))
     };
     let store: Box<dyn Translator> = if kind == ModelKind::Rom {
         let tuples = (0..rows).map(|r| (0..cols).map(|c| cell(r, c).unwrap_or_default()).collect());
@@ -315,8 +315,8 @@ fn substrate(kind: ModelKind, rows: u32, cols: u32, density: f64) -> HybridSheet
         let mut rcv = RcvTranslator::new();
         for r in 0..rows {
             for c in 0..cols {
-                if let Some(cell) = cell(r, c) {
-                    rcv.set_cell(r, c, cell).expect("set");
+                if let Some(value) = cell(r, c) {
+                    rcv.set_cell(r, c, Cell::value(value)).expect("set");
                 }
             }
         }

@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dataspread_grid::{CellAddr, CellValue, Rect};
+use dataspread_grid::{codec, CellAddr, CellValue, Rect};
 use dataspread_proto::{
     codes, read_frame, write_frame, CheckpointSummary, Edit, EditReceipt, RegistrySnapshot,
     Request, Response, SheetStats, WindowPatch, WireError, PROTOCOL_VERSION,
@@ -791,7 +791,8 @@ impl RemoteSession {
         Err(last)
     }
 
-    /// Bulk-import rows. Not retried on transport errors (see
+    /// Bulk-import rows, sent as one cell block (each row's first `width`
+    /// values). Not retried on transport errors (see
     /// [`RemoteSession::apply_edit`]).
     pub fn import_rows(
         &self,
@@ -804,7 +805,8 @@ impl RemoteSession {
             sheet: sheet.to_string(),
             top_left,
             width,
-            rows,
+            rows: rows.len() as u32,
+            block: codec::encode_block(width, &rows),
         })? {
             Response::Imported(rect) => Ok(rect),
             other => Err(unexpected("ImportRows", other)),

@@ -28,8 +28,10 @@
 //!
 //! **Commit protocol.** Each engine mutation appends a [`LoggedOp`] before
 //! returning; `save()` fsyncs the log (the fsync-point = the commit point).
-//! Bulk imports are one [`LoggedOp::ImportRows`] record, replayed like any
-//! other op.
+//! A bulk import is one [`LoggedOp::ImportRows`] record, replayed like any
+//! other op; its cells are a cell block, a region's payload (below)
+//! without formulas. A log of format version 3, whose imports held tagged
+//! rows, is refused untouched.
 //! **Checkpoint protocol.** The extents of the old map and of every
 //! rewritten or dropped region are freed (free ranges coalesce), then the
 //! dirty regions, in ascending id, and the new map are placed by
@@ -73,40 +75,17 @@
 //! the map's extent.
 //!
 //! Every other store — ROM, COM, RCV, a linked table's cells and the
-//! catch-all — checkpoints as one *cell payload*: its non-blank cells as
-//! row runs, every integer a shortest-form varint
-//! ([`codec::put_uvarint`]):
+//! catch-all — checkpoints as one *cell payload*: its non-blank cells as a
+//! [`codec::CellsEncoder`] cell block (row runs of varint gaps, dense rows,
+//! decimals as scaled integers, repeated texts by code; the grammar and
+//! each value's one byte form are documented there), in which every
+//! formula cell's source field holds its formula:
 //!
 //! ```text
-//! payload := n_rows row{n_rows}
-//! row     := row_gap head [first_col] cell{n_cells}
-//!            row_gap = row - prev_row - 1 (first: row)
-//!            head    = n_cells(>=1) << 1 | dense; a dense row's columns
-//!                      are consecutive and it writes first_col once
-//! cell    := [col_gap] tag body [source]
-//!            col_gap = col - prev_col - 1 (first in row: col); sparse rows only
-//! tag     := kind (low 3 bits: Empty 0 | Int 1 | Float 2 | Text 3 | False 4 |
-//!            True 5 | Error 6) | 0x08 if a formula source follows |
-//!            modifier << 4 (Float: scale 0..=15; Text: 0 literal, 1 reference;
-//!            0 on every other kind)
-//! body    := Int, Float at scale s >= 1: zigzag varint mantissa |
-//!            Float at modifier 0: f64 LE | Text literal: len + UTF-8 |
-//!            Text reference: code | Error: code u8 | otherwise nothing
 //! source  := len << 1, then len bytes of UTF-8 (a literal source) |
 //!            code << 1 | 1 (the source of template `code`, rendered at
 //!            this cell)
 //! ```
-//!
-//! Each value has one byte form. A number with a [`codec::decimal_form`]
-//! `(m, s)` is stored as mantissa `m` — `Int` at scale 0, `Float` with
-//! modifier `s` otherwise — and a raw `Float` holds exactly the numbers
-//! with none (`-0.0`, NaN, ±∞ and those needing more than 15 decimals or
-//! 53 bits). A text's first occurrence in the payload is a literal; every
-//! repeat is a reference whose code numbers the literals in order of first
-//! appearance, so a literal repeating an earlier text, or a code not yet
-//! written, is refused. A row whose columns are consecutive (every one-cell
-//! row) is dense; a sparse row with consecutive columns is refused. `Empty`
-//! is legal only under a formula.
 //!
 //! A formula source is stored relative to its cell: its
 //! [`refs::template`] at the payload's own coordinates (local to a
@@ -132,12 +111,10 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use dataspread_formula::refs::{self, Template};
-use dataspread_grid::codec::{
-    self, put_rect, put_rows, put_value, read_rect, read_rows, read_value, Reader,
-};
+use dataspread_grid::codec::{self, put_rect, put_value, read_rect, read_value, Reader};
 #[cfg(test)]
 use dataspread_grid::{Cell, CellError};
-use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue};
+use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::wal::crc32;
 use dataspread_relstore::{real_fs, OpenMode, SharedWal, StorageFs, StoreError, VfsFile, Wal};
@@ -154,7 +131,7 @@ pub const WAL_FILE: &str = "wal.log";
 /// record cap, framing included). A bulk import can exceed this; the
 /// engine then captures it via an immediate checkpoint instead of a log
 /// record.
-pub const MAX_LOGGED_OP_BYTES: usize = 48 << 20;
+const MAX_LOGGED_OP_BYTES: usize = 48 << 20;
 
 const IMAGE_MAGIC: &[u8; 4] = b"DSIM";
 const IMAGE_VERSION: u32 = 6;
@@ -199,11 +176,7 @@ pub enum LoggedOp {
     /// `updateCell(row, col, input)` — the raw user input (formula, literal,
     /// or empty-string clear), replayed through the same interpretation
     /// path on recovery.
-    SetCell {
-        row: u32,
-        col: u32,
-        input: String,
-    },
+    SetCell { row: u32, col: u32, input: String },
     /// A computed value written directly (e.g. `index()` dereferencing a
     /// composite), logged as the exact [`CellValue`] to avoid re-parsing
     /// text through literal inference.
@@ -212,30 +185,17 @@ pub enum LoggedOp {
         col: u32,
         value: CellValue,
     },
-    InsertRows {
-        at: u32,
-        n: u32,
-    },
-    DeleteRows {
-        at: u32,
-        n: u32,
-    },
-    InsertCols {
-        at: u32,
-        n: u32,
-    },
-    DeleteCols {
-        at: u32,
-        n: u32,
-    },
-    /// A bulk `import_rows` call, logged as a single record instead of
-    /// forcing an immediate checkpoint; recovery replays it through the
-    /// same ROM bulk-load path.
+    /// A row or column insert or delete, as the engine applies it.
+    Shift(Shift),
+    /// A bulk import of `rows` x `width` at `(row, col)`: its cells are one
+    /// [`codec::encode_block`] cell block in rect-local coordinates, logged
+    /// behind a `u32` length and replayed straight into a ROM region.
     ImportRows {
         row: u32,
         col: u32,
         width: u32,
-        rows: Vec<Vec<CellValue>>,
+        rows: u32,
+        block: Vec<u8>,
     },
 }
 
@@ -286,50 +246,33 @@ impl LoggedOp {
                 codec::put_u32(&mut out, *col);
                 put_value(&mut out, ScanValue::of(value));
             }
-            LoggedOp::InsertRows { at, n } => {
-                codec::put_u8(&mut out, 2);
-                codec::put_u32(&mut out, *at);
-                codec::put_u32(&mut out, *n);
-            }
-            LoggedOp::DeleteRows { at, n } => {
-                codec::put_u8(&mut out, 3);
-                codec::put_u32(&mut out, *at);
-                codec::put_u32(&mut out, *n);
-            }
-            LoggedOp::InsertCols { at, n } => {
-                codec::put_u8(&mut out, 4);
-                codec::put_u32(&mut out, *at);
-                codec::put_u32(&mut out, *n);
-            }
-            LoggedOp::DeleteCols { at, n } => {
-                codec::put_u8(&mut out, 5);
-                codec::put_u32(&mut out, *at);
-                codec::put_u32(&mut out, *n);
+            LoggedOp::Shift(shift) => {
+                let (tag, at, n) = match *shift {
+                    Shift::InsertRows { at, n } => (2, at, n),
+                    Shift::DeleteRows { at, n } => (3, at, n),
+                    Shift::InsertCols { at, n } => (4, at, n),
+                    Shift::DeleteCols { at, n } => (5, at, n),
+                };
+                codec::put_u8(&mut out, tag);
+                codec::put_u32(&mut out, at);
+                codec::put_u32(&mut out, n);
             }
             LoggedOp::ImportRows {
                 row,
                 col,
                 width,
                 rows,
-            } => return Self::encode_import(*row, *col, *width, rows),
+                block,
+            } => {
+                codec::put_u8(&mut out, 6);
+                codec::put_u32(&mut out, *row);
+                codec::put_u32(&mut out, *col);
+                codec::put_u32(&mut out, *width);
+                codec::put_u32(&mut out, *rows);
+                codec::put_u32(&mut out, block.len() as u32);
+                out.extend_from_slice(block);
+            }
         }
-        out
-    }
-
-    /// The record of a [`LoggedOp::ImportRows`], encoded from borrowed
-    /// rows: a live import logs this and then *moves* its rows into
-    /// storage, instead of cloning every value to build the op.
-    pub(crate) fn encode_import(
-        row: u32,
-        col: u32,
-        width: u32,
-        rows: &[Vec<CellValue>],
-    ) -> Vec<u8> {
-        let mut out = vec![REC_OP, 6];
-        codec::put_u32(&mut out, row);
-        codec::put_u32(&mut out, col);
-        codec::put_u32(&mut out, width);
-        put_rows(&mut out, rows);
         out
     }
 
@@ -346,27 +289,24 @@ impl LoggedOp {
                 col: cur.u32()?,
                 value: read_value(cur)?.to_value(),
             },
-            2 => LoggedOp::InsertRows {
-                at: cur.u32()?,
-                n: cur.u32()?,
-            },
-            3 => LoggedOp::DeleteRows {
-                at: cur.u32()?,
-                n: cur.u32()?,
-            },
-            4 => LoggedOp::InsertCols {
-                at: cur.u32()?,
-                n: cur.u32()?,
-            },
-            5 => LoggedOp::DeleteCols {
-                at: cur.u32()?,
-                n: cur.u32()?,
-            },
+            tag @ 2..=5 => {
+                let (at, n) = (cur.u32()?, cur.u32()?);
+                LoggedOp::Shift(match tag {
+                    2 => Shift::InsertRows { at, n },
+                    3 => Shift::DeleteRows { at, n },
+                    4 => Shift::InsertCols { at, n },
+                    _ => Shift::DeleteCols { at, n },
+                })
+            }
             6 => LoggedOp::ImportRows {
                 row: cur.u32()?,
                 col: cur.u32()?,
                 width: cur.u32()?,
-                rows: read_rows(cur)?,
+                rows: cur.u32()?,
+                block: {
+                    let len = cur.u32()?;
+                    cur.take(len as usize)?.to_vec()
+                },
             },
             t => return Err(corrupt(&format!("unknown op tag {t}"))),
         };
@@ -375,162 +315,20 @@ impl LoggedOp {
     }
 }
 
-// Cell kinds in the low three bits of a cell payload's tag byte.
-const CELL_EMPTY: u8 = 0;
-const CELL_INT: u8 = 1;
-const CELL_FLOAT: u8 = 2;
-const CELL_TEXT: u8 = 3;
-const CELL_FALSE: u8 = 4;
-const CELL_TRUE: u8 = 5;
-const CELL_ERROR: u8 = 6;
-const CELL_KIND: u8 = 0x07;
-/// Tag bit: a formula source follows the value.
-const CELL_FORMULA: u8 = 0x08;
-/// The tag's high nibble is a per-kind modifier: a `Float`'s decimal
-/// scale (0: a raw `f64`), or [`TEXT_REF`] on a `Text`; 0 on every other
-/// kind.
-const MODIFIER_SHIFT: u8 = 4;
-/// `Text` modifier: the body is the code of an earlier literal.
-const TEXT_REF: u8 = 1;
-
-fn put_vstr(out: &mut Vec<u8>, s: &str) {
-    codec::put_uvarint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_vstr<'a>(cur: &mut Reader<'a>) -> Result<&'a str, EngineError> {
-    let len = cur.uvarint()?;
-    if len > codec::MAX_STR_LEN as u64 {
-        return Err(corrupt(&format!(
-            "cells: string of {len} bytes exceeds bound"
-        )));
-    }
-    std::str::from_utf8(cur.take(len as usize)?).map_err(|_| corrupt("cells: invalid utf-8 string"))
-}
-
-fn put_zigzag(out: &mut Vec<u8>, i: i64) {
-    codec::put_uvarint(out, ((i << 1) ^ (i >> 63)) as u64);
-}
-
-/// A zigzag mantissa at scale `s`, refused unless it is exactly the
-/// [`codec::decimal_form`] of the number it spells: that refuses a
-/// non-minimal scale, an integral `Float` and a magnitude past 2^53.
-fn read_decimal(cur: &mut Reader<'_>, s: u8) -> Result<f64, EngineError> {
-    let z = cur.uvarint()?;
-    let m = (z >> 1) as i64 ^ -((z & 1) as i64);
-    let n = m as f64 / codec::POW10[s as usize];
-    if codec::decimal_form(n) != Some((m, s)) {
-        return Err(corrupt(&format!(
-            "cells: mantissa {m} at scale {s} is not the form of {n:e}"
-        )));
-    }
-    Ok(n)
-}
-
-/// Streams one store's cells into its canonical checkpoint cell payload
-/// (grammar in the module doc) straight from a
-/// [`Translator::scan`](crate::Translator::scan): no cell list in between.
-/// A row's cells are staged until the row ends, since its header carries
-/// their count and whether their columns are consecutive; the row count
-/// is prefixed by `finish`. The same logical content must always produce
-/// the same bytes (the recovery suite compares images byte for byte), so
-/// the cells must arrive non-blank and in strictly increasing row-major
-/// order; a store that scans otherwise is a bug and trips an assert rather
-/// than writing a non-canonical image.
-pub struct CellsEncoder {
-    /// Finished rows.
-    out: Vec<u8>,
-    /// The current row's cells, without their column gaps.
-    row: Vec<u8>,
-    /// Per cell of the current row: where it starts in `row`, and its
-    /// column gap.
-    cells: Vec<(usize, u32)>,
-    /// The current row's gap from the previous row.
-    row_gap: u64,
-    rows: u64,
-    last: Option<(u32, u32)>,
-    /// Every text written as a literal so far, by its code.
-    texts: HashMap<String, u32>,
+/// Streams one store's cells, straight off its
+/// [`Translator::scan`](crate::Translator::scan), into its checkpoint cell
+/// payload: a [`codec::CellsEncoder`] block plus each formula's source.
+#[derive(Default)]
+pub struct PayloadEncoder {
+    cells: codec::CellsEncoder,
     /// The template of every formula source written as a literal so far,
     /// by its code.
     templates: HashMap<Template, u32>,
 }
 
-impl Default for CellsEncoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CellsEncoder {
-    pub fn new() -> Self {
-        CellsEncoder {
-            out: Vec::new(),
-            row: Vec::new(),
-            cells: Vec::new(),
-            row_gap: 0,
-            rows: 0,
-            last: None,
-            texts: HashMap::new(),
-            templates: HashMap::new(),
-        }
-    }
-
+impl PayloadEncoder {
     pub fn push(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
-        assert!(
-            self.last < Some((row, col)),
-            "checkpoint payload: cell ({row},{col}) scanned after {:?}",
-            self.last
-        );
-        assert!(
-            formula.is_some() || value != ScanValue::Empty,
-            "checkpoint payload: blank cell ({row},{col}) scanned"
-        );
-        let col_gap = match self.last {
-            Some((r, c)) if r == row => col - c - 1,
-            last => {
-                self.end_row();
-                self.row_gap = last.map_or(row, |(r, _)| row - r - 1) as u64;
-                col
-            }
-        };
-        self.last = Some((row, col));
-        self.cells.push((self.row.len(), col_gap));
-        let out = &mut self.row;
-        let flag = if formula.is_some() { CELL_FORMULA } else { 0 };
-        match value {
-            ScanValue::Empty => out.push(CELL_EMPTY | flag),
-            ScanValue::Number(n) => match codec::decimal_form(n) {
-                Some((m, 0)) => {
-                    out.push(CELL_INT | flag);
-                    put_zigzag(out, m);
-                }
-                Some((m, s)) => {
-                    out.push(CELL_FLOAT | s << MODIFIER_SHIFT | flag);
-                    put_zigzag(out, m);
-                }
-                None => {
-                    out.push(CELL_FLOAT | flag);
-                    codec::put_f64(out, n);
-                }
-            },
-            ScanValue::Text(s) => match self.texts.get(s) {
-                Some(&code) => {
-                    out.push(CELL_TEXT | TEXT_REF << MODIFIER_SHIFT | flag);
-                    codec::put_uvarint(out, code.into());
-                }
-                None => {
-                    self.texts.insert(s.to_string(), self.texts.len() as u32);
-                    out.push(CELL_TEXT | flag);
-                    put_vstr(out, s);
-                }
-            },
-            ScanValue::Bool(b) => out.push(if b { CELL_TRUE } else { CELL_FALSE } | flag),
-            ScanValue::Error(e) => {
-                out.push(CELL_ERROR | flag);
-                out.push(e.code());
-            }
-        }
+        let out = self.cells.push(row, col, value, formula.is_some());
         if let Some(src) = formula {
             let t = refs::template(src, CellAddr::new(row, col));
             match self.templates.get(&t) {
@@ -544,56 +342,16 @@ impl CellsEncoder {
         }
     }
 
-    /// Move the current row, under its header, to the finished rows: a
-    /// dense row writes its first column once, a sparse one every cell's
-    /// column gap.
-    fn end_row(&mut self) {
-        let Some(&(_, first_col)) = self.cells.first() else {
-            return;
-        };
-        let dense = self.cells[1..].iter().all(|&(_, gap)| gap == 0);
-        let out = &mut self.out;
-        codec::put_uvarint(out, self.row_gap);
-        codec::put_uvarint(out, (self.cells.len() as u64) << 1 | u64::from(dense));
-        if dense {
-            codec::put_uvarint(out, first_col.into());
-            out.extend_from_slice(&self.row);
-        } else {
-            let ends = self.cells[1..].iter().map(|&(start, _)| start);
-            for (&(start, gap), end) in self.cells.iter().zip(ends.chain([self.row.len()])) {
-                codec::put_uvarint(out, gap.into());
-                out.extend_from_slice(&self.row[start..end]);
-            }
-        }
-        self.row.clear();
-        self.cells.clear();
-        self.rows += 1;
-    }
-
-    pub fn finish(mut self) -> Vec<u8> {
-        self.end_row();
-        let mut head = Vec::with_capacity(10);
-        codec::put_uvarint(&mut head, self.rows);
-        self.out.splice(0..0, head);
-        self.out
+    pub fn finish(self) -> Vec<u8> {
+        self.cells.finish()
     }
 }
 
-/// `prev + 1 + gap` (or `gap` for the first), refused past `u32::MAX`.
-fn advance(prev: Option<u32>, gap: u64, axis: &str) -> Result<u32, EngineError> {
-    prev.map_or(Some(gap), |p| (p as u64 + 1).checked_add(gap))
-        .and_then(|at| u32::try_from(at).ok())
-        .ok_or_else(|| corrupt(&format!("cells: {axis} past u32::MAX")))
-}
-
-/// The literal texts and formula templates of a payload read so far, by
-/// code; text references borrow their text from the payload.
+/// The formula templates of a payload read so far: by code, and as a set.
 #[derive(Default)]
-struct Literals<'a> {
-    by_code: Vec<&'a str>,
-    seen: HashSet<&'a str>,
-    templates: Vec<Template>,
-    templates_seen: HashSet<Template>,
+struct Templates {
+    by_code: Vec<Template>,
+    seen: HashSet<Template>,
 }
 
 /// A formula source field at cell `at`: a literal source, refused when
@@ -602,7 +360,7 @@ struct Literals<'a> {
 /// the sheet.
 fn read_source<'a>(
     cur: &mut Reader<'a>,
-    literals: &mut Literals<'a>,
+    templates: &mut Templates,
     at: CellAddr,
 ) -> Result<Cow<'a, str>, EngineError> {
     let field = cur.uvarint()?;
@@ -616,18 +374,18 @@ fn read_source<'a>(
         let src = std::str::from_utf8(cur.take(len as usize)?)
             .map_err(|_| corrupt("cells: invalid utf-8 formula"))?;
         let t = refs::template(src, at);
-        if !literals.templates_seen.insert(t.clone()) {
+        if !templates.seen.insert(t.clone()) {
             return Err(corrupt(&format!(
                 "cells: formula at {at} repeats an earlier template"
             )));
         }
-        literals.templates.push(t);
+        templates.by_code.push(t);
         return Ok(Cow::Borrowed(src));
     }
     let code = field >> 1;
     let t = usize::try_from(code)
         .ok()
-        .and_then(|c| literals.templates.get(c))
+        .and_then(|c| templates.by_code.get(c))
         .ok_or_else(|| corrupt(&format!("cells: formula code {code} not yet written")))?;
     let src = refs::render(t, at).ok_or_else(|| {
         corrupt(&format!(
@@ -637,113 +395,26 @@ fn read_source<'a>(
     Ok(Cow::Owned(src))
 }
 
-/// One cell's tag and value, decoded in place, and whether a formula
-/// source follows.
-fn read_cell<'a>(
-    cur: &mut Reader<'a>,
-    literals: &mut Literals<'a>,
-) -> Result<(ScanValue<'a>, bool), EngineError> {
-    let tag = cur.u8()?;
-    let has_formula = tag & CELL_FORMULA != 0;
-    let value = match (tag & CELL_KIND, tag >> MODIFIER_SHIFT) {
-        (CELL_EMPTY, 0) if has_formula => ScanValue::Empty,
-        (CELL_EMPTY, 0) => return Err(corrupt("cells: blank cell without a formula")),
-        (CELL_INT, 0) => ScanValue::Number(read_decimal(cur, 0)?),
-        (CELL_FLOAT, 0) => {
-            let n = cur.f64()?;
-            if codec::decimal_form(n).is_some() {
-                return Err(corrupt(&format!(
-                    "cells: decimal {n} stored as a raw float"
-                )));
-            }
-            ScanValue::Number(n)
-        }
-        (CELL_FLOAT, s) => ScanValue::Number(read_decimal(cur, s)?),
-        (CELL_TEXT, 0) => {
-            let s = read_vstr(cur)?;
-            if !literals.seen.insert(s) {
-                return Err(corrupt("cells: a literal repeats an earlier text"));
-            }
-            literals.by_code.push(s);
-            ScanValue::Text(s)
-        }
-        (CELL_TEXT, TEXT_REF) => {
-            let code = cur.uvarint()?;
-            match usize::try_from(code)
-                .ok()
-                .and_then(|c| literals.by_code.get(c))
-            {
-                Some(s) => ScanValue::Text(s),
-                None => return Err(corrupt(&format!("cells: text code {code} not yet written"))),
-            }
-        }
-        (CELL_FALSE, 0) => ScanValue::Bool(false),
-        (CELL_TRUE, 0) => ScanValue::Bool(true),
-        (CELL_ERROR, 0) => ScanValue::Error(codec::cell_error(cur.u8()?)?),
-        _ => return Err(corrupt(&format!("cells: unknown cell tag {tag:#04x}"))),
-    };
-    Ok((value, has_formula))
-}
-
-/// Visit the cells of a payload written by [`CellsEncoder`] in stored
-/// (row-major) order, decoded in place: texts and literal formula sources
-/// borrow from `payload`, a source written as a code is rendered at its
-/// cell. Only the encoder's own bytes are accepted — truncation, an empty
-/// row, a sparse row whose columns are consecutive, an address past
-/// `u32::MAX`, an unknown tag, modifier or error code, a non-shortest
-/// varint, a number not in its one form, a repeated literal or template, a
-/// text or formula code not yet written, a formula code rendering off the
-/// sheet, invalid UTF-8 and trailing bytes are all [`StoreError::Corrupt`]
-/// — so every accepted payload re-encodes to itself. An error from `f`
-/// ends the visit.
-pub fn visit_cells(
+/// [`codec::visit_cells`] of a payload written by [`PayloadEncoder`], each
+/// formula source read back ([`read_source`]): every refusal is
+/// [`StoreError::Corrupt`], and every accepted payload re-encodes to
+/// itself.
+pub fn visit_payload(
     payload: &[u8],
     mut f: impl FnMut(u32, u32, ScanValue<'_>, Option<&str>) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    let mut cur = Reader::new(payload);
-    let mut literals = Literals::default();
-    let n_rows = cur.uvarint()?;
-    let mut row = None;
-    // Every row and cell consumes input, so a huge count fails on
-    // truncation instead of looping.
-    for _ in 0..n_rows {
-        let r = advance(row, cur.uvarint()?, "row")?;
-        let head = cur.uvarint()?;
-        let (n_cells, dense) = (head >> 1, head & 1 == 1);
-        if n_cells == 0 {
-            return Err(corrupt("cells: empty row"));
-        }
-        let mut col = None;
-        let mut consecutive = true;
-        for _ in 0..n_cells {
-            let gap = if dense && col.is_some() {
-                0
-            } else {
-                cur.uvarint()?
-            };
-            consecutive &= col.is_none() || gap == 0;
-            let c = advance(col, gap, "column")?;
-            let (value, has_formula) = read_cell(&mut cur, &mut literals)?;
-            let formula = if has_formula {
-                Some(read_source(&mut cur, &mut literals, CellAddr::new(r, c))?)
-            } else {
-                None
-            };
-            f(r, c, value, formula.as_deref())?;
-            col = Some(c);
-        }
-        if consecutive && !dense {
-            return Err(corrupt("cells: consecutive columns in a sparse row"));
-        }
-        row = Some(r);
-    }
-    Ok(cur.expect_done("cells")?)
+    let mut templates = Templates::default();
+    codec::visit_cells(payload, |row, col, value, source| {
+        let at = CellAddr::new(row, col);
+        let formula = source.map(|cur| read_source(cur, &mut templates, at));
+        f(row, col, value, formula.transpose()?.as_deref())
+    })
 }
 
-/// [`CellsEncoder`] over a cell list (sorted, non-blank).
+/// [`PayloadEncoder`] over a cell list (sorted, non-blank).
 #[cfg(test)]
 pub(crate) fn encode_cells(cells: &[(CellAddr, Cell)]) -> Vec<u8> {
-    let mut enc = CellsEncoder::new();
+    let mut enc = PayloadEncoder::default();
     for (addr, cell) in cells {
         enc.push(
             addr.row,
@@ -755,11 +426,11 @@ pub(crate) fn encode_cells(cells: &[(CellAddr, Cell)]) -> Vec<u8> {
     enc.finish()
 }
 
-/// [`visit_cells`] collected into a cell list.
+/// [`visit_payload`] collected into a cell list.
 #[cfg(test)]
 pub(crate) fn decode_cells(payload: &[u8]) -> Result<Vec<(CellAddr, Cell)>, EngineError> {
     let mut cells = Vec::new();
-    visit_cells(payload, |row, col, value, formula| {
+    visit_payload(payload, |row, col, value, formula| {
         cells.push((CellAddr::new(row, col), value.to_cell(formula)));
         Ok(())
     })?;
@@ -860,7 +531,7 @@ fn decode_map(bytes: &[u8]) -> Result<BTreeMap<u64, StoredRegion>, EngineError> 
 
 fn encode_header(map: Extent, map_crc: u32) -> Vec<u8> {
     let mut page = Vec::with_capacity(PAGE_SIZE);
-    codec::put_bytes(&mut page, IMAGE_MAGIC);
+    page.extend_from_slice(IMAGE_MAGIC);
     codec::put_u32(&mut page, IMAGE_VERSION);
     codec::put_u8(&mut page, IMAGE_POSMAP);
     codec::put_u64(&mut page, map.len);
@@ -1030,7 +701,7 @@ impl FreeSpace {
 // ------------------------------------------------------- durable store --
 
 /// One region recovered from the checkpoint image: its CRC-verified
-/// payload as stored — the cell payload of [`CellsEncoder`] in local
+/// payload as stored — the cell payload of [`PayloadEncoder`] in local
 /// coordinates, or a columnar region's native encoding — which the hybrid
 /// layer visits straight into the region's builder.
 #[derive(Debug)]
@@ -1309,16 +980,11 @@ impl DurableStore {
     /// every subsequent `log` fails until a checkpoint re-serializes the
     /// affected state and truncates the log.
     ///
-    /// Exception: an op over [`MAX_LOGGED_OP_BYTES`] is rejected with
+    /// Exception: an op over `MAX_LOGGED_OP_BYTES` is rejected with
     /// [`StoreError::LimitExceeded`] *before* anything reaches the log —
     /// the tape stays whole, nothing is poisoned, and the caller should
     /// capture the oversized op via [`DurableStore::checkpoint`] instead.
     pub fn log(&mut self, op: &LoggedOp) -> Result<(), EngineError> {
-        self.log_encoded(op.encode())
-    }
-
-    /// [`DurableStore::log`] of an op already encoded as its WAL record.
-    pub(crate) fn log_encoded(&mut self, bytes: Vec<u8>) -> Result<(), EngineError> {
         if let Some(cause) = self.storage_failed() {
             self.note_failed(&cause);
             return Err(EngineError::Store(StoreError::StorageFailed(cause)));
@@ -1329,6 +995,7 @@ impl DurableStore {
                  call checkpoint() to restore durability"
             ))));
         }
+        let bytes = op.encode();
         if bytes.len() > MAX_LOGGED_OP_BYTES {
             return Err(EngineError::Store(StoreError::LimitExceeded(format!(
                 "logged op of {} bytes exceeds the {MAX_LOGGED_OP_BYTES}-byte \
@@ -1764,9 +1431,14 @@ mod tests {
         }
     }
 
-    /// Every WAL op kind round-trips, and encodes to the bytes pinned
-    /// (as hex) before the value, rect and rows codecs moved into
-    /// `dataspread_grid::codec`: the move changed no byte on disk.
+    /// Every WAL op kind round-trips, and encodes to its pinned bytes (as
+    /// hex). The import record's were re-pinned when its rows became a cell
+    /// block (WAL format 4): after the top-left and width come the row
+    /// count 3 and the block's length 15; the block holds 2 stored rows:
+    /// row 0 dense with 3 cells from col 0 — Float at scale 1 zigzag 15,
+    /// Text literal "a", True; row gap 1, dense with 1 cell at col 1 —
+    /// Error #N/A. The others date from before the value and rect codecs
+    /// moved into `dataspread_grid::codec`.
     #[test]
     fn op_codec_roundtrip() {
         fn hex(bytes: &[u8]) -> String {
@@ -1781,6 +1453,7 @@ mod tests {
             Vec::new(),
             vec![CellValue::Empty, CellValue::Error(CellError::Na)],
         ];
+        let block = codec::encode_block(3, &rows);
         let set_value = |value| LoggedOp::SetValue {
             row: 3,
             col: 4,
@@ -1796,22 +1469,44 @@ mod tests {
                 "00000100000002000000050000003d41312b31",
             ),
             (set_value(CellValue::Empty), "0001030000000400000000"),
-            (set_value(CellValue::Number(-2.5)), "000103000000040000000100000000000004c0"),
-            (set_value(CellValue::Text("héllo".into())), "00010300000004000000020600000068c3a96c6c6f"),
+            (
+                set_value(CellValue::Number(-2.5)),
+                "000103000000040000000100000000000004c0",
+            ),
+            (
+                set_value(CellValue::Text("héllo".into())),
+                "00010300000004000000020600000068c3a96c6c6f",
+            ),
             (set_value(CellValue::Bool(true)), "000103000000040000000301"),
-            (set_value(CellValue::Error(CellError::Circular)), "000103000000040000000406"),
-            (LoggedOp::InsertRows { at: 4, n: 2 }, "00020400000002000000"),
-            (LoggedOp::DeleteRows { at: 5, n: u32::MAX }, "000305000000ffffffff"),
-            (LoggedOp::InsertCols { at: 6, n: 3 }, "00040600000003000000"),
-            (LoggedOp::DeleteCols { at: 7, n: 1 }, "00050700000001000000"),
+            (
+                set_value(CellValue::Error(CellError::Circular)),
+                "000103000000040000000406",
+            ),
+            (
+                LoggedOp::Shift(Shift::InsertRows { at: 4, n: 2 }),
+                "00020400000002000000",
+            ),
+            (
+                LoggedOp::Shift(Shift::DeleteRows { at: 5, n: u32::MAX }),
+                "000305000000ffffffff",
+            ),
+            (
+                LoggedOp::Shift(Shift::InsertCols { at: 6, n: 3 }),
+                "00040600000003000000",
+            ),
+            (
+                LoggedOp::Shift(Shift::DeleteCols { at: 7, n: 1 }),
+                "00050700000001000000",
+            ),
             (
                 LoggedOp::ImportRows {
                     row: 10,
                     col: 2,
                     width: 3,
-                    rows: rows.clone(),
+                    rows: 3,
+                    block,
                 },
-                "00060a0000000200000003000000030000000300000001000000000000f83f02010000006103010000000002000000000404",
+                "00060a0000000200000003000000030000000f00000002000700121e030161050103010604",
             ),
         ];
         let mut changed = Vec::new();
@@ -1823,11 +1518,6 @@ mod tests {
             let mut cur = Reader::new(&bytes[1..]);
             assert_eq!(&LoggedOp::decode(&mut cur).unwrap(), op);
         }
-        assert_eq!(
-            LoggedOp::encode_import(10, 2, 3, &rows),
-            ops[10].0.encode(),
-            "the borrowed import record is the op's record"
-        );
         assert!(changed.is_empty(), "bytes changed:\n{}", changed.join("\n"));
     }
 
@@ -1846,7 +1536,7 @@ mod tests {
             bytes.iter().map(|b| format!("{b:02x}")).collect()
         }
         let mut changed = Vec::new();
-        let mut cells = CellsEncoder::new();
+        let mut cells = PayloadEncoder::default();
         cells.push(0, 0, ScanValue::Number(1.0), None);
         cells.push(0, 5, ScanValue::Text("x"), Some("B1&\"x\""));
         cells.push(9, 1, ScanValue::Empty, Some("ZZ9"));
@@ -1982,7 +1672,9 @@ mod tests {
                     input: "7".into(),
                 })
                 .unwrap();
-            store.log(&LoggedOp::InsertRows { at: 0, n: 2 }).unwrap();
+            store
+                .log(&LoggedOp::Shift(Shift::InsertRows { at: 0, n: 2 }))
+                .unwrap();
             store.sync().unwrap();
         }
         let (_, recovered) = DurableStore::open(&dir).unwrap();
@@ -2269,7 +1961,11 @@ mod tests {
             row: 0,
             col: 0,
             width: 1,
-            rows: vec![vec![CellValue::Text("x".repeat(MAX_LOGGED_OP_BYTES))]],
+            rows: 1,
+            block: codec::encode_block(
+                1,
+                &[vec![CellValue::Text("x".repeat(MAX_LOGGED_OP_BYTES))]],
+            ),
         };
         let err = store.log(&huge).unwrap_err();
         assert!(matches!(

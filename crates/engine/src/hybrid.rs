@@ -18,7 +18,7 @@ use dataspread_relstore::StoreError;
 
 use crate::columnar::{ColumnarBuilder, ColumnarTranslator};
 use crate::com::ComBuilder;
-use crate::durable::{visit_cells, CellsEncoder};
+use crate::durable::{visit_payload, PayloadEncoder};
 use crate::error::EngineError;
 use crate::rcv::{RcvBuilder, RcvTranslator};
 use crate::rom::RomBuilder;
@@ -193,7 +193,7 @@ pub fn build_translator(
 
 /// A store's checkpoint payload, encoded straight off its scan.
 fn encode_store(store: &dyn Translator) -> Vec<u8> {
-    let mut enc = CellsEncoder::new();
+    let mut enc = PayloadEncoder::default();
     store.scan(WHOLE, &mut |row, col, value, formula| {
         enc.push(row, col, value, formula)
     });
@@ -528,7 +528,7 @@ impl HybridSheet {
             return Ok(Box::new(t));
         }
         let mut b = RegionBuilder::new(kind, rect.rows() as u32, rect.cols() as u32);
-        visit_cells(payload, |row, col, value, formula| {
+        visit_payload(payload, |row, col, value, formula| {
             within(u64::from(row) + 1, u64::from(col) + 1)?;
             if let Some(src) = formula {
                 formula_at(row, col, src);
@@ -548,7 +548,7 @@ impl HybridSheet {
     ) -> Result<Vec<(CellAddr, String)>, EngineError> {
         let mut formulas = Vec::new();
         let mut b = RegionBuilder::new(ModelKind::Rcv, 0, 0);
-        visit_cells(payload, |row, col, value, formula| {
+        visit_payload(payload, |row, col, value, formula| {
             let addr = CellAddr::new(row, col);
             if self.region_at(addr).is_some() {
                 return Err(EngineError::Store(StoreError::Corrupt(format!(
@@ -612,8 +612,11 @@ impl HybridSheet {
         }
     }
 
-    /// Force full re-serialization at the next checkpoint (migration from
-    /// a legacy image, storage reorganizations).
+    /// Force full re-serialization at the next checkpoint: every region
+    /// and the catch-all re-encode from their stores. No engine path needs
+    /// it (a reorganization marks the regions it rebuilds); the recovery
+    /// suite calls it to check that a region rebuilt from the image
+    /// serializes to the bytes it was read from.
     pub fn mark_all_dirty(&mut self) {
         self.catchall_dirty = true;
         for r in &mut self.regions {

@@ -7,9 +7,9 @@
 //! inserts avoid cascading updates (paper §V: "row and column numbers can
 //! be dealt with independently").
 
-use dataspread_grid::{Cell, Rect, ScanValue};
+use dataspread_grid::{codec, Cell, CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_posmap::{HierarchicalPosMap, PositionalMap};
+use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
 use dataspread_relstore::{ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId};
 
 use crate::error::EngineError;
@@ -56,21 +56,41 @@ impl RomTranslator {
         }
     }
 
-    /// Bulk-load rows of cells (O(N) positional-map construction) — the
-    /// fast import path for large datasets such as VCF files.
+    /// Bulk-load each row's first `width` values (O(N) positional-map
+    /// construction) — the fast import path for large datasets such as VCF
+    /// files.
     pub fn bulk_load_rows(
         width: u32,
-        rows: impl IntoIterator<Item = Vec<Cell>>,
+        rows: impl IntoIterator<Item = Vec<CellValue>>,
     ) -> Result<Self, EngineError> {
         let mut b = RomBuilder::new();
         b.widen(width)?;
         for row in rows {
-            for cell in row.into_iter().take(width as usize) {
-                b.filled += u64::from(!cell.is_blank());
-                b.datums.extend(cell_into_datums(cell));
+            for value in row.into_iter().take(width as usize) {
+                b.filled += u64::from(!value.is_empty());
+                b.datums.extend(cell_into_datums(Cell::value(value)));
             }
             b.end_row()?;
         }
+        b.finish()
+    }
+
+    /// An import block `rows` x `width` visited straight into the builder:
+    /// what [`RomTranslator::bulk_load_rows`] builds from its rows.
+    /// A side past [`MAX_POSITIONS`] is refused first: a claimed row count
+    /// or width must not make the builder materialize billions of them.
+    pub(crate) fn from_block(width: u32, rows: u32, block: &[u8]) -> Result<Self, EngineError> {
+        if rows.max(width) > MAX_POSITIONS {
+            return Err(EngineError::Unsupported(format!(
+                "importing {rows}x{width} would pass the {MAX_POSITIONS}-position cap"
+            )));
+        }
+        let mut b = RomBuilder::new();
+        b.widen(width)?;
+        codec::visit_block(block, rows, width, |row, col, value| {
+            b.push(row, col, value, None)
+        })?;
+        b.rows = rows;
         b.finish()
     }
 

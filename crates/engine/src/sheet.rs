@@ -15,7 +15,7 @@ use dataspread_formula::batch::{batch_eval_sliding, detect_sliding, SlidingSpec}
 use dataspread_formula::refs::{collect_ranges, rewrite, Shift};
 use dataspread_formula::{parse, DependencyGraph, Evaluator, WavePlan};
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
+use dataspread_grid::{codec, Cell, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_hybrid::{
     incremental_agg, optimize_agg, optimize_dp, optimize_greedy, CostModel, Decomposition,
     GridView, IncrementalOptions, OptimizerOptions,
@@ -304,7 +304,8 @@ impl SheetEngine {
         }
     }
 
-    /// Replay one recovered op through the normal (non-logging) op paths.
+    /// Replay one recovered op through the normal op paths, before the
+    /// store is attached: nothing is logged again.
     fn apply_logged(&mut self, op: LoggedOp) -> Result<(), EngineError> {
         match op {
             LoggedOp::SetCell { row, col, input } => {
@@ -313,17 +314,15 @@ impl SheetEngine {
             LoggedOp::SetValue { row, col, value } => {
                 self.set_value_impl(CellAddr::new(row, col), value)
             }
-            LoggedOp::InsertRows { at, n } => self.insert_rows_impl(at, n),
-            LoggedOp::DeleteRows { at, n } => self.delete_rows_impl(at, n),
-            LoggedOp::InsertCols { at, n } => self.insert_cols_impl(at, n),
-            LoggedOp::DeleteCols { at, n } => self.delete_cols_impl(at, n),
+            LoggedOp::Shift(shift) => self.shift_impl(shift),
             LoggedOp::ImportRows {
                 row,
                 col,
                 width,
                 rows,
+                block,
             } => self
-                .import_rows_impl(CellAddr::new(row, col), width, rows)
+                .import_block(CellAddr::new(row, col), width, rows, block)
                 .map(|_| ()),
         }
     }
@@ -403,49 +402,48 @@ impl SheetEngine {
     /// index `at`. Logged to the WAL on durable engines (as are the other
     /// three structural edits below).
     pub fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.insert_rows_impl(at, n)?;
-        self.log_op(LoggedOp::InsertRows { at, n })
+        self.shift(Shift::InsertRows { at, n })
     }
 
     pub fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.delete_rows_impl(at, n)?;
-        self.log_op(LoggedOp::DeleteRows { at, n })
+        self.shift(Shift::DeleteRows { at, n })
     }
 
     pub fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.insert_cols_impl(at, n)?;
-        self.log_op(LoggedOp::InsertCols { at, n })
+        self.shift(Shift::InsertCols { at, n })
     }
 
     pub fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.delete_cols_impl(at, n)?;
-        self.log_op(LoggedOp::DeleteCols { at, n })
+        self.shift(Shift::DeleteCols { at, n })
     }
 
-    fn insert_rows_impl(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.sheet.insert_rows(at, n)?;
-        self.apply_shift(Shift::InsertRows { at, n })
+    fn shift(&mut self, shift: Shift) -> Result<(), EngineError> {
+        self.shift_impl(shift)?;
+        self.log_op(LoggedOp::Shift(shift))
     }
 
-    /// Live edits and WAL replay both pass here, so the count is clamped
-    /// once: a delete cannot reach past the last addressable row, and
-    /// `at + n` below this point never overflows.
-    fn delete_rows_impl(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        let n = n.min(u32::MAX - at);
-        self.sheet.delete_rows(at, n)?;
-        self.apply_shift(Shift::DeleteRows { at, n })
-    }
-
-    fn insert_cols_impl(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.sheet.insert_cols(at, n)?;
-        self.apply_shift(Shift::InsertCols { at, n })
-    }
-
-    /// Clamped like [`SheetEngine::delete_rows_impl`].
-    fn delete_cols_impl(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        let n = n.min(u32::MAX - at);
-        self.sheet.delete_cols(at, n)?;
-        self.apply_shift(Shift::DeleteCols { at, n })
+    /// Live edits and WAL replay both pass here, so a delete's count is
+    /// clamped once: it cannot reach past the last addressable row or
+    /// column, and `at + n` below this point never overflows.
+    fn shift_impl(&mut self, shift: Shift) -> Result<(), EngineError> {
+        let shift = match shift {
+            Shift::DeleteRows { at, n } => Shift::DeleteRows {
+                at,
+                n: n.min(u32::MAX - at),
+            },
+            Shift::DeleteCols { at, n } => Shift::DeleteCols {
+                at,
+                n: n.min(u32::MAX - at),
+            },
+            insert => insert,
+        };
+        match shift {
+            Shift::InsertRows { at, n } => self.sheet.insert_rows(at, n)?,
+            Shift::DeleteRows { at, n } => self.sheet.delete_rows(at, n)?,
+            Shift::InsertCols { at, n } => self.sheet.insert_cols(at, n)?,
+            Shift::DeleteCols { at, n } => self.sheet.delete_cols(at, n)?,
+        }
+        self.apply_shift(shift)
     }
 
     /// Write a concrete value (bypassing literal inference) and recompute
@@ -463,60 +461,56 @@ impl SheetEngine {
     ///
     /// On a durable engine the whole import is one bulk WAL record —
     /// committed at the next [`SheetEngine::save`] like any other op and
-    /// replayed through the same bulk-load path on recovery (no forced
-    /// checkpoint).
+    /// replayed from its cell block on recovery (no forced checkpoint).
     pub fn import_rows(
         &mut self,
         top_left: CellAddr,
         width: u32,
         rows: impl IntoIterator<Item = Vec<CellValue>>,
     ) -> Result<Rect, EngineError> {
-        if self.durable.is_none() {
-            return self.import_rows_impl(top_left, width, rows);
-        }
-        // The record is encoded from the borrowed rows first, so the rows
-        // themselves can move into storage instead of being cloned.
         let rows: Vec<Vec<CellValue>> = rows.into_iter().collect();
-        let record = LoggedOp::encode_import(top_left.row, top_left.col, width, &rows);
-        let rect = self.import_rows_impl(top_left, width, rows)?;
-        let store = self.durable.as_mut().expect("checked durable above");
-        match store.log_encoded(record) {
-            Ok(()) => {}
-            // An import too large for one WAL record (the store refuses it
-            // before touching the log) is captured by an immediate
-            // checkpoint instead — the pre-PR-3 bulk path.
-            Err(EngineError::Store(dataspread_relstore::StoreError::LimitExceeded(_))) => {
-                self.checkpoint()?;
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(rect)
+        // The block is encoded from the borrowed rows first, so the rows
+        // themselves move into storage instead of being cloned or decoded.
+        let block = self
+            .durable
+            .is_some()
+            .then(|| codec::encode_block(width, &rows));
+        let rom = RomTranslator::bulk_load_rows(width, rows)?;
+        self.place_import(top_left, width, rom, block)
     }
 
-    fn import_rows_impl(
+    /// [`SheetEngine::import_rows`] of a cell block `rows` rows tall
+    /// ([`codec::encode_block`]), as the wire and the WAL carry it: the
+    /// block is visited into the region (a bad one is refused before
+    /// anything is cleared), then logged as it came.
+    pub fn import_block(
         &mut self,
         top_left: CellAddr,
         width: u32,
-        rows: impl IntoIterator<Item = Vec<CellValue>>,
+        rows: u32,
+        block: Vec<u8>,
+    ) -> Result<Rect, EngineError> {
+        let rom = RomTranslator::from_block(width, rows, &block)?;
+        self.place_import(top_left, width, rom, Some(block))
+    }
+
+    /// Place an import's region at `top_left` and log `block`: an empty
+    /// region, or one reaching off the sheet or onto a region, is refused
+    /// before anything is cleared.
+    fn place_import(
+        &mut self,
+        top_left: CellAddr,
+        width: u32,
+        rom: RomTranslator,
+        block: Option<Vec<u8>>,
     ) -> Result<Rect, EngineError> {
         if width == 0 {
             return Err(EngineError::BadLink("import of zero columns".into()));
         }
-        let cells = rows.into_iter().map(|row| {
-            row.into_iter()
-                .map(|v| Cell {
-                    value: v,
-                    formula: None,
-                })
-                .collect::<Vec<Cell>>()
-        });
-        let rom = RomTranslator::bulk_load_rows(width, cells)?;
         let n_rows = rom.rows();
         if n_rows == 0 {
             return Err(EngineError::BadLink("import of zero rows".into()));
         }
-        // Live imports and WAL replay both pass here: a block reaching past
-        // the last row or column is refused before anything is cleared.
         let (Some(r2), Some(c2)) = (
             top_left.row.checked_add(n_rows - 1),
             top_left.col.checked_add(width - 1),
@@ -539,6 +533,25 @@ impl SheetEngine {
         self.clear_rect(rect)?;
         self.sheet.add_region(rect, Box::new(rom))?;
         self.recompute_readers_of(rect)?;
+        if let Some(block) = block {
+            let (row, col, rows) = (top_left.row, top_left.col, n_rows);
+            let op = LoggedOp::ImportRows {
+                row,
+                col,
+                width,
+                rows,
+                block,
+            };
+            match self.log_op(op) {
+                // An import too large for one WAL record (the store refuses
+                // it before touching the log) is captured by an immediate
+                // checkpoint instead.
+                Err(EngineError::Store(dataspread_relstore::StoreError::LimitExceeded(_))) => {
+                    self.checkpoint()?;
+                }
+                logged => logged?,
+            }
+        }
         Ok(rect)
     }
 

@@ -1,7 +1,9 @@
 //! Property tests for the checkpoint cell payload: the one encoding every
 //! non-columnar store (ROM, COM, RCV, a linked table's cells and the
-//! catch-all) is written to the image in (`durable::CellsEncoder`) and
-//! read back from (`durable::visit_cells`).
+//! catch-all) is written to the image in (`durable::PayloadEncoder`, a
+//! `grid::codec` cell block plus formula sources) and read back from
+//! (`durable::visit_payload`), and the same block as an import carries it
+//! (`grid::codec::encode_block` / `visit_block`).
 //!
 //! Random sparse runs — small local coordinates as a region stores them,
 //! and sheet coordinates up to `(u32::MAX, u32::MAX)` as the catch-all
@@ -26,13 +28,13 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use dataspread_engine::durable::{visit_cells, CellsEncoder};
+use dataspread_engine::durable::{visit_payload, PayloadEncoder};
 use dataspread_engine::{EngineError, ScanValue};
 use dataspread_formula::refs;
 use dataspread_grid::addr::col_to_letters;
-use dataspread_grid::codec::put_uvarint;
+use dataspread_grid::codec::{encode_block, put_uvarint, visit_block, CellsEncoder};
 use dataspread_grid::value::CellError;
-use dataspread_grid::CellAddr;
+use dataspread_grid::{CellAddr, CellValue, DecodeError};
 use dataspread_relstore::StoreError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,7 +109,7 @@ fn owned(v: ScanValue<'_>) -> Value {
 }
 
 fn encode(cells: &[Cell]) -> Vec<u8> {
-    let mut enc = CellsEncoder::new();
+    let mut enc = PayloadEncoder::default();
     for (row, col, value, formula) in cells {
         enc.push(*row, *col, scan_value(value), formula.as_deref());
     }
@@ -116,7 +118,7 @@ fn encode(cells: &[Cell]) -> Vec<u8> {
 
 fn decode(bytes: &[u8]) -> Result<Vec<Cell>, EngineError> {
     let mut cells = Vec::new();
-    visit_cells(bytes, |row, col, value, formula| {
+    visit_payload(bytes, |row, col, value, formula| {
         cells.push((row, col, owned(value), formula.map(str::to_string)));
         Ok(())
     })?;
@@ -125,8 +127,8 @@ fn decode(bytes: &[u8]) -> Result<Vec<Cell>, EngineError> {
 
 /// Visit `bytes` straight into a fresh encoder: `None` when refused.
 fn reencode(bytes: &[u8]) -> Option<Vec<u8>> {
-    let mut enc = CellsEncoder::new();
-    visit_cells(bytes, |row, col, value, formula| {
+    let mut enc = PayloadEncoder::default();
+    visit_payload(bytes, |row, col, value, formula| {
         enc.push(row, col, value, formula);
         Ok(())
     })
@@ -852,4 +854,97 @@ fn an_unsorted_or_blank_cell_is_a_scan_bug_not_a_payload() {
         let result = catch_unwind(AssertUnwindSafe(|| encode(&cells)));
         assert!(result.is_err(), "{cells:?} must trip the encoder's assert");
     }
+}
+
+/// An import's rows, as `SheetEngine::import_rows` takes them: ragged,
+/// with `Empty` values, whole empty rows and values past the width.
+fn import_rows(rng: &mut StdRng, width: u32) -> Vec<Vec<CellValue>> {
+    (0..rng.gen_range(0u32..12))
+        .map(|_| {
+            (0..rng.gen_range(0..width + 3))
+                .map(|_| match random_value(rng, false) {
+                    Value::Empty => CellValue::Empty,
+                    Value::Number(bits) => CellValue::Number(f64::from_bits(bits)),
+                    Value::Text(s) => CellValue::Text(s),
+                    Value::Bool(b) => CellValue::Bool(b),
+                    Value::Error(e) => CellValue::Error(e),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// An import block visited into a fresh block encoder: `None` when
+/// refused. An import's cells are the image's cells without sources.
+fn reencode_block(block: &[u8], rows: u32, width: u32) -> Option<Vec<u8>> {
+    let mut enc = CellsEncoder::default();
+    visit_block(block, rows, width, |row, col, value| {
+        enc.push(row, col, value, false);
+        Ok::<_, DecodeError>(())
+    })
+    .ok()?;
+    Some(enc.finish())
+}
+
+/// The WAL's and the wire's import block gets the payload's properties:
+/// its cells are each row's first `width` non-empty values, at their
+/// rect-local addresses; every cut and trailing byte is refused; and every
+/// flipped bit is refused or still canonical.
+#[test]
+fn an_import_block_refuses_every_cut_and_stays_canonical_under_every_flip() {
+    let mut accepted_flips = 0u64;
+    for seed in 0..150u64 {
+        let mut rng = StdRng::seed_from_u64(0x1B10C + seed);
+        let width = rng.gen_range(1u32..6);
+        let rows = import_rows(&mut rng, width);
+        let n_rows = rows.len() as u32;
+        let block = encode_block(width, &rows);
+        let mut cells = Vec::new();
+        visit_block(&block, n_rows, width, |row, col, value| {
+            cells.push((row, col, value.to_value()));
+            Ok::<_, DecodeError>(())
+        })
+        .unwrap();
+        let mut want = Vec::new();
+        for (r, row) in rows.iter().enumerate() {
+            for (c, v) in row.iter().take(width as usize).enumerate() {
+                if !v.is_empty() {
+                    want.push((r as u32, c as u32, v.clone()));
+                }
+            }
+        }
+        // NaN is not equal to itself: compare the bits of numbers.
+        let bits = |cells: &[(u32, u32, CellValue)]| -> Vec<(u32, u32, Value)> {
+            cells
+                .iter()
+                .map(|(r, c, v)| (*r, *c, owned(ScanValue::of(v))))
+                .collect()
+        };
+        assert_eq!(bits(&cells), bits(&want), "seed {seed}");
+        assert_eq!(
+            reencode_block(&block, n_rows, width).as_ref(),
+            Some(&block),
+            "seed {seed}"
+        );
+        for cut in 0..block.len() {
+            assert!(
+                reencode_block(&block[..cut], n_rows, width).is_none(),
+                "seed {seed}: cut at {cut} accepted"
+            );
+        }
+        let mut trailing = block.clone();
+        trailing.push(0);
+        assert!(reencode_block(&trailing, n_rows, width).is_none());
+        for i in 0..block.len() {
+            for bit in 0..8 {
+                let mut mutated = block.clone();
+                mutated[i] ^= 1 << bit;
+                if let Some(again) = reencode_block(&mutated, n_rows, width) {
+                    accepted_flips += 1;
+                    assert_eq!(again, mutated, "seed {seed}: flip of bit {bit} at byte {i}");
+                }
+            }
+        }
+    }
+    assert!(accepted_flips > 1000, "{accepted_flips} flips accepted");
 }

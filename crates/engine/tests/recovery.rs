@@ -410,6 +410,61 @@ fn v2_wal_is_refused_untouched() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Hand-built WAL of format version 3 (magic, version, epoch, ticket base,
+/// header CRC) holding one import record of that format: its rows as
+/// tagged values (a `u32` row count, per row a `u32` value count, per
+/// value a tag byte and a raw `f64`).
+fn v3_wal_bytes() -> Vec<u8> {
+    let mut op = vec![0u8, 6u8]; // record kind REC_OP, op tag ImportRows
+    for field in [4u32, 1, 2, 1, 2] {
+        // row, col, width, then the row count and the first row's length
+        op.extend_from_slice(&field.to_le_bytes());
+    }
+    for n in [1.5f64, -2.0] {
+        op.push(1); // Number
+        op.extend_from_slice(&n.to_le_bytes());
+    }
+    let crc = dataspread_relstore::crc32;
+    let mut wal = Vec::new();
+    wal.extend_from_slice(b"DSWL");
+    wal.extend_from_slice(&3u32.to_le_bytes()); // version 3
+    let mut tail = Vec::new();
+    tail.extend_from_slice(&1u64.to_le_bytes()); // epoch
+    tail.extend_from_slice(&7u64.to_le_bytes()); // ticket base
+    wal.extend_from_slice(&tail);
+    wal.extend_from_slice(&crc(&tail).to_le_bytes());
+    wal.extend_from_slice(&(op.len() as u32).to_le_bytes());
+    wal.extend_from_slice(&crc(&op).to_le_bytes());
+    wal.extend_from_slice(&op);
+    wal
+}
+
+/// WAL format version 4 logs an import's cells as a cell block; a
+/// version-3 log, whose import records hold tagged rows, is refused with a
+/// `Corrupt` error naming the version, and neither the log nor the image
+/// beside it changes a byte.
+#[test]
+fn v3_wal_is_refused_untouched() {
+    let dir = temp_dir("v3-wal");
+    {
+        let mut engine = SheetEngine::open(&dir).unwrap();
+        engine.update_cell(CellAddr::new(0, 0), "kept").unwrap();
+        engine.checkpoint().unwrap();
+    }
+    let wal = v3_wal_bytes();
+    std::fs::write(wal_path(&dir), &wal).unwrap();
+    let image = std::fs::read(image_path(&dir)).unwrap();
+    match SheetEngine::open(&dir) {
+        Err(EngineError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.ends_with("unsupported version 3"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), wal);
+    assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The WAL header carries the epoch and the ticket base under a CRC, so
 /// no single flipped bit can open the log as another generation or with
 /// another ticket horizon: each of the header's 224 flips is refused as
@@ -890,14 +945,14 @@ fn an_image_naming_another_positional_map_is_refused_untouched() {
 /// abort).
 #[test]
 fn a_region_cell_outside_its_rect_is_refused_untouched() {
-    use dataspread_engine::durable::{CellsEncoder, DurableStore};
+    use dataspread_engine::durable::{DurableStore, PayloadEncoder};
     use dataspread_engine::{
         ColumnarTranslator, ModelKind, RegionImage, ScanValue, Translator, CATCHALL_REGION_ID,
     };
     use dataspread_grid::{Cell, Rect};
     let rect = Rect::new(2, 0, 5, 2);
     let cells = |row: u32, col: u32, formula: Option<&str>| {
-        let mut cells = CellsEncoder::new();
+        let mut cells = PayloadEncoder::default();
         cells.push(0, 0, ScanValue::Number(1.0), None);
         cells.push(row, col, ScanValue::Number(2.0), formula);
         cells.finish()
@@ -929,7 +984,7 @@ fn a_region_cell_outside_its_rect_is_refused_untouched() {
                     id: CATCHALL_REGION_ID,
                     kind: ModelKind::Rcv,
                     rect: Rect::new(0, 0, 0, 0),
-                    payload: Some(CellsEncoder::new().finish()),
+                    payload: Some(PayloadEncoder::default().finish()),
                 },
                 RegionImage {
                     id: 1,

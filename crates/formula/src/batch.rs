@@ -6,88 +6,18 @@
 //! run cell-by-cell pays a full tree walk plus a storage range-fetch per
 //! cell — `SUM(A1:A64)` filled down 100k rows costs 100k index probes and
 //! 6.4M `Cell` clones. This module detects the shape once, at formula
-//! registration ([`shape_key`]), and evaluates a whole run against a single
-//! bulk fetch ([`batch_eval_sliding`]): the union of the run's windows is
-//! read into dense arrays, then each cell's aggregate folds over array
-//! slots in exactly the order the tree-walking evaluator would visit the
+//! registration ([`detect_sliding`]), and evaluates a whole run against a
+//! single bulk fetch ([`batch_eval_sliding`]): the union of the run's
+//! windows is read into dense arrays, then each cell's aggregate folds over
+//! array slots in exactly the order the tree-walking evaluator would visit the
 //! underlying cells — so results are bit-identical to per-cell evaluation
 //! (same float associativity, same first-error semantics, same skip rules).
-
-use std::fmt::Write as _;
 
 use dataspread_grid::value::CellError;
 use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue};
 
-use crate::ast::{CellRef, Expr, UnOp};
+use crate::ast::Expr;
 use crate::eval::{AggKind, CellReader, RangeAgg};
-
-/// Render `expr` with every reference written as an offset from `base`
-/// (`R[-3]C[0]`-style). Two formulas at different cells with equal keys are
-/// the same formula filled to different positions: evaluating one at its
-/// cell is evaluating the other shifted. Returns `None` when the formula
-/// contains an absolute (`$`) reference component — those do *not* shift on
-/// fill, so textual equality of the relative form would be a lie.
-pub fn shape_key(expr: &Expr, base: CellAddr) -> Option<String> {
-    let mut out = String::new();
-    write_relative(expr, base, &mut out)?;
-    Some(out)
-}
-
-fn write_ref_relative(r: &CellRef, base: CellAddr, out: &mut String) -> Option<()> {
-    if r.abs_row || r.abs_col {
-        return None;
-    }
-    let dr = r.row as i64 - base.row as i64;
-    let dc = r.col as i64 - base.col as i64;
-    let _ = write!(out, "R[{dr}]C[{dc}]");
-    Some(())
-}
-
-fn write_relative(expr: &Expr, base: CellAddr, out: &mut String) -> Option<()> {
-    match expr {
-        Expr::Number(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Expr::Text(s) => {
-            let _ = write!(out, "{s:?}");
-        }
-        Expr::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Expr::Ref(r) => write_ref_relative(r, base, out)?,
-        Expr::Range(a, b) => {
-            write_ref_relative(a, base, out)?;
-            out.push(':');
-            write_ref_relative(b, base, out)?;
-        }
-        Expr::Unary(op, e) => {
-            out.push(if *op == UnOp::Neg { '-' } else { '+' });
-            write_relative(e, base, out)?;
-        }
-        Expr::Binary(op, a, b) => {
-            out.push('(');
-            write_relative(a, base, out)?;
-            out.push_str(op.symbol());
-            write_relative(b, base, out)?;
-            out.push(')');
-        }
-        Expr::Percent(e) => {
-            write_relative(e, base, out)?;
-            out.push('%');
-        }
-        Expr::Func(name, args) => {
-            let _ = write!(out, "{name}(");
-            for (i, a) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_relative(a, base, out)?;
-            }
-            out.push(')');
-        }
-    }
-    Some(())
-}
 
 /// A sliding-window aggregate: `AGG(range)` where the whole range is
 /// relative, described by the range corners' offsets from the formula cell.
@@ -95,18 +25,18 @@ fn write_relative(expr: &Expr, base: CellAddr, out: &mut String) -> Option<()> {
 /// column), and the shape [`batch_eval_sliding`] vectorizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlidingSpec {
-    pub kind: AggKind,
-    pub dr1: i64,
-    pub dc1: i64,
-    pub dr2: i64,
-    pub dc2: i64,
+    kind: AggKind,
+    dr1: i64,
+    dc1: i64,
+    dr2: i64,
+    dc2: i64,
 }
 
 impl SlidingSpec {
     /// The window this spec reads when the formula sits at `addr`; `None`
     /// when the offsets fall outside the sheet (caller falls back to the
     /// tree walk, which resolves it the slow way).
-    pub fn window(&self, addr: CellAddr) -> Option<Rect> {
+    fn window(&self, addr: CellAddr) -> Option<Rect> {
         let r1 = u32::try_from(addr.row as i64 + self.dr1).ok()?;
         let c1 = u32::try_from(addr.col as i64 + self.dc1).ok()?;
         let r2 = u32::try_from(addr.row as i64 + self.dr2).ok()?;
@@ -239,21 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn fill_down_shapes_share_a_key() {
-        let at_b5 = parse("SUM(A1:A5)*2").unwrap();
-        let at_b9 = parse("SUM(A5:A9)*2").unwrap();
-        let k1 = shape_key(&at_b5, a("B5")).unwrap();
-        let k2 = shape_key(&at_b9, a("B9")).unwrap();
-        assert_eq!(k1, k2);
-        // A different window is a different shape.
-        let other = parse("SUM(A1:A6)*2").unwrap();
-        assert_ne!(shape_key(&other, a("B5")).unwrap(), k1);
-    }
-
-    #[test]
     fn absolute_refs_have_no_shape() {
         let e = parse("SUM($A$1:A5)").unwrap();
-        assert_eq!(shape_key(&e, a("B5")), None);
         assert_eq!(detect_sliding(&e, a("B5")), None);
     }
 

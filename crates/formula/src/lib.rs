@@ -17,7 +17,7 @@ pub mod parser;
 pub mod refs;
 
 pub use ast::{BinOp, CellRef, Expr, UnOp};
-pub use batch::{batch_eval_sliding, detect_sliding, shape_key, SlidingSpec};
+pub use batch::{batch_eval_sliding, detect_sliding, SlidingSpec};
 pub use deps::{DependencyGraph, RecomputePlan, WavePlan};
 pub use error::ParseError;
 pub use eval::{AggKind, CellReader, EmptyReader, Evaluator, RangeAgg, SheetReader};

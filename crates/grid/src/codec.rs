@@ -18,12 +18,14 @@
 //!
 //! Next to it live the one encoding of each shared grid value — a cell
 //! value ([`put_value`] / [`read_value`]), a rectangle ([`put_rect`] /
-//! [`read_rect`]) and a block of value rows ([`put_rows`] /
-//! [`read_rows`]) — which the WAL and the wire both speak byte for byte.
-//! Decoders accept only what the encoders write: a bool is 0 or 1, a
-//! rectangle's corners are ordered, so every decoded value re-encodes to
-//! the bytes it came from.
+//! [`read_rect`]) and a block of cells ([`CellsEncoder`] /
+//! [`visit_cells`]): the image's cell payload, and the cells of the WAL's
+//! and the wire's imports ([`encode_block`] / [`visit_block`]). Decoders
+//! accept only what the encoders write: a bool is 0 or 1, a rectangle's
+//! corners are ordered, a number has one form, so every decoded value
+//! re-encodes to the bytes it came from.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::region::Rect;
@@ -82,11 +84,6 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
-}
-/// Raw bytes, no length prefix (fixed-size fields like page images).
-#[inline]
-pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(bytes);
 }
 /// An unsigned LEB128 varint: seven bits per byte, low groups first, the
 /// high bit set on every byte but the last. Always the shortest form, so
@@ -329,16 +326,328 @@ pub fn read_rect(r: &mut Reader<'_>) -> Result<Rect, DecodeError> {
     Ok(Rect { r1, c1, r2, c2 })
 }
 
-/// A block of value rows: a list of lists of values.
-pub fn put_rows(out: &mut Vec<u8>, rows: &[Vec<CellValue>]) {
-    put_list(out, rows, |out, row| {
-        put_list(out, row, |out, v| put_value(out, ScanValue::of(v)))
-    });
+// A cell's tag (grammar at `CellsEncoder`): the kind in the low three
+// bits, the source bit, and the modifier nibble (`TEXT_REF`: a text code).
+const CELL_EMPTY: u8 = 0;
+const CELL_INT: u8 = 1;
+const CELL_FLOAT: u8 = 2;
+const CELL_TEXT: u8 = 3;
+const CELL_FALSE: u8 = 4;
+const CELL_TRUE: u8 = 5;
+const CELL_ERROR: u8 = 6;
+const CELL_KIND: u8 = 0x07;
+const CELL_SOURCE: u8 = 0x08;
+const MODIFIER_SHIFT: u8 = 4;
+const TEXT_REF: u8 = 1;
+
+fn put_zigzag(out: &mut Vec<u8>, i: i64) {
+    put_uvarint(out, ((i << 1) ^ (i >> 63)) as u64);
 }
 
-/// Rows written by [`put_rows`].
-pub fn read_rows(r: &mut Reader<'_>) -> Result<Vec<Vec<CellValue>>, DecodeError> {
-    r.list(|r| r.list(|r| Ok(read_value(r)?.to_value())))
+/// A zigzag mantissa at scale `s`, refused unless it is exactly the
+/// [`decimal_form`] of the number it spells: that refuses a non-minimal
+/// scale, an integral `Float` and a magnitude past 2^53.
+fn read_decimal(r: &mut Reader<'_>, s: u8) -> Result<f64, DecodeError> {
+    let z = r.uvarint()?;
+    let m = (z >> 1) as i64 ^ -((z & 1) as i64);
+    let n = m as f64 / POW10[s as usize];
+    if decimal_form(n) != Some((m, s)) {
+        return Err(corrupt(format!(
+            "cells: mantissa {m} at scale {s} is not the form of {n:e}"
+        )));
+    }
+    Ok(n)
+}
+
+/// Streams cells into a *cell block*, the one byte form of a block of
+/// cells: the checkpoint image's cell payload, a WAL import record's and a
+/// wire import's cells. Every integer is a shortest-form varint
+/// ([`put_uvarint`]):
+///
+/// ```text
+/// block   := n_rows row{n_rows}
+/// row     := row_gap head [first_col] cell{n_cells}
+///            row_gap = row - prev_row - 1 (first: row)
+///            head    = n_cells(>=1) << 1 | dense; a dense row's columns
+///                      are consecutive and it writes first_col once
+/// cell    := [col_gap] tag body [source]
+///            col_gap = col - prev_col - 1 (first in row: col); sparse rows only
+/// tag     := kind (low 3 bits: Empty 0 | Int 1 | Float 2 | Text 3 | False 4 |
+///            True 5 | Error 6) | 0x08 if a source field follows |
+///            modifier << 4 (Float: scale 0..=15; Text: 0 literal, 1 reference;
+///            0 on every other kind)
+/// body    := Int, Float at scale s >= 1: zigzag varint mantissa |
+///            Float at modifier 0: f64 LE | Text literal: len + UTF-8 |
+///            Text reference: code | Error: code u8 | otherwise nothing
+/// ```
+///
+/// Each value has one byte form: a number with a [`decimal_form`] is its
+/// mantissa, and a raw `Float` holds exactly the numbers with none; a
+/// text's first occurrence is a literal and every repeat the code of that
+/// literal; a row whose columns are consecutive is dense. `Empty` is legal
+/// only before a source field, whose grammar belongs to the layer above
+/// (the image stores a formula source there; an import has none). Cells
+/// must arrive non-blank and in strictly increasing row-major order; a
+/// caller that pushes otherwise trips an assert rather than writing a
+/// non-canonical block.
+#[derive(Default)]
+pub struct CellsEncoder {
+    /// Finished rows.
+    out: Vec<u8>,
+    /// The current row's cells, without their column gaps.
+    row: Vec<u8>,
+    /// Per cell of the current row: where it starts in `row`, and its
+    /// column gap.
+    cells: Vec<(usize, u32)>,
+    /// The current row's gap from the previous row.
+    row_gap: u64,
+    rows: u64,
+    last: Option<(u32, u32)>,
+    /// Every text written as a literal so far, by its code.
+    texts: HashMap<String, u32>,
+}
+
+impl CellsEncoder {
+    /// Append the cell at `(row, col)`. With `sourced`, its tag announces a
+    /// source field, which the caller appends to the returned buffer
+    /// before the next push.
+    pub fn push(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        sourced: bool,
+    ) -> &mut Vec<u8> {
+        assert!(
+            self.last < Some((row, col)),
+            "cell block: cell ({row},{col}) pushed after {:?}",
+            self.last
+        );
+        assert!(
+            sourced || value != ScanValue::Empty,
+            "cell block: blank cell ({row},{col}) pushed"
+        );
+        let col_gap = match self.last {
+            Some((r, c)) if r == row => col - c - 1,
+            last => {
+                self.end_row();
+                self.row_gap = last.map_or(row, |(r, _)| row - r - 1) as u64;
+                col
+            }
+        };
+        self.last = Some((row, col));
+        self.cells.push((self.row.len(), col_gap));
+        let out = &mut self.row;
+        let flag = if sourced { CELL_SOURCE } else { 0 };
+        match value {
+            ScanValue::Empty => out.push(CELL_EMPTY | flag),
+            ScanValue::Number(n) => match decimal_form(n) {
+                Some((m, 0)) => {
+                    out.push(CELL_INT | flag);
+                    put_zigzag(out, m);
+                }
+                Some((m, s)) => {
+                    out.push(CELL_FLOAT | s << MODIFIER_SHIFT | flag);
+                    put_zigzag(out, m);
+                }
+                None => {
+                    out.push(CELL_FLOAT | flag);
+                    put_f64(out, n);
+                }
+            },
+            ScanValue::Text(s) => match self.texts.get(s) {
+                Some(&code) => {
+                    out.push(CELL_TEXT | TEXT_REF << MODIFIER_SHIFT | flag);
+                    put_uvarint(out, code.into());
+                }
+                None => {
+                    self.texts.insert(s.to_string(), self.texts.len() as u32);
+                    out.push(CELL_TEXT | flag);
+                    put_uvarint(out, s.len() as u64);
+                    out.extend_from_slice(s.as_bytes());
+                }
+            },
+            ScanValue::Bool(b) => out.push(if b { CELL_TRUE } else { CELL_FALSE } | flag),
+            ScanValue::Error(e) => {
+                out.push(CELL_ERROR | flag);
+                out.push(e.code());
+            }
+        }
+        out
+    }
+
+    /// Move the current row, under its header, to the finished rows: a
+    /// dense row writes its first column once, a sparse one every cell's
+    /// column gap.
+    fn end_row(&mut self) {
+        let Some(&(_, first_col)) = self.cells.first() else {
+            return;
+        };
+        let dense = self.cells[1..].iter().all(|&(_, gap)| gap == 0);
+        let out = &mut self.out;
+        put_uvarint(out, self.row_gap);
+        put_uvarint(out, (self.cells.len() as u64) << 1 | u64::from(dense));
+        if dense {
+            put_uvarint(out, first_col.into());
+            out.extend_from_slice(&self.row);
+        } else {
+            let ends = self.cells[1..].iter().map(|&(start, _)| start);
+            for (&(start, gap), end) in self.cells.iter().zip(ends.chain([self.row.len()])) {
+                put_uvarint(out, gap.into());
+                out.extend_from_slice(&self.row[start..end]);
+            }
+        }
+        self.row.clear();
+        self.cells.clear();
+        self.rows += 1;
+    }
+
+    pub fn finish(mut self) -> Vec<u8> {
+        self.end_row();
+        let mut head = Vec::with_capacity(10);
+        put_uvarint(&mut head, self.rows);
+        self.out.splice(0..0, head);
+        self.out
+    }
+}
+
+/// `prev + 1 + gap` (or `gap` for the first), refused past `u32::MAX`.
+fn advance(prev: Option<u32>, gap: u64, axis: &str) -> Result<u32, DecodeError> {
+    prev.map_or(Some(gap), |p| (p as u64 + 1).checked_add(gap))
+        .and_then(|at| u32::try_from(at).ok())
+        .ok_or_else(|| corrupt(format!("cells: {axis} past u32::MAX")))
+}
+
+/// One cell's value, decoded in place, and whether a source field follows.
+/// `texts` holds the literals read so far, by code.
+fn read_cell<'a>(
+    r: &mut Reader<'a>,
+    texts: &mut Vec<&'a str>,
+    seen: &mut HashSet<&'a str>,
+) -> Result<(ScanValue<'a>, bool), DecodeError> {
+    let tag = r.u8()?;
+    let sourced = tag & CELL_SOURCE != 0;
+    let value = match (tag & CELL_KIND, tag >> MODIFIER_SHIFT) {
+        (CELL_EMPTY, 0) if sourced => ScanValue::Empty,
+        (CELL_EMPTY, 0) => return Err(corrupt("cells: blank cell without a source")),
+        (CELL_INT, 0) => ScanValue::Number(read_decimal(r, 0)?),
+        (CELL_FLOAT, 0) => {
+            let n = r.f64()?;
+            if decimal_form(n).is_some() {
+                return Err(corrupt(format!("cells: decimal {n} stored as a raw float")));
+            }
+            ScanValue::Number(n)
+        }
+        (CELL_FLOAT, s) => ScanValue::Number(read_decimal(r, s)?),
+        (CELL_TEXT, 0) => {
+            let len = r.uvarint()?;
+            if len > MAX_STR_LEN as u64 {
+                return Err(corrupt(format!(
+                    "cells: string of {len} bytes exceeds bound"
+                )));
+            }
+            let s = std::str::from_utf8(r.take(len as usize)?)
+                .map_err(|_| corrupt("cells: invalid utf-8 string"))?;
+            if !seen.insert(s) {
+                return Err(corrupt("cells: a literal repeats an earlier text"));
+            }
+            texts.push(s);
+            ScanValue::Text(s)
+        }
+        (CELL_TEXT, TEXT_REF) => {
+            let code = r.uvarint()?;
+            match usize::try_from(code).ok().and_then(|c| texts.get(c)) {
+                Some(s) => ScanValue::Text(s),
+                None => return Err(corrupt(format!("cells: text code {code} not yet written"))),
+            }
+        }
+        (CELL_FALSE, 0) => ScanValue::Bool(false),
+        (CELL_TRUE, 0) => ScanValue::Bool(true),
+        (CELL_ERROR, 0) => ScanValue::Error(cell_error(r.u8()?)?),
+        _ => return Err(corrupt(format!("cells: unknown cell tag {tag:#04x}"))),
+    };
+    Ok((value, sourced))
+}
+
+/// Visit the cells of a block written by [`CellsEncoder`] in row-major
+/// order, texts borrowed from `block`; `f` gets the reader at a cell's
+/// source field, if any, and must consume it. Only the encoder's own bytes
+/// are accepted (anything else, trailing bytes included, is a
+/// [`DecodeError`]), so every accepted block re-encodes to itself. An
+/// error from `f` ends the visit.
+pub fn visit_cells<'a, E: From<DecodeError>>(
+    block: &'a [u8],
+    mut f: impl FnMut(u32, u32, ScanValue<'a>, Option<&mut Reader<'a>>) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut r = Reader::new(block);
+    let (mut texts, mut seen) = (Vec::new(), HashSet::new());
+    let n_rows = r.uvarint()?;
+    let mut row = None;
+    // Every row and cell consumes input, so a huge count fails on
+    // truncation instead of looping.
+    for _ in 0..n_rows {
+        let at = advance(row, r.uvarint()?, "row")?;
+        let head = r.uvarint()?;
+        let (n_cells, dense) = (head >> 1, head & 1 == 1);
+        if n_cells == 0 {
+            return Err(corrupt("cells: empty row").into());
+        }
+        let mut col = None;
+        let mut consecutive = true;
+        for _ in 0..n_cells {
+            let gap = if dense && col.is_some() {
+                0
+            } else {
+                r.uvarint()?
+            };
+            consecutive &= col.is_none() || gap == 0;
+            let c = advance(col, gap, "column")?;
+            let (value, sourced) = read_cell(&mut r, &mut texts, &mut seen)?;
+            f(at, c, value, sourced.then_some(&mut r))?;
+            col = Some(c);
+        }
+        if consecutive && !dense {
+            return Err(corrupt("cells: consecutive columns in a sparse row").into());
+        }
+        row = Some(at);
+    }
+    Ok(r.expect_done("cells")?)
+}
+
+/// The cell block of an import of `rows` into a rect `width` columns wide,
+/// in rect-local coordinates: each row's first `width` non-empty values.
+pub fn encode_block(width: u32, rows: &[Vec<CellValue>]) -> Vec<u8> {
+    let mut enc = CellsEncoder::default();
+    for (r, row) in rows.iter().enumerate() {
+        for (c, v) in row.iter().take(width as usize).enumerate() {
+            if !v.is_empty() {
+                enc.push(r as u32, c as u32, ScanValue::of(v), false);
+            }
+        }
+    }
+    enc.finish()
+}
+
+/// [`visit_cells`] of an import block `rows` x `width`, refusing also a
+/// cell outside that rect and a source field.
+pub fn visit_block<'a, E: From<DecodeError>>(
+    block: &'a [u8],
+    rows: u32,
+    width: u32,
+    mut f: impl FnMut(u32, u32, ScanValue<'a>) -> Result<(), E>,
+) -> Result<(), E> {
+    visit_cells(block, |row, col, value, source| {
+        if source.is_some() {
+            return Err(corrupt(format!("import block: cell ({row},{col}) has a source")).into());
+        }
+        if row >= rows || col >= width {
+            return Err(corrupt(format!(
+                "import block: cell ({row},{col}) outside its {rows}x{width} rect"
+            ))
+            .into());
+        }
+        f(row, col, value)
+    })
 }
 
 #[cfg(test)]
@@ -354,7 +663,7 @@ mod tests {
         put_u64(&mut buf, u64::MAX - 1);
         put_f64(&mut buf, -2.5);
         put_str(&mut buf, "héllo");
-        put_bytes(&mut buf, &[1, 2, 3]);
+        buf.extend_from_slice(&[1, 2, 3]);
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u16().unwrap(), 1234);
@@ -457,12 +766,6 @@ mod tests {
             assert_eq!(read_value(&mut r).unwrap().to_value(), *v);
             r.expect_done("value").unwrap();
         }
-        let rows = vec![values.to_vec(), Vec::new(), vec![CellValue::Number(3.0)]];
-        let mut buf = Vec::new();
-        put_rows(&mut buf, &rows);
-        let mut r = Reader::new(&buf);
-        assert_eq!(read_rows(&mut r).unwrap(), rows);
-        r.expect_done("rows").unwrap();
         let rect = Rect::new(0, 7, u32::MAX, u32::MAX);
         let mut buf = Vec::new();
         put_rect(&mut buf, rect);
@@ -535,9 +838,59 @@ mod tests {
             put_u32(&mut buf, corner);
         }
         assert!(read_rect(&mut Reader::new(&buf)).is_err(), "r1 > r2");
+    }
+
+    fn block_cells(
+        block: &[u8],
+        rows: u32,
+        width: u32,
+    ) -> Result<Vec<(u32, u32, CellValue)>, DecodeError> {
+        let mut cells = Vec::new();
+        visit_block(block, rows, width, |r, c, v| {
+            cells.push((r, c, v.to_value()));
+            Ok::<_, DecodeError>(())
+        })?;
+        Ok(cells)
+    }
+
+    #[test]
+    fn an_import_block_keeps_its_cells_and_refuses_what_it_cannot_hold() {
+        let rows = vec![
+            vec![
+                CellValue::Empty,
+                CellValue::Text("a".into()),
+                CellValue::Number(0.25),
+            ],
+            Vec::new(),
+            vec![
+                CellValue::Text("a".into()),
+                CellValue::Empty,
+                CellValue::Bool(true),
+                CellValue::Number(9.0),
+            ],
+        ];
+        let block = encode_block(3, &rows);
+        // The fourth value of the last row lies past the width: not stored.
+        assert_eq!(
+            block_cells(&block, 3, 3).unwrap(),
+            [
+                (0, 1, CellValue::Text("a".into())),
+                (0, 2, CellValue::Number(0.25)),
+                (2, 0, CellValue::Text("a".into())),
+                (2, 2, CellValue::Bool(true)),
+            ]
+        );
+        // Too short or too narrow for its cells, a block is refused.
+        assert!(block_cells(&block, 2, 3).is_err());
+        assert!(block_cells(&block, 3, 2).is_err());
+        // A source field is not part of an import.
+        let mut enc = CellsEncoder::default();
+        enc.push(0, 0, ScanValue::Empty, true).push(0);
+        assert!(block_cells(&enc.finish(), 1, 1).is_err());
         // A row count far past the bytes fails on truncation.
         let mut buf = Vec::new();
-        put_u32(&mut buf, u32::MAX);
-        assert!(read_rows(&mut Reader::new(&buf)).is_err());
+        put_uvarint(&mut buf, u64::MAX);
+        assert!(block_cells(&buf, u32::MAX, u32::MAX).is_err());
+        assert_eq!(encode_block(3, &[]), [0]);
     }
 }

@@ -15,8 +15,8 @@
 use std::io::{Read, Write};
 
 use dataspread_grid::codec::{
-    corrupt, put_rect, put_rows, put_str, put_u16, put_u32, put_u64, put_u8, put_value, read_rect,
-    read_rows, read_value, Reader,
+    corrupt, put_rect, put_str, put_u16, put_u32, put_u64, put_u8, put_value, read_rect,
+    read_value, Reader,
 };
 use dataspread_grid::{CellAddr, CellValue, DecodeError, Rect, ScanValue};
 use dataspread_obs::RegistrySnapshot;
@@ -29,8 +29,9 @@ use crate::types::{CheckpointSummary, Edit, EditReceipt, WireError};
 /// mismatches before any other request is processed. Version 2 added
 /// `Metrics`; version 3 retired `Stats` (request tag 9, response tag 7),
 /// whose numbers a client now projects out of the metrics snapshot with
-/// [`SheetStats::from_snapshot`](crate::SheetStats::from_snapshot).
-pub const PROTOCOL_VERSION: u16 = 3;
+/// [`SheetStats::from_snapshot`](crate::SheetStats::from_snapshot);
+/// version 4 sends an import's cells as a cell block.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Hard cap on one frame's payload, matching the WAL's record bound — an
 /// import that fits in one WAL record fits in one frame.
@@ -109,11 +110,15 @@ pub enum Request {
         sheet: String,
         ticket: u64,
     },
+    /// An import `rows` x `width` at `top_left`, its cells one
+    /// [`encode_block`](dataspread_grid::codec::encode_block) cell block
+    /// behind a `u32` length, framed here and verified by the engine.
     ImportRows {
         sheet: String,
         top_left: CellAddr,
         width: u32,
-        rows: Vec<Vec<CellValue>>,
+        rows: u32,
+        block: Vec<u8>,
     },
     Checkpoint {
         sheet: String,
@@ -176,13 +181,16 @@ impl Request {
                 top_left,
                 width,
                 rows,
+                block,
             } => {
                 put_u8(&mut out, 7);
                 put_str(&mut out, sheet);
                 put_u32(&mut out, top_left.row);
                 put_u32(&mut out, top_left.col);
                 put_u32(&mut out, *width);
-                put_rows(&mut out, rows);
+                put_u32(&mut out, *rows);
+                put_u32(&mut out, block.len() as u32);
+                out.extend_from_slice(block);
             }
             Request::Checkpoint { sheet } => {
                 put_u8(&mut out, 8);
@@ -231,7 +239,11 @@ impl Request {
                 sheet: r.str()?,
                 top_left: CellAddr::new(r.u32()?, r.u32()?),
                 width: r.u32()?,
-                rows: read_rows(&mut r)?,
+                rows: r.u32()?,
+                block: {
+                    let len = r.u32()?;
+                    r.take(len as usize)?.to_vec()
+                },
             },
             8 => Request::Checkpoint { sheet: r.str()? },
             10 => Request::Ping,
@@ -378,6 +390,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataspread_grid::codec::encode_block;
     use dataspread_grid::{Cell, CellError};
     use dataspread_obs::{Event, Health, Histogram, SheetHealth};
 
@@ -467,7 +480,8 @@ mod tests {
 
     /// One sample of every request variant (every edit kind through
     /// `ApplyEdit`) with its frame under id `0x0102030405060708`, as hex
-    /// generated before the codec moved into `dataspread-grid`.
+    /// generated before the codec moved into `dataspread-grid`; the import's
+    /// was re-pinned when its rows became a cell block (protocol 4).
     fn requests() -> Vec<(&'static str, Request, &'static str)> {
         let s = || "s1".to_string();
         let edit = |edit| Request::ApplyEdit { sheet: s(), edit };
@@ -536,9 +550,10 @@ mod tests {
                     sheet: s(),
                     top_left: CellAddr::new(10, 2),
                     width: 3,
-                    rows: rows(),
+                    rows: 3,
+                    block: encode_block(3, &rows()),
                 },
-                "0807060504030201070200000073310a0000000200000003000000030000000300000001000000000000f83f02010000006103010000000002000000000404",
+                "0807060504030201070200000073310a0000000200000003000000030000000f00000002000700121e030161050103010604",
             ),
             ("checkpoint", Request::Checkpoint { sheet: s() }, "080706050403020108020000007331"),
             ("ping", Request::Ping, "08070605040302010a"),

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use dataspread_grid::codec::Reader;
+use dataspread_grid::codec::{encode_block, Reader};
 use dataspread_grid::{Cell, CellAddr, CellError, CellValue, DecodeError, Rect};
 use dataspread_obs::{Event, Health, Histogram, HistogramSnapshot, RegistrySnapshot, SheetHealth};
 use dataspread_proto::{
@@ -211,7 +211,8 @@ fn request() -> impl Strategy<Value = Request> {
                 sheet,
                 top_left: CellAddr::new(row, col),
                 width,
-                rows,
+                rows: rows.len() as u32,
+                block: encode_block(width, &rows),
             }
         ),
         sheet_name().prop_map(|sheet| Request::Checkpoint { sheet }),

@@ -261,7 +261,9 @@ pub(crate) fn compare(op: CmpOp, x: DatumRef<'_>, y: DatumRef<'_>) -> DatumRef<'
     })
 }
 
-fn truthy(d: DatumRef<'_>) -> bool {
+/// The one truth rule: WHERE, HAVING, AND, OR and NOT all hold on a
+/// non-zero number, a non-empty text and `TRUE`; NULL is false.
+pub(crate) fn truthy(d: DatumRef<'_>) -> bool {
     match d {
         DatumRef::Bool(b) => b,
         DatumRef::Int(i) => i != 0,

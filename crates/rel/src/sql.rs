@@ -28,7 +28,7 @@ use std::ops::Range;
 use dataspread_relstore::datum::decode_row_project_ref;
 use dataspread_relstore::{Database, Datum, DatumRef};
 
-use crate::expr::{arith, compare, AggFunc, ArithOp, CmpOp, Expr, RowExpr};
+use crate::expr::{arith, compare, truthy, AggFunc, ArithOp, CmpOp, Expr, RowExpr};
 use crate::ops::{self, row_key, OrdDatum};
 use crate::relation::{cmp_datum, cmp_ref, resolve_column, Relation};
 use crate::RelError;
@@ -129,6 +129,8 @@ pub fn execute_sql(
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Ident(String),
+    /// An all-digit literal that fits in an `i64`, kept exact.
+    Int(i64),
     Number(f64),
     Str(String),
     Symbol(&'static str),
@@ -221,10 +223,14 @@ fn lex(src: &str) -> Result<Vec<Tok>, RelError> {
                 while j < b.len() && (b[j].is_ascii_digit() || b[j] == b'.') {
                     j += 1;
                 }
-                let n: f64 = src[i..j]
-                    .parse()
-                    .map_err(|_| RelError::Syntax(format!("bad number {:?}", &src[i..j])))?;
-                out.push(Tok::Number(n));
+                let text = &src[i..j];
+                match text.parse::<i64>() {
+                    Ok(n) => out.push(Tok::Int(n)),
+                    Err(_) => out
+                        .push(Tok::Number(text.parse().map_err(|_| {
+                            RelError::Syntax(format!("bad number {text:?}"))
+                        })?)),
+                }
                 i = j;
             }
             c if c.is_ascii_alphabetic() || c == b'_' => {
@@ -456,8 +462,11 @@ impl Parser {
             self.expect_keyword("BY")?;
             loop {
                 let target = match self.peek() {
-                    Some(Tok::Number(n)) => {
-                        let n = *n;
+                    Some(&Tok::Int(n)) => {
+                        self.pos += 1;
+                        OrderTarget::Position(n as usize)
+                    }
+                    Some(&Tok::Number(n)) => {
                         self.pos += 1;
                         OrderTarget::Position(n as usize)
                     }
@@ -484,6 +493,7 @@ impl Parser {
         }
         let limit = if self.eat_keyword("LIMIT") {
             match self.bump() {
+                Some(Tok::Int(n)) => Some(n as usize),
                 Some(Tok::Number(n)) if n >= 0.0 => Some(n as usize),
                 _ => return Err(RelError::Syntax("expected LIMIT count".into())),
             }
@@ -599,11 +609,17 @@ impl Parser {
 
     fn primary(&mut self) -> Result<RowExpr, RelError> {
         match self.bump() {
-            Some(Tok::Number(n)) => Ok(RowExpr::Literal(if n.fract() == 0.0 {
-                Datum::Int(n as i64)
-            } else {
-                Datum::Float(n)
-            })),
+            Some(Tok::Int(n)) => Ok(RowExpr::Literal(Datum::Int(n))),
+            // An integral decimal (`3.0`) within `i64` reads as an integer;
+            // one past it (an all-digit literal too) stays a float; `i64::MAX
+            // as f64` is 2^63.
+            Some(Tok::Number(n)) => Ok(RowExpr::Literal(
+                if n.fract() == 0.0 && (i64::MIN as f64..i64::MAX as f64).contains(&n) {
+                    Datum::Int(n as i64)
+                } else {
+                    Datum::Float(n)
+                },
+            )),
             Some(Tok::Str(s)) => Ok(RowExpr::Literal(Datum::Text(s))),
             Some(Tok::Param) => {
                 // Number params positionally in appearance order.
@@ -810,7 +826,9 @@ impl SelectStmt {
         let mut names = Vec::new();
         let mut items = Vec::new();
         let mut aggs = Vec::new();
-        let mut grouped = !self.group_by.is_empty();
+        // A HAVING without GROUP BY groups the query over one group, as
+        // SQLite does.
+        let mut grouped = !self.group_by.is_empty() || self.having.is_some();
         for (i, item) in self.items.iter().enumerate() {
             if item.star {
                 for c in &schema {
@@ -941,7 +959,7 @@ impl Plan<'_> {
                 for &g in index.values() {
                     let group = &groups[g];
                     if let Some(h) = having {
-                        if !matches!(group.eval(h)?, Datum::Bool(true)) {
+                        if !truthy(group.eval(h)?.as_ref()) {
                             continue;
                         }
                     }
@@ -1053,12 +1071,17 @@ impl Group {
         }
     }
 
-    /// Evaluate a SELECT item or HAVING over the group. Comparisons and
-    /// arithmetic combine aggregates; AND/OR hold only on `TRUE`; anything
-    /// else reads the group's first row (the relaxed SQLite-style
-    /// semantics), or is NULL when there is none.
+    /// Evaluate a SELECT item or HAVING over the group: an aggregate reads
+    /// its accumulator, a column the group's first row (the relaxed
+    /// SQLite-style semantics; NULL when there is none), a literal is
+    /// itself, and every operator combines its operands as over a row.
     fn eval(&self, e: &Expr) -> Result<Datum, RelError> {
         Ok(match e {
+            Expr::Lit(d) => d.clone(),
+            Expr::Col(i) => self
+                .first
+                .as_ref()
+                .map_or(Datum::Null, |row| row[*i].clone()),
             Expr::Agg(slot) => self.accs[*slot].value()?,
             Expr::Cmp(op, a, b) => {
                 compare(*op, self.eval(a)?.as_ref(), self.eval(b)?.as_ref()).to_datum()
@@ -1067,21 +1090,16 @@ impl Group {
                 arith(*op, self.eval(a)?.as_ref(), self.eval(b)?.as_ref())?.to_datum()
             }
             Expr::And(a, b) | Expr::Or(a, b) => {
-                let x = matches!(self.eval(a)?, Datum::Bool(true));
-                let y = matches!(self.eval(b)?, Datum::Bool(true));
+                let x = truthy(self.eval(a)?.as_ref());
+                let y = truthy(self.eval(b)?.as_ref());
                 Datum::Bool(if matches!(e, Expr::And(..)) {
                     x && y
                 } else {
                     x || y
                 })
             }
-            _ => match &self.first {
-                Some(row) => {
-                    let row: Vec<DatumRef<'_>> = row.iter().map(Datum::as_ref).collect();
-                    e.eval(&row)?.to_datum()
-                }
-                None => Datum::Null,
-            },
+            Expr::Not(e) => Datum::Bool(!truthy(self.eval(e)?.as_ref())),
+            Expr::IsNull(e, want_null) => Datum::Bool(self.eval(e)?.is_null() == *want_null),
         })
     }
 }

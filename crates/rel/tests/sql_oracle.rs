@@ -391,3 +391,109 @@ fn signed_zeros_are_one_value_to_join_group_and_distinct() {
     assert_eq!(rows("SELECT x, COUNT(*) FROM t GROUP BY x"), 1);
     assert_eq!(rows("SELECT DISTINCT x FROM t"), 1);
 }
+
+/// An all-digit literal that fits in an `i64` is that integer: past 2^53
+/// a float would round it onto its neighbour. One past `i64::MAX` stays a
+/// float instead of saturating.
+#[test]
+fn integer_literals_are_exact() {
+    let mut m = HashMap::new();
+    m.insert(
+        "t".to_string(),
+        one_column("a", vec![Datum::Int(1 << 53), Datum::Int((1 << 53) + 1)]),
+    );
+    let run = |q: &str| execute_sql(&m, q, &[]).unwrap().rows;
+    assert_eq!(
+        run("SELECT a FROM t WHERE a = 9007199254740993"),
+        vec![vec![Datum::Int((1 << 53) + 1)]]
+    );
+    assert_eq!(
+        run("SELECT 9223372036854775807 FROM t LIMIT 1"),
+        vec![vec![Datum::Int(i64::MAX)]]
+    );
+    assert_eq!(
+        run("SELECT 9223372036854775808 FROM t LIMIT 1"),
+        vec![vec![Datum::Float(9_223_372_036_854_775_808.0)]]
+    );
+    assert_eq!(
+        run("SELECT 99999999999999999999 FROM t LIMIT 1"),
+        vec![vec![Datum::Float(1e20)]]
+    );
+}
+
+fn groups_table() -> HashMap<String, Relation> {
+    let rows = [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (2, 6)];
+    let mut m = HashMap::new();
+    m.insert(
+        "n".to_string(),
+        Relation::new(
+            vec!["g".into(), "v".into()],
+            rows.iter()
+                .map(|&(g, v)| vec![Datum::Int(g), Datum::Int(v)])
+                .collect(),
+        ),
+    );
+    m.insert("e".to_string(), Relation::empty(vec!["x".into()]));
+    m
+}
+
+/// HAVING and a group's AND, OR and NOT take the truth rule WHERE takes: a
+/// non-zero number is true, not only `TRUE`.
+#[test]
+fn having_and_grouped_logic_use_the_where_truth_rule() {
+    let m = groups_table();
+    let run = |q: &str| execute_sql(&m, q, &[]).unwrap().rows;
+    let g = |ids: &[i64]| ids.iter().map(|&i| vec![Datum::Int(i)]).collect::<Vec<_>>();
+    assert_eq!(
+        run("SELECT g FROM n GROUP BY g HAVING COUNT(*) - 1"),
+        g(&[0, 2])
+    );
+    assert_eq!(run("SELECT g FROM n WHERE v - 3 GROUP BY g"), g(&[0, 2]));
+    assert_eq!(
+        run("SELECT g FROM n GROUP BY g HAVING COUNT(*) - 1 AND SUM(v) - 3"),
+        g(&[2])
+    );
+    assert_eq!(
+        run("SELECT g FROM n GROUP BY g HAVING COUNT(*) - 2 OR SUM(v) - 3"),
+        g(&[1, 2])
+    );
+    assert_eq!(
+        run("SELECT g, NOT COUNT(*) - 1 FROM n GROUP BY g"),
+        vec![
+            vec![Datum::Int(0), Datum::Bool(false)],
+            vec![Datum::Int(1), Datum::Bool(true)],
+            vec![Datum::Int(2), Datum::Bool(false)],
+        ]
+    );
+}
+
+/// A HAVING without GROUP BY or an aggregate item groups the query over
+/// one group, as SQLite (3.39 on) does, instead of being dropped.
+#[test]
+fn having_without_group_by_is_one_group() {
+    let m = groups_table();
+    let run = |q: &str| execute_sql(&m, q, &[]).unwrap().rows;
+    assert!(run("SELECT g FROM n HAVING COUNT(*) > 100").is_empty());
+    assert_eq!(
+        run("SELECT g FROM n HAVING COUNT(*) > 5"),
+        vec![vec![Datum::Int(0)]]
+    );
+    assert!(run("SELECT x FROM e HAVING COUNT(*) > 0").is_empty());
+    assert_eq!(
+        run("SELECT 7 FROM e HAVING COUNT(*) = 0"),
+        vec![vec![Datum::Int(7)]]
+    );
+}
+
+/// Over no rows a grouped literal is itself: only a column reads the
+/// (missing) first row and is NULL.
+#[test]
+fn grouped_literals_over_an_empty_table_are_themselves() {
+    let m = groups_table();
+    let run = |q: &str| execute_sql(&m, q, &[]).unwrap().rows;
+    assert_eq!(run("SELECT COUNT(*) + 1 FROM e"), vec![vec![Datum::Int(1)]]);
+    assert_eq!(
+        run("SELECT COUNT(*), 1, x FROM e"),
+        vec![vec![Datum::Int(0), Datum::Int(1), Datum::Null]]
+    );
+}

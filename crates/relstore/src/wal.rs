@@ -5,7 +5,7 @@
 //! at most the uncommitted tail. The log is one flat file:
 //!
 //! ```text
-//! header      magic "DSWL" | version=3 u32 | epoch u64 | ticket_base u64 |
+//! header      magic "DSWL" | version=4 u32 | epoch u64 | ticket_base u64 |
 //!             crc32(epoch ‖ ticket_base) u32
 //! per record  len u32 | crc32 u32 | payload (len bytes)
 //! ```
@@ -43,8 +43,9 @@ use crate::error::StoreError;
 use crate::vfs::{real_fs, OpenMode, StorageFs, VfsFile};
 
 const MAGIC: &[u8; 4] = b"DSWL";
-const VERSION: u32 = 3;
-/// Size of the version-3 file header preceding the first record.
+/// Version 4 changed no framing, only the engine's import records.
+const VERSION: u32 = 4;
+/// Size of the file header preceding the first record.
 pub const WAL_HEADER_LEN: u64 = 28;
 /// Per-record framing overhead (length + checksum).
 pub const WAL_RECORD_OVERHEAD: u64 = 8;

@@ -485,8 +485,9 @@ fn dispatch(
             top_left,
             width,
             rows,
+            block,
         } => session
-            .import_rows(&sheet, top_left, width, rows)
+            .import_block(&sheet, top_left, width, rows, block)
             .map(Response::Imported),
         Request::Checkpoint { sheet } => session.checkpoint(&sheet).map(|report| {
             Response::Checkpoint(report.map(|r| CheckpointSummary {

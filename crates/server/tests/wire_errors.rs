@@ -248,3 +248,102 @@ fn await_of_an_unissued_ticket_is_refused_over_the_wire() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Hostile `ImportRows` frames — a cell past the width or past the row
+/// count, a formula's source flag, a repeated text literal, trailing
+/// bytes — are each refused as corrupt before anything is cleared or
+/// logged: the window and the sheet's WAL keep every byte, and the
+/// connection keeps serving.
+#[test]
+fn hostile_import_blocks_are_refused_before_anything_changes() {
+    use dataspread_grid::codec::{encode_block, put_uvarint, CellsEncoder};
+    use dataspread_grid::ScanValue;
+
+    let dir = std::env::temp_dir().join(format!("ds-wire-import-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let handle = serve(Workspace::open(&dir).unwrap(), "127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    let mut reader = stream.try_clone().unwrap();
+    let mut writer = stream;
+    let mut next_id = 0;
+    let mut call = |req: Request| {
+        next_id += 1;
+        write_frame(&mut writer, &req.encode(next_id)).unwrap();
+        let (got, resp) = Response::decode(&read_frame(&mut reader).unwrap().unwrap()).unwrap();
+        assert_eq!(got, next_id);
+        resp
+    };
+    let sheet = || "s".to_string();
+    call(Request::Hello {
+        version: PROTOCOL_VERSION,
+    });
+    assert_eq!(call(Request::OpenSheet { sheet: sheet() }), Response::Ok);
+    // Cells a bad import's rect would clear.
+    for (row, col) in [(0, 0), (1, 1), (2, 2)] {
+        let edit = Edit::Set {
+            row,
+            col,
+            input: "kept".into(),
+        };
+        let resp = call(Request::ApplyEdit {
+            sheet: sheet(),
+            edit,
+        });
+        assert!(matches!(resp, Response::Receipt(_)), "{resp:?}");
+    }
+    let window = Rect::new(0, 0, 5, 5);
+    let fetch = Request::FetchWindow {
+        sheet: sheet(),
+        rect: window,
+    };
+    let before = call(fetch.clone());
+    let wal = dir.join("s").join("wal.log");
+    let logged = std::fs::read(&wal).unwrap();
+
+    let rows = |n: usize, width: usize| vec![vec![CellValue::Number(1.0); width]; n];
+    let mut sourced = CellsEncoder::default();
+    put_uvarint(sourced.push(0, 0, ScanValue::Number(1.0), true), 2 << 1);
+    let mut sourced = sourced.finish();
+    sourced.extend_from_slice(b"A1");
+    // One row, dense, two cells from column 0: the text literal "x" twice.
+    let repeated = vec![1, 0, 5, 0, 0x03, 1, b'x', 0x03, 1, b'x'];
+    let mut trailing = encode_block(2, &rows(2, 2));
+    trailing.push(0);
+    let hostile = [
+        ("a cell past the width", encode_block(3, &rows(2, 3))),
+        ("a cell past the row count", encode_block(2, &rows(3, 2))),
+        ("a formula's source flag", sourced),
+        ("a repeated text literal", repeated),
+        ("trailing bytes", trailing),
+    ];
+    for (what, block) in hostile {
+        let resp = call(Request::ImportRows {
+            sheet: sheet(),
+            top_left: CellAddr::new(0, 0),
+            width: 2,
+            rows: 2,
+            block,
+        });
+        match resp {
+            Response::Err(e) => assert_eq!(e.code, codes::STORE_CORRUPT, "{what}: {e:?}"),
+            other => panic!("{what}: accepted as {other:?}"),
+        }
+        assert_eq!(call(fetch.clone()), before, "{what}: the window changed");
+        assert_eq!(
+            std::fs::read(&wal).unwrap(),
+            logged,
+            "{what}: the WAL changed"
+        );
+    }
+    // The same connection still imports a good block.
+    let resp = call(Request::ImportRows {
+        sheet: sheet(),
+        top_left: CellAddr::new(0, 0),
+        width: 2,
+        rows: 2,
+        block: encode_block(2, &rows(2, 2)),
+    });
+    assert_eq!(resp, Response::Imported(Rect::new(0, 0, 1, 1)));
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

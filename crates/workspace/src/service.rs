@@ -10,7 +10,7 @@ use std::time::Instant;
 use dataspread_engine::{
     CheckpointReport, EngineError, EngineObs, HybridSheet, ModelKind, SheetEngine,
 };
-use dataspread_grid::{CellAddr, CellValue, Rect, SparseSheet};
+use dataspread_grid::{codec, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_obs::{
     now_ms, Counter, Event, Gauge, Health, Histogram, MetricsRegistry, SheetHealth,
 };
@@ -790,7 +790,8 @@ impl Session {
     }
 
     /// Bulk-import rows of values at `top_left` (one logical op, one WAL
-    /// record), committed like any edit.
+    /// record), committed like any edit: each row's first `width` values,
+    /// as the cell block a remote import sends ([`Session::import_block`]).
     pub fn import_rows(
         &self,
         sheet: &str,
@@ -798,12 +799,27 @@ impl Session {
         width: u32,
         rows: Vec<Vec<CellValue>>,
     ) -> Result<Rect, WorkspaceError> {
+        let block = codec::encode_block(width, &rows);
+        self.import_block(sheet, top_left, width, rows.len() as u32, block)
+    }
+
+    /// An import whose cells are already a cell block `rows` rows tall
+    /// ([`SheetEngine::import_block`]): the server's import path, which
+    /// neither decodes the block into rows nor re-encodes it.
+    pub fn import_block(
+        &self,
+        sheet: &str,
+        top_left: CellAddr,
+        width: u32,
+        rows: u32,
+        block: Vec<u8>,
+    ) -> Result<Rect, WorkspaceError> {
         let shard = self.shard(sheet)?;
         let res = (|| {
             let (rect, ticket) = {
                 let mut engine = self.write_engine(&shard);
                 Self::check_writable(&engine)?;
-                let rect = engine.import_rows(top_left, width, rows)?;
+                let rect = engine.import_block(top_left, width, rows, block)?;
                 (rect, engine.last_commit_ticket())
             };
             self.commit(&shard, ticket)?;
