@@ -23,13 +23,20 @@
 //! delete rebuilds every column off it with the deleted band skipped. Row
 //! inserts and growth splice null runs instead of rebuilding.
 //!
-//! The byte encoding (via `dataspread_grid::codec`) is the checkpoint payload
-//! itself: [`ColumnarTranslator::to_bytes`] / [`ColumnarTranslator::from_bytes`]
-//! round-trip byte-identically, so images store the compressed columns
-//! directly and recovery restores a region without per-cell replay. The
-//! decoder accepts a number or code store only if building its values
-//! writes exactly that store, so each content has one byte form.
+//! The checkpoint payload is the region's fresh build:
+//! [`ColumnarTranslator::to_bytes`] writes each column the overlay touches
+//! as compaction would leave it (the overlay never reaches the image),
+//! then every formula source in one cell payload of the image's own
+//! [`PayloadEncoder`] — sources without values, row-major, so a fill-down
+//! is written once as a template. Two regions holding the same cells
+//! encode to the same bytes whatever their edit history.
+//! [`ColumnarTranslator::from_bytes`] round-trips byte-identically, so
+//! images store the compressed columns directly and recovery restores a
+//! region without per-cell replay. The decoder accepts a number or code
+//! store only if building its values writes exactly that store, so each
+//! content has one byte form.
 
+use std::borrow::Cow;
 use std::collections::{btree_map, BTreeMap, HashMap};
 use std::ops::Range;
 
@@ -39,6 +46,7 @@ use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellValue, DecodeError, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 
+use crate::durable::{visit_payload, PayloadEncoder};
 use crate::error::EngineError;
 use crate::translator::{CellVisitor, Translator};
 
@@ -51,7 +59,7 @@ const TAG_BOOL: u8 = 2;
 const TAG_TEXT: u8 = 3;
 const TAG_ERR: u8 = 4;
 
-const ENC_VERSION: u8 = 2;
+const ENC_VERSION: u8 = 3;
 
 // ------------------------------------------------------------ tag runs --
 
@@ -1067,15 +1075,27 @@ impl ColumnarTranslator {
 
     // ---------------------------------------------------------- codec --
 
-    /// Canonical byte encoding: the checkpoint payload. Decoding with
-    /// [`ColumnarTranslator::from_bytes`] and re-encoding is
-    /// byte-identical.
+    /// Canonical byte encoding: the checkpoint payload, the region as a
+    /// fresh build of its cells writes it. A column with overlay entries
+    /// is written as [`ColumnarTranslator::compact`] would leave it, and
+    /// the formula sources follow the columns as one [`PayloadEncoder`]
+    /// payload. Decoding with [`ColumnarTranslator::from_bytes`] and
+    /// re-encoding is byte-identical.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let columns: Vec<Cow<'_, Column>> = (0..self.cols())
+            .map(|c| {
+                if self.overlay.range((c, 0)..=(c, u32::MAX)).next().is_some() {
+                    Cow::Owned(self.rewrite_column(c, 0..0))
+                } else {
+                    Cow::Borrowed(&self.columns[c as usize])
+                }
+            })
+            .collect();
         let mut out = Vec::new();
         codec::put_u8(&mut out, ENC_VERSION);
         codec::put_u32(&mut out, self.rows);
-        codec::put_u32(&mut out, self.columns.len() as u32);
-        for col in &self.columns {
+        codec::put_u32(&mut out, self.cols());
+        for col in &columns {
             codec::put_u32(&mut out, col.runs.len() as u32);
             for run in &col.runs {
                 codec::put_u8(&mut out, run.tag);
@@ -1141,112 +1161,62 @@ impl ColumnarTranslator {
             for &e in &col.errors {
                 codec::put_u8(&mut out, e);
             }
-            codec::put_u32(&mut out, col.formulas.len() as u32);
-            for (&row, src) in &col.formulas {
-                codec::put_u32(&mut out, row);
-                codec::put_str(&mut out, src);
-            }
         }
-        codec::put_u32(&mut out, self.overlay.len() as u32);
-        for (&(col, row), cell) in &self.overlay {
-            codec::put_u32(&mut out, col);
-            codec::put_u32(&mut out, row);
-            put_cell(&mut out, cell);
+        let mut formulas: Vec<(u32, u32, &str)> = (0u32..)
+            .zip(&columns)
+            .flat_map(|(c, col)| {
+                col.formulas
+                    .iter()
+                    .map(move |(&r, src)| (r, c, src.as_str()))
+            })
+            .collect();
+        formulas.sort_unstable_by_key(|&(row, col, _)| (row, col));
+        let mut sources = PayloadEncoder::default();
+        for (row, col, src) in formulas {
+            sources.push(row, col, ScanValue::Empty, Some(src));
         }
+        out.extend(sources.finish());
         out
     }
 
     /// Decode a payload produced by [`ColumnarTranslator::to_bytes`],
     /// validating every structural invariant (run extents, payload
-    /// lengths, dictionary codes, overlay ordering).
-    pub fn from_bytes(bytes: &[u8]) -> Result<ColumnarTranslator, DecodeError> {
+    /// lengths, dictionary codes) and refusing a formula cell that
+    /// carries a value, has no source or lies outside the region.
+    pub fn from_bytes(bytes: &[u8]) -> Result<ColumnarTranslator, EngineError> {
         let mut r = codec::Reader::new(bytes);
         let version = r.u8()?;
         if version != ENC_VERSION {
-            return Err(codec::corrupt(format!(
-                "unknown columnar payload version {version}"
-            )));
+            return Err(
+                codec::corrupt(format!("unknown columnar payload version {version}")).into(),
+            );
         }
         let rows = r.u32()?;
         let n_cols = r.u32()?;
         if n_cols as u64 > bytes.len() as u64 {
-            return Err(codec::corrupt("columnar column count exceeds payload"));
+            return Err(codec::corrupt("columnar column count exceeds payload").into());
         }
         let mut columns = Vec::with_capacity(n_cols as usize);
         for _ in 0..n_cols {
             columns.push(read_column(&mut r, rows)?);
         }
-        let n_overlay = r.u32()?;
-        let mut overlay = BTreeMap::new();
-        let mut prev: Option<(u32, u32)> = None;
-        for _ in 0..n_overlay {
-            let col = r.u32()?;
-            let row = r.u32()?;
-            if row >= rows || col >= n_cols {
-                return Err(codec::corrupt("columnar overlay entry out of bounds"));
+        visit_payload(r.rest(), |row, col, value, formula| match formula {
+            Some(src) if value == ScanValue::Empty && row < rows && col < n_cols => {
+                columns[col as usize].formulas.insert(row, src.to_string());
+                Ok(())
             }
-            let key = (col, row);
-            if prev.is_some_and(|p| p >= key) {
-                return Err(codec::corrupt("columnar overlay out of order"));
-            }
-            prev = Some(key);
-            overlay.insert(key, read_cell(&mut r)?);
-        }
-        r.expect_done("columnar region payload")?;
+            _ => Err(codec::corrupt(format!(
+                "columnar formula cell ({row},{col}): a value, no source or outside {rows}x{n_cols}"
+            ))
+            .into()),
+        })?;
         Ok(ColumnarTranslator {
             rows,
             columns,
-            overlay,
+            overlay: BTreeMap::new(),
             overlay_limit: OVERLAY_COMPACT,
         })
     }
-}
-
-fn put_cell(out: &mut Vec<u8>, cell: &Cell) {
-    let mut flags = 0u8;
-    if cell.formula.is_some() {
-        flags |= 1;
-    }
-    codec::put_u8(out, flags);
-    match &cell.value {
-        CellValue::Empty => codec::put_u8(out, TAG_NULL),
-        CellValue::Number(n) => {
-            codec::put_u8(out, TAG_NUM);
-            codec::put_f64(out, *n);
-        }
-        CellValue::Bool(b) => {
-            codec::put_u8(out, TAG_BOOL);
-            codec::put_u8(out, *b as u8);
-        }
-        CellValue::Text(s) => {
-            codec::put_u8(out, TAG_TEXT);
-            codec::put_str(out, s);
-        }
-        CellValue::Error(e) => {
-            codec::put_u8(out, TAG_ERR);
-            codec::put_u8(out, e.code());
-        }
-    }
-    if let Some(src) = &cell.formula {
-        codec::put_str(out, src);
-    }
-}
-
-fn read_cell(r: &mut codec::Reader<'_>) -> Result<Cell, DecodeError> {
-    let flags = r.u8()?;
-    if flags > 1 {
-        return Err(codec::corrupt(format!("bad cell flags {flags}")));
-    }
-    let value = match r.u8()? {
-        TAG_NULL => CellValue::Empty,
-        TAG_NUM => CellValue::Number(r.f64()?),
-        TAG_BOOL => CellValue::Bool(r.bool()?),
-        TAG_TEXT => CellValue::Text(r.str()?),
-        TAG_ERR => CellValue::Error(codec::cell_error(r.u8()?)?),
-        t => return Err(codec::corrupt(format!("bad value tag {t}"))),
-    };
-    let formula = if flags & 1 != 0 { Some(r.str()?) } else { None };
-    Ok(Cell { value, formula })
 }
 
 fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeError> {
@@ -1426,20 +1396,6 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
         codec::cell_error(e)?;
         errors.push(e);
     }
-    let n_formulas = r.u32()?;
-    let mut formulas = BTreeMap::new();
-    let mut prev_row: Option<u32> = None;
-    for _ in 0..n_formulas {
-        let row = r.u32()?;
-        if row >= rows {
-            return Err(codec::corrupt("formula row out of bounds"));
-        }
-        if prev_row.is_some_and(|p| p >= row) {
-            return Err(codec::corrupt("formula rows out of order"));
-        }
-        prev_row = Some(row);
-        formulas.insert(row, r.str()?);
-    }
     let mut col = Column {
         runs,
         nums,
@@ -1447,7 +1403,7 @@ fn read_column(r: &mut codec::Reader<'_>, rows: u32) -> Result<Column, DecodeErr
         dict,
         codes,
         errors,
-        formulas,
+        formulas: BTreeMap::new(),
     };
     col.reindex();
     Ok(col)

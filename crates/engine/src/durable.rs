@@ -66,7 +66,8 @@
 //! map         region_count u32, then per region (ascending id):
 //!             id u64 | kind u8 | rect u32×4 |
 //!             offset u64 | len u64 | crc u32
-//! payload     a columnar region's own encoding, or the cell payload below
+//! payload     a columnar region's own encoding, which ends in a cell
+//!             payload of its formula sources, or the cell payload below
 //! ```
 //!
 //! A zero-length payload sits at offset 8192. The map is outside input:
@@ -156,8 +157,8 @@ const KIND_COM: u8 = 1;
 const KIND_RCV: u8 = 2;
 const KIND_TOM: u8 = 3;
 const KIND_CATCHALL: u8 = 4;
-/// Columnar regions store their native compressed encoding as their
-/// payload (no per-cell codec).
+/// Columnar regions store their native compressed columns as their
+/// payload, followed by their formula sources as a cell payload.
 const KIND_COLUMNAR: u8 = 5;
 
 /// Path of the image file for a durable sheet directory.

@@ -625,13 +625,6 @@ impl HybridSheet {
         }
     }
 
-    /// Regions currently flagged dirty (catch-all included; stamp-based
-    /// dirtiness of TOM regions is not counted — it is only known at
-    /// image-capture time).
-    pub fn dirty_region_count(&self) -> usize {
-        self.regions.iter().filter(|r| r.dirty).count() + usize::from(self.catchall_dirty)
-    }
-
     /// The slot index of the region containing `addr`, off the routing
     /// index — the lookup behind every point read and write.
     pub fn region_at(&self, addr: CellAddr) -> Option<usize> {
@@ -1307,6 +1300,13 @@ mod tests {
     use crate::rom::RomTranslator;
     use dataspread_grid::CellValue;
 
+    /// Regions currently flagged dirty (catch-all included; stamp-based
+    /// dirtiness of TOM regions is not counted — it is only known at
+    /// image-capture time).
+    fn dirty_region_count(hs: &HybridSheet) -> usize {
+        hs.regions.iter().filter(|r| r.dirty).count() + usize::from(hs.catchall_dirty)
+    }
+
     fn addr(r: u32, c: u32) -> CellAddr {
         CellAddr::new(r, c)
     }
@@ -1522,7 +1522,7 @@ mod tests {
 
         assert_eq!((hs.snapshot(true), hs.layout(), hs.filled_count()), before);
         assert_eq!(hs.regions.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
-        assert_eq!(hs.dirty_region_count(), 0, "nothing was rewritten");
+        assert_eq!(dirty_region_count(&hs), 0, "nothing was rewritten");
         assert_eq!(hs.region_at(addr(12, 12)), Some(0), "routing still serves");
 
         let long_com = Decomposition::new(vec![Region {
@@ -1581,7 +1581,7 @@ mod tests {
         // Nothing left to move: the same decomposition is now a no-op.
         hs.clear_dirty();
         assert_eq!(hs.reorganize(&decomp).unwrap(), 0);
-        assert_eq!(hs.dirty_region_count(), 0);
+        assert_eq!(dirty_region_count(&hs), 0);
         // A kind change rebuilds that region alone; the catch-all, which
         // no cell enters or leaves, stays clean.
         let as_com = Decomposition::new(vec![
@@ -1595,7 +1595,7 @@ mod tests {
             },
         ]);
         assert_eq!(hs.reorganize(&as_com).unwrap(), 4);
-        assert_eq!(hs.dirty_region_count(), 1);
+        assert_eq!(dirty_region_count(&hs), 1);
         assert_eq!(hs.regions[0].id, rom_id);
         assert_eq!(hs.snapshot(true), before);
     }

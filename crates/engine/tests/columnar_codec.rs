@@ -8,10 +8,10 @@
 //! `-0.0` (excluded from packing), repeated dictionary texts (RLE codes),
 //! long same-value stretches, every error code, and formula-only cells.
 //!
-//! The rewrites stay in that one form too: after `compact()` and after
-//! `delete_rows` a region encodes to exactly the bytes of a region built
-//! fresh from its cells. The decoder does not check dictionary order, so
-//! only these byte comparisons pin it.
+//! The rewrites stay in that one form too: with edits still in the write
+//! overlay, after `compact()` and after `delete_rows` a region encodes to
+//! exactly the bytes of a region built fresh from its cells. The decoder
+//! does not check dictionary order, so only these byte comparisons pin it.
 
 use proptest::prelude::*;
 
@@ -188,12 +188,20 @@ proptest! {
     #[test]
     fn overlay_edits_then_compaction_keep_roundtripping(
         (rows, cols, raw) in grid(),
-        edits in prop::collection::vec((0u32..60, 0u32..8, cell()), 1..30),
+        edits in prop::collection::vec((0u32..60, 0u32..8, cell(), any::<bool>()), 1..30),
     ) {
+        // Set and clear edits leave blank "tombstone" and formula entries
+        // in the overlay; none of them reaches the bytes.
         let mut t = build(rows, cols, &raw);
-        for (r, c, cell) in edits {
-            t.set_cell(r, c, cell).unwrap();
+        for (r, c, cell, clear) in edits {
+            if clear {
+                t.clear_cell(r, c).unwrap();
+            } else {
+                t.set_cell(r, c, cell).unwrap();
+            }
         }
+        prop_assert_eq!(t.to_bytes(), fresh_bytes(&t), "the overlay writes the fresh-build form");
+        assert_roundtrip(&t, "before-compaction");
         let before = t.all_cells();
         t.compact();
         prop_assert_eq!(t.all_cells(), before, "compaction changes nothing");
@@ -270,10 +278,10 @@ proptest! {
 
 /// A one-column payload of `rows` cells of run tag `tag`, its number store
 /// spelled by `nums` (variant byte first), its dictionary by `dict` and
-/// its code store by `codes` (variant byte first); no bools, errors,
-/// formulas or overlay.
+/// its code store by `codes` (variant byte first); no bools, errors or
+/// formulas.
 fn one_column(rows: u32, tag: u8, nums: &[u8], dict: &[&str], codes: &[u8]) -> Vec<u8> {
-    let mut out = vec![2]; // encoding version
+    let mut out = vec![3]; // encoding version
     out.extend(rows.to_le_bytes());
     out.extend(1u32.to_le_bytes()); // one column
     out.extend(1u32.to_le_bytes()); // one run
@@ -287,9 +295,8 @@ fn one_column(rows: u32, tag: u8, nums: &[u8], dict: &[&str], codes: &[u8]) -> V
         out.extend_from_slice(s.as_bytes());
     }
     out.extend_from_slice(codes);
-    for _ in 0..3 {
-        out.extend(0u32.to_le_bytes()); // no errors, formulas, overlay
-    }
+    out.extend(0u32.to_le_bytes()); // no errors
+    out.push(0); // a formula block of no rows
     out
 }
 
@@ -546,10 +553,84 @@ fn a_code_store_build_would_not_write_is_refused() {
 /// refused as truncated, as every other count past the payload is.
 #[test]
 fn a_run_count_past_the_payload_is_refused() {
-    let mut payload = vec![2]; // encoding version
+    let mut payload = vec![3]; // encoding version
     payload.extend(u32::MAX.to_le_bytes()); // rows
     payload.extend(1u32.to_le_bytes()); // one column
     payload.extend(u32::MAX.to_le_bytes()); // runs
     assert_eq!(payload.len(), 13);
     assert!(ColumnarTranslator::from_bytes(&payload).is_err());
+}
+
+/// Formula sources ride the image's cell payload at the end of the
+/// columnar payload: a 1 000-row fill-down `=B{r}*2` is one literal
+/// source, and every other row is the code of its relative template.
+#[test]
+fn a_fill_down_formula_column_is_written_once() {
+    let mut t = ColumnarTranslator::new(1000, 3);
+    for r in 0..1000u32 {
+        t.set_cell(r, 1, Cell::value(f64::from(r))).unwrap();
+        let src = format!("B{}*2", r + 1);
+        t.set_cell(
+            r,
+            2,
+            Cell::formula(&src).with_value(CellValue::Number(f64::from(2 * r))),
+        )
+        .unwrap();
+    }
+    t.compact();
+    let bytes = t.to_bytes();
+    let count = |needle: &[u8]| bytes.windows(needle.len()).filter(|w| *w == needle).count();
+    assert_eq!(count(b"B1*2"), 1, "the first source is the one literal");
+    assert_eq!(count(b"*2"), 1, "no other row spells its source");
+    let back = ColumnarTranslator::from_bytes(&bytes).unwrap();
+    assert_eq!(back.all_cells(), t.all_cells());
+    assert_eq!(
+        back.get_cell(999, 2).unwrap().formula.as_deref(),
+        Some("B1000*2")
+    );
+}
+
+/// The formula block holds sources and nothing else: a formula cell that
+/// carries a value, a cell without a source and a cell outside the region
+/// are refused.
+#[test]
+fn a_formula_block_cell_with_a_value_or_outside_the_region_is_refused() {
+    use dataspread_engine::durable::PayloadEncoder;
+    use dataspread_engine::ScanValue;
+    let columns = one_column(4, 0, &raw_store(&[]), &[], &plain_codes(&[]));
+    let with_block = |cells: &[(u32, u32, ScanValue<'_>, Option<&str>)]| {
+        let mut block = PayloadEncoder::default();
+        for &(row, col, value, formula) in cells {
+            block.push(row, col, value, formula);
+        }
+        [&columns[..columns.len() - 1], &block.finish()].concat()
+    };
+    let back =
+        ColumnarTranslator::from_bytes(&with_block(&[(3, 0, ScanValue::Empty, Some("1+1"))]))
+            .unwrap();
+    assert_eq!(back.get_cell(3, 0), Some(Cell::formula("1+1")));
+    let cases = [
+        (
+            "a value",
+            with_block(&[(1, 0, ScanValue::Number(2.0), Some("1+1"))]),
+        ),
+        (
+            "no source",
+            with_block(&[(1, 0, ScanValue::Number(2.0), None)]),
+        ),
+        (
+            "past the rows",
+            with_block(&[(4, 0, ScanValue::Empty, Some("1+1"))]),
+        ),
+        (
+            "past the columns",
+            with_block(&[(0, 1, ScanValue::Empty, Some("1+1"))]),
+        ),
+    ];
+    for (what, payload) in &cases {
+        assert!(
+            ColumnarTranslator::from_bytes(payload).is_err(),
+            "{what}: accepted"
+        );
+    }
 }

@@ -959,8 +959,8 @@ fn a_region_cell_outside_its_rect_is_refused_untouched() {
     };
     let mut columnar = ColumnarTranslator::new(rect.rows() as u32 + 1, 3);
     columnar.set_cell(4, 1, Cell::formula("1+1")).unwrap();
-    // Version 2 | u32::MAX rows | one column | u32::MAX runs.
-    let run_count = [&[2u8][..], &[0xFF; 4], &1u32.to_le_bytes(), &[0xFF; 4]].concat();
+    // Version 3 | u32::MAX rows | one column | u32::MAX runs.
+    let run_count = [&[3u8][..], &[0xFF; 4], &1u32.to_le_bytes(), &[0xFF; 4]].concat();
     let cases = [
         (
             "rect-rows",
@@ -1003,6 +1003,66 @@ fn a_region_cell_outside_its_rect_is_refused_untouched() {
         assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image, "{name}");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Columnar payload version 2 has no reader: it wrote the write overlay
+/// and every formula source verbatim, and version 3 writes the region's
+/// fresh build with its sources in a cell payload. A v6 image holding a
+/// v2 columnar payload — one row, one column holding the number 7 — is
+/// refused with a `Corrupt` error naming the version, and `pages.db` and
+/// `wal.log` keep their bytes.
+#[test]
+fn columnar_v2_payload_is_refused_untouched() {
+    use dataspread_engine::durable::{DurableStore, PayloadEncoder};
+    use dataspread_engine::{ModelKind, RegionImage, CATCHALL_REGION_ID};
+    use dataspread_grid::Rect;
+    let mut v2 = vec![2u8]; // encoding version
+    v2.extend(1u32.to_le_bytes()); // rows
+    v2.extend(1u32.to_le_bytes()); // columns
+    v2.extend(1u32.to_le_bytes()); // one run
+    v2.push(1); // of numbers
+    v2.extend(1u32.to_le_bytes()); // one row long
+    v2.push(1); // packed numbers: min 7, scale 0, width 0, one value
+    v2.extend(7u64.to_le_bytes());
+    v2.extend([0, 0]);
+    v2.extend(1u32.to_le_bytes());
+    v2.extend(0u32.to_le_bytes()); // no bools
+    v2.extend(0u32.to_le_bytes()); // an empty dictionary
+    v2.push(0); // plain codes
+    v2.extend(0u32.to_le_bytes()); // none of them
+    for _ in 0..3 {
+        v2.extend(0u32.to_le_bytes()); // no errors, formulas, overlay
+    }
+    let dir = temp_dir("columnar-v2");
+    {
+        let (mut store, _) = DurableStore::open(&dir).unwrap();
+        let regions = vec![
+            RegionImage {
+                id: CATCHALL_REGION_ID,
+                kind: ModelKind::Rcv,
+                rect: Rect::new(0, 0, 0, 0),
+                payload: Some(PayloadEncoder::default().finish()),
+            },
+            RegionImage {
+                id: 1,
+                kind: ModelKind::Columnar,
+                rect: Rect::new(2, 0, 2, 0),
+                payload: Some(v2),
+            },
+        ];
+        store.checkpoint(regions).unwrap();
+    }
+    let image = std::fs::read(image_path(&dir)).unwrap();
+    let wal = std::fs::read(wal_path(&dir)).unwrap();
+    match SheetEngine::open(&dir) {
+        Err(EngineError::Store(StoreError::Corrupt(msg))) => {
+            assert!(msg.ends_with("unknown columnar payload version 2"), "{msg}")
+        }
+        other => panic!("expected Corrupt, got {:?}", other.map(|_| ())),
+    }
+    assert_eq!(std::fs::read(image_path(&dir)).unwrap(), image);
+    assert_eq!(std::fs::read(wal_path(&dir)).unwrap(), wal);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ------------------------------------------- region-granular recovery --
@@ -1277,7 +1337,6 @@ fn second_optimize_on_an_unchanged_sheet_moves_and_writes_nothing() {
     assert_eq!(second.decomposition, first.decomposition);
     assert_eq!(second.migrated_cells, 0);
     assert_eq!(second.storage_before, second.storage_after);
-    assert_eq!(engine.storage().dirty_region_count(), 0);
     assert_eq!(engine.storage().layout(), layout);
     assert_eq!(engine.snapshot(), snapshot);
     let report = engine.checkpoint().unwrap().unwrap();

@@ -173,6 +173,13 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// Consume every byte left.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.bytes[self.off..];
+        self.off = self.bytes.len();
+        s
+    }
+
     #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
