@@ -5,25 +5,25 @@
 //! snapshots, the engine's WAL records and checkpoint image, and the
 //! session protocol on the wire — frames its primitives the same way:
 //! fixed-width little-endian integers and `u32`-length-prefixed UTF-8
-//! strings, and `u32`-count-prefixed lists ([`put_list`] /
-//! [`Reader::list`]); the checkpoint's cell payload also packs small
-//! integers as shortest-form unsigned varints ([`put_uvarint`] /
-//! [`Reader::uvarint`]), and both checkpoint codecs store a number that
-//! has one as its [`decimal_form`], a mantissa at a decimal scale. This
-//! module is the single implementation of that
-//! framing: `put_*` writers that append to a byte buffer, and a
-//! bounds-checked [`Reader`] that refuses to read past the end of its slice
-//! (truncated or hostile input surfaces as a [`DecodeError`], never a
-//! panic).
+//! strings; a cell block also packs small integers as shortest-form
+//! unsigned varints ([`put_uvarint`] / [`Reader::uvarint`]) and its texts
+//! as varint-length literals ([`put_literal`] / [`Reader::literal`]), and
+//! both checkpoint codecs store a number that has one as its
+//! [`decimal_form`], a mantissa at a decimal scale. This module is the
+//! single implementation of that framing: `put_*` writers that append to
+//! a byte buffer, and a bounds-checked [`Reader`] that refuses to read
+//! past the end of its slice (truncated or hostile input surfaces as a
+//! [`DecodeError`], never a panic).
 //!
 //! Next to it live the one encoding of each shared grid value — a cell
 //! value ([`put_value`] / [`read_value`]), a rectangle ([`put_rect`] /
 //! [`read_rect`]) and a block of cells ([`CellsEncoder`] /
-//! [`visit_cells`]): the image's cell payload, and the cells of the WAL's
-//! and the wire's imports ([`encode_block`] / [`visit_block`]). Decoders
-//! accept only what the encoders write: a bool is 0 or 1, a rectangle's
-//! corners are ordered, a number has one form, so every decoded value
-//! re-encodes to the bytes it came from.
+//! [`visit_cells`]): the image's cell payload, the cells of the WAL's and
+//! the wire's imports ([`encode_block`] / [`visit_block`]) and the wire's
+//! window response ([`visit_rect`]). Decoders accept only what the
+//! encoders write: a bool is 0 or 1, a rectangle's corners are ordered, a
+//! number has one form, so every decoded value re-encodes to the bytes it
+//! came from.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -129,12 +129,12 @@ pub fn decimal_form(n: f64) -> Option<(i64, u8)> {
     (0..POW10.len() as u8).find_map(|s| mantissa_at(n, s).map(|m| (m, s)))
 }
 
-/// A `u32` count, then each item.
-pub fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    put_u32(out, items.len() as u32);
-    for item in items {
-        put(out, item);
-    }
+/// A literal: its byte length as a varint ([`put_uvarint`]), then its
+/// UTF-8 bytes.
+#[inline]
+pub fn put_literal(out: &mut Vec<u8>, s: &str) {
+    put_uvarint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Bounds-checked little-endian reader over a byte slice.
@@ -245,21 +245,6 @@ impl<'a> Reader<'a> {
         self.str_ref().map(str::to_string)
     }
 
-    /// A sequence written by [`put_list`]. The count only hints the
-    /// allocation, so a corrupt count fails on truncation instead of
-    /// reserving gigabytes.
-    pub fn list<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Vec<T>, DecodeError> {
-        let n = self.u32()? as usize;
-        let mut items = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            items.push(item(self)?);
-        }
-        Ok(items)
-    }
-
     /// [`Reader::str`] without the copy: the text borrows from the slice,
     /// under the same length bound and UTF-8 check.
     #[inline]
@@ -269,6 +254,17 @@ impl<'a> Reader<'a> {
             return Err(corrupt(format!("string of {len} bytes exceeds bound")));
         }
         std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("invalid utf-8 string"))
+    }
+
+    /// A literal written by [`put_literal`], borrowed from the slice, under
+    /// the same length bound and UTF-8 check as [`Reader::str_ref`].
+    #[inline]
+    pub fn literal(&mut self) -> Result<&'a str, DecodeError> {
+        let len = self.uvarint()?;
+        if len > MAX_STR_LEN as u64 {
+            return Err(corrupt(format!("literal of {len} bytes exceeds bound")));
+        }
+        std::str::from_utf8(self.take(len as usize)?).map_err(|_| corrupt("invalid utf-8 literal"))
     }
 }
 
@@ -357,6 +353,10 @@ fn put_zigzag(out: &mut Vec<u8>, i: i64) {
 fn read_decimal(r: &mut Reader<'_>, s: u8) -> Result<f64, DecodeError> {
     let z = r.uvarint()?;
     let m = (z >> 1) as i64 ^ -((z & 1) as i64);
+    // Every integer of at most 53 bits is its own form at scale 0.
+    if s == 0 && m.unsigned_abs() <= 1 << 53 {
+        return Ok(m as f64);
+    }
     let n = m as f64 / POW10[s as usize];
     if decimal_form(n) != Some((m, s)) {
         return Err(corrupt(format!(
@@ -368,8 +368,8 @@ fn read_decimal(r: &mut Reader<'_>, s: u8) -> Result<f64, DecodeError> {
 
 /// Streams cells into a *cell block*, the one byte form of a block of
 /// cells: the checkpoint image's cell payload, a WAL import record's and a
-/// wire import's cells. Every integer is a shortest-form varint
-/// ([`put_uvarint`]):
+/// wire import's cells, and a window response's cells. Every integer is a
+/// shortest-form varint ([`put_uvarint`]):
 ///
 /// ```text
 /// block   := n_rows row{n_rows}
@@ -384,7 +384,7 @@ fn read_decimal(r: &mut Reader<'_>, s: u8) -> Result<f64, DecodeError> {
 ///            modifier << 4 (Float: scale 0..=15; Text: 0 literal, 1 reference;
 ///            0 on every other kind)
 /// body    := Int, Float at scale s >= 1: zigzag varint mantissa |
-///            Float at modifier 0: f64 LE | Text literal: len + UTF-8 |
+///            Float at modifier 0: f64 LE | Text literal: put_literal |
 ///            Text reference: code | Error: code u8 | otherwise nothing
 /// ```
 ///
@@ -393,10 +393,10 @@ fn read_decimal(r: &mut Reader<'_>, s: u8) -> Result<f64, DecodeError> {
 /// text's first occurrence is a literal and every repeat the code of that
 /// literal; a row whose columns are consecutive is dense. `Empty` is legal
 /// only before a source field, whose grammar belongs to the layer above
-/// (the image stores a formula source there; an import has none). Cells
-/// must arrive non-blank and in strictly increasing row-major order; a
-/// caller that pushes otherwise trips an assert rather than writing a
-/// non-canonical block.
+/// (the image and a window store a formula source there; an import has
+/// none). Cells must arrive non-blank and in strictly increasing
+/// row-major order; a caller that pushes otherwise trips an assert rather
+/// than writing a non-canonical block.
 #[derive(Default)]
 pub struct CellsEncoder {
     /// Finished rows.
@@ -470,8 +470,7 @@ impl CellsEncoder {
                 None => {
                     self.texts.insert(s.to_string(), self.texts.len() as u32);
                     out.push(CELL_TEXT | flag);
-                    put_uvarint(out, s.len() as u64);
-                    out.extend_from_slice(s.as_bytes());
+                    put_literal(out, s);
                 }
             },
             ScanValue::Bool(b) => out.push(if b { CELL_TRUE } else { CELL_FALSE } | flag),
@@ -547,14 +546,7 @@ fn read_cell<'a>(
         }
         (CELL_FLOAT, s) => ScanValue::Number(read_decimal(r, s)?),
         (CELL_TEXT, 0) => {
-            let len = r.uvarint()?;
-            if len > MAX_STR_LEN as u64 {
-                return Err(corrupt(format!(
-                    "cells: string of {len} bytes exceeds bound"
-                )));
-            }
-            let s = std::str::from_utf8(r.take(len as usize)?)
-                .map_err(|_| corrupt("cells: invalid utf-8 string"))?;
+            let s = r.literal()?;
             if !seen.insert(s) {
                 return Err(corrupt("cells: a literal repeats an earlier text"));
             }
@@ -635,23 +627,38 @@ pub fn encode_block(width: u32, rows: &[Vec<CellValue>]) -> Vec<u8> {
     enc.finish()
 }
 
-/// [`visit_cells`] of an import block `rows` x `width`, refusing also a
-/// cell outside that rect and a source field.
+/// [`visit_cells`] of a block in the local coordinates of a rect `rows`
+/// x `width`, refusing also a cell outside that rect. A window's rect may
+/// be the whole sheet, `2^32` rows and columns, hence `u64`.
+pub fn visit_rect<'a, E: From<DecodeError>>(
+    block: &'a [u8],
+    rows: u64,
+    width: u64,
+    mut f: impl FnMut(u32, u32, ScanValue<'a>, Option<&mut Reader<'a>>) -> Result<(), E>,
+) -> Result<(), E> {
+    visit_cells(block, |row, col, value, source| {
+        if u64::from(row) >= rows || u64::from(col) >= width {
+            return Err(corrupt(format!(
+                "cells: cell ({row},{col}) outside its {rows}x{width} rect"
+            ))
+            .into());
+        }
+        f(row, col, value, source)
+    })
+}
+
+/// [`visit_rect`] of an import block `rows` x `width`, refusing also a
+/// source field.
 pub fn visit_block<'a, E: From<DecodeError>>(
     block: &'a [u8],
     rows: u32,
     width: u32,
     mut f: impl FnMut(u32, u32, ScanValue<'a>) -> Result<(), E>,
 ) -> Result<(), E> {
-    visit_cells(block, |row, col, value, source| {
+    let (rows, width) = (u64::from(rows), u64::from(width));
+    visit_rect(block, rows, width, |row, col, value, source| {
         if source.is_some() {
             return Err(corrupt(format!("import block: cell ({row},{col}) has a source")).into());
-        }
-        if row >= rows || col >= width {
-            return Err(corrupt(format!(
-                "import block: cell ({row},{col}) outside its {rows}x{width} rect"
-            ))
-            .into());
         }
         f(row, col, value)
     })
@@ -845,6 +852,33 @@ mod tests {
             put_u32(&mut buf, corner);
         }
         assert!(read_rect(&mut Reader::new(&buf)).is_err(), "r1 > r2");
+    }
+
+    #[test]
+    fn an_integer_of_up_to_53_bits_decodes_and_a_wider_one_is_refused() {
+        // One row, dense, one cell at column 0: an Int.
+        let block = |m: i64| {
+            let mut b = vec![1, 0, 3, 0, CELL_INT];
+            put_zigzag(&mut b, m);
+            b
+        };
+        let decoded = |m| {
+            let mut got = Vec::new();
+            visit_block(&block(m), 1, 1, |_, _, v| {
+                got.push(v.to_value());
+                Ok::<_, DecodeError>(())
+            })
+            .map(|()| got)
+        };
+        let two_53 = 1i64 << 53;
+        for m in [0, two_53, -two_53] {
+            let n = m as f64;
+            assert_eq!(encode_block(1, &[vec![CellValue::Number(n)]]), block(m));
+            assert_eq!(decoded(m), Ok(vec![CellValue::Number(n)]), "{m}");
+        }
+        for m in [two_53 + 1, -two_53 - 1] {
+            assert!(decoded(m).is_err(), "{m}");
+        }
     }
 
     fn block_cells(

@@ -22,11 +22,13 @@
 //! * [`metrics`] — the canonical validated codec for whole-workspace
 //!   [`RegistrySnapshot`] frames served by [`Request::Metrics`], the one
 //!   stats channel: every per-sheet number travels in it.
-//! * [`patch`] — [`WindowPatch`], the compact positional-window response:
-//!   typed value runs plus sparse formula/error overlays instead of one
-//!   boxed [`dataspread_grid::Cell`] clone per filled cell. Used both
-//!   in-process (`Session::fetch_window` returns it directly) and on the
-//!   wire (it encodes as-is — the server never re-shapes a window).
+//! * [`patch`] — [`WindowPatch`], the positional-window response: the
+//!   window's rect plus its cells as one cell block
+//!   ([`dataspread_grid::codec::CellsEncoder`], the encoding the image,
+//!   the WAL and an import give a block of cells) instead of one boxed
+//!   [`dataspread_grid::Cell`] clone per filled cell. Used both in-process
+//!   (`Session::fetch_window` returns it directly) and on the wire (it
+//!   encodes as-is — the server never re-shapes a window).
 //! * [`wire`] — [`Request`] / [`Response`] envelopes, request-id tagging
 //!   for multiplexing many logical sessions over one connection, and
 //!   length-prefixed framing ([`write_frame`] / [`read_frame`]).

@@ -30,8 +30,9 @@ use crate::types::{CheckpointSummary, Edit, EditReceipt, WireError};
 /// `Metrics`; version 3 retired `Stats` (request tag 9, response tag 7),
 /// whose numbers a client now projects out of the metrics snapshot with
 /// [`SheetStats::from_snapshot`](crate::SheetStats::from_snapshot);
-/// version 4 sends an import's cells as a cell block.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// version 4 sends an import's cells as a cell block, and version 5 a
+/// window's cells.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard cap on one frame's payload, matching the WAL's record bound — an
 /// import that fits in one WAL record fits in one frame.
@@ -420,8 +421,9 @@ mod tests {
         ]
     }
 
-    /// Repeat numbers, plain numbers, repeat texts, plain texts and bools,
-    /// with an error and formulas over a number and over an empty value.
+    /// Repeated and distinct numbers, a repeated text and distinct texts,
+    /// and bools, with an error and formulas over a number and over an
+    /// empty value.
     fn patch() -> WindowPatch {
         let rect = Rect::new(10, 2, 13, 41);
         let at = |r: u32, c: u32| CellAddr::new(rect.r1 + r, rect.c1 + c);
@@ -562,13 +564,14 @@ mod tests {
         ]
     }
 
-    /// One sample of every response variant (a window holding every run
-    /// kind) with its frame under id 7, generated like [`requests`].
+    /// One sample of every response variant with its frame under id 7,
+    /// generated like [`requests`]; the window's was re-pinned when its
+    /// cells became a cell block (protocol 5).
     fn responses() -> Vec<(&'static str, Response, &'static str)> {
         vec![
             ("hello", Response::Hello { version: 2 }, "0700000000000000000200"),
             ("ok", Response::Ok, "070000000000000001"),
-            ("window", Response::Window(patch()), "0700000000000000020a000000020000000d0000002900000006000000000000000000000003140000000000000000001c401400000000000000000300000000000000000034400000000000003540000000000000364028000000000000000412000000070000006170706172656c3a00000000000000010200000001000000780100000079500000000000000002020000000100530000000000000000010000000000000000002c400100000052000000000000000003000000520000000000000003000000312f3053000000000000000400000041312a329f00000000000000030000005a5a39"),
+            ("window", Response::Window(patch()), "0700000000000000020a000000020000000d000000290000008000000004002f00010e010e010e010e010e010e010e010e010e010e010e010e010e010e010e010e010e010e010e010e0128012a012c00290003076170706172656c1300130013001300130013001300130013001300130013001300130013001300130003017803017900090005040e0003312f30091c0441312a3200032708035a5a39"),
             ("value_empty", Response::Value(CellValue::Empty), "07000000000000000300"),
             ("value_number", Response::Value(CellValue::Number(-2.5)), "0700000000000000030100000000000004c0"),
             ("value_text", Response::Value(CellValue::Text("héllo".into())), "070000000000000003020600000068c3a96c6c6f"),

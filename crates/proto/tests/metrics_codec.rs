@@ -128,7 +128,7 @@ fn value() -> impl Strategy<Value = CellValue> {
     prop_oneof![
         Just(CellValue::Empty),
         any::<i32>().prop_map(|n| CellValue::Number(f64::from(n) / 8.0)),
-        // A small alphabet, so stretches repeat into repeat runs.
+        // A small alphabet, so texts repeat as text codes.
         "[ab]{0,2}".prop_map(CellValue::Text),
         any::<bool>().prop_map(CellValue::Bool),
         (0u8..7).prop_map(|c| CellValue::Error(CellError::from_code(c).expect("assigned"))),
@@ -147,8 +147,8 @@ fn rect() -> impl Strategy<Value = Rect> {
     ]
 }
 
-/// Stretches of one value along a row of a random window: runs, repeat
-/// runs, gaps, errors and formulas (always on an empty value, so no cell
+/// Stretches of one value along a row of a random window: repeated
+/// values, gaps, errors and formulas (always on an empty value, so no cell
 /// is blank).
 fn window() -> impl Strategy<Value = WindowPatch> {
     let stretch = (any::<u64>(), any::<u64>(), 1u64..24, value(), 0u8..4);

@@ -657,15 +657,17 @@ mod tests {
         assert_eq!(e.code, codes::PROTOCOL);
         assert!(read_frame(&mut s).unwrap().is_none(), "server closed");
 
-        // Wrong version: rejected.
-        let mut s = TcpStream::connect(handle.local_addr()).unwrap();
-        write_frame(&mut s, &Request::Hello { version: 999 }.encode(1)).unwrap();
-        let payload = read_frame(&mut s).unwrap().unwrap();
-        let (_, resp) = Response::decode(&payload).unwrap();
-        let Response::Err(e) = resp else {
-            panic!("expected protocol error");
-        };
-        assert_eq!(e.code, codes::PROTOCOL);
+        // Wrong version, the previous one included: rejected.
+        for version in [999, 4] {
+            let mut s = TcpStream::connect(handle.local_addr()).unwrap();
+            write_frame(&mut s, &Request::Hello { version }.encode(1)).unwrap();
+            let payload = read_frame(&mut s).unwrap().unwrap();
+            let (_, resp) = Response::decode(&payload).unwrap();
+            let Response::Err(e) = resp else {
+                panic!("expected protocol error for version {version}");
+            };
+            assert_eq!(e.code, codes::PROTOCOL);
+        }
         handle.shutdown();
     }
 

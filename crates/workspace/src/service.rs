@@ -622,10 +622,9 @@ impl Session {
     /// sessions fetch windows of the same sheet concurrently, and windows
     /// of different sheets never touch the same lock at all.
     ///
-    /// Returns a compact [`WindowPatch`] — typed value runs plus sparse
-    /// formula/error overlays — instead of one `Cell` clone per filled
-    /// cell. The patch is the wire format: the TCP server frames it
-    /// as-is.
+    /// Returns a [`WindowPatch`] — the window's cells as one cell block —
+    /// instead of one `Cell` clone per filled cell. The patch is the wire
+    /// format: the TCP server frames it as-is.
     pub fn fetch_window(&self, sheet: &str, rect: Rect) -> Result<WindowPatch, WorkspaceError> {
         let shard = self.shard(sheet)?;
         let t0 = self.op_timer(&self.inner.op_hists.fetch_window);
@@ -1255,11 +1254,12 @@ mod tests {
             assert_eq!(rect, Rect::new(2, 1, 5, 3));
             let window = s.fetch_window("data", rect).unwrap();
             assert_eq!(window.filled_count(), 12);
-            assert_eq!(
-                window.run_count(),
-                1,
-                "a dense numeric import is one typed run"
-            );
+            let imported: Vec<_> = rect
+                .iter()
+                .zip(0..)
+                .map(|(addr, i)| (addr, dataspread_grid::Cell::value(f64::from(i))))
+                .collect();
+            assert_eq!(window.cells(), imported, "the window holds the import");
             let stats = s.stats("data").unwrap();
             assert_eq!(stats.regions, 1);
             let shard = s.shard("data").unwrap();

@@ -32,9 +32,9 @@
 //!   `checkpoint`), and group commit, where the committing writer's one
 //!   WAL fsync covers every writer waiting behind it,
 //! * [`proto`] — the wire-stable protocol layer: length-prefixed
-//!   framing, request/response envelopes, compact
-//!   [`proto::WindowPatch`] window encoding, and stable numeric error
-//!   codes,
+//!   framing, request/response envelopes, the [`proto::WindowPatch`]
+//!   window response (a window's cells as one cell block, the encoding
+//!   the image and the WAL use), and stable numeric error codes,
 //! * [`server`] — the `dataspread-server` TCP server hosting a
 //!   workspace behind that protocol (session multiplexing, group-commit
 //!   pipelining, per-connection admission control),
