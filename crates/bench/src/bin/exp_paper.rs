@@ -27,10 +27,7 @@ use dataspread_bench::posmark::{AsIsStore, HierarchicalStore, MonotonicStore};
 use dataspread_corpus::{
     apply_op, dense_sheet, generate_corpus, multi_table_sheet, CorpusName, OpMix, UserOp,
 };
-use dataspread_engine::hybrid::{HybridSheet, StorageReader};
-use dataspread_engine::rcv::RcvTranslator;
-use dataspread_engine::rom::RomTranslator;
-use dataspread_engine::Translator;
+use dataspread_engine::hybrid::{build_translator, HybridSheet, StorageReader};
 use dataspread_formula::refs::collect_ranges;
 use dataspread_formula::{parse, Evaluator, Expr};
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
@@ -299,29 +296,19 @@ fn access_time(store: &HybridSheet, exprs: &[Expr], reps: usize) -> Duration {
     .1
 }
 
-/// The Figures 22–24 substrate: one `rows x cols` region, a bulk-loaded
-/// ROM or an RCV of one tuple per cell, each cell filled with probability
-/// `density`.
+/// The Figures 22–24 substrate: one `rows x cols` region, a bulk-built
+/// ROM (one tuple per row) or RCV (one tuple per cell), each cell filled
+/// with probability `density`.
 fn substrate(kind: ModelKind, rows: u32, cols: u32, density: f64) -> HybridSheet {
     let mut rng = StdRng::seed_from_u64(1);
-    let mut cell = |r: u32, c: u32| {
-        (density >= 1.0 || rng.gen_bool(density))
-            .then(|| CellValue::from(r as i64 * cols as i64 + c as i64))
-    };
-    let store: Box<dyn Translator> = if kind == ModelKind::Rom {
-        let tuples = (0..rows).map(|r| (0..cols).map(|c| cell(r, c).unwrap_or_default()).collect());
-        Box::new(RomTranslator::bulk_load_rows(cols, tuples).expect("bulk load"))
-    } else {
-        let mut rcv = RcvTranslator::new();
-        for r in 0..rows {
-            for c in 0..cols {
-                if let Some(value) = cell(r, c) {
-                    rcv.set_cell(r, c, Cell::value(value)).expect("set");
-                }
-            }
-        }
-        Box::new(rcv)
-    };
+    let cells = (0..rows)
+        .flat_map(|r| (0..cols).map(move |c| (r, c)))
+        .filter(|_| density >= 1.0 || rng.gen_bool(density))
+        .map(|(r, c)| {
+            let value = CellValue::from(r as i64 * cols as i64 + c as i64);
+            (CellAddr::new(r, c), Cell::value(value))
+        });
+    let store = build_translator(kind, rows, cols, cells).expect("bulk build");
     let mut hs = HybridSheet::new();
     hs.add_region(Rect::new(0, 0, rows - 1, cols - 1), store)
         .expect("add region");

@@ -4,11 +4,10 @@
 
 use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_relstore::Datum;
 
 use crate::error::EngineError;
 use crate::rom::{RomBuilder, RomTranslator};
-use crate::translator::{scan_to_datums, CellVisitor, Translator};
+use crate::translator::{CellVisitor, Translator};
 
 /// Column-oriented storage: a transposed [`RomTranslator`].
 #[derive(Debug, Default)]
@@ -24,25 +23,27 @@ impl ComTranslator {
     }
 }
 
-/// Push-style bulk builder: the row-major run is held back (encoded) until
-/// `finish`, transposed into column-major order and loaded as the inner
-/// ROM's rows — one tuple per sheet column.
+/// Push-style bulk builder: the row-major run is held back until `finish`,
+/// then sorted into column-major order and replayed through
+/// [`RomBuilder::push`] as the inner ROM's rows — one tuple per sheet
+/// column.
 #[derive(Default)]
 pub(crate) struct ComBuilder {
-    cells: Vec<(u32, u32, [Datum; 2])>,
+    cells: Vec<(u32, u32, Cell)>,
 }
 
 impl ComBuilder {
     pub(crate) fn push(&mut self, row: u32, col: u32, value: ScanValue<'_>, formula: Option<&str>) {
-        self.cells.push((col, row, scan_to_datums(value, formula)));
+        self.cells.push((col, row, value.to_cell(formula)));
     }
 
     pub(crate) fn finish(mut self) -> Result<ComTranslator, EngineError> {
         // Stable, so each column keeps the run's ascending row order.
         self.cells.sort_by_key(|&(col, ..)| col);
         let mut inner = RomBuilder::new();
-        for (col, row, pair) in self.cells {
-            inner.push_datums(col, row, pair)?;
+        for (col, row, cell) in self.cells {
+            let (value, formula) = (ScanValue::of(&cell.value), cell.formula.as_deref());
+            inner.push(col, row, value, formula)?;
         }
         Ok(ComTranslator {
             inner: inner.finish()?,

@@ -177,10 +177,10 @@ pub fn build_translator(
     kind: ModelKind,
     rows: u32,
     cols: u32,
-    cells: Vec<(CellAddr, Cell)>,
+    cells: impl IntoIterator<Item = (CellAddr, Cell)>,
 ) -> Result<Box<dyn Translator>, EngineError> {
     let mut b = RegionBuilder::new(kind, rows, cols);
-    for (addr, cell) in &cells {
+    for (addr, cell) in cells {
         b.push(
             addr.row,
             addr.col,

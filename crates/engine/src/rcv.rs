@@ -19,11 +19,13 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use dataspread_grid::{Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
-use dataspread_relstore::{ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId};
+use dataspread_relstore::{
+    ColumnDef, DataType, Datum, DatumRef, RowWriter, Schema, Table, TupleId,
+};
 
 use crate::error::EngineError;
 use crate::translator::{
-    cell_to_datums, datum_to_scan, datums_to_cell, scan_to_datums, CellVisitor, Translator,
+    cell_to_datums, datum_to_scan, datums_to_cell, write_stored, CellVisitor, Translator,
 };
 
 /// Row-column-value storage for one region (also the hybrid layer's
@@ -105,6 +107,8 @@ pub(crate) struct RcvBuilder {
     t: RcvTranslator,
     rows: u32,
     cols: u32,
+    /// Each cell's tuple, reused from cell to cell.
+    tuple: RowWriter,
 }
 
 impl RcvBuilder {
@@ -113,6 +117,7 @@ impl RcvBuilder {
             t: RcvTranslator::new(),
             rows: 0,
             cols: 0,
+            tuple: RowWriter::default(),
         }
     }
 
@@ -138,15 +143,16 @@ impl RcvBuilder {
         // Ids equal positions at build time: a per-cell build's
         // `ensure_rows`/`ensure_cols` hand them out in the same order.
         let key = (u64::from(row), u64::from(col));
-        let [v, f] = scan_to_datums(value, formula);
-        let tuple = [Datum::Int(key.0 as i64), Datum::Int(key.1 as i64), v, f];
-        let tid = self.t.table.insert(&tuple)?;
+        self.tuple.push(DatumRef::Int(key.0 as i64));
+        self.tuple.push(DatumRef::Int(key.1 as i64));
+        write_stored(&mut self.tuple, value, formula);
+        let tid = self.t.table.insert_row(&mut self.tuple)?;
         self.t.index.insert(key, tid);
         Ok(())
     }
 
     pub(crate) fn finish(self) -> RcvTranslator {
-        let RcvBuilder { mut t, rows, cols } = self;
+        let (mut t, rows, cols) = (self.t, self.rows, self.cols);
         t.rows_map = HierarchicalPosMap::bulk_load(0..u64::from(rows));
         t.cols_map = HierarchicalPosMap::bulk_load(0..u64::from(cols));
         t.next_row_id = u64::from(rows);

@@ -7,15 +7,16 @@
 //! inserts avoid cascading updates (paper §V: "row and column numbers can
 //! be dealt with independently").
 
-use dataspread_grid::{codec, Cell, CellValue, Rect, ScanValue};
+use dataspread_grid::{codec, Cell, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
-use dataspread_relstore::{ColumnDef, DataType, Datum, DatumRef, Schema, Table, TupleId};
+use dataspread_relstore::{
+    ColumnDef, DataType, Datum, DatumRef, RowWriter, Schema, Table, TupleId,
+};
 
 use crate::error::EngineError;
 use crate::translator::{
-    cell_into_datums, cell_to_datums, datum_to_scan, datums_to_cell, scan_to_datums, CellVisitor,
-    Translator,
+    cell_to_datums, datum_to_scan, datums_to_cell, write_stored, CellVisitor, Translator,
 };
 
 /// Row-oriented storage for one region.
@@ -56,29 +57,11 @@ impl RomTranslator {
         }
     }
 
-    /// Bulk-load each row's first `width` values (O(N) positional-map
-    /// construction) — the fast import path for large datasets such as VCF
-    /// files.
-    pub fn bulk_load_rows(
-        width: u32,
-        rows: impl IntoIterator<Item = Vec<CellValue>>,
-    ) -> Result<Self, EngineError> {
-        let mut b = RomBuilder::new();
-        b.widen(width)?;
-        for row in rows {
-            for value in row.into_iter().take(width as usize) {
-                b.filled += u64::from(!value.is_empty());
-                b.datums.extend(cell_into_datums(Cell::value(value)));
-            }
-            b.end_row()?;
-        }
-        b.finish()
-    }
-
-    /// An import block `rows` x `width` visited straight into the builder:
-    /// what [`RomTranslator::bulk_load_rows`] builds from its rows.
-    /// A side past [`MAX_POSITIONS`] is refused first: a claimed row count
-    /// or width must not make the builder materialize billions of them.
+    /// An import block `rows` x `width` ([`codec::encode_block`]) visited
+    /// straight into the builder — the one way an import is built, with
+    /// O(N) positional maps (the paper's VCF ingest). A side past
+    /// [`MAX_POSITIONS`] is refused first: a claimed row count or width
+    /// must not make the builder materialize billions of them.
     pub(crate) fn from_block(width: u32, rows: u32, block: &[u8]) -> Result<Self, EngineError> {
         if rows.max(width) > MAX_POSITIONS {
             return Err(EngineError::Unsupported(format!(
@@ -104,19 +87,9 @@ impl RomTranslator {
 
     fn ensure_cols(&mut self, upto: u32) -> Result<(), EngineError> {
         while self.cols_map.len() <= upto as usize {
-            self.push_group()?;
+            let g = self.fresh_group()?;
+            self.cols_map.push(g);
         }
-        Ok(())
-    }
-
-    fn push_group(&mut self) -> Result<(), EngineError> {
-        let g = self.next_group;
-        self.table
-            .add_column(ColumnDef::new(format!("v{g}"), DataType::Any))?;
-        self.table
-            .add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
-        self.cols_map.push(g);
-        self.next_group += 1;
         Ok(())
     }
 
@@ -124,10 +97,7 @@ impl RomTranslator {
     /// map (used by middle-of-sheet column inserts).
     fn fresh_group(&mut self) -> Result<u32, EngineError> {
         let g = self.next_group;
-        self.table
-            .add_column(ColumnDef::new(format!("v{g}"), DataType::Any))?;
-        self.table
-            .add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
+        add_group(&mut self.table, g)?;
         self.next_group += 1;
         Ok(g)
     }
@@ -157,12 +127,24 @@ impl RomTranslator {
     }
 }
 
+/// Add physical group `g`'s `[value, formula]` columns to a ROM table.
+fn add_group(table: &mut Table, g: u32) -> Result<(), EngineError> {
+    table.add_column(ColumnDef::new(format!("v{g}"), DataType::Any))?;
+    table.add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
+    Ok(())
+}
+
 /// Push-style bulk builder: cells arrive in strictly increasing row-major
 /// order (the caller's contract — [`crate::hybrid::RegionBuilder`] checks
 /// it) and each sheet row becomes one tuple the moment the next row starts.
-/// A row is only as wide as its last cell and blank rows are empty tuples,
-/// so `rows()` is the last cell's row + 1 and `cols()` the widest column
-/// + 1 — exactly what per-cell `set_cell` of the same cells produces.
+/// The open row is kept as tuple bytes: NULL gap datums and each cell's
+/// stored pair are written straight from the borrowed value and source
+/// ([`write_stored`]), so no `Datum` or `String` is made per cell. A row is
+/// only as wide as its last cell and blank rows are empty tuples, so
+/// `rows()` is the last cell's row + 1 and `cols()` the widest column + 1 —
+/// exactly what per-cell `set_cell` of the same cells produces, and the
+/// same accounted bytes: a short tuple's missing positions are priced as
+/// NULLs.
 pub(crate) struct RomBuilder {
     table: Table,
     cols_map: HierarchicalPosMap<u32>,
@@ -170,8 +152,10 @@ pub(crate) struct RomBuilder {
     filled: u64,
     /// Rows the region spans so far (the open row included).
     rows: u32,
-    /// The open row's datums, reused from row to row.
-    datums: Vec<Datum>,
+    /// The open row, reused from row to row.
+    tuple: RowWriter,
+    /// Sheet columns the open row holds so far.
+    written: u32,
 }
 
 impl RomBuilder {
@@ -182,17 +166,15 @@ impl RomBuilder {
             tids: Vec::new(),
             filled: 0,
             rows: 0,
-            datums: Vec::new(),
+            tuple: RowWriter::default(),
+            written: 0,
         }
     }
 
     /// Make the table at least `width` sheet columns wide.
     fn widen(&mut self, width: u32) -> Result<(), EngineError> {
         for g in self.cols_map.len() as u32..width {
-            self.table
-                .add_column(ColumnDef::new(format!("v{g}"), DataType::Any))?;
-            self.table
-                .add_column(ColumnDef::new(format!("f{g}"), DataType::Any))?;
+            add_group(&mut self.table, g)?;
             self.cols_map.push(g);
         }
         Ok(())
@@ -200,8 +182,8 @@ impl RomBuilder {
 
     /// Store the open row as one tuple.
     fn end_row(&mut self) -> Result<(), EngineError> {
-        self.tids.push(self.table.insert_prefix(&self.datums)?);
-        self.datums.clear();
+        self.tids.push(self.table.insert_row(&mut self.tuple)?);
+        self.written = 0;
         Ok(())
     }
 
@@ -212,24 +194,18 @@ impl RomBuilder {
         value: ScanValue<'_>,
         formula: Option<&str>,
     ) -> Result<(), EngineError> {
-        self.push_datums(row, col, scan_to_datums(value, formula))
-    }
-
-    /// [`RomBuilder::push`] with the cell already encoded.
-    pub(crate) fn push_datums(
-        &mut self,
-        row: u32,
-        col: u32,
-        pair: [Datum; 2],
-    ) -> Result<(), EngineError> {
         while (self.tids.len() as u32) < row {
             self.end_row()?;
         }
         self.rows = row + 1;
         self.widen(col + 1)?;
-        self.datums.resize(2 * col as usize, Datum::Null);
-        self.filled += u64::from(!(pair[0].is_null() && pair[1].is_null()));
-        self.datums.extend(pair);
+        for _ in self.written..col {
+            self.tuple.push(DatumRef::Null);
+            self.tuple.push(DatumRef::Null);
+        }
+        self.written = col + 1;
+        self.filled += u64::from(!matches!(value, ScanValue::Empty) || formula.is_some());
+        write_stored(&mut self.tuple, value, formula);
         Ok(())
     }
 
@@ -308,7 +284,7 @@ impl Translator for RomTranslator {
             let group = *self.cols_map.get(col as usize).expect("ensured");
             let was_blank = self.cell_from_row(&tuple, group).is_blank();
             let is_blank = cell.is_blank();
-            let [v, f] = cell_into_datums(cell);
+            let [v, f] = cell_to_datums(&cell);
             tuple[2 * group as usize] = v;
             tuple[2 * group as usize + 1] = f;
             match (was_blank, is_blank) {

@@ -28,7 +28,7 @@ use crate::error::EngineError;
 use crate::hybrid::{HybridSheet, StorageReader};
 use crate::rom::RomTranslator;
 use crate::tom::TomTranslator;
-use crate::translator::{value_into_datum, Translator};
+use crate::translator::value_to_datum;
 
 /// Which hybrid optimizer to run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -457,7 +457,9 @@ impl SheetEngine {
     }
 
     /// Bulk-import rows of values starting at `top_left` as a dedicated ROM
-    /// region (the VCF import path: O(N) bulk-loaded positional maps).
+    /// region (the VCF import path: O(N) bulk-loaded positional maps): the
+    /// rows' cell block ([`codec::encode_block`]) through
+    /// [`SheetEngine::import_block`], the one way an import is built.
     ///
     /// On a durable engine the whole import is one bulk WAL record —
     /// committed at the next [`SheetEngine::save`] like any other op and
@@ -469,20 +471,20 @@ impl SheetEngine {
         rows: impl IntoIterator<Item = Vec<CellValue>>,
     ) -> Result<Rect, EngineError> {
         let rows: Vec<Vec<CellValue>> = rows.into_iter().collect();
-        // The block is encoded from the borrowed rows first, so the rows
-        // themselves move into storage instead of being cloned or decoded.
-        let block = self
-            .durable
-            .is_some()
-            .then(|| codec::encode_block(width, &rows));
-        let rom = RomTranslator::bulk_load_rows(width, rows)?;
-        self.place_import(top_left, width, rom, block)
+        let block = codec::encode_block(width, &rows);
+        // A count past `u32` is refused by `import_block`'s position cap.
+        let n_rows = u32::try_from(rows.len()).unwrap_or(u32::MAX);
+        // Freed before the build, whose tuples can then reuse the memory.
+        drop(rows);
+        self.import_block(top_left, width, n_rows, block)
     }
 
     /// [`SheetEngine::import_rows`] of a cell block `rows` rows tall
     /// ([`codec::encode_block`]), as the wire and the WAL carry it: the
-    /// block is visited into the region (a bad one is refused before
-    /// anything is cleared), then logged as it came.
+    /// block is visited into the region, which is placed at `top_left`,
+    /// then logged as it came. A bad block, an empty region, or one
+    /// reaching off the sheet or onto a region is refused before anything
+    /// is cleared.
     pub fn import_block(
         &mut self,
         top_left: CellAddr,
@@ -491,32 +493,18 @@ impl SheetEngine {
         block: Vec<u8>,
     ) -> Result<Rect, EngineError> {
         let rom = RomTranslator::from_block(width, rows, &block)?;
-        self.place_import(top_left, width, rom, Some(block))
-    }
-
-    /// Place an import's region at `top_left` and log `block`: an empty
-    /// region, or one reaching off the sheet or onto a region, is refused
-    /// before anything is cleared.
-    fn place_import(
-        &mut self,
-        top_left: CellAddr,
-        width: u32,
-        rom: RomTranslator,
-        block: Option<Vec<u8>>,
-    ) -> Result<Rect, EngineError> {
         if width == 0 {
             return Err(EngineError::BadLink("import of zero columns".into()));
         }
-        let n_rows = rom.rows();
-        if n_rows == 0 {
+        if rows == 0 {
             return Err(EngineError::BadLink("import of zero rows".into()));
         }
         let (Some(r2), Some(c2)) = (
-            top_left.row.checked_add(n_rows - 1),
+            top_left.row.checked_add(rows - 1),
             top_left.col.checked_add(width - 1),
         ) else {
             return Err(EngineError::Unsupported(format!(
-                "importing {n_rows}x{width} at ({}, {}) would reach past the last row or column",
+                "importing {rows}x{width} at ({}, {}) would reach past the last row or column",
                 top_left.row, top_left.col
             )));
         };
@@ -533,24 +521,21 @@ impl SheetEngine {
         self.clear_rect(rect)?;
         self.sheet.add_region(rect, Box::new(rom))?;
         self.recompute_readers_of(rect)?;
-        if let Some(block) = block {
-            let (row, col, rows) = (top_left.row, top_left.col, n_rows);
-            let op = LoggedOp::ImportRows {
-                row,
-                col,
-                width,
-                rows,
-                block,
-            };
-            match self.log_op(op) {
-                // An import too large for one WAL record (the store refuses
-                // it before touching the log) is captured by an immediate
-                // checkpoint instead.
-                Err(EngineError::Store(dataspread_relstore::StoreError::LimitExceeded(_))) => {
-                    self.checkpoint()?;
-                }
-                logged => logged?,
+        let op = LoggedOp::ImportRows {
+            row: top_left.row,
+            col: top_left.col,
+            width,
+            rows,
+            block,
+        };
+        match self.log_op(op) {
+            // An import too large for one WAL record (the store refuses
+            // it before touching the log) is captured by an immediate
+            // checkpoint instead.
+            Err(EngineError::Store(dataspread_relstore::StoreError::LimitExceeded(_))) => {
+                self.checkpoint()?;
             }
+            logged => logged?,
         }
         Ok(rect)
     }
@@ -1057,7 +1042,7 @@ fn headers_and_rows(sheet: &HybridSheet, rect: Rect) -> (Vec<String>, Vec<Vec<Da
                 headers[c] = text;
             }
         } else {
-            rows[(row - rect.r1 - 1) as usize][c] = value_into_datum(value.to_value());
+            rows[(row - rect.r1 - 1) as usize][c] = value_to_datum(&value.to_value());
         }
     });
     (headers, rows, cells)

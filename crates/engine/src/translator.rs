@@ -5,7 +5,7 @@
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, ScanValue};
 use dataspread_hybrid::ModelKind;
-use dataspread_relstore::{Datum, DatumRef};
+use dataspread_relstore::{Datum, DatumRef, RowWriter};
 
 use crate::error::EngineError;
 
@@ -133,31 +133,39 @@ const ERR_TAG: &str = "\u{1}ERR:";
 /// begins with it behind one more, so no text reads back as an error.
 const ESC: char = '\u{1}';
 
-/// Encode a cell value as a datum the way SQL sees it: linked tables and
-/// relations hold texts as they are, so there a text beginning with
-/// [`ERR_TAG`] reads back as an error.
+/// Encode a cell value as a datum the way SQL sees it: [`stored`]'s datum,
+/// except that linked tables and relations hold texts as they are, so
+/// there a text beginning with [`ERR_TAG`] reads back as an error.
 pub fn value_to_datum(v: &CellValue) -> Datum {
-    value_into_datum(v.clone())
-}
-
-/// [`value_to_datum`] consuming the value.
-pub fn value_into_datum(v: CellValue) -> Datum {
     match v {
-        CellValue::Empty => Datum::Null,
-        CellValue::Number(n) => Datum::Float(n),
-        CellValue::Text(s) => Datum::Text(s),
-        CellValue::Bool(b) => Datum::Bool(b),
-        CellValue::Error(e) => Datum::Text(format!("{ERR_TAG}{e}")),
+        CellValue::Text(s) => Datum::Text(s.clone()),
+        v => stored(ScanValue::of(v), &mut String::new()).to_datum(),
     }
 }
 
-/// The stored encoding of ROM, COM and RCV: [`value_into_datum`] with a
-/// text beginning with [`ESC`] escaped by one more.
-fn stored_datum(v: CellValue) -> Datum {
+/// The one escape rule of ROM, COM and RCV, which the owned
+/// ([`cell_to_datums`]) and the written ([`write_stored`]) encodings both
+/// call: the datum `v` is stored as. An error is a text behind
+/// [`ERR_TAG`], and a text beginning with [`ESC`] goes behind one more, so
+/// no text reads back as an error. Either text is built in `text`.
+fn stored<'a>(v: ScanValue<'a>, text: &'a mut String) -> DatumRef<'a> {
     match v {
-        CellValue::Text(s) if s.starts_with(ESC) => Datum::Text(format!("{ESC}{s}")),
-        v => value_into_datum(v),
+        ScanValue::Text(s) if s.starts_with(ESC) => *text = format!("{ESC}{s}"),
+        ScanValue::Error(e) => *text = format!("{ERR_TAG}{e}"),
+        ScanValue::Empty => return DatumRef::Null,
+        ScanValue::Number(n) => return DatumRef::Float(n),
+        ScanValue::Bool(b) => return DatumRef::Bool(b),
+        ScanValue::Text(s) => return DatumRef::Text(s),
     }
+    DatumRef::Text(text)
+}
+
+/// Append a cell's stored `[value, formula]` pair to `row` straight from
+/// the borrows, as [`cell_to_datums`] has it: a text is copied once, into
+/// the tuple.
+pub(crate) fn write_stored(row: &mut RowWriter, value: ScanValue<'_>, formula: Option<&str>) {
+    row.push(stored(value, &mut String::new()));
+    row.push(formula.map_or(DatumRef::Null, DatumRef::Text));
 }
 
 /// Decode a datum back into a cell value.
@@ -185,14 +193,6 @@ pub(crate) fn datum_to_scan(d: DatumRef<'_>) -> ScanValue<'_> {
     }
 }
 
-/// The stored `[value, formula]` pair of a scanned cell (texts are copied).
-pub(crate) fn scan_to_datums(value: ScanValue<'_>, formula: Option<&str>) -> [Datum; 2] {
-    [
-        stored_datum(value.to_value()),
-        formula.map_or(Datum::Null, |src| Datum::Text(src.to_string())),
-    ]
-}
-
 fn parse_cell_error(s: &str) -> CellError {
     match s {
         "#DIV/0!" => CellError::Div0,
@@ -206,21 +206,11 @@ fn parse_cell_error(s: &str) -> CellError {
 }
 
 /// Encode a cell (value + optional formula) as a stored `[value, formula]`
-/// pair. (Clones the payloads; [`cell_into_datums`] is the canonical
-/// encoder.)
+/// pair of owned datums (texts are copied).
 pub fn cell_to_datums(cell: &Cell) -> [Datum; 2] {
-    cell_into_datums(cell.clone())
-}
-
-/// Encode a cell as a stored `[value, formula]` pair, consuming it: text
-/// payloads move instead of cloning (the batched row-update path).
-pub fn cell_into_datums(cell: Cell) -> [Datum; 2] {
     [
-        stored_datum(cell.value),
-        match cell.formula {
-            Some(src) => Datum::Text(src),
-            None => Datum::Null,
-        },
+        stored(ScanValue::of(&cell.value), &mut String::new()).to_datum(),
+        cell.formula.as_deref().map_or(Datum::Null, Datum::from),
     ]
 }
 
@@ -274,7 +264,16 @@ mod tests {
     }
 
     #[test]
-    fn consuming_encode_matches_borrowing_encode() {
+    fn owned_encode_matches_written_encode() {
+        use dataspread_relstore::{ColumnDef, DataType, Schema, Table};
+        let mut table = Table::new(
+            "t",
+            Schema::new(vec![
+                ColumnDef::new("v", DataType::Any),
+                ColumnDef::new("f", DataType::Any),
+            ]),
+        );
+        let mut row = RowWriter::default();
         for cell in [
             Cell::value(1i64),
             Cell {
@@ -285,9 +284,21 @@ mod tests {
                 value: CellValue::Error(CellError::Na),
                 formula: None,
             },
+            Cell::value("\u{1}x"),
+            Cell::value("\u{1}ERR:#REF!"),
+            Cell::value("\u{1}\u{1}"),
+            Cell::value(true),
             Cell::default(),
         ] {
-            assert_eq!(cell_to_datums(&cell), cell_into_datums(cell.clone()));
+            write_stored(
+                &mut row,
+                ScanValue::of(&cell.value),
+                cell.formula.as_deref(),
+            );
+            let tid = table.insert_row(&mut row).unwrap();
+            let owned = cell_to_datums(&cell);
+            assert_eq!(table.fetch(tid).unwrap(), owned, "{cell:?}");
+            assert_eq!(datums_to_cell(&owned[0], &owned[1]), cell);
         }
     }
 }

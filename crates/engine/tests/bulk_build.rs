@@ -33,7 +33,9 @@ const KINDS: [ModelKind; 4] = [
 
 /// Every value shape the stores distinguish: packable and raw numbers,
 /// bools, dictionary texts, a long text, the empty text, every error
-/// code, and formulas over any of them (including over an empty value).
+/// code, a text that begins with the error marker `\u{1}` and one that
+/// spells an error's stored form (both stored behind an escape), and
+/// formulas over any of them (including over an empty value).
 /// Long texts stay short enough that a 30-row COM tuple of them fits a
 /// page.
 fn random_cell(rng: &mut StdRng) -> Cell {
@@ -46,7 +48,7 @@ fn random_cell(rng: &mut StdRng) -> Cell {
         CellError::Num,
         CellError::Circular,
     ];
-    let value = match rng.gen_range(0u32..14) {
+    let value = match rng.gen_range(0u32..16) {
         0..=2 => CellValue::Number(rng.gen_range(-1000..1000) as f64),
         3..=4 => CellValue::Number(rng.gen_range(-10.0..10.0)),
         5 => CellValue::Bool(rng.gen_bool(0.5)),
@@ -54,6 +56,8 @@ fn random_cell(rng: &mut StdRng) -> Cell {
         9 => CellValue::Text("x".repeat(rng.gen_range(60..120))),
         10 => CellValue::Text(String::new()),
         11 => CellValue::Error(ERRORS[rng.gen_range(0..ERRORS.len())]),
+        12 => CellValue::Text(format!("\u{1}{}", ["", "x", "\u{1}"][rng.gen_range(0..3)])),
+        13 => CellValue::Text("\u{1}ERR:#REF!".into()),
         _ => CellValue::Empty,
     };
     let formula = rng

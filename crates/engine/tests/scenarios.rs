@@ -117,7 +117,7 @@ fn a_text_beginning_with_the_error_marker_stays_text() {
     {
         let first = 10 * k as u32;
         let row0 = (0..width).map(|c| (CellAddr::new(0, c), Cell::value(text(c))));
-        let t = build_translator(kind, 2, width, row0.collect()).unwrap();
+        let t = build_translator(kind, 2, width, row0).unwrap();
         let rect = Rect::new(0, first, 1, first + width - 1);
         e.storage_mut().add_region(rect, t).unwrap();
         cells.extend(rect.iter());

@@ -362,7 +362,7 @@ fn an_insert_stretching_a_region_past_the_position_cap_is_refused() {
                 let (first, last) = (at(0, 5 * k as u32), at(9, 5 * k as u32 + 3));
                 let rect = Rect::new(first.row, first.col, last.row, last.col);
                 let local = Rect::new(0, 0, rect.rows() as u32 - 1, rect.cols() as u32 - 1);
-                let cells = local
+                let cells: Vec<_> = local
                     .iter()
                     .map(|a| (a, Cell::value(i64::from(a.row * 100 + a.col) + 1)))
                     .collect();

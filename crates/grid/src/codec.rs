@@ -350,12 +350,26 @@ fn put_zigzag(out: &mut Vec<u8>, i: i64) {
 /// A zigzag mantissa at scale `s`, refused unless it is exactly the
 /// [`decimal_form`] of the number it spells: that refuses a non-minimal
 /// scale, an integral `Float` and a magnitude past 2^53.
+///
+/// Two shapes are accepted without the full check, because they are
+/// always their own form. An integer of at most 53 bits at scale 0 is
+/// exact. So is a mantissa with `1 <= s <= 15`, `|m| < 2^50` and
+/// `m % 10 != 0`, where `n` is `m / 10^s` rounded once:
+/// - `round(n·10^s)` is `m`: the two roundings move `n·10^s` by at most
+///   `|m|·2^-52 < 1/4`, so [`mantissa_at`] finds `m` at scale `s`;
+/// - no smaller scale `s'` spells `n` with some `m'`: then both
+///   `m / 10^s` and `m'·10^(s−s') / 10^s` would round to `n`, so
+///   `|m − m'·10^(s−s')| / 10^s` would be at most `ulp(n) <= |n|·2^-52 <
+///   10^-s / 4`. The numerator is a nonzero integer when `10 ∤ m`, so it
+///   would have to be below 1/4, which is impossible.
 fn read_decimal(r: &mut Reader<'_>, s: u8) -> Result<f64, DecodeError> {
     let z = r.uvarint()?;
     let m = (z >> 1) as i64 ^ -((z & 1) as i64);
-    // Every integer of at most 53 bits is its own form at scale 0.
     if s == 0 && m.unsigned_abs() <= 1 << 53 {
         return Ok(m as f64);
+    }
+    if s >= 1 && m.unsigned_abs() < 1 << 50 && m % 10 != 0 {
+        return Ok(m as f64 / POW10[s as usize]);
     }
     let n = m as f64 / POW10[s as usize];
     if decimal_form(n) != Some((m, s)) {
@@ -878,6 +892,51 @@ mod tests {
         }
         for m in [two_53 + 1, -two_53 - 1] {
             assert!(decoded(m).is_err(), "{m}");
+        }
+    }
+
+    #[test]
+    fn a_fraction_of_under_50_bits_takes_the_fast_path_to_decimal_forms_answer() {
+        let read = |m: i64, s: u8| {
+            let mut b = Vec::new();
+            put_zigzag(&mut b, m);
+            read_decimal(&mut Reader::new(&b), s)
+        };
+        // The full check the fast path skips: `m` at `s` is accepted
+        // exactly when it is the form of the number it spells.
+        let agrees = |m: i64, s: u8| {
+            let n = m as f64 / POW10[s as usize];
+            match read(m, s) {
+                Ok(got) => got.to_bits() == n.to_bits() && decimal_form(n) == Some((m, s)),
+                Err(_) => decimal_form(n) != Some((m, s)),
+            }
+        };
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for bits in 4..=50 {
+            for s in 1..=15u8 {
+                for _ in 0..40 {
+                    let r = next();
+                    let m = (r >> 1 & ((1u64 << bits) - 1)) as i64;
+                    let m = if r & 1 == 1 { -m } else { m };
+                    assert!(agrees(m, s), "{m} at scale {s}");
+                }
+            }
+        }
+        let two_50 = 1i64 << 50;
+        for m in [two_50 - 1, -(two_50 - 1), two_50, -two_50] {
+            for s in 1..=15u8 {
+                assert!(agrees(m, s), "{m} at scale {s}");
+            }
+        }
+        // A multiple of ten at a nonzero scale has a smaller one.
+        for (m, s) in [(10, 1), (-120, 2), (1_000_000, 15), (two_50 - 4, 3)] {
+            assert!(read(m, s).is_err(), "{m} at scale {s}");
         }
     }
 

@@ -83,17 +83,6 @@ impl WindowPatch {
         .expect("a patch's block is checked when it is built or decoded");
     }
 
-    /// The cell at `addr`, or `None` for blank / out-of-window addresses.
-    pub fn cell_at(&self, addr: CellAddr) -> Option<Cell> {
-        let mut found = None;
-        self.visit(|at, value, formula| {
-            if at == addr {
-                found = Some(cell(value, formula));
-            }
-        });
-        found
-    }
-
     /// Expand back into the sorted `(addr, cell)` form (tests, exports,
     /// UI adapters that want one cell at a time).
     pub fn cells(&self) -> Vec<(CellAddr, Cell)> {
@@ -268,19 +257,18 @@ mod tests {
         let patch = WindowPatch::from_cells(rect, cells.clone());
         assert_eq!(patch.filled_count(), 4);
         assert_eq!(patch.cells(), cells);
+        let decoded: std::collections::BTreeMap<CellAddr, Cell> =
+            patch.cells().into_iter().collect();
         assert_eq!(
-            patch.cell_at(CellAddr::new(0, 1)).unwrap(),
+            decoded[&CellAddr::new(0, 1)],
             Cell::formula("A1*2").with_value(4.0)
         );
         assert_eq!(
-            patch.cell_at(CellAddr::new(0, 2)).unwrap().value,
+            decoded[&CellAddr::new(0, 2)].value,
             CellValue::Error(CellError::Div0)
         );
-        assert_eq!(patch.cell_at(CellAddr::new(5, 5)), None);
-        assert_eq!(
-            patch.cell_at(CellAddr::new(0, 3)).unwrap().value,
-            CellValue::Empty
-        );
+        assert_eq!(decoded.get(&CellAddr::new(5, 5)), None);
+        assert_eq!(decoded[&CellAddr::new(0, 3)].value, CellValue::Empty);
         assert_eq!(roundtrip(&patch), patch);
     }
 
@@ -369,8 +357,11 @@ mod tests {
         let back = roundtrip(&patch);
         assert_eq!(back, patch);
         assert_eq!(
-            back.cell_at(CellAddr::new(u32::MAX, u32::MAX)),
-            Some(Cell::formula("A1").with_value(1.0))
+            back.cells().pop(),
+            Some((
+                CellAddr::new(u32::MAX, u32::MAX),
+                Cell::formula("A1").with_value(1.0)
+            ))
         );
 
         // A cell on the last position decodes; a cell or a row after it
@@ -385,8 +376,8 @@ mod tests {
         let max = u64::from(u32::MAX);
         let last = decode(&varints(&[1, max, 3, max, 1, 2])).unwrap();
         assert_eq!(
-            last.cell_at(CellAddr::new(u32::MAX, u32::MAX)),
-            Some(cell_num(1.0))
+            last.cells(),
+            vec![(CellAddr::new(u32::MAX, u32::MAX), cell_num(1.0))]
         );
         let past_column = varints(&[1, max, 4, max, 1, 2, 0, 1, 2]);
         assert!(decode(&past_column).is_err(), "one cell past the sheet");

@@ -2,7 +2,10 @@
 //!
 //! The byte layout is built on the shared [`dataspread_grid::codec`]
 //! primitives, so tuple bytes, snapshot files, and the engine's WAL records
-//! all use the same bounds-checked framing.
+//! all use the same bounds-checked framing. A datum has one encoder and
+//! one decoder, `DatumRef::encode_into` and `DatumRef::decode_from`: an
+//! owned row ([`encode_row`]) and a row written from borrows
+//! ([`RowWriter`]) are both written through the first.
 
 use std::fmt;
 
@@ -33,21 +36,6 @@ pub enum Datum {
 }
 
 impl Datum {
-    /// Whether this datum can be stored in a column of type `ty`.
-    /// `Null` fits everywhere; `Int` widens into `Float` columns.
-    pub fn fits(&self, ty: DataType) -> bool {
-        matches!(
-            (self, ty),
-            (_, DataType::Any)
-                | (Datum::Null, _)
-                | (Datum::Int(_), DataType::Int)
-                | (Datum::Int(_), DataType::Float)
-                | (Datum::Float(_), DataType::Float)
-                | (Datum::Text(_), DataType::Text)
-                | (Datum::Bool(_), DataType::Bool)
-        )
-    }
-
     pub fn is_null(&self) -> bool {
         matches!(self, Datum::Null)
     }
@@ -93,28 +81,6 @@ impl Datum {
         }
     }
 
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Datum::Null => codec::put_u8(out, 0),
-            Datum::Int(i) => {
-                codec::put_u8(out, 1);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Datum::Float(f) => {
-                codec::put_u8(out, 2);
-                codec::put_f64(out, *f);
-            }
-            Datum::Text(s) => {
-                codec::put_u8(out, 3);
-                codec::put_str(out, s);
-            }
-            Datum::Bool(b) => {
-                codec::put_u8(out, 4);
-                codec::put_u8(out, *b as u8);
-            }
-        }
-    }
-
     /// This datum as a borrow (texts are not copied).
     pub fn as_ref(&self) -> DatumRef<'_> {
         match self {
@@ -139,6 +105,21 @@ pub enum DatumRef<'a> {
 }
 
 impl<'a> DatumRef<'a> {
+    /// Whether this datum can be stored in a column of type `ty`.
+    /// `Null` fits everywhere; `Int` widens into `Float` columns.
+    pub fn fits(self, ty: DataType) -> bool {
+        matches!(
+            (self, ty),
+            (_, DataType::Any)
+                | (DatumRef::Null, _)
+                | (DatumRef::Int(_), DataType::Int)
+                | (DatumRef::Int(_), DataType::Float)
+                | (DatumRef::Float(_), DataType::Float)
+                | (DatumRef::Text(_), DataType::Text)
+                | (DatumRef::Bool(_), DataType::Bool)
+        )
+    }
+
     pub fn as_str(self) -> Option<&'a str> {
         match self {
             DatumRef::Text(s) => Some(s),
@@ -154,6 +135,31 @@ impl<'a> DatumRef<'a> {
             DatumRef::Float(f) => Datum::Float(f),
             DatumRef::Text(s) => Datum::Text(s.to_string()),
             DatumRef::Bool(b) => Datum::Bool(b),
+        }
+    }
+
+    /// The one datum encoder, the twin of [`DatumRef::decode_from`]: an
+    /// owned row ([`encode_row`]) and a [`RowWriter`]'s borrowed datums are
+    /// both written through it, so the two byte forms cannot drift apart.
+    fn encode_into(self, out: &mut Vec<u8>) {
+        match self {
+            DatumRef::Null => codec::put_u8(out, 0),
+            DatumRef::Int(i) => {
+                codec::put_u8(out, 1);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            DatumRef::Float(f) => {
+                codec::put_u8(out, 2);
+                codec::put_f64(out, f);
+            }
+            DatumRef::Text(s) => {
+                codec::put_u8(out, 3);
+                codec::put_str(out, s);
+            }
+            DatumRef::Bool(b) => {
+                codec::put_u8(out, 4);
+                codec::put_u8(out, b as u8);
+            }
         }
     }
 
@@ -221,9 +227,44 @@ pub fn encode_row(row: &[Datum]) -> Vec<u8> {
     let mut out = Vec::with_capacity(2 + row.iter().map(Datum::encoded_len).sum::<usize>());
     codec::put_u16(&mut out, row.len() as u16);
     for d in row {
-        d.encode_into(&mut out);
+        d.as_ref().encode_into(&mut out);
     }
     out
+}
+
+/// A tuple written datum by datum in [`encode_row`]'s layout, straight from
+/// borrows: no [`Datum`] is made and a text is copied once, into the
+/// tuple's bytes. [`Table::insert_row`](crate::Table::insert_row) takes it.
+#[derive(Debug, Default)]
+pub struct RowWriter {
+    datums: Vec<u8>,
+    pub(crate) arity: usize,
+}
+
+impl RowWriter {
+    /// Append the next datum.
+    #[inline]
+    pub fn push(&mut self, d: DatumRef<'_>) {
+        d.encode_into(&mut self.datums);
+        self.arity += 1;
+    }
+
+    /// The datums written so far, decoded in place.
+    pub(crate) fn datums(&self) -> impl Iterator<Item = DatumRef<'_>> {
+        let mut cur = Reader::new(&self.datums);
+        (0..self.arity)
+            .map(move |_| DatumRef::decode_from(&mut cur).expect("written by the encoder"))
+    }
+
+    /// The tuple, behind its arity header (the caller has checked that the
+    /// arity fits one); the writer is left empty for the next row.
+    pub(crate) fn take_tuple(&mut self) -> Box<[u8]> {
+        let mut tuple = Vec::with_capacity(2 + self.datums.len());
+        codec::put_u16(&mut tuple, self.arity as u16);
+        tuple.append(&mut self.datums);
+        self.arity = 0;
+        tuple.into_boxed_slice()
+    }
 }
 
 /// Skip one encoded datum without allocating its value.
@@ -330,7 +371,7 @@ mod tests {
             Datum::Bool(false),
         ] {
             let mut buf = Vec::new();
-            d.encode_into(&mut buf);
+            d.as_ref().encode_into(&mut buf);
             assert_eq!(buf.len(), d.encoded_len(), "{d:?}");
         }
     }
@@ -411,10 +452,10 @@ mod tests {
 
     #[test]
     fn fits_rules() {
-        assert!(Datum::Null.fits(DataType::Int));
-        assert!(Datum::Int(1).fits(DataType::Float));
-        assert!(!Datum::Float(1.0).fits(DataType::Int));
-        assert!(!Datum::Text("x".into()).fits(DataType::Bool));
+        assert!(DatumRef::Null.fits(DataType::Int));
+        assert!(DatumRef::Int(1).fits(DataType::Float));
+        assert!(!DatumRef::Float(1.0).fits(DataType::Int));
+        assert!(!DatumRef::Text("x").fits(DataType::Bool));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod wal;
 /// Kept only for `bench_e2e`, which names `dataspread_relstore::Reader`;
 /// everything else imports [`dataspread_grid::codec`] directly.
 pub use dataspread_grid::codec::Reader;
-pub use datum::{DataType, Datum, DatumRef};
+pub use datum::{DataType, Datum, DatumRef, RowWriter};
 pub use db::Database;
 pub use error::StoreError;
 pub use schema::{ColumnDef, Schema};

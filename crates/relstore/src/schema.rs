@@ -63,7 +63,7 @@ impl Schema {
             )));
         }
         for (d, c) in row.iter().zip(&self.columns) {
-            if !d.fits(c.ty) {
+            if !d.as_ref().fits(c.ty) {
                 return Err(StoreError::SchemaMismatch(format!(
                     "datum {d:?} does not fit column {} ({:?})",
                     c.name, c.ty

@@ -1,7 +1,7 @@
 //! Tables: a schema plus a slot vector of encoded rows, with storage
 //! accounting.
 
-use crate::datum::{decode_row, encode_row, Datum, DatumRef};
+use crate::datum::{decode_row, encode_row, DataType, Datum, DatumRef, RowWriter};
 use crate::error::StoreError;
 use crate::schema::{ColumnDef, Schema};
 
@@ -129,15 +129,15 @@ impl Table {
     /// Insert a row, returning its stable tuple id.
     pub fn insert(&mut self, row: &[Datum]) -> Result<TupleId, StoreError> {
         self.schema.validate(row)?;
-        self.insert_encoded(encode_row(row))
+        self.insert_encoded(encode_row(row).into_boxed_slice())
     }
 
-    fn insert_encoded(&mut self, bytes: Vec<u8>) -> Result<TupleId, StoreError> {
+    fn insert_encoded(&mut self, bytes: Box<[u8]>) -> Result<TupleId, StoreError> {
         let tid = TupleId(u32::try_from(self.rows.len()).map_err(|_| {
             StoreError::LimitExceeded(format!("table {} is out of row slots", self.name))
         })?);
         self.credit(tuple_footprint(&bytes));
-        self.rows.push(Some(bytes.into_boxed_slice()));
+        self.rows.push(Some(bytes));
         self.row_count += 1;
         Ok(tid)
     }
@@ -155,22 +155,33 @@ impl Table {
     /// Insert a row that may be shorter than the schema (missing trailing
     /// columns read back as NULL).
     pub fn insert_prefix(&mut self, row: &[Datum]) -> Result<TupleId, StoreError> {
-        if row.len() > self.schema.len() {
+        let mut written = RowWriter::default();
+        row.iter().for_each(|d| written.push(d.as_ref()));
+        self.insert_row(&mut written)
+    }
+
+    /// [`Table::insert_prefix`] of a row written through `row`: the bytes
+    /// are stored as written, and a stored row leaves `row` empty for the
+    /// next. An all-`Any` prefix, which every datum fits, is not decoded.
+    pub fn insert_row(&mut self, row: &mut RowWriter) -> Result<TupleId, StoreError> {
+        let Some(columns) = self.schema.columns().get(..row.arity) else {
             return Err(StoreError::SchemaMismatch(format!(
                 "{} datums for {} columns",
-                row.len(),
+                row.arity,
                 self.schema.len()
             )));
-        }
-        for (d, c) in row.iter().zip(self.schema.columns()) {
-            if !d.fits(c.ty) {
-                return Err(StoreError::SchemaMismatch(format!(
-                    "datum {d:?} does not fit column {}",
-                    c.name
-                )));
+        };
+        if columns.iter().any(|c| c.ty != DataType::Any) {
+            for (d, c) in row.datums().zip(columns) {
+                if !d.fits(c.ty) {
+                    return Err(StoreError::SchemaMismatch(format!(
+                        "datum {d:?} does not fit column {}",
+                        c.name
+                    )));
+                }
             }
         }
-        self.insert_encoded(encode_row(row))
+        self.insert_encoded(row.take_tuple())
     }
 
     /// The live tuple at `tid`.
@@ -418,6 +429,39 @@ mod tests {
         assert!(t
             .insert_prefix(&[Datum::Int(1), Datum::Null, Datum::Null])
             .is_err());
+    }
+
+    #[test]
+    fn a_written_row_is_checked_as_insert_prefix_checks_it() {
+        let mut t = table();
+        let mut w = RowWriter::default();
+        w.push(DatumRef::Int(9));
+        let tid = t.insert_row(&mut w).unwrap();
+        assert_eq!(t.fetch(tid).unwrap(), vec![Datum::Int(9), Datum::Null]);
+        for d in [DatumRef::Int(1), DatumRef::Text("a"), DatumRef::Null] {
+            w.push(d);
+        }
+        assert!(matches!(
+            t.insert_row(&mut w),
+            Err(StoreError::SchemaMismatch(_))
+        ));
+        let mut w = RowWriter::default();
+        w.push(DatumRef::Text("not an id"));
+        assert!(matches!(
+            t.insert_row(&mut w),
+            Err(StoreError::SchemaMismatch(_))
+        ));
+        assert_eq!(t.row_count(), 1, "a refused row is not stored");
+        // The writer and `insert_prefix` store the same bytes.
+        let mut w = RowWriter::default();
+        w.push(DatumRef::Int(-3));
+        w.push(DatumRef::Text("héllo"));
+        let written = t.insert_row(&mut w).unwrap();
+        let owned = t
+            .insert_prefix(&[Datum::Int(-3), Datum::Text("héllo".into())])
+            .unwrap();
+        assert_eq!(t.get(written).unwrap(), t.get(owned).unwrap());
+        assert_eq!(t.accounted_bytes(), t.accounted_bytes_walk());
     }
 
     fn tape_datum(pick: u8, text: &str) -> Datum {

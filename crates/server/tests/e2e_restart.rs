@@ -176,8 +176,9 @@ fn concurrent_clients_survive_sigkill_and_restart() {
         let window = session
             .fetch_window("grid", Rect::new(base, 0, base + BAND - 1, 4))
             .expect("window after restart");
+        let cells: std::collections::BTreeMap<_, _> = window.cells().into_iter().collect();
         for (addr, val) in acked.iter().filter(|(a, _)| a.row / BAND == band as u32) {
-            let cell = window.cell_at(*addr).unwrap_or_else(|| {
+            let cell = cells.get(addr).unwrap_or_else(|| {
                 panic!("acknowledged cell {addr:?} lost across SIGKILL+restart")
             });
             assert_eq!(

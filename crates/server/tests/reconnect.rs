@@ -115,9 +115,10 @@ fn assert_cells(session: &dataspread_client::RemoteSession, acked: &[(CellAddr, 
     let window = session
         .fetch_window("grid", Rect::new(0, 0, 200, 8))
         .expect("verification window");
+    let cells: std::collections::BTreeMap<_, _> = window.cells().into_iter().collect();
     for (addr, val) in acked {
-        let cell = window
-            .cell_at(*addr)
+        let cell = cells
+            .get(addr)
             .unwrap_or_else(|| panic!("acknowledged cell {addr:?} lost"));
         assert_eq!(
             cell.value,

@@ -29,11 +29,6 @@ pub struct WorkspaceConfig {
     /// Ops slower than this land in the slow-op event ring
     /// (`None` = the registry default, 20ms).
     pub slow_op_ns: Option<u64>,
-    /// Test hook: sleep this long inside the named sheet's recovery,
-    /// *after* the placeholder shard is published — lets tests prove that
-    /// a slow recovery stalls only its own sheet.
-    #[doc(hidden)]
-    pub open_stall_for_tests: Option<(String, std::time::Duration)>,
 }
 
 impl std::fmt::Debug for WorkspaceConfig {
@@ -536,11 +531,6 @@ impl Session {
     /// Engine construction + recovery for one sheet (no workspace locks
     /// held).
     fn build_shard(&self, name: &str) -> Result<Arc<Shard>, WorkspaceError> {
-        if let Some((stall_name, dur)) = &self.inner.config.open_stall_for_tests {
-            if stall_name == name {
-                std::thread::sleep(*dur);
-            }
-        }
         let mut engine = match &self.inner.dir {
             Some(dir) => match &self.inner.config.storage_fs {
                 Some(fs) => SheetEngine::open_on(Arc::clone(fs), dir.join(name))?,
@@ -990,7 +980,58 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
     use std::time::{Duration, Instant};
+
+    /// The real filesystem, except that the first open of a file under
+    /// `sheet_dir` sleeps `stall`: a slow recovery of that one sheet,
+    /// after its placeholder shard is published.
+    struct StallingFs {
+        inner: Arc<dyn StorageFs>,
+        sheet_dir: PathBuf,
+        stall: Duration,
+        stalled: AtomicBool,
+    }
+
+    impl StallingFs {
+        fn config(dir: &Path, sheet: &str, stall: Duration) -> WorkspaceConfig {
+            let fs = StallingFs {
+                inner: dataspread_relstore::real_fs(),
+                sheet_dir: dir.join(sheet),
+                stall,
+                stalled: AtomicBool::new(false),
+            };
+            WorkspaceConfig {
+                storage_fs: Some(Arc::new(fs)),
+                ..Default::default()
+            }
+        }
+    }
+
+    impl StorageFs for StallingFs {
+        fn open(
+            &self,
+            path: &Path,
+            mode: dataspread_relstore::OpenMode,
+        ) -> std::io::Result<Box<dyn dataspread_relstore::VfsFile>> {
+            if path.starts_with(&self.sheet_dir) && !self.stalled.swap(true, Ordering::SeqCst) {
+                std::thread::sleep(self.stall);
+            }
+            self.inner.open(path, mode)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.remove_file(path)
+        }
+        fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.sync_dir(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
 
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1031,7 +1072,11 @@ mod tests {
         assert_eq!(window.filled_count(), 2);
         // The patch carries the formula overlay alongside the computed
         // value.
-        let cell = window.cell_at(CellAddr::new(0, 1)).unwrap();
+        let cells = window.cells();
+        let (_, cell) = cells
+            .iter()
+            .find(|(at, _)| *at == CellAddr::new(0, 1))
+            .unwrap();
         assert_eq!(cell.value, CellValue::Number(42.0));
         assert_eq!(cell.formula.as_deref(), Some("A1+1"));
         assert!(s.checkpoint("alpha").unwrap().is_none());
@@ -1621,14 +1666,7 @@ mod tests {
     fn slow_recovery_does_not_stall_other_sheets() {
         let dir = temp_dir("slow-open");
         let stall = Duration::from_millis(400);
-        let ws = Workspace::open_with(
-            &dir,
-            WorkspaceConfig {
-                open_stall_for_tests: Some(("glacier".to_string(), stall)),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let ws = Workspace::open_with(&dir, StallingFs::config(&dir, "glacier", stall)).unwrap();
         let slow = ws.session();
         let fast = ws.session();
         let t0 = Instant::now();
@@ -1676,14 +1714,8 @@ mod tests {
     #[test]
     fn concurrent_opens_of_a_stalled_sheet_share_one_shard() {
         let dir = temp_dir("shared-open");
-        let ws = Workspace::open_with(
-            &dir,
-            WorkspaceConfig {
-                open_stall_for_tests: Some(("shared".to_string(), Duration::from_millis(150))),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let stall = Duration::from_millis(150);
+        let ws = Workspace::open_with(&dir, StallingFs::config(&dir, "shared", stall)).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let s = ws.session();

@@ -96,13 +96,9 @@ fn every_reexported_crate_is_reachable() {
         .fetch_window("smoke", dataspread::grid::Rect::new(0, 0, 3, 3))
         .unwrap();
     assert_eq!(window.filled_count(), 1);
-    assert_eq!(
-        window
-            .cell_at(dataspread::grid::CellAddr::new(0, 0))
-            .unwrap()
-            .value,
-        dataspread::grid::CellValue::Number(42.0)
-    );
+    let cells = window.cells();
+    assert_eq!(cells[0].0, dataspread::grid::CellAddr::new(0, 0));
+    assert_eq!(cells[0].1.value, dataspread::grid::CellValue::Number(42.0));
     let err = remote.open_sheet("bad/name").unwrap_err();
     assert_eq!(
         err.code,
