@@ -24,19 +24,19 @@
 //! inserts and growth splice null runs instead of rebuilding.
 //!
 //! The checkpoint payload is the region's fresh build:
-//! [`ColumnarTranslator::to_bytes`] writes each column the overlay touches
-//! as compaction would leave it (the overlay never reaches the image),
-//! then every formula source in one cell payload of the image's own
-//! [`PayloadEncoder`] — sources without values, row-major, so a fill-down
-//! is written once as a template. Two regions holding the same cells
-//! encode to the same bytes whatever their edit history.
+//! [`ColumnarTranslator::to_bytes`] compacts the region, so a checkpoint
+//! leaves it as its image decodes, and writes its columns (the overlay
+//! never reaches the image), then every formula source in one cell
+//! payload of the image's own [`PayloadEncoder`] — sources without
+//! values, row-major, so a fill-down is written once as a template. Two
+//! regions holding the same cells encode to the same bytes whatever their
+//! edit history.
 //! [`ColumnarTranslator::from_bytes`] round-trips byte-identically, so
 //! images store the compressed columns directly and recovery restores a
 //! region without per-cell replay. The decoder accepts a number or code
 //! store only if building its values writes exactly that store, so each
 //! content has one byte form.
 
-use std::borrow::Cow;
 use std::collections::{btree_map, BTreeMap, HashMap};
 use std::ops::Range;
 
@@ -885,7 +885,6 @@ impl ColumnarBuilder {
                 })
                 .collect(),
             overlay: BTreeMap::new(),
-            overlay_limit: OVERLAY_COMPACT,
         }
     }
 }
@@ -900,7 +899,6 @@ pub struct ColumnarTranslator {
     /// scans can range over it); a blank [`Cell`] entry masks the base
     /// cell as deleted.
     overlay: BTreeMap<(u32, u32), Cell>,
-    overlay_limit: usize,
 }
 
 impl std::fmt::Debug for ColumnarTranslator {
@@ -921,20 +919,7 @@ impl ColumnarTranslator {
             rows,
             columns: (0..cols).map(|_| Column::empty(rows)).collect(),
             overlay: BTreeMap::new(),
-            overlay_limit: OVERLAY_COMPACT,
         }
-    }
-
-    /// Cap the write overlay before compaction (tests exercise small
-    /// thresholds; the default is [`OVERLAY_COMPACT`]).
-    #[doc(hidden)]
-    pub fn set_overlay_limit(&mut self, n: usize) {
-        self.overlay_limit = n.max(1);
-    }
-
-    /// Overlay entries currently pending compaction.
-    pub fn overlay_len(&self) -> usize {
-        self.overlay.len()
     }
 
     fn ensure_extent(&mut self, rows: u32, cols: u32) {
@@ -1076,26 +1061,18 @@ impl ColumnarTranslator {
     // ---------------------------------------------------------- codec --
 
     /// Canonical byte encoding: the checkpoint payload, the region as a
-    /// fresh build of its cells writes it. A column with overlay entries
-    /// is written as [`ColumnarTranslator::compact`] would leave it, and
-    /// the formula sources follow the columns as one [`PayloadEncoder`]
-    /// payload. Decoding with [`ColumnarTranslator::from_bytes`] and
-    /// re-encoding is byte-identical.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let columns: Vec<Cow<'_, Column>> = (0..self.cols())
-            .map(|c| {
-                if self.overlay.range((c, 0)..=(c, u32::MAX)).next().is_some() {
-                    Cow::Owned(self.rewrite_column(c, 0..0))
-                } else {
-                    Cow::Borrowed(&self.columns[c as usize])
-                }
-            })
-            .collect();
+    /// fresh build of its cells writes it. The region is compacted first,
+    /// so it stays as its image decodes, and the formula sources follow
+    /// the columns as one [`PayloadEncoder`] payload. Decoding with
+    /// [`ColumnarTranslator::from_bytes`] and re-encoding is
+    /// byte-identical.
+    pub fn to_bytes(&mut self) -> Vec<u8> {
+        self.compact();
         let mut out = Vec::new();
         codec::put_u8(&mut out, ENC_VERSION);
         codec::put_u32(&mut out, self.rows);
         codec::put_u32(&mut out, self.cols());
-        for col in &columns {
+        for col in &self.columns {
             codec::put_u32(&mut out, col.runs.len() as u32);
             for run in &col.runs {
                 codec::put_u8(&mut out, run.tag);
@@ -1163,7 +1140,7 @@ impl ColumnarTranslator {
             }
         }
         let mut formulas: Vec<(u32, u32, &str)> = (0u32..)
-            .zip(&columns)
+            .zip(&self.columns)
             .flat_map(|(c, col)| {
                 col.formulas
                     .iter()
@@ -1214,7 +1191,6 @@ impl ColumnarTranslator {
             rows,
             columns,
             overlay: BTreeMap::new(),
-            overlay_limit: OVERLAY_COMPACT,
         })
     }
 }
@@ -1434,7 +1410,7 @@ impl Translator for ColumnarTranslator {
     fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
         self.ensure_extent(row + 1, col + 1);
         self.overlay.insert((col, row), cell);
-        if self.overlay.len() >= self.overlay_limit {
+        if self.overlay.len() >= OVERLAY_COMPACT {
             self.compact();
         }
         Ok(())
@@ -1450,7 +1426,7 @@ impl Translator for ColumnarTranslator {
             self.overlay.remove(&(col, row));
         } else {
             self.overlay.insert((col, row), Cell::default());
-            if self.overlay.len() >= self.overlay_limit {
+            if self.overlay.len() >= OVERLAY_COMPACT {
                 self.compact();
             }
         }
@@ -1546,7 +1522,7 @@ impl Translator for ColumnarTranslator {
         base + overlay
     }
 
-    fn encoded_image(&self) -> Option<Vec<u8>> {
+    fn encoded_image(&mut self) -> Option<Vec<u8>> {
         Some(self.to_bytes())
     }
 
@@ -1633,7 +1609,7 @@ mod tests {
             t.get_cell(10, 0).unwrap().value,
             CellValue::Text("edited".into())
         );
-        assert_eq!(t.overlay_len(), 1);
+        assert_eq!(t.overlay.len(), 1);
         t.clear_cell(10, 0).unwrap();
         assert_eq!(t.get_cell(10, 0), None);
         // Clearing a base-blank position must not grow the overlay.
@@ -1645,14 +1621,24 @@ mod tests {
     #[test]
     fn compaction_preserves_content() {
         let mut t = sample();
-        t.set_overlay_limit(8);
         let before: Vec<_> = (0..100u32)
             .map(|r| (0..4).map(|c| t.get_cell(r, c)).collect::<Vec<_>>())
             .collect();
-        for r in 0..20u32 {
-            t.set_cell(r, 1, Cell::value(format!("edit{r}"))).unwrap();
+        // Rows 0..20 of column 1, then whole rows grown below the sample,
+        // until the overlay reaches its threshold.
+        let edits: Vec<(u32, u32)> = (0..20u32)
+            .map(|r| (r, 1))
+            .chain((100u32..).flat_map(|r| (0..4).map(move |c| (r, c))))
+            .take(OVERLAY_COMPACT)
+            .collect();
+        for (i, &(r, c)) in edits.iter().enumerate() {
+            assert_eq!(t.overlay.len(), i, "no compaction below the threshold");
+            t.set_cell(r, c, Cell::value(format!("edit{r}"))).unwrap();
         }
-        assert!(t.overlay_len() < 8, "compaction must have run");
+        assert!(t.overlay.is_empty(), "compaction must have run");
+        for &(r, c) in &edits[20..] {
+            assert_eq!(t.get_cell(r, c), Some(Cell::value(format!("edit{r}"))));
+        }
         for r in 0..100u32 {
             for c in 0..4u32 {
                 let want = if c == 1 && r < 20 {
@@ -1680,7 +1666,7 @@ mod tests {
         .unwrap();
         t.set_cell(5, 0, Cell::default()).unwrap();
         let bytes = t.to_bytes();
-        let back = ColumnarTranslator::from_bytes(&bytes).unwrap();
+        let mut back = ColumnarTranslator::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes);
         for r in 0..100u32 {
             for c in 0..4u32 {
@@ -1692,7 +1678,7 @@ mod tests {
 
     #[test]
     fn corrupt_payloads_are_rejected() {
-        let t = sample();
+        let mut t = sample();
         let bytes = t.to_bytes();
         assert!(ColumnarTranslator::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         let mut bad = bytes.clone();

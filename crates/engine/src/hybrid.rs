@@ -575,7 +575,7 @@ impl HybridSheet {
     /// ([`Translator::change_stamp`]); a quiet database lets a checkpoint
     /// skip re-serializing them entirely (and the persistence layer still
     /// skips the page writes when serialized bytes come out unchanged).
-    pub fn region_images(&self) -> Vec<RegionImage> {
+    pub fn region_images(&mut self) -> Vec<RegionImage> {
         let mut out = Vec::with_capacity(1 + self.regions.len());
         out.push(RegionImage {
             id: CATCHALL_REGION_ID,
@@ -585,7 +585,7 @@ impl HybridSheet {
                 .catchall_dirty
                 .then(|| encode_store(self.catchall.as_ref())),
         });
-        for r in &self.regions {
+        for r in &mut self.regions {
             let dirty = r.dirty || r.translator.change_stamp() != r.clean_stamp;
             out.push(RegionImage {
                 id: r.id,
@@ -609,19 +609,6 @@ impl HybridSheet {
         for r in &mut self.regions {
             r.dirty = false;
             r.clean_stamp = r.translator.change_stamp();
-        }
-    }
-
-    /// Force full re-serialization at the next checkpoint: every region
-    /// and the catch-all re-encode from their stores. No engine path needs
-    /// it (a reorganization marks the regions it rebuilds); the recovery
-    /// suite calls it to check that a region rebuilt from the image
-    /// serializes to the bytes it was read from.
-    pub fn mark_all_dirty(&mut self) {
-        self.catchall_dirty = true;
-        for r in &mut self.regions {
-            r.dirty = true;
-            r.clean_stamp = None;
         }
     }
 
@@ -1750,7 +1737,10 @@ mod tests {
                 let mut cells = region.translator.all_cells();
                 cells.sort_by_key(|(a, _)| (a.row, a.col));
                 let want = match region.translator.as_columnar() {
-                    Some(t) => t.to_bytes(),
+                    Some(t) => build_translator(ModelKind::Columnar, t.rows(), t.cols(), cells)
+                        .unwrap()
+                        .encoded_image()
+                        .unwrap(),
                     None => encode_cells(&cells),
                 };
                 assert_eq!(

@@ -78,8 +78,6 @@ pub struct SheetEngine {
     evaluator: Evaluator,
     /// WAL + paged image; `None` for an in-memory engine.
     durable: Option<DurableStore>,
-    /// Worker budget for wave-parallel recomputation (≥ 1).
-    recompute_threads: usize,
     /// Cells recomputed since the engine was created (includes cells
     /// marked `#CIRC!`); lets tests and benches observe recompute scope.
     cells_recomputed: u64,
@@ -97,13 +95,9 @@ impl Default for SheetEngine {
 }
 
 /// Minimum members in one fill-down run before the vectorized sweep is
-/// used instead of per-cell evaluation.
+/// used instead of per-cell evaluation. A narrower wave skips grouping:
+/// chains degenerate into thousands of single-cell waves.
 const BATCH_MIN: usize = 16;
-
-/// Minimum per-cell evaluations in a wave before spawning workers pays
-/// for itself (chain-shaped cascades produce thousands of 1-cell waves;
-/// those must not pay thread spawn overhead).
-const PAR_MIN: usize = 64;
 
 impl SheetEngine {
     pub fn new() -> Self {
@@ -115,7 +109,6 @@ impl SheetEngine {
             composites: HashMap::new(),
             evaluator: Evaluator::new(),
             durable: None,
-            recompute_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cells_recomputed: 0,
             scalar_recompute: false,
             obs: None,
@@ -134,13 +127,6 @@ impl SheetEngine {
     /// in-memory engines.
     pub fn storage_failed_info(&self) -> Option<(String, u64)> {
         self.durable.as_ref().and_then(|s| s.storage_failed_info())
-    }
-
-    /// Cap the worker threads used for wave-parallel recomputation
-    /// (clamped to ≥ 1; 1 disables spawning). Defaults to the machine's
-    /// available parallelism.
-    pub fn set_recompute_threads(&mut self, threads: usize) {
-        self.recompute_threads = threads.max(1);
     }
 
     /// Cells recomputed since this engine was created (including cells
@@ -772,12 +758,11 @@ impl SheetEngine {
         );
     }
 
-    /// Re-evaluate the given seeds' dependents: in topological waves, with
-    /// same-shape fill-down runs batch-evaluated and wide waves fanned out
-    /// across the worker budget. Results are written back in wave order,
-    /// so output is identical to the sequential per-cell walk
-    /// ([`SheetEngine::set_scalar_recompute`] retains that walk as the
-    /// differential oracle).
+    /// Re-evaluate the given seeds' dependents: in topological waves, each
+    /// evaluated in place on the calling thread with same-shape fill-down
+    /// runs batch-evaluated. Output is identical to the sequential
+    /// per-cell walk ([`SheetEngine::set_scalar_recompute`] retains that
+    /// walk as the differential oracle).
     fn recompute(&mut self, seeds: &[CellAddr]) -> Result<(), EngineError> {
         if self.scalar_recompute {
             return self.recompute_scalar(seeds);
@@ -843,102 +828,58 @@ impl SheetEngine {
         self.run_wave_plan(plan)
     }
 
-    /// Evaluate one wave. Members of a wave never read each other (the
-    /// wave invariant), so evaluation order within the wave cannot change
-    /// results — only the write-back order is kept deterministic.
+    /// Evaluate one wave and write each member back in wave order, on the
+    /// calling thread. Members of a wave never read each other (the wave
+    /// invariant), so writing a member before evaluating the next cannot
+    /// change a value. A wave of at least [`BATCH_MIN`] members first
+    /// sweeps its fill-down runs: same sliding-aggregate shape, same
+    /// column, one bulk fetch per run.
     fn eval_wave(&mut self, wave: &[CellAddr]) -> Result<(), EngineError> {
-        // Chains degenerate into thousands of single-cell waves; skip the
-        // grouping machinery for them.
-        if let [addr] = *wave {
-            if let Some(info) = self.parsed.get(&addr) {
-                let reader = StorageReader(&self.sheet);
-                let value = self.evaluator.eval(&info.expr, &reader);
-                if let Some(obs) = &self.obs {
-                    obs.scalar_evals.inc();
-                }
-                self.write_computed(addr, value)?;
-            }
-            return Ok(());
-        }
-        let mut results: Vec<Option<CellValue>> = vec![None; wave.len()];
-        let mut batched = vec![false; wave.len()];
-        // 1. Vectorized sweeps over fill-down runs: same sliding-aggregate
-        //    shape, same column. One bulk fetch serves the whole run.
-        let mut runs: HashMap<(SlidingSpec, u32), Vec<usize>> = HashMap::new();
-        for (i, &addr) in wave.iter().enumerate() {
-            if let Some(spec) = self.parsed.get(&addr).and_then(|info| info.sliding) {
-                runs.entry((spec, addr.col)).or_default().push(i);
-            }
-        }
-        for ((spec, _), idxs) in runs {
-            if idxs.len() < BATCH_MIN {
-                continue;
-            }
-            let members: Vec<CellAddr> = idxs.iter().map(|&i| wave[i]).collect();
-            let reader = StorageReader(&self.sheet);
-            // `None` (window off-sheet, union too large) falls back to the
-            // per-cell walk below.
-            if let Some(values) = batch_eval_sliding(spec, &members, &reader) {
-                for (&i, v) in idxs.iter().zip(values) {
-                    results[i] = Some(v);
-                    batched[i] = true;
+        // The swept values, by wave position.
+        let mut batched: Vec<Option<CellValue>> = Vec::new();
+        if wave.len() >= BATCH_MIN {
+            batched.resize(wave.len(), None);
+            let mut runs: HashMap<(SlidingSpec, u32), Vec<usize>> = HashMap::new();
+            for (i, &addr) in wave.iter().enumerate() {
+                if let Some(spec) = self.parsed.get(&addr).and_then(|info| info.sliding) {
+                    runs.entry((spec, addr.col)).or_default().push(i);
                 }
             }
-        }
-        // 2. Everything else: per-cell tree walks, fanned out across the
-        //    worker budget when the wave is wide enough to pay for spawns.
-        let rest: Vec<usize> = (0..wave.len()).filter(|&i| !batched[i]).collect();
-        if let Some(obs) = &self.obs {
-            obs.batch_evals.add((wave.len() - rest.len()) as u64);
-            obs.scalar_evals.add(rest.len() as u64);
-        }
-        let threads = self.recompute_threads.min(rest.len());
-        if threads > 1 && rest.len() >= PAR_MIN {
-            let sheet = &self.sheet;
-            let parsed = &self.parsed;
-            let evaluator = self.evaluator;
-            let chunk = rest.len().div_ceil(threads);
-            let mut partials: Vec<Vec<(usize, Option<CellValue>)>> = Vec::new();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = rest
-                    .chunks(chunk)
-                    .map(|ids| {
-                        s.spawn(move || {
-                            let reader = StorageReader(sheet);
-                            ids.iter()
-                                .map(|&i| {
-                                    let value = parsed
-                                        .get(&wave[i])
-                                        .map(|info| evaluator.eval(&info.expr, &reader));
-                                    (i, value)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    partials.push(h.join().expect("recompute worker panicked"));
-                }
-            });
-            for part in partials {
-                for (i, value) in part {
-                    results[i] = value;
-                }
-            }
-        } else {
-            let reader = StorageReader(&self.sheet);
-            for &i in &rest {
-                let Some(info) = self.parsed.get(&wave[i]) else {
+            for ((spec, _), idxs) in runs {
+                if idxs.len() < BATCH_MIN {
                     continue;
-                };
-                results[i] = Some(self.evaluator.eval(&info.expr, &reader));
+                }
+                let members: Vec<CellAddr> = idxs.iter().map(|&i| wave[i]).collect();
+                let reader = StorageReader(&self.sheet);
+                // `None` (window off-sheet, union too large) leaves the run
+                // to the per-cell walk below.
+                if let Some(values) = batch_eval_sliding(spec, &members, &reader) {
+                    for (&i, v) in idxs.iter().zip(values) {
+                        batched[i] = Some(v);
+                    }
+                }
             }
         }
-        // 3. Deterministic write-back in wave (address) order.
+        let (mut batch, mut scalar) = (0u64, 0u64);
         for (i, &addr) in wave.iter().enumerate() {
-            if let Some(value) = results[i].take() {
-                self.write_computed(addr, value)?;
-            }
+            let value = match batched.get_mut(i).and_then(Option::take) {
+                Some(value) => {
+                    batch += 1;
+                    value
+                }
+                None => {
+                    let Some(info) = self.parsed.get(&addr) else {
+                        continue;
+                    };
+                    scalar += 1;
+                    self.evaluator.eval(&info.expr, &StorageReader(&self.sheet))
+                }
+            };
+            self.write_computed(addr, value)?;
+        }
+        if let Some(obs) = &self.obs {
+            obs.batch_evals.add(batch);
+            obs.scalar_evals.add(scalar);
         }
         Ok(())
     }

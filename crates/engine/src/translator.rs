@@ -105,9 +105,10 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
     /// Pre-encoded canonical checkpoint payload, when the translator has a
     /// compact native serialization (columnar regions encode their
     /// dictionary/RLE pages directly, so checkpoint images shrink with the
-    /// data). `None` (the default) checkpoints through the generic
-    /// per-cell codec.
-    fn encoded_image(&self) -> Option<Vec<u8>> {
+    /// data). Encoding may fold pending writes into the store first: a
+    /// columnar region compacts, so it stays as its image decodes. `None`
+    /// (the default) checkpoints through the generic per-cell codec.
+    fn encoded_image(&mut self) -> Option<Vec<u8>> {
         None
     }
 

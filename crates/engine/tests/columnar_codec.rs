@@ -102,9 +102,9 @@ fn fresh_bytes(t: &ColumnarTranslator) -> Vec<u8> {
         .unwrap()
 }
 
-fn assert_roundtrip(t: &ColumnarTranslator, ctx: &str) {
+fn assert_roundtrip(t: &mut ColumnarTranslator, ctx: &str) {
     let bytes = t.to_bytes();
-    let back = ColumnarTranslator::from_bytes(&bytes)
+    let mut back = ColumnarTranslator::from_bytes(&bytes)
         .unwrap_or_else(|e| panic!("{ctx}: decode failed: {e}"));
     assert_eq!(back.all_cells(), t.all_cells(), "{ctx}: cells");
     assert_eq!(back.rows(), t.rows(), "{ctx}: rows");
@@ -150,7 +150,7 @@ fn every_bit_flip_of_a_mixed_payload_is_refused_or_canonical() {
         for bit in 0..8 {
             let mut mutated = bytes.clone();
             mutated[i] ^= 1 << bit;
-            if let Ok(back) = ColumnarTranslator::from_bytes(&mutated) {
+            if let Ok(mut back) = ColumnarTranslator::from_bytes(&mutated) {
                 accepted += 1;
                 assert_eq!(back.to_bytes(), mutated, "flip of bit {bit} at byte {i}");
             }
@@ -164,7 +164,7 @@ proptest! {
 
     #[test]
     fn random_grids_roundtrip((rows, cols, raw) in grid()) {
-        assert_roundtrip(&build(rows, cols, &raw), "grid");
+        assert_roundtrip(&mut build(rows, cols, &raw), "grid");
     }
 
     #[test]
@@ -182,7 +182,7 @@ proptest! {
             t.set_cell(r, 0, cell).unwrap();
         }
         t.compact();
-        assert_roundtrip(&t, "runs");
+        assert_roundtrip(&mut t, "runs");
     }
 
     #[test]
@@ -201,12 +201,12 @@ proptest! {
             }
         }
         prop_assert_eq!(t.to_bytes(), fresh_bytes(&t), "the overlay writes the fresh-build form");
-        assert_roundtrip(&t, "before-compaction");
+        assert_roundtrip(&mut t, "before-compaction");
         let before = t.all_cells();
         t.compact();
         prop_assert_eq!(t.all_cells(), before, "compaction changes nothing");
         prop_assert_eq!(t.to_bytes(), fresh_bytes(&t), "compaction writes the fresh-build form");
-        assert_roundtrip(&t, "after-compaction");
+        assert_roundtrip(&mut t, "after-compaction");
     }
 
     #[test]
@@ -241,10 +241,11 @@ proptest! {
         let rows_before = t.rows();
         t.delete_rows(at, n).unwrap();
         prop_assert_eq!(t.rows(), rows_before - (end - at));
-        prop_assert_eq!(t.overlay_len(), 0, "the delete folds the overlay in");
+        let fresh = ColumnarTranslator::from_bytes(&fresh_bytes(&t)).unwrap();
+        prop_assert_eq!(t.resident_bytes(), fresh.resident_bytes(), "the delete folds the overlay in");
         prop_assert_eq!(t.all_cells(), want, "rows below the band move up");
         prop_assert_eq!(t.to_bytes(), fresh_bytes(&t), "the delete writes the fresh-build form");
-        assert_roundtrip(&t, "after-delete");
+        assert_roundtrip(&mut t, "after-delete");
     }
 
     #[test]
@@ -253,7 +254,7 @@ proptest! {
         cut in 0usize..4096,
         flip in 0usize..4096,
     ) {
-        let t = build(rows, cols, &raw);
+        let mut t = build(rows, cols, &raw);
         let bytes = t.to_bytes();
         // Truncation at any point must error or (vacuously) succeed with
         // equal content — never panic.
@@ -268,7 +269,7 @@ proptest! {
         if !mutated.is_empty() {
             let i = flip % mutated.len();
             mutated[i] ^= 1 << (flip % 8);
-            if let Ok(back) = ColumnarTranslator::from_bytes(&mutated) {
+            if let Ok(mut back) = ColumnarTranslator::from_bytes(&mutated) {
                 prop_assert_eq!(back.to_bytes(), mutated, "flip of bit {} at byte {}", flip % 8, i);
                 let _ = back.all_cells();
             }
@@ -390,7 +391,7 @@ fn one_number_column(vals: &[f64]) -> ColumnarTranslator {
 #[test]
 fn a_number_store_build_would_not_write_is_refused() {
     let ints: Vec<f64> = (0..8).map(|r| f64::from(r % 7) - 3.0).collect();
-    let t = one_number_column(&ints);
+    let mut t = one_number_column(&ints);
     let bytes = t.to_bytes();
     // The hand-built spelling of the same column is byte-identical.
     let offsets: Vec<u64> = (0..8).map(|r| r % 7).collect();
@@ -470,8 +471,8 @@ fn a_number_store_build_would_not_write_is_refused() {
         vec![0.5, 1.25, -2.0, 1e-3],
         vec![7.0; 5],
     ] {
-        let t = one_number_column(&vals);
-        let back = ColumnarTranslator::from_bytes(&t.to_bytes()).unwrap();
+        let mut t = one_number_column(&vals);
+        let mut back = ColumnarTranslator::from_bytes(&t.to_bytes()).unwrap();
         let cells: Vec<u64> = back
             .all_cells()
             .iter()

@@ -4,9 +4,8 @@
 //! against a naive dense model by `differential.rs`; this suite pins the
 //! columnar layout **cell-identical to that oracle** in three tiers:
 //!
-//! 1. translator-level: a `ColumnarTranslator` with a tiny overlay limit
-//!    (so compaction fires constantly) against a `RomTranslator` under
-//!    random local op tapes,
+//! 1. translator-level: a `ColumnarTranslator` compacted every few ops
+//!    against a `RomTranslator` under random local op tapes,
 //! 2. engine-level: a `SheetEngine` whose imported region was migrated to
 //!    columnar against an untouched ROM twin under the shared random op
 //!    tapes *plus* single-column aggregate formulas (which take the
@@ -24,7 +23,7 @@ use common::{apply, tape, TapeOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dataspread_engine::durable::{image_path, wal_path};
+use dataspread_engine::durable::{image_path, wal_path, DurableStore};
 use dataspread_engine::rom::RomTranslator;
 use dataspread_engine::{ColumnarTranslator, ModelKind, SheetEngine, Translator};
 use dataspread_grid::value::CellError;
@@ -61,14 +60,13 @@ fn random_cell(rng: &mut StdRng) -> Cell {
     Cell { value, formula }
 }
 
-/// Translator-level differential: columnar (with compaction firing every
-/// few writes) vs ROM under random set/clear/splice tapes.
+/// Translator-level differential: columnar (compacted every few ops) vs
+/// ROM under random set/clear/splice tapes.
 #[test]
 fn columnar_translator_matches_rom_under_random_ops() {
     for seed in SEEDS {
         let mut rng = StdRng::seed_from_u64(0xC01 + seed);
         let mut col = ColumnarTranslator::new(16, 6);
-        col.set_overlay_limit(5); // force frequent overlay compaction
         let mut rom = RomTranslator::new();
         // ROM starts empty; match extents through the ops themselves.
         for i in 0..TAPE_LEN {
@@ -114,6 +112,9 @@ fn columnar_translator_matches_rom_under_random_ops() {
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("delete cols")));
                 }
             }
+            if i % 5 == 4 {
+                col.compact();
+            }
             assert_eq!(col.all_cells(), rom.all_cells(), "{}", ctx("state"));
             assert_eq!(
                 col.filled_count(),
@@ -129,9 +130,8 @@ fn columnar_translator_matches_rom_under_random_ops() {
         }
         // Byte round-trip of the final state: encode → decode → re-encode
         // must be byte-identical, and the decoded translator cell-equal.
-        col.compact();
         let bytes = col.to_bytes();
-        let back = ColumnarTranslator::from_bytes(&bytes).expect("decode");
+        let mut back = ColumnarTranslator::from_bytes(&bytes).expect("decode");
         assert_eq!(back.to_bytes(), bytes, "seed={seed}: canonical encoding");
         assert_eq!(back.all_cells(), col.all_cells(), "seed={seed}");
     }
@@ -452,6 +452,36 @@ fn columnar_region_round_trips_through_checkpoint() {
         "dependents over the restored columnar region must recompute"
     );
     drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint leaves a columnar region as its image decodes: after 200
+/// point edits the region holds exactly the resident bytes of the payload
+/// it wrote, so the write overlay does not outlive the checkpoint.
+#[test]
+fn checkpoint_leaves_a_columnar_region_compacted() {
+    let dir = temp_dir("compacted");
+    let mut engine = SheetEngine::open(&dir).unwrap();
+    import_block(&mut engine);
+    let slot = migrate_block(&mut engine);
+    engine.checkpoint().unwrap();
+    for i in 0..200u32 {
+        let at = CellAddr::new(i * 7 % BLOCK_ROWS, i % BLOCK_COLS);
+        engine.update_cell(at, &format!("{}", i % 13)).unwrap();
+    }
+    engine.checkpoint().unwrap();
+    let (rect, kind, resident) = engine.storage().region_resident_bytes()[slot];
+    assert_eq!(kind, ModelKind::Columnar);
+    drop(engine);
+
+    let (_store, recovered) = DurableStore::open(&dir).unwrap();
+    let image = recovered
+        .regions
+        .iter()
+        .find(|r| r.rect == rect)
+        .expect("the columnar region is in the image");
+    let decoded = ColumnarTranslator::from_bytes(&image.payload).unwrap();
+    assert_eq!(resident, decoded.resident_bytes());
     std::fs::remove_dir_all(&dir).ok();
 }
 

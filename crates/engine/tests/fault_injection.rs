@@ -24,7 +24,8 @@ use rand::{Rng, SeedableRng};
 use dataspread_engine::durable::{IMAGE_FILE, WAL_FILE};
 use dataspread_engine::{EngineError, SheetEngine};
 use dataspread_grid::{CellAddr, CellValue};
-use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule, StorageFs};
+use dataspread_relstore::StorageFs;
+use dataspread_sim::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
 
 /// Everything the assertions look at lives inside this window.
 const PROBE_ROWS: u32 = 12;

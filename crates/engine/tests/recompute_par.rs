@@ -3,11 +3,11 @@
 //!
 //! The oracle is a [`SheetEngine`] forced onto the retained scalar path
 //! (`set_scalar_recompute`): Kahn order, one tree walk per cell, no
-//! batching, no threads. Variants run the wave pipeline at 1/2/4/8
-//! worker threads. Random formula tapes — fill-down sliding aggregates
-//! (the batch path), scalar layers, chains, cycles, error producers —
-//! are replayed into every engine, and full sheet snapshots (values
-//! *and* stored formula text) must stay bit-identical throughout.
+//! batching. Random formula tapes — fill-down sliding aggregates (the
+//! batch path), scalar layers, chains, cycles, error producers — are
+//! replayed into it and into an engine on the wave pipeline, and full
+//! sheet snapshots (values *and* stored formula text) must stay
+//! bit-identical throughout.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +18,9 @@ use dataspread_obs::MetricsRegistry;
 
 const ROWS: u32 = 48;
 const COLS: u32 = 8;
-const THREADS: &[usize] = &[1, 2, 4, 8];
+/// The engine's fill-down batch threshold: a wave narrower than this, or a
+/// run with fewer members, is evaluated per cell.
+const BATCH_MIN: u32 = 16;
 
 fn col_name(c: u32) -> char {
     (b'A' + c as u8) as char
@@ -117,78 +119,97 @@ fn random_tapes_match_scalar_oracle_at_every_thread_count() {
     for seed in 0..4u64 {
         let mut oracle = SheetEngine::new();
         oracle.set_scalar_recompute(true);
-        let mut variants: Vec<SheetEngine> = THREADS
-            .iter()
-            .map(|&t| {
-                let mut e = SheetEngine::new();
-                e.set_recompute_threads(t);
-                e
-            })
-            .collect();
+        let mut e = SheetEngine::new();
         let ops = tape(0xFA12_0001u64 + seed, 260);
         for (step, (addr, input)) in ops.iter().enumerate() {
             oracle.update_cell(*addr, input).expect("oracle update");
-            for e in &mut variants {
-                e.update_cell(*addr, input).expect("variant update");
-            }
+            e.update_cell(*addr, input).expect("wave update");
             // Full-snapshot comparison is O(cells); sample it.
             if step % 20 == 19 {
-                let want = snapshot(&oracle);
-                for (e, &t) in variants.iter().zip(THREADS) {
-                    assert_eq!(
-                        snapshot(e),
-                        want,
-                        "seed {seed} step {step} threads {t}: snapshot diverged"
-                    );
-                }
+                assert_eq!(
+                    snapshot(&e),
+                    snapshot(&oracle),
+                    "seed {seed} step {step}: snapshot diverged"
+                );
             }
         }
         // A bulk recompute-everything pass must agree too (this is the
         // path the bench drives: maximally wide waves).
         oracle.recompute_all().expect("oracle recompute_all");
-        let want = snapshot(&oracle);
-        for (e, &t) in variants.iter_mut().zip(THREADS) {
-            e.recompute_all().expect("variant recompute_all");
-            assert_eq!(snapshot(e), want, "seed {seed} threads {t}: bulk diverged");
-        }
+        e.recompute_all().expect("wave recompute_all");
+        assert_eq!(
+            snapshot(&e),
+            snapshot(&oracle),
+            "seed {seed}: bulk diverged"
+        );
     }
 }
 
 #[test]
-fn wide_scalar_wave_runs_identically_under_threads() {
-    // 200 same-wave scalar formulas (no batchable shape) force the
-    // scoped-thread fan-out; results must match the scalar walk exactly.
+fn wide_scalar_wave_matches_scalar_oracle() {
+    // 200 same-wave scalar formulas (no batchable shape): one wave far
+    // wider than BATCH_MIN, evaluated and written back member by member,
+    // must match the scalar walk exactly.
     let mut oracle = SheetEngine::new();
     oracle.set_scalar_recompute(true);
-    let mut engines: Vec<SheetEngine> = THREADS
-        .iter()
-        .map(|&t| {
-            let mut e = SheetEngine::new();
-            e.set_recompute_threads(t);
-            e
-        })
-        .collect();
+    let mut e = SheetEngine::new();
     for r in 0..200u32 {
         let data = format!("{}.5", r % 17);
         let formula = format!("=A{}*3+1", r + 1);
-        oracle.update_cell(CellAddr::new(r, 0), &data).unwrap();
-        oracle.update_cell(CellAddr::new(r, 1), &formula).unwrap();
-        for e in &mut engines {
-            e.update_cell(CellAddr::new(r, 0), &data).unwrap();
-            e.update_cell(CellAddr::new(r, 1), &formula).unwrap();
+        for engine in [&mut oracle, &mut e] {
+            engine.update_cell(CellAddr::new(r, 0), &data).unwrap();
+            engine.update_cell(CellAddr::new(r, 1), &formula).unwrap();
         }
     }
     oracle.recompute_all().unwrap();
-    for e in &mut engines {
+    let registry = MetricsRegistry::new();
+    let obs = EngineObs::new(&registry, "wide");
+    e.set_obs(obs.clone());
+    e.recompute_all().unwrap();
+    assert_eq!(obs.waves.get(), 1, "one wave");
+    assert_eq!(obs.scalar_evals.get(), 200);
+    assert_eq!(
+        e.get_cells(Rect::new(0, 0, 220, 4)),
+        oracle.get_cells(Rect::new(0, 0, 220, 4)),
+        "wide wave diverged"
+    );
+}
+
+/// The batch threshold is exact: a wave of `BATCH_MIN` same-shape sliding
+/// members is swept as one run, while `BATCH_MIN - 1` of them are walked
+/// cell by cell, alone or beside one scalar member that makes the wave
+/// `BATCH_MIN` wide. The values equal the scalar walk's either way.
+#[test]
+fn batch_min_members_batch_and_one_fewer_do_not() {
+    for (sliding, scalar) in [(BATCH_MIN, 0), (BATCH_MIN - 1, 0), (BATCH_MIN - 1, 1)] {
+        let ctx = format!("{sliding} sliding + {scalar} scalar members");
+        let mut e = SheetEngine::new();
+        for r in 0..sliding + 2 {
+            e.update_cell(CellAddr::new(r, 0), &format!("{}", r * 3 % 7))
+                .unwrap();
+        }
+        for r in 2..sliding + 2 {
+            let src = format!("=SUM({}:{})", a1(r - 2, 0), a1(r, 0));
+            e.update_cell(CellAddr::new(r, 1), &src).unwrap();
+        }
+        for r in 0..scalar {
+            e.update_cell(CellAddr::new(r, 2), &format!("={}*2", a1(r, 0)))
+                .unwrap();
+        }
+        e.set_scalar_recompute(true);
         e.recompute_all().unwrap();
-    }
-    let want = oracle.get_cells(Rect::new(0, 0, 220, 4));
-    for (e, &t) in engines.iter().zip(THREADS) {
-        assert_eq!(
-            e.get_cells(Rect::new(0, 0, 220, 4)),
-            want,
-            "threads {t}: wide wave diverged"
-        );
+        let want = snapshot(&e);
+        e.set_scalar_recompute(false);
+        let registry = MetricsRegistry::new();
+        let obs = EngineObs::new(&registry, "edge");
+        e.set_obs(obs.clone());
+        e.recompute_all().unwrap();
+        assert_eq!(obs.waves.get(), 1, "{ctx}: one wave");
+        let batch = if sliding >= BATCH_MIN { sliding } else { 0 };
+        assert_eq!(obs.batch_evals.get(), u64::from(batch), "{ctx}");
+        let walked = sliding + scalar - batch;
+        assert_eq!(obs.scalar_evals.get(), u64::from(walked), "{ctx}");
+        assert_eq!(snapshot(&e), want, "{ctx}: values diverged");
     }
 }
 
@@ -223,8 +244,8 @@ fn fill_down_corpus(rows: u32) -> SheetEngine {
 
 /// The batch share of a full cascade as a count: on the fill-down
 /// corpus every sliding `SUM` is answered by one vectorized sweep and
-/// every other formula by one tree walk, each exactly once, at every
-/// thread count, and the values equal the scalar oracle's.
+/// every other formula by one tree walk, each exactly once, and the
+/// values equal the scalar oracle's.
 #[test]
 fn fill_down_cascade_batches_every_sliding_run() {
     const ROWS: u32 = 4_000;
@@ -234,16 +255,13 @@ fn fill_down_cascade_batches_every_sliding_run() {
     e.recompute_all().unwrap();
     let want = e.get_cells(window);
     e.set_scalar_recompute(false);
-    for &t in THREADS {
-        let registry = MetricsRegistry::new();
-        let obs = EngineObs::new(&registry, "fill");
-        e.set_obs(obs.clone());
-        e.set_recompute_threads(t);
-        e.recompute_all().unwrap();
-        let sliding = ROWS - (WINDOW - 1);
-        assert_eq!(obs.batch_evals.get(), u64::from(sliding), "threads {t}");
-        let scalar = ROWS + CHAIN - 1;
-        assert_eq!(obs.scalar_evals.get(), u64::from(scalar), "threads {t}");
-        assert_eq!(e.get_cells(window), want, "threads {t}: cascade diverged");
-    }
+    let registry = MetricsRegistry::new();
+    let obs = EngineObs::new(&registry, "fill");
+    e.set_obs(obs.clone());
+    e.recompute_all().unwrap();
+    let sliding = ROWS - (WINDOW - 1);
+    assert_eq!(obs.batch_evals.get(), u64::from(sliding));
+    let scalar = ROWS + CHAIN - 1;
+    assert_eq!(obs.scalar_evals.get(), u64::from(scalar));
+    assert_eq!(e.get_cells(window), want, "cascade diverged");
 }

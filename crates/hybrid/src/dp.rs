@@ -194,38 +194,6 @@ pub fn dp_cost(view: &GridView, cm: &CostModel, opts: &OptimizerOptions) -> Resu
     Ok(dp.solve(0, view.h() - 1, 0, view.w() - 1))
 }
 
-/// Cost of an explicit recursive decomposition given as a cut tree — used by
-/// tests to verify DP optimality against enumerated alternatives.
-#[doc(hidden)]
-pub fn explicit_tree_cost(
-    view: &GridView,
-    cm: &CostModel,
-    opts: &OptimizerOptions,
-    rect_bands: (usize, usize, usize, usize),
-    rng_choice: &mut impl FnMut(usize) -> usize,
-) -> f64 {
-    let (r1, r2, c1, c2) = rect_bands;
-    if view.filled_weighted(r1, c1, r2, c2) == 0 {
-        return 0.0;
-    }
-    let h_cuts = r2 - r1;
-    let v_cuts = c2 - c1;
-    let n_choices = 1 + h_cuts + v_cuts;
-    let choice = rng_choice(n_choices);
-    if choice == 0 || n_choices == 1 {
-        return best_leaf(view, cm, opts, r1, c1, r2, c2).0;
-    }
-    if choice <= h_cuts {
-        let i = r1 + choice - 1;
-        explicit_tree_cost(view, cm, opts, (r1, i, c1, c2), rng_choice)
-            + explicit_tree_cost(view, cm, opts, (i + 1, r2, c1, c2), rng_choice)
-    } else {
-        let j = c1 + (choice - h_cuts - 1);
-        explicit_tree_cost(view, cm, opts, (r1, r2, c1, j), rng_choice)
-            + explicit_tree_cost(view, cm, opts, (r1, r2, j + 1, c2), rng_choice)
-    }
-}
-
 /// Convenience: cost of a primitive single-table model over the whole view.
 pub fn primitive_cost(view: &GridView, cm: &CostModel, kind: ModelKind) -> f64 {
     let Some(bbox) = view.bbox() else { return 0.0 };
@@ -242,6 +210,38 @@ pub fn primitive_cost(view: &GridView, cm: &CostModel, kind: ModelKind) -> f64 {
 mod tests {
     use super::*;
     use dataspread_grid::{CellAddr, SparseSheet};
+    use proptest::prelude::*;
+
+    /// Cost of an explicit recursive decomposition given as a cut tree,
+    /// each cut drawn by `rng_choice`: the alternatives DP must never lose to.
+    fn explicit_tree_cost(
+        view: &GridView,
+        cm: &CostModel,
+        opts: &OptimizerOptions,
+        rect_bands: (usize, usize, usize, usize),
+        rng_choice: &mut impl FnMut(usize) -> usize,
+    ) -> f64 {
+        let (r1, r2, c1, c2) = rect_bands;
+        if view.filled_weighted(r1, c1, r2, c2) == 0 {
+            return 0.0;
+        }
+        let h_cuts = r2 - r1;
+        let v_cuts = c2 - c1;
+        let n_choices = 1 + h_cuts + v_cuts;
+        let choice = rng_choice(n_choices);
+        if choice == 0 || n_choices == 1 {
+            return best_leaf(view, cm, opts, r1, c1, r2, c2).0;
+        }
+        if choice <= h_cuts {
+            let i = r1 + choice - 1;
+            explicit_tree_cost(view, cm, opts, (r1, i, c1, c2), rng_choice)
+                + explicit_tree_cost(view, cm, opts, (i + 1, r2, c1, c2), rng_choice)
+        } else {
+            let j = c1 + (choice - h_cuts - 1);
+            explicit_tree_cost(view, cm, opts, (r1, r2, c1, j), rng_choice)
+                + explicit_tree_cost(view, cm, opts, (r1, r2, j + 1, c2), rng_choice)
+        }
+    }
 
     fn sheet_from(cells: &[(u32, u32)]) -> SparseSheet {
         let mut s = SparseSheet::new();
@@ -407,5 +407,63 @@ mod tests {
             d.table_count() >= 4,
             "pinwheel needs at least 4 pieces + extras"
         );
+    }
+
+    /// Random small sheets: a few dense blocks plus scattered cells in a
+    /// 16x16 window (small enough for the unweighted DP).
+    fn sheet_strategy() -> impl Strategy<Value = SparseSheet> {
+        let block = (0u32..12, 0u32..12, 1u32..6, 1u32..6);
+        (
+            prop::collection::vec(block, 0..4),
+            prop::collection::vec((0u32..16, 0u32..16), 0..10),
+        )
+            .prop_map(|(blocks, scatter)| {
+                let mut s = SparseSheet::new();
+                for (r, c, h, w) in blocks {
+                    for dr in 0..h {
+                        for dc in 0..w {
+                            s.set_value(CellAddr::new(r + dr, c + dc), 1i64);
+                        }
+                    }
+                }
+                for (r, c) in scatter {
+                    s.set_value(CellAddr::new(r, c), 1i64);
+                }
+                s
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// DP never exceeds the cost of any explicitly sampled recursive
+        /// decomposition (Theorem 2).
+        #[test]
+        fn dp_beats_random_recursive_decompositions(
+            sheet in sheet_strategy(),
+            cm in prop_oneof![Just(CostModel::postgres()), Just(CostModel::ideal())],
+            seeds in prop::collection::vec(any::<u64>(), 4),
+        ) {
+            let view = GridView::from_sheet(&sheet);
+            let opts = OptimizerOptions::default();
+            let Ok(dp) = dp_cost(&view, &cm, &opts) else { return Ok(()); };
+            if view.is_empty() {
+                prop_assert_eq!(dp, 0.0);
+                return Ok(());
+            }
+            let bands = (0, view.h() - 1, 0, view.w() - 1);
+            for seed in seeds {
+                let mut state = seed | 1;
+                let mut pick = move |n: usize| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((state >> 33) as usize) % n
+                };
+                let sampled = explicit_tree_cost(&view, &cm, &opts, bands, &mut pick);
+                prop_assert!(
+                    dp <= sampled + 1e-6,
+                    "dp {} beat by sampled recursive decomposition {}", dp, sampled
+                );
+            }
+        }
     }
 }

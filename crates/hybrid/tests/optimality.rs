@@ -1,7 +1,7 @@
-//! Property tests for the hybrid optimizer:
+//! Property tests for the hybrid optimizer (DP against sampled recursive
+//! decompositions, Theorem 2, is a unit test of `dp`, which keeps its cut
+//! tree sampler private):
 //!
-//! * DP never exceeds the cost of any explicitly sampled recursive
-//!   decomposition (Theorem 2),
 //! * the weighted DP equals the unweighted DP (Theorem 5),
 //! * greedy/aggressive-greedy decompositions are recoverable, overlap-free,
 //!   and no cheaper than DP,
@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use dataspread_grid::{CellAddr, SparseSheet};
-use dataspread_hybrid::dp::{dp_cost, explicit_tree_cost, optimize_dp};
+use dataspread_hybrid::dp::{dp_cost, optimize_dp};
 use dataspread_hybrid::{
     opt_lower_bound, optimize_agg, optimize_greedy, CostModel, GridView, ModelSet, OptimizerOptions,
 };
@@ -46,34 +46,6 @@ fn cost_models() -> impl Strategy<Value = CostModel> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn dp_beats_random_recursive_decompositions(
-        sheet in sheet_strategy(),
-        cm in cost_models(),
-        seeds in prop::collection::vec(any::<u64>(), 4),
-    ) {
-        let view = GridView::from_sheet(&sheet);
-        let opts = OptimizerOptions::default();
-        let Ok(dp) = dp_cost(&view, &cm, &opts) else { return Ok(()); };
-        if view.is_empty() {
-            prop_assert_eq!(dp, 0.0);
-            return Ok(());
-        }
-        let bands = (0, view.h() - 1, 0, view.w() - 1);
-        for seed in seeds {
-            let mut state = seed | 1;
-            let mut pick = move |n: usize| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 33) as usize) % n
-            };
-            let sampled = explicit_tree_cost(&view, &cm, &opts, bands, &mut pick);
-            prop_assert!(
-                dp <= sampled + 1e-6,
-                "dp {} beat by sampled recursive decomposition {}", dp, sampled
-            );
-        }
-    }
 
     #[test]
     fn weighted_equals_unweighted_dp(sheet in sheet_strategy(), cm in cost_models()) {

@@ -21,14 +21,15 @@
 //! comparisons between data models (ROM / COM / RCV / hybrids) transfer.
 //!
 //! Durability has one tier: [`vfs`] + [`wal`] — positional file I/O
-//! behind a fault-injectable filesystem, and a write-ahead log of
-//! CRC-framed records in one file, whose fsync-point is the commit point
-//! and whose checksummed header carries the commit-ticket base across
-//! resets. The engine crate composes the
-//! two into crash-recoverable sheet storage, reading and writing its
-//! paged image straight through a [`VfsFile`]. A [`db::Database`] itself
-//! lives in memory only: the engine's durable image holds sheet cells,
-//! not the tables behind them.
+//! behind the [`StorageFs`] trait (the real filesystem in production; the
+//! fault suites substitute the `dataspread-sim` dev crate's
+//! fault-injecting one), and a write-ahead log of CRC-framed records in
+//! one file, whose fsync-point is the commit point and whose checksummed
+//! header carries the commit-ticket base across resets. The engine crate
+//! composes the two into crash-recoverable sheet storage, reading and
+//! writing its paged image straight through a [`VfsFile`]. A
+//! [`db::Database`] itself lives in memory only: the engine's durable
+//! image holds sheet cells, not the tables behind them.
 
 pub mod datum;
 pub mod db;
@@ -46,8 +47,5 @@ pub use db::Database;
 pub use error::StoreError;
 pub use schema::{ColumnDef, Schema};
 pub use table::{Table, TupleId};
-pub use vfs::{
-    real_fs, FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule, OpenMode, RealFs, StorageFs,
-    VfsFile,
-};
+pub use vfs::{real_fs, OpenMode, RealFs, StorageFs, VfsFile};
 pub use wal::{crc32, SharedWal, Wal, WalObs};

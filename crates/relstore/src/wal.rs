@@ -925,112 +925,4 @@ mod tests {
         assert_eq!(recovered.len(), 200);
         cleanup(&path);
     }
-
-    #[test]
-    fn failed_fsync_poisons_the_shared_wal_permanently() {
-        use crate::vfs::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
-        let path = temp("poison");
-        cleanup(&path);
-        let plan = FaultPlan::new();
-        let fs = FaultFs::new(std::sync::Arc::clone(&plan));
-        let wal = SharedWal::new(Wal::open_on(fs, &path).unwrap());
-        let t1 = wal.append(b"pre-fault").unwrap();
-        wal.sync().unwrap();
-        wal.commit(t1).unwrap();
-
-        // Arm: the next fsync fails. The ticket appended under it must be
-        // failed with the coded permanent error — and *stay* failed even
-        // though the disk is healthy again afterwards (fsyncgate).
-        plan.push(FaultRule::new(FaultOp::Sync, 0, FaultKind::Io));
-        let t2 = wal.append(b"doomed").unwrap();
-        assert!(matches!(wal.sync(), Err(StoreError::StorageFailed(_))));
-        plan.disarm(); // disk "recovers" — must make no difference
-        assert!(matches!(wal.commit(t2), Err(StoreError::StorageFailed(_))));
-        assert!(matches!(wal.sync(), Err(StoreError::StorageFailed(_))));
-        assert!(matches!(
-            wal.append(b"refused"),
-            Err(StoreError::StorageFailed(_))
-        ));
-        assert!(matches!(wal.truncate(), Err(StoreError::StorageFailed(_))));
-        assert!(wal.poisoned().is_some());
-
-        // Reopening the log is the only recovery: the pre-fault record is
-        // there; "doomed" may or may not be (it was never acknowledged).
-        drop(wal);
-        let mut reopened = Wal::open(&path).unwrap();
-        let recovered = reopened.take_recovered();
-        assert!(!recovered.is_empty());
-        assert_eq!(recovered[0], b"pre-fault".to_vec());
-        cleanup(&path);
-    }
-
-    #[test]
-    fn a_failed_leader_fsync_fails_every_waiter() {
-        // The leader's fsync is the commit point for every writer queued
-        // behind it, so its failure is theirs too — and permanent.
-        use crate::vfs::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
-        let path = temp("poison-leader");
-        cleanup(&path);
-        let plan = FaultPlan::new();
-        let fs = FaultFs::new(std::sync::Arc::clone(&plan));
-        let wal = std::sync::Arc::new(SharedWal::new(Wal::open_on(fs, &path).unwrap()));
-        let obs = WalObs::new(&MetricsRegistry::new(), "s");
-        wal.set_obs(obs.clone());
-        let t1 = wal.append(b"a").unwrap();
-        wal.commit(t1).unwrap();
-        assert_eq!(obs.fsyncs.get(), 1);
-        plan.push(FaultRule::new(FaultOp::Sync, 0, FaultKind::Enospc));
-        let t2 = wal.append(b"b").unwrap();
-        // Mark an fsync in flight so the follower queues behind it, then
-        // lead that fsync (clearing the mark without a wakeup first, so
-        // the follower sleeps until the leader's fsync has failed). The
-        // pause only makes the queued case likely: a follower arriving
-        // after the failure finds the log poisoned, so the assertions
-        // hold for either interleaving.
-        wal.lock().flushing = true;
-        let (tx, rx) = std::sync::mpsc::channel();
-        let follower = {
-            let wal = std::sync::Arc::clone(&wal);
-            std::thread::spawn(move || tx.send(wal.commit(t2)).unwrap())
-        };
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        wal.lock().flushing = false;
-        assert!(matches!(wal.sync(), Err(StoreError::StorageFailed(_))));
-        let followed = rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("the follower must not hang");
-        assert!(matches!(followed, Err(StoreError::StorageFailed(_))));
-        follower.join().unwrap();
-        plan.disarm();
-        assert!(matches!(wal.commit(t2), Err(StoreError::StorageFailed(_))));
-        assert_eq!(obs.fsyncs.get(), 1);
-        assert!(wal.poisoned().unwrap().contains("No space left"));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn short_write_on_append_leaves_recoverable_prefix() {
-        use crate::vfs::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
-        let path = temp("shortwrite");
-        cleanup(&path);
-        let plan = FaultPlan::new();
-        let fs = FaultFs::new(std::sync::Arc::clone(&plan));
-        {
-            let mut wal = Wal::open_on(fs, &path).unwrap();
-            wal.append(b"committed-record").unwrap();
-            wal.sync().unwrap();
-            plan.push(FaultRule::new(FaultOp::Write, 0, FaultKind::ShortWrite));
-            assert!(wal.append(b"torn-record-payload").is_err());
-            // The failed append left garbage past the valid prefix; a
-            // subsequent append overwrites it positionally.
-            wal.append(b"after-the-tear").unwrap();
-            wal.sync().unwrap();
-        }
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(
-            wal.take_recovered(),
-            vec![b"committed-record".to_vec(), b"after-the-tear".to_vec()]
-        );
-        cleanup(&path);
-    }
 }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use dataspread_client::Client;
 use dataspread_proto::codes;
-use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
 use dataspread_server::{metrics_exposition, serve, serve_with, ServerConfig};
+use dataspread_sim::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
 use dataspread_workspace::{Edit, Health, Workspace, WorkspaceConfig, WorkspaceError};
 
 fn temp_dir(tag: &str) -> PathBuf {

@@ -1427,7 +1427,7 @@ mod tests {
 
     #[test]
     fn a_storage_failure_inside_checkpoint_degrades_the_sheet_at_once() {
-        use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
+        use dataspread_sim::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
         let dir = temp_dir("checkpoint-degrade");
         let plan = FaultPlan::new();
         let ws = Workspace::open_with(

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dataspread_grid::{CellAddr, CellValue};
-use dataspread_relstore::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
+use dataspread_sim::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
 use dataspread_workspace::{Edit, Workspace, WorkspaceConfig, WorkspaceError};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
