@@ -30,7 +30,7 @@ use dataspread_corpus::{
 use dataspread_engine::hybrid::{build_translator, HybridSheet, StorageReader};
 use dataspread_formula::refs::collect_ranges;
 use dataspread_formula::{parse, Evaluator, Expr};
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, Shift, SparseSheet};
 use dataspread_hybrid::dp::{dp_cost, primitive_cost};
 use dataspread_hybrid::{
     incremental_agg, opt_lower_bound, optimize_agg, optimize_dp, optimize_greedy,
@@ -747,28 +747,23 @@ fn fig25(checks: &mut Checks) {
     );
 }
 
-/// Keep a decomposition's rectangles aligned with the sheet across
-/// structural edits (what the engine's hybrid layer does for real storage).
-fn shift_decomp(decomp: &mut Decomposition, op: UserOp) {
-    for region in &mut decomp.regions {
-        let rect = &mut region.rect;
-        match op {
-            UserOp::AddRow(at) if at <= rect.r1 => *rect = rect.translate(1, 0),
-            UserOp::AddRow(at) if at <= rect.r2 => rect.r2 += 1,
-            UserOp::AddCol(at) if at <= rect.c1 => *rect = rect.translate(0, 1),
-            UserOp::AddCol(at) if at <= rect.c2 => rect.c2 += 1,
-            _ => {}
-        }
-    }
-}
-
 /// Apply `n` ops sampled from the survey-derived mix to the sheet and the
 /// tracked decomposition.
 fn diverge(sheet: &mut SparseSheet, decomp: &mut Decomposition, n: usize, rng: &mut StdRng) {
     let mix = OpMix::default();
     for _ in 0..n {
         let op = mix.sample(sheet, rng);
-        shift_decomp(decomp, op);
+        // Keep the decomposition's rectangles aligned with the sheet, as
+        // the engine's hybrid layer does for real storage.
+        let shift = match op {
+            UserOp::AddRow(at) => Shift::InsertRows { at, n: 1 },
+            UserOp::AddCol(at) => Shift::InsertCols { at, n: 1 },
+            // A shift of zero rows moves nothing.
+            UserOp::UpdateCell(_) | UserOp::AddCell(_) => Shift::InsertRows { at: 0, n: 0 },
+        };
+        decomp
+            .regions
+            .retain_mut(|r| shift.apply_rect(&r.rect).map(|to| r.rect = to).is_some());
         apply_op(sheet, op, rng);
     }
 }
@@ -975,7 +970,10 @@ fn translator_ops(hs: &mut HybridSheet) -> [Duration; 3] {
                 hs.set_cells_in_row(r, patch.clone()).expect("update");
             }
         }),
-        time_median(3, || hs.insert_rows(500, 1).expect("insert")),
+        time_median(3, || {
+            hs.shift(Shift::InsertRows { at: 500, n: 1 })
+                .expect("insert")
+        }),
         time_median(3, || {
             black_box(hs.get_cells(Rect::new(100, 0, 1099, 19)));
         }),

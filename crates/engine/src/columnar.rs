@@ -43,7 +43,7 @@ use std::ops::Range;
 use dataspread_formula::RangeAgg;
 use dataspread_grid::codec;
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellValue, DecodeError, Rect, ScanValue};
+use dataspread_grid::{Cell, CellValue, DecodeError, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 
 use crate::durable::{visit_payload, PayloadEncoder};
@@ -1437,53 +1437,45 @@ impl Translator for ColumnarTranslator {
         self.scan_filled(rect, f);
     }
 
-    fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if n == 0 {
-            return Ok(());
+    fn shift(&mut self, s: Shift) -> Result<(), EngineError> {
+        match s {
+            Shift::InsertRows { at, n } => {
+                if at >= self.rows {
+                    self.ensure_extent(at + n, self.columns.len() as u32);
+                    return Ok(());
+                }
+                self.compact();
+                for col in &mut self.columns {
+                    col.insert_nulls(at, n);
+                }
+                self.rows += n;
+            }
+            Shift::DeleteRows { at, n } => {
+                if at >= self.rows {
+                    return Ok(());
+                }
+                let end = at.saturating_add(n).min(self.rows);
+                self.columns = (0..self.cols())
+                    .map(|c| self.rewrite_column(c, at..end))
+                    .collect();
+                self.overlay.clear();
+                self.rows -= end - at;
+            }
+            Shift::InsertCols { at, n } => {
+                self.compact();
+                let at = (at as usize).min(self.columns.len());
+                self.columns
+                    .splice(at..at, (0..n).map(|_| Column::empty(self.rows)));
+            }
+            Shift::DeleteCols { at, n } => {
+                if at as usize >= self.columns.len() {
+                    return Ok(());
+                }
+                self.compact();
+                let end = (at as usize + n as usize).min(self.columns.len());
+                self.columns.drain(at as usize..end);
+            }
         }
-        if at >= self.rows {
-            self.ensure_extent(at + n, self.columns.len() as u32);
-            return Ok(());
-        }
-        self.compact();
-        for col in &mut self.columns {
-            col.insert_nulls(at, n);
-        }
-        self.rows += n;
-        Ok(())
-    }
-
-    fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if n == 0 || at >= self.rows {
-            return Ok(());
-        }
-        let end = at.saturating_add(n).min(self.rows);
-        self.columns = (0..self.cols())
-            .map(|c| self.rewrite_column(c, at..end))
-            .collect();
-        self.overlay.clear();
-        self.rows -= end - at;
-        Ok(())
-    }
-
-    fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if n == 0 {
-            return Ok(());
-        }
-        self.compact();
-        let at = (at as usize).min(self.columns.len());
-        self.columns
-            .splice(at..at, (0..n).map(|_| Column::empty(self.rows)));
-        Ok(())
-    }
-
-    fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if n == 0 || at as usize >= self.columns.len() {
-            return Ok(());
-        }
-        self.compact();
-        let end = (at as usize + n as usize).min(self.columns.len());
-        self.columns.drain(at as usize..end);
         Ok(())
     }
 
@@ -1689,7 +1681,7 @@ mod tests {
     #[test]
     fn insert_rows_splices_null_runs() {
         let mut t = sample();
-        t.insert_rows(10, 5).unwrap();
+        t.shift(Shift::InsertRows { at: 10, n: 5 }).unwrap();
         assert_eq!(t.rows(), 105);
         assert_eq!(t.get_cell(9, 0).unwrap().value, CellValue::Number(9.0));
         for r in 10..15u32 {
@@ -1701,7 +1693,7 @@ mod tests {
     #[test]
     fn delete_rows_rebuilds() {
         let mut t = sample();
-        t.delete_rows(10, 5).unwrap();
+        t.shift(Shift::DeleteRows { at: 10, n: 5 }).unwrap();
         assert_eq!(t.rows(), 95);
         assert_eq!(t.get_cell(9, 0).unwrap().value, CellValue::Number(9.0));
         assert_eq!(t.get_cell(10, 0).unwrap().value, CellValue::Number(15.0));
@@ -1710,7 +1702,7 @@ mod tests {
     #[test]
     fn insert_delete_cols() {
         let mut t = sample();
-        t.insert_cols(1, 2).unwrap();
+        t.shift(Shift::InsertCols { at: 1, n: 2 }).unwrap();
         assert_eq!(t.cols(), 6);
         assert_eq!(t.get_cell(3, 0).unwrap().value, CellValue::Number(3.0));
         assert_eq!(t.get_cell(3, 1), None);
@@ -1718,7 +1710,7 @@ mod tests {
             t.get_cell(3, 3).unwrap().value,
             CellValue::Text("PASS".into())
         );
-        t.delete_cols(1, 2).unwrap();
+        t.shift(Shift::DeleteCols { at: 1, n: 2 }).unwrap();
         assert_eq!(t.cols(), 4);
         assert_eq!(
             t.get_cell(3, 1).unwrap().value,

@@ -2,7 +2,7 @@
 //! transpose of ROM: one tuple per sheet *column*, so column operations are
 //! tuple operations and row operations are schema operations.
 
-use dataspread_grid::{Cell, Rect, ScanValue};
+use dataspread_grid::{Cell, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 
 use crate::error::EngineError;
@@ -99,20 +99,9 @@ impl Translator for ComTranslator {
         }
     }
 
-    fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.inner.insert_cols(at, n)
-    }
-
-    fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.inner.delete_cols(at, n)
-    }
-
-    fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.inner.insert_rows(at, n)
-    }
-
-    fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.inner.delete_rows(at, n)
+    /// A row edit here is a column edit of the inner ROM, and back.
+    fn shift(&mut self, s: Shift) -> Result<(), EngineError> {
+        self.inner.shift(s.transpose())
     }
 
     fn storage_bytes(&self) -> u64 {
@@ -158,7 +147,7 @@ mod tests {
         for r in 0..4 {
             com.set_cell(r, 0, Cell::value(r as i64)).unwrap();
         }
-        com.insert_rows(2, 1).unwrap();
+        com.shift(Shift::InsertRows { at: 2, n: 1 }).unwrap();
         assert_eq!(com.rows(), 5);
         assert_eq!(com.get_cell(1, 0).unwrap().value, CellValue::Number(1.0));
         assert_eq!(com.get_cell(2, 0), None);
@@ -171,12 +160,12 @@ mod tests {
         for c in 0..4 {
             com.set_cell(0, c, Cell::value(c as i64)).unwrap();
         }
-        com.insert_cols(1, 2).unwrap();
+        com.shift(Shift::InsertCols { at: 1, n: 2 }).unwrap();
         assert_eq!(com.cols(), 6);
         assert_eq!(com.get_cell(0, 0).unwrap().value, CellValue::Number(0.0));
         assert_eq!(com.get_cell(0, 1), None);
         assert_eq!(com.get_cell(0, 3).unwrap().value, CellValue::Number(1.0));
-        com.delete_cols(0, 1).unwrap();
+        com.shift(Shift::DeleteCols { at: 0, n: 1 }).unwrap();
         assert_eq!(com.get_cell(0, 0), None);
         assert_eq!(com.filled_count(), 3, "column 0 held the value 0");
     }

@@ -4,14 +4,15 @@
 //! "The hybrid translator is responsible for mapping the different regions
 //! on a spreadsheet to corresponding data models … services getCells by
 //! identifying the responsible data model and delegating the call to it."
-//! Sheet-level structural edits update region metadata (rectangles) and
-//! forward to the translators whose regions they cross — never a cascading
-//! renumber.
+//! A sheet-level structural edit is one [`HybridSheet::shift`]: each
+//! region's rectangle moves by [`Shift::apply_rect`], the rule formula
+//! ranges move by too, and only the translators the edit lands inside
+//! take its local part ([`Shift::within`]) — never a cascading renumber.
 
 use std::collections::{BTreeMap, HashSet};
 
 use dataspread_formula::RangeAgg;
-use dataspread_grid::{Cell, CellAddr, Rect, ScanValue, SparseSheet};
+use dataspread_grid::{Cell, CellAddr, Rect, ScanValue, Shift, SparseSheet};
 use dataspread_hybrid::{Decomposition, ModelKind, Occupancy, Region};
 use dataspread_posmap::MAX_POSITIONS;
 use dataspread_relstore::StoreError;
@@ -189,6 +190,14 @@ pub fn build_translator(
         )?;
     }
     b.finish()
+}
+
+/// `rows` for a row edit, `cols` for a column edit.
+fn along(s: Shift, rows: u64, cols: u64) -> u64 {
+    match s {
+        Shift::InsertRows { .. } | Shift::DeleteRows { .. } => rows,
+        Shift::InsertCols { .. } | Shift::DeleteCols { .. } => cols,
+    }
 }
 
 /// A store's checkpoint payload, encoded straight off its scan.
@@ -786,174 +795,75 @@ impl HybridSheet {
         cells
     }
 
-    /// Sheet-level `insertRowAfter`-style edit: rows at `at` and below
-    /// shift down by `n`.
-    ///
-    /// Regions entirely below the edit only *translate* — their local
-    /// cells are untouched, so they stay clean for the next checkpoint
-    /// (the rect change lands in the page-map, not in region payloads).
-    pub fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.refuse_insert(at, n, |r| (r.r1, r.r2))?;
-        if self.catchall.rows() > at {
-            self.catchall.insert_rows(at, n)?;
+    /// A sheet-level structural edit. Nothing is renumbered: the catch-all,
+    /// anchored at (0, 0), takes the whole edit when it starts inside its
+    /// extent; each region moves to [`Shift::apply_rect`] of its rect (or is
+    /// dropped when a delete removes all of it), and only a region the edit
+    /// lands inside ([`Shift::within`]) has its translator shifted and is
+    /// marked dirty. A region that only moves stays clean for the next
+    /// checkpoint: the rect change lands in the page-map, not in its
+    /// payload. An edit some region cannot take is refused before anything
+    /// moves.
+    pub fn shift(&mut self, s: Shift) -> Result<(), EngineError> {
+        self.refuse(s)?;
+        let (Shift::InsertRows { at, n }
+        | Shift::DeleteRows { at, n }
+        | Shift::InsertCols { at, n }
+        | Shift::DeleteCols { at, n }) = s;
+        let extent = along(s, self.catchall.rows().into(), self.catchall.cols().into());
+        if n > 0 && u64::from(at) < extent {
+            self.catchall.shift(s)?;
             self.catchall_dirty = true;
         }
-        for region in &mut self.regions {
-            if at <= region.rect.r1 {
-                region.rect = region.rect.translate(n as i64, 0);
-            } else if at <= region.rect.r2 {
-                region.translator.insert_rows(at - region.rect.r1, n)?;
-                region.rect.r2 += n;
+        // No insert reaching here pushes a region off the sheet, so only
+        // the regions a delete removes whole are dropped.
+        self.regions.retain(|r| s.apply_rect(&r.rect).is_some());
+        let shifted = self.regions.iter_mut().try_for_each(|region| {
+            if let Some(local) = s.within(&region.rect) {
                 region.dirty = true;
+                region.translator.shift(local)?;
             }
-        }
+            region.rect = s.apply_rect(&region.rect).unwrap_or(region.rect);
+            Ok(())
+        });
         self.rebuild_routing();
-        Ok(())
+        shifted
     }
 
-    /// Refuse, before anything moves, an insert of `n` at `at` that some
-    /// region (its `span` along the insert's axis) cannot take: one that
-    /// would push the region past the last row or column — Excel's "would
-    /// push non-empty cells off the worksheet" — or that lands inside it
-    /// and would stretch it past [`MAX_POSITIONS`], which no positional
-    /// map materializes, or that lands inside a linked table, which has no
-    /// middle to insert a row into and a fixed schema. The catch-all
+    /// Refuse an edit some region cannot take: an insert that would push
+    /// the region past the last row or column — Excel's "would push
+    /// non-empty cells off the worksheet" — or that lands inside it and
+    /// would stretch it past [`MAX_POSITIONS`], which no positional map
+    /// materializes; an insert inside a linked table, which has no middle
+    /// to insert into; and a column delete taking some of a linked table's
+    /// columns but not all, since its schema is fixed. The catch-all
     /// refuses an insert reaching the same cap on its own, before any
     /// region moves, so a refusal from either leaves the sheet untouched.
-    fn refuse_insert(
-        &self,
-        at: u32,
-        n: u32,
-        span: impl Fn(&Rect) -> (u32, u32),
-    ) -> Result<(), EngineError> {
+    fn refuse(&self, s: Shift) -> Result<(), EngineError> {
+        let insert = matches!(s, Shift::InsertRows { .. } | Shift::InsertCols { .. });
         for region in &self.regions {
-            let (first, last) = span(&region.rect);
-            if at > last {
-                continue;
-            }
-            let Some(end) = last.checked_add(n) else {
-                return Err(EngineError::Unsupported(format!(
-                    "inserting {n} at {at} would push the region at {first}..={last} off the sheet"
-                )));
-            };
-            if first < at && end - first >= MAX_POSITIONS {
-                return Err(EngineError::Unsupported(format!(
-                    "inserting {n} at {at} would stretch the region at {first}..={last} \
-                     past {MAX_POSITIONS} positions"
-                )));
-            }
-            if first < at && region.translator.kind() == ModelKind::Tom {
-                return Err(EngineError::Unsupported(format!(
-                    "inserting at {at} lands inside the linked table at {first}..={last}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    pub fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if self.catchall.rows() > at {
-            self.catchall.delete_rows(at, n)?;
-            self.catchall_dirty = true;
-        }
-        let end = at.saturating_add(n); // exclusive
-        let mut doomed = Vec::new();
-        for (i, region) in self.regions.iter_mut().enumerate() {
-            if region.rect.r1 >= end {
-                // Entirely below: shift up.
-                region.rect = region.rect.translate(-(n as i64), 0);
-            } else if region.rect.r2 < at {
-                // Entirely above: untouched.
-            } else {
-                // Overlap: delete the covered local rows.
-                let first = at.max(region.rect.r1);
-                let last = (end - 1).min(region.rect.r2);
-                let k = last - first + 1;
-                if k as u64 >= region.rect.rows() {
-                    doomed.push(i);
-                    continue;
+            let rect = region.rect;
+            let tom = region.translator.kind() == ModelKind::Tom;
+            let moved = s.apply_rect(&rect);
+            let inside = s.within(&rect).is_some();
+            let why = if insert {
+                match moved {
+                    None => "would push it off the sheet",
+                    Some(to) if inside && along(s, to.rows(), to.cols()) > MAX_POSITIONS.into() => {
+                        "would stretch it past the positional maps' cap"
+                    }
+                    Some(_) if inside && tom => "lands inside a linked table",
+                    Some(_) => continue,
                 }
-                region.dirty = true;
-                region.translator.delete_rows(first - region.rect.r1, k)?;
-                // Deleted rows strictly above the region shift it up; the
-                // k rows removed inside shrink it.
-                let deleted_above = region.rect.r1.saturating_sub(at);
-                region.rect.r1 -= deleted_above;
-                region.rect.r2 -= deleted_above + k;
-            }
-        }
-        for i in doomed.into_iter().rev() {
-            self.regions.remove(i);
-        }
-        self.rebuild_routing();
-        Ok(())
-    }
-
-    pub fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        self.refuse_insert(at, n, |r| (r.c1, r.c2))?;
-        if self.catchall.cols() > at {
-            self.catchall.insert_cols(at, n)?;
-            self.catchall_dirty = true;
-        }
-        for region in &mut self.regions {
-            if at <= region.rect.c1 {
-                region.rect = region.rect.translate(0, n as i64);
-            } else if at <= region.rect.c2 {
-                region.translator.insert_cols(at - region.rect.c1, n)?;
-                region.rect.c2 += n;
-                region.dirty = true;
-            }
-        }
-        self.rebuild_routing();
-        Ok(())
-    }
-
-    pub fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        let end = at.saturating_add(n);
-        // A linked table has a fixed schema: refuse, before anything moves,
-        // a delete taking some of its columns but not all.
-        let crossed = self.regions.iter().find(|region| {
-            let Rect { c1, c2, .. } = region.rect;
-            region.translator.kind() == ModelKind::Tom
-                && at <= c2
-                && end > c1
-                && (at > c1 || end <= c2)
-        });
-        if let Some(region) = crossed {
+            } else if inside && tom && moved.is_some() && matches!(s, Shift::DeleteCols { .. }) {
+                "removes only part of a linked table's columns"
+            } else {
+                continue;
+            };
             return Err(EngineError::Unsupported(format!(
-                "deleting columns {at}..{end} crosses the linked table at {}",
-                region.rect
+                "{s:?} {why}: the region at {rect}"
             )));
         }
-        if self.catchall.cols() > at {
-            self.catchall.delete_cols(at, n)?;
-            self.catchall_dirty = true;
-        }
-        let mut doomed = Vec::new();
-        for (i, region) in self.regions.iter_mut().enumerate() {
-            if region.rect.c1 >= end {
-                region.rect = region.rect.translate(0, -(n as i64));
-            } else if region.rect.c2 < at {
-                // untouched
-            } else {
-                let first = at.max(region.rect.c1);
-                let last = (end - 1).min(region.rect.c2);
-                let k = last - first + 1;
-                if k as u64 >= region.rect.cols() {
-                    doomed.push(i);
-                    continue;
-                }
-                region.dirty = true;
-                region.translator.delete_cols(first - region.rect.c1, k)?;
-                let deleted_left = region.rect.c1.saturating_sub(at);
-                region.rect.c1 -= deleted_left;
-                region.rect.c2 -= deleted_left + k;
-            }
-        }
-        for i in doomed.into_iter().rev() {
-            self.regions.remove(i);
-        }
-        self.rebuild_routing();
         Ok(())
     }
 
@@ -1373,7 +1283,7 @@ mod tests {
     fn sheet_row_insert_shifts_regions_below() {
         let mut hs = sheet_with_rom_region();
         hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
-        hs.insert_rows(0, 5).unwrap();
+        hs.shift(Shift::InsertRows { at: 0, n: 5 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(15, 10, 24, 14));
         assert_eq!(
             hs.get_cell(addr(17, 12)).unwrap().value,
@@ -1386,7 +1296,7 @@ mod tests {
     fn sheet_row_insert_inside_region_grows_it() {
         let mut hs = sheet_with_rom_region();
         hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
-        hs.insert_rows(11, 2).unwrap();
+        hs.shift(Shift::InsertRows { at: 11, n: 2 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(10, 10, 21, 14));
         assert_eq!(
             hs.get_cell(addr(14, 12)).unwrap().value,
@@ -1400,7 +1310,7 @@ mod tests {
         hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
         hs.set_cell(addr(19, 10), Cell::value(2i64)).unwrap();
         // Delete rows 11..13 (2 rows, one above the value at 12? no: 11,12).
-        hs.delete_rows(11, 2).unwrap();
+        hs.shift(Shift::DeleteRows { at: 11, n: 2 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(10, 10, 17, 14));
         assert_eq!(hs.get_cell(addr(12, 12)), None, "row 12 was deleted");
         assert_eq!(
@@ -1413,7 +1323,7 @@ mod tests {
     fn delete_covering_whole_region_drops_it() {
         let mut hs = sheet_with_rom_region();
         hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
-        hs.delete_rows(5, 30).unwrap();
+        hs.shift(Shift::DeleteRows { at: 5, n: 30 }).unwrap();
         assert_eq!(hs.region_count(), 0);
         assert_eq!(hs.filled_count(), 0);
     }
@@ -1422,13 +1332,13 @@ mod tests {
     fn column_edits_mirror_row_edits() {
         let mut hs = sheet_with_rom_region();
         hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
-        hs.insert_cols(0, 3).unwrap();
+        hs.shift(Shift::InsertCols { at: 0, n: 3 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(10, 13, 19, 17));
         assert_eq!(
             hs.get_cell(addr(12, 15)).unwrap().value,
             CellValue::Number(1.0)
         );
-        hs.delete_cols(13, 1).unwrap();
+        hs.shift(Shift::DeleteCols { at: 13, n: 1 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(10, 13, 19, 16));
         assert_eq!(
             hs.get_cell(addr(12, 14)).unwrap().value,

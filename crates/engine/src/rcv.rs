@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use dataspread_grid::{Cell, Rect, ScanValue};
+use dataspread_grid::{Cell, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
 use dataspread_relstore::{
@@ -264,73 +264,71 @@ impl Translator for RcvTranslator {
         }
     }
 
-    fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        // Guard the *end* of the insert, not just its start: the loop
-        // below is O(n), so a huge count is the same first-touch hang as
-        // a huge index.
-        if at.checked_add(n).is_none_or(|end| end > MAX_POSITIONS) {
-            return Err(EngineError::Unsupported(format!(
-                "row insert at {at}+{n} is outside the RCV positional space \
-                 (cap {MAX_POSITIONS})"
-            )));
-        }
-        if at > 0 {
-            self.ensure_rows(at - 1);
-        }
-        for _ in 0..n {
-            let rid = self.next_row_id;
-            self.next_row_id += 1;
-            self.rows_map.insert_at(at as usize, rid);
-        }
-        Ok(())
-    }
-
-    fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        for _ in 0..n {
-            let Some(rid) = self.rows_map.remove_at(at as usize) else {
-                break;
-            };
-            // Drop every tuple of this row via an index range scan.
-            let row = (rid, u64::MIN)..=(rid, u64::MAX);
-            for (_, tid) in self.index.extract_if(row, |_, _| true) {
-                self.table.delete(tid);
+    fn shift(&mut self, s: Shift) -> Result<(), EngineError> {
+        match s {
+            Shift::InsertRows { at, n } => {
+                // Guard the *end* of the insert, not just its start: the loop
+                // below is O(n), so a huge count is the same first-touch hang as
+                // a huge index.
+                if at.checked_add(n).is_none_or(|end| end > MAX_POSITIONS) {
+                    return Err(EngineError::Unsupported(format!(
+                        "row insert at {at}+{n} is outside the RCV positional space \
+                         (cap {MAX_POSITIONS})"
+                    )));
+                }
+                if at > 0 {
+                    self.ensure_rows(at - 1);
+                }
+                for _ in 0..n {
+                    let rid = self.next_row_id;
+                    self.next_row_id += 1;
+                    self.rows_map.insert_at(at as usize, rid);
+                }
             }
-        }
-        Ok(())
-    }
-
-    fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if at.checked_add(n).is_none_or(|end| end > MAX_POSITIONS) {
-            return Err(EngineError::Unsupported(format!(
-                "column insert at {at}+{n} is outside the RCV positional space \
-                 (cap {MAX_POSITIONS})"
-            )));
-        }
-        if at > 0 {
-            self.ensure_cols(at - 1);
-        }
-        for _ in 0..n {
-            let cid = self.next_col_id;
-            self.next_col_id += 1;
-            self.cols_map.insert_at(at as usize, cid);
-        }
-        Ok(())
-    }
-
-    fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        let doomed: HashSet<u64> = (0..n)
-            .map_while(|_| self.cols_map.remove_at(at as usize))
-            .collect();
-        if doomed.is_empty() {
-            return Ok(());
-        }
-        // Column ids are the second key component: one pass over the
-        // whole index drops every deleted column's tuples.
-        for (_, tid) in self
-            .index
-            .extract_if(.., |&(_, cid), _| doomed.contains(&cid))
-        {
-            self.table.delete(tid);
+            Shift::DeleteRows { at, n } => {
+                for _ in 0..n {
+                    let Some(rid) = self.rows_map.remove_at(at as usize) else {
+                        break;
+                    };
+                    // Drop every tuple of this row via an index range scan.
+                    let row = (rid, u64::MIN)..=(rid, u64::MAX);
+                    for (_, tid) in self.index.extract_if(row, |_, _| true) {
+                        self.table.delete(tid);
+                    }
+                }
+            }
+            Shift::InsertCols { at, n } => {
+                if at.checked_add(n).is_none_or(|end| end > MAX_POSITIONS) {
+                    return Err(EngineError::Unsupported(format!(
+                        "column insert at {at}+{n} is outside the RCV positional space \
+                         (cap {MAX_POSITIONS})"
+                    )));
+                }
+                if at > 0 {
+                    self.ensure_cols(at - 1);
+                }
+                for _ in 0..n {
+                    let cid = self.next_col_id;
+                    self.next_col_id += 1;
+                    self.cols_map.insert_at(at as usize, cid);
+                }
+            }
+            Shift::DeleteCols { at, n } => {
+                let doomed: HashSet<u64> = (0..n)
+                    .map_while(|_| self.cols_map.remove_at(at as usize))
+                    .collect();
+                if doomed.is_empty() {
+                    return Ok(());
+                }
+                // Column ids are the second key component: one pass over the
+                // whole index drops every deleted column's tuples.
+                for (_, tid) in self
+                    .index
+                    .extract_if(.., |&(_, cid), _| doomed.contains(&cid))
+                {
+                    self.table.delete(tid);
+                }
+            }
         }
         Ok(())
     }
@@ -375,15 +373,15 @@ mod tests {
         for r in 0..10 {
             t.set_cell(r, 0, Cell::value(r as i64)).unwrap();
         }
-        t.insert_rows(5, 2).unwrap();
+        t.shift(Shift::InsertRows { at: 5, n: 2 }).unwrap();
         assert_eq!(t.get_cell(4, 0).unwrap().value, CellValue::Number(4.0));
         assert_eq!(t.get_cell(5, 0), None);
         assert_eq!(t.get_cell(7, 0).unwrap().value, CellValue::Number(5.0));
-        t.delete_rows(5, 2).unwrap();
+        t.shift(Shift::DeleteRows { at: 5, n: 2 }).unwrap();
         assert_eq!(t.get_cell(5, 0).unwrap().value, CellValue::Number(5.0));
         assert_eq!(t.filled_count(), 10);
         // Deleting a populated row drops its tuples.
-        t.delete_rows(0, 1).unwrap();
+        t.shift(Shift::DeleteRows { at: 0, n: 1 }).unwrap();
         assert_eq!(t.filled_count(), 9);
         assert_eq!(t.get_cell(0, 0).unwrap().value, CellValue::Number(1.0));
     }
@@ -394,10 +392,10 @@ mod tests {
         for c in 0..5 {
             t.set_cell(0, c, Cell::value(c as i64)).unwrap();
         }
-        t.insert_cols(2, 1).unwrap();
+        t.shift(Shift::InsertCols { at: 2, n: 1 }).unwrap();
         assert_eq!(t.get_cell(0, 2), None);
         assert_eq!(t.get_cell(0, 3).unwrap().value, CellValue::Number(2.0));
-        t.delete_cols(3, 1).unwrap();
+        t.shift(Shift::DeleteCols { at: 3, n: 1 }).unwrap();
         assert_eq!(t.get_cell(0, 3).unwrap().value, CellValue::Number(3.0));
         assert_eq!(t.filled_count(), 4);
     }
@@ -442,13 +440,38 @@ mod tests {
                 "({r},{c}) must be refused"
             );
         }
-        assert!(t.insert_rows(4_000_000_000, 1).is_err());
-        assert!(t.insert_cols(4_000_000_000, 1).is_err());
+        assert!(t
+            .shift(Shift::InsertRows {
+                at: 4_000_000_000,
+                n: 1
+            })
+            .is_err());
+        assert!(t
+            .shift(Shift::InsertCols {
+                at: 4_000_000_000,
+                n: 1
+            })
+            .is_err());
         // A huge *count* is the same O(n) materialization as a huge index
         // (the insert loop runs n times) — and so is a sum overflowing.
-        assert!(t.insert_rows(0, 4_000_000_000).is_err());
-        assert!(t.insert_cols(0, 4_000_000_000).is_err());
-        assert!(t.insert_rows(u32::MAX - 1, u32::MAX - 1).is_err());
+        assert!(t
+            .shift(Shift::InsertRows {
+                at: 0,
+                n: 4_000_000_000
+            })
+            .is_err());
+        assert!(t
+            .shift(Shift::InsertCols {
+                at: 0,
+                n: 4_000_000_000
+            })
+            .is_err());
+        assert!(t
+            .shift(Shift::InsertRows {
+                at: u32::MAX - 1,
+                n: u32::MAX - 1
+            })
+            .is_err());
         assert_eq!(t.filled_count(), 0);
         // The last in-cap coordinate is *representable* (we do not want to
         // materialize it here — that is legitimately large — just prove the

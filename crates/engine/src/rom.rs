@@ -7,7 +7,7 @@
 //! inserts avoid cascading updates (paper §V: "row and column numbers can
 //! be dealt with independently").
 
-use dataspread_grid::{codec, Cell, Rect, ScanValue};
+use dataspread_grid::{codec, Cell, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
 use dataspread_relstore::{
@@ -328,72 +328,70 @@ impl Translator for RomTranslator {
         }
     }
 
-    fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if at > 0 {
-            self.ensure_rows(at - 1)?;
-        }
-        for _ in 0..n {
-            let tid = self.table.insert_prefix(&[])?;
-            self.rows_map.insert_at(at as usize, tid);
-        }
-        Ok(())
-    }
-
-    fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        for _ in 0..n {
-            let Some(tid) = self.rows_map.remove_at(at as usize) else {
-                break;
-            };
-            // Keep the filled counter honest.
-            if let Ok(tuple) = self.table.fetch(tid) {
-                for g in 0..self.next_group {
-                    if !self.cell_from_row(&tuple, g).is_blank() {
-                        self.filled -= 1;
+    fn shift(&mut self, s: Shift) -> Result<(), EngineError> {
+        match s {
+            Shift::InsertRows { at, n } => {
+                if at > 0 {
+                    self.ensure_rows(at - 1)?;
+                }
+                for _ in 0..n {
+                    let tid = self.table.insert_prefix(&[])?;
+                    self.rows_map.insert_at(at as usize, tid);
+                }
+            }
+            Shift::DeleteRows { at, n } => {
+                for _ in 0..n {
+                    let Some(tid) = self.rows_map.remove_at(at as usize) else {
+                        break;
+                    };
+                    // Keep the filled counter honest.
+                    if let Ok(tuple) = self.table.fetch(tid) {
+                        for g in 0..self.next_group {
+                            if !self.cell_from_row(&tuple, g).is_blank() {
+                                self.filled -= 1;
+                            }
+                        }
+                    }
+                    self.table.delete(tid);
+                }
+            }
+            Shift::InsertCols { at, n } => {
+                if at > 0 {
+                    self.ensure_cols(at - 1)?;
+                }
+                for _ in 0..n {
+                    let g = self.fresh_group()?;
+                    self.cols_map.insert_at(at as usize, g);
+                }
+            }
+            Shift::DeleteCols { at, n } => {
+                // Physical columns become orphaned (a migration reclaims them);
+                // the logical view shifts immediately.
+                let gone: Vec<u32> = (0..n)
+                    .map_while(|_| self.cols_map.remove_at(at as usize))
+                    .collect();
+                if gone.is_empty() {
+                    return Ok(());
+                }
+                // Null-out the orphaned groups so filled stays honest and the data
+                // is actually gone: one walk, one update per touched row.
+                for &tid in self.rows_map.iter() {
+                    let Ok(mut tuple) = self.table.fetch(tid) else {
+                        continue;
+                    };
+                    let mut touched = false;
+                    for &g in &gone {
+                        if !self.cell_from_row(&tuple, g).is_blank() {
+                            self.filled -= 1;
+                            tuple[2 * g as usize] = Datum::Null;
+                            tuple[2 * g as usize + 1] = Datum::Null;
+                            touched = true;
+                        }
+                    }
+                    if touched {
+                        self.table.update(tid, &tuple)?;
                     }
                 }
-            }
-            self.table.delete(tid);
-        }
-        Ok(())
-    }
-
-    fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        if at > 0 {
-            self.ensure_cols(at - 1)?;
-        }
-        for _ in 0..n {
-            let g = self.fresh_group()?;
-            self.cols_map.insert_at(at as usize, g);
-        }
-        Ok(())
-    }
-
-    fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        // Physical columns become orphaned (a migration reclaims them);
-        // the logical view shifts immediately.
-        let gone: Vec<u32> = (0..n)
-            .map_while(|_| self.cols_map.remove_at(at as usize))
-            .collect();
-        if gone.is_empty() {
-            return Ok(());
-        }
-        // Null-out the orphaned groups so filled stays honest and the data
-        // is actually gone: one walk, one update per touched row.
-        for &tid in self.rows_map.iter() {
-            let Ok(mut tuple) = self.table.fetch(tid) else {
-                continue;
-            };
-            let mut touched = false;
-            for &g in &gone {
-                if !self.cell_from_row(&tuple, g).is_blank() {
-                    self.filled -= 1;
-                    tuple[2 * g as usize] = Datum::Null;
-                    tuple[2 * g as usize + 1] = Datum::Null;
-                    touched = true;
-                }
-            }
-            if touched {
-                self.table.update(tid, &tuple)?;
             }
         }
         Ok(())
@@ -450,7 +448,7 @@ mod tests {
         for r in 0..10 {
             t.set_cell(r, 0, cell(r as i64)).unwrap();
         }
-        t.insert_rows(5, 2).unwrap();
+        t.shift(Shift::InsertRows { at: 5, n: 2 }).unwrap();
         assert_eq!(t.rows(), 12);
         assert_eq!(t.get_cell(4, 0).unwrap().value, CellValue::Number(4.0));
         assert_eq!(t.get_cell(5, 0), None);
@@ -467,7 +465,7 @@ mod tests {
             t.set_cell(r, 1, cell(-(r as i64))).unwrap();
         }
         assert_eq!(t.filled_count(), 12);
-        t.delete_rows(1, 2).unwrap();
+        t.shift(Shift::DeleteRows { at: 1, n: 2 }).unwrap();
         assert_eq!(t.rows(), 4);
         assert_eq!(t.filled_count(), 8);
         assert_eq!(t.get_cell(1, 0).unwrap().value, CellValue::Number(3.0));
@@ -479,14 +477,14 @@ mod tests {
         for c in 0..4 {
             t.set_cell(0, c, cell(c as i64)).unwrap();
         }
-        t.insert_cols(2, 1).unwrap();
+        t.shift(Shift::InsertCols { at: 2, n: 1 }).unwrap();
         assert_eq!(t.cols(), 5);
         assert_eq!(t.get_cell(0, 1).unwrap().value, CellValue::Number(1.0));
         assert_eq!(t.get_cell(0, 2), None, "new column is blank");
         assert_eq!(t.get_cell(0, 3).unwrap().value, CellValue::Number(2.0));
         // Deleting columns 0..2 removes the values 0 and 1; the blank
         // inserted column becomes position 0.
-        t.delete_cols(0, 2).unwrap();
+        t.shift(Shift::DeleteCols { at: 0, n: 2 }).unwrap();
         assert_eq!(t.get_cell(0, 0), None, "the blank inserted column");
         assert_eq!(t.get_cell(0, 1).unwrap().value, CellValue::Number(2.0));
         assert_eq!(t.filled_count(), 2);
@@ -503,7 +501,7 @@ mod tests {
             }
         }
         let bytes = t.storage_bytes();
-        t.delete_cols(1, 3).unwrap();
+        t.shift(Shift::DeleteCols { at: 1, n: 3 }).unwrap();
         assert_eq!(t.cols(), 3);
         let left = t.all_cells();
         assert_eq!(left.len(), 10);

@@ -408,27 +408,11 @@ impl SheetEngine {
         self.log_op(LoggedOp::Shift(shift))
     }
 
-    /// Live edits and WAL replay both pass here, so a delete's count is
-    /// clamped once: it cannot reach past the last addressable row or
-    /// column, and `at + n` below this point never overflows.
+    /// Live edits and WAL replay both pass here. Storage and formulas move
+    /// by the one rule of [`Shift`], so a delete reaching past the last row
+    /// or column deletes to the end.
     fn shift_impl(&mut self, shift: Shift) -> Result<(), EngineError> {
-        let shift = match shift {
-            Shift::DeleteRows { at, n } => Shift::DeleteRows {
-                at,
-                n: n.min(u32::MAX - at),
-            },
-            Shift::DeleteCols { at, n } => Shift::DeleteCols {
-                at,
-                n: n.min(u32::MAX - at),
-            },
-            insert => insert,
-        };
-        match shift {
-            Shift::InsertRows { at, n } => self.sheet.insert_rows(at, n)?,
-            Shift::DeleteRows { at, n } => self.sheet.delete_rows(at, n)?,
-            Shift::InsertCols { at, n } => self.sheet.insert_cols(at, n)?,
-            Shift::DeleteCols { at, n } => self.sheet.delete_cols(at, n)?,
-        }
+        self.sheet.shift(shift)?;
         self.apply_shift(shift)
     }
 
@@ -917,7 +901,9 @@ impl SheetEngine {
             };
             match rewrite(&info.expr, shift) {
                 Some(new_expr) => {
-                    let needs_recompute = collect_ranges(&info.expr).iter().any(|r| shift.hits(r));
+                    let needs_recompute = collect_ranges(&info.expr)
+                        .iter()
+                        .any(|r| shift.within(r).is_some());
                     let source = if new_expr == info.expr {
                         // Pure translation (or untouched): the sheet moved
                         // the cell with its verbatim text; keep it.

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dataspread_grid::{Cell, CellValue, Rect, ScanValue};
+use dataspread_grid::{Cell, CellValue, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::{DataType, Database, Datum, TupleId};
 
@@ -141,48 +141,40 @@ impl Translator for TomTranslator {
         }
     }
 
-    fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        // Appends become table inserts; a relation has no middle to insert
-        // into.
-        if at != self.rows() {
-            return Err(EngineError::Unsupported(
+    fn shift(&mut self, s: Shift) -> Result<(), EngineError> {
+        match s {
+            // Appends become table inserts; a relation has no middle to
+            // insert into.
+            Shift::InsertRows { at, .. } if at != self.rows() => Err(EngineError::Unsupported(
                 "linked tables only support appending rows".into(),
-            ));
+            )),
+            Shift::InsertRows { n, .. } => {
+                let mut db = self.db.write();
+                let table = db.table_mut(&self.table_name)?;
+                let nulls = vec![Datum::Null; table.schema().len()];
+                for _ in 0..n {
+                    table.insert(&nulls)?;
+                }
+                Ok(())
+            }
+            Shift::DeleteRows { at, n } => {
+                let mut db = self.db.write();
+                let table = db.table_mut(&self.table_name)?;
+                let doomed: Vec<TupleId> = table
+                    .scan()
+                    .skip(at as usize)
+                    .take(n as usize)
+                    .map(|(tid, _)| tid)
+                    .collect();
+                for tid in doomed {
+                    table.delete(tid);
+                }
+                Ok(())
+            }
+            Shift::InsertCols { .. } | Shift::DeleteCols { .. } => Err(EngineError::Unsupported(
+                "linked tables have a fixed schema; ALTER the table instead".into(),
+            )),
         }
-        let mut db = self.db.write();
-        let table = db.table_mut(&self.table_name)?;
-        let nulls = vec![Datum::Null; table.schema().len()];
-        for _ in 0..n {
-            table.insert(&nulls)?;
-        }
-        Ok(())
-    }
-
-    fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError> {
-        let mut db = self.db.write();
-        let table = db.table_mut(&self.table_name)?;
-        let doomed: Vec<TupleId> = table
-            .scan()
-            .skip(at as usize)
-            .take(n as usize)
-            .map(|(tid, _)| tid)
-            .collect();
-        for tid in doomed {
-            table.delete(tid);
-        }
-        Ok(())
-    }
-
-    fn insert_cols(&mut self, _at: u32, _n: u32) -> Result<(), EngineError> {
-        Err(EngineError::Unsupported(
-            "linked tables have a fixed schema; ALTER the table instead".into(),
-        ))
-    }
-
-    fn delete_cols(&mut self, _at: u32, _n: u32) -> Result<(), EngineError> {
-        Err(EngineError::Unsupported(
-            "linked tables have a fixed schema; ALTER the table instead".into(),
-        ))
     }
 
     fn storage_bytes(&self) -> u64 {
@@ -272,10 +264,13 @@ mod tests {
     #[test]
     fn append_and_delete_rows() {
         let (_, mut tom) = linked();
-        tom.insert_rows(2, 1).unwrap();
+        tom.shift(Shift::InsertRows { at: 2, n: 1 }).unwrap();
         assert_eq!(tom.rows(), 3);
-        assert!(tom.insert_rows(0, 1).is_err(), "middle insert rejected");
-        tom.delete_rows(0, 1).unwrap();
+        assert!(
+            tom.shift(Shift::InsertRows { at: 0, n: 1 }).is_err(),
+            "middle insert rejected"
+        );
+        tom.shift(Shift::DeleteRows { at: 0, n: 1 }).unwrap();
         assert_eq!(tom.rows(), 2);
         assert_eq!(tom.get_cell(0, 0).unwrap().value, CellValue::Number(2.0));
     }
@@ -313,8 +308,12 @@ mod tests {
             CellValue::Text("g".repeat(1000))
         );
 
-        tom.delete_rows(0, 1).unwrap();
-        tom.insert_rows(tom.rows(), 1).unwrap();
+        tom.shift(Shift::DeleteRows { at: 0, n: 1 }).unwrap();
+        tom.shift(Shift::InsertRows {
+            at: tom.rows(),
+            n: 1,
+        })
+        .unwrap();
         let mut want: Vec<CellValue> = (1..200).map(number).collect();
         want.push(CellValue::Empty);
         assert_eq!(ids(&tom), want, "the appended row renders last");
@@ -324,11 +323,11 @@ mod tests {
     fn schema_edits_rejected() {
         let (_, mut tom) = linked();
         assert!(matches!(
-            tom.insert_cols(0, 1),
+            tom.shift(Shift::InsertCols { at: 0, n: 1 }),
             Err(EngineError::Unsupported(_))
         ));
         assert!(matches!(
-            tom.delete_cols(0, 1),
+            tom.shift(Shift::DeleteCols { at: 0, n: 1 }),
             Err(EngineError::Unsupported(_))
         ));
     }

@@ -3,7 +3,7 @@
 //! tuples).
 
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect, ScanValue};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::{Datum, DatumRef, RowWriter};
 
@@ -24,7 +24,9 @@ pub const WHOLE: Rect = Rect {
 
 /// A translator serves a rectangular region of the sheet in *local*
 /// coordinates (`(0,0)` = the region's top-left). The hybrid layer owns the
-/// mapping between sheet and local coordinates.
+/// mapping between sheet and local coordinates: on a structural edit it
+/// moves the region's rect ([`Shift::apply_rect`]) and hands the translator
+/// one [`Translator::shift`] with the part of the edit that lands inside.
 ///
 /// `Send + Sync` are supertraits: the concurrent workspace shards sheets
 /// across session threads behind per-sheet reader-writer locks, so every
@@ -80,10 +82,12 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
         Ok(())
     }
 
-    fn insert_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError>;
-    fn delete_rows(&mut self, at: u32, n: u32) -> Result<(), EngineError>;
-    fn insert_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError>;
-    fn delete_cols(&mut self, at: u32, n: u32) -> Result<(), EngineError>;
+    /// A structural edit in local coordinates: the part of a sheet-level
+    /// edit that lands inside the region ([`Shift::within`]), or the whole
+    /// edit for the catch-all, whose origin is the sheet's. Its count is
+    /// never zero. Each model keeps its own mechanism per axis — a row
+    /// edit is a posmap edit for ROM and RCV, a schema edit for COM.
+    fn shift(&mut self, s: Shift) -> Result<(), EngineError>;
 
     /// Accounted storage footprint in bytes.
     fn storage_bytes(&self) -> u64;

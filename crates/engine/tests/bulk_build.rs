@@ -19,7 +19,7 @@ use dataspread_engine::rcv::RcvTranslator;
 use dataspread_engine::rom::RomTranslator;
 use dataspread_engine::{ColumnarTranslator, ModelKind, Translator};
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue};
+use dataspread_grid::{Cell, CellAddr, CellValue, Shift};
 
 const TAPE_LEN: usize = if cfg!(debug_assertions) { 80 } else { 400 };
 const SEEDS: std::ops::Range<u64> = if cfg!(debug_assertions) { 0..6 } else { 0..40 };
@@ -183,19 +183,31 @@ fn step(rng: &mut StdRng, a: &mut dyn Translator, b: &mut dyn Translator, ctx: &
         }
         7 => {
             let (at, n) = (rng.gen_range(0..rows + 1), rng.gen_range(1..3));
-            (a.insert_rows(at, n), b.insert_rows(at, n))
+            (
+                a.shift(Shift::InsertRows { at, n }),
+                b.shift(Shift::InsertRows { at, n }),
+            )
         }
         8 => {
             let (at, n) = (rng.gen_range(0..rows), rng.gen_range(1..3));
-            (a.delete_rows(at, n), b.delete_rows(at, n))
+            (
+                a.shift(Shift::DeleteRows { at, n }),
+                b.shift(Shift::DeleteRows { at, n }),
+            )
         }
         9 => {
             let (at, n) = (rng.gen_range(0..cols + 1), rng.gen_range(1..3));
-            (a.insert_cols(at, n), b.insert_cols(at, n))
+            (
+                a.shift(Shift::InsertCols { at, n }),
+                b.shift(Shift::InsertCols { at, n }),
+            )
         }
         _ => {
             let (at, n) = (rng.gen_range(0..cols), 1);
-            (a.delete_cols(at, n), b.delete_cols(at, n))
+            (
+                a.shift(Shift::DeleteCols { at, n }),
+                b.shift(Shift::DeleteCols { at, n }),
+            )
         }
     };
     assert_eq!(ra, rb, "{ctx}: both accept or both refuse");

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use dataspread_engine::hybrid::build_translator;
 use dataspread_engine::{ColumnarTranslator, ModelKind, Translator};
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellValue};
+use dataspread_grid::{Cell, CellValue, Shift};
 
 fn value() -> impl Strategy<Value = CellValue> {
     prop_oneof![
@@ -239,7 +239,7 @@ proptest! {
             })
             .collect();
         let rows_before = t.rows();
-        t.delete_rows(at, n).unwrap();
+        t.shift(Shift::DeleteRows { at, n }).unwrap();
         prop_assert_eq!(t.rows(), rows_before - (end - at));
         let fresh = ColumnarTranslator::from_bytes(&fresh_bytes(&t)).unwrap();
         prop_assert_eq!(t.resident_bytes(), fresh.resident_bytes(), "the delete folds the overlay in");

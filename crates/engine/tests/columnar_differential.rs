@@ -27,7 +27,7 @@ use dataspread_engine::durable::{image_path, wal_path, DurableStore};
 use dataspread_engine::rom::RomTranslator;
 use dataspread_engine::{ColumnarTranslator, ModelKind, SheetEngine, Translator};
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, Shift};
 
 const TAPE_LEN: usize = if cfg!(debug_assertions) { 120 } else { 400 };
 const SEEDS: std::ops::Range<u64> = if cfg!(debug_assertions) { 0..3 } else { 0..12 };
@@ -85,30 +85,30 @@ fn columnar_translator_matches_rom_under_random_ops() {
                 }
                 80..=84 => {
                     let (at, n) = (rng.gen_range(0..20), rng.gen_range(1..3));
-                    col.insert_rows(at, n)
+                    col.shift(Shift::InsertRows { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("insert rows")));
-                    rom.insert_rows(at, n)
+                    rom.shift(Shift::InsertRows { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("insert rows")));
                 }
                 85..=89 => {
                     let (at, n) = (rng.gen_range(0..20), rng.gen_range(1..3));
-                    col.delete_rows(at, n)
+                    col.shift(Shift::DeleteRows { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("delete rows")));
-                    rom.delete_rows(at, n)
+                    rom.shift(Shift::DeleteRows { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("delete rows")));
                 }
                 90..=94 => {
                     let (at, n) = (rng.gen_range(0..6), rng.gen_range(1..3));
-                    col.insert_cols(at, n)
+                    col.shift(Shift::InsertCols { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("insert cols")));
-                    rom.insert_cols(at, n)
+                    rom.shift(Shift::InsertCols { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("insert cols")));
                 }
                 _ => {
                     let (at, n) = (rng.gen_range(0..6), 1);
-                    col.delete_cols(at, n)
+                    col.shift(Shift::DeleteCols { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("delete cols")));
-                    rom.delete_cols(at, n)
+                    rom.shift(Shift::DeleteCols { at, n })
                         .unwrap_or_else(|e| panic!("{}: {e}", ctx("delete cols")));
                 }
             }

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use dataspread_engine::rcv::RcvTranslator;
 use dataspread_engine::rom::RomTranslator;
 use dataspread_engine::{HybridSheet, Translator};
-use dataspread_grid::{Cell, CellAddr, Rect};
+use dataspread_grid::{Cell, CellAddr, Rect, Shift};
 
 const ROWS: u32 = 400;
 
@@ -121,31 +121,51 @@ fn routing_index_survives_random_op_sequences() {
                 4 if hs.region_count() > 0 => {
                     let rect = hs.layout()[rng.gen_range(0..hs.region_count())].0;
                     if rng.gen_bool(0.5) {
-                        hs.delete_rows(rect.r1, rect.r2 - rect.r1 + 1).unwrap();
+                        hs.shift(Shift::DeleteRows {
+                            at: rect.r1,
+                            n: rect.r2 - rect.r1 + 1,
+                        })
+                        .unwrap();
                         "delete_rows over a region"
                     } else {
-                        hs.delete_cols(rect.c1, rect.c2 - rect.c1 + 1).unwrap();
+                        hs.shift(Shift::DeleteCols {
+                            at: rect.c1,
+                            n: rect.c2 - rect.c1 + 1,
+                        })
+                        .unwrap();
                         "delete_cols over a region"
                     }
                 }
                 5 => {
-                    hs.insert_rows(rng.gen_range(0..ROWS), rng.gen_range(1..5u32))
-                        .unwrap();
+                    hs.shift(Shift::InsertRows {
+                        at: rng.gen_range(0..ROWS),
+                        n: rng.gen_range(1..5u32),
+                    })
+                    .unwrap();
                     "insert_rows"
                 }
                 6 => {
-                    hs.insert_cols(rng.gen_range(0..COLS), rng.gen_range(1..4u32))
-                        .unwrap();
+                    hs.shift(Shift::InsertCols {
+                        at: rng.gen_range(0..COLS),
+                        n: rng.gen_range(1..4u32),
+                    })
+                    .unwrap();
                     "insert_cols"
                 }
                 7 => {
-                    hs.delete_rows(rng.gen_range(0..ROWS), rng.gen_range(1..5u32))
-                        .unwrap();
+                    hs.shift(Shift::DeleteRows {
+                        at: rng.gen_range(0..ROWS),
+                        n: rng.gen_range(1..5u32),
+                    })
+                    .unwrap();
                     "delete_rows"
                 }
                 8 => {
-                    hs.delete_cols(rng.gen_range(0..COLS), rng.gen_range(1..4u32))
-                        .unwrap();
+                    hs.shift(Shift::DeleteCols {
+                        at: rng.gen_range(0..COLS),
+                        n: rng.gen_range(1..4u32),
+                    })
+                    .unwrap();
                     "delete_cols"
                 }
                 9 => {
@@ -182,7 +202,7 @@ fn boundary_row_insert_splits_bands_correctly() {
     let low = Box::new(RcvTranslator::new());
     hs.add_region(Rect::new(0, 0, 19, 9), tall).unwrap();
     hs.add_region(Rect::new(10, 20, 19, 29), low).unwrap();
-    hs.insert_rows(10, 5).unwrap();
+    hs.shift(Shift::InsertRows { at: 10, n: 5 }).unwrap();
     assert_eq!(hs.layout()[0].0, Rect::new(0, 0, 24, 9), "tall region grew");
     assert_eq!(
         hs.layout()[1].0,
@@ -206,7 +226,7 @@ fn boundary_row_insert_with_gap_shifts_only() {
     let b = Box::new(RcvTranslator::new());
     hs.add_region(Rect::new(0, 0, 9, 9), a).unwrap();
     hs.add_region(Rect::new(11, 0, 19, 9), b).unwrap();
-    hs.insert_rows(10, 3).unwrap();
+    hs.shift(Shift::InsertRows { at: 10, n: 3 }).unwrap();
     assert_eq!(hs.layout()[0].0, Rect::new(0, 0, 9, 9));
     assert_eq!(hs.layout()[1].0, Rect::new(14, 0, 22, 9));
     for row in 0..25u32 {

@@ -35,7 +35,7 @@ use dataspread_formula::eval::CellReader;
 use dataspread_formula::{parse, Evaluator};
 use dataspread_grid::codec::Reader;
 use dataspread_grid::value::CellError;
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, Shift, SparseSheet};
 use dataspread_proto::WindowPatch;
 use dataspread_relstore::{ColumnDef, DataType, Database, Schema};
 use dataspread_workspace::window_patch;
@@ -124,10 +124,22 @@ fn step(rng: &mut StdRng, t: &mut dyn Translator) {
             }
             t.set_cells_in_row(r, batch)
         }
-        7 => t.insert_rows(rng.gen_range(0..rows + 1), rng.gen_range(1..3)),
-        8 => t.delete_rows(rng.gen_range(0..rows), rng.gen_range(1..3)),
-        9 => t.insert_cols(rng.gen_range(0..cols + 1), rng.gen_range(1..3)),
-        _ => t.delete_cols(rng.gen_range(0..cols), rng.gen_range(1..3)),
+        7 => t.shift(Shift::InsertRows {
+            at: rng.gen_range(0..rows + 1),
+            n: rng.gen_range(1..3),
+        }),
+        8 => t.shift(Shift::DeleteRows {
+            at: rng.gen_range(0..rows),
+            n: rng.gen_range(1..3),
+        }),
+        9 => t.shift(Shift::InsertCols {
+            at: rng.gen_range(0..cols + 1),
+            n: rng.gen_range(1..3),
+        }),
+        _ => t.shift(Shift::DeleteCols {
+            at: rng.gen_range(0..cols),
+            n: rng.gen_range(1..3),
+        }),
     };
 }
 
@@ -446,10 +458,30 @@ fn structural_step(rng: &mut StdRng, hs: &mut HybridSheet) {
     let cols = tom.map_or(AREA.c2, |t| t.c1);
     let n = rng.gen_range(1..3);
     match rng.gen_range(0u32..4) {
-        0 => hs.insert_rows(rng.gen_range(0..=rows), n).unwrap(),
-        1 if rows >= n => hs.delete_rows(rng.gen_range(0..=rows - n), n).unwrap(),
-        2 => hs.insert_cols(rng.gen_range(0..=cols), n).unwrap(),
-        3 if cols >= n => hs.delete_cols(rng.gen_range(0..=cols - n), n).unwrap(),
+        0 => hs
+            .shift(Shift::InsertRows {
+                at: rng.gen_range(0..=rows),
+                n,
+            })
+            .unwrap(),
+        1 if rows >= n => hs
+            .shift(Shift::DeleteRows {
+                at: rng.gen_range(0..=rows - n),
+                n,
+            })
+            .unwrap(),
+        2 => hs
+            .shift(Shift::InsertCols {
+                at: rng.gen_range(0..=cols),
+                n,
+            })
+            .unwrap(),
+        3 if cols >= n => hs
+            .shift(Shift::DeleteCols {
+                at: rng.gen_range(0..=cols - n),
+                n,
+            })
+            .unwrap(),
         _ => {}
     }
 }

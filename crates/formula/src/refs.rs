@@ -67,49 +67,25 @@ fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
     })
 }
 
-/// Rewrite all references in `expr` for a structural edit. Ranges clamp
-/// under deletes: a range survives while any part of it survives. Returns
+/// Rewrite all references in `expr` for a structural edit. A range moves
+/// as the rectangle it spans ([`Shift::apply_rect`]): a delete inside it
+/// shrinks it, and it survives while any part of it survives; its corners
+/// keep the order they were written in, and each its `$` flags. Returns
 /// `None` when a reference is destroyed (formula becomes `#REF!`) — by a
 /// delete, or by an insert that pushes any end of it off the sheet.
 pub fn rewrite(expr: &Expr, shift: Shift) -> Option<Expr> {
     Some(match expr {
         Expr::Ref(r) => Expr::Ref(shift_ref(*r, shift)?),
         Expr::Range(a, b) => {
-            // For ranges, deletion inside the range shrinks it instead of
-            // destroying it.
-            let (sa, sb) = match (shift_ref(*a, shift), shift_ref(*b, shift)) {
-                (Some(sa), Some(sb)) => (sa, sb),
-                (None, Some(sb)) => {
-                    let mut sa = *a;
-                    match shift {
-                        Shift::DeleteRows { at, .. } => sa.row = at,
-                        Shift::DeleteCols { at, .. } => sa.col = at,
-                        Shift::InsertRows { .. } | Shift::InsertCols { .. } => return None,
-                    }
-                    (sa, sb)
-                }
-                (Some(sa), None) => {
-                    let mut sb = *b;
-                    match shift {
-                        Shift::DeleteRows { at, .. } => {
-                            if at == 0 {
-                                return None;
-                            }
-                            sb.row = at - 1;
-                        }
-                        Shift::DeleteCols { at, .. } => {
-                            if at == 0 {
-                                return None;
-                            }
-                            sb.col = at - 1;
-                        }
-                        Shift::InsertRows { .. } | Shift::InsertCols { .. } => return None,
-                    }
-                    (sa, sb)
-                }
-                (None, None) => return None,
+            let to = shift.apply_rect(&Rect::new(a.row, a.col, b.row, b.col))?;
+            // A corner at the larger index of an axis takes the new rect's
+            // larger index there.
+            let corner = |r: CellRef, o: CellRef| CellRef {
+                row: if r.row > o.row { to.r2 } else { to.r1 },
+                col: if r.col > o.col { to.c2 } else { to.c1 },
+                ..r
             };
-            Expr::Range(sa, sb)
+            Expr::Range(corner(*a, *b), corner(*b, *a))
         }
         Expr::Unary(op, e) => Expr::Unary(*op, Box::new(rewrite(e, shift)?)),
         Expr::Percent(e) => Expr::Percent(Box::new(rewrite(e, shift)?)),
@@ -383,6 +359,62 @@ mod tests {
         // Whole range deleted → formula is destroyed.
         let e = parse("SUM(A5:A10)").unwrap();
         assert_eq!(rewrite(&e, Shift::DeleteRows { at: 4, n: 20 }), None);
+    }
+
+    #[test]
+    fn a_reversed_range_moves_as_its_rectangle() {
+        use rand::{Rng, SeedableRng};
+        // The two spellings of one rectangle, in both axes, with `$` flags
+        // on one corner.
+        let pairs = [
+            ("A10:A1", "A1:A10"),
+            ("$C$9:A2", "A2:$C$9"),
+            ("C2:A$9", "A$9:C2"),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(49);
+        for _ in 0..4000 {
+            let (at, n) = (rng.gen_range(0..14), rng.gen_range(0..12));
+            let shift = match rng.gen_range(0..4) {
+                0 => Shift::InsertRows { at, n },
+                1 => Shift::DeleteRows { at, n },
+                2 => Shift::InsertCols { at, n },
+                _ => Shift::DeleteCols { at, n },
+            };
+            for (reversed, forward) in pairs {
+                let (r, f) = (parse(reversed).unwrap(), parse(forward).unwrap());
+                let (r2, f2) = (rewrite(&r, shift), rewrite(&f, shift));
+                assert_eq!(
+                    r2.as_ref().and_then(Expr::as_rect),
+                    f2.as_ref().and_then(Expr::as_rect),
+                    "{reversed} vs {forward} under {shift:?}"
+                );
+                // Each corner keeps its flags, and the corners their order.
+                if let (Expr::Range(a, b), Some(Expr::Range(a2, b2))) = (&r, &r2) {
+                    assert_eq!((a.abs_row, a.abs_col), (a2.abs_row, a2.abs_col));
+                    assert_eq!((b.abs_row, b.abs_col), (b2.abs_row, b2.abs_col));
+                    assert!(a.row < b.row || a2.row >= b2.row, "{shift:?}");
+                    assert!(a.row > b.row || a2.row <= b2.row, "{shift:?}");
+                    assert!(a.col < b.col || a2.col >= b2.col, "{shift:?}");
+                    assert!(a.col > b.col || a2.col <= b2.col, "{shift:?}");
+                }
+            }
+        }
+        let rewritten =
+            |src: &str, shift| rewrite(&parse(src).unwrap(), shift).map(|e| e.to_string());
+        // Delete rows 1-5: both spellings keep rows 6-10 as rows 1-5.
+        let top = Shift::DeleteRows { at: 0, n: 5 };
+        assert_eq!(rewritten("SUM(A10:A1)", top).as_deref(), Some("SUM(A5:A1)"));
+        assert_eq!(rewritten("SUM(A1:A10)", top).as_deref(), Some("SUM(A1:A5)"));
+        // Delete rows 8-17: rows 1-7 survive, not the old row 18.
+        let tail = Shift::DeleteRows { at: 7, n: 10 };
+        assert_eq!(
+            rewritten("SUM(A10:A1)", tail).as_deref(),
+            Some("SUM(A7:A1)")
+        );
+        assert_eq!(
+            rewritten("SUM(A1:A10)", tail).as_deref(),
+            Some("SUM(A1:A7)")
+        );
     }
 
     #[test]

@@ -42,10 +42,6 @@ pub struct ModelSet {
     pub rom: bool,
     pub com: bool,
     pub rcv: bool,
-    /// The columnar compressed layout (dictionary/RLE typed arrays). Off in
-    /// every paper-faithful preset: it is a post-paper physical layout, only
-    /// considered for regions past [`OptimizerOptions::columnar_min_filled`].
-    pub columnar: bool,
 }
 
 impl ModelSet {
@@ -54,7 +50,6 @@ impl ModelSet {
         rom: true,
         com: false,
         rcv: false,
-        columnar: false,
     };
 
     /// ROM + COM + RCV — the extension of Theorem 6.
@@ -62,7 +57,6 @@ impl ModelSet {
         rom: true,
         com: true,
         rcv: true,
-        columnar: false,
     };
 }
 
@@ -85,12 +79,6 @@ pub struct OptimizerOptions {
     pub workload: Vec<dataspread_grid::Rect>,
     /// Access-cost constants; only used when `workload` is non-empty.
     pub access: AccessModel,
-    /// Minimum (weighted) filled cells before a band may be assigned the
-    /// columnar layout. Point writes on a columnar region pay an overlay
-    /// merge and periodic compaction, so the layout only makes sense for
-    /// regions large enough that scan/footprint wins dominate — small
-    /// regions stay with the paper's row-oriented models.
-    pub columnar_min_filled: u64,
 }
 
 impl Default for OptimizerOptions {
@@ -100,7 +88,6 @@ impl Default for OptimizerOptions {
             dp_max_side: 96,
             workload: Vec::new(),
             access: AccessModel::default(),
-            columnar_min_filled: 65_536,
         }
     }
 }

@@ -20,8 +20,8 @@ pub enum ModelKind {
     Tom,
     /// Columnar compressed: per-column typed arrays with dictionary and
     /// run-length encoding — the post-paper third physical layout for
-    /// large read-mostly regions (only considered when
-    /// [`crate::ModelSet::columnar`] is enabled).
+    /// large read-mostly regions (not chosen by the optimizer; a region is
+    /// migrated to it explicitly).
     Columnar,
 }
 
@@ -172,12 +172,7 @@ pub(crate) fn best_leaf(
     let cols = view.cols_weight(c1b, c2b);
     let filled = view.filled_weighted(r1b, c1b, r2b, c2b);
     let rect = view.band_rect(r1b, c1b, r2b, c2b);
-    let ModelSet {
-        rom,
-        com,
-        rcv,
-        columnar,
-    } = opts.models;
+    let ModelSet { rom, com, rcv } = opts.models;
 
     let mut best = (f64::INFINITY, ModelKind::Rom);
     let mut consider = |kind: ModelKind, storage: f64| {
@@ -198,9 +193,6 @@ pub(crate) fn best_leaf(
     }
     if rcv {
         consider(ModelKind::Rcv, cm.rcv_table(filled));
-    }
-    if columnar && filled >= opts.columnar_min_filled {
-        consider(ModelKind::Columnar, cm.columnar(cols, filled));
     }
     best
 }

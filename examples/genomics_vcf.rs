@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use dataspread::corpus::vcf::{vcf_header, vcf_rows};
 use dataspread::engine::SheetEngine;
-use dataspread::grid::{CellAddr, CellValue, Rect};
+use dataspread::grid::{CellAddr, CellValue, Rect, Shift};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
@@ -89,7 +89,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //     position-as-is store) ---------------------------------------
     let mid = (n_rows / 2) as u32;
     let t = Instant::now();
-    sheet.storage_mut().insert_rows(mid, 1)?;
+    sheet
+        .storage_mut()
+        .shift(Shift::InsertRows { at: mid, n: 1 })?;
     println!(
         "inserted a row at position {} in {:?} (no cascading renumber)",
         mid,

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use dataspread::engine::hybrid::HybridSheet;
-use dataspread::grid::{Cell, CellAddr, Rect, SparseSheet};
+use dataspread::grid::{Cell, CellAddr, Rect, Shift, SparseSheet};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -49,19 +49,35 @@ fn run_script(mut hs: HybridSheet, ops: &[Op]) {
             }
             Op::InsertRows(at, n) => {
                 oracle.insert_rows(at as u32, n as u32).unwrap();
-                hs.insert_rows(at as u32, n as u32).unwrap();
+                hs.shift(Shift::InsertRows {
+                    at: at as u32,
+                    n: n as u32,
+                })
+                .unwrap();
             }
             Op::DeleteRows(at, n) => {
                 oracle.delete_rows(at as u32, n as u32).unwrap();
-                hs.delete_rows(at as u32, n as u32).unwrap();
+                hs.shift(Shift::DeleteRows {
+                    at: at as u32,
+                    n: n as u32,
+                })
+                .unwrap();
             }
             Op::InsertCols(at, n) => {
                 oracle.insert_cols(at as u32, n as u32).unwrap();
-                hs.insert_cols(at as u32, n as u32).unwrap();
+                hs.shift(Shift::InsertCols {
+                    at: at as u32,
+                    n: n as u32,
+                })
+                .unwrap();
             }
             Op::DeleteCols(at, n) => {
                 oracle.delete_cols(at as u32, n as u32).unwrap();
-                hs.delete_cols(at as u32, n as u32).unwrap();
+                hs.shift(Shift::DeleteCols {
+                    at: at as u32,
+                    n: n as u32,
+                })
+                .unwrap();
             }
             Op::CheckCell(r, c) => {
                 let addr = CellAddr::new(r as u32, c as u32);

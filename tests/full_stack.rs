@@ -2,7 +2,7 @@
 //! linkTable → SQL → optimize, spanning every crate in the workspace.
 
 use dataspread::engine::{OptimizeAlgorithm, SheetEngine};
-use dataspread::grid::{CellAddr, CellValue, Rect};
+use dataspread::grid::{CellAddr, CellValue, Rect, Shift};
 use dataspread::hybrid::{CostModel, OptimizerOptions};
 use dataspread::relstore::Datum;
 
@@ -150,7 +150,9 @@ fn scrolling_large_import() {
         assert!(cells.len() >= 50 * 9, "window at {start} is populated");
     }
     // Middle insert + fetch still consistent.
-    e.storage_mut().insert_rows(25_000, 1).unwrap();
+    e.storage_mut()
+        .shift(Shift::InsertRows { at: 25_000, n: 1 })
+        .unwrap();
     assert_eq!(e.value(CellAddr::new(25_000, 0)), CellValue::Empty);
     let below = e.get_cells(Rect::new(25_001, 0, 25_001, 10));
     assert!(!below.is_empty(), "shifted rows remain readable");
