@@ -289,7 +289,7 @@ fn access_time(store: &HybridSheet, exprs: &[Expr], reps: usize) -> Duration {
     timed(|| {
         for _ in 0..reps {
             for expr in exprs {
-                black_box(Evaluator.eval(expr, &reader));
+                black_box(Evaluator::new().eval(expr, &reader));
             }
         }
     })

@@ -76,10 +76,6 @@ impl Translator for ComTranslator {
         self.inner.set_cell(col, row, cell)
     }
 
-    fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError> {
-        self.inner.clear_cell(col, row)
-    }
-
     /// The inner ROM walks column-major, so its scan of the transposed rect
     /// is buffered and sorted back into row-major order.
     fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {

@@ -638,19 +638,29 @@ impl HybridSheet {
         }
     }
 
-    pub fn set_cell(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
+    /// The store `addr` falls in, marked dirty for a write, and `addr` in
+    /// its local coordinates.
+    fn store_for_write(&mut self, addr: CellAddr) -> (&mut dyn Translator, u32, u32) {
         match self.region_at(addr) {
             Some(i) => {
                 let r = &mut self.regions[i];
                 r.dirty = true;
-                r.translator
-                    .set_cell(addr.row - r.rect.r1, addr.col - r.rect.c1, cell)
+                (
+                    r.translator.as_mut(),
+                    addr.row - r.rect.r1,
+                    addr.col - r.rect.c1,
+                )
             }
             None => {
                 self.catchall_dirty = true;
-                self.catchall.set_cell(addr.row, addr.col, cell)
+                (self.catchall.as_mut(), addr.row, addr.col)
             }
         }
+    }
+
+    pub fn set_cell(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
+        let (store, row, col) = self.store_for_write(addr);
+        store.set_cell(row, col, cell)
     }
 
     /// Batched update of several cells in one sheet row (the interactive
@@ -694,18 +704,8 @@ impl HybridSheet {
     }
 
     pub fn clear_cell(&mut self, addr: CellAddr) -> Result<(), EngineError> {
-        match self.region_at(addr) {
-            Some(i) => {
-                let r = &mut self.regions[i];
-                r.dirty = true;
-                r.translator
-                    .clear_cell(addr.row - r.rect.r1, addr.col - r.rect.c1)
-            }
-            None => {
-                self.catchall_dirty = true;
-                self.catchall.clear_cell(addr.row, addr.col)
-            }
-        }
+        let (store, row, col) = self.store_for_write(addr);
+        store.clear_cell(row, col)
     }
 
     /// The one *ordered* read of the sheet: visit every non-blank cell of

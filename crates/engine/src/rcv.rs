@@ -217,13 +217,6 @@ impl Translator for RcvTranslator {
         Ok(())
     }
 
-    fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError> {
-        if row < self.rows() && col < self.cols() {
-            self.set_cell(row, col, Cell::default())?;
-        }
-        Ok(())
-    }
-
     /// Visits the cells that exist, not the positions that could: per row
     /// of `rect`, one index range over `(row id, *)`, each entry's column
     /// id mapped back to its position through an inverse of the column map

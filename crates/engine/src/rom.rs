@@ -297,13 +297,6 @@ impl Translator for RomTranslator {
         Ok(())
     }
 
-    fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError> {
-        if row < self.rows() && col < self.cols() {
-            self.set_cell(row, col, Cell::default())?;
-        }
-        Ok(())
-    }
-
     /// One ordered walk of the rows in `rect`: each tuple is decoded once,
     /// in place and only at the projected columns, into a buffer reused
     /// from row to row; its cells are handed out as borrows.

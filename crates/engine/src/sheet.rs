@@ -10,10 +10,10 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use dataspread_formula::ast::Expr;
+use dataspread_formula::ast::{At, Expr};
 use dataspread_formula::batch::{batch_eval_sliding, detect_sliding, SlidingSpec};
-use dataspread_formula::refs::{collect_ranges, rewrite, Shift};
-use dataspread_formula::{parse, DependencyGraph, Evaluator, WavePlan};
+use dataspread_formula::refs::{collect_ranges_at, rewrite, Rewrite, Shift};
+use dataspread_formula::{parse_at, DependencyGraph, Evaluator, WavePlan};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{codec, Cell, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_hybrid::{
@@ -75,7 +75,6 @@ pub struct SheetEngine {
     deps: DependencyGraph,
     parsed: HashMap<CellAddr, FormulaInfo>,
     composites: HashMap<CellAddr, Relation>,
-    evaluator: Evaluator,
     /// WAL + paged image; `None` for an in-memory engine.
     durable: Option<DurableStore>,
     /// Cells recomputed since the engine was created (includes cells
@@ -107,7 +106,6 @@ impl SheetEngine {
             deps: DependencyGraph::new(),
             parsed: HashMap::new(),
             composites: HashMap::new(),
-            evaluator: Evaluator::new(),
             durable: None,
             cells_recomputed: 0,
             scalar_recompute: false,
@@ -182,7 +180,7 @@ impl SheetEngine {
         //    recompute dependents; the stored values are already the
         //    computed ones, so no recompute.
         for (addr, src) in formulas {
-            if let Ok(expr) = parse(&src) {
+            if let Ok(expr) = parse_at(&src, addr) {
                 engine.register_formula(addr, expr, src);
             }
         }
@@ -358,16 +356,15 @@ impl SheetEngine {
 
     fn update_cell_impl(&mut self, addr: CellAddr, input: &str) -> Result<(), EngineError> {
         if let Some(src) = input.strip_prefix('=') {
-            let expr = parse(src)?;
+            let expr = parse_at(src, addr)?;
             self.register_formula(addr, expr, src.to_string());
             self.sheet.set_cell(addr, Cell::formula(src))?;
             self.recompute(&[addr])?;
             return Ok(());
         }
         // Literal input: drop any previous formula.
-        if self.parsed.remove(&addr).is_some() {
-            self.deps.remove(addr);
-        }
+        self.parsed.remove(&addr);
+        self.deps.remove(addr);
         let trimmed = input.trim();
         if trimmed.is_empty() {
             self.sheet.clear_cell(addr)?;
@@ -419,9 +416,8 @@ impl SheetEngine {
     /// Write a concrete value (bypassing literal inference) and recompute
     /// dependents — the replay path for [`LoggedOp::SetValue`].
     fn set_value_impl(&mut self, addr: CellAddr, value: CellValue) -> Result<(), EngineError> {
-        if self.parsed.remove(&addr).is_some() {
-            self.deps.remove(addr);
-        }
+        self.parsed.remove(&addr);
+        self.deps.remove(addr);
         self.sheet.set_cell(addr, Cell::value(value))?;
         self.recompute(&[addr])
     }
@@ -521,16 +517,14 @@ impl SheetEngine {
         for addr in filled {
             self.sheet.clear_cell(addr)?;
         }
-        let doomed: Vec<CellAddr> = self
-            .parsed
-            .keys()
-            .filter(|addr| rect.contains(**addr))
-            .copied()
-            .collect();
-        for addr in doomed {
-            self.parsed.remove(&addr);
-            self.deps.remove(addr);
-        }
+        let deps = &mut self.deps;
+        self.parsed.retain(|&addr, _| {
+            let kept = !rect.contains(addr);
+            if !kept {
+                deps.remove(addr);
+            }
+            kept
+        });
         Ok(())
     }
 
@@ -730,8 +724,8 @@ impl SheetEngine {
     /// verbatim source text, and the fill-down shape (detected once, here,
     /// so recomputation can batch runs without re-inspecting ASTs).
     fn register_formula(&mut self, addr: CellAddr, expr: Expr, source: String) {
-        self.deps.set_formula(addr, collect_ranges(&expr));
-        let sliding = detect_sliding(&expr, addr);
+        self.deps.set_formula(addr, collect_ranges_at(&expr, addr));
+        let sliding = detect_sliding(&expr);
         self.parsed.insert(
             addr,
             FormulaInfo {
@@ -789,7 +783,7 @@ impl SheetEngine {
             };
             let value = {
                 let reader = StorageReader(&self.sheet);
-                self.evaluator.eval(&info.expr, &reader)
+                Evaluator::at(addr).eval(&info.expr, &reader)
             };
             self.write_computed(addr, value)?;
         }
@@ -856,7 +850,7 @@ impl SheetEngine {
                         continue;
                     };
                     scalar += 1;
-                    self.evaluator.eval(&info.expr, &StorageReader(&self.sheet))
+                    Evaluator::at(addr).eval(&info.expr, &StorageReader(&self.sheet))
                 }
             };
             self.write_computed(addr, value)?;
@@ -882,69 +876,50 @@ impl SheetEngine {
     /// Rewrite formulas (and their registry addresses) for a structural
     /// edit, then recompute the formulas whose values can actually change.
     ///
-    /// A formula's value survives a structural edit whenever its windows
-    /// move rigidly with the data they read — only windows *intersecting
-    /// the shift band* (a deleted band's cells disappear; an insertion
-    /// strictly inside a range changes the range's geometry) and formulas
-    /// whose references were destroyed can change value. Everything else
-    /// keeps its stored value.
+    /// Each formula is rewritten in place ([`rewrite`]). One the edit
+    /// neither moved nor retargeted keeps its entry, registration and text;
+    /// the rest are re-registered where the edit put them. Only windows the
+    /// edit lands inside, and destroyed references, change a value.
     fn apply_shift(&mut self, shift: Shift) -> Result<(), EngineError> {
-        let mut entries: Vec<(CellAddr, FormulaInfo)> = self.parsed.drain().collect();
-        self.deps = DependencyGraph::new();
+        let mut touched = Vec::new();
+        for (&addr, info) in self.parsed.iter_mut() {
+            let report = rewrite(&mut info.expr, addr, shift);
+            let to = shift.apply(addr);
+            if to != Some(addr) || report != Rewrite::Untouched {
+                touched.push((addr, to, report));
+            }
+        }
+        // All leave before any returns: one may land where another was. A
+        // formula whose own cell died goes; readers of that cell read the
+        // deleted band, so they reseed through their own band intersection.
+        let mut moved = Vec::with_capacity(touched.len());
+        for (addr, to, report) in touched {
+            self.deps.remove(addr);
+            let info = self.parsed.remove(&addr);
+            moved.extend(to.zip(info).map(|(to, info)| (to, info, report)));
+        }
         let mut seeds = Vec::new();
-        for (addr, info) in entries.drain(..) {
-            // The formula cell itself may have moved or died. Readers of a
-            // dead formula's cell necessarily read the deleted band, so
-            // they reseed through their own band intersection.
-            let Some(new_addr) = shift.apply(addr) else {
-                continue;
+        for (to, mut info, report) in moved {
+            // A destroyed reference makes the formula `#REF!`; any other
+            // change respells its stored text, which names cells.
+            let cell = match report {
+                Rewrite::Untouched => None,
+                Rewrite::Destroyed => Some(Cell::value(CellValue::Error(CellError::Ref))),
+                Rewrite::Retargeted | Rewrite::Hit => {
+                    info.source = At(&info.expr, to).to_string();
+                    Some(Cell::formula(info.source.clone()).with_value(self.value(to)))
+                }
             };
-            match rewrite(&info.expr, shift) {
-                Some(new_expr) => {
-                    let needs_recompute = collect_ranges(&info.expr)
-                        .iter()
-                        .any(|r| shift.within(r).is_some());
-                    let source = if new_expr == info.expr {
-                        // Pure translation (or untouched): the sheet moved
-                        // the cell with its verbatim text; keep it.
-                        info.source
-                    } else {
-                        // The reference set genuinely changed shape; the
-                        // stored text must be refreshed from the AST.
-                        let source = new_expr.to_string();
-                        let value = self
-                            .sheet
-                            .get_cell(new_addr)
-                            .map(|c| c.value)
-                            .unwrap_or(CellValue::Empty);
-                        self.sheet.set_cell(
-                            new_addr,
-                            Cell {
-                                value,
-                                formula: Some(source.clone()),
-                            },
-                        )?;
-                        source
-                    };
-                    self.register_formula(new_addr, new_expr, source);
-                    if needs_recompute {
-                        seeds.push(new_addr);
-                    }
-                }
-                None => {
-                    // A referenced cell was destroyed: #REF!. Seed the
-                    // address so formulas reading *this* cell recompute
-                    // against the error even when their own windows miss
-                    // the band entirely.
-                    self.sheet.set_cell(
-                        new_addr,
-                        Cell {
-                            value: CellValue::Error(CellError::Ref),
-                            formula: None,
-                        },
-                    )?;
-                    seeds.push(new_addr);
-                }
+            if let Some(cell) = cell {
+                self.sheet.set_cell(to, cell)?;
+            }
+            if report != Rewrite::Destroyed {
+                self.register_formula(to, info.expr, info.source);
+            }
+            // A `#REF!` cell is seeded too, so its readers recompute against
+            // the error even when their own windows miss the band.
+            if report >= Rewrite::Hit {
+                seeds.push(to);
             }
         }
         self.recompute(&seeds)

@@ -113,13 +113,6 @@ impl Translator for TomTranslator {
         Ok(())
     }
 
-    fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError> {
-        if row < self.rows() && col < self.cols() {
-            self.set_cell(row, col, Cell::default())?;
-        }
-        Ok(())
-    }
-
     /// Walks the live table in insertion order; a linked table holds no
     /// formulas.
     fn scan(&self, rect: Rect, f: &mut CellVisitor<'_>) {

@@ -45,7 +45,13 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
     /// Insert-or-update; the translator grows its extent as needed.
     fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError>;
 
-    fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError>;
+    /// Blank a cell; a position past the extent is already blank.
+    fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError> {
+        if row < self.rows() && col < self.cols() {
+            self.set_cell(row, col, Cell::default())?;
+        }
+        Ok(())
+    }
 
     /// The one way a region is read in bulk: visit every non-blank cell of
     /// `rect` ∩ extent (local coords) in strictly increasing row-major

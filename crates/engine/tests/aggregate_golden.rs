@@ -14,7 +14,9 @@
 use dataspread_engine::hybrid::{build_translator, HybridSheet, StorageReader};
 use dataspread_engine::ModelKind;
 use dataspread_formula::eval::CellReader;
-use dataspread_formula::{batch_eval_sliding, detect_sliding, parse, Evaluator, SheetReader};
+use dataspread_formula::{
+    batch_eval_sliding, detect_sliding, parse, parse_at, Evaluator, SheetReader,
+};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
 
@@ -234,7 +236,7 @@ fn aggregates_return_the_golden_values_through_every_reader() {
     let mut swept = 0;
     for &(src, want) in GOLDEN {
         let expr = parse(src).unwrap();
-        let sliding = detect_sliding(&expr, at);
+        let sliding = detect_sliding(&parse_at(src, at).unwrap());
         swept += usize::from(sliding.is_some());
         for (name, reader) in &readers {
             let got = evaluator.eval(&expr, reader.as_ref());

@@ -1,7 +1,8 @@
 //! Structural edits at the edges of the rectangle rule: a zero count moves
 //! nothing, dirties nothing and survives replay, a range written bottom-up
-//! moves as the same rectangle as its top-down spelling, and a delete
-//! reaching past the last row or column deletes to the end.
+//! moves as the same rectangle as its top-down spelling, a delete reaching
+//! past the last row or column deletes to the end, and a formula's text
+//! stays as typed until one of its references names another cell.
 
 use std::path::PathBuf;
 
@@ -98,4 +99,71 @@ fn a_delete_past_the_end_takes_the_last_row_and_column() {
         e.value(CellAddr::parse_a1("A3").unwrap()),
         CellValue::Error(CellError::Ref)
     );
+}
+
+#[test]
+fn a_formula_keeps_its_typed_text_until_a_reference_names_another_cell() {
+    // Typed in F11:F14 over numbers in A1:B6, in spellings the printer
+    // would not give back.
+    const TYPED: [&str; 4] = ["$a$1", "a1+1", " SUM( A1:A3 )", "SUM($B$2:B5)"];
+    let kept = TYPED.map(Some);
+    let cases: [(Shift, [Option<&str>; 4]); 7] = [
+        // Below everything: nothing moves.
+        (Shift::InsertRows { at: 20, n: 1 }, kept),
+        // Between the references and the formulas: the formulas move, what
+        // they name does not.
+        (Shift::InsertRows { at: 8, n: 2 }, kept),
+        (Shift::DeleteCols { at: 4, n: 1 }, kept),
+        (Shift::DeleteCols { at: 7, n: 3 }, kept),
+        // Across the references: only those past the insert name others.
+        (
+            Shift::InsertRows { at: 2, n: 1 },
+            [
+                Some("$a$1"),
+                Some("a1+1"),
+                Some("SUM(A1:A4)"),
+                Some("SUM($B$2:B6)"),
+            ],
+        ),
+        // Above everything: every reference names another cell.
+        (
+            Shift::InsertRows { at: 0, n: 1 },
+            [
+                Some("$A$2"),
+                Some("(A2+1)"),
+                Some("SUM(A2:A4)"),
+                Some("SUM($B$3:B6)"),
+            ],
+        ),
+        // Column A goes: its references with it, and column B's move left.
+        (
+            Shift::DeleteCols { at: 0, n: 1 },
+            [None, None, None, Some("SUM($A$2:A5)")],
+        ),
+    ];
+    for (shift, want) in cases {
+        let mut e = SheetEngine::new();
+        for r in 0..6 {
+            for c in 0..2 {
+                e.update_cell(CellAddr::new(r, c), &(r * 2 + c + 1).to_string())
+                    .unwrap();
+            }
+        }
+        let homes: Vec<CellAddr> = (10..14).map(|r| CellAddr::new(r, 5)).collect();
+        for (home, src) in homes.iter().zip(TYPED) {
+            e.update_cell(*home, &format!("={src}")).unwrap();
+        }
+        match shift {
+            Shift::InsertRows { at, n } => e.insert_rows(at, n),
+            Shift::DeleteRows { at, n } => e.delete_rows(at, n),
+            Shift::InsertCols { at, n } => e.insert_cols(at, n),
+            Shift::DeleteCols { at, n } => e.delete_cols(at, n),
+        }
+        .unwrap();
+        for ((home, src), want) in homes.iter().zip(TYPED).zip(want) {
+            let to = shift.apply(*home).unwrap();
+            let got = e.storage().get_cell(to).and_then(|c| c.formula);
+            assert_eq!(got.as_deref(), want, "{src:?} in {home} under {shift:?}");
+        }
+    }
 }

@@ -16,38 +16,33 @@
 use dataspread_grid::value::CellError;
 use dataspread_grid::{CellAddr, CellValue, Rect, ScanValue};
 
-use crate::ast::Expr;
+use crate::ast::{CellRef, Expr};
 use crate::eval::{AggKind, CellReader, RangeAgg};
 
 /// A sliding-window aggregate: `AGG(range)` where the whole range is
-/// relative, described by the range corners' offsets from the formula cell.
-/// This is the canonical fill-down aggregate (`=SUM(A1:A64)` filled down a
-/// column), and the shape [`batch_eval_sliding`] vectorizes.
+/// relative, described by the range's corners as written (offsets from the
+/// formula cell). This is the canonical fill-down aggregate
+/// (`=SUM(A1:A64)` filled down a column), and the shape
+/// [`batch_eval_sliding`] vectorizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlidingSpec {
     kind: AggKind,
-    dr1: i64,
-    dc1: i64,
-    dr2: i64,
-    dc2: i64,
+    from: CellRef,
+    to: CellRef,
 }
 
 impl SlidingSpec {
     /// The window this spec reads when the formula sits at `addr`; `None`
-    /// when the offsets fall outside the sheet (caller falls back to the
+    /// when a corner falls outside the sheet (caller falls back to the
     /// tree walk, which resolves it the slow way).
     fn window(&self, addr: CellAddr) -> Option<Rect> {
-        let r1 = u32::try_from(addr.row as i64 + self.dr1).ok()?;
-        let c1 = u32::try_from(addr.col as i64 + self.dc1).ok()?;
-        let r2 = u32::try_from(addr.row as i64 + self.dr2).ok()?;
-        let c2 = u32::try_from(addr.col as i64 + self.dc2).ok()?;
-        Some(Rect::new(r1, c1, r2, c2))
+        Expr::Range(self.from, self.to).rect_at(addr)
     }
 }
 
 /// Detect the sliding-aggregate shape: a single `SUM`/`COUNT`/`COUNTA`/
 /// `AVERAGE` call over one fully-relative range or cell reference.
-pub fn detect_sliding(expr: &Expr, base: CellAddr) -> Option<SlidingSpec> {
+pub fn detect_sliding(expr: &Expr) -> Option<SlidingSpec> {
     let Expr::Func(name, args) = expr else {
         return None;
     };
@@ -65,10 +60,8 @@ pub fn detect_sliding(expr: &Expr, base: CellAddr) -> Option<SlidingSpec> {
     }
     Some(SlidingSpec {
         kind,
-        dr1: a.row as i64 - base.row as i64,
-        dc1: a.col as i64 - base.col as i64,
-        dr2: b.row as i64 - base.row as i64,
-        dc2: b.col as i64 - base.col as i64,
+        from: *a,
+        to: *b,
     })
 }
 
@@ -161,7 +154,7 @@ pub fn batch_eval_sliding(
 mod tests {
     use super::*;
     use crate::eval::{Evaluator, SheetReader};
-    use crate::parser::parse;
+    use crate::parser::{parse, parse_at};
     use dataspread_grid::SparseSheet;
 
     fn a(s: &str) -> CellAddr {
@@ -170,8 +163,8 @@ mod tests {
 
     #[test]
     fn absolute_refs_have_no_shape() {
-        let e = parse("SUM($A$1:A5)").unwrap();
-        assert_eq!(detect_sliding(&e, a("B5")), None);
+        let e = parse_at("SUM($A$1:A5)", a("B5")).unwrap();
+        assert_eq!(detect_sliding(&e), None);
     }
 
     #[test]
@@ -182,7 +175,7 @@ mod tests {
             ("COUNTA(A1:A8)", AggKind::CountA),
             ("AVERAGE(A1:A8)", AggKind::Average),
         ] {
-            let spec = detect_sliding(&parse(src).unwrap(), a("B8")).unwrap();
+            let spec = detect_sliding(&parse_at(src, a("B8")).unwrap()).unwrap();
             assert_eq!(spec.kind, kind);
             assert_eq!(
                 spec.window(a("B8")).unwrap(),
@@ -196,16 +189,19 @@ mod tests {
         }
         // Arithmetic around the call is not a bare sliding aggregate.
         assert_eq!(
-            detect_sliding(&parse("SUM(A1:A8)+1").unwrap(), a("B8")),
+            detect_sliding(&parse_at("SUM(A1:A8)+1", a("B8")).unwrap()),
             None
         );
         // MIN has no order-insensitive prefix fold here; excluded.
-        assert_eq!(detect_sliding(&parse("MIN(A1:A8)").unwrap(), a("B8")), None);
+        assert_eq!(
+            detect_sliding(&parse_at("MIN(A1:A8)", a("B8")).unwrap()),
+            None
+        );
     }
 
     #[test]
     fn window_above_sheet_top_falls_back() {
-        let spec = detect_sliding(&parse("SUM(A1:A8)").unwrap(), a("B8")).unwrap();
+        let spec = detect_sliding(&parse_at("SUM(A1:A8)", a("B8")).unwrap()).unwrap();
         // At row 3 the window would start at row -4.
         assert_eq!(spec.window(a("B4")), None);
     }
@@ -233,8 +229,7 @@ mod tests {
             "COUNTA(A1:A8)",
             "AVERAGE(A1:A8)",
         ] {
-            let base_expr = parse(src).unwrap();
-            let spec = detect_sliding(&base_expr, a("B8")).unwrap();
+            let spec = detect_sliding(&parse_at(src, a("B8")).unwrap()).unwrap();
             let members: Vec<CellAddr> = (7..30).map(|r| CellAddr::new(r, 1)).collect();
             let got = batch_eval_sliding(spec, &members, &reader).unwrap();
             for (i, &m) in members.iter().enumerate() {
@@ -257,11 +252,11 @@ mod tests {
     fn empty_run_and_empty_window() {
         let sheet = SparseSheet::new();
         let reader = SheetReader(&sheet);
-        let spec = detect_sliding(&parse("SUM(A1:A4)").unwrap(), a("B4")).unwrap();
+        let spec = detect_sliding(&parse_at("SUM(A1:A4)", a("B4")).unwrap()).unwrap();
         assert_eq!(batch_eval_sliding(spec, &[], &reader), Some(Vec::new()));
         let got = batch_eval_sliding(spec, &[a("B4")], &reader).unwrap();
         assert_eq!(got, vec![CellValue::Number(0.0)]);
-        let avg = detect_sliding(&parse("AVERAGE(A1:A4)").unwrap(), a("B4")).unwrap();
+        let avg = detect_sliding(&parse_at("AVERAGE(A1:A4)", a("B4")).unwrap()).unwrap();
         let got = batch_eval_sliding(avg, &[a("B4")], &reader).unwrap();
         assert_eq!(got, vec![CellValue::Error(CellError::Div0)]);
     }
@@ -272,10 +267,13 @@ mod tests {
         let reader = SheetReader(&sheet);
         let spec = SlidingSpec {
             kind: AggKind::Sum,
-            dr1: -9_000_000,
-            dc1: 0,
-            dr2: 0,
-            dc2: 0,
+            from: CellRef {
+                row: -9_000_000,
+                col: 0,
+                abs_row: false,
+                abs_col: false,
+            },
+            to: CellRef::relative(0, 0),
         };
         assert_eq!(
             batch_eval_sliding(spec, &[CellAddr::new(9_000_001, 0)], &reader),

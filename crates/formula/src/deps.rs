@@ -178,11 +178,7 @@ impl DependencyGraph {
 
     /// Register (or replace) a formula cell and the ranges it reads.
     pub fn set_formula(&mut self, cell: CellAddr, ranges: Vec<Rect>) {
-        if let Some(old) = self.reads.remove(&cell) {
-            for r in &old {
-                self.index.remove(cell, r);
-            }
-        }
+        self.remove(cell);
         for r in &ranges {
             self.index.insert(cell, r);
         }

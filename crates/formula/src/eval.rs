@@ -159,13 +159,19 @@ impl Val {
     }
 }
 
-/// The formula evaluator.
+/// The formula evaluator, for the formula of one cell.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Evaluator;
+pub struct Evaluator(CellAddr);
 
 impl Evaluator {
+    /// The evaluator of a formula in `A1`.
     pub fn new() -> Self {
-        Evaluator
+        Self::default()
+    }
+
+    /// The evaluator of the formula in cell `at`.
+    pub fn at(at: CellAddr) -> Self {
+        Evaluator(at)
     }
 
     /// Evaluate `expr` against `reader`.
@@ -178,8 +184,10 @@ impl Evaluator {
             Expr::Number(n) => Val::Scalar(CellValue::Number(*n)),
             Expr::Text(s) => Val::Scalar(CellValue::Text(s.clone())),
             Expr::Bool(b) => Val::Scalar(CellValue::Bool(*b)),
-            Expr::Ref(r) => Val::Range(Rect::cell(r.addr())),
-            Expr::Range(a, b) => Val::Range(Rect::new(a.row, a.col, b.row, b.col)),
+            Expr::Ref(_) | Expr::Range(..) => match expr.rect_at(self.0) {
+                Some(rect) => Val::Range(rect),
+                None => Val::Scalar(CellValue::Error(CellError::Ref)),
+            },
             Expr::Unary(op, e) => {
                 let v = self.eval(e, reader);
                 if let CellValue::Error(_) = v {
@@ -410,9 +418,11 @@ impl Ctx<'_> {
     /// SUM/COUNT/COUNTA/AVERAGE: a single range argument asks the reader
     /// for its push-down; anything else folds every argument's values.
     fn aggregate(&self, kind: AggKind) -> CellValue {
-        if let [Expr::Range(a, b)] = self.args {
-            let rect = Rect::new(a.row, a.col, b.row, b.col);
-            if let Some(agg) = self.reader.range_agg(rect) {
+        if let [range @ Expr::Range(..)] = self.args {
+            let agg = range
+                .rect_at(self.eval.0)
+                .and_then(|r| self.reader.range_agg(r));
+            if let Some(agg) = agg {
                 return agg.value(kind);
             }
         }
@@ -721,7 +731,7 @@ impl Ctx<'_> {
     }
 
     fn arg_rect(&self, i: usize) -> Option<Rect> {
-        self.args.get(i).and_then(|e| e.as_rect())
+        self.args.get(i).and_then(|e| e.rect_at(self.eval.0))
     }
 
     fn vlookup(&self) -> CellValue {

@@ -21,4 +21,4 @@ pub use batch::{batch_eval_sliding, detect_sliding, SlidingSpec};
 pub use deps::{DependencyGraph, RecomputePlan, WavePlan};
 pub use error::ParseError;
 pub use eval::{AggKind, CellReader, EmptyReader, Evaluator, RangeAgg, SheetReader};
-pub use parser::parse;
+pub use parser::{parse, parse_at};

@@ -15,11 +15,21 @@ use crate::error::ParseError;
 use crate::lexer::{lex, Token};
 
 use dataspread_grid::addr::{letters_to_col, number_to_row};
+use dataspread_grid::CellAddr;
 
-/// Parse a formula body (without the leading `=`).
+/// Parse a formula body (without the leading `=`) as written in `A1`.
 pub fn parse(src: &str) -> Result<Expr, ParseError> {
+    parse_at(src, CellAddr::default())
+}
+
+/// Parse a formula body written in cell `cell` ([`CellRef`]).
+pub fn parse_at(src: &str, cell: CellAddr) -> Result<Expr, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        cell,
+    };
     let e = p.cmp()?;
     if p.pos != p.tokens.len() {
         return Err(ParseError::new(
@@ -33,6 +43,8 @@ pub fn parse(src: &str) -> Result<Expr, ParseError> {
 struct Parser<'a> {
     tokens: Vec<(Token<'a>, usize)>,
     pos: usize,
+    /// The cell whose formula this is.
+    cell: CellAddr,
 }
 
 impl<'a> Parser<'a> {
@@ -187,14 +199,14 @@ impl<'a> Parser<'a> {
                     "FALSE" => return Ok(Expr::Bool(false)),
                     _ => {}
                 }
-                let first = parse_cellref(name)
+                let first = parse_cellref(name, self.cell)
                     .ok_or_else(|| ParseError::new(at, format!("unknown identifier {name:?}")))?;
                 if self.peek() == Some(&Token::Colon) {
                     self.pos += 1;
                     let at2 = self.here();
                     match self.bump() {
                         Some(Token::Ident(second)) => {
-                            let second = parse_cellref(second).ok_or_else(|| {
+                            let second = parse_cellref(second, self.cell).ok_or_else(|| {
                                 ParseError::new(at2, "expected cell reference after :")
                             })?;
                             Ok(Expr::Range(first, second))
@@ -210,8 +222,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parse `B2`, `$B2`, `B$2`, `$B$2` into a [`CellRef`].
-pub fn parse_cellref(s: &str) -> Option<CellRef> {
+/// Parse `B2`, `$B2`, `B$2`, `$B$2`, written in cell `cell`.
+pub fn parse_cellref(s: &str, cell: CellAddr) -> Option<CellRef> {
     let bytes = s.as_bytes();
     let mut i = 0;
     let abs_col = bytes.first() == Some(&b'$');
@@ -237,17 +249,14 @@ pub fn parse_cellref(s: &str) -> Option<CellRef> {
     if row_start == i || i != bytes.len() {
         return None;
     }
-    Some(CellRef {
-        row: number_to_row(&s[row_start..i])?,
-        col,
-        abs_row,
-        abs_col,
-    })
+    let row = number_to_row(&s[row_start..i])?;
+    Some(CellRef::to(CellAddr::new(row, col), abs_row, abs_col, cell))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::At;
 
     #[test]
     fn precedence() {
@@ -310,9 +319,12 @@ mod tests {
 
     #[test]
     fn cellref_forms() {
-        assert_eq!(parse_cellref("B2"), Some(CellRef::relative(1, 1)));
         assert_eq!(
-            parse_cellref("$B$2"),
+            parse_cellref("B2", CellAddr::default()),
+            Some(CellRef::relative(1, 1))
+        );
+        assert_eq!(
+            parse_cellref("$B$2", CellAddr::default()),
             Some(CellRef {
                 row: 1,
                 col: 1,
@@ -320,21 +332,33 @@ mod tests {
                 abs_col: true
             })
         );
-        assert!(parse_cellref("B$2").unwrap().abs_row);
-        assert_eq!(parse_cellref("ZZZ"), None);
-        assert_eq!(parse_cellref("B0"), None);
-        assert_eq!(parse_cellref("2B"), None);
+        assert!(parse_cellref("B$2", CellAddr::default()).unwrap().abs_row);
+        assert_eq!(parse_cellref("ZZZ", CellAddr::default()), None);
+        assert_eq!(parse_cellref("B0", CellAddr::default()), None);
+        assert_eq!(parse_cellref("2B", CellAddr::default()), None);
+    }
+
+    #[test]
+    fn a_formula_parsed_in_its_cell_prints_back_there() {
+        let cell = CellAddr::new(4, 2);
+        let e = parse_at("SUM(A1:B$2)+$C3", cell).unwrap();
+        assert_eq!(At(&e, cell).to_string(), "(SUM(A1:B$2)+$C3)");
+        // One down and one right, the relative axes follow.
+        let next = CellAddr::new(5, 3);
+        assert_eq!(At(&e, next).to_string(), "(SUM(B2:C$2)+$C4)");
+        assert_eq!(parse_at("SUM(B2:C$2)+$C4", next).unwrap(), e);
     }
 
     #[test]
     fn the_last_row_and_column_round_trip() {
         let corner = CellRef::relative(u32::MAX, u32::MAX);
-        assert_eq!(corner.to_string(), "MWLQKWV4294967296");
+        let a1 = CellAddr::default();
+        assert_eq!(At(&corner, a1).to_string(), "MWLQKWV4294967296");
         let src = "SUM(A4294967295:MWLQKWV4294967296)+$MWLQKWV$4294967296";
         let e = parse(src).unwrap();
         assert_eq!(e.to_string(), format!("({src})"));
         assert_eq!(parse(&e.to_string()).unwrap(), e);
-        assert_eq!(parse_cellref("A4294967297"), None);
-        assert_eq!(parse_cellref("MWLQKWW1"), None);
+        assert_eq!(parse_cellref("A4294967297", CellAddr::default()), None);
+        assert_eq!(parse_cellref("MWLQKWW1", CellAddr::default()), None);
     }
 }

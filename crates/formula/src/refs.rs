@@ -1,13 +1,13 @@
 //! Reference extraction and structural-edit rewriting.
 //!
 //! The analysis toolkit (paper §II-C) needs the set of ranges a formula
-//! accesses; the engine needs formulas to stay valid when rows/columns are
-//! inserted or deleted (relative references shift, `$`-absolute ones too —
-//! structural edits move the *cells*, so every reference pointing at or
-//! below the edit moves with them, which is Excel's behaviour).
+//! accesses, collected at its cell. A structural edit ([`rewrite`]) keeps
+//! each reference naming the cell it named — `$`-absolute ones too, since
+//! the edit moves the *cells* (Excel's behaviour) — and reports what it
+//! did, so the engine touches only the formulas it moved or retargeted.
 //!
-//! [`template`] and [`render`] move a formula *source* between its cell
-//! and a relative form, so the sources of a fill-down run share one
+//! [`template`] and [`render`] carry [`CellRef`]'s relative form over a
+//! formula *source*, so the sources of a fill-down run share one
 //! [`Template`] (SNIPPETS.md §3, "normalized representation with relative
 //! addressing"); the checkpoint image stores each template once.
 
@@ -15,19 +15,26 @@ use std::fmt::Write;
 
 use dataspread_grid::{CellAddr, Rect};
 
-use crate::ast::{CellRef, Expr};
+use crate::ast::{At, CellRef, Expr};
 use crate::lexer::{lex, Token};
 use crate::parser::parse_cellref;
 
-/// Collect every rectangle referenced by the expression.
-pub fn collect_ranges(expr: &Expr) -> Vec<Rect> {
+pub use dataspread_grid::Shift;
+
+/// Every rectangle referenced by the formula of cell `at`.
+pub fn collect_ranges_at(expr: &Expr, at: CellAddr) -> Vec<Rect> {
     let mut out = Vec::new();
     walk(expr, &mut |e| {
-        if let Some(r) = e.as_rect() {
+        if let Some(r) = e.rect_at(at) {
             out.push(r);
         }
     });
     out
+}
+
+/// [`collect_ranges_at`] the origin, where a parsed expression spells them.
+pub fn collect_ranges(expr: &Expr) -> Vec<Rect> {
+    collect_ranges_at(expr, CellAddr::default())
 }
 
 /// Total number of cells accessed (sum of range areas; single refs are 1x1).
@@ -53,55 +60,78 @@ fn walk(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     }
 }
 
-pub use dataspread_grid::Shift;
-
-/// Rewrite a reference for a structural edit, keeping its `$` flags;
-/// returns `None` when the referenced cell was deleted, or pushed past the
-/// last row or column by an insert (the caller should surface `#REF!`).
-fn shift_ref(r: CellRef, shift: Shift) -> Option<CellRef> {
-    let to = shift.apply(r.addr())?;
-    Some(CellRef {
-        row: to.row,
-        col: to.col,
-        ..r
-    })
+/// What a structural edit did to a formula's references, least first; a
+/// formula reports the most any of them took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rewrite {
+    /// Every reference names the cell it named.
+    Untouched,
+    /// One names a cell or rectangle the edit moved rigidly: new text, same value.
+    Retargeted,
+    /// The edit landed inside a range ([`Shift::within`]): the value may change.
+    Hit,
+    /// One was deleted or pushed off the sheet: `#REF!`.
+    Destroyed,
 }
 
-/// Rewrite all references in `expr` for a structural edit. A range moves
-/// as the rectangle it spans ([`Shift::apply_rect`]): a delete inside it
-/// shrinks it, and it survives while any part of it survives; its corners
-/// keep the order they were written in, and each its `$` flags. Returns
-/// `None` when a reference is destroyed (formula becomes `#REF!`) — by a
-/// delete, or by an insert that pushes any end of it off the sheet.
-pub fn rewrite(expr: &Expr, shift: Shift) -> Option<Expr> {
-    Some(match expr {
-        Expr::Ref(r) => Expr::Ref(shift_ref(*r, shift)?),
+/// Rewrite in place, allocating nothing, the references of the formula in
+/// cell `at` for an edit that moves that cell to `shift.apply(at)`: each
+/// names the cell it named, wherever the edit put it. A range moves as the
+/// rectangle it spans ([`Shift::apply_rect`]), its corners keeping the
+/// order they were written in and each its `$` flags. An edit deleting
+/// `at` destroys the formula; a destroyed one is left partly rewritten.
+pub fn rewrite(expr: &mut Expr, at: CellAddr, shift: Shift) -> Rewrite {
+    match shift.apply(at) {
+        Some(to) => rewrite_refs(expr, at, to, shift),
+        None => Rewrite::Destroyed,
+    }
+}
+
+/// [`rewrite`] with the formula's cell moving from `at` to `to`.
+fn rewrite_refs(expr: &mut Expr, at: CellAddr, to: CellAddr, shift: Shift) -> Rewrite {
+    match expr {
+        Expr::Ref(r) => match r.resolve(at).map(|old| (old, shift.apply(old))) {
+            Some((old, Some(new))) => {
+                *r = CellRef::to(new, r.abs_row, r.abs_col, to);
+                if new == old {
+                    Rewrite::Untouched
+                } else {
+                    Rewrite::Retargeted
+                }
+            }
+            _ => Rewrite::Destroyed,
+        },
         Expr::Range(a, b) => {
-            let to = shift.apply_rect(&Rect::new(a.row, a.col, b.row, b.col))?;
-            // A corner at the larger index of an axis takes the new rect's
-            // larger index there.
-            let corner = |r: CellRef, o: CellRef| CellRef {
-                row: if r.row > o.row { to.r2 } else { to.r1 },
-                col: if r.col > o.col { to.c2 } else { to.c1 },
-                ..r
+            let (Some(ta), Some(tb)) = (a.resolve(at), b.resolve(at)) else {
+                return Rewrite::Destroyed;
             };
-            Expr::Range(corner(*a, *b), corner(*b, *a))
+            let rect = Rect::new(ta.row, ta.col, tb.row, tb.col);
+            let Some(moved) = shift.apply_rect(&rect) else {
+                return Rewrite::Destroyed;
+            };
+            // A corner at the larger index of an axis takes the moved
+            // rect's larger index there.
+            let corner = |t: CellAddr, o: CellAddr| {
+                let row = if t.row > o.row { moved.r2 } else { moved.r1 };
+                CellAddr::new(row, if t.col > o.col { moved.c2 } else { moved.c1 })
+            };
+            *a = CellRef::to(corner(ta, tb), a.abs_row, a.abs_col, to);
+            *b = CellRef::to(corner(tb, ta), b.abs_row, b.abs_col, to);
+            match shift.within(&rect) {
+                Some(_) => Rewrite::Hit,
+                None if moved != rect => Rewrite::Retargeted,
+                None => Rewrite::Untouched,
+            }
         }
-        Expr::Unary(op, e) => Expr::Unary(*op, Box::new(rewrite(e, shift)?)),
-        Expr::Percent(e) => Expr::Percent(Box::new(rewrite(e, shift)?)),
-        Expr::Binary(op, a, b) => Expr::Binary(
-            *op,
-            Box::new(rewrite(a, shift)?),
-            Box::new(rewrite(b, shift)?),
-        ),
-        Expr::Func(name, args) => Expr::Func(
-            name.clone(),
-            args.iter()
-                .map(|a| rewrite(a, shift))
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        leaf => leaf.clone(),
-    })
+        Expr::Unary(_, e) | Expr::Percent(e) => rewrite_refs(e, at, to, shift),
+        Expr::Binary(_, a, b) => rewrite_refs(a, at, to, shift).max(rewrite_refs(b, at, to, shift)),
+        Expr::Func(_, args) => args
+            .iter_mut()
+            .map(|a| rewrite_refs(a, at, to, shift))
+            .max()
+            .unwrap_or(Rewrite::Untouched),
+        Expr::Number(_) | Expr::Text(_) | Expr::Bool(_) => Rewrite::Untouched,
+    }
 }
 
 /// A formula source with each canonically spelled cell reference cut out
@@ -114,25 +144,7 @@ pub struct Template {
     text: String,
     /// Each templated reference, in source order: the byte of `text` it
     /// was cut out at, and the reference itself.
-    refs: Vec<(usize, RelRef)>,
-}
-
-/// A reference as an offset from its source's cell, per axis; a `$` axis
-/// is an offset from row or column 0, i.e. the absolute index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RelRef {
-    row: i64,
-    col: i64,
-    abs_row: bool,
-    abs_col: bool,
-}
-
-/// The cell a reference's offsets count from, at source cell `at`.
-fn base(at: CellAddr, abs_row: bool, abs_col: bool) -> CellAddr {
-    CellAddr::new(
-        if abs_row { 0 } else { at.row },
-        if abs_col { 0 } else { at.col },
-    )
+    refs: Vec<(usize, CellRef)>,
 }
 
 /// The template of source `src` held in cell `at`. A reference is
@@ -153,7 +165,7 @@ pub fn template(src: &str, at: CellAddr) -> Template {
     let mut done = 0;
     for (k, (token, start)) in tokens.iter().enumerate() {
         let Token::Ident(name) = token else { continue };
-        let Some(r) = parse_cellref(name) else {
+        let Some(r) = parse_cellref(name, at) else {
             continue;
         };
         // `parse_cellref` took `$?letters$?digits`, and such a name prints
@@ -170,17 +182,8 @@ pub fn template(src: &str, at: CellAddr) -> Template {
         {
             continue;
         }
-        let from = base(at, r.abs_row, r.abs_col);
         out.text.push_str(&src[done..*start]);
-        out.refs.push((
-            out.text.len(),
-            RelRef {
-                row: i64::from(r.row) - i64::from(from.row),
-                col: i64::from(r.col) - i64::from(from.col),
-                abs_row: r.abs_row,
-                abs_col: r.abs_col,
-            },
-        ));
+        out.refs.push((out.text.len(), r));
         done = start + name.len();
     }
     out.text.push_str(&src[done..]);
@@ -192,17 +195,11 @@ pub fn template(src: &str, at: CellAddr) -> Template {
 pub fn render(t: &Template, at: CellAddr) -> Option<String> {
     let mut out = String::with_capacity(t.text.len() + 8 * t.refs.len());
     let mut done = 0;
-    for &(pos, r) in &t.refs {
-        let to = base(at, r.abs_row, r.abs_col).checked_offset(r.row, r.col)?;
-        out.push_str(&t.text[done..pos]);
-        let cell = CellRef {
-            row: to.row,
-            col: to.col,
-            abs_row: r.abs_row,
-            abs_col: r.abs_col,
-        };
-        write!(out, "{cell}").expect("writing to a String");
-        done = pos;
+    for (pos, r) in &t.refs {
+        r.resolve(at)?;
+        out.push_str(&t.text[done..*pos]);
+        write!(out, "{}", At(r, at)).expect("writing to a String");
+        done = *pos;
     }
     out.push_str(&t.text[done..]);
     Some(out)
@@ -211,7 +208,7 @@ pub fn render(t: &Template, at: CellAddr) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::parser::{parse, parse_at};
 
     fn at(row: u32, col: u32) -> CellAddr {
         CellAddr::new(row, col)
@@ -307,6 +304,19 @@ mod tests {
         assert_eq!(cells_accessed(&e), 20 + 1 + 1 + 300);
     }
 
+    /// A cell every edit below moves, but none deletes or pushes off.
+    const FAR: CellAddr = CellAddr::new(1000, 300);
+
+    /// `src` entered in `cell`, rewritten for `shift` and spelled in the
+    /// cell the edit moved it to; `None` when a reference is destroyed.
+    fn rewritten(src: &str, cell: CellAddr, shift: Shift) -> Option<String> {
+        let mut e = parse_at(src, cell).unwrap();
+        match rewrite(&mut e, cell, shift) {
+            Rewrite::Destroyed => None,
+            _ => Some(At(&e, shift.apply(cell)?).to_string()),
+        }
+    }
+
     #[test]
     fn an_insert_pushing_a_reference_off_the_sheet_destroys_it() {
         for shift in [
@@ -319,50 +329,54 @@ mod tests {
                 n: u32::MAX - 3,
             },
         ] {
-            let kept = rewrite(&parse("A1+B2").unwrap(), shift).unwrap();
-            assert_eq!(kept.to_string(), "(A1+B2)");
-            assert!(rewrite(&parse("Z100").unwrap(), shift).is_none());
-            assert!(rewrite(&parse("SUM(A1:Z100)").unwrap(), shift).is_none());
+            let home = at(0, 0);
+            assert_eq!(rewritten("A1+B2", home, shift).as_deref(), Some("(A1+B2)"));
+            assert_eq!(rewritten("Z100", home, shift), None);
+            assert_eq!(rewritten("SUM(A1:Z100)", home, shift), None);
+            // The formula's own cell pushed off the sheet goes with it.
+            assert_eq!(
+                rewrite(&mut parse("1").unwrap(), FAR, shift),
+                Rewrite::Destroyed
+            );
         }
     }
 
     #[test]
     fn insert_rows_shifts_references_below() {
-        let e = parse("A1+A10").unwrap();
-        let got = rewrite(&e, Shift::InsertRows { at: 5, n: 2 }).unwrap();
-        assert_eq!(got.to_string(), "(A1+A12)");
+        let got = rewritten("A1+A10", FAR, Shift::InsertRows { at: 5, n: 2 });
+        assert_eq!(got.as_deref(), Some("(A1+A12)"));
     }
 
     #[test]
     fn delete_rows_destroys_point_refs() {
-        let e = parse("A5").unwrap();
-        assert_eq!(rewrite(&e, Shift::DeleteRows { at: 4, n: 1 }), None);
-        let e = parse("A5").unwrap();
-        let got = rewrite(&e, Shift::DeleteRows { at: 0, n: 2 }).unwrap();
-        assert_eq!(got.to_string(), "A3");
+        assert_eq!(
+            rewritten("A5", FAR, Shift::DeleteRows { at: 4, n: 1 }),
+            None
+        );
+        let got = rewritten("A5", FAR, Shift::DeleteRows { at: 0, n: 2 });
+        assert_eq!(got.as_deref(), Some("A3"));
     }
 
     #[test]
     fn ranges_shrink_instead_of_dying() {
-        let e = parse("SUM(A1:A10)").unwrap();
+        let sum = |shift| rewritten("SUM(A1:A10)", FAR, shift);
         // Delete rows 0..5 (A1:A5): range becomes A1:A5 (the survivors).
-        let got = rewrite(&e, Shift::DeleteRows { at: 0, n: 5 }).unwrap();
-        assert_eq!(got.to_string(), "SUM(A1:A5)");
+        let got = sum(Shift::DeleteRows { at: 0, n: 5 });
+        assert_eq!(got.as_deref(), Some("SUM(A1:A5)"));
         // Delete rows fully inside.
-        let e = parse("SUM(A1:A10)").unwrap();
-        let got = rewrite(&e, Shift::DeleteRows { at: 2, n: 3 }).unwrap();
-        assert_eq!(got.to_string(), "SUM(A1:A7)");
+        let got = sum(Shift::DeleteRows { at: 2, n: 3 });
+        assert_eq!(got.as_deref(), Some("SUM(A1:A7)"));
         // Delete the tail: A6:A10 gone, head survives.
-        let e = parse("SUM(A5:A10)").unwrap();
-        let got = rewrite(&e, Shift::DeleteRows { at: 5, n: 20 }).unwrap();
-        assert_eq!(got.to_string(), "SUM(A5:A5)");
+        let got = rewritten("SUM(A5:A10)", FAR, Shift::DeleteRows { at: 5, n: 20 });
+        assert_eq!(got.as_deref(), Some("SUM(A5:A5)"));
         // Whole range deleted → formula is destroyed.
-        let e = parse("SUM(A5:A10)").unwrap();
-        assert_eq!(rewrite(&e, Shift::DeleteRows { at: 4, n: 20 }), None);
+        let got = rewritten("SUM(A5:A10)", FAR, Shift::DeleteRows { at: 4, n: 20 });
+        assert_eq!(got, None);
     }
 
     #[test]
     fn a_reversed_range_moves_as_its_rectangle() {
+        use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         // The two spellings of one rectangle, in both axes, with `$` flags
         // on one corner.
@@ -371,66 +385,163 @@ mod tests {
             ("$C$9:A2", "A2:$C$9"),
             ("C2:A$9", "A$9:C2"),
         ];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(49);
+        // Positions near both ends of an axis, and counts from zero to
+        // past the end.
+        let pos = |rng: &mut StdRng| match rng.gen_range(0..5) {
+            0 => u32::MAX - rng.gen_range(0..4),
+            _ => rng.gen_range(0..14),
+        };
+        let count = |rng: &mut StdRng| match rng.gen_range(0..6) {
+            0 => 0,
+            1 => u32::MAX,
+            2 => u32::MAX - rng.gen_range(1..4),
+            _ => rng.gen_range(1..12),
+        };
+        let cell = |rng: &mut StdRng| at(pos(rng), pos(rng));
+        let mut rng = StdRng::seed_from_u64(49);
         for _ in 0..4000 {
-            let (at, n) = (rng.gen_range(0..14), rng.gen_range(0..12));
+            let (at, n) = (pos(&mut rng), count(&mut rng));
             let shift = match rng.gen_range(0..4) {
                 0 => Shift::InsertRows { at, n },
                 1 => Shift::DeleteRows { at, n },
                 2 => Shift::InsertCols { at, n },
                 _ => Shift::DeleteCols { at, n },
             };
-            for (reversed, forward) in pairs {
-                let (r, f) = (parse(reversed).unwrap(), parse(forward).unwrap());
-                let (r2, f2) = (rewrite(&r, shift), rewrite(&f, shift));
+            let home = cell(&mut rng);
+            let Some(moved) = shift.apply(home) else {
                 assert_eq!(
-                    r2.as_ref().and_then(Expr::as_rect),
-                    f2.as_ref().and_then(Expr::as_rect),
-                    "{reversed} vs {forward} under {shift:?}"
+                    rewrite(&mut parse("1").unwrap(), home, shift),
+                    Rewrite::Destroyed
                 );
-                // Each corner keeps its flags, and the corners their order.
-                if let (Expr::Range(a, b), Some(Expr::Range(a2, b2))) = (&r, &r2) {
-                    assert_eq!((a.abs_row, a.abs_col), (a2.abs_row, a2.abs_col));
-                    assert_eq!((b.abs_row, b.abs_col), (b2.abs_row, b2.abs_col));
-                    assert!(a.row < b.row || a2.row >= b2.row, "{shift:?}");
-                    assert!(a.row > b.row || a2.row <= b2.row, "{shift:?}");
-                    assert!(a.col < b.col || a2.col >= b2.col, "{shift:?}");
-                    assert!(a.col > b.col || a2.col <= b2.col, "{shift:?}");
+                continue;
+            };
+            // A reference and a range written in `home`, with seeded `$`
+            // flags and corners in either order.
+            let (t, ta, tb) = (cell(&mut rng), cell(&mut rng), cell(&mut rng));
+            let mut r = |to| CellRef::to(to, rng.gen(), rng.gen(), home);
+            let (r, a, b) = (r(t), r(ta), r(tb));
+            let mut e = Expr::Func("SUM".into(), vec![Expr::Ref(r), Expr::Range(a, b)]);
+            let report = rewrite(&mut e, home, shift);
+            // Resolved at the moved cell, the rewrite is the one rule
+            // applied to what the references named.
+            let rect = Rect::new(ta.row, ta.col, tb.row, tb.col);
+            let (Some(t2), Some(rect2)) = (shift.apply(t), shift.apply_rect(&rect)) else {
+                assert_eq!(report, Rewrite::Destroyed, "{shift:?} at {home}");
+                continue;
+            };
+            assert_eq!(
+                collect_ranges_at(&e, moved),
+                [Rect::cell(t2), rect2],
+                "{shift:?} at {home}"
+            );
+            // Each reference keeps its flags, and the corners their order.
+            let Expr::Func(_, args) = &e else {
+                unreachable!()
+            };
+            let [Expr::Ref(r2), Expr::Range(a2, b2)] = args.as_slice() else {
+                unreachable!()
+            };
+            assert_eq!((r.abs_row, r.abs_col), (r2.abs_row, r2.abs_col));
+            assert_eq!((a.abs_row, a.abs_col), (a2.abs_row, a2.abs_col));
+            assert_eq!((b.abs_row, b.abs_col), (b2.abs_row, b2.abs_col));
+            let (ta2, tb2) = (a2.resolve(moved).unwrap(), b2.resolve(moved).unwrap());
+            assert!(ta.row < tb.row || ta2.row >= tb2.row, "{shift:?}");
+            assert!(ta.row > tb.row || ta2.row <= tb2.row, "{shift:?}");
+            assert!(ta.col < tb.col || ta2.col >= tb2.col, "{shift:?}");
+            assert!(ta.col > tb.col || ta2.col <= tb2.col, "{shift:?}");
+            // Untouched exactly when nothing named moved; hit exactly when
+            // the edit lands inside the range.
+            let changed = t2 != t || rect2 != rect;
+            assert_eq!(
+                report == Rewrite::Untouched,
+                !changed,
+                "{shift:?} at {home}"
+            );
+            assert_eq!(report == Rewrite::Hit, shift.within(&rect).is_some());
+            for (reversed, forward) in pairs {
+                let (mut r, mut f) = (
+                    parse_at(reversed, home).unwrap(),
+                    parse_at(forward, home).unwrap(),
+                );
+                let (r2, f2) = (rewrite(&mut r, home, shift), rewrite(&mut f, home, shift));
+                assert_eq!(r2, f2, "{reversed} vs {forward} under {shift:?}");
+                if r2 != Rewrite::Destroyed {
+                    assert_eq!(
+                        r.rect_at(moved),
+                        f.rect_at(moved),
+                        "{reversed} vs {forward} under {shift:?}"
+                    );
                 }
             }
         }
-        let rewritten =
-            |src: &str, shift| rewrite(&parse(src).unwrap(), shift).map(|e| e.to_string());
         // Delete rows 1-5: both spellings keep rows 6-10 as rows 1-5.
         let top = Shift::DeleteRows { at: 0, n: 5 };
-        assert_eq!(rewritten("SUM(A10:A1)", top).as_deref(), Some("SUM(A5:A1)"));
-        assert_eq!(rewritten("SUM(A1:A10)", top).as_deref(), Some("SUM(A1:A5)"));
+        assert_eq!(
+            rewritten("SUM(A10:A1)", FAR, top).as_deref(),
+            Some("SUM(A5:A1)")
+        );
+        assert_eq!(
+            rewritten("SUM(A1:A10)", FAR, top).as_deref(),
+            Some("SUM(A1:A5)")
+        );
         // Delete rows 8-17: rows 1-7 survive, not the old row 18.
         let tail = Shift::DeleteRows { at: 7, n: 10 };
         assert_eq!(
-            rewritten("SUM(A10:A1)", tail).as_deref(),
+            rewritten("SUM(A10:A1)", FAR, tail).as_deref(),
             Some("SUM(A7:A1)")
         );
         assert_eq!(
-            rewritten("SUM(A1:A10)", tail).as_deref(),
+            rewritten("SUM(A1:A10)", FAR, tail).as_deref(),
             Some("SUM(A1:A7)")
         );
     }
 
     #[test]
     fn column_edits() {
-        let e = parse("SUM(B1:D1)+E1").unwrap();
-        let got = rewrite(&e, Shift::InsertCols { at: 2, n: 1 }).unwrap();
-        assert_eq!(got.to_string(), "(SUM(B1:E1)+F1)");
-        let e = parse("SUM(B1:D1)+E1").unwrap();
-        let got = rewrite(&e, Shift::DeleteCols { at: 2, n: 1 }).unwrap();
-        assert_eq!(got.to_string(), "(SUM(B1:C1)+D1)");
+        let got = rewritten("SUM(B1:D1)+E1", FAR, Shift::InsertCols { at: 2, n: 1 });
+        assert_eq!(got.as_deref(), Some("(SUM(B1:E1)+F1)"));
+        let got = rewritten("SUM(B1:D1)+E1", FAR, Shift::DeleteCols { at: 2, n: 1 });
+        assert_eq!(got.as_deref(), Some("(SUM(B1:C1)+D1)"));
     }
 
     #[test]
     fn constants_untouched() {
-        let e = parse("1+2*3").unwrap();
-        let got = rewrite(&e, Shift::InsertRows { at: 0, n: 5 }).unwrap();
-        assert_eq!(got, e);
+        let mut e = parse("1+2*3").unwrap();
+        let report = rewrite(&mut e, FAR, Shift::InsertRows { at: 0, n: 5 });
+        assert_eq!(report, Rewrite::Untouched);
+        assert_eq!(e, parse("1+2*3").unwrap());
+    }
+
+    #[test]
+    fn the_report_is_the_most_any_reference_took() {
+        let home = at(2, 2);
+        let report = |src: &str, shift| rewrite(&mut parse_at(src, home).unwrap(), home, shift);
+        let src = "A1+SUM(B2:B5)";
+        // Below everything: the formula and what it reads stay put.
+        assert_eq!(
+            report(src, Shift::InsertRows { at: 9, n: 1 }),
+            Rewrite::Untouched
+        );
+        // Between `A1` and the range: the range moves with its cells.
+        assert_eq!(
+            report(src, Shift::InsertRows { at: 1, n: 1 }),
+            Rewrite::Retargeted
+        );
+        // Above everything: all move together, yet every cell named moved.
+        assert_eq!(
+            report(src, Shift::InsertRows { at: 0, n: 1 }),
+            Rewrite::Retargeted
+        );
+        assert_eq!(report(src, Shift::InsertRows { at: 3, n: 1 }), Rewrite::Hit);
+        assert_eq!(report(src, Shift::DeleteRows { at: 3, n: 1 }), Rewrite::Hit);
+        assert_eq!(
+            report(src, Shift::DeleteRows { at: 0, n: 1 }),
+            Rewrite::Destroyed
+        );
+        // Above everything, the relative form is left as it was.
+        let mut e = parse_at(src, home).unwrap();
+        let before = e.clone();
+        rewrite(&mut e, home, Shift::InsertRows { at: 0, n: 3 });
+        assert_eq!(e, before);
     }
 }

@@ -3,9 +3,25 @@
 
 use proptest::prelude::*;
 
-use dataspread_formula::ast::{BinOp, CellRef, Expr, UnOp};
+use dataspread_formula::ast::{At, BinOp, CellRef, Expr, UnOp};
 use dataspread_formula::parse;
-use dataspread_formula::refs::{cells_accessed, collect_ranges, rewrite, Shift};
+use dataspread_formula::refs::{
+    cells_accessed, collect_ranges, collect_ranges_at, rewrite, Rewrite, Shift,
+};
+use dataspread_grid::{CellAddr, Rect};
+
+/// The cell the generated formulas are written in.
+const A1: CellAddr = CellAddr::new(0, 0);
+
+/// `expr`, the formula of `cell`, rewritten for `shift`, with the cell the
+/// edit moved it to; `None` when the edit destroys a reference.
+fn rewritten(expr: &Expr, cell: CellAddr, shift: Shift) -> Option<(Expr, CellAddr)> {
+    let mut e = expr.clone();
+    match rewrite(&mut e, cell, shift) {
+        Rewrite::Destroyed => None,
+        _ => Some((e, shift.apply(cell)?)),
+    }
+}
 
 /// Random expressions over a bounded grid.
 fn expr_strategy() -> impl Strategy<Value = Expr> {
@@ -15,8 +31,8 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
         any::<bool>().prop_map(Expr::Bool),
         (0u32..50, 0u32..20, any::<bool>(), any::<bool>()).prop_map(|(r, c, ar, ac)| {
             Expr::Ref(CellRef {
-                row: r,
-                col: c,
+                row: r.into(),
+                col: c.into(),
                 abs_row: ar,
                 abs_col: ac,
             })
@@ -69,20 +85,20 @@ proptest! {
 
     #[test]
     fn insert_then_delete_rows_is_identity(expr in expr_strategy(), at in 0u32..60, n in 1u32..5) {
-        let inserted = rewrite(&expr, Shift::InsertRows { at, n })
+        let (inserted, cell) = rewritten(&expr, A1, Shift::InsertRows { at, n })
             .expect("insert never destroys references");
-        let back = rewrite(&inserted, Shift::DeleteRows { at, n })
+        let (back, cell) = rewritten(&inserted, cell, Shift::DeleteRows { at, n })
             .expect("deleting exactly the inserted rows never destroys references");
-        prop_assert_eq!(back.to_string(), expr.to_string());
+        prop_assert_eq!(At(&back, cell).to_string(), expr.to_string());
     }
 
     #[test]
     fn insert_then_delete_cols_is_identity(expr in expr_strategy(), at in 0u32..30, n in 1u32..4) {
-        let inserted = rewrite(&expr, Shift::InsertCols { at, n })
+        let (inserted, cell) = rewritten(&expr, A1, Shift::InsertCols { at, n })
             .expect("insert never destroys references");
-        let back = rewrite(&inserted, Shift::DeleteCols { at, n })
+        let (back, cell) = rewritten(&inserted, cell, Shift::DeleteCols { at, n })
             .expect("deleting exactly the inserted cols never destroys references");
-        prop_assert_eq!(back.to_string(), expr.to_string());
+        prop_assert_eq!(At(&back, cell).to_string(), expr.to_string());
     }
 
     #[test]
@@ -90,7 +106,8 @@ proptest! {
         // Row inserts can only grow ranges (when they pierce one) — never
         // shrink the accessed-cell count.
         let before = cells_accessed(&expr);
-        let after = cells_accessed(&rewrite(&expr, Shift::InsertRows { at, n: 2 }).unwrap());
+        let (after, cell) = rewritten(&expr, A1, Shift::InsertRows { at, n: 2 }).unwrap();
+        let after: u64 = collect_ranges_at(&after, cell).iter().map(Rect::area).sum();
         prop_assert!(after >= before, "{before} -> {after}");
     }
 
@@ -98,7 +115,8 @@ proptest! {
     fn collected_ranges_shift_with_rewrite(expr in expr_strategy(), n in 1u32..5) {
         // Inserting above everything shifts every range down by exactly n.
         let before = collect_ranges(&expr);
-        let after = collect_ranges(&rewrite(&expr, Shift::InsertRows { at: 0, n }).unwrap());
+        let (after, cell) = rewritten(&expr, A1, Shift::InsertRows { at: 0, n }).unwrap();
+        let after = collect_ranges_at(&after, cell);
         prop_assert_eq!(before.len(), after.len());
         for (b, a) in before.iter().zip(&after) {
             prop_assert_eq!(b.r1 + n, a.r1);

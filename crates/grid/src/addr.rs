@@ -9,7 +9,7 @@ use crate::error::GridError;
 ///
 /// Rendered in A1 notation (`A1` = row 0, column 0). Columns are letters
 /// `A..Z, AA..`, rows are 1-based numbers, matching spreadsheet convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellAddr {
     pub row: u32,
     pub col: u32,

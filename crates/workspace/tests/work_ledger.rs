@@ -8,7 +8,8 @@
 //! `SUM` totals row below it (one region per table, the totals in the
 //! catch-all), and one 20 000 × 12 ROM import. For each, a batch of edits,
 //! 50×12 window fetches, row and column inserts and deletes inside the
-//! regions, and the checkpoint after the edits. `work_ledger.txt` holds the
+//! regions, the checkpoint after the edits, and row inserts below every
+//! used row, which move no cell and no formula. `work_ledger.txt` holds the
 //! counts; on a mismatch the differing lines are printed and the actual
 //! ledger is written to `$CARGO_TARGET_TMPDIR/work_ledger.actual.txt`,
 //! which replaces the fixture when a change of counts is intended.
@@ -105,6 +106,8 @@ struct Population {
     origins: Vec<(u32, u32)>,
     rows: u32,
     cols: u32,
+    /// A row below every row the population uses.
+    past: u32,
 }
 
 impl Population {
@@ -121,13 +124,14 @@ impl Population {
 }
 
 /// The op kinds of the ledger, in its order.
-const KINDS: [&str; 6] = [
+const KINDS: [&str; 7] = [
     "edit",
     "fetch 50x12",
     "insert row",
     "delete row",
     "insert col",
     "delete col",
+    "insert row past",
 ];
 
 enum Op {
@@ -148,7 +152,8 @@ fn op(k: usize, pop: &Population, rng: &mut Rng) -> Op {
         2 => Edit::InsertRows { at: row, n: 1 },
         3 => Edit::DeleteRows { at: row, n: 1 },
         4 => Edit::InsertCols { at: col, n: 1 },
-        _ => Edit::DeleteCols { at: col, n: 1 },
+        5 => Edit::DeleteCols { at: col, n: 1 },
+        _ => Edit::InsertRows { at: pop.past, n: 1 },
     })
 }
 
@@ -194,6 +199,8 @@ fn tables(s: &Session, rng: &mut Rng) -> Population {
         origins,
         rows: 48,
         cols: 8,
+        // The slot below the last totals row (440).
+        past: 8 * 56,
     }
 }
 
@@ -205,6 +212,7 @@ fn import(s: &Session, rng: &mut Rng) -> Population {
         origins: vec![(0, 0)],
         rows: 20_000,
         cols: 12,
+        past: 20_000,
     }
 }
 
