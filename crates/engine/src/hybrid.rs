@@ -802,8 +802,9 @@ impl HybridSheet {
     /// lands inside ([`Shift::within`]) has its translator shifted and is
     /// marked dirty. A region that only moves stays clean for the next
     /// checkpoint: the rect change lands in the page-map, not in its
-    /// payload. An edit some region cannot take is refused before anything
-    /// moves.
+    /// payload. The routing index is rebuilt only when a rect moved or a
+    /// region went. An edit some region cannot take is refused before
+    /// anything moves.
     pub fn shift(&mut self, s: Shift) -> Result<(), EngineError> {
         self.refuse(s)?;
         let (Shift::InsertRows { at, n }
@@ -817,16 +818,22 @@ impl HybridSheet {
         }
         // No insert reaching here pushes a region off the sheet, so only
         // the regions a delete removes whole are dropped.
+        let before = self.regions.len();
         self.regions.retain(|r| s.apply_rect(&r.rect).is_some());
+        let mut moved = self.regions.len() != before;
         let shifted = self.regions.iter_mut().try_for_each(|region| {
             if let Some(local) = s.within(&region.rect) {
                 region.dirty = true;
                 region.translator.shift(local)?;
             }
-            region.rect = s.apply_rect(&region.rect).unwrap_or(region.rect);
+            let rect = s.apply_rect(&region.rect).unwrap_or(region.rect);
+            moved |= rect != region.rect;
+            region.rect = rect;
             Ok(())
         });
-        self.rebuild_routing();
+        if moved {
+            self.rebuild_routing();
+        }
         shifted
     }
 

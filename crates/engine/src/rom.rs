@@ -6,6 +6,15 @@
 //! maps column positions to physical column groups — so row *and* column
 //! inserts avoid cascading updates (paper §V: "row and column numbers can
 //! be dealt with independently").
+//!
+//! Deletes are map edits too. A row delete drops its tuple; a column delete
+//! takes its group out of the column map and its cells out of the counts,
+//! and touches no tuple. The group's datums stay in the tuples, where no
+//! read reaches them (every read goes through the column map), until the
+//! region is rebuilt: a checkpoint encodes the region from its scan, and
+//! reopen, `migrate_region` and `reorganize` build compact stores. Until
+//! then [`Translator::storage_bytes`] still counts them, the way a dropped
+//! PostgreSQL column takes space until its table is rewritten.
 
 use dataspread_grid::{codec, Cell, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
@@ -26,8 +35,10 @@ pub struct RomTranslator {
     rows_map: HierarchicalPosMap<TupleId>,
     /// Column position → physical column group (datums `2g` and `2g+1`).
     cols_map: HierarchicalPosMap<u32>,
-    next_group: u32,
     filled: u64,
+    /// Non-blank cells per physical group, one entry per group ever made;
+    /// a deleted column's group reads 0.
+    group_filled: Vec<u64>,
 }
 
 impl std::fmt::Debug for RomTranslator {
@@ -52,8 +63,8 @@ impl RomTranslator {
             table: Table::new("rom", Schema::new(Vec::new())),
             rows_map: HierarchicalPosMap::new(),
             cols_map: HierarchicalPosMap::new(),
-            next_group: 0,
             filled: 0,
+            group_filled: Vec::new(),
         }
     }
 
@@ -96,10 +107,40 @@ impl RomTranslator {
     /// Allocate a fresh physical group without appending it to the column
     /// map (used by middle-of-sheet column inserts).
     fn fresh_group(&mut self) -> Result<u32, EngineError> {
-        let g = self.next_group;
+        let g = self.group_filled.len() as u32;
         add_group(&mut self.table, g)?;
-        self.next_group += 1;
+        self.group_filled.push(0);
         Ok(g)
+    }
+
+    /// Write `cells` (sheet column, cell) into sheet row `row` with one
+    /// tuple rewrite, keeping `filled` and the group counts in step.
+    fn write_row(&mut self, row: u32, cells: &[(u32, Cell)]) -> Result<(), EngineError> {
+        let Some(max_col) = cells.iter().map(|&(c, _)| c).max() else {
+            return Ok(());
+        };
+        self.ensure_rows(row)?;
+        self.ensure_cols(max_col)?;
+        let tid = *self.rows_map.get(row as usize).expect("ensured");
+        let mut tuple = self.table.fetch(tid)?;
+        for (col, cell) in cells {
+            let g = *self.cols_map.get(*col as usize).expect("ensured") as usize;
+            let was_blank = cell_at(&tuple, g).is_blank();
+            [tuple[2 * g], tuple[2 * g + 1]] = cell_to_datums(cell);
+            match (was_blank, cell.is_blank()) {
+                (true, false) => {
+                    self.filled += 1;
+                    self.group_filled[g] += 1;
+                }
+                (false, true) => {
+                    self.filled -= 1;
+                    self.group_filled[g] -= 1;
+                }
+                _ => {}
+            }
+        }
+        self.table.update(tid, &tuple)?;
+        Ok(())
     }
 
     /// The projected decode of sheet columns `c1..=c2`: the physical datum
@@ -119,12 +160,13 @@ impl RomTranslator {
         }
         (groups, wanted)
     }
+}
 
-    fn cell_from_row(&self, row: &[Datum], group: u32) -> Cell {
-        let v = row.get(2 * group as usize).unwrap_or(&Datum::Null);
-        let f = row.get(2 * group as usize + 1).unwrap_or(&Datum::Null);
-        datums_to_cell(v, f)
-    }
+/// Group `g`'s cell in a fetched tuple.
+fn cell_at(tuple: &[Datum], g: usize) -> Cell {
+    let v = tuple.get(2 * g).unwrap_or(&Datum::Null);
+    let f = tuple.get(2 * g + 1).unwrap_or(&Datum::Null);
+    datums_to_cell(v, f)
 }
 
 /// Add physical group `g`'s `[value, formula]` columns to a ROM table.
@@ -150,6 +192,7 @@ pub(crate) struct RomBuilder {
     cols_map: HierarchicalPosMap<u32>,
     tids: Vec<TupleId>,
     filled: u64,
+    group_filled: Vec<u64>,
     /// Rows the region spans so far (the open row included).
     rows: u32,
     /// The open row, reused from row to row.
@@ -165,6 +208,7 @@ impl RomBuilder {
             cols_map: HierarchicalPosMap::new(),
             tids: Vec::new(),
             filled: 0,
+            group_filled: Vec::new(),
             rows: 0,
             tuple: RowWriter::default(),
             written: 0,
@@ -176,6 +220,7 @@ impl RomBuilder {
         for g in self.cols_map.len() as u32..width {
             add_group(&mut self.table, g)?;
             self.cols_map.push(g);
+            self.group_filled.push(0);
         }
         Ok(())
     }
@@ -204,7 +249,9 @@ impl RomBuilder {
             self.tuple.push(DatumRef::Null);
         }
         self.written = col + 1;
-        self.filled += u64::from(!matches!(value, ScanValue::Empty) || formula.is_some());
+        let filled = u64::from(!matches!(value, ScanValue::Empty) || formula.is_some());
+        self.filled += filled;
+        self.group_filled[col as usize] += filled;
         write_stored(&mut self.tuple, value, formula);
         Ok(())
     }
@@ -216,9 +263,9 @@ impl RomBuilder {
         Ok(RomTranslator {
             table: self.table,
             rows_map: HierarchicalPosMap::bulk_load(self.tids),
-            next_group: self.cols_map.len() as u32,
             cols_map: self.cols_map,
             filled: self.filled,
+            group_filled: self.group_filled,
         })
     }
 }
@@ -253,48 +300,11 @@ impl Translator for RomTranslator {
     }
 
     fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
-        self.ensure_rows(row)?;
-        self.ensure_cols(col)?;
-        let tid = *self.rows_map.get(row as usize).expect("ensured");
-        let group = *self.cols_map.get(col as usize).expect("ensured");
-        let mut tuple = self.table.fetch(tid)?;
-        let was_blank = self.cell_from_row(&tuple, group).is_blank();
-        let [v, f] = cell_to_datums(&cell);
-        let is_blank = cell.is_blank();
-        tuple[2 * group as usize] = v;
-        tuple[2 * group as usize + 1] = f;
-        self.table.update(tid, &tuple)?;
-        match (was_blank, is_blank) {
-            (true, false) => self.filled += 1,
-            (false, true) => self.filled -= 1,
-            _ => {}
-        }
-        Ok(())
+        self.write_row(row, &[(col, cell)])
     }
 
     fn set_cells_in_row(&mut self, row: u32, cells: Vec<(u32, Cell)>) -> Result<(), EngineError> {
-        let Some(&(max_col, _)) = cells.iter().max_by_key(|(c, _)| *c) else {
-            return Ok(());
-        };
-        self.ensure_rows(row)?;
-        self.ensure_cols(max_col)?;
-        let tid = *self.rows_map.get(row as usize).expect("ensured");
-        let mut tuple = self.table.fetch(tid)?;
-        for (col, cell) in cells {
-            let group = *self.cols_map.get(col as usize).expect("ensured");
-            let was_blank = self.cell_from_row(&tuple, group).is_blank();
-            let is_blank = cell.is_blank();
-            let [v, f] = cell_to_datums(&cell);
-            tuple[2 * group as usize] = v;
-            tuple[2 * group as usize + 1] = f;
-            match (was_blank, is_blank) {
-                (true, false) => self.filled += 1,
-                (false, true) => self.filled -= 1,
-                _ => {}
-            }
-        }
-        self.table.update(tid, &tuple)?;
-        Ok(())
+        self.write_row(row, &cells)
     }
 
     /// One ordered walk of the rows in `rect`: each tuple is decoded once,
@@ -337,10 +347,12 @@ impl Translator for RomTranslator {
                     let Some(tid) = self.rows_map.remove_at(at as usize) else {
                         break;
                     };
-                    // Keep the filled counter honest.
+                    // Only a group with cells can lose one: a deleted
+                    // column's group reads 0, so its datums count for nothing.
                     if let Ok(tuple) = self.table.fetch(tid) {
-                        for g in 0..self.next_group {
-                            if !self.cell_from_row(&tuple, g).is_blank() {
+                        for (g, count) in self.group_filled.iter_mut().enumerate() {
+                            if *count > 0 && !cell_at(&tuple, g).is_blank() {
+                                *count -= 1;
                                 self.filled -= 1;
                             }
                         }
@@ -358,32 +370,14 @@ impl Translator for RomTranslator {
                 }
             }
             Shift::DeleteCols { at, n } => {
-                // Physical columns become orphaned (a migration reclaims them);
-                // the logical view shifts immediately.
-                let gone: Vec<u32> = (0..n)
-                    .map_while(|_| self.cols_map.remove_at(at as usize))
-                    .collect();
-                if gone.is_empty() {
-                    return Ok(());
-                }
-                // Null-out the orphaned groups so filled stays honest and the data
-                // is actually gone: one walk, one update per touched row.
-                for &tid in self.rows_map.iter() {
-                    let Ok(mut tuple) = self.table.fetch(tid) else {
-                        continue;
+                // A column-map edit: the group's cells leave the counts and
+                // its datums stay in the tuples, unread, until a rebuild
+                // (reopen, migrate or reorganize) leaves them behind.
+                for _ in 0..n {
+                    let Some(g) = self.cols_map.remove_at(at as usize) else {
+                        break;
                     };
-                    let mut touched = false;
-                    for &g in &gone {
-                        if !self.cell_from_row(&tuple, g).is_blank() {
-                            self.filled -= 1;
-                            tuple[2 * g as usize] = Datum::Null;
-                            tuple[2 * g as usize + 1] = Datum::Null;
-                            touched = true;
-                        }
-                    }
-                    if touched {
-                        self.table.update(tid, &tuple)?;
-                    }
+                    self.filled -= std::mem::take(&mut self.group_filled[g as usize]);
                 }
             }
         }
@@ -402,6 +396,7 @@ impl Translator for RomTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::translator::WHOLE;
     use dataspread_grid::{CellAddr, CellValue};
 
     fn cell(n: i64) -> Cell {
@@ -484,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn delete_cols_nulls_every_deleted_group() {
+    fn delete_cols_edits_the_column_map_and_a_rebuild_drops_the_data() {
         let mut t = RomTranslator::new();
         for r in 0..5u32 {
             for c in 0..6u32 {
@@ -503,7 +498,32 @@ mod tests {
             let from = if a.col == 0 { 0 } else { a.col + 3 };
             assert_eq!(c.value, CellValue::Number(f64::from(10 * a.row + from)));
         }
-        assert!(t.storage_bytes() < bytes, "the deleted data is gone");
+        assert_eq!(t.storage_bytes(), bytes, "no tuple was rewritten");
+        // A rebuild from the scan (what reopen, migrate and reorganize do)
+        // holds only the live cells.
+        let mut b = RomBuilder::new();
+        t.scan(WHOLE, &mut |r, c, v, f| b.push(r, c, v, f).unwrap());
+        let rebuilt = b.finish().unwrap();
+        assert_eq!(rebuilt.all_cells(), left);
+        assert_eq!(rebuilt.filled_count(), 10);
+        assert!(rebuilt.storage_bytes() < bytes, "the deleted data is gone");
+    }
+
+    #[test]
+    fn a_row_delete_counts_only_live_columns() {
+        let mut t = RomTranslator::new();
+        for r in 0..3u32 {
+            for c in 0..4u32 {
+                t.set_cell(r, c, cell(i64::from(10 * r + c))).unwrap();
+            }
+        }
+        t.shift(Shift::DeleteCols { at: 1, n: 2 }).unwrap();
+        assert_eq!(t.filled_count(), 6);
+        t.shift(Shift::DeleteRows { at: 0, n: 2 }).unwrap();
+        assert_eq!(t.filled_count(), 2, "deleted columns count for nothing");
+        assert_eq!(t.get_cell(0, 1).unwrap().value, CellValue::Number(23.0));
+        t.set_cell(0, 1, Cell::default()).unwrap();
+        assert_eq!(t.filled_count(), 1);
     }
 
     #[test]
