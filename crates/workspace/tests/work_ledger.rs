@@ -4,11 +4,13 @@
 //! so a change that does more work shows as a changed line, with no clock
 //! read and no noise to argue with.
 //!
-//! Two seeded durable populations: 64 ROM tables of 48×8, each with a
+//! Three seeded durable populations: 64 ROM tables of 48×8, each with a
 //! `SUM` totals row below it (one region per table, the totals in the
-//! catch-all), and one 20 000 × 12 ROM import. For each, a batch of edits,
-//! 50×12 window fetches, row and column inserts and deletes inside the
-//! regions, the checkpoint after the edits, and row inserts below every
+//! catch-all); one 20 000 × 12 ROM import; and a cascade, 1 000 imported
+//! data rows under a 64-row sliding `SUM`, a scalar column over it, a
+//! 500-row running chain and a whole-column total. For each, a batch of
+//! edits, 50×12 window fetches, row and column inserts and deletes inside
+//! the regions, the checkpoint after the edits, and row inserts below every
 //! used row, which move no cell and no formula. `work_ledger.txt` holds the
 //! counts; on a mismatch the differing lines are printed and the actual
 //! ledger is written to `$CARGO_TARGET_TMPDIR/work_ledger.actual.txt`,
@@ -100,19 +102,22 @@ impl Rng {
 /// Ops of each kind per population.
 const BATCH: usize = 8;
 
-/// Where a population's ops land: a table's top-left, and its size.
+/// Where a population's ops land: a table's top-left, and the span of
+/// rows and columns from it that the ops pick from.
 struct Population {
     name: &'static str,
     origins: Vec<(u32, u32)>,
     rows: u32,
     cols: u32,
+    /// The column every edit lands in, when not a random one.
+    edit_col: Option<u32>,
     /// A row below every row the population uses.
     past: u32,
 }
 
 impl Population {
     /// A random table's first column, and a position strictly inside the
-    /// table on each axis, so an insert there lands inside the region.
+    /// span on each axis, so an insert there lands inside the region.
     fn pick(&self, rng: &mut Rng) -> (u32, u32, u32) {
         let (r0, c0) = self.origins[rng.range(0, self.origins.len() as u32) as usize];
         (
@@ -145,7 +150,7 @@ fn op(k: usize, pop: &Population, rng: &mut Rng) -> Op {
     Op::Edit(match k {
         0 => Edit::Set {
             row,
-            col,
+            col: pop.edit_col.unwrap_or(col),
             input: rng.range(0, 1_000_000).to_string(),
         },
         1 => return Op::Fetch(Rect::new(row, c0, row + 49, c0 + 11)),
@@ -199,6 +204,7 @@ fn tables(s: &Session, rng: &mut Rng) -> Population {
         origins,
         rows: 48,
         cols: 8,
+        edit_col: None,
         // The slot below the last totals row (440).
         past: 8 * 56,
     }
@@ -212,7 +218,61 @@ fn import(s: &Session, rng: &mut Rng) -> Population {
         origins: vec![(0, 0)],
         rows: 20_000,
         cols: 12,
+        edit_col: None,
         past: 20_000,
+    }
+}
+
+/// `cascade`, scaled down: 1 000 rows of 6 data columns; in H a `SUM` of
+/// column A's last 64 rows, in I a scalar over H, in J a running chain
+/// down its first 500 rows and in K1 the total of column I. The formulas
+/// are typed as staged edits under one commit. Ops land in the chain's
+/// rows and edits in column A, so each edit recomputes a window of `SUM`s,
+/// their scalars, the chain below it and the total.
+fn cascade(s: &Session, rng: &mut Rng) -> Population {
+    const ROWS: u32 = 1_000;
+    const WINDOW: u32 = 64;
+    const CHAIN: u32 = 500;
+    const H: u32 = 7;
+    let a1 = |r: u32, c: u32| CellAddr::new(r, c).to_a1();
+    let data: Vec<Vec<CellValue>> = (0..ROWS)
+        .map(|_| {
+            (0..6)
+                .map(|_| CellValue::Number(f64::from(rng.range(0, 1_000))))
+                .collect()
+        })
+        .collect();
+    s.import_rows("p", CellAddr::new(0, 0), 6, data).unwrap();
+    let mut formulas = Vec::new();
+    for r in 0..ROWS {
+        let top = r.saturating_sub(WINDOW - 1);
+        formulas.push((r, H, format!("=SUM({}:{})", a1(top, 0), a1(r, 0))));
+    }
+    for r in 0..ROWS {
+        formulas.push((r, H + 1, format!("={}*2-1", a1(r, H))));
+    }
+    formulas.push((0, H + 2, format!("={}", a1(0, 0))));
+    for r in 1..CHAIN {
+        let chain = format!("={}+{}", a1(r - 1, H + 2), a1(r, 0));
+        formulas.push((r, H + 2, chain));
+    }
+    let total = format!("=SUM({}:{})", a1(0, H + 1), a1(ROWS - 1, H + 1));
+    formulas.push((0, H + 3, total));
+    let mut ticket = 0;
+    for (row, col, input) in formulas {
+        ticket = s
+            .stage_edit("p", Edit::Set { row, col, input })
+            .unwrap()
+            .ticket;
+    }
+    s.await_commit("p", ticket).unwrap();
+    Population {
+        name: "cascade",
+        origins: vec![(0, 0)],
+        rows: CHAIN,
+        cols: 6,
+        edit_col: Some(0),
+        past: ROWS,
     }
 }
 
@@ -281,6 +341,7 @@ fn work_counts_match_the_ledger() {
     let mut actual = format!("# {BATCH} ops per line; see work_ledger.rs\n");
     ledger(&mut actual, tables, 0x5EED_0001, "tables");
     ledger(&mut actual, import, 0x5EED_0002, "import");
+    ledger(&mut actual, cascade, 0x5EED_0003, "cascade");
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("work_ledger.actual.txt");
     std::fs::write(&path, &actual).unwrap();
     let golden = include_str!("work_ledger.txt");
