@@ -30,7 +30,7 @@ use dataspread_corpus::{
 use dataspread_engine::hybrid::{build_translator, HybridSheet, StorageReader};
 use dataspread_formula::refs::collect_ranges;
 use dataspread_formula::{parse, Evaluator, Expr};
-use dataspread_grid::{Cell, CellAddr, CellValue, Rect, Shift, SparseSheet};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, ScanValue, Shift, SparseSheet};
 use dataspread_hybrid::dp::{dp_cost, primitive_cost};
 use dataspread_hybrid::{
     incremental_agg, opt_lower_bound, optimize_agg, optimize_dp, optimize_greedy,
@@ -270,7 +270,9 @@ fn load_hybrid(sheet: &SparseSheet, decomp: &Decomposition) -> HybridSheet {
     let mut hs = HybridSheet::new();
     hs.reorganize(decomp).expect("fresh reorganize");
     for (addr, cell) in sheet.iter() {
-        hs.set_cell(addr, cell.clone()).expect("load cell");
+        let value = ScanValue::of(&cell.value);
+        hs.set_cell(addr, value, cell.formula.as_deref())
+            .expect("load cell");
     }
     hs
 }
@@ -963,11 +965,11 @@ fn fig18(full: bool) {
 /// Update a 100x20 block one row-batch at a time (Figure 22), insert one
 /// row (Figure 23), and select a 1000x20 window (Figure 24).
 fn translator_ops(hs: &mut HybridSheet) -> [Duration; 3] {
-    let patch: Vec<(u32, Cell)> = (0..20).map(|c| (c, Cell::value(1i64))).collect();
+    let patch: Vec<_> = (0..20).map(|c| (c, ScanValue::Number(1.0), None)).collect();
     [
         time_median(3, || {
             for r in 200..300 {
-                hs.set_cells_in_row(r, patch.clone()).expect("update");
+                hs.set_cells_in_row(r, &patch).expect("update");
             }
         }),
         time_median(3, || {
@@ -1161,7 +1163,7 @@ mod tests {
     fn dense_rom_loads() {
         let hs = substrate(ModelKind::Rom, 100, 10, 1.0);
         assert_eq!(hs.filled_count(), 1000);
-        assert!(hs.get_cell(CellAddr::new(99, 9)).is_some());
+        assert!(!hs.value(CellAddr::new(99, 9)).is_empty());
     }
 
     #[test]

@@ -1398,18 +1398,23 @@ impl Translator for ColumnarTranslator {
         self.columns.len() as u32
     }
 
-    fn get_cell(&self, row: u32, col: u32) -> Option<Cell> {
+    fn value(&self, row: u32, col: u32) -> CellValue {
         if col >= self.cols() {
-            return None;
+            return CellValue::Empty;
         }
-        let (value, formula) = CellCursor::one_row(self, col, row).at(row);
-        let cell = value.to_cell(formula);
-        (!cell.is_blank()).then_some(cell)
+        CellCursor::one_row(self, col, row).at(row).0.to_value()
     }
 
-    fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
+    /// The overlay owns its cells until compaction folds them in.
+    fn set_cell(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
         self.ensure_extent(row + 1, col + 1);
-        self.overlay.insert((col, row), cell);
+        self.overlay.insert((col, row), value.to_cell(formula));
         if self.overlay.len() >= OVERLAY_COMPACT {
             self.compact();
         }
@@ -1526,6 +1531,7 @@ impl Translator for ColumnarTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cells::StoreCells;
 
     fn cell_n(n: f64) -> Cell {
         Cell::value(n)
@@ -1596,7 +1602,7 @@ mod tests {
     #[test]
     fn overlay_write_read_clear() {
         let mut t = sample();
-        t.set_cell(10, 0, Cell::value("edited")).unwrap();
+        t.put_cell(10, 0, Cell::value("edited")).unwrap();
         assert_eq!(
             t.get_cell(10, 0).unwrap().value,
             CellValue::Text("edited".into())
@@ -1625,7 +1631,7 @@ mod tests {
             .collect();
         for (i, &(r, c)) in edits.iter().enumerate() {
             assert_eq!(t.overlay.len(), i, "no compaction below the threshold");
-            t.set_cell(r, c, Cell::value(format!("edit{r}"))).unwrap();
+            t.put_cell(r, c, Cell::value(format!("edit{r}"))).unwrap();
         }
         assert!(t.overlay.is_empty(), "compaction must have run");
         for &(r, c) in &edits[20..] {
@@ -1646,8 +1652,8 @@ mod tests {
     #[test]
     fn byte_roundtrip_is_identical() {
         let mut t = sample();
-        t.set_cell(3, 2, Cell::value(9.5)).unwrap();
-        t.set_cell(
+        t.put_cell(3, 2, Cell::value(9.5)).unwrap();
+        t.put_cell(
             4,
             1,
             Cell {
@@ -1656,7 +1662,7 @@ mod tests {
             },
         )
         .unwrap();
-        t.set_cell(5, 0, Cell::default()).unwrap();
+        t.put_cell(5, 0, Cell::default()).unwrap();
         let bytes = t.to_bytes();
         let mut back = ColumnarTranslator::from_bytes(&bytes).unwrap();
         assert_eq!(back.to_bytes(), bytes);
@@ -1721,7 +1727,7 @@ mod tests {
     #[test]
     fn column_agg_matches_sequential_fold() {
         let mut t = sample();
-        t.set_cell(17, 0, Cell::value(100.5)).unwrap();
+        t.put_cell(17, 0, Cell::value(100.5)).unwrap();
         let agg = t.column_agg(0, 0, 99);
         let mut sum = 0.0;
         let mut numbers = 0u64;
@@ -1742,9 +1748,9 @@ mod tests {
     #[test]
     fn column_agg_stops_at_first_error() {
         let mut t = sample();
-        t.set_cell(30, 0, Cell::value(CellValue::Error(CellError::Div0)))
+        t.put_cell(30, 0, Cell::value(CellValue::Error(CellError::Div0)))
             .unwrap();
-        t.set_cell(60, 0, Cell::value(CellValue::Error(CellError::Ref)))
+        t.put_cell(60, 0, Cell::value(CellValue::Error(CellError::Ref)))
             .unwrap();
         let agg = t.column_agg(0, 0, 99);
         assert_eq!(agg.error, Some(CellError::Div0));

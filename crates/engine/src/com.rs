@@ -2,7 +2,7 @@
 //! transpose of ROM: one tuple per sheet *column*, so column operations are
 //! tuple operations and row operations are schema operations.
 
-use dataspread_grid::{Cell, Rect, ScanValue, Shift};
+use dataspread_grid::{Cell, CellValue, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 
 use crate::error::EngineError;
@@ -68,12 +68,18 @@ impl Translator for ComTranslator {
         self.inner.rows()
     }
 
-    fn get_cell(&self, row: u32, col: u32) -> Option<Cell> {
-        self.inner.get_cell(col, row)
+    fn value(&self, row: u32, col: u32) -> CellValue {
+        self.inner.value(col, row)
     }
 
-    fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
-        self.inner.set_cell(col, row, cell)
+    fn set_cell(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
+        self.inner.set_cell(col, row, value, formula)
     }
 
     /// The inner ROM walks column-major, so its scan of the transposed rect
@@ -112,7 +118,8 @@ impl Translator for ComTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataspread_grid::CellValue;
+    use crate::test_cells::StoreCells;
+    use dataspread_grid::{Cell, CellValue};
 
     #[test]
     fn transposed_semantics_match_rom() {
@@ -121,8 +128,8 @@ mod tests {
         for r in 0..5 {
             for c in 0..3 {
                 let v = Cell::value((r * 10 + c) as i64);
-                com.set_cell(r, c, v.clone()).unwrap();
-                rom.set_cell(r, c, v).unwrap();
+                com.put_cell(r, c, v.clone()).unwrap();
+                rom.put_cell(r, c, v).unwrap();
             }
         }
         assert_eq!(com.rows(), 5);
@@ -141,7 +148,7 @@ mod tests {
     fn row_insert_in_com_is_schema_level() {
         let mut com = ComTranslator::new();
         for r in 0..4 {
-            com.set_cell(r, 0, Cell::value(r as i64)).unwrap();
+            com.put_cell(r, 0, Cell::value(r as i64)).unwrap();
         }
         com.shift(Shift::InsertRows { at: 2, n: 1 }).unwrap();
         assert_eq!(com.rows(), 5);
@@ -154,7 +161,7 @@ mod tests {
     fn col_ops_are_tuple_level() {
         let mut com = ComTranslator::new();
         for c in 0..4 {
-            com.set_cell(0, c, Cell::value(c as i64)).unwrap();
+            com.put_cell(0, c, Cell::value(c as i64)).unwrap();
         }
         com.shift(Shift::InsertCols { at: 1, n: 2 }).unwrap();
         assert_eq!(com.cols(), 6);

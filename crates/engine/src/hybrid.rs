@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dataspread_formula::RangeAgg;
-use dataspread_grid::{Cell, CellAddr, Rect, ScanValue, Shift, SparseSheet};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, ScanValue, Shift, SparseSheet};
 use dataspread_hybrid::{Decomposition, ModelKind, Occupancy, Region};
 use dataspread_posmap::MAX_POSITIONS;
 use dataspread_relstore::StoreError;
@@ -222,7 +222,7 @@ fn gather(store: &dyn Translator, origin: (u32, u32), out: &mut Vec<(CellAddr, C
 
 /// Row-interval routing index over the (pairwise disjoint) region
 /// rectangles, so point routing and window fetches stop scanning the whole
-/// region list — O(log R) instead of O(R) per `get_cell`/`set_cell`.
+/// region list — O(log R) instead of O(R) per `value`/`set_cell`.
 ///
 /// The row axis is cut at every region boundary into *elementary bands*:
 /// each region listed in a band covers the band's full row span, which
@@ -434,17 +434,18 @@ impl HybridSheet {
                 "region {rect} overlaps an existing region"
             )));
         }
-        let mut strays = self.catchall.get_range(rect).into_iter().peekable();
-        let mut absorbed = Vec::new();
-        while let Some(row) = strays.peek().map(|(a, _)| a.row) {
-            let mut run = Vec::new();
-            while let Some((addr, cell)) = strays.next_if(|(a, _)| a.row == row) {
-                absorbed.push(addr);
-                run.push((addr.col - rect.c1, cell));
-            }
-            translator.set_cells_in_row(row - rect.r1, run)?;
+        let strays = self.catchall.get_range(rect);
+        for run in strays.chunk_by(|(a, _), (b, _)| a.row == b.row) {
+            let row: Vec<_> = run
+                .iter()
+                .map(|(addr, cell)| {
+                    let value = ScanValue::of(&cell.value);
+                    (addr.col - rect.c1, value, cell.formula.as_deref())
+                })
+                .collect();
+            translator.set_cells_in_row(run[0].0.row - rect.r1, &row)?;
         }
-        for addr in absorbed {
+        for (addr, _) in &strays {
             self.catchall.clear_cell(addr.row, addr.col)?;
             self.catchall_dirty = true;
         }
@@ -627,14 +628,16 @@ impl HybridSheet {
         self.routing.route(addr)
     }
 
-    pub fn get_cell(&self, addr: CellAddr) -> Option<Cell> {
+    /// The point read: the value at `addr`, [`CellValue::Empty`] when the
+    /// cell is blank.
+    pub fn value(&self, addr: CellAddr) -> CellValue {
         match self.region_at(addr) {
             Some(i) => {
                 let r = &self.regions[i];
                 r.translator
-                    .get_cell(addr.row - r.rect.r1, addr.col - r.rect.c1)
+                    .value(addr.row - r.rect.r1, addr.col - r.rect.c1)
             }
-            None => self.catchall.get_cell(addr.row, addr.col),
+            None => self.catchall.value(addr.row, addr.col),
         }
     }
 
@@ -658,49 +661,52 @@ impl HybridSheet {
         }
     }
 
-    pub fn set_cell(&mut self, addr: CellAddr, cell: Cell) -> Result<(), EngineError> {
+    /// Write the cell at `addr` as `value` and `formula`, in the store it
+    /// routes to.
+    pub fn set_cell(
+        &mut self,
+        addr: CellAddr,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
         let (store, row, col) = self.store_for_write(addr);
-        store.set_cell(row, col, cell)
+        store.set_cell(row, col, value, formula)
     }
 
-    /// Batched update of several cells in one sheet row (the interactive
-    /// "paste a row" / range-update path of Figure 22). Consumes the batch:
-    /// cells *move* into their owning translator — no clones while
-    /// grouping, and no per-region scratch allocation proportional to the
-    /// region count.
+    /// Batched update of several cells in one sheet row, `(col, value,
+    /// formula)` each (the interactive "paste a row" / range-update path
+    /// of Figure 22): each store is handed its cells as one batch, so
+    /// row-oriented translators rewrite each row tuple once.
     pub fn set_cells_in_row(
         &mut self,
         row: u32,
-        cells: Vec<(u32, Cell)>,
+        cells: &[(u32, ScanValue<'_>, Option<&str>)],
     ) -> Result<(), EngineError> {
-        // Group the columns by owning region so row-oriented translators
-        // rewrite each row tuple once. A single row crosses few regions,
-        // so a first-encounter list beats a map.
-        let mut remaining: Vec<(u32, Cell)> = Vec::new();
-        let mut groups: Vec<(usize, Vec<(u32, Cell)>)> = Vec::new();
-        for (col, cell) in cells {
-            match self.region_at(CellAddr::new(row, col)) {
-                Some(i) => match groups.iter_mut().find(|(slot, _)| *slot == i) {
-                    Some((_, group)) => group.push((col, cell)),
-                    None => groups.push((i, vec![(col, cell)])),
-                },
-                None => remaining.push((col, cell)),
+        // Group the columns by owning region. A single row crosses few
+        // regions, so a first-encounter list beats a map.
+        let mut remaining = Vec::new();
+        let mut groups: Vec<(usize, Vec<_>)> = Vec::new();
+        for &(col, value, formula) in cells {
+            let Some(i) = self.region_at(CellAddr::new(row, col)) else {
+                remaining.push((col, value, formula));
+                continue;
+            };
+            let local = (col - self.regions[i].rect.c1, value, formula);
+            match groups.iter_mut().find(|(slot, _)| *slot == i) {
+                Some((_, group)) => group.push(local),
+                None => groups.push((i, vec![local])),
             }
         }
         for (i, group) in groups {
-            let rect = self.regions[i].rect;
-            let local: Vec<(u32, Cell)> =
-                group.into_iter().map(|(c, v)| (c - rect.c1, v)).collect();
-            self.regions[i].dirty = true;
-            self.regions[i]
-                .translator
-                .set_cells_in_row(row - rect.r1, local)?;
+            let r = &mut self.regions[i];
+            r.dirty = true;
+            r.translator.set_cells_in_row(row - r.rect.r1, &group)?;
         }
         if remaining.is_empty() {
             return Ok(());
         }
         self.catchall_dirty = true;
-        self.catchall.set_cells_in_row(row, remaining)
+        self.catchall.set_cells_in_row(row, &remaining)
     }
 
     pub fn clear_cell(&mut self, addr: CellAddr) -> Result<(), EngineError> {
@@ -1177,11 +1183,8 @@ impl HybridSheet {
 pub struct StorageReader<'a>(pub &'a HybridSheet);
 
 impl dataspread_formula::eval::CellReader for StorageReader<'_> {
-    fn value(&self, addr: CellAddr) -> dataspread_grid::CellValue {
-        self.0
-            .get_cell(addr)
-            .map(|c| c.value)
-            .unwrap_or(dataspread_grid::CellValue::Empty)
+    fn value(&self, addr: CellAddr) -> CellValue {
+        self.0.value(addr)
     }
 
     fn for_each_value(&self, rect: Rect, f: &mut dyn FnMut(CellAddr, ScanValue<'_>)) {
@@ -1202,6 +1205,7 @@ mod tests {
     use super::*;
     use crate::com::ComTranslator;
     use crate::rom::RomTranslator;
+    use crate::test_cells::{SheetCells, StoreCells};
     use dataspread_grid::CellValue;
 
     /// Regions currently flagged dirty (catch-all included; stamp-based
@@ -1245,8 +1249,8 @@ mod tests {
     #[test]
     fn routing_region_vs_catchall() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(10, 10), Cell::value(1i64)).unwrap();
-        hs.set_cell(addr(0, 0), Cell::value(2i64)).unwrap();
+        hs.put_cell(addr(10, 10), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(0, 0), Cell::value(2i64)).unwrap();
         assert_eq!(
             hs.get_cell(addr(10, 10)).unwrap().value,
             CellValue::Number(1.0)
@@ -1262,7 +1266,7 @@ mod tests {
     #[test]
     fn add_region_absorbs_strays_and_rejects_overlap() {
         let mut hs = HybridSheet::new();
-        hs.set_cell(addr(5, 5), Cell::value(7i64)).unwrap();
+        hs.put_cell(addr(5, 5), Cell::value(7i64)).unwrap();
         let rom = Box::new(RomTranslator::new());
         hs.add_region(Rect::new(0, 0, 9, 9), rom).unwrap();
         // The stray moved out of the catch-all into the region.
@@ -1278,8 +1282,8 @@ mod tests {
     #[test]
     fn get_cells_merges_regions_and_catchall() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
-        hs.set_cell(addr(5, 12), Cell::value(2i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(5, 12), Cell::value(2i64)).unwrap();
         let cells = hs.get_cells(Rect::new(0, 0, 30, 30));
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].0, addr(5, 12), "row-major merge");
@@ -1289,7 +1293,7 @@ mod tests {
     #[test]
     fn sheet_row_insert_shifts_regions_below() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(1i64)).unwrap();
         hs.shift(Shift::InsertRows { at: 0, n: 5 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(15, 10, 24, 14));
         assert_eq!(
@@ -1302,7 +1306,7 @@ mod tests {
     #[test]
     fn sheet_row_insert_inside_region_grows_it() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(1i64)).unwrap();
         hs.shift(Shift::InsertRows { at: 11, n: 2 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(10, 10, 21, 14));
         assert_eq!(
@@ -1314,8 +1318,8 @@ mod tests {
     #[test]
     fn delete_rows_across_regions() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
-        hs.set_cell(addr(19, 10), Cell::value(2i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(19, 10), Cell::value(2i64)).unwrap();
         // Delete rows 11..13 (2 rows, one above the value at 12? no: 11,12).
         hs.shift(Shift::DeleteRows { at: 11, n: 2 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(10, 10, 17, 14));
@@ -1329,7 +1333,7 @@ mod tests {
     #[test]
     fn delete_covering_whole_region_drops_it() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(1i64)).unwrap();
         hs.shift(Shift::DeleteRows { at: 5, n: 30 }).unwrap();
         assert_eq!(hs.region_count(), 0);
         assert_eq!(hs.filled_count(), 0);
@@ -1338,7 +1342,7 @@ mod tests {
     #[test]
     fn column_edits_mirror_row_edits() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(1i64)).unwrap();
         hs.shift(Shift::InsertCols { at: 0, n: 3 }).unwrap();
         assert_eq!(hs.layout()[0].0, Rect::new(10, 13, 19, 17));
         assert_eq!(
@@ -1358,11 +1362,11 @@ mod tests {
         let mut hs = HybridSheet::new();
         for r in 0..8 {
             for c in 0..4 {
-                hs.set_cell(addr(r, c), Cell::value((r * 4 + c) as i64))
+                hs.put_cell(addr(r, c), Cell::value((r * 4 + c) as i64))
                     .unwrap();
             }
         }
-        hs.set_cell(addr(50, 50), Cell::value(99i64)).unwrap();
+        hs.put_cell(addr(50, 50), Cell::value(99i64)).unwrap();
         let before = hs.snapshot(true);
         let decomp = Decomposition::new(vec![
             Region {
@@ -1391,11 +1395,11 @@ mod tests {
     #[test]
     fn failed_reorganize_leaves_the_sheet_untouched() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(5i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(5i64)).unwrap();
         for r in 0..3000 {
-            hs.set_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
+            hs.put_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
         }
-        hs.set_cell(addr(0, 40_000), Cell::value(-1i64)).unwrap();
+        hs.put_cell(addr(0, 40_000), Cell::value(-1i64)).unwrap();
         hs.clear_dirty();
         let before = (hs.snapshot(true), hs.layout(), hs.filled_count());
         let ids: Vec<u64> = hs.regions.iter().map(|r| r.id).collect();
@@ -1444,11 +1448,11 @@ mod tests {
     #[test]
     fn reorganize_keeps_regions_the_decomposition_leaves_alone() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(5i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(5i64)).unwrap();
         for r in 30..34 {
-            hs.set_cell(addr(r, 1), Cell::value(r as i64)).unwrap();
+            hs.put_cell(addr(r, 1), Cell::value(r as i64)).unwrap();
         }
-        hs.set_cell(addr(90, 90), Cell::value(9i64)).unwrap();
+        hs.put_cell(addr(90, 90), Cell::value(9i64)).unwrap();
         hs.clear_dirty();
         let rom_id = hs.regions[0].id;
         let before = hs.snapshot(true);
@@ -1507,8 +1511,8 @@ mod tests {
     #[test]
     fn dissolved_region_cells_fall_back_to_the_catchall() {
         let mut hs = sheet_with_rom_region();
-        hs.set_cell(addr(12, 12), Cell::value(5i64)).unwrap();
-        hs.set_cell(addr(0, 0), Cell::value(1i64)).unwrap();
+        hs.put_cell(addr(12, 12), Cell::value(5i64)).unwrap();
+        hs.put_cell(addr(0, 0), Cell::value(1i64)).unwrap();
         let before = hs.snapshot(true);
         let migrated = hs.reorganize(&Decomposition::default()).unwrap();
         assert_eq!(migrated, 2);
@@ -1521,9 +1525,9 @@ mod tests {
     fn failed_add_region_leaves_the_strays_in_the_catchall() {
         let mut hs = HybridSheet::new();
         for r in 0..3000 {
-            hs.set_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
+            hs.put_cell(addr(r, 0), Cell::value(r as i64)).unwrap();
         }
-        hs.set_cell(addr(0, 40_000), Cell::value(-1i64)).unwrap();
+        hs.put_cell(addr(0, 40_000), Cell::value(-1i64)).unwrap();
         let before = hs.snapshot(true);
         let rom = Box::new(RomTranslator::new());
         assert!(matches!(
@@ -1638,7 +1642,7 @@ mod tests {
             for _ in 0..60 {
                 let at = addr(rng.gen_range(0..130), rng.gen_range(0..12));
                 // Linked tables refuse writes past their rows.
-                let _ = hs.set_cell(at, random_cell(&mut rng));
+                let _ = hs.put_cell(at, random_cell(&mut rng));
             }
 
             let images = hs.region_images();
@@ -1678,7 +1682,7 @@ mod tests {
             _ => Box::new(RcvTranslator::new()),
         };
         for (a, c) in cells {
-            t.set_cell(a.row, a.col, c.clone()).unwrap();
+            t.put_cell(a.row, a.col, c.clone()).unwrap();
         }
         t
     }
@@ -1882,7 +1886,7 @@ mod tests {
                 assert_eq!(hs.region_at(addr(0, 0)), None, "{kind:?}: {what}");
             }
             let mut hs = HybridSheet::new();
-            hs.set_cell(addr(50, 50), Cell::value(7.0)).unwrap();
+            hs.put_cell(addr(50, 50), Cell::value(7.0)).unwrap();
             assert!(hs.restore_catchall(payload).is_err(), "catch-all: {what}");
             assert_eq!(
                 hs.catchall.all_cells(),

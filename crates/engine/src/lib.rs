@@ -49,3 +49,11 @@ pub use sheet::{OptimizeAlgorithm, OptimizeReport, SheetEngine};
 pub use translator::Translator;
 
 pub use dataspread_hybrid::ModelKind;
+
+// The unit tests share the integration tests' owned-cell helpers, which
+// name this crate by its package name.
+#[cfg(test)]
+extern crate self as dataspread_engine;
+#[cfg(test)]
+#[path = "../tests/common/cells.rs"]
+mod test_cells;

@@ -8,6 +8,10 @@
 //! `(row id, col id)` to the tuple. Structural edits touch only the
 //! positional maps — O(log N), no tuple rewrites.
 //!
+//! A write goes the builder's way, its tuple through a kept [`RowWriter`]
+//! and [`write_stored`] into [`Table::insert_row`] or
+//! [`Table::update_row`]; the point read decodes the value datum alone.
+//!
 //! The maps materialize every position up to the highest one touched, so
 //! a write or insert reaching [`MAX_POSITIONS`] is refused up front, never
 //! materialized: RCV is the catch-all, the one store a stray write at any
@@ -16,17 +20,13 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use dataspread_grid::{Cell, Rect, ScanValue, Shift};
+use dataspread_grid::{CellValue, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
-use dataspread_relstore::{
-    ColumnDef, DataType, Datum, DatumRef, RowWriter, Schema, Table, TupleId,
-};
+use dataspread_relstore::{ColumnDef, DataType, DatumRef, RowWriter, Schema, Table, TupleId};
 
 use crate::error::EngineError;
-use crate::translator::{
-    cell_to_datums, datum_to_scan, datums_to_cell, write_stored, CellVisitor, Translator,
-};
+use crate::translator::{datum_to_scan, is_blank, write_stored, CellVisitor, Translator};
 
 /// Row-column-value storage for one region (also the hybrid layer's
 /// catch-all for cells outside every region).
@@ -40,6 +40,8 @@ pub struct RcvTranslator {
     index: BTreeMap<(u64, u64), TupleId>,
     next_row_id: u64,
     next_col_id: u64,
+    /// The tuple a write is written in, reused from write to write.
+    writer: RowWriter,
 }
 
 impl std::fmt::Debug for RcvTranslator {
@@ -75,6 +77,7 @@ impl RcvTranslator {
             index: BTreeMap::new(),
             next_row_id: 0,
             next_col_id: 0,
+            writer: RowWriter::default(),
         }
     }
 
@@ -92,10 +95,25 @@ impl RcvTranslator {
         }
     }
 
-    fn fetch_cell(&self, rid: u64, cid: u64) -> Option<Cell> {
-        let tid = *self.index.get(&(rid, cid))?;
-        let tuple = self.table.fetch(tid).ok()?;
-        Some(datums_to_cell(&tuple[2], &tuple[3]))
+    /// Write the cell at `(row id, col id)` as its tuple: over `tid` when
+    /// it has one, else as a new tuple. Returns the tuple's id.
+    fn write_tuple(
+        &mut self,
+        (rid, cid): (u64, u64),
+        tid: Option<TupleId>,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<TupleId, EngineError> {
+        self.writer.push(DatumRef::Int(rid as i64));
+        self.writer.push(DatumRef::Int(cid as i64));
+        write_stored(&mut self.writer, value, formula);
+        Ok(match tid {
+            Some(tid) => {
+                self.table.update_row(tid, &mut self.writer)?;
+                tid
+            }
+            None => self.table.insert_row(&mut self.writer)?,
+        })
     }
 }
 
@@ -107,8 +125,6 @@ pub(crate) struct RcvBuilder {
     t: RcvTranslator,
     rows: u32,
     cols: u32,
-    /// Each cell's tuple, reused from cell to cell.
-    tuple: RowWriter,
 }
 
 impl RcvBuilder {
@@ -117,7 +133,6 @@ impl RcvBuilder {
             t: RcvTranslator::new(),
             rows: 0,
             cols: 0,
-            tuple: RowWriter::default(),
         }
     }
 
@@ -137,16 +152,13 @@ impl RcvBuilder {
         // An explicit blank still spans the extent, as `set_cell` has it.
         self.rows = self.rows.max(row + 1);
         self.cols = self.cols.max(col + 1);
-        if matches!(value, ScanValue::Empty) && formula.is_none() {
+        if is_blank(value, formula) {
             return Ok(());
         }
         // Ids equal positions at build time: a per-cell build's
         // `ensure_rows`/`ensure_cols` hand them out in the same order.
         let key = (u64::from(row), u64::from(col));
-        self.tuple.push(DatumRef::Int(key.0 as i64));
-        self.tuple.push(DatumRef::Int(key.1 as i64));
-        write_stored(&mut self.tuple, value, formula);
-        let tid = self.t.table.insert_row(&mut self.tuple)?;
+        let tid = self.t.write_tuple(key, None, value, formula)?;
         self.t.index.insert(key, tid);
         Ok(())
     }
@@ -174,18 +186,22 @@ impl Translator for RcvTranslator {
         self.cols_map.len() as u32
     }
 
-    fn get_cell(&self, row: u32, col: u32) -> Option<Cell> {
-        let rid = *self.rows_map.get(row as usize)?;
-        let cid = *self.cols_map.get(col as usize)?;
-        let cell = self.fetch_cell(rid, cid)?;
-        if cell.is_blank() {
-            None
-        } else {
-            Some(cell)
-        }
+    fn value(&self, row: u32, col: u32) -> CellValue {
+        self.rows_map
+            .get(row as usize)
+            .zip(self.cols_map.get(col as usize))
+            .and_then(|(&rid, &cid)| self.index.get(&(rid, cid)))
+            .and_then(|&tid| self.table.fetch_col_ref(tid, 2).ok())
+            .map_or(CellValue::Empty, |d| datum_to_scan(d).to_value())
     }
 
-    fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
+    fn set_cell(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
         if row >= MAX_POSITIONS || col >= MAX_POSITIONS {
             return Err(EngineError::Unsupported(format!(
                 "cell ({row},{col}) is outside the RCV positional space \
@@ -196,23 +212,19 @@ impl Translator for RcvTranslator {
         self.ensure_cols(col);
         let rid = *self.rows_map.get(row as usize).expect("ensured");
         let cid = *self.cols_map.get(col as usize).expect("ensured");
-        if cell.is_blank() {
+        let tid = self.index.get(&(rid, cid)).copied();
+        if is_blank(value, formula) {
             // Blank assignment = delete the tuple (RCV stores only filled
             // cells).
-            if let Some(&tid) = self.index.get(&(rid, cid)) {
+            if let Some(tid) = tid {
                 self.table.delete(tid);
                 self.index.remove(&(rid, cid));
             }
             return Ok(());
         }
-        let [v, f] = cell_to_datums(&cell);
-        let tuple = [Datum::Int(rid as i64), Datum::Int(cid as i64), v, f];
-        match self.index.get(&(rid, cid)).copied() {
-            Some(tid) => self.table.update(tid, &tuple)?,
-            None => {
-                let tid = self.table.insert(&tuple)?;
-                self.index.insert((rid, cid), tid);
-            }
+        let written = self.write_tuple((rid, cid), tid, value, formula)?;
+        if tid.is_none() {
+            self.index.insert((rid, cid), written);
         }
         Ok(())
     }
@@ -250,7 +262,7 @@ impl Translator for RcvTranslator {
                 }
                 let formula = pair[1].as_str();
                 let value = datum_to_scan(pair[0]);
-                if !matches!(value, ScanValue::Empty) || formula.is_some() {
+                if !is_blank(value, formula) {
                     f(r, c, value, formula);
                 }
             }
@@ -338,13 +350,14 @@ impl Translator for RcvTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataspread_grid::{CellAddr, CellValue};
+    use crate::test_cells::StoreCells;
+    use dataspread_grid::{Cell, CellAddr, CellValue};
 
     #[test]
     fn sparse_cells_store_one_tuple_each() {
         let mut t = RcvTranslator::new();
-        t.set_cell(100, 200, Cell::value(1i64)).unwrap();
-        t.set_cell(5000, 3, Cell::value(2i64)).unwrap();
+        t.put_cell(100, 200, Cell::value(1i64)).unwrap();
+        t.put_cell(5000, 3, Cell::value(2i64)).unwrap();
         assert_eq!(t.filled_count(), 2);
         assert_eq!(t.get_cell(100, 200).unwrap().value, CellValue::Number(1.0));
         assert_eq!(t.get_cell(0, 0), None);
@@ -353,9 +366,9 @@ mod tests {
     #[test]
     fn blank_set_deletes_tuple() {
         let mut t = RcvTranslator::new();
-        t.set_cell(1, 1, Cell::value(9i64)).unwrap();
+        t.put_cell(1, 1, Cell::value(9i64)).unwrap();
         assert_eq!(t.filled_count(), 1);
-        t.set_cell(1, 1, Cell::default()).unwrap();
+        t.put_cell(1, 1, Cell::default()).unwrap();
         assert_eq!(t.filled_count(), 0);
         assert_eq!(t.get_cell(1, 1), None);
     }
@@ -364,7 +377,7 @@ mod tests {
     fn row_insert_delete_via_posmaps() {
         let mut t = RcvTranslator::new();
         for r in 0..10 {
-            t.set_cell(r, 0, Cell::value(r as i64)).unwrap();
+            t.put_cell(r, 0, Cell::value(r as i64)).unwrap();
         }
         t.shift(Shift::InsertRows { at: 5, n: 2 }).unwrap();
         assert_eq!(t.get_cell(4, 0).unwrap().value, CellValue::Number(4.0));
@@ -383,7 +396,7 @@ mod tests {
     fn col_insert_delete() {
         let mut t = RcvTranslator::new();
         for c in 0..5 {
-            t.set_cell(0, c, Cell::value(c as i64)).unwrap();
+            t.put_cell(0, c, Cell::value(c as i64)).unwrap();
         }
         t.shift(Shift::InsertCols { at: 2, n: 1 }).unwrap();
         assert_eq!(t.get_cell(0, 2), None);
@@ -396,10 +409,10 @@ mod tests {
     #[test]
     fn range_scan_row_major() {
         let mut t = RcvTranslator::new();
-        t.set_cell(1, 1, Cell::value(1i64)).unwrap();
-        t.set_cell(1, 3, Cell::value(2i64)).unwrap();
-        t.set_cell(2, 2, Cell::value(3i64)).unwrap();
-        t.set_cell(9, 9, Cell::value(4i64)).unwrap();
+        t.put_cell(1, 1, Cell::value(1i64)).unwrap();
+        t.put_cell(1, 3, Cell::value(2i64)).unwrap();
+        t.put_cell(2, 2, Cell::value(3i64)).unwrap();
+        t.put_cell(9, 9, Cell::value(4i64)).unwrap();
         let got = t.get_range(Rect::new(1, 1, 3, 3));
         let addrs: Vec<CellAddr> = got.iter().map(|(a, _)| *a).collect();
         assert_eq!(
@@ -427,7 +440,7 @@ mod tests {
         ] {
             assert!(
                 matches!(
-                    t.set_cell(r, c, Cell::value(1i64)),
+                    t.put_cell(r, c, Cell::value(1i64)),
                     Err(EngineError::Unsupported(_))
                 ),
                 "({r},{c}) must be refused"
@@ -469,7 +482,7 @@ mod tests {
         // The last in-cap coordinate is *representable* (we do not want to
         // materialize it here — that is legitimately large — just prove the
         // boundary arithmetic refuses only at >= cap).
-        t.set_cell(100, 100, Cell::value(7i64)).unwrap();
+        t.put_cell(100, 100, Cell::value(7i64)).unwrap();
         assert_eq!(t.filled_count(), 1);
         // Reads and clears beyond the cap stay cheap no-ops.
         assert_eq!(t.get_cell(4_000_000_000, 0), None);
@@ -479,8 +492,8 @@ mod tests {
     #[test]
     fn update_existing_cell_replaces_tuple() {
         let mut t = RcvTranslator::new();
-        t.set_cell(0, 0, Cell::value(1i64)).unwrap();
-        t.set_cell(0, 0, Cell::value("now a much longer text value"))
+        t.put_cell(0, 0, Cell::value(1i64)).unwrap();
+        t.put_cell(0, 0, Cell::value("now a much longer text value"))
             .unwrap();
         assert_eq!(t.filled_count(), 1);
         assert_eq!(

@@ -7,6 +7,11 @@
 //! inserts avoid cascading updates (paper §V: "row and column numbers can
 //! be dealt with independently").
 //!
+//! A write re-writes its row's tuple the way the builder writes one, from
+//! the old datums as borrows through a kept [`RowWriter`] and
+//! [`write_stored`] into [`Table::update_row`] (Figure 22's one UPDATE per
+//! row). The point read decodes only the cell's value datum.
+//!
 //! Deletes are map edits too. A row delete drops its tuple; a column delete
 //! takes its group out of the column map and its cells out of the counts,
 //! and touches no tuple. The group's datums stay in the tuples, where no
@@ -16,17 +21,13 @@
 //! then [`Translator::storage_bytes`] still counts them, the way a dropped
 //! PostgreSQL column takes space until its table is rewritten.
 
-use dataspread_grid::{codec, Cell, Rect, ScanValue, Shift};
+use dataspread_grid::{codec, CellValue, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_posmap::{HierarchicalPosMap, PositionalMap, MAX_POSITIONS};
-use dataspread_relstore::{
-    ColumnDef, DataType, Datum, DatumRef, RowWriter, Schema, Table, TupleId,
-};
+use dataspread_relstore::{ColumnDef, DataType, DatumRef, RowWriter, Schema, Table, TupleId};
 
 use crate::error::EngineError;
-use crate::translator::{
-    cell_to_datums, datum_to_scan, datums_to_cell, write_stored, CellVisitor, Translator,
-};
+use crate::translator::{datum_to_scan, is_blank, write_stored, CellVisitor, Translator};
 
 /// Row-oriented storage for one region.
 pub struct RomTranslator {
@@ -39,6 +40,8 @@ pub struct RomTranslator {
     /// Non-blank cells per physical group, one entry per group ever made;
     /// a deleted column's group reads 0.
     group_filled: Vec<u64>,
+    /// The tuple a write is re-written in, reused from write to write.
+    writer: RowWriter,
 }
 
 impl std::fmt::Debug for RomTranslator {
@@ -65,6 +68,7 @@ impl RomTranslator {
             cols_map: HierarchicalPosMap::new(),
             filled: 0,
             group_filled: Vec::new(),
+            writer: RowWriter::default(),
         }
     }
 
@@ -113,21 +117,30 @@ impl RomTranslator {
         Ok(g)
     }
 
-    /// Write `cells` (sheet column, cell) into sheet row `row` with one
-    /// tuple rewrite, keeping `filled` and the group counts in step.
-    fn write_row(&mut self, row: u32, cells: &[(u32, Cell)]) -> Result<(), EngineError> {
-        let Some(max_col) = cells.iter().map(|&(c, _)| c).max() else {
-            return Ok(());
-        };
+    /// The physical group of sheet column `col`, which must exist.
+    fn group(&self, col: u32) -> usize {
+        *self.cols_map.get(col as usize).expect("ensured") as usize
+    }
+
+    /// Write `cells` — (physical group, value, formula) — into sheet row
+    /// `row` with one tuple rewrite, keeping `filled` and the group counts
+    /// in step; a group's last write is the one stored.
+    fn write_row(
+        &mut self,
+        row: u32,
+        cells: &[(usize, ScanValue<'_>, Option<&str>)],
+    ) -> Result<(), EngineError> {
         self.ensure_rows(row)?;
-        self.ensure_cols(max_col)?;
         let tid = *self.rows_map.get(row as usize).expect("ensured");
-        let mut tuple = self.table.fetch(tid)?;
-        for (col, cell) in cells {
-            let g = *self.cols_map.get(*col as usize).expect("ensured") as usize;
-            let was_blank = cell_at(&tuple, g).is_blank();
-            [tuple[2 * g], tuple[2 * g + 1]] = cell_to_datums(cell);
-            match (was_blank, cell.is_blank()) {
+        let mut old = Vec::new();
+        self.table.fetch_ref(tid, &mut old)?;
+        for (g, pair) in old.chunks_exact(2).enumerate() {
+            let Some(&(_, value, formula)) = cells.iter().rev().find(|w| w.0 == g) else {
+                self.writer.push(pair[0]);
+                self.writer.push(pair[1]);
+                continue;
+            };
+            match (pair_blank(pair), is_blank(value, formula)) {
                 (true, false) => {
                     self.filled += 1;
                     self.group_filled[g] += 1;
@@ -138,13 +151,14 @@ impl RomTranslator {
                 }
                 _ => {}
             }
+            write_stored(&mut self.writer, value, formula);
         }
-        self.table.update(tid, &tuple)?;
+        self.table.update_row(tid, &mut self.writer)?;
         Ok(())
     }
 
     /// The projected decode of sheet columns `c1..=c2`: the physical datum
-    /// indices to fetch (sorted, as `fetch_cols` wants them) and, per sheet
+    /// indices to fetch (sorted, as `fetch_cols_ref` wants them) and, per sheet
     /// column in position order, where its `(value, formula)` pair sits in
     /// the projected output.
     fn projection(&self, c1: u32, c2: u32) -> (Vec<(u32, usize)>, Vec<usize>) {
@@ -162,11 +176,9 @@ impl RomTranslator {
     }
 }
 
-/// Group `g`'s cell in a fetched tuple.
-fn cell_at(tuple: &[Datum], g: usize) -> Cell {
-    let v = tuple.get(2 * g).unwrap_or(&Datum::Null);
-    let f = tuple.get(2 * g + 1).unwrap_or(&Datum::Null);
-    datums_to_cell(v, f)
+/// Whether a stored `[value, formula]` pair is a blank cell (two NULLs).
+fn pair_blank(pair: &[DatumRef<'_>]) -> bool {
+    pair.iter().all(|d| *d == DatumRef::Null)
 }
 
 /// Add physical group `g`'s `[value, formula]` columns to a ROM table.
@@ -249,7 +261,7 @@ impl RomBuilder {
             self.tuple.push(DatumRef::Null);
         }
         self.written = col + 1;
-        let filled = u64::from(!matches!(value, ScanValue::Empty) || formula.is_some());
+        let filled = u64::from(!is_blank(value, formula));
         self.filled += filled;
         self.group_filled[col as usize] += filled;
         write_stored(&mut self.tuple, value, formula);
@@ -266,6 +278,7 @@ impl RomBuilder {
             cols_map: self.cols_map,
             filled: self.filled,
             group_filled: self.group_filled,
+            writer: self.tuple,
         })
     }
 }
@@ -283,28 +296,43 @@ impl Translator for RomTranslator {
         self.cols_map.len() as u32
     }
 
-    fn get_cell(&self, row: u32, col: u32) -> Option<Cell> {
-        let tid = *self.rows_map.get(row as usize)?;
-        let group = *self.cols_map.get(col as usize)?;
-        // Projected decode: only the (value, formula) pair of this column.
-        let pair = self
-            .table
-            .fetch_cols(tid, &[2 * group as usize, 2 * group as usize + 1])
-            .ok()?;
-        let cell = datums_to_cell(&pair[0], &pair[1]);
-        if cell.is_blank() {
-            None
-        } else {
-            Some(cell)
-        }
+    fn value(&self, row: u32, col: u32) -> CellValue {
+        let (Some(&tid), Some(&g)) = (
+            self.rows_map.get(row as usize),
+            self.cols_map.get(col as usize),
+        ) else {
+            return CellValue::Empty;
+        };
+        self.table
+            .fetch_col_ref(tid, 2 * g as usize)
+            .map_or(CellValue::Empty, |d| datum_to_scan(d).to_value())
     }
 
-    fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
-        self.write_row(row, &[(col, cell)])
+    fn set_cell(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError> {
+        self.ensure_cols(col)?;
+        self.write_row(row, &[(self.group(col), value, formula)])
     }
 
-    fn set_cells_in_row(&mut self, row: u32, cells: Vec<(u32, Cell)>) -> Result<(), EngineError> {
-        self.write_row(row, &cells)
+    fn set_cells_in_row(
+        &mut self,
+        row: u32,
+        cells: &[(u32, ScanValue<'_>, Option<&str>)],
+    ) -> Result<(), EngineError> {
+        let Some(max_col) = cells.iter().map(|&(c, ..)| c).max() else {
+            return Ok(());
+        };
+        self.ensure_cols(max_col)?;
+        let by_group: Vec<_> = cells
+            .iter()
+            .map(|&(c, v, f)| (self.group(c), v, f))
+            .collect();
+        self.write_row(row, &by_group)
     }
 
     /// One ordered walk of the rows in `rect`: each tuple is decoded once,
@@ -324,7 +352,7 @@ impl Translator for RomTranslator {
             for &(c, at) in &groups {
                 let formula = proj[at + 1].as_str();
                 let value = datum_to_scan(proj[at]);
-                if !matches!(value, ScanValue::Empty) || formula.is_some() {
+                if !is_blank(value, formula) {
                     f(r, c, value, formula);
                 }
             }
@@ -349,9 +377,10 @@ impl Translator for RomTranslator {
                     };
                     // Only a group with cells can lose one: a deleted
                     // column's group reads 0, so its datums count for nothing.
-                    if let Ok(tuple) = self.table.fetch(tid) {
-                        for (g, count) in self.group_filled.iter_mut().enumerate() {
-                            if *count > 0 && !cell_at(&tuple, g).is_blank() {
+                    let mut tuple = Vec::new();
+                    if self.table.fetch_ref(tid, &mut tuple).is_ok() {
+                        for (pair, count) in tuple.chunks_exact(2).zip(&mut self.group_filled) {
+                            if *count > 0 && !pair_blank(pair) {
                                 *count -= 1;
                                 self.filled -= 1;
                             }
@@ -396,8 +425,9 @@ impl Translator for RomTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cells::StoreCells;
     use crate::translator::WHOLE;
-    use dataspread_grid::{CellAddr, CellValue};
+    use dataspread_grid::{Cell, CellAddr, CellValue};
 
     fn cell(n: i64) -> Cell {
         Cell::value(n)
@@ -406,7 +436,7 @@ mod tests {
     #[test]
     fn set_get_roundtrip() {
         let mut t = RomTranslator::new();
-        t.set_cell(2, 3, cell(42)).unwrap();
+        t.put_cell(2, 3, cell(42)).unwrap();
         assert_eq!(t.get_cell(2, 3).unwrap().value, CellValue::Number(42.0));
         assert_eq!(t.get_cell(0, 0), None);
         assert_eq!(t.rows(), 3);
@@ -417,7 +447,7 @@ mod tests {
     #[test]
     fn formulas_survive_storage() {
         let mut t = RomTranslator::new();
-        t.set_cell(
+        t.put_cell(
             0,
             0,
             Cell {
@@ -434,7 +464,7 @@ mod tests {
     fn insert_rows_shifts_without_renumbering() {
         let mut t = RomTranslator::new();
         for r in 0..10 {
-            t.set_cell(r, 0, cell(r as i64)).unwrap();
+            t.put_cell(r, 0, cell(r as i64)).unwrap();
         }
         t.shift(Shift::InsertRows { at: 5, n: 2 }).unwrap();
         assert_eq!(t.rows(), 12);
@@ -449,8 +479,8 @@ mod tests {
     fn delete_rows_updates_filled() {
         let mut t = RomTranslator::new();
         for r in 0..6 {
-            t.set_cell(r, 0, cell(r as i64)).unwrap();
-            t.set_cell(r, 1, cell(-(r as i64))).unwrap();
+            t.put_cell(r, 0, cell(r as i64)).unwrap();
+            t.put_cell(r, 1, cell(-(r as i64))).unwrap();
         }
         assert_eq!(t.filled_count(), 12);
         t.shift(Shift::DeleteRows { at: 1, n: 2 }).unwrap();
@@ -463,7 +493,7 @@ mod tests {
     fn insert_and_delete_cols_via_column_posmap() {
         let mut t = RomTranslator::new();
         for c in 0..4 {
-            t.set_cell(0, c, cell(c as i64)).unwrap();
+            t.put_cell(0, c, cell(c as i64)).unwrap();
         }
         t.shift(Shift::InsertCols { at: 2, n: 1 }).unwrap();
         assert_eq!(t.cols(), 5);
@@ -484,7 +514,7 @@ mod tests {
         for r in 0..5u32 {
             for c in 0..6u32 {
                 if (r + c) % 4 != 0 {
-                    t.set_cell(r, c, cell(i64::from(10 * r + c))).unwrap();
+                    t.put_cell(r, c, cell(i64::from(10 * r + c))).unwrap();
                 }
             }
         }
@@ -514,7 +544,7 @@ mod tests {
         let mut t = RomTranslator::new();
         for r in 0..3u32 {
             for c in 0..4u32 {
-                t.set_cell(r, c, cell(i64::from(10 * r + c))).unwrap();
+                t.put_cell(r, c, cell(i64::from(10 * r + c))).unwrap();
             }
         }
         t.shift(Shift::DeleteCols { at: 1, n: 2 }).unwrap();
@@ -522,7 +552,7 @@ mod tests {
         t.shift(Shift::DeleteRows { at: 0, n: 2 }).unwrap();
         assert_eq!(t.filled_count(), 2, "deleted columns count for nothing");
         assert_eq!(t.get_cell(0, 1).unwrap().value, CellValue::Number(23.0));
-        t.set_cell(0, 1, Cell::default()).unwrap();
+        t.put_cell(0, 1, Cell::default()).unwrap();
         assert_eq!(t.filled_count(), 1);
     }
 
@@ -531,7 +561,7 @@ mod tests {
         let mut t = RomTranslator::new();
         for r in 0..5 {
             for c in 0..3 {
-                t.set_cell(r, c, cell((r * 3 + c) as i64)).unwrap();
+                t.put_cell(r, c, cell((r * 3 + c) as i64)).unwrap();
             }
         }
         let cells = t.get_range(Rect::new(1, 1, 3, 2));
@@ -545,7 +575,7 @@ mod tests {
     #[test]
     fn clear_cell_blanks_and_counts() {
         let mut t = RomTranslator::new();
-        t.set_cell(0, 0, cell(1)).unwrap();
+        t.put_cell(0, 0, cell(1)).unwrap();
         t.clear_cell(0, 0).unwrap();
         assert_eq!(t.get_cell(0, 0), None);
         assert_eq!(t.filled_count(), 0);
@@ -559,7 +589,7 @@ mod tests {
         let empty = t.storage_bytes();
         for r in 0..100 {
             for c in 0..5 {
-                t.set_cell(r, c, cell(1)).unwrap();
+                t.put_cell(r, c, cell(1)).unwrap();
             }
         }
         assert!(t.storage_bytes() > empty);

@@ -15,7 +15,7 @@ use dataspread_formula::batch::{batch_eval_sliding, detect_sliding, SlidingSpec}
 use dataspread_formula::refs::{collect_ranges_at, rewrite, Rewrite, Shift};
 use dataspread_formula::{parse_at, DependencyGraph, Evaluator, WavePlan};
 use dataspread_grid::value::CellError;
-use dataspread_grid::{codec, Cell, CellAddr, CellValue, Rect, SparseSheet};
+use dataspread_grid::{codec, Cell, CellAddr, CellValue, Rect, ScanValue, SparseSheet};
 use dataspread_hybrid::{
     incremental_agg, optimize_agg, optimize_dp, optimize_greedy, CostModel, Decomposition,
     GridView, IncrementalOptions, OptimizerOptions,
@@ -334,10 +334,7 @@ impl SheetEngine {
 
     /// A single cell's computed value.
     pub fn value(&self, addr: CellAddr) -> CellValue {
-        self.sheet
-            .get_cell(addr)
-            .map(|c| c.value)
-            .unwrap_or(CellValue::Empty)
+        self.sheet.value(addr)
     }
 
     /// `updateCell(row, column, value)`: interprets `input` the way a
@@ -354,26 +351,26 @@ impl SheetEngine {
         })
     }
 
+    /// The store takes the cell before the formula registry changes, so a
+    /// cell the store refuses leaves the registry as it was.
     fn update_cell_impl(&mut self, addr: CellAddr, input: &str) -> Result<(), EngineError> {
         if let Some(src) = input.strip_prefix('=') {
             let expr = parse_at(src, addr)?;
+            self.sheet.set_cell(addr, ScanValue::Empty, Some(src))?;
             self.register_formula(addr, expr, src.to_string());
-            self.sheet.set_cell(addr, Cell::formula(src))?;
-            self.recompute(&[addr])?;
-            return Ok(());
+            return self.recompute(&[addr]);
         }
-        // Literal input: drop any previous formula.
-        self.parsed.remove(&addr);
-        self.deps.remove(addr);
         let trimmed = input.trim();
         if trimmed.is_empty() {
             self.sheet.clear_cell(addr)?;
         } else {
             let value = parse_literal(trimmed);
-            self.sheet.set_cell(addr, Cell::value(value))?;
+            self.sheet.set_cell(addr, ScanValue::of(&value), None)?;
         }
-        self.recompute(&[addr])?;
-        Ok(())
+        // Literal input drops any previous formula.
+        self.parsed.remove(&addr);
+        self.deps.remove(addr);
+        self.recompute(&[addr])
     }
 
     /// [`SheetEngine::update_cell`] with an A1 address.
@@ -416,9 +413,9 @@ impl SheetEngine {
     /// Write a concrete value (bypassing literal inference) and recompute
     /// dependents — the replay path for [`LoggedOp::SetValue`].
     fn set_value_impl(&mut self, addr: CellAddr, value: CellValue) -> Result<(), EngineError> {
+        self.sheet.set_cell(addr, ScanValue::of(&value), None)?;
         self.parsed.remove(&addr);
         self.deps.remove(addr);
-        self.sheet.set_cell(addr, Cell::value(value))?;
         self.recompute(&[addr])
     }
 
@@ -863,12 +860,11 @@ impl SheetEngine {
     }
 
     fn write_computed(&mut self, addr: CellAddr, value: CellValue) -> Result<(), EngineError> {
-        // The registry owns the verbatim source text. Re-deriving it from
-        // the stored cell cost a full-`Cell` clone per plan step, and
-        // falling back to the re-serialized AST silently rewrote the
-        // user's formula into canonical form.
-        let formula = self.parsed.get(&addr).map(|info| info.source.clone());
-        self.sheet.set_cell(addr, Cell { value, formula })?;
+        // The registry owns the verbatim source text, and the store takes
+        // it as a borrow. Re-deriving it from the re-serialized AST would
+        // silently rewrite the user's formula into canonical form.
+        let formula = self.parsed.get(&addr).map(|info| info.source.as_str());
+        self.sheet.set_cell(addr, ScanValue::of(&value), formula)?;
         self.cells_recomputed += 1;
         Ok(())
     }
@@ -902,16 +898,18 @@ impl SheetEngine {
         for (to, mut info, report) in moved {
             // A destroyed reference makes the formula `#REF!`; any other
             // change respells its stored text, which names cells.
-            let cell = match report {
-                Rewrite::Untouched => None,
-                Rewrite::Destroyed => Some(Cell::value(CellValue::Error(CellError::Ref))),
+            match report {
+                Rewrite::Untouched => {}
+                Rewrite::Destroyed => {
+                    let error = ScanValue::Error(CellError::Ref);
+                    self.sheet.set_cell(to, error, None)?;
+                }
                 Rewrite::Retargeted | Rewrite::Hit => {
                     info.source = At(&info.expr, to).to_string();
-                    Some(Cell::formula(info.source.clone()).with_value(self.value(to)))
+                    let value = self.value(to);
+                    self.sheet
+                        .set_cell(to, ScanValue::of(&value), Some(&info.source))?;
                 }
-            };
-            if let Some(cell) = cell {
-                self.sheet.set_cell(to, cell)?;
             }
             if report != Rewrite::Destroyed {
                 self.register_formula(to, info.expr, info.source);
@@ -965,6 +963,7 @@ fn parse_literal(s: &str) -> CellValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cells::SheetCells;
 
     fn a(s: &str) -> CellAddr {
         CellAddr::parse_a1(s).unwrap()
@@ -1131,7 +1130,7 @@ mod tests {
         // Editing through the sheet updates the table.
         let first_data = CellAddr::new(rect.r1, rect.c1 + 1);
         e.storage_mut()
-            .set_cell(first_data, Cell::value(999i64))
+            .put_cell(first_data, Cell::value(999i64))
             .unwrap();
         let r = e
             .sql("SELECT amount FROM inv ORDER BY amount DESC LIMIT 1", &[])
@@ -1363,6 +1362,24 @@ mod tests {
         e.update_cell_a1("A2", "=A1+1").unwrap();
         assert_eq!(e.value(a("A2")), CellValue::Number(2.0));
         assert_eq!(e.value(CellAddr::new(4_000_000_000, 0)), CellValue::Empty);
+    }
+
+    #[test]
+    fn a_formula_the_store_refuses_is_not_registered() {
+        // A formula past the catch-all's positional cap is refused by the
+        // store, and must not stay registered: recomputing a formula the
+        // store refuses fails every later edit of the cells it reads.
+        let mut e = SheetEngine::new();
+        e.update_cell_a1("A1", "1").unwrap();
+        e.update_cell_a1("A2", "=A1*2").unwrap();
+        let far = CellAddr::new(100_000_000, 0);
+        let err = e.update_cell(far, "=A1+1").unwrap_err();
+        assert!(matches!(err, EngineError::Unsupported(_)), "{err}");
+        e.update_cell_a1("A1", "2").unwrap();
+        assert_eq!(e.value(a("A2")), CellValue::Number(4.0));
+        e.recompute_all().unwrap();
+        assert_eq!(e.value(a("A2")), CellValue::Number(4.0));
+        assert_eq!(e.value(far), CellValue::Empty);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use dataspread_grid::{Cell, CellValue, Rect, ScanValue, Shift};
+use dataspread_grid::{CellValue, Rect, ScanValue, Shift};
 use dataspread_hybrid::ModelKind;
 use dataspread_relstore::{DataType, Database, Datum, TupleId};
 
@@ -82,18 +82,20 @@ impl Translator for TomTranslator {
             .unwrap_or(0)
     }
 
-    fn get_cell(&self, row: u32, col: u32) -> Option<Cell> {
-        let (_, tuple) = self.nth_tuple(row)?;
-        let datum = tuple.get(col as usize)?;
-        let value = datum_to_value(datum);
-        if value.is_empty() {
-            None
-        } else {
-            Some(Cell::value(value))
-        }
+    fn value(&self, row: u32, col: u32) -> CellValue {
+        self.nth_tuple(row)
+            .and_then(|(_, tuple)| tuple.get(col as usize).map(datum_to_value))
+            .unwrap_or_default()
     }
 
-    fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError> {
+    /// A linked table holds values only: a formula is not stored.
+    fn set_cell(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        _formula: Option<&str>,
+    ) -> Result<(), EngineError> {
         let Some((tid, mut tuple)) = self.nth_tuple(row) else {
             return Err(EngineError::Unsupported(format!(
                 "row {row} beyond linked table {}",
@@ -108,7 +110,7 @@ impl Translator for TomTranslator {
             .get(col as usize)
             .map(|c| c.ty)
             .ok_or_else(|| EngineError::Unsupported(format!("column {col} beyond linked table")))?;
-        tuple[col as usize] = coerce(&cell.value, ty);
+        tuple[col as usize] = coerce(&value.to_value(), ty);
         table.update(tid, &tuple)?;
         Ok(())
     }
@@ -204,6 +206,8 @@ impl Translator for TomTranslator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_cells::StoreCells;
+    use dataspread_grid::Cell;
     use dataspread_relstore::{ColumnDef, Schema};
 
     fn linked() -> (Arc<RwLock<Database>>, TomTranslator) {
@@ -245,11 +249,11 @@ mod tests {
     #[test]
     fn cell_updates_write_through() {
         let (db, mut tom) = linked();
-        tom.set_cell(0, 1, Cell::value(99i64)).unwrap();
+        tom.put_cell(0, 1, Cell::value(99i64)).unwrap();
         let amount = db.read().table("inv").unwrap().scan().next().unwrap().1[1].clone();
         assert_eq!(amount, Datum::Float(99.0));
         // Int columns receive coerced integers.
-        tom.set_cell(0, 0, Cell::value(7i64)).unwrap();
+        tom.put_cell(0, 0, Cell::value(7i64)).unwrap();
         let id = db.read().table("inv").unwrap().scan().next().unwrap().1[0].clone();
         assert_eq!(id, Datum::Int(7));
     }
@@ -294,7 +298,7 @@ mod tests {
         };
         let number = |i: i64| CellValue::Number(i as f64);
 
-        tom.set_cell(0, 1, Cell::value("g".repeat(1000))).unwrap();
+        tom.put_cell(0, 1, Cell::value("g".repeat(1000))).unwrap();
         assert_eq!(ids(&tom), (0..200).map(number).collect::<Vec<_>>());
         assert_eq!(
             tom.get_cell(0, 1).unwrap().value,

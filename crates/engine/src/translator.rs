@@ -1,6 +1,15 @@
 //! The translator abstraction (paper Figure 12: ROM/TOM, COM, RCV, and
 //! hybrid translators all provide a "collection of cells" view over stored
 //! tuples).
+//!
+//! A cell crosses the store boundary one way in both directions: its value
+//! as a borrowed [`ScanValue`], its formula source as an `Option<&str>`.
+//! [`Translator::scan`] hands cells out so, and `set_cell`,
+//! `set_cells_in_row` and the bulk builders take them so. The point read,
+//! [`Translator::value`], returns the value alone: its callers
+//! (`SheetEngine::value`, the evaluator, COM's inner ROM) keep only that,
+//! formula sources live in the engine's registry, and whole cells are read
+//! by scanning.
 
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect, ScanValue, Shift};
@@ -40,15 +49,26 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
     fn rows(&self) -> u32;
     fn cols(&self) -> u32;
 
-    fn get_cell(&self, row: u32, col: u32) -> Option<Cell>;
+    /// The point read: the value at `(row, col)`, [`CellValue::Empty`] for
+    /// a blank cell or a position past the extent. A formula cell reads as
+    /// its last computed value.
+    fn value(&self, row: u32, col: u32) -> CellValue;
 
-    /// Insert-or-update; the translator grows its extent as needed.
-    fn set_cell(&mut self, row: u32, col: u32, cell: Cell) -> Result<(), EngineError>;
+    /// Insert-or-update: the cell holds `value` and `formula` (it is blank
+    /// when `value` is empty and there is no formula). The translator
+    /// grows its extent as needed.
+    fn set_cell(
+        &mut self,
+        row: u32,
+        col: u32,
+        value: ScanValue<'_>,
+        formula: Option<&str>,
+    ) -> Result<(), EngineError>;
 
     /// Blank a cell; a position past the extent is already blank.
     fn clear_cell(&mut self, row: u32, col: u32) -> Result<(), EngineError> {
         if row < self.rows() && col < self.cols() {
-            self.set_cell(row, col, Cell::default())?;
+            self.set_cell(row, col, ScanValue::Empty, None)?;
         }
         Ok(())
     }
@@ -77,13 +97,17 @@ pub trait Translator: std::fmt::Debug + Send + Sync {
         self.get_range(WHOLE)
     }
 
-    /// Update several cells of one row at once, consuming the batch so no
-    /// translator has to clone cell payloads. Row-oriented translators
-    /// override this to fetch/rewrite the row tuple a single time (the
-    /// paper's ROM issues one UPDATE per row, not per cell — Figure 22).
-    fn set_cells_in_row(&mut self, row: u32, cells: Vec<(u32, Cell)>) -> Result<(), EngineError> {
-        for (col, cell) in cells {
-            self.set_cell(row, col, cell)?;
+    /// Update several cells of one row at once: `(col, value, formula)`
+    /// each, applied in order. Row-oriented translators override this to
+    /// rewrite the row tuple a single time (the paper's ROM issues one
+    /// UPDATE per row, not per cell — Figure 22).
+    fn set_cells_in_row(
+        &mut self,
+        row: u32,
+        cells: &[(u32, ScanValue<'_>, Option<&str>)],
+    ) -> Result<(), EngineError> {
+        for &(col, value, formula) in cells {
+            self.set_cell(row, col, value, formula)?;
         }
         Ok(())
     }
@@ -154,11 +178,11 @@ pub fn value_to_datum(v: &CellValue) -> Datum {
     }
 }
 
-/// The one escape rule of ROM, COM and RCV, which the owned
-/// ([`cell_to_datums`]) and the written ([`write_stored`]) encodings both
-/// call: the datum `v` is stored as. An error is a text behind
-/// [`ERR_TAG`], and a text beginning with [`ESC`] goes behind one more, so
-/// no text reads back as an error. Either text is built in `text`.
+/// The one escape rule of ROM, COM and RCV, which every tuple they write
+/// goes through ([`write_stored`]): the datum `v` is stored as. An error
+/// is a text behind [`ERR_TAG`], and a text beginning with [`ESC`] goes
+/// behind one more, so no text reads back as an error. Either text is
+/// built in `text`.
 fn stored<'a>(v: ScanValue<'a>, text: &'a mut String) -> DatumRef<'a> {
     match v {
         ScanValue::Text(s) if s.starts_with(ESC) => *text = format!("{ESC}{s}"),
@@ -172,11 +196,17 @@ fn stored<'a>(v: ScanValue<'a>, text: &'a mut String) -> DatumRef<'a> {
 }
 
 /// Append a cell's stored `[value, formula]` pair to `row` straight from
-/// the borrows, as [`cell_to_datums`] has it: a text is copied once, into
-/// the tuple.
+/// the borrows — the one encoder of a stored cell, for the bulk builders
+/// and per-cell writes alike: a text is copied once, into the tuple.
 pub(crate) fn write_stored(row: &mut RowWriter, value: ScanValue<'_>, formula: Option<&str>) {
     row.push(stored(value, &mut String::new()));
     row.push(formula.map_or(DatumRef::Null, DatumRef::Text));
+}
+
+/// Whether a cell of `value` and `formula` is blank: no value and no
+/// formula.
+pub(crate) fn is_blank(value: ScanValue<'_>, formula: Option<&str>) -> bool {
+    matches!(value, ScanValue::Empty) && formula.is_none()
 }
 
 /// Decode a datum back into a cell value.
@@ -216,26 +246,6 @@ fn parse_cell_error(s: &str) -> CellError {
     }
 }
 
-/// Encode a cell (value + optional formula) as a stored `[value, formula]`
-/// pair of owned datums (texts are copied).
-pub fn cell_to_datums(cell: &Cell) -> [Datum; 2] {
-    [
-        stored(ScanValue::of(&cell.value), &mut String::new()).to_datum(),
-        cell.formula.as_deref().map_or(Datum::Null, Datum::from),
-    ]
-}
-
-/// Decode a `[value, formula]` datum pair.
-pub fn datums_to_cell(value: &Datum, formula: &Datum) -> Cell {
-    Cell {
-        value: datum_to_value(value),
-        formula: match formula {
-            Datum::Text(s) => Some(s.clone()),
-            _ => None,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,20 +272,7 @@ mod tests {
     }
 
     #[test]
-    fn cell_roundtrip() {
-        let cell = Cell {
-            value: CellValue::Number(85.0),
-            formula: Some("AVERAGE(B2:C2)+D2+E2".into()),
-        };
-        let [v, f] = cell_to_datums(&cell);
-        assert_eq!(datums_to_cell(&v, &f), cell);
-        let plain = Cell::value(1i64);
-        let [v, f] = cell_to_datums(&plain);
-        assert_eq!(datums_to_cell(&v, &f), plain);
-    }
-
-    #[test]
-    fn owned_encode_matches_written_encode() {
+    fn a_written_cell_reads_back_as_written() {
         use dataspread_relstore::{ColumnDef, DataType, Schema, Table};
         let mut table = Table::new(
             "t",
@@ -285,31 +282,24 @@ mod tests {
             ]),
         );
         let mut row = RowWriter::default();
-        for cell in [
-            Cell::value(1i64),
-            Cell {
-                value: CellValue::Text("abc".into()),
-                formula: Some("A1&\"x\"".into()),
-            },
-            Cell {
-                value: CellValue::Error(CellError::Na),
-                formula: None,
-            },
-            Cell::value("\u{1}x"),
-            Cell::value("\u{1}ERR:#REF!"),
-            Cell::value("\u{1}\u{1}"),
-            Cell::value(true),
-            Cell::default(),
+        for (value, formula) in [
+            (ScanValue::Number(1.0), None),
+            (ScanValue::Text("abc"), Some("A1&\"x\"")),
+            (ScanValue::Error(CellError::Na), None),
+            // Texts that begin with the marker stay texts.
+            (ScanValue::Text("\u{1}x"), None),
+            (ScanValue::Text("\u{1}ERR:#REF!"), None),
+            (ScanValue::Text("\u{1}\u{1}"), None),
+            (ScanValue::Bool(true), None),
+            (ScanValue::Empty, Some("B2")),
+            (ScanValue::Empty, None),
         ] {
-            write_stored(
-                &mut row,
-                ScanValue::of(&cell.value),
-                cell.formula.as_deref(),
-            );
+            write_stored(&mut row, value, formula);
             let tid = table.insert_row(&mut row).unwrap();
-            let owned = cell_to_datums(&cell);
-            assert_eq!(table.fetch(tid).unwrap(), owned, "{cell:?}");
-            assert_eq!(datums_to_cell(&owned[0], &owned[1]), cell);
+            let mut pair = Vec::new();
+            table.fetch_ref(tid, &mut pair).unwrap();
+            assert_eq!(datum_to_scan(pair[0]), value, "{value:?}");
+            assert_eq!(pair[1].as_str(), formula, "{value:?}");
         }
     }
 }

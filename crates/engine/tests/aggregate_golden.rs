@@ -11,6 +11,10 @@
 //! the evaluator folds its own walk, a columnar region pushes the
 //! aggregate down, or (single-range calls) a fill-down batch sweeps it.
 
+#[path = "common/cells.rs"]
+mod cells;
+
+use cells::SheetCells;
 use dataspread_engine::hybrid::{build_translator, HybridSheet, StorageReader};
 use dataspread_engine::ModelKind;
 use dataspread_formula::eval::CellReader;
@@ -165,7 +169,7 @@ fn sheets() -> Vec<(String, HybridSheet)> {
     let mut out = Vec::new();
     let mut catchall = HybridSheet::new();
     for (addr, cell) in &cells {
-        catchall.set_cell(*addr, cell.clone()).unwrap();
+        catchall.put_cell(*addr, cell.clone()).unwrap();
     }
     out.push(("catch-all".to_string(), catchall));
     for kind in [
@@ -179,7 +183,7 @@ fn sheets() -> Vec<(String, HybridSheet)> {
     // Columnar, every cell a pending overlay write.
     let mut overlay = region(ModelKind::Columnar, Vec::new());
     for (addr, cell) in &cells {
-        overlay.set_cell(*addr, cell.clone()).unwrap();
+        overlay.put_cell(*addr, cell.clone()).unwrap();
     }
     out.push(("Columnar overlay".to_string(), overlay));
     // Columnar, a third of the base holding decoys that overlay writes
@@ -200,7 +204,7 @@ fn sheets() -> Vec<(String, HybridSheet)> {
             .find(|(a, _)| *a == addr)
             .map(|(_, c)| c.clone())
             .unwrap_or_default();
-        masked.set_cell(addr, cell).unwrap();
+        masked.put_cell(addr, cell).unwrap();
     }
     out.push(("Columnar masked".to_string(), masked));
     out

@@ -10,6 +10,10 @@
 //! bulk-built region is not allowed to be a different *kind* of object
 //! from one that grew cell by cell.
 
+#[path = "common/cells.rs"]
+mod cells;
+
+use cells::StoreCells;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -105,7 +109,7 @@ fn per_cell(
     if kind == ModelKind::Columnar {
         let mut t = ColumnarTranslator::new(rows, cols);
         for (a, c) in cells {
-            t.set_cell(a.row, a.col, c.clone()).unwrap();
+            t.put_cell(a.row, a.col, c.clone()).unwrap();
         }
         t.compact();
         return Box::new(t);
@@ -116,7 +120,7 @@ fn per_cell(
         _ => Box::new(RcvTranslator::new()),
     };
     for (a, c) in cells {
-        t.set_cell(a.row, a.col, c.clone()).unwrap();
+        t.put_cell(a.row, a.col, c.clone()).unwrap();
     }
     t
 }
@@ -162,7 +166,7 @@ fn step(rng: &mut StdRng, a: &mut dyn Translator, b: &mut dyn Translator, ctx: &
         0..=4 => {
             let (r, c) = (rng.gen_range(0..rows + 2), rng.gen_range(0..cols + 1));
             let cell = random_cell(rng);
-            (a.set_cell(r, c, cell.clone()), b.set_cell(r, c, cell))
+            (a.put_cell(r, c, cell.clone()), b.put_cell(r, c, cell))
         }
         5 => {
             let (r, c) = (rng.gen_range(0..rows + 2), rng.gen_range(0..cols + 1));
@@ -176,10 +180,7 @@ fn step(rng: &mut StdRng, a: &mut dyn Translator, b: &mut dyn Translator, ctx: &
                     batch.push((c, random_cell(rng)));
                 }
             }
-            (
-                a.set_cells_in_row(r, batch.clone()),
-                b.set_cells_in_row(r, batch),
-            )
+            (a.put_row(r, batch.clone()), b.put_row(r, batch))
         }
         7 => {
             let (at, n) = (rng.gen_range(0..rows + 1), rng.gen_range(1..3));

@@ -13,6 +13,10 @@
 //! exactly the bytes of a region built fresh from its cells. The decoder
 //! does not check dictionary order, so only these byte comparisons pin it.
 
+#[path = "common/cells.rs"]
+mod cells;
+
+use cells::StoreCells;
 use proptest::prelude::*;
 
 use dataspread_engine::hybrid::build_translator;
@@ -88,7 +92,7 @@ fn grid() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32, Cell)>)> {
 fn build(rows: u32, cols: u32, raw: &[(u32, u32, Cell)]) -> ColumnarTranslator {
     let mut t = ColumnarTranslator::new(rows, cols);
     for (r, c, cell) in raw {
-        t.set_cell(r % rows, c % cols, cell.clone()).unwrap();
+        t.put_cell(r % rows, c % cols, cell.clone()).unwrap();
     }
     t.compact();
     t
@@ -128,7 +132,7 @@ fn every_bit_flip_of_a_mixed_payload_is_refused_or_canonical() {
             Cell::formula("A1+1").with_value(CellValue::Error(CellError::Na)),
         ];
         for (c, cell) in (0u32..).zip(cells) {
-            t.set_cell(r, c, cell).unwrap();
+            t.put_cell(r, c, cell).unwrap();
         }
     }
     t.compact();
@@ -141,7 +145,7 @@ fn every_bit_flip_of_a_mixed_payload_is_refused_or_canonical() {
         Cell::formula("B2"),
     ];
     for (c, cell) in (0u32..).zip(overlay) {
-        t.set_cell(c * 3 + 1, c, cell).unwrap();
+        t.put_cell(c * 3 + 1, c, cell).unwrap();
     }
     t.clear_cell(2, 1).unwrap();
     let bytes = t.to_bytes();
@@ -179,7 +183,7 @@ proptest! {
             .collect();
         let mut t = ColumnarTranslator::new(col_cells.len() as u32, 1);
         for (r, cell) in (0u32..).zip(col_cells) {
-            t.set_cell(r, 0, cell).unwrap();
+            t.put_cell(r, 0, cell).unwrap();
         }
         t.compact();
         assert_roundtrip(&mut t, "runs");
@@ -197,7 +201,7 @@ proptest! {
             if clear {
                 t.clear_cell(r, c).unwrap();
             } else {
-                t.set_cell(r, c, cell).unwrap();
+                t.put_cell(r, c, cell).unwrap();
             }
         }
         prop_assert_eq!(t.to_bytes(), fresh_bytes(&t), "the overlay writes the fresh-build form");
@@ -222,7 +226,7 @@ proptest! {
             if clear {
                 t.clear_cell(r, c).unwrap();
             } else {
-                t.set_cell(r, c, cell).unwrap();
+                t.put_cell(r, c, cell).unwrap();
             }
         }
         let at = at % t.rows();
@@ -377,7 +381,7 @@ fn packed_store(min: i64, scale: u8, bits: u8, len: u32, words: &[u64]) -> Vec<u
 fn one_number_column(vals: &[f64]) -> ColumnarTranslator {
     let mut t = ColumnarTranslator::new(vals.len() as u32, 1);
     for (r, &v) in (0u32..).zip(vals) {
-        t.set_cell(r, 0, Cell::value(v)).unwrap();
+        t.put_cell(r, 0, Cell::value(v)).unwrap();
     }
     t.compact();
     t
@@ -501,7 +505,7 @@ fn a_code_store_build_would_not_write_is_refused() {
     let built = |codes: &[usize]| {
         let mut t = ColumnarTranslator::new(codes.len() as u32, 1);
         for (r, &c) in (0u32..).zip(codes) {
-            t.set_cell(r, 0, Cell::value(["a", "b"][c])).unwrap();
+            t.put_cell(r, 0, Cell::value(["a", "b"][c])).unwrap();
         }
         t.compact();
         t.to_bytes()
@@ -569,9 +573,9 @@ fn a_run_count_past_the_payload_is_refused() {
 fn a_fill_down_formula_column_is_written_once() {
     let mut t = ColumnarTranslator::new(1000, 3);
     for r in 0..1000u32 {
-        t.set_cell(r, 1, Cell::value(f64::from(r))).unwrap();
+        t.put_cell(r, 1, Cell::value(f64::from(r))).unwrap();
         let src = format!("B{}*2", r + 1);
-        t.set_cell(
+        t.put_cell(
             r,
             2,
             Cell::formula(&src).with_value(CellValue::Number(f64::from(2 * r))),

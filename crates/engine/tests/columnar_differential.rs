@@ -15,8 +15,11 @@
 //!    (the encoding is the region's extent in the image) and every-byte
 //!    WAL crash cuts over a columnar-resident base image.
 
+#[path = "common/cells.rs"]
+mod cells;
 mod common;
 
+use cells::StoreCells;
 use std::path::{Path, PathBuf};
 
 use common::{apply, tape, TapeOp};
@@ -75,8 +78,8 @@ fn columnar_translator_matches_rom_under_random_ops() {
                 0..=69 => {
                     let (r, c) = (rng.gen_range(0..24), rng.gen_range(0..8));
                     let cell = random_cell(&mut rng);
-                    col.set_cell(r, c, cell.clone()).expect("columnar set");
-                    rom.set_cell(r, c, cell).expect("rom set");
+                    col.put_cell(r, c, cell.clone()).expect("columnar set");
+                    rom.put_cell(r, c, cell).expect("rom set");
                 }
                 70..=79 => {
                     let (r, c) = (rng.gen_range(0..24), rng.gen_range(0..8));

@@ -3,6 +3,10 @@
 //! COM cap, under both cost models, `SheetEngine::optimize` succeeds and
 //! keeps every cell.
 
+#[path = "common/cells.rs"]
+mod cells;
+
+use cells::SheetCells;
 use proptest::prelude::*;
 
 use dataspread_corpus::{generate_corpus, CorpusName};
@@ -44,7 +48,7 @@ proptest! {
             for &algorithm in &algorithms {
                 let mut engine = SheetEngine::new();
                 for (addr, cell) in sheet.iter() {
-                    engine.storage_mut().set_cell(addr, cell.clone()).unwrap();
+                    engine.storage_mut().put_cell(addr, cell.clone()).unwrap();
                 }
                 let report = engine.optimize(&cm, algorithm, &OptimizerOptions::default());
                 prop_assert!(report.is_ok(), "{algorithm:?} under {cm:?}: {report:?}");

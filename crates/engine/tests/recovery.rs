@@ -11,8 +11,11 @@
 //! compares against an in-memory engine that replayed exactly the ops
 //! whose records are fully contained in the prefix.
 
+#[path = "common/cells.rs"]
+mod cells;
 mod common;
 
+use cells::StoreCells;
 use std::path::{Path, PathBuf};
 
 use common::{apply, tape};
@@ -947,7 +950,7 @@ fn an_image_naming_another_positional_map_is_refused_untouched() {
 fn a_region_cell_outside_its_rect_is_refused_untouched() {
     use dataspread_engine::durable::{DurableStore, PayloadEncoder};
     use dataspread_engine::{
-        ColumnarTranslator, ModelKind, RegionImage, ScanValue, Translator, CATCHALL_REGION_ID,
+        ColumnarTranslator, ModelKind, RegionImage, ScanValue, CATCHALL_REGION_ID,
     };
     use dataspread_grid::{Cell, Rect};
     let rect = Rect::new(2, 0, 5, 2);
@@ -958,7 +961,7 @@ fn a_region_cell_outside_its_rect_is_refused_untouched() {
         cells.finish()
     };
     let mut columnar = ColumnarTranslator::new(rect.rows() as u32 + 1, 3);
-    columnar.set_cell(4, 1, Cell::formula("1+1")).unwrap();
+    columnar.put_cell(4, 1, Cell::formula("1+1")).unwrap();
     // Version 3 | u32::MAX rows | one column | u32::MAX runs.
     let run_count = [&[3u8][..], &[0xFF; 4], &1u32.to_le_bytes(), &[0xFF; 4]].concat();
     let cases = [

@@ -4,6 +4,10 @@
 //! ([`region_at_scan`]) on every address, and window fetches must agree
 //! with the index-free `snapshot` path.
 
+#[path = "common/cells.rs"]
+mod cells;
+
+use cells::SheetCells;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -173,13 +177,13 @@ fn routing_index_survives_random_op_sequences() {
                     let cells: Vec<(u32, Cell)> = (0..rng.gen_range(1..20u32))
                         .map(|i| (rng.gen_range(0..COLS), Cell::value((row + i) as i64)))
                         .collect();
-                    hs.set_cells_in_row(row, cells).unwrap();
+                    hs.put_row(row, cells).unwrap();
                     "set_cells_in_row"
                 }
                 _ => {
                     let addr = CellAddr::new(rng.gen_range(0..ROWS), rng.gen_range(0..COLS));
                     if rng.gen_bool(0.8) {
-                        hs.set_cell(addr, Cell::value(step as i64)).unwrap();
+                        hs.put_cell(addr, Cell::value(step as i64)).unwrap();
                     } else {
                         hs.clear_cell(addr).unwrap();
                     }

@@ -5,7 +5,9 @@
 //! [`HybridSheet::scan`] — the same read across stores, in order — what
 //! window fetches, `get_cells` and the evaluator's range reads and
 //! aggregates fold over. The reference for all of them is the slowest correct
-//! reader there is: one `get_cell` per position.
+//! reader there is: one `get_cell` per position — the store's point read
+//! for the value, with the formula source a one-cell scan finds
+//! (`common/cells.rs`).
 //!
 //! * `Translator::scan(rect)` — for every layout, random sparse contents,
 //!   a random tape of edits and structural ops, and rects inside,
@@ -21,6 +23,10 @@
 //! * two cells a million rows apart are read, checkpointed and reopened in
 //!   time proportional to the cells, not to the positions between them.
 
+#[path = "common/cells.rs"]
+mod cells;
+
+use cells::{SheetCells, StoreCells};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,7 +114,7 @@ fn step(rng: &mut StdRng, t: &mut dyn Translator) {
     let rows = t.rows().max(1);
     let cols = t.cols().max(1);
     let _ = match rng.gen_range(0u32..12) {
-        0..=4 => t.set_cell(
+        0..=4 => t.put_cell(
             rng.gen_range(0..rows + 2),
             rng.gen_range(0..cols + 1),
             random_cell(rng),
@@ -122,7 +128,7 @@ fn step(rng: &mut StdRng, t: &mut dyn Translator) {
                     batch.push((c, random_cell(rng)));
                 }
             }
-            t.set_cells_in_row(r, batch)
+            t.put_row(r, batch)
         }
         7 => t.shift(Shift::InsertRows {
             at: rng.gen_range(0..rows + 1),
@@ -253,7 +259,7 @@ fn columnar_scan_in_every_overlay_state() {
         let mut t = ColumnarTranslator::new(40, 4);
         for (r, row) in (0u32..).zip(rows) {
             for (c, cell) in (0u32..).zip(row) {
-                t.set_cell(r, c, cell).unwrap();
+                t.put_cell(r, c, cell).unwrap();
             }
         }
         t.compact();
@@ -292,17 +298,17 @@ fn columnar_scan_in_every_overlay_state() {
     check(&t, "overlay empty");
     // Edits pending: values over values, a formula over a value, a text
     // outside the dictionary, writes that grow the extent.
-    t.set_cell(3, 0, Cell::value("edited")).unwrap();
-    t.set_cell(4, 1, formula(1.0, "B1+1")).unwrap();
-    t.set_cell(17, 2, Cell::value(CellValue::Error(CellError::Na)))
+    t.put_cell(3, 0, Cell::value("edited")).unwrap();
+    t.put_cell(4, 1, formula(1.0, "B1+1")).unwrap();
+    t.put_cell(17, 2, Cell::value(CellValue::Error(CellError::Na)))
         .unwrap();
-    t.set_cell(41, 5, Cell::value(7.5)).unwrap();
+    t.put_cell(41, 5, Cell::value(7.5)).unwrap();
     check(&t, "edits pending");
     // A base cell blanked, and a base formula masked by a plain value.
     t.clear_cell(8, 0).unwrap();
     t.clear_cell(9, 1).unwrap();
-    t.set_cell(10, 3, Cell::value(99.0)).unwrap();
-    t.set_cell(15, 3, Cell::default()).unwrap();
+    t.put_cell(10, 3, Cell::value(99.0)).unwrap();
+    t.put_cell(15, 3, Cell::default()).unwrap();
     check(&t, "base cells blanked and a base formula masked");
     let before = t.all_cells();
     t.compact();
@@ -354,11 +360,11 @@ fn random_store(
             let based = rng.gen_range(0..=cells.len());
             let mut cells = cells.into_iter();
             for (addr, cell) in cells.by_ref().take(based) {
-                t.set_cell(addr.row, addr.col, cell).unwrap();
+                t.put_cell(addr.row, addr.col, cell).unwrap();
             }
             t.compact();
             for (addr, cell) in cells {
-                t.set_cell(addr.row, addr.col, cell).unwrap();
+                t.put_cell(addr.row, addr.col, cell).unwrap();
             }
             Box::new(t)
         }
@@ -421,7 +427,7 @@ fn random_sheet(rng: &mut StdRng, seed: u64) -> HybridSheet {
     }
     for _ in 0..rng.gen_range(0..40) {
         if let Some(addr) = edit_target(rng, &hs, seed).map(|area| area.top_left()) {
-            let _ = hs.set_cell(addr, random_cell(rng));
+            let _ = hs.put_cell(addr, random_cell(rng));
         }
     }
     hs
@@ -599,10 +605,10 @@ fn the_ordered_scan_reads_a_sheet_as_a_get_cell_sweep_would() {
                             batch.push((c, random_cell(&mut rng)));
                         }
                     }
-                    let _ = hs.set_cells_in_row(run.r1, batch);
+                    let _ = hs.put_row(run.r1, batch);
                 }
                 (3, Some(run)) => drop(hs.clear_cell(run.top_left())),
-                (_, Some(run)) => drop(hs.set_cell(run.top_left(), random_cell(&mut rng))),
+                (_, Some(run)) => drop(hs.put_cell(run.top_left(), random_cell(&mut rng))),
             }
         }
     }
@@ -672,11 +678,11 @@ fn range_agg_equals_the_evaluators_sparse_walk_bit_for_bit() {
             for r in rect.r1..=rect.r2 {
                 for c in rect.c1..=rect.c2 {
                     let cell = agg_cell(&mut rng, seed % 2 == 0);
-                    hs.set_cell(CellAddr::new(r, c), cell).unwrap();
+                    hs.put_cell(CellAddr::new(r, c), cell).unwrap();
                 }
             }
         }
-        hs.set_cell(CellAddr::new(45, 3), Cell::value(1.0)).unwrap();
+        hs.put_cell(CellAddr::new(45, 3), Cell::value(1.0)).unwrap();
         let layout: Vec<_> = hs.layout().iter().map(|(_, kind)| *kind).collect();
         assert_eq!(layout, KINDS, "every layout is under test");
 
@@ -777,10 +783,10 @@ fn the_first_error_in_row_major_order_wins_through_every_reader() {
                     1 => Cell::default(),
                     _ => Cell::value(f64::from(addr.row * 10 + addr.col)),
                 };
-                hs.set_cell(addr, cell).unwrap();
+                hs.put_cell(addr, cell).unwrap();
             }
-            hs.set_cell(first, error(CellError::Na)).unwrap();
-            hs.set_cell(second, error(CellError::Div0)).unwrap();
+            hs.put_cell(first, error(CellError::Na)).unwrap();
+            hs.put_cell(second, error(CellError::Div0)).unwrap();
             let sheet = hs.snapshot(true);
             let range = if first.col == 5 || second.col == 5 {
                 "C1:F10"
@@ -833,7 +839,7 @@ fn snapshot_equals_a_get_cell_sweep_of_the_bounding_box() {
         for _ in 0..TAPE_LEN {
             let addr = CellAddr::new(rng.gen_range(0..170), rng.gen_range(0..24));
             // A refused write (a COM tuple past its page) changes nothing.
-            let _ = hs.set_cell(addr, random_cell(&mut rng));
+            let _ = hs.put_cell(addr, random_cell(&mut rng));
         }
         let snapshot = hs.snapshot(true);
         let mut swept = SparseSheet::new();
@@ -913,8 +919,8 @@ fn two_cells_a_million_rows_apart_cost_two_cells() {
 #[test]
 fn scan_values_borrow_and_formulas_ride_along() {
     let mut rom = RomTranslator::new();
-    rom.set_cell(1, 1, Cell::value("text")).unwrap();
-    rom.set_cell(
+    rom.put_cell(1, 1, Cell::value("text")).unwrap();
+    rom.put_cell(
         2,
         0,
         Cell {

@@ -4,6 +4,10 @@
 //! past the last row or column deletes to the end, and a formula's text
 //! stays as typed until one of its references names another cell.
 
+#[path = "common/cells.rs"]
+mod cells;
+
+use cells::SheetCells;
 use std::path::PathBuf;
 
 use dataspread_engine::SheetEngine;

@@ -281,67 +281,89 @@ fn skip_datum(cur: &mut Reader<'_>) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Decode only the datums at the given (sorted, deduplicated) indices,
-/// skipping everything else without allocation. Indices beyond the row's
-/// arity yield `Null` (short rows are NULL-padded by convention). Returns
-/// one datum per requested index, in order.
-pub fn decode_row_project(buf: &[u8], wanted: &[usize]) -> Result<Vec<Datum>, StoreError> {
-    let mut out = Vec::with_capacity(wanted.len());
-    project_into(buf, wanted, &mut out, DatumRef::to_datum)?;
-    Ok(out)
-}
-
-/// [`decode_row_project`] into a caller-owned buffer of borrowed datums:
-/// `out` is cleared and refilled, so one buffer serves a whole scan and no
-/// text is copied.
-pub fn decode_row_project_ref<'a>(
+/// Visit the datums at the given (sorted, deduplicated) indices in order,
+/// skipping everything else without decoding; an index beyond the row's
+/// arity is not visited.
+fn project<'a>(
     buf: &'a [u8],
     wanted: &[usize],
-    out: &mut Vec<DatumRef<'a>>,
-) -> Result<(), StoreError> {
-    out.clear();
-    project_into(buf, wanted, out, |d| d)
-}
-
-fn project_into<'a, T>(
-    buf: &'a [u8],
-    wanted: &[usize],
-    out: &mut Vec<T>,
-    make: impl Fn(DatumRef<'a>) -> T,
+    mut visit: impl FnMut(DatumRef<'a>),
 ) -> Result<(), StoreError> {
     let mut cur = Reader::new(buf);
-    let n = cur
-        .u16()
-        .map_err(|_| codec::corrupt("row shorter than arity header"))? as usize;
+    let n = arity(&mut cur)?;
     let mut next = 0usize; // index into `wanted`
     for i in 0..n {
         if next >= wanted.len() {
             break;
         }
         if wanted[next] == i {
-            out.push(make(DatumRef::decode_from(&mut cur)?));
+            visit(DatumRef::decode_from(&mut cur)?);
             next += 1;
         } else {
             skip_datum(&mut cur)?;
         }
     }
-    // NULL-pad requests beyond the stored arity.
-    out.extend((next..wanted.len()).map(|_| make(DatumRef::Null)));
+    Ok(())
+}
+
+/// The datums at the given (sorted, deduplicated) indices, as borrows into
+/// `out` (cleared first), one per index in order and `Null` beyond the
+/// row's arity (short rows are NULL-padded by convention): one buffer
+/// serves a whole scan, and nothing else is decoded or copied.
+pub fn decode_row_project_ref<'a>(
+    buf: &'a [u8],
+    wanted: &[usize],
+    out: &mut Vec<DatumRef<'a>>,
+) -> Result<(), StoreError> {
+    out.clear();
+    project(buf, wanted, |d| out.push(d))?;
+    out.resize(wanted.len(), DatumRef::Null);
+    Ok(())
+}
+
+/// [`decode_row_project_ref`] of the one index `i`, with no buffer.
+pub fn decode_datum_ref(buf: &[u8], i: usize) -> Result<DatumRef<'_>, StoreError> {
+    let mut datum = DatumRef::Null;
+    project(buf, &[i], |d| datum = d)?;
+    Ok(datum)
+}
+
+/// A tuple's arity header.
+fn arity(cur: &mut Reader<'_>) -> Result<usize, StoreError> {
+    Ok(cur
+        .u16()
+        .map_err(|_| codec::corrupt("row shorter than arity header"))? as usize)
+}
+
+/// Decode a whole row into `out` (cleared first), each datum through
+/// `make`, and check that nothing trails it.
+fn decode_into<'a, T>(
+    buf: &'a [u8],
+    out: &mut Vec<T>,
+    make: impl Fn(DatumRef<'a>) -> T,
+) -> Result<(), StoreError> {
+    out.clear();
+    let mut cur = Reader::new(buf);
+    let n = arity(&mut cur)?;
+    out.reserve(n);
+    for _ in 0..n {
+        out.push(make(DatumRef::decode_from(&mut cur)?));
+    }
+    cur.expect_done("row")?;
     Ok(())
 }
 
 /// Decode a row previously produced by [`encode_row`].
 pub fn decode_row(buf: &[u8]) -> Result<Vec<Datum>, StoreError> {
-    let mut cur = Reader::new(buf);
-    let n = cur
-        .u16()
-        .map_err(|_| codec::corrupt("row shorter than arity header"))? as usize;
-    let mut row = Vec::with_capacity(n);
-    for _ in 0..n {
-        row.push(DatumRef::decode_from(&mut cur)?.to_datum());
-    }
-    cur.expect_done("row")?;
+    let mut row = Vec::new();
+    decode_into(buf, &mut row, DatumRef::to_datum)?;
     Ok(row)
+}
+
+/// [`decode_row`] as borrows into `out` (cleared first): texts point into
+/// `buf`.
+pub fn decode_row_ref<'a>(buf: &'a [u8], out: &mut Vec<DatumRef<'a>>) -> Result<(), StoreError> {
+    decode_into(buf, out, |d| d)
 }
 
 #[cfg(test)]
@@ -359,6 +381,9 @@ mod tests {
         ];
         let bytes = encode_row(&row);
         assert_eq!(decode_row(&bytes).unwrap(), row);
+        let mut borrowed = vec![DatumRef::Int(7)]; // stale content is dropped
+        decode_row_ref(&bytes, &mut borrowed).unwrap();
+        assert!(borrowed.iter().map(|d| d.to_datum()).eq(row));
     }
 
     #[test]
@@ -376,6 +401,22 @@ mod tests {
         }
     }
 
+    /// The borrowed projection of `wanted`, as owned datums.
+    fn project(bytes: &[u8], wanted: &[usize]) -> Result<Vec<Datum>, StoreError> {
+        let mut buf = Vec::new();
+        decode_row_project_ref(bytes, wanted, &mut buf)?;
+        Ok(buf.iter().map(|d| d.to_datum()).collect())
+    }
+
+    /// The full decode's datums at `wanted`, NULL beyond the arity.
+    fn picked(bytes: &[u8], wanted: &[usize]) -> Result<Vec<Datum>, StoreError> {
+        let row = decode_row(bytes)?;
+        Ok(wanted
+            .iter()
+            .map(|&i| row.get(i).cloned().unwrap_or(Datum::Null))
+            .collect())
+    }
+
     #[test]
     fn projected_decode_matches_full_decode() {
         let row = vec![
@@ -386,23 +427,19 @@ mod tests {
             Datum::Bool(true),
         ];
         let bytes = encode_row(&row);
-        assert_eq!(
-            decode_row_project(&bytes, &[1, 3]).unwrap(),
-            vec![Datum::Text("abc".into()), Datum::Float(2.5)]
-        );
-        assert_eq!(
-            decode_row_project(&bytes, &[0]).unwrap(),
-            vec![Datum::Int(1)]
-        );
-        // Beyond arity pads with NULL.
-        assert_eq!(
-            decode_row_project(&bytes, &[4, 9]).unwrap(),
-            vec![Datum::Bool(true), Datum::Null]
-        );
-        assert_eq!(
-            decode_row_project(&bytes, &[]).unwrap(),
-            Vec::<Datum>::new()
-        );
+        for (wanted, want) in [
+            (
+                &[1, 3][..],
+                vec![Datum::Text("abc".into()), Datum::Float(2.5)],
+            ),
+            (&[0], vec![Datum::Int(1)]),
+            // Beyond arity pads with NULL.
+            (&[4, 9], vec![Datum::Bool(true), Datum::Null]),
+            (&[], Vec::<Datum>::new()),
+        ] {
+            assert_eq!(project(&bytes, wanted).unwrap(), want);
+            assert_eq!(picked(&bytes, wanted).unwrap(), want);
+        }
     }
 
     #[test]
@@ -419,10 +456,14 @@ mod tests {
         let mut buf = vec![DatumRef::Bool(false)]; // stale content is dropped
         for wanted in [vec![], vec![1], vec![0, 3, 5], vec![4, 5, 6, 9], vec![7]] {
             decode_row_project_ref(&bytes, &wanted, &mut buf).unwrap();
-            let owned: Vec<Datum> = buf.iter().map(|d| d.to_datum()).collect();
-            assert_eq!(owned, decode_row_project(&bytes, &wanted).unwrap());
+            let owned = picked(&bytes, &wanted).unwrap();
+            assert_eq!(buf.len(), owned.len());
             for (d, o) in buf.iter().zip(&owned) {
                 assert_eq!(*d, o.as_ref());
+            }
+            // One index alone decodes with no buffer.
+            for (&i, d) in wanted.iter().zip(&buf) {
+                assert_eq!(decode_datum_ref(&bytes, i).unwrap(), *d, "index {i}");
             }
         }
         // Same rejections as the owned decode: truncation at every byte,
@@ -431,23 +472,37 @@ mod tests {
         for cut in 0..bytes.len() {
             assert_eq!(
                 decode_row_project_ref(&bytes[..cut], &all, &mut buf).is_err(),
-                decode_row_project(&bytes[..cut], &all).is_err(),
+                decode_row(&bytes[..cut]).is_err(),
                 "cut at {cut}"
             );
             assert!(decode_row_project_ref(&bytes[..cut], &all, &mut buf).is_err());
+            for &i in &all {
+                assert_eq!(
+                    decode_datum_ref(&bytes[..cut], i).is_err(),
+                    decode_row_project_ref(&bytes[..cut], &[i], &mut buf).is_err(),
+                    "cut at {cut}, index {i}"
+                );
+            }
         }
-        assert!(decode_row_project_ref(&[1, 0, 9], &[0], &mut buf).is_err());
-        assert!(decode_row_project_ref(&[1, 0, 3, 1, 0, 0, 0, 0xFF], &[0], &mut buf).is_err());
+        for bad in [&[1, 0, 9][..], &[1, 0, 3, 1, 0, 0, 0, 0xFF]] {
+            assert!(decode_row_project_ref(bad, &[0], &mut buf).is_err());
+            assert!(decode_datum_ref(bad, 0).is_err());
+            assert!(decode_row(bad).is_err());
+        }
     }
 
     #[test]
     fn decode_rejects_corruption() {
         let row = vec![Datum::Text("hello".into())];
         let mut bytes = encode_row(&row);
+        let mut trailing = bytes.clone();
+        trailing.push(0);
         bytes.truncate(bytes.len() - 1);
-        assert!(decode_row(&bytes).is_err());
-        assert!(decode_row(&[9, 9, 9]).is_err());
-        assert!(decode_row(&[]).is_err());
+        let mut buf = Vec::new();
+        for bad in [&bytes[..], &[9, 9, 9], &[], &trailing] {
+            assert!(decode_row(bad).is_err(), "{bad:?}");
+            assert!(decode_row_ref(bad, &mut buf).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Tables: a schema plus a slot vector of encoded rows, with storage
 //! accounting.
 
-use crate::datum::{decode_row, encode_row, DataType, Datum, DatumRef, RowWriter};
+use crate::datum::{self, decode_row, encode_row, DataType, Datum, DatumRef, RowWriter};
 use crate::error::StoreError;
 use crate::schema::{ColumnDef, Schema};
 
@@ -161,27 +161,35 @@ impl Table {
     }
 
     /// [`Table::insert_prefix`] of a row written through `row`: the bytes
-    /// are stored as written, and a stored row leaves `row` empty for the
-    /// next. An all-`Any` prefix, which every datum fits, is not decoded.
+    /// are stored as written.
     pub fn insert_row(&mut self, row: &mut RowWriter) -> Result<TupleId, StoreError> {
-        let Some(columns) = self.schema.columns().get(..row.arity) else {
-            return Err(StoreError::SchemaMismatch(format!(
+        self.insert_encoded(self.checked(row)?)
+    }
+
+    /// The tuple written through `row`, when it fits the schema as a
+    /// prefix; `row` is left empty for the next either way. An all-`Any`
+    /// prefix, which every datum fits, is not decoded.
+    fn checked(&self, row: &mut RowWriter) -> Result<Box<[u8]>, StoreError> {
+        let fits = match self.schema.columns().get(..row.arity) {
+            None => Err(StoreError::SchemaMismatch(format!(
                 "{} datums for {} columns",
                 row.arity,
                 self.schema.len()
-            )));
-        };
-        if columns.iter().any(|c| c.ty != DataType::Any) {
-            for (d, c) in row.datums().zip(columns) {
-                if !d.fits(c.ty) {
-                    return Err(StoreError::SchemaMismatch(format!(
+            ))),
+            Some(columns) if columns.iter().any(|c| c.ty != DataType::Any) => row
+                .datums()
+                .zip(columns)
+                .find(|(d, c)| !d.fits(c.ty))
+                .map_or(Ok(()), |(d, c)| {
+                    Err(StoreError::SchemaMismatch(format!(
                         "datum {d:?} does not fit column {}",
                         c.name
-                    )));
-                }
-            }
-        }
-        self.insert_encoded(row.take_tuple())
+                    )))
+                }),
+            Some(_) => Ok(()),
+        };
+        let tuple = row.take_tuple();
+        fits.map(|()| tuple)
     }
 
     /// The live tuple at `tid`.
@@ -202,33 +210,57 @@ impl Table {
         Ok(row)
     }
 
-    /// Fetch only the datums at `cols` (sorted, 0-based), skipping the rest
-    /// of the tuple without decoding — the projection fast path for wide
-    /// rows. Missing trailing columns read as NULL.
-    pub fn fetch_cols(&self, tid: TupleId, cols: &[usize]) -> Result<Vec<Datum>, StoreError> {
-        crate::datum::decode_row_project(self.get(tid)?, cols)
+    /// [`Table::fetch`] as borrows into `out` (cleared first): texts point
+    /// into the stored tuple.
+    pub fn fetch_ref<'a>(
+        &'a self,
+        tid: TupleId,
+        out: &mut Vec<DatumRef<'a>>,
+    ) -> Result<(), StoreError> {
+        datum::decode_row_ref(self.get(tid)?, out)?;
+        if out.len() > self.schema.len() {
+            return Err(StoreError::Corrupt("row wider than schema".into()));
+        }
+        out.resize(self.schema.len(), DatumRef::Null);
+        Ok(())
     }
 
-    /// [`Table::fetch_cols`] as borrows into `out` (cleared first): texts
-    /// point into the stored tuple, so a scan reuses one buffer and copies
-    /// nothing.
+    /// The datum at `col` alone, as a borrow (NULL past a short tuple's
+    /// end): a point read decodes one datum and fills no buffer.
+    pub fn fetch_col_ref(&self, tid: TupleId, col: usize) -> Result<DatumRef<'_>, StoreError> {
+        datum::decode_datum_ref(self.get(tid)?, col)
+    }
+
+    /// Only the datums at `cols` (sorted, 0-based) as borrows into `out`
+    /// (cleared first), the rest skipped undecoded and missing trailing
+    /// columns NULL: a scan reuses one buffer and copies nothing.
     pub fn fetch_cols_ref<'a>(
         &'a self,
         tid: TupleId,
         cols: &[usize],
         out: &mut Vec<DatumRef<'a>>,
     ) -> Result<(), StoreError> {
-        crate::datum::decode_row_project_ref(self.get(tid)?, cols, out)
+        datum::decode_row_project_ref(self.get(tid)?, cols, out)
     }
 
     /// Replace a row in place: its tuple id and scan position stay.
     pub fn update(&mut self, tid: TupleId, row: &[Datum]) -> Result<(), StoreError> {
         self.schema.validate(row)?;
+        self.replace(tid, encode_row(row).into_boxed_slice())
+    }
+
+    /// [`Table::update`] with a row written through `row`, checked and
+    /// stored as [`Table::insert_row`] stores one. The engine's ROM and RCV
+    /// translators write every cell edit through it.
+    pub fn update_row(&mut self, tid: TupleId, row: &mut RowWriter) -> Result<(), StoreError> {
+        self.replace(tid, self.checked(row)?)
+    }
+
+    fn replace(&mut self, tid: TupleId, bytes: Box<[u8]>) -> Result<(), StoreError> {
         let old = tuple_footprint(self.get(tid)?);
-        let bytes = encode_row(row);
         self.debit(old);
         self.credit(tuple_footprint(&bytes));
-        self.rows[tid.0 as usize] = Some(bytes.into_boxed_slice());
+        self.rows[tid.0 as usize] = Some(bytes);
         Ok(())
     }
 
@@ -461,6 +493,37 @@ mod tests {
             .insert_prefix(&[Datum::Int(-3), Datum::Text("héllo".into())])
             .unwrap();
         assert_eq!(t.get(written).unwrap(), t.get(owned).unwrap());
+        assert_eq!(t.accounted_bytes(), t.accounted_bytes_walk());
+    }
+
+    #[test]
+    fn a_written_update_stores_what_update_stores() {
+        let mut t = table();
+        let a = t.insert(&[Datum::Int(1), Datum::Text("a".into())]).unwrap();
+        let b = t.insert(&[Datum::Int(1), Datum::Text("a".into())]).unwrap();
+        let mut w = RowWriter::default();
+        w.push(DatumRef::Int(2));
+        w.push(DatumRef::Text("héllo"));
+        t.update_row(a, &mut w).unwrap();
+        t.update(b, &[Datum::Int(2), Datum::Text("héllo".into())])
+            .unwrap();
+        assert_eq!(t.get(a).unwrap(), t.get(b).unwrap());
+        let mut borrowed = Vec::new();
+        t.fetch_ref(a, &mut borrowed).unwrap();
+        assert_eq!(borrowed, [DatumRef::Int(2), DatumRef::Text("héllo")]);
+        assert_eq!(t.accounted_bytes(), t.accounted_bytes_walk());
+        // A refused row changes nothing and leaves the writer empty.
+        w.push(DatumRef::Text("not an id"));
+        assert!(matches!(
+            t.update_row(a, &mut w),
+            Err(StoreError::SchemaMismatch(_))
+        ));
+        w.push(DatumRef::Int(3));
+        assert!(t.delete(b));
+        assert_eq!(t.update_row(b, &mut w), Err(StoreError::BadTupleId));
+        w.push(DatumRef::Int(4));
+        t.update_row(a, &mut w).unwrap();
+        assert_eq!(t.fetch(a).unwrap(), vec![Datum::Int(4), Datum::Null]);
         assert_eq!(t.accounted_bytes(), t.accounted_bytes_walk());
     }
 

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dataspread_engine::{EngineError, SheetEngine};
-use dataspread_grid::{Cell, CellAddr, Rect, SparseSheet};
+use dataspread_grid::{Cell, CellAddr, CellValue, Rect, SparseSheet};
 use dataspread_workspace::{Edit, Session, Workspace, WorkspaceConfig, WorkspaceError};
 
 const MAX_ROW: u32 = 40;
@@ -382,6 +382,45 @@ fn an_insert_count_pushing_a_region_off_the_sheet_is_refused() {
         live,
         "recovered from the WAL"
     );
+    drop(ws);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An `Edit::Set` of a formula the store refuses (past the catch-all's
+/// positional cap) is refused whole: the formula is not left registered,
+/// so editing the cell it reads succeeds and recomputes that cell's other
+/// readers, live and after recovery.
+#[test]
+fn a_formula_the_store_refuses_is_not_registered() {
+    let dir = temp_dir("refused-formula");
+    let set = |row: u32, input: &str| Edit::Set {
+        row,
+        col: 0,
+        input: input.to_string(),
+    };
+    let a2 = CellAddr::new(1, 0);
+    {
+        let ws = Workspace::open_with(&dir, WorkspaceConfig::default()).unwrap();
+        let session = ws.session();
+        session.open_sheet("s").unwrap();
+        session.apply_edit("s", set(0, "1")).unwrap();
+        session.apply_edit("s", set(1, "=A1*2")).unwrap();
+        match session.apply_edit("s", set(100_000_000, "=A1+1")) {
+            Err(WorkspaceError::Engine(EngineError::Unsupported(_))) => {}
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        session.apply_edit("s", set(0, "2")).unwrap();
+        assert_eq!(session.value("s", a2).unwrap(), CellValue::Number(4.0));
+        session.checkpoint("s").unwrap();
+        session.apply_edit("s", set(0, "3")).unwrap();
+        assert_eq!(session.value("s", a2).unwrap(), CellValue::Number(6.0));
+    }
+    let ws = Workspace::open_with(&dir, WorkspaceConfig::default()).unwrap();
+    let session = ws.session();
+    session.open_sheet("s").unwrap();
+    assert_eq!(session.value("s", a2).unwrap(), CellValue::Number(6.0));
+    session.apply_edit("s", set(0, "4")).unwrap();
+    assert_eq!(session.value("s", a2).unwrap(), CellValue::Number(8.0));
     drop(ws);
     std::fs::remove_dir_all(&dir).ok();
 }

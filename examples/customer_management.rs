@@ -32,9 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Direct manipulation: editing a linked cell updates the table.
     let first_amount = CellAddr::new(inv_rect.r1, inv_rect.c1 + 3);
-    sheet
-        .storage_mut()
-        .set_cell(first_amount, dataspread::grid::Cell::value(123.45))?;
+    sheet.storage_mut().set_cell(
+        first_amount,
+        dataspread::grid::ScanValue::Number(123.45),
+        None,
+    )?;
     let check = sheet.sql(
         "SELECT COUNT(*) AS n FROM invoice WHERE amount = 123.45",
         &[],

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use dataspread::engine::hybrid::HybridSheet;
-use dataspread::grid::{Cell, CellAddr, Rect, Shift, SparseSheet};
+use dataspread::grid::{Cell, CellAddr, Rect, ScanValue, Shift, SparseSheet};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -40,7 +40,8 @@ fn run_script(mut hs: HybridSheet, ops: &[Op]) {
             Op::Set(r, c, v) => {
                 let addr = CellAddr::new(r as u32, c as u32);
                 oracle.set_value(addr, v);
-                hs.set_cell(addr, Cell::value(v)).unwrap();
+                hs.set_cell(addr, ScanValue::Number(v as f64), None)
+                    .unwrap();
             }
             Op::Clear(r, c) => {
                 let addr = CellAddr::new(r as u32, c as u32);
@@ -82,7 +83,7 @@ fn run_script(mut hs: HybridSheet, ops: &[Op]) {
             Op::CheckCell(r, c) => {
                 let addr = CellAddr::new(r as u32, c as u32);
                 let want = oracle.get(addr).map(|c| c.value.clone());
-                let got = hs.get_cell(addr).map(|c| c.value);
+                let got = Some(hs.value(addr)).filter(|v| !v.is_empty());
                 assert_eq!(got, want, "cell {addr}");
             }
             Op::CheckRange(r1, c1, r2, c2) => {

@@ -8,7 +8,7 @@
 
 use dataspread::corpus::{generate_corpus, CorpusName};
 use dataspread::engine::{EngineError, ModelKind, OptimizeAlgorithm, SheetEngine};
-use dataspread::grid::SparseSheet;
+use dataspread::grid::{ScanValue, SparseSheet};
 use dataspread::hybrid::{
     incremental_agg, optimize_agg, optimize_dp, optimize_greedy, CostModel, Decomposition,
     GridView, IncrementalOptions, Occupancy, OptimizerOptions, Region,
@@ -31,7 +31,11 @@ fn corpus() -> Vec<(String, SparseSheet)> {
 fn load(sheet: &SparseSheet) -> SheetEngine {
     let mut engine = SheetEngine::new();
     for (addr, cell) in sheet.iter() {
-        engine.storage_mut().set_cell(addr, cell.clone()).unwrap();
+        let value = ScanValue::of(&cell.value);
+        engine
+            .storage_mut()
+            .set_cell(addr, value, cell.formula.as_deref())
+            .unwrap();
     }
     engine
 }
