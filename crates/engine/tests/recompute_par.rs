@@ -115,7 +115,7 @@ fn snapshot(e: &SheetEngine) -> Vec<(CellAddr, Cell)> {
 }
 
 #[test]
-fn random_tapes_match_scalar_oracle_at_every_thread_count() {
+fn random_tapes_match_scalar_oracle() {
     for seed in 0..4u64 {
         let mut oracle = SheetEngine::new();
         oracle.set_scalar_recompute(true);

@@ -12,6 +12,11 @@
 //! edit. The straightforward scan, which walks every formula, lives in
 //! `tests/deps_oracle.rs` as the differential oracle.
 //!
+//! **Planning.** Every plan shape reads one subgraph over dense ids, built
+//! by one walk that numbers each affected formula once and probes it once.
+//! A formula reading its own cell has an edge to itself, so its in-degree
+//! never reaches 0 and it lands in the cycle set with no special case.
+//!
 //! **Sharding.** A `DependencyGraph` is deliberately *per-sheet* state —
 //! no globals, no interior sharing — and the whole structure is `Send`.
 //! The concurrent workspace shards one graph per sheet behind that
@@ -19,7 +24,7 @@
 //! shared index (the PR 4 follow-up: "per-sheet sharding … once multiple
 //! sheets/users mutate in parallel").
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 use dataspread_grid::{CellAddr, Rect};
 
@@ -101,17 +106,15 @@ impl GridIndex {
     /// All formulas with a range placement whose bucket covers `cell` — a
     /// superset of the formulas actually reading it, with possible
     /// duplicates (one per matching placement).
-    fn candidates_into(&self, cell: CellAddr, out: &mut Vec<CellAddr>) {
-        for (level, map) in self.levels.iter().enumerate() {
-            if map.is_empty() {
-                continue;
-            }
-            let s = BASE_SHIFT as u64 + level as u64;
-            let key = ((cell.row as u64 >> s) as u32, (cell.col as u64 >> s) as u32);
-            if let Some(v) = map.get(&key) {
-                out.extend_from_slice(v);
-            }
-        }
+    fn candidates(&self, cell: CellAddr) -> impl Iterator<Item = CellAddr> + '_ {
+        self.levels
+            .iter()
+            .enumerate()
+            .flat_map(move |(level, map)| {
+                let s = BASE_SHIFT as u64 + level as u64;
+                let key = ((cell.row as u64 >> s) as u32, (cell.col as u64 >> s) as u32);
+                map.get(&key).into_iter().flatten().copied()
+            })
     }
 }
 
@@ -162,13 +165,92 @@ impl WavePlan {
     }
 }
 
-/// The affected subgraph both plan shapes are built from: nodes reachable
-/// from the seeds by dependent edges, in-degrees, and forward edges
-/// (`u → v` when formula `v` reads cell `u`).
-struct AffectedSubgraph {
+/// The subgraph every plan shape is read from, over dense ids: node `i` is
+/// `nodes[i]`, and its readers (`i → j` when formula `j` reads cell `i`, so
+/// `j` evaluates after it) are `edges[ends[i - 1]..ends[i]]`, from 0 for
+/// node 0. End offsets keep an empty subgraph free of allocations.
+#[derive(Default)]
+struct Subgraph {
     nodes: Vec<CellAddr>,
-    indeg: HashMap<CellAddr, usize>,
-    edges: HashMap<CellAddr, Vec<CellAddr>>,
+    ids: HashMap<CellAddr, u32>,
+    edges: Vec<u32>,
+    ends: Vec<u32>,
+    /// Edges into each node not yet released by Kahn's algorithm.
+    indeg: Vec<u32>,
+}
+
+impl Subgraph {
+    /// The id of `cell`, numbering it the first time it is seen.
+    fn id(&mut self, cell: CellAddr) -> u32 {
+        *self.ids.entry(cell).or_insert_with(|| {
+            self.nodes.push(cell);
+            self.indeg.push(0);
+            (self.nodes.len() - 1) as u32
+        })
+    }
+
+    fn sort_by_addr(&self, ids: &mut [u32]) {
+        ids.sort_unstable_by_key(|&i| self.nodes[i as usize]);
+    }
+
+    /// The nodes with no unreleased edge in, sorted by address, in a
+    /// vector with room for every node: Kahn's algorithm appends to it the
+    /// nodes it releases, so the order is its own queue.
+    fn ready(&self) -> Vec<u32> {
+        let mut order = Vec::with_capacity(self.nodes.len());
+        order.extend((0..self.nodes.len() as u32).filter(|&i| self.indeg[i as usize] == 0));
+        self.sort_by_addr(&mut order);
+        order
+    }
+
+    /// Release `u`'s edges, appending each reader left with none to `out`.
+    fn release(&mut self, u: u32, out: &mut Vec<u32>) {
+        let u = u as usize;
+        let start = if u == 0 { 0 } else { self.ends[u - 1] as usize };
+        for &v in &self.edges[start..self.ends[u] as usize] {
+            let d = &mut self.indeg[v as usize];
+            *d -= 1;
+            if *d == 0 {
+                out.push(v);
+            }
+        }
+    }
+
+    fn addrs(&self, ids: &[u32]) -> Vec<CellAddr> {
+        ids.iter().map(|&i| self.nodes[i as usize]).collect()
+    }
+
+    /// The nodes Kahn's algorithm never released, sorted: cycle members,
+    /// self-readers and everything downstream of them.
+    fn cyclic(&self) -> Vec<CellAddr> {
+        let mut cyclic: Vec<CellAddr> = (0..self.nodes.len())
+            .filter(|&i| self.indeg[i] > 0)
+            .map(|i| self.nodes[i])
+            .collect();
+        cyclic.sort_unstable();
+        cyclic
+    }
+
+    /// Level-synchronous Kahn: each wave is what the previous one released,
+    /// sorted.
+    fn waves(mut self) -> WavePlan {
+        let mut order = self.ready();
+        let mut waves = Vec::new();
+        let mut head = 0;
+        while head < order.len() {
+            let tail = order.len();
+            for i in head..tail {
+                self.release(order[i], &mut order);
+            }
+            self.sort_by_addr(&mut order[tail..]);
+            waves.push(self.addrs(&order[head..tail]));
+            head = tail;
+        }
+        WavePlan {
+            waves,
+            cyclic: self.cyclic(),
+        }
+    }
 }
 
 impl DependencyGraph {
@@ -206,162 +288,122 @@ impl DependencyGraph {
         self.reads.iter().map(|(a, r)| (*a, r.as_slice()))
     }
 
-    /// Formula cells that directly read `cell`, sorted (deduplicated):
-    /// probe the spatial index for candidates, then confirm containment
-    /// against the exact range lists. O(candidates), not O(formulas).
+    /// Formula cells that directly read `cell`, sorted (deduplicated).
     pub fn dependents_of(&self, cell: CellAddr) -> Vec<CellAddr> {
-        let mut cands = Vec::new();
-        self.index.candidates_into(cell, &mut cands);
-        cands.sort_unstable();
-        cands.dedup();
-        cands.retain(|f| {
+        let mut out: Vec<CellAddr> = self.dependents(cell).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The formulas reading `cell`, once per index placement that finds
+    /// them: probe the spatial index for candidates, then confirm
+    /// containment against the exact range lists. O(candidates), not
+    /// O(formulas), and nothing is collected.
+    fn dependents(&self, cell: CellAddr) -> impl Iterator<Item = CellAddr> + '_ {
+        self.index.candidates(cell).filter(move |f| {
             self.reads
                 .get(f)
                 .is_some_and(|ranges| ranges.iter().any(|r| r.contains(cell)))
-        });
-        cands
+        })
+    }
+
+    /// The subgraph affected by updates to `seeds`, in one walk: a formula
+    /// seed is a node, any other seed is probed for its readers. Nodes are
+    /// visited in id order, so the node list is the queue; each is probed
+    /// once, numbering its readers and appending its edges. A reader that
+    /// two index placements find gets two edges, each released once. No
+    /// probe collects into a buffer: a reused one would grow in probe
+    /// order, which follows the callers' hash-map seed order, and the work
+    /// ledger's allocation counts would vary from run to run.
+    /// O(affected × candidates), with no all-pairs rect test.
+    fn subgraph(&self, seeds: &[CellAddr]) -> Subgraph {
+        let mut g = Subgraph::default();
+        for &seed in seeds {
+            if self.is_formula(seed) {
+                g.id(seed);
+            } else {
+                self.dependents(seed).for_each(|v| {
+                    g.id(v);
+                });
+            }
+        }
+        let mut u = 0;
+        while u < g.nodes.len() {
+            // `for_each` runs the probe by internal iteration, twice as fast
+            // on crowded buckets as a `for` loop's `next` calls.
+            self.dependents(g.nodes[u]).for_each(|v| {
+                let v = g.id(v);
+                g.edges.push(v);
+                g.indeg[v as usize] += 1;
+            });
+            g.ends.push(g.edges.len() as u32);
+            u += 1;
+        }
+        g
     }
 
     /// All formulas transitively affected by updates to `seeds`, in a valid
     /// recomputation order; cycle participants are reported separately.
-    ///
-    /// Both phases are index-driven: the BFS probes the spatial index per
-    /// affected cell, and the topological edges come from the same probes
-    /// (every formula reading cell `u` is by construction already in the
-    /// affected closure), so plan construction is O(affected × candidates)
-    /// instead of the all-pairs O(affected²) rect test.
-    fn affected_subgraph(&self, seeds: &[CellAddr]) -> AffectedSubgraph {
-        // Each cell's dependents are needed twice (BFS discovery, then
-        // edge construction below) — probe the index once per cell.
-        let mut memo: HashMap<CellAddr, Vec<CellAddr>> = HashMap::new();
-        // 1. Collect affected formulas by BFS over dependents.
-        let mut affected: HashSet<CellAddr> = HashSet::new();
-        let mut queue: VecDeque<CellAddr> = VecDeque::new();
-        for &seed in seeds {
-            // A seed that is itself a formula needs recomputation too.
-            if self.is_formula(seed) && affected.insert(seed) {
-                queue.push_back(seed);
-            }
-            let deps = memo.entry(seed).or_insert_with(|| self.dependents_of(seed));
-            for &dep in deps.iter() {
-                if affected.insert(dep) {
-                    queue.push_back(dep);
-                }
-            }
-        }
-        while let Some(cell) = queue.pop_front() {
-            let deps = memo.entry(cell).or_insert_with(|| self.dependents_of(cell));
-            for &dep in deps.iter() {
-                if affected.insert(dep) {
-                    queue.push_back(dep);
-                }
-            }
-        }
-        // 2. Edges of the affected subgraph: u→v when v reads u (v must
-        //    evaluate after u). Every node was probed during the BFS, so
-        //    this phase is pure memo lookups.
-        let nodes: Vec<CellAddr> = affected.iter().copied().collect();
-        let mut indeg: HashMap<CellAddr, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        let mut edges: HashMap<CellAddr, Vec<CellAddr>> = HashMap::new();
-        for &u in &nodes {
-            let deps = memo.entry(u).or_insert_with(|| self.dependents_of(u));
-            for &v in deps.iter() {
-                if v == u {
-                    // A formula reading its own cell is an immediate cycle:
-                    // a permanent in-degree bump keeps it (and its
-                    // dependents) out of the topological order.
-                    *indeg.get_mut(&u).expect("node present") += 1;
-                } else if affected.contains(&v) {
-                    edges.entry(u).or_default().push(v);
-                    *indeg.get_mut(&v).expect("node present") += 1;
-                }
-            }
-        }
-        AffectedSubgraph {
-            nodes,
-            indeg,
-            edges,
-        }
-    }
-
+    /// Kahn's algorithm over the walk's subgraph with sorted tie-breaking:
+    /// the ready formulas in address order, then what each formula in turn
+    /// releases, sorted.
     pub fn recompute_plan(&self, seeds: &[CellAddr]) -> RecomputePlan {
-        let AffectedSubgraph {
-            nodes,
-            mut indeg,
-            edges,
-        } = self.affected_subgraph(seeds);
-        // Kahn's algorithm with sorted tie-breaking over the subgraph.
-        let mut ready: Vec<CellAddr> = nodes.iter().copied().filter(|n| indeg[n] == 0).collect();
-        // Deterministic order helps tests and users.
-        ready.sort();
-        let mut order = Vec::with_capacity(nodes.len());
-        let mut queue: VecDeque<CellAddr> = ready.into();
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            if let Some(vs) = edges.get(&u) {
-                let mut unlocked: Vec<CellAddr> = Vec::new();
-                for &v in vs {
-                    let d = indeg.get_mut(&v).expect("node present");
-                    *d -= 1;
-                    if *d == 0 {
-                        unlocked.push(v);
-                    }
-                }
-                unlocked.sort();
-                queue.extend(unlocked);
-            }
+        let mut g = self.subgraph(seeds);
+        let mut order = g.ready();
+        let mut head = 0;
+        while head < order.len() {
+            let tail = order.len();
+            g.release(order[head], &mut order);
+            g.sort_by_addr(&mut order[tail..]);
+            head += 1;
         }
-        let mut cyclic: Vec<CellAddr> = nodes.into_iter().filter(|n| indeg[n] > 0).collect();
-        cyclic.sort();
-        RecomputePlan { order, cyclic }
+        RecomputePlan {
+            order: g.addrs(&order),
+            cyclic: g.cyclic(),
+        }
     }
 
-    /// The same affected set as [`DependencyGraph::recompute_plan`], grouped
-    /// into dependency-depth waves (level-synchronous Kahn): a formula lands
-    /// in the first wave after every in-subgraph formula it reads. Members
-    /// of one wave never read each other, so the engine evaluates a wave's
-    /// cells concurrently and writes the results back in wave order —
-    /// producing the same values as the sequential plan.
+    /// The same affected set as [`DependencyGraph::recompute_plan`], read
+    /// from the same walk's subgraph and grouped into dependency-depth
+    /// waves (level-synchronous Kahn): a formula lands in the first wave
+    /// after every in-subgraph formula it reads. Members of one wave never
+    /// read each other, so the engine evaluates a wave's cells concurrently
+    /// and writes the results back in wave order — producing the same
+    /// values as the sequential plan.
     pub fn recompute_waves(&self, seeds: &[CellAddr]) -> WavePlan {
-        let AffectedSubgraph {
-            nodes,
-            indeg,
-            edges,
-        } = self.affected_subgraph(seeds);
-        Self::waves_from(nodes, indeg, edges)
+        self.subgraph(seeds).waves()
     }
 
     /// The wave plan covering *every* registered formula — the bulk
     /// `recompute_all` path. Produces exactly the plan that
     /// [`DependencyGraph::recompute_waves`] seeded with every formula cell
-    /// would, but skips the discovery BFS (the affected set is the whole
-    /// graph by definition) and builds the edges straight from the read
-    /// ranges with a column-sorted containment query over the formula
-    /// addresses, instead of one spatial-index probe per cell. On dense
-    /// fill-down sheets — many same-column ranges crowding the same index
-    /// buckets — that turns plan construction from the dominant cascade
-    /// cost into noise.
+    /// would, into the same dense-id subgraph, but with no walk: the
+    /// affected set is the whole graph by definition, and the edges come
+    /// straight from the read ranges, by a column-sorted containment query
+    /// over the formula addresses that yields `(source, reader)` id pairs,
+    /// sorted into the subgraph's edge list. On dense fill-down sheets —
+    /// many same-column ranges crowding the same index buckets — that is
+    /// several times faster than one spatial-index probe per formula.
     pub fn full_waves(&self) -> WavePlan {
-        // Formula addresses grouped by column, rows sorted: "which formula
+        // Formula ids grouped by column, sorted by row: "which formula
         // cells does this rect cover" becomes a binary search per column.
-        let mut by_col: HashMap<u32, Vec<u32>> = HashMap::new();
-        for a in self.reads.keys() {
-            by_col.entry(a.col).or_default().push(a.row);
+        let mut g = Subgraph::default();
+        let mut by_col: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
+        for &a in self.reads.keys() {
+            by_col.entry(a.col).or_default().push((a.row, g.id(a)));
         }
         for rows in by_col.values_mut() {
             rows.sort_unstable();
         }
-        let rows_in = |rows: &[u32], col: u32, r: &Rect, out: &mut Vec<CellAddr>| {
-            let lo = rows.partition_point(|&row| row < r.r1);
-            let hi = rows.partition_point(|&row| row <= r.r2);
-            out.extend(rows[lo..hi].iter().map(|&row| CellAddr::new(row, col)));
-        };
-        let nodes: Vec<CellAddr> = self.reads.keys().copied().collect();
-        let mut indeg: HashMap<CellAddr, usize> = nodes.iter().map(|&n| (n, 0)).collect();
-        let mut edges: HashMap<CellAddr, Vec<CellAddr>> = HashMap::new();
-        let mut sources: Vec<CellAddr> = Vec::new();
-        for (&v, ranges) in &self.reads {
-            sources.clear();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for (addr, ranges) in &self.reads {
+            let v = g.ids[addr];
+            let mut rows_in = |rows: &[(u32, u32)], r: &Rect| {
+                let lo = rows.partition_point(|&(row, _)| row < r.r1);
+                let hi = rows.partition_point(|&(row, _)| row <= r.r2);
+                pairs.extend(rows[lo..hi].iter().map(|&(_, u)| (u, v)));
+            };
             for r in ranges {
                 // Enumerate the formula cells inside `r`, walking whichever
                 // axis set is smaller: the rect's columns or the columns
@@ -370,67 +412,30 @@ impl DependencyGraph {
                 if r.cols() >= by_col.len() as u64 {
                     for (&c, rows) in &by_col {
                         if c >= r.c1 && c <= r.c2 {
-                            rows_in(rows, c, r, &mut sources);
+                            rows_in(rows, r);
                         }
                     }
                 } else {
                     for c in r.c1..=r.c2 {
                         if let Some(rows) = by_col.get(&c) {
-                            rows_in(rows, c, r, &mut sources);
+                            rows_in(rows, r);
                         }
                     }
                 }
             }
-            // One edge per (source, reader) pair no matter how many of the
-            // reader's ranges cover the source — mirrors the deduplication
-            // `dependents_of` performs on the probe path.
-            sources.sort_unstable();
-            sources.dedup();
-            for &u in &sources {
-                let d = indeg.get_mut(&v).expect("node present");
-                *d += 1;
-                if u == v {
-                    // Self-reference: an immediate cycle — the permanent
-                    // in-degree bump keeps `v` out of every wave.
-                    continue;
-                }
-                edges.entry(u).or_default().push(v);
-            }
         }
-        Self::waves_from(nodes, indeg, edges)
-    }
-
-    /// Level-synchronous Kahn over a prepared subgraph: shared tail of
-    /// [`DependencyGraph::recompute_waves`] and
-    /// [`DependencyGraph::full_waves`].
-    fn waves_from(
-        nodes: Vec<CellAddr>,
-        mut indeg: HashMap<CellAddr, usize>,
-        edges: HashMap<CellAddr, Vec<CellAddr>>,
-    ) -> WavePlan {
-        let mut frontier: Vec<CellAddr> = nodes.iter().copied().filter(|n| indeg[n] == 0).collect();
-        frontier.sort_unstable();
-        let mut waves: Vec<Vec<CellAddr>> = Vec::new();
-        while !frontier.is_empty() {
-            let mut next: Vec<CellAddr> = Vec::new();
-            for &u in &frontier {
-                if let Some(vs) = edges.get(&u) {
-                    for &v in vs {
-                        let d = indeg.get_mut(&v).expect("node present");
-                        *d -= 1;
-                        if *d == 0 {
-                            next.push(v);
-                        }
-                    }
-                }
-            }
-            next.sort_unstable();
-            waves.push(frontier);
-            frontier = next;
+        // Sorted by source, the pairs are the edge list in node order. A
+        // source that several of a reader's ranges cover repeats its edge,
+        // and each copy is released once, so the plan is the same.
+        pairs.sort_unstable();
+        for &(_, v) in &pairs {
+            g.edges.push(v);
+            g.indeg[v as usize] += 1;
         }
-        let mut cyclic: Vec<CellAddr> = nodes.into_iter().filter(|n| indeg[n] > 0).collect();
-        cyclic.sort();
-        WavePlan { waves, cyclic }
+        g.ends = (0..g.nodes.len() as u32)
+            .map(|u| pairs.partition_point(|&(s, _)| s <= u) as u32)
+            .collect();
+        g.waves()
     }
 }
 
@@ -501,6 +506,10 @@ mod tests {
         g.set_formula(a("A1"), vec![r("A1:B2")]);
         let plan = g.recompute_plan(&[a("B2")]);
         assert_eq!(plan.cyclic, vec![a("A1")]);
+        let waves = g.recompute_waves(&[a("B2")]);
+        assert!(waves.is_empty());
+        assert_eq!(waves.cyclic, vec![a("A1")]);
+        assert_eq!(g.full_waves(), waves);
     }
 
     #[test]
@@ -636,12 +645,37 @@ mod tests {
         g.set_formula(a("H1"), vec![r("H1")]);
         g.set_formula(a("I1"), vec![Rect::new(5, 0, 5, u32::MAX - 1)]);
         g.set_formula(a("J1"), vec![r("B5:B20"), r("B10:C15")]);
-        let seeds: Vec<CellAddr> = g.reads.keys().copied().collect();
-        assert_eq!(g.full_waves(), g.recompute_waves(&seeds));
-        assert_eq!(
-            g.full_waves().len() + g.full_waves().cyclic.len(),
-            g.formula_count()
-        );
+        // The cascade shape: a 64-row sliding `SUM` over column A, a
+        // scalar column over it, a running chain and a whole-column total,
+        // whose fill-down ranges crowd one index bucket.
+        let mut cascade = DependencyGraph::new();
+        for row in 0..300u32 {
+            let window = Rect::new(row.saturating_sub(63), 0, row, 0);
+            cascade.set_formula(CellAddr::new(row, 7), vec![window]);
+            cascade.set_formula(
+                CellAddr::new(row, 8),
+                vec![Rect::cell(CellAddr::new(row, 7))],
+            );
+        }
+        cascade.set_formula(CellAddr::new(0, 9), vec![r("A1")]);
+        for row in 1..150u32 {
+            cascade.set_formula(
+                CellAddr::new(row, 9),
+                vec![
+                    Rect::cell(CellAddr::new(row - 1, 9)),
+                    Rect::cell(CellAddr::new(row, 0)),
+                ],
+            );
+        }
+        cascade.set_formula(CellAddr::new(0, 10), vec![Rect::new(0, 8, 299, 8)]);
+        for g in [g, cascade] {
+            let seeds: Vec<CellAddr> = g.reads.keys().copied().collect();
+            assert_eq!(g.full_waves(), g.recompute_waves(&seeds));
+            assert_eq!(
+                g.full_waves().len() + g.full_waves().cyclic.len(),
+                g.formula_count()
+            );
+        }
     }
 
     #[test]
@@ -703,9 +737,7 @@ mod tests {
         let (mut candidates, mut dependents) = (0, 0);
         for _ in 0..PROBES {
             let probe = CellAddr::new(rng.gen_range(0..FORMULAS), rng.gen_range(0..10u32));
-            let mut cands = Vec::new();
-            g.index.candidates_into(probe, &mut cands);
-            candidates += cands.len();
+            candidates += g.index.candidates(probe).count();
             dependents += g.dependents_of(probe).len();
         }
         assert!(dependents > 0, "the probes must hit dependents");

@@ -213,6 +213,15 @@ fn compare_plans(indexed: &DependencyGraph, scan: &ScanDependencyGraph, rng: &mu
     }
 }
 
+/// `full_waves` must equal the wave plan seeded with every formula, and
+/// be valid against the scan oracle's plan over the same seeds.
+fn compare_full_waves(indexed: &DependencyGraph, scan: &ScanDependencyGraph) {
+    let every: Vec<CellAddr> = indexed.formulas().map(|(a, _)| a).collect();
+    let full = indexed.full_waves();
+    assert_eq!(full, indexed.recompute_waves(&every), "full_waves diverged");
+    assert_valid_waves(scan, &full, &scan.recompute_plan(&every));
+}
+
 /// The wave plan must cover exactly the sequential plan's affected set and
 /// cycle set, and every read edge must cross strictly forward in wave
 /// index — the invariant that makes per-wave parallel evaluation safe.
@@ -261,6 +270,7 @@ fn random_formula_sets_agree_with_scan_oracle() {
         }
         compare_lookups(&indexed, &scan, &mut rng);
         compare_plans(&indexed, &scan, &mut rng);
+        compare_full_waves(&indexed, &scan);
     }
 }
 
@@ -305,6 +315,7 @@ fn random_edit_sequences_agree_with_scan_oracle() {
             if step % 50 == 49 {
                 compare_lookups(&indexed, &scan, &mut rng);
                 compare_plans(&indexed, &scan, &mut rng);
+                compare_full_waves(&indexed, &scan);
             }
         }
         // Drain to empty: every placement must unregister cleanly.
