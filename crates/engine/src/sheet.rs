@@ -80,9 +80,6 @@ pub struct SheetEngine {
     /// Cells recomputed since the engine was created (includes cells
     /// marked `#CIRC!`); lets tests and benches observe recompute scope.
     cells_recomputed: u64,
-    /// Force the sequential per-cell recompute path, the reference the
-    /// wave pipeline is checked against (`tests/recompute_par.rs`).
-    scalar_recompute: bool,
     /// Metric handles, when the owner attached a registry.
     obs: Option<crate::obs::EngineObs>,
 }
@@ -108,7 +105,6 @@ impl SheetEngine {
             composites: HashMap::new(),
             durable: None,
             cells_recomputed: 0,
-            scalar_recompute: false,
             obs: None,
         }
     }
@@ -131,13 +127,6 @@ impl SheetEngine {
     /// marked `#CIRC!`).
     pub fn cells_recomputed(&self) -> u64 {
         self.cells_recomputed
-    }
-
-    /// Force the sequential per-cell recompute path, the differential
-    /// oracle for the wave pipeline.
-    #[doc(hidden)]
-    pub fn set_scalar_recompute(&mut self, on: bool) {
-        self.scalar_recompute = on;
     }
 
     // ------------------------------------------------------ persistence --
@@ -735,13 +724,10 @@ impl SheetEngine {
 
     /// Re-evaluate the given seeds' dependents: in topological waves, each
     /// evaluated in place on the calling thread with same-shape fill-down
-    /// runs batch-evaluated. Output is identical to the sequential
-    /// per-cell walk ([`SheetEngine::set_scalar_recompute`] retains that
-    /// walk as the differential oracle).
+    /// runs batch-evaluated. The formula suites check the values against
+    /// `dataspread_sim::RefSheet`, a dense sheet that evaluates every
+    /// formula from scratch.
     fn recompute(&mut self, seeds: &[CellAddr]) -> Result<(), EngineError> {
-        if self.scalar_recompute {
-            return self.recompute_scalar(seeds);
-        }
         let plan = self.deps.recompute_waves(seeds);
         self.run_wave_plan(plan)
     }
@@ -768,37 +754,11 @@ impl SheetEngine {
         Ok(())
     }
 
-    /// The retained sequential tree walk over the Kahn order.
-    fn recompute_scalar(&mut self, seeds: &[CellAddr]) -> Result<(), EngineError> {
-        let plan = self.deps.recompute_plan(seeds);
-        if let Some(obs) = &self.obs {
-            obs.scalar_evals.add(plan.order.len() as u64);
-        }
-        for addr in plan.order {
-            let Some(info) = self.parsed.get(&addr) else {
-                continue;
-            };
-            let value = {
-                let reader = StorageReader(&self.sheet);
-                Evaluator::at(addr).eval(&info.expr, &reader)
-            };
-            self.write_computed(addr, value)?;
-        }
-        for addr in plan.cyclic {
-            self.write_computed(addr, CellValue::Error(CellError::Circular))?;
-        }
-        Ok(())
-    }
-
-    /// Recompute every registered formula (bulk loads, benches). The wave
-    /// path plans with [`DependencyGraph::full_waves`]: when the affected
-    /// set is the whole graph there is nothing to discover, so the
-    /// per-cell spatial probes of the seeded planner are skipped entirely.
+    /// Recompute every registered formula (bulk loads, benches). It plans
+    /// with [`DependencyGraph::full_waves`]: when the affected set is the
+    /// whole graph there is nothing to discover, so the per-cell spatial
+    /// probes of the seeded planner are skipped entirely.
     pub fn recompute_all(&mut self) -> Result<(), EngineError> {
-        if self.scalar_recompute {
-            let seeds: Vec<CellAddr> = self.parsed.keys().copied().collect();
-            return self.recompute_scalar(&seeds);
-        }
         let plan = self.deps.full_waves();
         self.run_wave_plan(plan)
     }

@@ -49,13 +49,13 @@ pub enum TapeOp {
     },
 }
 
-/// The value an [`TapeOp::Import`] block holds at local `(r, c)` — shared
-/// between the engine apply and the differential model.
-pub fn import_value(op_row: u32, op_col: u32, width: u32, r: u32, c: u32) -> CellValue {
+/// The value an [`TapeOp::Import`] block holds at local `(r, c)`.
+fn import_value(op_row: u32, op_col: u32, width: u32, r: u32, c: u32) -> CellValue {
     CellValue::Number(((op_row + r) * 1000 + (op_col + c) * width) as f64 + 0.25)
 }
 
-/// The row data an [`TapeOp::Import`] feeds to `import_rows`.
+/// The row data an [`TapeOp::Import`] feeds to `import_rows`, and the
+/// differential suite to its reference sheet.
 pub fn import_rows_data(row: u32, col: u32, width: u32, n_rows: u32) -> Vec<Vec<CellValue>> {
     (0..n_rows)
         .map(|r| {
@@ -84,8 +84,9 @@ const LITERALS: &[&str] = &[
     "  ",
 ];
 
-/// Reference-free formulas: their values are position-independent, so the
-/// differential model can predict them across structural edits.
+/// Reference-free formulas: their values are position-independent, so a
+/// failure here is about cells, not references (the formula suites cover
+/// those).
 const FORMULAS: &[&str] = &[
     "=1+2*3",
     "=SUM(1,2,3,4)",

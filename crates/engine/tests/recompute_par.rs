@@ -1,13 +1,14 @@
-//! Differential suite pinning the wave/batch recompute pipeline to the
-//! sequential per-cell tree walk it replaced.
+//! Differential suite pinning the wave/batch recompute pipeline to a
+//! reference sheet outside the engine.
 //!
-//! The oracle is a [`SheetEngine`] forced onto the retained scalar path
-//! (`set_scalar_recompute`): Kahn order, one tree walk per cell, no
-//! batching. Random formula tapes — fill-down sliding aggregates (the
-//! batch path), scalar layers, chains, cycles, error producers — are
-//! replayed into it and into an engine on the wave pipeline, and full
-//! sheet snapshots (values *and* stored formula text) must stay
-//! bit-identical throughout.
+//! The reference is [`RefSheet`]: a dense grid that evaluates every
+//! formula from scratch on read, in its own Kahn order, one tree walk per
+//! cell, with no batching and none of the engine's registry, index or
+//! planner. Random formula tapes — fill-down sliding aggregates (the batch
+//! path), scalar layers, chains, cycles, error producers — are replayed
+//! into it and into an engine, and full sheet snapshots (values *and*
+//! stored formula text) must stay identical throughout. The engine's
+//! batch and scalar evaluation counts are pinned beside them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,6 +16,7 @@ use rand::{Rng, SeedableRng};
 use dataspread_engine::{EngineObs, SheetEngine};
 use dataspread_grid::{Cell, CellAddr, Rect};
 use dataspread_obs::MetricsRegistry;
+use dataspread_sim::RefSheet;
 
 const ROWS: u32 = 48;
 const COLS: u32 = 8;
@@ -114,92 +116,78 @@ fn snapshot(e: &SheetEngine) -> Vec<(CellAddr, Cell)> {
     e.get_cells(Rect::new(0, 0, ROWS + 4, COLS + 4))
 }
 
+/// Replay `ops` into a fresh engine and a fresh reference sheet.
+fn both(ops: &[Op]) -> (SheetEngine, RefSheet) {
+    let mut e = SheetEngine::new();
+    let mut model = RefSheet::new();
+    for (addr, input) in ops {
+        e.update_cell(*addr, input).expect("engine update");
+        model.set(*addr, input);
+    }
+    (e, model)
+}
+
 #[test]
-fn random_tapes_match_scalar_oracle() {
+fn random_tapes_match_reference_sheet() {
     for seed in 0..4u64 {
-        let mut oracle = SheetEngine::new();
-        oracle.set_scalar_recompute(true);
+        let mut model = RefSheet::new();
         let mut e = SheetEngine::new();
         let ops = tape(0xFA12_0001u64 + seed, 260);
         for (step, (addr, input)) in ops.iter().enumerate() {
-            oracle.update_cell(*addr, input).expect("oracle update");
+            model.set(*addr, input);
             e.update_cell(*addr, input).expect("wave update");
             // Full-snapshot comparison is O(cells); sample it.
             if step % 20 == 19 {
-                assert_eq!(
-                    snapshot(&e),
-                    snapshot(&oracle),
-                    "seed {seed} step {step}: snapshot diverged"
-                );
+                model.assert_matches(snapshot(&e), &format!("seed {seed} step {step}"));
             }
         }
         // A bulk recompute-everything pass must agree too (this is the
         // path the bench drives: maximally wide waves).
-        oracle.recompute_all().expect("oracle recompute_all");
         e.recompute_all().expect("wave recompute_all");
-        assert_eq!(
-            snapshot(&e),
-            snapshot(&oracle),
-            "seed {seed}: bulk diverged"
-        );
+        model.assert_matches(snapshot(&e), &format!("seed {seed}: bulk"));
     }
 }
 
 #[test]
-fn wide_scalar_wave_matches_scalar_oracle() {
+fn wide_scalar_wave_matches_reference_sheet() {
     // 200 same-wave scalar formulas (no batchable shape): one wave far
     // wider than BATCH_MIN, evaluated and written back member by member,
-    // must match the scalar walk exactly.
-    let mut oracle = SheetEngine::new();
-    oracle.set_scalar_recompute(true);
-    let mut e = SheetEngine::new();
+    // must match the reference exactly.
+    let mut ops = Vec::new();
     for r in 0..200u32 {
-        let data = format!("{}.5", r % 17);
-        let formula = format!("=A{}*3+1", r + 1);
-        for engine in [&mut oracle, &mut e] {
-            engine.update_cell(CellAddr::new(r, 0), &data).unwrap();
-            engine.update_cell(CellAddr::new(r, 1), &formula).unwrap();
-        }
+        ops.push((CellAddr::new(r, 0), format!("{}.5", r % 17)));
+        ops.push((CellAddr::new(r, 1), format!("=A{}*3+1", r + 1)));
     }
-    oracle.recompute_all().unwrap();
+    let (mut e, model) = both(&ops);
     let registry = MetricsRegistry::new();
     let obs = EngineObs::new(&registry, "wide");
     e.set_obs(obs.clone());
     e.recompute_all().unwrap();
     assert_eq!(obs.waves.get(), 1, "one wave");
     assert_eq!(obs.scalar_evals.get(), 200);
-    assert_eq!(
-        e.get_cells(Rect::new(0, 0, 220, 4)),
-        oracle.get_cells(Rect::new(0, 0, 220, 4)),
-        "wide wave diverged"
-    );
+    model.assert_matches(e.get_cells(Rect::new(0, 0, 220, 4)), "wide wave");
 }
 
 /// The batch threshold is exact: a wave of `BATCH_MIN` same-shape sliding
 /// members is swept as one run, while `BATCH_MIN - 1` of them are walked
 /// cell by cell, alone or beside one scalar member that makes the wave
-/// `BATCH_MIN` wide. The values equal the scalar walk's either way.
+/// `BATCH_MIN` wide. The values equal the reference sheet's either way.
 #[test]
 fn batch_min_members_batch_and_one_fewer_do_not() {
     for (sliding, scalar) in [(BATCH_MIN, 0), (BATCH_MIN - 1, 0), (BATCH_MIN - 1, 1)] {
         let ctx = format!("{sliding} sliding + {scalar} scalar members");
-        let mut e = SheetEngine::new();
+        let mut ops = Vec::new();
         for r in 0..sliding + 2 {
-            e.update_cell(CellAddr::new(r, 0), &format!("{}", r * 3 % 7))
-                .unwrap();
+            ops.push((CellAddr::new(r, 0), format!("{}", r * 3 % 7)));
         }
         for r in 2..sliding + 2 {
             let src = format!("=SUM({}:{})", a1(r - 2, 0), a1(r, 0));
-            e.update_cell(CellAddr::new(r, 1), &src).unwrap();
+            ops.push((CellAddr::new(r, 1), src));
         }
         for r in 0..scalar {
-            e.update_cell(CellAddr::new(r, 2), &format!("={}*2", a1(r, 0)))
-                .unwrap();
+            ops.push((CellAddr::new(r, 2), format!("={}*2", a1(r, 0))));
         }
-        e.set_scalar_recompute(true);
-        e.recompute_all().unwrap();
-        let want = snapshot(&e);
-        e.set_scalar_recompute(false);
+        let (mut e, model) = both(&ops);
         let registry = MetricsRegistry::new();
         let obs = EngineObs::new(&registry, "edge");
         e.set_obs(obs.clone());
@@ -209,7 +197,7 @@ fn batch_min_members_batch_and_one_fewer_do_not() {
         assert_eq!(obs.batch_evals.get(), u64::from(batch), "{ctx}");
         let walked = sliding + scalar - batch;
         assert_eq!(obs.scalar_evals.get(), u64::from(walked), "{ctx}");
-        assert_eq!(snapshot(&e), want, "{ctx}: values diverged");
+        model.assert_matches(snapshot(&e), &ctx);
     }
 }
 
@@ -220,41 +208,35 @@ const CHAIN: u32 = 2_000;
 /// numbers in column A, a 64-row sliding `SUM` over A filled down column
 /// B, `=B{r}*2-1` in column C and a 2 000-deep chain `=D{r-1}+1` in
 /// column D. Formulas go in dependency-first, so each evaluates once.
-fn fill_down_corpus(rows: u32) -> SheetEngine {
-    let mut e = SheetEngine::new();
+fn fill_down_corpus(rows: u32) -> Vec<Op> {
+    let mut ops = Vec::new();
     for r in 0..rows {
         let n = (r.wrapping_mul(2_654_435_761) % 4_000) as f64 / 4.0;
-        e.update_cell(CellAddr::new(r, 0), &n.to_string()).unwrap();
+        ops.push((CellAddr::new(r, 0), n.to_string()));
     }
     for r in WINDOW - 1..rows {
         let src = format!("=SUM({}:{})", a1(r + 1 - WINDOW, 0), a1(r, 0));
-        e.update_cell(CellAddr::new(r, 1), &src).unwrap();
+        ops.push((CellAddr::new(r, 1), src));
     }
     for r in 0..rows {
-        e.update_cell(CellAddr::new(r, 2), &format!("={}*2-1", a1(r, 1)))
-            .unwrap();
+        ops.push((CellAddr::new(r, 2), format!("={}*2-1", a1(r, 1))));
     }
-    e.update_cell(CellAddr::new(0, 3), "1").unwrap();
+    ops.push((CellAddr::new(0, 3), "1".to_string()));
     for r in 1..CHAIN.min(rows) {
-        e.update_cell(CellAddr::new(r, 3), &format!("={}+1", a1(r - 1, 3)))
-            .unwrap();
+        ops.push((CellAddr::new(r, 3), format!("={}+1", a1(r - 1, 3))));
     }
-    e
+    ops
 }
 
 /// The batch share of a full cascade as a count: on the fill-down
 /// corpus every sliding `SUM` is answered by one vectorized sweep and
 /// every other formula by one tree walk, each exactly once, and the
-/// values equal the scalar oracle's.
+/// values equal the reference sheet's.
 #[test]
 fn fill_down_cascade_batches_every_sliding_run() {
     const ROWS: u32 = 4_000;
-    let mut e = fill_down_corpus(ROWS);
+    let (mut e, model) = both(&fill_down_corpus(ROWS));
     let window = Rect::new(0, 0, ROWS + 2, 6);
-    e.set_scalar_recompute(true);
-    e.recompute_all().unwrap();
-    let want = e.get_cells(window);
-    e.set_scalar_recompute(false);
     let registry = MetricsRegistry::new();
     let obs = EngineObs::new(&registry, "fill");
     e.set_obs(obs.clone());
@@ -263,5 +245,5 @@ fn fill_down_cascade_batches_every_sliding_run() {
     assert_eq!(obs.batch_evals.get(), u64::from(sliding));
     let scalar = ROWS + CHAIN - 1;
     assert_eq!(obs.scalar_evals.get(), u64::from(scalar));
-    assert_eq!(e.get_cells(window), want, "cascade diverged");
+    model.assert_matches(e.get_cells(window), "cascade");
 }

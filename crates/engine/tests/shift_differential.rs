@@ -1,15 +1,15 @@
 //! Differential suite for band-intersection recompute seeding on
 //! structural edits.
 //!
-//! The baseline is a second [`SheetEngine`] that calls
-//! [`SheetEngine::recompute_all`] after every insert/delete, so every
-//! surviving formula is evaluated afresh. The optimized engine seeds only
-//! formulas whose read windows intersect the shift band (plus freshly
-//! `#REF!`'d cells).
-//! Random tapes of edits and reference-full formulas are replayed into
-//! both; snapshots (values *and* formula text) must agree after every
-//! op, while the optimized engine's structural edits must evaluate
-//! strictly fewer cells than the baseline's full recomputes.
+//! The reference is [`RefSheet`], a dense sheet whose references name
+//! cells by row and column identity, so it moves them through an edit
+//! with no reference rewrite, and which evaluates every formula afresh on
+//! read. The engine rewrites references in place and seeds only formulas
+//! whose read windows intersect the shift band (plus freshly `#REF!`'d
+//! cells). Random tapes of edits and reference-full formulas are replayed
+//! into both; the whole sheet (values *and* formula text) must agree
+//! after every op, while the engine's structural edits must evaluate
+//! strictly fewer cells than a full recompute after each would.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,6 +17,7 @@ use rand::{Rng, SeedableRng};
 use dataspread_engine::{EngineError, SheetEngine};
 use dataspread_grid::value::CellError;
 use dataspread_grid::{Cell, CellAddr, CellValue, Rect};
+use dataspread_sim::RefSheet;
 
 const ROWS: u32 = 28;
 const COLS: u32 = 10;
@@ -88,35 +89,44 @@ fn apply(e: &mut SheetEngine, op: &Op) {
     }
 }
 
+fn apply_to_reference(model: &mut RefSheet, op: &Op) {
+    match op {
+        Op::Set(addr, input) => model.set(*addr, input),
+        Op::InsertRows(at, n) => model.insert_rows(*at, *n),
+        Op::DeleteRows(at, n) => model.delete_rows(*at, *n),
+        Op::InsertCols(at, n) => model.insert_cols(*at, *n),
+        Op::DeleteCols(at, n) => model.delete_cols(*at, *n),
+    }
+}
+
+/// Every cell of the sheet, wherever the edits moved it.
 fn snapshot(e: &SheetEngine) -> Vec<(CellAddr, Cell)> {
-    e.get_cells(Rect::new(0, 0, ROWS + 8, COLS + 8))
+    e.snapshot().iter().map(|(a, c)| (a, c.clone())).collect()
 }
 
 #[test]
-fn band_seeding_matches_recompute_everything_baseline() {
+fn band_seeding_matches_reference_sheet() {
     for seed in 0..6u64 {
-        let mut baseline = SheetEngine::new();
+        let mut model = RefSheet::new();
         let mut optimized = SheetEngine::new();
-        // Cells evaluated by the baseline's full recomputes, and by the
-        // optimized engine's structural edits.
+        // Cells a full recompute after each structural edit would
+        // evaluate (every formula left), and cells the optimized engine's
+        // structural edits evaluated.
         let (mut full, mut seeded) = (0u64, 0u64);
         for (step, op) in tape(0x5F1F_0001 + seed, 160).iter().enumerate() {
             let structural = !matches!(op, Op::Set(..));
-            apply(&mut baseline, op);
+            apply_to_reference(&mut model, op);
             if structural {
-                let before = baseline.cells_recomputed();
-                baseline.recompute_all().expect("recompute all");
-                full += baseline.cells_recomputed() - before;
+                full += model.formula_count() as u64;
             }
             let before = optimized.cells_recomputed();
             apply(&mut optimized, op);
             if structural {
                 seeded += optimized.cells_recomputed() - before;
             }
-            assert_eq!(
+            model.assert_matches(
                 snapshot(&optimized),
-                snapshot(&baseline),
-                "seed {seed} step {step} {op:?}: snapshot diverged"
+                &format!("seed {seed} step {step} {op:?}"),
             );
         }
         // The point of band seeding: strictly less evaluation work on

@@ -12,10 +12,12 @@
 //! edit. The straightforward scan, which walks every formula, lives in
 //! `tests/deps_oracle.rs` as the differential oracle.
 //!
-//! **Planning.** Every plan shape reads one subgraph over dense ids, built
-//! by one walk that numbers each affected formula once and probes it once.
-//! A formula reading its own cell has an edge to itself, so its in-degree
-//! never reaches 0 and it lands in the cycle set with no special case.
+//! **Planning.** There are two planners, and both write one subgraph over
+//! dense ids that one Kahn loop turns into waves: a seeded walk that
+//! numbers each affected formula once and probes it once, and a containment
+//! query over every formula for a whole-sheet recompute. A formula reading
+//! its own cell has an edge to itself, so its in-degree never reaches 0 and
+//! it lands in the cycle set with no special case.
 //!
 //! **Sharding.** A `DependencyGraph` is deliberately *per-sheet* state —
 //! no globals, no interior sharing — and the whole structure is `Send`.
@@ -128,17 +130,8 @@ pub struct DependencyGraph {
     index: GridIndex,
 }
 
-/// Result of a recomputation-order query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecomputePlan {
-    /// Formula cells in a valid evaluation order.
-    pub order: Vec<CellAddr>,
-    /// Formula cells caught in a reference cycle (must display `#CIRC!`).
-    pub cyclic: Vec<CellAddr>,
-}
-
-/// Result of a wave-structured recomputation query: the same affected set
-/// as [`RecomputePlan`], grouped by dependency depth.
+/// Result of a recomputation query: the formulas affected by an update,
+/// grouped by dependency depth.
 ///
 /// Wave `k` holds the formulas whose longest dependency path from a ready
 /// formula has length `k` — no formula in a wave reads any cell computed
@@ -343,34 +336,13 @@ impl DependencyGraph {
         g
     }
 
-    /// All formulas transitively affected by updates to `seeds`, in a valid
-    /// recomputation order; cycle participants are reported separately.
-    /// Kahn's algorithm over the walk's subgraph with sorted tie-breaking:
-    /// the ready formulas in address order, then what each formula in turn
-    /// releases, sorted.
-    pub fn recompute_plan(&self, seeds: &[CellAddr]) -> RecomputePlan {
-        let mut g = self.subgraph(seeds);
-        let mut order = g.ready();
-        let mut head = 0;
-        while head < order.len() {
-            let tail = order.len();
-            g.release(order[head], &mut order);
-            g.sort_by_addr(&mut order[tail..]);
-            head += 1;
-        }
-        RecomputePlan {
-            order: g.addrs(&order),
-            cyclic: g.cyclic(),
-        }
-    }
-
-    /// The same affected set as [`DependencyGraph::recompute_plan`], read
-    /// from the same walk's subgraph and grouped into dependency-depth
-    /// waves (level-synchronous Kahn): a formula lands in the first wave
-    /// after every in-subgraph formula it reads. Members of one wave never
-    /// read each other, so the engine evaluates a wave's cells concurrently
-    /// and writes the results back in wave order — producing the same
-    /// values as the sequential plan.
+    /// All formulas transitively affected by updates to `seeds`, grouped
+    /// into dependency-depth waves (level-synchronous Kahn over the walk's
+    /// subgraph): a formula lands in the first wave after every
+    /// in-subgraph formula it reads. Members of one wave never read each
+    /// other, so a wave's cells may be evaluated in any order once every
+    /// earlier wave is written back. Cycle participants, and everything
+    /// downstream of them, are reported separately.
     pub fn recompute_waves(&self, seeds: &[CellAddr]) -> WavePlan {
         self.subgraph(seeds).waves()
     }
@@ -457,6 +429,11 @@ mod tests {
         Rect::parse_a1(s).unwrap()
     }
 
+    /// The plan's evaluation order: its waves, one after another.
+    fn order(plan: &WavePlan) -> Vec<CellAddr> {
+        plan.waves.concat()
+    }
+
     #[test]
     fn dependents_by_range_containment() {
         let mut g = DependencyGraph::new();
@@ -473,9 +450,9 @@ mod tests {
         g.set_formula(a("B1"), vec![r("A1")]);
         g.set_formula(a("C1"), vec![r("B1")]);
         g.set_formula(a("D1"), vec![r("B1"), r("C1")]);
-        let plan = g.recompute_plan(&[a("A1")]);
+        let plan = g.recompute_waves(&[a("A1")]);
         assert!(plan.cyclic.is_empty());
-        assert_eq!(plan.order, vec![a("B1"), a("C1"), a("D1")]);
+        assert_eq!(order(&plan), vec![a("B1"), a("C1"), a("D1")]);
     }
 
     #[test]
@@ -483,8 +460,8 @@ mod tests {
         let mut g = DependencyGraph::new();
         g.set_formula(a("B1"), vec![r("A1")]);
         g.set_formula(a("Z9"), vec![r("Y1:Y5")]);
-        let plan = g.recompute_plan(&[a("A1")]);
-        assert_eq!(plan.order, vec![a("B1")]);
+        let plan = g.recompute_waves(&[a("A1")]);
+        assert_eq!(order(&plan), vec![a("B1")]);
     }
 
     #[test]
@@ -493,19 +470,17 @@ mod tests {
         g.set_formula(a("A1"), vec![r("B1")]);
         g.set_formula(a("B1"), vec![r("A1")]);
         g.set_formula(a("C1"), vec![r("B1")]);
-        let plan = g.recompute_plan(&[a("A1")]);
+        let plan = g.recompute_waves(&[a("A1")]);
         // C1 depends on the cycle; it stays blocked (reported cyclic) since
         // its input never settles.
         assert_eq!(plan.cyclic, vec![a("A1"), a("B1"), a("C1")]);
-        assert!(plan.order.is_empty());
+        assert!(order(&plan).is_empty());
     }
 
     #[test]
     fn self_reference_is_cyclic() {
         let mut g = DependencyGraph::new();
         g.set_formula(a("A1"), vec![r("A1:B2")]);
-        let plan = g.recompute_plan(&[a("B2")]);
-        assert_eq!(plan.cyclic, vec![a("A1")]);
         let waves = g.recompute_waves(&[a("B2")]);
         assert!(waves.is_empty());
         assert_eq!(waves.cyclic, vec![a("A1")]);
@@ -516,8 +491,8 @@ mod tests {
     fn seed_formula_recomputes_itself() {
         let mut g = DependencyGraph::new();
         g.set_formula(a("B1"), vec![r("A1")]);
-        let plan = g.recompute_plan(&[a("B1")]);
-        assert_eq!(plan.order, vec![a("B1")]);
+        let plan = g.recompute_waves(&[a("B1")]);
+        assert_eq!(order(&plan), vec![a("B1")]);
     }
 
     #[test]
@@ -593,17 +568,17 @@ mod tests {
         g.set_formula(a("B1"), vec![r("A1:A4")]);
         g.set_formula(a("C1"), vec![r("B1")]);
         g.set_formula(a("D1"), vec![r("B1"), r("C1")]);
-        // An independent cycle touched by the same seed.
+        // A cycle the same seed touches, inside B1's range: B1 and its
+        // readers are downstream of it, so every affected formula is
+        // cyclic and none is ordered.
         g.set_formula(a("A2"), vec![r("A3")]);
         g.set_formula(a("A3"), vec![r("A2"), r("A1")]);
-        let plan = g.recompute_plan(&[a("A1")]);
         let waves = g.recompute_waves(&[a("A1")]);
-        let mut flat: Vec<CellAddr> = waves.waves.iter().flatten().copied().collect();
-        flat.sort();
-        let mut order = plan.order.clone();
-        order.sort();
-        assert_eq!(flat, order, "waves must cover exactly the plan set");
-        assert_eq!(waves.cyclic, plan.cyclic);
+        assert!(order(&waves).is_empty());
+        assert_eq!(
+            waves.cyclic,
+            vec![a("B1"), a("C1"), a("D1"), a("A2"), a("A3")]
+        );
         // Every edge crosses strictly forward in wave index.
         let wave_of: HashMap<CellAddr, usize> = waves
             .waves

@@ -18,7 +18,7 @@ pub mod refs;
 
 pub use ast::{BinOp, CellRef, Expr, UnOp};
 pub use batch::{batch_eval_sliding, detect_sliding, SlidingSpec};
-pub use deps::{DependencyGraph, RecomputePlan, WavePlan};
+pub use deps::{DependencyGraph, WavePlan};
 pub use error::ParseError;
 pub use eval::{AggKind, CellReader, EmptyReader, Evaluator, RangeAgg, SheetReader};
 pub use parser::{parse, parse_at};

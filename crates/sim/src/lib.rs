@@ -10,7 +10,15 @@
 //! case from its logged seed. The store sees it through the same
 //! `Arc<dyn StorageFs>` it opens every file with (`SheetEngine::open_on`,
 //! `WorkspaceConfig::storage_fs`, `Wal::open_on`).
+//!
+//! [`RefSheet`] is the reference the formula suites check the engine
+//! against: a dense grid whose rows and columns carry identities, so a
+//! reference names the cells it read through any structural edit. It
+//! shares only the parser and the evaluator with the engine, and computes
+//! every value from scratch on read.
 
+mod model;
 mod vfs;
 
+pub use model::RefSheet;
 pub use vfs::{FaultFs, FaultKind, FaultOp, FaultPlan, FaultRule};
